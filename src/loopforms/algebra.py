@@ -49,9 +49,6 @@ __all__ = [
     "check_automorphism",
     "check_loop_element",
     "embed_algebra",
-    "embed_automorphism",
-    "embed_matrix",
-    "embed_vector",
     "eigengrading",
     "loop_bracket",
     "loop_element",
@@ -373,14 +370,6 @@ def check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int) -> Fi
 # -- change of scalar order --------------------------------------------------
 
 
-def embed_vector(v: Sequence[CycloNum], n: int) -> Vector:
-    return tuple(c.embed(n) for c in v)
-
-
-def embed_matrix(mat: Sequence[Sequence[CycloNum]], n: int) -> Matrix:
-    return tuple(tuple(c.embed(n) for c in row) for row in mat)
-
-
 def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
     if n == alg.scalar_order:
         return alg
@@ -394,12 +383,6 @@ def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
         constants=constants,
         basis_labels=alg.basis_labels,
     )
-
-
-def embed_automorphism(auto: FiniteOrderAutomorphism, n: int) -> FiniteOrderAutomorphism:
-    if n == auto.scalar_order:
-        return auto
-    return FiniteOrderAutomorphism(matrix=embed_matrix(auto.matrix, n), period=auto.period)
 
 
 # -- eigenspace grading -------------------------------------------------------

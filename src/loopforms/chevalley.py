@@ -51,7 +51,6 @@ __all__ = [
     "chevalley_algebra",
     "compose_pi_toral",
     "diagram_automorphism",
-    "outer_image",
     "root_system",
     "standard_algebra",
     "toral_automorphism",
@@ -624,8 +623,8 @@ class ComposedAutomorphism:
     """pi compose tau_s with the factorization kept; period = lcm(|pi|, m).
 
     Quacks like FiniteOrderAutomorphism (matrix/period/apply) so graders and
-    descent constructions accept it directly; the extra fields feed
-    outer_image and the untwisting maps.
+    descent constructions accept it directly; the extra fields feed the
+    untwisting maps.
     """
 
     auto: FiniteOrderAutomorphism
@@ -678,15 +677,6 @@ def compose_pi_toral(
     assert left == right, "factors fail to commute despite an invariant charge"
     composed = check_automorphism(alg, left, period)
     return ComposedAutomorphism(auto=composed, perm=perm, charge=charge)
-
-
-def outer_image(sigma: ComposedAutomorphism) -> DiagramPermutation:
-    """The diagram factor, i.e. the image in the outer automorphism group.
-
-    Only factored automorphisms are supported; recovering the factorization
-    from a bare matrix is out of scope here.
-    """
-    return sigma.perm
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:

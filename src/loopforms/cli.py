@@ -62,19 +62,24 @@ def _parse_auto_json(raw: Optional[str]) -> dict:
     return obj
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
     """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}."""
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
     m = obj.get("m", 1)
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise RequestError("m must be a positive integer")
     pi = obj.get("pi")
     if pi is None:
         perm = DiagramPermutation.identity(rank)
     else:
-        if not isinstance(pi, list) or len(pi) != rank or not all(isinstance(x, int) for x in pi):
+        if not isinstance(pi, list) or len(pi) != rank or not all(_is_int(x) for x in pi):
             raise RequestError(f"pi must be a list of {rank} one-based node images")
         try:
             perm = DiagramPermutation.from_one_based(tuple(pi))
@@ -83,7 +88,7 @@ def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
     s = obj.get("s")
     if s is None:
         s = [0] * rank
-    if not isinstance(s, list) or len(s) != rank or not all(isinstance(x, int) for x in s):
+    if not isinstance(s, list) or len(s) != rank or not all(_is_int(x) for x in s):
         raise RequestError(f"s must be a list of {rank} integers")
     if any(s[i] != s[perm(i)] for i in range(rank)):
         raise RequestError("s must be constant on the orbits of pi")
@@ -101,11 +106,11 @@ def _matrix_auto(obj: dict, n: int) -> tuple[tuple[int, ...], int]:
     if (
         not isinstance(exponents, list)
         or len(exponents) != n
-        or not all(isinstance(x, int) for x in exponents)
+        or not all(_is_int(x) for x in exponents)
     ):
         raise RequestError(f"exponents must be a list of {n} integers")
     m = obj.get("m", 1)
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise RequestError("m must be a positive integer")
     return tuple(exponents), m
 
@@ -428,8 +433,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     else:
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise RequestError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(rendered)
 
@@ -491,14 +499,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             "status": "fail",
             "error": f"{type(exc).__name__}: {exc}",
         }
+    else:
+        status = payload.pop("status")
+        report = {"command": args.command, "status": status, "payload": payload}
+    try:
         _emit(report, args)
-        print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
-        return 1
-    status = payload.pop("status")
-    report = {"command": args.command, "status": status, "payload": payload}
-    _emit(report, args)
+    except RequestError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    return 0 if status == "pass" else 1
+    return 0 if report["status"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ from .linalg import Matrix, Vector, mat_mul, mat_pow, nullspace
 
 __all__ = [
     "CheckReport",
-    "CyclicGaloisAction",
     "DescentError",
     "LoopCocycle",
     "UntwistIso",
@@ -85,35 +84,6 @@ class CheckReport:
 
 def _passed(check: str, window: int) -> CheckReport:
     return CheckReport(check=check, window=window, status="pass")
-
-
-@dataclass(frozen=True)
-class CyclicGaloisAction:
-    """Generator of Gal(S_m/R) = Z/m acting by a z^j -> zeta_m^j a z^j."""
-
-    period: int
-    scalar_order: int
-
-    def __post_init__(self) -> None:
-        if self.period < 1 or self.scalar_order % self.period != 0:
-            raise DescentError(
-                f"scalar order {self.scalar_order} lacks the {self.period}-th roots of unity"
-            )
-
-    def apply(self, x: LoopElement, power: int = 1) -> LoopElement:
-        step = self.scalar_order // self.period
-        return loop_element(
-            (j, tuple(zeta_power(self.scalar_order, step * power * j) * c for c in v))
-            for j, v in x.terms
-        )
-
-    def check_period(self, dim: int, window: int) -> CheckReport:
-        """gamma^m = id on every basis slice of the window."""
-        for j in range(-window, window + 1):
-            value = zeta_power(self.scalar_order, (self.scalar_order // self.period) * self.period * j)
-            if not (value - CycloNum.one(self.scalar_order)).is_zero():
-                raise DescentError(f"generator period fails at degree {j}")
-        return _passed("galois-generator-period", window)
 
 
 @dataclass(frozen=True)

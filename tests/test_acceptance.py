@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from loopforms import acceptance
 from loopforms.acceptance import CRITERION_NAMES, verify_all
+from loopforms.affine import GCM, CatalogEntry, affine_catalog
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
 
@@ -68,6 +70,22 @@ def test_corrupted_fixture_fails_with_named_triple():
     # the built-in fixtures still pass alongside the bad one
     good = [r for r in row["payload"]["fixtures"] if r["fixture"] != "tampered sl2"]
     assert good and all(r["status"] == "pass" for r in good)
+
+
+def test_criterion_7_fails_on_tampered_catalog(monkeypatch):
+    def tamper(entry):
+        if str(entry.label) != "D4^(3)":
+            return entry
+        # the transpose is G2^(1), a valid affine matrix of the wrong type
+        return CatalogEntry(label=entry.label, gcm=GCM(entries=tuple(zip(*entry.gcm.entries))))
+
+    tampered = tuple(tamper(e) for e in affine_catalog())
+    monkeypatch.setattr(acceptance, "affine_catalog", lambda: tampered)
+    row = verify_all(selected=[7])["criteria"][0]
+    assert row["status"] == "fail"
+    rows = {r["label"]: r["equivalent"] for r in row["payload"]["catalog"]}
+    assert rows.pop("D4^(3)") is False
+    assert all(rows.values())
 
 
 def test_empty_selection_gives_empty_passing_report():

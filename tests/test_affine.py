@@ -1,15 +1,17 @@
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from loopforms import affine
 from loopforms.affine import (
     GCM,
     AffineExtractError,
+    AffineLabel,
     affine_catalog,
     affine_certificate,
     affine_roots,
+    bordered_untwisted,
     extract_gcm,
     fixed_cartan,
     gcm_equivalent,
@@ -18,6 +20,7 @@ from loopforms.affine import (
 )
 from loopforms.algebra import eigengrading
 from loopforms.chevalley import (
+    TYPE_LABELS,
     DiagramPermutation,
     ToralCharge,
     algebra_over,
@@ -25,6 +28,7 @@ from loopforms.chevalley import (
     compose_pi_toral,
     root_system,
 )
+from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
 
@@ -144,55 +148,15 @@ def test_gcm_axioms_reject(entries):
         GCM(entries=entries)
 
 
-# -- bordered-matrix oracle for the untwisted entries ------------------------------
+# -- the Kac-table catalog ------------------------------------------------------
 
 
-def _symmetrizer(a):
-    n = len(a)
-    d: list = [None] * n
-    d[0] = Fraction(1)
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if a[i][j] != 0 and i != j and d[j] is None:
-                d[j] = d[i] * a[i][j] / a[j][i]
-                frontier.append(j)
-    assert all(x is not None for x in d)
-    for i in range(n):
-        for j in range(n):
-            assert d[i] * a[i][j] == d[j] * a[j][i]
-    return d
-
-
-def _bordered_untwisted(label):
-    """Affix the affine node by hand: the new simple root is delta - theta,
-    so its row and column come from the coroot of the highest root.  Uses
-    only the Cartan matrix, the reflection closure, and the symmetrizer."""
-    cartan = cartan_matrix(label).entries
-    n = len(cartan)
-    d = _symmetrizer(cartan)
-    theta = root_system(cartan_matrix(label)).positives[-1]
-    norm = sum(
-        theta[i] * theta[j] * d[i] * cartan[i][j]
-        for i in range(n)
-        for j in range(n)
+def _entry(base_type, order):
+    return next(
+        e
+        for e in affine_catalog()
+        if e.label.base_type == base_type and e.label.twist_order == order
     )
-    d_theta = Fraction(norm, 2)
-    cvee = [theta[i] * d[i] / d_theta for i in range(n)]
-    self_pairing = sum(
-        cvee[i] * cartan[i][k] * theta[k] for i in range(n) for k in range(n)
-    )
-    assert self_pairing == 2
-    top = [self_pairing] + [
-        -sum(cvee[i] * cartan[i][j] for i in range(n)) for j in range(n)
-    ]
-    rows = [top]
-    for j in range(n):
-        col0 = -sum(cartan[j][k] * theta[k] for k in range(n))
-        rows.append([Fraction(col0)] + [Fraction(x) for x in cartan[j]])
-    assert all(x.denominator == 1 for row in rows for x in row)
-    return GCM(entries=tuple(tuple(int(x) for x in row) for row in rows))
 
 
 UNTWISTED = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
@@ -200,13 +164,61 @@ UNTWISTED = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
 
 @pytest.mark.parametrize("label", UNTWISTED)
 def test_untwisted_catalog_matches_bordered_oracle(label):
-    oracle = _bordered_untwisted(label)
-    entry = next(
-        e
-        for e in affine_catalog()
-        if e.label.base_type == label and e.label.twist_order == 1
-    )
-    assert gcm_equivalent(oracle, entry.gcm) is not None
+    oracle = bordered_untwisted(label)
+    assert gcm_equivalent(oracle, _entry(label, 1).gcm) is not None
+    # delta = alpha_0 + theta: the marks (1, theta) are a null vector
+    marks = (1,) + root_system(cartan_matrix(label)).positives[-1]
+    assert all(sum(a * x for a, x in zip(row, marks)) == 0 for row in oracle.entries)
+
+
+def test_catalog_covers_every_type_and_class_order():
+    orders: dict = {}
+    for entry in affine_catalog():
+        orders.setdefault(entry.label.base_type, []).append(entry.label.twist_order)
+    assert sorted(orders) == sorted(TYPE_LABELS)
+    for label in TYPE_LABELS:
+        classes = conjugacy_classes(dynkin_automorphism_group(cartan_matrix(label)))
+        assert sorted(orders[label]) == sorted({rep.order() for rep, _ in classes.classes})
+
+
+def test_catalog_entries_pairwise_inequivalent():
+    entries = list(affine_catalog())
+    for i, first in enumerate(entries):
+        for second in entries[i + 1:]:
+            assert gcm_equivalent(first.gcm, second.gcm) is None, (first.label, second.label)
+
+
+# the loop algebras the catalog was once extracted from, the A4 flip and B3
+EXTRACTED = (
+    ("A1", None),
+    ("A2", None),
+    ("A3", None),
+    ("B2", None),
+    ("C3", None),
+    ("D4", None),
+    ("G2", None),
+    ("A2", (1, 0)),
+    ("A3", (2, 1, 0)),
+    ("D4", (0, 1, 3, 2)),
+    ("D4", (2, 1, 3, 0)),
+    ("A4", (3, 2, 1, 0)),
+    ("B3", None),
+)
+
+
+@pytest.mark.parametrize("label,images", EXTRACTED, ids=lambda x: "id" if x is None else str(x))
+def test_extractor_agrees_with_catalog(label, images):
+    rank = cartan_matrix(label).rank
+    perm = DiagramPermutation.identity(rank) if images is None else DiagramPermutation(images)
+    report = affine_certificate(label, perm=perm)
+    assert (report.label.base_type, report.label.twist_order) == (label, perm.order())
+    assert gcm_equivalent(report.gcm, _entry(label, perm.order()).gcm) is not None
+
+
+def test_certificate_rejects_label_of_another_type(monkeypatch):
+    monkeypatch.setattr(affine, "match_affine_label", lambda gcm: AffineLabel("A3", 1))
+    with pytest.raises(AffineExtractError):
+        affine_certificate("A2")
 
 
 # -- frozen matrices for the twisted entries ---------------------------------------
@@ -221,19 +233,14 @@ TWISTED = {
 
 @pytest.mark.parametrize("key", sorted(TWISTED))
 def test_twisted_catalog_matches_frozen_matrices(key):
-    base_type, order = key
     frozen = GCM(entries=TWISTED[key])
-    entry = next(
-        e
-        for e in affine_catalog()
-        if e.label.base_type == base_type and e.label.twist_order == order
-    )
-    assert gcm_equivalent(frozen, entry.gcm) is not None
+    assert gcm_equivalent(frozen, _entry(*key).gcm) is not None
 
 
 def test_catalog_against_golden_file():
     catalog = affine_catalog()
-    assert len(catalog) == 11
+    # 31 untwisted types, 7 A_l^(2), 5 D_l^(2), D4^(3) and E6^(2)
+    assert len(catalog) == 45
     recorded = json.loads(GOLDEN.read_text())
     produced = [{"label": str(e.label), "gcm": e.gcm.to_obj()} for e in catalog]
     assert produced == recorded
@@ -255,9 +262,19 @@ def test_match_handles_reordered_bases():
 
 
 def test_match_rejects_unknown_matrix():
-    b3 = _bordered_untwisted("B3")
+    # A10^(2): A10 is not advertised, and its matrix has the size of the
+    # rank-5 entries
+    a10_twisted = GCM(entries=(
+        (2, -2, 0, 0, 0, 0),
+        (-1, 2, -1, 0, 0, 0),
+        (0, -1, 2, -1, 0, 0),
+        (0, 0, -1, 2, -1, 0),
+        (0, 0, 0, -1, 2, -2),
+        (0, 0, 0, 0, -1, 2),
+    ))
+    assert any(e.gcm.size == a10_twisted.size for e in affine_catalog())
     with pytest.raises(AffineExtractError):
-        match_affine_label(b3)
+        match_affine_label(a10_twisted)
 
 
 def test_equivalence_distinguishes_same_size():

@@ -134,6 +134,19 @@ def test_external_algebra_file(tmp_path):
 # -- output modes ----------------------------------------------------------------
 
 
+def test_classify_b3():
+    result = run_cli("classify", "--type", "B3")
+    assert result.returncode == 0
+    payload = report_of(result)["payload"]
+    assert [r["affine_label"] for r in payload["classes"]] == ["B3^(1)"]
+
+
+def test_extract_gcm_a4_flip():
+    result = run_cli("extract-gcm", "--type", "A4", "--auto", '{"pi": [4, 3, 2, 1]}')
+    assert result.returncode == 0
+    assert report_of(result)["payload"]["label"] == "A4^(2)"
+
+
 def test_text_rendering():
     result = run_cli("classify", "--type", "D4", "--text")
     assert result.returncode == 0
@@ -149,6 +162,14 @@ def test_out_file(tmp_path):
     assert result.stdout == ""
     report = json.loads(path.read_text())
     assert report["payload"]["dim"] == 3
+
+
+def test_out_into_missing_directory_exits_2(tmp_path):
+    result = run_cli("build", "--type", "A1", "--out", str(tmp_path / "missing" / "x.json"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_identical_requests_identical_bytes():
@@ -187,6 +208,13 @@ def test_verification_failure_exits_1(tmp_path):
         ("extract-gcm", "--matrix-algebra", "2"),  # unsupported source
         ("classify", "--matrix-algebra", "0"),
         ("verify-all", "--type", "A1"),  # no inputs allowed
+        # JSON booleans are not integers
+        ("grade", "--type", "A2", "--auto", '{"s": [true, 0], "m": true}'),
+        ("grade", "--type", "A2", "--auto", '{"m": true}'),
+        ("grade", "--type", "A2", "--auto", '{"s": [true, 0]}'),
+        ("grade", "--type", "A2", "--auto", '{"pi": [2, true]}'),
+        ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [true, 0]}'),
+        ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": true}'),
     ],
 )
 def test_malformed_requests_exit_2(argv):
