@@ -39,7 +39,7 @@ from .chevalley import (
     root_system,
 )
 from .cyclo import CycloNum
-from .linalg import SpanSolver, Vector, nullspace, vec_add, vec_scale, zero_vector
+from .linalg import SpanSolver, Vector, int_rank_det, nullspace, vec_add, vec_scale, zero_vector
 
 __all__ = [
     "AffineCatalog",
@@ -324,7 +324,7 @@ class GCM:
                     raise AffineExtractError(f"positive off-diagonal entry at ({i},{j})")
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise AffineExtractError(f"zero pattern asymmetric at ({i},{j})")
-        rank, det = _row_reduce_int(a)
+        rank, det = int_rank_det(a)
         if det != 0:
             raise AffineExtractError(f"determinant {det} is not 0")
         if rank != n - 1:
@@ -345,34 +345,6 @@ class GCM:
 
     def to_obj(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-
-def _row_reduce_int(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
-    n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != rank:
-            work[rank], work[pivot] = work[pivot], work[rank]
-            det = -det
-        det *= work[rank][col]
-        inv = 1 / work[rank][col]
-        for r in range(rank + 1, n):
-            factor = work[r][col] * inv
-            if factor:
-                for c2 in range(col, n):
-                    work[r][c2] -= factor * work[rank][c2]
-        rank += 1
-    return rank, det
 
 
 @dataclass(frozen=True)

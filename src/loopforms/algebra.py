@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     SpanSolver,
     Vector,
+    eliminate,
     is_identity,
     mat_pow,
     mat_vec,
@@ -660,7 +661,8 @@ def _identity_in_span(report: CentroidReport) -> bool:
                     flat.append(c)
                     order = c.order
         flat_basis.append(tuple(flat))
-    assert order is not None
+    if order is None:
+        raise AlgebraError("centroid basis has no entries to test against")
     ident = []
     for mat in report.basis[0]:
         rows = len(mat)
@@ -785,42 +787,7 @@ def centroid_graded(
                         entries[idx] = entries.get(idx, CycloNum.zero(order)) - coeff
                 add_row(entries)
 
-    def row_sort_key(row_t):
-        return tuple((k, c.coeffs) for k, c in row_t)
-
-    pivots: dict[int, dict[int, CycloNum]] = {}
-    for row_t in sorted(rows, key=row_sort_key):
-        row = dict(row_t)
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = row[lead].inverse()
-                pivots[lead] = {k: inv * v for k, v in row.items()}
-                break
-            factor = row[lead]
-            for k, v in pivot.items():
-                nv = row.get(k, CycloNum.zero(order)) - factor * v
-                if nv.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-    # back-substitute to full reduction
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, orow in pivots.items():
-            if other_lead >= lead:
-                continue
-            factor = orow.get(lead)
-            if factor is None or factor.is_zero():
-                continue
-            for k, v in prow.items():
-                nv = orow.get(k, CycloNum.zero(order)) - factor * v
-                if nv.is_zero():
-                    orow.pop(k, None)
-                else:
-                    orow[k] = nv
-
+    pivots, _ = eliminate(dict(row_t) for row_t in rows)
     alive_indices = [i for i in range(total) if alive[i]]
     free = [i for i in alive_indices if i not in pivots]
     families = []
@@ -829,7 +796,7 @@ def centroid_graded(
         sol = {f: CycloNum.one(order)}
         for lead, prow in pivots.items():
             coeff = prow.get(f)
-            if coeff is not None and not coeff.is_zero():
+            if coeff is not None:
                 sol[lead] = -coeff
         family = []
         for res in range(m):

@@ -36,7 +36,7 @@ from .algebra import (
     validate_algebra,
 )
 from .cyclo import CycloNum, zeta_power
-from .linalg import Matrix, mat_mul
+from .linalg import Matrix, int_rank_det, mat_mul
 
 __all__ = [
     "ComposedAutomorphism",
@@ -90,33 +90,8 @@ class FiniteCartanMatrix:
                         raise LieConstructError("zero pattern must be symmetric")
         # finite type: every leading principal minor positive
         for k in range(1, self.rank + 1):
-            if _int_det([row[:k] for row in a[:k]]) <= 0:
+            if int_rank_det([row[:k] for row in a[:k]])[1] <= 0:
                 raise LieConstructError("matrix is not of finite type")
-
-
-def _int_det(rows: Sequence[Sequence[int]]) -> Fraction:
-    n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    work[r][c] -= factor * work[col][c]
-    return det
 
 
 def _chain(l: int) -> list[list[int]]:
@@ -256,7 +231,8 @@ def _symmetrizers(cartan: FiniteCartanMatrix) -> tuple[Fraction, ...]:
                 if i != j and cartan.entries[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * Fraction(cartan.entries[i][j], cartan.entries[j][i])
                     stack.append(j)
-    assert all(x is not None for x in d)
+    if any(x is None for x in d):
+        raise LieConstructError("symmetrizer left a node without a value")
     return tuple(x for x in d)  # type: ignore[misc]
 
 
@@ -279,9 +255,10 @@ class _Constants:
         self._extend_to_all_pairs()
         for (a, b), value in self.n.items():
             expected = self.p(a, b) + 1
-            assert value.denominator == 1 and abs(value) == expected, (
-                "sign propagation produced an inconsistent structure constant"
-            )
+            if value.denominator != 1 or abs(value) != expected:
+                raise LieConstructError(
+                    "sign propagation produced an inconsistent structure constant"
+                )
 
     def norm(self, alpha: Root) -> Fraction:
         cached = self._norm_cache.get(alpha)
@@ -331,7 +308,8 @@ class _Constants:
                 if beta in pos_set and order_index[alpha] < order_index[beta]:
                     decomps.append((alpha, beta))
             decomps.sort(key=lambda ab: order_index[ab[0]])
-            assert decomps, "positive non-simple root with no two-term decomposition"
+            if not decomps:
+                raise LieConstructError("positive non-simple root with no two-term decomposition")
             xi, eta = decomps[0]  # extraspecial pair
             value = Fraction(self.p(xi, eta) + 1)
             self.n[(xi, eta)] = value
@@ -345,9 +323,11 @@ class _Constants:
                 if ax in pos_set:
                     acc -= n_mixed_down(alpha, xi) * n_pos(beta, ax)
                 denom = n_mixed_down(gamma, xi)
-                assert denom != 0
+                if denom == 0:
+                    raise LieConstructError("extraspecial pair gives a zero denominator")
                 value = acc / denom
-                assert value != 0, "special pair resolved to zero; sign propagation broke"
+                if value == 0:
+                    raise LieConstructError("special pair resolved to zero; sign propagation broke")
                 self.n[(alpha, beta)] = value
                 self.n[(beta, alpha)] = -value
 
@@ -431,7 +411,8 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
     for alpha in rs.positives:
         ia, ina = root_index[alpha], root_index[_neg(alpha)]
         coeffs = consts.coroot_coeffs(alpha)
-        assert all(c.denominator == 1 for c in coeffs), "coroot is not integral"
+        if any(c.denominator != 1 for c in coeffs):
+            raise LieConstructError("coroot is not integral")
         halpha = {j: q(c) for j, c in enumerate(coeffs) if c}
         put(ia, ina, dict(halpha))
         put(ina, ia, {j: -v for j, v in halpha.items()})
@@ -564,7 +545,8 @@ def diagram_automorphism(
             if eta in consts.root_set and sum(eta) > 0:
                 found = (xi, eta)
                 break
-        assert found is not None
+        if found is None:
+            raise LieConstructError(f"root {alpha} has no decomposition into two roots")
         xi, eta = found
         for sign_pair in ((xi, eta), (_neg(xi), _neg(eta))):
             u, v = sign_pair
@@ -586,9 +568,10 @@ def diagram_automorphism(
             for k in keys:
                 va = lhs.get(k, CycloNum.zero(order))
                 vb = rhs.get(k, CycloNum.zero(order))
-                assert (va - vb).is_zero(), (
-                    f"propagation paths disagree on root {target} via {a} + {b}"
-                )
+                if not (va - vb).is_zero():
+                    raise LieConstructError(
+                        f"propagation paths disagree on root {target} via {a} + {b}"
+                    )
 
     matrix = _matrix_from_images(alg, images)
     return check_automorphism(alg, matrix, perm.order())
@@ -674,7 +657,8 @@ def compose_pi_toral(
     tau_auto = toral_automorphism(alg, rs, charge)
     left = mat_mul(pi_auto.matrix, tau_auto.matrix)
     right = mat_mul(tau_auto.matrix, pi_auto.matrix)
-    assert left == right, "factors fail to commute despite an invariant charge"
+    if left != right:
+        raise LieConstructError("factors fail to commute despite an invariant charge")
     composed = check_automorphism(alg, left, period)
     return ComposedAutomorphism(auto=composed, perm=perm, charge=charge)
 

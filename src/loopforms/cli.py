@@ -271,6 +271,9 @@ def _cmd_extract_gcm(args: argparse.Namespace) -> dict:
     spec = _parse_auto_json(args.auto)
     rank = cartan_matrix(args.type).rank
     perm, charge = _type_auto(spec, rank)
+    period = lcm(perm.order(), charge.modulus)
+    if args.window is not None and args.window < period:
+        raise RequestError(f"--window {args.window} is smaller than the twist period {period}")
     report = affine_certificate(args.type, perm=perm, charge=charge, window=args.window)
     payload = {"type": args.type, "auto": _auto_echo(perm, charge)}
     payload.update(report.to_obj())
@@ -351,6 +354,9 @@ def _cmd_verify_all(args: argparse.Namespace) -> dict:
         "status": report["status"],
     }
 
+
+# the commands that read --window; the others refuse it
+_WINDOWED = ("extract-gcm", "untwist", "descent-verify")
 
 _COMMANDS = {
     "build": _cmd_build,
@@ -489,6 +495,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             sources = [args.type, args.algebra, args.matrix_algebra, args.auto]
             if any(x is not None for x in sources):
                 raise RequestError("verify-all takes no input flags")
+        if args.window is not None:
+            if args.command not in _WINDOWED:
+                raise RequestError(f"{args.command} takes no --window")
+            if args.window < 1:
+                raise RequestError("--window must be a positive integer")
         payload = _COMMANDS[args.command](args)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)

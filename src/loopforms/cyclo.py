@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Union
 
 __all__ = [
+    "CycloError",
     "CycloNum",
     "cyclotomic_polynomial",
     "embed",
@@ -35,6 +36,10 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class CycloError(ArithmeticError):
+    """An exact-arithmetic invariant failed (a division that must be exact)."""
 
 
 def euler_phi(m: int) -> int:
@@ -75,8 +80,8 @@ def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # den must be monic
-    assert den and den[-1] == 1
+    if not den or den[-1] != 1:
+        raise CycloError("polynomial division needs a monic divisor")
     rem = list(num)
     quo = [0] * max(len(num) - len(den) + 1, 0)
     while len(rem) >= len(den):
@@ -109,8 +114,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul_int(den, cyclotomic_polynomial(d))
     quo, rem = _poly_divmod_int(num, den)
-    assert rem == (), "cyclotomic division must be exact"
-    assert quo[-1] == 1
+    if rem != ():
+        raise CycloError("cyclotomic division must be exact")
+    if quo[-1] != 1:
+        raise CycloError(f"cyclotomic polynomial {m} is not monic")
     return quo
 
 
@@ -241,7 +248,8 @@ class CycloNum:
         while True:
             while r1 and r1[-1] == 0:
                 r1.pop()
-            assert r1, "gcd with an irreducible modulus cannot vanish"
+            if not r1:
+                raise CycloError("gcd with an irreducible modulus cannot vanish")
             if len(r1) == 1:
                 inv = [c / r1[0] for c in s1]
                 return CycloNum(self.order, _reduce_mod_cyclotomic(self.order, inv))

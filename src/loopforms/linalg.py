@@ -1,26 +1,39 @@
 """Deterministic exact linear algebra over cyclotomic scalars.
 
-Row reduction always picks the first nonzero column and, within it, the first
-row with a nonzero entry, so reduced forms (and therefore kernel bases) are
-canonical: the same input yields the same output bit for bit.  Kernel bases
-are additionally re-reduced so the returned vectors are themselves in reduced
-row-echelon form.
+Every elimination goes through one sparse Gauss-Jordan routine, `eliminate`.
+Its output does not depend on the order of the input rows or of the work
+inside, because the reduced row-echelon form of a matrix is unique.  The
+pivot columns are the columns at which the rank of the leading columns goes
+up, which the row space alone fixes, and the row space has exactly one basis
+whose rows are 1 at their own pivot and 0 at every other pivot.  So the same
+input gives the same kernel basis, membership coordinates and centroid basis
+bit for bit, however the rows arrive.  Kernel bases are additionally
+re-reduced so the returned vectors are themselves in reduced row-echelon
+form.
+
+Integer matrices (Cartan matrices and generalized Cartan matrices) have their
+own small helper, `int_rank_det`, because their certificates need the
+determinant, which a reduced row-echelon form does not keep.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cyclo import CycloNum
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
+SparseRow = dict[int, CycloNum]
 
 __all__ = [
     "Matrix",
     "SpanSolver",
     "Vector",
+    "eliminate",
     "identity_matrix",
+    "int_rank_det",
     "is_identity",
     "mat_inverse",
     "mat_mul",
@@ -28,7 +41,6 @@ __all__ = [
     "mat_vec",
     "nullspace",
     "rank",
-    "rref",
     "vec_add",
     "vec_scale",
     "vec_sub",
@@ -113,83 +125,143 @@ def is_identity(mat: Sequence[Sequence[CycloNum]]) -> bool:
     return True
 
 
-def rref(rows: Iterable[Sequence[CycloNum]], pivot_limit: Optional[int] = None) -> tuple[list[list[CycloNum]], list[int]]:
-    """Reduced row echelon form; pivots restricted to columns < pivot_limit.
-
-    Returns the reduced rows (zero rows dropped) and the pivot column list.
-    """
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    rank_so_far = 0
-    for col in range(limit):
-        pivot_row = None
-        for r in range(rank_so_far, len(work)):
-            if not work[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
+def _axpy(target: SparseRow, factor: CycloNum, source: Mapping[int, CycloNum], skip: int) -> None:
+    """target -= factor * source in place, ignoring column `skip`; zeros are dropped."""
+    neg = -factor
+    for k, v in source.items():
+        if k == skip:
             continue
-        work[rank_so_far], work[pivot_row] = work[pivot_row], work[rank_so_far]
-        prow = work[rank_so_far]
-        inv = prow[col].inverse()
-        for j in range(col, ncols):
-            if not prow[j].is_zero():
-                prow[j] = inv * prow[j]
-        for r in range(len(work)):
-            if r == rank_so_far:
-                continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            row = work[r]
-            for j in range(col, ncols):
-                if not prow[j].is_zero():
-                    row[j] = row[j] - factor * prow[j]
-        pivots.append(col)
-        rank_so_far += 1
-    return work[:rank_so_far], pivots
+        old = target.get(k)
+        if old is None:
+            target[k] = neg * v
+            continue
+        new = old + neg * v
+        if new.is_zero():
+            del target[k]
+        else:
+            target[k] = new
+
+
+def eliminate(
+    rows: Iterable[Mapping[int, CycloNum]], pivot_limit: Optional[int] = None
+) -> tuple[dict[int, SparseRow], list[SparseRow]]:
+    """Sparse Gauss-Jordan elimination of rows given as {column: scalar}.
+
+    Returns the pivot rows keyed by pivot column, in increasing column order,
+    and the leftover rows.  A pivot row is 1 at its pivot and has no entry at
+    any other pivot column.  Pivots are only taken in columns below
+    `pivot_limit`; a row that reduces to entries at or past the limit only is
+    a leftover row.  Rows that reduce to zero are dropped.  With no limit
+    there are no leftover rows and the pivot rows are the reduced row-echelon
+    form, which does not depend on the order of the input rows.
+    """
+    pivots: dict[int, SparseRow] = {}
+    leftover: list[SparseRow] = []
+    for source in rows:
+        row = {k: v for k, v in source.items() if not v.is_zero()}
+        # pivot rows vanish at every other pivot column, so one pass suffices
+        for col in [c for c in row if c in pivots]:
+            _axpy(row, row.pop(col), pivots[col], col)
+        leads = [c for c in row if pivot_limit is None or c < pivot_limit]
+        if not leads:
+            if row:
+                leftover.append(row)
+            continue
+        lead = min(leads)
+        inv = row.pop(lead).inverse()
+        new = {k: inv * v for k, v in row.items()}
+        new[lead] = CycloNum.one(inv.order)
+        for prow in pivots.values():
+            factor = prow.pop(lead, None)
+            if factor is not None:
+                _axpy(prow, factor, new, lead)
+        pivots[lead] = new
+    return dict(sorted(pivots.items())), leftover
+
+
+def _sparse(row: Sequence[CycloNum]) -> SparseRow:
+    return {j: x for j, x in enumerate(row) if not x.is_zero()}
+
+
+def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum], zero: CycloNum) -> CycloNum:
+    if len(b) < len(a):
+        a, b = b, a
+    acc = None
+    for k, x in a.items():
+        y = b.get(k)
+        if y is not None:
+            term = x * y
+            acc = term if acc is None else acc + term
+    return zero if acc is None else acc
 
 
 def rank(rows: Iterable[Sequence[CycloNum]]) -> int:
-    reduced, pivots = rref(rows)
+    pivots, _ = eliminate(_sparse(row) for row in rows)
     return len(pivots)
 
 
 def nullspace(rows: Iterable[Sequence[CycloNum]], ncols: int, order: int) -> list[Vector]:
     """Canonical kernel basis of the linear map given by `rows` (ncols unknowns)."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    zero = CycloNum.zero(order)
+    pivots, _ = eliminate(_sparse(row) for row in rows)
     one = CycloNum.one(order)
-    basis = []
-    for f in free_cols:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, pc in enumerate(pivots):
-            entry = reduced[r][f]
-            if not entry.is_zero():
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: one}
+        for pc, prow in pivots.items():
+            entry = prow.get(f)
+            if entry is not None:
                 vec[pc] = -entry
-        basis.append(vec)
-    if not basis:
-        return []
-    canonical, _ = rref(basis)
-    return [tuple(row) for row in canonical]
+        kernel.append(vec)
+    basis, _ = eliminate(kernel)
+    zero = CycloNum.zero(order)
+    return [tuple(row.get(j, zero) for j in range(ncols)) for row in basis.values()]
 
 
 def mat_inverse(mat: Matrix) -> Matrix:
     n = len(mat)
     order = mat[0][0].order
-    ident = identity_matrix(n, order)
-    augmented = [list(row) + list(irow) for row, irow in zip(mat, ident)]
-    reduced, pivots = rref(augmented, pivot_limit=n)
+    one = CycloNum.one(order)
+    augmented = []
+    for i, row in enumerate(mat):
+        srow = _sparse(row)
+        srow[n + i] = one
+        augmented.append(srow)
+    pivots, _ = eliminate(augmented, pivot_limit=n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(reduced[i][n:]) for i in range(n))
+    zero = CycloNum.zero(order)
+    return tuple(tuple(pivots[i].get(n + j, zero) for j in range(n)) for i in range(n))
+
+
+def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
+    """Rank and determinant of a square integer matrix, by Fraction elimination."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, n):
+            if work[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            det = -det
+        det *= work[rank][col]
+        inv = 1 / work[rank][col]
+        for r in range(rank + 1, n):
+            factor = work[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    work[r][c] -= factor * work[rank][c]
+        rank += 1
+    return rank, det
 
 
 class SpanSolver:
@@ -204,70 +276,32 @@ class SpanSolver:
         self.order = order
         self.count = len(vectors)
         # columns of B are the spanning vectors; reduce [B | I] with pivots
-        # restricted to the B part, keeping the zero rows: their I-part rows
-        # are the consistency functionals for membership queries
-        ident = identity_matrix(ambient_dim, order)
-        work = []
+        # restricted to the B part.  The I part of a pivot row gives one
+        # coordinate, and that of a leftover row is a consistency functional
+        # for membership queries.
+        one = CycloNum.one(order)
+        rows = []
         for i in range(ambient_dim):
-            row = [vectors[k][i] for k in range(self.count)]
-            row.extend(ident[i])
-            work.append(row)
-        ncols = self.count + ambient_dim
-        pivots: list[int] = []
-        rank_so_far = 0
-        for col in range(self.count):
-            pivot_row = None
-            for r in range(rank_so_far, len(work)):
-                if not work[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            work[rank_so_far], work[pivot_row] = work[pivot_row], work[rank_so_far]
-            prow = work[rank_so_far]
-            inv = prow[col].inverse()
-            for j in range(ncols):
-                if not prow[j].is_zero():
-                    prow[j] = inv * prow[j]
-            for r in range(len(work)):
-                if r == rank_so_far:
-                    continue
-                factor = work[r][col]
-                if factor.is_zero():
-                    continue
-                row = work[r]
-                for j in range(ncols):
-                    if not prow[j].is_zero():
-                        row[j] = row[j] - factor * prow[j]
-            pivots.append(col)
-            rank_so_far += 1
-        self._pivots = pivots
-        self._rank = rank_so_far
-        self._solve_rows = [row[self.count:] for row in work[:rank_so_far]]
-        self._check_rows = [row[self.count:] for row in work[rank_so_far:]]
+            row = {k: vec[i] for k, vec in enumerate(vectors) if not vec[i].is_zero()}
+            row[self.count + i] = one
+            rows.append(row)
+        pivots, leftover = eliminate(rows, pivot_limit=self.count)
+        self._solve_rows = {pc: self._functional(row) for pc, row in pivots.items()}
+        self._check_rows = [self._functional(row) for row in leftover]
+
+    def _functional(self, row: SparseRow) -> SparseRow:
+        return {k - self.count: v for k, v in row.items() if k >= self.count}
 
     def coords(self, v: Sequence[CycloNum]) -> Optional[list[CycloNum]]:
         """Coefficients expressing v in the spanning vectors, or None."""
-        for crow in self._check_rows:
-            acc = None
-            for a, x in zip(crow, v):
-                if a.is_zero() or x.is_zero():
-                    continue
-                term = a * x
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                return None
         zero = CycloNum.zero(self.order)
+        entries = _sparse(v)
+        for crow in self._check_rows:
+            if not _dot(crow, entries, zero).is_zero():
+                return None
         out = [zero] * self.count
-        for r, pc in enumerate(self._pivots):
-            srow = self._solve_rows[r]
-            acc = None
-            for a, x in zip(srow, v):
-                if a.is_zero() or x.is_zero():
-                    continue
-                term = a * x
-                acc = term if acc is None else acc + term
-            out[pc] = acc if acc is not None else zero
+        for pc, srow in self._solve_rows.items():
+            out[pc] = _dot(srow, entries, zero)
         return out
 
     def contains(self, v: Sequence[CycloNum]) -> bool:

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -290,6 +293,48 @@ def test_composed_requires_invariant_charge():
     rs, alg = algebra_over("A2", 6)
     with pytest.raises(LieConstructError):
         compose_pi_toral(alg, rs, FLIP, ToralCharge(s=(1, 0), modulus=3))
+
+
+_TAMPERED_UNDER_O = textwrap.dedent(
+    """
+    import sys
+    from loopforms import chevalley, cyclo
+
+    print("optimize", sys.flags.optimize)
+    rs, alg = chevalley.algebra_over("A2", 6)
+    flip = chevalley.DiagramPermutation((1, 0))
+    real = chevalley.toral_automorphism
+
+    def skewed(alg, rs, charge):
+        # a charge that is not constant on the orbits of the flip
+        return real(alg, rs, chevalley.ToralCharge(s=(1, 0), modulus=charge.modulus))
+
+    chevalley.toral_automorphism = skewed
+    try:
+        chevalley.compose_pi_toral(alg, rs, flip, chevalley.ToralCharge(s=(1, 1), modulus=3))
+    except chevalley.LieConstructError as exc:
+        print("refused:", exc)
+    try:
+        cyclo._poly_divmod_int((1, 0, 1), (1, 2))
+    except cyclo.CycloError as exc:
+        print("refused:", exc)
+    """
+)
+
+
+def test_certificate_checks_survive_optimize_flag():
+    # python -O strips assert statements; these checks must raise regardless
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1] == "refused: factors fail to commute despite an invariant charge"
+    assert lines[2] == "refused: polynomial division needs a monic divisor"
 
 
 def test_algebra_over_is_cached():

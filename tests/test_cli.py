@@ -215,6 +215,15 @@ def test_verification_failure_exits_1(tmp_path):
         ("grade", "--type", "A2", "--auto", '{"pi": [2, true]}'),
         ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [true, 0]}'),
         ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": true}'),
+        # --window below 1, below the twist period, or on a command without one
+        ("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "-1"),
+        ("descent-verify", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "0"),
+        ("extract-gcm", "--type", "A2", "--auto", '{"pi": [2, 1]}', "--window", "1"),
+        ("build", "--type", "A1", "--window", "2"),
+        ("grade", "--type", "A1", "--window", "-5"),
+        ("classify", "--type", "A1", "--window", "2"),
+        ("centroid", "--type", "A1", "--window", "2"),
+        ("verify-all", "--window", "2"),
     ],
 )
 def test_malformed_requests_exit_2(argv):

@@ -6,6 +6,7 @@ import pytest
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import (
     SpanSolver,
+    eliminate,
     identity_matrix,
     is_identity,
     mat_inverse,
@@ -14,7 +15,6 @@ from loopforms.linalg import (
     mat_vec,
     nullspace,
     rank,
-    rref,
     vec_add,
     vec_scale,
     zero_vector,
@@ -32,11 +32,10 @@ def _random_matrix(rng, rows, cols, order):
 
 def test_rref_rank_one_fixture():
     # zero rows are dropped; only the reduced nonzero rows come back
-    mat = [[q(1), q(2)], [q(2), q(4)]]
-    reduced, pivots = rref(mat)
-    assert pivots == [0]
-    assert len(reduced) == 1
-    assert reduced[0] == [q(1), q(2)]
+    mat = [{0: q(1), 1: q(2)}, {0: q(2), 1: q(4)}]
+    pivots, leftover = eliminate(mat)
+    assert pivots == {0: {0: q(1), 1: q(2)}}
+    assert leftover == []
 
 
 def test_nullspace_hand_fixture():
@@ -110,3 +109,95 @@ def test_identity_matrix_shape():
     eye = identity_matrix(4, 6)
     assert is_identity(eye)
     assert rank(eye) == 4
+
+
+def _random_sparse_rows(rng, nrows, ncols, order):
+    pool = [q(v, order) for v in (-2, -1, 1, 3)] + [zeta_power(order, 1), zeta_power(order, 2)]
+    rows = []
+    for _ in range(nrows):
+        rows.append({c: rng.choice(pool) for c in range(ncols) if rng.random() < 0.4})
+    # append combinations of earlier rows so the rank falls below the row count
+    for _ in range(nrows // 2):
+        a, b = rng.sample(rows[:nrows], 2)
+        ca, cb = rng.choice(pool), rng.choice(pool)
+        combo = {}
+        for c in range(ncols):
+            value = ca * a.get(c, q(0, order)) + cb * b.get(c, q(0, order))
+            if not value.is_zero():
+                combo[c] = value
+        rows.append(combo)
+    return rows
+
+
+def _reference_rank(rows, ncols, order):
+    # dense column-by-column elimination, independent of `eliminate`
+    work = [[row.get(c, q(0, order)) for c in range(ncols)] for row in rows]
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if not work[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = work[r][col].inverse()
+        for i in range(r + 1, len(work)):
+            factor = work[i][col] * inv
+            work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("order, seed", [(3, 11), (3, 12), (4, 21), (4, 22)])
+def test_eliminate_is_canonical(order, seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = _random_sparse_rows(rng, nrows, ncols, order)
+        pivots, leftover = eliminate(rows)
+        assert leftover == []
+        for _ in range(3):
+            shuffled = [dict(row) for row in rows]
+            rng.shuffle(shuffled)
+            again, _ = eliminate(shuffled)
+            assert again == pivots
+            assert list(again) == list(pivots)
+        for col, row in pivots.items():
+            assert row[col] == q(1, order)
+            assert all(other not in row for other in pivots if other != col)
+            assert all(not v.is_zero() for v in row.values())
+        assert len(pivots) == _reference_rank(rows, ncols, order)
+        # every input row is the combination of pivot rows its pivot entries give
+        for row in rows:
+            rebuilt = {}
+            for col, prow in pivots.items():
+                if col in row:
+                    for k, v in prow.items():
+                        rebuilt[k] = rebuilt.get(k, q(0, order)) + row[col] * v
+            assert {k: v for k, v in rebuilt.items() if not v.is_zero()} == row
+
+
+def test_eliminate_pivot_limit_leaves_rows_past_the_limit():
+    rng = random.Random(5)
+    rows = _random_sparse_rows(rng, 6, 7, 3)
+    pivots, leftover = eliminate(rows, pivot_limit=3)
+    assert all(col < 3 for col in pivots)
+    assert all(leftover) and all(min(row) >= 3 for row in leftover)
+    assert len(pivots) == _reference_rank([{c: v for c, v in r.items() if c < 3} for r in rows], 3, 3)
+
+
+def test_span_solver_with_dependent_spanning_set():
+    v1 = (q(1, 3), q(0, 3), zeta_power(3, 1), q(2, 3))
+    v2 = (q(0, 3), q(1, 3), q(1, 3), q(0, 3))
+    spanning = [v1, v2, vec_add(v1, v2), vec_scale(q(2, 3), v1)]
+    solver = SpanSolver(spanning, 4, 3)
+    c0, c1 = zeta_power(3, 2), q(-3, 3)
+    v = vec_add(vec_scale(c0, v1), vec_scale(c1, v2))
+    # coordinates live on the independent (pivot) vectors only
+    assert solver.coords(v) == [c0, c1, q(0, 3), q(0, 3)]
+    assert not solver.contains((q(0, 3), q(0, 3), q(0, 3), q(1, 3)))
+    assert solver.coords(zero_vector(4, 3)) == [q(0, 3)] * 4
+
+
+def test_mat_inverse_refuses_singular_matrix():
+    mat = ((q(1, 4), zeta_power(4, 1)), (q(2, 4), zeta_power(4, 1) * 2))
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(mat)
