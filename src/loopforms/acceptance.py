@@ -310,7 +310,7 @@ def _reversed_base_gcm(type_label: str, perm: Optional[DiagramPermutation]):
     period = lcm(perm.order(), charge.modulus)
     rs, alg = algebra_over(type_label, period)
     sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma.auto)
+    grading = eigengrading(alg, sigma)
     h0 = fixed_cartan(alg, rs, perm)
     data = affine_roots(alg, grading, h0, period + 1)
     base = tuple(reversed(simple_affine_roots(data)))

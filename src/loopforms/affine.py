@@ -27,7 +27,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import GradedDecomposition, MultTableAlgebra, eigengrading
 from .chevalley import (
-    ComposedAutomorphism,
     DiagramPermutation,
     RootSystem,
     TYPE_LABELS,
@@ -649,7 +648,7 @@ def _extract_inner(
     period = lcm(perm.order(), charge.modulus)
     rs, alg = algebra_over(type_label, period)
     sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma.auto)
+    grading = eigengrading(alg, sigma)
     h0 = fixed_cartan(alg, rs, perm)
     data = affine_roots(alg, grading, h0, window if window is not None else period + 1)
     base = simple_affine_roots(data)

@@ -1,13 +1,17 @@
 """Finite-dimensional algebras by structure constants, and their gradings.
 
 An algebra is a multiplication table over some Q(zeta_M): sparse structure
-constants on a fixed basis, tagged `lie` or `associative`.  A finite-order
-automorphism with period m dividing that scalar order splits the algebra into
-eigenspace components A_i for the eigenvalues zeta_m^i; that decomposition is
-a Z/m grading and is the combinatorial heart of everything downstream: loop
-elements live on it, the per-degree base-change check certifies that the loop
-algebra really is a twisted form, and the centroid computation detects when
-two loop algebras cannot be isomorphic over the Laurent base ring.
+constants on a fixed basis, tagged `lie` or `associative`.  Automorphisms
+are monomial, e_j -> c_j e_p(j), which every twist built in this package is;
+they are checked in one pass over the basis pairs, with the period read off
+the cycles of p.  A finite-order automorphism with period m dividing that
+scalar order splits the algebra into eigenspace components A_i for the
+eigenvalues zeta_m^i, written down in closed form cycle by cycle; that
+decomposition is a Z/m grading and is the combinatorial heart of everything
+downstream: loop elements live on it, the per-degree base-change check
+certifies that the loop algebra really is a twisted form, and the centroid
+computation detects when two loop algebras cannot be isomorphic over the
+Laurent base ring.
 
 All verification here is exact and total over the stated ranges; nothing is
 sampled.
@@ -16,22 +20,12 @@ sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .cyclo import CycloNum, zeta_power
-from .linalg import (
-    Matrix,
-    SpanSolver,
-    Vector,
-    eliminate,
-    is_identity,
-    mat_pow,
-    mat_vec,
-    nullspace,
-    rank,
-    vec_add,
-    zero_vector,
-)
+from .linalg import Matrix, SpanSolver, Vector, eliminate, rank, vec_add, zero_vector
 
 __all__ = [
     "AlgebraError",
@@ -236,6 +230,10 @@ def _sparse_is_zero(s: Sparse) -> bool:
     return all(v.is_zero() for v in s.values())
 
 
+def _nonzero(s: Sparse) -> Sparse:
+    return {k: v for k, v in s.items() if not v.is_zero()}
+
+
 def _sparse_sum(terms: Iterable[Sparse]) -> Sparse:
     out: Sparse = {}
     for t in terms:
@@ -306,66 +304,113 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
 
 @dataclass(frozen=True)
 class FiniteOrderAutomorphism:
-    """Invertible multiplicative map, matrix acting on basis coordinates.
+    """Monomial automorphism e_j -> scalars[j] * e_{images[j]} of finite period.
 
-    Column j is the coordinate vector of the image of basis element j.  The
-    period m need not be the exact order: matrix^m = 1 is all that is required,
-    which is what lets automorphisms of different orders share a period.
+    Every twist built here is monomial in its basis: diagram symmetries are
+    signed permutations of the Chevalley basis, toral twists and Ad(diag) on
+    M_n are diagonal, and commuting compositions of these stay monomial.
+    `images` is a permutation of the basis indices and no scalar is zero.
+    The period m need not be the exact order: sigma^m = 1 is all that is
+    required, which is what lets automorphisms of different orders share a
+    period.
     """
 
-    matrix: Matrix
+    images: tuple[int, ...]
+    scalars: tuple[CycloNum, ...]
     period: int
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.images)
 
     @property
     def scalar_order(self) -> int:
-        return self.matrix[0][0].order
+        return self.scalars[0].order
 
     def apply(self, v: Sequence[CycloNum]) -> Vector:
-        return mat_vec(self.matrix, v)
+        out = [CycloNum.zero(self.scalar_order)] * self.dim
+        for j, x in enumerate(v):
+            if not x.is_zero():
+                out[self.images[j]] = self.scalars[j] * x
+        return tuple(out)
 
-    def to_obj(self) -> dict:
-        return {
-            "period": self.period,
-            "matrix": [[c.to_obj() for c in row] for row in self.matrix],
-        }
+    def compose(self, other: "FiniteOrderAutomorphism") -> "FiniteOrderAutomorphism":
+        """self o other (other acts first), with period lcm of the two periods;
+        that period holds when the factors commute, which callers check."""
+        return FiniteOrderAutomorphism(
+            images=tuple(self.images[k] for k in other.images),
+            scalars=tuple(c * self.scalars[k] for k, c in zip(other.images, other.scalars)),
+            period=lcm(self.period, other.period),
+        )
 
-    @staticmethod
-    def from_obj(obj: dict) -> "FiniteOrderAutomorphism":
-        matrix = tuple(tuple(CycloNum.from_obj(c) for c in row) for row in obj["matrix"])
-        return FiniteOrderAutomorphism(matrix=matrix, period=int(obj["period"]))
+    @cached_property
+    def matrix(self) -> Matrix:
+        """Dense read-only view: column j is the coordinate vector of sigma(e_j)."""
+        zero = CycloNum.zero(self.scalar_order)
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for j, (k, c) in enumerate(zip(self.images, self.scalars)):
+            rows[k][j] = c
+        return tuple(tuple(row) for row in rows)
 
 
-def check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int) -> FiniteOrderAutomorphism:
-    """Verify invertibility, multiplicativity on all basis pairs, and period."""
+def _cycles(images: Sequence[int]) -> list[list[int]]:
+    """Cycles of a permutation, each from its smallest index, by that index."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = images[k]
+        out.append(cycle)
+    return out
+
+
+def check_automorphism(
+    alg: MultTableAlgebra, images: Sequence[int], scalars: Sequence[CycloNum], period: int
+) -> FiniteOrderAutomorphism:
+    """Verify invertibility, multiplicativity on all basis pairs, and period
+    of the monomial map e_j -> scalars[j] * e_{images[j]}."""
     n = alg.dim
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise AutomorphismError(f"matrix must be {n}x{n}")
-    if matrix[0][0].order != alg.scalar_order:
-        raise AutomorphismError("matrix entries must use the algebra scalar order")
+    images, scalars = tuple(images), tuple(scalars)
+    if len(images) != n or len(scalars) != n:
+        raise AutomorphismError(f"need {n} images and {n} scalars")
+    if any(c.order != alg.scalar_order for c in scalars):
+        raise AutomorphismError("scalars must use the algebra scalar order")
     if period < 1:
         raise AutomorphismError("period must be positive")
-    if rank(matrix) != n:
-        raise AutomorphismError("matrix is not invertible")
-    columns = [tuple(matrix[i][j] for i in range(n)) for j in range(n)]
+    if sorted(images) != list(range(n)):
+        raise AutomorphismError("images are not a permutation of the basis")
+    if any(c.is_zero() for c in scalars):
+        raise AutomorphismError("a basis element maps to zero; the map is not invertible")
     for i in range(n):
         for j in range(n):
-            entry = alg.basis_product(i, j)
-            lhs = alg.zero_vec()
-            for k, c in entry:
-                lhs = vec_add(lhs, tuple(c * x for x in columns[k]))
-            rhs = alg.product(columns[i], columns[j])
-            if lhs != rhs:
+            entry, image_entry = alg.basis_product(i, j), alg.basis_product(images[i], images[j])
+            if not entry and not image_entry:
+                continue
+            # sigma(e_i e_j) against sigma(e_i) sigma(e_j) = s_i s_j e_p(i) e_p(j)
+            scale = scalars[i] * scalars[j]
+            lhs = _sparse_sum({images[k]: c * scalars[k]} for k, c in entry)
+            rhs = _sparse_sum({k: scale * c} for k, c in image_entry)
+            if _nonzero(lhs) != _nonzero(rhs):
                 raise AutomorphismError(
                     f"multiplicativity fails on basis pair "
                     f"({alg.basis_labels[i]}, {alg.basis_labels[j]})"
                 )
-    if not is_identity(mat_pow(matrix, period)):
-        raise AutomorphismError(f"matrix^{period} is not the identity")
-    return FiniteOrderAutomorphism(matrix=tuple(tuple(row) for row in matrix), period=period)
+    one = CycloNum.one(alg.scalar_order)
+    for cycle in _cycles(images):
+        product = one
+        for k in cycle:
+            product = product * scalars[k]
+        if period % len(cycle) != 0 or product ** (period // len(cycle)) != one:
+            raise AutomorphismError(
+                f"sigma^{period} is not the identity on the cycle of "
+                f"{alg.basis_labels[cycle[0]]}"
+            )
+    return FiniteOrderAutomorphism(images=images, scalars=scalars, period=period)
 
 
 # -- change of scalar order --------------------------------------------------
@@ -417,12 +462,17 @@ class GradedDecomposition:
 
 
 def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> GradedDecomposition:
-    """Split the algebra into the eigenspaces of sigma.
+    """Split the algebra into the eigenspaces of sigma, in closed form.
 
     Requires the scalar order to contain the needed roots of unity, i.e.
-    sigma.period | alg.scalar_order.  Verifies that the components exhaust the
-    algebra, that multiplication respects residues, and that reassembling
-    sigma from the components reproduces the input matrix.
+    sigma.period | alg.scalar_order.  A cycle e_0 -> ... -> e_{k-1} -> e_0 of
+    sigma with scalar product P carries one eigenvector for each root
+    lambda = zeta^i of x^k = P, namely the sum over t < k of
+    lambda^-t sigma^t(e_0), taken from the cycle's smallest index, where it is
+    1.  Supports are disjoint, so each component, ordered by that index, is
+    its reduced row-echelon basis.  Verifies that the components exhaust the
+    algebra and are independent, that every vector is scaled by its
+    eigenvalue, and that multiplication respects residues.
     """
     m = sigma.period
     if alg.scalar_order % m != 0:
@@ -433,20 +483,27 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
         raise GradingError("automorphism and algebra must share a scalar order")
     n = alg.dim
     order = alg.scalar_order
-    components: list[tuple[Vector, ...]] = []
-    for i in range(m):
-        zeta = zeta_power(order, (order // m) * i)
-        rows = [
-            [sigma.matrix[r][c] - (zeta if r == c else CycloNum.zero(order)) for c in range(n)]
-            for r in range(n)
-        ]
-        basis = nullspace(rows, n, order)
-        components.append(tuple(basis))
+    step = order // m
+    zero = CycloNum.zero(order)
+    components: list[list[Vector]] = [[] for _ in range(m)]
+    for cycle in _cycles(sigma.images):
+        k = len(cycle)
+        # sigma^t(e_start) = orbit[t] * e_cycle[t]; orbit[k] is the cycle product
+        orbit = [CycloNum.one(order)]
+        for idx in cycle:
+            orbit.append(orbit[-1] * sigma.scalars[idx])
+        for i in range(m):
+            if zeta_power(order, step * i * k) != orbit[k]:
+                continue
+            v = [zero] * n
+            for t, idx in enumerate(cycle):
+                v[idx] = zeta_power(order, -step * i * t) * orbit[t]
+            components[i].append(tuple(v))
     grading = GradedDecomposition(
         period=m,
         scalar_order=order,
         dim=n,
-        component_bases=tuple(components),
+        component_bases=tuple(tuple(comp) for comp in components),
     )
     if sum(grading.dims) != n:
         raise GradingError(f"component dimensions {grading.dims} do not sum to {n}")

@@ -14,8 +14,11 @@ Automorphisms come in three flavours here:
 
 * diagram automorphisms induced by a symmetry of the Cartan matrix,
 * toral (diagonal) automorphisms e_alpha -> zeta^<s,alpha> e_alpha,
-* commuting compositions of the two, kept in factored form because the
-  descent machinery needs the factors separately.
+* commuting compositions of the two.
+
+All three are monomial in the Chevalley basis, e_j -> c_j e_p(j): a diagram
+symmetry is a signed permutation of the basis, a toral twist is diagonal.
+Each is returned as a checked `FiniteOrderAutomorphism`.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from .algebra import (
     validate_algebra,
 )
 from .cyclo import CycloNum, zeta_power
-from .linalg import Matrix, int_rank_det, mat_mul
+from .linalg import int_rank_det
 
 __all__ = [
-    "ComposedAutomorphism",
     "DiagramPermutation",
     "FiniteCartanMatrix",
     "LieConstructError",
@@ -509,7 +511,8 @@ def diagram_automorphism(
     the image of every other root vector is derived from its minimal
     decomposition.  Every alternative decomposition is then recomputed and
     must give the same image: a failed cross-check is a hard error, not a
-    report entry.
+    report entry.  Each image is a single signed basis element, which gives
+    the monomial (images, scalars) form; an image with more terms is an error.
     """
     if len(perm.images) != rs.rank:
         raise LieConstructError("permutation rank mismatch")
@@ -573,8 +576,16 @@ def diagram_automorphism(
                         f"propagation paths disagree on root {target} via {a} + {b}"
                     )
 
-    matrix = _matrix_from_images(alg, images)
-    return check_automorphism(alg, matrix, perm.order())
+    terms = []
+    for j in range(alg.dim):
+        if len(images[j]) != 1:
+            raise LieConstructError(
+                f"image of {alg.basis_labels[j]} has {len(images[j])} terms; not monomial"
+            )
+        (term,) = images[j].items()
+        terms.append(term)
+    targets, scalars = zip(*terms)
+    return check_automorphism(alg, targets, scalars, perm.order())
 
 
 def toral_automorphism(
@@ -589,49 +600,8 @@ def toral_automorphism(
             f"algebra scalar order {alg.scalar_order} lacks the {m}-th roots of unity"
         )
     order = alg.scalar_order
-    _, root_index = _basis_layout(rs)
-    images: dict[int, Sparse] = {}
-    one = CycloNum.one(order)
-    for i in range(rs.rank):
-        images[i] = {i: one}
-    for alpha in rs.roots:
-        idx = root_index[alpha]
-        images[idx] = {idx: zeta_power(order, (order // m) * charge.pairing(alpha))}
-    matrix = _matrix_from_images(alg, images)
-    return check_automorphism(alg, matrix, m)
-
-
-@dataclass(frozen=True)
-class ComposedAutomorphism:
-    """pi compose tau_s with the factorization kept; period = lcm(|pi|, m).
-
-    Quacks like FiniteOrderAutomorphism (matrix/period/apply) so graders and
-    descent constructions accept it directly; the extra fields feed the
-    untwisting maps.
-    """
-
-    auto: FiniteOrderAutomorphism
-    perm: DiagramPermutation
-    charge: ToralCharge
-
-    @property
-    def period(self) -> int:
-        return self.auto.period
-
-    @property
-    def matrix(self) -> Matrix:
-        return self.auto.matrix
-
-    @property
-    def scalar_order(self) -> int:
-        return self.auto.scalar_order
-
-    @property
-    def dim(self) -> int:
-        return self.auto.dim
-
-    def apply(self, v):
-        return self.auto.apply(v)
+    scalars = [zeta_power(order, (order // m) * p) for p in charge_pairings(rs, charge)]
+    return check_automorphism(alg, range(alg.dim), scalars, m)
 
 
 def compose_pi_toral(
@@ -639,11 +609,11 @@ def compose_pi_toral(
     rs: RootSystem,
     perm: DiagramPermutation,
     charge: ToralCharge,
-) -> ComposedAutomorphism:
+) -> FiniteOrderAutomorphism:
     """Compose a diagram and a toral automorphism; requires s invariant under pi.
 
     Invariance makes the two factors commute, which the construction checks by
-    multiplying the matrices both ways.
+    composing them both ways.
     """
     for i in range(rs.rank):
         if charge.s[i] != charge.s[perm(i)]:
@@ -655,12 +625,10 @@ def compose_pi_toral(
         )
     pi_auto = diagram_automorphism(alg, rs, perm)
     tau_auto = toral_automorphism(alg, rs, charge)
-    left = mat_mul(pi_auto.matrix, tau_auto.matrix)
-    right = mat_mul(tau_auto.matrix, pi_auto.matrix)
-    if left != right:
+    composed = pi_auto.compose(tau_auto)
+    if composed != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
-    composed = check_automorphism(alg, left, period)
-    return ComposedAutomorphism(auto=composed, perm=perm, charge=charge)
+    return check_automorphism(alg, composed.images, composed.scalars, period)
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
@@ -672,18 +640,6 @@ def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
     for alpha, idx in root_index.items():
         out[idx] = charge.pairing(alpha)
     return tuple(out)
-
-
-def _matrix_from_images(alg: MultTableAlgebra, images: dict[int, Sparse]) -> Matrix:
-    n = alg.dim
-    zero = CycloNum.zero(alg.scalar_order)
-    columns = []
-    for j in range(n):
-        column = [zero] * n
-        for k, v in images[j].items():
-            column[k] = v
-        columns.append(column)
-    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
 
 
 def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:

@@ -47,6 +47,14 @@ class RequestError(Exception):
     """Malformed input: maps to exit code 2."""
 
 
+# Resource limits at the request boundary.  The cost of Q(zeta_m) grows with
+# phi(m), a window check with the square of the window, and M_n has n^2
+# basis elements; a request past a limit exits 2.
+MAX_PERIOD = 24  # m, and the twist period lcm(|pi|, m)
+MAX_WINDOW = 64
+MAX_MATRIX_SIZE = 8
+
+
 # -- automorphism specs ----------------------------------------------------------
 
 
@@ -72,9 +80,7 @@ def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
-    m = obj.get("m", 1)
-    if not _is_int(m) or m < 1:
-        raise RequestError("m must be a positive integer")
+    m = _modulus(obj)
     pi = obj.get("pi")
     if pi is None:
         perm = DiagramPermutation.identity(rank)
@@ -92,7 +98,21 @@ def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
         raise RequestError(f"s must be a list of {rank} integers")
     if any(s[i] != s[perm(i)] for i in range(rank)):
         raise RequestError("s must be constant on the orbits of pi")
+    period = lcm(perm.order(), m)
+    if period > MAX_PERIOD:
+        raise RequestError(
+            f"the twist period lcm({perm.order()}, {m}) = {period} exceeds the limit {MAX_PERIOD}"
+        )
     return perm, ToralCharge(s=tuple(s), modulus=m)
+
+
+def _modulus(obj: dict) -> int:
+    m = obj.get("m", 1)
+    if not _is_int(m) or m < 1:
+        raise RequestError("m must be a positive integer")
+    if m > MAX_PERIOD:
+        raise RequestError(f"m = {m} exceeds the limit {MAX_PERIOD}")
+    return m
 
 
 def _matrix_auto(obj: dict, n: int) -> tuple[tuple[int, ...], int]:
@@ -109,10 +129,7 @@ def _matrix_auto(obj: dict, n: int) -> tuple[tuple[int, ...], int]:
         or not all(_is_int(x) for x in exponents)
     ):
         raise RequestError(f"exponents must be a list of {n} integers")
-    m = obj.get("m", 1)
-    if not _is_int(m) or m < 1:
-        raise RequestError("m must be a positive integer")
-    return tuple(exponents), m
+    return tuple(exponents), _modulus(obj)
 
 
 def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
@@ -153,6 +170,10 @@ def _one_source(args: argparse.Namespace, allowed: tuple[str, ...]) -> str:
         _require_type(args)
     if source == "matrix-algebra" and args.matrix_algebra < 1:
         raise RequestError("--matrix-algebra needs a positive size")
+    if source == "matrix-algebra" and args.matrix_algebra > MAX_MATRIX_SIZE:
+        raise RequestError(
+            f"--matrix-algebra {args.matrix_algebra} exceeds the limit {MAX_MATRIX_SIZE}"
+        )
     return source
 
 
@@ -500,6 +521,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise RequestError(f"{args.command} takes no --window")
             if args.window < 1:
                 raise RequestError("--window must be a positive integer")
+            if args.window > MAX_WINDOW:
+                raise RequestError(f"--window {args.window} exceeds the limit {MAX_WINDOW}")
         payload = _COMMANDS[args.command](args)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)

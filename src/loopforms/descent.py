@@ -21,7 +21,7 @@ part of the automorphism group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
@@ -37,7 +37,6 @@ from .algebra import (
     ts_product,
 )
 from .chevalley import (
-    ComposedAutomorphism,
     DiagramPermutation,
     RootSystem,
     ToralCharge,
@@ -46,7 +45,7 @@ from .chevalley import (
     diagram_automorphism,
 )
 from .cyclo import CycloNum, zeta_power
-from .linalg import Matrix, Vector, mat_mul, mat_pow, nullspace
+from .linalg import Vector, nullspace
 
 __all__ = [
     "CheckReport",
@@ -91,13 +90,13 @@ class LoopCocycle:
     """u(n mod m) = sigma^(-n), one constant automorphism of A per residue."""
 
     sigma: FiniteOrderAutomorphism
-    values: tuple[Matrix, ...]
+    values: tuple[FiniteOrderAutomorphism, ...]
 
     @property
     def period(self) -> int:
         return len(self.values)
 
-    def value(self, n: int) -> Matrix:
+    def value(self, n: int) -> FiniteOrderAutomorphism:
         return self.values[n % self.period]
 
 
@@ -106,13 +105,18 @@ def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
 
     The values are constant in z, so the gamma-twist in the cocycle identity
     acts trivially and the identity is exactly the homomorphism property,
-    checked over all m^2 residue pairs.
+    checked over all m^2 residue pairs.  sigma^(-n) is stored as the monomial
+    sigma^(m - n), and each identity is one O(dim) composition.
     """
     m = sigma.period
-    values = tuple(mat_pow(sigma.matrix, (m - n) % m) for n in range(m))
+    one = CycloNum.one(sigma.scalar_order)
+    powers = [FiniteOrderAutomorphism(tuple(range(sigma.dim)), (one,) * sigma.dim, m)]
+    for _ in range(1, m):
+        powers.append(sigma.compose(powers[-1]))
+    values = tuple(powers[(m - n) % m] for n in range(m))
     for n1 in range(m):
         for n2 in range(m):
-            if mat_mul(values[n1], values[n2]) != values[(n1 + n2) % m]:
+            if values[n1].compose(values[n2]) != values[(n1 + n2) % m]:
                 raise DescentError(f"cocycle identity fails at ({n1}, {n2})")
     return LoopCocycle(sigma=sigma, values=values)
 
@@ -122,11 +126,13 @@ def twisted_fixed_points(
 ) -> dict[int, tuple[Vector, ...]]:
     """Fixed spaces of x -> u(1)(gamma(x)) per degree; must equal the grading.
 
-    On the slice A z^j the twisted action is the constant matrix
+    On the slice A z^j the twisted action is the constant map
     zeta^j sigma^(-1), so the fixed space is the kernel of
-    (zeta^j sigma^(-1) - id).  The descent claim, at window scale, is that
-    this kernel coincides with the eigenspace component for residue j; any
-    mismatch raises.
+    (zeta^j sigma^(-1) - id).  That kernel is computed by elimination, apart
+    from the closed-form grading, on sparse rows: sigma^(-1) is monomial, so
+    each row has at most two entries.  The descent claim, at window scale, is
+    that this kernel coincides with the eigenspace component for residue j;
+    any mismatch raises.
     """
     if window < 1:
         raise DescentError("window must be >= 1")
@@ -139,10 +145,10 @@ def twisted_fixed_points(
     out: dict[int, tuple[Vector, ...]] = {}
     for j in range(-window, window + 1):
         zeta = zeta_power(order, (order // m) * j)
-        rows = [
-            [zeta * u1[r][c] - (CycloNum.one(order) if r == c else CycloNum.zero(order)) for c in range(n)]
-            for r in range(n)
-        ]
+        # u1 sends e_c to scalars[c] e_images[c]: column c holds that entry and -1
+        rows = [{r: CycloNum.rational(order, -1)} for r in range(n)]
+        for c, (r, scalar) in enumerate(zip(u1.images, u1.scalars)):
+            rows[r][c] = rows[r].get(c, CycloNum.zero(order)) + zeta * scalar
         kernel = nullspace(rows, n, order)
         component = grading.component_bases[j % m]
         if len(kernel) != len(component):
@@ -192,15 +198,8 @@ def build_matrix_algebra(
         constants=make_table(entries),
         basis_labels=labels,
     )
-    zero = CycloNum.zero(m)
-    matrix = tuple(
-        tuple(
-            zeta_power(m, exponents[r // n] - exponents[r % n]) if r == c else zero
-            for c in range(dim)
-        )
-        for r in range(dim)
-    )
-    sigma = check_automorphism(alg, matrix, m)
+    scalars = [zeta_power(m, shift) for shift in matrix_unit_shifts(n, exponents)]
+    sigma = check_automorphism(alg, range(dim), scalars, m)
     return alg, sigma
 
 
@@ -246,10 +245,6 @@ class UntwistIso:
     period: int
     toral_modulus: int
     shifts: tuple[int, ...]
-    source: FiniteOrderAutomorphism
-    target: FiniteOrderAutomorphism
-    source_grading: GradedDecomposition = field(compare=False)
-    target_grading: GradedDecomposition = field(compare=False)
     window: int
     checks: tuple[CheckReport, ...]
 
@@ -353,18 +348,14 @@ def untwist_iso(
     step = period // charge.modulus
     shifts = tuple(step * p for p in pairings)
     pi_auto = diagram_automorphism(alg, rs, perm)
-    pi_common = check_automorphism(alg, pi_auto.matrix, period)
-    source_grading = eigengrading(alg, sigma.auto)
+    pi_common = check_automorphism(alg, pi_auto.images, pi_auto.scalars, period)
+    source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, pi_common)
     checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
     return UntwistIso(
         period=period,
         toral_modulus=charge.modulus,
         shifts=shifts,
-        source=sigma.auto,
-        target=pi_common,
-        source_grading=source_grading,
-        target_grading=target_grading,
         window=window,
         checks=checks,
     )
@@ -381,9 +372,7 @@ def untwist_matrix_iso(
     if window is None:
         window = 2 * m
     shifts = matrix_unit_shifts(n, exponents)
-    identity = check_automorphism(
-        alg, tuple(tuple(CycloNum.rational(m, 1 if r == c else 0) for c in range(alg.dim)) for r in range(alg.dim)), m
-    )
+    identity = check_automorphism(alg, range(alg.dim), [CycloNum.one(m)] * alg.dim, m)
     source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, identity)
     checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
@@ -391,10 +380,6 @@ def untwist_matrix_iso(
         period=m,
         toral_modulus=m,
         shifts=shifts,
-        source=sigma,
-        target=identity,
-        source_grading=source_grading,
-        target_grading=target_grading,
         window=window,
         checks=checks,
     )
@@ -417,13 +402,9 @@ def _verify_coboundary(
     m = sigma.period
     order = sigma.scalar_order
     dim = sigma.dim
-    diag = []
-    for idx in range(dim):
-        column = [sigma.matrix[r][idx] for r in range(dim)]
-        for r in range(dim):
-            if r != idx and not column[r].is_zero():
-                raise DescentError("witness construction needs a diagonal (toral) twist")
-        diag.append(column[idx])
+    if sigma.images != tuple(range(dim)):
+        raise DescentError("witness construction needs a diagonal (toral) twist")
+    diag = sigma.scalars
     step = order // m
     for n in range(m):
         for idx in range(dim):

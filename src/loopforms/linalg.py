@@ -19,7 +19,7 @@ determinant, which a reduced row-echelon form does not keep.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cyclo import CycloNum
 
@@ -32,18 +32,11 @@ __all__ = [
     "SpanSolver",
     "Vector",
     "eliminate",
-    "identity_matrix",
     "int_rank_det",
-    "is_identity",
-    "mat_inverse",
-    "mat_mul",
-    "mat_pow",
-    "mat_vec",
     "nullspace",
     "rank",
     "vec_add",
     "vec_scale",
-    "vec_sub",
     "zero_vector",
 ]
 
@@ -57,72 +50,8 @@ def vec_add(a: Sequence[CycloNum], b: Sequence[CycloNum]) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a: Sequence[CycloNum], b: Sequence[CycloNum]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(c: CycloNum, a: Sequence[CycloNum]) -> Vector:
     return tuple(c * x for x in a)
-
-
-def identity_matrix(n: int, order: int) -> Matrix:
-    one = CycloNum.one(order)
-    zero = CycloNum.zero(order)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_vec(mat: Sequence[Sequence[CycloNum]], v: Sequence[CycloNum]) -> Vector:
-    out = []
-    for row in mat:
-        acc = None
-        for a, x in zip(row, v):
-            if a.is_zero() or x.is_zero():
-                continue
-            term = a * x
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = CycloNum.zero(row[0].order if row else v[0].order)
-        out.append(acc)
-    return tuple(out)
-
-
-def mat_mul(a: Sequence[Sequence[CycloNum]], b: Sequence[Sequence[CycloNum]]) -> Matrix:
-    bt = list(zip(*b))
-    rows = []
-    for arow in a:
-        row = []
-        for bcol in bt:
-            acc = None
-            for x, y in zip(arow, bcol):
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else CycloNum.zero(arow[0].order))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def mat_pow(mat: Matrix, k: int) -> Matrix:
-    if k < 0:
-        raise ValueError("negative matrix power not supported here")
-    n = len(mat)
-    order = mat[0][0].order
-    result = identity_matrix(n, order)
-    for _ in range(k):
-        result = mat_mul(result, mat)
-    return result
-
-
-def is_identity(mat: Sequence[Sequence[CycloNum]]) -> bool:
-    for i, row in enumerate(mat):
-        for j, entry in enumerate(row):
-            if i == j:
-                if not (entry - 1).is_zero():
-                    return False
-            elif not entry.is_zero():
-                return False
-    return True
 
 
 def _axpy(target: SparseRow, factor: CycloNum, source: Mapping[int, CycloNum], skip: int) -> None:
@@ -179,8 +108,9 @@ def eliminate(
     return dict(sorted(pivots.items())), leftover
 
 
-def _sparse(row: Sequence[CycloNum]) -> SparseRow:
-    return {j: x for j, x in enumerate(row) if not x.is_zero()}
+def _sparse(row: Union[Sequence[CycloNum], Mapping[int, CycloNum]]) -> SparseRow:
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {j: x for j, x in items if not x.is_zero()}
 
 
 def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum], zero: CycloNum) -> CycloNum:
@@ -200,8 +130,11 @@ def rank(rows: Iterable[Sequence[CycloNum]]) -> int:
     return len(pivots)
 
 
-def nullspace(rows: Iterable[Sequence[CycloNum]], ncols: int, order: int) -> list[Vector]:
-    """Canonical kernel basis of the linear map given by `rows` (ncols unknowns)."""
+def nullspace(
+    rows: Iterable[Union[Sequence[CycloNum], Mapping[int, CycloNum]]], ncols: int, order: int
+) -> list[Vector]:
+    """Canonical kernel basis of the linear map given by `rows` (ncols unknowns),
+    each row dense or a sparse {column: scalar} mapping."""
     pivots, _ = eliminate(_sparse(row) for row in rows)
     one = CycloNum.one(order)
     kernel = []
@@ -217,22 +150,6 @@ def nullspace(rows: Iterable[Sequence[CycloNum]], ncols: int, order: int) -> lis
     basis, _ = eliminate(kernel)
     zero = CycloNum.zero(order)
     return [tuple(row.get(j, zero) for j in range(ncols)) for row in basis.values()]
-
-
-def mat_inverse(mat: Matrix) -> Matrix:
-    n = len(mat)
-    order = mat[0][0].order
-    one = CycloNum.one(order)
-    augmented = []
-    for i, row in enumerate(mat):
-        srow = _sparse(row)
-        srow[n + i] = one
-        augmented.append(srow)
-    pivots, _ = eliminate(augmented, pivot_limit=n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    zero = CycloNum.zero(order)
-    return tuple(tuple(pivots[i].get(n + j, zero) for j in range(n)) for i in range(n))
 
 
 def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:

@@ -44,7 +44,7 @@ def _pipeline(label, images, window=None):
     rs, alg = algebra_over(label, m)
     charge = ToralCharge(s=tuple(0 for _ in range(rank)), modulus=1)
     sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma.auto)
+    grading = eigengrading(alg, sigma)
     h0 = fixed_cartan(alg, rs, perm)
     data = affine_roots(alg, grading, h0, window if window is not None else m + 1)
     return alg, data
@@ -104,7 +104,7 @@ def test_affine_roots_window_floor():
     perm = DiagramPermutation((1, 0))
     charge = ToralCharge(s=(0, 0), modulus=1)
     sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma.auto)
+    grading = eigengrading(alg, sigma)
     h0 = fixed_cartan(alg, rs, perm)
     with pytest.raises(AffineExtractError):
         affine_roots(alg, grading, h0, 1)

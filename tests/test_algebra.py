@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from dense import TWIST_FIXTURES, dense_check_automorphism, mat_inverse, mat_mul, twist_fixture
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
+    AutomorphismError,
     MultTableAlgebra,
     base_change_check,
     centroid_graded,
@@ -17,10 +19,16 @@ from loopforms.algebra import (
     ts_product,
     validate_algebra,
 )
-from loopforms.chevalley import ToralCharge, algebra_over, toral_automorphism
+from loopforms.chevalley import (
+    DiagramPermutation,
+    ToralCharge,
+    algebra_over,
+    diagram_automorphism,
+    toral_automorphism,
+)
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.descent import build_matrix_algebra
-from loopforms.linalg import mat_inverse, mat_mul, nullspace
+from loopforms.linalg import nullspace
 
 
 def q(x, order=1):
@@ -102,12 +110,75 @@ def test_eigengrading_toral_sl2_dims():
 
 def test_eigengrading_rejects_non_automorphism():
     alg = _sl2(order=2)
-    swap = tuple(
-        tuple(q(1 if (r, c) in ((0, 1), (1, 0), (2, 2)) else 0, 2) for c in range(3))
-        for r in range(3)
-    )
+    # h <-> e, f fixed
     with pytest.raises(ValueError):
-        check_automorphism(alg, swap, 2)
+        check_automorphism(alg, (1, 0, 2), (q(1, 2),) * 3, 2)
+
+
+# -- monomial automorphisms against the dense oracle -------------------------------
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_dense_check_accepts_monomial_twist(name):
+    alg, sigma = twist_fixture(name)
+    dense_check_automorphism(alg, sigma.matrix, sigma.period)
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_closed_form_grading_equals_dense_nullspace(name):
+    alg, sigma = twist_fixture(name)
+    grading = eigengrading(alg, sigma)
+    n, order = alg.dim, alg.scalar_order
+    zero = CycloNum.zero(order)
+    for i in range(sigma.period):
+        zeta = grading.residue_zeta(i)
+        rows = [
+            [sigma.matrix[r][c] - (zeta if r == c else zero) for c in range(n)]
+            for r in range(n)
+        ]
+        assert tuple(nullspace(rows, n, order)) == grading.component_bases[i]
+
+
+def _triality_images_scalars():
+    rs, alg = algebra_over("D4", 3)
+    sigma = diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 3, 0)))
+    return alg, list(sigma.images), list(sigma.scalars)
+
+
+def _repeat_an_image(alg, images, scalars):
+    images[1] = images[0]
+    return images, scalars, 3
+
+
+def _zero_a_scalar(alg, images, scalars):
+    scalars[5] = CycloNum.zero(alg.scalar_order)
+    return images, scalars, 3
+
+
+def _flip_highest_root_sign(alg, images, scalars):
+    idx = alg.basis_labels.index("e[1,2,1,1]")
+    scalars[idx] = -scalars[idx]
+    return images, scalars, 3
+
+
+def _declare_period_two(alg, images, scalars):
+    return images, scalars, 2
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_repeat_an_image, "not a permutation"),
+        (_zero_a_scalar, "not invertible"),
+        (_flip_highest_root_sign, "multiplicativity fails"),
+        (_declare_period_two, "sigma\\^2 is not the identity"),
+    ],
+)
+def test_check_automorphism_refuses_tampered_triality(tamper, message):
+    alg, images, scalars = _triality_images_scalars()
+    assert check_automorphism(alg, images, scalars, 3).period == 3
+    with pytest.raises(AutomorphismError, match=message):
+        check_automorphism(alg, *tamper(alg, images, scalars))
 
 
 def test_loop_product_adds_degrees():

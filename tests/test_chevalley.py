@@ -21,8 +21,8 @@ from loopforms.chevalley import (
     standard_algebra,
     toral_automorphism,
 )
+from dense import is_identity, mat_pow
 from loopforms.cyclo import CycloNum
-from loopforms.linalg import is_identity, mat_pow
 
 FLIP = DiagramPermutation((1, 0))
 TRIALITY = DiagramPermutation((2, 1, 3, 0))

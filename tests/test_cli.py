@@ -224,6 +224,11 @@ def test_verification_failure_exits_1(tmp_path):
         ("classify", "--type", "A1", "--window", "2"),
         ("centroid", "--type", "A1", "--window", "2"),
         ("verify-all", "--window", "2"),
+        # resource limits: m, the twist period lcm(|pi|, m), --window, M_n size
+        ("grade", "--type", "A2", "--auto", '{"m": 25}'),
+        ("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
+        ("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "65"),
+        ("grade", "--matrix-algebra", "9"),
     ],
 )
 def test_malformed_requests_exit_2(argv):
@@ -231,6 +236,12 @@ def test_malformed_requests_exit_2(argv):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "error" in result.stderr.lower() or "usage" in result.stderr.lower()
+
+
+def test_period_at_the_limit_passes():
+    result = run_cli("grade", "--type", "A1", "--auto", '{"s": [1], "m": 24}')
+    assert result.returncode == 0, result.stderr
+    assert report_of(result)["payload"]["period"] == 24
 
 
 def test_unreadable_and_invalid_files_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
-from loopforms.algebra import eigengrading, loop_element
+from dense import TWIST_FIXTURES, is_identity, mat_mul, mat_pow, twist_fixture
+from loopforms.algebra import FiniteOrderAutomorphism, eigengrading, loop_element
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
@@ -21,7 +22,6 @@ from loopforms.descent import (
     untwist_iso,
     untwist_matrix_iso,
 )
-from loopforms.linalg import identity_matrix, is_identity, mat_mul
 
 FLIP = DiagramPermutation((1, 0))
 
@@ -39,8 +39,8 @@ def test_cocycle_values_are_inverse_powers():
     _, alg, sigma = _sl2_toral()
     cocycle = build_cocycle(sigma)
     assert cocycle.period == 2
-    assert is_identity(cocycle.value(0))
-    assert is_identity(mat_mul(cocycle.value(1), sigma.matrix))
+    assert is_identity(cocycle.value(0).matrix)
+    assert is_identity(mat_mul(cocycle.value(1).matrix, sigma.matrix))
     assert cocycle.value(5) == cocycle.value(1)
 
 
@@ -49,7 +49,16 @@ def test_cocycle_on_diagram_automorphism():
     sigma = diagram_automorphism(alg, rs, FLIP)
     cocycle = build_cocycle(sigma)
     # order 2: u(1) = sigma^-1 = sigma
-    assert cocycle.value(1) == sigma.matrix
+    assert cocycle.value(1).matrix == sigma.matrix
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_cocycle_values_match_dense_powers(name):
+    _, sigma = twist_fixture(name)
+    cocycle = build_cocycle(sigma)
+    m = sigma.period
+    for n in range(m):
+        assert cocycle.value(n).matrix == mat_pow(sigma.matrix, (m - n) % m)
 
 
 def test_twisted_fixed_points_equal_grading():
@@ -65,7 +74,9 @@ def test_twisted_fixed_points_equal_grading():
 def test_tampered_cocycle_detected():
     _, alg, sigma = _sl2_toral()
     grading = eigengrading(alg, sigma)
-    eye = identity_matrix(alg.dim, alg.scalar_order)
+    one = CycloNum.one(alg.scalar_order)
+    eye = FiniteOrderAutomorphism(tuple(range(alg.dim)), (one,) * alg.dim, 2)
+    assert is_identity(eye.matrix)
     fake = LoopCocycle(sigma=sigma, values=(eye, eye))
     with pytest.raises(DescentError):
         twisted_fixed_points(fake, grading, 2)

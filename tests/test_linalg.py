@@ -3,16 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from dense import identity_matrix, is_identity, mat_inverse, mat_mul, mat_pow, mat_vec
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import (
     SpanSolver,
     eliminate,
-    identity_matrix,
-    is_identity,
-    mat_inverse,
-    mat_mul,
-    mat_pow,
-    mat_vec,
     nullspace,
     rank,
     vec_add,
@@ -58,6 +53,8 @@ def test_rank_nullity_on_random_matrices():
         r = rank(mat)
         basis = nullspace(mat, cols, 3)
         assert r + len(basis) == cols
+        # the same rows given as sparse {column: scalar} mappings
+        assert nullspace([dict(enumerate(row)) for row in mat], cols, 3) == basis
         for v in basis:
             assert all(c.is_zero() for c in mat_vec(mat, v))
 
