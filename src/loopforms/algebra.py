@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations, product
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, zeta_power
 from .linalg import Matrix, SpanSolver, Vector, eliminate, rank, vec_add, zero_vector
@@ -138,6 +139,11 @@ class MultTableAlgebra:
             out[k] = c
         return tuple(out)
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The `validate_algebra` certificate of this table, computed once."""
+        return validate_algebra(self)
+
     def zero_vec(self) -> Vector:
         return zero_vector(self.dim, self.scalar_order)
 
@@ -243,22 +249,110 @@ def _sparse_sum(terms: Iterable[Sparse]) -> Sparse:
     return out
 
 
-def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
-    """Check the axioms of the declared kind on every ordered basis triple.
+def _power_basis_table(alg: MultTableAlgebra) -> dict:
+    """The nonzero products, each scalar as its nonzero power-basis terms.
 
-    The report lists each violated law with the offending basis indices, so a
-    corrupted table names the exact triple that broke.
+    Entry (i, j) is a tuple of (target, ((power, coefficient), ...)).
+    Integral coefficients become ints, which multiply exactly and faster than
+    Fractions; zero scalars and products that are entirely zero are dropped.
+    """
+    out = {}
+    for key, entry in alg._table.items():
+        terms = []
+        for k, c in entry:
+            poly = tuple(
+                (p, a.numerator if a.denominator == 1 else a) for p, a in enumerate(c.coeffs) if a
+            )
+            if poly:
+                terms.append((k, poly))
+        if terms:
+            out[key] = tuple(terms)
+    return out
+
+
+def _combination_vanishes(table: dict, order: int, terms: Iterable[tuple]) -> bool:
+    """Whether a signed sum of triple products of basis elements is zero.
+
+    Each term (sign, a, b, c, left) is sign * (e_a e_b) e_c when `left`, else
+    sign * e_c (e_a e_b); it is expanded by table lookups, as
+    sum_l c^{ab}_l * table[(l, c)].  The products are accumulated as
+    unreduced polynomials in zeta per basis target, and reduced modulo the
+    cyclotomic polynomial only when a nonzero coefficient is left.
+    """
+    acc: dict[tuple[int, int], object] = {}
+    for sign, a, b, c, left in terms:
+        outer = table.get((a, b))
+        if outer is None:
+            continue
+        for l, xs in outer:
+            inner = table.get((l, c) if left else (c, l))
+            if inner is None:
+                continue
+            for m, ys in inner:
+                for p, x in xs:
+                    for r, y in ys:
+                        key = (m, p + r)
+                        acc[key] = acc.get(key, 0) + sign * x * y
+    if not any(acc.values()):
+        return True
+    polys: dict[int, dict[int, object]] = {}
+    for (m, power), value in acc.items():
+        polys.setdefault(m, {})[power] = value
+    return all(
+        CycloNum.from_poly(order, [poly.get(e, 0) for e in range(max(poly) + 1)]).is_zero()
+        for poly in polys.values()
+    )
+
+
+def _increasing_triples(table: dict, n: int) -> Iterator[tuple[int, int, int]]:
+    """The triples i < j < k, less those where e_i e_j, e_j e_k and e_k e_i
+    are all zero; the Jacobiator vanishes on those.  The table must be
+    antisymmetric, so that (i, j) is a key exactly when (j, i) is."""
+    near: list[set[int]] = [set() for _ in range(n)]
+    for i, j in table:
+        near[i].add(j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in table:
+                ks: Iterable[int] = range(j + 1, n)
+            else:
+                ks = sorted(k for k in near[i] | near[j] if k > j)
+            for k in ks:
+                yield i, j, k
+
+
+def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
+    """Certify the axioms of the declared kind on every ordered basis triple.
+
+    Lie tables are first checked for alternation (e_i e_i = 0) and
+    antisymmetry on every basis pair.  When both hold, the bracket is
+    alternating on all of A, so the Jacobiator J(x, y, z) is an alternating
+    trilinear form: swapping two arguments flips its sign and a repeated
+    argument gives 0.  J then vanishes on all n^3 ordered triples exactly
+    when it vanishes on the C(n, 3) increasing ones, and only those are
+    evaluated, skipping the ones where e_i e_j, e_j e_k and e_k e_i are all
+    zero (J is then 0).  A failing triple stands for all six of its
+    orderings.  When alternation or antisymmetry fails, J is evaluated on
+    every ordered triple.  Associative tables evaluate the associator on every
+    ordered triple, skipping those where e_i e_j and e_j e_k are both zero.
+
+    `triples_checked` is n^3 either way: the number of ordered triples the
+    certificate covers.  The report lists each violated law with the
+    offending basis indices, alternation and antisymmetry first, then the
+    triples in lexicographic order, so a corrupted table names the exact
+    triple that broke.
     """
     n = alg.dim
     labels = alg.basis_labels
     violations: list[Violation] = []
-    basis = [{i: CycloNum.one(alg.scalar_order)} for i in range(n)]
+    table = _power_basis_table(alg)
+    order = alg.scalar_order
 
     def entry_sparse(i: int, j: int) -> Sparse:
         return dict(alg.basis_product(i, j))
 
-    triples = 0
     if alg.kind == KIND_LIE:
+        law = "jacobi"
         for i in range(n):
             if not _sparse_is_zero(entry_sparse(i, i)):
                 violations.append(Violation("alternating", (i,), (labels[i],)))
@@ -267,36 +361,27 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
                 anti = _sparse_sum([entry_sparse(i, j), entry_sparse(j, i)])
                 if not _sparse_is_zero(anti):
                     violations.append(Violation("antisymmetry", (i, j), (labels[i], labels[j])))
-        for i in range(n):
-            for j in range(n):
-                ij = entry_sparse(i, j)
-                for k in range(n):
-                    triples += 1
-                    total = _sparse_sum(
-                        [
-                            alg.product_sparse(ij, basis[k]),
-                            alg.product_sparse(entry_sparse(j, k), basis[i]),
-                            alg.product_sparse(entry_sparse(k, i), basis[j]),
-                        ]
-                    )
-                    if not _sparse_is_zero(total):
-                        violations.append(
-                            Violation("jacobi", (i, j, k), (labels[i], labels[j], labels[k]))
-                        )
+
+        def holds(i: int, j: int, k: int) -> bool:
+            return _combination_vanishes(
+                table, order, ((1, i, j, k, True), (1, j, k, i, True), (1, k, i, j, True))
+            )
+
+        if violations:  # J need not be alternating: evaluate every ordered triple
+            failing = [t for t in product(range(n), repeat=3) if not holds(*t)]
+        else:
+            failing = sorted(
+                {p for t in _increasing_triples(table, n) if not holds(*t) for p in permutations(t)}
+            )
     else:
-        for i in range(n):
-            for j in range(n):
-                ij = entry_sparse(i, j)
-                for k in range(n):
-                    triples += 1
-                    left = alg.product_sparse(ij, basis[k])
-                    right = alg.product_sparse(basis[i], entry_sparse(j, k))
-                    diff = _sparse_sum([left, {m: -c for m, c in right.items()}])
-                    if not _sparse_is_zero(diff):
-                        violations.append(
-                            Violation("associativity", (i, j, k), (labels[i], labels[j], labels[k]))
-                        )
-    return ValidationReport(alg.kind, n, triples, tuple(violations))
+        law = "associativity"
+
+        def holds(i: int, j: int, k: int) -> bool:
+            return _combination_vanishes(table, order, ((1, i, j, k, True), (-1, j, k, i, False)))
+
+        failing = [t for t in product(range(n), repeat=3) if not holds(*t)]
+    violations.extend(Violation(law, t, tuple(labels[x] for x in t)) for t in failing)
+    return ValidationReport(alg.kind, n, n**3, tuple(violations))
 
 
 # -- automorphisms -----------------------------------------------------------

@@ -36,7 +36,6 @@ from .algebra import (
     check_automorphism,
     embed_algebra,
     make_table,
-    validate_algebra,
 )
 from .cyclo import CycloNum, zeta_power
 from .linalg import int_rank_det
@@ -52,6 +51,7 @@ __all__ = [
     "charge_pairings",
     "chevalley_algebra",
     "compose_pi_toral",
+    "diagram_and_composition",
     "diagram_automorphism",
     "root_system",
     "standard_algebra",
@@ -384,9 +384,15 @@ def standard_algebra(label: str) -> tuple[RootSystem, MultTableAlgebra]:
 def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
     """Lie multiplication table on h_1..h_l, e_alpha, f_alpha over Q.
 
-    Dimension is #roots + rank.  The finished table is validated in full
-    (antisymmetry and Jacobi on all ordered triples); a sign inconsistency in
-    the constant propagation is therefore impossible to ship.
+    Dimension is #roots + rank.  The finished table is validated in full: a
+    sign inconsistency in the constant propagation is therefore impossible to
+    ship.  Alternation and antisymmetry are checked on every basis pair; once
+    they hold, the Jacobiator is an alternating trilinear form, so Jacobi is
+    evaluated on the C(n, 3) increasing triples only.  The certificate still
+    covers all n^3 ordered triples, which is what its `triples_checked`
+    counts.  The report
+    is kept on the algebra (`MultTableAlgebra.validation`), so later callers
+    read it instead of validating the same table again.
     """
     l = rs.rank
     consts = _Constants(rs)
@@ -429,7 +435,7 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
         constants=make_table(entries),
         basis_labels=tuple(labels),
     )
-    report = validate_algebra(alg)
+    report = alg.validation
     if not report.ok:
         raise LieConstructError(f"construction failed validation: {report.violations[0]}")
     return alg
@@ -615,6 +621,17 @@ def compose_pi_toral(
     Invariance makes the two factors commute, which the construction checks by
     composing them both ways.
     """
+    return diagram_and_composition(alg, rs, perm, charge)[1]
+
+
+def diagram_and_composition(
+    alg: MultTableAlgebra,
+    rs: RootSystem,
+    perm: DiagramPermutation,
+    charge: ToralCharge,
+) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
+    """The diagram factor pi and the checked composition `compose_pi_toral`
+    builds from it, for callers that need both."""
     for i in range(rs.rank):
         if charge.s[i] != charge.s[perm(i)]:
             raise LieConstructError("toral charge must be constant on permutation orbits")
@@ -628,7 +645,7 @@ def compose_pi_toral(
     composed = pi_auto.compose(tau_auto)
     if composed != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
-    return check_automorphism(alg, composed.images, composed.scalars, period)
+    return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:

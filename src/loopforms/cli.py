@@ -19,7 +19,7 @@ from typing import Optional
 
 from .acceptance import verify_all
 from .affine import affine_certificate
-from .algebra import MultTableAlgebra, eigengrading, centroid_graded, validate_algebra
+from .algebra import MultTableAlgebra, eigengrading, centroid_graded
 from .chevalley import (
     DiagramPermutation,
     LieConstructError,
@@ -221,7 +221,7 @@ def _cmd_build(args: argparse.Namespace) -> dict:
     source = _one_source(args, ("type", "algebra"))
     if source == "type":
         rs, alg = standard_algebra(args.type)
-        report = validate_algebra(alg)
+        report = alg.validation
         payload = {
             "type": args.type,
             "dim": alg.dim,
@@ -231,7 +231,7 @@ def _cmd_build(args: argparse.Namespace) -> dict:
         }
     else:
         alg = _load_algebra(args.algebra)
-        report = validate_algebra(alg)
+        report = alg.validation
         payload = {
             "algebra": args.algebra,
             "dim": alg.dim,

@@ -42,7 +42,9 @@ class CycloError(ArithmeticError):
     """An exact-arithmetic invariant failed (a division that must be exact)."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
+    """Euler's totient; memoized, since every CycloNum construction asks."""
     if m < 1:
         raise ValueError("order must be a positive integer")
     result = m

@@ -41,8 +41,7 @@ from .chevalley import (
     RootSystem,
     ToralCharge,
     charge_pairings,
-    compose_pi_toral,
-    diagram_automorphism,
+    diagram_and_composition,
 )
 from .cyclo import CycloNum, zeta_power
 from .linalg import Vector, nullspace
@@ -340,14 +339,13 @@ def untwist_iso(
     unshifted.  The factor M/m (trivial whenever the order of pi divides m)
     keeps the shift aligned with the common-period grading.
     """
-    sigma = compose_pi_toral(alg, rs, perm, charge)
+    pi_auto, sigma = diagram_and_composition(alg, rs, perm, charge)
     period = sigma.period
     if window is None:
         window = 2 * period
     pairings = charge_pairings(rs, charge)
     step = period // charge.modulus
     shifts = tuple(step * p for p in pairings)
-    pi_auto = diagram_automorphism(alg, rs, perm)
     pi_common = check_automorphism(alg, pi_auto.images, pi_auto.scalars, period)
     source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, pi_common)

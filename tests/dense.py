@@ -1,11 +1,14 @@
-"""Dense matrix helpers and the dense automorphism check, kept as test oracles.
+"""Dense matrix helpers, the dense automorphism check and the ordered-triple
+table validation, kept as test oracles.
 
 The package stores automorphisms as monomials (images, scalars) and never
 multiplies dense matrices.  These helpers work on the dense view
 `FiniteOrderAutomorphism.matrix` (column j is the image of basis element j),
 so the tests can compare every monomial result with the plain matrix
 computation it replaces.  `twist_fixture` builds the twists those
-differential tests run on.
+differential tests run on.  `ordered_triple_validation` evaluates the Lie or
+associative law on all n^3 ordered basis triples through `product_sparse`,
+the reference for the reduced certificate of `validate_algebra`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,15 @@ from math import lcm
 from typing import Sequence
 
 from loopforms.acceptance import _grading_fixtures
-from loopforms.algebra import AutomorphismError, FiniteOrderAutomorphism, MultTableAlgebra
+from loopforms.algebra import (
+    KIND_LIE,
+    AutomorphismError,
+    FiniteOrderAutomorphism,
+    MultTableAlgebra,
+    Sparse,
+    ValidationReport,
+    Violation,
+)
 from loopforms.chevalley import DiagramPermutation, ToralCharge, algebra_over, compose_pi_toral
 from loopforms.cyclo import CycloNum
 from loopforms.descent import build_matrix_algebra
@@ -119,6 +130,73 @@ def dense_check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int)
                 )
     if not is_identity(mat_pow(matrix, period)):
         raise AutomorphismError(f"matrix^{period} is not the identity")
+
+
+def _sparse_sum(terms: Sequence[Sparse]) -> Sparse:
+    out: Sparse = {}
+    for t in terms:
+        for k, v in t.items():
+            prev = out.get(k)
+            out[k] = v if prev is None else prev + v
+    return out
+
+
+def _sparse_is_zero(s: Sparse) -> bool:
+    return all(v.is_zero() for v in s.values())
+
+
+def ordered_triple_validation(alg: MultTableAlgebra) -> ValidationReport:
+    """Alternation and antisymmetry on every pair, then the Jacobi identity
+    (or associativity) on every ordered basis triple, each triple product
+    formed by `product_sparse` against one-entry basis vectors."""
+    n = alg.dim
+    labels = alg.basis_labels
+    violations: list[Violation] = []
+    basis = [{i: CycloNum.one(alg.scalar_order)} for i in range(n)]
+
+    def entry_sparse(i: int, j: int) -> Sparse:
+        return dict(alg.basis_product(i, j))
+
+    triples = 0
+    if alg.kind == KIND_LIE:
+        for i in range(n):
+            if not _sparse_is_zero(entry_sparse(i, i)):
+                violations.append(Violation("alternating", (i,), (labels[i],)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                anti = _sparse_sum([entry_sparse(i, j), entry_sparse(j, i)])
+                if not _sparse_is_zero(anti):
+                    violations.append(Violation("antisymmetry", (i, j), (labels[i], labels[j])))
+        for i in range(n):
+            for j in range(n):
+                ij = entry_sparse(i, j)
+                for k in range(n):
+                    triples += 1
+                    total = _sparse_sum(
+                        [
+                            alg.product_sparse(ij, basis[k]),
+                            alg.product_sparse(entry_sparse(j, k), basis[i]),
+                            alg.product_sparse(entry_sparse(k, i), basis[j]),
+                        ]
+                    )
+                    if not _sparse_is_zero(total):
+                        violations.append(
+                            Violation("jacobi", (i, j, k), (labels[i], labels[j], labels[k]))
+                        )
+    else:
+        for i in range(n):
+            for j in range(n):
+                ij = entry_sparse(i, j)
+                for k in range(n):
+                    triples += 1
+                    left = alg.product_sparse(ij, basis[k])
+                    right = alg.product_sparse(basis[i], entry_sparse(j, k))
+                    diff = _sparse_sum([left, {m: -c for m, c in right.items()}])
+                    if not _sparse_is_zero(diff):
+                        violations.append(
+                            Violation("associativity", (i, j, k), (labels[i], labels[j], labels[k]))
+                        )
+    return ValidationReport(alg.kind, n, triples, tuple(violations))
 
 
 # -- differential fixtures -------------------------------------------------------

@@ -1,9 +1,17 @@
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
 
-from dense import TWIST_FIXTURES, dense_check_automorphism, mat_inverse, mat_mul, twist_fixture
+from dense import (
+    TWIST_FIXTURES,
+    dense_check_automorphism,
+    mat_inverse,
+    mat_mul,
+    ordered_triple_validation,
+    twist_fixture,
+)
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
@@ -24,6 +32,7 @@ from loopforms.chevalley import (
     ToralCharge,
     algebra_over,
     diagram_automorphism,
+    standard_algebra,
     toral_automorphism,
 )
 from loopforms.cyclo import CycloNum, zeta_power
@@ -85,6 +94,116 @@ def test_matrix_algebra_table_is_associative():
     report = validate_algebra(alg)
     assert report.ok
     assert report.triples_checked == 64
+
+
+def _retabled(alg, entries):
+    return MultTableAlgebra(
+        dim=alg.dim, scalar_order=alg.scalar_order, kind=alg.kind,
+        constants=make_table(entries), basis_labels=alg.basis_labels,
+    )
+
+
+def _entries(alg):
+    return {(i, j): dict(entry) for i, j, entry in alg.constants}
+
+
+def _scaled(alg, keys, factor):
+    entries = _entries(alg)
+    for key in keys:
+        entries[key] = {k: v * factor for k, v in entries[key].items()}
+    return _retabled(alg, entries)
+
+
+def _scaled_pair(label, factor, seed):
+    # scale e_i e_j and e_j e_i together: still antisymmetric, Jacobi breaks
+    _, alg = standard_algebra(label)
+    i, j = random.Random(seed).choice(sorted((i, j) for i, j, _ in alg.constants if i < j))
+    return _scaled(alg, ((i, j), (j, i)), factor)
+
+
+def _non_alternating():
+    entries = _entries(_sl2())
+    entries[(1, 1)] = {0: q(1)}
+    return _retabled(_sl2(), entries)
+
+
+def _rescaled_basis():
+    # e_i -> d_i e_i with d_i = i + zeta_3: each stored constant is reduced on
+    # its own, so the Jacobiators cancel only modulo Phi_3
+    _, alg = algebra_over("A2", 3)
+    d = [zeta_power(3, 1) + i for i in range(alg.dim)]
+    entries = {
+        (i, j): {k: v * d[i] * d[j] / d[k] for k, v in sparse.items()}
+        for (i, j), sparse in _entries(alg).items()
+    }
+    return _retabled(alg, entries)
+
+
+def _single_pair_jacobiator(x, y):
+    # on a, b, c, l only [x,y] = l and [l,z] = z for the third z: the
+    # Jacobiator of (a, b, c) is [[x,y],z] = z, though the other two of the
+    # three pair products e_a e_b, e_b e_c, e_c e_a are zero
+    (z,) = {0, 1, 2} - {x, y}
+    table = make_table({
+        (x, y): {3: q(1)}, (y, x): {3: q(-1)},
+        (3, z): {z: q(1)}, (z, 3): {z: q(-1)},
+    })
+    return MultTableAlgebra(
+        dim=4, scalar_order=1, kind=KIND_LIE,
+        constants=table, basis_labels=("a", "b", "c", "l"),
+    )
+
+
+def _explicit_zero_products():
+    obj = _sl2().to_obj()
+    obj["constants"].append([1, 1, [[0, {"order": 1, "coeffs": ["0"]}]]])
+    obj["constants"].append([0, 0, []])
+    return MultTableAlgebra.from_obj(obj)
+
+
+# name -> (function making the table, whether it is a valid algebra)
+_VALIDATION_CASES = {
+    **{label: (lambda label=label: standard_algebra(label)[1], True)
+       for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")},
+    "G2 over Q(zeta_6)": (lambda: algebra_over("G2", 6)[1], True),
+    **{f"A3 pair x{f} seed {seed}": (lambda f=f, seed=seed: _scaled_pair("A3", q(f), seed), False)
+       for f in (2, 3, -1) for seed in (1, 2, 3)},
+    # over Q(zeta_3) the failing Jacobiators are cyclotomic
+    "A2 pair x zeta_3": (
+        lambda: _scaled(algebra_over("A2", 3)[1], ((2, 3), (3, 2)), zeta_power(3, 1)), False),
+    "A2 rescaled over Q(zeta_3)": (_rescaled_basis, True),
+    # scaling e_i e_j alone breaks antisymmetry
+    "A2 one-sided x2": (lambda: _scaled(standard_algebra("A2")[1], ((3, 2),), q(2)), False),
+    "sl2 non-alternating": (_non_alternating, False),
+    **{f"only [{'abc'[x]},{'abc'[y]}]": (lambda x=x, y=y: _single_pair_jacobiator(x, y), False)
+       for x, y in ((0, 1), (1, 2), (2, 0))},
+    "sl2 explicit zero products": (_explicit_zero_products, True),
+    "sl2 [h,e]=3e": (lambda: _sl2(h_e_coeff=3), False),
+    "M2": (lambda: build_matrix_algebra(2, (0, 0), 1)[0], True),
+    "M3 over Q(zeta_3)": (lambda: build_matrix_algebra(3, (0, 1, 2), 3)[0], True),
+    "M2 product x2": (
+        lambda: _scaled(build_matrix_algebra(2, (0, 0), 1)[0], ((1, 2),), q(2)), False),
+    "M3 product x zeta_3": (
+        lambda: _scaled(build_matrix_algebra(3, (0, 1, 2), 3)[0], ((4, 5),), zeta_power(3, 1)),
+        False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATION_CASES))
+def test_validation_equals_ordered_triple_oracle(name):
+    build, valid = _VALIDATION_CASES[name]
+    alg = build()
+    report = validate_algebra(alg)
+    assert report == ordered_triple_validation(alg)
+    assert report.triples_checked == alg.dim ** 3
+    assert report.ok == valid
+
+
+def test_sl2_violation_reported_on_all_six_orderings():
+    report = validate_algebra(_sl2(h_e_coeff=3))
+    jacobi = [v.indices for v in report.violations if v.law == "jacobi"]
+    assert jacobi == sorted(permutations((0, 1, 2)))
+    assert [v.labels for v in report.violations][0] == ("h", "e", "f")
 
 
 def test_serialization_round_trip():

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 import time
+from functools import lru_cache
 
 import pytest
 
+from loopforms import acceptance, algebra, chevalley, cli
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
 
@@ -55,6 +57,35 @@ def test_build_d4():
     assert report["payload"]["roots"] == 24
     assert report["payload"]["rank"] == 4
     assert "elapsed:" in result.stderr
+
+
+def test_each_built_algebra_is_validated_once(monkeypatch, capsys):
+    calls = []
+    real = algebra.validate_algebra
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return real(alg)
+
+    # rebind every alias, so a direct call from any module is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "validate_algebra", None) is real:
+            monkeypatch.setattr(module, "validate_algebra", counting)
+    # an empty type cache, as in a fresh process
+    fresh = lru_cache(maxsize=None)(chevalley._chevalley_cached.__wrapped__)
+    monkeypatch.setattr(chevalley, "_chevalley_cached", fresh)
+    assert cli.main(["build", "--type", "B4"]) == 0
+    assert calls == [36]
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["validation"]["triples_checked"] == 36 ** 3
+    calls.clear()
+    # criterion 1 builds its fixtures, each validated once inside the build,
+    # and reports those certificates without validating again
+    assert acceptance.criterion_1()["status"] == "pass"
+    assert calls == [dim for _, dim in acceptance._CONSTRUCTION]
+    calls.clear()
+    assert acceptance.criterion_1()["status"] == "pass"
+    assert calls == []
 
 
 def test_grade_triality():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dense import TWIST_FIXTURES, is_identity, mat_mul, mat_pow, twist_fixture
@@ -100,9 +102,22 @@ def test_untwist_sl2_moves_weight_lines():
     assert iso.apply_inverse(iso.apply(mixed)) == mixed
 
 
-def test_untwist_composed_flip_passes():
+def test_untwist_composed_flip_passes(monkeypatch):
+    built = []
+    real = diagram_automorphism
+
+    def counting(*args):
+        built.append(args[2])
+        return real(*args)
+
+    # rebind every alias, so a direct call from any module is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "diagram_automorphism", None) is real:
+            monkeypatch.setattr(module, "diagram_automorphism", counting)
     rs, alg = algebra_over("A2", 2)
     iso = untwist_iso(alg, rs, FLIP, ToralCharge(s=(1, 1), modulus=2))
+    # the pi factor of the composition is reused for the target grading
+    assert built == [FLIP]
     assert iso.period == 2
     assert all(c.status == "pass" for c in iso.checks)
     names = {c.check for c in iso.checks}
