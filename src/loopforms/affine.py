@@ -38,7 +38,7 @@ from .chevalley import (
     root_system,
 )
 from .cyclo import CycloNum
-from .linalg import SpanSolver, Vector, int_rank_det, nullspace, vec_add, vec_scale, zero_vector
+from .linalg import SpanSolver, Sparse, int_rank_det, nullspace, sparse_add
 
 __all__ = [
     "AffineCatalog",
@@ -74,7 +74,7 @@ Weight = tuple[int, ...]
 class FixedCartan:
     """Basis of h0 = h^pi (orbit sums of the h_i) plus candidate weight data."""
 
-    basis: tuple[Vector, ...]
+    basis: tuple[Sparse, ...]
     orbits: tuple[tuple[int, ...], ...]
     candidates: tuple[Weight, ...]
 
@@ -110,16 +110,11 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
             node = perm(node)
         orbits.append(tuple(sorted(orbit)))
     orbits.sort()
-    order = alg.scalar_order
-    basis = []
-    for orbit in orbits:
-        vec = zero_vector(alg.dim, order)
-        for i in orbit:
-            vec = vec_add(vec, alg.basis_vector(i))
-        basis.append(vec)
+    one = CycloNum.one(alg.scalar_order)
+    basis = [{i: one for i in orbit} for orbit in orbits]
     for x in basis:
         for y in basis:
-            if any(not c.is_zero() for c in alg.product(x, y)):
+            if alg.product_sparse(x, y):
                 raise AffineExtractError("fixed Cartan is not abelian")
     weights = {
         tuple(sum(rs.pairing(alpha, i) for i in orbit) for orbit in orbits)
@@ -154,7 +149,7 @@ class AffineRootData:
     window: int
     reals: tuple[AffineRoot, ...]
     imaginary: tuple[AffineRoot, ...]
-    spaces: dict[tuple[Weight, int], tuple[Vector, ...]]
+    spaces: dict[tuple[Weight, int], tuple[Sparse, ...]]
 
 
 def affine_roots(
@@ -175,7 +170,7 @@ def affine_roots(
         raise AffineExtractError(f"window {window} is smaller than the twist order {m}")
     order = grading.scalar_order
     rank = h0.rank
-    per_residue: dict[int, list[tuple[Weight, tuple[Vector, ...]]]] = {}
+    per_residue: dict[int, list[tuple[Weight, tuple[Sparse, ...]]]] = {}
     for res in range(m):
         component = grading.component_bases[res]
         if not component:
@@ -183,37 +178,37 @@ def affine_roots(
             continue
         solver = grading.component_solver(res)
         c = len(component)
-        ad_mats = []
+        # ad_rows[k][i] is row i of ad(h0_k) on the component, {column: entry}
+        ad_rows: list[list[Sparse]] = []
         for k in range(rank):
-            cols = []
-            for v in component:
-                image = alg.product(h0.basis[k], v)
-                coords = solver.coords(image)
+            rows_k: list[Sparse] = [{} for _ in range(c)]
+            for j, v in enumerate(component):
+                coords = solver.coords(alg.product_sparse(h0.basis[k], v))
                 if coords is None:
                     raise AffineExtractError(
                         f"component {res} is not stable under the fixed Cartan"
                     )
-                cols.append(coords)
-            ad_mats.append(tuple(tuple(cols[j][i] for j in range(c)) for i in range(c)))
-        found: list[tuple[Weight, tuple[Vector, ...]]] = []
+                for i, x in coords.items():
+                    rows_k[i][j] = x
+            ad_rows.append(rows_k)
+        found: list[tuple[Weight, tuple[Sparse, ...]]] = []
         total = 0
         for w in h0.candidates:
             rows = []
             for k in range(rank):
-                wk = CycloNum.rational(order, w[k])
                 for i in range(c):
-                    rows.append(
-                        [ad_mats[k][i][j] - (wk if i == j else CycloNum.zero(order)) for j in range(c)]
-                    )
+                    row = dict(ad_rows[k][i])
+                    if w[k]:
+                        sparse_add(row, {i: CycloNum.rational(order, -w[k])})
+                    rows.append(row)
             kernel = nullspace(rows, c, order)
             if not kernel:
                 continue
             lifted = []
             for coeffs in kernel:
-                vec = zero_vector(alg.dim, order)
-                for j, coeff in enumerate(coeffs):
-                    if not coeff.is_zero():
-                        vec = vec_add(vec, vec_scale(coeff, component[j]))
+                vec: Sparse = {}
+                for j, coeff in coeffs.items():
+                    sparse_add(vec, component[j], coeff)
                 lifted.append(vec)
             found.append((w, tuple(lifted)))
             total += len(kernel)
@@ -224,7 +219,7 @@ def affine_roots(
         per_residue[res] = found
     reals: list[AffineRoot] = []
     imaginary: list[AffineRoot] = []
-    spaces: dict[tuple[Weight, int], tuple[Vector, ...]] = {}
+    spaces: dict[tuple[Weight, int], tuple[Sparse, ...]] = {}
     for j in range(-window, window + 1):
         for w, vectors in per_residue[j % m]:
             spaces[(w, j)] = vectors
@@ -376,7 +371,7 @@ def extract_gcm(
     """
     order = alg.scalar_order
     h0 = data.h0
-    solver = SpanSolver(h0.basis, alg.dim, order)
+    solver = SpanSolver(h0.basis)
     coroots: list[tuple[Fraction, ...]] = []
     for root in base:
         e_space = data.spaces.get((root.weight, root.degree))
@@ -386,18 +381,15 @@ def extract_gcm(
             raise AffineExtractError(f"missing root space for base root {root.weight}")
         if len(e_space) != 1 or len(f_space) != 1:
             raise AffineExtractError("base root space is not one-dimensional")
-        h_raw = alg.product(e_space[0], f_space[0])
-        coords = solver.coords(h_raw)
+        coords = solver.coords(alg.product_sparse(e_space[0], f_space[0]))
         if coords is None:
             raise AffineExtractError("[e, f] leaves the fixed Cartan")
-        pairing = sum(
-            (c * w for c, w in zip(coords, root.weight)),
-            CycloNum.zero(order),
-        )
+        zero = CycloNum.zero(order)
+        pairing = sum((c * root.weight[k] for k, c in coords.items()), zero)
         if pairing.is_zero():
             raise AffineExtractError(f"degenerate pairing for base root {root.weight}")
         scale = CycloNum.rational(order, 2) / pairing
-        coroot = tuple((scale * c).as_fraction() for c in coords)
+        coroot = tuple((scale * coords.get(k, zero)).as_fraction() for k in range(h0.rank))
         coroots.append(coroot)
     n = len(base)
     entries = []

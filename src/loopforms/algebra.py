@@ -1,17 +1,25 @@
 """Finite-dimensional algebras by structure constants, and their gradings.
 
 An algebra is a multiplication table over some Q(zeta_M): sparse structure
-constants on a fixed basis, tagged `lie` or `associative`.  Automorphisms
-are monomial, e_j -> c_j e_p(j), which every twist built in this package is;
-they are checked in one pass over the basis pairs, with the period read off
-the cycles of p.  A finite-order automorphism with period m dividing that
-scalar order splits the algebra into eigenspace components A_i for the
-eigenvalues zeta_m^i, written down in closed form cycle by cycle; that
-decomposition is a Z/m grading and is the combinatorial heart of everything
-downstream: loop elements live on it, the per-degree base-change check
-certifies that the loop algebra really is a twisted form, and the centroid
-computation detects when two loop algebras cannot be isomorphic over the
-Laurent base ring.
+constants on a fixed basis, tagged `lie` or `associative`.  Its elements are
+sparse vectors {index: scalar} with no zero entry, multiplied by
+`MultTableAlgebra.product_sparse`; dense tuples appear only in serialized
+reports.  Automorphisms are monomial, e_j -> c_j e_p(j), which every twist
+built in this package is; they are checked in one pass over the basis pairs,
+with the period read off the cycles of p.  A finite-order automorphism with
+period m dividing that scalar order splits the algebra into eigenspace
+components A_i for the eigenvalues zeta_m^i, written down in closed form
+cycle by cycle; that decomposition is a Z/m grading and is the combinatorial
+heart of everything downstream: loop elements ({degree: sparse vector}) live
+on it, the per-degree base-change check certifies that the loop algebra
+really is a twisted form, and the centroid computation detects when two loop
+algebras cannot be isomorphic over the Laurent base ring.
+
+Each closed-form component vector is an orbit sum over one cycle: it is 1 at
+its smallest index and the vectors of a component have disjoint supports.
+So coordinates in a component need no elimination: `ComponentSolver` reads
+them at those pivot indices and confirms them by rebuilding the vector
+exactly.
 
 All verification here is exact and total over the stated ranges; nothing is
 sampled.
@@ -26,13 +34,14 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, zeta_power
-from .linalg import Matrix, SpanSolver, Vector, eliminate, rank, vec_add, zero_vector
+from .linalg import SpanSolver, Sparse, eliminate, rank, sparse_add
 
 __all__ = [
     "AlgebraError",
     "AutomorphismError",
     "BaseChangeReport",
     "CentroidReport",
+    "ComponentSolver",
     "FiniteOrderAutomorphism",
     "GradedDecomposition",
     "GradingError",
@@ -68,7 +77,6 @@ class GradingError(ValueError):
     pass
 
 
-Sparse = dict[int, CycloNum]
 TableEntry = tuple[tuple[int, CycloNum], ...]
 
 
@@ -77,7 +85,8 @@ class MultTableAlgebra:
     """Algebra given by structure constants on basis e_0, ..., e_{dim-1}.
 
     `constants` holds, for each basis pair (i, j) with nonzero product, the
-    sparse expansion of e_i * e_j; omitted pairs multiply to zero.
+    sparse expansion of e_i * e_j; omitted pairs multiply to zero.  Elements
+    are sparse vectors {index: scalar} with no zero entry.
     """
 
     dim: int
@@ -103,7 +112,9 @@ class MultTableAlgebra:
                     raise AlgebraError(f"structure constant target {k} out of range")
                 if c.order != self.scalar_order:
                     raise AlgebraError("structure constants must use the declared scalar order")
-            table[(i, j)] = entry
+            # zero constants are kept in `constants` but not in the lookup
+            # table, so a product of nonzero entries has no zero term
+            table[(i, j)] = tuple((k, c) for k, c in entry if not c.is_zero())
         self._table.update(table)
 
     # -- products --------------------------------------------------------
@@ -112,45 +123,36 @@ class MultTableAlgebra:
         return self._table.get((i, j), ())
 
     def product_sparse(self, x: Sparse, y: Sparse) -> Sparse:
+        """x * y for sparse x and y; the result holds no zero entry.
+
+        Only a target that receives two or more terms can cancel: a single
+        term is a product of nonzero scalars, which is nonzero in a field.
+        """
         out: Sparse = {}
+        summed: list[int] = []
+        table = self._table
         for i, xi in x.items():
-            if xi.is_zero():
-                continue
             for j, yj in y.items():
-                if yj.is_zero():
-                    continue
-                entry = self._table.get((i, j))
+                entry = table.get((i, j))
                 if not entry:
                     continue
                 scale = xi * yj
                 for k, c in entry:
                     prev = out.get(k)
-                    term = scale * c
-                    out[k] = term if prev is None else prev + term
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def product(self, x: Sequence[CycloNum], y: Sequence[CycloNum]) -> Vector:
-        sx = {i: c for i, c in enumerate(x) if not c.is_zero()}
-        sy = {j: c for j, c in enumerate(y) if not c.is_zero()}
-        sparse = self.product_sparse(sx, sy)
-        zero = CycloNum.zero(self.scalar_order)
-        out = [zero] * self.dim
-        for k, c in sparse.items():
-            out[k] = c
-        return tuple(out)
+                    if prev is None:
+                        out[k] = scale * c
+                    else:
+                        out[k] = prev + scale * c
+                        summed.append(k)
+        for k in set(summed):
+            if out[k].is_zero():
+                del out[k]
+        return out
 
     @cached_property
     def validation(self) -> "ValidationReport":
         """The `validate_algebra` certificate of this table, computed once."""
         return validate_algebra(self)
-
-    def zero_vec(self) -> Vector:
-        return zero_vector(self.dim, self.scalar_order)
-
-    def basis_vector(self, i: int) -> Vector:
-        zero = CycloNum.zero(self.scalar_order)
-        one = CycloNum.one(self.scalar_order)
-        return tuple(one if k == i else zero for k in range(self.dim))
 
     # -- serialization -----------------------------------------------------
 
@@ -412,12 +414,8 @@ class FiniteOrderAutomorphism:
     def scalar_order(self) -> int:
         return self.scalars[0].order
 
-    def apply(self, v: Sequence[CycloNum]) -> Vector:
-        out = [CycloNum.zero(self.scalar_order)] * self.dim
-        for j, x in enumerate(v):
-            if not x.is_zero():
-                out[self.images[j]] = self.scalars[j] * x
-        return tuple(out)
+    def apply(self, v: Sparse) -> Sparse:
+        return {self.images[j]: self.scalars[j] * x for j, x in v.items()}
 
     def compose(self, other: "FiniteOrderAutomorphism") -> "FiniteOrderAutomorphism":
         """self o other (other acts first), with period lcm of the two periods;
@@ -429,8 +427,11 @@ class FiniteOrderAutomorphism:
         )
 
     @cached_property
-    def matrix(self) -> Matrix:
-        """Dense read-only view: column j is the coordinate vector of sigma(e_j)."""
+    def matrix(self) -> tuple[tuple[CycloNum, ...], ...]:
+        """Dense read-only view: column j is the coordinate vector of sigma(e_j).
+
+        No code in the package reads it; it is kept for the benchmark's
+        nullspace microbenchmark and the tests' dense oracles."""
         zero = CycloNum.zero(self.scalar_order)
         rows = [[zero] * self.dim for _ in range(self.dim)]
         for j, (k, c) in enumerate(zip(self.images, self.scalars)):
@@ -519,25 +520,92 @@ def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
 # -- eigenspace grading -------------------------------------------------------
 
 
+class ComponentSolver:
+    """Coordinates in the span of closed-form component vectors, read and
+    confirmed.
+
+    Each vector must be 1 at its smallest index, its pivot, and the vectors
+    must have pairwise disjoint supports; otherwise construction raises
+    GradingError.  The coordinate of v on vector k is then v's entry at the
+    pivot of k, and nothing else can be: every other vector vanishes there.
+    `coords` reads those entries, rebuilds sum_k c_k b_k and returns the
+    coordinates only when the rebuilt vector is v exactly, so it answers
+    None exactly when v is outside the span, as an elimination would.
+    """
+
+    def __init__(self, vectors: Sequence[Sparse]):
+        self.vectors = tuple(vectors)
+        self._owner: dict[int, int] = {}
+        pivots = []
+        for k, vec in enumerate(self.vectors):
+            if not vec:
+                raise GradingError(f"component vector {k} is zero")
+            pivot = min(vec)
+            pivots.append(pivot)
+            lead = vec[pivot]
+            if lead != CycloNum.one(lead.order):
+                raise GradingError(f"component vector {k} is {lead} at its pivot {pivot}, not 1")
+            for idx, x in vec.items():
+                if idx in self._owner:
+                    raise GradingError(
+                        f"component vectors {self._owner[idx]} and {k} share index {idx}"
+                    )
+                if x.is_zero():
+                    raise GradingError(f"component vector {k} stores a zero at index {idx}")
+                self._owner[idx] = k
+        self.pivots = tuple(pivots)
+
+    def coords(self, v: Sparse) -> Optional[Sparse]:
+        """Coefficients {vector index: scalar} expressing v, or None."""
+        out: Sparse = {}
+        for k, pivot in enumerate(self.pivots):
+            c = v.get(pivot)
+            if c is not None and not c.is_zero():
+                out[k] = c
+        # confirm: v equals sum_k out[k] * vectors[k] entry by entry; each
+        # entry of v lies in one vector's support, and the counts match
+        size = 0
+        for idx, x in v.items():
+            k = self._owner.get(idx)
+            c = None if k is None else out.get(k)
+            if c is None:
+                if x.is_zero():
+                    continue
+                return None
+            if c * self.vectors[k][idx] != x:
+                return None
+            size += 1
+        if size != sum(len(self.vectors[k]) for k in out):
+            return None
+        return out
+
+    def contains(self, v: Sparse) -> bool:
+        return self.coords(v) is not None
+
+
 @dataclass(frozen=True)
 class GradedDecomposition:
-    """Z/period grading by eigenspaces; component i belongs to zeta^i."""
+    """Z/period grading by eigenspaces; component i belongs to zeta^i.
+
+    Component vectors are sparse, 1 at their smallest index, with disjoint
+    supports within a component, which `component_solver` relies on.
+    """
 
     period: int
     scalar_order: int
     dim: int
-    component_bases: tuple[tuple[Vector, ...], ...]
+    component_bases: tuple[tuple[Sparse, ...], ...]
     _solvers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.component_bases)
 
-    def component_solver(self, i: int) -> SpanSolver:
+    def component_solver(self, i: int) -> ComponentSolver:
         i %= self.period
         solver = self._solvers.get(i)
         if solver is None:
-            solver = SpanSolver(self.component_bases[i], self.dim, self.scalar_order)
+            solver = ComponentSolver(self.component_bases[i])
             self._solvers[i] = solver
         return solver
 
@@ -556,8 +624,10 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
     lambda^-t sigma^t(e_0), taken from the cycle's smallest index, where it is
     1.  Supports are disjoint, so each component, ordered by that index, is
     its reduced row-echelon basis.  Verifies that the components exhaust the
-    algebra and are independent, that every vector is scaled by its
-    eigenvalue, and that multiplication respects residues.
+    algebra, that they are independent (the vectors of one cycle span a block
+    of coordinates no other cycle touches, so this is one small rank per
+    cycle), that every vector is scaled by its eigenvalue, and that
+    multiplication respects residues, the last through `component_solver`.
     """
     m = sigma.period
     if alg.scalar_order % m != 0:
@@ -569,9 +639,9 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
     n = alg.dim
     order = alg.scalar_order
     step = order // m
-    zero = CycloNum.zero(order)
-    components: list[list[Vector]] = [[] for _ in range(m)]
-    for cycle in _cycles(sigma.images):
+    cycles = _cycles(sigma.images)
+    components: list[list[Sparse]] = [[] for _ in range(m)]
+    for cycle in cycles:
         k = len(cycle)
         # sigma^t(e_start) = orbit[t] * e_cycle[t]; orbit[k] is the cycle product
         orbit = [CycloNum.one(order)]
@@ -580,10 +650,9 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
         for i in range(m):
             if zeta_power(order, step * i * k) != orbit[k]:
                 continue
-            v = [zero] * n
-            for t, idx in enumerate(cycle):
-                v[idx] = zeta_power(order, -step * i * t) * orbit[t]
-            components[i].append(tuple(v))
+            components[i].append(
+                {idx: zeta_power(order, -step * i * t) * orbit[t] for t, idx in enumerate(cycle)}
+            )
     grading = GradedDecomposition(
         period=m,
         scalar_order=order,
@@ -592,14 +661,23 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
     )
     if sum(grading.dims) != n:
         raise GradingError(f"component dimensions {grading.dims} do not sum to {n}")
-    stacked = [v for comp in components for v in comp]
-    if rank(stacked) != n:
+    # independence, block by block: each vector must lie in the coordinates
+    # of one cycle, and the vectors of each cycle must be independent
+    cycle_of = {idx: c for c, cycle in enumerate(cycles) for idx in cycle}
+    blocks: list[list[Sparse]] = [[] for _ in cycles]
+    for comp in components:
+        for v in comp:
+            owners = {cycle_of[idx] for idx in v}
+            if len(owners) != 1:
+                raise GradingError("a component vector spans several cycles of the automorphism")
+            blocks[owners.pop()].append(v)
+    if any(rank(block) != len(block) for block in blocks):
         raise GradingError("components are not independent")
     # reassembly: every component vector must really be scaled by its eigenvalue
     for i, comp in enumerate(components):
         zeta = grading.residue_zeta(i)
         for v in comp:
-            if sigma.apply(v) != tuple(zeta * c for c in v):
+            if sigma.apply(v) != {k: zeta * c for k, c in v.items()}:
                 raise GradingError(f"component {i} is not an eigenspace of the automorphism")
     # product rule A_i * A_j inside A_{i+j}
     for i in range(m):
@@ -607,7 +685,7 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
             solver = grading.component_solver((i + j) % m)
             for x in components[i]:
                 for y in components[j]:
-                    if not solver.contains(alg.product(x, y)):
+                    if not solver.contains(alg.product_sparse(x, y)):
                         raise GradingError(
                             f"product of components {i} and {j} leaves component {(i + j) % m}"
                         )
@@ -619,60 +697,40 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
 
 @dataclass(frozen=True)
 class LoopElement:
-    """Finite sum of homogeneous terms a * z^degree, degrees distinct and sorted."""
+    """Finite sum of homogeneous terms a * z^degree: `terms` maps each degree
+    to a nonzero sparse vector, degrees in increasing order."""
 
-    terms: tuple[tuple[int, Vector], ...]
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.terms)
+    terms: dict[int, Sparse]
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def shift(self, offset: int) -> "LoopElement":
-        return LoopElement(tuple((d + offset, v) for d, v in self.terms))
-
-    def scale(self, c: CycloNum) -> "LoopElement":
-        return loop_element([(d, tuple(c * x for x in v)) for d, v in self.terms])
-
-    def add(self, other: "LoopElement") -> "LoopElement":
-        return loop_element(list(self.terms) + list(other.terms))
+        return LoopElement({d + offset: v for d, v in self.terms.items()})
 
 
-def loop_element(terms: Iterable[tuple[int, Sequence[CycloNum]]]) -> LoopElement:
+def loop_element(terms: Iterable[tuple[int, Sparse]]) -> LoopElement:
     """Normalize: merge equal degrees, drop zero vectors, sort by degree."""
-    acc: dict[int, Vector] = {}
+    acc: dict[int, Sparse] = {}
     for d, v in terms:
-        v = tuple(v)
-        if d in acc:
-            acc[d] = vec_add(acc[d], v)
-        else:
-            acc[d] = v
-    out = []
-    for d in sorted(acc):
-        if any(not c.is_zero() for c in acc[d]):
-            out.append((d, acc[d]))
-    return LoopElement(tuple(out))
+        sparse_add(acc.setdefault(d, {}), v)
+    return LoopElement({d: acc[d] for d in sorted(acc) if acc[d]})
 
 
 def check_loop_element(grading: GradedDecomposition, x: LoopElement) -> None:
     """Each term of a loop element must lie in the component of its residue."""
-    seen = set()
-    for d, v in x.terms:
-        if d in seen:
-            raise GradingError(f"duplicate degree {d} in loop element")
-        seen.add(d)
+    for d, v in x.terms.items():
         if not grading.component_solver(d % grading.period).contains(v):
             raise GradingError(f"term at degree {d} is not in component {d % grading.period}")
 
 
 def ts_product(alg: MultTableAlgebra, x: LoopElement, y: LoopElement) -> LoopElement:
     """Product in A tensor k[z, 1/z]: multiply coefficients, add degrees."""
-    terms = []
-    for d1, v1 in x.terms:
-        for d2, v2 in y.terms:
-            terms.append((d1 + d2, alg.product(v1, v2)))
-    return loop_element(terms)
+    return loop_element(
+        (d1 + d2, alg.product_sparse(v1, v2))
+        for d1, v1 in x.terms.items()
+        for d2, v2 in y.terms.items()
+    )
 
 
 def loop_bracket(
@@ -743,7 +801,7 @@ def base_change_check(alg: MultTableAlgebra, grading: GradedDecomposition, windo
             for x in grading.component_bases[d1 % m]:
                 for y in grading.component_bases[d2 % m]:
                     pairs += 1
-                    if not solver.contains(alg.product(x, y)):
+                    if not solver.contains(alg.product_sparse(x, y)):
                         failures.append(
                             f"degrees ({d1},{d2}): product leaves the degree {d1 + d2} slice"
                         )
@@ -765,18 +823,40 @@ class CentroidReport:
     A family assigns to each residue i a matrix A_i -> A_{i+shift} written in
     component coordinates; the family is constant across the integer degrees
     of a residue class, which is exactly a degree-homogeneous centroid
-    transformation of the twisted loop algebra.
+    transformation of the twisted loop algebra.  Each family is stored as one
+    sparse vector over the entries of all its matrices, residue by residue
+    and row-major within a matrix (`entry_index`); `dims` are the component
+    dimensions that shape the matrices.
     """
 
     shift_residue: int
     period: int
+    dims: tuple[int, ...]
     solution_dim: int
-    basis: tuple[tuple[Matrix, ...], ...]
+    basis: tuple[Sparse, ...]
+
+    def entry_index(self, res: int, row: int, col: int) -> int:
+        """Position of entry (row, col) of the residue-res matrix in a family."""
+        m, d = self.period, self.shift_residue
+        offset = sum(self.dims[(k + d) % m] * self.dims[k] for k in range(res))
+        return offset + row * self.dims[res] + col
 
     def contains_identity(self) -> bool:
         if self.shift_residue % self.period != 0:
             return False
         return _identity_in_span(self)
+
+    def matrices(self, family: Sparse) -> tuple[tuple[tuple[CycloNum, ...], ...], ...]:
+        """The dense matrices of one family, residue by residue."""
+        m, d = self.period, self.shift_residue
+        zero = CycloNum.zero(next(iter(family.values())).order)
+        return tuple(
+            tuple(
+                tuple(family.get(self.entry_index(res, r, s), zero) for s in range(self.dims[res]))
+                for r in range(self.dims[(res + d) % m])
+            )
+            for res in range(m)
+        )
 
     def to_obj(self) -> dict:
         return {
@@ -784,7 +864,7 @@ class CentroidReport:
             "period": self.period,
             "solution_dim": self.solution_dim,
             "basis": [
-                [[[c.to_obj() for c in row] for row in mat] for mat in family]
+                [[[c.to_obj() for c in row] for row in mat] for mat in self.matrices(family)]
                 for family in self.basis
             ],
         }
@@ -793,27 +873,16 @@ class CentroidReport:
 def _identity_in_span(report: CentroidReport) -> bool:
     if not report.basis:
         return False
-    order = None
-    flat_basis = []
-    for family in report.basis:
-        flat = []
-        for mat in family:
-            for row in mat:
-                for c in row:
-                    flat.append(c)
-                    order = c.order
-        flat_basis.append(tuple(flat))
-    if order is None:
+    if not all(report.basis):
         raise AlgebraError("centroid basis has no entries to test against")
-    ident = []
-    for mat in report.basis[0]:
-        rows = len(mat)
-        cols = len(mat[0]) if rows else 0
-        for r in range(rows):
-            for c in range(cols):
-                ident.append(CycloNum.one(order) if r == c else CycloNum.zero(order))
-    solver = SpanSolver(flat_basis, len(ident), order)
-    return solver.contains(tuple(ident))
+    order = next(iter(report.basis[0].values())).order
+    one = CycloNum.one(order)
+    ident = {
+        report.entry_index(res, r, r): one
+        for res in range(report.period)
+        for r in range(report.dims[res])
+    }
+    return SpanSolver(report.basis).contains(ident)
 
 
 def centroid_graded(
@@ -843,12 +912,12 @@ def centroid_graded(
                 unknowns.append((res, r, s))
     total = len(unknowns)
 
-    # coordinates of products of homogeneous basis vectors
+    # sparse coordinates of products of homogeneous basis vectors
     hom = [(res, t) for res in range(m) for t in range(dims[res])]
-    prod_coords: dict[tuple[int, int, int, int], list[CycloNum]] = {}
+    prod_coords: dict[tuple[int, int, int, int], Sparse] = {}
     for (ri, ti) in hom:
         for (rj, tj) in hom:
-            vec = alg.product(comps[ri][ti], comps[rj][tj])
+            vec = alg.product_sparse(comps[ri][ti], comps[rj][tj])
             coords = solvers[(ri + rj) % m].coords(vec)
             if coords is None:
                 raise GradingError("product rule violated while building centroid system")
@@ -856,6 +925,7 @@ def centroid_graded(
 
     # phase 1: diagonal degree-zero multipliers kill unknowns coordinate-wise
     alive = [True] * total
+    zero = CycloNum.zero(order)
 
     def diagonal_eigenvalues(zres: int, zt: int, side: str) -> Optional[list[list[CycloNum]]]:
         eigen: list[list[CycloNum]] = []
@@ -864,14 +934,9 @@ def centroid_graded(
             for s in range(dims[res]):
                 key = (zres, zt, res, s) if side == "left" else (res, s, zres, zt)
                 coords = prod_coords[key]
-                lam = None
-                for k, c in enumerate(coords):
-                    if c.is_zero():
-                        continue
-                    if k != s:
-                        return None
-                    lam = c
-                lams.append(lam if lam is not None else CycloNum.zero(order))
+                if any(k != s for k in coords):
+                    return None
+                lams.append(coords.get(s, zero))
             eigen.append(lams)
         return eigen
 
@@ -885,14 +950,14 @@ def centroid_graded(
                 for r in range(dims[tgt]):
                     for s in range(dims[res]):
                         idx = index_of[(res, r, s)]
-                        if alive[idx] and not (eigen[res][s] - eigen[tgt][r]).is_zero():
+                        if alive[idx] and eigen[res][s] != eigen[tgt][r]:
                             alive[idx] = False
 
     # phase 2: all remaining equations, sparse exact elimination
     rows: set[tuple[tuple[int, CycloNum], ...]] = set()
 
-    def add_row(entries: dict[int, CycloNum]) -> None:
-        entries = {k: v for k, v in entries.items() if alive[k] and not v.is_zero()}
+    def add_row(entries: Sparse) -> None:
+        entries = {k: v for k, v in entries.items() if alive[k]}
         if not entries:
             return
         lead = min(entries)
@@ -906,52 +971,35 @@ def centroid_graded(
             out_dim = dims[(tgt_res + d) % m]
             # condition A: c(x*y) = x * (c y)
             for rho in range(out_dim):
-                entries: dict[int, CycloNum] = {}
-                for sig, wc in enumerate(w):
-                    if not wc.is_zero():
-                        entries[index_of[(tgt_res, rho, sig)]] = wc
+                entries: Sparse = {index_of[(tgt_res, rho, sig)]: wc for sig, wc in w.items()}
                 for r in range(dims[(ires + d) % m]):
-                    coeff = prod_coords[(jres, t, (ires + d) % m, r)][rho]
-                    if not coeff.is_zero():
-                        idx = index_of[(ires, r, s)]
-                        entries[idx] = entries.get(idx, CycloNum.zero(order)) - coeff
+                    coeff = prod_coords[(jres, t, (ires + d) % m, r)].get(rho)
+                    if coeff is not None:
+                        sparse_add(entries, {index_of[(ires, r, s)]: -coeff})
                 add_row(entries)
             # condition B: c(x*y) = (c x) * y
             for rho in range(out_dim):
-                entries = {}
-                for sig, wc in enumerate(w):
-                    if not wc.is_zero():
-                        entries[index_of[(tgt_res, rho, sig)]] = wc
+                entries = {index_of[(tgt_res, rho, sig)]: wc for sig, wc in w.items()}
                 for r in range(dims[(jres + d) % m]):
-                    coeff = prod_coords[((jres + d) % m, r, ires, s)][rho]
-                    if not coeff.is_zero():
-                        idx = index_of[(jres, r, t)]
-                        entries[idx] = entries.get(idx, CycloNum.zero(order)) - coeff
+                    coeff = prod_coords[((jres + d) % m, r, ires, s)].get(rho)
+                    if coeff is not None:
+                        sparse_add(entries, {index_of[(jres, r, t)]: -coeff})
                 add_row(entries)
 
     pivots, _ = eliminate(dict(row_t) for row_t in rows)
-    alive_indices = [i for i in range(total) if alive[i]]
-    free = [i for i in alive_indices if i not in pivots]
+    free = [i for i in range(total) if alive[i] and i not in pivots]
     families = []
-    zero = CycloNum.zero(order)
     for f in free:
         sol = {f: CycloNum.one(order)}
         for lead, prow in pivots.items():
             coeff = prow.get(f)
             if coeff is not None:
                 sol[lead] = -coeff
-        family = []
-        for res in range(m):
-            tgt = (res + d) % m
-            mat = tuple(
-                tuple(sol.get(index_of[(res, r, s)], zero) for s in range(dims[res]))
-                for r in range(dims[tgt])
-            )
-            family.append(mat)
-        families.append(tuple(family))
+        families.append({k: sol[k] for k in sorted(sol)})
     return CentroidReport(
         shift_residue=d,
         period=m,
+        dims=tuple(dims),
         solution_dim=len(free),
         basis=tuple(families),
     )

@@ -164,11 +164,15 @@ class CycloNum:
         coeffs = (Fraction(value),) + (_ZERO,) * (deg - 1)
         return CycloNum(order, coeffs)
 
+    # CycloNum is immutable, so one zero and one one per order are shared
+
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(order: int) -> "CycloNum":
         return CycloNum.rational(order, 0)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(order: int) -> "CycloNum":
         return CycloNum.rational(order, 1)
 
@@ -179,10 +183,10 @@ class CycloNum:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -227,6 +231,11 @@ class CycloNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        # a rational factor scales the coefficients, with nothing to reduce
+        if not any(b[1:]):
+            return CycloNum(self.order, tuple(x * b[0] for x in a))
+        if not any(a[1:]):
+            return CycloNum(self.order, tuple(a[0] * y for y in b))
         out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

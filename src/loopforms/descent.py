@@ -44,7 +44,7 @@ from .chevalley import (
     diagram_and_composition,
 )
 from .cyclo import CycloNum, zeta_power
-from .linalg import Vector, nullspace
+from .linalg import Sparse, nullspace
 
 __all__ = [
     "CheckReport",
@@ -122,7 +122,7 @@ def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
 
 def twisted_fixed_points(
     cocycle: LoopCocycle, grading: GradedDecomposition, window: int
-) -> dict[int, tuple[Vector, ...]]:
+) -> dict[int, tuple[Sparse, ...]]:
     """Fixed spaces of x -> u(1)(gamma(x)) per degree; must equal the grading.
 
     On the slice A z^j the twisted action is the constant map
@@ -130,8 +130,9 @@ def twisted_fixed_points(
     (zeta^j sigma^(-1) - id).  That kernel is computed by elimination, apart
     from the closed-form grading, on sparse rows: sigma^(-1) is monomial, so
     each row has at most two entries.  The descent claim, at window scale, is
-    that this kernel coincides with the eigenspace component for residue j;
-    any mismatch raises.
+    that this kernel coincides with the eigenspace component for residue j:
+    equal dimensions, and every kernel vector in the component's span; any
+    mismatch raises.
     """
     if window < 1:
         raise DescentError("window must be >= 1")
@@ -141,7 +142,7 @@ def twisted_fixed_points(
     order = grading.scalar_order
     n = grading.dim
     u1 = cocycle.value(1)
-    out: dict[int, tuple[Vector, ...]] = {}
+    out: dict[int, tuple[Sparse, ...]] = {}
     for j in range(-window, window + 1):
         zeta = zeta_power(order, (order // m) * j)
         # u1 sends e_c to scalars[c] e_images[c]: column c holds that entry and -1
@@ -211,25 +212,16 @@ def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:
 
 
 def _shift_element(x: LoopElement, shifts: Sequence[int], direction: int) -> LoopElement:
-    """Move each weight component of x down (direction=+1) or up by its shift."""
-    pieces: list[tuple[int, dict[int, CycloNum]]] = []
-    for j, v in x.terms:
-        by_shift: dict[int, dict[int, CycloNum]] = {}
-        for idx, c in enumerate(v):
-            if c.is_zero():
-                continue
-            by_shift.setdefault(shifts[idx], {})[idx] = c
-        for delta, sparse in by_shift.items():
-            pieces.append((j - direction * delta, sparse))
-    dim = len(x.terms[0][1]) if x.terms else 0
+    """Move each weight component of x down (direction=+1) or up by its shift.
 
-    def densify(sparse: dict[int, CycloNum], order: int) -> Vector:
-        return tuple(sparse.get(i, CycloNum.zero(order)) for i in range(dim))
-
-    if not pieces:
-        return x
-    order = next(iter(pieces[0][1].values())).order
-    return loop_element((j, densify(sp, order)) for j, sp in pieces)
+    Each basis index has one shift, so two degrees of x never send the same
+    index to the same degree: entries are moved, never added.
+    """
+    moved: dict[int, Sparse] = {}
+    for j, v in x.terms.items():
+        for idx, c in v.items():
+            moved.setdefault(j - direction * shifts[idx], {})[idx] = c
+    return LoopElement({d: moved[d] for d in sorted(moved)})
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,7 @@ class UntwistIso:
 
 def _window_slices(
     grading: GradedDecomposition, window: int
-) -> list[tuple[int, Vector]]:
+) -> list[tuple[int, Sparse]]:
     slices = []
     for j in range(-window, window + 1):
         for v in grading.component_bases[j % grading.period]:
@@ -286,7 +278,7 @@ def _verify_untwist(
     def land(grading_from: GradedDecomposition, grading_to: GradedDecomposition, direction: int, name: str) -> None:
         for j, v in _window_slices(grading_from, window):
             image = _shift_element(loop_element([(j, v)]), shifts, direction)
-            for d, piece in image.terms:
+            for d, piece in image.terms.items():
                 if not grading_to.component_solver(d % m).contains(piece):
                     raise DescentError(
                         f"{name}: degree {j} image piece at degree {d} "

@@ -1,5 +1,10 @@
 """Deterministic exact linear algebra over cyclotomic scalars.
 
+A vector is sparse: a mapping {index: CycloNum} that holds no zero entry, so
+its support is its key set.  Dense tuples appear only where a report is
+serialized.  `nullspace` and `rank` also accept dense rows; only the
+benchmark's `perfbench/micro.py` and the tests' dense oracles pass them.
+
 Every elimination goes through one sparse Gauss-Jordan routine, `eliminate`.
 Its output does not depend on the order of the input rows or of the work
 inside, because the reduced row-echelon form of a matrix is unique.  The
@@ -9,7 +14,9 @@ whose rows are 1 at their own pivot and 0 at every other pivot.  So the same
 input gives the same kernel basis, membership coordinates and centroid basis
 bit for bit, however the rows arrive.  Kernel bases are additionally
 re-reduced so the returned vectors are themselves in reduced row-echelon
-form.
+form.  `SpanSolver` serves the spans that have no closed form; the grading
+components, whose vectors are written down in closed form, are read off by
+`algebra.ComponentSolver` instead.
 
 Integer matrices (Cartan matrices and generalized Cartan matrices) have their
 own small helper, `int_rank_det`, because their certificates need the
@@ -23,38 +30,38 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cyclo import CycloNum
 
-Vector = tuple[CycloNum, ...]
-Matrix = tuple[Vector, ...]
-SparseRow = dict[int, CycloNum]
+Sparse = dict[int, CycloNum]
+Row = Union[Sequence[CycloNum], Mapping[int, CycloNum]]
 
 __all__ = [
-    "Matrix",
     "SpanSolver",
-    "Vector",
+    "Sparse",
     "eliminate",
     "int_rank_det",
     "nullspace",
     "rank",
-    "vec_add",
-    "vec_scale",
-    "zero_vector",
+    "sparse_add",
 ]
 
 
-def zero_vector(n: int, order: int) -> Vector:
-    z = CycloNum.zero(order)
-    return (z,) * n
+def sparse_add(acc: Sparse, v: Mapping[int, CycloNum], scale: Optional[CycloNum] = None) -> None:
+    """acc += scale * v in place (scale 1 when omitted); entries that cancel
+    are dropped."""
+    for k, x in v.items():
+        if scale is not None:
+            x = scale * x
+        old = acc.get(k)
+        if old is None:
+            acc[k] = x
+            continue
+        new = old + x
+        if new.is_zero():
+            del acc[k]
+        else:
+            acc[k] = new
 
 
-def vec_add(a: Sequence[CycloNum], b: Sequence[CycloNum]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: CycloNum, a: Sequence[CycloNum]) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def _axpy(target: SparseRow, factor: CycloNum, source: Mapping[int, CycloNum], skip: int) -> None:
+def _axpy(target: Sparse, factor: CycloNum, source: Mapping[int, CycloNum], skip: int) -> None:
     """target -= factor * source in place, ignoring column `skip`; zeros are dropped."""
     neg = -factor
     for k, v in source.items():
@@ -73,7 +80,7 @@ def _axpy(target: SparseRow, factor: CycloNum, source: Mapping[int, CycloNum], s
 
 def eliminate(
     rows: Iterable[Mapping[int, CycloNum]], pivot_limit: Optional[int] = None
-) -> tuple[dict[int, SparseRow], list[SparseRow]]:
+) -> tuple[dict[int, Sparse], list[Sparse]]:
     """Sparse Gauss-Jordan elimination of rows given as {column: scalar}.
 
     Returns the pivot rows keyed by pivot column, in increasing column order,
@@ -84,8 +91,8 @@ def eliminate(
     there are no leftover rows and the pivot rows are the reduced row-echelon
     form, which does not depend on the order of the input rows.
     """
-    pivots: dict[int, SparseRow] = {}
-    leftover: list[SparseRow] = []
+    pivots: dict[int, Sparse] = {}
+    leftover: list[Sparse] = []
     for source in rows:
         row = {k: v for k, v in source.items() if not v.is_zero()}
         # pivot rows vanish at every other pivot column, so one pass suffices
@@ -108,12 +115,13 @@ def eliminate(
     return dict(sorted(pivots.items())), leftover
 
 
-def _sparse(row: Union[Sequence[CycloNum], Mapping[int, CycloNum]]) -> SparseRow:
+def _sparse(row: Row) -> Sparse:
     items = row.items() if isinstance(row, Mapping) else enumerate(row)
     return {j: x for j, x in items if not x.is_zero()}
 
 
-def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum], zero: CycloNum) -> CycloNum:
+def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum]) -> Optional[CycloNum]:
+    """Sum of a[k] * b[k], or None when the supports do not meet."""
     if len(b) < len(a):
         a, b = b, a
     acc = None
@@ -122,19 +130,19 @@ def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum], zero: CycloNum) -
         if y is not None:
             term = x * y
             acc = term if acc is None else acc + term
-    return zero if acc is None else acc
+    return acc
 
 
-def rank(rows: Iterable[Sequence[CycloNum]]) -> int:
+def rank(rows: Iterable[Row]) -> int:
+    """Rank of the rows, each dense or a sparse {column: scalar} mapping."""
     pivots, _ = eliminate(_sparse(row) for row in rows)
     return len(pivots)
 
 
-def nullspace(
-    rows: Iterable[Union[Sequence[CycloNum], Mapping[int, CycloNum]]], ncols: int, order: int
-) -> list[Vector]:
+def nullspace(rows: Iterable[Row], ncols: int, order: int) -> list[Sparse]:
     """Canonical kernel basis of the linear map given by `rows` (ncols unknowns),
-    each row dense or a sparse {column: scalar} mapping."""
+    each row dense or a sparse {column: scalar} mapping.  The basis vectors
+    are sparse and in reduced row-echelon form."""
     pivots, _ = eliminate(_sparse(row) for row in rows)
     one = CycloNum.one(order)
     kernel = []
@@ -148,8 +156,7 @@ def nullspace(
                 vec[pc] = -entry
         kernel.append(vec)
     basis, _ = eliminate(kernel)
-    zero = CycloNum.zero(order)
-    return [tuple(row.get(j, zero) for j in range(ncols)) for row in basis.values()]
+    return list(basis.values())
 
 
 def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
@@ -182,44 +189,49 @@ def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
 
 
 class SpanSolver:
-    """Express vectors exactly in the span of a fixed list of vectors.
+    """Express sparse vectors exactly in the span of a fixed list of them.
 
     Precomputes one factorization so repeated membership queries against the
-    same span are cheap.
+    same span are cheap.  The spanning vectors may be dependent; coordinates
+    then live on the pivot vectors only.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[CycloNum]], ambient_dim: int, order: int):
-        self.ambient_dim = ambient_dim
-        self.order = order
+    def __init__(self, vectors: Sequence[Mapping[int, CycloNum]]):
         self.count = len(vectors)
         # columns of B are the spanning vectors; reduce [B | I] with pivots
-        # restricted to the B part.  The I part of a pivot row gives one
-        # coordinate, and that of a leftover row is a consistency functional
-        # for membership queries.
-        one = CycloNum.one(order)
-        rows = []
-        for i in range(ambient_dim):
-            row = {k: vec[i] for k, vec in enumerate(vectors) if not vec[i].is_zero()}
-            row[self.count + i] = one
-            rows.append(row)
-        pivots, leftover = eliminate(rows, pivot_limit=self.count)
+        # restricted to the B part, one row per index of their joint support.
+        # The I part of a pivot row gives one coordinate, and that of a
+        # leftover row is a consistency functional for membership queries.
+        rows: dict[int, Sparse] = {}
+        for k, vec in enumerate(vectors):
+            for i, x in vec.items():
+                if not x.is_zero():
+                    rows.setdefault(i, {})[k] = x
+        self._support = frozenset(rows)
+        for i, row in rows.items():
+            row[self.count + i] = CycloNum.one(next(iter(row.values())).order)
+        pivots, leftover = eliminate((rows[i] for i in sorted(rows)), pivot_limit=self.count)
         self._solve_rows = {pc: self._functional(row) for pc, row in pivots.items()}
         self._check_rows = [self._functional(row) for row in leftover]
 
-    def _functional(self, row: SparseRow) -> SparseRow:
+    def _functional(self, row: Sparse) -> Sparse:
         return {k - self.count: v for k, v in row.items() if k >= self.count}
 
-    def coords(self, v: Sequence[CycloNum]) -> Optional[list[CycloNum]]:
-        """Coefficients expressing v in the spanning vectors, or None."""
-        zero = CycloNum.zero(self.order)
+    def coords(self, v: Mapping[int, CycloNum]) -> Optional[Sparse]:
+        """Coefficients {spanning index: scalar} expressing v, or None."""
         entries = _sparse(v)
+        if not entries.keys() <= self._support:
+            return None
         for crow in self._check_rows:
-            if not _dot(crow, entries, zero).is_zero():
+            value = _dot(crow, entries)
+            if value is not None and not value.is_zero():
                 return None
-        out = [zero] * self.count
+        out: Sparse = {}
         for pc, srow in self._solve_rows.items():
-            out[pc] = _dot(srow, entries, zero)
+            value = _dot(srow, entries)
+            if value is not None and not value.is_zero():
+                out[pc] = value
         return out
 
-    def contains(self, v: Sequence[CycloNum]) -> bool:
+    def contains(self, v: Mapping[int, CycloNum]) -> bool:
         return self.coords(v) is not None

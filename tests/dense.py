@@ -1,11 +1,13 @@
-"""Dense matrix helpers, the dense automorphism check and the ordered-triple
-table validation, kept as test oracles.
+"""Dense vectors and matrices, the dense automorphism check and the
+ordered-triple table validation, kept as test oracles.
 
-The package stores automorphisms as monomials (images, scalars) and never
-multiplies dense matrices.  These helpers work on the dense view
+The package stores vectors as sparse {index: scalar} mappings and
+automorphisms as monomials (images, scalars), and never multiplies dense
+matrices.  These helpers work on dense tuples and on the dense view
 `FiniteOrderAutomorphism.matrix` (column j is the image of basis element j),
-so the tests can compare every monomial result with the plain matrix
-computation it replaces.  `twist_fixture` builds the twists those
+so the tests can compare every sparse or monomial result with the plain
+dense computation it replaces.  `densify` is the one way a test turns a
+sparse vector into a dense tuple.  `twist_fixture` builds the twists those
 differential tests run on.  `ordered_triple_validation` evaluates the Lie or
 associative law on all n^3 ordered basis triples through `product_sparse`,
 the reference for the reduced certificate of `validate_algebra`.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from loopforms.acceptance import _grading_fixtures
 from loopforms.algebra import (
@@ -30,7 +32,30 @@ from loopforms.algebra import (
 from loopforms.chevalley import DiagramPermutation, ToralCharge, algebra_over, compose_pi_toral
 from loopforms.cyclo import CycloNum
 from loopforms.descent import build_matrix_algebra
-from loopforms.linalg import Matrix, Vector, eliminate, rank, vec_add
+from loopforms.linalg import eliminate, rank
+
+Vector = tuple[CycloNum, ...]
+Matrix = tuple[Vector, ...]
+
+
+def densify(v: Mapping[int, CycloNum], dim: int, order: int) -> Vector:
+    """The dense tuple of a sparse vector of length dim over Q(zeta_order)."""
+    zero = CycloNum.zero(order)
+    return tuple(v.get(i, zero) for i in range(dim))
+
+
+def sparsify(v: Sequence[CycloNum]) -> Sparse:
+    """The sparse vector of a dense tuple: its nonzero entries by index."""
+    return {i: x for i, x in enumerate(v) if not x.is_zero()}
+
+
+def basis_vector(alg: MultTableAlgebra, i: int) -> Sparse:
+    return {i: CycloNum.one(alg.scalar_order)}
+
+
+def dense_product(alg: MultTableAlgebra, x: Sequence[CycloNum], y: Sequence[CycloNum]) -> Vector:
+    """x * y for dense x and y, through the sparse product."""
+    return densify(alg.product_sparse(sparsify(x), sparsify(y)), alg.dim, alg.scalar_order)
 
 
 def identity_matrix(n: int, order: int) -> Matrix:
@@ -120,10 +145,10 @@ def dense_check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int)
     columns = [tuple(matrix[i][j] for i in range(n)) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = alg.zero_vec()
+            lhs = (CycloNum.zero(alg.scalar_order),) * n
             for k, c in alg.basis_product(i, j):
-                lhs = vec_add(lhs, tuple(c * x for x in columns[k]))
-            if lhs != alg.product(columns[i], columns[j]):
+                lhs = tuple(a + c * x for a, x in zip(lhs, columns[k]))
+            if lhs != dense_product(alg, columns[i], columns[j]):
                 raise AutomorphismError(
                     f"multiplicativity fails on basis pair "
                     f"({alg.basis_labels[i]}, {alg.basis_labels[j]})"

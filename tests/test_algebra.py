@@ -6,7 +6,9 @@ import pytest
 
 from dense import (
     TWIST_FIXTURES,
+    basis_vector,
     dense_check_automorphism,
+    densify,
     mat_inverse,
     mat_mul,
     ordered_triple_validation,
@@ -16,6 +18,9 @@ from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
     AutomorphismError,
+    ComponentSolver,
+    GradedDecomposition,
+    GradingError,
     MultTableAlgebra,
     base_change_check,
     centroid_graded,
@@ -36,8 +41,8 @@ from loopforms.chevalley import (
     toral_automorphism,
 )
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.descent import build_matrix_algebra
-from loopforms.linalg import nullspace
+from loopforms.descent import build_cocycle, build_matrix_algebra, twisted_fixed_points
+from loopforms.linalg import SpanSolver, nullspace
 
 
 def q(x, order=1):
@@ -206,6 +211,27 @@ def test_sl2_violation_reported_on_all_six_orderings():
     assert [v.labels for v in report.violations][0] == ("h", "e", "f")
 
 
+@pytest.mark.parametrize("label", ["A2", "G2"])
+def test_product_sparse_equals_bilinear_expansion(label):
+    # the product against a dense expansion over the basis pairs; entries
+    # that cancel must leave no zero behind, and x * x = 0 in a Lie algebra
+    _, alg = algebra_over(label, 3)
+    rng = random.Random(7)
+    scalars = [q(1, 3), q(-2, 3), zeta_power(3, 1), zeta_power(3, 2) * 3]
+    for _ in range(10):
+        x = {i: rng.choice(scalars) for i in rng.sample(range(alg.dim), 4)}
+        y = {i: rng.choice(scalars) for i in rng.sample(range(alg.dim), 4)}
+        want = [q(0, 3)] * alg.dim
+        for i, a in x.items():
+            for j, b in y.items():
+                for k, c in alg.basis_product(i, j):
+                    want[k] = want[k] + a * b * c
+        got = alg.product_sparse(x, y)
+        assert densify(got, alg.dim, 3) == tuple(want)
+        assert all(not v.is_zero() for v in got.values())
+        assert alg.product_sparse(x, x) == {}
+
+
 def test_serialization_round_trip():
     alg = _sl2()
     clone = MultTableAlgebra.from_obj(alg.to_obj())
@@ -255,7 +281,108 @@ def test_closed_form_grading_equals_dense_nullspace(name):
             [sigma.matrix[r][c] - (zeta if r == c else zero) for c in range(n)]
             for r in range(n)
         ]
-        assert tuple(nullspace(rows, n, order)) == grading.component_bases[i]
+        kernel = [densify(v, n, order) for v in nullspace(rows, n, order)]
+        assert kernel == [densify(v, n, order) for v in grading.component_bases[i]]
+
+
+def _solvers(grading, i):
+    return grading.component_solver(i), SpanSolver(grading.component_bases[i % grading.period])
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_component_solver_equals_span_solver(name):
+    # read-and-confirm coordinates against elimination: every pair product of
+    # component vectors, and every kernel vector of twisted_fixed_points
+    alg, sigma = twist_fixture(name)
+    grading = eigengrading(alg, sigma)
+    m = grading.period
+    comps = grading.component_bases
+    for i in range(m):
+        for j in range(m):
+            target = _solvers(grading, i + j)
+            # the same products against the next component are outside it
+            # whenever they are nonzero and m > 1
+            other = _solvers(grading, i + j + 1)
+            for x in comps[i]:
+                for y in comps[j]:
+                    v = alg.product_sparse(x, y)
+                    fast, slow = target[0].coords(v), target[1].coords(v)
+                    assert fast is not None and fast == slow
+                    rebuilt = {}
+                    for k, c in fast.items():
+                        for idx, e in comps[(i + j) % m][k].items():
+                            rebuilt[idx] = c * e
+                    assert rebuilt == v
+                    if m > 1:
+                        assert other[0].coords(v) == other[1].coords(v)
+                        assert (other[0].coords(v) is None) == bool(v)
+    fixed = twisted_fixed_points(build_cocycle(sigma), grading, 2 * m)
+    for deg, kernel in fixed.items():
+        fast, slow = _solvers(grading, deg)
+        for v in kernel:
+            assert fast.coords(v) is not None
+            assert fast.coords(v) == slow.coords(v)
+
+
+def _triality_grading():
+    rs, alg = algebra_over("D4", 3)
+    return eigengrading(alg, diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 3, 0))))
+
+
+def test_component_solver_refuses_pivot_not_one():
+    grading = _triality_grading()
+    comp = [dict(v) for v in grading.component_bases[1]]
+    pivot = min(comp[0])
+    comp[0][pivot] = comp[0][pivot] * 2
+    with pytest.raises(GradingError, match="at its pivot"):
+        ComponentSolver(comp)
+    tampered = GradedDecomposition(
+        period=grading.period,
+        scalar_order=grading.scalar_order,
+        dim=grading.dim,
+        component_bases=(grading.component_bases[0], tuple(comp), grading.component_bases[2]),
+    )
+    with pytest.raises(GradingError, match="at its pivot"):
+        tampered.component_solver(1)
+
+
+def test_component_solver_refuses_shared_index():
+    grading = _triality_grading()
+    comp = [dict(v) for v in grading.component_bases[0]]
+    # a later vector also covers an index of the first one
+    first, second = comp[0], comp[1]
+    borrowed = max(first)
+    second[borrowed] = first[borrowed]
+    assert min(second) != borrowed
+    with pytest.raises(GradingError, match="share index"):
+        ComponentSolver(comp)
+
+
+def test_vector_outside_span_refused_by_both_solvers():
+    grading = _triality_grading()
+    order = grading.scalar_order
+    for i in range(grading.period):
+        fast, slow = _solvers(grading, i)
+        comp = grading.component_bases[i]
+        # perturb one non-pivot entry of a component vector
+        v = dict(next(vec for vec in comp if len(vec) > 1))
+        idx = max(v)
+        v[idx] = v[idx] + CycloNum.one(order)
+        if v[idx].is_zero():
+            del v[idx]
+        assert fast.coords(v) is None and slow.coords(v) is None
+        # drop one non-pivot entry of it instead
+        del v[idx]
+        assert fast.coords(v) is None and slow.coords(v) is None
+        # a vector of the next component, and one that adds an index no
+        # vector of this component covers
+        w = grading.component_bases[(i + 1) % grading.period][0]
+        assert fast.coords(w) is None and slow.coords(w) is None
+        covered = {k for vec in comp for k in vec}
+        for outside in sorted(set(range(grading.dim)) - covered)[:1]:
+            w = {**comp[0], outside: CycloNum.one(order)}
+            assert fast.coords(w) is None and slow.coords(w) is None
+        assert fast.coords({}) == slow.coords({}) == {}
 
 
 def _triality_images_scalars():
@@ -302,18 +429,20 @@ def test_check_automorphism_refuses_tampered_triality(tamper, message):
 
 def test_loop_product_adds_degrees():
     alg, _, grading = _sl2_graded()
-    h, e, f = (alg.basis_vector(i) for i in range(3))
+    h, e, f = (basis_vector(alg, i) for i in range(3))
     x = loop_element([(1, e)])
     y = loop_element([(-1, f)])
     out = loop_bracket(alg, grading, x, y)
     assert out == loop_element([(0, h)])
+    dense = {d: densify(v, alg.dim, alg.scalar_order) for d, v in out.terms.items()}
+    assert dense == {0: densify(h, alg.dim, alg.scalar_order)}
     # [e z, e z] = 0
     assert ts_product(alg, x, x).is_zero()
 
 
 def test_loop_bracket_rejects_misgraded_input():
     alg, _, grading = _sl2_graded()
-    e = alg.basis_vector(1)
+    e = basis_vector(alg, 1)
     bad = loop_element([(0, e)])  # e lives in residue 1, not 0
     with pytest.raises(ValueError):
         loop_bracket(alg, grading, bad, bad)
@@ -346,7 +475,7 @@ def _centroid_oracle_dim(alg, grading, shift):
 
     basis_cols = []
     for i in range(m):
-        basis_cols.extend(grading.component_bases[i])
+        basis_cols.extend(densify(v, n, order) for v in grading.component_bases[i])
     change = tuple(tuple(basis_cols[c][r] for c in range(n)) for r in range(n))
     change_inv = mat_inverse(change)
 
@@ -428,6 +557,17 @@ def test_centroid_dims_match_dense_oracle_m2():
         want = _centroid_oracle_dim(alg, grading, shift)
         got = centroid_graded(alg, grading, shift)
         assert got.solution_dim == want
+
+
+def test_centroid_families_serialize_as_dense_matrices():
+    alg, _, grading = _sl2_graded()
+    report = centroid_graded(alg, grading, 0)
+    # entries are numbered residue by residue, row-major within a matrix
+    order = [(res, r, s) for res in range(2) for r in range(grading.dims[res]) for s in range(grading.dims[res])]
+    assert [report.entry_index(*key) for key in order] == list(range(len(order)))
+    one, zero = q(1, 2).to_obj(), q(0, 2).to_obj()
+    assert report.to_obj()["basis"] == [[[[one]], [[one, zero], [zero, one]]]]
+    assert centroid_graded(alg, grading, 1).to_obj()["basis"] == []
 
 
 def test_centroid_identity_membership():

@@ -21,7 +21,7 @@ from loopforms.chevalley import (
     standard_algebra,
     toral_automorphism,
 )
-from dense import is_identity, mat_pow
+from dense import basis_vector, dense_product, densify, is_identity, mat_pow
 from loopforms.cyclo import CycloNum
 
 FLIP = DiagramPermutation((1, 0))
@@ -153,13 +153,14 @@ def test_coroot_brackets_form_sl2_triples(label):
     index = _root_index_map(alg, rs.rank)
     for alpha in rs.positives:
         e_idx, f_idx = index[alpha], index[tuple(-c for c in alpha)]
-        h = alg.product(alg.basis_vector(e_idx), alg.basis_vector(f_idx))
+        n, order = alg.dim, alg.scalar_order
+        h = densify(alg.product_sparse(basis_vector(alg, e_idx), basis_vector(alg, f_idx)), n, order)
         for pos, c in enumerate(h):
             if pos >= rs.rank:
                 assert c.is_zero()
             else:
                 assert c.as_fraction().denominator == 1
-        back = alg.product(h, alg.basis_vector(e_idx))
+        back = dense_product(alg, h, densify(basis_vector(alg, e_idx), n, order))
         assert back[e_idx].as_fraction() == 2
         assert all(c.is_zero() for k, c in enumerate(back) if k != e_idx)
 
@@ -244,11 +245,11 @@ def test_flip_automorphism_swaps_generators():
     assert is_identity(mat_pow(sigma.matrix, 2))
     index = _root_index_map(alg, 2)
     e1, e2 = index[(1, 0)], index[(0, 1)]
-    image = sigma.apply(alg.basis_vector(e1))
+    image = densify(sigma.apply(basis_vector(alg, e1)), alg.dim, 2)
     assert image[e2] == CycloNum.one(2)
     assert sum(0 if c.is_zero() else 1 for c in image) == 1
-    h_image = sigma.apply(alg.basis_vector(0))
-    assert h_image == alg.basis_vector(1)
+    h_image = sigma.apply(basis_vector(alg, 0))
+    assert h_image == basis_vector(alg, 1)
 
 
 def test_flip_on_wrong_diagram_rejected():
@@ -298,7 +299,7 @@ def test_composed_requires_invariant_charge():
 _TAMPERED_UNDER_O = textwrap.dedent(
     """
     import sys
-    from loopforms import chevalley, cyclo
+    from loopforms import algebra, chevalley, cyclo
 
     print("optimize", sys.flags.optimize)
     rs, alg = chevalley.algebra_over("A2", 6)
@@ -318,6 +319,19 @@ _TAMPERED_UNDER_O = textwrap.dedent(
         cyclo._poly_divmod_int((1, 0, 1), (1, 2))
     except cyclo.CycloError as exc:
         print("refused:", exc)
+    # a grading whose first component vector of residue 1 is 2 at its pivot
+    rs, alg = chevalley.algebra_over("A1", 2)
+    sigma = real(alg, rs, chevalley.ToralCharge(s=(1,), modulus=2))
+    grading = algebra.eigengrading(alg, sigma)
+    bases = [list(comp) for comp in grading.component_bases]
+    bases[1][0] = {k: v * 2 for k, v in bases[1][0].items()}
+    tampered = algebra.GradedDecomposition(
+        grading.period, grading.scalar_order, grading.dim, tuple(map(tuple, bases))
+    )
+    try:
+        tampered.component_solver(1)
+    except algebra.GradingError as exc:
+        print("refused:", exc)
     """
 )
 
@@ -335,6 +349,7 @@ def test_certificate_checks_survive_optimize_flag():
     assert lines[0] == "optimize 1"
     assert lines[1] == "refused: factors fail to commute despite an invariant charge"
     assert lines[2] == "refused: polynomial division needs a monic divisor"
+    assert lines[3] == "refused: component vector 0 is 2 at its pivot 1, not 1"
 
 
 def test_algebra_over_is_cached():

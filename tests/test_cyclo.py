@@ -96,3 +96,27 @@ def test_serialization_round_trip():
 def test_mixed_order_arithmetic_rejected():
     with pytest.raises(ValueError):
         zeta_power(3, 1) + zeta_power(4, 1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 6, 12])
+def test_rational_factor_product_equals_polynomial_product(m):
+    # a rational factor takes the scaling shortcut in __mul__; the reduced
+    # polynomial product is the reference
+    rng = random.Random(m)
+    deg = euler_phi(m)
+    for _ in range(20):
+        a = CycloNum.from_poly(m, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(deg)])
+        r = CycloNum.rational(m, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        want = [0] * (2 * deg - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(r.coeffs):
+                want[i + j] += x * y
+        assert a * r == r * a == CycloNum.from_poly(m, want)
+
+
+def test_zero_and_one_are_shared_per_order():
+    assert CycloNum.zero(6) is CycloNum.zero(6)
+    assert CycloNum.one(6) is CycloNum.one(6)
+    assert CycloNum.zero(6).is_zero() and not CycloNum.one(6).is_zero()
+    assert CycloNum.zero(3) != CycloNum.zero(6)
+    assert not zeta_power(6, 1).is_zero() and zeta_power(6, 1).is_rational() is False

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from dense import TWIST_FIXTURES, is_identity, mat_mul, mat_pow, twist_fixture
+from dense import TWIST_FIXTURES, basis_vector, densify, is_identity, mat_mul, mat_pow, twist_fixture
 from loopforms.algebra import FiniteOrderAutomorphism, eigengrading, loop_element
 from loopforms.chevalley import (
     DiagramPermutation,
@@ -69,8 +69,13 @@ def test_twisted_fixed_points_equal_grading():
     cocycle = build_cocycle(sigma)
     fixed = twisted_fixed_points(cocycle, grading, 4)
     assert sorted(fixed) == list(range(-4, 5))
+    n, order = alg.dim, alg.scalar_order
     for j, basis in fixed.items():
         assert len(basis) == grading.dims[j % 2]
+        # both are reduced row-echelon bases of one space, hence equal
+        assert [densify(v, n, order) for v in basis] == [
+            densify(v, n, order) for v in grading.component_bases[j % 2]
+        ]
 
 
 def test_tampered_cocycle_detected():
@@ -93,7 +98,7 @@ def test_untwist_sl2_moves_weight_lines():
     assert iso.period == 2
     assert iso.shifts == (0, 1, -1)
     assert all(c.status == "pass" for c in iso.checks)
-    h, e, f = (alg.basis_vector(i) for i in range(3))
+    h, e, f = (basis_vector(alg, i) for i in range(3))
     # e drops one degree, f gains one, h stays
     assert iso.apply(loop_element([(1, e)])) == loop_element([(0, e)])
     assert iso.apply(loop_element([(0, f)])) == loop_element([(1, f)])
@@ -144,7 +149,7 @@ def test_untwist_matrix_iso_shifts():
     assert iso.shifts == (0, -1, 1, 0)
     assert all(c.status == "pass" for c in iso.checks)
     alg, _ = build_matrix_algebra(2, (0, 1), 2)
-    e12 = alg.basis_vector(1)
+    e12 = basis_vector(alg, 1)
     assert iso.apply(loop_element([(0, e12)])) == loop_element([(1, e12)])
 
 

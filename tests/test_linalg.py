@@ -3,21 +3,31 @@ from fractions import Fraction
 
 import pytest
 
-from dense import identity_matrix, is_identity, mat_inverse, mat_mul, mat_pow, mat_vec
-from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.linalg import (
-    SpanSolver,
-    eliminate,
-    nullspace,
-    rank,
-    vec_add,
-    vec_scale,
-    zero_vector,
+from dense import (
+    densify,
+    identity_matrix,
+    is_identity,
+    mat_inverse,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    sparsify,
 )
+from loopforms.cyclo import CycloNum, zeta_power
+from loopforms.linalg import SpanSolver, eliminate, nullspace, rank
 
 
 def q(x, order=1):
     return CycloNum.rational(order, Fraction(x))
+
+
+def _combination(pairs):
+    """sum c * v over (c, v) pairs of a scalar and a dense vector."""
+    out = None
+    for c, v in pairs:
+        scaled = tuple(c * x for x in v)
+        out = scaled if out is None else tuple(a + b for a, b in zip(out, scaled))
+    return out
 
 
 def _random_matrix(rng, rows, cols, order):
@@ -37,7 +47,7 @@ def test_nullspace_hand_fixture():
     mat = [[q(1), q(1), q(0)], [q(0), q(1), q(1)]]
     basis = nullspace(mat, 3, 1)
     assert len(basis) == 1
-    v = basis[0]
+    v = densify(basis[0], 3, 1)
     assert all(c.is_zero() for c in mat_vec(mat, v))
     # kernel direction (1, -1, 1) up to scale
     scale = v[0]
@@ -56,7 +66,7 @@ def test_rank_nullity_on_random_matrices():
         # the same rows given as sparse {column: scalar} mappings
         assert nullspace([dict(enumerate(row)) for row in mat], cols, 3) == basis
         for v in basis:
-            assert all(c.is_zero() for c in mat_vec(mat, v))
+            assert all(c.is_zero() for c in mat_vec(mat, densify(v, cols, 3)))
 
 
 def test_mat_pow_zero_exponent_is_identity():
@@ -91,15 +101,17 @@ def test_span_solver_recovers_coefficients():
         (q(1, 4), q(0, 4), q(2, 4)),
         (q(0, 4), q(1, 4), zeta_power(4, 1)),
     ]
-    solver = SpanSolver(basis, 3, 4)
+    solver = SpanSolver([sparsify(b) for b in basis])
     for _ in range(20):
         c0 = q(rng.randint(-3, 3), 4)
         c1 = q(rng.randint(-3, 3), 4)
-        v = vec_add(vec_scale(c0, basis[0]), vec_scale(c1, basis[1]))
-        coords = solver.coords(v)
-        assert coords == [c0, c1]
-    assert not solver.contains((q(0, 4), q(0, 4), q(1, 4)))
-    assert solver.contains(zero_vector(3, 4))
+        v = _combination([(c0, basis[0]), (c1, basis[1])])
+        coords = solver.coords(sparsify(v))
+        # coordinates are sparse: a zero coefficient has no entry
+        assert densify(coords, 2, 4) == (c0, c1)
+        assert all(not c.is_zero() for c in coords.values())
+    assert not solver.contains({2: q(1, 4)})
+    assert solver.contains({})
 
 
 def test_identity_matrix_shape():
@@ -184,14 +196,15 @@ def test_eliminate_pivot_limit_leaves_rows_past_the_limit():
 def test_span_solver_with_dependent_spanning_set():
     v1 = (q(1, 3), q(0, 3), zeta_power(3, 1), q(2, 3))
     v2 = (q(0, 3), q(1, 3), q(1, 3), q(0, 3))
-    spanning = [v1, v2, vec_add(v1, v2), vec_scale(q(2, 3), v1)]
-    solver = SpanSolver(spanning, 4, 3)
+    spanning = [v1, v2, _combination([(q(1, 3), v1), (q(1, 3), v2)]), _combination([(q(2, 3), v1)])]
+    solver = SpanSolver([sparsify(v) for v in spanning])
     c0, c1 = zeta_power(3, 2), q(-3, 3)
-    v = vec_add(vec_scale(c0, v1), vec_scale(c1, v2))
+    v = _combination([(c0, v1), (c1, v2)])
     # coordinates live on the independent (pivot) vectors only
-    assert solver.coords(v) == [c0, c1, q(0, 3), q(0, 3)]
-    assert not solver.contains((q(0, 3), q(0, 3), q(0, 3), q(1, 3)))
-    assert solver.coords(zero_vector(4, 3)) == [q(0, 3)] * 4
+    assert solver.coords(sparsify(v)) == {0: c0, 1: c1}
+    assert densify(solver.coords(sparsify(v)), 4, 3) == (c0, c1, q(0, 3), q(0, 3))
+    assert not solver.contains({3: q(1, 3)})
+    assert solver.coords({}) == {}
 
 
 def test_mat_inverse_refuses_singular_matrix():
