@@ -164,7 +164,7 @@ def criterion_2() -> dict:
 
 def criterion_3() -> dict:
     """Descent: cocycle identity on all m^2 pairs, twisted fixed points equal
-    the grading components on every degree |j| <= 2m."""
+    the grading components on every residue, listed for |j| <= 2m."""
     rows = []
     for name, alg, sigma, _ in _grading_fixtures():
         cocycle = build_cocycle(sigma)

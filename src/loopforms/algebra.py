@@ -86,7 +86,9 @@ class MultTableAlgebra:
 
     `constants` holds, for each basis pair (i, j) with nonzero product, the
     sparse expansion of e_i * e_j; omitted pairs multiply to zero.  Elements
-    are sparse vectors {index: scalar} with no zero entry.
+    are sparse vectors {index: scalar} with no zero entry.  The lookup behind
+    `basis_product` sums repeated targets of an entry and drops zero terms,
+    so each of its entries is a sparse vector too.
     """
 
     dim: int
@@ -99,6 +101,8 @@ class MultTableAlgebra:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise AlgebraError("dimension must be positive")
+        if self.scalar_order < 1:
+            raise AlgebraError("scalar order must be a positive integer")
         if self.kind not in (KIND_LIE, KIND_ASSOCIATIVE):
             raise AlgebraError(f"unknown algebra kind {self.kind!r}")
         if len(self.basis_labels) != self.dim:
@@ -107,14 +111,17 @@ class MultTableAlgebra:
         for i, j, entry in self.constants:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise AlgebraError(f"structure constant index ({i},{j}) out of range")
+            merged: Sparse = {}
             for k, c in entry:
                 if not 0 <= k < self.dim:
                     raise AlgebraError(f"structure constant target {k} out of range")
                 if c.order != self.scalar_order:
                     raise AlgebraError("structure constants must use the declared scalar order")
-            # zero constants are kept in `constants` but not in the lookup
-            # table, so a product of nonzero entries has no zero term
-            table[(i, j)] = tuple((k, c) for k, c in entry if not c.is_zero())
+                # zero constants are kept in `constants` but not in the lookup
+                # table, so a product of nonzero entries has no zero term
+                if not c.is_zero():
+                    sparse_add(merged, {k: c})
+            table[(i, j)] = tuple(merged.items())
         self._table.update(table)
 
     # -- products --------------------------------------------------------
@@ -234,23 +241,6 @@ class ValidationReport:
         }
 
 
-def _sparse_is_zero(s: Sparse) -> bool:
-    return all(v.is_zero() for v in s.values())
-
-
-def _nonzero(s: Sparse) -> Sparse:
-    return {k: v for k, v in s.items() if not v.is_zero()}
-
-
-def _sparse_sum(terms: Iterable[Sparse]) -> Sparse:
-    out: Sparse = {}
-    for t in terms:
-        for k, v in t.items():
-            prev = out.get(k)
-            out[k] = v if prev is None else prev + v
-    return out
-
-
 def _power_basis_table(alg: MultTableAlgebra) -> dict:
     """The nonzero products, each scalar as its nonzero power-basis terms.
 
@@ -350,18 +340,16 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
     table = _power_basis_table(alg)
     order = alg.scalar_order
 
-    def entry_sparse(i: int, j: int) -> Sparse:
-        return dict(alg.basis_product(i, j))
-
     if alg.kind == KIND_LIE:
         law = "jacobi"
         for i in range(n):
-            if not _sparse_is_zero(entry_sparse(i, i)):
+            if alg.basis_product(i, i):
                 violations.append(Violation("alternating", (i,), (labels[i],)))
         for i in range(n):
             for j in range(i + 1, n):
-                anti = _sparse_sum([entry_sparse(i, j), entry_sparse(j, i)])
-                if not _sparse_is_zero(anti):
+                anti = dict(alg.basis_product(i, j))
+                sparse_add(anti, dict(alg.basis_product(j, i)))
+                if anti:
                     violations.append(Violation("antisymmetry", (i, j), (labels[i], labels[j])))
 
         def holds(i: int, j: int, k: int) -> bool:
@@ -477,11 +465,13 @@ def check_automorphism(
             entry, image_entry = alg.basis_product(i, j), alg.basis_product(images[i], images[j])
             if not entry and not image_entry:
                 continue
-            # sigma(e_i e_j) against sigma(e_i) sigma(e_j) = s_i s_j e_p(i) e_p(j)
+            # sigma(e_i e_j) against sigma(e_i) sigma(e_j) = s_i s_j e_p(i) e_p(j);
+            # entries have distinct targets and no zero term, and images is a
+            # permutation, so both sides are sparse vectors as built
             scale = scalars[i] * scalars[j]
-            lhs = _sparse_sum({images[k]: c * scalars[k]} for k, c in entry)
-            rhs = _sparse_sum({k: scale * c} for k, c in image_entry)
-            if _nonzero(lhs) != _nonzero(rhs):
+            lhs = {images[k]: c * scalars[k] for k, c in entry}
+            rhs = {k: scale * c for k, c in image_entry}
+            if lhs != rhs:
                 raise AutomorphismError(
                     f"multiplicativity fails on basis pair "
                     f"({alg.basis_labels[i]}, {alg.basis_labels[j]})"
@@ -704,9 +694,6 @@ class LoopElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def shift(self, offset: int) -> "LoopElement":
-        return LoopElement({d + offset: v for d, v in self.terms.items()})
 
 
 def loop_element(terms: Iterable[tuple[int, Sparse]]) -> LoopElement:

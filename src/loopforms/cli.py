@@ -48,8 +48,10 @@ class RequestError(Exception):
 
 
 # Resource limits at the request boundary.  The cost of Q(zeta_m) grows with
-# phi(m), a window check with the square of the window, and M_n has n^2
-# basis elements; a request past a limit exits 2.
+# phi(m), the affine root data of extract-gcm with the window (the descent
+# checks cover every degree at a cost independent of it, and list the window
+# only in their reports), and M_n has n^2 basis elements; a request past a
+# limit exits 2.
 MAX_PERIOD = 24  # m, and the twist period lcm(|pi|, m)
 MAX_WINDOW = 64
 MAX_MATRIX_SIZE = 8
@@ -376,8 +378,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> dict:
     }
 
 
-# the commands that read --window; the others refuse it
+# the commands that read --window, and those that read --auto; the others
+# refuse the flag
 _WINDOWED = ("extract-gcm", "untwist", "descent-verify")
+_TWISTED = ("grade", "extract-gcm", "untwist", "descent-verify", "centroid")
 
 _COMMANDS = {
     "build": _cmd_build,
@@ -516,6 +520,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             sources = [args.type, args.algebra, args.matrix_algebra, args.auto]
             if any(x is not None for x in sources):
                 raise RequestError("verify-all takes no input flags")
+        if args.auto is not None and args.command not in _TWISTED:
+            raise RequestError(f"{args.command} takes no --auto")
         if args.window is not None:
             if args.command not in _WINDOWED:
                 raise RequestError(f"{args.command} takes no --window")

@@ -11,6 +11,9 @@ sparse vector into a dense tuple.  `twist_fixture` builds the twists those
 differential tests run on.  `ordered_triple_validation` evaluates the Lie or
 associative law on all n^3 ordered basis triples through `product_sparse`,
 the reference for the reduced certificate of `validate_algebra`.
+`windowed_untwist_check` brackets every pair of component slices in a degree
+window, the reference for the table-and-residue certificate of
+`descent._verify_untwist`.
 """
 
 from __future__ import annotations
@@ -24,14 +27,18 @@ from loopforms.algebra import (
     KIND_LIE,
     AutomorphismError,
     FiniteOrderAutomorphism,
+    GradedDecomposition,
+    LoopElement,
     MultTableAlgebra,
     Sparse,
     ValidationReport,
     Violation,
+    loop_element,
+    ts_product,
 )
 from loopforms.chevalley import DiagramPermutation, ToralCharge, algebra_over, compose_pi_toral
 from loopforms.cyclo import CycloNum
-from loopforms.descent import build_matrix_algebra
+from loopforms.descent import DescentError, build_matrix_algebra
 from loopforms.linalg import eliminate, rank
 
 Vector = tuple[CycloNum, ...]
@@ -222,6 +229,69 @@ def ordered_triple_validation(alg: MultTableAlgebra) -> ValidationReport:
                             Violation("associativity", (i, j, k), (labels[i], labels[j], labels[k]))
                         )
     return ValidationReport(alg.kind, n, triples, tuple(violations))
+
+
+# -- windowed untwist oracle -------------------------------------------------------
+
+
+def _shift_degrees(x: LoopElement, offset: int) -> LoopElement:
+    return LoopElement({d + offset: v for d, v in x.terms.items()})
+
+
+def _untwist_element(x: LoopElement, shifts: Sequence[int], direction: int) -> LoopElement:
+    """e_k z^j -> e_k z^(j - direction * shifts[k]), term by term."""
+    return loop_element(
+        (j - direction * shifts[k], {k: c}) for j, v in x.terms.items() for k, c in v.items()
+    )
+
+
+def windowed_untwist_check(
+    alg: MultTableAlgebra,
+    source_grading: GradedDecomposition,
+    target_grading: GradedDecomposition,
+    shifts: Sequence[int],
+    window: int,
+) -> None:
+    """Landing, bracket preservation on every pair of slices whose degrees sum
+    to at most `window`, and t-intertwining, all on the degrees |j| <= window.
+    Raises DescentError on the first failure."""
+    m = source_grading.period
+
+    def slices(grading: GradedDecomposition) -> list[tuple[int, Sparse]]:
+        return [
+            (j, v)
+            for j in range(-window, window + 1)
+            for v in grading.component_bases[j % grading.period]
+        ]
+
+    for grading_from, grading_to, direction, name in (
+        (source_grading, target_grading, +1, "lands-in-target"),
+        (target_grading, source_grading, -1, "lands-in-source"),
+    ):
+        for j, v in slices(grading_from):
+            image = _untwist_element(loop_element([(j, v)]), shifts, direction)
+            for d, piece in image.terms.items():
+                if not grading_to.component_solver(d % m).contains(piece):
+                    raise DescentError(f"{name}: degree {j} image piece at degree {d}")
+    source_slices = slices(source_grading)
+    if not source_slices:
+        raise DescentError("empty window")
+    for i, v in source_slices:
+        for j, w in source_slices:
+            if abs(i + j) > window:
+                continue
+            x = loop_element([(i, v)])
+            y = loop_element([(j, w)])
+            lhs = _untwist_element(ts_product(alg, x, y), shifts, +1)
+            rhs = ts_product(alg, _untwist_element(x, shifts, +1), _untwist_element(y, shifts, +1))
+            if lhs != rhs:
+                raise DescentError(f"bracket preservation fails on slice pair ({i}, {j})")
+    for j, v in source_slices:
+        x = loop_element([(j, v)])
+        lhs = _untwist_element(_shift_degrees(x, m), shifts, +1)
+        rhs = _shift_degrees(_untwist_element(x, shifts, +1), m)
+        if lhs != rhs:
+            raise DescentError(f"t-action intertwining fails at degree {j}")
 
 
 # -- differential fixtures -------------------------------------------------------

@@ -166,6 +166,18 @@ def _explicit_zero_products():
     return MultTableAlgebra.from_obj(obj)
 
 
+def _repeated_targets():
+    # [e,e] written as h - h and [h,e] as e + e: an entry's repeated targets
+    # are summed, so this is the valid sl2
+    obj = _sl2().to_obj()
+    one, minus = {"order": 1, "coeffs": ["1"]}, {"order": 1, "coeffs": ["-1"]}
+    obj["constants"] = [
+        [i, j, [[1, one], [1, one]] if (i, j) == (0, 1) else entry]
+        for i, j, entry in obj["constants"]
+    ] + [[1, 1, [[0, one], [0, minus]]]]
+    return MultTableAlgebra.from_obj(obj)
+
+
 # name -> (function making the table, whether it is a valid algebra)
 _VALIDATION_CASES = {
     **{label: (lambda label=label: standard_algebra(label)[1], True)
@@ -183,6 +195,7 @@ _VALIDATION_CASES = {
     **{f"only [{'abc'[x]},{'abc'[y]}]": (lambda x=x, y=y: _single_pair_jacobiator(x, y), False)
        for x, y in ((0, 1), (1, 2), (2, 0))},
     "sl2 explicit zero products": (_explicit_zero_products, True),
+    "sl2 repeated targets": (_repeated_targets, True),
     "sl2 [h,e]=3e": (lambda: _sl2(h_e_coeff=3), False),
     "M2": (lambda: build_matrix_algebra(2, (0, 0), 1)[0], True),
     "M3 over Q(zeta_3)": (lambda: build_matrix_algebra(3, (0, 1, 2), 3)[0], True),

@@ -332,6 +332,16 @@ _TAMPERED_UNDER_O = textwrap.dedent(
         tampered.component_solver(1)
     except algebra.GradingError as exc:
         print("refused:", exc)
+    # an untwisting shift moved by one period on e: it lands, but is not additive
+    from loopforms import descent
+
+    one = cyclo.CycloNum.one(alg.scalar_order)
+    identity = algebra.check_automorphism(alg, range(3), [one] * 3, 2)
+    target = algebra.eigengrading(alg, identity)
+    try:
+        descent._verify_untwist(alg, grading, target, (0, 3, -1), 1)
+    except descent.DescentError as exc:
+        print("refused:", exc)
     """
 )
 
@@ -350,6 +360,9 @@ def test_certificate_checks_survive_optimize_flag():
     assert lines[1] == "refused: factors fail to commute despite an invariant charge"
     assert lines[2] == "refused: polynomial division needs a monic divisor"
     assert lines[3] == "refused: component vector 0 is 2 at its pivot 1, not 1"
+    assert lines[4] == (
+        "refused: bracket preservation fails on the pair (e[1], f[1]): shift 0 of h1 is not 3 + -1"
+    )
 
 
 def test_algebra_over_is_cached():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -260,6 +261,11 @@ def test_verification_failure_exits_1(tmp_path):
         ("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
         ("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "65"),
         ("grade", "--matrix-algebra", "9"),
+        # --auto on a command that reads no automorphism
+        ("build", "--type", "A1", "--auto", "garbage"),
+        ("build", "--type", "A2", "--auto", '{"pi": [2, 1]}'),
+        ("classify", "--type", "A2", "--auto", '{"pi": [2, 1]}'),
+        ("classify", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": 2}'),
     ],
 )
 def test_malformed_requests_exit_2(argv):
@@ -282,6 +288,16 @@ def test_unreadable_and_invalid_files_exit_2(tmp_path):
     garbled.write_text("[1, 2,")
     result = run_cli("build", "--algebra", str(garbled))
     assert result.returncode == 2
+    # a scalar order that names no cyclotomic field
+    for order in (0, -3):
+        table = tmp_path / f"order{order}.json"
+        table.write_text(json.dumps(
+            {"dim": 1, "scalar_order": order, "kind": "lie", "labels": ["x"], "constants": []}
+        ))
+        result = run_cli("build", "--algebra", str(table))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and "scalar order" in result.stderr
 
 
 def test_missing_subcommand_exits_2():
@@ -292,6 +308,11 @@ def test_missing_subcommand_exits_2():
 # -- the full suite through the CLI -------------------------------------------------
 
 
+# sha256 of stdout, identical under every hash seed
+VERIFY_ALL_SHA256 = "729f2989e7d5279e9e4e794925297aa5fe16a40b61bfd02de05433104d2ab93f"
+UNTWIST_D4_SHA256 = "ebbd83b1bd2eaea25a33c79ee8601a6b45f079caef116b865fc25030737ad82c"
+
+
 def test_verify_all_subprocess():
     started = time.monotonic()
     result = run_cli("verify-all", timeout=400)
@@ -300,4 +321,11 @@ def test_verify_all_subprocess():
     payload = report_of(result)["payload"]
     assert [row["id"] for row in payload["criteria"]] == list(range(1, 9))
     assert all(row["status"] == "pass" for row in payload["criteria"])
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
     assert wall < 240
+
+
+def test_untwist_d4_composed_stdout_is_pinned():
+    result = run_cli("untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}')
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == UNTWIST_D4_SHA256

@@ -1,17 +1,38 @@
+import importlib.util
 import sys
+from math import lcm
+from pathlib import Path
 
 import pytest
 
-from dense import TWIST_FIXTURES, basis_vector, densify, is_identity, mat_mul, mat_pow, twist_fixture
-from loopforms.algebra import FiniteOrderAutomorphism, eigengrading, loop_element
+from dense import (
+    TWIST_FIXTURES,
+    basis_vector,
+    densify,
+    is_identity,
+    mat_mul,
+    mat_pow,
+    twist_fixture,
+    windowed_untwist_check,
+)
+from loopforms import acceptance, cli, descent
+from loopforms.algebra import (
+    FiniteOrderAutomorphism,
+    check_automorphism,
+    eigengrading,
+    loop_element,
+)
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
     algebra_over,
+    charge_pairings,
+    diagram_and_composition,
     diagram_automorphism,
     toral_automorphism,
 )
 from loopforms.cyclo import CycloNum, zeta_power
+from loopforms.linalg import nullspace
 from loopforms.descent import (
     DescentError,
     LoopCocycle,
@@ -76,6 +97,25 @@ def test_twisted_fixed_points_equal_grading():
         assert [densify(v, n, order) for v in basis] == [
             densify(v, n, order) for v in grading.component_bases[j % 2]
         ]
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_twisted_fixed_points_equal_nullspace_per_degree(name):
+    alg, sigma = twist_fixture(name)
+    m, n, order = sigma.period, alg.dim, alg.scalar_order
+    fixed = twisted_fixed_points(build_cocycle(sigma), eigengrading(alg, sigma), 2 * m)
+    assert sorted(fixed) == list(range(-2 * m, 2 * m + 1))
+    u1 = mat_pow(sigma.matrix, m - 1)
+    minus_one = CycloNum.rational(order, -1)
+    for j, basis in fixed.items():
+        # the kernel of zeta^j u(1) - id, eliminated for this degree alone
+        zeta = zeta_power(order, (order // m) * j)
+        rows = [
+            [zeta * x + (minus_one if r == c else 0) for c, x in enumerate(row)]
+            for r, row in enumerate(u1)
+        ]
+        direct = nullspace(rows, n, order)
+        assert [densify(v, n, order) for v in basis] == [densify(v, n, order) for v in direct]
 
 
 def test_tampered_cocycle_detected():
@@ -151,6 +191,111 @@ def test_untwist_matrix_iso_shifts():
     alg, _ = build_matrix_algebra(2, (0, 1), 2)
     e12 = basis_vector(alg, 1)
     assert iso.apply(loop_element([(0, e12)])) == loop_element([(1, e12)])
+
+
+# -- untwisting in every degree against the windowed oracle --------------------------
+
+_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.py"
+
+
+def _pool_requests(stratum):
+    spec = importlib.util.spec_from_file_location("loopforms_bench_pool", _POOL)
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    return dict(pool.strata("twist"))[stratum]
+
+
+@pytest.fixture
+def untwist_calls(monkeypatch):
+    """Run the windowed oracle beside every untwist certificate; both accept."""
+    calls = []
+    real = descent._verify_untwist
+
+    def both(alg, source, target, shifts, window):
+        windowed_untwist_check(alg, source, target, shifts, window)
+        checks = real(alg, source, target, shifts, window)
+        calls.append(window)
+        return checks
+
+    monkeypatch.setattr(descent, "_verify_untwist", both)
+    return calls
+
+
+def test_untwist_agrees_with_windowed_oracle_on_criteria_4_and_5(untwist_calls):
+    assert acceptance.criterion_4()["status"] == "pass"
+    assert acceptance.criterion_5()["status"] == "pass"
+    assert len(untwist_calls) == len(acceptance._TORAL_FIXTURES) + len(
+        acceptance._MATRIX_FIXTURES
+    ) + len(acceptance._COMPOSED_FIXTURES)
+
+
+@pytest.mark.parametrize("stratum", ["untwist A2", "untwist M2"])
+def test_untwist_agrees_with_windowed_oracle_on_pool(stratum, untwist_calls, capsys):
+    requests = _pool_requests(stratum)
+    for argv in requests:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(untwist_calls) == len(requests) == 8
+
+
+def _untwist_inputs(label, perm, s, m):
+    """The algebra, source and target gradings and shifts of untwist_iso."""
+    period = lcm(perm.order(), m)
+    rs, alg = algebra_over(label, period)
+    charge = ToralCharge(s=s, modulus=m)
+    pi_auto, sigma = diagram_and_composition(alg, rs, perm, charge)
+    pi_common = check_automorphism(alg, pi_auto.images, pi_auto.scalars, period)
+    shifts = tuple((period // m) * p for p in charge_pairings(rs, charge))
+    return alg, eigengrading(alg, sigma), eigengrading(alg, pi_common), shifts
+
+
+def test_perturbed_shift_fails_additivity():
+    alg, source, target, shifts = _untwist_inputs("A1", DiagramPermutation.identity(1), (1,), 2)
+    assert shifts == (0, 1, -1)
+    descent._verify_untwist(alg, source, target, shifts, 4)
+    # e moves by one period more: it still lands, but [e, f] = h breaks 3 - 1 = 0
+    bad = (0, 3, -1)
+    with pytest.raises(DescentError, match=r"bracket preservation fails on the pair \(e\[1\], f\[1\]\)"):
+        descent._verify_untwist(alg, source, target, bad, 4)
+    with pytest.raises(DescentError, match="bracket preservation"):
+        windowed_untwist_check(alg, source, target, bad, 4)
+
+
+def test_doubled_shifts_are_additive_but_do_not_land():
+    alg, source, target, shifts = _untwist_inputs("A2", DiagramPermutation.identity(2), (1, 0), 3)
+    doubled = tuple(2 * x for x in shifts)
+    for a, b, _ in alg.constants:
+        for c, _ in alg.basis_product(a, b):
+            assert doubled[c] == doubled[a] + doubled[b]
+    with pytest.raises(DescentError, match="lands-in-target"):
+        descent._verify_untwist(alg, source, target, doubled, 6)
+    with pytest.raises(DescentError, match="lands-in-target"):
+        windowed_untwist_check(alg, source, target, doubled, 6)
+
+
+def test_residue_two_is_covered_beyond_the_window():
+    alg, source, target, shifts = _untwist_inputs("B2", DiagramPermutation.identity(2), (1, 1), 4)
+    # one period more on every root vector of residue 2 keeps every landing
+    bad = tuple(x + 4 if x % 4 == 2 else x for x in shifts)
+    assert bad != shifts
+    # degrees -1..1 never reach residue 2, so a window-1 slice check misses it
+    windowed_untwist_check(alg, source, target, bad, 1)
+    with pytest.raises(DescentError, match=r"\(e\[0,1\], e\[1,0\]\): shift 6 of e\[1,1\] is not 1 \+ 1"):
+        descent._verify_untwist(alg, source, target, bad, 1)
+
+
+def test_perturbed_coboundary_shift_detected():
+    rs, alg = algebra_over("A2", 3)
+    charge = ToralCharge(s=(1, 0), modulus=3)
+    sigma = toral_automorphism(alg, rs, charge)
+    shifts = charge_pairings(rs, charge)
+    assert descent._verify_coboundary(sigma, shifts, 6)[0].status == "pass"
+    # a shift moved by a full period is the same coboundary; by one it is not
+    moved = tuple(x + 3 if k == 2 else x for k, x in enumerate(shifts))
+    assert descent._verify_coboundary(sigma, moved, 6)[0].status == "pass"
+    bad = tuple(x + 1 if k == 2 else x for k, x in enumerate(shifts))
+    with pytest.raises(DescentError, match="coboundary identity fails at residue 1, basis 2"):
+        descent._verify_coboundary(sigma, bad, 6)
 
 
 def test_matrix_unit_shifts_m3():
