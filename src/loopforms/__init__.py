@@ -3,128 +3,97 @@
 Everything is computed over cyclotomic extensions of Q with exact
 arithmetic; every constructor verifies the laws it claims, so a returned
 object is itself the certificate.
+
+`import loopforms` loads no submodule.  Each public name is imported from
+its submodule on first access (PEP 562), so a command pays only for the
+modules it uses.
 """
 
-from .affine import (
-    AffineLabel,
-    ExtractionReport,
-    GCM,
-    GCMCertificate,
-    affine_catalog,
-    affine_certificate,
-    affine_roots,
-    extract_gcm,
-    fixed_cartan,
-    gcm_equivalent,
-    match_affine_label,
-    simple_affine_roots,
-)
-from .algebra import (
-    FiniteOrderAutomorphism,
-    GradedDecomposition,
-    MultTableAlgebra,
-    base_change_check,
-    centroid_graded,
-    check_automorphism,
-    eigengrading,
-    loop_bracket,
-    loop_element,
-    validate_algebra,
-)
-from .chevalley import (
-    DiagramPermutation,
-    FiniteCartanMatrix,
-    RootSystem,
-    ToralCharge,
-    TYPE_LABELS,
-    algebra_over,
-    cartan_matrix,
-    chevalley_algebra,
-    compose_pi_toral,
-    diagram_automorphism,
-    root_system,
-    standard_algebra,
-    toral_automorphism,
-)
-from .classify import (
-    OutGroup,
-    classification_table,
-    conjugacy_classes,
-    dynkin_automorphism_group,
-    h1_of_group,
-    h1_out,
-    inverse_conjugacy_check,
-    k_vs_r_classes,
-    k_vs_r_counts,
-)
-from .cyclo import CycloNum
-from .descent import (
-    UntwistIso,
-    build_cocycle,
-    build_matrix_algebra,
-    coboundary_witness,
-    coboundary_witness_matrix,
-    twisted_fixed_points,
-    untwist_iso,
-    untwist_matrix_iso,
-)
-from .acceptance import verify_all
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineLabel",
-    "CycloNum",
-    "DiagramPermutation",
-    "ExtractionReport",
-    "FiniteCartanMatrix",
-    "FiniteOrderAutomorphism",
-    "GCM",
-    "GCMCertificate",
-    "GradedDecomposition",
-    "MultTableAlgebra",
-    "OutGroup",
-    "RootSystem",
-    "ToralCharge",
-    "TYPE_LABELS",
-    "UntwistIso",
-    "affine_catalog",
-    "affine_certificate",
-    "affine_roots",
-    "algebra_over",
-    "base_change_check",
-    "build_cocycle",
-    "build_matrix_algebra",
-    "cartan_matrix",
-    "centroid_graded",
-    "check_automorphism",
-    "chevalley_algebra",
-    "classification_table",
-    "coboundary_witness",
-    "coboundary_witness_matrix",
-    "compose_pi_toral",
-    "conjugacy_classes",
-    "diagram_automorphism",
-    "dynkin_automorphism_group",
-    "eigengrading",
-    "extract_gcm",
-    "fixed_cartan",
-    "gcm_equivalent",
-    "h1_of_group",
-    "h1_out",
-    "inverse_conjugacy_check",
-    "k_vs_r_classes",
-    "k_vs_r_counts",
-    "loop_bracket",
-    "loop_element",
-    "match_affine_label",
-    "root_system",
-    "simple_affine_roots",
-    "standard_algebra",
-    "toral_automorphism",
-    "twisted_fixed_points",
-    "untwist_iso",
-    "untwist_matrix_iso",
-    "validate_algebra",
-    "verify_all",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "acceptance": ("verify_all",),
+    "affine": (
+        "AffineLabel",
+        "ExtractionReport",
+        "GCM",
+        "GCMCertificate",
+        "affine_catalog",
+        "affine_certificate",
+        "affine_roots",
+        "extract_gcm",
+        "fixed_cartan",
+        "gcm_equivalent",
+        "match_affine_label",
+        "simple_affine_roots",
+    ),
+    "algebra": (
+        "FiniteOrderAutomorphism",
+        "GradedDecomposition",
+        "MultTableAlgebra",
+        "centroid_graded",
+        "check_automorphism",
+        "eigengrading",
+        "loop_bracket",
+        "loop_element",
+        "validate_algebra",
+    ),
+    "chevalley": (
+        "DiagramPermutation",
+        "FiniteCartanMatrix",
+        "RootSystem",
+        "ToralCharge",
+        "TYPE_LABELS",
+        "algebra_over",
+        "cartan_matrix",
+        "chevalley_algebra",
+        "compose_pi_toral",
+        "diagram_automorphism",
+        "root_system",
+        "standard_algebra",
+        "toral_automorphism",
+    ),
+    "classify": (
+        "OutGroup",
+        "classification_table",
+        "conjugacy_classes",
+        "dynkin_automorphism_group",
+        "h1_of_group",
+        "h1_out",
+        "inverse_conjugacy_check",
+        "k_vs_r_classes",
+        "k_vs_r_counts",
+    ),
+    "cyclo": ("CycloNum",),
+    "descent": (
+        "UntwistIso",
+        "build_cocycle",
+        "build_matrix_algebra",
+        "coboundary_witness",
+        "coboundary_witness_matrix",
+        "twisted_fixed_points",
+        "untwist_iso",
+        "untwist_matrix_iso",
+    ),
+}
+
+# public name -> the submodule that defines it
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

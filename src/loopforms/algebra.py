@@ -11,9 +11,8 @@ period m dividing that scalar order splits the algebra into eigenspace
 components A_i for the eigenvalues zeta_m^i, written down in closed form
 cycle by cycle; that decomposition is a Z/m grading and is the combinatorial
 heart of everything downstream: loop elements ({degree: sparse vector}) live
-on it, the per-degree base-change check certifies that the loop algebra
-really is a twisted form, and the centroid computation detects when two loop
-algebras cannot be isomorphic over the Laurent base ring.
+on it, and the centroid computation detects when two loop algebras cannot be
+isomorphic over the Laurent base ring.
 
 Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.
@@ -39,7 +38,6 @@ from .linalg import SpanSolver, Sparse, eliminate, rank, sparse_add
 __all__ = [
     "AlgebraError",
     "AutomorphismError",
-    "BaseChangeReport",
     "CentroidReport",
     "ComponentSolver",
     "FiniteOrderAutomorphism",
@@ -49,7 +47,6 @@ __all__ = [
     "MultTableAlgebra",
     "ValidationReport",
     "Violation",
-    "base_change_check",
     "centroid_graded",
     "check_automorphism",
     "check_loop_element",
@@ -85,7 +82,8 @@ class MultTableAlgebra:
     """Algebra given by structure constants on basis e_0, ..., e_{dim-1}.
 
     `constants` holds, for each basis pair (i, j) with nonzero product, the
-    sparse expansion of e_i * e_j; omitted pairs multiply to zero.  Elements
+    sparse expansion of e_i * e_j; omitted pairs multiply to zero, and a pair
+    listed twice is refused rather than read one way.  Elements
     are sparse vectors {index: scalar} with no zero entry.  The lookup behind
     `basis_product` sums repeated targets of an entry and drops zero terms,
     so each of its entries is a sparse vector too.
@@ -111,6 +109,10 @@ class MultTableAlgebra:
         for i, j, entry in self.constants:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise AlgebraError(f"structure constant index ({i},{j}) out of range")
+            if (i, j) in table:
+                raise AlgebraError(
+                    f"basis pair ({self.basis_labels[i]}, {self.basis_labels[j]}) is listed twice"
+                )
             merged: Sparse = {}
             for k, c in entry:
                 if not 0 <= k < self.dim:
@@ -244,17 +246,20 @@ class ValidationReport:
 def _power_basis_table(alg: MultTableAlgebra) -> dict:
     """The nonzero products, each scalar as its nonzero power-basis terms.
 
-    Entry (i, j) is a tuple of (target, ((power, coefficient), ...)).
-    Integral coefficients become ints, which multiply exactly and faster than
-    Fractions; zero scalars and products that are entirely zero are dropped.
+    Entry (i, j) is a tuple of (target, ((power, coefficient), ...)).  Every
+    scalar is scaled by the least common multiple of the table's
+    denominators, so each coefficient is an int.  A law is a signed sum of
+    products of two table scalars, so scaling multiplies it by the square of
+    that multiple and leaves its vanishing unchanged.  Zero scalars and
+    products that are entirely zero are dropped.
     """
+    scale = lcm(*(c.den for entry in alg._table.values() for _, c in entry))
     out = {}
     for key, entry in alg._table.items():
         terms = []
         for k, c in entry:
-            poly = tuple(
-                (p, a.numerator if a.denominator == 1 else a) for p, a in enumerate(c.coeffs) if a
-            )
+            factor = scale // c.den
+            poly = tuple((p, a * factor) for p, a in enumerate(c.num) if a)
             if poly:
                 terms.append((k, poly))
         if terms:
@@ -733,71 +738,6 @@ def loop_bracket(
     result = ts_product(alg, x, y)
     check_loop_element(grading, result)
     return result
-
-
-# -- base change over the covering ring ----------------------------------------
-
-
-@dataclass(frozen=True)
-class BaseChangeReport:
-    window: int
-    degree_dims: tuple[tuple[int, tuple[int, ...]], ...]
-    pairs_checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_obj(self) -> dict:
-        return {
-            "window": self.window,
-            "degree_dims": [[d, list(dims)] for d, dims in self.degree_dims],
-            "pairs_checked": self.pairs_checked,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
-
-
-def base_change_check(alg: MultTableAlgebra, grading: GradedDecomposition, window: int) -> BaseChangeReport:
-    """Certify per-degree that extending scalars to the covering ring
-    flattens the twisted loop algebra onto the full algebra.
-
-    At every total degree d with |d| <= window the residue components
-    A_{(d-j) mod m}, j = 0..m-1, must be independent and jointly span A, and
-    multiplication through the identification must agree with the table for
-    all component basis pairs whose degree sums stay inside the window.
-    """
-    m = grading.period
-    n = alg.dim
-    failures: list[str] = []
-    degree_dims = []
-    for d in range(-window, window + 1):
-        slices = [grading.component_bases[(d - j) % m] for j in range(m)]
-        dims = tuple(len(s) for s in slices)
-        stacked = [v for s in slices for v in s]
-        if len(stacked) != n or rank(stacked) != n:
-            failures.append(f"degree {d}: residue slices of dims {dims} do not span exactly")
-        degree_dims.append((d, dims))
-    pairs = 0
-    for d1 in range(-window, window + 1):
-        for d2 in range(-window, window + 1):
-            if abs(d1 + d2) > window:
-                continue
-            solver = grading.component_solver((d1 + d2) % m)
-            for x in grading.component_bases[d1 % m]:
-                for y in grading.component_bases[d2 % m]:
-                    pairs += 1
-                    if not solver.contains(alg.product_sparse(x, y)):
-                        failures.append(
-                            f"degrees ({d1},{d2}): product leaves the degree {d1 + d2} slice"
-                        )
-    return BaseChangeReport(
-        window=window,
-        degree_dims=tuple(degree_dims),
-        pairs_checked=pairs,
-        failures=tuple(failures),
-    )
 
 
 # -- graded centroid -------------------------------------------------------------

@@ -241,28 +241,42 @@ def _symmetrizers(cartan: FiniteCartanMatrix) -> tuple[Fraction, ...]:
 # -- structure constants --------------------------------------------------------
 
 
+def _integral(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise LieConstructError(f"{what} is not integral")
+    return quo
+
+
 class _Constants:
-    """Chevalley structure constants N_{alpha,beta} for one root system."""
+    """Chevalley structure constants N_{alpha,beta} for one root system.
+
+    The constants are integers, and the norms enter only through ratios, so
+    the symmetrizers are scaled to integers and everything here is integral.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.root_set = rs.root_set()
         cartan = rs.cartan
         d = _symmetrizers(cartan)
-        bil = [[d[i] * cartan.entries[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
+        scale = lcm(*(x.denominator for x in d))
+        self._d = [int(x * scale) for x in d]
+        bil = [[self._d[i] * cartan.entries[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
         self._bil = bil
-        self._norm_cache: dict[Root, Fraction] = {}
-        self.n: dict[tuple[Root, Root], Fraction] = {}
+        self._norm_cache: dict[Root, int] = {}
+        self.n: dict[tuple[Root, Root], int] = {}
         self._build_positive_pairs()
         self._extend_to_all_pairs()
         for (a, b), value in self.n.items():
             expected = self.p(a, b) + 1
-            if value.denominator != 1 or abs(value) != expected:
+            if abs(value) != expected:
                 raise LieConstructError(
                     "sign propagation produced an inconsistent structure constant"
                 )
 
-    def norm(self, alpha: Root) -> Fraction:
+    def norm(self, alpha: Root) -> int:
         cached = self._norm_cache.get(alpha)
         if cached is None:
             cached = sum(
@@ -282,24 +296,25 @@ class _Constants:
             current = tuple(c - a for a, c in zip(alpha, current))
         return k
 
-    def coroot_coeffs(self, alpha: Root) -> tuple[Fraction, ...]:
+    def coroot_coeffs(self, alpha: Root) -> tuple[int, ...]:
         """h_alpha in the basis h_1..h_l: coefficients 2 d_j alpha_j / (alpha,alpha)."""
         norm = self.norm(alpha)
-        d = _symmetrizers(self.rs.cartan)
-        return tuple(2 * d[j] * alpha[j] / norm for j in range(self.rs.rank))
+        return tuple(
+            _integral(2 * self._d[j] * alpha[j], norm, "coroot") for j in range(self.rs.rank)
+        )
 
     def _build_positive_pairs(self) -> None:
         rs = self.rs
         order_index = {r: k for k, r in enumerate(rs.positives)}
         pos_set = set(rs.positives)
 
-        def n_pos(a: Root, b: Root) -> Fraction:
+        def n_pos(a: Root, b: Root) -> int:
             return self.n[(a, b)]
 
-        def n_mixed_down(x: Root, xi: Root) -> Fraction:
+        def n_mixed_down(x: Root, xi: Root) -> int:
             # N_{x, -xi} for positive x, xi with x - xi a positive root
             rho = tuple(c - d for c, d in zip(x, xi))
-            return -n_pos(xi, rho) * self.norm(rho) / self.norm(x)
+            return _integral(-n_pos(xi, rho) * self.norm(rho), self.norm(x), "structure constant")
 
         for gamma in rs.positives:
             if sum(gamma) < 2:
@@ -313,11 +328,11 @@ class _Constants:
             if not decomps:
                 raise LieConstructError("positive non-simple root with no two-term decomposition")
             xi, eta = decomps[0]  # extraspecial pair
-            value = Fraction(self.p(xi, eta) + 1)
+            value = self.p(xi, eta) + 1
             self.n[(xi, eta)] = value
             self.n[(eta, xi)] = -value
             for alpha, beta in decomps[1:]:
-                acc = Fraction(0)
+                acc = 0
                 bx = tuple(b - x for b, x in zip(beta, xi))
                 if bx in pos_set:
                     acc += n_mixed_down(beta, xi) * n_pos(alpha, bx)
@@ -327,7 +342,7 @@ class _Constants:
                 denom = n_mixed_down(gamma, xi)
                 if denom == 0:
                     raise LieConstructError("extraspecial pair gives a zero denominator")
-                value = acc / denom
+                value = _integral(acc, denom, "structure constant")
                 if value == 0:
                     raise LieConstructError("special pair resolved to zero; sign propagation broke")
                 self.n[(alpha, beta)] = value
@@ -347,11 +362,15 @@ class _Constants:
                 if diff not in self.root_set:
                     continue
                 if diff in pos_set:
-                    value = -pos_pairs[(b, diff)] * self.norm(diff) / self.norm(a)
+                    value = _integral(
+                        -pos_pairs[(b, diff)] * self.norm(diff), self.norm(a), "structure constant"
+                    )
                 else:
                     # N_{a,-b} = N_{b,-a} when b - a is positive
                     rho = _neg(diff)
-                    value = -pos_pairs[(a, rho)] * self.norm(rho) / self.norm(b)
+                    value = _integral(
+                        -pos_pairs[(a, rho)] * self.norm(rho), self.norm(b), "structure constant"
+                    )
                 self.n[(a, _neg(b))] = value
                 self.n[(_neg(b), a)] = -value
 
@@ -399,7 +418,7 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
     labels, root_index = _basis_layout(rs)
     dim = l + len(rs.roots)
 
-    def q(x: Fraction) -> CycloNum:
+    def q(x: int) -> CycloNum:
         return CycloNum.rational(1, x)
 
     entries: dict[tuple[int, int], Sparse] = {}
@@ -414,14 +433,11 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
             coeff = rs.pairing(alpha, i)
             if coeff:
                 idx = root_index[alpha]
-                put(i, idx, {idx: q(Fraction(coeff))})
-                put(idx, i, {idx: q(Fraction(-coeff))})
+                put(i, idx, {idx: q(coeff)})
+                put(idx, i, {idx: q(-coeff)})
     for alpha in rs.positives:
         ia, ina = root_index[alpha], root_index[_neg(alpha)]
-        coeffs = consts.coroot_coeffs(alpha)
-        if any(c.denominator != 1 for c in coeffs):
-            raise LieConstructError("coroot is not integral")
-        halpha = {j: q(c) for j, c in enumerate(coeffs) if c}
+        halpha = {j: q(c) for j, c in enumerate(consts.coroot_coeffs(alpha)) if c}
         put(ia, ina, dict(halpha))
         put(ina, ia, {j: -v for j, v in halpha.items()})
     for (a, b), value in consts.n.items():
@@ -559,7 +575,7 @@ def diagram_automorphism(
         xi, eta = found
         for sign_pair in ((xi, eta), (_neg(xi), _neg(eta))):
             u, v = sign_pair
-            coeff = CycloNum.rational(order, 1 / consts.n[(u, v)])
+            coeff = CycloNum.rational(order, Fraction(1, consts.n[(u, v)]))
             prod = alg.product_sparse(images[root_index[u]], images[root_index[v]])
             target = tuple(x + y for x, y in zip(u, v))
             images[root_index[target]] = {k: coeff * w for k, w in prod.items()}

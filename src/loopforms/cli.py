@@ -17,8 +17,6 @@ import time
 from math import lcm
 from typing import Optional
 
-from .acceptance import verify_all
-from .affine import affine_certificate
 from .algebra import MultTableAlgebra, eigengrading, centroid_graded
 from .chevalley import (
     DiagramPermutation,
@@ -30,15 +28,9 @@ from .chevalley import (
     standard_algebra,
     TYPE_LABELS,
 )
-from .classify import classification_table, k_vs_r_classes
-from .descent import (
-    build_cocycle,
-    build_matrix_algebra,
-    coboundary_witness_matrix,
-    twisted_fixed_points,
-    untwist_iso,
-    untwist_matrix_iso,
-)
+
+# acceptance, affine, classify and descent are imported inside the handlers
+# that use them, so a request loads only the modules its command needs
 
 __all__ = ["main"]
 
@@ -209,6 +201,8 @@ def _build_sigma(args: argparse.Namespace):
             raise RequestError(f"unsupported automorphism: {exc}") from exc
         echo = {"type": label, "auto": _auto_echo(perm, charge)}
         return alg, rs, sigma, perm, charge, echo
+    from .descent import build_matrix_algebra
+
     n = args.matrix_algebra
     exponents, m = _matrix_auto(spec, n)
     alg, sigma = build_matrix_algebra(n, exponents, m)
@@ -262,6 +256,8 @@ def _cmd_grade(args: argparse.Namespace) -> dict:
 def _cmd_classify(args: argparse.Namespace) -> dict:
     source = _one_source(args, ("type", "matrix-algebra"))
     if source == "type":
+        from .classify import classification_table, k_vs_r_classes
+
         rows = classification_table(args.type)
         kvr = k_vs_r_classes(args.type)
         return {
@@ -273,6 +269,8 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
             "centroid_trivial": kvr.centroid_ok,
             "status": "pass" if kvr.hypotheses_hold else "fail",
         }
+    from .descent import coboundary_witness_matrix, untwist_matrix_iso
+
     n = args.matrix_algebra
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
     # computed witness untwists the standard inner twist explicitly.
@@ -290,6 +288,8 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
 
 
 def _cmd_extract_gcm(args: argparse.Namespace) -> dict:
+    from .affine import affine_certificate
+
     _one_source(args, ("type",))
     spec = _parse_auto_json(args.auto)
     rank = cartan_matrix(args.type).rank
@@ -306,6 +306,8 @@ def _cmd_extract_gcm(args: argparse.Namespace) -> dict:
 
 
 def _cmd_untwist(args: argparse.Namespace) -> dict:
+    from .descent import untwist_iso, untwist_matrix_iso
+
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
@@ -328,6 +330,8 @@ def _cmd_untwist(args: argparse.Namespace) -> dict:
 
 
 def _cmd_descent_verify(args: argparse.Namespace) -> dict:
+    from .descent import build_cocycle, twisted_fixed_points
+
     alg, _, sigma, _, _, echo = _build_sigma(args)
     cocycle = build_cocycle(sigma)
     grading = eigengrading(alg, sigma)
@@ -367,6 +371,8 @@ def _cmd_centroid(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> dict:
+    from .acceptance import verify_all
+
     report = verify_all()
     return {
         "criteria": [

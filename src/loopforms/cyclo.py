@@ -1,13 +1,20 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
-A number is stored as a vector of rational coefficients on the power basis
-1, z, ..., z^(phi(m)-1), where z is a fixed primitive m-th root of unity and
-phi is Euler's totient.  Every result is reduced modulo the m-th cyclotomic
-polynomial, so representations are canonical and equality is coefficient-wise.
+A number is stored as integer numerators on the power basis
+1, z, ..., z^(phi(m)-1) over one positive common denominator, where z is a
+fixed primitive m-th root of unity and phi is Euler's totient (the standard
+representation; Cohen, *A Course in Computational Algebraic Number Theory*,
+GTM 138, section 4.2).  Every result is reduced modulo the m-th cyclotomic
+polynomial, which is monic with integer coefficients, so the reduction never
+leaves the integers; and the denominator is kept coprime to the numerators,
+so representations are canonical and equality is component-wise.
 
 Two design rules hold throughout the package:
 
-* no floating point anywhere; scalars are `fractions.Fraction`,
+* no floating point anywhere; a scalar is integer numerators over one
+  positive integer denominator, and arithmetic builds no `fractions.Fraction`
+  (Fractions appear only at the boundary: `rational`, `from_poly`, the
+  `coeffs` view and serialization),
 * numbers of different orders never mix silently.  Arithmetic between two
   CycloNum values requires equal `order`; callers move into a common field
   with `embed` first.  Plain ints and Fractions coerce into the order of the
@@ -20,10 +27,11 @@ eigenvalues of automorphisms of different periods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from math import gcd, lcm
+from operator import add, sub
+from typing import Sequence, Union
 
 __all__ = [
     "CycloError",
@@ -33,9 +41,6 @@ __all__ = [
     "euler_phi",
     "zeta_power",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CycloError(ArithmeticError):
@@ -123,46 +128,124 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return quo
 
 
-def _reduce_mod_cyclotomic(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo Phi_order and pad to length phi(order)."""
+@lru_cache(maxsize=None)
+def _modulus_terms(order: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (power, coefficient) of Phi_order below its leading 1."""
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    rem = list(coeffs)
-    while len(rem) > deg:
-        lead = rem.pop()
-        if lead == 0:
-            continue
-        shift = len(rem) - deg
-        for i in range(deg):
-            rem[shift + i] -= lead * phi[i]
-    rem.extend([_ZERO] * (deg - len(rem)))
-    return tuple(rem)
+    return tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(order: int, coeffs: list[int]) -> tuple[int, ...]:
+    """Reduce an integer coefficient list modulo Phi_order, in place, and pad
+    it to length phi(order).  Phi_order is monic, so the result is integral."""
+    deg = euler_phi(order)
+    if len(coeffs) > deg:
+        terms = _modulus_terms(order)
+        for top in range(len(coeffs) - 1, deg - 1, -1):
+            lead = coeffs[top]
+            if lead:
+                shift = top - deg
+                for i, c in terms:
+                    coeffs[shift + i] -= lead * c
+        del coeffs[deg:]
+    else:
+        coeffs.extend([0] * (deg - len(coeffs)))
+    return tuple(coeffs)
+
+
+def _poly_product(order: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of two integer coefficient vectors of one order."""
+    return _reduce(order, list(_poly_mul_int(a, b)))
+
+
+def _conjugate(order: int, a: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The image of sum a_i z^i under the Galois automorphism z -> z^k."""
+    out = [0] * order
+    for i, x in enumerate(a):
+        if x:
+            out[i * k % order] += x
+    return _reduce(order, out)
+
+
+_new = object.__new__
+
+
+def _from_canonical(order: int, num: tuple[int, ...], den: int) -> "CycloNum":
+    """The number num/den, given canonical: den > 0, gcd(den, *num) == 1.
+
+    Every CycloNum is built here, so every one has a valid order and
+    phi(order) numerators."""
+    if len(num) != euler_phi(order):  # euler_phi raises on order < 1
+        raise ValueError(
+            f"coefficient vector must have length phi({order}) = "
+            f"{euler_phi(order)}, got {len(num)}"
+        )
+    self = _new(CycloNum)
+    self._order = order
+    self._num = num
+    self._den = den
+    return self
+
+
+def _make(order: int, num: tuple[int, ...], den: int) -> "CycloNum":
+    """The number num/den in canonical form: den > 0, gcd(den, *num) == 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    return _from_canonical(order, num, den)
 
 
 Coercible = Union["CycloNum", int, Fraction]
 
 
-@dataclass(frozen=True)
 class CycloNum:
-    """An element of Q(zeta_order) on the power basis, always reduced."""
+    """An element of Q(zeta_order) on the power basis, always reduced.
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    It is stored as `num`, the integer numerators of its power-basis
+    coefficients, over one common denominator `den` > 0 with
+    gcd(den, *num) == 1, so equal values have equal fields, equal objects
+    and equal hashes.  Instances are immutable.  `coeffs` is the same vector
+    as Fractions, for serialization and display.
+    """
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be a positive integer")
-        if len(self.coeffs) != euler_phi(self.order):
-            raise ValueError(
-                f"coefficient vector must have length phi({self.order}) = "
-                f"{euler_phi(self.order)}, got {len(self.coeffs)}"
-            )
+    __slots__ = ("_order", "_num", "_den")
+
+    def __new__(cls, order: int, coeffs: Sequence[Union[int, Fraction]]) -> "CycloNum":
+        values = [Fraction(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in values))
+        num = tuple([v.numerator * (den // v.denominator) for v in values])
+        return _from_canonical(order, num, den)
+
+    @property
+    def order(self) -> int:
+        return self._order
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        return self._num
+
+    @property
+    def den(self) -> int:
+        return self._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     @staticmethod
     def rational(order: int, value: Union[int, Fraction]) -> "CycloNum":
-        deg = euler_phi(order)
-        coeffs = (Fraction(value),) + (_ZERO,) * (deg - 1)
-        return CycloNum(order, coeffs)
+        if isinstance(value, int):
+            num, den = value, 1
+        else:
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        return _from_canonical(order, (num,) + (0,) * (euler_phi(order) - 1), den)
 
     # CycloNum is immutable, so one zero and one one per order are shared
 
@@ -178,112 +261,126 @@ class CycloNum:
 
     @staticmethod
     def from_poly(order: int, coeffs) -> "CycloNum":
-        return CycloNum(order, _reduce_mod_cyclotomic(order, [Fraction(c) for c in coeffs]))
+        """sum coeffs[i] z^i for ints or Fractions of any length, reduced."""
+        values = list(coeffs)
+        if all(type(c) is int for c in values):
+            return _from_canonical(order, _reduce(order, values), 1)
+        fracs = [Fraction(c) for c in values]
+        den = lcm(*(f.denominator for f in fracs))
+        num = _reduce(order, [f.numerator * (den // f.denominator) for f in fracs])
+        return _make(order, num, den)
+
+    # -- value semantics ---------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CycloNum:
+            return NotImplemented
+        return (
+            self._num == other._num and self._den == other._den and self._order == other._order
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._order, self._num, self._den))
+
+    def __reduce__(self):
+        return (CycloNum, (self._order, self.coeffs))
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other: Coercible) -> "CycloNum":
         if isinstance(other, CycloNum):
-            if other.order != self.order:
+            if other._order != self._order:
                 raise ValueError(
-                    f"order mismatch: {self.order} vs {other.order}; embed into a common order first"
+                    f"order mismatch: {self._order} vs {other._order}; embed into a common order first"
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return CycloNum.rational(self.order, other)
+            return CycloNum.rational(self._order, other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: Coercible) -> "CycloNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloNum(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycloNum or other._order != self._order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self._den, other._den
+        if da == db:
+            return _make(self._order, tuple(map(add, self._num, other._num)), da)
+        return _make(
+            self._order, tuple([x * db + y * da for x, y in zip(self._num, other._num)]), da * db
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other: Coercible) -> "CycloNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloNum(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycloNum or other._order != self._order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self._den, other._den
+        if da == db:
+            return _make(self._order, tuple(map(sub, self._num, other._num)), da)
+        return _make(
+            self._order, tuple([x * db - y * da for x, y in zip(self._num, other._num)]), da * db
+        )
 
     def __rsub__(self, other: Coercible) -> "CycloNum":
         return (-self) + other
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, tuple(-a for a in self.coeffs))
+        return _from_canonical(self._order, tuple([-x for x in self._num]), self._den)
 
     def __mul__(self, other: Coercible) -> "CycloNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        # a rational factor scales the coefficients, with nothing to reduce
+        if other.__class__ is not CycloNum or other._order != self._order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._num, other._num
+        den = self._den * other._den
+        # a rational factor scales the numerators, with nothing to reduce
         if not any(b[1:]):
-            return CycloNum(self.order, tuple(x * b[0] for x in a))
+            y = b[0]
+            return _make(self._order, tuple([x * y for x in a]), den)
         if not any(a[1:]):
-            return CycloNum(self.order, tuple(a[0] * y for y in b))
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycloNum(self.order, _reduce_mod_cyclotomic(self.order, out))
+            x = a[0]
+            return _make(self._order, tuple([x * y for y in b]), den)
+        return _make(self._order, _poly_product(self._order, a, b), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        if self.is_zero():
+        """1/a = (product of the other Galois conjugates of a) / N(a).
+
+        With a = A/den and A integral, that product P and the norm N(A) = A*P
+        are integral, so the inverse is den*P / N(A) with no rational
+        arithmetic at all."""
+        order, a = self._order, self._num
+        if not any(a):
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        if self.is_rational():
-            return CycloNum.rational(self.order, 1 / self.coeffs[0])
-        # extended Euclid against Phi_order, which is irreducible over Q
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0: list[Fraction] = [_ZERO]
-        s1: list[Fraction] = [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                raise CycloError("gcd with an irreducible modulus cannot vanish")
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return CycloNum(self.order, _reduce_mod_cyclotomic(self.order, inv))
-            quo = [_ZERO] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            while len(rem) >= len(r1):
-                lead = rem[-1]
-                if lead == 0:
-                    rem.pop()
-                    continue
-                shift = len(rem) - len(r1)
-                q = lead / r1[-1]
-                quo[shift] = q
-                for i, d in enumerate(r1):
-                    rem[shift + i] -= q * d
-                rem.pop()
-            snew = list(s0) + [_ZERO] * max(0, len(quo) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        snew[i + j] -= qi * sj
-            r0, r1 = r1, rem
-            s0, s1 = s1, snew
+        if not any(a[1:]):
+            return _make(order, (self._den,) + (0,) * (len(a) - 1), a[0])
+        conj = None
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                image = _conjugate(order, a, k)
+                conj = image if conj is None else _poly_product(order, conj, image)
+        norm = _poly_product(order, a, conj)
+        if any(norm[1:]) or not norm[0]:
+            raise CycloError("the norm of a nonzero number must be a nonzero rational")
+        return _make(order, tuple([self._den * x for x in conj]), norm[0])
 
     def __truediv__(self, other: Coercible) -> "CycloNum":
         other = self._coerce(other)
@@ -297,7 +394,7 @@ class CycloNum:
     def __pow__(self, exponent: int) -> "CycloNum":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycloNum.one(self.order)
+        result = CycloNum.one(self._order)
         base = self
         e = exponent
         while e:
@@ -311,21 +408,20 @@ class CycloNum:
 
     def embed(self, n: int) -> "CycloNum":
         """Rewrite in Q(zeta_n) using zeta_m = zeta_n^(n/m); requires order | n."""
-        if n % self.order != 0:
-            raise ValueError(f"cannot embed order {self.order} into order {n}: not a divisor")
-        if n == self.order:
+        if n % self._order != 0:
+            raise ValueError(f"cannot embed order {self._order} into order {n}: not a divisor")
+        if n == self._order:
             return self
-        step = n // self.order
-        out = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] = c
-        return CycloNum(n, _reduce_mod_cyclotomic(n, out))
+        step = n // self._order
+        out = [0] * ((len(self._num) - 1) * step + 1)
+        for i, x in enumerate(self._num):
+            out[i * step] = x
+        return _make(n, _reduce(n, out), self._den)
 
     # -- serialization and display ---------------------------------------
 
     def to_obj(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self._order, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_obj(obj: dict) -> "CycloNum":
@@ -342,7 +438,7 @@ class CycloNum:
             if i == 0:
                 parts.append(str(c))
             else:
-                mono = f"z{self.order}" if i == 1 else f"z{self.order}^{i}"
+                mono = f"z{self._order}" if i == 1 else f"z{self._order}^{i}"
                 if c == 1:
                     parts.append(mono)
                 elif c == -1:
@@ -353,7 +449,7 @@ class CycloNum:
         return text.replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        return f"CycloNum({self.order}, {self})"
+        return f"CycloNum({self._order}, {self})"
 
 
 def zeta_power(m: int, e: int) -> CycloNum:
@@ -361,8 +457,7 @@ def zeta_power(m: int, e: int) -> CycloNum:
     if m < 1:
         raise ValueError("order must be a positive integer")
     e %= m
-    coeffs = [_ZERO] * e + [_ONE]
-    return CycloNum(m, _reduce_mod_cyclotomic(m, coeffs))
+    return _from_canonical(m, _reduce(m, [0] * e + [1]), 1)
 
 
 def embed(a: CycloNum, n: int) -> CycloNum:

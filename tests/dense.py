@@ -13,14 +13,18 @@ associative law on all n^3 ordered basis triples through `product_sparse`,
 the reference for the reduced certificate of `validate_algebra`.
 `windowed_untwist_check` brackets every pair of component slices in a degree
 window, the reference for the table-and-residue certificate of
-`descent._verify_untwist`.
+`descent._verify_untwist`, and `base_change_check` checks a grading degree by
+degree in a window.  `FractionCyclo` is Q(zeta_m) on Fraction coefficients,
+the reference for the integer numerators and one denominator of `CycloNum`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 from loopforms.acceptance import _grading_fixtures
 from loopforms.algebra import (
@@ -37,7 +41,7 @@ from loopforms.algebra import (
     ts_product,
 )
 from loopforms.chevalley import DiagramPermutation, ToralCharge, algebra_over, compose_pi_toral
-from loopforms.cyclo import CycloNum
+from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
 from loopforms.descent import DescentError, build_matrix_algebra
 from loopforms.linalg import eliminate, rank
 
@@ -292,6 +296,186 @@ def windowed_untwist_check(
         rhs = _shift_degrees(_untwist_element(x, shifts, +1), m)
         if lhs != rhs:
             raise DescentError(f"t-action intertwining fails at degree {j}")
+
+
+# -- base change over the covering ring -------------------------------------------
+
+
+@dataclass(frozen=True)
+class BaseChangeReport:
+    window: int
+    degree_dims: tuple[tuple[int, tuple[int, ...]], ...]
+    pairs_checked: int
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def base_change_check(alg: MultTableAlgebra, grading: GradedDecomposition, window: int) -> BaseChangeReport:
+    """Certify per degree that extending scalars to the covering ring
+    flattens the twisted loop algebra onto the full algebra.
+
+    At every total degree d with |d| <= window the residue components
+    A_{(d-j) mod m}, j = 0..m-1, must be independent and jointly span A, and
+    multiplication through the identification must agree with the table for
+    all component basis pairs whose degree sums stay inside the window.
+    """
+    m = grading.period
+    n = alg.dim
+    failures: list[str] = []
+    degree_dims = []
+    for d in range(-window, window + 1):
+        slices = [grading.component_bases[(d - j) % m] for j in range(m)]
+        dims = tuple(len(s) for s in slices)
+        stacked = [v for s in slices for v in s]
+        if len(stacked) != n or rank(stacked) != n:
+            failures.append(f"degree {d}: residue slices of dims {dims} do not span exactly")
+        degree_dims.append((d, dims))
+    pairs = 0
+    for d1 in range(-window, window + 1):
+        for d2 in range(-window, window + 1):
+            if abs(d1 + d2) > window:
+                continue
+            solver = grading.component_solver((d1 + d2) % m)
+            for x in grading.component_bases[d1 % m]:
+                for y in grading.component_bases[d2 % m]:
+                    pairs += 1
+                    if not solver.contains(alg.product_sparse(x, y)):
+                        failures.append(
+                            f"degrees ({d1},{d2}): product leaves the degree {d1 + d2} slice"
+                        )
+    return BaseChangeReport(
+        window=window,
+        degree_dims=tuple(degree_dims),
+        pairs_checked=pairs,
+        failures=tuple(failures),
+    )
+
+
+# -- Fraction scalar oracle --------------------------------------------------------
+
+
+def _reduce_fractions(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """Reduce a coefficient list modulo Phi_order and pad to length phi(order)."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    while len(rem) > deg:
+        lead = rem.pop()
+        if lead == 0:
+            continue
+        shift = len(rem) - deg
+        for i in range(deg):
+            rem[shift + i] -= lead * phi[i]
+    rem.extend([Fraction(0)] * (deg - len(rem)))
+    return tuple(rem)
+
+
+@dataclass(frozen=True)
+class FractionCyclo:
+    """An element of Q(zeta_order) as Fraction coefficients on the power
+    basis: polynomial products reduced by long division, and the inverse by
+    the extended Euclidean algorithm against Phi_order."""
+
+    order: int
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) != euler_phi(self.order):
+            raise ValueError("coefficient vector must have length phi(order)")
+
+    @staticmethod
+    def from_poly(order: int, coeffs) -> "FractionCyclo":
+        return FractionCyclo(order, _reduce_fractions(order, [Fraction(c) for c in coeffs]))
+
+    @staticmethod
+    def of(x: CycloNum) -> "FractionCyclo":
+        return FractionCyclo(x.order, x.coeffs)
+
+    def _lift(self, other: Union["FractionCyclo", int, Fraction]) -> "FractionCyclo":
+        if isinstance(other, FractionCyclo):
+            return other
+        return FractionCyclo.from_poly(self.order, [other])
+
+    def __add__(self, other) -> "FractionCyclo":
+        other = self._lift(other)
+        return FractionCyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other) -> "FractionCyclo":
+        other = self._lift(other)
+        return FractionCyclo(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other) -> "FractionCyclo":
+        a, b = self.coeffs, self._lift(other).coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FractionCyclo(self.order, _reduce_fractions(self.order, out))
+
+    def inverse(self) -> "FractionCyclo":
+        if not any(self.coeffs):
+            raise ZeroDivisionError("division by zero in cyclotomic field")
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r1 = list(self.coeffs)
+        s0: list[Fraction] = [Fraction(0)]
+        s1: list[Fraction] = [Fraction(1)]
+        while True:
+            while r1[-1] == 0:
+                r1.pop()
+            if len(r1) == 1:
+                return FractionCyclo.from_poly(self.order, [c / r1[0] for c in s1])
+            quo = [Fraction(0)] * (len(r0) - len(r1) + 1)
+            rem = list(r0)
+            while len(rem) >= len(r1):
+                lead = rem[-1]
+                shift = len(rem) - len(r1)
+                q = lead / r1[-1]
+                quo[shift] = q
+                for i, d in enumerate(r1):
+                    rem[shift + i] -= q * d
+                rem.pop()
+            snew = list(s0) + [Fraction(0)] * max(0, len(quo) + len(s1) - 1 - len(s0))
+            for i, qi in enumerate(quo):
+                for j, sj in enumerate(s1):
+                    snew[i + j] -= qi * sj
+            r0, r1 = r1, rem
+            s0, s1 = s1, snew
+
+    def __truediv__(self, other) -> "FractionCyclo":
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, exponent: int) -> "FractionCyclo":
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = FractionCyclo.from_poly(self.order, [1])
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def embed(self, n: int) -> "FractionCyclo":
+        step = n // self.order
+        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * step] = c
+        return FractionCyclo.from_poly(n, out)
+
+    def to_obj(self) -> dict:
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+    def __str__(self) -> str:
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                mono = f"z{self.order}" if i == 1 else f"z{self.order}^{i}"
+                parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 # -- differential fixtures -------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from dense import (
     TWIST_FIXTURES,
+    base_change_check,
     basis_vector,
     dense_check_automorphism,
     densify,
@@ -17,12 +18,12 @@ from dense import (
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
+    AlgebraError,
     AutomorphismError,
     ComponentSolver,
     GradedDecomposition,
     GradingError,
     MultTableAlgebra,
-    base_change_check,
     centroid_graded,
     check_automorphism,
     eigengrading,
@@ -249,6 +250,15 @@ def test_serialization_round_trip():
     alg = _sl2()
     clone = MultTableAlgebra.from_obj(alg.to_obj())
     assert clone == alg
+
+
+def test_pair_listed_twice_is_refused():
+    # (h1, e[1]) listed twice, first with the wrong constant 5; the lookup
+    # would keep only the last listing, so the table is refused outright
+    obj = standard_algebra("A1")[1].to_obj()
+    obj["constants"].insert(0, [0, 1, [[1, {"order": 1, "coeffs": ["5"]}]]])
+    with pytest.raises(AlgebraError, match=r"\(h1, e\[1\]\) is listed twice"):
+        MultTableAlgebra.from_obj(obj)
 
 
 # -- gradings ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from loopforms import acceptance, algebra, chevalley, cli
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
+from loopforms.chevalley import standard_algebra
 
 
 def run_cli(*argv, binary=False, timeout=300):
@@ -329,3 +330,18 @@ def test_untwist_d4_composed_stdout_is_pinned():
     result = run_cli("untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}')
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == UNTWIST_D4_SHA256
+
+
+def test_table_listing_a_pair_twice_exits_2(tmp_path):
+    # (h1, e[1]) listed twice, first with the wrong constant 5: the table is
+    # refused rather than certified on its last listing
+    obj = standard_algebra("A1")[1].to_obj()
+    obj["constants"].insert(0, [0, 1, [[1, {"order": 1, "coeffs": ["5"]}]]])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(obj))
+    result = run_cli("build", "--algebra", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "(h1, e[1]) is listed twice" in lines[0]

@@ -1,9 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+from dense import FractionCyclo
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_rational_embedding_matches_fraction_arithmetic():
@@ -120,3 +128,120 @@ def test_zero_and_one_are_shared_per_order():
     assert CycloNum.zero(6).is_zero() and not CycloNum.one(6).is_zero()
     assert CycloNum.zero(3) != CycloNum.zero(6)
     assert not zeta_power(6, 1).is_zero() and zeta_power(6, 1).is_rational() is False
+
+
+# -- integer numerators against the Fraction oracle ------------------------------
+
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 24)
+
+
+def _random_pair(rng, m):
+    """The same seeded number as a CycloNum and as a FractionCyclo.
+
+    Coefficients are non-integral, and the polynomial is sometimes longer
+    than phi(m), so from_poly reduces it; sometimes it is rational."""
+    deg = euler_phi(m)
+    length = 1 if rng.random() < 0.2 else rng.randint(deg, 2 * deg)
+    coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(length)]
+    return CycloNum.from_poly(m, coeffs), FractionCyclo.from_poly(m, coeffs)
+
+
+def _agrees(x, want):
+    assert isinstance(x, CycloNum)
+    assert x.order == want.order
+    assert x.coeffs == want.coeffs
+    assert x.to_obj() == want.to_obj()
+    assert str(x) == str(want)
+    # canonical form: positive denominator coprime to the numerators
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert all(type(a) is int for a in x.num)
+    # equal values give equal objects and equal hashes
+    rebuilt = CycloNum(want.order, want.coeffs)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    assert CycloNum.from_obj(want.to_obj()) == x
+
+
+@pytest.mark.parametrize("m", ORACLE_ORDERS)
+def test_arithmetic_agrees_with_fraction_oracle(m):
+    rng = random.Random(f"cyclo oracle {m}")
+    for _ in range(30):
+        (x, fx), (y, fy) = _random_pair(rng, m), _random_pair(rng, m)
+        _agrees(x, fx)
+        _agrees(x + y, fx + fy)
+        _agrees(x - y, fx - fy)
+        _agrees(x * y, fx * fy)
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        _agrees(x * q, fx * q)
+        _agrees(x + q, fx + q)
+        _agrees(-x, FractionCyclo.from_poly(m, []) - fx)
+        if not y.is_zero():
+            _agrees(y.inverse(), fy.inverse())
+            _agrees(x / y, fx / fy)
+        e = rng.randint(-3, 5)
+        if e >= 0 or not x.is_zero():
+            _agrees(x ** e, fx ** e)
+        for k in (2, 3):
+            _agrees(x.embed(k * m), fx.embed(k * m))
+
+
+@pytest.mark.parametrize("m", ORACLE_ORDERS)
+def test_equal_values_are_equal_objects(m):
+    rng = random.Random(f"cyclo values {m}")
+    for _ in range(20):
+        (x, _), (y, _) = _random_pair(rng, m), _random_pair(rng, m)
+        # the same value reached two ways
+        a, b = (x + y) - y, x * CycloNum.one(m)
+        assert a == b == x and hash(a) == hash(b) == hash(x)
+        assert (a.num, a.den) == (x.num, x.den)
+        if not y.is_zero():
+            c = (x * y) / y
+            assert c == x and hash(c) == hash(x)
+    half = CycloNum(m, (Fraction(2, 4),) + (Fraction(0),) * (euler_phi(m) - 1))
+    assert half == CycloNum.rational(m, Fraction(1, 2)) and (half.num[0], half.den) == (1, 2)
+    assert (CycloNum.zero(m).num, CycloNum.zero(m).den) == ((0,) * euler_phi(m), 1)
+
+
+def test_bad_constructions_raise():
+    with pytest.raises(ValueError):
+        CycloNum(0, ())
+    with pytest.raises(ValueError):
+        CycloNum(3, (Fraction(1),))
+    with pytest.raises(ValueError):
+        CycloNum.rational(0, 1)
+    with pytest.raises(ValueError):
+        CycloNum.from_poly(0, [1])
+    with pytest.raises(ValueError):
+        zeta_power(0, 1)
+
+
+def test_tampered_numerators_raise_inside_arithmetic():
+    # a result built inside arithmetic is checked like any construction
+    x = zeta_power(3, 1)
+    x._num = (1,)
+    for op in (lambda: x + x, lambda: x - x, lambda: x * x, lambda: -x):
+        with pytest.raises(ValueError, match="length phi"):
+            op()
+
+
+def test_bad_constructions_raise_under_optimize():
+    # the checks are raises, not asserts, so python -O keeps them
+    code = (
+        "from loopforms.cyclo import CycloNum, zeta_power\n"
+        "x = zeta_power(3, 1)\n"
+        "x._num = (1,)\n"
+        "cases = [lambda: CycloNum(0, ()), lambda: CycloNum(3, (1,)), lambda: x * x,\n"
+        "         lambda: CycloNum.from_poly(0, [1])]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('a bad construction passed')\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
