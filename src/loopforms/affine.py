@@ -1,10 +1,11 @@
 """Affine type certificates for twisted loop algebras.
 
 Given L(sigma) for sigma = pi o tau_s, the degree-window root data of the
-loop algebra determines a generalized Cartan matrix: decompose every graded
-component under ad of the pi-fixed Cartan h0, order the resulting affine
-roots by (degree, then lexicographic weight), pick the indecomposable
-positives in degrees 0 and 1 as a base, normalize coroots through exact
+loop algebra determines a generalized Cartan matrix: read the weight under
+the pi-fixed Cartan h0 off every vector of the closed-form grading, order
+the resulting affine roots by (degree, then lexicographic weight), pick the
+indecomposable positives in degrees 0 through deg delta (delta the least
+positive imaginary root) as a base, normalize coroots through exact
 sl2-triples, and read off the matrix A_ij = weight_j(h_i).
 
 The positivity order is a group order, so the selected base is a genuine
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .algebra import GradedDecomposition, MultTableAlgebra, eigengrading
+from .algebra import ComponentSolver, GradedDecomposition, MultTableAlgebra, eigengrading
 from .chevalley import (
     DiagramPermutation,
     RootSystem,
@@ -38,7 +39,7 @@ from .chevalley import (
     root_system,
 )
 from .cyclo import CycloNum
-from .linalg import SpanSolver, Sparse, int_rank_det, nullspace, sparse_add
+from .linalg import Sparse, int_rank_det
 
 __all__ = [
     "AffineCatalog",
@@ -72,11 +73,10 @@ Weight = tuple[int, ...]
 
 @dataclass(frozen=True)
 class FixedCartan:
-    """Basis of h0 = h^pi (orbit sums of the h_i) plus candidate weight data."""
+    """Basis of h0 = h^pi: the orbit sums of the h_i, one per pi-orbit."""
 
     basis: tuple[Sparse, ...]
     orbits: tuple[tuple[int, ...], ...]
-    candidates: tuple[Weight, ...]
 
     @property
     def rank(self) -> int:
@@ -86,10 +86,11 @@ class FixedCartan:
 def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation) -> FixedCartan:
     """Orbit sums b_O = sum_{i in O} h_i; abelian by inheritance, checked anyway.
 
-    The candidate weights are the values of ad h0 on the original root
-    vectors: for a root alpha, the eigenvalue on b_O is the integer
-    sum_{i in O} <alpha, alpha_i^vee>.  Together with 0 these exhaust the
-    spectrum, which is what lets the weight decomposition use exact kernels.
+    Each b_O is 1 at its smallest index and the orbits are disjoint, so
+    `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
+    acts on e_alpha by the integer sum_{i in O} <alpha, alpha_i^vee>, the
+    same for every root of a pi-orbit, which is what lets `affine_roots` read
+    the weights off the closed-form grading.
     """
     l = rs.rank
     if len(perm.images) != l:
@@ -116,16 +117,7 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
         for y in basis:
             if alg.product_sparse(x, y):
                 raise AffineExtractError("fixed Cartan is not abelian")
-    weights = {
-        tuple(sum(rs.pairing(alpha, i) for i in orbit) for orbit in orbits)
-        for alpha in rs.roots
-    }
-    weights.add(tuple(0 for _ in orbits))
-    return FixedCartan(
-        basis=tuple(basis),
-        orbits=tuple(orbits),
-        candidates=tuple(sorted(weights)),
-    )
+    return FixedCartan(basis=tuple(basis), orbits=tuple(orbits))
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,16 @@ def affine_roots(
     h0: FixedCartan,
     window: int,
 ) -> AffineRootData:
-    """Exact ad-h0 weight decomposition of every graded slice in the window.
+    """Ad-h0 weight decomposition of every graded slice in the window, read
+    off the closed-form grading.
+
+    Each component vector is an orbit sum of root vectors, or of Cartan
+    vectors, over one pi-orbit, and every root of a pi-orbit has the same
+    h0-weight, so each vector is an h0-eigenvector.  The vector is 1 at its
+    smallest index, so its weight on h0_k is the entry of h0_k * v there;
+    that h0_k * v is exactly the weight times v, and that the weight is a
+    rational integer, are both checked.  The space of a weight in a
+    component is the tuple of its vectors of that weight, in component order.
 
     Real roots (nonzero weight) must be one-dimensional; the zero-weight
     space at degree 0 must be exactly h0 (anything bigger means the chosen
@@ -168,55 +169,27 @@ def affine_roots(
     m = grading.period
     if window < m:
         raise AffineExtractError(f"window {window} is smaller than the twist order {m}")
-    order = grading.scalar_order
     rank = h0.rank
     per_residue: dict[int, list[tuple[Weight, tuple[Sparse, ...]]]] = {}
     for res in range(m):
-        component = grading.component_bases[res]
-        if not component:
-            per_residue[res] = []
-            continue
-        solver = grading.component_solver(res)
-        c = len(component)
-        # ad_rows[k][i] is row i of ad(h0_k) on the component, {column: entry}
-        ad_rows: list[list[Sparse]] = []
-        for k in range(rank):
-            rows_k: list[Sparse] = [{} for _ in range(c)]
-            for j, v in enumerate(component):
-                coords = solver.coords(alg.product_sparse(h0.basis[k], v))
-                if coords is None:
+        groups: dict[Weight, list[Sparse]] = {}
+        for v in grading.component_bases[res]:
+            pivot = min(v)
+            weight = []
+            for h in h0.basis:
+                p = alg.product_sparse(h, v)
+                w = p.get(pivot)
+                if p != ({} if w is None else {k: w * x for k, x in v.items()}):
                     raise AffineExtractError(
-                        f"component {res} is not stable under the fixed Cartan"
+                        f"a vector of component {res} is not diagonal under the fixed Cartan"
                     )
-                for i, x in coords.items():
-                    rows_k[i][j] = x
-            ad_rows.append(rows_k)
-        found: list[tuple[Weight, tuple[Sparse, ...]]] = []
-        total = 0
-        for w in h0.candidates:
-            rows = []
-            for k in range(rank):
-                for i in range(c):
-                    row = dict(ad_rows[k][i])
-                    if w[k]:
-                        sparse_add(row, {i: CycloNum.rational(order, -w[k])})
-                    rows.append(row)
-            kernel = nullspace(rows, c, order)
-            if not kernel:
-                continue
-            lifted = []
-            for coeffs in kernel:
-                vec: Sparse = {}
-                for j, coeff in coeffs.items():
-                    sparse_add(vec, component[j], coeff)
-                lifted.append(vec)
-            found.append((w, tuple(lifted)))
-            total += len(kernel)
-        if total != c:
-            raise AffineExtractError(
-                f"component {res} is not diagonalizable over the candidate weights"
-            )
-        per_residue[res] = found
+                if w is not None and not (w.is_rational() and w.as_fraction().denominator == 1):
+                    raise AffineExtractError(
+                        f"a vector of component {res} has weight {w}, not a rational integer"
+                    )
+                weight.append(0 if w is None else w.as_fraction().numerator)
+            groups.setdefault(tuple(weight), []).append(v)
+        per_residue[res] = [(w, tuple(vs)) for w, vs in sorted(groups.items())]
     reals: list[AffineRoot] = []
     imaginary: list[AffineRoot] = []
     spaces: dict[tuple[Weight, int], tuple[Sparse, ...]] = {}
@@ -256,13 +229,24 @@ def _is_positive(weight: Weight, degree: int) -> bool:
 
 
 def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
-    """Indecomposable positive roots in degrees 0 and 1.
+    """Indecomposable positive roots in degrees 0 through deg delta.
 
     Positivity is the group order (degree, then lex weight) > 0.  Sums may
     use the imaginary layer: a real positive like alpha + delta decomposes
-    as (alpha, 0) + (0, 1) even though (0, 1) is not a real root, and
-    dropping those decompositions would inflate the base.
+    as (alpha, 0) + (delta, deg delta) even though delta is not a real root,
+    and dropping those decompositions would inflate the base.
+
+    delta, the least positive imaginary root, is a positive sum of the
+    simple roots, so every simple root has degree at most deg delta, and
+    deg delta is at most the period, so at most the window.  With a toral
+    charge a simple root can sit at any of those degrees (Kac's labels s_i
+    are its degrees).  A decomposition of a root of degree j into positives
+    has both degrees in 0..j, so it lies inside the window too.
     """
+    delta_degrees = [r.degree for r in data.imaginary if r.degree > 0]
+    if not delta_degrees:
+        raise AffineExtractError("no positive imaginary root in the window")
+    top = min(delta_degrees)
     positives: set[tuple[Weight, int]] = set()
     for root in data.reals:
         if _is_positive(root.weight, root.degree):
@@ -272,7 +256,7 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
             positives.add((root.weight, root.degree))
     base = []
     for root in data.reals:
-        if root.degree not in (0, 1) or not _is_positive(root.weight, root.degree):
+        if root.degree > top or not _is_positive(root.weight, root.degree):
             continue
         decomposable = False
         for w1, j1 in positives:
@@ -371,7 +355,7 @@ def extract_gcm(
     """
     order = alg.scalar_order
     h0 = data.h0
-    solver = SpanSolver(h0.basis)
+    solver = ComponentSolver(h0.basis)
     coroots: list[tuple[Fraction, ...]] = []
     for root in base:
         e_space = data.spaces.get((root.weight, root.degree))

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, zeta_power
-from .linalg import SpanSolver, Sparse, eliminate, rank, sparse_add
+from .linalg import Sparse, eliminate, rank, sparse_add
 
 __all__ = [
     "AlgebraError",
@@ -526,6 +526,11 @@ class ComponentSolver:
     `coords` reads those entries, rebuilds sum_k c_k b_k and returns the
     coordinates only when the rebuilt vector is v exactly, so it answers
     None exactly when v is outside the span, as an elimination would.
+
+    Two kinds of span have this shape: the grading components
+    (`GradedDecomposition.component_solver`), and the fixed Cartan h0, whose
+    basis vectors are orbit sums of the h_i (`affine.extract_gcm` reads the
+    coroot coordinates of [e, f] on it).
     """
 
     def __init__(self, vectors: Sequence[Sparse]):
@@ -809,7 +814,9 @@ def _identity_in_span(report: CentroidReport) -> bool:
         for res in range(report.period)
         for r in range(report.dims[res])
     }
-    return SpanSolver(report.basis).contains(ident)
+    # the families are independent: each is 1 at its own free index, where
+    # every other family is 0
+    return rank([*report.basis, ident]) == len(report.basis)
 
 
 def centroid_graded(
@@ -913,7 +920,7 @@ def centroid_graded(
                         sparse_add(entries, {index_of[(jres, r, t)]: -coeff})
                 add_row(entries)
 
-    pivots, _ = eliminate(dict(row_t) for row_t in rows)
+    pivots = eliminate(dict(row_t) for row_t in rows)
     free = [i for i in range(total) if alive[i] and i not in pivots]
     families = []
     for f in free:

@@ -106,7 +106,13 @@ def _chain(l: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def cartan_matrix(label: str) -> FiniteCartanMatrix:
-    """Cartan matrix in the standard (Bourbaki) numbering for A1..E8, F4, G2."""
+    """Cartan matrix for A1..E8, F4, G2, in Bourbaki's node numbering.
+
+    B_l and C_l are transposed against Bourbaki: the -2 of "B<l>" sits where
+    Bourbaki's C_l has it, so read with a_ij = <alpha_i^vee, alpha_j>, as
+    `root_system` does, "B3" has the highest root (2, 2, 1) of C3.  This
+    stands until the two labels are exchanged (ROADMAP item 4).
+    """
     if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdigit():
         raise LieConstructError(f"unknown type label {label!r}")
     family, l = label[0], int(label[1:])

@@ -510,7 +510,12 @@ def _make_parser() -> argparse.ArgumentParser:
             help='automorphism spec: {"pi": [..1-based] | null, "s": [..] | null, "m": int};'
             ' for --matrix-algebra: {"exponents": [..], "m": int}',
         )
-        cmd.add_argument("--window", type=int, help="degree window for loop-level checks")
+        cmd.add_argument(
+            "--window",
+            type=int,
+            help="degree window: the degrees untwist and descent-verify list (their checks"
+            " cover every degree), and the degree range of extract-gcm's root data",
+        )
         fmt = cmd.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON output (default)")
         fmt.add_argument("--text", action="store_true", help="human-readable tables")

@@ -11,12 +11,17 @@ inside, because the reduced row-echelon form of a matrix is unique.  The
 pivot columns are the columns at which the rank of the leading columns goes
 up, which the row space alone fixes, and the row space has exactly one basis
 whose rows are 1 at their own pivot and 0 at every other pivot.  So the same
-input gives the same kernel basis, membership coordinates and centroid basis
-bit for bit, however the rows arrive.  Kernel bases are additionally
-re-reduced so the returned vectors are themselves in reduced row-echelon
-form.  `SpanSolver` serves the spans that have no closed form; the grading
-components, whose vectors are written down in closed form, are read off by
-`algebra.ComponentSolver` instead.
+input gives the same rank, kernel basis and centroid basis bit for bit,
+however the rows arrive.  Kernel bases are additionally re-reduced so the
+returned vectors are themselves in reduced row-echelon form.
+
+The package tests span membership without a general solver: the spans it
+asks about are written down in closed form (the grading components and the
+fixed Cartan, whose coordinates `algebra.ComponentSolver` reads and
+confirms), or are independent families, where membership is a rank test.
+`SpanSolver`, membership by elimination, has no caller in the package; it is
+the reference the tests compare `ComponentSolver` with, and the benchmark's
+`perfbench/tracer.py` wraps it by name.
 
 Integer matrices (Cartan matrices and generalized Cartan matrices) have their
 own small helper, `int_rank_det`, because their certificates need the
@@ -78,32 +83,23 @@ def _axpy(target: Sparse, factor: CycloNum, source: Mapping[int, CycloNum], skip
             target[k] = new
 
 
-def eliminate(
-    rows: Iterable[Mapping[int, CycloNum]], pivot_limit: Optional[int] = None
-) -> tuple[dict[int, Sparse], list[Sparse]]:
+def eliminate(rows: Iterable[Mapping[int, CycloNum]]) -> dict[int, Sparse]:
     """Sparse Gauss-Jordan elimination of rows given as {column: scalar}.
 
-    Returns the pivot rows keyed by pivot column, in increasing column order,
-    and the leftover rows.  A pivot row is 1 at its pivot and has no entry at
-    any other pivot column.  Pivots are only taken in columns below
-    `pivot_limit`; a row that reduces to entries at or past the limit only is
-    a leftover row.  Rows that reduce to zero are dropped.  With no limit
-    there are no leftover rows and the pivot rows are the reduced row-echelon
-    form, which does not depend on the order of the input rows.
+    Returns the pivot rows keyed by pivot column, in increasing column order:
+    the reduced row-echelon form, which does not depend on the order of the
+    input rows.  A pivot row is 1 at its pivot and has no entry at any other
+    pivot column.  Rows that reduce to zero are dropped.
     """
     pivots: dict[int, Sparse] = {}
-    leftover: list[Sparse] = []
     for source in rows:
         row = {k: v for k, v in source.items() if not v.is_zero()}
         # pivot rows vanish at every other pivot column, so one pass suffices
         for col in [c for c in row if c in pivots]:
             _axpy(row, row.pop(col), pivots[col], col)
-        leads = [c for c in row if pivot_limit is None or c < pivot_limit]
-        if not leads:
-            if row:
-                leftover.append(row)
+        if not row:
             continue
-        lead = min(leads)
+        lead = min(row)
         inv = row.pop(lead).inverse()
         new = {k: inv * v for k, v in row.items()}
         new[lead] = CycloNum.one(inv.order)
@@ -112,7 +108,7 @@ def eliminate(
             if factor is not None:
                 _axpy(prow, factor, new, lead)
         pivots[lead] = new
-    return dict(sorted(pivots.items())), leftover
+    return dict(sorted(pivots.items()))
 
 
 def _sparse(row: Row) -> Sparse:
@@ -135,15 +131,14 @@ def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum]) -> Optional[Cyclo
 
 def rank(rows: Iterable[Row]) -> int:
     """Rank of the rows, each dense or a sparse {column: scalar} mapping."""
-    pivots, _ = eliminate(_sparse(row) for row in rows)
-    return len(pivots)
+    return len(eliminate(_sparse(row) for row in rows))
 
 
 def nullspace(rows: Iterable[Row], ncols: int, order: int) -> list[Sparse]:
     """Canonical kernel basis of the linear map given by `rows` (ncols unknowns),
     each row dense or a sparse {column: scalar} mapping.  The basis vectors
     are sparse and in reduced row-echelon form."""
-    pivots, _ = eliminate(_sparse(row) for row in rows)
+    pivots = eliminate(_sparse(row) for row in rows)
     one = CycloNum.one(order)
     kernel = []
     for f in range(ncols):
@@ -155,8 +150,7 @@ def nullspace(rows: Iterable[Row], ncols: int, order: int) -> list[Sparse]:
             if entry is not None:
                 vec[pc] = -entry
         kernel.append(vec)
-    basis, _ = eliminate(kernel)
-    return list(basis.values())
+    return list(eliminate(kernel).values())
 
 
 def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
@@ -191,17 +185,17 @@ def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
 class SpanSolver:
     """Express sparse vectors exactly in the span of a fixed list of them.
 
-    Precomputes one factorization so repeated membership queries against the
-    same span are cheap.  The spanning vectors may be dependent; coordinates
-    then live on the pivot vectors only.
+    The columns of B are the spanning vectors.  [B | I], one row per index of
+    their joint support, is brought to its reduced row-echelon form
+    E [B | I] = [R | E].  For v = B c, E v = R c: a pivot row whose pivot is
+    in the B part gives the coordinate at that pivot as its E part applied
+    to v, and a pivot row whose pivot is in the I part is zero on B, so its
+    E part must vanish on v.  The spanning vectors may be dependent;
+    coordinates then live on the pivot vectors only.
     """
 
     def __init__(self, vectors: Sequence[Mapping[int, CycloNum]]):
         self.count = len(vectors)
-        # columns of B are the spanning vectors; reduce [B | I] with pivots
-        # restricted to the B part, one row per index of their joint support.
-        # The I part of a pivot row gives one coordinate, and that of a
-        # leftover row is a consistency functional for membership queries.
         rows: dict[int, Sparse] = {}
         for k, vec in enumerate(vectors):
             for i, x in vec.items():
@@ -210,9 +204,13 @@ class SpanSolver:
         self._support = frozenset(rows)
         for i, row in rows.items():
             row[self.count + i] = CycloNum.one(next(iter(row.values())).order)
-        pivots, leftover = eliminate((rows[i] for i in sorted(rows)), pivot_limit=self.count)
-        self._solve_rows = {pc: self._functional(row) for pc, row in pivots.items()}
-        self._check_rows = [self._functional(row) for row in leftover]
+        pivots = eliminate(rows[i] for i in sorted(rows))
+        self._solve_rows = {
+            pc: self._functional(row) for pc, row in pivots.items() if pc < self.count
+        }
+        self._check_rows = [
+            self._functional(row) for pc, row in pivots.items() if pc >= self.count
+        ]
 
     def _functional(self, row: Sparse) -> Sparse:
         return {k - self.count: v for k, v in row.items() if k >= self.count}

@@ -16,6 +16,9 @@ window, the reference for the table-and-residue certificate of
 `descent._verify_untwist`, and `base_change_check` checks a grading degree by
 degree in a window.  `FractionCyclo` is Q(zeta_m) on Fraction coefficients,
 the reference for the integer numerators and one denominator of `CycloNum`.
+`kernel_affine_roots` decomposes each grading component by one nullspace per
+candidate weight, the reference for the weights `affine.affine_roots` reads
+off the closed-form grading.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from math import lcm
 from typing import Mapping, Sequence, Union
 
 from loopforms.acceptance import _grading_fixtures
+from loopforms.affine import AffineExtractError, AffineRoot, AffineRootData, FixedCartan
 from loopforms.algebra import (
     KIND_LIE,
     AutomorphismError,
@@ -40,10 +44,16 @@ from loopforms.algebra import (
     loop_element,
     ts_product,
 )
-from loopforms.chevalley import DiagramPermutation, ToralCharge, algebra_over, compose_pi_toral
+from loopforms.chevalley import (
+    DiagramPermutation,
+    RootSystem,
+    ToralCharge,
+    algebra_over,
+    compose_pi_toral,
+)
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
 from loopforms.descent import DescentError, build_matrix_algebra
-from loopforms.linalg import eliminate, rank
+from loopforms.linalg import SpanSolver, eliminate, nullspace, rank, sparse_add
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -138,8 +148,10 @@ def mat_inverse(mat: Matrix) -> Matrix:
         srow = {j: x for j, x in enumerate(row) if not x.is_zero()}
         srow[n + i] = one
         augmented.append(srow)
-    pivots, _ = eliminate(augmented, pivot_limit=n)
-    if len(pivots) != n:
+    # the reduced row-echelon form of [M | I] is [I | M^-1] exactly when its
+    # pivots are the columns 0..n-1
+    pivots = eliminate(augmented)
+    if list(pivots) != list(range(n)):
         raise ValueError("matrix is singular")
     zero = CycloNum.zero(order)
     return tuple(tuple(pivots[i].get(n + j, zero) for j in range(n)) for i in range(n))
@@ -233,6 +245,103 @@ def ordered_triple_validation(alg: MultTableAlgebra) -> ValidationReport:
                             Violation("associativity", (i, j, k), (labels[i], labels[j], labels[k]))
                         )
     return ValidationReport(alg.kind, n, triples, tuple(violations))
+
+
+# -- affine weights by candidate kernels ------------------------------------------
+
+
+def kernel_affine_roots(
+    alg: MultTableAlgebra,
+    rs: RootSystem,
+    grading: GradedDecomposition,
+    h0: FixedCartan,
+    window: int,
+) -> AffineRootData:
+    """The ad-h0 weight decomposition by elimination: the ad-h0 matrices of
+    every component, then one nullspace per candidate weight.
+
+    The candidates are the values of ad h0 on the root vectors (for a root
+    alpha, sum_{i in O} <alpha, alpha_i^vee> on the orbit sum b_O) and 0; the
+    kernels must exhaust each component.
+    """
+    m = grading.period
+    if window < m:
+        raise AffineExtractError(f"window {window} is smaller than the twist order {m}")
+    order = grading.scalar_order
+    rank_h0 = h0.rank
+    candidates = {
+        tuple(sum(rs.pairing(alpha, i) for i in orbit) for orbit in h0.orbits)
+        for alpha in rs.roots
+    }
+    candidates.add(tuple(0 for _ in h0.orbits))
+    per_residue: dict[int, list] = {}
+    for res in range(m):
+        component = grading.component_bases[res]
+        if not component:
+            per_residue[res] = []
+            continue
+        solver = SpanSolver(component)
+        c = len(component)
+        # ad_rows[k][i] is row i of ad(h0_k) on the component, {column: entry}
+        ad_rows: list[list[Sparse]] = []
+        for k in range(rank_h0):
+            rows_k: list[Sparse] = [{} for _ in range(c)]
+            for j, v in enumerate(component):
+                coords = solver.coords(alg.product_sparse(h0.basis[k], v))
+                if coords is None:
+                    raise AffineExtractError(f"component {res} is not stable under the fixed Cartan")
+                for i, x in coords.items():
+                    rows_k[i][j] = x
+            ad_rows.append(rows_k)
+        found = []
+        total = 0
+        for w in sorted(candidates):
+            rows = []
+            for k in range(rank_h0):
+                for i in range(c):
+                    row = dict(ad_rows[k][i])
+                    if w[k]:
+                        sparse_add(row, {i: CycloNum.rational(order, -w[k])})
+                    rows.append(row)
+            kernel = nullspace(rows, c, order)
+            if not kernel:
+                continue
+            lifted = []
+            for coeffs in kernel:
+                vec: Sparse = {}
+                for j, coeff in coeffs.items():
+                    sparse_add(vec, component[j], coeff)
+                lifted.append(vec)
+            found.append((w, tuple(lifted)))
+            total += len(kernel)
+        if total != c:
+            raise AffineExtractError(f"component {res} is not diagonalizable over the candidate weights")
+        per_residue[res] = found
+    reals: list[AffineRoot] = []
+    imaginary: list[AffineRoot] = []
+    spaces: dict = {}
+    for j in range(-window, window + 1):
+        for w, vectors in per_residue[j % m]:
+            spaces[(w, j)] = vectors
+            if any(w):
+                if len(vectors) != 1:
+                    raise AffineExtractError(f"real root {w} at degree {j} has multiplicity {len(vectors)}")
+                reals.append(AffineRoot(weight=w, degree=j, multiplicity=1))
+            elif j == 0:
+                if len(vectors) != rank_h0:
+                    raise AffineExtractError("zero-weight space at degree 0 exceeds the fixed Cartan")
+            else:
+                imaginary.append(AffineRoot(weight=w, degree=j, multiplicity=len(vectors)))
+    reals.sort(key=lambda r: (r.degree, r.weight))
+    imaginary.sort(key=lambda r: (r.degree, r.weight))
+    return AffineRootData(
+        h0=h0,
+        period=m,
+        window=window,
+        reals=tuple(reals),
+        imaginary=tuple(imaginary),
+        spaces=spaces,
+    )
 
 
 # -- windowed untwist oracle -------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
+from dense import kernel_affine_roots
 from loopforms import affine
+from loopforms.acceptance import _CATALOG_FIXTURES
 from loopforms.affine import (
     GCM,
     AffineExtractError,
@@ -18,7 +23,7 @@ from loopforms.affine import (
     match_affine_label,
     simple_affine_roots,
 )
-from loopforms.algebra import eigengrading
+from loopforms.algebra import ComponentSolver, eigengrading
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
@@ -29,24 +34,26 @@ from loopforms.chevalley import (
     root_system,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
+from loopforms.cyclo import CycloNum
+from loopforms.linalg import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
 
 
-def _pipeline(label, images, window=None):
+def _twist(label, perm=None, s=None, m=1):
+    """The algebra, root system, grading and fixed Cartan of L(pi o tau_s)."""
     rank = cartan_matrix(label).rank
-    perm = (
-        DiagramPermutation.identity(rank)
-        if images is None
-        else DiagramPermutation(images)
-    )
-    m = perm.order()
-    rs, alg = algebra_over(label, m)
-    charge = ToralCharge(s=tuple(0 for _ in range(rank)), modulus=1)
-    sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma)
-    h0 = fixed_cartan(alg, rs, perm)
-    data = affine_roots(alg, grading, h0, window if window is not None else m + 1)
+    perm = perm or DiagramPermutation.identity(rank)
+    charge = ToralCharge(s=s or (0,) * rank, modulus=m)
+    rs, alg = algebra_over(label, lcm(perm.order(), m))
+    grading = eigengrading(alg, compose_pi_toral(alg, rs, perm, charge))
+    return alg, rs, grading, fixed_cartan(alg, rs, perm)
+
+
+def _pipeline(label, images, window=None):
+    perm = None if images is None else DiagramPermutation(images)
+    alg, _, grading, h0 = _twist(label, perm)
+    data = affine_roots(alg, grading, h0, window if window is not None else grading.period + 1)
     return alg, data
 
 
@@ -58,7 +65,6 @@ def test_fixed_cartan_a2_flip():
     fc = fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
     assert fc.rank == 1
     assert fc.orbits == ((0, 1),)
-    assert fc.candidates == ((-2,), (-1,), (0,), (1,), (2,))
 
 
 def test_fixed_cartan_rejects_bad_permutation():
@@ -127,6 +133,109 @@ def test_base_a2_flip():
     assert [(r.weight, r.degree) for r in base] == [((1,), 0), ((-2,), 1)]
     cert = extract_gcm(alg, base, data)
     assert cert.gcm.entries == ((2, -4), (-1, 2))
+
+
+# toral charges whose simple roots sit at degrees past 1: (type, zero-based pi
+# or None, s, m, the label of L(pi))
+TORAL = (
+    ("A1", None, (1,), 5, "A1^(1)"),
+    ("A1", None, (2,), 5, "A1^(1)"),
+    ("A1", None, (3,), 5, "A1^(1)"),
+    ("A2", None, (0, 0), 2, "A2^(1)"),
+    ("A2", (1, 0), (2, 2), 5, "A2^(2)"),
+    ("D4", (3, 1, 0, 2), (1, 3, 1, 1), 5, "D4^(3)"),
+)
+
+
+def _toral_id(case):
+    label, images, s, m, _ = case
+    return f"{label} pi={images} s={s} m={m}"
+
+
+@pytest.mark.parametrize("case", TORAL, ids=_toral_id)
+def test_toral_twist_has_the_label_of_its_diagram_part(case):
+    # the label of L(pi o tau_s) is the label of L(pi); the base reaches
+    # degrees up to deg delta, not only 0 and 1
+    label, images, s, m, want = case
+    perm = None if images is None else DiagramPermutation(images)
+    composed = affine_certificate(label, perm=perm, charge=ToralCharge(s=s, modulus=m))
+    plain = affine_certificate(label, perm=perm)
+    assert str(composed.label) == str(plain.label) == want
+    assert max(r.degree for r in composed.certificate.base) > 1
+
+
+# the twists of the benchmark's identify workload: (type, pi, s, m)
+_POOL_TWISTS = (
+    ("A2", DiagramPermutation((1, 0)), None, 1),
+    ("A2", DiagramPermutation((1, 0)), (1, 1), 2),
+    ("A2", DiagramPermutation((1, 0)), (1, 1), 4),
+    ("A2", DiagramPermutation((1, 0)), (3, 3), 4),
+    ("A3", DiagramPermutation((2, 1, 0)), None, 1),
+    ("D4", DiagramPermutation.from_one_based((4, 2, 1, 3)), None, 1),
+    ("D4", DiagramPermutation.from_one_based((3, 2, 1, 4)), None, 1),
+    ("D4", DiagramPermutation.from_one_based((4, 2, 3, 1)), None, 1),
+)
+
+_DIFFERENTIAL = (
+    tuple((label, perm, None, 1) for label, perm in _CATALOG_FIXTURES)
+    + _POOL_TWISTS
+    + tuple(
+        (label, None if images is None else DiagramPermutation(images), s, m)
+        for label, images, s, m, _ in TORAL
+    )
+)
+
+
+def _twist_id(case):
+    label, perm, s, m = case
+    return f"{label} pi={None if perm is None else perm.images} s={s} m={m}"
+
+
+@pytest.mark.parametrize("case", _DIFFERENTIAL, ids=_twist_id)
+def test_weights_read_off_the_grading_equal_candidate_kernels(case):
+    alg, rs, grading, h0 = _twist(*case)
+    window = grading.period + 1
+    fast = affine_roots(alg, grading, h0, window)
+    slow = kernel_affine_roots(alg, rs, grading, h0, window)
+    assert fast.reals == slow.reals
+    assert fast.imaginary == slow.imaginary
+    assert fast.spaces == slow.spaces
+
+
+@pytest.mark.parametrize("fixture", _CATALOG_FIXTURES, ids=lambda f: _twist_id((*f, None, 1)))
+def test_fixed_cartan_solver_equals_span_solver(fixture):
+    # the coroot coordinates of every [e, f], read on the orbit sums and
+    # solved by elimination
+    alg, _, grading, h0 = _twist(*fixture)
+    data = affine_roots(alg, grading, h0, grading.period + 1)
+    fast, slow = ComponentSolver(h0.basis), SpanSolver(h0.basis)
+    for root in data.reals:
+        if not 0 <= root.degree < grading.period:
+            continue
+        (e,) = data.spaces[(root.weight, root.degree)]
+        (f,) = data.spaces[(tuple(-x for x in root.weight), -root.degree)]
+        ef = alg.product_sparse(e, f)
+        assert fast.coords(ef) is not None
+        assert fast.coords(ef) == slow.coords(ef)
+        assert fast.coords(e) is None and slow.coords(e) is None
+
+
+def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
+    alg, rs, grading, h0 = _twist("A2")
+    # h_1 plus one root vector: ad of it moves the Cartan vectors into e_alpha
+    tampered = dict(h0.basis[0])
+    tampered[rs.rank] = CycloNum.one(alg.scalar_order)
+    h0 = replace(h0, basis=(tampered,) + h0.basis[1:])
+    with pytest.raises(AffineExtractError, match="not diagonal under the fixed Cartan"):
+        affine_roots(alg, grading, h0, grading.period + 1)
+
+
+def test_affine_roots_rejects_non_integral_weights():
+    alg, _, grading, h0 = _twist("A2")
+    half = CycloNum.rational(alg.scalar_order, Fraction(1, 2))
+    h0 = replace(h0, basis=tuple({i: half * x for i, x in b.items()} for b in h0.basis))
+    with pytest.raises(AffineExtractError, match="not a rational integer"):
+        affine_roots(alg, grading, h0, grading.period + 1)
 
 
 # -- GCM axioms ------------------------------------------------------------------

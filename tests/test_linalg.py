@@ -38,9 +38,7 @@ def _random_matrix(rng, rows, cols, order):
 def test_rref_rank_one_fixture():
     # zero rows are dropped; only the reduced nonzero rows come back
     mat = [{0: q(1), 1: q(2)}, {0: q(2), 1: q(4)}]
-    pivots, leftover = eliminate(mat)
-    assert pivots == {0: {0: q(1), 1: q(2)}}
-    assert leftover == []
+    assert eliminate(mat) == {0: {0: q(1), 1: q(2)}}
 
 
 def test_nullspace_hand_fixture():
@@ -161,12 +159,11 @@ def test_eliminate_is_canonical(order, seed):
     for _ in range(15):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
         rows = _random_sparse_rows(rng, nrows, ncols, order)
-        pivots, leftover = eliminate(rows)
-        assert leftover == []
+        pivots = eliminate(rows)
         for _ in range(3):
             shuffled = [dict(row) for row in rows]
             rng.shuffle(shuffled)
-            again, _ = eliminate(shuffled)
+            again = eliminate(shuffled)
             assert again == pivots
             assert list(again) == list(pivots)
         for col, row in pivots.items():
@@ -184,15 +181,6 @@ def test_eliminate_is_canonical(order, seed):
             assert {k: v for k, v in rebuilt.items() if not v.is_zero()} == row
 
 
-def test_eliminate_pivot_limit_leaves_rows_past_the_limit():
-    rng = random.Random(5)
-    rows = _random_sparse_rows(rng, 6, 7, 3)
-    pivots, leftover = eliminate(rows, pivot_limit=3)
-    assert all(col < 3 for col in pivots)
-    assert all(leftover) and all(min(row) >= 3 for row in leftover)
-    assert len(pivots) == _reference_rank([{c: v for c, v in r.items() if c < 3} for r in rows], 3, 3)
-
-
 def test_span_solver_with_dependent_spanning_set():
     v1 = (q(1, 3), q(0, 3), zeta_power(3, 1), q(2, 3))
     v2 = (q(0, 3), q(1, 3), q(1, 3), q(0, 3))
@@ -205,6 +193,31 @@ def test_span_solver_with_dependent_spanning_set():
     assert densify(solver.coords(sparsify(v)), 4, 3) == (c0, c1, q(0, 3), q(0, 3))
     assert not solver.contains({3: q(1, 3)})
     assert solver.coords({}) == {}
+
+
+@pytest.mark.parametrize("order, seed", [(3, 41), (4, 42)])
+def test_span_solver_membership_is_a_rank_test(order, seed):
+    # v is in the span exactly when adding it keeps the rank, and the
+    # coordinates rebuild v
+    rng = random.Random(seed)
+    for _ in range(15):
+        spanning = _random_sparse_rows(rng, rng.randint(1, 4), 6, order)
+        solver = SpanSolver(spanning)
+        combo = {}
+        for vec in spanning:
+            c = q(rng.randint(-2, 2), order)
+            for k, x in vec.items():
+                combo[k] = combo.get(k, q(0, order)) + c * x
+        for v in (_random_sparse_rows(rng, 1, 6, order)[0], combo):
+            v = {k: x for k, x in v.items() if not x.is_zero()}
+            coords = solver.coords(v)
+            assert (coords is not None) == (rank([*spanning, v]) == rank(spanning))
+            if coords is not None:
+                rebuilt = {}
+                for i, c in coords.items():
+                    for k, x in spanning[i].items():
+                        rebuilt[k] = rebuilt.get(k, q(0, order)) + c * x
+                assert {k: x for k, x in rebuilt.items() if not x.is_zero()} == v
 
 
 def test_mat_inverse_refuses_singular_matrix():
