@@ -36,7 +36,7 @@ from .chevalley import (
     algebra_over,
     cartan_matrix,
     compose_pi_toral,
-    root_system,
+    highest_root,
 )
 from .cyclo import CycloNum
 from .linalg import Sparse, int_rank_det
@@ -59,6 +59,7 @@ __all__ = [
     "fixed_cartan",
     "gcm_equivalent",
     "gcm_invariant",
+    "graded_twist",
     "match_affine_label",
     "simple_affine_roots",
 ]
@@ -454,27 +455,32 @@ def gcm_equivalent(a: GCM, b: GCM) -> Optional[tuple[int, ...]]:
 def bordered_untwisted(type_label: str) -> GCM:
     """The GCM of X^(1): the Cartan matrix of X with the node delta - theta first.
 
-    theta is the highest root; its coroot is sum_i theta_i d_i / d_theta
-    alpha_i^vee for the symmetrizer d (d_i A_ij = d_j A_ji) and
-    d_theta = (1/2) sum_ij theta_i theta_j d_i A_ij.  Row 0 is then
-    (2, -<alpha_j, theta^vee>) and column 0 is -<theta, alpha_i^vee>
-    (Kac, Infinite-Dimensional Lie Algebras, Ch. 4 and Table Aff 1).
+    theta is the highest root (`chevalley.highest_root`).  With the integer
+    symmetrizer d (d_i A_ij = d_j A_ji), (theta, alpha_j) is
+    N_j = sum_i theta_i d_i A_ij and (theta, theta) is sum_k theta_k N_k.
+    Row 0 is then (2, -2 N_j / (theta, theta)), which is
+    -<alpha_j, theta^vee>, and column 0 is -<theta, alpha_i^vee>
+    = -sum_k A_ik theta_k (Kac, Infinite-Dimensional Lie Algebras, Ch. 4 and
+    Table Aff 1).  Everything is an integer; a division that leaves a
+    remainder raises.
     """
     cartan = cartan_matrix(type_label)
     a = cartan.entries
     n = cartan.rank
     d = _symmetrizers(cartan)
-    theta = root_system(cartan).positives[-1]
-    d_theta = sum(theta[i] * theta[j] * d[i] * a[i][j] for i in range(n) for j in range(n)) / 2
-    theta_vee = [theta[i] * d[i] / d_theta for i in range(n)]
-    top = [Fraction(2)] + [-sum(theta_vee[i] * a[i][j] for i in range(n)) for j in range(n)]
-    rows = [top] + [
-        [Fraction(-sum(a[i][k] * theta[k] for k in range(n)))] + [Fraction(x) for x in a[i]]
-        for i in range(n)
+    theta = highest_root(cartan)
+    pairings = [sum(theta[i] * d[i] * a[i][j] for i in range(n)) for j in range(n)]
+    norm = sum(t * p for t, p in zip(theta, pairings))
+    top = [2]
+    for p in pairings:
+        quo, rem = divmod(-2 * p, norm)
+        if rem:
+            raise AffineExtractError(f"bordered matrix of {type_label} is not integral")
+        top.append(quo)
+    rows = [tuple(top)] + [
+        (-sum(a[i][k] * theta[k] for k in range(n)),) + a[i] for i in range(n)
     ]
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise AffineExtractError(f"bordered matrix of {type_label} is not integral")
-    return GCM(entries=tuple(tuple(int(x) for x in row) for row in rows))
+    return GCM(entries=tuple(rows))
 
 
 def _a_even_twisted(l: int) -> GCM:
@@ -553,6 +559,9 @@ def affine_catalog() -> AffineCatalog:
     """One entry per type in TYPE_LABELS and per twist order of its diagram
     classes, from Kac's tables; entries pairwise non-equivalent.
 
+    Everything is integer arithmetic on the Cartan matrices: no root system
+    is built (`bordered_untwisted` finds theta by reflection) and no
+    rational number is formed, so the whole catalog costs about 0.01 s.
     The data is not trusted on its own: every GCM passes the affine axioms
     here, and the extractor certifies entries against loop algebras in the
     tests and in acceptance criterion 7.
@@ -613,18 +622,30 @@ def _trivial_charge(rank: int) -> ToralCharge:
 
 
 @lru_cache(maxsize=None)
+def graded_twist(
+    type_label: str, perm: DiagramPermutation, charge: ToralCharge
+) -> tuple[RootSystem, MultTableAlgebra, GradedDecomposition]:
+    """L(pi o tau_s): the algebra over Q(zeta_m), m = lcm(|pi|, modulus), and
+    the eigengrading of the checked twist, built once per process.
+
+    Extraction and the centroid check of `classify.k_vs_r_classes` share it,
+    and with it the generating set the centroid keeps on the grading.
+    """
+    from math import lcm
+
+    rs, alg = algebra_over(type_label, lcm(perm.order(), charge.modulus))
+    return rs, alg, eigengrading(alg, compose_pi_toral(alg, rs, perm, charge))
+
+
+@lru_cache(maxsize=None)
 def _extract_inner(
     type_label: str,
     perm: DiagramPermutation,
     charge: ToralCharge,
     window: Optional[int],
 ) -> tuple[int, tuple[int, ...], GCMCertificate]:
-    from math import lcm
-
-    period = lcm(perm.order(), charge.modulus)
-    rs, alg = algebra_over(type_label, period)
-    sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma)
+    rs, alg, grading = graded_twist(type_label, perm, charge)
+    period = grading.period
     h0 = fixed_cartan(alg, rs, perm)
     data = affine_roots(alg, grading, h0, window if window is not None else period + 1)
     base = simple_affine_roots(data)

@@ -33,7 +33,7 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, zeta_power
-from .linalg import Sparse, eliminate, rank, sparse_add
+from .linalg import Echelon, Sparse, eliminate, rank, sparse_add
 
 __all__ = [
     "AlgebraError",
@@ -503,13 +503,18 @@ def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
     constants = tuple(
         (i, j, tuple((k, c.embed(n)) for k, c in entry)) for i, j, entry in alg.constants
     )
-    return MultTableAlgebra(
+    out = MultTableAlgebra(
         dim=alg.dim,
         scalar_order=n,
         kind=alg.kind,
         constants=constants,
         basis_labels=alg.basis_labels,
     )
+    if "validation" in alg.__dict__:
+        # the embedding of scalar fields is an injective ring map, so a law
+        # holds on a basis triple after it exactly when it held before
+        out.__dict__["validation"] = alg.validation
+    return out
 
 
 # -- eigenspace grading -------------------------------------------------------
@@ -596,6 +601,7 @@ class GradedDecomposition:
     dim: int
     component_bases: tuple[tuple[Sparse, ...], ...]
     _solvers: dict = field(default_factory=dict, compare=False, repr=False)
+    _generators: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -819,109 +825,227 @@ def _identity_in_span(report: CentroidReport) -> bool:
     return rank([*report.basis, ident]) == len(report.basis)
 
 
+class _Generators:
+    """A generating set G of a graded algebra, certified by closure, and the
+    multiplications by it; built once per grading and shared by every shift
+    of the centroid.
+
+    A homogeneous basis vector is named (residue, index in its component),
+    and a homogeneous vector is kept in component coordinates.  The scan,
+    over `scan` when given and otherwise over every homogeneous basis vector
+    in residue order, keeps a vector only when it lies outside the
+    subalgebra generated by the vectors kept so far.  That subalgebra is the closure of span(G)
+    under L_g for g in G: right-nested brackets [g_1, [g_2, ... g_k]] for a
+    Lie table, words g_1 g_2 ... g_k for an associative one.  Its span is an
+    `Echelon` in flat coordinates, grown one product at a time: each g has a
+    pointer into the list of vectors added to the closure, and a product
+    L_g w is formed once for each pair.  A closure short of the whole
+    algebra raises AlgebraError, and so does a table that fails its own
+    laws, on which the closure need not be the generated subalgebra.
+
+    `left[g]` holds the coordinates of g * e for every homogeneous basis
+    vector e, in the order of `hom`, and `right[g]` those of e * g for an
+    associative table.
+    """
+
+    def __init__(
+        self,
+        alg: MultTableAlgebra,
+        grading: GradedDecomposition,
+        scan: Optional[Sequence[tuple[int, int]]] = None,
+    ):
+        report = alg.validation
+        if not report.ok:
+            raise AlgebraError(f"the table fails its {alg.kind} laws: {report.violations[0]}")
+        self.alg = alg
+        self.grading = grading
+        m = grading.period
+        dims = grading.dims
+        self.hom = [(res, t) for res in range(m) for t in range(dims[res])]
+        self.offsets = [sum(dims[:res]) for res in range(m)]
+        self.left: dict[tuple[int, int], list[Sparse]] = {}
+        self.right: dict[tuple[int, int], list[Sparse]] = {}
+        one = CycloNum.one(alg.scalar_order)
+        closure = Echelon()
+        spanning: list[tuple[int, Sparse]] = []  # (residue, coordinates)
+        applied: list[int] = []
+        gens: list[tuple[int, int]] = []
+        for x in self.hom if scan is None else scan:
+            if len(closure) == grading.dim:
+                break
+            if not closure.add({self.offsets[x[0]] + x[1]: one}):
+                continue
+            gens.append(x)
+            self.left[x] = [self.product(x, y) for y in self.hom]
+            spanning.append((x[0], {x[1]: one}))
+            applied.append(0)
+            grown = True
+            while grown and len(closure) < grading.dim:
+                grown = False
+                for k, g in enumerate(gens):
+                    while applied[k] < len(spanning):
+                        res, w = spanning[applied[k]]
+                        applied[k] += 1
+                        v = self.apply(self.left[g], res, w)
+                        tgt = (res + g[0]) % m
+                        if closure.add({self.offsets[tgt] + t: c for t, c in v.items()}):
+                            spanning.append((tgt, v))
+                            grown = True
+        if len(closure) != grading.dim:
+            raise AlgebraError(
+                f"the generating set spans a subalgebra of dimension {len(closure)}, "
+                f"not {grading.dim}"
+            )
+        self.gens = tuple(gens)
+        if alg.kind == KIND_ASSOCIATIVE:
+            for g in gens:
+                self.right[g] = [self.product(y, g) for y in self.hom]
+        self._signatures: Optional[list[list[tuple]]] = None
+
+    def product(self, x: tuple[int, int], y: tuple[int, int]) -> Sparse:
+        """Coordinates of the product of two homogeneous basis vectors."""
+        comps = self.grading.component_bases
+        vec = self.alg.product_sparse(comps[x[0]][x[1]], comps[y[0]][y[1]])
+        coords = self.grading.component_solver(x[0] + y[0]).coords(vec)
+        if coords is None:
+            raise GradingError("product rule violated while building centroid system")
+        return coords
+
+    def apply(self, products: list[Sparse], res: int, w: Sparse) -> Sparse:
+        """The multiplication whose products with the basis are `products`,
+        applied to the vector of component res with coordinates w."""
+        out: Sparse = {}
+        for t, c in w.items():
+            sparse_add(out, products[self.offsets[res] + t], c)
+        return out
+
+    def signatures(self) -> list[list[tuple]]:
+        """For each homogeneous basis vector, its eigenvalues under the
+        degree-zero basis vectors that multiply diagonally.
+
+        A multiplier z is diagonal when z * e (and e * z for an associative
+        table) is a multiple of e for every homogeneous basis vector e; its
+        products are formed one at a time and the first one off the diagonal
+        ends the test.  For a Lie table e * z = -(z * e), so the right
+        side adds nothing.  A centroid transformation commutes with L_z, so
+        its entry from e_s to e_r is zero unless the two signatures agree.
+        """
+        if self._signatures is not None:
+            return self._signatures
+        zero = CycloNum.zero(self.alg.scalar_order)
+        sides = [(self.left, False)]
+        if self.alg.kind == KIND_ASSOCIATIVE:
+            sides.append((self.right, True))
+        tables: list[list[CycloNum]] = []
+        for t in range(self.grading.dims[0]):
+            z = (0, t)
+            for known, on_right in sides:
+                products = known.get(z)
+                lams = []
+                for k, e in enumerate(self.hom):
+                    if products is not None:
+                        coords = products[k]
+                    else:
+                        coords = self.product(e, z) if on_right else self.product(z, e)
+                    if any(key != e[1] for key in coords):
+                        break
+                    lams.append(coords.get(e[1], zero))
+                else:
+                    tables.append(lams)
+        flat = list(zip(*tables)) if tables else [()] * len(self.hom)
+        self._signatures = [
+            flat[self.offsets[res]:self.offsets[res] + dim]
+            for res, dim in enumerate(self.grading.dims)
+        ]
+        return self._signatures
+
+
+def _generators(alg: MultTableAlgebra, grading: GradedDecomposition) -> _Generators:
+    """The generating set of this grading, built on first use and kept on it."""
+    cached = grading._generators.get(id(alg))
+    if cached is None or cached.alg is not alg:
+        cached = _Generators(alg, grading)
+        grading._generators[id(alg)] = cached
+    return cached
+
+
 def centroid_graded(
     alg: MultTableAlgebra, grading: GradedDecomposition, shift_residue: int
 ) -> CentroidReport:
     """Solve for residue-level families c_i: A_i -> A_{i+shift} with
-    c(xy) = (cx)y = x(cy) on all homogeneous basis pairs.
+    c(xy) = (cx)y = x(cy) for all x and y.
+
+    It is enough to impose c(g y) = g (c y) for g in a generating set G and
+    every homogeneous basis vector y, and for an associative table also
+    c(y g) = (c y) g (Benkart and Neher, The centroid of extended affine and
+    root graded Lie algebras, JPAA 205 (2006)): the g whose L_g (and R_g)
+    commute with c form a subalgebra, because L_[x,y] = [L_x, L_y] by
+    Jacobi and L_xy = L_x L_y, R_xy = R_y R_x by associativity, and for a
+    Lie table R_g = -L_g and (cx)y = -c(yx) = c(xy).  So the table must pass
+    its validation first, or AlgebraError is raised.  G, its closure and its
+    products are built once per grading (`_Generators`).
 
     The system is cut down first by every degree-zero basis element that
     multiplies diagonally (Cartan-type elements), which pins most unknowns to
-    zero; the surviving sparse equations are then eliminated exactly.
+    zero; each surviving equation is built by walking the sparse coordinates
+    of the products, and the equations are eliminated exactly.  The solution
+    space is the centroid whatever equations cut it out, and its reduced
+    row-echelon basis is unique, so the report does not depend on G.
     """
+    gens = _generators(alg, grading)
     m = grading.period
     d = shift_residue % m
     order = alg.scalar_order
-    comps = grading.component_bases
-    dims = [len(c) for c in comps]
-    solvers = [grading.component_solver(i) for i in range(m)]
+    dims = grading.dims
 
-    # unknown u[(res, r, s)] = entry of c_res in row r (target coord), col s
-    index_of: dict[tuple[int, int, int], int] = {}
-    unknowns: list[tuple[int, int, int]] = []
+    # unknown u(res, r, s) = entry of c_res in row r (target coord), col s,
+    # numbered as CentroidReport.entry_index does
+    base = [0] * m
+    for res in range(1, m):
+        base[res] = base[res - 1] + dims[(res - 1 + d) % m] * dims[res - 1]
+
+    # phase 1: u(res, r, s) survives when e_r and e_s share their signature
+    sigs = gens.signatures()
+    rows_of: list[dict[tuple, list[int]]] = []
     for res in range(m):
-        for r in range(dims[(res + d) % m]):
-            for s in range(dims[res]):
-                index_of[(res, r, s)] = len(unknowns)
-                unknowns.append((res, r, s))
-    total = len(unknowns)
+        groups: dict[tuple, list[int]] = {}
+        for r, sig in enumerate(sigs[res]):
+            groups.setdefault(sig, []).append(r)
+        rows_of.append(groups)
+    alive_rows = [
+        [rows_of[(res + d) % m].get(sig, []) for sig in sigs[res]] for res in range(m)
+    ]
 
-    # sparse coordinates of products of homogeneous basis vectors
-    hom = [(res, t) for res in range(m) for t in range(dims[res])]
-    prod_coords: dict[tuple[int, int, int, int], Sparse] = {}
-    for (ri, ti) in hom:
-        for (rj, tj) in hom:
-            vec = alg.product_sparse(comps[ri][ti], comps[rj][tj])
-            coords = solvers[(ri + rj) % m].coords(vec)
-            if coords is None:
-                raise GradingError("product rule violated while building centroid system")
-            prod_coords[(ri, ti, rj, tj)] = coords
-
-    # phase 1: diagonal degree-zero multipliers kill unknowns coordinate-wise
-    alive = [True] * total
-    zero = CycloNum.zero(order)
-
-    def diagonal_eigenvalues(zres: int, zt: int, side: str) -> Optional[list[list[CycloNum]]]:
-        eigen: list[list[CycloNum]] = []
-        for res in range(m):
-            lams = []
-            for s in range(dims[res]):
-                key = (zres, zt, res, s) if side == "left" else (res, s, zres, zt)
-                coords = prod_coords[key]
-                if any(k != s for k in coords):
-                    return None
-                lams.append(coords.get(s, zero))
-            eigen.append(lams)
-        return eigen
-
-    for zt in range(dims[0]):
-        for side in ("left", "right"):
-            eigen = diagonal_eigenvalues(0, zt, side)
-            if eigen is None:
-                continue
-            for res in range(m):
-                tgt = (res + d) % m
-                for r in range(dims[tgt]):
-                    for s in range(dims[res]):
-                        idx = index_of[(res, r, s)]
-                        if alive[idx] and eigen[res][s] != eigen[tgt][r]:
-                            alive[idx] = False
-
-    # phase 2: all remaining equations, sparse exact elimination
+    # phase 2: c(g y) - g (c y), and c(y g) - (c y) g, row by row
     rows: set[tuple[tuple[int, CycloNum], ...]] = set()
-
-    def add_row(entries: Sparse) -> None:
-        entries = {k: v for k, v in entries.items() if alive[k]}
-        if not entries:
-            return
-        lead = min(entries)
-        inv = entries[lead].inverse()
-        rows.add(tuple(sorted((k, inv * v) for k, v in entries.items())))
-
-    for (jres, t) in hom:  # x runs over homogeneous basis vectors
-        for (ires, s) in hom:  # y likewise
-            w = prod_coords[(jres, t, ires, s)]  # coords of x*y in comp (i+j)
-            tgt_res = (ires + jres) % m
-            out_dim = dims[(tgt_res + d) % m]
-            # condition A: c(x*y) = x * (c y)
-            for rho in range(out_dim):
-                entries: Sparse = {index_of[(tgt_res, rho, sig)]: wc for sig, wc in w.items()}
-                for r in range(dims[(ires + d) % m]):
-                    coeff = prod_coords[(jres, t, (ires + d) % m, r)].get(rho)
-                    if coeff is not None:
-                        sparse_add(entries, {index_of[(ires, r, s)]: -coeff})
-                add_row(entries)
-            # condition B: c(x*y) = (c x) * y
-            for rho in range(out_dim):
-                entries = {index_of[(tgt_res, rho, sig)]: wc for sig, wc in w.items()}
-                for r in range(dims[(jres + d) % m]):
-                    coeff = prod_coords[((jres + d) % m, r, ires, s)].get(rho)
-                    if coeff is not None:
-                        sparse_add(entries, {index_of[(jres, r, t)]: -coeff})
-                add_row(entries)
+    sides = [gens.left] + ([gens.right] if alg.kind == KIND_ASSOCIATIVE else [])
+    for g in gens.gens:
+        for products in (side[g] for side in sides):
+            for k, (ires, s) in enumerate(gens.hom):
+                tgt = (ires + g[0]) % m
+                src = (ires + d) % m
+                out: dict[int, Sparse] = {}
+                for sig, wc in products[k].items():
+                    for rho in alive_rows[tgt][sig]:
+                        out.setdefault(rho, {})[base[tgt] + rho * dims[tgt] + sig] = wc
+                for r in alive_rows[ires][s]:
+                    col = base[ires] + r * dims[ires] + s
+                    for rho, coeff in products[gens.offsets[src] + r].items():
+                        sparse_add(out.setdefault(rho, {}), {col: -coeff})
+                for entries in out.values():
+                    if entries:
+                        lead = min(entries)
+                        inv = entries[lead].inverse()
+                        rows.add(tuple(sorted((c, inv * v) for c, v in entries.items())))
 
     pivots = eliminate(dict(row_t) for row_t in rows)
-    free = [i for i in range(total) if alive[i] and i not in pivots]
+    alive = sorted(
+        base[res] + r * dims[res] + s
+        for res in range(m)
+        for s, targets in enumerate(alive_rows[res])
+        for r in targets
+    )
+    free = [i for i in alive if i not in pivots]
     families = []
     for f in free:
         sol = {f: CycloNum.one(order)}

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 from .algebra import (
     FiniteOrderAutomorphism,
@@ -53,6 +53,7 @@ __all__ = [
     "compose_pi_toral",
     "diagram_and_composition",
     "diagram_automorphism",
+    "highest_root",
     "root_system",
     "standard_algebra",
     "toral_automorphism",
@@ -224,24 +225,67 @@ def root_system(cartan: FiniteCartanMatrix) -> RootSystem:
     return RootSystem(cartan=cartan, positives=tuple(positives))
 
 
-def _symmetrizers(cartan: FiniteCartanMatrix) -> tuple[Fraction, ...]:
-    """d_i with d_i A_ij = d_j A_ji, normalized to d_min = 1 per component."""
+def _symmetrizers(cartan: FiniteCartanMatrix) -> tuple[int, ...]:
+    """The smallest positive integers d_i with d_i A_ij = d_j A_ji.
+
+    (alpha_i, alpha_j) = d_i A_ij is then the invariant form, so d_i is half
+    the squared length of alpha_i.  The values are propagated along the
+    edges of each connected component, which is rescaled whenever a ratio
+    does not divide, and then divided by its gcd.
+    """
+    a = cartan.entries
     l = cartan.rank
-    d: list[Optional[Fraction]] = [None] * l
+    d = [0] * l
     for start in range(l):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
+        d[start] = 1
+        component = [start]
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(l):
-                if i != j and cartan.entries[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan.entries[i][j], cartan.entries[j][i])
-                    stack.append(j)
-    if any(x is None for x in d):
-        raise LieConstructError("symmetrizer left a node without a value")
-    return tuple(x for x in d)  # type: ignore[misc]
+                if i == j or not a[i][j] or d[j]:
+                    continue
+                num, den = d[i] * a[i][j], a[j][i]
+                if num % den:
+                    scale = abs(den) // gcd(num, den)
+                    for k in component:
+                        d[k] *= scale
+                    num *= scale
+                d[j] = num // den
+                component.append(j)
+                stack.append(j)
+        common = gcd(*(d[k] for k in component))
+        for k in component:
+            d[k] //= common
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(l) for j in range(l)):
+        raise LieConstructError("Cartan matrix is not symmetrizable")
+    return tuple(d)
+
+
+def highest_root(cartan: FiniteCartanMatrix) -> Root:
+    """The highest root theta of an irreducible Cartan matrix, by reflection.
+
+    Start at a long simple root (the first with the largest symmetrizer) and,
+    while some <beta, alpha_j^vee> = sum_k A_jk beta_k is negative, replace
+    beta by s_j(beta), which raises its height.  The walk stays in the Weyl
+    orbit of the long roots and ends at a dominant root, and the only
+    dominant long root is theta (Bourbaki, Lie VI, 1.8).
+    """
+    a = cartan.entries
+    l = cartan.rank
+    d = _symmetrizers(cartan)
+    beta = [0] * l
+    beta[d.index(max(d))] = 1
+    while True:
+        for j in range(l):
+            pairing = sum(a[j][k] * beta[k] for k in range(l))
+            if pairing < 0:
+                beta[j] -= pairing
+                break
+        else:
+            return tuple(beta)
 
 
 # -- structure constants --------------------------------------------------------
@@ -258,17 +302,15 @@ def _integral(num: int, den: int, what: str) -> int:
 class _Constants:
     """Chevalley structure constants N_{alpha,beta} for one root system.
 
-    The constants are integers, and the norms enter only through ratios, so
-    the symmetrizers are scaled to integers and everything here is integral.
+    The constants are integers, and so are the symmetrizers, so everything
+    here is integral.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.root_set = rs.root_set()
         cartan = rs.cartan
-        d = _symmetrizers(cartan)
-        scale = lcm(*(x.denominator for x in d))
-        self._d = [int(x * scale) for x in d]
+        self._d = _symmetrizers(cartan)
         bil = [[self._d[i] * cartan.entries[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
         self._bil = bil
         self._norm_cache: dict[Root, int] = {}

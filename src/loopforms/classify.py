@@ -15,18 +15,11 @@ exhaustive and the centroid dimensions are recomputed per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
-from .affine import AffineLabel, affine_certificate
-from .algebra import centroid_graded, eigengrading
-from .chevalley import (
-    DiagramPermutation,
-    FiniteCartanMatrix,
-    algebra_over,
-    cartan_matrix,
-    diagram_automorphism,
-)
+from .affine import AffineLabel, affine_certificate, graded_twist
+from .algebra import centroid_graded
+from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge, cartan_matrix
 
 __all__ = [
     "ClassificationRow",
@@ -89,14 +82,31 @@ class OutGroup:
 
 
 def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
-    """All permutations of the nodes preserving the Cartan matrix."""
+    """All permutations of the nodes preserving the Cartan matrix.
+
+    The images are assigned node by node, and a partial assignment is
+    dropped as soon as an entry between two assigned nodes is not preserved,
+    so only the few permutations that survive every prefix are formed.
+    `OutGroup` checks each one against the whole matrix again.
+    """
     if cartan.rank > 9:
         raise ClassifyError("rank above the brute-force budget")
-    found = [
-        DiagramPermutation(images)
-        for images in permutations(range(cartan.rank))
-        if DiagramPermutation(images).preserves(cartan)
-    ]
+    a = cartan.entries
+    n = cartan.rank
+    found: list[DiagramPermutation] = []
+
+    def extend(images: list[int]) -> None:
+        i = len(images)
+        if i == n:
+            found.append(DiagramPermutation(tuple(images)))
+            return
+        for c in range(n):
+            if c in images:
+                continue
+            if all(a[p][c] == a[j][i] and a[c][p] == a[i][j] for j, p in enumerate(images)):
+                extend(images + [c])
+
+    extend([])
     found.sort(key=lambda g: g.images)
     return OutGroup(elements=tuple(found), cartan=cartan)
 
@@ -304,11 +314,11 @@ def k_vs_r_classes(type_label: str, check_centroid: bool = True) -> KvsRReport:
     centroid_ok = True
     if check_centroid:
         table = conjugacy_classes(group)
+        untwisted = ToralCharge(s=(0,) * cartan.rank, modulus=1)
         for rep, _ in table.classes:
-            period = rep.order()
-            rs, alg = algebra_over(type_label, period)
-            sigma = diagram_automorphism(alg, rs, rep)
-            grading = eigengrading(alg, sigma)
+            # the grading of L(pi) that classification_table extracts from
+            _, alg, grading = graded_twist(type_label, rep, untwisted)
+            period = grading.period
             dims = tuple(
                 centroid_graded(alg, grading, shift).solution_dim
                 for shift in range(period)

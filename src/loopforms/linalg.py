@@ -5,8 +5,9 @@ its support is its key set.  Dense tuples appear only where a report is
 serialized.  `nullspace` and `rank` also accept dense rows; only the
 benchmark's `perfbench/micro.py` and the tests' dense oracles pass them.
 
-Every elimination goes through one sparse Gauss-Jordan routine, `eliminate`.
-Its output does not depend on the order of the input rows or of the work
+Every elimination goes through one sparse Gauss-Jordan routine: `Echelon`,
+the reduced row-echelon form grown one row at a time, and `eliminate`, which
+feeds it a list of rows.  Its output does not depend on the order of the input rows or of the work
 inside, because the reduced row-echelon form of a matrix is unique.  The
 pivot columns are the columns at which the rank of the leading columns goes
 up, which the row space alone fixes, and the row space has exactly one basis
@@ -19,18 +20,21 @@ The package tests span membership without a general solver: the spans it
 asks about are written down in closed form (the grading components and the
 fixed Cartan, whose coordinates `algebra.ComponentSolver` reads and
 confirms), or are independent families, where membership is a rank test.
-`SpanSolver`, membership by elimination, has no caller in the package; it is
+The one span that grows, the subalgebra generated by a set of homogeneous
+basis vectors (the centroid's generating set), is an `Echelon` whose `reduce`
+answers membership.  `SpanSolver`, membership by elimination, has no caller in the package; it is
 the reference the tests compare `ComponentSolver` with, and the benchmark's
 `perfbench/tracer.py` wraps it by name.
 
 Integer matrices (Cartan matrices and generalized Cartan matrices) have their
 own small helper, `int_rank_det`, because their certificates need the
-determinant, which a reduced row-echelon form does not keep.
+determinant, which a reduced row-echelon form does not keep.  It is Bareiss's
+fraction-free elimination over the integers: every division in it is exact,
+and no rational number is formed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cyclo import CycloNum
@@ -39,6 +43,7 @@ Sparse = dict[int, CycloNum]
 Row = Union[Sequence[CycloNum], Mapping[int, CycloNum]]
 
 __all__ = [
+    "Echelon",
     "SpanSolver",
     "Sparse",
     "eliminate",
@@ -83,6 +88,46 @@ def _axpy(target: Sparse, factor: CycloNum, source: Mapping[int, CycloNum], skip
             target[k] = new
 
 
+class Echelon:
+    """The reduced row-echelon form of a growing list of sparse rows.
+
+    `pivots` maps each pivot column to its row, which is 1 at its pivot and
+    has no entry at any other pivot column.  Rows may be added at any time;
+    the form after the last one is the same whatever their order.
+    """
+
+    def __init__(self) -> None:
+        self.pivots: dict[int, Sparse] = {}
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, source: Mapping[int, CycloNum]) -> Sparse:
+        """source less its combination of pivot rows: empty exactly when
+        source lies in their span."""
+        row = {k: v for k, v in source.items() if not v.is_zero()}
+        # pivot rows vanish at every other pivot column, so one pass suffices
+        for col in [c for c in row if c in self.pivots]:
+            _axpy(row, row.pop(col), self.pivots[col], col)
+        return row
+
+    def add(self, source: Mapping[int, CycloNum]) -> bool:
+        """Add a row; False, and no change, when it is in the span already."""
+        row = self.reduce(source)
+        if not row:
+            return False
+        lead = min(row)
+        inv = row.pop(lead).inverse()
+        new = {k: inv * v for k, v in row.items()}
+        new[lead] = CycloNum.one(inv.order)
+        for prow in self.pivots.values():
+            factor = prow.pop(lead, None)
+            if factor is not None:
+                _axpy(prow, factor, new, lead)
+        self.pivots[lead] = new
+        return True
+
+
 def eliminate(rows: Iterable[Mapping[int, CycloNum]]) -> dict[int, Sparse]:
     """Sparse Gauss-Jordan elimination of rows given as {column: scalar}.
 
@@ -91,24 +136,10 @@ def eliminate(rows: Iterable[Mapping[int, CycloNum]]) -> dict[int, Sparse]:
     input rows.  A pivot row is 1 at its pivot and has no entry at any other
     pivot column.  Rows that reduce to zero are dropped.
     """
-    pivots: dict[int, Sparse] = {}
+    echelon = Echelon()
     for source in rows:
-        row = {k: v for k, v in source.items() if not v.is_zero()}
-        # pivot rows vanish at every other pivot column, so one pass suffices
-        for col in [c for c in row if c in pivots]:
-            _axpy(row, row.pop(col), pivots[col], col)
-        if not row:
-            continue
-        lead = min(row)
-        inv = row.pop(lead).inverse()
-        new = {k: inv * v for k, v in row.items()}
-        new[lead] = CycloNum.one(inv.order)
-        for prow in pivots.values():
-            factor = prow.pop(lead, None)
-            if factor is not None:
-                _axpy(prow, factor, new, lead)
-        pivots[lead] = new
-    return dict(sorted(pivots.items()))
+        echelon.add(source)
+    return dict(sorted(echelon.pivots.items()))
 
 
 def _sparse(row: Row) -> Sparse:
@@ -153,33 +184,40 @@ def nullspace(rows: Iterable[Row], ncols: int, order: int) -> list[Sparse]:
     return list(eliminate(kernel).values())
 
 
-def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
-    """Rank and determinant of a square integer matrix, by Fraction elimination."""
-    n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    rank = 0
+def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank and determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination over the integers.
+
+    A column with no pivot left is skipped, and rows are exchanged to bring a
+    pivot up, which flips the sign.  After k pivots every remaining entry is
+    a (k+1)-minor, so each division by the previous pivot is exact (Sylvester's
+    identity); a remainder raises.  For full rank the last pivot is the
+    determinant up to that sign.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    sign, prev, rank = 1, 1, 0
     for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if work[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n) if work[r][col]), None)
         if pivot is None:
-            det = Fraction(0)
             continue
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
-            det = -det
-        det *= work[rank][col]
-        inv = 1 / work[rank][col]
+            sign = -sign
+        top = work[rank]
+        p = top[col]
         for r in range(rank + 1, n):
-            factor = work[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    work[r][c] -= factor * work[rank][c]
+            row = work[r]
+            factor = row[col]
+            for c in range(col + 1, n):
+                quo, rem = divmod(p * row[c] - factor * top[c], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss division is not exact")
+                row[c] = quo
+            row[col] = 0
+        prev = p
         rank += 1
-    return rank, det
+    return rank, (sign * prev if rank == n else 0)
 
 
 class SpanSolver:

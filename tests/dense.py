@@ -18,7 +18,11 @@ degree in a window.  `FractionCyclo` is Q(zeta_m) on Fraction coefficients,
 the reference for the integer numerators and one denominator of `CycloNum`.
 `kernel_affine_roots` decomposes each grading component by one nullspace per
 candidate weight, the reference for the weights `affine.affine_roots` reads
-off the closed-form grading.
+off the closed-form grading.  `fraction_rank_det` is elimination over
+Fraction, the reference for the integer Bareiss `linalg.int_rank_det`, and
+`all_pairs_centroid` imposes the centroid conditions on every pair of
+homogeneous basis vectors, the reference for `algebra.centroid_graded`, which
+imposes them on a generating set only.
 """
 
 from __future__ import annotations
@@ -27,19 +31,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from loopforms.acceptance import _grading_fixtures
 from loopforms.affine import AffineExtractError, AffineRoot, AffineRootData, FixedCartan
 from loopforms.algebra import (
     KIND_LIE,
     AutomorphismError,
+    CentroidReport,
     FiniteOrderAutomorphism,
     GradedDecomposition,
     LoopElement,
     MultTableAlgebra,
     Sparse,
     ValidationReport,
+    GradingError,
     Violation,
     loop_element,
     ts_product,
@@ -245,6 +251,161 @@ def ordered_triple_validation(alg: MultTableAlgebra) -> ValidationReport:
                             Violation("associativity", (i, j, k), (labels[i], labels[j], labels[k]))
                         )
     return ValidationReport(alg.kind, n, triples, tuple(violations))
+
+
+# -- integer rank and determinant over Fraction ------------------------------------
+
+
+def fraction_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
+    """Rank and determinant of a square integer matrix, by Fraction elimination."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, n):
+            if work[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            det = -det
+        det *= work[rank][col]
+        inv = 1 / work[rank][col]
+        for r in range(rank + 1, n):
+            factor = work[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    work[r][c] -= factor * work[rank][c]
+        rank += 1
+    return rank, det
+
+
+# -- the centroid on all basis pairs ---------------------------------------------
+
+
+def all_pairs_centroid(
+    alg: MultTableAlgebra, grading: GradedDecomposition, shift_residue: int
+) -> CentroidReport:
+    """Solve for residue-level families c_i: A_i -> A_{i+shift} with
+    c(xy) = (cx)y = x(cy) on all homogeneous basis pairs.
+
+    The system is cut down first by every degree-zero basis element that
+    multiplies diagonally (Cartan-type elements), which pins most unknowns to
+    zero; the surviving sparse equations are then eliminated exactly.
+    """
+    m = grading.period
+    d = shift_residue % m
+    order = alg.scalar_order
+    comps = grading.component_bases
+    dims = [len(c) for c in comps]
+    solvers = [grading.component_solver(i) for i in range(m)]
+
+    # unknown u[(res, r, s)] = entry of c_res in row r (target coord), col s
+    index_of: dict[tuple[int, int, int], int] = {}
+    unknowns: list[tuple[int, int, int]] = []
+    for res in range(m):
+        for r in range(dims[(res + d) % m]):
+            for s in range(dims[res]):
+                index_of[(res, r, s)] = len(unknowns)
+                unknowns.append((res, r, s))
+    total = len(unknowns)
+
+    # sparse coordinates of products of homogeneous basis vectors
+    hom = [(res, t) for res in range(m) for t in range(dims[res])]
+    prod_coords: dict[tuple[int, int, int, int], Sparse] = {}
+    for (ri, ti) in hom:
+        for (rj, tj) in hom:
+            vec = alg.product_sparse(comps[ri][ti], comps[rj][tj])
+            coords = solvers[(ri + rj) % m].coords(vec)
+            if coords is None:
+                raise GradingError("product rule violated while building centroid system")
+            prod_coords[(ri, ti, rj, tj)] = coords
+
+    # phase 1: diagonal degree-zero multipliers kill unknowns coordinate-wise
+    alive = [True] * total
+    zero = CycloNum.zero(order)
+
+    def diagonal_eigenvalues(zres: int, zt: int, side: str) -> Optional[list[list[CycloNum]]]:
+        eigen: list[list[CycloNum]] = []
+        for res in range(m):
+            lams = []
+            for s in range(dims[res]):
+                key = (zres, zt, res, s) if side == "left" else (res, s, zres, zt)
+                coords = prod_coords[key]
+                if any(k != s for k in coords):
+                    return None
+                lams.append(coords.get(s, zero))
+            eigen.append(lams)
+        return eigen
+
+    for zt in range(dims[0]):
+        for side in ("left", "right"):
+            eigen = diagonal_eigenvalues(0, zt, side)
+            if eigen is None:
+                continue
+            for res in range(m):
+                tgt = (res + d) % m
+                for r in range(dims[tgt]):
+                    for s in range(dims[res]):
+                        idx = index_of[(res, r, s)]
+                        if alive[idx] and eigen[res][s] != eigen[tgt][r]:
+                            alive[idx] = False
+
+    # phase 2: all remaining equations, sparse exact elimination
+    rows: set[tuple[tuple[int, CycloNum], ...]] = set()
+
+    def add_row(entries: Sparse) -> None:
+        entries = {k: v for k, v in entries.items() if alive[k]}
+        if not entries:
+            return
+        lead = min(entries)
+        inv = entries[lead].inverse()
+        rows.add(tuple(sorted((k, inv * v) for k, v in entries.items())))
+
+    for (jres, t) in hom:  # x runs over homogeneous basis vectors
+        for (ires, s) in hom:  # y likewise
+            w = prod_coords[(jres, t, ires, s)]  # coords of x*y in comp (i+j)
+            tgt_res = (ires + jres) % m
+            out_dim = dims[(tgt_res + d) % m]
+            # condition A: c(x*y) = x * (c y)
+            for rho in range(out_dim):
+                entries: Sparse = {index_of[(tgt_res, rho, sig)]: wc for sig, wc in w.items()}
+                for r in range(dims[(ires + d) % m]):
+                    coeff = prod_coords[(jres, t, (ires + d) % m, r)].get(rho)
+                    if coeff is not None:
+                        sparse_add(entries, {index_of[(ires, r, s)]: -coeff})
+                add_row(entries)
+            # condition B: c(x*y) = (c x) * y
+            for rho in range(out_dim):
+                entries = {index_of[(tgt_res, rho, sig)]: wc for sig, wc in w.items()}
+                for r in range(dims[(jres + d) % m]):
+                    coeff = prod_coords[((jres + d) % m, r, ires, s)].get(rho)
+                    if coeff is not None:
+                        sparse_add(entries, {index_of[(jres, r, t)]: -coeff})
+                add_row(entries)
+
+    pivots = eliminate(dict(row_t) for row_t in rows)
+    free = [i for i in range(total) if alive[i] and i not in pivots]
+    families = []
+    for f in free:
+        sol = {f: CycloNum.one(order)}
+        for lead, prow in pivots.items():
+            coeff = prow.get(f)
+            if coeff is not None:
+                sol[lead] = -coeff
+        families.append({k: sol[k] for k in sorted(sol)})
+    return CentroidReport(
+        shift_residue=d,
+        period=m,
+        dims=tuple(dims),
+        solution_dim=len(free),
+        basis=tuple(families),
+    )
 
 
 # -- affine weights by candidate kernels ------------------------------------------

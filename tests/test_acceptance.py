@@ -11,7 +11,7 @@ from loopforms.affine import GCM, CatalogEntry, affine_catalog
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
 
-BUDGETS = {1: 10.0, 2: 60.0, 4: 10.0, 5: 10.0}
+BUDGETS = {1: 10.0, 2: 60.0, 4: 10.0, 5: 10.0, 6: 2.0}
 
 
 @pytest.mark.parametrize("cid,name", CRITERION_NAMES[:-1])

@@ -6,6 +6,7 @@ import pytest
 
 from dense import (
     TWIST_FIXTURES,
+    all_pairs_centroid,
     base_change_check,
     basis_vector,
     dense_check_automorphism,
@@ -18,6 +19,8 @@ from dense import (
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
+    _Generators,
+    _generators,
     AlgebraError,
     AutomorphismError,
     ComponentSolver,
@@ -37,10 +40,13 @@ from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
     algebra_over,
+    cartan_matrix,
+    compose_pi_toral,
     diagram_automorphism,
     standard_algebra,
     toral_automorphism,
 )
+from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.descent import build_cocycle, build_matrix_algebra, twisted_fixed_points
 from loopforms.linalg import SpanSolver, nullspace
@@ -607,3 +613,124 @@ def test_centroid_of_untwisted_simple_algebra_is_scalars():
     report = centroid_graded(alg, grading, 0)
     assert report.solution_dim == 1
     assert report.contains_identity()
+
+
+# -- the centroid on a generating set against the centroid on all basis pairs ---
+
+
+def _assert_centroid_matches_all_pairs(alg, grading):
+    for shift in range(grading.period):
+        want = all_pairs_centroid(alg, grading, shift)
+        got = centroid_graded(alg, grading, shift)
+        assert got.to_obj() == want.to_obj()
+        assert got.solution_dim == want.solution_dim
+        assert got.contains_identity() == want.contains_identity()
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_centroid_matches_all_pairs_on_twist_fixtures(name):
+    alg, sigma = twist_fixture(name)
+    _assert_centroid_matches_all_pairs(alg, eigengrading(alg, sigma))
+
+
+def _pool_m4_exponents():
+    """The M_4 requests of the twist pool's centroid stratum: the exponents
+    (0, 1, 2, 3), reversed and rotated, times each unit mod 4, each also
+    raised by 1."""
+    base = (0, 1, 2, 3)
+    out = []
+    for order in (base, base[::-1], base[1:] + base[:1]):
+        for k in (1, 3):
+            for lift in (0, 1):
+                a = tuple((k * x) % 4 + lift for x in order)
+                if a not in out:
+                    out.append(a)
+    return out
+
+
+# the A3 requests of the twist pool's centroid stratum: (one-based pi, s, m)
+_POOL_A3 = (((3, 2, 1), (0, 0, 0), 1), ((3, 2, 1), (1, 0, 1), 2), ((3, 2, 1), (3, 0, 3), 2))
+
+
+@pytest.mark.parametrize("pi,s,m", _POOL_A3)
+def test_centroid_matches_all_pairs_on_pool_a3(pi, s, m):
+    perm = DiagramPermutation.from_one_based(pi)
+    rs, alg = algebra_over("A3", 2)
+    sigma = compose_pi_toral(alg, rs, perm, ToralCharge(s=s, modulus=m))
+    _assert_centroid_matches_all_pairs(alg, eigengrading(alg, sigma))
+
+
+@pytest.mark.parametrize("exponents", _pool_m4_exponents())
+def test_centroid_matches_all_pairs_on_pool_m4(exponents):
+    alg, sigma = build_matrix_algebra(4, exponents, 4)
+    _assert_centroid_matches_all_pairs(alg, eigengrading(alg, sigma))
+
+
+def _class_representatives():
+    for label in ("A2", "A3", "A4", "B2", "C3", "D4", "G2", "F4"):
+        table = conjugacy_classes(dynkin_automorphism_group(cartan_matrix(label)))
+        for rep, _ in table.classes:
+            yield label, rep.images
+
+
+@pytest.mark.parametrize(
+    "label,images",
+    list(_class_representatives()),
+    ids=[f"{label} {list(images)}" for label, images in _class_representatives()],
+)
+def test_centroid_matches_all_pairs_on_class_representatives(label, images):
+    perm = DiagramPermutation(images)
+    rs, alg = algebra_over(label, perm.order())
+    grading = eigengrading(alg, diagram_automorphism(alg, rs, perm))
+    _assert_centroid_matches_all_pairs(alg, grading)
+
+
+def test_generating_set_is_shared_by_every_shift():
+    alg, sigma = twist_fixture("D4 diagram triality")
+    grading = eigengrading(alg, sigma)
+    gens = _generators(alg, grading)
+    for shift in range(grading.period):
+        centroid_graded(alg, grading, shift)
+    assert _generators(alg, grading) is gens
+    # each kept vector lies outside what the earlier ones generate
+    assert len(gens.gens) < alg.dim
+    assert _Generators(alg, grading, gens.gens).gens == gens.gens
+
+
+def test_closure_refuses_a_set_generating_a_proper_subalgebra():
+    rs, alg = algebra_over("A2", 1)
+    grading = eigengrading(alg, toral_automorphism(alg, rs, ToralCharge(s=(0, 0), modulus=1)))
+    # h_1 and h_2 generate the Cartan subalgebra only
+    with pytest.raises(AlgebraError, match="dimension 2, not 8"):
+        _Generators(alg, grading, [(0, 0), (0, 1)])
+    assert len(_Generators(alg, grading, [(0, t) for t in range(8)]).gens) < 8
+
+
+def _non_antisymmetric_sl2():
+    # [h,e] = 2e and [e,h] = 2e, where antisymmetry wants -2e
+    table = make_table({
+        (0, 1): {1: q(2)},
+        (1, 0): {1: q(2)},
+        (0, 2): {2: q(-2)},
+        (2, 0): {2: q(2)},
+        (1, 2): {0: q(1)},
+        (2, 1): {0: q(-1)},
+    })
+    return MultTableAlgebra(
+        dim=3, scalar_order=1, kind=KIND_LIE, constants=table, basis_labels=("h", "e", "f"),
+    )
+
+
+def test_centroid_refuses_a_table_failing_its_laws():
+    alg = _non_antisymmetric_sl2()
+    sigma = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 1)
+    grading = eigengrading(alg, sigma)
+    with pytest.raises(AlgebraError, match="antisymmetry"):
+        centroid_graded(alg, grading, 0)
+
+
+def test_embedding_keeps_the_validation_certificate():
+    _, alg = standard_algebra("A2")
+    embedded = algebra_over("A2", 6)[1]
+    assert "validation" in embedded.__dict__
+    assert embedded.validation == alg.validation == validate_algebra(embedded)

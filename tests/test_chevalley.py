@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from loopforms.chevalley import (
+    TYPE_LABELS,
     DiagramPermutation,
     FiniteCartanMatrix,
     LieConstructError,
@@ -16,7 +17,9 @@ from loopforms.chevalley import (
     charge_pairings,
     chevalley_algebra,
     compose_pi_toral,
+    _symmetrizers,
     diagram_automorphism,
+    highest_root,
     root_system,
     standard_algebra,
     toral_automorphism,
@@ -123,6 +126,28 @@ def _string_length(roots, alpha, beta):
         p += 1
         probe = tuple(x - a for a, x in zip(alpha, probe))
     return p
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_highest_root_by_reflection_matches_closure(label):
+    cartan = cartan_matrix(label)
+    assert highest_root(cartan) == root_system(cartan).positives[-1]
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_symmetrizers_are_the_smallest_integers(label):
+    a = cartan_matrix(label).entries
+    d = _symmetrizers(cartan_matrix(label))
+    assert all(type(x) is int and x > 0 for x in d)
+    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(len(a)) for j in range(len(a)))
+    assert min(d) == 1  # one component, so gcd 1 and the short roots have d = 1
+
+
+def test_symmetrizers_fixtures():
+    assert _symmetrizers(cartan_matrix("B3")) == (1, 1, 2)
+    assert _symmetrizers(cartan_matrix("C3")) == (2, 2, 1)
+    assert _symmetrizers(cartan_matrix("G2")) == (3, 1)
+    assert _symmetrizers(cartan_matrix("F4")) == (1, 1, 2, 2)
 
 
 @pytest.mark.parametrize("label", ["A3", "B2", "C3", "G2"])

@@ -1,6 +1,8 @@
+from itertools import permutations
+
 import pytest
 
-from loopforms.chevalley import DiagramPermutation, cartan_matrix
+from loopforms.chevalley import TYPE_LABELS, DiagramPermutation, cartan_matrix
 from loopforms.classify import (
     ClassifyError,
     OutGroup,
@@ -39,6 +41,17 @@ def test_group_orders_and_class_counts(label, expected):
     assert len(table.classes) == classes
     assert sum(size for _, size in table.classes) == order
     assert h1_out(cartan_matrix(label)).class_count == classes
+
+
+@pytest.mark.parametrize("label", [t for t in TYPE_LABELS if cartan_matrix(t).rank <= 7])
+def test_group_equals_brute_force_over_permutations(label):
+    cartan = cartan_matrix(label)
+    want = [
+        images
+        for images in permutations(range(cartan.rank))
+        if DiagramPermutation(images).preserves(cartan)
+    ]
+    assert [g.images for g in dynkin_automorphism_group(cartan).elements] == want
 
 
 def test_d4_class_sizes():

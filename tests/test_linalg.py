@@ -5,6 +5,7 @@ import pytest
 
 from dense import (
     densify,
+    fraction_rank_det,
     identity_matrix,
     is_identity,
     mat_inverse,
@@ -14,7 +15,7 @@ from dense import (
     sparsify,
 )
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.linalg import SpanSolver, eliminate, nullspace, rank
+from loopforms.linalg import Echelon, SpanSolver, eliminate, int_rank_det, nullspace, rank
 
 
 def q(x, order=1):
@@ -224,3 +225,57 @@ def test_mat_inverse_refuses_singular_matrix():
     mat = ((q(1, 4), zeta_power(4, 1)), (q(2, 4), zeta_power(4, 1) * 2))
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(mat)
+
+
+# -- integer rank and determinant --------------------------------------------------
+
+
+def _int_matrices(seed):
+    """Square matrices of sizes 1-9 with entries in -3..3: random ones, ones
+    with a row that is a sum of two others, and ones with a zero column."""
+    rng = random.Random(seed)
+    for n in range(1, 10):
+        for _ in range(6):
+            yield [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n >= 3:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            i, j, k = rng.sample(range(n), 3)
+            a[k] = [x + y for x, y in zip(a[i], a[j])]
+            yield a
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        col = rng.randrange(n)
+        for row in a:
+            row[col] = 0
+        yield a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_int_rank_det_matches_fraction_elimination(seed):
+    for a in _int_matrices(seed):
+        rank_, det = int_rank_det(a)
+        assert type(det) is int
+        assert (rank_, det) == fraction_rank_det(a), a
+
+
+def test_int_rank_det_fixtures():
+    assert int_rank_det([]) == (0, 1)
+    assert int_rank_det([[0]]) == (0, 0)
+    assert int_rank_det([[0, 1], [1, 0]]) == (2, -1)
+    # the A1^(1) and E8 Cartan matrices: corank 1, and determinant 1
+    assert int_rank_det([[2, -2], [-2, 2]]) == (1, 0)
+    e8 = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for u, v in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:
+        e8[u][v] = e8[v][u] = -1
+    assert int_rank_det(e8) == (8, 1)
+
+
+def test_echelon_grows_the_reduced_form_of_eliminate():
+    rng = random.Random(7)
+    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in _random_matrix(rng, 6, 5, 3)]
+    echelon = Echelon()
+    added = [echelon.add(row) for row in rows]
+    assert sum(added) == len(echelon) == rank(rows)
+    assert dict(sorted(echelon.pivots.items())) == eliminate(rows)
+    for row in rows:
+        assert echelon.reduce(row) == {}
+        assert echelon.add(row) is False
