@@ -21,7 +21,6 @@ criterion 7 extract loop algebras to check the catalog against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
@@ -40,6 +39,7 @@ from .chevalley import (
 )
 from .cyclo import CycloNum
 from .linalg import Sparse, int_rank_det
+from .record import Record
 
 __all__ = [
     "AffineCatalog",
@@ -72,8 +72,7 @@ class AffineExtractError(ValueError):
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FixedCartan:
+class FixedCartan(Record):
     """Basis of h0 = h^pi: the orbit sums of the h_i, one per pi-orbit."""
 
     basis: tuple[Sparse, ...]
@@ -121,8 +120,7 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
     return FixedCartan(basis=tuple(basis), orbits=tuple(orbits))
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(Record):
     weight: Weight
     degree: int
     multiplicity: int
@@ -135,8 +133,7 @@ class AffineRoot:
         return {"weight": list(self.weight), "degree": self.degree}
 
 
-@dataclass(frozen=True)
-class AffineRootData:
+class AffineRootData(Record):
     h0: FixedCartan
     period: int
     window: int
@@ -278,8 +275,7 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
     return tuple(base)
 
 
-@dataclass(frozen=True)
-class GCM:
+class GCM(Record):
     """Generalized Cartan matrix of affine type; all axioms checked on build."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -326,8 +322,7 @@ class GCM:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class GCMCertificate:
+class GCMCertificate(Record):
     gcm: GCM
     base: tuple[AffineRoot, ...]
     coroots: tuple[tuple[Fraction, ...], ...]
@@ -393,8 +388,7 @@ def extract_gcm(
 # -- catalog and matching ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineLabel:
+class AffineLabel(Record):
     base_type: str
     twist_order: int
 
@@ -405,8 +399,7 @@ class AffineLabel:
         return {"type": self.base_type, "r": self.twist_order}
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     label: AffineLabel
     gcm: GCM
 
@@ -540,8 +533,7 @@ def gcm_invariant(gcm: GCM) -> Invariant:
     ))
 
 
-@dataclass(frozen=True)
-class AffineCatalog:
+class AffineCatalog(Record):
     """Catalog entries, and the same entries keyed by gcm_invariant."""
 
     entries: tuple[CatalogEntry, ...]
@@ -597,8 +589,7 @@ def match_affine_label(gcm: GCM) -> AffineLabel:
 # -- end-to-end pipeline -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
+class ExtractionReport(Record):
     type_label: str
     perm: DiagramPermutation
     charge: ToralCharge

@@ -26,7 +26,6 @@ sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 from math import lcm
@@ -34,6 +33,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, zeta_power
 from .linalg import Echelon, Sparse, eliminate, rank, sparse_add
+from .record import Record
 
 __all__ = [
     "AlgebraError",
@@ -77,8 +77,7 @@ class GradingError(ValueError):
 TableEntry = tuple[tuple[int, CycloNum], ...]
 
 
-@dataclass(frozen=True)
-class MultTableAlgebra:
+class MultTableAlgebra(Record):
     """Algebra given by structure constants on basis e_0, ..., e_{dim-1}.
 
     `constants` holds, for each basis pair (i, j) with nonzero product, the
@@ -94,7 +93,6 @@ class MultTableAlgebra:
     kind: str
     constants: tuple[tuple[int, int, TableEntry], ...]
     basis_labels: tuple[str, ...]
-    _table: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -124,7 +122,8 @@ class MultTableAlgebra:
                 if not c.is_zero():
                     sparse_add(merged, {k: c})
             table[(i, j)] = tuple(merged.items())
-        self._table.update(table)
+        # the product lookup is derived from `constants`, so it is not a field
+        self.__dict__["_table"] = table
 
     # -- products --------------------------------------------------------
 
@@ -209,8 +208,7 @@ def make_table(entries: dict[tuple[int, int], Sparse]) -> tuple[tuple[int, int, 
 # -- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     law: str
     indices: tuple[int, ...]
     labels: tuple[str, ...]
@@ -219,8 +217,7 @@ class Violation:
         return f"{self.law} fails on ({', '.join(self.labels)})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     kind: str
     dim: int
     triples_checked: int
@@ -382,8 +379,7 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
 # -- automorphisms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteOrderAutomorphism:
+class FiniteOrderAutomorphism(Record):
     """Monomial automorphism e_j -> scalars[j] * e_{images[j]} of finite period.
 
     Every twist built here is monomial in its basis: diagram symmetries are
@@ -588,8 +584,7 @@ class ComponentSolver:
         return self.coords(v) is not None
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
+class GradedDecomposition(Record):
     """Z/period grading by eigenspaces; component i belongs to zeta^i.
 
     Component vectors are sparse, 1 at their smallest index, with disjoint
@@ -600,8 +595,12 @@ class GradedDecomposition:
     scalar_order: int
     dim: int
     component_bases: tuple[tuple[Sparse, ...], ...]
-    _solvers: dict = field(default_factory=dict, compare=False, repr=False)
-    _generators: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # caches of work derived from the fields, not fields themselves:
+        # component solvers by residue, and `_generators` by algebra id
+        self.__dict__["_solvers"] = {}
+        self.__dict__["_generators"] = {}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -701,8 +700,7 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
 # -- loop elements -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoopElement:
+class LoopElement(Record):
     """Finite sum of homogeneous terms a * z^degree: `terms` maps each degree
     to a nonzero sparse vector, degrees in increasing order."""
 
@@ -754,8 +752,7 @@ def loop_bracket(
 # -- graded centroid -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentroidReport:
+class CentroidReport(Record):
     """Solution space of maps commuting with all multiplications, by residue.
 
     A family assigns to each residue i a matrix A_i -> A_{i+shift} written in

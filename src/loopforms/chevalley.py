@@ -23,7 +23,6 @@ Each is returned as a checked `FiniteOrderAutomorphism`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -39,6 +38,7 @@ from .algebra import (
 )
 from .cyclo import CycloNum, zeta_power
 from .linalg import int_rank_det
+from .record import Record
 
 __all__ = [
     "DiagramPermutation",
@@ -72,8 +72,7 @@ class LieConstructError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteCartanMatrix:
+class FiniteCartanMatrix(Record):
     rank: int
     entries: tuple[tuple[int, ...], ...]
     type_label: str
@@ -167,8 +166,7 @@ Root = tuple[int, ...]
 _CLOSURE_BOUND = 500
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """All roots in simple-root coordinates; positives sorted by height, lex."""
 
     cartan: FiniteCartanMatrix
@@ -508,8 +506,7 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
 # -- automorphisms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagramPermutation:
+class DiagramPermutation(Record):
     """Permutation of the simple roots preserving the Cartan matrix (0-based images)."""
 
     images: tuple[int, ...]
@@ -557,8 +554,7 @@ class DiagramPermutation:
         )
 
 
-@dataclass(frozen=True)
-class ToralCharge:
+class ToralCharge(Record):
     """Integer weights s_i defining e_alpha -> zeta_m^<s,alpha> e_alpha."""
 
     s: tuple[int, ...]
@@ -695,7 +691,16 @@ def diagram_and_composition(
     charge: ToralCharge,
 ) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
     """The diagram factor pi and the checked composition `compose_pi_toral`
-    builds from it, for callers that need both."""
+    builds from it, for callers that need both.
+
+    A trivial charge, every s_i divisible by m, makes tau_s the identity and
+    the composition pi itself, with period lcm(|pi|, m).  Then only pi is
+    built and checked: `check_automorphism` has shown that every cycle
+    product P of pi satisfies P^(|pi|/len) = 1, so sigma^k = 1 for every
+    multiple k of |pi|.
+    """
+    if len(charge.s) != rs.rank:
+        raise LieConstructError("charge rank mismatch")
     for i in range(rs.rank):
         if charge.s[i] != charge.s[perm(i)]:
             raise LieConstructError("toral charge must be constant on permutation orbits")
@@ -705,6 +710,8 @@ def diagram_and_composition(
             f"algebra scalar order {alg.scalar_order} lacks the {period}-th roots of unity"
         )
     pi_auto = diagram_automorphism(alg, rs, perm)
+    if all(si % charge.modulus == 0 for si in charge.s):
+        return pi_auto, FiniteOrderAutomorphism(pi_auto.images, pi_auto.scalars, period)
     tau_auto = toral_automorphism(alg, rs, charge)
     composed = pi_auto.compose(tau_auto)
     if composed != tau_auto.compose(pi_auto):

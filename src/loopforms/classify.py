@@ -14,12 +14,12 @@ exhaustive and the centroid dimensions are recomputed per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .affine import AffineLabel, affine_certificate, graded_twist
 from .algebra import centroid_graded
 from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge, cartan_matrix
+from .record import Record
 
 __all__ = [
     "ClassificationRow",
@@ -44,8 +44,7 @@ class ClassifyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OutGroup:
+class OutGroup(Record):
     """Finite permutation group; diagram symmetries when cartan is set.
 
     Abstract groups (cartan=None) are allowed so that the hypotheses below
@@ -111,8 +110,7 @@ def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
     return OutGroup(elements=tuple(found), cartan=cartan)
 
 
-@dataclass(frozen=True)
-class ConjClassTable:
+class ConjClassTable(Record):
     classes: tuple[tuple[DiagramPermutation, int], ...]
     members: tuple[frozenset, ...]
 
@@ -149,8 +147,7 @@ def conjugacy_classes(group: OutGroup) -> ConjClassTable:
     return table
 
 
-@dataclass(frozen=True)
-class H1Table:
+class H1Table(Record):
     """Conjugacy classes relabeled as classes of loop-algebra torsors.
 
     A continuous homomorphism from the procyclic fundamental group lands on
@@ -175,8 +172,7 @@ def h1_out(cartan: FiniteCartanMatrix) -> H1Table:
     return h1_of_group(dynkin_automorphism_group(cartan))
 
 
-@dataclass(frozen=True)
-class InverseConjugacyReport:
+class InverseConjugacyReport(Record):
     ok: bool
     witnesses: tuple[tuple[DiagramPermutation, Optional[DiagramPermutation]], ...]
 
@@ -207,8 +203,7 @@ def inverse_conjugacy_check(group: OutGroup) -> InverseConjugacyReport:
     return InverseConjugacyReport(ok=ok, witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(Record):
     class_rep: DiagramPermutation
     class_size: int
     twist_order: int
@@ -270,8 +265,7 @@ def k_vs_r_counts(group: OutGroup) -> tuple[int, int]:
     return r_count, len(merged)
 
 
-@dataclass(frozen=True)
-class KvsRReport:
+class KvsRReport(Record):
     type_label: str
     r_class_count: int
     k_class_count: int

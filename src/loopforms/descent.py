@@ -26,7 +26,6 @@ part of the automorphism group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
@@ -48,6 +47,7 @@ from .chevalley import (
 )
 from .cyclo import CycloNum, zeta_power
 from .linalg import Sparse, nullspace
+from .record import Record
 
 __all__ = [
     "CheckReport",
@@ -69,8 +69,7 @@ class DescentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     check: str
     window: int
     status: str
@@ -87,8 +86,7 @@ def _passed(check: str, window: int) -> CheckReport:
     return CheckReport(check=check, window=window, status="pass")
 
 
-@dataclass(frozen=True)
-class LoopCocycle:
+class LoopCocycle(Record):
     """u(n mod m) = sigma^(-n), one constant automorphism of A per residue."""
 
     sigma: FiniteOrderAutomorphism
@@ -229,8 +227,7 @@ def _shift_element(x: LoopElement, shifts: Sequence[int], direction: int) -> Loo
     return LoopElement({d: moved[d] for d in sorted(moved)})
 
 
-@dataclass(frozen=True)
-class UntwistIso:
+class UntwistIso(Record):
     """Degree-shifting isomorphism from L(pi o tau_s) onto L(pi).
 
     Both sides are graded with the common period M = lcm(|pi|, m); the target

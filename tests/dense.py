@@ -22,7 +22,10 @@ off the closed-form grading.  `fraction_rank_det` is elimination over
 Fraction, the reference for the integer Bareiss `linalg.int_rank_det`, and
 `all_pairs_centroid` imposes the centroid conditions on every pair of
 homogeneous basis vectors, the reference for `algebra.centroid_graded`, which
-imposes them on a generating set only.
+imposes them on a generating set only.  `three_pass_composition` builds and
+checks pi, tau_s and their composition for every charge, the reference for
+`chevalley.diagram_and_composition`, which builds only pi when the charge is
+trivial.
 """
 
 from __future__ import annotations
@@ -47,15 +50,19 @@ from loopforms.algebra import (
     ValidationReport,
     GradingError,
     Violation,
+    check_automorphism,
     loop_element,
     ts_product,
 )
 from loopforms.chevalley import (
     DiagramPermutation,
+    LieConstructError,
     RootSystem,
     ToralCharge,
     algebra_over,
     compose_pi_toral,
+    diagram_automorphism,
+    toral_automorphism,
 )
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
 from loopforms.descent import DescentError, build_matrix_algebra
@@ -800,3 +807,17 @@ def twist_fixture(name: str) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism]
     )
     rs, alg = algebra_over(label, lcm(perm.order(), m))
     return alg, compose_pi_toral(alg, rs, perm, ToralCharge(s=s, modulus=m))
+
+
+def three_pass_composition(
+    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation, charge: ToralCharge
+) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
+    """pi and pi o tau_s, each built and checked by `check_automorphism`,
+    with tau_s built and checked too, and the factors composed both ways."""
+    period = lcm(perm.order(), charge.modulus)
+    pi_auto = diagram_automorphism(alg, rs, perm)
+    tau_auto = toral_automorphism(alg, rs, charge)
+    composed = pi_auto.compose(tau_auto)
+    if composed != tau_auto.compose(pi_auto):
+        raise LieConstructError("factors fail to commute despite an invariant charge")
+    return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -13,6 +12,7 @@ from loopforms.affine import (
     GCM,
     AffineExtractError,
     AffineLabel,
+    FixedCartan,
     affine_catalog,
     affine_certificate,
     affine_roots,
@@ -225,7 +225,7 @@ def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
     # h_1 plus one root vector: ad of it moves the Cartan vectors into e_alpha
     tampered = dict(h0.basis[0])
     tampered[rs.rank] = CycloNum.one(alg.scalar_order)
-    h0 = replace(h0, basis=(tampered,) + h0.basis[1:])
+    h0 = FixedCartan(basis=(tampered,) + h0.basis[1:], orbits=h0.orbits)
     with pytest.raises(AffineExtractError, match="not diagonal under the fixed Cartan"):
         affine_roots(alg, grading, h0, grading.period + 1)
 
@@ -233,7 +233,8 @@ def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
 def test_affine_roots_rejects_non_integral_weights():
     alg, _, grading, h0 = _twist("A2")
     half = CycloNum.rational(alg.scalar_order, Fraction(1, 2))
-    h0 = replace(h0, basis=tuple({i: half * x for i, x in b.items()} for b in h0.basis))
+    basis = tuple({i: half * x for i, x in b.items()} for b in h0.basis)
+    h0 = FixedCartan(basis=basis, orbits=h0.orbits)
     with pytest.raises(AffineExtractError, match="not a rational integer"):
         affine_roots(alg, grading, h0, grading.period + 1)
 

@@ -3,9 +3,12 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from loopforms import chevalley, cli
+from loopforms.algebra import check_automorphism
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
@@ -18,13 +21,22 @@ from loopforms.chevalley import (
     chevalley_algebra,
     compose_pi_toral,
     _symmetrizers,
+    diagram_and_composition,
     diagram_automorphism,
     highest_root,
     root_system,
     standard_algebra,
     toral_automorphism,
 )
-from dense import basis_vector, dense_product, densify, is_identity, mat_pow
+from dense import (
+    basis_vector,
+    dense_product,
+    densify,
+    is_identity,
+    mat_pow,
+    three_pass_composition,
+)
+from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum
 
 FLIP = DiagramPermutation((1, 0))
@@ -319,6 +331,48 @@ def test_composed_requires_invariant_charge():
     rs, alg = algebra_over("A2", 6)
     with pytest.raises(LieConstructError):
         compose_pi_toral(alg, rs, FLIP, ToralCharge(s=(1, 0), modulus=3))
+
+
+def _trivial_charges():
+    """(type, pi, charge) for every diagram class of A2-A5, D4 and E6, with
+    s = 0 and with s = m on the pi-orbit of node 1, for m = 1 and m = 2."""
+    for label in ("A2", "A3", "A4", "A5", "D4", "E6"):
+        group = dynkin_automorphism_group(cartan_matrix(label))
+        for perm, _ in conjugacy_classes(group).classes:
+            orbit = {0}
+            while {perm(i) for i in orbit} - orbit:
+                orbit |= {perm(i) for i in orbit}
+            for m in (1, 2):
+                zero = (0,) * len(perm.images)
+                lifted = tuple(m if i in orbit else 0 for i in range(len(perm.images)))
+                for s in (zero, lifted):
+                    pi = "".join(map(str, perm.to_one_based()))
+                    yield pytest.param(
+                        label, perm, ToralCharge(s=s, modulus=m),
+                        id=f"{label}-pi{pi}-s{''.join(map(str, s))}-m{m}",
+                    )
+
+
+@pytest.mark.parametrize("label, perm, charge", _trivial_charges())
+def test_trivial_charge_composition_matches_three_passes(label, perm, charge):
+    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
+    fast = diagram_and_composition(alg, rs, perm, charge)
+    slow = three_pass_composition(alg, rs, perm, charge)
+    assert fast == slow
+    assert fast[1].period == lcm(perm.order(), charge.modulus)
+
+
+def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return check_automorphism(*args)
+
+    monkeypatch.setattr(chevalley, "check_automorphism", counted)
+    assert cli.main(["grade", "--type", "D4", "--auto", '{"pi":[3,2,4,1]}']) == 0
+    capsys.readouterr()
+    assert calls == [3]
 
 
 _TAMPERED_UNDER_O = textwrap.dedent(

@@ -24,20 +24,28 @@ def _run(code: str):
 
 _LOADED = "sorted(m for m in sys.modules if m.startswith('loopforms.'))"
 
+# the standard modules that defining a dataclass loads: value types are
+# Records, so a request loads neither
+_CODEGEN = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
+
+
+def _request(argv: list[str]):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from loopforms import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {_LOADED}, {_CODEGEN}]))\n"
+    )
+    return _run(code)
+
 
 def test_import_loads_no_submodule():
     assert _run(f"import json, sys, loopforms\nprint(json.dumps({_LOADED}))") == []
 
 
 def test_grade_loads_only_the_modules_it_uses():
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from loopforms import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['grade', '--type', 'A2'])\n"
-        f"print(json.dumps([code, {_LOADED}]))\n"
-    )
-    code, loaded = _run(code)
+    code, loaded, codegen = _request(["grade", "--type", "A2"])
     assert code == 0
     assert loaded == [
         "loopforms.algebra",
@@ -45,7 +53,16 @@ def test_grade_loads_only_the_modules_it_uses():
         "loopforms.cli",
         "loopforms.cyclo",
         "loopforms.linalg",
+        "loopforms.record",
     ]
+    assert codegen == []
+
+
+def test_classify_loads_no_code_generator():
+    code, loaded, codegen = _request(["classify", "--type", "A2"])
+    assert code == 0
+    assert "loopforms.classify" in loaded
+    assert codegen == []
 
 
 def test_every_public_name_resolves_to_its_definition():
