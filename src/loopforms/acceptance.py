@@ -138,8 +138,9 @@ def _grading_fixtures():
 
 
 def criterion_2() -> dict:
-    """Grading laws: dims sum to dim A, products respect residues (checked
-    exhaustively inside eigengrading), named fixtures hit their dims."""
+    """Grading laws: dims sum to dim A, products respect residues (a theorem
+    of the certified automorphism inside eigengrading), named fixtures hit
+    their dims."""
     rows = []
     status = "pass"
     for name, alg, sigma, want in _grading_fixtures():

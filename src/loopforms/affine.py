@@ -16,7 +16,9 @@ the finite Cartan matrices (untwisted types bordered by -theta, twisted ones
 as transposes, A_{2l}^(2) written out), with one entry per advertised type
 and diagram-class order.  The extractor stays the certificate: every label
 is attached to a matrix it extracted, and the tests and acceptance
-criterion 7 extract loop algebras to check the catalog against it.
+criterion 7 extract loop algebras to check the catalog against it.  A
+request for one type matches its extracted matrix against that type's own
+rows, built alone; the whole catalog is built only when none of them matches.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
     "gcm_invariant",
     "graded_twist",
     "match_affine_label",
+    "match_own_type",
+    "own_type_forms",
     "simple_affine_roots",
 ]
 
@@ -493,7 +497,7 @@ def _transpose(gcm: GCM) -> GCM:
     return GCM(entries=tuple(zip(*gcm.entries)))
 
 
-def _twisted_entries(type_label: str, untwisted: Mapping[str, GCM]) -> tuple[tuple[int, GCM], ...]:
+def _twisted_entries(type_label: str) -> tuple[tuple[int, GCM], ...]:
     """(r, GCM of X^(r)) for every nontrivial diagram-class order r of X.
 
     Kac, Tables Aff 2-3: A_{2l-1}^(2), D_{l+1}^(2), E6^(2) and D4^(3) are the
@@ -509,14 +513,14 @@ def _twisted_entries(type_label: str, untwisted: Mapping[str, GCM]) -> tuple[tup
         if l % 2 == 0:
             return ((2, _a_even_twisted(l // 2)),)
         rank = (l + 1) // 2
-        return ((2, _transpose(untwisted[f"C{rank}" if rank > 2 else "B2"])),)
+        return ((2, _transpose(bordered_untwisted(f"C{rank}" if rank > 2 else "B2"))),)
     if family == "D":
-        order_2 = (2, _transpose(untwisted[f"B{l - 1}"]))
+        order_2 = (2, _transpose(bordered_untwisted(f"B{l - 1}")))
         if l == 4:
-            return (order_2, (3, _transpose(untwisted["G2"])))
+            return (order_2, (3, _transpose(bordered_untwisted("G2"))))
         return (order_2,)
     if type_label == "E6":
-        return ((2, _transpose(untwisted["F4"])),)
+        return ((2, _transpose(bordered_untwisted("F4"))),)
     return ()
 
 
@@ -558,12 +562,7 @@ def affine_catalog() -> AffineCatalog:
     here, and the extractor certifies entries against loop algebras in the
     tests and in acceptance criterion 7.
     """
-    untwisted = {label: bordered_untwisted(label) for label in TYPE_LABELS}
-    entries = []
-    for label in TYPE_LABELS:
-        forms = ((1, untwisted[label]),) + _twisted_entries(label, untwisted)
-        for order, gcm in forms:
-            entries.append(CatalogEntry(label=AffineLabel(base_type=label, twist_order=order), gcm=gcm))
+    entries = [entry for label in TYPE_LABELS for entry in own_type_forms(label)]
     buckets: dict[Invariant, list[CatalogEntry]] = {}
     for entry in entries:
         bucket = buckets.setdefault(gcm_invariant(entry.gcm), [])
@@ -584,6 +583,31 @@ def match_affine_label(gcm: GCM) -> AffineLabel:
         if gcm_equivalent(gcm, entry.gcm) is not None:
             return entry.label
     raise AffineExtractError("matrix matches no catalog entry")
+
+
+def own_type_forms(type_label: str) -> tuple[CatalogEntry, ...]:
+    """The catalog rows of one type: X^(1) and its twisted forms X^(r),
+    built from one or two bordered matrices; `affine_catalog` is these rows
+    for every type."""
+    forms = ((1, bordered_untwisted(type_label)),) + _twisted_entries(type_label)
+    return tuple(
+        CatalogEntry(label=AffineLabel(base_type=type_label, twist_order=order), gcm=gcm)
+        for order, gcm in forms
+    )
+
+
+def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
+    """The label of the row of `type_label` equivalent to gcm, or None.
+
+    The catalog's rows are pairwise non-equivalent (`affine_catalog` checks
+    it), so a row of the requested type that matches is the one catalog
+    entry `match_affine_label` would find, and no other row is read.
+    """
+    key = gcm_invariant(gcm)
+    for entry in own_type_forms(type_label):
+        if gcm_invariant(entry.gcm) == key and gcm_equivalent(gcm, entry.gcm) is not None:
+            return entry.label
+    return None
 
 
 # -- end-to-end pipeline -------------------------------------------------------
@@ -650,14 +674,20 @@ def affine_certificate(
     charge: Optional[ToralCharge] = None,
     window: Optional[int] = None,
 ) -> ExtractionReport:
-    """Full pipeline: build L(pi o tau_s), extract its GCM, match the label."""
+    """Full pipeline: build L(pi o tau_s), extract its GCM, match the label.
+
+    The GCM is matched against the requested type's own rows first
+    (`match_own_type`); only when none matches is the whole catalog read,
+    which names the label of another type or finds none, and either way the
+    request is refused.
+    """
     rank = cartan_matrix(type_label).rank
     if perm is None:
         perm = DiagramPermutation.identity(rank)
     if charge is None:
         charge = _trivial_charge(rank)
     period, dims, cert = _extract_inner(type_label, perm, charge, window)
-    label = match_affine_label(cert.gcm)
+    label = match_own_type(cert.gcm, type_label) or match_affine_label(cert.gcm)
     if label.base_type != type_label:
         raise AffineExtractError(f"the extracted matrix is {label}, not a form of {type_label}")
     return ExtractionReport(

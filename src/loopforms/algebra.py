@@ -5,11 +5,13 @@ constants on a fixed basis, tagged `lie` or `associative`.  Its elements are
 sparse vectors {index: scalar} with no zero entry, multiplied by
 `MultTableAlgebra.product_sparse`; dense tuples appear only in serialized
 reports.  Automorphisms are monomial, e_j -> c_j e_p(j), which every twist
-built in this package is; they are checked in one pass over the basis pairs,
-with the period read off the cycles of p.  A finite-order automorphism with
-period m dividing that scalar order splits the algebra into eigenspace
-components A_i for the eigenvalues zeta_m^i, written down in closed form
-cycle by cycle; that decomposition is a Z/m grading and is the combinatorial
+built in this package is; they are checked in one pass over the basis pairs
+(a diagonal one by the additivity of its exponents, a composition of checked
+ones by its period alone), with the period read off the cycles of p.  A
+certified finite-order automorphism with period m dividing that scalar order
+splits the algebra into eigenspace components A_i for the eigenvalues
+zeta_m^i, written down in closed form cycle by cycle; that decomposition is a
+Z/m grading, by the automorphism's certificate, and is the combinatorial
 heart of everything downstream: loop elements ({degree: sparse vector}) live
 on it, and the centroid computation detects when two loop algebras cannot be
 isomorphic over the Laurent base ring.
@@ -49,6 +51,8 @@ __all__ = [
     "Violation",
     "centroid_graded",
     "check_automorphism",
+    "check_composition",
+    "check_diagonal_automorphism",
     "check_loop_element",
     "embed_algebra",
     "eigengrading",
@@ -315,6 +319,19 @@ def _increasing_triples(table: dict, n: int) -> Iterator[tuple[int, int, int]]:
                 yield i, j, k
 
 
+def _live_triples(table: dict, n: int) -> Iterator[tuple[int, int, int]]:
+    """The ordered triples (i, j, k) in lexicographic order, less those where
+    e_i e_j and e_j e_k are both zero; the associator vanishes on those."""
+    right: list[list[int]] = [[] for _ in range(n)]
+    for j, k in sorted(table):
+        right[j].append(k)
+    every = range(n)
+    for i in range(n):
+        for j in range(n):
+            for k in every if (i, j) in table else right[j]:
+                yield i, j, k
+
+
 def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
     """Certify the axioms of the declared kind on every ordered basis triple.
 
@@ -371,7 +388,7 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
         def holds(i: int, j: int, k: int) -> bool:
             return _combination_vanishes(table, order, ((1, i, j, k, True), (-1, j, k, i, False)))
 
-        failing = [t for t in product(range(n), repeat=3) if not holds(*t)]
+        failing = [t for t in _live_triples(table, n) if not holds(*t)]
     violations.extend(Violation(law, t, tuple(labels[x] for x in t)) for t in failing)
     return ValidationReport(alg.kind, n, n**3, tuple(violations))
 
@@ -389,6 +406,10 @@ class FiniteOrderAutomorphism(Record):
     The period m need not be the exact order: sigma^m = 1 is all that is
     required, which is what lets automorphisms of different orders share a
     period.
+
+    Building one from its fields certifies nothing.  The `check_*`
+    functions below return it with the table they certified it on, and
+    `eigengrading` accepts it only on that table.
     """
 
     images: tuple[int, ...]
@@ -408,12 +429,27 @@ class FiniteOrderAutomorphism(Record):
 
     def compose(self, other: "FiniteOrderAutomorphism") -> "FiniteOrderAutomorphism":
         """self o other (other acts first), with period lcm of the two periods;
-        that period holds when the factors commute, which callers check."""
+        that period holds when the factors commute, which callers check.  The
+        result carries no certificate (`check_composition` gives one)."""
         return FiniteOrderAutomorphism(
             images=tuple(self.images[k] for k in other.images),
             scalars=tuple(c * self.scalars[k] for k, c in zip(other.images, other.scalars)),
             period=lcm(self.period, other.period),
         )
+
+    def with_period(self, period: int) -> "FiniteOrderAutomorphism":
+        """The same map with a multiple of its period, keeping its certificate:
+        sigma^m = 1 gives sigma^(mt) = 1, and the map itself is unchanged."""
+        if period < 1 or period % self.period != 0:
+            raise AutomorphismError(f"period {period} is not a multiple of {self.period}")
+        out = FiniteOrderAutomorphism(self.images, self.scalars, period)
+        if "_certified_table" in self.__dict__:
+            out.__dict__["_certified_table"] = self._certified_table
+        return out
+
+    def certified_on(self, alg: MultTableAlgebra) -> bool:
+        """Whether a `check_*` function certified this map on the table alg."""
+        return self.__dict__.get("_certified_table") is alg
 
     @cached_property
     def matrix(self) -> tuple[tuple[CycloNum, ...], ...]:
@@ -426,6 +462,15 @@ class FiniteOrderAutomorphism(Record):
         for j, (k, c) in enumerate(zip(self.images, self.scalars)):
             rows[k][j] = c
         return tuple(tuple(row) for row in rows)
+
+
+def _certified(
+    alg: MultTableAlgebra, images: tuple[int, ...], scalars: tuple[CycloNum, ...], period: int
+) -> FiniteOrderAutomorphism:
+    """The automorphism, marked as certified on alg; only the checks call it."""
+    out = FiniteOrderAutomorphism(images=images, scalars=scalars, period=period)
+    out.__dict__["_certified_table"] = alg
+    return out
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:
@@ -442,6 +487,25 @@ def _cycles(images: Sequence[int]) -> list[list[int]]:
             k = images[k]
         out.append(cycle)
     return out
+
+
+def _check_period(
+    alg: MultTableAlgebra, images: Sequence[int], scalars: Sequence[CycloNum], period: int
+) -> None:
+    """sigma^period = 1, cycle by cycle: a cycle of length k with scalar
+    product P returns each of its vectors scaled by P after k steps."""
+    if period < 1:
+        raise AutomorphismError("period must be positive")
+    one = CycloNum.one(alg.scalar_order)
+    for cycle in _cycles(images):
+        product = one
+        for k in cycle:
+            product = product * scalars[k]
+        if period % len(cycle) != 0 or product ** (period // len(cycle)) != one:
+            raise AutomorphismError(
+                f"sigma^{period} is not the identity on the cycle of "
+                f"{alg.basis_labels[cycle[0]]}"
+            )
 
 
 def check_automorphism(
@@ -477,17 +541,64 @@ def check_automorphism(
                     f"multiplicativity fails on basis pair "
                     f"({alg.basis_labels[i]}, {alg.basis_labels[j]})"
                 )
-    one = CycloNum.one(alg.scalar_order)
-    for cycle in _cycles(images):
-        product = one
-        for k in cycle:
-            product = product * scalars[k]
-        if period % len(cycle) != 0 or product ** (period // len(cycle)) != one:
-            raise AutomorphismError(
-                f"sigma^{period} is not the identity on the cycle of "
-                f"{alg.basis_labels[cycle[0]]}"
-            )
-    return FiniteOrderAutomorphism(images=images, scalars=scalars, period=period)
+    _check_period(alg, images, scalars, period)
+    return _certified(alg, images, scalars, period)
+
+
+def check_diagonal_automorphism(
+    alg: MultTableAlgebra, exponents: Sequence[int], m: int
+) -> FiniteOrderAutomorphism:
+    """Verify the diagonal map e_j -> zeta_m^(p_j) e_j by integer additivity.
+
+    sigma(e_i e_j) = sum_k c_ij^k zeta^(p_k) e_k and sigma(e_i) sigma(e_j) =
+    zeta^(p_i + p_j) sum_k c_ij^k e_k agree exactly when p_k = p_i + p_j
+    mod m for every nonzero c_ij^k, because zeta_m is a primitive m-th root
+    of unity.  So one pass of integer comparisons over the table's nonzero
+    products certifies multiplicativity, with no scalar multiplied.  The map
+    is invertible and sigma^m = 1 holds term by term.
+    """
+    n = alg.dim
+    exponents = tuple(exponents)
+    if len(exponents) != n:
+        raise AutomorphismError(f"need {n} exponents")
+    if m < 1:
+        raise AutomorphismError("period must be positive")
+    order = alg.scalar_order
+    if order % m != 0:
+        raise AutomorphismError(f"scalar order {order} lacks the {m}-th roots of unity")
+    residues = [p % m for p in exponents]
+    labels = alg.basis_labels
+    for (i, j), entry in alg._table.items():
+        target = (residues[i] + residues[j]) % m
+        for k, _ in entry:
+            if residues[k] != target:
+                raise AutomorphismError(
+                    f"multiplicativity fails on basis pair ({labels[i]}, {labels[j]}): "
+                    f"exponent {exponents[k]} of {labels[k]} is not "
+                    f"{exponents[i]} + {exponents[j]} mod {m}"
+                )
+    step = order // m
+    scalars = tuple(zeta_power(order, step * p) for p in exponents)
+    return _certified(alg, tuple(range(n)), scalars, m)
+
+
+def check_composition(
+    alg: MultTableAlgebra,
+    outer: FiniteOrderAutomorphism,
+    inner: FiniteOrderAutomorphism,
+    period: int,
+) -> FiniteOrderAutomorphism:
+    """outer o inner with the given period, from two factors certified on alg.
+
+    A composition of algebra automorphisms is one, so multiplicativity
+    follows from the factors' certificates and is not checked again; the
+    period is checked cycle by cycle, as `check_automorphism` checks it.
+    """
+    if not (outer.certified_on(alg) and inner.certified_on(alg)):
+        raise AutomorphismError("a factor of the composition is not certified on this table")
+    composed = outer.compose(inner)
+    _check_period(alg, composed.images, composed.scalars, period)
+    return _certified(alg, composed.images, composed.scalars, period)
 
 
 # -- change of scalar order --------------------------------------------------
@@ -623,16 +734,22 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
     """Split the algebra into the eigenspaces of sigma, in closed form.
 
     Requires the scalar order to contain the needed roots of unity, i.e.
-    sigma.period | alg.scalar_order.  A cycle e_0 -> ... -> e_{k-1} -> e_0 of
-    sigma with scalar product P carries one eigenvector for each root
-    lambda = zeta^i of x^k = P, namely the sum over t < k of
-    lambda^-t sigma^t(e_0), taken from the cycle's smallest index, where it is
-    1.  Supports are disjoint, so each component, ordered by that index, is
-    its reduced row-echelon basis.  Verifies that the components exhaust the
-    algebra, that they are independent (the vectors of one cycle span a block
-    of coordinates no other cycle touches, so this is one small rank per
-    cycle), that every vector is scaled by its eigenvalue, and that
-    multiplication respects residues, the last through `component_solver`.
+    sigma.period | alg.scalar_order, and sigma certified on this table by
+    `check_automorphism`, `check_diagonal_automorphism` or
+    `check_composition`, or lifted from one of those by `with_period`;
+    any other sigma raises GradingError.  A cycle
+    e_0 -> ... -> e_{k-1} -> e_0 of sigma with scalar product P carries one
+    eigenvector for each root lambda = zeta^i of x^k = P, namely the sum over
+    t < k of lambda^-t sigma^t(e_0), taken from the cycle's smallest index,
+    where it is 1.  Supports are disjoint, so each component, ordered by that
+    index, is its reduced row-echelon basis.  Verifies that the components
+    exhaust the algebra, that they are independent (the vectors of one cycle
+    span a block of coordinates no other cycle touches, so this is one small
+    rank per cycle), and that every vector is scaled by its eigenvalue.
+
+    The product rule A_i A_j in A_{i+j} is then a theorem, not a check: the
+    n independent eigenvectors make A_i the whole zeta^i-eigenspace, and for
+    x in A_i, y in A_j, sigma(xy) = sigma(x) sigma(y) = zeta^(i+j) xy.
     """
     m = sigma.period
     if alg.scalar_order % m != 0:
@@ -641,6 +758,8 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
         )
     if sigma.scalar_order != alg.scalar_order:
         raise GradingError("automorphism and algebra must share a scalar order")
+    if not sigma.certified_on(alg):
+        raise GradingError("the automorphism is not certified on this table; check it first")
     n = alg.dim
     order = alg.scalar_order
     step = order // m
@@ -684,16 +803,6 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
         for v in comp:
             if sigma.apply(v) != {k: zeta * c for k, c in v.items()}:
                 raise GradingError(f"component {i} is not an eigenspace of the automorphism")
-    # product rule A_i * A_j inside A_{i+j}
-    for i in range(m):
-        for j in range(m):
-            solver = grading.component_solver((i + j) % m)
-            for x in components[i]:
-                for y in components[j]:
-                    if not solver.contains(alg.product_sparse(x, y)):
-                        raise GradingError(
-                            f"product of components {i} and {j} leaves component {(i + j) % m}"
-                        )
     return grading
 
 

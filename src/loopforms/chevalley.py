@@ -33,10 +33,12 @@ from .algebra import (
     MultTableAlgebra,
     Sparse,
     check_automorphism,
+    check_composition,
+    check_diagonal_automorphism,
     embed_algebra,
     make_table,
 )
-from .cyclo import CycloNum, zeta_power
+from .cyclo import CycloNum
 from .linalg import int_rank_det
 from .record import Record
 
@@ -575,10 +577,12 @@ def diagram_automorphism(
 
     Generators map by e_i -> e_{pi(i)}, f_i -> f_{pi(i)}, h_i -> h_{pi(i)};
     the image of every other root vector is derived from its minimal
-    decomposition.  Every alternative decomposition is then recomputed and
-    must give the same image: a failed cross-check is a hard error, not a
-    report entry.  Each image is a single signed basis element, which gives
+    decomposition.  Each image is a single signed basis element, which gives
     the monomial (images, scalars) form; an image with more terms is an error.
+    The propagated map is then certified by `check_automorphism` on every
+    basis pair, which is where a propagation that another decomposition
+    would contradict fails: a multiplicative map is consistent on every
+    decomposition, so no separate pass re-multiplies the pairs of roots.
     """
     if len(perm.images) != rs.rank:
         raise LieConstructError("permutation rank mismatch")
@@ -624,24 +628,6 @@ def diagram_automorphism(
             target = tuple(x + y for x, y in zip(u, v))
             images[root_index[target]] = {k: coeff * w for k, w in prod.items()}
 
-    # consistency: every decomposition of every root must reproduce the image
-    for a in rs.roots:
-        for b in rs.roots:
-            target = tuple(x + y for x, y in zip(a, b))
-            if target not in consts.root_set:
-                continue
-            lhs = alg.product_sparse(images[root_index[a]], images[root_index[b]])
-            coeff = CycloNum.rational(order, consts.n[(a, b)])
-            rhs = {k: coeff * v for k, v in images[root_index[target]].items()}
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                va = lhs.get(k, CycloNum.zero(order))
-                vb = rhs.get(k, CycloNum.zero(order))
-                if not (va - vb).is_zero():
-                    raise LieConstructError(
-                        f"propagation paths disagree on root {target} via {a} + {b}"
-                    )
-
     terms = []
     for j in range(alg.dim):
         if len(images[j]) != 1:
@@ -657,7 +643,10 @@ def diagram_automorphism(
 def toral_automorphism(
     alg: MultTableAlgebra, rs: RootSystem, charge: ToralCharge
 ) -> FiniteOrderAutomorphism:
-    """Diagonal automorphism fixing the Cartan, scaling e_alpha by zeta^<s,alpha>."""
+    """Diagonal automorphism fixing the Cartan, scaling e_alpha by zeta^<s,alpha>.
+
+    <s, .> is additive on roots, so it is certified by integer additivity
+    over the table's products (`check_diagonal_automorphism`)."""
     if len(charge.s) != rs.rank:
         raise LieConstructError("charge rank mismatch")
     m = charge.modulus
@@ -665,9 +654,7 @@ def toral_automorphism(
         raise LieConstructError(
             f"algebra scalar order {alg.scalar_order} lacks the {m}-th roots of unity"
         )
-    order = alg.scalar_order
-    scalars = [zeta_power(order, (order // m) * p) for p in charge_pairings(rs, charge)]
-    return check_automorphism(alg, range(alg.dim), scalars, m)
+    return check_diagonal_automorphism(alg, charge_pairings(rs, charge), m)
 
 
 def compose_pi_toral(
@@ -693,10 +680,14 @@ def diagram_and_composition(
     """The diagram factor pi and the checked composition `compose_pi_toral`
     builds from it, for callers that need both.
 
-    A trivial charge, every s_i divisible by m, makes tau_s the identity and
-    the composition pi itself, with period lcm(|pi|, m).  Then only pi is
-    built and checked: `check_automorphism` has shown that every cycle
-    product P of pi satisfies P^(|pi|/len) = 1, so sigma^k = 1 for every
+    Each factor is certified once: pi by `check_automorphism`, tau_s by the
+    additivity of <s, .> on the table.  The composition of two automorphisms
+    is one, so `check_composition` checks only its period, cycle by cycle;
+    the factors are composed both ways first, since the period lcm(|pi|, m)
+    rests on their commuting.  A trivial charge, every s_i divisible by m,
+    makes tau_s the identity and the composition pi itself, with period
+    lcm(|pi|, m).  Then only pi is built and checked, and its period is
+    lifted (`with_period`): sigma^|pi| = 1 gives sigma^k = 1 for every
     multiple k of |pi|.
     """
     if len(charge.s) != rs.rank:
@@ -711,12 +702,11 @@ def diagram_and_composition(
         )
     pi_auto = diagram_automorphism(alg, rs, perm)
     if all(si % charge.modulus == 0 for si in charge.s):
-        return pi_auto, FiniteOrderAutomorphism(pi_auto.images, pi_auto.scalars, period)
+        return pi_auto, pi_auto.with_period(period)
     tau_auto = toral_automorphism(alg, rs, charge)
-    composed = pi_auto.compose(tau_auto)
-    if composed != tau_auto.compose(pi_auto):
+    if pi_auto.compose(tau_auto) != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
-    return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)
+    return pi_auto, check_composition(alg, pi_auto, tau_auto, period)
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:

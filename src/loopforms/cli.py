@@ -6,31 +6,28 @@ RunReport; the human-readable rendering is generated from the same JSON
 object, so the two formats cannot drift.  Exit codes: 0 all checks passed,
 1 a verification failed, 2 the request was malformed.  Timing goes to
 stderr, never into the payload, so identical requests give identical bytes.
+
+The argument grammar is `loopforms COMMAND [FLAG VALUE | FLAG=VALUE]...`,
+read by one table-driven parser: the eight commands share one flag set, and
+each command refuses, in `main`, the flags it does not read.  Flags are
+spelled out in full; an abbreviation is an unknown flag.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from math import lcm
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import MultTableAlgebra, eigengrading, centroid_graded
-from .chevalley import (
-    DiagramPermutation,
-    LieConstructError,
-    ToralCharge,
-    algebra_over,
-    cartan_matrix,
-    compose_pi_toral,
-    standard_algebra,
-    TYPE_LABELS,
-)
 
-# acceptance, affine, classify and descent are imported inside the handlers
-# that use them, so a request loads only the modules its command needs
+# chevalley is imported by the paths that read a type label, and acceptance,
+# affine, classify and descent inside the handlers that use them, so a
+# request loads only the modules its command needs
+if TYPE_CHECKING:
+    from .chevalley import DiagramPermutation, ToralCharge
 
 __all__ = ["main"]
 
@@ -71,6 +68,8 @@ def _is_int(x) -> bool:
 
 def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
     """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}."""
+    from .chevalley import DiagramPermutation, ToralCharge
+
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
@@ -133,7 +132,9 @@ def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
 # -- input resolution ------------------------------------------------------------
 
 
-def _require_type(args: argparse.Namespace) -> str:
+def _require_type(args: _Args) -> str:
+    from .chevalley import TYPE_LABELS
+
     if args.type is None:
         raise RequestError("this command needs --type")
     if args.type not in TYPE_LABELS:
@@ -143,7 +144,7 @@ def _require_type(args: argparse.Namespace) -> str:
     return args.type
 
 
-def _one_source(args: argparse.Namespace, allowed: tuple[str, ...]) -> str:
+def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
     present = [
         name
         for name, flag in (
@@ -185,11 +186,13 @@ def _load_algebra(path: str) -> MultTableAlgebra:
         raise RequestError(f"{path} is not a serialized algebra: {exc}") from exc
 
 
-def _build_sigma(args: argparse.Namespace):
+def _build_sigma(args: _Args):
     """Shared resolver for grade / untwist / descent-verify / centroid."""
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
+        from .chevalley import LieConstructError, algebra_over, cartan_matrix, compose_pi_toral
+
         label = args.type
         rank = cartan_matrix(label).rank
         perm, charge = _type_auto(spec, rank)
@@ -213,9 +216,11 @@ def _build_sigma(args: argparse.Namespace):
 # -- commands --------------------------------------------------------------------
 
 
-def _cmd_build(args: argparse.Namespace) -> dict:
+def _cmd_build(args: _Args) -> dict:
     source = _one_source(args, ("type", "algebra"))
     if source == "type":
+        from .chevalley import standard_algebra
+
         rs, alg = standard_algebra(args.type)
         report = alg.validation
         payload = {
@@ -238,7 +243,7 @@ def _cmd_build(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_grade(args: argparse.Namespace) -> dict:
+def _cmd_grade(args: _Args) -> dict:
     alg, _, sigma, _, _, echo = _build_sigma(args)
     grading = eigengrading(alg, sigma)
     payload = dict(echo)
@@ -253,7 +258,7 @@ def _cmd_grade(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_classify(args: argparse.Namespace) -> dict:
+def _cmd_classify(args: _Args) -> dict:
     source = _one_source(args, ("type", "matrix-algebra"))
     if source == "type":
         from .classify import classification_table, k_vs_r_classes
@@ -287,8 +292,9 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_extract_gcm(args: argparse.Namespace) -> dict:
+def _cmd_extract_gcm(args: _Args) -> dict:
     from .affine import affine_certificate
+    from .chevalley import cartan_matrix
 
     _one_source(args, ("type",))
     spec = _parse_auto_json(args.auto)
@@ -305,12 +311,14 @@ def _cmd_extract_gcm(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_untwist(args: argparse.Namespace) -> dict:
+def _cmd_untwist(args: _Args) -> dict:
     from .descent import untwist_iso, untwist_matrix_iso
 
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
+        from .chevalley import algebra_over, cartan_matrix
+
         rank = cartan_matrix(args.type).rank
         perm, charge = _type_auto(spec, rank)
         period = lcm(perm.order(), charge.modulus)
@@ -329,7 +337,7 @@ def _cmd_untwist(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_descent_verify(args: argparse.Namespace) -> dict:
+def _cmd_descent_verify(args: _Args) -> dict:
     from .descent import build_cocycle, twisted_fixed_points
 
     alg, _, sigma, _, _, echo = _build_sigma(args)
@@ -352,7 +360,7 @@ def _cmd_descent_verify(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_centroid(args: argparse.Namespace) -> dict:
+def _cmd_centroid(args: _Args) -> dict:
     alg, _, sigma, _, _, echo = _build_sigma(args)
     grading = eigengrading(alg, sigma)
     shifts = []
@@ -370,7 +378,7 @@ def _cmd_centroid(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> dict:
+def _cmd_verify_all(args: _Args) -> dict:
     from .acceptance import verify_all
 
     report = verify_all()
@@ -389,15 +397,18 @@ def _cmd_verify_all(args: argparse.Namespace) -> dict:
 _WINDOWED = ("extract-gcm", "untwist", "descent-verify")
 _TWISTED = ("grade", "extract-gcm", "untwist", "descent-verify", "centroid")
 
+# command -> (handler, help)
 _COMMANDS = {
-    "build": _cmd_build,
-    "grade": _cmd_grade,
-    "classify": _cmd_classify,
-    "extract-gcm": _cmd_extract_gcm,
-    "untwist": _cmd_untwist,
-    "descent-verify": _cmd_descent_verify,
-    "centroid": _cmd_centroid,
-    "verify-all": _cmd_verify_all,
+    "build": (
+        _cmd_build, "construct a split simple Lie algebra (or validate an external table)"
+    ),
+    "grade": (_cmd_grade, "eigenspace decomposition for a finite-order automorphism"),
+    "classify": (_cmd_classify, "isomorphism classes of loop algebras of one type"),
+    "extract-gcm": (_cmd_extract_gcm, "affine GCM and label of a twisted loop algebra"),
+    "untwist": (_cmd_untwist, "explicit trivialization of a toral (or composed) twist"),
+    "descent-verify": (_cmd_descent_verify, "cocycle identity and twisted fixed points"),
+    "centroid": (_cmd_centroid, "graded centroid dimensions by shift"),
+    "verify-all": (_cmd_verify_all, "run the full acceptance suite"),
 }
 
 
@@ -464,7 +475,7 @@ def _render_text(obj, indent: str = "") -> list[str]:
     return lines
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
+def _emit(report: dict, args: _Args) -> None:
     if args.text:
         rendered = "\n".join(_render_text(report)) + "\n"
     else:
@@ -481,50 +492,115 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 # -- entry point -----------------------------------------------------------------
 
+# flag -> (attribute, value type or None for a switch, metavar, help)
+_FLAGS = {
+    "--type": (
+        "type", str, "T", "built-in type label (A1..A8, B2..B8, C3..C8, D4..D8, E6..E8, F4, G2)"
+    ),
+    "--algebra": ("algebra", str, "FILE", "path to a serialized multiplication table (JSON)"),
+    "--matrix-algebra": ("matrix_algebra", int, "N", "use the matrix algebra M_N"),
+    "--auto": (
+        "auto",
+        str,
+        "SPEC",
+        'automorphism spec: {"pi": [..1-based] | null, "s": [..] | null, "m": int};'
+        ' for --matrix-algebra: {"exponents": [..], "m": int}',
+    ),
+    "--window": (
+        "window",
+        int,
+        "W",
+        "degree window: the degrees untwist and descent-verify list (their checks"
+        " cover every degree), and the degree range of extract-gcm's root data",
+    ),
+    "--json": ("json", None, "", "JSON output (default)"),
+    "--text": ("text", None, "", "human-readable tables"),
+    "--out": ("out", str, "FILE", "write the report to a file instead of stdout"),
+}
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loopforms",
-        description="Twisted loop algebras over the punctured line: "
-        "construction, grading, descent checks, classification, GCM extraction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("build", "construct a split simple Lie algebra (or validate an external table)"),
-        ("grade", "eigenspace decomposition for a finite-order automorphism"),
-        ("classify", "isomorphism classes of loop algebras of one type"),
-        ("extract-gcm", "affine GCM and label of a twisted loop algebra"),
-        ("untwist", "explicit trivialization of a toral (or composed) twist"),
-        ("descent-verify", "cocycle identity and twisted fixed points"),
-        ("centroid", "graded centroid dimensions by shift"),
-        ("verify-all", "run the full acceptance suite"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--type", help=f"built-in type label ({TYPE_LABELS[0]}..{TYPE_LABELS[-1]})")
-        cmd.add_argument("--algebra", help="path to a serialized multiplication table (JSON)")
-        cmd.add_argument(
-            "--matrix-algebra", type=int, metavar="N", help="use the matrix algebra M_N"
+_HELP = ("-h", "--help")
+
+
+class _Args:
+    """A parsed request: the command, and one attribute per flag, None when
+    the flag is absent (False for a switch)."""
+
+    def __init__(self, command: str):
+        self.command = command
+        for attr, kind, _, _ in _FLAGS.values():
+            setattr(self, attr, False if kind is None else None)
+
+
+def _usage() -> str:
+    lines = [
+        "usage: loopforms COMMAND [--type T | --algebra FILE | --matrix-algebra N]",
+        "                 [--auto SPEC] [--window W] [--json | --text] [--out FILE]",
+        "",
+        "Twisted loop algebras over the punctured line: construction, grading, descent checks,",
+        "classification, GCM extraction.",
+        "",
+        "commands:",
+    ]
+    lines += [f"  {name:<16}{text}" for name, (_, text) in _COMMANDS.items()]
+    lines += ["", "flags (FLAG VALUE or FLAG=VALUE):"]
+    for flag, (_, _, metavar, text) in _FLAGS.items():
+        lines.append(f"  {(flag + ' ' + metavar).strip():<20}{text}")
+    lines.append(f"  {'-h, --help':<20}show this message and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_args(argv: list[str]) -> Optional[_Args]:
+    """Read COMMAND and its flags; a malformed argv raises RequestError, and
+    -h or --help in place of the command or of a flag gives None."""
+    if not argv:
+        raise RequestError(f"a command is required; choose one of {', '.join(_COMMANDS)}")
+    if argv[0] in _HELP:
+        return None
+    if argv[0] not in _COMMANDS:
+        raise RequestError(
+            f"unknown command {argv[0]!r}; choose one of {', '.join(_COMMANDS)}"
         )
-        cmd.add_argument(
-            "--auto",
-            help='automorphism spec: {"pi": [..1-based] | null, "s": [..] | null, "m": int};'
-            ' for --matrix-algebra: {"exponents": [..], "m": int}',
-        )
-        cmd.add_argument(
-            "--window",
-            type=int,
-            help="degree window: the degrees untwist and descent-verify list (their checks"
-            " cover every degree), and the degree range of extract-gcm's root data",
-        )
-        fmt = cmd.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-        fmt.add_argument("--text", action="store_true", help="human-readable tables")
-        cmd.add_argument("--out", help="write the report to a file instead of stdout")
-    return parser
+    args = _Args(argv[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if not token.startswith("--"):
+            raise RequestError(f"unexpected argument {token!r}")
+        flag, has_value, value = token.partition("=")
+        spec = _FLAGS.get(flag)
+        if spec is None:
+            raise RequestError(f"unknown flag {flag!r}; flags are not abbreviated")
+        attr, kind = spec[0], spec[1]
+        if kind is None:
+            if has_value:
+                raise RequestError(f"{flag} takes no value")
+            setattr(args, attr, True)
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise RequestError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise RequestError(f"{flag} needs an integer, got {value!r}") from None
+        setattr(args, attr, value)
+    if args.json and args.text:
+        raise RequestError("--json and --text exclude each other")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _make_parser().parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except RequestError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_usage())
+        return 0
     started = time.monotonic()
     try:
         if args.command == "verify-all":
@@ -540,7 +616,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise RequestError("--window must be a positive integer")
             if args.window > MAX_WINDOW:
                 raise RequestError(f"--window {args.window} exceeds the limit {MAX_WINDOW}")
-        payload = _COMMANDS[args.command](args)
+        payload = _COMMANDS[args.command][0](args)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,28 +26,25 @@ part of the automorphism group.
 
 from __future__ import annotations
 
-from math import lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
     GradedDecomposition,
     LoopElement,
     MultTableAlgebra,
     FiniteOrderAutomorphism,
-    check_automorphism,
+    check_diagonal_automorphism,
     eigengrading,
     make_table,
-)
-from .chevalley import (
-    DiagramPermutation,
-    RootSystem,
-    ToralCharge,
-    charge_pairings,
-    diagram_and_composition,
 )
 from .cyclo import CycloNum, zeta_power
 from .linalg import Sparse, nullspace
 from .record import Record
+
+# chevalley is imported by the functions that twist a type label, so the
+# matrix-algebra requests never load it
+if TYPE_CHECKING:
+    from .chevalley import DiagramPermutation, RootSystem, ToralCharge
 
 __all__ = [
     "CheckReport",
@@ -201,8 +198,9 @@ def build_matrix_algebra(
         constants=make_table(entries),
         basis_labels=labels,
     )
-    scalars = [zeta_power(m, shift) for shift in matrix_unit_shifts(n, exponents)]
-    sigma = check_automorphism(alg, range(dim), scalars, m)
+    # E_ik E_kj = E_ij and (a_i - a_k) + (a_k - a_j) = a_i - a_j: the shifts
+    # are additive, which is the certificate of the diagonal twist
+    sigma = check_diagonal_automorphism(alg, matrix_unit_shifts(n, exponents), m)
     return alg, sigma
 
 
@@ -327,6 +325,8 @@ def untwist_iso(
     keeps the shift aligned with the common-period grading.  `window` only
     sets the window each check reports.
     """
+    from .chevalley import charge_pairings, diagram_and_composition
+
     pi_auto, sigma = diagram_and_composition(alg, rs, perm, charge)
     period = sigma.period
     if window is None:
@@ -334,7 +334,7 @@ def untwist_iso(
     pairings = charge_pairings(rs, charge)
     step = period // charge.modulus
     shifts = tuple(step * p for p in pairings)
-    pi_common = check_automorphism(alg, pi_auto.images, pi_auto.scalars, period)
+    pi_common = pi_auto.with_period(period)
     source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, pi_common)
     checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
@@ -358,7 +358,7 @@ def untwist_matrix_iso(
     if window is None:
         window = 2 * m
     shifts = matrix_unit_shifts(n, exponents)
-    identity = check_automorphism(alg, range(alg.dim), [CycloNum.one(m)] * alg.dim, m)
+    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, m)
     source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, identity)
     checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
@@ -416,7 +416,7 @@ def coboundary_witness(
     e_alpha z^(j + <s, alpha>)) together with the verification report for
     u(n) = a^-1 o gamma^n(a) over all residues, which covers every degree.
     """
-    from .chevalley import toral_automorphism
+    from .chevalley import charge_pairings, toral_automorphism
 
     m = charge.modulus
     if window is None:

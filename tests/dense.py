@@ -24,8 +24,13 @@ Fraction, the reference for the integer Bareiss `linalg.int_rank_det`, and
 homogeneous basis vectors, the reference for `algebra.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
-`chevalley.diagram_and_composition`, which builds only pi when the charge is
-trivial.
+`chevalley.diagram_and_composition`, which checks pi alone by
+`check_automorphism`, tau_s by additivity and the composition by its period.
+`product_rule_check` forms all n^2 products of component vectors, the
+reference for the product rule that `eigengrading` draws from its certified
+automorphism, and `propagation_consistency` re-multiplies every pair of
+roots, the reference for the propagation of `chevalley.diagram_automorphism`,
+which leaves that to its one `check_automorphism`.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ from loopforms.chevalley import (
     LieConstructError,
     RootSystem,
     ToralCharge,
+    _basis_layout,
+    _Constants,
     algebra_over,
     compose_pi_toral,
     diagram_automorphism,
@@ -191,6 +198,50 @@ def dense_check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int)
                 )
     if not is_identity(mat_pow(matrix, period)):
         raise AutomorphismError(f"matrix^{period} is not the identity")
+
+
+def product_rule_check(alg: MultTableAlgebra, grading: GradedDecomposition) -> None:
+    """A_i A_j inside A_{i+j}, product by product: all n^2 products of
+    component vectors, each read with `component_solver`.  The reference for
+    the product rule `eigengrading` takes as a theorem of its certified
+    automorphism."""
+    m = grading.period
+    comps = grading.component_bases
+    for i in range(m):
+        for j in range(m):
+            solver = grading.component_solver(i + j)
+            for x in comps[i]:
+                for y in comps[j]:
+                    if not solver.contains(alg.product_sparse(x, y)):
+                        raise GradingError(
+                            f"product of components {i} and {j} leaves component {(i + j) % m}"
+                        )
+
+
+def propagation_consistency(
+    alg: MultTableAlgebra, rs: RootSystem, sigma: FiniteOrderAutomorphism
+) -> None:
+    """sigma(e_a) sigma(e_b) = N_ab sigma(e_(a+b)) for every pair of roots
+    whose sum is a root: every decomposition of every root reproduces the
+    propagated image.  The reference for `chevalley.diagram_automorphism`,
+    which leaves this to its closing `check_automorphism`."""
+    consts = _Constants(rs)
+    _, root_index = _basis_layout(rs)
+    order = alg.scalar_order
+    one = CycloNum.one(order)
+
+    def image(root: tuple[int, ...]) -> Sparse:
+        return sigma.apply({root_index[root]: one})
+
+    for a in rs.roots:
+        for b in rs.roots:
+            target = tuple(x + y for x, y in zip(a, b))
+            if target not in consts.root_set:
+                continue
+            lhs = alg.product_sparse(image(a), image(b))
+            coeff = CycloNum.rational(order, consts.n[(a, b)])
+            if lhs != {k: coeff * v for k, v in image(target).items()}:
+                raise LieConstructError(f"propagation paths disagree on root {target} via {a} + {b}")
 
 
 def _sparse_sum(terms: Sequence[Sparse]) -> Sparse:
@@ -813,10 +864,12 @@ def three_pass_composition(
     alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation, charge: ToralCharge
 ) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
     """pi and pi o tau_s, each built and checked by `check_automorphism`,
-    with tau_s built and checked too, and the factors composed both ways."""
+    with tau_s built and checked by it too, and the factors composed both
+    ways."""
     period = lcm(perm.order(), charge.modulus)
     pi_auto = diagram_automorphism(alg, rs, perm)
-    tau_auto = toral_automorphism(alg, rs, charge)
+    tau = toral_automorphism(alg, rs, charge)
+    tau_auto = check_automorphism(alg, tau.images, tau.scalars, tau.period)
     composed = pi_auto.compose(tau_auto)
     if composed != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")

@@ -326,9 +326,41 @@ def test_extractor_agrees_with_catalog(label, images):
 
 
 def test_certificate_rejects_label_of_another_type(monkeypatch):
+    # no own row matches, so the whole catalog is read, and it names a form
+    # of another type
+    monkeypatch.setattr(affine, "own_type_forms", lambda type_label: ())
     monkeypatch.setattr(affine, "match_affine_label", lambda gcm: AffineLabel("A3", 1))
-    with pytest.raises(AffineExtractError):
+    with pytest.raises(AffineExtractError, match="is A3\\^\\(1\\), not a form of A2"):
         affine_certificate("A2")
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_own_type_matcher_finds_each_own_row(label):
+    for entry in affine.own_type_forms(label):
+        assert entry.label.base_type == label
+        assert affine.match_own_type(entry.gcm, label) == entry.label
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_own_type_matcher_refuses_a_label_of_another_type(label):
+    # every row of every other type, and a row equivalent to one of them
+    # under a reversal of its nodes, finds no row of this type
+    for entry in affine_catalog():
+        if entry.label.base_type == label:
+            continue
+        reversed_gcm = GCM(entries=tuple(tuple(row[::-1]) for row in entry.gcm.entries[::-1]))
+        assert affine.match_own_type(entry.gcm, label) is None
+        assert affine.match_own_type(reversed_gcm, label) is None
+        assert affine.match_own_type(reversed_gcm, entry.label.base_type) == entry.label
+
+
+def test_certificate_reads_only_own_rows(monkeypatch):
+    # a request whose label is among the type's own rows builds no catalog
+    affine.affine_catalog.cache_clear()
+    monkeypatch.setattr(affine, "match_affine_label", None)
+    report = affine_certificate("D4", perm=DiagramPermutation((3, 1, 0, 2)))
+    assert str(report.label) == "D4^(3)"
+    assert affine.affine_catalog.cache_info().currsize == 0
 
 
 # -- frozen matrices for the twisted entries ---------------------------------------

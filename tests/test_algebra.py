@@ -1,11 +1,12 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from fractions import Fraction
 
 import pytest
 
 from dense import (
     TWIST_FIXTURES,
+    product_rule_check,
     all_pairs_centroid,
     base_change_check,
     basis_vector,
@@ -16,20 +17,27 @@ from dense import (
     ordered_triple_validation,
     twist_fixture,
 )
+from loopforms import algebra
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
     _Generators,
     _generators,
+    _live_triples,
+    _power_basis_table,
     AlgebraError,
     AutomorphismError,
     ComponentSolver,
+    FiniteOrderAutomorphism,
     GradedDecomposition,
     GradingError,
     MultTableAlgebra,
     centroid_graded,
     check_automorphism,
+    check_composition,
+    check_diagonal_automorphism,
     eigengrading,
+    embed_algebra,
     loop_bracket,
     loop_element,
     make_table,
@@ -41,6 +49,7 @@ from loopforms.chevalley import (
     ToralCharge,
     algebra_over,
     cartan_matrix,
+    charge_pairings,
     compose_pi_toral,
     diagram_automorphism,
     standard_algebra,
@@ -211,7 +220,30 @@ _VALIDATION_CASES = {
     "M3 product x zeta_3": (
         lambda: _scaled(build_matrix_algebra(3, (0, 1, 2), 3)[0], ((4, 5),), zeta_power(3, 1)),
         False),
+    # tampered M_2..M_4, whose associators are evaluated only on live triples
+    **{f"M{n} E12 E21 x2": (lambda n=n: _scaled(_matrix_table(n), ((1, n),), q(2)), False)
+       for n in (2, 3, 4)},
+    **{f"M{n} E11 E11 dropped": (lambda n=n: _dropped(_matrix_table(n), (0, 0)), False)
+       for n in (2, 3, 4)},
+    **{f"M{n} E11 E22 = E12": (lambda n=n: _spurious(_matrix_table(n), (0, n + 1), 1), False)
+       for n in (2, 3, 4)},
 }
+
+
+def _matrix_table(n):
+    return build_matrix_algebra(n, (0,) * n, 1)[0]
+
+
+def _dropped(alg, key):
+    entries = _entries(alg)
+    del entries[key]
+    return _retabled(alg, entries)
+
+
+def _spurious(alg, key, target):
+    entries = _entries(alg)
+    entries[key] = {target: q(1)}
+    return _retabled(alg, entries)
 
 
 @pytest.mark.parametrize("name", sorted(_VALIDATION_CASES))
@@ -222,6 +254,21 @@ def test_validation_equals_ordered_triple_oracle(name):
     assert report == ordered_triple_validation(alg)
     assert report.triples_checked == alg.dim ** 3
     assert report.ok == valid
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_associator_skips_only_dead_triples(n):
+    alg = _spurious(_matrix_table(n), (0, n + 1), 1)
+    table = _power_basis_table(alg)
+    live = list(_live_triples(table, alg.dim))
+    # every ordered triple in lexicographic order, less those whose two
+    # inner products e_i e_j and e_j e_k are both zero
+    want = [
+        t for t in product(range(alg.dim), repeat=3)
+        if (t[0], t[1]) in table or (t[1], t[2]) in table
+    ]
+    assert live == want
+    assert len(live) < alg.dim ** 3
 
 
 def test_sl2_violation_reported_on_all_six_orderings():
@@ -287,6 +334,109 @@ def test_eigengrading_rejects_non_automorphism():
     # h <-> e, f fixed
     with pytest.raises(ValueError):
         check_automorphism(alg, (1, 0, 2), (q(1, 2),) * 3, 2)
+
+
+def test_eigengrading_refuses_uncertified_non_multiplicative_map():
+    # h -> -h, e and f fixed: [e, f] = h lands in residue 1, not 0 + 0
+    alg = _sl2(order=2)
+    images, scalars = (0, 1, 2), (q(-1, 2), q(1, 2), q(1, 2))
+    sigma = FiniteOrderAutomorphism(images, scalars, 2)
+    with pytest.raises(GradingError, match="not certified"):
+        eigengrading(alg, sigma)
+    with pytest.raises(AutomorphismError, match=r"multiplicativity fails"):
+        check_automorphism(alg, images, scalars, 2)
+    # the n^2 product loop refuses the same grading, written out by hand
+    one = q(1, 2)
+    by_hand = GradedDecomposition(2, 2, 3, (({1: one}, {2: one}), ({0: one},)))
+    with pytest.raises(GradingError, match="product of components 0 and 0"):
+        product_rule_check(alg, by_hand)
+
+
+def test_eigengrading_accepts_only_certified_maps():
+    alg, sigma, grading = _sl2_graded()
+    plain = FiniteOrderAutomorphism(sigma.images, sigma.scalars, sigma.period)
+    with pytest.raises(GradingError, match="not certified"):
+        eigengrading(alg, plain)
+    # the certificate is of one table object, not of every table of its shape
+    with pytest.raises(GradingError, match="not certified"):
+        eigengrading(_sl2(order=2), sigma)
+    with pytest.raises(GradingError, match="not certified"):
+        eigengrading(embed_algebra(standard_algebra("A1")[1], 2), sigma)
+    # a period lift keeps the certificate, a plain composition drops it
+    lifted = sigma.with_period(4)
+    assert lifted.certified_on(alg) and lifted.period == 4
+    assert not sigma.compose(sigma).certified_on(alg)
+    with pytest.raises(AutomorphismError, match="not a multiple"):
+        sigma.with_period(3)
+
+
+def test_eigengrading_refuses_a_component_that_is_not_an_eigenvector(monkeypatch):
+    # the closed form read along each 3-cycle of triality backwards: the
+    # vectors still exhaust the algebra and are independent, but sigma does
+    # not scale them by their eigenvalue
+    rs, alg = algebra_over("D4", 3)
+    sigma = diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 3, 0)))
+    real = algebra._cycles
+
+    def backwards(images):
+        return [c if len(c) < 3 else [c[0], *reversed(c[1:])] for c in real(images)]
+
+    monkeypatch.setattr(algebra, "_cycles", backwards)
+    with pytest.raises(GradingError, match="is not an eigenspace"):
+        eigengrading(alg, sigma)
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_product_rule_holds_on_every_twist_fixture(name):
+    # the theorem eigengrading relies on, against the n^2 product loop
+    alg, sigma = twist_fixture(name)
+    assert sigma.certified_on(alg)
+    product_rule_check(alg, eigengrading(alg, sigma))
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_diagonal_certificate_equals_pair_check(name):
+    # every diagonal twist of the pool, certified by additivity, against
+    # the full pair check; a non-diagonal twist has no exponents to add
+    alg, sigma = twist_fixture(name)
+    if sigma.images != tuple(range(alg.dim)):
+        return
+    m = sigma.period
+    step = alg.scalar_order // m
+    exponents = [next(p for p in range(m) if zeta_power(alg.scalar_order, step * p) == c)
+                 for c in sigma.scalars]
+    additive = check_diagonal_automorphism(alg, exponents, m)
+    assert additive == sigma == check_automorphism(alg, sigma.images, sigma.scalars, m)
+    assert additive.certified_on(alg)
+
+
+def test_non_additive_charge_raises():
+    rs, alg = algebra_over("A2", 3)
+    good = list(charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3)))
+    assert check_diagonal_automorphism(alg, good, 3).period == 3
+    bad = list(good)
+    top = alg.basis_labels.index("e[1,1]")
+    bad[top] += 1  # <s, a1 + a2> is no longer <s, a1> + <s, a2>
+    with pytest.raises(AutomorphismError, match=r"\(e\[0,1\], e\[1,0\]\): exponent 2 of e\[1,1\] is not 0 \+ 1 mod 3"):
+        check_diagonal_automorphism(alg, bad, 3)
+    scalars = [zeta_power(3, p) for p in bad]
+    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+        check_automorphism(alg, range(alg.dim), scalars, 3)
+    with pytest.raises(AutomorphismError, match="lacks the 2-th roots"):
+        check_diagonal_automorphism(alg, good, 2)
+
+
+def test_composition_needs_certified_factors():
+    rs, alg = algebra_over("A2", 6)
+    flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
+    tau = toral_automorphism(alg, rs, ToralCharge(s=(1, 1), modulus=3))
+    composed = check_composition(alg, flip, tau, 6)
+    assert composed == flip.compose(tau) and composed.certified_on(alg)
+    plain = FiniteOrderAutomorphism(tau.images, tau.scalars, tau.period)
+    with pytest.raises(AutomorphismError, match="not certified"):
+        check_composition(alg, flip, plain, 6)
+    with pytest.raises(AutomorphismError, match="sigma\\^3 is not the identity"):
+        check_composition(alg, flip, tau, 3)
 
 
 # -- monomial automorphisms against the dense oracle -------------------------------

@@ -7,8 +7,8 @@ from math import lcm
 
 import pytest
 
-from loopforms import chevalley, cli
-from loopforms.algebra import check_automorphism
+from loopforms import algebra, chevalley, cli
+from loopforms.algebra import AutomorphismError, check_automorphism
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
@@ -34,6 +34,8 @@ from dense import (
     densify,
     is_identity,
     mat_pow,
+    product_rule_check,
+    propagation_consistency,
     three_pass_composition,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
@@ -333,24 +335,36 @@ def test_composed_requires_invariant_charge():
         compose_pi_toral(alg, rs, FLIP, ToralCharge(s=(1, 0), modulus=3))
 
 
-def _trivial_charges():
-    """(type, pi, charge) for every diagram class of A2-A5, D4 and E6, with
-    s = 0 and with s = m on the pi-orbit of node 1, for m = 1 and m = 2."""
+def _diagram_classes():
+    """(type, pi, the pi-orbit of node 1) for every diagram class of A2-A5,
+    D4 and E6."""
     for label in ("A2", "A3", "A4", "A5", "D4", "E6"):
         group = dynkin_automorphism_group(cartan_matrix(label))
         for perm, _ in conjugacy_classes(group).classes:
             orbit = {0}
             while {perm(i) for i in orbit} - orbit:
                 orbit |= {perm(i) for i in orbit}
-            for m in (1, 2):
-                zero = (0,) * len(perm.images)
-                lifted = tuple(m if i in orbit else 0 for i in range(len(perm.images)))
-                for s in (zero, lifted):
-                    pi = "".join(map(str, perm.to_one_based()))
-                    yield pytest.param(
-                        label, perm, ToralCharge(s=s, modulus=m),
-                        id=f"{label}-pi{pi}-s{''.join(map(str, s))}-m{m}",
-                    )
+            yield label, perm, orbit
+
+
+def _charges(moduli, trivial):
+    """(type, pi, charge) for every diagram class: with s = m on the pi-orbit
+    of node 1, and with s = 0, when trivial; else with s = 1 there."""
+    for label, perm, orbit in _diagram_classes():
+        for m in moduli:
+            zero = (0,) * len(perm.images)
+            weight = m if trivial else 1
+            on_orbit = tuple(weight if i in orbit else 0 for i in range(len(perm.images)))
+            for s in (zero, on_orbit) if trivial else (on_orbit,):
+                pi = "".join(map(str, perm.to_one_based()))
+                yield pytest.param(
+                    label, perm, ToralCharge(s=s, modulus=m),
+                    id=f"{label}-pi{pi}-s{''.join(map(str, s))}-m{m}",
+                )
+
+
+def _trivial_charges():
+    return _charges((1, 2), trivial=True)
 
 
 @pytest.mark.parametrize("label, perm, charge", _trivial_charges())
@@ -360,6 +374,67 @@ def test_trivial_charge_composition_matches_three_passes(label, perm, charge):
     slow = three_pass_composition(alg, rs, perm, charge)
     assert fast == slow
     assert fast[1].period == lcm(perm.order(), charge.modulus)
+
+
+@pytest.mark.parametrize("label, perm, charge", _charges((2, 3), trivial=False))
+def test_charged_composition_matches_three_passes(label, perm, charge):
+    # tau_s certified by additivity and the composition by its period,
+    # against three full pair checks and the n^2 product loop
+    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
+    fast = diagram_and_composition(alg, rs, perm, charge)
+    assert fast == three_pass_composition(alg, rs, perm, charge)
+    assert fast[1].certified_on(alg)
+    product_rule_check(alg, algebra.eigengrading(alg, fast[1]))
+
+
+@pytest.mark.parametrize(
+    "label, perm", [pytest.param(label, perm, id=f"{label}-pi{perm.to_one_based()}")
+                    for label, perm, _ in _diagram_classes()]
+)
+def test_one_check_implies_consistency_and_product_rule(label, perm):
+    # the all-pairs consistency pass and the n^2 product loop, against the
+    # one check_automorphism of the propagated map
+    rs, alg = algebra_over(label, perm.order())
+    sigma = diagram_automorphism(alg, rs, perm)
+    propagation_consistency(alg, rs, sigma)
+    product_rule_check(alg, algebra.eigengrading(alg, sigma))
+
+
+def test_propagated_image_with_flipped_sign_is_caught(monkeypatch):
+    rs, alg = algebra_over("A3", 2)
+    roots = rs.root_set()
+    # the decomposition diagram_automorphism propagates the first root of
+    # height 2 along, with its structure constant negated
+    alpha = next(r for r in rs.positives if sum(r) == 2)
+    xi = next(x for x in rs.positives
+              if tuple(a - b for a, b in zip(alpha, x)) in roots and sum(alpha) > sum(x))
+    eta = tuple(a - b for a, b in zip(alpha, xi))
+    untampered = diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 0)))
+    real = chevalley._Constants
+
+    class Flipped(real):
+        def __init__(self, rs):
+            super().__init__(rs)
+            self.n[(xi, eta)] = -self.n[(xi, eta)]
+
+    built = []
+
+    def capture(alg, images, scalars, period):
+        built.append(algebra.FiniteOrderAutomorphism(tuple(images), tuple(scalars), period))
+        return check_automorphism(alg, images, scalars, period)
+
+    monkeypatch.setattr(chevalley, "_Constants", Flipped)
+    monkeypatch.setattr(chevalley, "check_automorphism", capture)
+    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+        diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 0)))
+    (propagated,) = built
+    # the image of e_alpha is the one flipped
+    idx = alg.basis_labels.index("e[" + ",".join(map(str, alpha)) + "]")
+    assert [k for k in range(alg.dim) if propagated.scalars[k] != untampered.scalars[k]] == [idx]
+    assert propagated.scalars[idx] == -untampered.scalars[idx]
+    # the all-pairs consistency pass refuses the same map
+    with pytest.raises(LieConstructError, match="propagation paths disagree"):
+        propagation_consistency(alg, rs, propagated)
 
 
 def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):

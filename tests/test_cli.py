@@ -306,6 +306,71 @@ def test_missing_subcommand_exits_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("frobnicate", "--type", "A2"),
+         "unknown command 'frobnicate'; choose one of build, grade, classify, extract-gcm,"
+         " untwist, descent-verify, centroid, verify-all"),
+        (("grade", "--type", "A2", "--colour", "red"),
+         "unknown flag '--colour'; flags are not abbreviated"),
+        (("grade", "--type", "A2", "stray"), "unexpected argument 'stray'"),
+        (("grade", "--type"), "--type needs a value"),
+        (("grade", "--type", "--auto", "{}"), "--type needs a value"),
+        (("untwist", "--type", "A1", "--window"), "--window needs a value"),
+        (("extract-gcm", "--type", "A2", "--window", "two"),
+         "--window needs an integer, got 'two'"),
+        (("grade", "--matrix-algebra", "2x"), "--matrix-algebra needs an integer, got '2x'"),
+        (("grade", "--matrix-algebra=", "2"), "--matrix-algebra needs an integer, got ''"),
+        (("grade", "--type", "A2", "--json", "--text"), "--json and --text exclude each other"),
+        (("grade", "--type", "A2", "--text=yes"), "--text takes no value"),
+        # abbreviations are refused: a prefix of a flag is an unknown flag
+        (("grade", "--ty", "A2"), "unknown flag '--ty'; flags are not abbreviated"),
+        (("grade", "--matrix", "2"), "unknown flag '--matrix'; flags are not abbreviated"),
+        (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--win", "4"),
+         "unknown flag '--win'; flags are not abbreviated"),
+    ],
+)
+def test_malformed_argv_exits_2_without_traceback(argv, message):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_argv_errors_in_process_return_2(capsys):
+    assert cli.main(["grade", "--type", "A2", "--windo", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unknown flag '--windo'; flags are not abbreviated"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("-h",), ("grade", "--help"), ("extract-gcm", "--type", "A2", "-h")]
+)
+def test_help_exits_0(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: loopforms COMMAND")
+    for name in ("build", "grade", "classify", "extract-gcm", "untwist", "descent-verify",
+                 "centroid", "verify-all", "--matrix-algebra", "--window", "--out"):
+        assert name in result.stdout
+    assert result.stderr == ""
+
+
+def test_flag_equals_value_is_the_flag_and_value(capsys):
+    spelled = ["extract-gcm", "--type", "D4", "--auto", '{"pi":[4,2,1,3]}', "--window", "5"]
+    joined = ["extract-gcm", "--type=D4", '--auto={"pi":[4,2,1,3]}', "--window=5"]
+    assert cli.main(spelled) == 0
+    first = capsys.readouterr().out
+    assert cli.main(joined) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["payload"]["label"] == "D4^(3)"
+    # a repeated flag keeps its last value
+    assert cli.main(["grade", "--type", "A3", "--type", "A2", "--text"]) == 0
+    assert "type: A2" in capsys.readouterr().out
+
+
 # -- the full suite through the CLI -------------------------------------------------
 
 

@@ -30,14 +30,19 @@ _CODEGEN = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
 
 
 def _request(argv: list[str]):
+    """Exit code, loopforms submodules and code generators loaded by one
+    request; every request also leaves the argument-parsing module of the
+    standard library unloaded."""
     code = (
         "import contextlib, io, json, sys\n"
         "from loopforms import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        f"print(json.dumps([code, {_LOADED}, {_CODEGEN}]))\n"
+        f"print(json.dumps([code, {_LOADED}, {_CODEGEN}, 'argparse' in sys.modules]))\n"
     )
-    return _run(code)
+    code, loaded, codegen, parser_loaded = _run(code)
+    assert not parser_loaded
+    return code, loaded, codegen
 
 
 def test_import_loads_no_submodule():
@@ -56,6 +61,37 @@ def test_grade_loads_only_the_modules_it_uses():
         "loopforms.record",
     ]
     assert codegen == []
+
+
+_CORE = ["loopforms.algebra", "loopforms.cli", "loopforms.cyclo", "loopforms.linalg", "loopforms.record"]
+
+
+def test_matrix_algebra_request_loads_no_chevalley():
+    argv = ["grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": 2}']
+    code, loaded, codegen = _request(argv)
+    assert code == 0
+    assert loaded == sorted(_CORE + ["loopforms.descent"])
+    assert codegen == []
+
+
+def test_table_request_loads_no_chevalley(tmp_path):
+    table = {
+        "dim": 1, "scalar_order": 1, "kind": "associative", "labels": ["e"],
+        "constants": [[0, 0, [[0, {"order": 1, "coeffs": ["1"]}]]]],
+    }
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(table))
+    code, loaded, codegen = _request(["build", "--algebra", str(path)])
+    assert code == 0
+    assert loaded == _CORE
+    assert codegen == []
+
+
+def test_help_and_argv_errors_load_no_chevalley():
+    for argv, want in ((["--help"], 0), (["grade", "--typ", "A2"], 2)):
+        code, loaded, _ = _request(argv)
+        assert code == want
+        assert "loopforms.chevalley" not in loaded
 
 
 def test_classify_loads_no_code_generator():

@@ -7,6 +7,7 @@ import pytest
 
 from loopforms.algebra import (
     AlgebraError,
+    FiniteOrderAutomorphism,
     GradedDecomposition,
     MultTableAlgebra,
     eigengrading,
@@ -146,9 +147,17 @@ def test_caches_are_outside_equality_hash_and_repr():
     sigma = toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
     used = eigengrading(alg, sigma)
     fresh = GradedDecomposition(used.period, used.scalar_order, used.dim, used.component_bases)
+    # eigengrading builds no solver; asking for one fills the cache
+    assert not used._solvers
+    assert used.component_solver(1) is used.component_solver(1)
     assert used._solvers and not fresh._solvers
     assert used == fresh
     assert "_solvers" not in repr(used) and "_generators" not in repr(used)
+    # nor is the table an automorphism was certified on
+    plain = FiniteOrderAutomorphism(sigma.images, sigma.scalars, sigma.period)
+    assert sigma.certified_on(alg) and not plain.certified_on(alg)
+    assert sigma == plain and hash(sigma) == hash(plain)
+    assert "_certified_table" not in repr(sigma)
 
 
 def test_cached_property_is_kept_on_the_instance():
