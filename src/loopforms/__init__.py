@@ -39,6 +39,7 @@ _EXPORTS = {
         "eigengrading",
         "loop_bracket",
         "loop_element",
+        "twist",
         "validate_algebra",
     ),
     "chevalley": (
@@ -54,7 +55,6 @@ _EXPORTS = {
         "diagram_automorphism",
         "root_system",
         "standard_algebra",
-        "toral_automorphism",
     ),
     "classify": (
         "OutGroup",
@@ -73,10 +73,9 @@ _EXPORTS = {
         "build_cocycle",
         "build_matrix_algebra",
         "coboundary_witness",
-        "coboundary_witness_matrix",
+        "matrix_twist_factors",
         "twisted_fixed_points",
         "untwist_iso",
-        "untwist_matrix_iso",
     ),
 }
 

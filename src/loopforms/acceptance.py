@@ -20,6 +20,7 @@ from .affine import (
     extract_gcm,
     fixed_cartan,
     gcm_equivalent,
+    graded_twist,
     simple_affine_roots,
 )
 from .algebra import MultTableAlgebra, eigengrading
@@ -28,10 +29,10 @@ from .chevalley import (
     ToralCharge,
     algebra_over,
     cartan_matrix,
+    charge_pairings,
     compose_pi_toral,
     diagram_automorphism,
     standard_algebra,
-    toral_automorphism,
     TYPE_LABELS,
 )
 from .classify import (
@@ -45,10 +46,9 @@ from .descent import (
     build_cocycle,
     build_matrix_algebra,
     coboundary_witness,
-    coboundary_witness_matrix,
+    matrix_twist_factors,
     twisted_fixed_points,
     untwist_iso,
-    untwist_matrix_iso,
 )
 
 __all__ = [
@@ -125,10 +125,12 @@ def _grading_fixtures():
     rs2, a2 = algebra_over("A2", 2)
     rs4, a4 = algebra_over("D4", 3)
     m3, s3 = build_matrix_algebra(3, (0, 1, 2), 3)
+    toral = compose_pi_toral(
+        a1, rs1, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    )
     composed = compose_pi_toral(a2, rs2, _FLIP, ToralCharge(s=(1, 1), modulus=2))
     return (
-        ("A1 toral s=(1) m=2", a1,
-         toral_automorphism(a1, rs1, ToralCharge(s=(1,), modulus=2)), (1, 2)),
+        ("A1 toral s=(1) m=2", a1, toral, (1, 2)),
         ("A2 diagram flip", a2, diagram_automorphism(a2, rs2, _FLIP), (3, 5)),
         ("D4 diagram triality", a4,
          diagram_automorphism(a4, rs4, _TRIALITY), (14, 7, 7)),
@@ -195,29 +197,26 @@ _MATRIX_FIXTURES = (
 )
 
 
+def _untwist_fixtures():
+    """(name, algebra, outer, exponents, m) of each fixture of criterion 4, in
+    the order of its rows: the identity outer map with the charge pairings
+    of a type label, then with the matrix-unit shifts of M_n."""
+    for name, label, s, m in _TORAL_FIXTURES:
+        rs, alg = algebra_over(label, m)
+        identity = diagram_automorphism(alg, rs, DiagramPermutation.identity(rs.rank))
+        yield name, alg, identity, charge_pairings(rs, ToralCharge(s=s, modulus=m)), m
+    for name, n, exponents, m in _MATRIX_FIXTURES:
+        yield (name, *matrix_twist_factors(n, exponents, m), m)
+
+
 def criterion_4() -> dict:
     """Triviality witnesses: explicit untwisting of L(tau_s) onto L(id) and
     the coboundary identity u(n) = a^-1 gamma^n(a), per fixture."""
     rows = []
     status = "pass"
-    for name, label, s, m in _TORAL_FIXTURES:
-        rs, alg = algebra_over(label, m)
-        charge = ToralCharge(s=s, modulus=m)
-        identity = DiagramPermutation.identity(rs.rank)
-        iso = untwist_iso(alg, rs, identity, charge)
-        shifts, cob = coboundary_witness(alg, rs, charge)
-        checks = [c.to_obj() for c in iso.checks] + [c.to_obj() for c in cob]
-        row = {"fixture": name, "period": iso.period,
-               "shift_values": sorted(set(shifts)), "checks": checks}
-        if any(c["status"] != "pass" for c in checks):
-            row["status"] = "fail"
-            status = "fail"
-        else:
-            row["status"] = "pass"
-        rows.append(row)
-    for name, n, exponents, m in _MATRIX_FIXTURES:
-        iso = untwist_matrix_iso(n, exponents, m)
-        shifts, cob = coboundary_witness_matrix(n, exponents, m)
+    for name, alg, outer, exponents, m in _untwist_fixtures():
+        iso = untwist_iso(alg, outer, exponents, m)
+        shifts, cob = coboundary_witness(alg, exponents, m)
         checks = [c.to_obj() for c in iso.checks] + [c.to_obj() for c in cob]
         row = {"fixture": name, "period": iso.period,
                "shift_values": sorted(set(shifts)), "checks": checks}
@@ -245,7 +244,8 @@ def criterion_5() -> dict:
         period = lcm(perm.order(), m)
         rs, alg = algebra_over(label, period)
         charge = ToralCharge(s=s, modulus=m)
-        iso = untwist_iso(alg, rs, perm, charge)
+        outer = diagram_automorphism(alg, rs, perm)
+        iso = untwist_iso(alg, outer, charge_pairings(rs, charge), m)
         composed = affine_certificate(label, perm=perm, charge=charge)
         plain = affine_certificate(label, perm=perm)
         row = {
@@ -311,13 +311,9 @@ def _reversed_base_gcm(type_label: str, perm: Optional[DiagramPermutation]):
     rank = cartan_matrix(type_label).rank
     if perm is None:
         perm = DiagramPermutation.identity(rank)
-    charge = ToralCharge(s=tuple(0 for _ in range(rank)), modulus=1)
-    period = lcm(perm.order(), charge.modulus)
-    rs, alg = algebra_over(type_label, period)
-    sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma)
+    rs, alg, grading = graded_twist(type_label, perm, ToralCharge.trivial(rank))
     h0 = fixed_cartan(alg, rs, perm)
-    data = affine_roots(alg, grading, h0, period + 1)
+    data = affine_roots(alg, grading, h0, grading.period + 1)
     base = tuple(reversed(simple_affine_roots(data)))
     return extract_gcm(alg, base, data).gcm
 

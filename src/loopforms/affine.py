@@ -632,10 +632,6 @@ class ExtractionReport(Record):
         return obj
 
 
-def _trivial_charge(rank: int) -> ToralCharge:
-    return ToralCharge(s=tuple(0 for _ in range(rank)), modulus=1)
-
-
 @lru_cache(maxsize=None)
 def graded_twist(
     type_label: str, perm: DiagramPermutation, charge: ToralCharge
@@ -685,7 +681,7 @@ def affine_certificate(
     if perm is None:
         perm = DiagramPermutation.identity(rank)
     if charge is None:
-        charge = _trivial_charge(rank)
+        charge = ToralCharge.trivial(rank)
     period, dims, cert = _extract_inner(type_label, perm, charge, window)
     label = match_own_type(cert.gcm, type_label) or match_affine_label(cert.gcm)
     if label.base_type != type_label:

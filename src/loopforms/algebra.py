@@ -6,15 +6,17 @@ sparse vectors {index: scalar} with no zero entry, multiplied by
 `MultTableAlgebra.product_sparse`; dense tuples appear only in serialized
 reports.  Automorphisms are monomial, e_j -> c_j e_p(j), which every twist
 built in this package is; they are checked in one pass over the basis pairs
-(a diagonal one by the additivity of its exponents, a composition of checked
-ones by its period alone), with the period read off the cycles of p.  A
-certified finite-order automorphism with period m dividing that scalar order
-splits the algebra into eigenspace components A_i for the eigenvalues
-zeta_m^i, written down in closed form cycle by cycle; that decomposition is a
-Z/m grading, by the automorphism's certificate, and is the combinatorial
-heart of everything downstream: loop elements ({degree: sparse vector}) live
-on it, and the centroid computation detects when two loop algebras cannot be
-isomorphic over the Laurent base ring.
+(a diagonal one by the additivity of its exponents), with the period read off
+the cycles of p.  Every twist, of a Lie algebra or of M_n, is one composition
+`twist(alg, outer, p, m)` = outer o diag(zeta_m^p) of a certified outer map
+(a diagram symmetry, or the identity) with a diagonal one, certified there
+and nowhere else.  A certified finite-order automorphism with period m
+dividing that scalar order splits the algebra into eigenspace components A_i
+for the eigenvalues zeta_m^i, written down in closed form cycle by cycle;
+that decomposition is a Z/m grading, by the automorphism's certificate, and
+is the combinatorial heart of everything downstream: loop elements ({degree:
+sparse vector}) live on it, and the centroid computation detects when two
+loop algebras cannot be isomorphic over the Laurent base ring.
 
 Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.
@@ -51,7 +53,6 @@ __all__ = [
     "Violation",
     "centroid_graded",
     "check_automorphism",
-    "check_composition",
     "check_diagonal_automorphism",
     "check_loop_element",
     "embed_algebra",
@@ -59,6 +60,7 @@ __all__ = [
     "loop_bracket",
     "loop_element",
     "ts_product",
+    "twist",
     "validate_algebra",
 ]
 
@@ -430,7 +432,7 @@ class FiniteOrderAutomorphism(Record):
     def compose(self, other: "FiniteOrderAutomorphism") -> "FiniteOrderAutomorphism":
         """self o other (other acts first), with period lcm of the two periods;
         that period holds when the factors commute, which callers check.  The
-        result carries no certificate (`check_composition` gives one)."""
+        result carries no certificate (`twist` gives one)."""
         return FiniteOrderAutomorphism(
             images=tuple(self.images[k] for k in other.images),
             scalars=tuple(c * self.scalars[k] for k, c in zip(other.images, other.scalars)),
@@ -582,21 +584,34 @@ def check_diagonal_automorphism(
     return _certified(alg, tuple(range(n)), scalars, m)
 
 
-def check_composition(
-    alg: MultTableAlgebra,
-    outer: FiniteOrderAutomorphism,
-    inner: FiniteOrderAutomorphism,
-    period: int,
+def twist(
+    alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, exponents: Sequence[int], m: int
 ) -> FiniteOrderAutomorphism:
-    """outer o inner with the given period, from two factors certified on alg.
+    """outer o diag(zeta_m^p), the one composition of an outer map with a
+    diagonal one, from an `outer` certified on alg.
 
-    A composition of algebra automorphisms is one, so multiplicativity
-    follows from the factors' certificates and is not checked again; the
-    period is checked cycle by cycle, as `check_automorphism` checks it.
+    Every twist here has this form: pi o tau_s on a Lie algebra is the
+    diagram symmetry pi (the identity for a purely toral twist) after
+    diag(zeta_m^<s, .>), and Ad(diag(zeta^a)) on M_n is the identity after
+    diag(zeta_m^(a_i - a_k)).  The identity outer map is
+    `check_diagonal_automorphism(alg, (0,) * alg.dim, 1)`.  The diagonal
+    factor is certified by `check_diagonal_automorphism`; a composition of
+    automorphisms is one, so multiplicativity is not checked again.  When
+    every p_j is 0 mod m the diagonal factor is the identity and the twist
+    is outer itself, with its period lifted to lcm(|outer|, m)
+    (`with_period`).  Otherwise the factors are composed both ways, since
+    the period lcm(|outer|, m) rests on their commuting, and the period is
+    checked cycle by cycle, as `check_automorphism` checks it.
     """
-    if not (outer.certified_on(alg) and inner.certified_on(alg)):
-        raise AutomorphismError("a factor of the composition is not certified on this table")
-    composed = outer.compose(inner)
+    if not outer.certified_on(alg):
+        raise AutomorphismError("the outer factor of the twist is not certified on this table")
+    diagonal = check_diagonal_automorphism(alg, exponents, m)
+    period = lcm(outer.period, m)
+    if all(p % m == 0 for p in exponents):
+        return outer.with_period(period)
+    composed = outer.compose(diagonal)
+    if composed != diagonal.compose(outer):
+        raise AutomorphismError("factors fail to commute despite an invariant charge")
     _check_period(alg, composed.images, composed.scalars, period)
     return _certified(alg, composed.images, composed.scalars, period)
 
@@ -735,9 +750,9 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
 
     Requires the scalar order to contain the needed roots of unity, i.e.
     sigma.period | alg.scalar_order, and sigma certified on this table by
-    `check_automorphism`, `check_diagonal_automorphism` or
-    `check_composition`, or lifted from one of those by `with_period`;
-    any other sigma raises GradingError.  A cycle
+    `check_automorphism`, `check_diagonal_automorphism` or `twist`, or
+    lifted from one of those by `with_period`; any other sigma raises
+    GradingError.  A cycle
     e_0 -> ... -> e_{k-1} -> e_0 of sigma with scalar product P carries one
     eigenvector for each root lambda = zeta^i of x^k = P, namely the sum over
     t < k of lambda^-t sigma^t(e_0), taken from the cycle's smallest index,

@@ -10,20 +10,17 @@ layers of assertions back the construction: every derived constant must have
 the predicted magnitude p+1, and the finished table must pass the full
 antisymmetry/Jacobi validation.
 
-Automorphisms come in three flavours here:
-
-* diagram automorphisms induced by a symmetry of the Cartan matrix,
-* toral (diagonal) automorphisms e_alpha -> zeta^<s,alpha> e_alpha,
-* commuting compositions of the two.
-
-All three are monomial in the Chevalley basis, e_j -> c_j e_p(j): a diagram
-symmetry is a signed permutation of the basis, a toral twist is diagonal.
-Each is returned as a checked `FiniteOrderAutomorphism`.
+Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
+automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
+automorphism pi induced by a symmetry of the Cartan matrix (a signed
+permutation of the Chevalley basis, the identity map when the symmetry is
+trivial).  `compose_pi_toral` checks that s is constant on the orbits of pi
+and hands the two factors to `algebra.twist`, which certifies every twist,
+here and on M_n alike.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
@@ -33,10 +30,10 @@ from .algebra import (
     MultTableAlgebra,
     Sparse,
     check_automorphism,
-    check_composition,
     check_diagonal_automorphism,
     embed_algebra,
     make_table,
+    twist,
 )
 from .cyclo import CycloNum
 from .linalg import int_rank_det
@@ -53,12 +50,10 @@ __all__ = [
     "charge_pairings",
     "chevalley_algebra",
     "compose_pi_toral",
-    "diagram_and_composition",
     "diagram_automorphism",
     "highest_root",
     "root_system",
     "standard_algebra",
-    "toral_automorphism",
 ]
 
 TYPE_LABELS = (
@@ -569,30 +564,53 @@ class ToralCharge(Record):
     def pairing(self, alpha: Root) -> int:
         return sum(si * ai for si, ai in zip(self.s, alpha))
 
+    @staticmethod
+    def trivial(rank: int) -> "ToralCharge":
+        """s = 0 modulo 1: tau_s is the identity."""
+        return ToralCharge(s=(0,) * rank, modulus=1)
+
 
 def diagram_automorphism(
     alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
 ) -> FiniteOrderAutomorphism:
     """Extend a diagram symmetry to the whole algebra by bracket propagation.
 
-    Generators map by e_i -> e_{pi(i)}, f_i -> f_{pi(i)}, h_i -> h_{pi(i)};
-    the image of every other root vector is derived from its minimal
-    decomposition.  Each image is a single signed basis element, which gives
-    the monomial (images, scalars) form; an image with more terms is an error.
-    The propagated map is then certified by `check_automorphism` on every
-    basis pair, which is where a propagation that another decomposition
-    would contradict fails: a multiplicative map is consistent on every
-    decomposition, so no separate pass re-multiplies the pairs of roots.
+    The identity symmetry is the identity map, certified as the diagonal map
+    with every exponent 0 (`check_diagonal_automorphism`), with no
+    propagation and no pair check.  Any other symmetry maps the generators by
+    e_i -> e_{pi(i)}, f_i -> f_{pi(i)}, h_i -> h_{pi(i)}, and `_propagate`
+    derives the image of every other root vector from its minimal
+    decomposition.  The propagated map is then certified by
+    `check_automorphism` on every basis pair, which is where a propagation
+    that another decomposition would contradict fails: a multiplicative map
+    is consistent on every decomposition, so no separate pass re-multiplies
+    the pairs of roots.
     """
     if len(perm.images) != rs.rank:
         raise LieConstructError("permutation rank mismatch")
     if not perm.preserves(rs.cartan):
         raise LieConstructError("permutation does not preserve the Cartan matrix")
+    if perm.images == tuple(range(rs.rank)):
+        return check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    targets, scalars = _propagate(alg, rs, perm)
+    return check_automorphism(alg, targets, scalars, perm.order())
+
+
+def _propagate(
+    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
+) -> tuple[tuple[int, ...], tuple[CycloNum, ...]]:
+    """The monomial (images, scalars) form of the map that extends perm.
+
+    A root alpha = xi + eta of height >= 2 maps to
+    N_{xi,eta}^-1 [pi(e_xi), pi(e_eta)], and N_{xi,eta} is read off the
+    table's own product [e_xi, e_eta] = N_{xi,eta} e_alpha.  Each image is a
+    single signed basis element; an image with more terms is an error.
+    Nothing here is certified.
+    """
     l = rs.rank
-    consts = _Constants(rs)
+    roots = rs.root_set()
     _, root_index = _basis_layout(rs)
-    order = alg.scalar_order
-    one = CycloNum.one(order)
+    one = CycloNum.one(alg.scalar_order)
 
     def perm_root(alpha: Root) -> Root:
         out = [0] * l
@@ -605,7 +623,6 @@ def diagram_automorphism(
         images[i] = {perm(i): one}
     for alpha in rs.positives:
         if sum(alpha) == 1:
-            i = alpha.index(1)
             images[root_index[alpha]] = {root_index[perm_root(alpha)]: one}
             neg = _neg(alpha)
             images[root_index[neg]] = {root_index[perm_root(neg)]: one}
@@ -615,18 +632,17 @@ def diagram_automorphism(
         found = None
         for xi in rs.positives:
             eta = tuple(a - x for a, x in zip(alpha, xi))
-            if eta in consts.root_set and sum(eta) > 0:
+            if eta in roots and sum(eta) > 0:
                 found = (xi, eta)
                 break
         if found is None:
             raise LieConstructError(f"root {alpha} has no decomposition into two roots")
         xi, eta = found
-        for sign_pair in ((xi, eta), (_neg(xi), _neg(eta))):
-            u, v = sign_pair
-            coeff = CycloNum.rational(order, Fraction(1, consts.n[(u, v)]))
+        for u, v in ((xi, eta), (_neg(xi), _neg(eta))):
+            ((target, n_uv),) = alg.basis_product(root_index[u], root_index[v])
+            coeff = n_uv.inverse()
             prod = alg.product_sparse(images[root_index[u]], images[root_index[v]])
-            target = tuple(x + y for x, y in zip(u, v))
-            images[root_index[target]] = {k: coeff * w for k, w in prod.items()}
+            images[target] = {k: coeff * w for k, w in prod.items()}
 
     terms = []
     for j in range(alg.dim):
@@ -637,24 +653,7 @@ def diagram_automorphism(
         (term,) = images[j].items()
         terms.append(term)
     targets, scalars = zip(*terms)
-    return check_automorphism(alg, targets, scalars, perm.order())
-
-
-def toral_automorphism(
-    alg: MultTableAlgebra, rs: RootSystem, charge: ToralCharge
-) -> FiniteOrderAutomorphism:
-    """Diagonal automorphism fixing the Cartan, scaling e_alpha by zeta^<s,alpha>.
-
-    <s, .> is additive on roots, so it is certified by integer additivity
-    over the table's products (`check_diagonal_automorphism`)."""
-    if len(charge.s) != rs.rank:
-        raise LieConstructError("charge rank mismatch")
-    m = charge.modulus
-    if alg.scalar_order % m != 0:
-        raise LieConstructError(
-            f"algebra scalar order {alg.scalar_order} lacks the {m}-th roots of unity"
-        )
-    return check_diagonal_automorphism(alg, charge_pairings(rs, charge), m)
+    return targets, scalars
 
 
 def compose_pi_toral(
@@ -663,32 +662,12 @@ def compose_pi_toral(
     perm: DiagramPermutation,
     charge: ToralCharge,
 ) -> FiniteOrderAutomorphism:
-    """Compose a diagram and a toral automorphism; requires s invariant under pi.
+    """pi o tau_s for a type label: the twist by diag(zeta_m^<s, .>) after
+    the diagram automorphism of pi; requires s invariant under pi.
 
-    Invariance makes the two factors commute, which the construction checks by
-    composing them both ways.
-    """
-    return diagram_and_composition(alg, rs, perm, charge)[1]
-
-
-def diagram_and_composition(
-    alg: MultTableAlgebra,
-    rs: RootSystem,
-    perm: DiagramPermutation,
-    charge: ToralCharge,
-) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
-    """The diagram factor pi and the checked composition `compose_pi_toral`
-    builds from it, for callers that need both.
-
-    Each factor is certified once: pi by `check_automorphism`, tau_s by the
-    additivity of <s, .> on the table.  The composition of two automorphisms
-    is one, so `check_composition` checks only its period, cycle by cycle;
-    the factors are composed both ways first, since the period lcm(|pi|, m)
-    rests on their commuting.  A trivial charge, every s_i divisible by m,
-    makes tau_s the identity and the composition pi itself, with period
-    lcm(|pi|, m).  Then only pi is built and checked, and its period is
-    lifted (`with_period`): sigma^|pi| = 1 gives sigma^k = 1 for every
-    multiple k of |pi|.
+    The rank, the invariance of s on the orbits of pi and the roots of unity
+    of the period lcm(|pi|, m) are checked here; `algebra.twist` certifies
+    the composition.
     """
     if len(charge.s) != rs.rank:
         raise LieConstructError("charge rank mismatch")
@@ -700,13 +679,8 @@ def diagram_and_composition(
         raise LieConstructError(
             f"algebra scalar order {alg.scalar_order} lacks the {period}-th roots of unity"
         )
-    pi_auto = diagram_automorphism(alg, rs, perm)
-    if all(si % charge.modulus == 0 for si in charge.s):
-        return pi_auto, pi_auto.with_period(period)
-    tau_auto = toral_automorphism(alg, rs, charge)
-    if pi_auto.compose(tau_auto) != tau_auto.compose(pi_auto):
-        raise LieConstructError("factors fail to commute despite an invariant charge")
-    return pi_auto, check_composition(alg, pi_auto, tau_auto, period)
+    outer = diagram_automorphism(alg, rs, perm)
+    return twist(alg, outer, charge_pairings(rs, charge), charge.modulus)
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:

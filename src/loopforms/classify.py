@@ -308,7 +308,7 @@ def k_vs_r_classes(type_label: str, check_centroid: bool = True) -> KvsRReport:
     centroid_ok = True
     if check_centroid:
         table = conjugacy_classes(group)
-        untwisted = ToralCharge(s=(0,) * cartan.rank, modulus=1)
+        untwisted = ToralCharge.trivial(cartan.rank)
         for rep, _ in table.classes:
             # the grading of L(pi) that classification_table extracts from
             _, alg, grading = graded_twist(type_label, rep, untwisted)

@@ -21,7 +21,7 @@ import time
 from math import lcm
 from typing import TYPE_CHECKING, Optional
 
-from .algebra import MultTableAlgebra, eigengrading, centroid_graded
+from .algebra import MultTableAlgebra, centroid_graded, eigengrading, twist
 
 # chevalley is imported by the paths that read a type label, and acceptance,
 # affine, classify and descent inside the handlers that use them, so a
@@ -187,30 +187,36 @@ def _load_algebra(path: str) -> MultTableAlgebra:
 
 
 def _build_sigma(args: _Args):
-    """Shared resolver for grade / untwist / descent-verify / centroid."""
+    """Shared resolver for grade / untwist / descent-verify / centroid: the
+    table, the factors (outer, exponents, m) of its twist as
+    `algebra.twist` takes them, and the echo of the request."""
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
-        from .chevalley import LieConstructError, algebra_over, cartan_matrix, compose_pi_toral
+        from .chevalley import (
+            LieConstructError,
+            algebra_over,
+            cartan_matrix,
+            charge_pairings,
+            diagram_automorphism,
+        )
 
         label = args.type
-        rank = cartan_matrix(label).rank
-        perm, charge = _type_auto(spec, rank)
-        period = lcm(perm.order(), charge.modulus)
-        rs, alg = algebra_over(label, period)
+        perm, charge = _type_auto(spec, cartan_matrix(label).rank)
+        rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
         try:
-            sigma = compose_pi_toral(alg, rs, perm, charge)
+            outer = diagram_automorphism(alg, rs, perm)
         except LieConstructError as exc:
             raise RequestError(f"unsupported automorphism: {exc}") from exc
         echo = {"type": label, "auto": _auto_echo(perm, charge)}
-        return alg, rs, sigma, perm, charge, echo
-    from .descent import build_matrix_algebra
+        return alg, outer, charge_pairings(rs, charge), charge.modulus, echo
+    from .descent import matrix_twist_factors
 
     n = args.matrix_algebra
     exponents, m = _matrix_auto(spec, n)
-    alg, sigma = build_matrix_algebra(n, exponents, m)
+    alg, outer, shifts = matrix_twist_factors(n, exponents, m)
     echo = {"matrix_algebra": n, "auto": {"exponents": list(exponents), "m": m}}
-    return alg, None, sigma, None, None, echo
+    return alg, outer, shifts, m, echo
 
 
 # -- commands --------------------------------------------------------------------
@@ -244,8 +250,8 @@ def _cmd_build(args: _Args) -> dict:
 
 
 def _cmd_grade(args: _Args) -> dict:
-    alg, _, sigma, _, _, echo = _build_sigma(args)
-    grading = eigengrading(alg, sigma)
+    alg, *factors, echo = _build_sigma(args)
+    grading = eigengrading(alg, twist(alg, *factors))
     payload = dict(echo)
     payload.update(
         {
@@ -274,13 +280,14 @@ def _cmd_classify(args: _Args) -> dict:
             "centroid_trivial": kvr.centroid_ok,
             "status": "pass" if kvr.hypotheses_hold else "fail",
         }
-    from .descent import coboundary_witness_matrix, untwist_matrix_iso
+    from .descent import coboundary_witness, matrix_twist_factors, untwist_iso
 
     n = args.matrix_algebra
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
     # computed witness untwists the standard inner twist explicitly.
-    iso = untwist_matrix_iso(n, tuple(range(n)), n)
-    _, cob = coboundary_witness_matrix(n, tuple(range(n)), n)
+    alg, identity, shifts = matrix_twist_factors(n, range(n), n)
+    iso = untwist_iso(alg, identity, shifts, n)
+    _, cob = coboundary_witness(alg, shifts, n)
     checks = [c.to_obj() for c in iso.checks] + [c.to_obj() for c in cob]
     ok = all(c["status"] == "pass" for c in checks)
     return {
@@ -312,24 +319,11 @@ def _cmd_extract_gcm(args: _Args) -> dict:
 
 
 def _cmd_untwist(args: _Args) -> dict:
-    from .descent import untwist_iso, untwist_matrix_iso
+    from .descent import untwist_iso
 
-    source = _one_source(args, ("type", "matrix-algebra"))
-    spec = _parse_auto_json(args.auto)
-    if source == "type":
-        from .chevalley import algebra_over, cartan_matrix
-
-        rank = cartan_matrix(args.type).rank
-        perm, charge = _type_auto(spec, rank)
-        period = lcm(perm.order(), charge.modulus)
-        rs, alg = algebra_over(args.type, period)
-        iso = untwist_iso(alg, rs, perm, charge, window=args.window)
-        payload = {"type": args.type, "auto": _auto_echo(perm, charge)}
-    else:
-        n = args.matrix_algebra
-        exponents, m = _matrix_auto(spec, n)
-        iso = untwist_matrix_iso(n, exponents, m, window=args.window)
-        payload = {"matrix_algebra": n, "auto": {"exponents": list(exponents), "m": m}}
+    alg, *factors, echo = _build_sigma(args)
+    iso = untwist_iso(alg, *factors, window=args.window)
+    payload = dict(echo)
     payload.update(iso.to_obj())
     payload["status"] = (
         "pass" if all(c.status == "pass" for c in iso.checks) else "fail"
@@ -340,7 +334,8 @@ def _cmd_untwist(args: _Args) -> dict:
 def _cmd_descent_verify(args: _Args) -> dict:
     from .descent import build_cocycle, twisted_fixed_points
 
-    alg, _, sigma, _, _, echo = _build_sigma(args)
+    alg, *factors, echo = _build_sigma(args)
+    sigma = twist(alg, *factors)
     cocycle = build_cocycle(sigma)
     grading = eigengrading(alg, sigma)
     window = args.window if args.window is not None else 2 * grading.period
@@ -361,8 +356,8 @@ def _cmd_descent_verify(args: _Args) -> dict:
 
 
 def _cmd_centroid(args: _Args) -> dict:
-    alg, _, sigma, _, _, echo = _build_sigma(args)
-    grading = eigengrading(alg, sigma)
+    alg, *factors, echo = _build_sigma(args)
+    grading = eigengrading(alg, twist(alg, *factors))
     shifts = []
     for shift in range(grading.period):
         report = centroid_graded(alg, grading, shift)

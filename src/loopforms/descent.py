@@ -1,8 +1,13 @@
 """Galois-descent data for loop algebras over the punctured line.
 
 The covering k[z,z^-1] / k[t,t^-1], t = z^m, is cyclic of degree m; the
-generator acts by z -> zeta_m z.  A period-m automorphism sigma of A yields
-the cocycle u(n mod m) = sigma^{-n} with values in Aut(A tensor S), and the
+generator acts by z -> zeta_m z.  One twist serves every table: a Lie
+algebra twisted by pi o tau_s and M_n twisted by Ad(diag(zeta^a)) are both
+`algebra.twist(alg, outer, p, m)` = outer o diag(zeta_m^p), with outer the
+diagram automorphism of pi or the identity, so `untwist_iso` and
+`coboundary_witness` take (alg, outer, p, m) and (alg, p, m) from either and
+never read a root system.  A period-m automorphism sigma of A yields the
+cocycle u(n mod m) = sigma^{-n} with values in Aut(A tensor S), and the
 twisted fixed points of u recover the loop algebra L(sigma) degree by degree.
 Every check here holds in all degrees, not on a degree window.  The untwisting
 map is a degree shift, which is an algebra map exactly when the shift is
@@ -19,14 +24,14 @@ Conventions, pinned by the checks in this module:
 * the coboundary direction is u(gamma) = a^-1 o gamma(a),
 * the untwisting map lowers degrees, e_alpha z^j -> e_alpha z^(j - d(alpha)).
 
-With a toral twist tau_s these three together make a = b^-1 (b the raising
-shift) a coboundary witness, matching the vanishing of H^1 for the inner
-part of the automorphism group.
+With a diagonal twist diag(zeta_m^p) these three together make a = b^-1
+(b the raising shift) a coboundary witness, matching the vanishing of H^1
+for the inner part of the automorphism group.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import (
     GradedDecomposition,
@@ -36,15 +41,11 @@ from .algebra import (
     check_diagonal_automorphism,
     eigengrading,
     make_table,
+    twist,
 )
 from .cyclo import CycloNum, zeta_power
 from .linalg import Sparse, nullspace
 from .record import Record
-
-# chevalley is imported by the functions that twist a type label, so the
-# matrix-algebra requests never load it
-if TYPE_CHECKING:
-    from .chevalley import DiagramPermutation, RootSystem, ToralCharge
 
 __all__ = [
     "CheckReport",
@@ -54,11 +55,10 @@ __all__ = [
     "build_cocycle",
     "build_matrix_algebra",
     "coboundary_witness",
-    "coboundary_witness_matrix",
+    "matrix_twist_factors",
     "matrix_unit_shifts",
     "twisted_fixed_points",
     "untwist_iso",
-    "untwist_matrix_iso",
 ]
 
 
@@ -174,34 +174,43 @@ def build_matrix_algebra(
     sigma = Ad(diag(zeta^a_1 .. zeta^a_n)) sends E_ik to zeta^(a_i - a_k) E_ik
     and has period m (not necessarily exact order).
     """
+    alg, identity, shifts = matrix_twist_factors(n, exponents, m)
+    return alg, twist(alg, identity, shifts, m)
+
+
+def matrix_twist_factors(
+    n: int, exponents: Sequence[int], m: int
+) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...]]:
+    """M_n over Q(zeta_m) on the matrix units, and the factors of
+    Ad(diag(zeta^a)) as `twist` takes them: the identity outer map and the
+    shifts a_i - a_k on E_ik.
+
+    E_ik E_kj = E_ij and (a_i - a_k) + (a_k - a_j) = a_i - a_j: the shifts
+    are additive, which is the certificate of the twist.
+    """
     if n < 1:
         raise DescentError("n must be >= 1")
     if len(exponents) != n:
         raise DescentError("need one exponent per row")
     if m < 1:
         raise DescentError("period must be >= 1")
-    dim = n * n
     idx = lambda i, k: i * n + k  # noqa: E731
-    labels = tuple(f"E{i + 1}{k + 1}" for i in range(n) for k in range(n))
     one = CycloNum.one(m)
-    entries = {}
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                for j in range(n):
-                    if k == l:
-                        entries[(idx(i, k), idx(l, j))] = {idx(i, j): one}
+    entries = {
+        (idx(i, k), idx(k, j)): {idx(i, j): one}
+        for i in range(n)
+        for k in range(n)
+        for j in range(n)
+    }
     alg = MultTableAlgebra(
-        dim=dim,
+        dim=n * n,
         scalar_order=m,
         kind="associative",
         constants=make_table(entries),
-        basis_labels=labels,
+        basis_labels=tuple(f"E{i + 1}{k + 1}" for i in range(n) for k in range(n)),
     )
-    # E_ik E_kj = E_ij and (a_i - a_k) + (a_k - a_j) = a_i - a_j: the shifts
-    # are additive, which is the certificate of the diagonal twist
-    sigma = check_diagonal_automorphism(alg, matrix_unit_shifts(n, exponents), m)
-    return alg, sigma
+    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    return alg, identity, matrix_unit_shifts(n, exponents)
 
 
 def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -226,11 +235,11 @@ def _shift_element(x: LoopElement, shifts: Sequence[int], direction: int) -> Loo
 
 
 class UntwistIso(Record):
-    """Degree-shifting isomorphism from L(pi o tau_s) onto L(pi).
+    """Degree-shifting isomorphism from L(outer o diag(zeta_m^p)) onto L(outer).
 
-    Both sides are graded with the common period M = lcm(|pi|, m); the target
-    then occupies only the degrees divisible by M/|pi|, which is the usual
-    relabeling t = z^M.  `shifts` holds the per-basis-vector degree drop.
+    Both sides are graded with the common period M = lcm(|outer|, m); the
+    target then occupies only the degrees divisible by M/|outer|, which is
+    the usual relabeling t = z^M.  `shifts` holds the per-basis-vector degree drop.
     """
 
     period: int
@@ -313,57 +322,33 @@ def _verify_untwist(
 
 def untwist_iso(
     alg: MultTableAlgebra,
-    rs: RootSystem,
-    perm: DiagramPermutation,
-    charge: ToralCharge,
-    window: Optional[int] = None,
-) -> UntwistIso:
-    """Explicit isomorphism L(pi o tau_s) -> L(pi), verified in every degree.
-
-    Root vectors drop degree by (M/m) * <s, alpha>; Cartan directions are
-    unshifted.  The factor M/m (trivial whenever the order of pi divides m)
-    keeps the shift aligned with the common-period grading.  `window` only
-    sets the window each check reports.
-    """
-    from .chevalley import charge_pairings, diagram_and_composition
-
-    pi_auto, sigma = diagram_and_composition(alg, rs, perm, charge)
-    period = sigma.period
-    if window is None:
-        window = 2 * period
-    pairings = charge_pairings(rs, charge)
-    step = period // charge.modulus
-    shifts = tuple(step * p for p in pairings)
-    pi_common = pi_auto.with_period(period)
-    source_grading = eigengrading(alg, sigma)
-    target_grading = eigengrading(alg, pi_common)
-    checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
-    return UntwistIso(
-        period=period,
-        toral_modulus=charge.modulus,
-        shifts=shifts,
-        window=window,
-        checks=checks,
-    )
-
-
-def untwist_matrix_iso(
-    n: int,
+    outer: FiniteOrderAutomorphism,
     exponents: Sequence[int],
     m: int,
     window: Optional[int] = None,
 ) -> UntwistIso:
-    """Trivialization of the M_n covering algebra twisted by Ad(diag)."""
-    alg, sigma = build_matrix_algebra(n, exponents, m)
+    """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), verified in
+    every degree.
+
+    The twist is `algebra.twist(alg, outer, exponents, m)`: for a type label
+    outer is the diagram automorphism of pi and p_j = <s, weight of e_j>, for
+    M_n it is the identity and p = a_i - a_k on E_ik.  e_j drops degree by
+    (M/m) p_j, M = lcm(|outer|, m) the common period; the factor M/m (1
+    whenever |outer| divides m) keeps the shift aligned with the
+    common-period grading.  `window` only sets the window each check
+    reports.
+    """
+    sigma = twist(alg, outer, exponents, m)
+    period = sigma.period
     if window is None:
-        window = 2 * m
-    shifts = matrix_unit_shifts(n, exponents)
-    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, m)
+        window = 2 * period
+    step = period // m
+    shifts = tuple(step * p for p in exponents)
     source_grading = eigengrading(alg, sigma)
-    target_grading = eigengrading(alg, identity)
+    target_grading = eigengrading(alg, outer.with_period(period))
     checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
     return UntwistIso(
-        period=m,
+        period=period,
         toral_modulus=m,
         shifts=shifts,
         window=window,
@@ -406,39 +391,20 @@ def _verify_coboundary(
 
 def coboundary_witness(
     alg: MultTableAlgebra,
-    rs: RootSystem,
-    charge: ToralCharge,
-    window: Optional[int] = None,
-) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
-    """Witness trivializing the cocycle of a toral twist tau_s.
-
-    Returns the degree shifts defining a = b^-1 (b raises e_alpha z^j to
-    e_alpha z^(j + <s, alpha>)) together with the verification report for
-    u(n) = a^-1 o gamma^n(a) over all residues, which covers every degree.
-    """
-    from .chevalley import charge_pairings, toral_automorphism
-
-    m = charge.modulus
-    if window is None:
-        window = 2 * m
-    if alg.scalar_order % m != 0:
-        raise DescentError(f"scalar order {alg.scalar_order} lacks the {m}-th roots of unity")
-    sigma = toral_automorphism(alg, rs, charge)
-    shifts = charge_pairings(rs, charge)
-    checks = _verify_coboundary(sigma, shifts, window)
-    return shifts, checks
-
-
-def coboundary_witness_matrix(
-    n: int,
     exponents: Sequence[int],
     m: int,
     window: Optional[int] = None,
 ) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
-    """Matrix-unit variant: shift a_i - a_k on E_ik trivializes Ad(diag)."""
+    """Witness trivializing the cocycle of the diagonal twist diag(zeta_m^p).
+
+    The twist is tau_s of a type label (p_j = <s, weight of e_j>) or
+    Ad(diag(zeta^a)) on M_n (p = a_i - a_k on E_ik).  Returns the degree
+    shifts p defining a = b^-1 (b raises e_j z^i to e_j z^(i + p_j))
+    together with the verification report for u(n) = a^-1 o gamma^n(a) over
+    all residues, which covers every degree.
+    """
     if window is None:
         window = 2 * m
-    _, sigma = build_matrix_algebra(n, exponents, m)
-    shifts = matrix_unit_shifts(n, exponents)
-    checks = _verify_coboundary(sigma, shifts, window)
-    return shifts, checks
+    shifts = tuple(exponents)
+    sigma = check_diagonal_automorphism(alg, shifts, m)
+    return shifts, _verify_coboundary(sigma, shifts, window)

@@ -24,8 +24,12 @@ Fraction, the reference for the integer Bareiss `linalg.int_rank_det`, and
 homogeneous basis vectors, the reference for `algebra.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
-`chevalley.diagram_and_composition`, which checks pi alone by
-`check_automorphism`, tau_s by additivity and the composition by its period.
+`algebra.twist`, which checks pi alone by `check_automorphism` (the identity
+as a diagonal map), tau_s by additivity and the composition by its period.
+`diagram_and_composition`, `untwist_matrix_iso` and
+`coboundary_witness_matrix` are the separate type-label and matrix-unit
+twist paths that `algebra.twist`, `descent.untwist_iso` and
+`descent.coboundary_witness` replaced, kept as references for them.
 `product_rule_check` forms all n^2 products of component vectors, the
 reference for the product rule that `eigengrading` draws from its certified
 automorphism, and `propagation_consistency` re-multiplies every pair of
@@ -55,7 +59,11 @@ from loopforms.algebra import (
     ValidationReport,
     GradingError,
     Violation,
+    _certified,
+    _check_period,
     check_automorphism,
+    check_diagonal_automorphism,
+    eigengrading,
     loop_element,
     ts_product,
 )
@@ -67,12 +75,20 @@ from loopforms.chevalley import (
     _basis_layout,
     _Constants,
     algebra_over,
+    charge_pairings,
     compose_pi_toral,
     diagram_automorphism,
-    toral_automorphism,
 )
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
-from loopforms.descent import DescentError, build_matrix_algebra
+from loopforms.descent import (
+    CheckReport,
+    DescentError,
+    UntwistIso,
+    _verify_coboundary,
+    _verify_untwist,
+    build_matrix_algebra,
+    matrix_unit_shifts,
+)
 from loopforms.linalg import SpanSolver, eliminate, nullspace, rank, sparse_add
 
 Vector = tuple[CycloNum, ...]
@@ -867,10 +883,88 @@ def three_pass_composition(
     with tau_s built and checked by it too, and the factors composed both
     ways."""
     period = lcm(perm.order(), charge.modulus)
-    pi_auto = diagram_automorphism(alg, rs, perm)
-    tau = toral_automorphism(alg, rs, charge)
+    pi = diagram_automorphism(alg, rs, perm)
+    pi_auto = check_automorphism(alg, pi.images, pi.scalars, perm.order())
+    tau = check_diagonal_automorphism(alg, charge_pairings(rs, charge), charge.modulus)
     tau_auto = check_automorphism(alg, tau.images, tau.scalars, tau.period)
     composed = pi_auto.compose(tau_auto)
     if composed != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
     return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)
+
+
+# -- the twist paths that `algebra.twist` replaced ------------------------------------
+
+
+def diagram_and_composition(
+    alg: MultTableAlgebra,
+    rs: RootSystem,
+    perm: DiagramPermutation,
+    charge: ToralCharge,
+) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
+    """The diagram factor pi and the composition pi o tau_s, as the type-label
+    path built them: pi by `diagram_automorphism`, tau_s by the additivity
+    of <s, .>, the factors composed both ways, and the composition checked
+    by its period; a trivial charge gives pi with its period lifted."""
+    if len(charge.s) != rs.rank:
+        raise LieConstructError("charge rank mismatch")
+    for i in range(rs.rank):
+        if charge.s[i] != charge.s[perm(i)]:
+            raise LieConstructError("toral charge must be constant on permutation orbits")
+    period = lcm(perm.order(), charge.modulus)
+    if alg.scalar_order % period != 0:
+        raise LieConstructError(
+            f"algebra scalar order {alg.scalar_order} lacks the {period}-th roots of unity"
+        )
+    pi_auto = diagram_automorphism(alg, rs, perm)
+    if all(si % charge.modulus == 0 for si in charge.s):
+        return pi_auto, pi_auto.with_period(period)
+    tau_auto = check_diagonal_automorphism(alg, charge_pairings(rs, charge), charge.modulus)
+    if pi_auto.compose(tau_auto) != tau_auto.compose(pi_auto):
+        raise LieConstructError("factors fail to commute despite an invariant charge")
+    composed = pi_auto.compose(tau_auto)
+    _check_period(alg, composed.images, composed.scalars, period)
+    return pi_auto, _certified(alg, composed.images, composed.scalars, period)
+
+
+def untwist_matrix_iso(
+    n: int,
+    exponents: Sequence[int],
+    m: int,
+    window: Optional[int] = None,
+) -> UntwistIso:
+    """Trivialization of the M_n covering algebra twisted by Ad(diag), as the
+    matrix-unit path built it: the twist and the identity certified as
+    diagonal maps of period m, with no outer factor."""
+    alg, _ = build_matrix_algebra(n, exponents, m)
+    if window is None:
+        window = 2 * m
+    shifts = matrix_unit_shifts(n, exponents)
+    sigma = check_diagonal_automorphism(alg, shifts, m)
+    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, m)
+    source_grading = eigengrading(alg, sigma)
+    target_grading = eigengrading(alg, identity)
+    checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
+    return UntwistIso(
+        period=m,
+        toral_modulus=m,
+        shifts=shifts,
+        window=window,
+        checks=checks,
+    )
+
+
+def coboundary_witness_matrix(
+    n: int,
+    exponents: Sequence[int],
+    m: int,
+    window: Optional[int] = None,
+) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
+    """Matrix-unit path: shift a_i - a_k on E_ik trivializes Ad(diag)."""
+    if window is None:
+        window = 2 * m
+    alg, _ = build_matrix_algebra(n, exponents, m)
+    shifts = matrix_unit_shifts(n, exponents)
+    sigma = check_diagonal_automorphism(alg, shifts, m)
+    checks = _verify_coboundary(sigma, shifts, window)
+    return shifts, checks

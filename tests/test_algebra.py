@@ -33,8 +33,8 @@ from loopforms.algebra import (
     GradingError,
     MultTableAlgebra,
     centroid_graded,
+    _certified,
     check_automorphism,
-    check_composition,
     check_diagonal_automorphism,
     eigengrading,
     embed_algebra,
@@ -42,6 +42,7 @@ from loopforms.algebra import (
     loop_element,
     make_table,
     ts_product,
+    twist,
     validate_algebra,
 )
 from loopforms.chevalley import (
@@ -53,7 +54,6 @@ from loopforms.chevalley import (
     compose_pi_toral,
     diagram_automorphism,
     standard_algebra,
-    toral_automorphism,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
@@ -319,7 +319,7 @@ def test_pair_listed_twice_is_refused():
 
 def _sl2_graded():
     rs, alg = algebra_over("A1", 2)
-    sigma = toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
+    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
     return alg, sigma, eigengrading(alg, sigma)
 
 
@@ -429,14 +429,20 @@ def test_non_additive_charge_raises():
 def test_composition_needs_certified_factors():
     rs, alg = algebra_over("A2", 6)
     flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
-    tau = toral_automorphism(alg, rs, ToralCharge(s=(1, 1), modulus=3))
-    composed = check_composition(alg, flip, tau, 6)
+    exponents = charge_pairings(rs, ToralCharge(s=(1, 1), modulus=3))
+    tau = check_diagonal_automorphism(alg, exponents, 3)
+    composed = twist(alg, flip, exponents, 3)
     assert composed == flip.compose(tau) and composed.certified_on(alg)
-    plain = FiniteOrderAutomorphism(tau.images, tau.scalars, tau.period)
+    # exponents that are all 0 mod m leave the outer map, at the common period
+    assert twist(alg, flip, [3 * p for p in exponents], 3) == flip.with_period(6)
+    plain = FiniteOrderAutomorphism(flip.images, flip.scalars, flip.period)
     with pytest.raises(AutomorphismError, match="not certified"):
-        check_composition(alg, flip, plain, 6)
+        twist(alg, plain, exponents, 3)
+    # a certificate that understates the period of the flip is caught by the
+    # period check of the composition
+    forged = _certified(alg, flip.images, flip.scalars, 1)
     with pytest.raises(AutomorphismError, match="sigma\\^3 is not the identity"):
-        check_composition(alg, flip, tau, 3)
+        twist(alg, forged, exponents, 3)
 
 
 # -- monomial automorphisms against the dense oracle -------------------------------
@@ -758,7 +764,7 @@ def test_centroid_identity_membership():
 
 def test_centroid_of_untwisted_simple_algebra_is_scalars():
     rs, alg = algebra_over("A1", 1)
-    sigma = toral_automorphism(alg, rs, ToralCharge(s=(0,), modulus=1))
+    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge.trivial(1))
     grading = eigengrading(alg, sigma)
     report = centroid_graded(alg, grading, 0)
     assert report.solution_dim == 1
@@ -849,7 +855,7 @@ def test_generating_set_is_shared_by_every_shift():
 
 def test_closure_refuses_a_set_generating_a_proper_subalgebra():
     rs, alg = algebra_over("A2", 1)
-    grading = eigengrading(alg, toral_automorphism(alg, rs, ToralCharge(s=(0, 0), modulus=1)))
+    grading = eigengrading(alg, compose_pi_toral(alg, rs, DiagramPermutation.identity(2), ToralCharge.trivial(2)))
     # h_1 and h_2 generate the Cartan subalgebra only
     with pytest.raises(AlgebraError, match="dimension 2, not 8"):
         _Generators(alg, grading, [(0, 0), (0, 1)])

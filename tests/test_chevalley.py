@@ -8,7 +8,12 @@ from math import lcm
 import pytest
 
 from loopforms import algebra, chevalley, cli
-from loopforms.algebra import AutomorphismError, check_automorphism
+from loopforms.algebra import (
+    AutomorphismError,
+    check_automorphism,
+    check_diagonal_automorphism,
+    twist,
+)
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
@@ -21,17 +26,16 @@ from loopforms.chevalley import (
     chevalley_algebra,
     compose_pi_toral,
     _symmetrizers,
-    diagram_and_composition,
     diagram_automorphism,
     highest_root,
     root_system,
     standard_algebra,
-    toral_automorphism,
 )
 from dense import (
     basis_vector,
     dense_product,
     densify,
+    diagram_and_composition,
     is_identity,
     mat_pow,
     product_rule_check,
@@ -307,7 +311,7 @@ def test_triality_has_period_three():
 
 def test_toral_automorphism_exact_matrix():
     rs, alg = algebra_over("A1", 2)
-    sigma = toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
+    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
     one, minus = CycloNum.one(2), CycloNum.rational(2, -1)
     for idx, want in [(0, one), (1, minus), (2, minus)]:
         col = tuple(sigma.matrix[r][idx] for r in range(3))
@@ -367,24 +371,44 @@ def _trivial_charges():
     return _charges((1, 2), trivial=True)
 
 
+def _twist_matches_three_passes(label, perm, charge):
+    """twist of the diagram factor by the charge pairings, against three full
+    pair checks and against the type-label path it replaced."""
+    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
+    outer = diagram_automorphism(alg, rs, perm)
+    fast = twist(alg, outer, charge_pairings(rs, charge), charge.modulus)
+    assert (outer, fast) == three_pass_composition(alg, rs, perm, charge)
+    assert (outer, fast) == diagram_and_composition(alg, rs, perm, charge)
+    assert fast == compose_pi_toral(alg, rs, perm, charge)
+    assert fast.period == lcm(perm.order(), charge.modulus)
+    assert fast.certified_on(alg)
+    return alg, fast
+
+
 @pytest.mark.parametrize("label, perm, charge", _trivial_charges())
 def test_trivial_charge_composition_matches_three_passes(label, perm, charge):
-    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
-    fast = diagram_and_composition(alg, rs, perm, charge)
-    slow = three_pass_composition(alg, rs, perm, charge)
-    assert fast == slow
-    assert fast[1].period == lcm(perm.order(), charge.modulus)
+    _twist_matches_three_passes(label, perm, charge)
 
 
 @pytest.mark.parametrize("label, perm, charge", _charges((2, 3), trivial=False))
 def test_charged_composition_matches_three_passes(label, perm, charge):
     # tau_s certified by additivity and the composition by its period,
     # against three full pair checks and the n^2 product loop
-    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
-    fast = diagram_and_composition(alg, rs, perm, charge)
-    assert fast == three_pass_composition(alg, rs, perm, charge)
-    assert fast[1].certified_on(alg)
-    product_rule_check(alg, algebra.eigengrading(alg, fast[1]))
+    alg, fast = _twist_matches_three_passes(label, perm, charge)
+    product_rule_check(alg, algebra.eigengrading(alg, fast))
+
+
+@pytest.mark.parametrize("label", [label for label in TYPE_LABELS if cartan_matrix(label).rank <= 6])
+def test_identity_certificate_equals_propagated_identity(label):
+    # the diagonal certificate with every exponent 0, which diagram_automorphism
+    # returns for the identity symmetry, against the propagated identity map
+    # and its full pair check
+    rs, alg = standard_algebra(label)
+    identity = DiagramPermutation.identity(rs.rank)
+    propagated = check_automorphism(alg, *chevalley._propagate(alg, rs, identity), 1)
+    certificate = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    assert propagated == certificate == diagram_automorphism(alg, rs, identity)
+    assert propagated.images == tuple(range(alg.dim))
 
 
 @pytest.mark.parametrize(
@@ -404,29 +428,35 @@ def test_propagated_image_with_flipped_sign_is_caught(monkeypatch):
     rs, alg = algebra_over("A3", 2)
     roots = rs.root_set()
     # the decomposition diagram_automorphism propagates the first root of
-    # height 2 along, with its structure constant negated
+    # height 2 along, with the structure constant it reads off the table's
+    # product [e_xi, e_eta] negated
     alpha = next(r for r in rs.positives if sum(r) == 2)
     xi = next(x for x in rs.positives
               if tuple(a - b for a, b in zip(alpha, x)) in roots and sum(alpha) > sum(x))
     eta = tuple(a - b for a, b in zip(alpha, xi))
     untampered = diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 0)))
-    real = chevalley._Constants
+    index = {label: k for k, label in enumerate(alg.basis_labels)}
+    pair = tuple(index["e[" + ",".join(map(str, r)) + "]"] for r in (xi, eta))
 
-    class Flipped(real):
-        def __init__(self, rs):
-            super().__init__(rs)
-            self.n[(xi, eta)] = -self.n[(xi, eta)]
+    class Flipped:
+        """alg, with the one product [e_xi, e_eta] negated."""
+
+        def __getattr__(self, name):
+            return getattr(alg, name)
+
+        def basis_product(self, i, j):
+            entry = alg.basis_product(i, j)
+            return tuple((k, -c) for k, c in entry) if (i, j) == pair else entry
 
     built = []
 
-    def capture(alg, images, scalars, period):
+    def capture(table, images, scalars, period):
         built.append(algebra.FiniteOrderAutomorphism(tuple(images), tuple(scalars), period))
         return check_automorphism(alg, images, scalars, period)
 
-    monkeypatch.setattr(chevalley, "_Constants", Flipped)
     monkeypatch.setattr(chevalley, "check_automorphism", capture)
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
-        diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 0)))
+        diagram_automorphism(Flipped(), rs, DiagramPermutation((2, 1, 0)))
     (propagated,) = built
     # the image of e_alpha is the one flipped
     idx = alg.basis_labels.index("e[" + ",".join(map(str, alpha)) + "]")
@@ -450,6 +480,31 @@ def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):
     assert calls == [3]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grade", "--type", "D4", "--auto", '{"s":[1,0,0,0],"m":3}'],
+        ["untwist", "--type", "A2", "--auto", '{"s":[1,1],"m":6}'],
+    ],
+    ids=["grade D4 toral", "untwist A2 toral"],
+)
+def test_toral_twist_checks_no_automorphism_pairwise(argv, monkeypatch, capsys):
+    # the identity outer map and tau_s are both diagonal certificates, so a
+    # toral-only twist runs no pair-by-pair check_automorphism
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return check_automorphism(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "check_automorphism", None) is check_automorphism:
+            monkeypatch.setattr(module, "check_automorphism", counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 _TAMPERED_UNDER_O = textwrap.dedent(
     """
     import sys
@@ -457,17 +512,12 @@ _TAMPERED_UNDER_O = textwrap.dedent(
 
     print("optimize", sys.flags.optimize)
     rs, alg = chevalley.algebra_over("A2", 6)
-    flip = chevalley.DiagramPermutation((1, 0))
-    real = chevalley.toral_automorphism
-
-    def skewed(alg, rs, charge):
-        # a charge that is not constant on the orbits of the flip
-        return real(alg, rs, chevalley.ToralCharge(s=(1, 0), modulus=charge.modulus))
-
-    chevalley.toral_automorphism = skewed
+    flip = chevalley.diagram_automorphism(alg, rs, chevalley.DiagramPermutation((1, 0)))
+    # the pairings of a charge that is not constant on the orbits of the flip
+    skewed = chevalley.charge_pairings(rs, chevalley.ToralCharge(s=(1, 0), modulus=3))
     try:
-        chevalley.compose_pi_toral(alg, rs, flip, chevalley.ToralCharge(s=(1, 1), modulus=3))
-    except chevalley.LieConstructError as exc:
+        algebra.twist(alg, flip, skewed, 3)
+    except algebra.AutomorphismError as exc:
         print("refused:", exc)
     try:
         cyclo._poly_divmod_int((1, 0, 1), (1, 2))
@@ -475,7 +525,9 @@ _TAMPERED_UNDER_O = textwrap.dedent(
         print("refused:", exc)
     # a grading whose first component vector of residue 1 is 2 at its pivot
     rs, alg = chevalley.algebra_over("A1", 2)
-    sigma = real(alg, rs, chevalley.ToralCharge(s=(1,), modulus=2))
+    sigma = chevalley.compose_pi_toral(
+        alg, rs, chevalley.DiagramPermutation.identity(1), chevalley.ToralCharge(s=(1,), modulus=2)
+    )
     grading = algebra.eigengrading(alg, sigma)
     bases = [list(comp) for comp in grading.component_bases]
     bases[1][0] = {k: v * 2 for k, v in bases[1][0].items()}

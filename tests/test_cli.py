@@ -262,6 +262,9 @@ def test_verification_failure_exits_1(tmp_path):
         ("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
         ("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "65"),
         ("grade", "--matrix-algebra", "9"),
+        # a permutation that is not a symmetry of the diagram
+        ("grade", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
+        ("untwist", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
         # --auto on a command that reads no automorphism
         ("build", "--type", "A1", "--auto", "garbage"),
         ("build", "--type", "A2", "--auto", '{"pi": [2, 1]}'),

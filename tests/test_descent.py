@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from math import lcm
 from pathlib import Path
@@ -8,28 +9,31 @@ import pytest
 from dense import (
     TWIST_FIXTURES,
     basis_vector,
+    coboundary_witness_matrix,
     densify,
     is_identity,
     mat_mul,
     mat_pow,
     twist_fixture,
+    untwist_matrix_iso,
     windowed_untwist_check,
 )
 from loopforms import acceptance, cli, descent
 from loopforms.algebra import (
     FiniteOrderAutomorphism,
     check_automorphism,
+    check_diagonal_automorphism,
     eigengrading,
     loop_element,
+    twist,
 )
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
     algebra_over,
     charge_pairings,
-    diagram_and_composition,
+    compose_pi_toral,
     diagram_automorphism,
-    toral_automorphism,
 )
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import nullspace
@@ -39,11 +43,10 @@ from loopforms.descent import (
     build_cocycle,
     build_matrix_algebra,
     coboundary_witness,
-    coboundary_witness_matrix,
+    matrix_twist_factors,
     matrix_unit_shifts,
     twisted_fixed_points,
     untwist_iso,
-    untwist_matrix_iso,
 )
 
 FLIP = DiagramPermutation((1, 0))
@@ -51,8 +54,15 @@ FLIP = DiagramPermutation((1, 0))
 
 def _sl2_toral():
     rs, alg = algebra_over("A1", 2)
-    sigma = toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
+    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
     return rs, alg, sigma
+
+
+def _type_twist(label, perm, s, m):
+    """(alg, outer, exponents, m) of pi o tau_s, as `untwist_iso` takes them."""
+    rs, alg = algebra_over(label, lcm(perm.order(), m))
+    exponents = charge_pairings(rs, ToralCharge(s=s, modulus=m))
+    return alg, diagram_automorphism(alg, rs, perm), exponents, m
 
 
 # -- cocycles --------------------------------------------------------------------
@@ -133,8 +143,8 @@ def test_tampered_cocycle_detected():
 
 
 def test_untwist_sl2_moves_weight_lines():
-    rs, alg, _ = _sl2_toral()
-    iso = untwist_iso(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
+    alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    iso = untwist_iso(alg, *factors)
     assert iso.period == 2
     assert iso.shifts == (0, 1, -1)
     assert all(c.status == "pass" for c in iso.checks)
@@ -147,7 +157,7 @@ def test_untwist_sl2_moves_weight_lines():
     assert iso.apply_inverse(iso.apply(mixed)) == mixed
 
 
-def test_untwist_composed_flip_passes(monkeypatch):
+def test_untwist_composed_flip_passes(monkeypatch, capsys):
     built = []
     real = diagram_automorphism
 
@@ -159,13 +169,14 @@ def test_untwist_composed_flip_passes(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("loopforms") and getattr(module, "diagram_automorphism", None) is real:
             monkeypatch.setattr(module, "diagram_automorphism", counting)
-    rs, alg = algebra_over("A2", 2)
-    iso = untwist_iso(alg, rs, FLIP, ToralCharge(s=(1, 1), modulus=2))
-    # the pi factor of the composition is reused for the target grading
+    argv = ["untwist", "--type", "A2", "--auto", '{"pi":[2,1],"s":[1,1],"m":2}']
+    assert cli.main(argv) == 0
+    iso = json.loads(capsys.readouterr().out)["payload"]
+    # the pi factor of the twist is reused for the target grading
     assert built == [FLIP]
-    assert iso.period == 2
-    assert all(c.status == "pass" for c in iso.checks)
-    names = {c.check for c in iso.checks}
+    assert iso["period"] == 2
+    assert all(c["status"] == "pass" for c in iso["checks"])
+    names = {c["check"] for c in iso["checks"]}
     assert names == {
         "lands-in-target",
         "lands-in-source",
@@ -175,22 +186,50 @@ def test_untwist_composed_flip_passes(monkeypatch):
 
 
 def test_untwist_window_override():
-    rs, alg, _ = _sl2_toral()
-    iso = untwist_iso(
-        alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2), window=2
-    )
+    alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    iso = untwist_iso(alg, *factors, window=2)
     assert iso.window == 2
     assert all(c.window == 2 for c in iso.checks)
 
 
 def test_untwist_matrix_iso_shifts():
-    iso = untwist_matrix_iso(2, (0, 1), 2)
+    alg, identity, shifts = matrix_twist_factors(2, (0, 1), 2)
+    iso = untwist_iso(alg, identity, shifts, 2)
     # basis order E11, E12, E21, E22; shift a_i - a_k
     assert iso.shifts == (0, -1, 1, 0)
     assert all(c.status == "pass" for c in iso.checks)
-    alg, _ = build_matrix_algebra(2, (0, 1), 2)
     e12 = basis_vector(alg, 1)
     assert iso.apply(loop_element([(0, e12)])) == loop_element([(1, e12)])
+
+
+# (n, exponents, m, window) on M_2-M_4: shifts 0 mod m, exact and inexact
+# period, default and explicit window
+_MATRIX_WITNESSES = (
+    (2, (0, 1), 2, None),
+    (2, (0, 1), 3, None),
+    (2, (1, 1), 4, 3),
+    (3, (0, 1, 2), 3, None),
+    (3, (0, 2, 4), 2, 5),
+    (3, (0, 1, 1), 6, None),
+    (4, (0, 1, 2, 3), 4, None),
+    (4, (0, 1, 2, 3), 6, 7),
+    (4, (3, 1, 0, 2), 2, None),
+)
+
+
+@pytest.mark.parametrize("n, exponents, m, window", _MATRIX_WITNESSES)
+def test_unified_witnesses_match_matrix_oracles(n, exponents, m, window):
+    # the one untwist and coboundary of every table, against the matrix-unit
+    # path they replaced: same shifts, period, toral_modulus and checks
+    alg, identity, shifts = matrix_twist_factors(n, exponents, m)
+    iso = untwist_iso(alg, identity, shifts, m, window=window)
+    oracle = untwist_matrix_iso(n, exponents, m, window=window)
+    assert iso == oracle
+    assert (iso.shifts, iso.period, iso.toral_modulus) == (oracle.shifts, m, m)
+    assert iso.checks == oracle.checks
+    assert coboundary_witness(alg, shifts, m, window=window) == coboundary_witness_matrix(
+        n, exponents, m, window=window
+    )
 
 
 # -- untwisting in every degree against the windowed oracle --------------------------
@@ -240,12 +279,11 @@ def test_untwist_agrees_with_windowed_oracle_on_pool(stratum, untwist_calls, cap
 
 def _untwist_inputs(label, perm, s, m):
     """The algebra, source and target gradings and shifts of untwist_iso."""
-    period = lcm(perm.order(), m)
-    rs, alg = algebra_over(label, period)
-    charge = ToralCharge(s=s, modulus=m)
-    pi_auto, sigma = diagram_and_composition(alg, rs, perm, charge)
-    pi_common = check_automorphism(alg, pi_auto.images, pi_auto.scalars, period)
-    shifts = tuple((period // m) * p for p in charge_pairings(rs, charge))
+    alg, outer, exponents, m = _type_twist(label, perm, s, m)
+    sigma = twist(alg, outer, exponents, m)
+    period = sigma.period
+    pi_common = check_automorphism(alg, outer.images, outer.scalars, period)
+    shifts = tuple((period // m) * p for p in exponents)
     return alg, eigengrading(alg, sigma), eigengrading(alg, pi_common), shifts
 
 
@@ -286,9 +324,8 @@ def test_residue_two_is_covered_beyond_the_window():
 
 def test_perturbed_coboundary_shift_detected():
     rs, alg = algebra_over("A2", 3)
-    charge = ToralCharge(s=(1, 0), modulus=3)
-    sigma = toral_automorphism(alg, rs, charge)
-    shifts = charge_pairings(rs, charge)
+    shifts = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
+    sigma = check_diagonal_automorphism(alg, shifts, 3)
     assert descent._verify_coboundary(sigma, shifts, 6)[0].status == "pass"
     # a shift moved by a full period is the same coboundary; by one it is not
     moved = tuple(x + 3 if k == 2 else x for k, x in enumerate(shifts))
@@ -309,22 +346,26 @@ def test_matrix_unit_shifts_m3():
 
 def test_coboundary_witness_sl2():
     rs, alg, _ = _sl2_toral()
-    shifts, checks = coboundary_witness(alg, rs, ToralCharge(s=(1,), modulus=2))
+    shifts, checks = coboundary_witness(alg, charge_pairings(rs, ToralCharge(s=(1,), modulus=2)), 2)
     assert shifts == (0, 1, -1)
     assert all(c.status == "pass" for c in checks)
     assert any(c.check == "coboundary-identity" for c in checks)
 
 
 def test_coboundary_witness_matrix():
-    shifts, checks = coboundary_witness_matrix(3, (0, 1, 2), 3)
+    alg, _, exponents = matrix_twist_factors(3, (0, 1, 2), 3)
+    shifts, checks = coboundary_witness(alg, exponents, 3)
     assert shifts == matrix_unit_shifts(3, (0, 1, 2))
     assert all(c.status == "pass" for c in checks)
 
 
 def test_coboundary_rejects_rank_mismatch():
+    # the pairings of an A1 charge on the A2 table: one exponent per basis
+    # vector of A1, not of A2
+    rs1, _ = algebra_over("A1", 2)
     rs, alg = algebra_over("A2", 2)
-    with pytest.raises(ValueError):
-        coboundary_witness(alg, rs, ToralCharge(s=(1,), modulus=2), window=2)
+    with pytest.raises(ValueError, match="need 8 exponents"):
+        coboundary_witness(alg, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2, window=2)
 
 
 # -- matrix algebra construction ---------------------------------------------------

@@ -18,7 +18,7 @@ from loopforms.chevalley import (
     LieConstructError,
     ToralCharge,
     algebra_over,
-    toral_automorphism,
+    compose_pi_toral,
 )
 from loopforms.classify import OutGroup
 from loopforms.cyclo import CycloNum
@@ -144,7 +144,7 @@ def test_caches_are_outside_equality_hash_and_repr():
     assert "_table" not in repr(alg) and "validation" not in repr(alg)
 
     rs, alg = algebra_over("A1", 2)
-    sigma = toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
+    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
     used = eigengrading(alg, sigma)
     fresh = GradedDecomposition(used.period, used.scalar_order, used.dim, used.component_bases)
     # eigengrading builds no solver; asking for one fills the cache
@@ -162,7 +162,8 @@ def test_caches_are_outside_equality_hash_and_repr():
 
 def test_cached_property_is_kept_on_the_instance():
     rs, alg = algebra_over("A1", 2)
-    sigma = toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
+    identity, charge = DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    sigma = compose_pi_toral(alg, rs, identity, charge)
     assert sigma.matrix is sigma.matrix
     assert "matrix" in sigma.__dict__
-    assert sigma == toral_automorphism(alg, rs, ToralCharge(s=(1,), modulus=2))
+    assert sigma == compose_pi_toral(alg, rs, identity, charge)
