@@ -61,8 +61,6 @@ _EXPORTS = {
         "classification_table",
         "conjugacy_classes",
         "dynkin_automorphism_group",
-        "h1_of_group",
-        "h1_out",
         "inverse_conjugacy_check",
         "k_vs_r_classes",
         "k_vs_r_counts",

@@ -16,16 +16,21 @@ the finite Cartan matrices (untwisted types bordered by -theta, twisted ones
 as transposes, A_{2l}^(2) written out), with one entry per advertised type
 and diagram-class order.  The extractor stays the certificate: every label
 is attached to a matrix it extracted, and the tests and acceptance
-criterion 7 extract loop algebras to check the catalog against it.  A
-request for one type matches its extracted matrix against that type's own
-rows, built alone; the whole catalog is built only when none of them matches.
+criterion 7 extract loop algebras to check the catalog against it.
+
+Matching is `chevalley.node_isomorphisms`, the node-permutation search that
+also finds the Dynkin symmetries: a row matches when the search yields a
+permutation carrying the extracted matrix onto it, and the rows are scanned
+in order, with no index.  A request for one type matches its extracted
+matrix against that type's own rows, built alone; the whole catalog is built
+only when none of them matches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import ComponentSolver, GradedDecomposition, MultTableAlgebra, eigengrading
 from .chevalley import (
@@ -38,13 +43,13 @@ from .chevalley import (
     cartan_matrix,
     compose_pi_toral,
     highest_root,
+    node_isomorphisms,
 )
 from .cyclo import CycloNum
 from .linalg import Sparse, int_rank_det
 from .record import Record
 
 __all__ = [
-    "AffineCatalog",
     "AffineExtractError",
     "AffineLabel",
     "AffineRoot",
@@ -60,7 +65,6 @@ __all__ = [
     "extract_gcm",
     "fixed_cartan",
     "gcm_equivalent",
-    "gcm_invariant",
     "graded_twist",
     "match_affine_label",
     "match_own_type",
@@ -101,27 +105,14 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
         raise AffineExtractError("permutation rank mismatch")
     if not perm.preserves(rs.cartan):
         raise AffineExtractError("permutation does not preserve the Cartan matrix")
-    seen: set[int] = set()
-    orbits: list[tuple[int, ...]] = []
-    for start in range(l):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        node = perm(start)
-        while node != start:
-            orbit.append(node)
-            seen.add(node)
-            node = perm(node)
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
+    orbits = perm.orbits()
     one = CycloNum.one(alg.scalar_order)
     basis = [{i: one for i in orbit} for orbit in orbits]
     for x in basis:
         for y in basis:
             if alg.product_sparse(x, y):
                 raise AffineExtractError("fixed Cartan is not abelian")
-    return FixedCartan(basis=tuple(basis), orbits=tuple(orbits))
+    return FixedCartan(basis=tuple(basis), orbits=orbits)
 
 
 class AffineRoot(Record):
@@ -319,9 +310,6 @@ class GCM(Record):
         if len(reached) != n:
             raise AffineExtractError("matrix is decomposable")
 
-    def row_multiset(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(self.entries[i]))
-
     def to_obj(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
@@ -399,9 +387,6 @@ class AffineLabel(Record):
     def __str__(self) -> str:
         return f"{self.base_type}^({self.twist_order})"
 
-    def to_obj(self) -> dict:
-        return {"type": self.base_type, "r": self.twist_order}
-
 
 class CatalogEntry(Record):
     label: AffineLabel
@@ -409,44 +394,8 @@ class CatalogEntry(Record):
 
 
 def gcm_equivalent(a: GCM, b: GCM) -> Optional[tuple[int, ...]]:
-    """Permutation p with b[p(i)][p(j)] = a[i][j], or None.
-
-    Backtracking over row multisets: a candidate image must reproduce the
-    sorted row content before the pairwise entries are checked.
-    """
-    n = a.size
-    if b.size != n:
-        return None
-    targets: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        targets.setdefault(b.row_multiset(i), []).append(i)
-    assignment: list[int] = []
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for cand in targets.get(a.row_multiset(i), []):
-            if used[cand]:
-                continue
-            ok = all(
-                b.entries[cand][assignment[j]] == a.entries[i][j]
-                and b.entries[assignment[j]][cand] == a.entries[j][i]
-                for j in range(i)
-            )
-            if not ok:
-                continue
-            used[cand] = True
-            assignment.append(cand)
-            if extend(i + 1):
-                return True
-            assignment.pop()
-            used[cand] = False
-        return False
-
-    if extend(0):
-        return tuple(assignment)
-    return None
+    """The first permutation p with b[p(i)][p(j)] = a[i][j], or None."""
+    return next(node_isomorphisms(a.entries, b.entries), None)
 
 
 def bordered_untwisted(type_label: str) -> GCM:
@@ -524,62 +473,31 @@ def _twisted_entries(type_label: str) -> tuple[tuple[int, GCM], ...]:
     return ()
 
 
-Invariant = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-def gcm_invariant(gcm: GCM) -> Invariant:
-    """The sorted (row, column) entry multisets of the nodes: unchanged by a
-    simultaneous permutation, so equivalent matrices share it."""
-    columns = zip(*gcm.entries)
-    return tuple(sorted(
-        (tuple(sorted(row)), tuple(sorted(column)))
-        for row, column in zip(gcm.entries, columns)
-    ))
-
-
-class AffineCatalog(Record):
-    """Catalog entries, and the same entries keyed by gcm_invariant."""
-
-    entries: tuple[CatalogEntry, ...]
-    by_invariant: Mapping[Invariant, tuple[CatalogEntry, ...]]
-
-    def __iter__(self) -> Iterator[CatalogEntry]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 @lru_cache(maxsize=1)
-def affine_catalog() -> AffineCatalog:
+def affine_catalog() -> tuple[CatalogEntry, ...]:
     """One entry per type in TYPE_LABELS and per twist order of its diagram
     classes, from Kac's tables; entries pairwise non-equivalent.
 
     Everything is integer arithmetic on the Cartan matrices: no root system
     is built (`bordered_untwisted` finds theta by reflection) and no
-    rational number is formed, so the whole catalog costs about 0.01 s.
+    rational number is formed, so the whole catalog costs about 0.01 s,
+    and the distinctness check scans all pairs.
     The data is not trusted on its own: every GCM passes the affine axioms
     here, and the extractor certifies entries against loop algebras in the
     tests and in acceptance criterion 7.
     """
-    entries = [entry for label in TYPE_LABELS for entry in own_type_forms(label)]
-    buckets: dict[Invariant, list[CatalogEntry]] = {}
-    for entry in entries:
-        bucket = buckets.setdefault(gcm_invariant(entry.gcm), [])
-        for other in bucket:
+    entries = tuple(entry for label in TYPE_LABELS for entry in own_type_forms(label))
+    for k, entry in enumerate(entries):
+        for other in entries[:k]:
             if gcm_equivalent(entry.gcm, other.gcm) is not None:
                 raise AffineExtractError(f"catalog entries {other.label} and {entry.label} coincide")
-        bucket.append(entry)
-    return AffineCatalog(
-        entries=tuple(entries),
-        by_invariant={key: tuple(bucket) for key, bucket in buckets.items()},
-    )
+    return entries
 
 
 def match_affine_label(gcm: GCM) -> AffineLabel:
-    """The label of the catalog entry equivalent to gcm: a lookup by
-    gcm_invariant, confirmed by an explicit permutation."""
-    for entry in affine_catalog().by_invariant.get(gcm_invariant(gcm), ()):
+    """The label of the catalog entry equivalent to gcm, found by an
+    explicit permutation."""
+    for entry in affine_catalog():
         if gcm_equivalent(gcm, entry.gcm) is not None:
             return entry.label
     raise AffineExtractError("matrix matches no catalog entry")
@@ -603,9 +521,8 @@ def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
     it), so a row of the requested type that matches is the one catalog
     entry `match_affine_label` would find, and no other row is read.
     """
-    key = gcm_invariant(gcm)
     for entry in own_type_forms(type_label):
-        if gcm_invariant(entry.gcm) == key and gcm_equivalent(gcm, entry.gcm) is not None:
+        if gcm_equivalent(gcm, entry.gcm) is not None:
             return entry.label
     return None
 

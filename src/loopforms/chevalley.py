@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     FiniteOrderAutomorphism,
     MultTableAlgebra,
     Sparse,
+    _cycles,
     check_automorphism,
     check_diagonal_automorphism,
     embed_algebra,
@@ -52,6 +53,7 @@ __all__ = [
     "compose_pi_toral",
     "diagram_automorphism",
     "highest_root",
+    "node_isomorphisms",
     "root_system",
     "standard_algebra",
 ]
@@ -108,7 +110,7 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
     B_l and C_l are transposed against Bourbaki: the -2 of "B<l>" sits where
     Bourbaki's C_l has it, so read with a_ij = <alpha_i^vee, alpha_j>, as
     `root_system` does, "B3" has the highest root (2, 2, 1) of C3.  This
-    stands until the two labels are exchanged (ROADMAP item 4).
+    stands until the two labels are exchanged (ROADMAP item 1).
     """
     if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdigit():
         raise LieConstructError(f"unknown type label {label!r}")
@@ -515,13 +517,12 @@ class DiagramPermutation(Record):
     def __call__(self, i: int) -> int:
         return self.images[i]
 
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits of the nodes, each sorted, ordered by their smallest node."""
+        return tuple(tuple(sorted(cycle)) for cycle in _cycles(self.images))
+
     def order(self) -> int:
-        result = 1
-        current = self
-        while current.images != tuple(range(len(self.images))):
-            current = current.compose(self)
-            result += 1
-        return result
+        return lcm(*(len(orbit) for orbit in self.orbits()))
 
     def compose(self, other: "DiagramPermutation") -> "DiagramPermutation":
         return DiagramPermutation(tuple(self.images[other.images[i]] for i in range(len(self.images))))
@@ -549,6 +550,45 @@ class DiagramPermutation(Record):
         return all(
             a[p[i]][p[j]] == a[i][j] for i in range(cartan.rank) for j in range(cartan.rank)
         )
+
+
+def node_isomorphisms(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every permutation p with b[p(i)][p(j)] = a[i][j], in lexicographic order.
+
+    a and b are square integer matrices.  The images are assigned node by
+    node: an image must carry the same diagonal entry and the same sorted row
+    as its node, and a partial assignment is dropped as soon as an entry
+    between two assigned nodes is not preserved, so only the few permutations
+    that survive every prefix are formed.  With b = a these are the
+    symmetries of a Dynkin diagram; with two GCMs, the equivalences that
+    catalog matching looks for.
+    """
+    n = len(a)
+    if len(b) != n:
+        return
+    rows = [sorted(row) for row in b]
+    allowed = [
+        [c for c in range(n) if b[c][c] == a[i][i] and rows[c] == sorted(a[i])]
+        for i in range(n)
+    ]
+    images: list[int] = []
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(images)
+            return
+        for c in allowed[i]:
+            if c in images or any(
+                b[c][p] != a[i][j] or b[p][c] != a[j][i] for j, p in enumerate(images)
+            ):
+                continue
+            images.append(c)
+            yield from extend(i + 1)
+            images.pop()
+
+    yield from extend(0)
 
 
 class ToralCharge(Record):

@@ -18,22 +18,25 @@ from typing import Optional
 
 from .affine import AffineLabel, affine_certificate, graded_twist
 from .algebra import centroid_graded
-from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge, cartan_matrix
+from .chevalley import (
+    DiagramPermutation,
+    FiniteCartanMatrix,
+    ToralCharge,
+    cartan_matrix,
+    node_isomorphisms,
+)
 from .record import Record
 
 __all__ = [
     "ClassificationRow",
     "ClassifyError",
     "ConjClassTable",
-    "H1Table",
     "InverseConjugacyReport",
     "KvsRReport",
     "OutGroup",
     "classification_table",
     "conjugacy_classes",
     "dynkin_automorphism_group",
-    "h1_of_group",
-    "h1_out",
     "inverse_conjugacy_check",
     "k_vs_r_classes",
     "k_vs_r_counts",
@@ -81,33 +84,17 @@ class OutGroup(Record):
 
 
 def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
-    """All permutations of the nodes preserving the Cartan matrix.
+    """All permutations of the nodes preserving the Cartan matrix, in
+    lexicographic order (`node_isomorphisms` of the matrix with itself).
 
-    The images are assigned node by node, and a partial assignment is
-    dropped as soon as an entry between two assigned nodes is not preserved,
-    so only the few permutations that survive every prefix are formed.
     `OutGroup` checks each one against the whole matrix again.
     """
     if cartan.rank > 9:
         raise ClassifyError("rank above the brute-force budget")
     a = cartan.entries
-    n = cartan.rank
-    found: list[DiagramPermutation] = []
-
-    def extend(images: list[int]) -> None:
-        i = len(images)
-        if i == n:
-            found.append(DiagramPermutation(tuple(images)))
-            return
-        for c in range(n):
-            if c in images:
-                continue
-            if all(a[p][c] == a[j][i] and a[c][p] == a[i][j] for j, p in enumerate(images)):
-                extend(images + [c])
-
-    extend([])
-    found.sort(key=lambda g: g.images)
-    return OutGroup(elements=tuple(found), cartan=cartan)
+    return OutGroup(
+        elements=tuple(DiagramPermutation(p) for p in node_isomorphisms(a, a)), cartan=cartan
+    )
 
 
 class ConjClassTable(Record):
@@ -119,11 +106,6 @@ class ConjClassTable(Record):
             if g.images in orbit:
                 return index
         raise ClassifyError("element not in the group")
-
-    def to_obj(self) -> list:
-        return [
-            {"rep": rep.to_one_based(), "size": size} for rep, size in self.classes
-        ]
 
 
 def conjugacy_classes(group: OutGroup) -> ConjClassTable:
@@ -147,43 +129,9 @@ def conjugacy_classes(group: OutGroup) -> ConjClassTable:
     return table
 
 
-class H1Table(Record):
-    """Conjugacy classes relabeled as classes of loop-algebra torsors.
-
-    A continuous homomorphism from the procyclic fundamental group lands on
-    a single finite-order element (its value on the topological generator),
-    and cocycle twisting becomes conjugation, so the table is literally the
-    conjugacy table with a cohomological tag.
-    """
-
-    tag: str
-    table: ConjClassTable
-
-    @property
-    def class_count(self) -> int:
-        return len(self.table.classes)
-
-
-def h1_of_group(group: OutGroup) -> H1Table:
-    return H1Table(tag="H¹(X, Out(G_X))", table=conjugacy_classes(group))
-
-
-def h1_out(cartan: FiniteCartanMatrix) -> H1Table:
-    return h1_of_group(dynkin_automorphism_group(cartan))
-
-
 class InverseConjugacyReport(Record):
     ok: bool
     witnesses: tuple[tuple[DiagramPermutation, Optional[DiagramPermutation]], ...]
-
-    def to_obj(self) -> list:
-        return [
-            {
-                "element": g.to_one_based(),
-                "witness": None if h is None else h.to_one_based(),
-            }
-            for g, h in self.witnesses
-        ]
 
 
 def inverse_conjugacy_check(group: OutGroup) -> InverseConjugacyReport:
@@ -223,8 +171,8 @@ class ClassificationRow(Record):
 def classification_table(type_label: str) -> tuple[ClassificationRow, ...]:
     """One row per diagram class: build L(pi), grade it, extract its label.
 
-    Row count must equal the H^1 class count, and distinct classes must
-    carry distinct labels; both are enforced here rather than reported.
+    Distinct classes must carry distinct labels; that is enforced here
+    rather than reported.
     """
     cartan = cartan_matrix(type_label)
     table = conjugacy_classes(dynkin_automorphism_group(cartan))
@@ -240,8 +188,6 @@ def classification_table(type_label: str) -> tuple[ClassificationRow, ...]:
                 grading_dims=report.grading_dims,
             )
         )
-    if len(rows) != h1_out(cartan).class_count:
-        raise ClassifyError("row count differs from the H1 class count")
     labels = [str(r.affine_label) for r in rows]
     if len(set(labels)) != len(labels):
         raise ClassifyError(f"classes share an affine label: {labels}")
@@ -277,21 +223,8 @@ class KvsRReport(Record):
     def hypotheses_hold(self) -> bool:
         return self.inverse_conjugacy_ok and self.centroid_ok
 
-    def to_obj(self) -> dict:
-        return {
-            "type": self.type_label,
-            "r_classes": self.r_class_count,
-            "k_classes": self.k_class_count,
-            "inverse_conjugacy": self.inverse_conjugacy_ok,
-            "centroid_trivial": self.centroid_ok,
-            "centroid_dims": [
-                {"class_rep": [i + 1 for i in rep], "dims": list(dims)}
-                for rep, dims in self.centroid_dims
-            ],
-        }
 
-
-def k_vs_r_classes(type_label: str, check_centroid: bool = True) -> KvsRReport:
+def k_vs_r_classes(type_label: str) -> KvsRReport:
     """Compare R- and k-isomorphism class counts and verify both hypotheses.
 
     The k-relation merges sigma with sigma^-1 (swapping the two ends of the
@@ -306,22 +239,21 @@ def k_vs_r_classes(type_label: str, check_centroid: bool = True) -> KvsRReport:
     inverse_ok = inverse_conjugacy_check(group).ok
     centroid_dims = []
     centroid_ok = True
-    if check_centroid:
-        table = conjugacy_classes(group)
-        untwisted = ToralCharge.trivial(cartan.rank)
-        for rep, _ in table.classes:
-            # the grading of L(pi) that classification_table extracts from
-            _, alg, grading = graded_twist(type_label, rep, untwisted)
-            period = grading.period
-            dims = tuple(
-                centroid_graded(alg, grading, shift).solution_dim
-                for shift in range(period)
-            )
-            centroid_dims.append((rep.images, dims))
-            expected = (1,) + (0,) * (period - 1)
-            if dims != expected:
-                centroid_ok = False
-    if inverse_ok and (centroid_ok or not check_centroid):
+    table = conjugacy_classes(group)
+    untwisted = ToralCharge.trivial(cartan.rank)
+    for rep, _ in table.classes:
+        # the grading of L(pi) that classification_table extracts from
+        _, alg, grading = graded_twist(type_label, rep, untwisted)
+        period = grading.period
+        dims = tuple(
+            centroid_graded(alg, grading, shift).solution_dim
+            for shift in range(period)
+        )
+        centroid_dims.append((rep.images, dims))
+        expected = (1,) + (0,) * (period - 1)
+        if dims != expected:
+            centroid_ok = False
+    if inverse_ok and centroid_ok:
         if r_count != k_count:
             raise ClassifyError(
                 f"hypotheses hold but counts differ: {r_count} vs {k_count}"

@@ -37,7 +37,6 @@ __all__ = [
     "CycloError",
     "CycloNum",
     "cyclotomic_polynomial",
-    "embed",
     "euler_phi",
     "zeta_power",
 ]
@@ -458,7 +457,3 @@ def zeta_power(m: int, e: int) -> CycloNum:
         raise ValueError("order must be a positive integer")
     e %= m
     return _from_canonical(m, _reduce(m, [0] * e + [1]), 1)
-
-
-def embed(a: CycloNum, n: int) -> CycloNum:
-    return a.embed(n)

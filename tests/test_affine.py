@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from loopforms.chevalley import (
     algebra_over,
     cartan_matrix,
     compose_pi_toral,
+    node_isomorphisms,
     root_system,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
@@ -401,6 +404,26 @@ def test_match_handles_reordered_bases():
     shuffled = GCM(entries=_permute(original.entries, (2, 0, 1)))
     label = match_affine_label(shuffled)
     assert (label.base_type, label.twist_order) == ("D4", 3)
+
+
+def test_node_search_equals_brute_force_on_the_catalog():
+    """The self-equivalences of every catalog matrix of size at most 7 are
+    exactly those of a brute force over all permutations, in the same order,
+    and a randomly relabelled copy is matched by a permutation that carries
+    each entry onto its image."""
+    rng = random.Random(0)
+    for entry in affine_catalog():
+        a = entry.gcm.entries
+        n = len(a)
+        if n <= 7:
+            want = [p for p in permutations(range(n)) if _permute(a, p) == a]
+            assert list(node_isomorphisms(a, a)) == want, entry.label
+        q = list(range(n))
+        rng.shuffle(q)
+        b = _permute(a, q)
+        p = gcm_equivalent(entry.gcm, GCM(entries=b))
+        assert p is not None, entry.label
+        assert all(b[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n)), entry.label
 
 
 def test_match_rejects_unknown_matrix():
