@@ -3,13 +3,16 @@
 Each criterion_N() either returns a deterministic payload dict (no
 timestamps, no floats, stable ordering) or raises; verify_all wraps them
 into a pass/fail table and finishes with the determinism row, which reruns
-the other criteria and compares serialized bytes.  Wall-clock budgets are
-asserted by the test suite around these calls, never inside the payloads.
+the other criteria in a fresh interpreter under another hash seed and
+compares serialized bytes.  Wall-clock budgets are asserted by the test suite
+around these calls, never inside the payloads.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -46,8 +49,8 @@ from .descent import (
     build_cocycle,
     build_matrix_algebra,
     coboundary_witness,
+    fixed_point_report,
     matrix_twist_factors,
-    twisted_fixed_points,
     untwist_iso,
 )
 
@@ -171,14 +174,13 @@ def criterion_3() -> dict:
     rows = []
     for name, alg, sigma, _ in _grading_fixtures():
         cocycle = build_cocycle(sigma)
-        grading = eigengrading(alg, sigma)
+        _, fixed_dims = fixed_point_report(cocycle, eigengrading(alg, sigma))
         m = cocycle.period
-        fixed = twisted_fixed_points(cocycle, grading, 2 * m)
         rows.append({
             "fixture": name,
             "period": m,
             "pairs_checked": m * m,
-            "fixed_dims": {str(j): len(fixed[j]) for j in sorted(fixed)},
+            "fixed_dims": fixed_dims,
             "status": "pass",
         })
     return {"status": "pass", "fixtures": rows}
@@ -313,7 +315,7 @@ def _reversed_base_gcm(type_label: str, perm: Optional[DiagramPermutation]):
         perm = DiagramPermutation.identity(rank)
     rs, alg, grading = graded_twist(type_label, perm, ToralCharge.trivial(rank))
     h0 = fixed_cartan(alg, rs, perm)
-    data = affine_roots(alg, grading, h0, grading.period + 1)
+    data = affine_roots(alg, grading, h0)
     base = tuple(reversed(simple_affine_roots(data)))
     return extract_gcm(alg, base, data).gcm
 
@@ -423,36 +425,62 @@ _RUNNERS: dict[int, Callable[[], dict]] = {
 }
 
 
-def _run_one(cid: int, extra: Optional[Mapping[str, MultTableAlgebra]]) -> dict:
+def _run_one(cid: int) -> dict:
     name = dict(CRITERION_NAMES)[cid]
     try:
-        payload = criterion_1(extra) if cid == 1 else _RUNNERS[cid]()
+        payload = _RUNNERS[cid]()
     except Exception as exc:  # any crash is a failed criterion, with the reason
         return {"id": cid, "name": name, "status": "fail",
                 "payload": {"error": f"{type(exc).__name__}: {exc}"}}
     return {"id": cid, "name": name, "status": payload["status"], "payload": payload}
 
 
-def verify_all(
-    selected: Optional[Sequence[int]] = None,
-    algebra_fixtures: Optional[Mapping[str, MultTableAlgebra]] = None,
-) -> dict:
+def _serialized(rows: list[dict]) -> bytes:
+    return json.dumps(rows, sort_keys=True).encode()
+
+
+# the rerun of criterion 8: the criteria named in argv, serialized to stdout
+_RERUN = (
+    "import sys\n"
+    "from loopforms.acceptance import _run_one, _serialized\n"
+    "sys.stdout.buffer.write(_serialized([_run_one(int(c)) for c in sys.argv[1:]]))\n"
+)
+
+
+def _fresh_rerun(ids: Sequence[int]) -> bytes:
+    """The serialized rows of `ids` from a new interpreter, which shares no
+    cache with this one, under a hash seed other than this process's."""
+    import subprocess
+
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(os.environ)
+    # 0 when this process hashes at random, else the next seed
+    env["PYTHONHASHSEED"] = str((int(seed) + 1) % 2**32) if seed.isdigit() else "0"
+    # the directory holding this package, so the child imports this same code
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", _RERUN, *map(str, ids)], capture_output=True, env=env
+    )
+    return child.stdout if child.returncode == 0 else b""
+
+
+def verify_all(selected: Optional[Sequence[int]] = None) -> dict:
     """Run the acceptance criteria and aggregate into one pass/fail table.
 
     selected=None means all eight; an empty sequence yields an empty passing
-    report.  The determinism criterion reruns the other selected criteria and
-    compares the serialized bytes, so it always comes last.
+    report.  The determinism criterion reruns the other selected criteria in
+    a fresh interpreter under another hash seed and compares the serialized
+    bytes, so it always comes last.
     """
     ids = [cid for cid, _ in CRITERION_NAMES] if selected is None else list(selected)
     for cid in ids:
         if cid not in dict(CRITERION_NAMES):
             raise ValueError(f"unknown criterion id {cid}")
-    rows = [_run_one(cid, algebra_fixtures) for cid in ids if cid != 8]
+    rerun_ids = [cid for cid in ids if cid != 8]
+    rows = [_run_one(cid) for cid in rerun_ids]
     if 8 in ids:
-        first = json.dumps(rows, sort_keys=True).encode()
-        rerun = [_run_one(cid, algebra_fixtures) for cid in ids if cid != 8]
-        second = json.dumps(rerun, sort_keys=True).encode()
-        identical = first == second
+        first = _serialized(rows)
+        identical = first == _fresh_rerun(rerun_ids)
         rows.append({
             "id": 8,
             "name": "determinism",

@@ -1,12 +1,14 @@
 """Affine type certificates for twisted loop algebras.
 
-Given L(sigma) for sigma = pi o tau_s, the degree-window root data of the
-loop algebra determines a generalized Cartan matrix: read the weight under
-the pi-fixed Cartan h0 off every vector of the closed-form grading, order
-the resulting affine roots by (degree, then lexicographic weight), pick the
-indecomposable positives in degrees 0 through deg delta (delta the least
-positive imaginary root) as a base, normalize coroots through exact
-sl2-triples, and read off the matrix A_ij = weight_j(h_i).
+Given L(sigma) for sigma = pi o tau_s, the root data of the loop algebra in
+degrees -period..period determines a generalized Cartan matrix: read the
+weight under the pi-fixed Cartan h0 off every vector of the closed-form
+grading, order the resulting affine roots by (degree, then lexicographic
+weight), pick the indecomposable positives in degrees 0 through deg delta
+(delta the least positive imaginary root, deg delta <= period) as a base,
+normalize coroots through exact sl2-triples, and read off the matrix
+A_ij = weight_j(h_i).  The root data repeats with delta, so no degree past
+one period either side of 0 is read.
 
 The positivity order is a group order, so the selected base is a genuine
 base of the affine system even though it need not be the textbook one; the
@@ -120,10 +122,6 @@ class AffineRoot(Record):
     degree: int
     multiplicity: int
 
-    @property
-    def is_real(self) -> bool:
-        return any(self.weight)
-
     def to_obj(self) -> dict:
         return {"weight": list(self.weight), "degree": self.degree}
 
@@ -131,7 +129,6 @@ class AffineRoot(Record):
 class AffineRootData(Record):
     h0: FixedCartan
     period: int
-    window: int
     reals: tuple[AffineRoot, ...]
     imaginary: tuple[AffineRoot, ...]
     spaces: dict[tuple[Weight, int], tuple[Sparse, ...]]
@@ -141,10 +138,9 @@ def affine_roots(
     alg: MultTableAlgebra,
     grading: GradedDecomposition,
     h0: FixedCartan,
-    window: int,
 ) -> AffineRootData:
-    """Ad-h0 weight decomposition of every graded slice in the window, read
-    off the closed-form grading.
+    """Ad-h0 weight decomposition of every graded slice of degree
+    -period..period, read off the closed-form grading.
 
     Each component vector is an orbit sum of root vectors, or of Cartan
     vectors, over one pi-orbit, and every root of a pi-orbit has the same
@@ -160,8 +156,6 @@ def affine_roots(
     degrees are the imaginary layer and keep their dimension as multiplicity.
     """
     m = grading.period
-    if window < m:
-        raise AffineExtractError(f"window {window} is smaller than the twist order {m}")
     rank = h0.rank
     per_residue: dict[int, list[tuple[Weight, tuple[Sparse, ...]]]] = {}
     for res in range(m):
@@ -186,7 +180,7 @@ def affine_roots(
     reals: list[AffineRoot] = []
     imaginary: list[AffineRoot] = []
     spaces: dict[tuple[Weight, int], tuple[Sparse, ...]] = {}
-    for j in range(-window, window + 1):
+    for j in range(-m, m + 1):
         for w, vectors in per_residue[j % m]:
             spaces[(w, j)] = vectors
             if any(w):
@@ -208,7 +202,6 @@ def affine_roots(
     return AffineRootData(
         h0=h0,
         period=m,
-        window=window,
         reals=tuple(reals),
         imaginary=tuple(imaginary),
         spaces=spaces,
@@ -231,14 +224,14 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
 
     delta, the least positive imaginary root, is a positive sum of the
     simple roots, so every simple root has degree at most deg delta, and
-    deg delta is at most the period, so at most the window.  With a toral
-    charge a simple root can sit at any of those degrees (Kac's labels s_i
-    are its degrees).  A decomposition of a root of degree j into positives
-    has both degrees in 0..j, so it lies inside the window too.
+    deg delta is at most the period, the highest degree the root data holds.
+    With a toral charge a simple root can sit at any of those degrees (Kac's
+    labels s_i are its degrees).  A decomposition of a root of degree j into
+    positives has both degrees in 0..j, so it lies inside the root data too.
     """
     delta_degrees = [r.degree for r in data.imaginary if r.degree > 0]
     if not delta_degrees:
-        raise AffineExtractError("no positive imaginary root in the window")
+        raise AffineExtractError("no positive imaginary root up to the period")
     top = min(delta_degrees)
     positives: set[tuple[Weight, int]] = set()
     for root in data.reals:
@@ -265,7 +258,7 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
     if len(base) != expected:
         raise AffineExtractError(
             f"base has {len(base)} roots, expected {expected}; "
-            "window too small or unsupported twist"
+            "unsupported twist"
         )
     return tuple(base)
 
@@ -570,22 +563,17 @@ def _extract_inner(
     type_label: str,
     perm: DiagramPermutation,
     charge: ToralCharge,
-    window: Optional[int],
 ) -> tuple[int, tuple[int, ...], GCMCertificate]:
     rs, alg, grading = graded_twist(type_label, perm, charge)
-    period = grading.period
-    h0 = fixed_cartan(alg, rs, perm)
-    data = affine_roots(alg, grading, h0, window if window is not None else period + 1)
-    base = simple_affine_roots(data)
-    cert = extract_gcm(alg, base, data)
-    return period, grading.dims, cert
+    data = affine_roots(alg, grading, fixed_cartan(alg, rs, perm))
+    cert = extract_gcm(alg, simple_affine_roots(data), data)
+    return grading.period, grading.dims, cert
 
 
 def affine_certificate(
     type_label: str,
     perm: Optional[DiagramPermutation] = None,
     charge: Optional[ToralCharge] = None,
-    window: Optional[int] = None,
 ) -> ExtractionReport:
     """Full pipeline: build L(pi o tau_s), extract its GCM, match the label.
 
@@ -599,7 +587,7 @@ def affine_certificate(
         perm = DiagramPermutation.identity(rank)
     if charge is None:
         charge = ToralCharge.trivial(rank)
-    period, dims, cert = _extract_inner(type_label, perm, charge, window)
+    period, dims, cert = _extract_inner(type_label, perm, charge)
     label = match_own_type(cert.gcm, type_label) or match_affine_label(cert.gcm)
     if label.base_type != type_label:
         raise AffineExtractError(f"the extracted matrix is {label}, not a form of {type_label}")

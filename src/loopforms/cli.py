@@ -37,12 +37,8 @@ class RequestError(Exception):
 
 
 # Resource limits at the request boundary.  The cost of Q(zeta_m) grows with
-# phi(m), the affine root data of extract-gcm with the window (the descent
-# checks cover every degree at a cost independent of it, and list the window
-# only in their reports), and M_n has n^2 basis elements; a request past a
-# limit exits 2.
+# phi(m), and M_n has n^2 basis elements; a request past a limit exits 2.
 MAX_PERIOD = 24  # m, and the twist period lcm(|pi|, m)
-MAX_WINDOW = 64
 MAX_MATRIX_SIZE = 8
 
 
@@ -305,12 +301,8 @@ def _cmd_extract_gcm(args: _Args) -> dict:
 
     _one_source(args, ("type",))
     spec = _parse_auto_json(args.auto)
-    rank = cartan_matrix(args.type).rank
-    perm, charge = _type_auto(spec, rank)
-    period = lcm(perm.order(), charge.modulus)
-    if args.window is not None and args.window < period:
-        raise RequestError(f"--window {args.window} is smaller than the twist period {period}")
-    report = affine_certificate(args.type, perm=perm, charge=charge, window=args.window)
+    perm, charge = _type_auto(spec, cartan_matrix(args.type).rank)
+    report = affine_certificate(args.type, perm=perm, charge=charge)
     payload = {"type": args.type, "auto": _auto_echo(perm, charge)}
     payload.update(report.to_obj())
     payload["grading_dims"] = list(report.grading_dims)
@@ -322,7 +314,7 @@ def _cmd_untwist(args: _Args) -> dict:
     from .descent import untwist_iso
 
     alg, *factors, echo = _build_sigma(args)
-    iso = untwist_iso(alg, *factors, window=args.window)
+    iso = untwist_iso(alg, *factors)
     payload = dict(echo)
     payload.update(iso.to_obj())
     payload["status"] = (
@@ -332,23 +324,17 @@ def _cmd_untwist(args: _Args) -> dict:
 
 
 def _cmd_descent_verify(args: _Args) -> dict:
-    from .descent import build_cocycle, twisted_fixed_points
+    from .descent import build_cocycle, fixed_point_report
 
     alg, *factors, echo = _build_sigma(args)
     sigma = twist(alg, *factors)
-    cocycle = build_cocycle(sigma)
-    grading = eigengrading(alg, sigma)
-    window = args.window if args.window is not None else 2 * grading.period
-    fixed = twisted_fixed_points(cocycle, grading, window)
+    checks, fixed_dims = fixed_point_report(build_cocycle(sigma), eigengrading(alg, sigma))
     payload = dict(echo)
     payload.update(
         {
-            "period": grading.period,
-            "checks": [
-                {"check": "cocycle-identity", "window": grading.period, "status": "pass"},
-                {"check": "twisted-fixed-points", "window": window, "status": "pass"},
-            ],
-            "fixed_dims": {str(j): len(fixed[j]) for j in sorted(fixed)},
+            "period": sigma.period,
+            "checks": [c.to_obj() for c in checks],
+            "fixed_dims": fixed_dims,
             "status": "pass",
         }
     )
@@ -387,9 +373,7 @@ def _cmd_verify_all(args: _Args) -> dict:
     }
 
 
-# the commands that read --window, and those that read --auto; the others
-# refuse the flag
-_WINDOWED = ("extract-gcm", "untwist", "descent-verify")
+# the commands that read --auto; the others refuse the flag
 _TWISTED = ("grade", "extract-gcm", "untwist", "descent-verify", "centroid")
 
 # command -> (handler, help)
@@ -501,13 +485,6 @@ _FLAGS = {
         'automorphism spec: {"pi": [..1-based] | null, "s": [..] | null, "m": int};'
         ' for --matrix-algebra: {"exponents": [..], "m": int}',
     ),
-    "--window": (
-        "window",
-        int,
-        "W",
-        "degree window: the degrees untwist and descent-verify list (their checks"
-        " cover every degree), and the degree range of extract-gcm's root data",
-    ),
     "--json": ("json", None, "", "JSON output (default)"),
     "--text": ("text", None, "", "human-readable tables"),
     "--out": ("out", str, "FILE", "write the report to a file instead of stdout"),
@@ -529,7 +506,7 @@ class _Args:
 def _usage() -> str:
     lines = [
         "usage: loopforms COMMAND [--type T | --algebra FILE | --matrix-algebra N]",
-        "                 [--auto SPEC] [--window W] [--json | --text] [--out FILE]",
+        "                 [--auto SPEC] [--json | --text] [--out FILE]",
         "",
         "Twisted loop algebras over the punctured line: construction, grading, descent checks,",
         "classification, GCM extraction.",
@@ -604,13 +581,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise RequestError("verify-all takes no input flags")
         if args.auto is not None and args.command not in _TWISTED:
             raise RequestError(f"{args.command} takes no --auto")
-        if args.window is not None:
-            if args.command not in _WINDOWED:
-                raise RequestError(f"{args.command} takes no --window")
-            if args.window < 1:
-                raise RequestError("--window must be a positive integer")
-            if args.window > MAX_WINDOW:
-                raise RequestError(f"--window {args.window} exceeds the limit {MAX_WINDOW}")
         payload = _COMMANDS[args.command][0](args)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,11 @@ Every check here holds in all degrees, not on a degree window.  The untwisting
 map is a degree shift, which is an algebra map exactly when the shift is
 additive on the multiplication table, so bracket preservation is one pass over
 the table's nonzero products.  Every other identity depends on the degree j
-only through j mod the period, so one period of residues covers all degrees.
-The `window` arguments only set the window a report shows and the degrees
-`twisted_fixed_points` lists (default window = 2 * period); they do not bound
-what is checked.
+only through j mod the period, so one period of residues covers all degrees,
+and no function here takes a degree window.  The `window` a report shows is
+read off the period it already has (two periods on the untwist and
+twisted-fixed-point checks, 2m on the coboundary identity, one period on the
+cocycle identity) and bounds nothing that is checked.
 
 Conventions, pinned by the checks in this module:
 
@@ -55,6 +56,7 @@ __all__ = [
     "build_cocycle",
     "build_matrix_algebra",
     "coboundary_witness",
+    "fixed_point_report",
     "matrix_twist_factors",
     "matrix_unit_shifts",
     "twisted_fixed_points",
@@ -77,10 +79,6 @@ class CheckReport(Record):
         if self.witness is not None:
             obj["witness"] = self.witness
         return obj
-
-
-def _passed(check: str, window: int) -> CheckReport:
-    return CheckReport(check=check, window=window, status="pass")
 
 
 class LoopCocycle(Record):
@@ -119,9 +117,9 @@ def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
 
 
 def twisted_fixed_points(
-    cocycle: LoopCocycle, grading: GradedDecomposition, window: int
-) -> dict[int, tuple[Sparse, ...]]:
-    """Fixed spaces of x -> u(1)(gamma(x)) per degree; must equal the grading.
+    cocycle: LoopCocycle, grading: GradedDecomposition
+) -> tuple[tuple[Sparse, ...], ...]:
+    """Fixed spaces of x -> u(1)(gamma(x)) per residue; must equal the grading.
 
     On the slice A z^j the twisted action is the constant map
     zeta^j sigma^(-1), so the fixed space is the kernel of
@@ -131,11 +129,9 @@ def twisted_fixed_points(
     sigma^(-1) is monomial, so each row has at most two entries.  The descent
     claim is that the kernel for residue r coincides with the eigenspace
     component r: equal dimensions, and every kernel vector in the component's
-    span; any mismatch raises.  The result lists the kernel of every degree
-    |j| <= window.
+    span; any mismatch raises.  The result is the m kernels, kernel r being
+    the fixed space of every degree j = r mod m.
     """
-    if window < 1:
-        raise DescentError("window must be >= 1")
     m = cocycle.period
     if grading.period != m:
         raise DescentError("cocycle and grading periods differ")
@@ -160,7 +156,27 @@ def twisted_fixed_points(
             if not solver.contains(v):
                 raise DescentError(f"residue {r}: fixed vector escapes the grading component")
         kernels.append(tuple(kernel))
-    return {j: kernels[j % m] for j in range(-window, window + 1)}
+    return tuple(kernels)
+
+
+def fixed_point_report(
+    cocycle: LoopCocycle, grading: GradedDecomposition
+) -> tuple[tuple[CheckReport, ...], dict[str, int]]:
+    """The reports of the cocycle identity and the twisted fixed points, and
+    the fixed dimension of every degree |j| <= 2m, as descent reports list them.
+
+    `build_cocycle` checked the identity on all m^2 residue pairs and
+    `twisted_fixed_points` certifies the m kernels, so every degree is
+    covered; the listing repeats kernel j mod m over two periods either side
+    of 0.
+    """
+    kernels = twisted_fixed_points(cocycle, grading)
+    m = len(kernels)
+    checks = (
+        CheckReport(check="cocycle-identity", window=m, status="pass"),
+        CheckReport(check="twisted-fixed-points", window=2 * m, status="pass"),
+    )
+    return checks, {str(j): len(kernels[j % m]) for j in range(-2 * m, 2 * m + 1)}
 
 
 # -- matrix-unit fixtures ------------------------------------------------------
@@ -240,26 +256,23 @@ class UntwistIso(Record):
     Both sides are graded with the common period M = lcm(|outer|, m); the
     target then occupies only the degrees divisible by M/|outer|, which is
     the usual relabeling t = z^M.  `shifts` holds the per-basis-vector degree drop.
+    The report shows a window of two periods, as its checks do.
     """
 
     period: int
     toral_modulus: int
     shifts: tuple[int, ...]
-    window: int
     checks: tuple[CheckReport, ...]
 
     def apply(self, x: LoopElement) -> LoopElement:
         return _shift_element(x, self.shifts, +1)
-
-    def apply_inverse(self, x: LoopElement) -> LoopElement:
-        return _shift_element(x, self.shifts, -1)
 
     def to_obj(self) -> dict:
         return {
             "period": self.period,
             "toral_modulus": self.toral_modulus,
             "shifts": list(self.shifts),
-            "window": self.window,
+            "window": 2 * self.period,
             "checks": [c.to_obj() for c in self.checks],
         }
 
@@ -269,7 +282,6 @@ def _verify_untwist(
     source_grading: GradedDecomposition,
     target_grading: GradedDecomposition,
     shifts: Sequence[int],
-    window: int,
 ) -> tuple[CheckReport, ...]:
     """Certify phi: e_k z^j -> e_k z^(j - shifts[k]) in every degree.
 
@@ -279,11 +291,12 @@ def _verify_untwist(
     its residue.  phi(e_a z^i . e_b z^j) and phi(e_a z^i) phi(e_b z^j) have
     the same terms, at degrees i + j - shifts[c] and i + j - shifts[a] -
     shifts[b], so phi preserves products in all degrees exactly when the
-    shift is additive on every nonzero product of the table.  `window` is
-    only reported.
+    shift is additive on every nonzero product of the table.  Each check
+    raises on failure; the reports of those that passed show a window of two
+    periods.
     """
     m = source_grading.period
-    checks = []
+    passed = []
 
     def land(grading_from: GradedDecomposition, grading_to: GradedDecomposition, direction: int, name: str) -> None:
         for r in range(m):
@@ -295,7 +308,7 @@ def _verify_untwist(
                             f"{name}: degree {r} image piece at degree {d} "
                             "escapes the expected component"
                         )
-        checks.append(_passed(name, window))
+        passed.append(name)
 
     land(source_grading, target_grading, +1, "lands-in-target")
     land(target_grading, source_grading, -1, "lands-in-source")
@@ -308,7 +321,7 @@ def _verify_untwist(
                     f"bracket preservation fails on the pair ({labels[a]}, {labels[b]}): "
                     f"shift {shifts[c]} of {labels[c]} is not {shifts[a]} + {shifts[b]}"
                 )
-    checks.append(_passed("bracket-preservation", window))
+    passed.append("bracket-preservation")
 
     for r in range(m):
         for v in source_grading.component_bases[r]:
@@ -316,8 +329,8 @@ def _verify_untwist(
             image = _shift_element(LoopElement({r: v}), shifts, +1)
             if lhs.terms != {d + m: piece for d, piece in image.terms.items()}:
                 raise DescentError(f"t-action intertwining fails at degree {r}")
-    checks.append(_passed("t-intertwine", window))
-    return tuple(checks)
+    passed.append("t-intertwine")
+    return tuple(CheckReport(check=name, window=2 * m, status="pass") for name in passed)
 
 
 def untwist_iso(
@@ -325,7 +338,6 @@ def untwist_iso(
     outer: FiniteOrderAutomorphism,
     exponents: Sequence[int],
     m: int,
-    window: Optional[int] = None,
 ) -> UntwistIso:
     """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), verified in
     every degree.
@@ -335,25 +347,16 @@ def untwist_iso(
     M_n it is the identity and p = a_i - a_k on E_ik.  e_j drops degree by
     (M/m) p_j, M = lcm(|outer|, m) the common period; the factor M/m (1
     whenever |outer| divides m) keeps the shift aligned with the
-    common-period grading.  `window` only sets the window each check
-    reports.
+    common-period grading.
     """
     sigma = twist(alg, outer, exponents, m)
     period = sigma.period
-    if window is None:
-        window = 2 * period
     step = period // m
     shifts = tuple(step * p for p in exponents)
     source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, outer.with_period(period))
-    checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
-    return UntwistIso(
-        period=period,
-        toral_modulus=m,
-        shifts=shifts,
-        window=window,
-        checks=checks,
-    )
+    checks = _verify_untwist(alg, source_grading, target_grading, shifts)
+    return UntwistIso(period=period, toral_modulus=m, shifts=shifts, checks=checks)
 
 
 # -- coboundary witnesses --------------------------------------------------------
@@ -362,7 +365,6 @@ def untwist_iso(
 def _verify_coboundary(
     sigma: FiniteOrderAutomorphism,
     shifts: Sequence[int],
-    window: int,
 ) -> tuple[CheckReport, ...]:
     """Check u(n) = a^-1 o gamma^n(a) on every weight line, in every degree.
 
@@ -371,7 +373,7 @@ def _verify_coboundary(
     and no net degree move: u(n) by diag^(-n), and a^-1 gamma^n a gamma^-n by
     zeta^(-step n j) zeta^(step n (j - s)), in which j cancels.  So the
     identity is diag[idx]^(-n) = zeta^(-step n s) for each residue n and
-    basis index idx; `window` is only reported.
+    basis index idx; the report shows a window of 2m.
     """
     m = sigma.period
     order = sigma.scalar_order
@@ -386,14 +388,13 @@ def _verify_coboundary(
             lhs_scalar = diag[idx].inverse() ** n if n else CycloNum.one(order)
             if lhs_scalar != zeta_power(order, -step * n * shifts[idx]):
                 raise DescentError(f"coboundary identity fails at residue {n}, basis {idx}")
-    return (_passed("coboundary-identity", window),)
+    return (CheckReport(check="coboundary-identity", window=2 * m, status="pass"),)
 
 
 def coboundary_witness(
     alg: MultTableAlgebra,
     exponents: Sequence[int],
     m: int,
-    window: Optional[int] = None,
 ) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
     """Witness trivializing the cocycle of the diagonal twist diag(zeta_m^p).
 
@@ -403,8 +404,6 @@ def coboundary_witness(
     together with the verification report for u(n) = a^-1 o gamma^n(a) over
     all residues, which covers every degree.
     """
-    if window is None:
-        window = 2 * m
     shifts = tuple(exponents)
     sigma = check_diagonal_automorphism(alg, shifts, m)
-    return shifts, _verify_coboundary(sigma, shifts, window)
+    return shifts, _verify_coboundary(sigma, shifts)

@@ -572,7 +572,6 @@ def kernel_affine_roots(
     return AffineRootData(
         h0=h0,
         period=m,
-        window=window,
         reals=tuple(reals),
         imaginary=tuple(imaginary),
         spaces=spaces,
@@ -931,40 +930,28 @@ def untwist_matrix_iso(
     n: int,
     exponents: Sequence[int],
     m: int,
-    window: Optional[int] = None,
 ) -> UntwistIso:
     """Trivialization of the M_n covering algebra twisted by Ad(diag), as the
     matrix-unit path built it: the twist and the identity certified as
     diagonal maps of period m, with no outer factor."""
     alg, _ = build_matrix_algebra(n, exponents, m)
-    if window is None:
-        window = 2 * m
     shifts = matrix_unit_shifts(n, exponents)
     sigma = check_diagonal_automorphism(alg, shifts, m)
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, m)
     source_grading = eigengrading(alg, sigma)
     target_grading = eigengrading(alg, identity)
-    checks = _verify_untwist(alg, source_grading, target_grading, shifts, window)
-    return UntwistIso(
-        period=m,
-        toral_modulus=m,
-        shifts=shifts,
-        window=window,
-        checks=checks,
-    )
+    checks = _verify_untwist(alg, source_grading, target_grading, shifts)
+    return UntwistIso(period=m, toral_modulus=m, shifts=shifts, checks=checks)
 
 
 def coboundary_witness_matrix(
     n: int,
     exponents: Sequence[int],
     m: int,
-    window: Optional[int] = None,
 ) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
     """Matrix-unit path: shift a_i - a_k on E_ik trivializes Ad(diag)."""
-    if window is None:
-        window = 2 * m
     alg, _ = build_matrix_algebra(n, exponents, m)
     shifts = matrix_unit_shifts(n, exponents)
     sigma = check_diagonal_automorphism(alg, shifts, m)
-    checks = _verify_coboundary(sigma, shifts, window)
+    checks = _verify_coboundary(sigma, shifts)
     return shifts, checks

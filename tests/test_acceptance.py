@@ -60,15 +60,13 @@ def _tampered_sl2():
 
 
 def test_corrupted_fixture_fails_with_named_triple():
-    report = verify_all(selected=[1], algebra_fixtures={"tampered sl2": _tampered_sl2()})
-    assert report["status"] == "fail"
-    row = report["criteria"][0]
-    assert row["status"] == "fail"
-    bad = next(r for r in row["payload"]["fixtures"] if r["fixture"] == "tampered sl2")
+    payload = acceptance.criterion_1({"tampered sl2": _tampered_sl2()})
+    assert payload["status"] == "fail"
+    bad = next(r for r in payload["fixtures"] if r["fixture"] == "tampered sl2")
     assert bad["status"] == "fail"
     assert any("jacobi fails on (h, e, f)" == v for v in bad["violations"])
     # the built-in fixtures still pass alongside the bad one
-    good = [r for r in row["payload"]["fixtures"] if r["fixture"] != "tampered sl2"]
+    good = [r for r in payload["fixtures"] if r["fixture"] != "tampered sl2"]
     assert good and all(r["status"] == "pass" for r in good)
 
 

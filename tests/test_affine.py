@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dense import kernel_affine_roots
-from loopforms import affine
+from loopforms import affine, cli
 from loopforms.acceptance import _CATALOG_FIXTURES
 from loopforms.affine import (
     GCM,
@@ -41,6 +42,7 @@ from loopforms.cyclo import CycloNum
 from loopforms.linalg import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
+EXTRACT_GOLDEN = Path(__file__).parent / "golden" / "extract_gcm.json"
 
 
 def _twist(label, perm=None, s=None, m=1):
@@ -53,11 +55,10 @@ def _twist(label, perm=None, s=None, m=1):
     return alg, rs, grading, fixed_cartan(alg, rs, perm)
 
 
-def _pipeline(label, images, window=None):
+def _pipeline(label, images):
     perm = None if images is None else DiagramPermutation(images)
     alg, _, grading, h0 = _twist(label, perm)
-    data = affine_roots(alg, grading, h0, window if window is not None else grading.period + 1)
-    return alg, data
+    return alg, affine_roots(alg, grading, h0)
 
 
 # -- fixed Cartan ----------------------------------------------------------------
@@ -81,20 +82,21 @@ def test_fixed_cartan_rejects_bad_permutation():
 # -- root data -------------------------------------------------------------------
 
 
-def test_affine_roots_a1_untwisted_window_3():
-    alg, data = _pipeline("A1", None, window=3)
+def test_affine_roots_a1_untwisted_one_period():
+    # degrees -period..period: -1, 0 and 1 for the untwisted A1
+    alg, data = _pipeline("A1", None)
     assert data.period == 1
     weights = {(r.weight, r.degree) for r in data.reals}
-    assert weights == {(w, j) for w in ((2,), (-2,)) for j in range(-3, 4)}
+    assert weights == {(w, j) for w in ((2,), (-2,)) for j in range(-1, 2)}
     assert all(r.multiplicity == 1 for r in data.reals)
-    assert all(r.is_real for r in data.reals)
+    assert all(any(r.weight) for r in data.reals)
     imag = {(r.degree, r.multiplicity) for r in data.imaginary}
-    assert imag == {(j, 1) for j in (-3, -2, -1, 1, 2, 3)}
+    assert imag == {(j, 1) for j in (-1, 1)}
     assert all(not any(r.weight) for r in data.imaginary)
 
 
 def test_affine_roots_a2_flip_layers():
-    alg, data = _pipeline("A2", (1, 0), window=2)
+    alg, data = _pipeline("A2", (1, 0))
     assert data.period == 2
     odd = {r.weight for r in data.reals if r.degree == 1}
     even = {r.weight for r in data.reals if r.degree == 0}
@@ -106,17 +108,6 @@ def test_affine_roots_a2_flip_layers():
         (1, 1),
         (2, 1),
     }
-
-
-def test_affine_roots_window_floor():
-    rs, alg = algebra_over("A2", 2)
-    perm = DiagramPermutation((1, 0))
-    charge = ToralCharge(s=(0, 0), modulus=1)
-    sigma = compose_pi_toral(alg, rs, perm, charge)
-    grading = eigengrading(alg, sigma)
-    h0 = fixed_cartan(alg, rs, perm)
-    with pytest.raises(AffineExtractError):
-        affine_roots(alg, grading, h0, 1)
 
 
 def test_base_a1_and_exact_gcm():
@@ -197,9 +188,8 @@ def _twist_id(case):
 @pytest.mark.parametrize("case", _DIFFERENTIAL, ids=_twist_id)
 def test_weights_read_off_the_grading_equal_candidate_kernels(case):
     alg, rs, grading, h0 = _twist(*case)
-    window = grading.period + 1
-    fast = affine_roots(alg, grading, h0, window)
-    slow = kernel_affine_roots(alg, rs, grading, h0, window)
+    fast = affine_roots(alg, grading, h0)
+    slow = kernel_affine_roots(alg, rs, grading, h0, grading.period)
     assert fast.reals == slow.reals
     assert fast.imaginary == slow.imaginary
     assert fast.spaces == slow.spaces
@@ -210,7 +200,7 @@ def test_fixed_cartan_solver_equals_span_solver(fixture):
     # the coroot coordinates of every [e, f], read on the orbit sums and
     # solved by elimination
     alg, _, grading, h0 = _twist(*fixture)
-    data = affine_roots(alg, grading, h0, grading.period + 1)
+    data = affine_roots(alg, grading, h0)
     fast, slow = ComponentSolver(h0.basis), SpanSolver(h0.basis)
     for root in data.reals:
         if not 0 <= root.degree < grading.period:
@@ -230,7 +220,7 @@ def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
     tampered[rs.rank] = CycloNum.one(alg.scalar_order)
     h0 = FixedCartan(basis=(tampered,) + h0.basis[1:], orbits=h0.orbits)
     with pytest.raises(AffineExtractError, match="not diagonal under the fixed Cartan"):
-        affine_roots(alg, grading, h0, grading.period + 1)
+        affine_roots(alg, grading, h0)
 
 
 def test_affine_roots_rejects_non_integral_weights():
@@ -239,7 +229,7 @@ def test_affine_roots_rejects_non_integral_weights():
     basis = tuple({i: half * x for i, x in b.items()} for b in h0.basis)
     h0 = FixedCartan(basis=basis, orbits=h0.orbits)
     with pytest.raises(AffineExtractError, match="not a rational integer"):
-        affine_roots(alg, grading, h0, grading.period + 1)
+        affine_roots(alg, grading, h0)
 
 
 # -- GCM axioms ------------------------------------------------------------------
@@ -391,6 +381,47 @@ def test_catalog_against_golden_file():
     assert produced == recorded
 
 
+# toral and composed twists whose simple roots sit at several degrees; G2 at
+# order 6 has one at degree 4
+_EXTRACT_TWISTS = (
+    ("A2", '{"pi":[2,1],"s":[1,1],"m":2}'),
+    ("D4", '{"pi":[3,2,4,1],"s":[1,0,1,1],"m":3}'),
+    ("A2", '{"s":[1,0],"m":3}'),
+    ("G2", '{"s":[1,0],"m":6}'),
+)
+
+
+def _extract_requests():
+    """extract-gcm of every diagram-class representative of every type but
+    E8, then the twists above."""
+    requests = []
+    for label in TYPE_LABELS:
+        if label == "E8":
+            continue
+        for rep, _ in conjugacy_classes(dynkin_automorphism_group(cartan_matrix(label))).classes:
+            argv = ["extract-gcm", "--type", label]
+            if rep.order() > 1:
+                argv += ["--auto", json.dumps({"pi": [i + 1 for i in rep.images]}, separators=(",", ":"))]
+            requests.append(argv)
+    return requests + [["extract-gcm", "--type", label, "--auto", auto] for label, auto in _EXTRACT_TWISTS]
+
+
+def test_extract_gcm_stdout_matches_golden_digests(capsys):
+    # the whole report, base roots and their degrees included, not only the
+    # label: the sha256 of stdout as recorded in the golden file
+    recorded = json.loads(EXTRACT_GOLDEN.read_text())
+    requests = _extract_requests()
+    assert len(requests) == 48
+    assert sorted(recorded) == sorted(json.dumps(argv, separators=(",", ":")) for argv in requests)
+    changed = []
+    for argv in requests:
+        assert cli.main(argv) == 0, argv
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        if digest != recorded[json.dumps(argv, separators=(",", ":"))]:
+            changed.append(argv)
+    assert changed == []
+
+
 # -- matching --------------------------------------------------------------------
 
 
@@ -459,13 +490,6 @@ def test_certificate_a2_composed_charge():
     )
     assert str(report.label) == "A2^(2)"
     assert report.period == 2
-
-
-def test_certificate_window_override():
-    default = affine_certificate("A2", perm=DiagramPermutation((1, 0)))
-    wide = affine_certificate("A2", perm=DiagramPermutation((1, 0)), window=5)
-    assert default.gcm.entries == wide.gcm.entries
-    assert str(default.label) == "A2^(2)"
 
 
 def test_certificate_d4_triality_dims():

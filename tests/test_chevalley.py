@@ -545,7 +545,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     identity = algebra.check_automorphism(alg, range(3), [one] * 3, 2)
     target = algebra.eigengrading(alg, identity)
     try:
-        descent._verify_untwist(alg, grading, target, (0, 3, -1), 1)
+        descent._verify_untwist(alg, grading, target, (0, 3, -1))
     except descent.DescentError as exc:
         print("refused:", exc)
     """

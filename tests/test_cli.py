@@ -1,5 +1,8 @@
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 import time
@@ -7,6 +10,7 @@ from functools import lru_cache
 
 import pytest
 
+import loopforms
 from loopforms import acceptance, algebra, chevalley, cli
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
@@ -248,19 +252,9 @@ def test_verification_failure_exits_1(tmp_path):
         ("grade", "--type", "A2", "--auto", '{"pi": [2, true]}'),
         ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [true, 0]}'),
         ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": true}'),
-        # --window below 1, below the twist period, or on a command without one
-        ("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "-1"),
-        ("descent-verify", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "0"),
-        ("extract-gcm", "--type", "A2", "--auto", '{"pi": [2, 1]}', "--window", "1"),
-        ("build", "--type", "A1", "--window", "2"),
-        ("grade", "--type", "A1", "--window", "-5"),
-        ("classify", "--type", "A1", "--window", "2"),
-        ("centroid", "--type", "A1", "--window", "2"),
-        ("verify-all", "--window", "2"),
-        # resource limits: m, the twist period lcm(|pi|, m), --window, M_n size
+        # resource limits: m, the twist period lcm(|pi|, m), M_n size
         ("grade", "--type", "A2", "--auto", '{"m": 25}'),
         ("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
-        ("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "65"),
         ("grade", "--matrix-algebra", "9"),
         # a permutation that is not a symmetry of the diagram
         ("grade", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
@@ -320,9 +314,12 @@ def test_missing_subcommand_exits_2():
         (("grade", "--type", "A2", "stray"), "unexpected argument 'stray'"),
         (("grade", "--type"), "--type needs a value"),
         (("grade", "--type", "--auto", "{}"), "--type needs a value"),
-        (("untwist", "--type", "A1", "--window"), "--window needs a value"),
-        (("extract-gcm", "--type", "A2", "--window", "two"),
-         "--window needs an integer, got 'two'"),
+        # the degree window is no input: neither --window nor a prefix of it
+        # is a flag
+        (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "4"),
+         "unknown flag '--window'; flags are not abbreviated"),
+        (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--win", "4"),
+         "unknown flag '--win'; flags are not abbreviated"),
         (("grade", "--matrix-algebra", "2x"), "--matrix-algebra needs an integer, got '2x'"),
         (("grade", "--matrix-algebra=", "2"), "--matrix-algebra needs an integer, got ''"),
         (("grade", "--type", "A2", "--json", "--text"), "--json and --text exclude each other"),
@@ -330,8 +327,6 @@ def test_missing_subcommand_exits_2():
         # abbreviations are refused: a prefix of a flag is an unknown flag
         (("grade", "--ty", "A2"), "unknown flag '--ty'; flags are not abbreviated"),
         (("grade", "--matrix", "2"), "unknown flag '--matrix'; flags are not abbreviated"),
-        (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--win", "4"),
-         "unknown flag '--win'; flags are not abbreviated"),
     ],
 )
 def test_malformed_argv_exits_2_without_traceback(argv, message):
@@ -348,6 +343,33 @@ def test_argv_errors_in_process_return_2(capsys):
     assert captured.err.splitlines() == ["error: unknown flag '--windo'; flags are not abbreviated"]
 
 
+def test_no_public_callable_takes_a_window():
+    # every check covers all degrees, so no function, constructor or method
+    # exported by a module takes a degree window
+    found = []
+    for info in pkgutil.iter_modules(loopforms.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"loopforms.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                if issubclass(obj, Exception):
+                    continue
+                members += [
+                    (f"{name}.{attr}", value)
+                    for attr, value in vars(obj).items()
+                    if not attr.startswith("_") and inspect.isfunction(value)
+                ]
+            elif not inspect.isfunction(obj):
+                continue  # constants and type aliases
+            for qualname, member in members:
+                if "window" in inspect.signature(member).parameters:
+                    found.append(f"{info.name}.{qualname}")
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "argv", [("--help",), ("-h",), ("grade", "--help"), ("extract-gcm", "--type", "A2", "-h")]
 )
@@ -356,14 +378,15 @@ def test_help_exits_0(argv):
     assert result.returncode == 0
     assert result.stdout.startswith("usage: loopforms COMMAND")
     for name in ("build", "grade", "classify", "extract-gcm", "untwist", "descent-verify",
-                 "centroid", "verify-all", "--matrix-algebra", "--window", "--out"):
+                 "centroid", "verify-all", "--matrix-algebra", "--out"):
         assert name in result.stdout
+    assert "--window" not in result.stdout
     assert result.stderr == ""
 
 
 def test_flag_equals_value_is_the_flag_and_value(capsys):
-    spelled = ["extract-gcm", "--type", "D4", "--auto", '{"pi":[4,2,1,3]}', "--window", "5"]
-    joined = ["extract-gcm", "--type=D4", '--auto={"pi":[4,2,1,3]}', "--window=5"]
+    spelled = ["extract-gcm", "--type", "D4", "--auto", '{"pi":[4,2,1,3]}']
+    joined = ["extract-gcm", "--type=D4", '--auto={"pi":[4,2,1,3]}']
     assert cli.main(spelled) == 0
     first = capsys.readouterr().out
     assert cli.main(joined) == 0

@@ -98,26 +98,34 @@ def test_twisted_fixed_points_equal_grading():
     _, alg, sigma = _sl2_toral()
     grading = eigengrading(alg, sigma)
     cocycle = build_cocycle(sigma)
-    fixed = twisted_fixed_points(cocycle, grading, 4)
-    assert sorted(fixed) == list(range(-4, 5))
+    fixed = twisted_fixed_points(cocycle, grading)
+    assert len(fixed) == 2
     n, order = alg.dim, alg.scalar_order
-    for j, basis in fixed.items():
-        assert len(basis) == grading.dims[j % 2]
+    for r, basis in enumerate(fixed):
+        assert len(basis) == grading.dims[r]
         # both are reduced row-echelon bases of one space, hence equal
         assert [densify(v, n, order) for v in basis] == [
-            densify(v, n, order) for v in grading.component_bases[j % 2]
+            densify(v, n, order) for v in grading.component_bases[r]
         ]
+    # the reports list the kernel of residue j mod 2 at every degree |j| <= 4
+    checks, fixed_dims = descent.fixed_point_report(cocycle, grading)
+    assert [c.to_obj() for c in checks] == [
+        {"check": "cocycle-identity", "window": 2, "status": "pass"},
+        {"check": "twisted-fixed-points", "window": 4, "status": "pass"},
+    ]
+    assert fixed_dims == {str(j): grading.dims[j % 2] for j in range(-4, 5)}
 
 
 @pytest.mark.parametrize("name", TWIST_FIXTURES)
 def test_twisted_fixed_points_equal_nullspace_per_degree(name):
     alg, sigma = twist_fixture(name)
     m, n, order = sigma.period, alg.dim, alg.scalar_order
-    fixed = twisted_fixed_points(build_cocycle(sigma), eigengrading(alg, sigma), 2 * m)
-    assert sorted(fixed) == list(range(-2 * m, 2 * m + 1))
+    fixed = twisted_fixed_points(build_cocycle(sigma), eigengrading(alg, sigma))
+    assert len(fixed) == m
     u1 = mat_pow(sigma.matrix, m - 1)
     minus_one = CycloNum.rational(order, -1)
-    for j, basis in fixed.items():
+    for j in range(-2 * m, 2 * m + 1):
+        basis = fixed[j % m]
         # the kernel of zeta^j u(1) - id, eliminated for this degree alone
         zeta = zeta_power(order, (order // m) * j)
         rows = [
@@ -136,7 +144,7 @@ def test_tampered_cocycle_detected():
     assert is_identity(eye.matrix)
     fake = LoopCocycle(sigma=sigma, values=(eye, eye))
     with pytest.raises(DescentError):
-        twisted_fixed_points(fake, grading, 2)
+        twisted_fixed_points(fake, grading)
 
 
 # -- untwisting ------------------------------------------------------------------
@@ -154,7 +162,7 @@ def test_untwist_sl2_moves_weight_lines():
     assert iso.apply(loop_element([(0, f)])) == loop_element([(1, f)])
     assert iso.apply(loop_element([(2, h)])) == loop_element([(2, h)])
     mixed = loop_element([(1, e), (-1, f), (0, h)])
-    assert iso.apply_inverse(iso.apply(mixed)) == mixed
+    assert descent._shift_element(iso.apply(mixed), iso.shifts, -1) == mixed
 
 
 def test_untwist_composed_flip_passes(monkeypatch, capsys):
@@ -185,13 +193,6 @@ def test_untwist_composed_flip_passes(monkeypatch, capsys):
     }
 
 
-def test_untwist_window_override():
-    alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
-    iso = untwist_iso(alg, *factors, window=2)
-    assert iso.window == 2
-    assert all(c.window == 2 for c in iso.checks)
-
-
 def test_untwist_matrix_iso_shifts():
     alg, identity, shifts = matrix_twist_factors(2, (0, 1), 2)
     iso = untwist_iso(alg, identity, shifts, 2)
@@ -203,7 +204,8 @@ def test_untwist_matrix_iso_shifts():
 
 
 # (n, exponents, m, window) on M_2-M_4: shifts 0 mod m, exact and inexact
-# period, default and explicit window
+# period; window is the degree window of the windowed oracle, None for its
+# two periods
 _MATRIX_WITNESSES = (
     (2, (0, 1), 2, None),
     (2, (0, 1), 3, None),
@@ -220,16 +222,18 @@ _MATRIX_WITNESSES = (
 @pytest.mark.parametrize("n, exponents, m, window", _MATRIX_WITNESSES)
 def test_unified_witnesses_match_matrix_oracles(n, exponents, m, window):
     # the one untwist and coboundary of every table, against the matrix-unit
-    # path they replaced: same shifts, period, toral_modulus and checks
+    # path they replaced: same shifts, period, toral_modulus and checks; the
+    # untwisting map also passes the windowed oracle
     alg, identity, shifts = matrix_twist_factors(n, exponents, m)
-    iso = untwist_iso(alg, identity, shifts, m, window=window)
-    oracle = untwist_matrix_iso(n, exponents, m, window=window)
+    iso = untwist_iso(alg, identity, shifts, m)
+    oracle = untwist_matrix_iso(n, exponents, m)
     assert iso == oracle
     assert (iso.shifts, iso.period, iso.toral_modulus) == (oracle.shifts, m, m)
     assert iso.checks == oracle.checks
-    assert coboundary_witness(alg, shifts, m, window=window) == coboundary_witness_matrix(
-        n, exponents, m, window=window
-    )
+    assert coboundary_witness(alg, shifts, m) == coboundary_witness_matrix(n, exponents, m)
+    source = eigengrading(alg, twist(alg, identity, shifts, m))
+    target = eigengrading(alg, identity.with_period(m))
+    windowed_untwist_check(alg, source, target, iso.shifts, window or 2 * m)
 
 
 # -- untwisting in every degree against the windowed oracle --------------------------
@@ -246,13 +250,15 @@ def _pool_requests(stratum):
 
 @pytest.fixture
 def untwist_calls(monkeypatch):
-    """Run the windowed oracle beside every untwist certificate; both accept."""
+    """Run the windowed oracle, over two periods, beside every untwist
+    certificate; both accept."""
     calls = []
     real = descent._verify_untwist
 
-    def both(alg, source, target, shifts, window):
+    def both(alg, source, target, shifts):
+        window = 2 * source.period
         windowed_untwist_check(alg, source, target, shifts, window)
-        checks = real(alg, source, target, shifts, window)
+        checks = real(alg, source, target, shifts)
         calls.append(window)
         return checks
 
@@ -290,11 +296,11 @@ def _untwist_inputs(label, perm, s, m):
 def test_perturbed_shift_fails_additivity():
     alg, source, target, shifts = _untwist_inputs("A1", DiagramPermutation.identity(1), (1,), 2)
     assert shifts == (0, 1, -1)
-    descent._verify_untwist(alg, source, target, shifts, 4)
+    descent._verify_untwist(alg, source, target, shifts)
     # e moves by one period more: it still lands, but [e, f] = h breaks 3 - 1 = 0
     bad = (0, 3, -1)
     with pytest.raises(DescentError, match=r"bracket preservation fails on the pair \(e\[1\], f\[1\]\)"):
-        descent._verify_untwist(alg, source, target, bad, 4)
+        descent._verify_untwist(alg, source, target, bad)
     with pytest.raises(DescentError, match="bracket preservation"):
         windowed_untwist_check(alg, source, target, bad, 4)
 
@@ -306,7 +312,7 @@ def test_doubled_shifts_are_additive_but_do_not_land():
         for c, _ in alg.basis_product(a, b):
             assert doubled[c] == doubled[a] + doubled[b]
     with pytest.raises(DescentError, match="lands-in-target"):
-        descent._verify_untwist(alg, source, target, doubled, 6)
+        descent._verify_untwist(alg, source, target, doubled)
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, source, target, doubled, 6)
 
@@ -319,20 +325,20 @@ def test_residue_two_is_covered_beyond_the_window():
     # degrees -1..1 never reach residue 2, so a window-1 slice check misses it
     windowed_untwist_check(alg, source, target, bad, 1)
     with pytest.raises(DescentError, match=r"\(e\[0,1\], e\[1,0\]\): shift 6 of e\[1,1\] is not 1 \+ 1"):
-        descent._verify_untwist(alg, source, target, bad, 1)
+        descent._verify_untwist(alg, source, target, bad)
 
 
 def test_perturbed_coboundary_shift_detected():
     rs, alg = algebra_over("A2", 3)
     shifts = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
     sigma = check_diagonal_automorphism(alg, shifts, 3)
-    assert descent._verify_coboundary(sigma, shifts, 6)[0].status == "pass"
+    assert descent._verify_coboundary(sigma, shifts)[0].status == "pass"
     # a shift moved by a full period is the same coboundary; by one it is not
     moved = tuple(x + 3 if k == 2 else x for k, x in enumerate(shifts))
-    assert descent._verify_coboundary(sigma, moved, 6)[0].status == "pass"
+    assert descent._verify_coboundary(sigma, moved)[0].status == "pass"
     bad = tuple(x + 1 if k == 2 else x for k, x in enumerate(shifts))
     with pytest.raises(DescentError, match="coboundary identity fails at residue 1, basis 2"):
-        descent._verify_coboundary(sigma, bad, 6)
+        descent._verify_coboundary(sigma, bad)
 
 
 def test_matrix_unit_shifts_m3():
@@ -365,7 +371,7 @@ def test_coboundary_rejects_rank_mismatch():
     rs1, _ = algebra_over("A1", 2)
     rs, alg = algebra_over("A2", 2)
     with pytest.raises(ValueError, match="need 8 exponents"):
-        coboundary_witness(alg, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2, window=2)
+        coboundary_witness(alg, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2)
 
 
 # -- matrix algebra construction ---------------------------------------------------
