@@ -314,12 +314,11 @@ def test_missing_subcommand_exits_2():
         (("grade", "--type", "A2", "stray"), "unexpected argument 'stray'"),
         (("grade", "--type"), "--type needs a value"),
         (("grade", "--type", "--auto", "{}"), "--type needs a value"),
-        # the degree window is no input: neither --window nor a prefix of it
-        # is a flag
+        # the degree window is no input: --window is an unknown flag
         (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--window", "4"),
          "unknown flag '--window'; flags are not abbreviated"),
-        (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--win", "4"),
-         "unknown flag '--win'; flags are not abbreviated"),
+        (("extract-gcm", "--type", "A2", "--window", "two"),
+         "unknown flag '--window'; flags are not abbreviated"),
         (("grade", "--matrix-algebra", "2x"), "--matrix-algebra needs an integer, got '2x'"),
         (("grade", "--matrix-algebra=", "2"), "--matrix-algebra needs an integer, got ''"),
         (("grade", "--type", "A2", "--json", "--text"), "--json and --text exclude each other"),
@@ -327,6 +326,8 @@ def test_missing_subcommand_exits_2():
         # abbreviations are refused: a prefix of a flag is an unknown flag
         (("grade", "--ty", "A2"), "unknown flag '--ty'; flags are not abbreviated"),
         (("grade", "--matrix", "2"), "unknown flag '--matrix'; flags are not abbreviated"),
+        (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--win", "4"),
+         "unknown flag '--win'; flags are not abbreviated"),
     ],
 )
 def test_malformed_argv_exits_2_without_traceback(argv, message):
