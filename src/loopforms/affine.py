@@ -1,14 +1,14 @@
 """Affine type certificates for twisted loop algebras.
 
-Given L(sigma) for sigma = pi o tau_s, the root data of the loop algebra in
-degrees -period..period determines a generalized Cartan matrix: read the
-weight under the pi-fixed Cartan h0 off every vector of the closed-form
-grading, order the resulting affine roots by (degree, then lexicographic
-weight), pick the indecomposable positives in degrees 0 through deg delta
-(delta the least positive imaginary root, deg delta <= period) as a base,
-normalize coroots through exact sl2-triples, and read off the matrix
-A_ij = weight_j(h_i).  The root data repeats with delta, so no degree past
-one period either side of 0 is read.
+Given L(sigma) for sigma = pi o tau_s, the root data of the loop algebra
+determines a generalized Cartan matrix: read the weight under the pi-fixed
+Cartan h0 off every vector of the closed-form grading, order the resulting
+affine roots by (degree, then lexicographic weight), pick the
+indecomposable positives in degrees 0 through deg delta (delta the least
+positive imaginary root, deg delta <= period) as a base, normalize coroots
+through exact sl2-triples, and read off the matrix A_ij = weight_j(h_i).
+Degree j of the loop algebra is the grading component j mod period, so the
+root data is stored once per residue and a degree reads its residue.
 
 The positivity order is a group order, so the selected base is a genuine
 base of the affine system even though it need not be the textbook one; the
@@ -120,18 +120,23 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
 class AffineRoot(Record):
     weight: Weight
     degree: int
-    multiplicity: int
 
     def to_obj(self) -> dict:
         return {"weight": list(self.weight), "degree": self.degree}
 
 
 class AffineRootData(Record):
+    """Root data by residue: `spaces[r]` maps each h0-weight of component r
+    to its vectors there, in component order, with the weights in sorted
+    order.  Degree j of the loop algebra is component j mod period, so the
+    space of a weight in any degree is read off its residue (`space`)."""
+
     h0: FixedCartan
     period: int
-    reals: tuple[AffineRoot, ...]
-    imaginary: tuple[AffineRoot, ...]
-    spaces: dict[tuple[Weight, int], tuple[Sparse, ...]]
+    spaces: tuple[dict[Weight, tuple[Sparse, ...]], ...]
+
+    def space(self, weight: Weight, degree: int) -> tuple[Sparse, ...]:
+        return self.spaces[degree % self.period].get(weight, ())
 
 
 def affine_roots(
@@ -139,8 +144,8 @@ def affine_roots(
     grading: GradedDecomposition,
     h0: FixedCartan,
 ) -> AffineRootData:
-    """Ad-h0 weight decomposition of every graded slice of degree
-    -period..period, read off the closed-form grading.
+    """Ad-h0 weight decomposition of every grading component, read off the
+    closed-form grading.
 
     Each component vector is an orbit sum of root vectors, or of Cartan
     vectors, over one pi-orbit, and every root of a pi-orbit has the same
@@ -150,14 +155,14 @@ def affine_roots(
     rational integer, are both checked.  The space of a weight in a
     component is the tuple of its vectors of that weight, in component order.
 
-    Real roots (nonzero weight) must be one-dimensional; the zero-weight
-    space at degree 0 must be exactly h0 (anything bigger means the chosen
-    Cartan does not control the twist); zero-weight spaces at nonzero
-    degrees are the imaginary layer and keep their dimension as multiplicity.
+    Real roots (nonzero weight) must be one-dimensional in every residue;
+    the zero-weight space of residue 0 must be exactly h0 (anything bigger
+    means the chosen Cartan does not control the twist).  The zero-weight
+    spaces of the other residues are the imaginary layer.
     """
     m = grading.period
-    rank = h0.rank
-    per_residue: dict[int, list[tuple[Weight, tuple[Sparse, ...]]]] = {}
+    zero = (0,) * h0.rank
+    spaces = []
     for res in range(m):
         groups: dict[Weight, list[Sparse]] = {}
         for v in grading.component_bases[res]:
@@ -176,36 +181,19 @@ def affine_roots(
                     )
                 weight.append(0 if w is None else w.as_fraction().numerator)
             groups.setdefault(tuple(weight), []).append(v)
-        per_residue[res] = [(w, tuple(vs)) for w, vs in sorted(groups.items())]
-    reals: list[AffineRoot] = []
-    imaginary: list[AffineRoot] = []
-    spaces: dict[tuple[Weight, int], tuple[Sparse, ...]] = {}
-    for j in range(-m, m + 1):
-        for w, vectors in per_residue[j % m]:
-            spaces[(w, j)] = vectors
-            if any(w):
-                if len(vectors) != 1:
-                    raise AffineExtractError(
-                        f"real root {w} at degree {j} has multiplicity {len(vectors)}"
-                    )
-                reals.append(AffineRoot(weight=w, degree=j, multiplicity=1))
-            elif j == 0:
-                if len(vectors) != rank:
-                    raise AffineExtractError(
-                        "zero-weight space at degree 0 exceeds the fixed Cartan; "
-                        "unsupported twist shape"
-                    )
-            else:
-                imaginary.append(AffineRoot(weight=w, degree=j, multiplicity=len(vectors)))
-    reals.sort(key=lambda r: (r.degree, r.weight))
-    imaginary.sort(key=lambda r: (r.degree, r.weight))
-    return AffineRootData(
-        h0=h0,
-        period=m,
-        reals=tuple(reals),
-        imaginary=tuple(imaginary),
-        spaces=spaces,
-    )
+        space = {w: tuple(vs) for w, vs in sorted(groups.items())}
+        for w, vectors in space.items():
+            if any(w) and len(vectors) != 1:
+                raise AffineExtractError(
+                    f"real root {w} in residue {res} has multiplicity {len(vectors)}"
+                )
+        if res == 0 and len(space.get(zero, ())) != h0.rank:
+            raise AffineExtractError(
+                "zero-weight space in residue 0 exceeds the fixed Cartan; "
+                "unsupported twist shape"
+            )
+        spaces.append(space)
+    return AffineRootData(h0=h0, period=m, spaces=tuple(spaces))
 
 
 def _is_positive(weight: Weight, degree: int) -> bool:
@@ -215,7 +203,8 @@ def _is_positive(weight: Weight, degree: int) -> bool:
 
 
 def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
-    """Indecomposable positive roots in degrees 0 through deg delta.
+    """Indecomposable positive roots in degrees 0 through deg delta, sorted
+    by (degree, weight).
 
     Positivity is the group order (degree, then lex weight) > 0.  Sums may
     use the imaginary layer: a real positive like alpha + delta decomposes
@@ -223,44 +212,37 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
     and dropping those decompositions would inflate the base.
 
     delta, the least positive imaginary root, is a positive sum of the
-    simple roots, so every simple root has degree at most deg delta, and
-    deg delta is at most the period, the highest degree the root data holds.
-    With a toral charge a simple root can sit at any of those degrees (Kac's
+    simple roots, so every simple root has degree at most deg delta, the
+    least j in 1..period whose residue has a zero-weight space.  With a
+    toral charge a simple root can sit at any of those degrees (Kac's
     labels s_i are its degrees).  A decomposition of a root of degree j into
-    positives has both degrees in 0..j, so it lies inside the root data too.
+    positives has both degrees in 0..j, so only the positives of degrees
+    0..deg delta are listed.
     """
-    delta_degrees = [r.degree for r in data.imaginary if r.degree > 0]
-    if not delta_degrees:
-        raise AffineExtractError("no positive imaginary root up to the period")
-    top = min(delta_degrees)
-    positives: set[tuple[Weight, int]] = set()
-    for root in data.reals:
-        if _is_positive(root.weight, root.degree):
-            positives.add((root.weight, root.degree))
-    for root in data.imaginary:
-        if _is_positive(root.weight, root.degree):
-            positives.add((root.weight, root.degree))
-    base = []
-    for root in data.reals:
-        if root.degree > top or not _is_positive(root.weight, root.degree):
-            continue
-        decomposable = False
-        for w1, j1 in positives:
-            w2 = tuple(a - b for a, b in zip(root.weight, w1))
-            j2 = root.degree - j1
-            if (w2, j2) in positives:
-                decomposable = True
-                break
-        if not decomposable:
-            base.append(root)
-    base.sort(key=lambda r: (r.degree, r.weight))
+    m = data.period
+    zero = (0,) * data.h0.rank
+    # residue 0 holds h0 (`affine_roots` checks it), so j = period qualifies
+    top = next(j for j in range(1, m + 1) if zero in data.spaces[j % m])
+    # in (degree, weight) order: each residue lists its weights sorted
+    positives = [
+        (w, j) for j in range(top + 1) for w in data.spaces[j % m] if _is_positive(w, j)
+    ]
+    known = set(positives)
+    base = tuple(
+        AffineRoot(weight=w, degree=j)
+        for w, j in positives
+        if any(w)
+        and not any(
+            (tuple(a - b for a, b in zip(w, w1)), j - j1) in known for w1, j1 in positives
+        )
+    )
     expected = data.h0.rank + 1
     if len(base) != expected:
         raise AffineExtractError(
             f"base has {len(base)} roots, expected {expected}; "
             "unsupported twist"
         )
-    return tuple(base)
+    return base
 
 
 class GCM(Record):
@@ -310,7 +292,6 @@ class GCM(Record):
 class GCMCertificate(Record):
     gcm: GCM
     base: tuple[AffineRoot, ...]
-    coroots: tuple[tuple[Fraction, ...], ...]
 
     def to_obj(self) -> dict:
         return {
@@ -339,9 +320,8 @@ def extract_gcm(
     solver = ComponentSolver(h0.basis)
     coroots: list[tuple[Fraction, ...]] = []
     for root in base:
-        e_space = data.spaces.get((root.weight, root.degree))
-        opposite = (tuple(-c for c in root.weight), -root.degree)
-        f_space = data.spaces.get(opposite)
+        e_space = data.space(root.weight, root.degree)
+        f_space = data.space(tuple(-c for c in root.weight), -root.degree)
         if not e_space or not f_space:
             raise AffineExtractError(f"missing root space for base root {root.weight}")
         if len(e_space) != 1 or len(f_space) != 1:
@@ -367,7 +347,7 @@ def extract_gcm(
             row.append(int(value))
         entries.append(tuple(row))
     gcm = GCM(entries=tuple(entries))
-    return GCMCertificate(gcm=gcm, base=tuple(base), coroots=tuple(coroots))
+    return GCMCertificate(gcm=gcm, base=tuple(base))
 
 
 # -- catalog and matching ------------------------------------------------------
@@ -549,8 +529,7 @@ def graded_twist(
     """L(pi o tau_s): the algebra over Q(zeta_m), m = lcm(|pi|, modulus), and
     the eigengrading of the checked twist, built once per process.
 
-    Extraction and the centroid check of `classify.k_vs_r_classes` share it,
-    and with it the generating set the centroid keeps on the grading.
+    Extraction and the centroid check of `classify.k_vs_r_classes` share it.
     """
     from math import lcm
 

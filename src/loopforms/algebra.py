@@ -16,7 +16,9 @@ for the eigenvalues zeta_m^i, written down in closed form cycle by cycle;
 that decomposition is a Z/m grading, by the automorphism's certificate, and
 is the combinatorial heart of everything downstream: loop elements ({degree:
 sparse vector}) live on it, and the centroid computation detects when two
-loop algebras cannot be isomorphic over the Laurent base ring.
+loop algebras cannot be isomorphic over the Laurent base ring.  Like the
+grading, the centroid is indexed by residue: `centroid_graded` certifies
+one generating set and solves every shift residue with it in one call.
 
 Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.
@@ -35,7 +37,7 @@ from itertools import permutations, product
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cyclo import CycloNum, zeta_power
+from .cyclo import CycloNum, _json_int, zeta_power
 from .linalg import Echelon, Sparse, eliminate, rank, sparse_add
 from .record import Record
 
@@ -184,20 +186,26 @@ class MultTableAlgebra(Record):
 
     @staticmethod
     def from_obj(obj: dict) -> "MultTableAlgebra":
+        """Read `to_obj` output.  The dimension, the scalar order and every
+        index must be JSON integers and the labels a list of strings; nothing
+        is coerced."""
+        labels = obj["labels"]
+        if type(labels) is not list or not all(type(label) is str for label in labels):
+            raise TypeError("labels must be a list of strings")
         constants = tuple(
             (
-                int(i),
-                int(j),
-                tuple((int(k), CycloNum.from_obj(c)) for k, c in entry),
+                _json_int(i),
+                _json_int(j),
+                tuple((_json_int(k), CycloNum.from_obj(c)) for k, c in entry),
             )
             for i, j, entry in obj["constants"]
         )
         return MultTableAlgebra(
-            dim=int(obj["dim"]),
-            scalar_order=int(obj["scalar_order"]),
+            dim=_json_int(obj["dim"]),
+            scalar_order=_json_int(obj["scalar_order"]),
             kind=obj["kind"],
             constants=constants,
-            basis_labels=tuple(obj["labels"]),
+            basis_labels=tuple(labels),
         )
 
 
@@ -723,10 +731,9 @@ class GradedDecomposition(Record):
     component_bases: tuple[tuple[Sparse, ...], ...]
 
     def __post_init__(self) -> None:
-        # caches of work derived from the fields, not fields themselves:
-        # component solvers by residue, and `_generators` by algebra id
+        # component solvers by residue: a cache of work derived from the
+        # fields, not a field itself
         self.__dict__["_solvers"] = {}
-        self.__dict__["_generators"] = {}
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -905,29 +912,6 @@ class CentroidReport(Record):
             return False
         return _identity_in_span(self)
 
-    def matrices(self, family: Sparse) -> tuple[tuple[tuple[CycloNum, ...], ...], ...]:
-        """The dense matrices of one family, residue by residue."""
-        m, d = self.period, self.shift_residue
-        zero = CycloNum.zero(next(iter(family.values())).order)
-        return tuple(
-            tuple(
-                tuple(family.get(self.entry_index(res, r, s), zero) for s in range(self.dims[res]))
-                for r in range(self.dims[(res + d) % m])
-            )
-            for res in range(m)
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "shift_residue": self.shift_residue,
-            "period": self.period,
-            "solution_dim": self.solution_dim,
-            "basis": [
-                [[[c.to_obj() for c in row] for row in mat] for mat in self.matrices(family)]
-                for family in self.basis
-            ],
-        }
-
 
 def _identity_in_span(report: CentroidReport) -> bool:
     if not report.basis:
@@ -948,8 +932,8 @@ def _identity_in_span(report: CentroidReport) -> bool:
 
 class _Generators:
     """A generating set G of a graded algebra, certified by closure, and the
-    multiplications by it; built once per grading and shared by every shift
-    of the centroid.
+    multiplications by it; `centroid_graded` builds one and solves every
+    shift with it.
 
     A homogeneous basis vector is named (residue, index in its component),
     and a homogeneous vector is kept in component coordinates.  The scan,
@@ -1021,7 +1005,6 @@ class _Generators:
         if alg.kind == KIND_ASSOCIATIVE:
             for g in gens:
                 self.right[g] = [self.product(y, g) for y in self.hom]
-        self._signatures: Optional[list[list[tuple]]] = None
 
     def product(self, x: tuple[int, int], y: tuple[int, int]) -> Sparse:
         """Coordinates of the product of two homogeneous basis vectors."""
@@ -1051,8 +1034,6 @@ class _Generators:
         side adds nothing.  A centroid transformation commutes with L_z, so
         its entry from e_s to e_r is zero unless the two signatures agree.
         """
-        if self._signatures is not None:
-            return self._signatures
         zero = CycloNum.zero(self.alg.scalar_order)
         sides = [(self.left, False)]
         if self.alg.kind == KIND_ASSOCIATIVE:
@@ -1074,27 +1055,18 @@ class _Generators:
                 else:
                     tables.append(lams)
         flat = list(zip(*tables)) if tables else [()] * len(self.hom)
-        self._signatures = [
+        return [
             flat[self.offsets[res]:self.offsets[res] + dim]
             for res, dim in enumerate(self.grading.dims)
         ]
-        return self._signatures
-
-
-def _generators(alg: MultTableAlgebra, grading: GradedDecomposition) -> _Generators:
-    """The generating set of this grading, built on first use and kept on it."""
-    cached = grading._generators.get(id(alg))
-    if cached is None or cached.alg is not alg:
-        cached = _Generators(alg, grading)
-        grading._generators[id(alg)] = cached
-    return cached
 
 
 def centroid_graded(
-    alg: MultTableAlgebra, grading: GradedDecomposition, shift_residue: int
-) -> CentroidReport:
-    """Solve for residue-level families c_i: A_i -> A_{i+shift} with
-    c(xy) = (cx)y = x(cy) for all x and y.
+    alg: MultTableAlgebra, grading: GradedDecomposition
+) -> tuple[CentroidReport, ...]:
+    """For every shift residue d, solve for residue-level families
+    c_i: A_i -> A_{i+d} with c(xy) = (cx)y = x(cy) for all x and y; index d
+    of the result is the report of shift residue d.
 
     It is enough to impose c(g y) = g (c y) for g in a generating set G and
     every homogeneous basis vector y, and for an associative table also
@@ -1103,29 +1075,22 @@ def centroid_graded(
     commute with c form a subalgebra, because L_[x,y] = [L_x, L_y] by
     Jacobi and L_xy = L_x L_y, R_xy = R_y R_x by associativity, and for a
     Lie table R_g = -L_g and (cx)y = -c(yx) = c(xy).  So the table must pass
-    its validation first, or AlgebraError is raised.  G, its closure and its
-    products are built once per grading (`_Generators`).
+    its validation first, or AlgebraError is raised.  G, its closure, its
+    products (`_Generators`) and the signatures below are built once per
+    call and serve every shift.
 
     The system is cut down first by every degree-zero basis element that
     multiplies diagonally (Cartan-type elements), which pins most unknowns to
     zero; each surviving equation is built by walking the sparse coordinates
     of the products, and the equations are eliminated exactly.  The solution
     space is the centroid whatever equations cut it out, and its reduced
-    row-echelon basis is unique, so the report does not depend on G.
+    row-echelon basis is unique, so the reports do not depend on G.
     """
-    gens = _generators(alg, grading)
+    gens = _Generators(alg, grading)
     m = grading.period
-    d = shift_residue % m
     order = alg.scalar_order
     dims = grading.dims
-
-    # unknown u(res, r, s) = entry of c_res in row r (target coord), col s,
-    # numbered as CentroidReport.entry_index does
-    base = [0] * m
-    for res in range(1, m):
-        base[res] = base[res - 1] + dims[(res - 1 + d) % m] * dims[res - 1]
-
-    # phase 1: u(res, r, s) survives when e_r and e_s share their signature
+    sides = [gens.left] + ([gens.right] if alg.kind == KIND_ASSOCIATIVE else [])
     sigs = gens.signatures()
     rows_of: list[dict[tuple, list[int]]] = []
     for res in range(m):
@@ -1133,52 +1098,64 @@ def centroid_graded(
         for r, sig in enumerate(sigs[res]):
             groups.setdefault(sig, []).append(r)
         rows_of.append(groups)
-    alive_rows = [
-        [rows_of[(res + d) % m].get(sig, []) for sig in sigs[res]] for res in range(m)
-    ]
 
-    # phase 2: c(g y) - g (c y), and c(y g) - (c y) g, row by row
-    rows: set[tuple[tuple[int, CycloNum], ...]] = set()
-    sides = [gens.left] + ([gens.right] if alg.kind == KIND_ASSOCIATIVE else [])
-    for g in gens.gens:
-        for products in (side[g] for side in sides):
-            for k, (ires, s) in enumerate(gens.hom):
-                tgt = (ires + g[0]) % m
-                src = (ires + d) % m
-                out: dict[int, Sparse] = {}
-                for sig, wc in products[k].items():
-                    for rho in alive_rows[tgt][sig]:
-                        out.setdefault(rho, {})[base[tgt] + rho * dims[tgt] + sig] = wc
-                for r in alive_rows[ires][s]:
-                    col = base[ires] + r * dims[ires] + s
-                    for rho, coeff in products[gens.offsets[src] + r].items():
-                        sparse_add(out.setdefault(rho, {}), {col: -coeff})
-                for entries in out.values():
-                    if entries:
-                        lead = min(entries)
-                        inv = entries[lead].inverse()
-                        rows.add(tuple(sorted((c, inv * v) for c, v in entries.items())))
+    reports = []
+    for d in range(m):
+        # unknown u(res, r, s) = entry of c_res in row r (target coord), col s,
+        # numbered as CentroidReport.entry_index does
+        base = [0] * m
+        for res in range(1, m):
+            base[res] = base[res - 1] + dims[(res - 1 + d) % m] * dims[res - 1]
 
-    pivots = eliminate(dict(row_t) for row_t in rows)
-    alive = sorted(
-        base[res] + r * dims[res] + s
-        for res in range(m)
-        for s, targets in enumerate(alive_rows[res])
-        for r in targets
-    )
-    free = [i for i in alive if i not in pivots]
-    families = []
-    for f in free:
-        sol = {f: CycloNum.one(order)}
-        for lead, prow in pivots.items():
-            coeff = prow.get(f)
-            if coeff is not None:
-                sol[lead] = -coeff
-        families.append({k: sol[k] for k in sorted(sol)})
-    return CentroidReport(
-        shift_residue=d,
-        period=m,
-        dims=tuple(dims),
-        solution_dim=len(free),
-        basis=tuple(families),
-    )
+        # phase 1: u(res, r, s) survives when e_r and e_s share their signature
+        alive_rows = [
+            [rows_of[(res + d) % m].get(sig, []) for sig in sigs[res]] for res in range(m)
+        ]
+
+        # phase 2: c(g y) - g (c y), and c(y g) - (c y) g, row by row
+        rows: set[tuple[tuple[int, CycloNum], ...]] = set()
+        for g in gens.gens:
+            for products in (side[g] for side in sides):
+                for k, (ires, s) in enumerate(gens.hom):
+                    tgt = (ires + g[0]) % m
+                    src = (ires + d) % m
+                    out: dict[int, Sparse] = {}
+                    for sig, wc in products[k].items():
+                        for rho in alive_rows[tgt][sig]:
+                            out.setdefault(rho, {})[base[tgt] + rho * dims[tgt] + sig] = wc
+                    for r in alive_rows[ires][s]:
+                        col = base[ires] + r * dims[ires] + s
+                        for rho, coeff in products[gens.offsets[src] + r].items():
+                            sparse_add(out.setdefault(rho, {}), {col: -coeff})
+                    for entries in out.values():
+                        if entries:
+                            lead = min(entries)
+                            inv = entries[lead].inverse()
+                            rows.add(tuple(sorted((c, inv * v) for c, v in entries.items())))
+
+        pivots = eliminate(dict(row_t) for row_t in rows)
+        alive = sorted(
+            base[res] + r * dims[res] + s
+            for res in range(m)
+            for s, targets in enumerate(alive_rows[res])
+            for r in targets
+        )
+        free = [i for i in alive if i not in pivots]
+        families = []
+        for f in free:
+            sol = {f: CycloNum.one(order)}
+            for lead, prow in pivots.items():
+                coeff = prow.get(f)
+                if coeff is not None:
+                    sol[lead] = -coeff
+            families.append({k: sol[k] for k in sorted(sol)})
+        reports.append(
+            CentroidReport(
+                shift_residue=d,
+                period=m,
+                dims=tuple(dims),
+                solution_dim=len(free),
+                basis=tuple(families),
+            )
+        )
+    return tuple(reports)

@@ -244,13 +244,9 @@ def k_vs_r_classes(type_label: str) -> KvsRReport:
     for rep, _ in table.classes:
         # the grading of L(pi) that classification_table extracts from
         _, alg, grading = graded_twist(type_label, rep, untwisted)
-        period = grading.period
-        dims = tuple(
-            centroid_graded(alg, grading, shift).solution_dim
-            for shift in range(period)
-        )
+        dims = tuple(report.solution_dim for report in centroid_graded(alg, grading))
         centroid_dims.append((rep.images, dims))
-        expected = (1,) + (0,) * (period - 1)
+        expected = (1,) + (0,) * (grading.period - 1)
         if dims != expected:
             centroid_ok = False
     if inverse_ok and centroid_ok:

@@ -178,7 +178,7 @@ def _load_algebra(path: str) -> MultTableAlgebra:
         raise RequestError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return MultTableAlgebra.from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise RequestError(f"{path} is not a serialized algebra: {exc}") from exc
 
 
@@ -344,16 +344,14 @@ def _cmd_descent_verify(args: _Args) -> dict:
 def _cmd_centroid(args: _Args) -> dict:
     alg, *factors, echo = _build_sigma(args)
     grading = eigengrading(alg, twist(alg, *factors))
-    shifts = []
-    for shift in range(grading.period):
-        report = centroid_graded(alg, grading, shift)
-        shifts.append(
-            {
-                "shift": shift,
-                "solution_dim": report.solution_dim,
-                "contains_identity": report.contains_identity(),
-            }
-        )
+    shifts = [
+        {
+            "shift": report.shift_residue,
+            "solution_dim": report.solution_dim,
+            "contains_identity": report.contains_identity(),
+        }
+        for report in centroid_graded(alg, grading)
+    ]
     payload = dict(echo)
     payload.update({"period": grading.period, "by_shift": shifts, "status": "pass"})
     return payload

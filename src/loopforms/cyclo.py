@@ -46,6 +46,13 @@ class CycloError(ArithmeticError):
     """An exact-arithmetic invariant failed (a division that must be exact)."""
 
 
+def _json_int(x: object) -> int:
+    """x when it is a JSON integer; a float, bool or string raises TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, not {x!r}")
+    return x
+
+
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler's totient; memoized, since every CycloNum construction asks."""
@@ -424,8 +431,12 @@ class CycloNum:
 
     @staticmethod
     def from_obj(obj: dict) -> "CycloNum":
-        coeffs = tuple(Fraction(s) for s in obj["coeffs"])
-        return CycloNum(int(obj["order"]), coeffs)
+        """Read `to_obj` output.  The coefficients are a list of strings or
+        integers, so no binary float or bool is read as a number."""
+        coeffs = obj["coeffs"]
+        if type(coeffs) is not list or not all(type(c) in (str, int) for c in coeffs):
+            raise TypeError(f"coefficients must be a list of strings or integers, not {coeffs!r}")
+        return CycloNum(_json_int(obj["order"]), tuple(Fraction(c) for c in coeffs))
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -32,7 +32,7 @@ for the inner part of the automorphism group.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import (
     GradedDecomposition,
@@ -72,19 +72,14 @@ class CheckReport(Record):
     check: str
     window: int
     status: str
-    witness: Optional[str] = None
 
     def to_obj(self) -> dict:
-        obj: dict = {"check": self.check, "window": self.window, "status": self.status}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        return obj
+        return {"check": self.check, "window": self.window, "status": self.status}
 
 
 class LoopCocycle(Record):
     """u(n mod m) = sigma^(-n), one constant automorphism of A per residue."""
 
-    sigma: FiniteOrderAutomorphism
     values: tuple[FiniteOrderAutomorphism, ...]
 
     @property
@@ -113,7 +108,7 @@ def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
         for n2 in range(m):
             if values[n1].compose(values[n2]) != values[(n1 + n2) % m]:
                 raise DescentError(f"cocycle identity fails at ({n1}, {n2})")
-    return LoopCocycle(sigma=sigma, values=values)
+    return LoopCocycle(values=values)
 
 
 def twisted_fixed_points(

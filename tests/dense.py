@@ -46,7 +46,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from loopforms.acceptance import _grading_fixtures
-from loopforms.affine import AffineExtractError, AffineRoot, AffineRootData, FixedCartan
+from loopforms.affine import AffineExtractError, AffineRootData, FixedCartan
 from loopforms.algebra import (
     KIND_LIE,
     AutomorphismError,
@@ -490,7 +490,6 @@ def kernel_affine_roots(
     rs: RootSystem,
     grading: GradedDecomposition,
     h0: FixedCartan,
-    window: int,
 ) -> AffineRootData:
     """The ad-h0 weight decomposition by elimination: the ad-h0 matrices of
     every component, then one nullspace per candidate weight.
@@ -500,8 +499,6 @@ def kernel_affine_roots(
     kernels must exhaust each component.
     """
     m = grading.period
-    if window < m:
-        raise AffineExtractError(f"window {window} is smaller than the twist order {m}")
     order = grading.scalar_order
     rank_h0 = h0.rank
     candidates = {
@@ -509,11 +506,11 @@ def kernel_affine_roots(
         for alpha in rs.roots
     }
     candidates.add(tuple(0 for _ in h0.orbits))
-    per_residue: dict[int, list] = {}
+    spaces = []
     for res in range(m):
         component = grading.component_bases[res]
         if not component:
-            per_residue[res] = []
+            spaces.append({})
             continue
         solver = SpanSolver(component)
         c = len(component)
@@ -551,31 +548,14 @@ def kernel_affine_roots(
             total += len(kernel)
         if total != c:
             raise AffineExtractError(f"component {res} is not diagonalizable over the candidate weights")
-        per_residue[res] = found
-    reals: list[AffineRoot] = []
-    imaginary: list[AffineRoot] = []
-    spaces: dict = {}
-    for j in range(-window, window + 1):
-        for w, vectors in per_residue[j % m]:
-            spaces[(w, j)] = vectors
-            if any(w):
-                if len(vectors) != 1:
-                    raise AffineExtractError(f"real root {w} at degree {j} has multiplicity {len(vectors)}")
-                reals.append(AffineRoot(weight=w, degree=j, multiplicity=1))
-            elif j == 0:
-                if len(vectors) != rank_h0:
-                    raise AffineExtractError("zero-weight space at degree 0 exceeds the fixed Cartan")
-            else:
-                imaginary.append(AffineRoot(weight=w, degree=j, multiplicity=len(vectors)))
-    reals.sort(key=lambda r: (r.degree, r.weight))
-    imaginary.sort(key=lambda r: (r.degree, r.weight))
-    return AffineRootData(
-        h0=h0,
-        period=m,
-        reals=tuple(reals),
-        imaginary=tuple(imaginary),
-        spaces=spaces,
-    )
+        space = dict(found)
+        for w, vectors in space.items():
+            if any(w) and len(vectors) != 1:
+                raise AffineExtractError(f"real root {w} in residue {res} has multiplicity {len(vectors)}")
+        if res == 0 and len(space.get((0,) * rank_h0, ())) != rank_h0:
+            raise AffineExtractError("zero-weight space in residue 0 exceeds the fixed Cartan")
+        spaces.append(space)
+    return AffineRootData(h0=h0, period=m, spaces=tuple(spaces))
 
 
 # -- windowed untwist oracle -------------------------------------------------------

@@ -59,14 +59,21 @@ def _tampered_sl2():
     )
 
 
-def test_corrupted_fixture_fails_with_named_triple():
-    payload = acceptance.criterion_1({"tampered sl2": _tampered_sl2()})
+def test_corrupted_fixture_fails_with_named_triple(monkeypatch):
+    built = acceptance.standard_algebra
+
+    def tampered(label):
+        rs, alg = built(label)
+        return rs, _tampered_sl2() if label == "A1" else alg
+
+    monkeypatch.setattr(acceptance, "standard_algebra", tampered)
+    payload = acceptance.criterion_1()
     assert payload["status"] == "fail"
-    bad = next(r for r in payload["fixtures"] if r["fixture"] == "tampered sl2")
+    bad = next(r for r in payload["fixtures"] if r["fixture"] == "A1")
     assert bad["status"] == "fail"
     assert any("jacobi fails on (h, e, f)" == v for v in bad["violations"])
-    # the built-in fixtures still pass alongside the bad one
-    good = [r for r in payload["fixtures"] if r["fixture"] != "tampered sl2"]
+    # the other fixtures still pass alongside the bad one
+    good = [r for r in payload["fixtures"] if r["fixture"] != "A1"]
     assert good and all(r["status"] == "pass" for r in good)
 
 

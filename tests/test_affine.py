@@ -83,31 +83,26 @@ def test_fixed_cartan_rejects_bad_permutation():
 
 
 def test_affine_roots_a1_untwisted_one_period():
-    # degrees -period..period: -1, 0 and 1 for the untwisted A1
+    # one residue: degrees -1, 0 and 1 of the untwisted A1 all read component 0
     alg, data = _pipeline("A1", None)
     assert data.period == 1
-    weights = {(r.weight, r.degree) for r in data.reals}
-    assert weights == {(w, j) for w in ((2,), (-2,)) for j in range(-1, 2)}
-    assert all(r.multiplicity == 1 for r in data.reals)
-    assert all(any(r.weight) for r in data.reals)
-    imag = {(r.degree, r.multiplicity) for r in data.imaginary}
-    assert imag == {(j, 1) for j in (-1, 1)}
-    assert all(not any(r.weight) for r in data.imaginary)
+    (space,) = data.spaces
+    assert {w: len(vs) for w, vs in space.items()} == {(-2,): 1, (0,): 1, (2,): 1}
+    assert list(space) == sorted(space)
+    for j in range(-1, 2):
+        for w, vectors in space.items():
+            assert data.space(w, j) == vectors
+    assert data.space((4,), 1) == ()
 
 
 def test_affine_roots_a2_flip_layers():
     alg, data = _pipeline("A2", (1, 0))
     assert data.period == 2
-    odd = {r.weight for r in data.reals if r.degree == 1}
-    even = {r.weight for r in data.reals if r.degree == 0}
-    assert even == {(1,), (-1,)}
-    assert odd == {(1,), (-1,), (2,), (-2,)}
-    assert {(r.degree, r.multiplicity) for r in data.imaginary} == {
-        (-2, 1),
-        (-1, 1),
-        (1, 1),
-        (2, 1),
-    }
+    even, odd = ({w: len(vs) for w, vs in space.items()} for space in data.spaces)
+    assert even == {(-1,): 1, (0,): 1, (1,): 1}
+    assert odd == {(-2,): 1, (-1,): 1, (0,): 1, (1,): 1, (2,): 1}
+    assert data.space((2,), -1) == data.spaces[1][(2,)]
+    assert data.space((2,), 2) == ()
 
 
 def test_base_a1_and_exact_gcm():
@@ -189,10 +184,8 @@ def _twist_id(case):
 def test_weights_read_off_the_grading_equal_candidate_kernels(case):
     alg, rs, grading, h0 = _twist(*case)
     fast = affine_roots(alg, grading, h0)
-    slow = kernel_affine_roots(alg, rs, grading, h0, grading.period)
-    assert fast.reals == slow.reals
-    assert fast.imaginary == slow.imaginary
-    assert fast.spaces == slow.spaces
+    slow = kernel_affine_roots(alg, rs, grading, h0)
+    assert fast == slow
 
 
 @pytest.mark.parametrize("fixture", _CATALOG_FIXTURES, ids=lambda f: _twist_id((*f, None, 1)))
@@ -202,15 +195,16 @@ def test_fixed_cartan_solver_equals_span_solver(fixture):
     alg, _, grading, h0 = _twist(*fixture)
     data = affine_roots(alg, grading, h0)
     fast, slow = ComponentSolver(h0.basis), SpanSolver(h0.basis)
-    for root in data.reals:
-        if not 0 <= root.degree < grading.period:
-            continue
-        (e,) = data.spaces[(root.weight, root.degree)]
-        (f,) = data.spaces[(tuple(-x for x in root.weight), -root.degree)]
-        ef = alg.product_sparse(e, f)
-        assert fast.coords(ef) is not None
-        assert fast.coords(ef) == slow.coords(ef)
-        assert fast.coords(e) is None and slow.coords(e) is None
+    for res, space in enumerate(data.spaces):
+        for w, vectors in space.items():
+            if not any(w):
+                continue
+            (e,) = vectors
+            (f,) = data.space(tuple(-x for x in w), -res)
+            ef = alg.product_sparse(e, f)
+            assert fast.coords(ef) is not None
+            assert fast.coords(ef) == slow.coords(ef)
+            assert fast.coords(e) is None and slow.coords(e) is None
 
 
 def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():

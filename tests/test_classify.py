@@ -1,7 +1,12 @@
+import hashlib
+import importlib.util
+import json
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from loopforms import cli
 from loopforms.chevalley import TYPE_LABELS, DiagramPermutation, cartan_matrix
 from loopforms.classify import (
     ClassifyError,
@@ -154,3 +159,50 @@ def test_k_vs_r_single_class_b2():
     report = k_vs_r_classes("B2")
     assert report.r_class_count == report.k_class_count == 1
     assert report.hypotheses_hold
+
+
+# -- recorded stdout ---------------------------------------------------------------
+
+CENTROID_GOLDEN = Path(__file__).parent / "golden" / "centroid_classify.json"
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.py"
+
+
+def _pool_requests(names):
+    spec = importlib.util.spec_from_file_location("perfbench_pool", POOL)
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    return [argv for name, requests in pool.strata("twist") if name in names for argv in requests]
+
+
+def _centroid_classify_requests():
+    """centroid of every diagram-class representative and classify of every
+    type but E7 and E8, then the benchmark's centroid variants."""
+    labels = [label for label in TYPE_LABELS if label not in ("E7", "E8")]
+    requests = []
+    for label in labels:
+        for rep, _ in conjugacy_classes(dynkin_automorphism_group(cartan_matrix(label))).classes:
+            argv = ["centroid", "--type", label]
+            if rep.order() > 1:
+                argv += ["--auto", json.dumps({"pi": [i + 1 for i in rep.images]}, separators=(",", ":"))]
+            requests.append(argv)
+    requests += [["classify", "--type", label] for label in labels]
+    # the pool's first A3 variant is the diagram class above
+    return requests + [
+        argv for argv in _pool_requests(("centroid A3", "centroid M4")) if argv not in requests
+    ]
+
+
+def test_centroid_and_classify_stdout_match_golden_digests(capsys):
+    # the sha256 of each request's stdout, as recorded in the golden file
+    recorded = json.loads(CENTROID_GOLDEN.read_text())
+    requests = _centroid_classify_requests()
+    # 43 centroid classes, 29 classify requests, 2 composed A3 and 8 M4 variants
+    assert len(requests) == 82
+    assert sorted(recorded) == sorted(json.dumps(argv, separators=(",", ":")) for argv in requests)
+    changed = []
+    for argv in requests:
+        assert cli.main(argv) == 0, argv
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        if digest != recorded[json.dumps(argv, separators=(",", ":"))]:
+            changed.append(argv)
+    assert changed == []

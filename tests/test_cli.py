@@ -298,6 +298,48 @@ def test_unreadable_and_invalid_files_exit_2(tmp_path):
         assert result.stderr.startswith("error:") and "scalar order" in result.stderr
 
 
+# (path into the serialized sl2 table, the value put there): floats, bools
+# and strings where an integer belongs, a float or bool coefficient, a
+# coefficient string in place of the list, a zero denominator, and labels
+# that are not a list of strings; None is the untouched round trip
+_MALFORMED_TABLES = [
+    (None, None),
+    (("dim",), 3.9),
+    (("scalar_order",), 1.2),
+    (("constants", 0, 0), 0.7),
+    (("constants", 0, 1), "1"),
+    (("constants", 0, 2, 0, 0), True),
+    (("constants", 0, 2, 0, 1, "order"), 1.2),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), 0.1),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), True),
+    (("constants", 0, 2, 0, 1, "coeffs"), "2"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "1/0"),
+    (("labels",), "hef"),
+    (("labels", 0), 0),
+]
+
+
+@pytest.mark.parametrize("path, value", _MALFORMED_TABLES)
+def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
+    obj = _sl2_table(2).to_obj()
+    if path is not None:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(obj))
+    code = cli.main(["build", "--algebra", str(table)])
+    out, err = capsys.readouterr()
+    if path is None:
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+    else:
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert "is not a serialized algebra" in err
+
+
 def test_missing_subcommand_exits_2():
     result = run_cli()
     assert result.returncode == 2

@@ -142,7 +142,7 @@ def test_tampered_cocycle_detected():
     one = CycloNum.one(alg.scalar_order)
     eye = FiniteOrderAutomorphism(tuple(range(alg.dim)), (one,) * alg.dim, 2)
     assert is_identity(eye.matrix)
-    fake = LoopCocycle(sigma=sigma, values=(eye, eye))
+    fake = LoopCocycle(values=(eye, eye))
     with pytest.raises(DescentError):
         twisted_fixed_points(fake, grading)
 
