@@ -30,18 +30,8 @@ _EXPORTS = {
         "match_affine_label",
         "simple_affine_roots",
     ),
-    "algebra": (
-        "FiniteOrderAutomorphism",
-        "GradedDecomposition",
-        "MultTableAlgebra",
-        "centroid_graded",
-        "check_automorphism",
-        "eigengrading",
-        "loop_bracket",
-        "loop_element",
-        "twist",
-        "validate_algebra",
-    ),
+    "algebra": ("MultTableAlgebra", "validate_algebra"),
+    "centroid": ("centroid_graded",),
     "chevalley": (
         "DiagramPermutation",
         "FiniteCartanMatrix",
@@ -71,9 +61,18 @@ _EXPORTS = {
         "build_cocycle",
         "build_matrix_algebra",
         "coboundary_witness",
+        "loop_bracket",
+        "loop_element",
         "matrix_twist_factors",
         "twisted_fixed_points",
         "untwist_iso",
+    ),
+    "grading": (
+        "FiniteOrderAutomorphism",
+        "GradedDecomposition",
+        "check_automorphism",
+        "eigengrading",
+        "twist",
     ),
 }
 

@@ -26,7 +26,6 @@ from .affine import (
     graded_twist,
     simple_affine_roots,
 )
-from .algebra import eigengrading
 from .chevalley import (
     DiagramPermutation,
     ToralCharge,
@@ -53,6 +52,7 @@ from .descent import (
     matrix_twist_factors,
     untwist_iso,
 )
+from .grading import eigengrading
 
 __all__ = [
     "CRITERION_NAMES",

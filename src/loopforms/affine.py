@@ -30,11 +30,10 @@ only when none of them matches.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .algebra import ComponentSolver, GradedDecomposition, MultTableAlgebra, eigengrading
+from .algebra import MultTableAlgebra
 from .chevalley import (
     DiagramPermutation,
     RootSystem,
@@ -48,6 +47,7 @@ from .chevalley import (
     node_isomorphisms,
 )
 from .cyclo import CycloNum
+from .grading import ComponentSolver, GradedDecomposition, eigengrading
 from .linalg import Sparse, int_rank_det
 from .record import Record
 
@@ -175,11 +175,11 @@ def affine_roots(
                     raise AffineExtractError(
                         f"a vector of component {res} is not diagonal under the fixed Cartan"
                     )
-                if w is not None and not (w.is_rational() and w.as_fraction().denominator == 1):
+                if w is not None and not (w.is_rational() and w.den == 1):
                     raise AffineExtractError(
                         f"a vector of component {res} has weight {w}, not a rational integer"
                     )
-                weight.append(0 if w is None else w.as_fraction().numerator)
+                weight.append(0 if w is None else w.num[0])
             groups.setdefault(tuple(weight), []).append(v)
         space = {w: tuple(vs) for w, vs in sorted(groups.items())}
         for w, vectors in space.items():
@@ -318,7 +318,8 @@ def extract_gcm(
     order = alg.scalar_order
     h0 = data.h0
     solver = ComponentSolver(h0.basis)
-    coroots: list[tuple[Fraction, ...]] = []
+    zero = CycloNum.zero(order)
+    coroots: list[tuple[CycloNum, ...]] = []
     for root in base:
         e_space = data.space(root.weight, root.degree)
         f_space = data.space(tuple(-c for c in root.weight), -root.degree)
@@ -329,22 +330,23 @@ def extract_gcm(
         coords = solver.coords(alg.product_sparse(e_space[0], f_space[0]))
         if coords is None:
             raise AffineExtractError("[e, f] leaves the fixed Cartan")
-        zero = CycloNum.zero(order)
         pairing = sum((c * root.weight[k] for k, c in coords.items()), zero)
         if pairing.is_zero():
             raise AffineExtractError(f"degenerate pairing for base root {root.weight}")
         scale = CycloNum.rational(order, 2) / pairing
-        coroot = tuple((scale * coords.get(k, zero)).as_fraction() for k in range(h0.rank))
+        coroot = tuple(scale * coords.get(k, zero) for k in range(h0.rank))
+        if not all(c.is_rational() for c in coroot):
+            raise AffineExtractError(f"coroot of base root {root.weight} is not rational")
         coroots.append(coroot)
     n = len(base)
     entries = []
     for i in range(n):
         row = []
         for j in range(n):
-            value = sum(c * w for c, w in zip(coroots[i], base[j].weight))
-            if value.denominator != 1:
+            value = sum((c * w for c, w in zip(coroots[i], base[j].weight)), zero)
+            if value.den != 1:
                 raise AffineExtractError(f"entry ({i},{j}) = {value} is not an integer")
-            row.append(int(value))
+            row.append(value.num[0])
         entries.append(tuple(row))
     gcm = GCM(entries=tuple(entries))
     return GCMCertificate(gcm=gcm, base=tuple(base))

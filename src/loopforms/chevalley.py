@@ -15,7 +15,7 @@ automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
 automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
 trivial).  `compose_pi_toral` checks that s is constant on the orbits of pi
-and hands the two factors to `algebra.twist`, which certifies every twist,
+and hands the two factors to `grading.twist`, which certifies every twist,
 here and on M_n alike.
 """
 
@@ -23,22 +23,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import (
-    FiniteOrderAutomorphism,
-    MultTableAlgebra,
-    Sparse,
-    _cycles,
-    check_automorphism,
-    check_diagonal_automorphism,
-    embed_algebra,
-    make_table,
-    twist,
-)
+from .algebra import MultTableAlgebra, _cycles, embed_algebra, make_table
 from .cyclo import CycloNum
-from .linalg import int_rank_det
+from .linalg import Sparse, int_rank_det
 from .record import Record
+
+# the automorphism layer is imported by the functions that build
+# automorphisms, so building a table compiles no grading code
+if TYPE_CHECKING:
+    from .grading import FiniteOrderAutomorphism
 
 __all__ = [
     "DiagramPermutation",
@@ -626,6 +621,8 @@ def diagram_automorphism(
     is consistent on every decomposition, so no separate pass re-multiplies
     the pairs of roots.
     """
+    from .grading import check_automorphism, check_diagonal_automorphism
+
     if len(perm.images) != rs.rank:
         raise LieConstructError("permutation rank mismatch")
     if not perm.preserves(rs.cartan):
@@ -706,9 +703,11 @@ def compose_pi_toral(
     the diagram automorphism of pi; requires s invariant under pi.
 
     The rank, the invariance of s on the orbits of pi and the roots of unity
-    of the period lcm(|pi|, m) are checked here; `algebra.twist` certifies
+    of the period lcm(|pi|, m) are checked here; `grading.twist` certifies
     the composition.
     """
+    from .grading import twist
+
     if len(charge.s) != rs.rank:
         raise LieConstructError("charge rank mismatch")
     for i in range(rs.rank):

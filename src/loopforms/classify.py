@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .affine import AffineLabel, affine_certificate, graded_twist
-from .algebra import centroid_graded
+from .centroid import centroid_graded
 from .chevalley import (
     DiagramPermutation,
     FiniteCartanMatrix,

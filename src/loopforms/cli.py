@@ -21,11 +21,12 @@ import time
 from math import lcm
 from typing import TYPE_CHECKING, Optional
 
-from .algebra import MultTableAlgebra, centroid_graded, eigengrading, twist
+from .algebra import MultTableAlgebra
 
-# chevalley is imported by the paths that read a type label, and acceptance,
-# affine, classify and descent inside the handlers that use them, so a
-# request loads only the modules its command needs
+# chevalley is imported by the paths that read a type label, and grading,
+# centroid, acceptance, affine, classify and descent inside the handlers that
+# use them, so a request loads, and compiles, only the modules its command
+# needs
 if TYPE_CHECKING:
     from .chevalley import DiagramPermutation, ToralCharge
 
@@ -50,7 +51,7 @@ def _parse_auto_json(raw: Optional[str]) -> dict:
         return {}
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise RequestError(f"--auto is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise RequestError("--auto must be a JSON object")
@@ -174,18 +175,18 @@ def _load_algebra(path: str) -> MultTableAlgebra:
             obj = json.load(fh)
     except OSError as exc:
         raise RequestError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise RequestError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return MultTableAlgebra.from_obj(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise RequestError(f"{path} is not a serialized algebra: {exc}") from exc
 
 
 def _build_sigma(args: _Args):
     """Shared resolver for grade / untwist / descent-verify / centroid: the
     table, the factors (outer, exponents, m) of its twist as
-    `algebra.twist` takes them, and the echo of the request."""
+    `grading.twist` takes them, and the echo of the request."""
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
@@ -246,6 +247,8 @@ def _cmd_build(args: _Args) -> dict:
 
 
 def _cmd_grade(args: _Args) -> dict:
+    from .grading import eigengrading, twist
+
     alg, *factors, echo = _build_sigma(args)
     grading = eigengrading(alg, twist(alg, *factors))
     payload = dict(echo)
@@ -325,6 +328,7 @@ def _cmd_untwist(args: _Args) -> dict:
 
 def _cmd_descent_verify(args: _Args) -> dict:
     from .descent import build_cocycle, fixed_point_report
+    from .grading import eigengrading, twist
 
     alg, *factors, echo = _build_sigma(args)
     sigma = twist(alg, *factors)
@@ -342,6 +346,9 @@ def _cmd_descent_verify(args: _Args) -> dict:
 
 
 def _cmd_centroid(args: _Args) -> dict:
+    from .centroid import centroid_graded
+    from .grading import eigengrading, twist
+
     alg, *factors, echo = _build_sigma(args)
     grading = eigengrading(alg, twist(alg, *factors))
     shifts = [
@@ -531,6 +538,7 @@ def _parse_args(argv: list[str]) -> Optional[_Args]:
             f"unknown command {argv[0]!r}; choose one of {', '.join(_COMMANDS)}"
         )
     args = _Args(argv[0])
+    given: set[str] = set()
     tokens = iter(argv[1:])
     for token in tokens:
         if token in _HELP:
@@ -541,6 +549,9 @@ def _parse_args(argv: list[str]) -> Optional[_Args]:
         spec = _FLAGS.get(flag)
         if spec is None:
             raise RequestError(f"unknown flag {flag!r}; flags are not abbreviated")
+        if flag in given:
+            raise RequestError(f"flag {flag} given twice")
+        given.add(flag)
         attr, kind = spec[0], spec[1]
         if kind is None:
             if has_value:

@@ -12,9 +12,12 @@ so representations are canonical and equality is component-wise.
 Two design rules hold throughout the package:
 
 * no floating point anywhere; a scalar is integer numerators over one
-  positive integer denominator, and arithmetic builds no `fractions.Fraction`
-  (Fractions appear only at the boundary: `rational`, `from_poly`, the
-  `coeffs` view and serialization),
+  positive integer denominator, and nothing here imports `fractions`.  Ints
+  and Fractions are accepted as inputs (`CycloNum(order, coeffs)`,
+  `rational`, `from_poly`, coercion), both read through their `numerator`
+  and `denominator`; a Fraction is built only on request, by the `coeffs`
+  view, `as_fraction` and the pickling of a non-integral number.
+  Serialization writes and reads coefficient strings with ints alone,
 * numbers of different orders never mix silently.  Arithmetic between two
   CycloNum values requires equal `order`; callers move into a common field
   with `embed` first.  Plain ints and Fractions coerce into the order of the
@@ -27,11 +30,15 @@ eigenvalues of automorphisms of different periods.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Coercible = Union["CycloNum", int, Fraction]
 
 __all__ = [
     "CycloError",
@@ -51,6 +58,59 @@ def _json_int(x: object) -> int:
     if type(x) is not int:
         raise TypeError(f"expected an integer, not {x!r}")
     return x
+
+
+def _ratio(value: object) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction, in lowest terms with
+    a positive denominator.  Both types expose the two attributes, so a
+    Fraction is read without importing `fractions`; anything else, a float
+    included, raises TypeError."""
+    if type(value) is int:
+        return value, 1
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"expected an int or a Fraction, not {value!r}") from None
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _parse_coeff(text: object) -> tuple[int, int]:
+    """(numerator, denominator) of a serialized coefficient: a JSON integer,
+    or a string -?[0-9]+ or -?[0-9]+/[0-9]+ of ASCII digits with a nonzero
+    denominator, which is what `to_obj` writes.  The pair need not be in
+    lowest terms.  Anything else raises ValueError naming the coefficient;
+    no exponent, decimal point, sign but a leading minus, space or
+    underscore is read."""
+    if type(text) is int:
+        return text, 1
+    if type(text) is str:
+        top, slash, bottom = text.removeprefix("-").partition("/")
+        if _digits(top) and (not slash or _digits(bottom)):
+            num = int(top)
+            den = int(bottom) if slash else 1
+            if den:
+                return (-num if text.startswith("-") else num), den
+    raise ValueError(
+        f"coefficient {text!r} is not an integer or a string p or p/q "
+        "of ASCII digits with a nonzero q"
+    )
+
+
+def _over_common_denominator(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of (numerator, denominator) pairs over the least
+    common multiple of their denominators, and that multiple."""
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with no Fraction built."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 @lru_cache(maxsize=None)
@@ -205,9 +265,6 @@ def _make(order: int, num: tuple[int, ...], den: int) -> "CycloNum":
     return _from_canonical(order, num, den)
 
 
-Coercible = Union["CycloNum", int, Fraction]
-
-
 class CycloNum:
     """An element of Q(zeta_order) on the power basis, always reduced.
 
@@ -215,16 +272,19 @@ class CycloNum:
     coefficients, over one common denominator `den` > 0 with
     gcd(den, *num) == 1, so equal values have equal fields, equal objects
     and equal hashes.  Instances are immutable.  `coeffs` is the same vector
-    as Fractions, for serialization and display.
+    as Fractions, built on request; serialization and display read `num`
+    and `den`.
     """
 
     __slots__ = ("_order", "_num", "_den")
 
     def __new__(cls, order: int, coeffs: Sequence[Union[int, Fraction]]) -> "CycloNum":
-        values = [Fraction(c) for c in coeffs]
-        den = lcm(*(v.denominator for v in values))
-        num = tuple([v.numerator * (den // v.denominator) for v in values])
-        return _from_canonical(order, num, den)
+        coeffs = tuple(coeffs)
+        if all(type(c) is int for c in coeffs):
+            return _from_canonical(order, coeffs, 1)
+        # every pair is in lowest terms, so the common form is canonical
+        num, den = _over_common_denominator([_ratio(c) for c in coeffs])
+        return _from_canonical(order, tuple(num), den)
 
     @property
     def order(self) -> int:
@@ -240,17 +300,14 @@ class CycloNum:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         den = self._den
         return tuple(Fraction(x, den) for x in self._num)
 
     @staticmethod
     def rational(order: int, value: Union[int, Fraction]) -> "CycloNum":
-        if isinstance(value, int):
-            num, den = value, 1
-        else:
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-            num, den = value.numerator, value.denominator
+        num, den = _ratio(value)
         return _from_canonical(order, (num,) + (0,) * (euler_phi(order) - 1), den)
 
     # CycloNum is immutable, so one zero and one one per order are shared
@@ -271,10 +328,8 @@ class CycloNum:
         values = list(coeffs)
         if all(type(c) is int for c in values):
             return _from_canonical(order, _reduce(order, values), 1)
-        fracs = [Fraction(c) for c in values]
-        den = lcm(*(f.denominator for f in fracs))
-        num = _reduce(order, [f.numerator * (den // f.denominator) for f in fracs])
-        return _make(order, num, den)
+        num, den = _over_common_denominator([_ratio(c) for c in values])
+        return _make(order, _reduce(order, num), den)
 
     # -- value semantics ---------------------------------------------------
 
@@ -289,7 +344,8 @@ class CycloNum:
         return hash((self._order, self._num, self._den))
 
     def __reduce__(self):
-        return (CycloNum, (self._order, self.coeffs))
+        # integral numbers pickle as ints, so only a denominator builds Fractions
+        return (CycloNum, (self._order, self._num if self._den == 1 else self.coeffs))
 
     # -- predicates ----------------------------------------------------
 
@@ -300,6 +356,8 @@ class CycloNum:
         return not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return Fraction(self._num[0], self._den)
@@ -313,9 +371,10 @@ class CycloNum:
                     f"order mismatch: {self._order} vs {other._order}; embed into a common order first"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return CycloNum.rational(self._order, other)
-        return NotImplemented  # type: ignore[return-value]
+        except TypeError:  # neither an int nor a Fraction
+            return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: Coercible) -> "CycloNum":
         if other.__class__ is not CycloNum or other._order != self._order:
@@ -427,34 +486,44 @@ class CycloNum:
     # -- serialization and display ---------------------------------------
 
     def to_obj(self) -> dict:
-        return {"order": self._order, "coeffs": [str(c) for c in self.coeffs]}
+        den = self._den
+        return {"order": self._order, "coeffs": [_fraction_text(x, den) for x in self._num]}
 
     @staticmethod
     def from_obj(obj: dict) -> "CycloNum":
-        """Read `to_obj` output.  The coefficients are a list of strings or
-        integers, so no binary float or bool is read as a number."""
+        """Read `to_obj` output: {"order": int, "coeffs": [...]}, each
+        coefficient a JSON integer or a string p or p/q (`_parse_coeff`), so
+        no binary float, bool, exponent or decimal is read as a number."""
+        if type(obj) is not dict:
+            raise TypeError(f"a scalar must be a JSON object, not {obj!r}")
+        for field in ("order", "coeffs"):
+            if field not in obj:
+                raise ValueError(f"missing field {field!r} in a scalar")
+        order = _json_int(obj["order"])
         coeffs = obj["coeffs"]
-        if type(coeffs) is not list or not all(type(c) in (str, int) for c in coeffs):
+        if type(coeffs) is not list:
             raise TypeError(f"coefficients must be a list of strings or integers, not {coeffs!r}")
-        return CycloNum(_json_int(obj["order"]), tuple(Fraction(c) for c in coeffs))
+        num, den = _over_common_denominator([_parse_coeff(c) for c in coeffs])
+        return _make(order, tuple(num), den)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        den = self._den
+        for i, x in enumerate(self._num):
+            if x == 0:
                 continue
             if i == 0:
-                parts.append(str(c))
+                parts.append(_fraction_text(x, den))
             else:
                 mono = f"z{self._order}" if i == 1 else f"z{self._order}^{i}"
-                if c == 1:
+                if x == den:
                     parts.append(mono)
-                elif c == -1:
+                elif x == -den:
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{c}*{mono}")
+                    parts.append(f"{_fraction_text(x, den)}*{mono}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 

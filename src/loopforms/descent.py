@@ -3,7 +3,7 @@
 The covering k[z,z^-1] / k[t,t^-1], t = z^m, is cyclic of degree m; the
 generator acts by z -> zeta_m z.  One twist serves every table: a Lie
 algebra twisted by pi o tau_s and M_n twisted by Ad(diag(zeta^a)) are both
-`algebra.twist(alg, outer, p, m)` = outer o diag(zeta_m^p), with outer the
+`grading.twist(alg, outer, p, m)` = outer o diag(zeta_m^p), with outer the
 diagram automorphism of pi or the identity, so `untwist_iso` and
 `coboundary_witness` take (alg, outer, p, m) and (alg, p, m) from either and
 never read a root system.  A period-m automorphism sigma of A yields the
@@ -19,6 +19,11 @@ read off the period it already has (two periods on the untwist and
 twisted-fixed-point checks, 2m on the coboundary identity, one period on the
 cocycle identity) and bounds nothing that is checked.
 
+Elements of the loop algebra live here too: a `LoopElement` is a finite sum
+of homogeneous terms, {degree: sparse vector}; `ts_product` multiplies two in
+A tensor k[z, 1/z], and `loop_bracket` also checks that both factors and the
+product lie on the grading.  The untwisting map moves them degree by degree.
+
 Conventions, pinned by the checks in this module:
 
 * gamma acts on automorphisms by gamma(f) = gamma o f o gamma^-1,
@@ -32,33 +37,37 @@ for the inner part of the automorphism group.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .algebra import (
-    GradedDecomposition,
-    LoopElement,
-    MultTableAlgebra,
+from .algebra import MultTableAlgebra, make_table
+from .cyclo import CycloNum, zeta_power
+from .grading import (
     FiniteOrderAutomorphism,
+    GradedDecomposition,
+    GradingError,
     check_diagonal_automorphism,
     eigengrading,
-    make_table,
     twist,
 )
-from .cyclo import CycloNum, zeta_power
-from .linalg import Sparse, nullspace
+from .linalg import Sparse, nullspace, sparse_add
 from .record import Record
 
 __all__ = [
     "CheckReport",
     "DescentError",
     "LoopCocycle",
+    "LoopElement",
     "UntwistIso",
     "build_cocycle",
     "build_matrix_algebra",
+    "check_loop_element",
     "coboundary_witness",
     "fixed_point_report",
+    "loop_bracket",
+    "loop_element",
     "matrix_twist_factors",
     "matrix_unit_shifts",
+    "ts_product",
     "twisted_fixed_points",
     "untwist_iso",
 ]
@@ -66,6 +75,61 @@ __all__ = [
 
 class DescentError(ValueError):
     pass
+
+
+# -- loop elements -------------------------------------------------------------
+
+
+class LoopElement(Record):
+    """Finite sum of homogeneous terms a * z^degree: `terms` maps each degree
+    to a nonzero sparse vector, degrees in increasing order."""
+
+    terms: dict[int, Sparse]
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+def loop_element(terms: Iterable[tuple[int, Sparse]]) -> LoopElement:
+    """Normalize: merge equal degrees, drop zero vectors, sort by degree."""
+    acc: dict[int, Sparse] = {}
+    for d, v in terms:
+        sparse_add(acc.setdefault(d, {}), v)
+    return LoopElement({d: acc[d] for d in sorted(acc) if acc[d]})
+
+
+def check_loop_element(grading: GradedDecomposition, x: LoopElement) -> None:
+    """Each term of a loop element must lie in the component of its residue."""
+    for d, v in x.terms.items():
+        if not grading.component_solver(d % grading.period).contains(v):
+            raise GradingError(f"term at degree {d} is not in component {d % grading.period}")
+
+
+def ts_product(alg: MultTableAlgebra, x: LoopElement, y: LoopElement) -> LoopElement:
+    """Product in A tensor k[z, 1/z]: multiply coefficients, add degrees."""
+    return loop_element(
+        (d1 + d2, alg.product_sparse(v1, v2))
+        for d1, v1 in x.terms.items()
+        for d2, v2 in y.terms.items()
+    )
+
+
+def loop_bracket(
+    alg: MultTableAlgebra, grading: GradedDecomposition, x: LoopElement, y: LoopElement
+) -> LoopElement:
+    """Multiply two elements of the twisted loop algebra, checking the grading.
+
+    Inputs must be supported on the grading (term at degree d inside component
+    d mod m); the result is verified to be as well before it is returned.
+    """
+    check_loop_element(grading, x)
+    check_loop_element(grading, y)
+    result = ts_product(alg, x, y)
+    check_loop_element(grading, result)
+    return result
+
+
+# -- cocycles ------------------------------------------------------------------
 
 
 class CheckReport(Record):
@@ -337,7 +401,7 @@ def untwist_iso(
     """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), verified in
     every degree.
 
-    The twist is `algebra.twist(alg, outer, exponents, m)`: for a type label
+    The twist is `grading.twist(alg, outer, exponents, m)`: for a type label
     outer is the diagram automorphism of pi and p_j = <s, weight of e_j>, for
     M_n it is the identity and p = a_i - a_k on E_ik.  e_j drops degree by
     (M/m) p_j, M = lcm(|outer|, m) the common period; the factor M/m (1

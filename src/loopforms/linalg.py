@@ -18,7 +18,7 @@ returned vectors are themselves in reduced row-echelon form.
 
 The package tests span membership without a general solver: the spans it
 asks about are written down in closed form (the grading components and the
-fixed Cartan, whose coordinates `algebra.ComponentSolver` reads and
+fixed Cartan, whose coordinates `grading.ComponentSolver` reads and
 confirms), or are independent families, where membership is a rank test.
 The one span that grows, the subalgebra generated by a set of homogeneous
 basis vectors (the centroid's generating set), is an `Echelon` whose `reduce`

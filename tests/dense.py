@@ -21,14 +21,14 @@ candidate weight, the reference for the weights `affine.affine_roots` reads
 off the closed-form grading.  `fraction_rank_det` is elimination over
 Fraction, the reference for the integer Bareiss `linalg.int_rank_det`, and
 `all_pairs_centroid` imposes the centroid conditions on every pair of
-homogeneous basis vectors, the reference for `algebra.centroid_graded`, which
+homogeneous basis vectors, the reference for `centroid.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
-`algebra.twist`, which checks pi alone by `check_automorphism` (the identity
+`grading.twist`, which checks pi alone by `check_automorphism` (the identity
 as a diagonal map), tau_s by additivity and the composition by its period.
 `diagram_and_composition`, `untwist_matrix_iso` and
 `coboundary_witness_matrix` are the separate type-label and matrix-unit
-twist paths that `algebra.twist`, `descent.untwist_iso` and
+twist paths that `grading.twist`, `descent.untwist_iso` and
 `descent.coboundary_witness` replaced, kept as references for them.
 `product_rule_check` forms all n^2 products of component vectors, the
 reference for the product rule that `eigengrading` draws from its certified
@@ -47,26 +47,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 from loopforms.acceptance import _grading_fixtures
 from loopforms.affine import AffineExtractError, AffineRootData, FixedCartan
-from loopforms.algebra import (
-    KIND_LIE,
-    AutomorphismError,
-    CentroidReport,
-    FiniteOrderAutomorphism,
-    GradedDecomposition,
-    LoopElement,
-    MultTableAlgebra,
-    Sparse,
-    ValidationReport,
-    GradingError,
-    Violation,
-    _certified,
-    _check_period,
-    check_automorphism,
-    check_diagonal_automorphism,
-    eigengrading,
-    loop_element,
-    ts_product,
-)
+from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation
+from loopforms.centroid import CentroidReport
 from loopforms.chevalley import (
     DiagramPermutation,
     LieConstructError,
@@ -83,13 +65,27 @@ from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
 from loopforms.descent import (
     CheckReport,
     DescentError,
+    LoopElement,
     UntwistIso,
     _verify_coboundary,
     _verify_untwist,
     build_matrix_algebra,
+    loop_element,
     matrix_unit_shifts,
+    ts_product,
 )
-from loopforms.linalg import SpanSolver, eliminate, nullspace, rank, sparse_add
+from loopforms.grading import (
+    AutomorphismError,
+    FiniteOrderAutomorphism,
+    GradedDecomposition,
+    GradingError,
+    _certified,
+    _check_period,
+    check_automorphism,
+    check_diagonal_automorphism,
+    eigengrading,
+)
+from loopforms.linalg import Sparse, SpanSolver, eliminate, nullspace, rank, sparse_add
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -872,7 +868,7 @@ def three_pass_composition(
     return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)
 
 
-# -- the twist paths that `algebra.twist` replaced ------------------------------------
+# -- the twist paths that `grading.twist` replaced ------------------------------------
 
 
 def diagram_and_composition(

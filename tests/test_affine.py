@@ -26,7 +26,6 @@ from loopforms.affine import (
     match_affine_label,
     simple_affine_roots,
 )
-from loopforms.algebra import ComponentSolver, eigengrading
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
@@ -39,6 +38,7 @@ from loopforms.chevalley import (
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum
+from loopforms.grading import ComponentSolver, eigengrading
 from loopforms.linalg import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"

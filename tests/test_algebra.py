@@ -21,28 +21,26 @@ from loopforms import algebra
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
-    _Generators,
     _live_triples,
     _power_basis_table,
     AlgebraError,
+    MultTableAlgebra,
+    embed_algebra,
+    make_table,
+    validate_algebra,
+)
+from loopforms.centroid import _Generators, centroid_graded
+from loopforms.grading import (
     AutomorphismError,
     ComponentSolver,
     FiniteOrderAutomorphism,
     GradedDecomposition,
     GradingError,
-    MultTableAlgebra,
-    centroid_graded,
     _certified,
     check_automorphism,
     check_diagonal_automorphism,
     eigengrading,
-    embed_algebra,
-    loop_bracket,
-    loop_element,
-    make_table,
-    ts_product,
     twist,
-    validate_algebra,
 )
 from loopforms.chevalley import (
     DiagramPermutation,
@@ -56,7 +54,14 @@ from loopforms.chevalley import (
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.descent import build_cocycle, build_matrix_algebra, twisted_fixed_points
+from loopforms.descent import (
+    build_cocycle,
+    build_matrix_algebra,
+    loop_bracket,
+    loop_element,
+    ts_product,
+    twisted_fixed_points,
+)
 from loopforms.linalg import SpanSolver, nullspace
 
 
@@ -380,7 +385,7 @@ def test_eigengrading_refuses_a_component_that_is_not_an_eigenvector(monkeypatch
     def backwards(images):
         return [c if len(c) < 3 else [c[0], *reversed(c[1:])] for c in real(images)]
 
-    monkeypatch.setattr(algebra, "_cycles", backwards)
+    monkeypatch.setattr("loopforms.grading._cycles", backwards)
     with pytest.raises(GradingError, match="is not an eigenspace"):
         eigengrading(alg, sigma)
 
@@ -839,7 +844,7 @@ def test_one_centroid_call_builds_one_generating_set(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(algebra, "_Generators", Counted)
+    monkeypatch.setattr("loopforms.centroid._Generators", Counted)
     assert len(centroid_graded(alg, grading)) == grading.period == 3
     (gens,) = built
     # each kept vector lies outside what the earlier ones generate

@@ -7,11 +7,13 @@ from math import lcm
 
 import pytest
 
-from loopforms import algebra, chevalley, cli
-from loopforms.algebra import (
+from loopforms import chevalley, cli
+from loopforms.grading import (
     AutomorphismError,
+    FiniteOrderAutomorphism,
     check_automorphism,
     check_diagonal_automorphism,
+    eigengrading,
     twist,
 )
 from loopforms.chevalley import (
@@ -395,7 +397,7 @@ def test_charged_composition_matches_three_passes(label, perm, charge):
     # tau_s certified by additivity and the composition by its period,
     # against three full pair checks and the n^2 product loop
     alg, fast = _twist_matches_three_passes(label, perm, charge)
-    product_rule_check(alg, algebra.eigengrading(alg, fast))
+    product_rule_check(alg, eigengrading(alg, fast))
 
 
 @pytest.mark.parametrize("label", [label for label in TYPE_LABELS if cartan_matrix(label).rank <= 6])
@@ -421,7 +423,7 @@ def test_one_check_implies_consistency_and_product_rule(label, perm):
     rs, alg = algebra_over(label, perm.order())
     sigma = diagram_automorphism(alg, rs, perm)
     propagation_consistency(alg, rs, sigma)
-    product_rule_check(alg, algebra.eigengrading(alg, sigma))
+    product_rule_check(alg, eigengrading(alg, sigma))
 
 
 def test_propagated_image_with_flipped_sign_is_caught(monkeypatch):
@@ -451,10 +453,10 @@ def test_propagated_image_with_flipped_sign_is_caught(monkeypatch):
     built = []
 
     def capture(table, images, scalars, period):
-        built.append(algebra.FiniteOrderAutomorphism(tuple(images), tuple(scalars), period))
+        built.append(FiniteOrderAutomorphism(tuple(images), tuple(scalars), period))
         return check_automorphism(alg, images, scalars, period)
 
-    monkeypatch.setattr(chevalley, "check_automorphism", capture)
+    monkeypatch.setattr("loopforms.grading.check_automorphism", capture)
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
         diagram_automorphism(Flipped(), rs, DiagramPermutation((2, 1, 0)))
     (propagated,) = built
@@ -474,7 +476,7 @@ def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):
         calls.append(args[3])
         return check_automorphism(*args)
 
-    monkeypatch.setattr(chevalley, "check_automorphism", counted)
+    monkeypatch.setattr("loopforms.grading.check_automorphism", counted)
     assert cli.main(["grade", "--type", "D4", "--auto", '{"pi":[3,2,4,1]}']) == 0
     capsys.readouterr()
     assert calls == [3]
@@ -508,7 +510,15 @@ def test_toral_twist_checks_no_automorphism_pairwise(argv, monkeypatch, capsys):
 _TAMPERED_UNDER_O = textwrap.dedent(
     """
     import sys
-    from loopforms import algebra, chevalley, cyclo
+    from loopforms import chevalley, cyclo
+    from loopforms.grading import (
+        AutomorphismError,
+        GradedDecomposition,
+        GradingError,
+        check_automorphism,
+        eigengrading,
+        twist,
+    )
 
     print("optimize", sys.flags.optimize)
     rs, alg = chevalley.algebra_over("A2", 6)
@@ -516,8 +526,8 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     # the pairings of a charge that is not constant on the orbits of the flip
     skewed = chevalley.charge_pairings(rs, chevalley.ToralCharge(s=(1, 0), modulus=3))
     try:
-        algebra.twist(alg, flip, skewed, 3)
-    except algebra.AutomorphismError as exc:
+        twist(alg, flip, skewed, 3)
+    except AutomorphismError as exc:
         print("refused:", exc)
     try:
         cyclo._poly_divmod_int((1, 0, 1), (1, 2))
@@ -528,22 +538,22 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     sigma = chevalley.compose_pi_toral(
         alg, rs, chevalley.DiagramPermutation.identity(1), chevalley.ToralCharge(s=(1,), modulus=2)
     )
-    grading = algebra.eigengrading(alg, sigma)
+    grading = eigengrading(alg, sigma)
     bases = [list(comp) for comp in grading.component_bases]
     bases[1][0] = {k: v * 2 for k, v in bases[1][0].items()}
-    tampered = algebra.GradedDecomposition(
+    tampered = GradedDecomposition(
         grading.period, grading.scalar_order, grading.dim, tuple(map(tuple, bases))
     )
     try:
         tampered.component_solver(1)
-    except algebra.GradingError as exc:
+    except GradingError as exc:
         print("refused:", exc)
     # an untwisting shift moved by one period on e: it lands, but is not additive
     from loopforms import descent
 
     one = cyclo.CycloNum.one(alg.scalar_order)
-    identity = algebra.check_automorphism(alg, range(3), [one] * 3, 2)
-    target = algebra.eigengrading(alg, identity)
+    identity = check_automorphism(alg, range(3), [one] * 3, 2)
+    target = eigengrading(alg, identity)
     try:
         descent._verify_untwist(alg, grading, target, (0, 3, -1))
     except descent.DescentError as exc:

@@ -316,6 +316,16 @@ _MALFORMED_TABLES = [
     (("constants", 0, 2, 0, 1, "coeffs", 0), "1/0"),
     (("labels",), "hef"),
     (("labels", 0), 0),
+    # coefficient strings follow the to_obj grammar -?[0-9]+(/[0-9]+)?: no
+    # exponent, decimal, sign but a leading minus, underscore or non-ASCII digit
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "1e999999"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "nan"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "0.5"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "+1"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "1_0"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "\u0661"),
+    (("constants", 0, 2, 0, 1, "coeffs", 0), "1/-2"),
+    (("constants", 0, 2, 0, 1), [1]),
 ]
 
 
@@ -338,6 +348,44 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
         assert code == 2
         assert out == "" and err.startswith("error:")
         assert "is not a serialized algebra" in err
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "a serialized algebra must be a JSON object"),
+        ({"scalar_order": 1, "kind": "lie", "labels": [], "constants": []}, "missing field 'dim'"),
+        ({"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"]}, "missing field 'constants'"),
+        (
+            {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"],
+             "constants": [[0, 0, [[0, {"order": 1, "coeffs": ["1e999999"]}]]]]},
+            "coefficient '1e999999' is not an integer or a string p or p/q of ASCII digits"
+            " with a nonzero q",
+        ),
+        (
+            {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"],
+             "constants": [[0, 0, [[0, {"order": 1, "coeffs": ["1/0"]}]]]]},
+            "coefficient '1/0' is not an integer",
+        ),
+        (
+            {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"],
+             "constants": [[0, 0, [[0, {"order": 1}]]]]},
+            "missing field 'coeffs' in a scalar",
+        ),
+        # raw text: an integer past the interpreter's digit limit
+        ('{"dim": ' + "9" * 4400 + "}", "is not valid JSON"),
+    ],
+    ids=["list", "no dim", "no constants", "exponent", "zero denominator", "no coeffs",
+         "long integer"],
+)
+def test_malformed_table_error_names_the_fault(tmp_path, capsys, table, message):
+    path = tmp_path / "table.json"
+    path.write_text(table if isinstance(table, str) else json.dumps(table))
+    assert cli.main(["build", "--algebra", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_missing_subcommand_exits_2():
@@ -370,6 +418,16 @@ def test_missing_subcommand_exits_2():
         (("grade", "--matrix", "2"), "unknown flag '--matrix'; flags are not abbreviated"),
         (("untwist", "--type", "A1", "--auto", '{"s": [1], "m": 2}', "--win", "4"),
          "unknown flag '--win'; flags are not abbreviated"),
+        # a flag given twice is refused, not read as its last value
+        (("build", "--type", "A2", "--type", "A3"), "flag --type given twice"),
+        (("build", "--type=A2", "--type", "A3"), "flag --type given twice"),
+        (("grade", "--type", "A2", "--auto", "{}", "--auto", '{"m": 2}'), "flag --auto given twice"),
+        (("grade", "--matrix-algebra", "2", "--matrix-algebra=3"),
+         "flag --matrix-algebra given twice"),
+        (("grade", "--type", "A2", "--text", "--text"), "flag --text given twice"),
+        (("grade", "--type", "A2", "--json", "--json"), "flag --json given twice"),
+        (("build", "--type", "A1", "--out", "a.json", "--out", "b.json"), "flag --out given twice"),
+        (("build", "--algebra", "a.json", "--algebra", "b.json"), "flag --algebra given twice"),
     ],
 )
 def test_malformed_argv_exits_2_without_traceback(argv, message):
@@ -435,9 +493,11 @@ def test_flag_equals_value_is_the_flag_and_value(capsys):
     assert cli.main(joined) == 0
     assert capsys.readouterr().out == first
     assert json.loads(first)["payload"]["label"] == "D4^(3)"
-    # a repeated flag keeps its last value
-    assert cli.main(["grade", "--type", "A3", "--type", "A2", "--text"]) == 0
-    assert "type: A2" in capsys.readouterr().out
+    # a repeated flag is refused, whichever spelling repeats it
+    assert cli.main(["grade", "--type", "A3", "--type=A2", "--text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: flag --type given twice\n"
 
 
 # -- the full suite through the CLI -------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -245,3 +247,99 @@ def test_bad_constructions_raise_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+# -- the Fraction-free boundary -------------------------------------------------
+
+
+def _inputs(rng, length):
+    """Coefficient lists of three kinds: nonnegative ints, ints of both
+    signs, and Fractions mixed with ints."""
+    return {
+        "int": [rng.randint(0, 9) for _ in range(length)],
+        "negative": [rng.randint(-9, -1) if rng.random() < 0.5 else rng.randint(0, 9) for _ in range(length)],
+        "fraction": [
+            Fraction(rng.randint(-12, 12), rng.randint(1, 9)) if rng.random() < 0.7 else rng.randint(-5, 5)
+            for _ in range(length)
+        ],
+    }
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_scalar_boundary_agrees_with_fraction_arithmetic(m):
+    # ints and Fractions are read through numerator and denominator, and the
+    # strings and the Fraction views are built from integer numerators; each
+    # must give what the Fraction coefficients give
+    rng = random.Random(f"cyclo boundary {m}")
+    deg = euler_phi(m)
+    for _ in range(10):
+        for kind, coeffs in _inputs(rng, deg).items():
+            want = FractionCyclo(m, tuple(Fraction(c) for c in coeffs))
+            x = CycloNum(m, coeffs)
+            _agrees(x, want)
+            assert CycloNum(m, iter(coeffs)) == x
+            long = coeffs + _inputs(rng, rng.randint(0, deg))[kind]
+            _agrees(CycloNum.from_poly(m, long), FractionCyclo.from_poly(m, long))
+            value = coeffs[0]
+            r = CycloNum.rational(m, value)
+            _agrees(r, FractionCyclo.from_poly(m, [value]))
+            assert r.as_fraction() == Fraction(value)
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            _agrees(x + q, want + q)
+            _agrees(q + x, want + q)
+            _agrees(x + value, want + value)
+            assert pickle.loads(pickle.dumps(x)) == x
+            assert str(pickle.loads(pickle.dumps(x))) == str(want)
+            if x.den == 1:
+                # an integral number pickles as ints, with no Fraction in it
+                assert b"fractions" not in pickle.dumps(x)
+            assert json.loads(json.dumps(x.to_obj())) == want.to_obj()
+            assert CycloNum.from_obj(json.loads(json.dumps(x.to_obj()))) == x
+    if deg > 1:
+        with pytest.raises(ValueError, match="is not rational"):
+            zeta_power(m, 1).as_fraction()
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", None])
+def test_a_float_or_string_scalar_is_refused(value):
+    # only ints and Fractions coerce; no binary float is read as a number
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        CycloNum.rational(3, value)
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        CycloNum(1, (value,))
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        CycloNum.from_poly(1, [1, value])
+    assert zeta_power(3, 1).__add__(value) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "coeff, want",
+    [(3, (3, 1)), (-3, (-3, 1)), ("7", (7, 1)), ("-7", (-7, 1)), ("-0", (0, 1)),
+     ("2/4", (1, 2)), ("-6/4", (-3, 2)), ("0/5", (0, 1)), ("0012/0003", (4, 1))],
+)
+def test_coefficient_strings_follow_the_to_obj_grammar(coeff, want):
+    x = CycloNum.from_obj({"order": 1, "coeffs": [coeff]})
+    assert (x.num[0], x.den) == want
+    assert x == CycloNum.rational(1, Fraction(*want))
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e999999", "1E5", "nan", "inf", "-inf", "0.5", ".5", "+1", " 1", "1 ", "1_0",
+     "١", "１", "1/0", "-1/0", "1/-2", "--1", "-", "", "/2", "1/", "1/2/3",
+     "0x10", True, 0.5, None, [1]],
+)
+def test_coefficient_outside_the_grammar_is_refused(coeff):
+    # a decimal exponent is not read, so "1e999999" costs nothing
+    with pytest.raises(ValueError, match="coefficient .* is not an integer or a string p or p/q"):
+        CycloNum.from_obj({"order": 1, "coeffs": [coeff]})
+
+
+def test_scalar_object_shape_is_checked():
+    with pytest.raises(TypeError, match="a scalar must be a JSON object"):
+        CycloNum.from_obj([1, ["1"]])
+    for field in ("order", "coeffs"):
+        obj = {"order": 1, "coeffs": ["1"]}
+        del obj[field]
+        with pytest.raises(ValueError, match=f"missing field '{field}' in a scalar"):
+            CycloNum.from_obj(obj)

@@ -19,14 +19,6 @@ from dense import (
     windowed_untwist_check,
 )
 from loopforms import acceptance, cli, descent
-from loopforms.algebra import (
-    FiniteOrderAutomorphism,
-    check_automorphism,
-    check_diagonal_automorphism,
-    eigengrading,
-    loop_element,
-    twist,
-)
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
@@ -43,10 +35,18 @@ from loopforms.descent import (
     build_cocycle,
     build_matrix_algebra,
     coboundary_witness,
+    loop_element,
     matrix_twist_factors,
     matrix_unit_shifts,
     twisted_fixed_points,
     untwist_iso,
+)
+from loopforms.grading import (
+    FiniteOrderAutomorphism,
+    check_automorphism,
+    check_diagonal_automorphism,
+    eigengrading,
+    twist,
 )
 
 FLIP = DiagramPermutation((1, 0))

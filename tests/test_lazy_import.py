@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -28,20 +30,25 @@ _LOADED = "sorted(m for m in sys.modules if m.startswith('loopforms.'))"
 # Records, so a request loads neither
 _CODEGEN = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
 
+# scalars are ints over a common denominator, read and written without
+# Fractions, so no request loads fractions or the decimal module it imports
+_NUMBERS = "sorted(m for m in ('fractions', 'decimal') if m in sys.modules)"
+
 
 def _request(argv: list[str]):
     """Exit code, loopforms submodules and code generators loaded by one
     request; every request also leaves the argument-parsing module of the
-    standard library unloaded."""
+    standard library, and the rational and decimal number modules, unloaded."""
     code = (
         "import contextlib, io, json, sys\n"
         "from loopforms import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        f"print(json.dumps([code, {_LOADED}, {_CODEGEN}, 'argparse' in sys.modules]))\n"
+        f"print(json.dumps([code, {_LOADED}, {_CODEGEN}, {_NUMBERS}, 'argparse' in sys.modules]))\n"
     )
-    code, loaded, codegen, parser_loaded = _run(code)
+    code, loaded, codegen, numbers, parser_loaded = _run(code)
     assert not parser_loaded
+    assert numbers == []
     return code, loaded, codegen
 
 
@@ -57,6 +64,7 @@ def test_grade_loads_only_the_modules_it_uses():
         "loopforms.chevalley",
         "loopforms.cli",
         "loopforms.cyclo",
+        "loopforms.grading",
         "loopforms.linalg",
         "loopforms.record",
     ]
@@ -70,7 +78,7 @@ def test_matrix_algebra_request_loads_no_chevalley():
     argv = ["grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": 2}']
     code, loaded, codegen = _request(argv)
     assert code == 0
-    assert loaded == sorted(_CORE + ["loopforms.descent"])
+    assert loaded == sorted(_CORE + ["loopforms.descent", "loopforms.grading"])
     assert codegen == []
 
 
@@ -84,6 +92,34 @@ def test_table_request_loads_no_chevalley(tmp_path):
     code, loaded, codegen = _request(["build", "--algebra", str(path)])
     assert code == 0
     assert loaded == _CORE
+    assert codegen == []
+
+
+# a type label adds chevalley to the table layer; each later layer is a
+# module of its own, compiled only by the commands that run it
+_TYPE_LABEL = sorted(_CORE + ["loopforms.chevalley"])
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["build", "--type", "A2"], []),
+        (["grade", "--type", "A2"], ["loopforms.grading"]),
+        (
+            ["centroid", "--type", "A2", "--auto", '{"pi": [2, 1], "m": 2}'],
+            ["loopforms.centroid", "loopforms.grading"],
+        ),
+        (
+            ["extract-gcm", "--type", "A2", "--auto", '{"pi": [2, 1]}'],
+            ["loopforms.affine", "loopforms.grading"],
+        ),
+    ],
+    ids=["build", "grade", "centroid", "extract-gcm"],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, layers):
+    code, loaded, codegen = _request(argv)
+    assert code == 0
+    assert loaded == sorted(_TYPE_LABEL + layers)
     assert codegen == []
 
 

@@ -5,14 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopforms.algebra import (
-    AlgebraError,
-    FiniteOrderAutomorphism,
-    GradedDecomposition,
-    MultTableAlgebra,
-    eigengrading,
-    make_table,
-)
+from loopforms.algebra import AlgebraError, MultTableAlgebra, make_table
 from loopforms.chevalley import (
     DiagramPermutation,
     LieConstructError,
@@ -22,6 +15,7 @@ from loopforms.chevalley import (
 )
 from loopforms.classify import OutGroup
 from loopforms.cyclo import CycloNum
+from loopforms.grading import FiniteOrderAutomorphism, GradedDecomposition, eigengrading
 from loopforms.record import Record
 
 
