@@ -16,7 +16,7 @@ Two design rules hold throughout the package:
   and Fractions are accepted as inputs (`CycloNum(order, coeffs)`,
   `rational`, `from_poly`, coercion), both read through their `numerator`
   and `denominator`; a Fraction is built only on request, by the `coeffs`
-  view, `as_fraction` and the pickling of a non-integral number.
+  view and `as_fraction`.
   Serialization writes and reads coefficient strings with ints alone,
 * numbers of different orders never mix silently.  Arithmetic between two
   CycloNum values requires equal `order`; callers move into a common field
@@ -279,9 +279,6 @@ class CycloNum:
     __slots__ = ("_order", "_num", "_den")
 
     def __new__(cls, order: int, coeffs: Sequence[Union[int, Fraction]]) -> "CycloNum":
-        coeffs = tuple(coeffs)
-        if all(type(c) is int for c in coeffs):
-            return _from_canonical(order, coeffs, 1)
         # every pair is in lowest terms, so the common form is canonical
         num, den = _over_common_denominator([_ratio(c) for c in coeffs])
         return _from_canonical(order, tuple(num), den)
@@ -344,8 +341,7 @@ class CycloNum:
         return hash((self._order, self._num, self._den))
 
     def __reduce__(self):
-        # integral numbers pickle as ints, so only a denominator builds Fractions
-        return (CycloNum, (self._order, self._num if self._den == 1 else self.coeffs))
+        return (_make, (self._order, self._num, self._den))
 
     # -- predicates ----------------------------------------------------
 
@@ -503,6 +499,11 @@ class CycloNum:
         coeffs = obj["coeffs"]
         if type(coeffs) is not list:
             raise TypeError(f"coefficients must be a list of strings or integers, not {coeffs!r}")
+        # phi(m) >= sqrt(m/2), so a larger order cannot have len(coeffs)
+        # coefficients; refusing it here keeps euler_phi's trial division
+        # bounded by the size of the input
+        if order > 2 * len(coeffs) ** 2:
+            raise ValueError(f"a scalar of order {order} needs more than {len(coeffs)} coefficients")
         num, den = _over_common_denominator([_parse_coeff(c) for c in coeffs])
         return _make(order, tuple(num), den)
 

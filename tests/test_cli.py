@@ -326,6 +326,9 @@ _MALFORMED_TABLES = [
     (("constants", 0, 2, 0, 1, "coeffs", 0), "\u0661"),
     (("constants", 0, 2, 0, 1, "coeffs", 0), "1/-2"),
     (("constants", 0, 2, 0, 1), [1]),
+    # an order too large for its coefficients is refused before euler_phi
+    # factors it: phi(m) >= sqrt(m/2)
+    (("constants", 0, 2, 0, 1, "order"), 1000000000000000003),
 ]
 
 
@@ -374,9 +377,16 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
         ),
         # raw text: an integer past the interpreter's digit limit
         ('{"dim": ' + "9" * 4400 + "}", "is not valid JSON"),
+        # a table and scalar order of 19 digits, refused before euler_phi
+        # factors it by trial division
+        (
+            {"dim": 1, "scalar_order": 10**18 + 3, "kind": "lie", "labels": ["x"],
+             "constants": [[0, 0, [[0, {"order": 10**18 + 3, "coeffs": ["1"]}]]]]},
+            "a scalar of order 1000000000000000003 needs more than 1 coefficients",
+        ),
     ],
     ids=["list", "no dim", "no constants", "exponent", "zero denominator", "no coeffs",
-         "long integer"],
+         "long integer", "huge order"],
 )
 def test_malformed_table_error_names_the_fault(tmp_path, capsys, table, message):
     path = tmp_path / "table.json"
