@@ -53,6 +53,8 @@ def _parse_auto_json(raw: Optional[str]) -> dict:
         obj = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise RequestError(f"--auto is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise RequestError("--auto nests too deeply to read") from None
     if not isinstance(obj, dict):
         raise RequestError("--auto must be a JSON object")
     return obj
@@ -177,6 +179,8 @@ def _load_algebra(path: str) -> MultTableAlgebra:
         raise RequestError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise RequestError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise RequestError(f"{path} nests too deeply to read") from None
     try:
         return MultTableAlgebra.from_obj(obj)
     except (TypeError, ValueError) as exc:
@@ -526,6 +530,19 @@ def _usage() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flag_integer(flag: str, text: str) -> int:
+    """The value of an integer flag: -?[0-9]+ in ASCII digits, the grammar
+    of a table coefficient; no sign but a leading minus, space, underscore
+    or other script's digit is read."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise RequestError(f"{flag} needs an integer, got {text!r}")
+
+
 def _parse_args(argv: list[str]) -> Optional[_Args]:
     """Read COMMAND and its flags; a malformed argv raises RequestError, and
     -h or --help in place of the command or of a flag gives None."""
@@ -563,10 +580,7 @@ def _parse_args(argv: list[str]) -> Optional[_Args]:
             if value is None or value.startswith("--"):
                 raise RequestError(f"{flag} needs a value")
         if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise RequestError(f"{flag} needs an integer, got {value!r}") from None
+            value = _flag_integer(flag, value)
         setattr(args, attr, value)
     if args.json and args.text:
         raise RequestError("--json and --text exclude each other")

@@ -416,6 +416,14 @@ def test_extract_gcm_stdout_matches_golden_digests(capsys):
     assert changed == []
 
 
+def test_extract_gcm_labels_e8(capsys):
+    # the one class the golden file leaves out: E8 has no diagram symmetry,
+    # so its identity twist is untwisted E8^(1); the E8 build test reads the
+    # same cached table
+    assert cli.main(["extract-gcm", "--type", "E8"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["label"] == "E8^(1)"
+
+
 # -- matching --------------------------------------------------------------------
 
 

@@ -192,6 +192,15 @@ def _centroid_classify_requests():
     ]
 
 
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_classify_passes_on_the_types_the_golden_file_leaves_out(label, capsys):
+    # one class row per R-isomorphism class, on the cached E7 and E8 tables
+    assert cli.main(["classify", "--type", label]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["payload"]["r_classes"] == len(report["payload"]["classes"])
+
+
 def test_centroid_and_classify_stdout_match_golden_digests(capsys):
     # the sha256 of each request's stdout, as recorded in the golden file
     recorded = json.loads(CENTROID_GOLDEN.read_text())

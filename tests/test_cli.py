@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -17,12 +18,13 @@ from loopforms.cyclo import CycloNum
 from loopforms.chevalley import standard_algebra
 
 
-def run_cli(*argv, binary=False, timeout=300):
+def run_cli(*argv, binary=False, timeout=300, env=None):
     return subprocess.run(
         [sys.executable, "-m", "loopforms", *argv],
         capture_output=True,
         text=not binary,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -63,6 +65,15 @@ def test_build_d4():
     assert report["payload"]["roots"] == 24
     assert report["payload"]["rank"] == 4
     assert "elapsed:" in result.stderr
+
+
+def test_build_e8_certifies_every_ordered_triple(capsys):
+    # in-process: the E8 table is cached per process, and the extract-gcm and
+    # classify tests of E8 read the same one
+    assert cli.main(["build", "--type", "E8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["payload"]["validation"]["triples_checked"] == 15252992
 
 
 def test_each_built_algebra_is_validated_once(monkeypatch, capsys):
@@ -384,9 +395,11 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
              "constants": [[0, 0, [[0, {"order": 10**18 + 3, "coeffs": ["1"]}]]]]},
             "a scalar of order 1000000000000000003 needs more than 1 coefficients",
         ),
+        # raw text nested past the JSON reader's recursion limit
+        ("[" * 3000 + "]" * 3000, "nests too deeply to read"),
     ],
     ids=["list", "no dim", "no constants", "exponent", "zero denominator", "no coeffs",
-         "long integer", "huge order"],
+         "long integer", "huge order", "deep nesting"],
 )
 def test_malformed_table_error_names_the_fault(tmp_path, capsys, table, message):
     path = tmp_path / "table.json"
@@ -438,6 +451,15 @@ def test_missing_subcommand_exits_2():
         (("grade", "--type", "A2", "--json", "--json"), "flag --json given twice"),
         (("build", "--type", "A1", "--out", "a.json", "--out", "b.json"), "flag --out given twice"),
         (("build", "--algebra", "a.json", "--algebra", "b.json"), "flag --algebra given twice"),
+        # an integer flag reads ASCII decimal digits only, as a table
+        # coefficient does: no other script's digit, space, underscore or plus
+        (("grade", "--matrix-algebra", "\u0663"), "--matrix-algebra needs an integer, got '\u0663'"),
+        (("grade", "--matrix-algebra", " 2"), "--matrix-algebra needs an integer, got ' 2'"),
+        (("grade", "--matrix-algebra", "0_2"), "--matrix-algebra needs an integer, got '0_2'"),
+        (("grade", "--matrix-algebra", "+2"), "--matrix-algebra needs an integer, got '+2'"),
+        # JSON nested past the reader's recursion limit is malformed input
+        (("grade", "--type", "A2", "--auto", '{"s": ' + "[" * 3000 + "]" * 3000 + "}"),
+         "--auto nests too deeply to read"),
     ],
 )
 def test_malformed_argv_exits_2_without_traceback(argv, message):
@@ -519,15 +541,16 @@ UNTWIST_D4_SHA256 = "ebbd83b1bd2eaea25a33c79ee8601a6b45f079caef116b865fc25030737
 
 
 def test_verify_all_subprocess():
-    started = time.monotonic()
-    result = run_cli("verify-all", timeout=400)
-    wall = time.monotonic() - started
-    assert result.returncode == 0
-    payload = report_of(result)["payload"]
-    assert [row["id"] for row in payload["criteria"]] == list(range(1, 9))
-    assert all(row["status"] == "pass" for row in payload["criteria"])
-    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
-    assert wall < 240
+    for seed in ("0", "1"):
+        started = time.monotonic()
+        result = run_cli("verify-all", timeout=400, env=dict(os.environ, PYTHONHASHSEED=seed))
+        wall = time.monotonic() - started
+        assert result.returncode == 0
+        payload = report_of(result)["payload"]
+        assert [row["id"] for row in payload["criteria"]] == list(range(1, 9))
+        assert all(row["status"] == "pass" for row in payload["criteria"])
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256, seed
+        assert wall < 240
 
 
 def test_untwist_d4_composed_stdout_is_pinned():

@@ -56,6 +56,13 @@ def test_import_loads_no_submodule():
     assert _run(f"import json, sys, loopforms\nprint(json.dumps({_LOADED}))") == []
 
 
+def test_descent_loads_no_chevalley():
+    # descent reads no root system, so its table paths never build one
+    loaded = _run(f"import json, sys, loopforms.descent\nprint(json.dumps({_LOADED}))")
+    assert "loopforms.descent" in loaded
+    assert "loopforms.chevalley" not in loaded
+
+
 def test_grade_loads_only_the_modules_it_uses():
     code, loaded, codegen = _request(["grade", "--type", "A2"])
     assert code == 0

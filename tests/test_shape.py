@@ -1,0 +1,219 @@
+"""The shape of the source and of the CI workflow.
+
+Names that a simplification deleted from `src` stay deleted, and the CI
+workflow runs nothing but the tests and the benchmark gate, so every check
+is a test that `pytest` runs.  The source is read as text with pathlib and
+re, so no git checkout is needed.
+"""
+
+import inspect
+import re
+import shlex
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from loopforms.affine import AffineRootData
+from loopforms.centroid import centroid_graded
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SOURCES = sorted(SRC.rglob("*.py"))
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def _matches(pattern, paths=SOURCES):
+    """`file:line: text` for every line of the files matching pattern."""
+    regex = re.compile(pattern)
+    found = []
+    for path in paths:
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if regex.search(line):
+                found.append(f"{path.relative_to(ROOT)}:{number}: {line.strip()}")
+    return found
+
+
+def _words(*names):
+    """A pattern matching any of names as a whole word."""
+    return r"\b(?:" + "|".join(names) + r")\b"
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        # vectors are sparse {index: scalar} mappings; dense tuples appear
+        # only where a report is serialized
+        pytest.param(r"\bVector\b|zero_vector|vec_add|vec_scale|densify", id="dense vector"),
+        # span membership is read off closed forms, is a rank test, or is the
+        # closure echelon of the centroid's generating set, and affine
+        # weights are read off the grading: no pivot-limited elimination and
+        # no candidate weights
+        pytest.param(r"pivot_limit|candidates", id="span solver"),
+        # every twist, of a type label or of M_n, is grading.twist: no
+        # separate toral, composed or matrix-unit path
+        pytest.param(
+            _words(
+                "untwist_matrix_iso",
+                "coboundary_witness_matrix",
+                "diagram_and_composition",
+                "toral_automorphism",
+            ),
+            id="second twist path",
+        ),
+        # Dynkin symmetries and GCM equivalence are both
+        # chevalley.node_isomorphisms: no invariant index over the catalog,
+        # no relabelled conjugacy table, no switch that skips the centroid
+        pytest.param(
+            _words(
+                "gcm_invariant",
+                "AffineCatalog",
+                "by_invariant",
+                "row_multiset",
+                "H1Table",
+                "h1_of_group",
+                "h1_out",
+                "check_centroid",
+            ),
+            id="second node search",
+        ),
+        # every check covers all degrees, and a report reads the window it
+        # shows off its period: no flag, limit or command list names a window
+        pytest.param(r"MAX_WINDOW|_WINDOWED|--window", id="degree window"),
+        # the loop algebra repeats with its period: affine root data is
+        # stored once per residue, with no per-degree copies, and no
+        # centroid cache sits on the grading
+        pytest.param(
+            r"\.reals\b|\.imaginary\b|\b_generators\b|_signatures|multiplicity=",
+            id="per-degree data",
+        ),
+        # scalars are ints over a common denominator: src imports fractions
+        # only inside the functions that build a Fraction
+        pytest.param(r"^(?:from|import) fractions", id="module-level fractions"),
+        # value types are Records, which generate no code at import
+        pytest.param(r"dataclass", id="dataclass"),
+        # the CLI parses its argv without argparse
+        pytest.param(r"argparse", id="argparse"),
+    ],
+)
+def test_deleted_names_stay_out_of_src(pattern):
+    assert _matches(pattern) == []
+
+
+def test_only_linalg_names_the_span_solver():
+    # linalg keeps the elimination-based SpanSolver as the tests' reference,
+    # and perfbench/tracer.py wraps it by name, but nothing in src calls it
+    others = [path for path in SOURCES if path != SRC / "loopforms" / "linalg.py"]
+    assert _matches(r"SpanSolver", others) == []
+
+
+def test_descent_names_no_chevalley_import():
+    # not even inside a function: test_lazy_import checks the module load
+    assert _matches(r"^\s*(from|import)\b.*\bchevalley\b", [SRC / "loopforms" / "descent.py"]) == []
+
+
+def test_one_backtracking_search():
+    # node_isomorphisms' generator is the one backtracking search in src
+    assert len(_matches(r"def extend")) <= 1
+
+
+def test_grading_derived_data_is_per_residue():
+    # one centroid call solves every shift, and root data is by residue
+    assert tuple(inspect.signature(centroid_graded).parameters) == ("alg", "grading")
+    assert AffineRootData._fields == ("h0", "period", "spaces")
+
+
+# -- the workflow runs only the gate ---------------------------------------------
+
+# what a workflow step may run: pip, pytest and perfbench/run.py, with the
+# tee and tail that keep and read run.py's last line
+_PROGRAMS = (
+    ("python", "-m", "pip"),
+    ("python", "-m", "pytest"),
+    ("python3", "-m", "pytest"),
+    ("python3", "perfbench/run.py"),
+    ("tee",),
+    ("tail",),
+)
+
+# the workload gate's verdict on that line: run.py exits 0 whatever it
+# measured, so the gate reads its "correct" field; no other inline Python
+_VERDICT = [
+    "python3",
+    "-c",
+    'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)',
+]
+
+_ACTIONS = ("actions/checkout@", "actions/setup-python@")
+
+
+def _run_scripts(text):
+    """The script of each `run:` key of a workflow, a block or one line."""
+    lines = text.splitlines()
+    scripts = []
+    for i, line in enumerate(lines):
+        key, _, value = line.strip().removeprefix("- ").partition(":")
+        if key != "run":
+            continue
+        value = value.strip()
+        if not value.startswith(("|", ">")):
+            scripts.append(value)
+            continue
+        indent = len(line) - len(line.lstrip())
+        body = []
+        for inner in lines[i + 1:]:
+            if inner.strip() and len(inner) - len(inner.lstrip()) <= indent:
+                break
+            body.append(inner)
+        scripts.append(textwrap.dedent("\n".join(body)))
+    return scripts
+
+
+def _commands(script):
+    """The simple commands of a shell script, each as its words less any
+    leading variable assignments, and the functions the script defines.  A
+    `for` header and the words that delimit a loop or a function body run
+    nothing and are dropped; comments are dropped by the lexer."""
+    commands, functions = [], set()
+    pending = ""
+    for line in script.splitlines():
+        pending += line + "\n"
+        lexer = shlex.shlex(pending, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        try:
+            tokens = list(lexer)
+        except ValueError:  # a quote or an escaped newline runs on
+            continue
+        pending = ""
+        words = []
+        for token in [*tokens, ";"]:
+            if not token.strip("();<>|&"):
+                if token == "()" and len(words) == 1:
+                    functions.add(words[0])
+                elif words and words[0] != "for":
+                    commands.append(words)
+                words = []
+            elif words or not (re.match(r"\w+=", token) or token in ("do", "done", "{", "}")):
+                words.append(token)
+    if pending:
+        raise ValueError(f"unterminated shell text: {pending!r}")
+    return commands, functions
+
+
+def test_workflow_runs_only_pip_pytest_and_the_benchmark():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert len(text.splitlines()) < 60
+    uses = re.findall(r"^\s*(?:- )?uses:\s*(\S+)", text, re.MULTILINE)
+    assert [action for action in uses if not action.startswith(_ACTIONS)] == []
+    ran, refused = [], []
+    for script in _run_scripts(text):
+        commands, functions = _commands(script)
+        for words in commands:
+            allowed = (
+                words == _VERDICT
+                or words[0] in functions
+                or any(tuple(words[: len(program)]) == program for program in _PROGRAMS)
+            )
+            (ran if allowed else refused).append(" ".join(words))
+    assert refused == []
+    assert "python -m pytest -q --continue-on-collection-errors" in ran
