@@ -5,8 +5,9 @@ constants on a fixed basis, tagged `lie` or `associative`.  Its elements are
 sparse vectors {index: scalar} with no zero entry, multiplied by
 `MultTableAlgebra.product_sparse`; dense tuples appear only in serialized
 reports.  `validate_algebra` certifies the laws of the declared kind on every
-ordered basis triple, and the table keeps that certificate
-(`MultTableAlgebra.validation`), so it is computed once per table.
+ordered basis triple, evaluating them only where a term has a path through
+the table's nonzero products (`_left_paths`), and the table keeps that
+certificate (`MultTableAlgebra.validation`), so it is computed once per table.
 
 This module is the table layer only.  Automorphisms and gradings are in
 `grading`, the graded centroid in `centroid`, and loop elements in `descent`,
@@ -19,7 +20,7 @@ sampled.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations, product
+from itertools import permutations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -282,50 +283,33 @@ def _combination_vanishes(table: dict, order: int, terms: Iterable[tuple]) -> bo
     )
 
 
-def _increasing_triples(table: dict, n: int) -> Iterator[tuple[int, int, int]]:
-    """The triples i < j < k, less those where e_i e_j, e_j e_k and e_k e_i
-    are all zero; the Jacobiator vanishes on those.  The table must be
-    antisymmetric, so that (i, j) is a key exactly when (j, i) is."""
-    near: list[set[int]] = [set() for _ in range(n)]
-    for i, j in table:
-        near[i].add(j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in table:
-                ks: Iterable[int] = range(j + 1, n)
-            else:
-                ks = sorted(k for k in near[i] | near[j] if k > j)
-            for k in ks:
-                yield i, j, k
-
-
-def _live_triples(table: dict, n: int) -> Iterator[tuple[int, int, int]]:
-    """The ordered triples (i, j, k) in lexicographic order, less those where
-    e_i e_j and e_j e_k are both zero; the associator vanishes on those."""
+def _left_paths(table: dict, n: int) -> Iterator[tuple[int, int, int]]:
+    """The ordered triples (a, b, c) where (e_a e_b) e_c has a term: some
+    target l of e_a e_b has (l, c) as a key of `table`.  On every other
+    triple the left-nested product is zero term by term."""
     right: list[list[int]] = [[] for _ in range(n)]
-    for j, k in sorted(table):
-        right[j].append(k)
-    every = range(n)
-    for i in range(n):
-        for j in range(n):
-            for k in every if (i, j) in table else right[j]:
-                yield i, j, k
+    for l, c in table:
+        right[l].append(c)
+    for (a, b), entry in table.items():
+        for c in {c for l, _ in entry for c in right[l]}:
+            yield a, b, c
 
 
 def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
     """Certify the axioms of the declared kind on every ordered basis triple.
 
-    Lie tables are first checked for alternation (e_i e_i = 0) and
-    antisymmetry on every basis pair.  When both hold, the bracket is
-    alternating on all of A, so the Jacobiator J(x, y, z) is an alternating
-    trilinear form: swapping two arguments flips its sign and a repeated
-    argument gives 0.  J then vanishes on all n^3 ordered triples exactly
-    when it vanishes on the C(n, 3) increasing ones, and only those are
-    evaluated, skipping the ones where e_i e_j, e_j e_k and e_k e_i are all
-    zero (J is then 0).  A failing triple stands for all six of its
-    orderings.  When alternation or antisymmetry fails, J is evaluated on
-    every ordered triple.  Associative tables evaluate the associator on every
-    ordered triple, skipping those where e_i e_j and e_j e_k are both zero.
+    A law is a signed sum of triple products, each zero term by term unless
+    it has a path (`_left_paths`), so on any table a law is evaluated only on
+    the triples where one of its terms has a path.  Lie tables are first
+    checked for alternation (e_i e_i = 0) and antisymmetry on every basis
+    pair.  When both hold, the Jacobiator J is an alternating trilinear form
+    on all of A, so it is evaluated once per set {a, b, c} of distinct
+    indices with a path, the paths from keys a < b finding each set since
+    (a, b) and (b, a) have one support; a failing set stands for all six of
+    its orderings.  Otherwise a path (a, b, c) is a term of J(a, b, c),
+    J(b, c, a) and J(c, a, b), and those are evaluated.  Associative tables
+    evaluate the associator on the paths and on the reversed paths (c, b, a)
+    of the opposite table, where e_a (e_b e_c) has a term.
 
     `triples_checked` is n^3 either way: the number of ordered triples the
     certificate covers.  The report lists each violated law with the
@@ -356,19 +340,28 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
                 table, order, ((1, i, j, k, True), (1, j, k, i, True), (1, k, i, j, True))
             )
 
-        if violations:  # J need not be alternating: evaluate every ordered triple
-            failing = [t for t in product(range(n), repeat=3) if not holds(*t)]
+        if violations:  # J need not be alternating: evaluate every rotation of a path
+            live = {
+                t for a, b, c in _left_paths(table, n) for t in ((a, b, c), (b, c, a), (c, a, b))
+            }
+            failing = [t for t in sorted(live) if not holds(*t)]
         else:
-            failing = sorted(
-                {p for t in _increasing_triples(table, n) if not holds(*t) for p in permutations(t)}
-            )
+            live = {
+                (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
+                for a, b, c in _left_paths(table, n)
+                if a < b and c != a and c != b
+            }
+            failing = sorted({p for t in live if not holds(*t) for p in permutations(t)})
     else:
         law = "associativity"
 
         def holds(i: int, j: int, k: int) -> bool:
             return _combination_vanishes(table, order, ((1, i, j, k, True), (-1, j, k, i, False)))
 
-        failing = [t for t in _live_triples(table, n) if not holds(*t)]
+        opposite = {(b, a): entry for (a, b), entry in table.items()}
+        live = set(_left_paths(table, n))
+        live.update((c, b, a) for a, b, c in _left_paths(opposite, n))
+        failing = [t for t in sorted(live) if not holds(*t)]
     violations.extend(Violation(law, t, tuple(labels[x] for x in t)) for t in failing)
     return ValidationReport(alg.kind, n, n**3, tuple(violations))
 

@@ -447,9 +447,10 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
     sign inconsistency in the constant propagation is therefore impossible to
     ship.  Alternation and antisymmetry are checked on every basis pair; once
     they hold, the Jacobiator is an alternating trilinear form, so Jacobi is
-    evaluated on the C(n, 3) increasing triples only.  The certificate still
-    covers all n^3 ordered triples, which is what its `triples_checked`
-    counts.  The report
+    evaluated once per set of three distinct indices, and only on the sets
+    where one of its terms has a path through the table's nonzero products
+    (249596 of C(248, 3) on E8).  The certificate still covers all n^3
+    ordered triples, which is what its `triples_checked` counts.  The report
     is kept on the algebra (`MultTableAlgebra.validation`), so later callers
     read it instead of validating the same table again.
     """

@@ -21,7 +21,7 @@ from loopforms import algebra
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
-    _live_triples,
+    _left_paths,
     _power_basis_table,
     AlgebraError,
     MultTableAlgebra,
@@ -179,6 +179,17 @@ def _single_pair_jacobiator(x, y):
     )
 
 
+def _right_only_associator():
+    # y z = u and x u = w, nothing else: the associator fails on (x, y, z)
+    # alone, where (x y) z = 0 and x (y z) = w, so only a path of the
+    # opposite table finds it
+    table = make_table({(1, 2): {3: q(1)}, (0, 3): {4: q(1)}})
+    return MultTableAlgebra(
+        dim=5, scalar_order=1, kind=KIND_ASSOCIATIVE,
+        constants=table, basis_labels=("x", "y", "z", "u", "w"),
+    )
+
+
 def _explicit_zero_products():
     obj = _sl2().to_obj()
     obj["constants"].append([1, 1, [[0, {"order": 1, "coeffs": ["0"]}]]])
@@ -211,6 +222,8 @@ _VALIDATION_CASES = {
     "A2 rescaled over Q(zeta_3)": (_rescaled_basis, True),
     # scaling e_i e_j alone breaks antisymmetry
     "A2 one-sided x2": (lambda: _scaled(standard_algebra("A2")[1], ((3, 2),), q(2)), False),
+    # [e_a2, e_a4] alone doubled: Jacobi is evaluated on every rotation of a path
+    "D4 one-sided x2": (lambda: _scaled(standard_algebra("D4")[1], ((6, 4),), q(2)), False),
     "sl2 non-alternating": (_non_alternating, False),
     **{f"only [{'abc'[x]},{'abc'[y]}]": (lambda x=x, y=y: _single_pair_jacobiator(x, y), False)
        for x, y in ((0, 1), (1, 2), (2, 0))},
@@ -231,6 +244,7 @@ _VALIDATION_CASES = {
        for n in (2, 3, 4)},
     **{f"M{n} E11 E22 = E12": (lambda n=n: _spurious(_matrix_table(n), (0, n + 1), 1), False)
        for n in (2, 3, 4)},
+    "x (y z) only": (_right_only_associator, False),
 }
 
 
@@ -260,19 +274,54 @@ def test_validation_equals_ordered_triple_oracle(name):
     assert report.ok == valid
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_associator_skips_only_dead_triples(n):
-    alg = _spurious(_matrix_table(n), (0, n + 1), 1)
-    table = _power_basis_table(alg)
-    live = list(_live_triples(table, alg.dim))
-    # every ordered triple in lexicographic order, less those whose two
-    # inner products e_i e_j and e_j e_k are both zero
-    want = [
-        t for t in product(range(alg.dim), repeat=3)
-        if (t[0], t[1]) in table or (t[1], t[2]) in table
+def _paths_by_definition(table, n):
+    # every ordered triple (a, b, c) with some target l of e_a e_b such
+    # that (l, c) is a key
+    return [
+        (a, b, c) for a, b, c in product(range(n), repeat=3)
+        if any((l, c) in table for l, _ in table.get((a, b), ()))
     ]
-    assert live == want
-    assert len(live) < alg.dim ** 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(pytest.param(lambda n=n: _spurious(_matrix_table(n), (0, n + 1), 1), id=str(n))
+          for n in (2, 3, 4)),
+        pytest.param(lambda: _VALIDATION_CASES["D4 one-sided x2"][0](), id="D4 one-sided x2"),
+    ],
+)
+def test_associator_skips_only_dead_triples(build):
+    # the triples a law is evaluated on come from these paths, on a tampered
+    # associative table and on a Lie table that fails antisymmetry
+    alg = build()
+    table = _power_basis_table(alg)
+    paths = list(_left_paths(table, alg.dim))
+    assert sorted(paths) == _paths_by_definition(table, alg.dim)
+    assert len(paths) < alg.dim ** 3
+
+
+@pytest.mark.parametrize(
+    "build, evaluated",
+    [
+        pytest.param(lambda: standard_algebra("E6")[1], 13056, id="E6"),
+        pytest.param(lambda: _matrix_table(6), 1296, id="M6"),
+    ],
+)
+def test_validation_evaluates_only_triples_with_a_path(monkeypatch, build, evaluated):
+    # E6: the increasing triples {a, b, c} that carry a path; M_6: the
+    # triples (ij, jk, kl), the paths of the table and of its opposite
+    alg = build()
+    calls = []
+    evaluate = algebra._combination_vanishes
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    monkeypatch.setattr(algebra, "_combination_vanishes", counted)
+    assert validate_algebra(alg).ok
+    assert len(calls) == evaluated
 
 
 def test_sl2_violation_reported_on_all_six_orderings():
@@ -613,6 +662,48 @@ def test_check_automorphism_refuses_tampered_triality(tamper, message):
     assert check_automorphism(alg, images, scalars, 3).period == 3
     with pytest.raises(AutomorphismError, match=message):
         check_automorphism(alg, *tamper(alg, images, scalars))
+
+
+def _raises_automorphism_error(check, *args):
+    try:
+        check(*args)
+    except AutomorphismError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "build, kinds",
+    [
+        # (refused, sends a zero product onto a nonzero one) over all 48 maps
+        pytest.param(_sl2, {(False, False), (True, False)}, id="sl2"),
+        # E11 E22 = 0, yet E12 <-> E22 sends it onto E11 E12 = E12; such maps
+        # must be refused though only the nonzero products are compared
+        pytest.param(
+            lambda: build_matrix_algebra(2, (0, 0), 1)[0],
+            {(False, False), (True, False), (True, True)},
+            id="M2",
+        ),
+    ],
+)
+def test_check_automorphism_agrees_with_dense_on_signed_permutations(build, kinds):
+    # every signed permutation of the basis; sigma^24 = 1 for each of them,
+    # since each cycle has length k <= 4 and 24 / k is even
+    alg = build()
+    n, period = alg.dim, 24
+    seen = set()
+    for images in permutations(range(n)):
+        hits_zero = any(
+            not alg.basis_product(i, j) and alg.basis_product(images[i], images[j])
+            for i, j in product(range(n), repeat=2)
+        )
+        for signs in product((1, -1), repeat=n):
+            scalars = tuple(q(sign) for sign in signs)
+            refused = _raises_automorphism_error(check_automorphism, alg, images, scalars, period)
+            matrix = FiniteOrderAutomorphism(images, scalars, period).matrix
+            assert refused == _raises_automorphism_error(dense_check_automorphism, alg, matrix, period)
+            seen.add((refused, hits_zero))
+    assert seen == kinds
 
 
 def test_loop_product_adds_degrees():

@@ -94,6 +94,13 @@ def _words(*names):
         pytest.param(r"dataclass", id="dataclass"),
         # the CLI parses its argv without argparse
         pytest.param(r"argparse", id="argparse"),
+        # a law is evaluated only on the triples where one of its terms has
+        # a path through the table (algebra._left_paths): no other triple
+        # enumerator and no loop over every ordered triple
+        pytest.param(
+            _words("_increasing_triples", "_live_triples") + r"|repeat=3",
+            id="triple enumerator",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
