@@ -41,10 +41,10 @@ _EXPORTS = {
         "algebra_over",
         "cartan_matrix",
         "chevalley_algebra",
-        "compose_pi_toral",
         "diagram_automorphism",
         "root_system",
         "standard_algebra",
+        "type_twist_factors",
     ),
     "classify": (
         "OutGroup",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .affine import (
@@ -29,12 +28,9 @@ from .affine import (
 from .chevalley import (
     DiagramPermutation,
     ToralCharge,
-    algebra_over,
     cartan_matrix,
-    charge_pairings,
-    compose_pi_toral,
-    diagram_automorphism,
     standard_algebra,
+    type_twist_factors,
     TYPE_LABELS,
 )
 from .classify import (
@@ -52,7 +48,7 @@ from .descent import (
     matrix_twist_factors,
     untwist_iso,
 )
-from .grading import eigengrading
+from .grading import eigengrading, twist
 
 __all__ = [
     "CRITERION_NAMES",
@@ -115,20 +111,17 @@ def criterion_1() -> dict:
 
 def _grading_fixtures():
     """Shared automorphism fixtures for the grading and descent criteria."""
-    rs1, a1 = algebra_over("A1", 2)
-    rs2, a2 = algebra_over("A2", 2)
-    rs4, a4 = algebra_over("D4", 3)
-    m3, s3 = build_matrix_algebra(3, (0, 1, 2), 3)
-    toral = compose_pi_toral(
-        a1, rs1, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    _, a1, *toral = type_twist_factors(
+        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
-    composed = compose_pi_toral(a2, rs2, _FLIP, ToralCharge(s=(1, 1), modulus=2))
+    _, a2, flip, *charged = type_twist_factors("A2", _FLIP, ToralCharge(s=(1, 1), modulus=2))
+    _, a4, triality, _, _ = type_twist_factors("D4", _TRIALITY, ToralCharge.trivial(4))
+    m3, s3 = build_matrix_algebra(3, (0, 1, 2), 3)
     return (
-        ("A1 toral s=(1) m=2", a1, toral, (1, 2)),
-        ("A2 diagram flip", a2, diagram_automorphism(a2, rs2, _FLIP), (3, 5)),
-        ("D4 diagram triality", a4,
-         diagram_automorphism(a4, rs4, _TRIALITY), (14, 7, 7)),
-        ("A2 flip * toral s=(1,1) m=2", a2, composed, None),
+        ("A1 toral s=(1) m=2", a1, twist(a1, *toral), (1, 2)),
+        ("A2 diagram flip", a2, flip, (3, 5)),
+        ("D4 diagram triality", a4, triality, (14, 7, 7)),
+        ("A2 flip * toral s=(1,1) m=2", a2, twist(a2, flip, *charged), None),
         ("M3 conjugation (0,1,2) m=3", m3, s3, None),
     )
 
@@ -195,9 +188,8 @@ def _untwist_fixtures():
     the order of its rows: the identity outer map with the charge pairings
     of a type label, then with the matrix-unit shifts of M_n."""
     for name, label, s, m in _TORAL_FIXTURES:
-        rs, alg = algebra_over(label, m)
-        identity = diagram_automorphism(alg, rs, DiagramPermutation.identity(rs.rank))
-        yield name, alg, identity, charge_pairings(rs, ToralCharge(s=s, modulus=m)), m
+        identity = DiagramPermutation.identity(len(s))
+        yield (name, *type_twist_factors(label, identity, ToralCharge(s=s, modulus=m))[1:])
     for name, n, exponents, m in _MATRIX_FIXTURES:
         yield (name, *matrix_twist_factors(n, exponents, m), m)
 
@@ -234,11 +226,8 @@ def criterion_5() -> dict:
     rows = []
     status = "pass"
     for name, label, perm, s, m in _COMPOSED_FIXTURES:
-        period = lcm(perm.order(), m)
-        rs, alg = algebra_over(label, period)
         charge = ToralCharge(s=s, modulus=m)
-        outer = diagram_automorphism(alg, rs, perm)
-        iso = untwist_iso(alg, outer, charge_pairings(rs, charge), m)
+        iso = untwist_iso(*type_twist_factors(label, perm, charge)[1:])
         composed = affine_certificate(label, perm=perm, charge=charge)
         plain = affine_certificate(label, perm=perm)
         row = {

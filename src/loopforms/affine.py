@@ -40,14 +40,13 @@ from .chevalley import (
     TYPE_LABELS,
     ToralCharge,
     _symmetrizers,
-    algebra_over,
     cartan_matrix,
-    compose_pi_toral,
     highest_root,
     node_isomorphisms,
+    type_twist_factors,
 )
 from .cyclo import CycloNum
-from .grading import ComponentSolver, GradedDecomposition, eigengrading
+from .grading import ComponentSolver, GradedDecomposition, eigengrading, twist
 from .linalg import Sparse, int_rank_det
 from .record import Record
 
@@ -528,15 +527,13 @@ class ExtractionReport(Record):
 def graded_twist(
     type_label: str, perm: DiagramPermutation, charge: ToralCharge
 ) -> tuple[RootSystem, MultTableAlgebra, GradedDecomposition]:
-    """L(pi o tau_s): the algebra over Q(zeta_m), m = lcm(|pi|, modulus), and
-    the eigengrading of the checked twist, built once per process.
+    """L(pi o tau_s): the algebra of `chevalley.type_twist_factors` and the
+    eigengrading of the certified twist, built once per process.
 
     Extraction and the centroid check of `classify.k_vs_r_classes` share it.
     """
-    from math import lcm
-
-    rs, alg = algebra_over(type_label, lcm(perm.order(), charge.modulus))
-    return rs, alg, eigengrading(alg, compose_pi_toral(alg, rs, perm, charge))
+    rs, alg, *factors = type_twist_factors(type_label, perm, charge)
+    return rs, alg, eigengrading(alg, twist(alg, *factors))
 
 
 @lru_cache(maxsize=None)

@@ -14,9 +14,10 @@ Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
 automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
 automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
-trivial).  `compose_pi_toral` checks that s is constant on the orbits of pi
-and hands the two factors to `grading.twist`, which certifies every twist,
-here and on M_n alike.
+trivial).  `type_twist_factors` checks that s is constant on the orbits of
+pi, builds the algebra over Q(zeta_M), M = lcm(|pi|, m), and returns the
+two factors as `grading.twist` takes them, as `descent.matrix_twist_factors`
+does for M_n; `grading.twist` certifies every twist, here and on M_n alike.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ __all__ = [
     "cartan_matrix",
     "charge_pairings",
     "chevalley_algebra",
-    "compose_pi_toral",
     "diagram_automorphism",
     "highest_root",
     "node_isomorphisms",
     "root_system",
     "standard_algebra",
+    "type_twist_factors",
 ]
 
 TYPE_LABELS = (
@@ -694,33 +695,27 @@ def _propagate(
     return targets, scalars
 
 
-def compose_pi_toral(
-    alg: MultTableAlgebra,
-    rs: RootSystem,
-    perm: DiagramPermutation,
-    charge: ToralCharge,
-) -> FiniteOrderAutomorphism:
-    """pi o tau_s for a type label: the twist by diag(zeta_m^<s, .>) after
-    the diagram automorphism of pi; requires s invariant under pi.
+def type_twist_factors(
+    label: str, perm: DiagramPermutation, charge: ToralCharge
+) -> tuple[RootSystem, MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
+    """The type-label counterpart of `descent.matrix_twist_factors`: the
+    algebra of type `label` over Q(zeta_M), M = lcm(|pi|, m), and the
+    factors of pi o tau_s as `grading.twist` takes them, the certified
+    diagram automorphism of pi and the pairings <s, .> modulo m.
 
-    The rank, the invariance of s on the orbits of pi and the roots of unity
-    of the period lcm(|pi|, m) are checked here; `grading.twist` certifies
-    the composition.
+    s must be constant on the orbits of pi; `grading.twist` certifies the
+    composition.
     """
-    from .grading import twist
-
-    if len(charge.s) != rs.rank:
+    rank = cartan_matrix(label).rank
+    if len(charge.s) != rank:
         raise LieConstructError("charge rank mismatch")
-    for i in range(rs.rank):
-        if charge.s[i] != charge.s[perm(i)]:
-            raise LieConstructError("toral charge must be constant on permutation orbits")
-    period = lcm(perm.order(), charge.modulus)
-    if alg.scalar_order % period != 0:
-        raise LieConstructError(
-            f"algebra scalar order {alg.scalar_order} lacks the {period}-th roots of unity"
-        )
+    if len(perm.images) != rank:
+        raise LieConstructError("permutation rank mismatch")
+    if any(charge.s[i] != charge.s[perm(i)] for i in range(rank)):
+        raise LieConstructError("toral charge must be constant on permutation orbits")
+    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
     outer = diagram_automorphism(alg, rs, perm)
-    return twist(alg, outer, charge_pairings(rs, charge), charge.modulus)
+    return rs, alg, outer, charge_pairings(rs, charge), charge.modulus
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:

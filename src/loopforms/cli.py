@@ -194,23 +194,15 @@ def _build_sigma(args: _Args):
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
-        from .chevalley import (
-            LieConstructError,
-            algebra_over,
-            cartan_matrix,
-            charge_pairings,
-            diagram_automorphism,
-        )
+        from .chevalley import LieConstructError, cartan_matrix, type_twist_factors
 
         label = args.type
         perm, charge = _type_auto(spec, cartan_matrix(label).rank)
-        rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
         try:
-            outer = diagram_automorphism(alg, rs, perm)
+            _, alg, *factors = type_twist_factors(label, perm, charge)
         except LieConstructError as exc:
             raise RequestError(f"unsupported automorphism: {exc}") from exc
-        echo = {"type": label, "auto": _auto_echo(perm, charge)}
-        return alg, outer, charge_pairings(rs, charge), charge.modulus, echo
+        return (alg, *factors, {"type": label, "auto": _auto_echo(perm, charge)})
     from .descent import matrix_twist_factors
 
     n = args.matrix_algebra

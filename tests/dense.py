@@ -56,10 +56,9 @@ from loopforms.chevalley import (
     ToralCharge,
     _basis_layout,
     _Constants,
-    algebra_over,
     charge_pairings,
-    compose_pi_toral,
     diagram_automorphism,
+    type_twist_factors,
 )
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
 from loopforms.descent import (
@@ -84,6 +83,7 @@ from loopforms.grading import (
     check_automorphism,
     check_diagonal_automorphism,
     eigengrading,
+    twist,
 )
 from loopforms.linalg import Sparse, SpanSolver, eliminate, nullspace, rank, sparse_add
 
@@ -847,8 +847,8 @@ def twist_fixture(name: str) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism]
     perm = (
         DiagramPermutation.identity(len(s)) if pi is None else DiagramPermutation.from_one_based(pi)
     )
-    rs, alg = algebra_over(label, lcm(perm.order(), m))
-    return alg, compose_pi_toral(alg, rs, perm, ToralCharge(s=s, modulus=m))
+    _, alg, *factors = type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))
+    return alg, twist(alg, *factors)
 
 
 def three_pass_composition(

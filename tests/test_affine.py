@@ -3,7 +3,6 @@ import json
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -32,13 +31,13 @@ from loopforms.chevalley import (
     ToralCharge,
     algebra_over,
     cartan_matrix,
-    compose_pi_toral,
     node_isomorphisms,
     root_system,
+    type_twist_factors,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum
-from loopforms.grading import ComponentSolver, eigengrading
+from loopforms.grading import ComponentSolver, eigengrading, twist
 from loopforms.linalg import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
@@ -50,8 +49,8 @@ def _twist(label, perm=None, s=None, m=1):
     rank = cartan_matrix(label).rank
     perm = perm or DiagramPermutation.identity(rank)
     charge = ToralCharge(s=s or (0,) * rank, modulus=m)
-    rs, alg = algebra_over(label, lcm(perm.order(), m))
-    grading = eigengrading(alg, compose_pi_toral(alg, rs, perm, charge))
+    rs, alg, *factors = type_twist_factors(label, perm, charge)
+    grading = eigengrading(alg, twist(alg, *factors))
     return alg, rs, grading, fixed_cartan(alg, rs, perm)
 
 

@@ -48,9 +48,9 @@ from loopforms.chevalley import (
     algebra_over,
     cartan_matrix,
     charge_pairings,
-    compose_pi_toral,
     diagram_automorphism,
     standard_algebra,
+    type_twist_factors,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
@@ -324,6 +324,29 @@ def test_validation_evaluates_only_triples_with_a_path(monkeypatch, build, evalu
     assert len(calls) == evaluated
 
 
+def test_pair_laws_look_up_only_the_nonzero_products(monkeypatch):
+    # sl2 on the first three of 2000 basis vectors, the rest central:
+    # alternation and antisymmetry are read off the three pairs with a
+    # product, not off all 2000 * 1999 / 2 pairs
+    n = 2000
+    sl2 = _sl2()
+    alg = MultTableAlgebra(
+        dim=n, scalar_order=1, kind=KIND_LIE, constants=sl2.constants,
+        basis_labels=sl2.basis_labels + tuple(f"z{i}" for i in range(3, n)),
+    )
+    calls = []
+    lookup = MultTableAlgebra.basis_product
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return lookup(self, i, j)
+
+    monkeypatch.setattr(MultTableAlgebra, "basis_product", counted)
+    report = validate_algebra(alg)
+    assert report.ok and report.triples_checked == n**3
+    assert sorted(calls) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+
 def test_sl2_violation_reported_on_all_six_orderings():
     report = validate_algebra(_sl2(h_e_coeff=3))
     jacobi = [v.indices for v in report.violations if v.law == "jacobi"]
@@ -371,8 +394,10 @@ def test_pair_listed_twice_is_refused():
 
 
 def _sl2_graded():
-    rs, alg = algebra_over("A1", 2)
-    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
+    _, alg, *factors = type_twist_factors(
+        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    )
+    sigma = twist(alg, *factors)
     return alg, sigma, eigengrading(alg, sigma)
 
 
@@ -664,6 +689,45 @@ def test_check_automorphism_refuses_tampered_triality(tamper, message):
         check_automorphism(alg, *tamper(alg, images, scalars))
 
 
+def _idempotents():
+    # k x k: e1 e1 = e1, e2 e2 = e2, and e1 e2 = e2 e1 = 0
+    table = make_table({(0, 0): {0: q(1)}, (1, 1): {1: q(1)}})
+    return MultTableAlgebra(
+        dim=2, scalar_order=1, kind=KIND_ASSOCIATIVE, constants=table, basis_labels=("e1", "e2")
+    )
+
+
+def _triangular():
+    # upper triangular 2x2 matrices on the basis E22, E12, E11, so that the
+    # products E12 E22 = E12 and E11 E12 = E12 sit at pairs i > j
+    table = make_table({
+        (0, 0): {0: q(1)}, (1, 0): {1: q(1)}, (2, 1): {1: q(1)}, (2, 2): {2: q(1)},
+    })
+    return MultTableAlgebra(
+        dim=3, scalar_order=1, kind=KIND_ASSOCIATIVE, constants=table,
+        basis_labels=("E22", "E12", "E11"),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, images, signs, pair",
+    [
+        # e1 -> -e1 breaks only the diagonal product e1 e1 = e1
+        pytest.param(_idempotents, (0, 1), (-1, 1), "e1, e1", id="diagonal"),
+        # exchanging E11 and E22 is the transpose, an anti-automorphism: it
+        # breaks only the two products at pairs i > j
+        pytest.param(_triangular, (2, 1, 0), (1, 1, 1), "E12, E22", id="i > j"),
+    ],
+)
+def test_check_automorphism_checks_every_pair_of_the_table(build, images, signs, pair):
+    alg = build()
+    scalars = tuple(q(sign) for sign in signs)
+    matrix = FiniteOrderAutomorphism(images, scalars, 2).matrix
+    assert _raises_automorphism_error(dense_check_automorphism, alg, matrix, 2)
+    with pytest.raises(AutomorphismError, match=f"multiplicativity fails on basis pair \\({pair}\\)"):
+        check_automorphism(alg, images, scalars, 2)
+
+
 def _raises_automorphism_error(check, *args):
     try:
         check(*args)
@@ -849,9 +913,8 @@ def test_centroid_identity_membership():
 
 
 def test_centroid_of_untwisted_simple_algebra_is_scalars():
-    rs, alg = algebra_over("A1", 1)
-    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge.trivial(1))
-    grading = eigengrading(alg, sigma)
+    _, alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), ToralCharge.trivial(1))
+    grading = eigengrading(alg, twist(alg, *factors))
     (report,) = centroid_graded(alg, grading)
     assert report.solution_dim == 1
     assert report.contains_identity()
@@ -895,8 +958,8 @@ _POOL_A3 = (((3, 2, 1), (0, 0, 0), 1), ((3, 2, 1), (1, 0, 1), 2), ((3, 2, 1), (3
 @pytest.mark.parametrize("pi,s,m", _POOL_A3)
 def test_centroid_matches_all_pairs_on_pool_a3(pi, s, m):
     perm = DiagramPermutation.from_one_based(pi)
-    rs, alg = algebra_over("A3", 2)
-    sigma = compose_pi_toral(alg, rs, perm, ToralCharge(s=s, modulus=m))
+    _, alg, *factors = type_twist_factors("A3", perm, ToralCharge(s=s, modulus=m))
+    sigma = twist(alg, *factors)
     _assert_centroid_matches_all_pairs(alg, eigengrading(alg, sigma))
 
 
@@ -944,8 +1007,8 @@ def test_one_centroid_call_builds_one_generating_set(monkeypatch):
 
 
 def test_closure_refuses_a_set_generating_a_proper_subalgebra():
-    rs, alg = algebra_over("A2", 1)
-    grading = eigengrading(alg, compose_pi_toral(alg, rs, DiagramPermutation.identity(2), ToralCharge.trivial(2)))
+    _, alg, *factors = type_twist_factors("A2", DiagramPermutation.identity(2), ToralCharge.trivial(2))
+    grading = eigengrading(alg, twist(alg, *factors))
     # h_1 and h_2 generate the Cartan subalgebra only
     with pytest.raises(AlgebraError, match="dimension 2, not 8"):
         _Generators(alg, grading, [(0, 0), (0, 1)])

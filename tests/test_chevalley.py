@@ -26,12 +26,12 @@ from loopforms.chevalley import (
     cartan_matrix,
     charge_pairings,
     chevalley_algebra,
-    compose_pi_toral,
     _symmetrizers,
     diagram_automorphism,
     highest_root,
     root_system,
     standard_algebra,
+    type_twist_factors,
 )
 from dense import (
     basis_vector,
@@ -312,8 +312,10 @@ def test_triality_has_period_three():
 
 
 def test_toral_automorphism_exact_matrix():
-    rs, alg = algebra_over("A1", 2)
-    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
+    _, alg, *factors = type_twist_factors(
+        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    )
+    sigma = twist(alg, *factors)
     one, minus = CycloNum.one(2), CycloNum.rational(2, -1)
     for idx, want in [(0, one), (1, minus), (2, minus)]:
         col = tuple(sigma.matrix[r][idx] for r in range(3))
@@ -327,8 +329,9 @@ def test_charge_pairings_sl2():
 
 
 def test_composed_automorphism_period_is_lcm():
-    rs, alg = algebra_over("A2", 6)
-    sigma = compose_pi_toral(alg, rs, FLIP, ToralCharge(s=(1, 1), modulus=3))
+    _, alg, *factors = type_twist_factors("A2", FLIP, ToralCharge(s=(1, 1), modulus=3))
+    assert alg.scalar_order == 6
+    sigma = twist(alg, *factors)
     assert sigma.period == 6
     assert is_identity(mat_pow(sigma.matrix, 6))
     assert not is_identity(mat_pow(sigma.matrix, 2))
@@ -336,9 +339,34 @@ def test_composed_automorphism_period_is_lcm():
 
 
 def test_composed_requires_invariant_charge():
-    rs, alg = algebra_over("A2", 6)
-    with pytest.raises(LieConstructError):
-        compose_pi_toral(alg, rs, FLIP, ToralCharge(s=(1, 0), modulus=3))
+    with pytest.raises(LieConstructError, match="constant on permutation orbits"):
+        type_twist_factors("A2", FLIP, ToralCharge(s=(1, 0), modulus=3))
+
+
+@pytest.mark.parametrize(
+    "perm, s, message",
+    [
+        (FLIP, (1, 1, 1), "charge rank mismatch"),
+        (TRIALITY, (0, 0), "permutation rank mismatch"),
+        (DiagramPermutation.identity(1), (0, 0), "permutation rank mismatch"),
+    ],
+)
+def test_type_twist_factors_refuses_a_rank_mismatch(perm, s, message):
+    with pytest.raises(LieConstructError, match=message):
+        type_twist_factors("A2", perm, ToralCharge(s=s, modulus=2))
+
+
+def test_type_twist_factors_compose_to_the_three_pass_oracle():
+    # the factors are the algebra over the period, the certified diagram
+    # automorphism and the pairings modulo m, and twist composes them into
+    # the map that three full pair checks build
+    charge = ToralCharge(s=(1, 0, 1, 1), modulus=3)
+    rs, alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, charge)
+    assert (rs, alg) == algebra_over("D4", 3)
+    assert outer == diagram_automorphism(alg, rs, TRIALITY)
+    assert outer.certified_on(alg)
+    assert (pairings, m) == (charge_pairings(rs, charge), 3)
+    assert (outer, twist(alg, outer, pairings, m)) == three_pass_composition(alg, rs, TRIALITY, charge)
 
 
 def _diagram_classes():
@@ -374,14 +402,12 @@ def _trivial_charges():
 
 
 def _twist_matches_three_passes(label, perm, charge):
-    """twist of the diagram factor by the charge pairings, against three full
-    pair checks and against the type-label path it replaced."""
-    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
-    outer = diagram_automorphism(alg, rs, perm)
-    fast = twist(alg, outer, charge_pairings(rs, charge), charge.modulus)
+    """twist of the factors of `type_twist_factors`, against three full pair
+    checks and against the type-label path it replaced."""
+    rs, alg, outer, *factors = type_twist_factors(label, perm, charge)
+    fast = twist(alg, outer, *factors)
     assert (outer, fast) == three_pass_composition(alg, rs, perm, charge)
     assert (outer, fast) == diagram_and_composition(alg, rs, perm, charge)
-    assert fast == compose_pi_toral(alg, rs, perm, charge)
     assert fast.period == lcm(perm.order(), charge.modulus)
     assert fast.certified_on(alg)
     return alg, fast
@@ -534,10 +560,10 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     except cyclo.CycloError as exc:
         print("refused:", exc)
     # a grading whose first component vector of residue 1 is 2 at its pivot
-    rs, alg = chevalley.algebra_over("A1", 2)
-    sigma = chevalley.compose_pi_toral(
-        alg, rs, chevalley.DiagramPermutation.identity(1), chevalley.ToralCharge(s=(1,), modulus=2)
+    _, alg, *factors = chevalley.type_twist_factors(
+        "A1", chevalley.DiagramPermutation.identity(1), chevalley.ToralCharge(s=(1,), modulus=2)
     )
+    sigma = twist(alg, *factors)
     grading = eigengrading(alg, sigma)
     bases = [list(comp) for comp in grading.component_bases]
     bases[1][0] = {k: v * 2 for k, v in bases[1][0].items()}

@@ -1,7 +1,6 @@
 import importlib.util
 import json
 import sys
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -24,8 +23,8 @@ from loopforms.chevalley import (
     ToralCharge,
     algebra_over,
     charge_pairings,
-    compose_pi_toral,
     diagram_automorphism,
+    type_twist_factors,
 )
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import nullspace
@@ -53,16 +52,15 @@ FLIP = DiagramPermutation((1, 0))
 
 
 def _sl2_toral():
-    rs, alg = algebra_over("A1", 2)
-    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
-    return rs, alg, sigma
+    rs, alg, *factors = type_twist_factors(
+        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    )
+    return rs, alg, twist(alg, *factors)
 
 
 def _type_twist(label, perm, s, m):
     """(alg, outer, exponents, m) of pi o tau_s, as `untwist_iso` takes them."""
-    rs, alg = algebra_over(label, lcm(perm.order(), m))
-    exponents = charge_pairings(rs, ToralCharge(s=s, modulus=m))
-    return alg, diagram_automorphism(alg, rs, perm), exponents, m
+    return type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))[1:]
 
 
 # -- cocycles --------------------------------------------------------------------

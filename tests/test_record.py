@@ -10,12 +10,11 @@ from loopforms.chevalley import (
     DiagramPermutation,
     LieConstructError,
     ToralCharge,
-    algebra_over,
-    compose_pi_toral,
+    type_twist_factors,
 )
 from loopforms.classify import OutGroup
 from loopforms.cyclo import CycloNum
-from loopforms.grading import FiniteOrderAutomorphism, GradedDecomposition, eigengrading
+from loopforms.grading import FiniteOrderAutomorphism, GradedDecomposition, eigengrading, twist
 from loopforms.record import Record
 
 
@@ -135,8 +134,10 @@ def test_caches_are_outside_equality_hash_and_repr():
     assert alg == fresh and hash(alg) == hash(fresh)
     assert "_table" not in repr(alg) and "validation" not in repr(alg)
 
-    rs, alg = algebra_over("A1", 2)
-    sigma = compose_pi_toral(alg, rs, DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2))
+    _, alg, *factors = type_twist_factors(
+        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    )
+    sigma = twist(alg, *factors)
     used = eigengrading(alg, sigma)
     fresh = GradedDecomposition(used.period, used.scalar_order, used.dim, used.component_bases)
     # eigengrading builds no solver; asking for one fills the cache
@@ -153,9 +154,9 @@ def test_caches_are_outside_equality_hash_and_repr():
 
 
 def test_cached_property_is_kept_on_the_instance():
-    rs, alg = algebra_over("A1", 2)
     identity, charge = DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    sigma = compose_pi_toral(alg, rs, identity, charge)
+    _, alg, *factors = type_twist_factors("A1", identity, charge)
+    sigma = twist(alg, *factors)
     assert sigma.matrix is sigma.matrix
     assert "matrix" in sigma.__dict__
-    assert sigma == compose_pi_toral(alg, rs, identity, charge)
+    assert sigma == twist(alg, *factors)

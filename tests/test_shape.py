@@ -50,14 +50,17 @@ def _words(*names):
         # weights are read off the grading: no pivot-limited elimination and
         # no candidate weights
         pytest.param(r"pivot_limit|candidates", id="span solver"),
-        # every twist, of a type label or of M_n, is grading.twist: no
-        # separate toral, composed or matrix-unit path
+        # every twist, of a type label or of M_n, is grading.twist of the
+        # factors of chevalley.type_twist_factors or
+        # descent.matrix_twist_factors: no separate toral, composed or
+        # matrix-unit path
         pytest.param(
             _words(
                 "untwist_matrix_iso",
                 "coboundary_witness_matrix",
                 "diagram_and_composition",
                 "toral_automorphism",
+                "compose_pi_toral",
             ),
             id="second twist path",
         ),
@@ -112,6 +115,12 @@ def test_only_linalg_names_the_span_solver():
     # and perfbench/tracer.py wraps it by name, but nothing in src calls it
     others = [path for path in SOURCES if path != SRC / "loopforms" / "linalg.py"]
     assert _matches(r"SpanSolver", others) == []
+
+
+def test_only_chevalley_builds_type_twist_factors():
+    # a type-label twist is built by chevalley.type_twist_factors alone
+    others = [path for path in SOURCES if path != SRC / "loopforms" / "chevalley.py"]
+    assert _matches(r"\b(?:diagram_automorphism|charge_pairings)\(", others) == []
 
 
 def test_descent_names_no_chevalley_import():
