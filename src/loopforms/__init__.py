@@ -27,7 +27,6 @@ _EXPORTS = {
         "extract_gcm",
         "fixed_cartan",
         "gcm_equivalent",
-        "match_affine_label",
         "simple_affine_roots",
     ),
     "algebra": ("MultTableAlgebra", "validate_algebra"),
@@ -48,12 +47,11 @@ _EXPORTS = {
     ),
     "classify": (
         "OutGroup",
-        "classification_table",
+        "classify_type",
         "conjugacy_classes",
         "dynkin_automorphism_group",
         "inverse_conjugacy_check",
-        "k_vs_r_classes",
-        "k_vs_r_counts",
+        "k_class_count",
     ),
     "cyclo": ("CycloNum",),
     "descent": (

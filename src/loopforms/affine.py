@@ -24,8 +24,8 @@ Matching is `chevalley.node_isomorphisms`, the node-permutation search that
 also finds the Dynkin symmetries: a row matches when the search yields a
 permutation carrying the extracted matrix onto it, and the rows are scanned
 in order, with no index.  A request for one type matches its extracted
-matrix against that type's own rows, built alone; the whole catalog is built
-only when none of them matches.
+matrix against that type's own rows, built alone (`match_own_type`), and is
+refused when none of them matches.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "fixed_cartan",
     "gcm_equivalent",
     "graded_twist",
-    "match_affine_label",
     "match_own_type",
     "own_type_forms",
     "simple_affine_roots",
@@ -468,15 +467,6 @@ def affine_catalog() -> tuple[CatalogEntry, ...]:
     return entries
 
 
-def match_affine_label(gcm: GCM) -> AffineLabel:
-    """The label of the catalog entry equivalent to gcm, found by an
-    explicit permutation."""
-    for entry in affine_catalog():
-        if gcm_equivalent(gcm, entry.gcm) is not None:
-            return entry.label
-    raise AffineExtractError("matrix matches no catalog entry")
-
-
 def own_type_forms(type_label: str) -> tuple[CatalogEntry, ...]:
     """The catalog rows of one type: X^(1) and its twisted forms X^(r),
     built from one or two bordered matrices; `affine_catalog` is these rows
@@ -493,7 +483,7 @@ def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
 
     The catalog's rows are pairwise non-equivalent (`affine_catalog` checks
     it), so a row of the requested type that matches is the one catalog
-    entry `match_affine_label` would find, and no other row is read.
+    entry equivalent to gcm, and no other row is read.
     """
     for entry in own_type_forms(type_label):
         if gcm_equivalent(gcm, entry.gcm) is not None:
@@ -530,7 +520,7 @@ def graded_twist(
     """L(pi o tau_s): the algebra of `chevalley.type_twist_factors` and the
     eigengrading of the certified twist, built once per process.
 
-    Extraction and the centroid check of `classify.k_vs_r_classes` share it.
+    Extraction and the centroid check of `classify.classify_type` share it.
     """
     rs, alg, *factors = type_twist_factors(type_label, perm, charge)
     return rs, alg, eigengrading(alg, twist(alg, *factors))
@@ -555,10 +545,8 @@ def affine_certificate(
 ) -> ExtractionReport:
     """Full pipeline: build L(pi o tau_s), extract its GCM, match the label.
 
-    The GCM is matched against the requested type's own rows first
-    (`match_own_type`); only when none matches is the whole catalog read,
-    which names the label of another type or finds none, and either way the
-    request is refused.
+    The GCM is matched against the requested type's own rows alone
+    (`match_own_type`); when none matches, the request is refused.
     """
     rank = cartan_matrix(type_label).rank
     if perm is None:
@@ -566,9 +554,9 @@ def affine_certificate(
     if charge is None:
         charge = ToralCharge.trivial(rank)
     period, dims, cert = _extract_inner(type_label, perm, charge)
-    label = match_own_type(cert.gcm, type_label) or match_affine_label(cert.gcm)
-    if label.base_type != type_label:
-        raise AffineExtractError(f"the extracted matrix is {label}, not a form of {type_label}")
+    label = match_own_type(cert.gcm, type_label)
+    if label is None:
+        raise AffineExtractError(f"the extracted matrix matches no form of {type_label}")
     return ExtractionReport(
         type_label=type_label,
         perm=perm,

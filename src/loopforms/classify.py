@@ -10,6 +10,11 @@ merge does nothing because every element is conjugate to its inverse, and
 the centroid pins the base ring, which is why the two counts agree.  Both
 hypotheses are checked, not assumed: the inverse-conjugacy search is
 exhaustive and the centroid dimensions are recomputed per class.
+
+`classify_type` is the one entry point: it builds Out and its class table
+once and returns one `Classification`, whose rows carry each class's affine
+label, grading dims and centroid dims, and whose k-count merges inverse
+classes on that same table (`k_class_count`).
 """
 
 from __future__ import annotations
@@ -28,18 +33,17 @@ from .chevalley import (
 from .record import Record
 
 __all__ = [
+    "Classification",
     "ClassificationRow",
     "ClassifyError",
     "ConjClassTable",
     "InverseConjugacyReport",
-    "KvsRReport",
     "OutGroup",
-    "classification_table",
+    "classify_type",
     "conjugacy_classes",
     "dynkin_automorphism_group",
     "inverse_conjugacy_check",
-    "k_vs_r_classes",
-    "k_vs_r_counts",
+    "k_class_count",
 ]
 
 
@@ -152,11 +156,21 @@ def inverse_conjugacy_check(group: OutGroup) -> InverseConjugacyReport:
 
 
 class ClassificationRow(Record):
+    """One conjugacy class of Out: its twist L(pi), the affine label
+    extracted from it, and the centroid dims of that same grading."""
+
     class_rep: DiagramPermutation
     class_size: int
     twist_order: int
     affine_label: AffineLabel
     grading_dims: tuple[int, ...]
+    centroid_dims: tuple[int, ...]
+
+    @property
+    def centroid_ok(self) -> bool:
+        """One-dimensional in shift 0 and zero in every other shift (one
+        grading component per shift residue)."""
+        return self.centroid_dims == (1,) + (0,) * (len(self.grading_dims) - 1)
 
     def to_obj(self) -> dict:
         return {
@@ -168,17 +182,55 @@ class ClassificationRow(Record):
         }
 
 
-def classification_table(type_label: str) -> tuple[ClassificationRow, ...]:
-    """One row per diagram class: build L(pi), grade it, extract its label.
+class Classification(Record):
+    """The R-forms of one type, one row per class, and the k-count."""
 
-    Distinct classes must carry distinct labels; that is enforced here
-    rather than reported.
+    rows: tuple[ClassificationRow, ...]
+    k_classes: int
+    inverse_conjugacy_ok: bool
+
+    @property
+    def r_classes(self) -> int:
+        return len(self.rows)
+
+    @property
+    def centroid_ok(self) -> bool:
+        return all(row.centroid_ok for row in self.rows)
+
+    @property
+    def hypotheses_hold(self) -> bool:
+        return self.inverse_conjugacy_ok and self.centroid_ok
+
+
+def k_class_count(table: ConjClassTable) -> int:
+    """The classes of table after merging each class with the class of the
+    inverses: the k-classes, where the table's own classes are the R-classes."""
+    pairs = {frozenset((i, table.class_of(rep.inverse()))) for i, (rep, _) in enumerate(table.classes)}
+    return len(pairs)
+
+
+def classify_type(type_label: str) -> Classification:
+    """Classify the loop algebras of one type and verify both hypotheses.
+
+    Out and its class table are built once.  Each class representative pi
+    gives one row: L(pi) is built and graded once (`affine.graded_twist`),
+    and that grading yields both its affine label and its centroid dims.
+
+    The k-relation merges sigma with sigma^-1 (swapping the two ends of the
+    punctured line).  When every element is conjugate to its inverse and the
+    centroid of each L(pi) is one-dimensional in shift 0 and zero in every
+    other shift (so k-isomorphisms descend to R up to that swap), the two
+    counts must agree.  That, and distinct labels for distinct classes, are
+    enforced here rather than reported.
     """
     cartan = cartan_matrix(type_label)
-    table = conjugacy_classes(dynkin_automorphism_group(cartan))
+    group = dynkin_automorphism_group(cartan)
+    table = conjugacy_classes(group)
+    untwisted = ToralCharge.trivial(cartan.rank)
     rows = []
     for rep, size in table.classes:
         report = affine_certificate(type_label, perm=rep)
+        _, alg, grading = graded_twist(type_label, rep, untwisted)
         rows.append(
             ClassificationRow(
                 class_rep=rep,
@@ -186,79 +238,19 @@ def classification_table(type_label: str) -> tuple[ClassificationRow, ...]:
                 twist_order=rep.order(),
                 affine_label=report.label,
                 grading_dims=report.grading_dims,
+                centroid_dims=tuple(c.solution_dim for c in centroid_graded(alg, grading)),
             )
         )
     labels = [str(r.affine_label) for r in rows]
     if len(set(labels)) != len(labels):
         raise ClassifyError(f"classes share an affine label: {labels}")
-    return tuple(rows)
-
-
-def k_vs_r_counts(group: OutGroup) -> tuple[int, int]:
-    """(R-classes, k-classes): conjugacy classes before and after merging
-    each class with the class of the inverses."""
-    table = conjugacy_classes(group)
-    r_count = len(table.classes)
-    merged = []
-    seen: set[int] = set()
-    for index, (rep, _) in enumerate(table.classes):
-        if index in seen:
-            continue
-        partner = table.class_of(rep.inverse())
-        seen.add(index)
-        seen.add(partner)
-        merged.append({index, partner})
-    return r_count, len(merged)
-
-
-class KvsRReport(Record):
-    type_label: str
-    r_class_count: int
-    k_class_count: int
-    inverse_conjugacy_ok: bool
-    centroid_ok: bool
-    centroid_dims: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.inverse_conjugacy_ok and self.centroid_ok
-
-
-def k_vs_r_classes(type_label: str) -> KvsRReport:
-    """Compare R- and k-isomorphism class counts and verify both hypotheses.
-
-    The k-relation merges sigma with sigma^-1 (swapping the two ends of the
-    punctured line).  When every element is conjugate to its inverse and the
-    centroid of each fixture L(pi) is one-dimensional in shift 0 and zero in
-    every other shift (so k-isomorphisms descend to R up to that swap), the
-    two counts must agree, and we assert that they do.
-    """
-    cartan = cartan_matrix(type_label)
-    group = dynkin_automorphism_group(cartan)
-    r_count, k_count = k_vs_r_counts(group)
-    inverse_ok = inverse_conjugacy_check(group).ok
-    centroid_dims = []
-    centroid_ok = True
-    table = conjugacy_classes(group)
-    untwisted = ToralCharge.trivial(cartan.rank)
-    for rep, _ in table.classes:
-        # the grading of L(pi) that classification_table extracts from
-        _, alg, grading = graded_twist(type_label, rep, untwisted)
-        dims = tuple(report.solution_dim for report in centroid_graded(alg, grading))
-        centroid_dims.append((rep.images, dims))
-        expected = (1,) + (0,) * (grading.period - 1)
-        if dims != expected:
-            centroid_ok = False
-    if inverse_ok and centroid_ok:
-        if r_count != k_count:
-            raise ClassifyError(
-                f"hypotheses hold but counts differ: {r_count} vs {k_count}"
-            )
-    return KvsRReport(
-        type_label=type_label,
-        r_class_count=r_count,
-        k_class_count=k_count,
-        inverse_conjugacy_ok=inverse_ok,
-        centroid_ok=centroid_ok,
-        centroid_dims=tuple(centroid_dims),
+    result = Classification(
+        rows=tuple(rows),
+        k_classes=k_class_count(table),
+        inverse_conjugacy_ok=inverse_conjugacy_check(group).ok,
     )
+    if result.hypotheses_hold and result.r_classes != result.k_classes:
+        raise ClassifyError(
+            f"hypotheses hold but counts differ: {result.r_classes} vs {result.k_classes}"
+        )
+    return result

@@ -262,18 +262,17 @@ def _cmd_grade(args: _Args) -> dict:
 def _cmd_classify(args: _Args) -> dict:
     source = _one_source(args, ("type", "matrix-algebra"))
     if source == "type":
-        from .classify import classification_table, k_vs_r_classes
+        from .classify import classify_type
 
-        rows = classification_table(args.type)
-        kvr = k_vs_r_classes(args.type)
+        result = classify_type(args.type)
         return {
             "type": args.type,
-            "classes": [row.to_obj() for row in rows],
-            "r_classes": kvr.r_class_count,
-            "k_classes": kvr.k_class_count,
-            "inverse_conjugacy": kvr.inverse_conjugacy_ok,
-            "centroid_trivial": kvr.centroid_ok,
-            "status": "pass" if kvr.hypotheses_hold else "fail",
+            "classes": [row.to_obj() for row in result.rows],
+            "r_classes": result.r_classes,
+            "k_classes": result.k_classes,
+            "inverse_conjugacy": result.inverse_conjugacy_ok,
+            "centroid_trivial": result.centroid_ok,
+            "status": "pass" if result.hypotheses_hold else "fail",
         }
     from .descent import coboundary_witness, matrix_twist_factors, untwist_iso
 

@@ -3,20 +3,21 @@ import importlib.util
 import json
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from loopforms import cli
+from loopforms import classify, cli
+from loopforms.affine import AffineLabel
 from loopforms.chevalley import TYPE_LABELS, DiagramPermutation, cartan_matrix
 from loopforms.classify import (
     ClassifyError,
     OutGroup,
-    classification_table,
+    classify_type,
     conjugacy_classes,
     dynkin_automorphism_group,
     inverse_conjugacy_check,
-    k_vs_r_classes,
-    k_vs_r_counts,
+    k_class_count,
 )
 
 # element counts of the Dynkin symmetry groups, and their class counts
@@ -98,7 +99,9 @@ def test_cyclic3_shows_the_k_vs_r_gap():
     """A cyclic group of order 3 is abelian, so conjugation never reaches the
     inverse; merging inverse classes drops 3 classes to 2."""
     c3 = _cyclic3()
-    assert k_vs_r_counts(c3) == (3, 2)
+    table = conjugacy_classes(c3)
+    assert len(table.classes) == 3
+    assert k_class_count(table) == 2
     report = inverse_conjugacy_check(c3)
     assert not report.ok
     missing = [g for g, h in report.witnesses if h is None]
@@ -119,7 +122,7 @@ def test_conjugacy_class_lookup():
 
 
 def test_classification_rows_a2():
-    rows = classification_table("A2")
+    rows = classify_type("A2").rows
     assert [str(r.affine_label) for r in rows] == ["A2^(1)", "A2^(2)"]
     assert [r.twist_order for r in rows] == [1, 2]
     assert [r.class_size for r in rows] == [1, 1]
@@ -128,7 +131,7 @@ def test_classification_rows_a2():
 
 
 def test_classification_rows_d4():
-    rows = classification_table("D4")
+    rows = classify_type("D4").rows
     assert sorted(str(r.affine_label) for r in rows) == ["D4^(1)", "D4^(2)", "D4^(3)"]
     by_order = {r.twist_order: r for r in rows}
     assert by_order[1].grading_dims == (28,)
@@ -143,22 +146,78 @@ def test_classification_rows_d4():
 
 @pytest.mark.parametrize("label,count", [("A1", 1), ("B2", 1), ("G2", 1), ("A3", 2)])
 def test_classification_row_counts(label, count):
-    assert len(classification_table(label)) == count
+    assert len(classify_type(label).rows) == count
 
 
 def test_k_vs_r_equal_with_hypotheses():
-    report = k_vs_r_classes("A3")
-    assert report.hypotheses_hold
-    assert report.r_class_count == report.k_class_count == 2
-    for _, dims in report.centroid_dims:
-        assert dims[0] == 1
-        assert all(d == 0 for d in dims[1:])
+    result = classify_type("A3")
+    assert result.hypotheses_hold
+    assert result.r_classes == result.k_classes == 2
+    for row in result.rows:
+        assert row.centroid_dims[0] == 1
+        assert all(d == 0 for d in row.centroid_dims[1:])
 
 
 def test_k_vs_r_single_class_b2():
-    report = k_vs_r_classes("B2")
-    assert report.r_class_count == report.k_class_count == 1
-    assert report.hypotheses_hold
+    result = classify_type("B2")
+    assert result.r_classes == result.k_classes == 1
+    assert result.hypotheses_hold
+
+
+# -- what a classify request checks, and how often it builds Out ------------------
+
+
+def _classify_a2(capsys):
+    code = cli.main(["classify", "--type", "A2"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_classify_fails_on_a_nontrivial_centroid(monkeypatch, capsys):
+    # every class reports dims (1, 1): the flip class expects (1, 0), and
+    # the identity class one dim for its one shift
+    monkeypatch.setattr(
+        classify, "centroid_graded", lambda alg, grading: (SimpleNamespace(solution_dim=1),) * 2
+    )
+    code, report = _classify_a2(capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["payload"]["centroid_trivial"] is False
+
+
+def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
+    real = classify.affine_certificate
+
+    def untwisted_label(type_label, perm):
+        dims = real(type_label, perm=perm).grading_dims
+        return SimpleNamespace(label=AffineLabel(type_label, 1), grading_dims=dims)
+
+    monkeypatch.setattr(classify, "affine_certificate", untwisted_label)
+    code, report = _classify_a2(capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["error"].startswith("ClassifyError: classes share an affine label")
+
+
+def test_classify_refuses_counts_that_differ_under_both_hypotheses(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "k_class_count", lambda table: len(table.classes) + 1)
+    code, report = _classify_a2(capsys)
+    assert code == 1
+    assert report["error"] == "ClassifyError: hypotheses hold but counts differ: 2 vs 3"
+
+
+def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
+    calls = {"dynkin_automorphism_group": 0, "conjugacy_classes": 0}
+    for name in calls:
+        real = getattr(classify, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    assert cli.main(["classify", "--type", "D4"]) == 0
+    capsys.readouterr()
+    assert calls == {"dynkin_automorphism_group": 1, "conjugacy_classes": 1}
 
 
 # -- recorded stdout ---------------------------------------------------------------

@@ -104,6 +104,19 @@ def _words(*names):
             _words("_increasing_triples", "_live_triples") + r"|repeat=3",
             id="triple enumerator",
         ),
+        # a type is classified by classify.classify_type alone, which builds
+        # Out and its class table once, and a label is matched against the
+        # requested type's own rows only: no second report, no catalog scan
+        pytest.param(
+            _words(
+                "classification_table",
+                "k_vs_r_classes",
+                "k_vs_r_counts",
+                "KvsRReport",
+                "match_affine_label",
+            ),
+            id="second classification path",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
