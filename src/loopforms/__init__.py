@@ -59,8 +59,6 @@ _EXPORTS = {
         "build_cocycle",
         "build_matrix_algebra",
         "coboundary_witness",
-        "loop_bracket",
-        "loop_element",
         "matrix_twist_factors",
         "twisted_fixed_points",
         "untwist_iso",

@@ -10,7 +10,7 @@ the table's nonzero products (`_left_paths`), and the table keeps that
 certificate (`MultTableAlgebra.validation`), so it is computed once per table.
 
 This module is the table layer only.  Automorphisms and gradings are in
-`grading`, the graded centroid in `centroid`, and loop elements in `descent`,
+`grading`, the graded centroid in `centroid`, and descent data in `descent`,
 so a request that only builds or validates a table compiles none of them.
 
 All verification here is exact and total over the stated ranges; nothing is

@@ -101,12 +101,16 @@ def _chain(l: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def cartan_matrix(label: str) -> FiniteCartanMatrix:
-    """Cartan matrix for A1..E8, F4, G2, in Bourbaki's node numbering.
+    """Cartan matrix for A1..E8, F4, G2; A, D and E in Bourbaki's node
+    numbering, B, C, F and G not.
 
-    B_l and C_l are transposed against Bourbaki: the -2 of "B<l>" sits where
-    Bourbaki's C_l has it, so read with a_ij = <alpha_i^vee, alpha_j>, as
-    `root_system` does, "B3" has the highest root (2, 2, 1) of C3.  This
-    stands until the two labels are exchanged (ROADMAP item 1).
+    Read with a_ij = <alpha_i^vee, alpha_j>, as `root_system` does, B_l and
+    C_l are transposed against Bourbaki: the -2 of "B<l>" sits where
+    Bourbaki's C_l has it, so "B3" has the highest root (2, 2, 1) of C3 and
+    "B2" has (2, 1), not (1, 2).  F4 and G2 are numbered in reverse: their
+    highest roots come out as (2, 4, 3, 2) and (2, 3), where Bourbaki has
+    (2, 3, 4, 2) and (3, 2).  This stands until ROADMAP item 1 renumbers
+    them.
     """
     if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdigit():
         raise LieConstructError(f"unknown type label {label!r}")

@@ -12,17 +12,14 @@ twisted fixed points of u recover the loop algebra L(sigma) degree by degree.
 Every check here holds in all degrees, not on a degree window.  The untwisting
 map is a degree shift, which is an algebra map exactly when the shift is
 additive on the multiplication table, so bracket preservation is one pass over
-the table's nonzero products.  Every other identity depends on the degree j
-only through j mod the period, so one period of residues covers all degrees,
-and no function here takes a degree window.  The `window` a report shows is
+the table's nonzero products; it lands in the right components exactly when
+the twist is outer o diag(zeta^shift) with the shift constant on the orbits
+of outer, one pass over the basis.  Every other identity depends on the
+degree j only through j mod the period, so one period of residues covers all
+degrees, and no function here takes a degree window.  The `window` a report shows is
 read off the period it already has (two periods on the untwist and
 twisted-fixed-point checks, 2m on the coboundary identity, one period on the
 cocycle identity) and bounds nothing that is checked.
-
-Elements of the loop algebra live here too: a `LoopElement` is a finite sum
-of homogeneous terms, {degree: sparse vector}; `ts_product` multiplies two in
-A tensor k[z, 1/z], and `loop_bracket` also checks that both factors and the
-product lie on the grading.  The untwisting map moves them degree by degree.
 
 Conventions, pinned by the checks in this module:
 
@@ -37,37 +34,30 @@ for the inner part of the automorphism group.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 from .algebra import MultTableAlgebra, make_table
 from .cyclo import CycloNum, zeta_power
 from .grading import (
     FiniteOrderAutomorphism,
     GradedDecomposition,
-    GradingError,
     check_diagonal_automorphism,
-    eigengrading,
     twist,
 )
-from .linalg import Sparse, nullspace, sparse_add
+from .linalg import Sparse, nullspace
 from .record import Record
 
 __all__ = [
     "CheckReport",
     "DescentError",
     "LoopCocycle",
-    "LoopElement",
     "UntwistIso",
     "build_cocycle",
     "build_matrix_algebra",
-    "check_loop_element",
     "coboundary_witness",
     "fixed_point_report",
-    "loop_bracket",
-    "loop_element",
     "matrix_twist_factors",
     "matrix_unit_shifts",
-    "ts_product",
     "twisted_fixed_points",
     "untwist_iso",
 ]
@@ -75,58 +65,6 @@ __all__ = [
 
 class DescentError(ValueError):
     pass
-
-
-# -- loop elements -------------------------------------------------------------
-
-
-class LoopElement(Record):
-    """Finite sum of homogeneous terms a * z^degree: `terms` maps each degree
-    to a nonzero sparse vector, degrees in increasing order."""
-
-    terms: dict[int, Sparse]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def loop_element(terms: Iterable[tuple[int, Sparse]]) -> LoopElement:
-    """Normalize: merge equal degrees, drop zero vectors, sort by degree."""
-    acc: dict[int, Sparse] = {}
-    for d, v in terms:
-        sparse_add(acc.setdefault(d, {}), v)
-    return LoopElement({d: acc[d] for d in sorted(acc) if acc[d]})
-
-
-def check_loop_element(grading: GradedDecomposition, x: LoopElement) -> None:
-    """Each term of a loop element must lie in the component of its residue."""
-    for d, v in x.terms.items():
-        if not grading.component_solver(d % grading.period).contains(v):
-            raise GradingError(f"term at degree {d} is not in component {d % grading.period}")
-
-
-def ts_product(alg: MultTableAlgebra, x: LoopElement, y: LoopElement) -> LoopElement:
-    """Product in A tensor k[z, 1/z]: multiply coefficients, add degrees."""
-    return loop_element(
-        (d1 + d2, alg.product_sparse(v1, v2))
-        for d1, v1 in x.terms.items()
-        for d2, v2 in y.terms.items()
-    )
-
-
-def loop_bracket(
-    alg: MultTableAlgebra, grading: GradedDecomposition, x: LoopElement, y: LoopElement
-) -> LoopElement:
-    """Multiply two elements of the twisted loop algebra, checking the grading.
-
-    Inputs must be supported on the grading (term at degree d inside component
-    d mod m); the result is verified to be as well before it is returned.
-    """
-    check_loop_element(grading, x)
-    check_loop_element(grading, y)
-    result = ts_product(alg, x, y)
-    check_loop_element(grading, result)
-    return result
 
 
 # -- cocycles ------------------------------------------------------------------
@@ -296,35 +234,20 @@ def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:
 # -- untwisting ----------------------------------------------------------------
 
 
-def _shift_element(x: LoopElement, shifts: Sequence[int], direction: int) -> LoopElement:
-    """Move each weight component of x down (direction=+1) or up by its shift.
-
-    Each basis index has one shift, so two degrees of x never send the same
-    index to the same degree: entries are moved, never added.
-    """
-    moved: dict[int, Sparse] = {}
-    for j, v in x.terms.items():
-        for idx, c in v.items():
-            moved.setdefault(j - direction * shifts[idx], {})[idx] = c
-    return LoopElement({d: moved[d] for d in sorted(moved)})
-
-
 class UntwistIso(Record):
     """Degree-shifting isomorphism from L(outer o diag(zeta_m^p)) onto L(outer).
 
     Both sides are graded with the common period M = lcm(|outer|, m); the
     target then occupies only the degrees divisible by M/|outer|, which is
-    the usual relabeling t = z^M.  `shifts` holds the per-basis-vector degree drop.
-    The report shows a window of two periods, as its checks do.
+    the usual relabeling t = z^M.  `shifts` holds the per-basis-vector degree
+    drop, e_k z^j -> e_k z^(j - shifts[k]).  The report shows a window of
+    two periods, as its checks do.
     """
 
     period: int
     toral_modulus: int
     shifts: tuple[int, ...]
     checks: tuple[CheckReport, ...]
-
-    def apply(self, x: LoopElement) -> LoopElement:
-        return _shift_element(x, self.shifts, +1)
 
     def to_obj(self) -> dict:
         return {
@@ -336,43 +259,66 @@ class UntwistIso(Record):
         }
 
 
+_UNTWIST_CHECKS = ("lands-in-target", "lands-in-source", "bracket-preservation", "t-intertwine")
+
+
+def _off_factor(
+    sigma: FiniteOrderAutomorphism, outer: FiniteOrderAutomorphism, shifts: Sequence[int]
+) -> Optional[int]:
+    """The first basis index k at which sigma is not outer o diag(zeta_M^shifts),
+    M = sigma.period, or None: sigma must send e_k to
+    outer.scalars[k] zeta_M^shifts[k] e_(outer.images[k])."""
+    order = sigma.scalar_order
+    step = order // sigma.period
+    for k, (image, scalar) in enumerate(zip(sigma.images, sigma.scalars)):
+        diagonal = zeta_power(order, step * shifts[k])
+        if image != outer.images[k] or scalar != outer.scalars[k] * diagonal:
+            return k
+    return None
+
+
 def _verify_untwist(
     alg: MultTableAlgebra,
-    source_grading: GradedDecomposition,
-    target_grading: GradedDecomposition,
+    sigma: FiniteOrderAutomorphism,
+    outer: FiniteOrderAutomorphism,
     shifts: Sequence[int],
 ) -> tuple[CheckReport, ...]:
-    """Certify phi: e_k z^j -> e_k z^(j - shifts[k]) in every degree.
+    """Certify phi: e_k z^j -> e_k z^(j - shifts[k]) from L(sigma) onto
+    L(outer), both graded mod M = sigma.period, in every degree.
 
-    phi commutes with multiplication by z^M (M the common period), and the
-    components are indexed by degree mod M, so landing and t-intertwining
-    are checked on each component vector at the one degree 0 <= r < M of
-    its residue.  phi(e_a z^i . e_b z^j) and phi(e_a z^i) phi(e_b z^j) have
-    the same terms, at degrees i + j - shifts[c] and i + j - shifts[a] -
-    shifts[b], so phi preserves products in all degrees exactly when the
-    shift is additive on every nonzero product of the table.  Each check
-    raises on failure; the reports of those that passed show a window of two
-    periods.
+    Landing rests on two clauses on the basis, both reported as
+    lands-in-target: sigma = outer o diag(zeta^shifts) with zeta = zeta_M
+    (the factor clause), and shifts[outer.images[k]] = shifts[k] as integers
+    (the invariance clause).  Split v = sum_s v^(s) by shift class.  Outer
+    preserves each class, and diag acts on class s as zeta^s, so sigma
+    preserves each class too and sigma v = zeta^r v gives, class by class,
+    outer v^(s) = zeta^(r - s) v^(s).  So the piece of phi(v z^r) at degree
+    r - s, which is v^(s), lies in outer's component r - s: phi lands in
+    the target.  Conversely outer w = zeta^r w gives sigma w^(s) =
+    zeta^(r + s) w^(s), so phi^-1(w z^r) lands in the source.  An outer
+    eigenvector is supported on whole orbits, so a shift that agrees on an
+    orbit only mod M splits it across degrees: agreement mod M is not enough.
+
+    phi(e_a z^i . e_b z^j) and phi(e_a z^i) phi(e_b z^j) have the same
+    terms, at degrees i + j - shifts[c] and i + j - shifts[a] - shifts[b],
+    so phi preserves products in all degrees exactly when the shift is
+    additive on every nonzero product of the table.  phi moves each basis
+    vector by one integer, so it commutes with multiplication by t = z^M by
+    its form (t-intertwine).  Each check raises on failure; the reports show
+    a window of two periods.
     """
-    m = source_grading.period
-    passed = []
-
-    def land(grading_from: GradedDecomposition, grading_to: GradedDecomposition, direction: int, name: str) -> None:
-        for r in range(m):
-            for v in grading_from.component_bases[r]:
-                image = _shift_element(LoopElement({r: v}), shifts, direction)
-                for d, piece in image.terms.items():
-                    if not grading_to.component_solver(d % m).contains(piece):
-                        raise DescentError(
-                            f"{name}: degree {r} image piece at degree {d} "
-                            "escapes the expected component"
-                        )
-        passed.append(name)
-
-    land(source_grading, target_grading, +1, "lands-in-target")
-    land(target_grading, source_grading, -1, "lands-in-source")
-
     labels = alg.basis_labels
+    k = _off_factor(sigma, outer, shifts)
+    if k is not None:
+        raise DescentError(
+            f"lands-in-target: the twist on {labels[k]} is not outer o zeta^{shifts[k]}"
+        )
+    for k, image in enumerate(outer.images):
+        if shifts[image] != shifts[k]:
+            raise DescentError(
+                f"lands-in-target: shift {shifts[image]} of {labels[image]} is not "
+                f"the shift {shifts[k]} of {labels[k]} on its orbit"
+            )
     for a, b, _ in alg.constants:
         for c, _ in alg.basis_product(a, b):
             if shifts[c] != shifts[a] + shifts[b]:
@@ -380,16 +326,8 @@ def _verify_untwist(
                     f"bracket preservation fails on the pair ({labels[a]}, {labels[b]}): "
                     f"shift {shifts[c]} of {labels[c]} is not {shifts[a]} + {shifts[b]}"
                 )
-    passed.append("bracket-preservation")
-
-    for r in range(m):
-        for v in source_grading.component_bases[r]:
-            lhs = _shift_element(LoopElement({r + m: v}), shifts, +1)
-            image = _shift_element(LoopElement({r: v}), shifts, +1)
-            if lhs.terms != {d + m: piece for d, piece in image.terms.items()}:
-                raise DescentError(f"t-action intertwining fails at degree {r}")
-    passed.append("t-intertwine")
-    return tuple(CheckReport(check=name, window=2 * m, status="pass") for name in passed)
+    window = 2 * sigma.period
+    return tuple(CheckReport(check=name, window=window, status="pass") for name in _UNTWIST_CHECKS)
 
 
 def untwist_iso(
@@ -399,7 +337,7 @@ def untwist_iso(
     m: int,
 ) -> UntwistIso:
     """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), verified in
-    every degree.
+    every degree from the two factors, with no grading computed.
 
     The twist is `grading.twist(alg, outer, exponents, m)`: for a type label
     outer is the diagram automorphism of pi and p_j = <s, weight of e_j>, for
@@ -409,13 +347,9 @@ def untwist_iso(
     common-period grading.
     """
     sigma = twist(alg, outer, exponents, m)
-    period = sigma.period
-    step = period // m
-    shifts = tuple(step * p for p in exponents)
-    source_grading = eigengrading(alg, sigma)
-    target_grading = eigengrading(alg, outer.with_period(period))
-    checks = _verify_untwist(alg, source_grading, target_grading, shifts)
-    return UntwistIso(period=period, toral_modulus=m, shifts=shifts, checks=checks)
+    shifts = tuple((sigma.period // m) * p for p in exponents)
+    checks = _verify_untwist(alg, sigma, outer, shifts)
+    return UntwistIso(period=sigma.period, toral_modulus=m, shifts=shifts, checks=checks)
 
 
 # -- coboundary witnesses --------------------------------------------------------
@@ -432,22 +366,17 @@ def _verify_coboundary(
     and no net degree move: u(n) by diag^(-n), and a^-1 gamma^n a gamma^-n by
     zeta^(-step n j) zeta^(step n (j - s)), in which j cancels.  So the
     identity is diag[idx]^(-n) = zeta^(-step n s) for each residue n and
-    basis index idx; the report shows a window of 2m.
+    basis index idx.  Both sides are the n-th powers of their values at
+    n = 1, so residue 1 covers every residue, and there the identity is the
+    factor clause of `_verify_untwist` with the identity as outer map:
+    sigma = diag(zeta^shifts).  The report shows a window of 2m.
     """
-    m = sigma.period
-    order = sigma.scalar_order
-    dim = sigma.dim
-    if sigma.images != tuple(range(dim)):
-        raise DescentError("witness construction needs a diagonal (toral) twist")
-    diag = sigma.scalars
-    step = order // m
-    for n in range(m):
-        for idx in range(dim):
-            # u(n): scalar diag^(-n); a^-1 gamma^n a gamma^-n: zeta^(-step n s)
-            lhs_scalar = diag[idx].inverse() ** n if n else CycloNum.one(order)
-            if lhs_scalar != zeta_power(order, -step * n * shifts[idx]):
-                raise DescentError(f"coboundary identity fails at residue {n}, basis {idx}")
-    return (CheckReport(check="coboundary-identity", window=2 * m, status="pass"),)
+    one = CycloNum.one(sigma.scalar_order)
+    identity = FiniteOrderAutomorphism(tuple(range(sigma.dim)), (one,) * sigma.dim, 1)
+    k = _off_factor(sigma, identity, shifts)
+    if k is not None:
+        raise DescentError(f"coboundary identity fails at residue 1, basis {k}")
+    return (CheckReport(check="coboundary-identity", window=2 * sigma.period, status="pass"),)
 
 
 def coboundary_witness(

@@ -11,8 +11,8 @@ certified finite-order automorphism with period m dividing that scalar order
 splits the algebra into eigenspace components A_i for the eigenvalues
 zeta_m^i, written down in closed form cycle by cycle; that decomposition is
 a Z/m grading, by the automorphism's certificate, and is the combinatorial
-heart of everything downstream: loop elements (`descent`) live on it, and
-the centroid (`centroid`) is solved on it.
+heart of everything downstream: the twisted fixed points (`descent`) are
+compared with it, and the centroid (`centroid`) is solved on it.
 
 Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.

@@ -11,9 +11,10 @@ sparse vector into a dense tuple.  `twist_fixture` builds the twists those
 differential tests run on.  `ordered_triple_validation` evaluates the Lie or
 associative law on all n^3 ordered basis triples through `product_sparse`,
 the reference for the reduced certificate of `validate_algebra`.
-`windowed_untwist_check` brackets every pair of component slices in a degree
-window, the reference for the table-and-residue certificate of
-`descent._verify_untwist`, and `base_change_check` checks a grading degree by
+`windowed_untwist_check` moves every component slice of a degree window
+between the two gradings and brackets every pair of slices, on
+{degree: sparse vector} loop elements, the reference for the factor and
+table certificate of `descent._verify_untwist`, and `base_change_check` checks a grading degree by
 degree in a window.  `FractionCyclo` is Q(zeta_m) on Fraction coefficients,
 the reference for the integer numerators and one denominator of `CycloNum`.
 `kernel_affine_roots` decomposes each grading component by one nullspace per
@@ -64,14 +65,11 @@ from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
 from loopforms.descent import (
     CheckReport,
     DescentError,
-    LoopElement,
     UntwistIso,
     _verify_coboundary,
     _verify_untwist,
     build_matrix_algebra,
-    loop_element,
     matrix_unit_shifts,
-    ts_product,
 )
 from loopforms.grading import (
     AutomorphismError,
@@ -82,7 +80,6 @@ from loopforms.grading import (
     _check_period,
     check_automorphism,
     check_diagonal_automorphism,
-    eigengrading,
     twist,
 )
 from loopforms.linalg import Sparse, SpanSolver, eliminate, nullspace, rank, sparse_add
@@ -557,14 +554,34 @@ def kernel_affine_roots(
 # -- windowed untwist oracle -------------------------------------------------------
 
 
-def _shift_degrees(x: LoopElement, offset: int) -> LoopElement:
-    return LoopElement({d + offset: v for d, v in x.terms.items()})
+# a loop element is a finite sum of terms a z^d, kept as {degree: sparse
+# vector} with degrees increasing and no zero vector
+LoopTerms = dict[int, Sparse]
 
 
-def _untwist_element(x: LoopElement, shifts: Sequence[int], direction: int) -> LoopElement:
+def _loop_terms(terms) -> LoopTerms:
+    """Merge equal degrees, drop zero vectors, sort by degree."""
+    acc: LoopTerms = {}
+    for d, v in terms:
+        sparse_add(acc.setdefault(d, {}), v)
+    return {d: acc[d] for d in sorted(acc) if acc[d]}
+
+
+def _loop_product(alg: MultTableAlgebra, x: LoopTerms, y: LoopTerms) -> LoopTerms:
+    """Product in A tensor k[z, 1/z]: multiply coefficients, add degrees."""
+    return _loop_terms(
+        (d1 + d2, alg.product_sparse(v1, v2)) for d1, v1 in x.items() for d2, v2 in y.items()
+    )
+
+
+def _shift_degrees(x: LoopTerms, offset: int) -> LoopTerms:
+    return {d + offset: v for d, v in x.items()}
+
+
+def _untwist_element(x: LoopTerms, shifts: Sequence[int], direction: int) -> LoopTerms:
     """e_k z^j -> e_k z^(j - direction * shifts[k]), term by term."""
-    return loop_element(
-        (j - direction * shifts[k], {k: c}) for j, v in x.terms.items() for k, c in v.items()
+    return _loop_terms(
+        (j - direction * shifts[k], {k: c}) for j, v in x.items() for k, c in v.items()
     )
 
 
@@ -592,8 +609,8 @@ def windowed_untwist_check(
         (target_grading, source_grading, -1, "lands-in-source"),
     ):
         for j, v in slices(grading_from):
-            image = _untwist_element(loop_element([(j, v)]), shifts, direction)
-            for d, piece in image.terms.items():
+            image = _untwist_element({j: v}, shifts, direction)
+            for d, piece in image.items():
                 if not grading_to.component_solver(d % m).contains(piece):
                     raise DescentError(f"{name}: degree {j} image piece at degree {d}")
     source_slices = slices(source_grading)
@@ -603,14 +620,13 @@ def windowed_untwist_check(
         for j, w in source_slices:
             if abs(i + j) > window:
                 continue
-            x = loop_element([(i, v)])
-            y = loop_element([(j, w)])
-            lhs = _untwist_element(ts_product(alg, x, y), shifts, +1)
-            rhs = ts_product(alg, _untwist_element(x, shifts, +1), _untwist_element(y, shifts, +1))
+            x, y = {i: v}, {j: w}
+            lhs = _untwist_element(_loop_product(alg, x, y), shifts, +1)
+            rhs = _loop_product(alg, _untwist_element(x, shifts, +1), _untwist_element(y, shifts, +1))
             if lhs != rhs:
                 raise DescentError(f"bracket preservation fails on slice pair ({i}, {j})")
     for j, v in source_slices:
-        x = loop_element([(j, v)])
+        x = {j: v}
         lhs = _untwist_element(_shift_degrees(x, m), shifts, +1)
         rhs = _shift_degrees(_untwist_element(x, shifts, +1), m)
         if lhs != rhs:
@@ -914,9 +930,7 @@ def untwist_matrix_iso(
     shifts = matrix_unit_shifts(n, exponents)
     sigma = check_diagonal_automorphism(alg, shifts, m)
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, m)
-    source_grading = eigengrading(alg, sigma)
-    target_grading = eigengrading(alg, identity)
-    checks = _verify_untwist(alg, source_grading, target_grading, shifts)
+    checks = _verify_untwist(alg, sigma, identity, shifts)
     return UntwistIso(period=m, toral_modulus=m, shifts=shifts, checks=checks)
 
 

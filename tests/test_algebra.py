@@ -9,7 +9,6 @@ from dense import (
     product_rule_check,
     all_pairs_centroid,
     base_change_check,
-    basis_vector,
     dense_check_automorphism,
     densify,
     mat_inverse,
@@ -57,9 +56,6 @@ from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.descent import (
     build_cocycle,
     build_matrix_algebra,
-    loop_bracket,
-    loop_element,
-    ts_product,
     twisted_fixed_points,
 )
 from loopforms.linalg import SpanSolver, nullspace
@@ -768,27 +764,6 @@ def test_check_automorphism_agrees_with_dense_on_signed_permutations(build, kind
             assert refused == _raises_automorphism_error(dense_check_automorphism, alg, matrix, period)
             seen.add((refused, hits_zero))
     assert seen == kinds
-
-
-def test_loop_product_adds_degrees():
-    alg, _, grading = _sl2_graded()
-    h, e, f = (basis_vector(alg, i) for i in range(3))
-    x = loop_element([(1, e)])
-    y = loop_element([(-1, f)])
-    out = loop_bracket(alg, grading, x, y)
-    assert out == loop_element([(0, h)])
-    dense = {d: densify(v, alg.dim, alg.scalar_order) for d, v in out.terms.items()}
-    assert dense == {0: densify(h, alg.dim, alg.scalar_order)}
-    # [e z, e z] = 0
-    assert ts_product(alg, x, x).is_zero()
-
-
-def test_loop_bracket_rejects_misgraded_input():
-    alg, _, grading = _sl2_graded()
-    e = basis_vector(alg, 1)
-    bad = loop_element([(0, e)])  # e lives in residue 1, not 0
-    with pytest.raises(ValueError):
-        loop_bracket(alg, grading, bad, bad)
 
 
 def test_base_change_flattens_in_window():

@@ -154,6 +154,25 @@ def test_highest_root_by_reflection_matches_closure(label):
     assert highest_root(cartan) == root_system(cartan).positives[-1]
 
 
+# Bourbaki (Lie, Plates II-IX): theta = a1 + 2a2 + ... + 2al on B_l,
+# 2a1 + ... + 2a(l-1) + al on C_l, 2a1 + 3a2 + 4a3 + 2a4 on F4, 3a1 + 2a2 on G2
+_BOURBAKI_HIGHEST_ROOTS = {
+    **{f"B{l}": (1,) + (2,) * (l - 1) for l in range(2, 9)},
+    **{f"C{l}": (2,) * (l - 1) + (1,) for l in range(3, 9)},
+    "F4": (2, 3, 4, 2),
+    "G2": (3, 2),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="B/C labels are exchanged and F4, G2 numbered in reverse (ROADMAP item 1)",
+)
+def test_highest_roots_follow_bourbaki():
+    found = {label: highest_root(cartan_matrix(label)) for label in _BOURBAKI_HIGHEST_ROOTS}
+    assert found == _BOURBAKI_HIGHEST_ROOTS
+
+
 @pytest.mark.parametrize("label", TYPE_LABELS)
 def test_symmetrizers_are_the_smallest_integers(label):
     a = cartan_matrix(label).entries
@@ -579,9 +598,8 @@ _TAMPERED_UNDER_O = textwrap.dedent(
 
     one = cyclo.CycloNum.one(alg.scalar_order)
     identity = check_automorphism(alg, range(3), [one] * 3, 2)
-    target = eigengrading(alg, identity)
     try:
-        descent._verify_untwist(alg, grading, target, (0, 3, -1))
+        descent._verify_untwist(alg, sigma, identity, (0, 3, -1))
     except descent.DescentError as exc:
         print("refused:", exc)
     """

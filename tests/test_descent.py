@@ -7,7 +7,6 @@ import pytest
 
 from dense import (
     TWIST_FIXTURES,
-    basis_vector,
     coboundary_witness_matrix,
     densify,
     is_identity,
@@ -17,7 +16,7 @@ from dense import (
     untwist_matrix_iso,
     windowed_untwist_check,
 )
-from loopforms import acceptance, cli, descent
+from loopforms import acceptance, cli, descent, grading
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
@@ -34,7 +33,6 @@ from loopforms.descent import (
     build_cocycle,
     build_matrix_algebra,
     coboundary_witness,
-    loop_element,
     matrix_twist_factors,
     matrix_unit_shifts,
     twisted_fixed_points,
@@ -148,19 +146,21 @@ def test_tampered_cocycle_detected():
 # -- untwisting ------------------------------------------------------------------
 
 
+_UNTWIST_ROWS = ("lands-in-target", "lands-in-source", "bracket-preservation", "t-intertwine")
+
+
+def _untwist_rows(window):
+    return [{"check": name, "window": window, "status": "pass"} for name in _UNTWIST_ROWS]
+
+
 def test_untwist_sl2_moves_weight_lines():
     alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
     iso = untwist_iso(alg, *factors)
     assert iso.period == 2
+    # basis order h, e, f: e drops one degree, f gains one, h stays
+    assert alg.basis_labels == ("h1", "e[1]", "f[1]")
     assert iso.shifts == (0, 1, -1)
-    assert all(c.status == "pass" for c in iso.checks)
-    h, e, f = (basis_vector(alg, i) for i in range(3))
-    # e drops one degree, f gains one, h stays
-    assert iso.apply(loop_element([(1, e)])) == loop_element([(0, e)])
-    assert iso.apply(loop_element([(0, f)])) == loop_element([(1, f)])
-    assert iso.apply(loop_element([(2, h)])) == loop_element([(2, h)])
-    mixed = loop_element([(1, e), (-1, f), (0, h)])
-    assert descent._shift_element(iso.apply(mixed), iso.shifts, -1) == mixed
+    assert [c.to_obj() for c in iso.checks] == _untwist_rows(4)
 
 
 def test_untwist_composed_flip_passes(monkeypatch, capsys):
@@ -178,7 +178,7 @@ def test_untwist_composed_flip_passes(monkeypatch, capsys):
     argv = ["untwist", "--type", "A2", "--auto", '{"pi":[2,1],"s":[1,1],"m":2}']
     assert cli.main(argv) == 0
     iso = json.loads(capsys.readouterr().out)["payload"]
-    # the pi factor of the twist is reused for the target grading
+    # the pi factor of the twist is the outer map of the certificate
     assert built == [FLIP]
     assert iso["period"] == 2
     assert all(c["status"] == "pass" for c in iso["checks"])
@@ -194,11 +194,10 @@ def test_untwist_composed_flip_passes(monkeypatch, capsys):
 def test_untwist_matrix_iso_shifts():
     alg, identity, shifts = matrix_twist_factors(2, (0, 1), 2)
     iso = untwist_iso(alg, identity, shifts, 2)
-    # basis order E11, E12, E21, E22; shift a_i - a_k
+    # basis order E11, E12, E21, E22; shift a_i - a_k: E12 gains one degree
+    assert alg.basis_labels == ("E11", "E12", "E21", "E22")
     assert iso.shifts == (0, -1, 1, 0)
-    assert all(c.status == "pass" for c in iso.checks)
-    e12 = basis_vector(alg, 1)
-    assert iso.apply(loop_element([(0, e12)])) == loop_element([(1, e12)])
+    assert [c.to_obj() for c in iso.checks] == _untwist_rows(4)
 
 
 # (n, exponents, m, window) on M_2-M_4: shifts 0 mod m, exact and inexact
@@ -249,14 +248,17 @@ def _pool_requests(stratum):
 @pytest.fixture
 def untwist_calls(monkeypatch):
     """Run the windowed oracle, over two periods, beside every untwist
-    certificate; both accept."""
+    certificate; both accept.  The oracle computes the two gradings the
+    certificate does without."""
     calls = []
     real = descent._verify_untwist
 
-    def both(alg, source, target, shifts):
-        window = 2 * source.period
+    def both(alg, sigma, outer, shifts):
+        window = 2 * sigma.period
+        source = eigengrading(alg, sigma)
+        target = eigengrading(alg, outer.with_period(sigma.period))
         windowed_untwist_check(alg, source, target, shifts, window)
-        checks = real(alg, source, target, shifts)
+        checks = real(alg, sigma, outer, shifts)
         calls.append(window)
         return checks
 
@@ -282,48 +284,98 @@ def test_untwist_agrees_with_windowed_oracle_on_pool(stratum, untwist_calls, cap
 
 
 def _untwist_inputs(label, perm, s, m):
-    """The algebra, source and target gradings and shifts of untwist_iso."""
+    """The algebra, twist, outer map and shifts `untwist_iso` certifies, and
+    the source and target gradings the windowed oracle reads."""
     alg, outer, exponents, m = _type_twist(label, perm, s, m)
     sigma = twist(alg, outer, exponents, m)
     period = sigma.period
-    pi_common = check_automorphism(alg, outer.images, outer.scalars, period)
     shifts = tuple((period // m) * p for p in exponents)
-    return alg, eigengrading(alg, sigma), eigengrading(alg, pi_common), shifts
+    gradings = eigengrading(alg, sigma), eigengrading(alg, outer.with_period(period))
+    return alg, sigma, outer, shifts, gradings
 
 
 def test_perturbed_shift_fails_additivity():
-    alg, source, target, shifts = _untwist_inputs("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, sigma, outer, shifts, gradings = _untwist_inputs(
+        "A1", DiagramPermutation.identity(1), (1,), 2
+    )
     assert shifts == (0, 1, -1)
-    descent._verify_untwist(alg, source, target, shifts)
+    descent._verify_untwist(alg, sigma, outer, shifts)
     # e moves by one period more: it still lands, but [e, f] = h breaks 3 - 1 = 0
     bad = (0, 3, -1)
     with pytest.raises(DescentError, match=r"bracket preservation fails on the pair \(e\[1\], f\[1\]\)"):
-        descent._verify_untwist(alg, source, target, bad)
+        descent._verify_untwist(alg, sigma, outer, bad)
     with pytest.raises(DescentError, match="bracket preservation"):
-        windowed_untwist_check(alg, source, target, bad, 4)
+        windowed_untwist_check(alg, *gradings, bad, 4)
 
 
 def test_doubled_shifts_are_additive_but_do_not_land():
-    alg, source, target, shifts = _untwist_inputs("A2", DiagramPermutation.identity(2), (1, 0), 3)
+    alg, sigma, outer, shifts, gradings = _untwist_inputs(
+        "A2", DiagramPermutation.identity(2), (1, 0), 3
+    )
     doubled = tuple(2 * x for x in shifts)
     for a, b, _ in alg.constants:
         for c, _ in alg.basis_product(a, b):
             assert doubled[c] == doubled[a] + doubled[b]
+    # the factor clause: zeta^(2p) is not zeta^p where p is not 0 mod 3
     with pytest.raises(DescentError, match="lands-in-target"):
-        descent._verify_untwist(alg, source, target, doubled)
+        descent._verify_untwist(alg, sigma, outer, doubled)
     with pytest.raises(DescentError, match="lands-in-target"):
-        windowed_untwist_check(alg, source, target, doubled, 6)
+        windowed_untwist_check(alg, *gradings, doubled, 6)
+
+
+def test_orbit_breaking_shift_does_not_land():
+    alg, sigma, outer, shifts, gradings = _untwist_inputs("A2", FLIP, (1, 1), 3)
+    assert sigma.period == 6
+    h1, h2 = alg.basis_labels.index("h1"), alg.basis_labels.index("h2")
+    assert (outer.images[h1], shifts[h1], shifts[h2]) == (h2, 0, 0)
+    # a full period more on h1 alone keeps the factor clause, mod 6, but the
+    # flip swaps h1 and h2, so the flip-invariant h1 + h2 splits across degrees
+    bad = tuple(x + 6 if k == h1 else x for k, x in enumerate(shifts))
+    assert descent._off_factor(sigma, outer, bad) is None
+    with pytest.raises(DescentError, match="lands-in-target: shift 0 of h2 is not the shift 6 of h1"):
+        descent._verify_untwist(alg, sigma, outer, bad)
+    with pytest.raises(DescentError, match="lands-in-target"):
+        windowed_untwist_check(alg, *gradings, bad, 12)
+    # nor does the flip twist factor through the identity outer map
+    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    with pytest.raises(DescentError, match="lands-in-target: the twist on h1 is not outer o zeta"):
+        descent._verify_untwist(alg, sigma, identity, shifts)
+    trivial = eigengrading(alg, identity.with_period(6))
+    with pytest.raises(DescentError, match="lands-in-target"):
+        windowed_untwist_check(alg, gradings[0], trivial, shifts, 12)
 
 
 def test_residue_two_is_covered_beyond_the_window():
-    alg, source, target, shifts = _untwist_inputs("B2", DiagramPermutation.identity(2), (1, 1), 4)
+    alg, sigma, outer, shifts, gradings = _untwist_inputs(
+        "B2", DiagramPermutation.identity(2), (1, 1), 4
+    )
     # one period more on every root vector of residue 2 keeps every landing
     bad = tuple(x + 4 if x % 4 == 2 else x for x in shifts)
     assert bad != shifts
     # degrees -1..1 never reach residue 2, so a window-1 slice check misses it
-    windowed_untwist_check(alg, source, target, bad, 1)
+    windowed_untwist_check(alg, *gradings, bad, 1)
     with pytest.raises(DescentError, match=r"\(e\[0,1\], e\[1,0\]\): shift 6 of e\[1,1\] is not 1 \+ 1"):
-        descent._verify_untwist(alg, source, target, bad)
+        descent._verify_untwist(alg, sigma, outer, bad)
+
+
+def test_untwist_computes_no_grading(monkeypatch, capsys):
+    graded = []
+    real = grading.eigengrading
+
+    def counting(*args):
+        graded.append(args[1])
+        return real(*args)
+
+    # rebind every alias, so a direct call from any module is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "eigengrading", None) is real:
+            monkeypatch.setattr(module, "eigengrading", counting)
+    argv = ["untwist", "--type", "A2", "--auto", '{"pi":[2,1],"s":[1,1],"m":3}']
+    assert argv in _pool_requests("untwist A2")
+    assert cli.main(argv) == 0
+    iso = json.loads(capsys.readouterr().out)["payload"]
+    assert iso["checks"] == _untwist_rows(12)
+    assert graded == []
 
 
 def test_perturbed_coboundary_shift_detected():

@@ -117,6 +117,19 @@ def _words(*names):
             ),
             id="second classification path",
         ),
+        # untwisting is certified from the twist's own factors on the basis:
+        # no loop element moves between degrees, and none is multiplied
+        pytest.param(
+            _words(
+                "LoopElement",
+                "loop_element",
+                "check_loop_element",
+                "ts_product",
+                "loop_bracket",
+                "_shift_element",
+            ),
+            id="loop-element API",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
