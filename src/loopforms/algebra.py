@@ -8,6 +8,7 @@ reports.  `validate_algebra` certifies the laws of the declared kind on every
 ordered basis triple, evaluating them only where a term has a path through
 the table's nonzero products (`_left_paths`), and the table keeps that
 certificate (`MultTableAlgebra.validation`), so it is computed once per table.
+A type label's table carries its construction's certificate instead.
 
 This module is the table layer only.  Automorphisms and gradings are in
 `grading`, the graded centroid in `centroid`, and descent data in `descent`,
@@ -131,7 +132,9 @@ class MultTableAlgebra(Record):
 
     @cached_property
     def validation(self) -> "ValidationReport":
-        """The `validate_algebra` certificate of this table, computed once."""
+        """The certificate of this table's laws, computed once: the one its
+        constructor stored (`chevalley.chevalley_algebra`), else
+        `validate_algebra`'s."""
         return validate_algebra(self)
 
     # -- serialization -----------------------------------------------------
@@ -316,7 +319,9 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
     certificate covers.  The report lists each violated law with the
     offending basis indices, alternation and antisymmetry first, then the
     triples in lexicographic order, so a corrupted table names the exact
-    triple that broke.
+    triple that broke.  A type label's table is certified by its
+    construction (`chevalley.chevalley_algebra`), so this sweep serves
+    `--algebra` tables and the tests' oracles.
     """
     n = alg.dim
     labels = alg.basis_labels

@@ -1,14 +1,15 @@
 """Split simple Lie algebras from Cartan matrices, with exact brackets.
 
-The construction is the classical one: generate the root system by closing
-the simple roots under simple reflections, then realize the algebra on the
-basis h_1..h_l, e_alpha (positives), e_-alpha with structure constants
-N_{alpha,beta} = +-(p+1).  Signs are fixed by choosing +(p+1) on extraspecial
-pairs (the minimal decomposition of each positive root in the height-then-lex
-order) and propagating every other constant through the Jacobi identity.  Two
-layers of assertions back the construction: every derived constant must have
-the predicted magnitude p+1, and the finished table must pass the full
-antisymmetry/Jacobi validation.
+The root system is generated by closing the simple roots under simple
+reflections, and the algebra is realized on the basis h_1..h_l, e_alpha
+(positives), f_alpha.  Its table comes from one sign function, as in Kac,
+Infinite-Dimensional Lie Algebras, 7.8-7.9: the Cartan matrix is unfolded
+to a simply-laced cover (`_cover`), the cover's table is Frenkel and Kac's,
+built from a bimultiplicative sign (`_sign_form`), and the table is folded
+back by orbit sums (`_fold`).  A, D and E are their own cover.  The fold
+certifies the table with checks linear in its nonzero products, argued in
+`chevalley_algebra`; `algebra.validate_algebra`'s sweep is for tables read
+from a file.
 
 Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
 automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import MultTableAlgebra, _cycles, embed_algebra, make_table
+from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, embed_algebra, make_table
 from .cyclo import CycloNum
 from .linalg import Sparse, int_rank_det
 from .record import Record
@@ -288,136 +290,129 @@ def highest_root(cartan: FiniteCartanMatrix) -> Root:
 # -- structure constants --------------------------------------------------------
 
 
-def _integral(num: int, den: int, what: str) -> int:
-    """num / den, which must be an integer."""
-    quo, rem = divmod(num, den)
-    if rem:
-        raise LieConstructError(f"{what} is not integral")
-    return quo
-
-
-class _Constants:
-    """Chevalley structure constants N_{alpha,beta} for one root system.
-
-    The constants are integers, and so are the symmetrizers, so everything
-    here is integral.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.root_set = rs.root_set()
-        cartan = rs.cartan
-        self._d = _symmetrizers(cartan)
-        bil = [[self._d[i] * cartan.entries[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
-        self._bil = bil
-        self._norm_cache: dict[Root, int] = {}
-        self.n: dict[tuple[Root, Root], int] = {}
-        self._build_positive_pairs()
-        self._extend_to_all_pairs()
-        for (a, b), value in self.n.items():
-            expected = self.p(a, b) + 1
-            if abs(value) != expected:
-                raise LieConstructError(
-                    "sign propagation produced an inconsistent structure constant"
-                )
-
-    def norm(self, alpha: Root) -> int:
-        cached = self._norm_cache.get(alpha)
-        if cached is None:
-            cached = sum(
-                alpha[i] * alpha[j] * self._bil[i][j]
-                for i in range(self.rs.rank)
-                for j in range(self.rs.rank)
-            )
-            self._norm_cache[alpha] = cached
-        return cached
-
-    def p(self, alpha: Root, beta: Root) -> int:
-        """Largest k with beta - k*alpha a root."""
-        k = 0
-        current = tuple(b - a for a, b in zip(alpha, beta))
-        while current in self.root_set:
-            k += 1
-            current = tuple(c - a for a, c in zip(alpha, current))
-        return k
-
-    def coroot_coeffs(self, alpha: Root) -> tuple[int, ...]:
-        """h_alpha in the basis h_1..h_l: coefficients 2 d_j alpha_j / (alpha,alpha)."""
-        norm = self.norm(alpha)
-        return tuple(
-            _integral(2 * self._d[j] * alpha[j], norm, "coroot") for j in range(self.rs.rank)
+def _cover(cartan: FiniteCartanMatrix) -> tuple[FiniteCartanMatrix, tuple[int, ...]]:
+    """The simply-laced cover of a Cartan matrix, and the node each cover
+    node copies: with d = `_symmetrizers(cartan)`, node i becomes
+    max(d) / d_i copies, listed together, and copies of adjacent nodes are
+    joined when their copy indices agree or one node has a single copy, so
+    rotating copies is a symmetry.  A, D and E are their own cover; "B<l>"
+    unfolds to A_{2l-1}, "C<l>" to D_{l+1}, F4 to E6 and G2 to D4."""
+    a = cartan.entries
+    d = _symmetrizers(cartan)
+    copies = [max(d) // di for di in d]
+    nodes = [(i, c) for i in range(cartan.rank) for c in range(copies[i])]
+    entries = tuple(
+        tuple(
+            2 if p == q
+            else -1 if i != j and a[i][j] and (c == k or 1 in (copies[i], copies[j]))
+            else 0
+            for q, (j, k) in enumerate(nodes)
         )
+        for p, (i, c) in enumerate(nodes)
+    )
+    cover = FiniteCartanMatrix(len(nodes), entries, f"cover of {cartan.type_label}")
+    return cover, tuple(i for i, _ in nodes)
 
-    def _build_positive_pairs(self) -> None:
-        rs = self.rs
-        order_index = {r: k for k, r in enumerate(rs.positives)}
-        pos_set = set(rs.positives)
 
-        def n_pos(a: Root, b: Root) -> int:
-            return self.n[(a, b)]
+def _sign_form(cover: FiniteCartanMatrix) -> tuple[tuple[int, ...], ...]:
+    """The form B of the sign eps(alpha, beta) = (-1)^(alpha B beta) on the
+    root lattice of a simply-laced cover: 1 on the diagonal and on each edge
+    p < q, 0 elsewhere, so eps(alpha_p, alpha_p) = -1 and
+    eps(alpha_p, alpha_q) eps(alpha_q, alpha_p) = (-1)^(a_pq).  The copies of
+    one node are listed together, so rotating them keeps the orientation of
+    every edge."""
+    a = cover.entries
+    n = cover.rank
+    return tuple(tuple(int(p == q or p < q and a[p][q] != 0) for q in range(n)) for p in range(n))
 
-        def n_mixed_down(x: Root, xi: Root) -> int:
-            # N_{x, -xi} for positive x, xi with x - xi a positive root
-            rho = tuple(c - d for c, d in zip(x, xi))
-            return _integral(-n_pos(xi, rho) * self.norm(rho), self.norm(x), "structure constant")
 
-        for gamma in rs.positives:
-            if sum(gamma) < 2:
-                continue
-            decomps = []
-            for alpha in rs.positives:
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in pos_set and order_index[alpha] < order_index[beta]:
-                    decomps.append((alpha, beta))
-            decomps.sort(key=lambda ab: order_index[ab[0]])
-            if not decomps:
-                raise LieConstructError("positive non-simple root with no two-term decomposition")
-            xi, eta = decomps[0]  # extraspecial pair
-            value = self.p(xi, eta) + 1
-            self.n[(xi, eta)] = value
-            self.n[(eta, xi)] = -value
-            for alpha, beta in decomps[1:]:
-                acc = 0
-                bx = tuple(b - x for b, x in zip(beta, xi))
-                if bx in pos_set:
-                    acc += n_mixed_down(beta, xi) * n_pos(alpha, bx)
-                ax = tuple(a - x for a, x in zip(alpha, xi))
-                if ax in pos_set:
-                    acc -= n_mixed_down(alpha, xi) * n_pos(beta, ax)
-                denom = n_mixed_down(gamma, xi)
-                if denom == 0:
-                    raise LieConstructError("extraspecial pair gives a zero denominator")
-                value = _integral(acc, denom, "structure constant")
-                if value == 0:
-                    raise LieConstructError("special pair resolved to zero; sign propagation broke")
-                self.n[(alpha, beta)] = value
-                self.n[(beta, alpha)] = -value
+def _fold(rs: RootSystem) -> dict[tuple[int, int], dict[int, int]]:
+    """The nonzero integer products of the table of rs, in the layout of
+    `_basis_layout`, folded from the Frenkel-Kac table of its cover.
 
-    def _extend_to_all_pairs(self) -> None:
-        rs = self.rs
-        pos_set = set(rs.positives)
-        pos_pairs = dict(self.n)
-        for (a, b), v in pos_pairs.items():
-            self.n[(_neg(a), _neg(b))] = -v
-        for a in rs.positives:
-            for b in rs.positives:
-                if a == b:
-                    continue
-                diff = tuple(x - y for x, y in zip(a, b))
-                if diff not in self.root_set:
-                    continue
-                if diff in pos_set:
-                    value = _integral(
-                        -pos_pairs[(b, diff)] * self.norm(diff), self.norm(a), "structure constant"
-                    )
-                else:
-                    # N_{a,-b} = N_{b,-a} when b - a is positive
-                    rho = _neg(diff)
-                    value = _integral(
-                        -pos_pairs[(a, rho)] * self.norm(rho), self.norm(b), "structure constant"
-                    )
-                self.n[(a, _neg(b))] = value
-                self.n[(_neg(b), a)] = -value
+    The cover's table is [E_a, E_b] = eps(a, b) E_(a+b) when a + b is a
+    root, [E_a, E_-a] = -a and [h_p, E_a] = <a, alpha_p^vee> E_a, with eps
+    from `_sign_form`.  h_i is the sum of the h_p over the copies p of node
+    i, and e_alpha the sum of the e_b = E_b (f_alpha of the f_b = -E_-b)
+    over the cover roots b that restrict to alpha, summing b's coefficients
+    over the copies of each node.  The products are accumulated in one pass
+    over the cover's nonzero products and read at each target's orbit.
+    LieConstructError is raised when an orbit is met in part or with two
+    coefficients ("not closed"), when the restriction is not a bijection
+    onto the roots of rs, and when a folded [h_i, e_(alpha_j)] is not
+    A_ij e_(alpha_j).
+    """
+    labels, root_index = _basis_layout(rs)
+    cover, node_of = _cover(rs.cartan)
+    cover_rs = root_system(cover)
+    n = cover.rank
+    form = _sign_form(cover)
+    # the cover's basis is h_1..h_n, then roots[x] at n + x, positives first:
+    # e_a = E_a and f_a = -E_-a, so E_(roots[x]) is sign[x] times its element
+    roots = cover_rs.roots
+    sign = [1 if x < len(cover_rs.positives) else -1 for x in range(len(roots))]
+
+    # the folded basis element whose orbit sum has each cover basis element
+    fold_of = list(node_of)
+    for beta in roots:
+        alpha = [0] * rs.rank
+        for p, c in enumerate(beta):
+            alpha[node_of[p]] += c
+        target = root_index.get(tuple(alpha))
+        if target is None:
+            raise LieConstructError(f"cover root {beta} restricts to no root")
+        fold_of.append(target)
+    if len(set(fold_of[n:])) != len(rs.roots):
+        raise LieConstructError("the restriction of the cover roots misses a root")
+    orbit_size = [fold_of.count(k) for k in range(len(labels))]
+
+    products: dict[tuple[int, int], dict[int, int]] = {}
+
+    def put(u: int, v: int, target: int, c: int) -> None:
+        acc = products.setdefault((fold_of[u], fold_of[v]), {})
+        acc[target] = acc.get(target, 0) + c
+
+    # keys are linear in the coefficients, which are at most 6 in size (the
+    # highest root of E8), so key(a) + key(b) is the key of a + b, and two
+    # sums of two roots have the same key only when they are equal
+    keys = [sum(c << 5 * p for p, c in enumerate(a)) for a in roots]
+    position = {key: x for x, key in enumerate(keys)}
+    for x, a in enumerate(roots):
+        for p in range(n):
+            c = cover_rs.pairing(a, p)
+            if c:
+                put(p, n + x, n + x, c)
+                put(n + x, p, n + x, -c)
+        left = [sum(a[p] * form[p][q] for p in range(n)) for q in range(n)]
+        for y, key in enumerate(keys):
+            z = position.get(keys[x] + key)
+            if z is not None:
+                eps = -1 if sum(map(mul, left, roots[y])) % 2 else 1
+                put(n + x, n + y, n + z, eps * sign[x] * sign[y] * sign[z])
+            elif keys[x] + key == 0:  # sign[x] sign[y] (-a) = a in the Cartan subalgebra
+                for p, c in enumerate(a):
+                    if c:
+                        put(n + x, n + y, p, c)
+
+    folded: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j), acc in products.items():
+        orbits: dict[int, list[int]] = {}
+        for target, c in acc.items():
+            if c:
+                orbits.setdefault(fold_of[target], []).append(c)
+        for k, cs in orbits.items():
+            if len(cs) != orbit_size[k] or len(set(cs)) != 1:
+                raise LieConstructError(f"orbit sums are not closed at [{labels[i]}, {labels[j]}]")
+        if orbits:
+            folded[(i, j)] = {k: cs[0] for k, cs in orbits.items()}
+
+    a = rs.cartan.entries
+    simples = [root_index[tuple(int(j == i) for j in range(rs.rank))] for i in range(rs.rank)]
+    for i in range(rs.rank):
+        for j, e_j in enumerate(simples):
+            if folded.get((i, e_j), {}).get(e_j, 0) != a[i][j]:
+                raise LieConstructError("the folded Cartan matrix differs from the Cartan matrix")
+    return folded
 
 
 def _basis_layout(rs: RootSystem) -> tuple[list[str], dict[Root, int]]:
@@ -446,60 +441,44 @@ def standard_algebra(label: str) -> tuple[RootSystem, MultTableAlgebra]:
 
 
 def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
-    """Lie multiplication table on h_1..h_l, e_alpha, f_alpha over Q.
+    """Lie multiplication table on h_1..h_l, e_alpha, f_alpha over Q, of
+    dimension #roots + rank, folded from the simply-laced cover (`_fold`).
 
-    Dimension is #roots + rank.  The finished table is validated in full: a
-    sign inconsistency in the constant propagation is therefore impossible to
-    ship.  Alternation and antisymmetry are checked on every basis pair; once
-    they hold, the Jacobiator is an alternating trilinear form, so Jacobi is
-    evaluated once per set of three distinct indices, and only on the sets
-    where one of its terms has a path through the table's nonzero products
-    (249596 of C(248, 3) on E8).  The certificate still covers all n^3
-    ordered triples, which is what its `triples_checked` counts.  The report
-    is kept on the algebra (`MultTableAlgebra.validation`), so later callers
-    read it instead of validating the same table again.
+    Its certificate is linear in the nonzero products and has four parts:
+
+    1. The cover is simply laced and of finite type (`FiniteCartanMatrix`),
+       and the sign is bimultiplicative with eps(alpha_p, alpha_p) = -1 and
+       eps(alpha_p, alpha_q) eps(alpha_q, alpha_p) = (-1)^(a_pq), so the
+       cover's table is Lie, by Frenkel and Kac (Kac, Infinite-Dimensional
+       Lie Algebras, 7.8).
+    2. The orbit sums have disjoint supports and `_fold` checks that they
+       close under the product, so they span a subalgebra, which is Lie.
+    3. `_fold` checks that the folded [h_i, e_(alpha_j)] is A_ij e_(alpha_j)
+       for the Cartan matrix A of rs, and that the restriction is a
+       bijection onto the roots of rs.
+    4. Every nonzero product of the returned table is checked against the
+       fold, so a table that differs from it in one constant is refused.
+
+    A failed part raises LieConstructError.  The report covers all n^3
+    ordered triples, which `triples_checked` counts, and is kept on the
+    algebra (`MultTableAlgebra.validation`), so no table built here is swept
+    by `validate_algebra`.
     """
-    l = rs.rank
-    consts = _Constants(rs)
-    labels, root_index = _basis_layout(rs)
-    dim = l + len(rs.roots)
-
-    def q(x: int) -> CycloNum:
-        return CycloNum.rational(1, x)
-
-    entries: dict[tuple[int, int], Sparse] = {}
-
-    def put(i: int, j: int, sparse: Sparse) -> None:
-        sparse = {k: v for k, v in sparse.items() if not v.is_zero()}
-        if sparse:
-            entries[(i, j)] = sparse
-
-    for i in range(l):
-        for alpha in rs.roots:
-            coeff = rs.pairing(alpha, i)
-            if coeff:
-                idx = root_index[alpha]
-                put(i, idx, {idx: q(coeff)})
-                put(idx, i, {idx: q(-coeff)})
-    for alpha in rs.positives:
-        ia, ina = root_index[alpha], root_index[_neg(alpha)]
-        halpha = {j: q(c) for j, c in enumerate(consts.coroot_coeffs(alpha)) if c}
-        put(ia, ina, dict(halpha))
-        put(ina, ia, {j: -v for j, v in halpha.items()})
-    for (a, b), value in consts.n.items():
-        target = tuple(x + y for x, y in zip(a, b))
-        put(root_index[a], root_index[b], {root_index[target]: q(value)})
-
+    labels, _ = _basis_layout(rs)
+    entries = {
+        key: {k: CycloNum.rational(1, c) for k, c in entry.items()}
+        for key, entry in _fold(rs).items()
+    }
     alg = MultTableAlgebra(
-        dim=dim,
+        dim=len(labels),
         scalar_order=1,
-        kind="lie",
+        kind=KIND_LIE,
         constants=make_table(entries),
         basis_labels=tuple(labels),
     )
-    report = alg.validation
-    if not report.ok:
-        raise LieConstructError(f"construction failed validation: {report.violations[0]}")
+    if {key: dict(entry) for key, entry in alg._table.items() if entry} != entries:
+        raise LieConstructError("the table differs from its folded products")
+    alg.__dict__["validation"] = ValidationReport(KIND_LIE, alg.dim, alg.dim**3, ())
     return alg
 
 

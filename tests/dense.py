@@ -34,8 +34,12 @@ twist paths that `grading.twist`, `descent.untwist_iso` and
 `product_rule_check` forms all n^2 products of component vectors, the
 reference for the product rule that `eigengrading` draws from its certified
 automorphism, and `propagation_consistency` re-multiplies every pair of
-roots, the reference for the propagation of `chevalley.diagram_automorphism`,
-which leaves that to its one `check_automorphism`.
+roots, reading each N_ab off the table, the reference for the propagation of
+`chevalley.diagram_automorphism`, which leaves that to its one
+`check_automorphism`.  `root_string_algebra` derives every N_ab = +-(p+1)
+from root strings and propagates the signs through the Jacobi identity, the
+table that `chevalley_algebra` built before it folded the Frenkel-Kac table
+of the simply-laced cover, kept as its reference up to basis signs.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from loopforms.acceptance import _grading_fixtures
 from loopforms.affine import AffineExtractError, AffineRootData, FixedCartan
-from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation
+from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation, make_table
 from loopforms.centroid import CentroidReport
 from loopforms.chevalley import (
     DiagramPermutation,
@@ -56,7 +60,8 @@ from loopforms.chevalley import (
     RootSystem,
     ToralCharge,
     _basis_layout,
-    _Constants,
+    _neg,
+    _symmetrizers,
     charge_pairings,
     diagram_automorphism,
     type_twist_factors,
@@ -234,7 +239,7 @@ def propagation_consistency(
     whose sum is a root: every decomposition of every root reproduces the
     propagated image.  The reference for `chevalley.diagram_automorphism`,
     which leaves this to its closing `check_automorphism`."""
-    consts = _Constants(rs)
+    roots = rs.root_set()
     _, root_index = _basis_layout(rs)
     order = alg.scalar_order
     one = CycloNum.one(order)
@@ -245,10 +250,11 @@ def propagation_consistency(
     for a in rs.roots:
         for b in rs.roots:
             target = tuple(x + y for x, y in zip(a, b))
-            if target not in consts.root_set:
+            if target not in roots:
                 continue
             lhs = alg.product_sparse(image(a), image(b))
-            coeff = CycloNum.rational(order, consts.n[(a, b)])
+            # [e_a, e_b] = N_ab e_(a+b), read off the table itself
+            ((_, coeff),) = alg.basis_product(root_index[a], root_index[b])
             if lhs != {k: coeff * v for k, v in image(target).items()}:
                 raise LieConstructError(f"propagation paths disagree on root {target} via {a} + {b}")
 
@@ -945,3 +951,179 @@ def coboundary_witness_matrix(
     sigma = check_diagonal_automorphism(alg, shifts, m)
     checks = _verify_coboundary(sigma, shifts)
     return shifts, checks
+
+
+# -- the root-string table that `chevalley._fold` replaced ----------------------------
+
+Root = tuple[int, ...]
+
+
+def _integral(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise LieConstructError(f"{what} is not integral")
+    return quo
+
+
+class _Constants:
+    """Chevalley structure constants N_{alpha,beta} for one root system.
+
+    The constants are integers, and so are the symmetrizers, so everything
+    here is integral.
+    """
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self.root_set = rs.root_set()
+        cartan = rs.cartan
+        self._d = _symmetrizers(cartan)
+        bil = [[self._d[i] * cartan.entries[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
+        self._bil = bil
+        self._norm_cache: dict[Root, int] = {}
+        self.n: dict[tuple[Root, Root], int] = {}
+        self._build_positive_pairs()
+        self._extend_to_all_pairs()
+        for (a, b), value in self.n.items():
+            expected = self.p(a, b) + 1
+            if abs(value) != expected:
+                raise LieConstructError(
+                    "sign propagation produced an inconsistent structure constant"
+                )
+
+    def norm(self, alpha: Root) -> int:
+        cached = self._norm_cache.get(alpha)
+        if cached is None:
+            cached = sum(
+                alpha[i] * alpha[j] * self._bil[i][j]
+                for i in range(self.rs.rank)
+                for j in range(self.rs.rank)
+            )
+            self._norm_cache[alpha] = cached
+        return cached
+
+    def p(self, alpha: Root, beta: Root) -> int:
+        """Largest k with beta - k*alpha a root."""
+        k = 0
+        current = tuple(b - a for a, b in zip(alpha, beta))
+        while current in self.root_set:
+            k += 1
+            current = tuple(c - a for a, c in zip(alpha, current))
+        return k
+
+    def coroot_coeffs(self, alpha: Root) -> tuple[int, ...]:
+        """h_alpha in the basis h_1..h_l: coefficients 2 d_j alpha_j / (alpha,alpha)."""
+        norm = self.norm(alpha)
+        return tuple(
+            _integral(2 * self._d[j] * alpha[j], norm, "coroot") for j in range(self.rs.rank)
+        )
+
+    def _build_positive_pairs(self) -> None:
+        rs = self.rs
+        order_index = {r: k for k, r in enumerate(rs.positives)}
+        pos_set = set(rs.positives)
+
+        def n_pos(a: Root, b: Root) -> int:
+            return self.n[(a, b)]
+
+        def n_mixed_down(x: Root, xi: Root) -> int:
+            # N_{x, -xi} for positive x, xi with x - xi a positive root
+            rho = tuple(c - d for c, d in zip(x, xi))
+            return _integral(-n_pos(xi, rho) * self.norm(rho), self.norm(x), "structure constant")
+
+        for gamma in rs.positives:
+            if sum(gamma) < 2:
+                continue
+            decomps = []
+            for alpha in rs.positives:
+                beta = tuple(g - a for g, a in zip(gamma, alpha))
+                if beta in pos_set and order_index[alpha] < order_index[beta]:
+                    decomps.append((alpha, beta))
+            decomps.sort(key=lambda ab: order_index[ab[0]])
+            if not decomps:
+                raise LieConstructError("positive non-simple root with no two-term decomposition")
+            xi, eta = decomps[0]  # extraspecial pair
+            value = self.p(xi, eta) + 1
+            self.n[(xi, eta)] = value
+            self.n[(eta, xi)] = -value
+            for alpha, beta in decomps[1:]:
+                acc = 0
+                bx = tuple(b - x for b, x in zip(beta, xi))
+                if bx in pos_set:
+                    acc += n_mixed_down(beta, xi) * n_pos(alpha, bx)
+                ax = tuple(a - x for a, x in zip(alpha, xi))
+                if ax in pos_set:
+                    acc -= n_mixed_down(alpha, xi) * n_pos(beta, ax)
+                denom = n_mixed_down(gamma, xi)
+                if denom == 0:
+                    raise LieConstructError("extraspecial pair gives a zero denominator")
+                value = _integral(acc, denom, "structure constant")
+                if value == 0:
+                    raise LieConstructError("special pair resolved to zero; sign propagation broke")
+                self.n[(alpha, beta)] = value
+                self.n[(beta, alpha)] = -value
+
+    def _extend_to_all_pairs(self) -> None:
+        rs = self.rs
+        pos_set = set(rs.positives)
+        pos_pairs = dict(self.n)
+        for (a, b), v in pos_pairs.items():
+            self.n[(_neg(a), _neg(b))] = -v
+        for a in rs.positives:
+            for b in rs.positives:
+                if a == b:
+                    continue
+                diff = tuple(x - y for x, y in zip(a, b))
+                if diff not in self.root_set:
+                    continue
+                if diff in pos_set:
+                    value = _integral(
+                        -pos_pairs[(b, diff)] * self.norm(diff), self.norm(a), "structure constant"
+                    )
+                else:
+                    # N_{a,-b} = N_{b,-a} when b - a is positive
+                    rho = _neg(diff)
+                    value = _integral(
+                        -pos_pairs[(a, rho)] * self.norm(rho), self.norm(b), "structure constant"
+                    )
+                self.n[(a, _neg(b))] = value
+                self.n[(_neg(b), a)] = -value
+
+
+def root_string_algebra(rs: RootSystem) -> MultTableAlgebra:
+    """The Chevalley table of rs with N_{alpha,beta} = +-(p+1) from root
+    strings: +(p+1) on each extraspecial pair (the first decomposition of a
+    positive root in the height-then-lex order), every other sign propagated
+    through the Jacobi identity.  The reference for `chevalley_algebra`,
+    which folds the Frenkel-Kac table of the simply-laced cover; the two
+    agree up to the signs of the basis elements."""
+    l = rs.rank
+    consts = _Constants(rs)
+    labels, root_index = _basis_layout(rs)
+
+    def q(x: int) -> CycloNum:
+        return CycloNum.rational(1, x)
+
+    entries: dict[tuple[int, int], Sparse] = {}
+    for i in range(l):
+        for alpha in rs.roots:
+            coeff = rs.pairing(alpha, i)
+            if coeff:
+                idx = root_index[alpha]
+                entries[(i, idx)] = {idx: q(coeff)}
+                entries[(idx, i)] = {idx: q(-coeff)}
+    for alpha in rs.positives:
+        ia, ina = root_index[alpha], root_index[_neg(alpha)]
+        halpha = {j: q(c) for j, c in enumerate(consts.coroot_coeffs(alpha)) if c}
+        entries[(ia, ina)] = halpha
+        entries[(ina, ia)] = {j: -v for j, v in halpha.items()}
+    for (a, b), value in consts.n.items():
+        target = tuple(x + y for x, y in zip(a, b))
+        entries[(root_index[a], root_index[b])] = {root_index[target]: q(value)}
+    return MultTableAlgebra(
+        dim=len(labels),
+        scalar_order=1,
+        kind=KIND_LIE,
+        constants=make_table(entries),
+        basis_labels=tuple(labels),
+    )

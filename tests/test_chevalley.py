@@ -21,6 +21,7 @@ from loopforms.chevalley import (
     DiagramPermutation,
     FiniteCartanMatrix,
     LieConstructError,
+    RootSystem,
     ToralCharge,
     algebra_over,
     cartan_matrix,
@@ -29,6 +30,7 @@ from loopforms.chevalley import (
     _symmetrizers,
     diagram_automorphism,
     highest_root,
+    node_isomorphisms,
     root_system,
     standard_algebra,
     type_twist_factors,
@@ -42,8 +44,10 @@ from dense import (
     mat_pow,
     product_rule_check,
     propagation_consistency,
+    root_string_algebra,
     three_pass_composition,
 )
+from loopforms.algebra import ValidationReport, make_table, validate_algebra
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum
 
@@ -285,6 +289,115 @@ def test_chevalley_algebra_dimension_formula():
         rs = root_system(cartan_matrix(label))
         alg = chevalley_algebra(rs)
         assert alg.dim == len(rs.roots) + rs.rank
+
+
+def _cover_label(label):
+    """The simply-laced type a label unfolds to: A_{2l-1} for "B<l>",
+    D_{l+1} for "C<l>", E6 for F4, D4 for G2, and the label itself otherwise."""
+    family, l = label[0], int(label[1:])
+    return {"B": f"A{2 * l - 1}", "C": f"D{l + 1}", "F": "E6", "G": "D4"}.get(family, label)
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_cover_is_the_simply_laced_type_it_unfolds_to(label):
+    cartan = cartan_matrix(label)
+    cover, node_of = chevalley._cover(cartan)
+    want = cartan_matrix(_cover_label(label)).entries
+    if _cover_label(label) == label:
+        # A, D and E are their own cover, so the fold is the identity
+        assert (cover.entries, node_of) == (want, tuple(range(cartan.rank)))
+    else:
+        assert next(node_isomorphisms(cover.entries, want), None) is not None
+
+
+def _basis_signs(rs, new, old):
+    """s_k = +-1 with new[i, j] = s_i s_j s_k old[i, j] at every target k, if
+    the basis of new is s_k times that of old: s = 1 on h_i, e_(alpha_i) and
+    f_(alpha_i), propagated along the first decomposition of each root."""
+    _, index = chevalley._basis_layout(rs)
+    roots = rs.root_set()
+    signs = [1] * new.dim
+    for gamma in rs.positives:
+        if sum(gamma) < 2:
+            continue
+        xi = next(x for x in rs.positives if tuple(g - c for g, c in zip(gamma, x)) in roots)
+        eta = tuple(g - c for g, c in zip(gamma, xi))
+        for sign in (1, -1):
+            a, b, c = (tuple(sign * v for v in r) for r in (xi, eta, gamma))
+            ((k, n_new),) = new.basis_product(index[a], index[b])
+            ((_, n_old),) = old.basis_product(index[a], index[b])
+            ratio = (n_new * n_old.inverse()).as_fraction()
+            signs[k] = int(ratio) * signs[index[a]] * signs[index[b]]
+    return signs
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_fold_agrees_with_root_strings_up_to_basis_signs(label):
+    rs, alg = standard_algebra(label)
+    old = root_string_algebra(rs)
+    signs = _basis_signs(rs, alg, old)
+    assert set(signs) <= {1, -1}
+    flipped = {
+        (i, j): tuple((k, c * signs[i] * signs[j] * signs[k]) for k, c in entry)
+        for (i, j), entry in old._table.items()
+        if entry
+    }
+    assert {key: entry for key, entry in alg._table.items() if entry} == flipped
+    # the certificate the fold stores is the report the sweep gives; the
+    # sweep runs on every table of dim <= 80, and on E8
+    assert alg.validation == ValidationReport("lie", alg.dim, alg.dim**3, ())
+    if alg.dim <= 80 or label == "E8":
+        assert validate_algebra(alg) == alg.validation
+
+
+def test_fold_refuses_a_flipped_constant(monkeypatch):
+    def flip_one(entries):
+        i, j, entry = next(iter(make_table(entries)))
+        ((k, c),) = entry
+        return make_table({**entries, (i, j): {k: -c}})
+
+    monkeypatch.setattr(chevalley, "make_table", flip_one)
+    with pytest.raises(LieConstructError, match="differs from its folded products"):
+        chevalley_algebra(root_system(cartan_matrix("B3")))
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_fold_refuses_a_sign_that_copy_rotation_moves(label, monkeypatch):
+    # reverse one edge at a node with several copies: the sign is still a
+    # Frenkel-Kac sign of the cover, but the orbit sums no longer close
+    real = chevalley._sign_form
+
+    def reversed_edge(cover):
+        form = [list(row) for row in real(cover)]
+        _, node_of = chevalley._cover(cartan_matrix(label))
+        p, q = next(
+            (p, q)
+            for p in range(cover.rank)
+            for q in range(p + 1, cover.rank)
+            if cover.entries[p][q] and max(node_of.count(node_of[p]), node_of.count(node_of[q])) > 1
+        )
+        form[p][q], form[q][p] = 0, 1
+        return form
+
+    monkeypatch.setattr(chevalley, "_sign_form", reversed_edge)
+    with pytest.raises(LieConstructError, match="not closed"):
+        chevalley_algebra(root_system(cartan_matrix(label)))
+
+
+def test_fold_refuses_a_cartan_matrix_other_than_the_label(monkeypatch):
+    # the cover's Cartan subalgebra acts through B2's matrix instead of its
+    # own, so the folded [h_1, e_(alpha_2)] is -2 e_(alpha_2), not -1
+    real = chevalley.root_system
+
+    def skewed(cartan):
+        rs = real(cartan)
+        if cartan.type_label.startswith("cover of"):
+            return RootSystem(cartan=cartan_matrix("B2"), positives=rs.positives)
+        return rs
+
+    monkeypatch.setattr(chevalley, "root_system", skewed)
+    with pytest.raises(LieConstructError, match="folded Cartan matrix differs"):
+        chevalley_algebra(root_system(cartan_matrix("A2")))
 
 
 # -- automorphisms ---------------------------------------------------------------

@@ -76,33 +76,46 @@ def test_build_e8_certifies_every_ordered_triple(capsys):
     assert report["payload"]["validation"]["triples_checked"] == 15252992
 
 
-def test_each_built_algebra_is_validated_once(monkeypatch, capsys):
-    calls = []
-    real = algebra.validate_algebra
+def test_each_built_algebra_is_certified_once(monkeypatch, capsys, tmp_path):
+    swept, folded = [], []
+    real_validate, real_fold = algebra.validate_algebra, chevalley._fold
 
-    def counting(alg):
-        calls.append(alg.dim)
-        return real(alg)
+    def counting_validate(alg):
+        swept.append(alg.dim)
+        return real_validate(alg)
+
+    def counting_fold(rs):
+        folded.append(rs.cartan.type_label)
+        return real_fold(rs)
 
     # rebind every alias, so a direct call from any module is counted too
     for name, module in list(sys.modules.items()):
-        if name.startswith("loopforms") and getattr(module, "validate_algebra", None) is real:
-            monkeypatch.setattr(module, "validate_algebra", counting)
+        if name.startswith("loopforms") and getattr(module, "validate_algebra", None) is real_validate:
+            monkeypatch.setattr(module, "validate_algebra", counting_validate)
+    monkeypatch.setattr(chevalley, "_fold", counting_fold)
     # an empty type cache, as in a fresh process
     fresh = lru_cache(maxsize=None)(chevalley._chevalley_cached.__wrapped__)
     monkeypatch.setattr(chevalley, "_chevalley_cached", fresh)
+    # a type label is certified by its fold, with no sweep
     assert cli.main(["build", "--type", "B4"]) == 0
-    assert calls == [36]
+    assert (swept, folded) == ([], ["B4"])
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["validation"]["triples_checked"] == 36 ** 3
-    calls.clear()
-    # criterion 1 builds its fixtures, each validated once inside the build,
-    # and reports those certificates without validating again
+    folded.clear()
+    # criterion 1 builds its fixtures, each certified once inside the build,
+    # and reports those certificates without certifying again
     assert acceptance.criterion_1()["status"] == "pass"
-    assert calls == [dim for _, dim in acceptance._CONSTRUCTION]
-    calls.clear()
+    assert (swept, folded) == ([], [label for label, _ in acceptance._CONSTRUCTION])
+    folded.clear()
     assert acceptance.criterion_1()["status"] == "pass"
-    assert calls == []
+    assert (swept, folded) == ([], [])
+    # a table read from a file is swept once, and folds nothing
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps(standard_algebra("B3")[1].to_obj()))
+    folded.clear()
+    assert cli.main(["build", "--algebra", str(path)]) == 0
+    assert (swept, folded) == ([21], [])
+    capsys.readouterr()
 
 
 def test_grade_triality():

@@ -130,6 +130,10 @@ def _words(*names):
             ),
             id="loop-element API",
         ),
+        # type-label tables are folded from the Frenkel-Kac table of the
+        # simply-laced cover (chevalley._fold): no constants from root
+        # strings, which tests/dense.root_string_algebra keeps as the oracle
+        pytest.param(_words("_Constants", "_integral"), id="root-string constants"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
