@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, embed_algebra, make_table
 from .cyclo import CycloNum
-from .linalg import Sparse, int_rank_det
+from .linalg import int_rank_det
 from .record import Record
 
 # the automorphism layer is imported by the functions that build
@@ -593,89 +593,47 @@ class ToralCharge(Record):
 def diagram_automorphism(
     alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
 ) -> FiniteOrderAutomorphism:
-    """Extend a diagram symmetry to the whole algebra by bracket propagation.
+    """The automorphism h_i -> h_{pi(i)}, e_alpha -> c(alpha) e_{pi alpha},
+    f_alpha -> c(alpha) f_{pi alpha} that a diagram symmetry pi induces, with
+    the sign c read off the sign form in closed form.
 
     The identity symmetry is the identity map, certified as the diagonal map
-    with every exponent 0 (`check_diagonal_automorphism`), with no
-    propagation and no pair check.  Any other symmetry maps the generators by
-    e_i -> e_{pi(i)}, f_i -> f_{pi(i)}, h_i -> h_{pi(i)}, and `_propagate`
-    derives the image of every other root vector from its minimal
-    decomposition.  The propagated map is then certified by
-    `check_automorphism` on every basis pair, which is where a propagation
-    that another decomposition would contradict fails: a multiplicative map
-    is consistent on every decomposition, so no separate pass re-multiplies
-    the pairs of roots.
+    with every exponent 0 (`check_diagonal_automorphism`), with no pair check.
+    Every other symmetry that `preserves` admits is a symmetry of A, D or E6,
+    which are their own cover, so the table is Frenkel and Kac's (`_fold`):
+    e_a = E_a, f_a = -E_-a and [E_a, E_b] = eps(a, b) E_(a+b), with
+    eps(a, b) = (-1)^(a F b) and F = `_sign_form(rs.cartan)`.  With
+    p = perm.images, let D_ij = F_(p_i, p_j) + F_ij mod 2.  pi preserves the
+    diagram and F + F^T is its adjacency matrix plus 2I, so D is symmetric
+    with a zero diagonal, and eps(pi a, pi b) / eps(a, b) = (-1)^(a D b).  Put
+    c(a) = (-1)^(sum_{i<j} D_ij a_i a_j).  Then c(alpha_i) = 1, c(-a) = c(a)
+    and c(a + b) = c(a) c(b) (-1)^(a D b), so E_a -> c(a) E_(pi a) carries
+    [E_a, E_b] = eps(a, b) E_(a+b) to [c(a) E_(pi a), c(b) E_(pi b)], and
+    [E_a, E_-a] = -a to -pi a.  It is therefore the one automorphism that
+    sends e_i to e_{pi(i)} and f_i to f_{pi(i)}, since these generate.  No
+    structure constant is read; the map is certified by `check_automorphism`
+    on every basis pair, which is where a wrong sign fails.
     """
     from .grading import check_automorphism, check_diagonal_automorphism
 
-    if len(perm.images) != rs.rank:
+    l = rs.rank
+    if len(perm.images) != l:
         raise LieConstructError("permutation rank mismatch")
     if not perm.preserves(rs.cartan):
         raise LieConstructError("permutation does not preserve the Cartan matrix")
-    if perm.images == tuple(range(rs.rank)):
+    if perm.images == tuple(range(l)):
         return check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
-    targets, scalars = _propagate(alg, rs, perm)
-    return check_automorphism(alg, targets, scalars, perm.order())
-
-
-def _propagate(
-    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
-) -> tuple[tuple[int, ...], tuple[CycloNum, ...]]:
-    """The monomial (images, scalars) form of the map that extends perm.
-
-    A root alpha = xi + eta of height >= 2 maps to
-    N_{xi,eta}^-1 [pi(e_xi), pi(e_eta)], and N_{xi,eta} is read off the
-    table's own product [e_xi, e_eta] = N_{xi,eta} e_alpha.  Each image is a
-    single signed basis element; an image with more terms is an error.
-    Nothing here is certified.
-    """
-    l = rs.rank
-    roots = rs.root_set()
+    p, q = perm.images, perm.inverse().images
+    form = _sign_form(rs.cartan)
+    flips = [(i, j) for i in range(l) for j in range(i + 1, l) if (form[p[i]][p[j]] + form[i][j]) % 2]
     _, root_index = _basis_layout(rs)
     one = CycloNum.one(alg.scalar_order)
-
-    def perm_root(alpha: Root) -> Root:
-        out = [0] * l
-        for i, c in enumerate(alpha):
-            out[perm(i)] = c
-        return tuple(out)
-
-    images: dict[int, Sparse] = {}
-    for i in range(l):
-        images[i] = {perm(i): one}
-    for alpha in rs.positives:
-        if sum(alpha) == 1:
-            images[root_index[alpha]] = {root_index[perm_root(alpha)]: one}
-            neg = _neg(alpha)
-            images[root_index[neg]] = {root_index[perm_root(neg)]: one}
-    for alpha in rs.positives:
-        if sum(alpha) < 2:
-            continue
-        found = None
-        for xi in rs.positives:
-            eta = tuple(a - x for a, x in zip(alpha, xi))
-            if eta in roots and sum(eta) > 0:
-                found = (xi, eta)
-                break
-        if found is None:
-            raise LieConstructError(f"root {alpha} has no decomposition into two roots")
-        xi, eta = found
-        for u, v in ((xi, eta), (_neg(xi), _neg(eta))):
-            ((target, n_uv),) = alg.basis_product(root_index[u], root_index[v])
-            coeff = n_uv.inverse()
-            prod = alg.product_sparse(images[root_index[u]], images[root_index[v]])
-            images[target] = {k: coeff * w for k, w in prod.items()}
-
-    terms = []
-    for j in range(alg.dim):
-        if len(images[j]) != 1:
-            raise LieConstructError(
-                f"image of {alg.basis_labels[j]} has {len(images[j])} terms; not monomial"
-            )
-        (term,) = images[j].items()
-        terms.append(term)
-    targets, scalars = zip(*terms)
-    return targets, scalars
+    targets, scalars = list(p) + [0] * len(rs.roots), [one] * alg.dim
+    for alpha, k in root_index.items():
+        targets[k] = root_index[tuple(alpha[i] for i in q)]
+        if sum(alpha[i] * alpha[j] for i, j in flips) % 2:
+            scalars[k] = -one
+    return check_automorphism(alg, targets, scalars, perm.order())
 
 
 def type_twist_factors(

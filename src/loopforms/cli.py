@@ -28,7 +28,7 @@ from .algebra import MultTableAlgebra
 # use them, so a request loads, and compiles, only the modules its command
 # needs
 if TYPE_CHECKING:
-    from .chevalley import DiagramPermutation, ToralCharge
+    from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge
 
 __all__ = ["main"]
 
@@ -65,10 +65,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
-    """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}."""
+def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutation, ToralCharge]:
+    """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}; pi
+    must be a symmetry of the Cartan matrix."""
     from .chevalley import DiagramPermutation, ToralCharge
 
+    rank = cartan.rank
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
@@ -83,6 +85,8 @@ def _type_auto(obj: dict, rank: int) -> tuple[DiagramPermutation, ToralCharge]:
             perm = DiagramPermutation.from_one_based(tuple(pi))
         except ValueError as exc:
             raise RequestError(f"pi is not a permutation: {exc}") from exc
+        if not perm.preserves(cartan):
+            raise RequestError("unsupported automorphism: permutation does not preserve the Cartan matrix")
     s = obj.get("s")
     if s is None:
         s = [0] * rank
@@ -194,14 +198,11 @@ def _build_sigma(args: _Args):
     source = _one_source(args, ("type", "matrix-algebra"))
     spec = _parse_auto_json(args.auto)
     if source == "type":
-        from .chevalley import LieConstructError, cartan_matrix, type_twist_factors
+        from .chevalley import cartan_matrix, type_twist_factors
 
         label = args.type
-        perm, charge = _type_auto(spec, cartan_matrix(label).rank)
-        try:
-            _, alg, *factors = type_twist_factors(label, perm, charge)
-        except LieConstructError as exc:
-            raise RequestError(f"unsupported automorphism: {exc}") from exc
+        perm, charge = _type_auto(spec, cartan_matrix(label))
+        _, alg, *factors = type_twist_factors(label, perm, charge)
         return (alg, *factors, {"type": label, "auto": _auto_echo(perm, charge)})
     from .descent import matrix_twist_factors
 
@@ -299,7 +300,7 @@ def _cmd_extract_gcm(args: _Args) -> dict:
 
     _one_source(args, ("type",))
     spec = _parse_auto_json(args.auto)
-    perm, charge = _type_auto(spec, cartan_matrix(args.type).rank)
+    perm, charge = _type_auto(spec, cartan_matrix(args.type))
     report = affine_certificate(args.type, perm=perm, charge=charge)
     payload = {"type": args.type, "auto": _auto_echo(perm, charge)}
     payload.update(report.to_obj())

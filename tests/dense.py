@@ -33,10 +33,11 @@ twist paths that `grading.twist`, `descent.untwist_iso` and
 `descent.coboundary_witness` replaced, kept as references for them.
 `product_rule_check` forms all n^2 products of component vectors, the
 reference for the product rule that `eigengrading` draws from its certified
-automorphism, and `propagation_consistency` re-multiplies every pair of
-roots, reading each N_ab off the table, the reference for the propagation of
-`chevalley.diagram_automorphism`, which leaves that to its one
-`check_automorphism`.  `root_string_algebra` derives every N_ab = +-(p+1)
+automorphism.  `propagated_diagram_map` extends a diagram symmetry from the
+generators by bracket propagation, reading each N_ab off the table, the
+reference for the closed-form signs of `chevalley.diagram_automorphism`,
+and `propagation_consistency` re-multiplies every pair of roots, the
+reference for its one `check_automorphism`.  `root_string_algebra` derives every N_ab = +-(p+1)
 from root strings and propagates the signs through the Jacobi identity, the
 table that `chevalley_algebra` built before it folded the Frenkel-Kac table
 of the simply-laced cover, kept as its reference up to basis signs.
@@ -232,13 +233,77 @@ def product_rule_check(alg: MultTableAlgebra, grading: GradedDecomposition) -> N
                         )
 
 
+def propagated_diagram_map(
+    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
+) -> tuple[tuple[int, ...], tuple[CycloNum, ...]]:
+    """The monomial (images, scalars) form of the map that extends perm by
+    bracket propagation, the reference for the closed-form sign of
+    `chevalley.diagram_automorphism`.
+
+    e_i -> e_{pi(i)}, f_i -> f_{pi(i)} and h_i -> h_{pi(i)}; a root
+    alpha = xi + eta of height >= 2 maps to N_{xi,eta}^-1 [pi(e_xi), pi(e_eta)],
+    with N_{xi,eta} read off the table's own product
+    [e_xi, e_eta] = N_{xi,eta} e_alpha.  Each image is a single signed basis
+    element; an image with more terms is an error.  Nothing here is
+    certified.
+    """
+    l = rs.rank
+    roots = rs.root_set()
+    _, root_index = _basis_layout(rs)
+    one = CycloNum.one(alg.scalar_order)
+
+    def perm_root(alpha: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * l
+        for i, c in enumerate(alpha):
+            out[perm(i)] = c
+        return tuple(out)
+
+    images: dict[int, Sparse] = {}
+    for i in range(l):
+        images[i] = {perm(i): one}
+    for alpha in rs.positives:
+        if sum(alpha) == 1:
+            images[root_index[alpha]] = {root_index[perm_root(alpha)]: one}
+            neg = _neg(alpha)
+            images[root_index[neg]] = {root_index[perm_root(neg)]: one}
+    for alpha in rs.positives:
+        if sum(alpha) < 2:
+            continue
+        found = None
+        for xi in rs.positives:
+            eta = tuple(a - x for a, x in zip(alpha, xi))
+            if eta in roots and sum(eta) > 0:
+                found = (xi, eta)
+                break
+        if found is None:
+            raise LieConstructError(f"root {alpha} has no decomposition into two roots")
+        xi, eta = found
+        for u, v in ((xi, eta), (_neg(xi), _neg(eta))):
+            ((target, n_uv),) = alg.basis_product(root_index[u], root_index[v])
+            coeff = n_uv.inverse()
+            prod = alg.product_sparse(images[root_index[u]], images[root_index[v]])
+            images[target] = {k: coeff * w for k, w in prod.items()}
+
+    terms = []
+    for j in range(alg.dim):
+        if len(images[j]) != 1:
+            raise LieConstructError(
+                f"image of {alg.basis_labels[j]} has {len(images[j])} terms; not monomial"
+            )
+        (term,) = images[j].items()
+        terms.append(term)
+    targets, scalars = zip(*terms)
+    return targets, scalars
+
+
 def propagation_consistency(
     alg: MultTableAlgebra, rs: RootSystem, sigma: FiniteOrderAutomorphism
 ) -> None:
     """sigma(e_a) sigma(e_b) = N_ab sigma(e_(a+b)) for every pair of roots
     whose sum is a root: every decomposition of every root reproduces the
-    propagated image.  The reference for `chevalley.diagram_automorphism`,
-    which leaves this to its closing `check_automorphism`."""
+    image of sigma.  The reference for the closing `check_automorphism` of
+    `chevalley.diagram_automorphism`, which certifies the same map on every
+    basis pair."""
     roots = rs.root_set()
     _, root_index = _basis_layout(rs)
     order = alg.scalar_order

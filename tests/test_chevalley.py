@@ -43,6 +43,7 @@ from dense import (
     is_identity,
     mat_pow,
     product_rule_check,
+    propagated_diagram_map,
     propagation_consistency,
     root_string_algebra,
     three_pass_composition,
@@ -565,7 +566,7 @@ def test_identity_certificate_equals_propagated_identity(label):
     # and its full pair check
     rs, alg = standard_algebra(label)
     identity = DiagramPermutation.identity(rs.rank)
-    propagated = check_automorphism(alg, *chevalley._propagate(alg, rs, identity), 1)
+    propagated = check_automorphism(alg, *propagated_diagram_map(alg, rs, identity), 1)
     certificate = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     assert propagated == certificate == diagram_automorphism(alg, rs, identity)
     assert propagated.images == tuple(range(alg.dim))
@@ -584,47 +585,71 @@ def test_one_check_implies_consistency_and_product_rule(label, perm):
     product_rule_check(alg, eigengrading(alg, sigma))
 
 
-def test_propagated_image_with_flipped_sign_is_caught(monkeypatch):
-    rs, alg = algebra_over("A3", 2)
-    roots = rs.root_set()
-    # the decomposition diagram_automorphism propagates the first root of
-    # height 2 along, with the structure constant it reads off the table's
-    # product [e_xi, e_eta] negated
-    alpha = next(r for r in rs.positives if sum(r) == 2)
-    xi = next(x for x in rs.positives
-              if tuple(a - b for a, b in zip(alpha, x)) in roots and sum(alpha) > sum(x))
-    eta = tuple(a - b for a, b in zip(alpha, xi))
-    untampered = diagram_automorphism(alg, rs, DiagramPermutation((2, 1, 0)))
-    index = {label: k for k, label in enumerate(alg.basis_labels)}
-    pair = tuple(index["e[" + ",".join(map(str, r)) + "]"] for r in (xi, eta))
+def _symmetries_at_orders():
+    """Every non-identity symmetry of every type label, at scalar orders 1, 3
+    and 4."""
+    for label in TYPE_LABELS:
+        a = cartan_matrix(label).entries
+        for images in node_isomorphisms(a, a):
+            if images != tuple(range(len(a))):
+                perm = DiagramPermutation(images)
+                for order in (1, 3, 4):
+                    yield pytest.param(label, perm, order, id=f"{label}-pi{perm.to_one_based()}-o{order}")
 
-    class Flipped:
-        """alg, with the one product [e_xi, e_eta] negated."""
 
-        def __getattr__(self, name):
-            return getattr(alg, name)
+@pytest.mark.parametrize("label, perm, order", _symmetries_at_orders())
+def test_closed_form_signs_equal_propagated_signs(label, perm, order):
+    # the closed-form sign of diagram_automorphism against the bracket
+    # propagation that reads each N_ab off the table
+    rs, alg = algebra_over(label, order)
+    sigma = diagram_automorphism(alg, rs, perm)
+    assert (sigma.images, sigma.scalars) == propagated_diagram_map(alg, rs, perm)
 
-        def basis_product(self, i, j):
-            entry = alg.basis_product(i, j)
-            return tuple((k, -c) for k, c in entry) if (i, j) == pair else entry
+
+@pytest.mark.parametrize(
+    "label, perm", [("A3", DiagramPermutation((2, 1, 0))), ("D4", TRIALITY)], ids=["A3-flip", "D4-triality"]
+)
+def test_reversed_sign_form_edge_is_caught(label, perm, monkeypatch):
+    rs, alg = algebra_over(label, perm.order())  # the table, built with the true sign form
+    untampered = diagram_automorphism(alg, rs, perm)
+    u, v = 0, 1  # an edge that pi moves
+    assert rs.cartan.entries[u][v] and {perm(u), perm(v)} != {u, v}
+    real_form = chevalley._sign_form
+
+    def reversed_edge(cartan):
+        form = [list(row) for row in real_form(cartan)]
+        form[u][v], form[v][u] = form[v][u], form[u][v]
+        return tuple(map(tuple, form))
 
     built = []
 
     def capture(table, images, scalars, period):
         built.append(FiniteOrderAutomorphism(tuple(images), tuple(scalars), period))
-        return check_automorphism(alg, images, scalars, period)
+        return check_automorphism(table, images, scalars, period)
 
+    monkeypatch.setattr(chevalley, "_sign_form", reversed_edge)
     monkeypatch.setattr("loopforms.grading.check_automorphism", capture)
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
-        diagram_automorphism(Flipped(), rs, DiagramPermutation((2, 1, 0)))
-    (propagated,) = built
-    # the image of e_alpha is the one flipped
-    idx = alg.basis_labels.index("e[" + ",".join(map(str, alpha)) + "]")
-    assert [k for k in range(alg.dim) if propagated.scalars[k] != untampered.scalars[k]] == [idx]
-    assert propagated.scalars[idx] == -untampered.scalars[idx]
+        diagram_automorphism(alg, rs, perm)
+    (tampered,) = built
+    assert tampered.images == untampered.images
+    # reversing the edge adds E_uv + E_vu to F, so the exponent of c(alpha)
+    # changes by alpha_u alpha_v + (pi alpha)_u (pi alpha)_v
+    _, root_index = chevalley._basis_layout(rs)
+
+    def moved(alpha):
+        image = [0] * rs.rank
+        for i, c in enumerate(alpha):
+            image[perm(i)] = c
+        return (alpha[u] * alpha[v] + image[u] * image[v]) % 2
+
+    expected = sorted(root_index[alpha] for alpha in rs.roots if moved(alpha))
+    flipped = [k for k in range(alg.dim) if tampered.scalars[k] != untampered.scalars[k]]
+    assert flipped == expected and flipped
+    assert all(tampered.scalars[k] == -untampered.scalars[k] for k in flipped)
     # the all-pairs consistency pass refuses the same map
     with pytest.raises(LieConstructError, match="propagation paths disagree"):
-        propagation_consistency(alg, rs, propagated)
+        propagation_consistency(alg, rs, tampered)
 
 
 def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):

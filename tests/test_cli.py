@@ -288,6 +288,12 @@ def test_verification_failure_exits_1(tmp_path):
         ("build", "--type", "A2", "--auto", '{"pi": [2, 1]}'),
         ("classify", "--type", "A2", "--auto", '{"pi": [2, 1]}'),
         ("classify", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": 2}'),
+        # a permutation that is not a symmetry of the diagram, on the other
+        # commands that read one
+        ("extract-gcm", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
+        ("extract-gcm", "--type", "B2", "--auto", '{"pi": [2, 1]}'),
+        ("centroid", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
+        ("descent-verify", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
     ],
 )
 def test_malformed_requests_exit_2(argv):

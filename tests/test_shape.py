@@ -134,6 +134,10 @@ def _words(*names):
         # simply-laced cover (chevalley._fold): no constants from root
         # strings, which tests/dense.root_string_algebra keeps as the oracle
         pytest.param(_words("_Constants", "_integral"), id="root-string constants"),
+        # diagram signs come in closed form from the sign form
+        # (chevalley.diagram_automorphism): no propagation from the simple
+        # roots, which tests/dense.propagated_diagram_map keeps as the oracle
+        pytest.param(_words("_propagate"), id="sign propagation"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
