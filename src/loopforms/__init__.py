@@ -56,11 +56,9 @@ _EXPORTS = {
     "cyclo": ("CycloNum",),
     "descent": (
         "UntwistIso",
-        "build_cocycle",
         "build_matrix_algebra",
         "coboundary_witness",
         "matrix_twist_factors",
-        "twisted_fixed_points",
         "untwist_iso",
     ),
     "grading": (

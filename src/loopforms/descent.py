@@ -9,17 +9,16 @@ diagram automorphism of pi or the identity, so `untwist_iso` and
 never read a root system.  A period-m automorphism sigma of A yields the
 cocycle u(n mod m) = sigma^{-n} with values in Aut(A tensor S), and the
 twisted fixed points of u recover the loop algebra L(sigma) degree by degree.
-Every check here holds in all degrees, not on a degree window.  The untwisting
-map is a degree shift, which is an algebra map exactly when the shift is
-additive on the multiplication table, so bracket preservation is one pass over
-the table's nonzero products; it lands in the right components exactly when
-the twist is outer o diag(zeta^shift) with the shift constant on the orbits
-of outer, one pass over the basis.  Every other identity depends on the
-degree j only through j mod the period, so one period of residues covers all
-degrees, and no function here takes a degree window.  The `window` a report shows is
-read off the period it already has (two periods on the untwist and
-twisted-fixed-point checks, 2m on the coboundary identity, one period on the
-cocycle identity) and bounds nothing that is checked.
+
+Every identity is read off a certificate the twist already has, and holds
+in all degrees: `fixed_point_report` reads the cocycle identity off
+sigma^m = 1 and the fixed points off the eigengrading, `coboundary_witness`
+reads its identity off the diagonal certificate, and `untwist_iso`
+certifies its degree shift on the table (additivity, for bracket
+preservation) and on the basis (the twist is outer o diag(zeta^shift) with
+the shift constant on the orbits of outer, for landing).  Nothing here
+eliminates or takes a degree window; the `window` a report shows is read
+off the period and bounds nothing that is checked.
 
 Conventions, pinned by the checks in this module:
 
@@ -40,25 +39,21 @@ from .algebra import MultTableAlgebra, make_table
 from .cyclo import CycloNum, zeta_power
 from .grading import (
     FiniteOrderAutomorphism,
-    GradedDecomposition,
     check_diagonal_automorphism,
+    eigengrading,
     twist,
 )
-from .linalg import Sparse, nullspace
 from .record import Record
 
 __all__ = [
     "CheckReport",
     "DescentError",
-    "LoopCocycle",
     "UntwistIso",
-    "build_cocycle",
     "build_matrix_algebra",
     "coboundary_witness",
     "fixed_point_report",
     "matrix_twist_factors",
     "matrix_unit_shifts",
-    "twisted_fixed_points",
     "untwist_iso",
 ]
 
@@ -71,109 +66,48 @@ class DescentError(ValueError):
 
 
 class CheckReport(Record):
+    """A certified identity; every check raises on failure, so it has passed."""
+
     check: str
     window: int
-    status: str
 
     def to_obj(self) -> dict:
-        return {"check": self.check, "window": self.window, "status": self.status}
-
-
-class LoopCocycle(Record):
-    """u(n mod m) = sigma^(-n), one constant automorphism of A per residue."""
-
-    values: tuple[FiniteOrderAutomorphism, ...]
-
-    @property
-    def period(self) -> int:
-        return len(self.values)
-
-    def value(self, n: int) -> FiniteOrderAutomorphism:
-        return self.values[n % self.period]
-
-
-def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
-    """Store all m values of n -> sigma^(-n) and check the cocycle identity.
-
-    The values are constant in z, so the gamma-twist in the cocycle identity
-    acts trivially and the identity is exactly the homomorphism property,
-    checked over all m^2 residue pairs.  sigma^(-n) is stored as the monomial
-    sigma^(m - n), and each identity is one O(dim) composition.
-    """
-    m = sigma.period
-    one = CycloNum.one(sigma.scalar_order)
-    powers = [FiniteOrderAutomorphism(tuple(range(sigma.dim)), (one,) * sigma.dim, m)]
-    for _ in range(1, m):
-        powers.append(sigma.compose(powers[-1]))
-    values = tuple(powers[(m - n) % m] for n in range(m))
-    for n1 in range(m):
-        for n2 in range(m):
-            if values[n1].compose(values[n2]) != values[(n1 + n2) % m]:
-                raise DescentError(f"cocycle identity fails at ({n1}, {n2})")
-    return LoopCocycle(values=values)
-
-
-def twisted_fixed_points(
-    cocycle: LoopCocycle, grading: GradedDecomposition
-) -> tuple[tuple[Sparse, ...], ...]:
-    """Fixed spaces of x -> u(1)(gamma(x)) per residue; must equal the grading.
-
-    On the slice A z^j the twisted action is the constant map
-    zeta^j sigma^(-1), so the fixed space is the kernel of
-    (zeta^j sigma^(-1) - id).  zeta^j depends only on j mod m, so the m
-    kernels, one per residue, cover every degree; each is computed by
-    elimination, apart from the closed-form grading, on sparse rows:
-    sigma^(-1) is monomial, so each row has at most two entries.  The descent
-    claim is that the kernel for residue r coincides with the eigenspace
-    component r: equal dimensions, and every kernel vector in the component's
-    span; any mismatch raises.  The result is the m kernels, kernel r being
-    the fixed space of every degree j = r mod m.
-    """
-    m = cocycle.period
-    if grading.period != m:
-        raise DescentError("cocycle and grading periods differ")
-    order = grading.scalar_order
-    n = grading.dim
-    u1 = cocycle.value(1)
-    kernels = []
-    for r in range(m):
-        zeta = zeta_power(order, (order // m) * r)
-        # u1 sends e_c to scalars[c] e_images[c]: column c holds that entry and -1
-        rows = [{i: CycloNum.rational(order, -1)} for i in range(n)]
-        for c, (i, scalar) in enumerate(zip(u1.images, u1.scalars)):
-            rows[i][c] = rows[i].get(c, CycloNum.zero(order)) + zeta * scalar
-        kernel = nullspace(rows, n, order)
-        component = grading.component_bases[r]
-        if len(kernel) != len(component):
-            raise DescentError(
-                f"residue {r}: fixed space dim {len(kernel)} != component dim {len(component)}"
-            )
-        solver = grading.component_solver(r)
-        for v in kernel:
-            if not solver.contains(v):
-                raise DescentError(f"residue {r}: fixed vector escapes the grading component")
-        kernels.append(tuple(kernel))
-    return tuple(kernels)
+        return {"check": self.check, "window": self.window, "status": "pass"}
 
 
 def fixed_point_report(
-    cocycle: LoopCocycle, grading: GradedDecomposition
+    alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism
 ) -> tuple[tuple[CheckReport, ...], dict[str, int]]:
-    """The reports of the cocycle identity and the twisted fixed points, and
-    the fixed dimension of every degree |j| <= 2m, as descent reports list them.
+    """The reports of the cocycle identity and the twisted fixed points of
+    u(n) = sigma^(-n), and the fixed dimension of every degree |j| <= 2m,
+    m = sigma.period, read off the certificate of sigma on alg.
 
-    `build_cocycle` checked the identity on all m^2 residue pairs and
-    `twisted_fixed_points` certifies the m kernels, so every degree is
-    covered; the listing repeats kernel j mod m over two periods either side
-    of 0.
+    `eigengrading(alg, sigma)` refuses a sigma that no check certified on
+    alg, so sigma is multiplicative on alg and sigma^m = 1.  Both identities
+    are then theorems, for every degree:
+
+    * Cocycle identity.  The values sigma^(-n) are constant in z, so gamma
+      acts on them trivially and the identity u(n1 + n2) = u(n1) o
+      gamma^n1(u(n2)) is sigma^(-n1 - n2) = sigma^(-n1) o sigma^(-n2).  u is
+      well defined on residues because sigma^m = 1, so the identity holds on
+      all m^2 residue pairs, hence in every degree.
+    * Twisted fixed points.  On the slice A z^j the twisted action
+      x z^j -> u(1)(gamma(x z^j)) is the constant map zeta^j sigma^(-1), so
+      the fixed space of degree j is the kernel of zeta^j sigma^(-1) - 1, the
+      zeta^j-eigenspace of sigma.  The eigengrading certifies dim A
+      independent eigenvectors, component i scaled by zeta^i; eigenvectors
+      of distinct eigenvalues are independent, so the zeta^j-eigenspace is
+      component j mod m exactly, and its dimension is that component's.
+
+    The listing repeats component j mod m over two periods either side of 0.
     """
-    kernels = twisted_fixed_points(cocycle, grading)
-    m = len(kernels)
+    grading = eigengrading(alg, sigma)
+    m = grading.period
     checks = (
-        CheckReport(check="cocycle-identity", window=m, status="pass"),
-        CheckReport(check="twisted-fixed-points", window=2 * m, status="pass"),
+        CheckReport(check="cocycle-identity", window=m),
+        CheckReport(check="twisted-fixed-points", window=2 * m),
     )
-    return checks, {str(j): len(kernels[j % m]) for j in range(-2 * m, 2 * m + 1)}
+    return checks, {str(j): grading.dims[j % m] for j in range(-2 * m, 2 * m + 1)}
 
 
 # -- matrix-unit fixtures ------------------------------------------------------
@@ -327,7 +261,7 @@ def _verify_untwist(
                     f"shift {shifts[c]} of {labels[c]} is not {shifts[a]} + {shifts[b]}"
                 )
     window = 2 * sigma.period
-    return tuple(CheckReport(check=name, window=window, status="pass") for name in _UNTWIST_CHECKS)
+    return tuple(CheckReport(check=name, window=window) for name in _UNTWIST_CHECKS)
 
 
 def untwist_iso(
@@ -355,30 +289,6 @@ def untwist_iso(
 # -- coboundary witnesses --------------------------------------------------------
 
 
-def _verify_coboundary(
-    sigma: FiniteOrderAutomorphism,
-    shifts: Sequence[int],
-) -> tuple[CheckReport, ...]:
-    """Check u(n) = a^-1 o gamma^n(a) on every weight line, in every degree.
-
-    a is the degree-lowering shift (the inverse of the raising map b), and
-    sigma is diagonal on the basis, so both sides act on e_idx z^j by a scalar
-    and no net degree move: u(n) by diag^(-n), and a^-1 gamma^n a gamma^-n by
-    zeta^(-step n j) zeta^(step n (j - s)), in which j cancels.  So the
-    identity is diag[idx]^(-n) = zeta^(-step n s) for each residue n and
-    basis index idx.  Both sides are the n-th powers of their values at
-    n = 1, so residue 1 covers every residue, and there the identity is the
-    factor clause of `_verify_untwist` with the identity as outer map:
-    sigma = diag(zeta^shifts).  The report shows a window of 2m.
-    """
-    one = CycloNum.one(sigma.scalar_order)
-    identity = FiniteOrderAutomorphism(tuple(range(sigma.dim)), (one,) * sigma.dim, 1)
-    k = _off_factor(sigma, identity, shifts)
-    if k is not None:
-        raise DescentError(f"coboundary identity fails at residue 1, basis {k}")
-    return (CheckReport(check="coboundary-identity", window=2 * sigma.period, status="pass"),)
-
-
 def coboundary_witness(
     alg: MultTableAlgebra,
     exponents: Sequence[int],
@@ -389,9 +299,20 @@ def coboundary_witness(
     The twist is tau_s of a type label (p_j = <s, weight of e_j>) or
     Ad(diag(zeta^a)) on M_n (p = a_i - a_k on E_ik).  Returns the degree
     shifts p defining a = b^-1 (b raises e_j z^i to e_j z^(i + p_j))
-    together with the verification report for u(n) = a^-1 o gamma^n(a) over
-    all residues, which covers every degree.
+    together with the report of u(n) = a^-1 o gamma^n(a) over all residues,
+    which covers every degree.
+
+    The certificate is `check_diagonal_automorphism`'s additivity pass, which
+    makes sigma = diag(zeta_m^p) an automorphism of period m; the identity is
+    then a theorem.  sigma is diagonal on the basis, so both sides act on
+    e_k z^j by a scalar and no net degree move: u(n) = sigma^(-n) by
+    zeta^(-n p_k), and a^-1 gamma^n a gamma^-n by zeta^(-n j) zeta^(n (j - p_k)),
+    in which j cancels.  The two agree for every residue n, basis index k and
+    degree j.  A shift moved by a multiple of m names the same sigma, so it
+    passes too.  That a is an algebra map of A tensor S needs p additive as
+    integers, which this certificate does not check; `untwist_iso(alg,
+    identity, p, m)`, whose map is a, does.  The report shows a window of 2m.
     """
     shifts = tuple(exponents)
-    sigma = check_diagonal_automorphism(alg, shifts, m)
-    return shifts, _verify_coboundary(sigma, shifts)
+    check_diagonal_automorphism(alg, shifts, m)
+    return shifts, (CheckReport(check="coboundary-identity", window=2 * m),)

@@ -12,7 +12,7 @@ splits the algebra into eigenspace components A_i for the eigenvalues
 zeta_m^i, written down in closed form cycle by cycle; that decomposition is
 a Z/m grading, by the automorphism's certificate, and is the combinatorial
 heart of everything downstream: the twisted fixed points (`descent`) are
-compared with it, and the centroid (`centroid`) is solved on it.
+its components, and the centroid (`centroid`) is solved on it.
 
 Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.
@@ -99,16 +99,6 @@ class FiniteOrderAutomorphism(Record):
             scalars=tuple(c * self.scalars[k] for k, c in zip(other.images, other.scalars)),
             period=lcm(self.period, other.period),
         )
-
-    def with_period(self, period: int) -> "FiniteOrderAutomorphism":
-        """The same map with a multiple of its period, keeping its certificate:
-        sigma^m = 1 gives sigma^(mt) = 1, and the map itself is unchanged."""
-        if period < 1 or period % self.period != 0:
-            raise AutomorphismError(f"period {period} is not a multiple of {self.period}")
-        out = FiniteOrderAutomorphism(self.images, self.scalars, period)
-        if "_certified_table" in self.__dict__:
-            out.__dict__["_certified_table"] = self._certified_table
-        return out
 
     def certified_on(self, alg: MultTableAlgebra) -> bool:
         """Whether a `check_*` function certified this map on the table alg."""
@@ -240,19 +230,17 @@ def twist(
     diag(zeta_m^(a_i - a_k)).  The identity outer map is
     `check_diagonal_automorphism(alg, (0,) * alg.dim, 1)`.  The diagonal
     factor is certified by `check_diagonal_automorphism`; a composition of
-    automorphisms is one, so multiplicativity is not checked again.  When
-    every p_j is 0 mod m the diagonal factor is the identity and the twist
-    is outer itself, with its period lifted to lcm(|outer|, m)
-    (`with_period`).  Otherwise the factors are composed both ways, since
-    the period lcm(|outer|, m) rests on their commuting, and the period is
-    checked cycle by cycle, as `check_automorphism` checks it.
+    automorphisms is one, so multiplicativity is not checked again.  The
+    factors are composed both ways, since the period lcm(|outer|, m) rests
+    on their commuting, and the period is checked cycle by cycle, as
+    `check_automorphism` checks it.  When every p_j is 0 mod m the diagonal
+    factor is the identity, and the twist is outer with its period lifted to
+    lcm(|outer|, m); `twist(alg, outer, (0,) * alg.dim, m)` lifts a period.
     """
     if not outer.certified_on(alg):
         raise AutomorphismError("the outer factor of the twist is not certified on this table")
     diagonal = check_diagonal_automorphism(alg, exponents, m)
     period = lcm(outer.period, m)
-    if all(p % m == 0 for p in exponents):
-        return outer.with_period(period)
     composed = outer.compose(diagonal)
     if composed != diagonal.compose(outer):
         raise AutomorphismError("factors fail to commute despite an invariant charge")
@@ -370,13 +358,12 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
 
     Requires the scalar order to contain the needed roots of unity, i.e.
     sigma.period | alg.scalar_order, and sigma certified on this table by
-    `check_automorphism`, `check_diagonal_automorphism` or `twist`, or
-    lifted from one of those by `with_period`; any other sigma raises
-    GradingError.  A cycle
-    e_0 -> ... -> e_{k-1} -> e_0 of sigma with scalar product P carries one
-    eigenvector for each root lambda = zeta^i of x^k = P, namely the sum over
-    t < k of lambda^-t sigma^t(e_0), taken from the cycle's smallest index,
-    where it is 1.  Supports are disjoint, so each component, ordered by that
+    `check_automorphism`, `check_diagonal_automorphism` or `twist`; any
+    other sigma raises GradingError.  A cycle e_0 -> ... -> e_{k-1} -> e_0
+    of sigma with scalar product P carries one eigenvector for each root
+    lambda = zeta^i of x^k = P, namely the sum over t < k of
+    lambda^-t sigma^t(e_0), taken from the cycle's smallest index, where it
+    is 1.  Supports are disjoint, so each component, ordered by that
     index, is its reduced row-echelon basis.  Verifies that the components
     exhaust the algebra, that they are independent (the vectors of one cycle
     span a block of coordinates no other cycle touches, so this is one small

@@ -27,6 +27,10 @@ imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
 `grading.twist`, which checks pi alone by `check_automorphism` (the identity
 as a diagonal map), tau_s by additivity and the composition by its period.
+`build_cocycle` composes the m^2 residue pairs of the cocycle
+u(n) = sigma^(-n) and `twisted_fixed_points` eliminates one kernel per
+residue, the references for the identities `descent.fixed_point_report`
+reads off the twist's certificate.
 `diagram_and_composition`, `untwist_matrix_iso` and
 `coboundary_witness_matrix` are the separate type-label and matrix-unit
 twist paths that `grading.twist`, `descent.untwist_iso` and
@@ -67,12 +71,11 @@ from loopforms.chevalley import (
     diagram_automorphism,
     type_twist_factors,
 )
-from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi
+from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
 from loopforms.descent import (
     CheckReport,
     DescentError,
     UntwistIso,
-    _verify_coboundary,
     _verify_untwist,
     build_matrix_algebra,
     matrix_unit_shifts,
@@ -955,6 +958,87 @@ def three_pass_composition(
     return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)
 
 
+# -- the descent recomputation that `descent.fixed_point_report` replaced -------------
+
+
+@dataclass(frozen=True)
+class LoopCocycle:
+    """u(n mod m) = sigma^(-n), one constant automorphism of A per residue."""
+
+    values: tuple[FiniteOrderAutomorphism, ...]
+
+    @property
+    def period(self) -> int:
+        return len(self.values)
+
+    def value(self, n: int) -> FiniteOrderAutomorphism:
+        return self.values[n % self.period]
+
+
+def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
+    """Store all m values of n -> sigma^(-n) and check the cocycle identity.
+
+    The values are constant in z, so the gamma-twist in the cocycle identity
+    acts trivially and the identity is exactly the homomorphism property,
+    checked over all m^2 residue pairs.  sigma^(-n) is stored as the monomial
+    sigma^(m - n), and each identity is one O(dim) composition.
+    """
+    m = sigma.period
+    one = CycloNum.one(sigma.scalar_order)
+    powers = [FiniteOrderAutomorphism(tuple(range(sigma.dim)), (one,) * sigma.dim, m)]
+    for _ in range(1, m):
+        powers.append(sigma.compose(powers[-1]))
+    values = tuple(powers[(m - n) % m] for n in range(m))
+    for n1 in range(m):
+        for n2 in range(m):
+            if values[n1].compose(values[n2]) != values[(n1 + n2) % m]:
+                raise DescentError(f"cocycle identity fails at ({n1}, {n2})")
+    return LoopCocycle(values=values)
+
+
+def twisted_fixed_points(
+    cocycle: LoopCocycle, grading: GradedDecomposition
+) -> tuple[tuple[Sparse, ...], ...]:
+    """Fixed spaces of x -> u(1)(gamma(x)) per residue; must equal the grading.
+
+    On the slice A z^j the twisted action is the constant map
+    zeta^j sigma^(-1), so the fixed space is the kernel of
+    (zeta^j sigma^(-1) - id).  zeta^j depends only on j mod m, so the m
+    kernels, one per residue, cover every degree; each is computed by
+    elimination, apart from the closed-form grading, on sparse rows:
+    sigma^(-1) is monomial, so each row has at most two entries.  The kernel
+    for residue r must coincide with the eigenspace component r: equal
+    dimensions, and every kernel vector in the component's span; any
+    mismatch raises.  The result is the m kernels, kernel r being the fixed
+    space of every degree j = r mod m.
+    """
+    m = cocycle.period
+    if grading.period != m:
+        raise DescentError("cocycle and grading periods differ")
+    order = grading.scalar_order
+    n = grading.dim
+    u1 = cocycle.value(1)
+    kernels = []
+    for r in range(m):
+        zeta = zeta_power(order, (order // m) * r)
+        # u1 sends e_c to scalars[c] e_images[c]: column c holds that entry and -1
+        rows = [{i: CycloNum.rational(order, -1)} for i in range(n)]
+        for c, (i, scalar) in enumerate(zip(u1.images, u1.scalars)):
+            rows[i][c] = rows[i].get(c, CycloNum.zero(order)) + zeta * scalar
+        kernel = nullspace(rows, n, order)
+        component = grading.component_bases[r]
+        if len(kernel) != len(component):
+            raise DescentError(
+                f"residue {r}: fixed space dim {len(kernel)} != component dim {len(component)}"
+            )
+        solver = grading.component_solver(r)
+        for v in kernel:
+            if not solver.contains(v):
+                raise DescentError(f"residue {r}: fixed vector escapes the grading component")
+        kernels.append(tuple(kernel))
+    return tuple(kernels)
+
+
 # -- the twist paths that `grading.twist` replaced ------------------------------------
 
 
@@ -980,7 +1064,7 @@ def diagram_and_composition(
         )
     pi_auto = diagram_automorphism(alg, rs, perm)
     if all(si % charge.modulus == 0 for si in charge.s):
-        return pi_auto, pi_auto.with_period(period)
+        return pi_auto, _certified(alg, pi_auto.images, pi_auto.scalars, period)
     tau_auto = check_diagonal_automorphism(alg, charge_pairings(rs, charge), charge.modulus)
     if pi_auto.compose(tau_auto) != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
@@ -1014,8 +1098,12 @@ def coboundary_witness_matrix(
     alg, _ = build_matrix_algebra(n, exponents, m)
     shifts = matrix_unit_shifts(n, exponents)
     sigma = check_diagonal_automorphism(alg, shifts, m)
-    checks = _verify_coboundary(sigma, shifts)
-    return shifts, checks
+    # residue 1 decides every residue: sigma must be diag(zeta_m^shifts)
+    step = alg.scalar_order // m
+    for k, (image, scalar) in enumerate(zip(sigma.images, sigma.scalars)):
+        if image != k or scalar != zeta_power(alg.scalar_order, step * shifts[k]):
+            raise DescentError(f"coboundary identity fails at residue 1, basis {k}")
+    return shifts, (CheckReport(check="coboundary-identity", window=2 * m),)
 
 
 # -- the root-string table that `chevalley._fold` replaced ----------------------------

@@ -9,12 +9,14 @@ from dense import (
     product_rule_check,
     all_pairs_centroid,
     base_change_check,
+    build_cocycle,
     dense_check_automorphism,
     densify,
     mat_inverse,
     mat_mul,
     ordered_triple_validation,
     twist_fixture,
+    twisted_fixed_points,
 )
 from loopforms import algebra
 from loopforms.algebra import (
@@ -53,11 +55,7 @@ from loopforms.chevalley import (
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.descent import (
-    build_cocycle,
-    build_matrix_algebra,
-    twisted_fixed_points,
-)
+from loopforms.descent import build_matrix_algebra
 from loopforms.linalg import SpanSolver, nullspace
 
 
@@ -436,12 +434,8 @@ def test_eigengrading_accepts_only_certified_maps():
         eigengrading(_sl2(order=2), sigma)
     with pytest.raises(GradingError, match="not certified"):
         eigengrading(embed_algebra(standard_algebra("A1")[1], 2), sigma)
-    # a period lift keeps the certificate, a plain composition drops it
-    lifted = sigma.with_period(4)
-    assert lifted.certified_on(alg) and lifted.period == 4
+    # a plain composition drops the certificate
     assert not sigma.compose(sigma).certified_on(alg)
-    with pytest.raises(AutomorphismError, match="not a multiple"):
-        sigma.with_period(3)
 
 
 def test_eigengrading_refuses_a_component_that_is_not_an_eigenvector(monkeypatch):
@@ -508,7 +502,9 @@ def test_composition_needs_certified_factors():
     composed = twist(alg, flip, exponents, 3)
     assert composed == flip.compose(tau) and composed.certified_on(alg)
     # exponents that are all 0 mod m leave the outer map, at the common period
-    assert twist(alg, flip, [3 * p for p in exponents], 3) == flip.with_period(6)
+    lifted = twist(alg, flip, [3 * p for p in exponents], 3)
+    assert lifted == FiniteOrderAutomorphism(flip.images, flip.scalars, 6)
+    assert lifted.certified_on(alg)
     plain = FiniteOrderAutomorphism(flip.images, flip.scalars, flip.period)
     with pytest.raises(AutomorphismError, match="not certified"):
         twist(alg, plain, exponents, 3)

@@ -7,16 +7,19 @@ import pytest
 
 from dense import (
     TWIST_FIXTURES,
+    LoopCocycle,
+    build_cocycle,
     coboundary_witness_matrix,
     densify,
     is_identity,
     mat_mul,
     mat_pow,
     twist_fixture,
+    twisted_fixed_points,
     untwist_matrix_iso,
     windowed_untwist_check,
 )
-from loopforms import acceptance, cli, descent, grading
+from loopforms import acceptance, cli, descent, grading, linalg
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
@@ -29,17 +32,17 @@ from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import nullspace
 from loopforms.descent import (
     DescentError,
-    LoopCocycle,
-    build_cocycle,
     build_matrix_algebra,
     coboundary_witness,
+    fixed_point_report,
     matrix_twist_factors,
     matrix_unit_shifts,
-    twisted_fixed_points,
     untwist_iso,
 )
 from loopforms.grading import (
+    AutomorphismError,
     FiniteOrderAutomorphism,
+    GradingError,
     check_automorphism,
     check_diagonal_automorphism,
     eigengrading,
@@ -103,8 +106,8 @@ def test_twisted_fixed_points_equal_grading():
         assert [densify(v, n, order) for v in basis] == [
             densify(v, n, order) for v in grading.component_bases[r]
         ]
-    # the reports list the kernel of residue j mod 2 at every degree |j| <= 4
-    checks, fixed_dims = descent.fixed_point_report(cocycle, grading)
+    # the reports list component j mod 2 at every degree |j| <= 4
+    checks, fixed_dims = fixed_point_report(alg, sigma)
     assert [c.to_obj() for c in checks] == [
         {"check": "cocycle-identity", "window": 2, "status": "pass"},
         {"check": "twisted-fixed-points", "window": 4, "status": "pass"},
@@ -130,6 +133,50 @@ def test_twisted_fixed_points_equal_nullspace_per_degree(name):
         ]
         direct = nullspace(rows, n, order)
         assert [densify(v, n, order) for v in basis] == [densify(v, n, order) for v in direct]
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_fixed_point_report_matches_eliminated_kernels(name):
+    # the report reads component j mod m off the certificate; the oracle
+    # composes the cocycle and eliminates one kernel per residue
+    alg, sigma = twist_fixture(name)
+    m, n, order = sigma.period, alg.dim, alg.scalar_order
+    grading = eigengrading(alg, sigma)
+    kernels = twisted_fixed_points(build_cocycle(sigma), grading)
+    for kernel, component in zip(kernels, grading.component_bases, strict=True):
+        assert [densify(v, n, order) for v in kernel] == [
+            densify(v, n, order) for v in component
+        ]
+    _, fixed_dims = fixed_point_report(alg, sigma)
+    assert fixed_dims == {str(j): len(kernels[j % m]) for j in range(-2 * m, 2 * m + 1)}
+
+
+def test_fixed_point_report_refuses_uncertified_twist():
+    _, alg, sigma = _sl2_toral()
+    fixed_point_report(alg, sigma)
+    # the same map written out by hand carries no certificate on the table
+    plain = FiniteOrderAutomorphism(sigma.images, sigma.scalars, sigma.period)
+    with pytest.raises(GradingError, match="not certified"):
+        fixed_point_report(alg, plain)
+
+
+def test_descent_verify_runs_no_nullspace(monkeypatch, capsys):
+    solved = []
+    real = linalg.nullspace
+
+    def counting(*args):
+        solved.append(args[1])
+        return real(*args)
+
+    # rebind every alias, so a direct call from any module is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "nullspace", None) is real:
+            monkeypatch.setattr(module, "nullspace", counting)
+    argv = _pool_requests("descent-verify B3")[0]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["payload"]
+    assert [c["check"] for c in report["checks"]] == ["cocycle-identity", "twisted-fixed-points"]
+    assert solved == []
 
 
 def test_tampered_cocycle_detected():
@@ -229,7 +276,7 @@ def test_unified_witnesses_match_matrix_oracles(n, exponents, m, window):
     assert iso.checks == oracle.checks
     assert coboundary_witness(alg, shifts, m) == coboundary_witness_matrix(n, exponents, m)
     source = eigengrading(alg, twist(alg, identity, shifts, m))
-    target = eigengrading(alg, identity.with_period(m))
+    target = eigengrading(alg, twist(alg, identity, (0,) * alg.dim, m))
     windowed_untwist_check(alg, source, target, iso.shifts, window or 2 * m)
 
 
@@ -256,7 +303,7 @@ def untwist_calls(monkeypatch):
     def both(alg, sigma, outer, shifts):
         window = 2 * sigma.period
         source = eigengrading(alg, sigma)
-        target = eigengrading(alg, outer.with_period(sigma.period))
+        target = eigengrading(alg, twist(alg, outer, (0,) * alg.dim, sigma.period))
         windowed_untwist_check(alg, source, target, shifts, window)
         checks = real(alg, sigma, outer, shifts)
         calls.append(window)
@@ -290,7 +337,8 @@ def _untwist_inputs(label, perm, s, m):
     sigma = twist(alg, outer, exponents, m)
     period = sigma.period
     shifts = tuple((period // m) * p for p in exponents)
-    gradings = eigengrading(alg, sigma), eigengrading(alg, outer.with_period(period))
+    target = twist(alg, outer, (0,) * alg.dim, period)
+    gradings = eigengrading(alg, sigma), eigengrading(alg, target)
     return alg, sigma, outer, shifts, gradings
 
 
@@ -340,7 +388,7 @@ def test_orbit_breaking_shift_does_not_land():
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     with pytest.raises(DescentError, match="lands-in-target: the twist on h1 is not outer o zeta"):
         descent._verify_untwist(alg, sigma, identity, shifts)
-    trivial = eigengrading(alg, identity.with_period(6))
+    trivial = eigengrading(alg, twist(alg, identity, (0,) * alg.dim, 6))
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, gradings[0], trivial, shifts, 12)
 
@@ -381,14 +429,13 @@ def test_untwist_computes_no_grading(monkeypatch, capsys):
 def test_perturbed_coboundary_shift_detected():
     rs, alg = algebra_over("A2", 3)
     shifts = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
-    sigma = check_diagonal_automorphism(alg, shifts, 3)
-    assert descent._verify_coboundary(sigma, shifts)[0].status == "pass"
+    assert coboundary_witness(alg, shifts, 3)[0] == shifts
     # a shift moved by a full period is the same coboundary; by one it is not
     moved = tuple(x + 3 if k == 2 else x for k, x in enumerate(shifts))
-    assert descent._verify_coboundary(sigma, moved)[0].status == "pass"
+    assert coboundary_witness(alg, moved, 3)[0] == moved
     bad = tuple(x + 1 if k == 2 else x for k, x in enumerate(shifts))
-    with pytest.raises(DescentError, match="coboundary identity fails at residue 1, basis 2"):
-        descent._verify_coboundary(sigma, bad)
+    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+        coboundary_witness(alg, bad, 3)
 
 
 def test_matrix_unit_shifts_m3():
@@ -404,15 +451,16 @@ def test_coboundary_witness_sl2():
     rs, alg, _ = _sl2_toral()
     shifts, checks = coboundary_witness(alg, charge_pairings(rs, ToralCharge(s=(1,), modulus=2)), 2)
     assert shifts == (0, 1, -1)
-    assert all(c.status == "pass" for c in checks)
-    assert any(c.check == "coboundary-identity" for c in checks)
+    assert [c.to_obj() for c in checks] == [
+        {"check": "coboundary-identity", "window": 4, "status": "pass"}
+    ]
 
 
 def test_coboundary_witness_matrix():
     alg, _, exponents = matrix_twist_factors(3, (0, 1, 2), 3)
     shifts, checks = coboundary_witness(alg, exponents, 3)
     assert shifts == matrix_unit_shifts(3, (0, 1, 2))
-    assert all(c.status == "pass" for c in checks)
+    assert [c.check for c in checks] == ["coboundary-identity"]
 
 
 def test_coboundary_rejects_rank_mismatch():

@@ -138,6 +138,21 @@ def _words(*names):
         # (chevalley.diagram_automorphism): no propagation from the simple
         # roots, which tests/dense.propagated_diagram_map keeps as the oracle
         pytest.param(_words("_propagate"), id="sign propagation"),
+        # the cocycle identity and the twisted fixed points are read off the
+        # twist's certificate (descent.fixed_point_report), and the
+        # coboundary identity off the diagonal one: no recomputation, which
+        # tests/dense.build_cocycle and twisted_fixed_points keep as the
+        # oracle, and no period lift beside grading.twist
+        pytest.param(
+            _words(
+                "LoopCocycle",
+                "build_cocycle",
+                "twisted_fixed_points",
+                "_verify_coboundary",
+                "with_period",
+            ),
+            id="cocycle recomputation",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
