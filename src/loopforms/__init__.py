@@ -57,7 +57,6 @@ _EXPORTS = {
     "descent": (
         "UntwistIso",
         "build_matrix_algebra",
-        "coboundary_witness",
         "matrix_twist_factors",
         "untwist_iso",
     ),

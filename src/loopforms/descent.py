@@ -4,21 +4,22 @@ The covering k[z,z^-1] / k[t,t^-1], t = z^m, is cyclic of degree m; the
 generator acts by z -> zeta_m z.  One twist serves every table: a Lie
 algebra twisted by pi o tau_s and M_n twisted by Ad(diag(zeta^a)) are both
 `grading.twist(alg, outer, p, m)` = outer o diag(zeta_m^p), with outer the
-diagram automorphism of pi or the identity, so `untwist_iso` and
-`coboundary_witness` take (alg, outer, p, m) and (alg, p, m) from either and
-never read a root system.  A period-m automorphism sigma of A yields the
-cocycle u(n mod m) = sigma^{-n} with values in Aut(A tensor S), and the
-twisted fixed points of u recover the loop algebra L(sigma) degree by degree.
+diagram automorphism of pi or the identity, so `untwist_iso` takes
+(alg, outer, p, m) from either and never reads a root system.  A period-m
+automorphism sigma of A yields the cocycle u(n mod m) = sigma^{-n} with
+values in Aut(A tensor S), and the twisted fixed points of u recover the
+loop algebra L(sigma) degree by degree.
 
 Every identity is read off a certificate the twist already has, and holds
-in all degrees: `fixed_point_report` reads the cocycle identity off
-sigma^m = 1 and the fixed points off the eigengrading, `coboundary_witness`
-reads its identity off the diagonal certificate, and `untwist_iso`
-certifies its degree shift on the table (additivity, for bracket
-preservation) and on the basis (the twist is outer o diag(zeta^shift) with
-the shift constant on the orbits of outer, for landing).  Nothing here
-eliminates or takes a degree window; the `window` a report shows is read
-off the period and bounds nothing that is checked.
+in all degrees.  `fixed_point_report` reads the cocycle identity off
+sigma^m = 1 and the fixed points off the eigengrading.  `untwist_iso` is the
+one descent certificate, an explicit isomorphism L(sigma) -> L(outer): it
+certifies its degree shift on the basis (constant on the orbits of outer,
+for landing) and on the table (additive as integers, for bracket
+preservation).  For an inner twist, outer the identity, the coboundary
+identity is a corollary of that isomorphism (`UntwistIso.witness_checks`).
+Nothing here eliminates or takes a degree window; the `window` a report row
+shows is read off the period and bounds nothing that is checked.
 
 Conventions, pinned by the checks in this module:
 
@@ -33,10 +34,10 @@ for the inner part of the automorphism group.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import MultTableAlgebra, make_table
-from .cyclo import CycloNum, zeta_power
+from .cyclo import CycloNum
 from .grading import (
     FiniteOrderAutomorphism,
     check_diagonal_automorphism,
@@ -46,11 +47,9 @@ from .grading import (
 from .record import Record
 
 __all__ = [
-    "CheckReport",
     "DescentError",
     "UntwistIso",
     "build_matrix_algebra",
-    "coboundary_witness",
     "fixed_point_report",
     "matrix_twist_factors",
     "matrix_unit_shifts",
@@ -62,23 +61,19 @@ class DescentError(ValueError):
     pass
 
 
+def _passed(check: str, window: int) -> dict:
+    """The report row of a check; every check raises on failure, so it has
+    passed."""
+    return {"check": check, "window": window, "status": "pass"}
+
+
 # -- cocycles ------------------------------------------------------------------
-
-
-class CheckReport(Record):
-    """A certified identity; every check raises on failure, so it has passed."""
-
-    check: str
-    window: int
-
-    def to_obj(self) -> dict:
-        return {"check": self.check, "window": self.window, "status": "pass"}
 
 
 def fixed_point_report(
     alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism
-) -> tuple[tuple[CheckReport, ...], dict[str, int]]:
-    """The reports of the cocycle identity and the twisted fixed points of
+) -> tuple[list[dict], dict[str, int]]:
+    """The report rows of the cocycle identity and the twisted fixed points of
     u(n) = sigma^(-n), and the fixed dimension of every degree |j| <= 2m,
     m = sigma.period, read off the certificate of sigma on alg.
 
@@ -94,7 +89,7 @@ def fixed_point_report(
     * Twisted fixed points.  On the slice A z^j the twisted action
       x z^j -> u(1)(gamma(x z^j)) is the constant map zeta^j sigma^(-1), so
       the fixed space of degree j is the kernel of zeta^j sigma^(-1) - 1, the
-      zeta^j-eigenspace of sigma.  The eigengrading certifies dim A
+      zeta^j-eigenspace of sigma.  The eigengrading writes down dim A
       independent eigenvectors, component i scaled by zeta^i; eigenvectors
       of distinct eigenvalues are independent, so the zeta^j-eigenspace is
       component j mod m exactly, and its dimension is that component's.
@@ -103,10 +98,7 @@ def fixed_point_report(
     """
     grading = eigengrading(alg, sigma)
     m = grading.period
-    checks = (
-        CheckReport(check="cocycle-identity", window=m),
-        CheckReport(check="twisted-fixed-points", window=2 * m),
-    )
+    checks = [_passed("cocycle-identity", m), _passed("twisted-fixed-points", 2 * m)]
     return checks, {str(j): grading.dims[j % m] for j in range(-2 * m, 2 * m + 1)}
 
 
@@ -174,14 +166,34 @@ class UntwistIso(Record):
     Both sides are graded with the common period M = lcm(|outer|, m); the
     target then occupies only the degrees divisible by M/|outer|, which is
     the usual relabeling t = z^M.  `shifts` holds the per-basis-vector degree
-    drop, e_k z^j -> e_k z^(j - shifts[k]).  The report shows a window of
-    two periods, as its checks do.
+    drop, e_k z^j -> e_k z^(j - shifts[k]).  `untwist_iso` returns one only
+    after every check has passed, so its rows are the names of those checks,
+    each with a window of two periods.
     """
 
     period: int
     toral_modulus: int
     shifts: tuple[int, ...]
-    checks: tuple[CheckReport, ...]
+
+    @property
+    def checks(self) -> list[dict]:
+        return [_passed(name, 2 * self.period) for name in _UNTWIST_CHECKS]
+
+    @property
+    def witness_checks(self) -> list[dict]:
+        """The untwist rows and the coboundary-identity row of sigma =
+        diag(zeta_m^p), m = toral_modulus, window 2m.  Its callers untwist
+        onto the identity outer map, so this map is the witness a = b^-1.
+
+        The additivity clause makes p additive as integers on the table, so
+        mod m too: sigma is an automorphism, and a an algebra map of
+        A tensor S.  u(n) = sigma^(-n) and a^-1 gamma^n(a) = a^-1 gamma^n a
+        gamma^-n both scale e_k z^j by zeta^(-n p_k), the second as
+        zeta^(-n j) zeta^(n (j - p_k)), for every residue n, index k and
+        degree j.  A shift moved by a multiple of m names the same sigma but
+        another a, which additivity refuses where it breaks a product.
+        """
+        return self.checks + [_passed("coboundary-identity", 2 * self.toral_modulus)]
 
     def to_obj(self) -> dict:
         return {
@@ -189,64 +201,44 @@ class UntwistIso(Record):
             "toral_modulus": self.toral_modulus,
             "shifts": list(self.shifts),
             "window": 2 * self.period,
-            "checks": [c.to_obj() for c in self.checks],
+            "checks": self.checks,
         }
 
 
 _UNTWIST_CHECKS = ("lands-in-target", "lands-in-source", "bracket-preservation", "t-intertwine")
 
 
-def _off_factor(
-    sigma: FiniteOrderAutomorphism, outer: FiniteOrderAutomorphism, shifts: Sequence[int]
-) -> Optional[int]:
-    """The first basis index k at which sigma is not outer o diag(zeta_M^shifts),
-    M = sigma.period, or None: sigma must send e_k to
-    outer.scalars[k] zeta_M^shifts[k] e_(outer.images[k])."""
-    order = sigma.scalar_order
-    step = order // sigma.period
-    for k, (image, scalar) in enumerate(zip(sigma.images, sigma.scalars)):
-        diagonal = zeta_power(order, step * shifts[k])
-        if image != outer.images[k] or scalar != outer.scalars[k] * diagonal:
-            return k
-    return None
-
-
 def _verify_untwist(
-    alg: MultTableAlgebra,
-    sigma: FiniteOrderAutomorphism,
-    outer: FiniteOrderAutomorphism,
-    shifts: Sequence[int],
-) -> tuple[CheckReport, ...]:
+    alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, shifts: Sequence[int]
+) -> None:
     """Certify phi: e_k z^j -> e_k z^(j - shifts[k]) from L(sigma) onto
-    L(outer), both graded mod M = sigma.period, in every degree.
+    L(outer), sigma = outer o diag(zeta^shifts) with zeta = zeta_M, both
+    graded mod the common period M, in every degree.
 
-    Landing rests on two clauses on the basis, both reported as
-    lands-in-target: sigma = outer o diag(zeta^shifts) with zeta = zeta_M
-    (the factor clause), and shifts[outer.images[k]] = shifts[k] as integers
-    (the invariance clause).  Split v = sum_s v^(s) by shift class.  Outer
-    preserves each class, and diag acts on class s as zeta^s, so sigma
-    preserves each class too and sigma v = zeta^r v gives, class by class,
-    outer v^(s) = zeta^(r - s) v^(s).  So the piece of phi(v z^r) at degree
-    r - s, which is v^(s), lies in outer's component r - s: phi lands in
-    the target.  Conversely outer w = zeta^r w gives sigma w^(s) =
-    zeta^(r + s) w^(s), so phi^-1(w z^r) lands in the source.  An outer
-    eigenvector is supported on whole orbits, so a shift that agrees on an
-    orbit only mod M splits it across degrees: agreement mod M is not enough.
+    sigma has that form by construction: `untwist_iso` takes it from
+    `grading.twist`, which composes outer with diag(zeta_m^p), and
+    zeta_m^p = zeta_M^((M/m) p) is zeta^shifts.  Landing then rests on one
+    clause on the basis, reported as lands-in-target: shifts[outer.images[k]]
+    = shifts[k] as integers (the invariance clause).  Split v = sum_s v^(s)
+    by shift class.  Outer preserves each class, and diag acts on class s as
+    zeta^s, so sigma preserves each class too and sigma v = zeta^r v gives,
+    class by class, outer v^(s) = zeta^(r - s) v^(s).  So the piece of
+    phi(v z^r) at degree r - s, which is v^(s), lies in outer's component
+    r - s: phi lands in the target.  Conversely outer w = zeta^r w gives
+    sigma w^(s) = zeta^(r + s) w^(s), so phi^-1(w z^r) lands in the source.
+    An outer eigenvector is supported on whole orbits, so a shift that
+    agrees on an orbit only mod M splits it across degrees: agreement mod M
+    is not enough.
 
     phi(e_a z^i . e_b z^j) and phi(e_a z^i) phi(e_b z^j) have the same
     terms, at degrees i + j - shifts[c] and i + j - shifts[a] - shifts[b],
     so phi preserves products in all degrees exactly when the shift is
-    additive on every nonzero product of the table.  phi moves each basis
-    vector by one integer, so it commutes with multiplication by t = z^M by
-    its form (t-intertwine).  Each check raises on failure; the reports show
-    a window of two periods.
+    additive on every nonzero product of the table (the additivity clause).
+    phi moves each basis vector by one integer, so it commutes with
+    multiplication by t = z^M by its form (t-intertwine).  Each check raises
+    on failure.
     """
     labels = alg.basis_labels
-    k = _off_factor(sigma, outer, shifts)
-    if k is not None:
-        raise DescentError(
-            f"lands-in-target: the twist on {labels[k]} is not outer o zeta^{shifts[k]}"
-        )
     for k, image in enumerate(outer.images):
         if shifts[image] != shifts[k]:
             raise DescentError(
@@ -260,8 +252,6 @@ def _verify_untwist(
                     f"bracket preservation fails on the pair ({labels[a]}, {labels[b]}): "
                     f"shift {shifts[c]} of {labels[c]} is not {shifts[a]} + {shifts[b]}"
                 )
-    window = 2 * sigma.period
-    return tuple(CheckReport(check=name, window=window) for name in _UNTWIST_CHECKS)
 
 
 def untwist_iso(
@@ -271,48 +261,18 @@ def untwist_iso(
     m: int,
 ) -> UntwistIso:
     """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), verified in
-    every degree from the two factors, with no grading computed.
+    every degree from the two factors, with no grading computed: the one
+    descent certificate.
 
     The twist is `grading.twist(alg, outer, exponents, m)`: for a type label
     outer is the diagram automorphism of pi and p_j = <s, weight of e_j>, for
     M_n it is the identity and p = a_i - a_k on E_ik.  e_j drops degree by
     (M/m) p_j, M = lcm(|outer|, m) the common period; the factor M/m (1
     whenever |outer| divides m) keeps the shift aligned with the
-    common-period grading.
+    common-period grading.  With outer the identity the isomorphism also
+    witnesses that the twist is a coboundary (`UntwistIso.witness_checks`).
     """
     sigma = twist(alg, outer, exponents, m)
     shifts = tuple((sigma.period // m) * p for p in exponents)
-    checks = _verify_untwist(alg, sigma, outer, shifts)
-    return UntwistIso(period=sigma.period, toral_modulus=m, shifts=shifts, checks=checks)
-
-
-# -- coboundary witnesses --------------------------------------------------------
-
-
-def coboundary_witness(
-    alg: MultTableAlgebra,
-    exponents: Sequence[int],
-    m: int,
-) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
-    """Witness trivializing the cocycle of the diagonal twist diag(zeta_m^p).
-
-    The twist is tau_s of a type label (p_j = <s, weight of e_j>) or
-    Ad(diag(zeta^a)) on M_n (p = a_i - a_k on E_ik).  Returns the degree
-    shifts p defining a = b^-1 (b raises e_j z^i to e_j z^(i + p_j))
-    together with the report of u(n) = a^-1 o gamma^n(a) over all residues,
-    which covers every degree.
-
-    The certificate is `check_diagonal_automorphism`'s additivity pass, which
-    makes sigma = diag(zeta_m^p) an automorphism of period m; the identity is
-    then a theorem.  sigma is diagonal on the basis, so both sides act on
-    e_k z^j by a scalar and no net degree move: u(n) = sigma^(-n) by
-    zeta^(-n p_k), and a^-1 gamma^n a gamma^-n by zeta^(-n j) zeta^(n (j - p_k)),
-    in which j cancels.  The two agree for every residue n, basis index k and
-    degree j.  A shift moved by a multiple of m names the same sigma, so it
-    passes too.  That a is an algebra map of A tensor S needs p additive as
-    integers, which this certificate does not check; `untwist_iso(alg,
-    identity, p, m)`, whose map is a, does.  The report shows a window of 2m.
-    """
-    shifts = tuple(exponents)
-    check_diagonal_automorphism(alg, shifts, m)
-    return shifts, (CheckReport(check="coboundary-identity", window=2 * m),)
+    _verify_untwist(alg, outer, shifts)
+    return UntwistIso(period=sigma.period, toral_modulus=m, shifts=shifts)

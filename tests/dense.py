@@ -13,10 +13,10 @@ associative law on all n^3 ordered basis triples through `product_sparse`,
 the reference for the reduced certificate of `validate_algebra`.
 `windowed_untwist_check` moves every component slice of a degree window
 between the two gradings and brackets every pair of slices, on
-{degree: sparse vector} loop elements, the reference for the factor and
-table certificate of `descent._verify_untwist`, and `base_change_check` checks a grading degree by
-degree in a window.  `FractionCyclo` is Q(zeta_m) on Fraction coefficients,
-the reference for the integer numerators and one denominator of `CycloNum`.
+{degree: sparse vector} loop elements, the reference for the invariance
+and additivity clauses of `descent._verify_untwist`, and `base_change_check`
+checks a grading degree by degree in a window.  `FractionCyclo` is Q(zeta_m)
+on Fraction coefficients, the reference for the integer numerators and one denominator of `CycloNum`.
 `kernel_affine_roots` decomposes each grading component by one nullspace per
 candidate weight, the reference for the weights `affine.affine_roots` reads
 off the closed-form grading.  `fraction_rank_det` is elimination over
@@ -34,7 +34,7 @@ reads off the twist's certificate.
 `diagram_and_composition`, `untwist_matrix_iso` and
 `coboundary_witness_matrix` are the separate type-label and matrix-unit
 twist paths that `grading.twist`, `descent.untwist_iso` and
-`descent.coboundary_witness` replaced, kept as references for them.
+`UntwistIso.witness_checks` replaced, kept as references for them.
 `product_rule_check` forms all n^2 products of component vectors, the
 reference for the product rule that `eigengrading` draws from its certified
 automorphism.  `propagated_diagram_map` extends a diagram symmetry from the
@@ -73,7 +73,6 @@ from loopforms.chevalley import (
 )
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
 from loopforms.descent import (
-    CheckReport,
     DescentError,
     UntwistIso,
     _verify_untwist,
@@ -1083,18 +1082,19 @@ def untwist_matrix_iso(
     diagonal maps of period m, with no outer factor."""
     alg, _ = build_matrix_algebra(n, exponents, m)
     shifts = matrix_unit_shifts(n, exponents)
-    sigma = check_diagonal_automorphism(alg, shifts, m)
+    check_diagonal_automorphism(alg, shifts, m)
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, m)
-    checks = _verify_untwist(alg, sigma, identity, shifts)
-    return UntwistIso(period=m, toral_modulus=m, shifts=shifts, checks=checks)
+    _verify_untwist(alg, identity, shifts)
+    return UntwistIso(period=m, toral_modulus=m, shifts=shifts)
 
 
 def coboundary_witness_matrix(
     n: int,
     exponents: Sequence[int],
     m: int,
-) -> tuple[tuple[int, ...], tuple[CheckReport, ...]]:
-    """Matrix-unit path: shift a_i - a_k on E_ik trivializes Ad(diag)."""
+) -> tuple[tuple[int, ...], list[dict]]:
+    """Matrix-unit path: shift a_i - a_k on E_ik trivializes Ad(diag); the
+    shifts and the coboundary-identity report row."""
     alg, _ = build_matrix_algebra(n, exponents, m)
     shifts = matrix_unit_shifts(n, exponents)
     sigma = check_diagonal_automorphism(alg, shifts, m)
@@ -1103,7 +1103,7 @@ def coboundary_witness_matrix(
     for k, (image, scalar) in enumerate(zip(sigma.images, sigma.scalars)):
         if image != k or scalar != zeta_power(alg.scalar_order, step * shifts[k]):
             raise DescentError(f"coboundary identity fails at residue 1, basis {k}")
-    return shifts, (CheckReport(check="coboundary-identity", window=2 * m),)
+    return shifts, [{"check": "coboundary-identity", "window": 2 * m, "status": "pass"}]
 
 
 # -- the root-string table that `chevalley._fold` replaced ----------------------------

@@ -737,7 +737,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     one = cyclo.CycloNum.one(alg.scalar_order)
     identity = check_automorphism(alg, range(3), [one] * 3, 2)
     try:
-        descent._verify_untwist(alg, sigma, identity, (0, 3, -1))
+        descent._verify_untwist(alg, identity, (0, 3, -1))
     except descent.DescentError as exc:
         print("refused:", exc)
     """

@@ -33,7 +33,6 @@ from loopforms.linalg import nullspace
 from loopforms.descent import (
     DescentError,
     build_matrix_algebra,
-    coboundary_witness,
     fixed_point_report,
     matrix_twist_factors,
     matrix_unit_shifts,
@@ -108,7 +107,7 @@ def test_twisted_fixed_points_equal_grading():
         ]
     # the reports list component j mod 2 at every degree |j| <= 4
     checks, fixed_dims = fixed_point_report(alg, sigma)
-    assert [c.to_obj() for c in checks] == [
+    assert checks == [
         {"check": "cocycle-identity", "window": 2, "status": "pass"},
         {"check": "twisted-fixed-points", "window": 4, "status": "pass"},
     ]
@@ -207,7 +206,7 @@ def test_untwist_sl2_moves_weight_lines():
     # basis order h, e, f: e drops one degree, f gains one, h stays
     assert alg.basis_labels == ("h1", "e[1]", "f[1]")
     assert iso.shifts == (0, 1, -1)
-    assert [c.to_obj() for c in iso.checks] == _untwist_rows(4)
+    assert iso.checks == _untwist_rows(4)
 
 
 def test_untwist_composed_flip_passes(monkeypatch, capsys):
@@ -244,7 +243,7 @@ def test_untwist_matrix_iso_shifts():
     # basis order E11, E12, E21, E22; shift a_i - a_k: E12 gains one degree
     assert alg.basis_labels == ("E11", "E12", "E21", "E22")
     assert iso.shifts == (0, -1, 1, 0)
-    assert [c.to_obj() for c in iso.checks] == _untwist_rows(4)
+    assert iso.checks == _untwist_rows(4)
 
 
 # (n, exponents, m, window) on M_2-M_4: shifts 0 mod m, exact and inexact
@@ -265,16 +264,18 @@ _MATRIX_WITNESSES = (
 
 @pytest.mark.parametrize("n, exponents, m, window", _MATRIX_WITNESSES)
 def test_unified_witnesses_match_matrix_oracles(n, exponents, m, window):
-    # the one untwist and coboundary of every table, against the matrix-unit
-    # path they replaced: same shifts, period, toral_modulus and checks; the
-    # untwisting map also passes the windowed oracle
+    # the one untwist of every table, against the matrix-unit path it
+    # replaced: same shifts, period, toral_modulus and checks, and the same
+    # coboundary row; the untwisting map also passes the windowed oracle
     alg, identity, shifts = matrix_twist_factors(n, exponents, m)
     iso = untwist_iso(alg, identity, shifts, m)
     oracle = untwist_matrix_iso(n, exponents, m)
     assert iso == oracle
     assert (iso.shifts, iso.period, iso.toral_modulus) == (oracle.shifts, m, m)
     assert iso.checks == oracle.checks
-    assert coboundary_witness(alg, shifts, m) == coboundary_witness_matrix(n, exponents, m)
+    oracle_shifts, oracle_rows = coboundary_witness_matrix(n, exponents, m)
+    assert iso.shifts == oracle_shifts
+    assert iso.witness_checks == iso.checks + oracle_rows
     source = eigengrading(alg, twist(alg, identity, shifts, m))
     target = eigengrading(alg, twist(alg, identity, (0,) * alg.dim, m))
     windowed_untwist_check(alg, source, target, iso.shifts, window or 2 * m)
@@ -298,18 +299,21 @@ def untwist_calls(monkeypatch):
     certificate; both accept.  The oracle computes the two gradings the
     certificate does without."""
     calls = []
-    real = descent._verify_untwist
+    real = descent.untwist_iso
 
-    def both(alg, sigma, outer, shifts):
-        window = 2 * sigma.period
-        source = eigengrading(alg, sigma)
-        target = eigengrading(alg, twist(alg, outer, (0,) * alg.dim, sigma.period))
-        windowed_untwist_check(alg, source, target, shifts, window)
-        checks = real(alg, sigma, outer, shifts)
+    def both(alg, outer, exponents, m):
+        iso = real(alg, outer, exponents, m)
+        window = 2 * iso.period
+        source = eigengrading(alg, twist(alg, outer, exponents, m))
+        target = eigengrading(alg, twist(alg, outer, (0,) * alg.dim, iso.period))
+        windowed_untwist_check(alg, source, target, iso.shifts, window)
         calls.append(window)
-        return checks
+        return iso
 
-    monkeypatch.setattr(descent, "_verify_untwist", both)
+    # rebind every alias, so a direct call from any module is checked too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "untwist_iso", None) is real:
+            monkeypatch.setattr(module, "untwist_iso", both)
     return calls
 
 
@@ -347,11 +351,11 @@ def test_perturbed_shift_fails_additivity():
         "A1", DiagramPermutation.identity(1), (1,), 2
     )
     assert shifts == (0, 1, -1)
-    descent._verify_untwist(alg, sigma, outer, shifts)
+    descent._verify_untwist(alg, outer, shifts)
     # e moves by one period more: it still lands, but [e, f] = h breaks 3 - 1 = 0
     bad = (0, 3, -1)
     with pytest.raises(DescentError, match=r"bracket preservation fails on the pair \(e\[1\], f\[1\]\)"):
-        descent._verify_untwist(alg, sigma, outer, bad)
+        descent._verify_untwist(alg, outer, bad)
     with pytest.raises(DescentError, match="bracket preservation"):
         windowed_untwist_check(alg, *gradings, bad, 4)
 
@@ -364,9 +368,8 @@ def test_doubled_shifts_are_additive_but_do_not_land():
     for a, b, _ in alg.constants:
         for c, _ in alg.basis_product(a, b):
             assert doubled[c] == doubled[a] + doubled[b]
-    # the factor clause: zeta^(2p) is not zeta^p where p is not 0 mod 3
-    with pytest.raises(DescentError, match="lands-in-target"):
-        descent._verify_untwist(alg, sigma, outer, doubled)
+    # zeta^(2p) is not zeta^p where p is not 0 mod 3: doubled shifts untwist
+    # another twist, which untwist_iso never pairs with this one
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, *gradings, doubled, 6)
 
@@ -376,18 +379,15 @@ def test_orbit_breaking_shift_does_not_land():
     assert sigma.period == 6
     h1, h2 = alg.basis_labels.index("h1"), alg.basis_labels.index("h2")
     assert (outer.images[h1], shifts[h1], shifts[h2]) == (h2, 0, 0)
-    # a full period more on h1 alone keeps the factor clause, mod 6, but the
+    # a full period more on h1 alone names the same twist, mod 6, but the
     # flip swaps h1 and h2, so the flip-invariant h1 + h2 splits across degrees
     bad = tuple(x + 6 if k == h1 else x for k, x in enumerate(shifts))
-    assert descent._off_factor(sigma, outer, bad) is None
     with pytest.raises(DescentError, match="lands-in-target: shift 0 of h2 is not the shift 6 of h1"):
-        descent._verify_untwist(alg, sigma, outer, bad)
+        descent._verify_untwist(alg, outer, bad)
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, *gradings, bad, 12)
-    # nor does the flip twist factor through the identity outer map
+    # nor does the flip twist untwist onto the identity outer map
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
-    with pytest.raises(DescentError, match="lands-in-target: the twist on h1 is not outer o zeta"):
-        descent._verify_untwist(alg, sigma, identity, shifts)
     trivial = eigengrading(alg, twist(alg, identity, (0,) * alg.dim, 6))
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, gradings[0], trivial, shifts, 12)
@@ -403,7 +403,7 @@ def test_residue_two_is_covered_beyond_the_window():
     # degrees -1..1 never reach residue 2, so a window-1 slice check misses it
     windowed_untwist_check(alg, *gradings, bad, 1)
     with pytest.raises(DescentError, match=r"\(e\[0,1\], e\[1,0\]\): shift 6 of e\[1,1\] is not 1 \+ 1"):
-        descent._verify_untwist(alg, sigma, outer, bad)
+        descent._verify_untwist(alg, outer, bad)
 
 
 def test_untwist_computes_no_grading(monkeypatch, capsys):
@@ -427,15 +427,20 @@ def test_untwist_computes_no_grading(monkeypatch, capsys):
 
 
 def test_perturbed_coboundary_shift_detected():
-    rs, alg = algebra_over("A2", 3)
-    shifts = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
-    assert coboundary_witness(alg, shifts, 3)[0] == shifts
-    # a shift moved by a full period is the same coboundary; by one it is not
-    moved = tuple(x + 3 if k == 2 else x for k, x in enumerate(shifts))
-    assert coboundary_witness(alg, moved, 3)[0] == moved
-    bad = tuple(x + 1 if k == 2 else x for k, x in enumerate(shifts))
+    alg, identity, shifts, m = _type_twist("A2", DiagramPermutation.identity(2), (1, 0), 3)
+    assert untwist_iso(alg, identity, shifts, m).shifts == shifts
+    e01 = alg.basis_labels.index("e[0,1]")
+    # a shift moved by one names no automorphism
+    bad = tuple(x + 1 if k == e01 else x for k, x in enumerate(shifts))
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
-        coboundary_witness(alg, bad, 3)
+        untwist_iso(alg, identity, bad, m)
+    # moved by a full period it names the same twist, but the map that lowers
+    # degrees by it breaks [e[0,1], e[1,0]]
+    moved = tuple(x + m if k == e01 else x for k, x in enumerate(shifts))
+    with pytest.raises(
+        DescentError, match=r"bracket preservation fails on the pair \(e\[0,1\], e\[1,0\]\)"
+    ):
+        untwist_iso(alg, identity, moved, m)
 
 
 def test_matrix_unit_shifts_m3():
@@ -448,19 +453,22 @@ def test_matrix_unit_shifts_m3():
 
 
 def test_coboundary_witness_sl2():
-    rs, alg, _ = _sl2_toral()
-    shifts, checks = coboundary_witness(alg, charge_pairings(rs, ToralCharge(s=(1,), modulus=2)), 2)
-    assert shifts == (0, 1, -1)
-    assert [c.to_obj() for c in checks] == [
-        {"check": "coboundary-identity", "window": 4, "status": "pass"}
-    ]
+    alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    iso = untwist_iso(alg, *factors)
+    assert iso.shifts == (0, 1, -1)
+    row = {"check": "coboundary-identity", "window": 4, "status": "pass"}
+    assert iso.witness_checks == _untwist_rows(4) + [row]
+    # the row depends on m alone, as the matrix-unit path at m = 2 has it
+    assert iso.witness_checks == iso.checks + coboundary_witness_matrix(2, (0, 1), 2)[1]
 
 
 def test_coboundary_witness_matrix():
-    alg, _, exponents = matrix_twist_factors(3, (0, 1, 2), 3)
-    shifts, checks = coboundary_witness(alg, exponents, 3)
-    assert shifts == matrix_unit_shifts(3, (0, 1, 2))
-    assert [c.check for c in checks] == ["coboundary-identity"]
+    alg, identity, exponents = matrix_twist_factors(3, (0, 1, 2), 3)
+    iso = untwist_iso(alg, identity, exponents, 3)
+    shifts, rows = coboundary_witness_matrix(3, (0, 1, 2), 3)
+    assert iso.shifts == shifts == matrix_unit_shifts(3, (0, 1, 2))
+    assert iso.witness_checks == iso.checks + rows
+    assert [row["check"] for row in rows] == ["coboundary-identity"]
 
 
 def test_coboundary_rejects_rank_mismatch():
@@ -468,8 +476,9 @@ def test_coboundary_rejects_rank_mismatch():
     # vector of A1, not of A2
     rs1, _ = algebra_over("A1", 2)
     rs, alg = algebra_over("A2", 2)
+    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     with pytest.raises(ValueError, match="need 8 exponents"):
-        coboundary_witness(alg, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2)
+        untwist_iso(alg, identity, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2)
 
 
 # -- matrix algebra construction ---------------------------------------------------

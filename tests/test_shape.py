@@ -153,6 +153,12 @@ def _words(*names):
             ),
             id="cocycle recomputation",
         ),
+        # untwist_iso is the one descent certificate: the coboundary row is
+        # read off it (descent.UntwistIso.witness_checks), the twist's factors
+        # are how grading.twist composed it, and a report row is a dict
+        pytest.param(
+            _words("coboundary_witness", "CheckReport", "_off_factor"), id="descent rows"
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
