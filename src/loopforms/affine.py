@@ -92,7 +92,9 @@ class FixedCartan(Record):
 
 
 def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation) -> FixedCartan:
-    """Orbit sums b_O = sum_{i in O} h_i; abelian by inheritance, checked anyway.
+    """Orbit sums b_O = sum_{i in O} h_i, abelian because the h_i commute:
+    the table of a type label is its fold (`chevalley._fold`), which writes
+    no product of two Cartan elements.
 
     Each b_O is 1 at its smallest index and the orbits are disjoint, so
     `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
@@ -102,16 +104,14 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
     """
     l = rs.rank
     if len(perm.images) != l:
-        raise AffineExtractError("permutation rank mismatch")
+        raise AffineExtractError("permutation rank mismatch for the fixed Cartan")
     if not perm.preserves(rs.cartan):
-        raise AffineExtractError("permutation does not preserve the Cartan matrix")
+        raise AffineExtractError(
+            "the fixed Cartan's permutation does not preserve the Cartan matrix"
+        )
     orbits = perm.orbits()
     one = CycloNum.one(alg.scalar_order)
     basis = [{i: one for i in orbit} for orbit in orbits]
-    for x in basis:
-        for y in basis:
-            if alg.product_sparse(x, y):
-                raise AffineExtractError("fixed Cartan is not abelian")
     return FixedCartan(basis=tuple(basis), orbits=orbits)
 
 
@@ -380,8 +380,8 @@ def bordered_untwisted(type_label: str) -> GCM:
     Row 0 is then (2, -2 N_j / (theta, theta)), which is
     -<alpha_j, theta^vee>, and column 0 is -<theta, alpha_i^vee>
     = -sum_k A_ik theta_k (Kac, Infinite-Dimensional Lie Algebras, Ch. 4 and
-    Table Aff 1).  Everything is an integer; a division that leaves a
-    remainder raises.
+    Table Aff 1).  Everything is an integer: -2 N_j / (theta, theta) is
+    -<alpha_j, theta^vee>, an integer because theta is a root.
     """
     cartan = cartan_matrix(type_label)
     a = cartan.entries
@@ -390,12 +390,7 @@ def bordered_untwisted(type_label: str) -> GCM:
     theta = highest_root(cartan)
     pairings = [sum(theta[i] * d[i] * a[i][j] for i in range(n)) for j in range(n)]
     norm = sum(t * p for t, p in zip(theta, pairings))
-    top = [2]
-    for p in pairings:
-        quo, rem = divmod(-2 * p, norm)
-        if rem:
-            raise AffineExtractError(f"bordered matrix of {type_label} is not integral")
-        top.append(quo)
+    top = [2] + [-2 * p // norm for p in pairings]
     rows = [tuple(top)] + [
         (-sum(a[i][k] * theta[k] for k in range(n)),) + a[i] for i in range(n)
     ]

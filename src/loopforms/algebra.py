@@ -162,7 +162,7 @@ class MultTableAlgebra(Record):
             raise TypeError("a serialized algebra must be a JSON object")
         for field in ("dim", "scalar_order", "kind", "labels", "constants"):
             if field not in obj:
-                raise ValueError(f"missing field {field!r}")
+                raise ValueError(f"a serialized algebra lacks the field {field!r}")
         labels = obj["labels"]
         if type(labels) is not list or not all(type(label) is str for label in labels):
             raise TypeError("labels must be a list of strings")

@@ -107,7 +107,7 @@ def _modulus(obj: dict) -> int:
     if not _is_int(m) or m < 1:
         raise RequestError("m must be a positive integer")
     if m > MAX_PERIOD:
-        raise RequestError(f"m = {m} exceeds the limit {MAX_PERIOD}")
+        raise RequestError(f"m = {m} exceeds the period limit {MAX_PERIOD}")
     return m
 
 
@@ -135,18 +135,6 @@ def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
 # -- input resolution ------------------------------------------------------------
 
 
-def _require_type(args: _Args) -> str:
-    from .chevalley import TYPE_LABELS
-
-    if args.type is None:
-        raise RequestError("this command needs --type")
-    if args.type not in TYPE_LABELS:
-        raise RequestError(
-            f"unknown type label {args.type!r}; choose one of {', '.join(TYPE_LABELS)}"
-        )
-    return args.type
-
-
 def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
     present = [
         name
@@ -165,12 +153,18 @@ def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
     if source not in allowed:
         raise RequestError(f"--{source} is not supported by this command")
     if source == "type":
-        _require_type(args)
+        from .chevalley import TYPE_LABELS
+
+        if args.type not in TYPE_LABELS:
+            raise RequestError(
+                f"--type {args.type!r} is not a type label; "
+                f"choose one of {', '.join(TYPE_LABELS)}"
+            )
     if source == "matrix-algebra" and args.matrix_algebra < 1:
         raise RequestError("--matrix-algebra needs a positive size")
     if source == "matrix-algebra" and args.matrix_algebra > MAX_MATRIX_SIZE:
         raise RequestError(
-            f"--matrix-algebra {args.matrix_algebra} exceeds the limit {MAX_MATRIX_SIZE}"
+            f"--matrix-algebra {args.matrix_algebra} exceeds the size limit {MAX_MATRIX_SIZE}"
         )
     return source
 

@@ -149,15 +149,15 @@ def check_automorphism(
     alg: MultTableAlgebra, images: Sequence[int], scalars: Sequence[CycloNum], period: int
 ) -> FiniteOrderAutomorphism:
     """Verify invertibility, multiplicativity on all basis pairs (compared on
-    the nonzero products), and period of e_j -> scalars[j] * e_{images[j]}."""
+    the nonzero products), and period of e_j -> scalars[j] * e_{images[j]}.
+
+    A period below 1 is refused by `_check_period`, after the pair check."""
     n = alg.dim
     images, scalars = tuple(images), tuple(scalars)
     if len(images) != n or len(scalars) != n:
-        raise AutomorphismError(f"need {n} images and {n} scalars")
+        raise AutomorphismError(f"images and scalars must both have length dim = {n}")
     if any(c.order != alg.scalar_order for c in scalars):
         raise AutomorphismError("scalars must use the algebra scalar order")
-    if period < 1:
-        raise AutomorphismError("period must be positive")
     if sorted(images) != list(range(n)):
         raise AutomorphismError("images are not a permutation of the basis")
     if any(c.is_zero() for c in scalars):
@@ -196,9 +196,11 @@ def check_diagonal_automorphism(
     n = alg.dim
     exponents = tuple(exponents)
     if len(exponents) != n:
-        raise AutomorphismError(f"need {n} exponents")
+        raise AutomorphismError(
+            f"the diagonal map needs one exponent per basis element, {n} in all"
+        )
     if m < 1:
-        raise AutomorphismError("period must be positive")
+        raise AutomorphismError("the diagonal period m must be positive")
     order = alg.scalar_order
     if order % m != 0:
         raise AutomorphismError(f"scalar order {order} lacks the {m}-th roots of unity")
@@ -209,7 +211,7 @@ def check_diagonal_automorphism(
         for k, _ in entry:
             if residues[k] != target:
                 raise AutomorphismError(
-                    f"multiplicativity fails on basis pair ({labels[i]}, {labels[j]}): "
+                    f"exponent additivity fails on basis pair ({labels[i]}, {labels[j]}): "
                     f"exponent {exponents[k]} of {labels[k]} is not "
                     f"{exponents[i]} + {exponents[j]} mod {m}"
                 )
@@ -257,7 +259,9 @@ class ComponentSolver:
 
     Each vector must be 1 at its smallest index, its pivot, and the vectors
     must have pairwise disjoint supports; otherwise construction raises
-    GradingError.  The coordinate of v on vector k is then v's entry at the
+    GradingError.  Every vector is nonzero and stores no zero: the vectors
+    are sparse, and the two kinds of span below build them from nonzero
+    scalars.  The coordinate of v on vector k is then v's entry at the
     pivot of k, and nothing else can be: every other vector vanishes there.
     `coords` reads those entries, rebuilds sum_k c_k b_k and returns the
     coordinates only when the rebuilt vector is v exactly, so it answers
@@ -265,8 +269,10 @@ class ComponentSolver:
 
     Two kinds of span have this shape: the grading components
     (`GradedDecomposition.component_solver`), and the fixed Cartan h0, whose
-    basis vectors are orbit sums of the h_i (`affine.extract_gcm` reads the
-    coroot coordinates of [e, f] on it).
+    basis vectors are orbit sums of the h_i with coefficient 1
+    (`affine.extract_gcm` reads the coroot coordinates of [e, f] on it).  An
+    eigenvector's entries are products of sigma's scalars and roots of
+    unity, which a certified sigma keeps nonzero.
     """
 
     def __init__(self, vectors: Sequence[Sparse]):
@@ -274,20 +280,16 @@ class ComponentSolver:
         self._owner: dict[int, int] = {}
         pivots = []
         for k, vec in enumerate(self.vectors):
-            if not vec:
-                raise GradingError(f"component vector {k} is zero")
             pivot = min(vec)
             pivots.append(pivot)
             lead = vec[pivot]
             if lead != CycloNum.one(lead.order):
                 raise GradingError(f"component vector {k} is {lead} at its pivot {pivot}, not 1")
-            for idx, x in vec.items():
+            for idx in vec:
                 if idx in self._owner:
                     raise GradingError(
                         f"component vectors {self._owner[idx]} and {k} share index {idx}"
                     )
-                if x.is_zero():
-                    raise GradingError(f"component vector {k} stores a zero at index {idx}")
                 self._owner[idx] = k
         self.pivots = tuple(pivots)
 
@@ -356,13 +358,15 @@ class GradedDecomposition(Record):
 def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> GradedDecomposition:
     """Split the algebra into the eigenspaces of sigma, in closed form.
 
-    Requires the period m = sigma.period to divide alg.scalar_order, and
-    sigma certified on this table by `check_automorphism`,
-    `check_diagonal_automorphism` or `twist`; any other sigma raises
-    GradingError.  A cycle e_0 -> ... -> e_{k-1} -> e_0 of sigma with scalar
-    product P carries one eigenvector v for each root lambda = zeta_m^i of
-    x^k = P, the sum over t < k of lambda^-t sigma^t(e_0), taken from the
-    cycle's smallest index, where it is 1.  Supports are disjoint, so each
+    Requires sigma certified on this table by `check_automorphism`,
+    `check_diagonal_automorphism` or `twist`, and the period m = sigma.period
+    to divide alg.scalar_order; any other sigma raises GradingError.  Each
+    certificate gives sigma scalars of the table's order: `check_automorphism`
+    checks it, and the other two build them at that order.  A cycle
+    e_0 -> ... -> e_{k-1} -> e_0 of sigma with scalar product P carries one
+    eigenvector v for each root lambda = zeta_m^i of x^k = P, the sum over
+    t < k of lambda^-t sigma^t(e_0), taken from the cycle's smallest index,
+    where it is 1.  Supports are disjoint, so each
     component, ordered by that index, is its reduced row-echelon basis.
 
     Every certificate gives nonzero scalars and sigma^m = 1, which on a
@@ -380,14 +384,12 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
       y in A_j, sigma(xy) = sigma(x) sigma(y) = zeta^(i+j) xy.
     """
     m = sigma.period
+    if not sigma.certified_on(alg):
+        raise GradingError("the automorphism is not certified on this table; check it first")
     if alg.scalar_order % m != 0:
         raise GradingError(
             f"scalar order {alg.scalar_order} lacks the {m}-th roots of unity; embed first"
         )
-    if sigma.scalar_order != alg.scalar_order:
-        raise GradingError("automorphism and algebra must share a scalar order")
-    if not sigma.certified_on(alg):
-        raise GradingError("the automorphism is not certified on this table; check it first")
     order = alg.scalar_order
     step = order // m
     components: list[list[Sparse]] = [[] for _ in range(m)]

@@ -191,7 +191,7 @@ def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     A column with no pivot left is skipped, and rows are exchanged to bring a
     pivot up, which flips the sign.  After k pivots every remaining entry is
     a (k+1)-minor, so each division by the previous pivot is exact (Sylvester's
-    identity); a remainder raises.  For full rank the last pivot is the
+    identity) and is taken with //.  For full rank the last pivot is the
     determinant up to that sign.
     """
     work = [list(row) for row in rows]
@@ -210,10 +210,7 @@ def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
             row = work[r]
             factor = row[col]
             for c in range(col + 1, n):
-                quo, rem = divmod(p * row[c] - factor * top[c], prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division is not exact")
-                row[c] = quo
+                row[c] = (p * row[c] - factor * top[c]) // prev
             row[col] = 0
         prev = p
         rank += 1

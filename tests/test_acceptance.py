@@ -98,5 +98,5 @@ def test_empty_selection_gives_empty_passing_report():
 
 
 def test_unknown_criterion_id_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown criterion id 9"):
         verify_all(selected=[9])

@@ -14,6 +14,8 @@ from loopforms.affine import (
     GCM,
     AffineExtractError,
     AffineLabel,
+    AffineRoot,
+    AffineRootData,
     FixedCartan,
     affine_catalog,
     affine_certificate,
@@ -35,7 +37,7 @@ from loopforms.chevalley import (
     type_twist_factors,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
-from loopforms.cyclo import CycloNum
+from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.grading import ComponentSolver, eigengrading, twist
 from loopforms.linalg import SpanSolver
 
@@ -71,9 +73,12 @@ def test_fixed_cartan_a2_flip():
 
 def test_fixed_cartan_rejects_bad_permutation():
     rs, alg = algebra_over("B2", 1)
-    with pytest.raises(AffineExtractError):
+    with pytest.raises(
+        AffineExtractError,
+        match="the fixed Cartan's permutation does not preserve the Cartan matrix",
+    ):
         fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
-    with pytest.raises(AffineExtractError):
+    with pytest.raises(AffineExtractError, match="permutation rank mismatch for the fixed Cartan"):
         fixed_cartan(alg, rs, DiagramPermutation.identity(3))
 
 
@@ -211,7 +216,9 @@ def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
     tampered = dict(h0.basis[0])
     tampered[rs.rank] = CycloNum.one(alg.scalar_order)
     h0 = FixedCartan(basis=(tampered,) + h0.basis[1:], orbits=h0.orbits)
-    with pytest.raises(AffineExtractError, match="not diagonal under the fixed Cartan"):
+    with pytest.raises(
+        AffineExtractError, match="a vector of component 0 is not diagonal under the fixed Cartan"
+    ):
         affine_roots(alg, grading, h0)
 
 
@@ -220,27 +227,114 @@ def test_affine_roots_rejects_non_integral_weights():
     half = CycloNum.rational(alg.scalar_order, Fraction(1, 2))
     basis = tuple({i: half * x for i, x in b.items()} for b in h0.basis)
     h0 = FixedCartan(basis=basis, orbits=h0.orbits)
-    with pytest.raises(AffineExtractError, match="not a rational integer"):
+    with pytest.raises(AffineExtractError, match="has weight .*, not a rational integer"):
         affine_roots(alg, grading, h0)
+
+
+def test_affine_roots_rejects_a_fixed_cartan_that_does_not_control_the_twist():
+    # the untwisted grading of A2 read on the flip's fixed Cartan h1 + h2:
+    # alpha_1 and alpha_2 have the same weight 1 there, and the negatives,
+    # met first, the weight -1
+    alg, rs, grading, _ = _twist("A2")
+    h0 = fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
+    with pytest.raises(
+        AffineExtractError, match=r"real root \(-1,\) in residue 0 has multiplicity 2"
+    ):
+        affine_roots(alg, grading, h0)
+    # on a fixed Cartan of rank 0 every vector has weight zero
+    empty = FixedCartan(basis=(), orbits=())
+    with pytest.raises(
+        AffineExtractError,
+        match="zero-weight space in residue 0 exceeds the fixed Cartan; unsupported twist shape",
+    ):
+        affine_roots(alg, grading, empty)
+
+
+def test_simple_roots_need_rank_plus_one_roots():
+    # A1^(1) without the weight -2: delta - alpha is gone, so one simple
+    # root is left
+    alg, _, grading, h0 = _twist("A1")
+    data = affine_roots(alg, grading, h0)
+    assert len(simple_affine_roots(data)) == 2
+    (space,) = data.spaces
+    cut = AffineRootData(h0=h0, period=1, spaces=({w: v for w, v in space.items() if w != (-2,)},))
+    with pytest.raises(AffineExtractError, match="base has 1 roots, expected 2; unsupported twist"):
+        simple_affine_roots(cut)
+
+
+def _vector(alg, *terms):
+    """The sparse vector sum c e_label over the (label, c) terms."""
+    return {alg.basis_labels.index(label): c for label, c in terms}
+
+
+def _hand_built(alg, h0, base, space):
+    """extract_gcm on base roots of degree 0 and a residue-0 space written
+    by hand."""
+    data = AffineRootData(h0=h0, period=1, spaces=(space,))
+    return extract_gcm(alg, tuple(AffineRoot(weight=w, degree=0) for w in base), data)
+
+
+def test_extract_gcm_refuses_hand_built_root_spaces():
+    alg, _, _, h0 = _twist("A2")
+    one = CycloNum.one(alg.scalar_order)
+    e1, e2 = _vector(alg, ("e[1,0]", one)), _vector(alg, ("e[0,1]", one))
+    f1 = _vector(alg, ("f[1,0]", one))
+    alpha, minus = (2, -1), (-2, 1)
+    with pytest.raises(AffineExtractError, match=r"missing root space for base root \(2, -1\)"):
+        _hand_built(alg, h0, [alpha], {})
+    with pytest.raises(AffineExtractError, match="base root space is not one-dimensional"):
+        _hand_built(alg, h0, [alpha], {alpha: (e1, e2), minus: (f1,)})
+    # [e_alpha1, e_alpha2] is a root vector
+    with pytest.raises(AffineExtractError, match=r"\[e, f\] leaves the fixed Cartan"):
+        _hand_built(alg, h0, [alpha], {alpha: (e1,), minus: (e2,)})
+    # [e_alpha1, e_alpha1] = 0 pairs to nothing
+    with pytest.raises(AffineExtractError, match=r"degenerate pairing for base root \(2, -1\)"):
+        _hand_built(alg, h0, [alpha], {alpha: (e1,), minus: (e1,)})
+    # weights 3 alpha_1 and alpha_1 for the one sl2 triple: the coroots are
+    # (2/3, 0) and (2, 0), so entry (0, 1) is 2/3
+    space = {(3, 0): (e1,), (-3, 0): (f1,), (1, 0): (e1,), (-1, 0): (f1,)}
+    with pytest.raises(AffineExtractError, match=r"entry \(0,1\) = 2/3 is not an integer"):
+        _hand_built(alg, h0, [(3, 0), (1, 0)], space)
+
+
+def test_extract_gcm_refuses_a_coroot_that_is_not_rational():
+    # e = e1 + e2 and f = f1 + zeta f2 over Q(zeta_3): [e, f] = h1 + zeta h2
+    rs, alg = algebra_over("A2", 3)
+    h0 = fixed_cartan(alg, rs, DiagramPermutation.identity(2))
+    one, zeta = CycloNum.one(3), zeta_power(3, 1)
+    e = _vector(alg, ("e[1,0]", one), ("e[0,1]", one))
+    f = _vector(alg, ("f[1,0]", one), ("f[0,1]", zeta))
+    with pytest.raises(AffineExtractError, match=r"coroot of base root \(2, -1\) is not rational"):
+        _hand_built(alg, h0, [(2, -1)], {(2, -1): (e,), (-2, 1): (f,)})
 
 
 # -- GCM axioms ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "entries",
+    "entries, message",
     [
-        ((2, -1), (-1, 2)),  # finite: determinant 3
-        ((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2)),  # corank 2
-        ((2, 1), (1, 2)),  # positive off-diagonal
-        ((2, -1), (0, 2)),  # asymmetric zero pattern
-        ((1, -1), (-1, 1)),  # diagonal not 2
-        ((2, -2), (-2, 2, 0)),  # not square
+        pytest.param(((2, -1), (-1, 2)), "determinant 3 is not 0", id="entries0"),
+        pytest.param(
+            ((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2)),
+            "corank 2 is not 1",
+            id="entries1",
+        ),
+        pytest.param(((2, 1), (1, 2)), r"positive off-diagonal entry at \(0,1\)", id="entries2"),
+        pytest.param(((2, -1), (0, 2)), r"zero pattern asymmetric at \(0,1\)", id="entries3"),
+        pytest.param(((1, -1), (-1, 1)), "diagonal entry 0 is 1, not 2", id="entries4"),
+        pytest.param(((2, -2), (-2, 2, 0)), "matrix must be square", id="entries5"),
     ],
 )
-def test_gcm_axioms_reject(entries):
-    with pytest.raises(AffineExtractError):
+def test_gcm_axioms_reject(entries, message):
+    with pytest.raises(AffineExtractError, match=message):
         GCM(entries=entries)
+
+
+def test_gcm_must_be_indecomposable():
+    # A1^(1) beside A1: determinant 0 and corank 1, in two components
+    with pytest.raises(AffineExtractError, match="matrix is decomposable"):
+        GCM(entries=((2, -2, 0), (-2, 2, 0), (0, 0, 2)))
 
 
 # -- the Kac-table catalog ------------------------------------------------------
@@ -344,6 +438,18 @@ def test_certificate_reads_only_own_rows(monkeypatch):
     affine.affine_catalog.cache_clear()
     report = affine_certificate("D4", perm=DiagramPermutation((3, 1, 0, 2)))
     assert str(report.label) == "D4^(3)"
+    assert affine.affine_catalog.cache_info().currsize == 0
+
+
+def test_catalog_refuses_two_equivalent_rows(monkeypatch):
+    # every type given the rows of A1: the second A1^(1) repeats the first
+    real = affine.own_type_forms
+    affine.affine_catalog.cache_clear()
+    monkeypatch.setattr(affine, "own_type_forms", lambda type_label: real("A1"))
+    with pytest.raises(
+        AffineExtractError, match=r"catalog entries A1\^\(1\) and A1\^\(1\) coincide"
+    ):
+        affine_catalog()
     assert affine.affine_catalog.cache_info().currsize == 0
 
 

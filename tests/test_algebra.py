@@ -401,6 +401,37 @@ def test_eigengrading_toral_sl2_dims():
     assert grading.dims == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "images, scalars, period, message",
+    [
+        ((0, 1), (1, 1), 1, "images and scalars must both have length dim = 3"),
+        ((0, 1, 2), (1, 1, 1), 0, "period must be positive"),
+    ],
+)
+def test_check_automorphism_refuses_a_malformed_map(images, scalars, period, message):
+    alg = _sl2()
+    with pytest.raises(AutomorphismError, match=message):
+        check_automorphism(alg, images, tuple(q(c) for c in scalars), period)
+
+
+def test_maps_and_gradings_need_the_table_scalar_order():
+    alg = _sl2()
+    with pytest.raises(AutomorphismError, match="scalars must use the algebra scalar order"):
+        check_automorphism(alg, (0, 1, 2), (q(1, 3),) * 3, 1)
+    with pytest.raises(AutomorphismError, match="the diagonal period m must be positive"):
+        check_diagonal_automorphism(alg, (0, 0, 0), 0)
+    with pytest.raises(
+        AutomorphismError, match="the diagonal map needs one exponent per basis element, 3 in all"
+    ):
+        check_diagonal_automorphism(alg, (0, 0), 1)
+    # the identity, certified at period 2, on a table over Q
+    identity = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 2)
+    with pytest.raises(
+        GradingError, match="scalar order 1 lacks the 2-th roots of unity; embed first"
+    ):
+        eigengrading(alg, identity)
+
+
 def test_eigengrading_rejects_non_automorphism():
     alg = _sl2(order=2)
     # h <-> e, f fixed
@@ -413,7 +444,9 @@ def test_eigengrading_refuses_uncertified_non_multiplicative_map():
     alg = _sl2(order=2)
     images, scalars = (0, 1, 2), (q(-1, 2), q(1, 2), q(1, 2))
     sigma = FiniteOrderAutomorphism(images, scalars, 2)
-    with pytest.raises(GradingError, match="not certified"):
+    with pytest.raises(
+        GradingError, match="the automorphism is not certified on this table; check it first"
+    ):
         eigengrading(alg, sigma)
     with pytest.raises(AutomorphismError, match=r"multiplicativity fails"):
         check_automorphism(alg, images, scalars, 2)
@@ -509,12 +542,14 @@ def test_composition_needs_certified_factors():
     assert lifted == FiniteOrderAutomorphism(flip.images, flip.scalars, 6)
     assert lifted.certified_on(alg)
     plain = FiniteOrderAutomorphism(flip.images, flip.scalars, flip.period)
-    with pytest.raises(AutomorphismError, match="not certified"):
+    with pytest.raises(
+        AutomorphismError, match="the outer factor of the twist is not certified on this table"
+    ):
         twist(alg, plain, exponents, 3)
     # a certificate that understates the period of the flip is caught by the
     # period check of the composition
     forged = _certified(alg, flip.images, flip.scalars, 1)
-    with pytest.raises(AutomorphismError, match="sigma\\^3 is not the identity"):
+    with pytest.raises(AutomorphismError, match="sigma\\^3 is not the identity on the cycle of h1"):
         twist(alg, forged, exponents, 3)
 
 
@@ -657,6 +692,17 @@ def _repeat_an_image(alg, images, scalars):
     return images, scalars, 3
 
 
+def test_twist_refuses_factors_that_do_not_commute():
+    # the charge s = (1, 0) is not constant on the orbit of the flip
+    rs, alg = algebra_over("A2", 6)
+    flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
+    skewed = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
+    with pytest.raises(
+        AutomorphismError, match="factors fail to commute despite an invariant charge"
+    ):
+        twist(alg, flip, skewed, 3)
+
+
 def _zero_a_scalar(alg, images, scalars):
     scalars[5] = CycloNum.zero(alg.scalar_order)
     return images, scalars, 3
@@ -675,8 +721,16 @@ def _declare_period_two(alg, images, scalars):
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (_repeat_an_image, "not a permutation"),
-        (_zero_a_scalar, "not invertible"),
+        pytest.param(
+            _repeat_an_image,
+            "images are not a permutation of the basis",
+            id="_repeat_an_image-not a permutation",
+        ),
+        pytest.param(
+            _zero_a_scalar,
+            "a basis element maps to zero; the map is not invertible",
+            id="_zero_a_scalar-not invertible",
+        ),
         (_flip_highest_root_sign, "multiplicativity fails"),
         (_declare_period_two, "sigma\\^2 is not the identity"),
     ],
@@ -988,7 +1042,9 @@ def test_closure_refuses_a_set_generating_a_proper_subalgebra():
     _, alg, *factors = type_twist_factors("A2", DiagramPermutation.identity(2), ToralCharge.trivial(2))
     grading = eigengrading(alg, twist(alg, *factors))
     # h_1 and h_2 generate the Cartan subalgebra only
-    with pytest.raises(AlgebraError, match="dimension 2, not 8"):
+    with pytest.raises(
+        AlgebraError, match="the generating set spans a subalgebra of dimension 2, not 8"
+    ):
         _Generators(alg, grading, [(0, 0), (0, 1)])
     assert len(_Generators(alg, grading, [(0, t) for t in range(8)]).gens) < 8
 
@@ -1012,8 +1068,18 @@ def test_centroid_refuses_a_table_failing_its_laws():
     alg = _non_antisymmetric_sl2()
     sigma = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 1)
     grading = eigengrading(alg, sigma)
-    with pytest.raises(AlgebraError, match="antisymmetry"):
+    with pytest.raises(AlgebraError, match="the table fails its lie laws: .*antisymmetry"):
         centroid_graded(alg, grading)
+
+
+def test_centroid_refuses_a_grading_that_breaks_the_product_rule():
+    # the toral grading of sl2 with its components exchanged: [e, f] = h
+    # leaves the component of e and f, which now has residue 0
+    alg, _, grading = _sl2_graded()
+    swapped = GradedDecomposition(2, 2, 3, grading.component_bases[::-1])
+    assert swapped.dims == (2, 1)
+    with pytest.raises(GradingError, match="product rule violated while building centroid system"):
+        centroid_graded(alg, swapped)
 
 
 def test_embedding_keeps_the_validation_certificate():

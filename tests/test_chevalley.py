@@ -76,18 +76,43 @@ def test_cartan_fixtures():
 
 @pytest.mark.parametrize("label", ["A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "H4", "X"])
 def test_unknown_labels_rejected(label):
-    with pytest.raises(LieConstructError):
+    message = "unknown type label" if label in ("H4", "X") else "unsupported type label"
+    with pytest.raises(LieConstructError, match=f"{message} '{label}'"):
         cartan_matrix(label)
 
 
 def test_affine_shape_is_not_finite_type():
-    with pytest.raises(LieConstructError):
+    with pytest.raises(LieConstructError, match="matrix is not of finite type"):
         FiniteCartanMatrix(rank=2, entries=((2, -2), (-2, 2)), type_label="bad")
 
 
 def test_positive_offdiagonal_rejected():
-    with pytest.raises(LieConstructError):
+    with pytest.raises(LieConstructError, match="off-diagonal entries must be <= 0"):
         FiniteCartanMatrix(rank=2, entries=((2, 1), (1, 2)), type_label="bad")
+
+
+@pytest.mark.parametrize(
+    "rank, entries, message",
+    [
+        (2, ((2,),), "Cartan matrix must be rank x rank"),
+        (2, ((2, 0), (0, 3)), "Cartan matrix diagonal must be 2"),
+        (2, ((2, -1), (0, 2)), "zero pattern must be symmetric"),
+    ],
+)
+def test_malformed_cartan_matrix_rejected(rank, entries, message):
+    with pytest.raises(LieConstructError, match=message):
+        FiniteCartanMatrix(rank=rank, entries=entries, type_label="bad")
+
+
+def test_root_system_size_is_limited():
+    # A_l is of finite type, with l(l + 1) roots: 462 for A21, and 506 for
+    # A22, past the closure's limit
+    def a(l):
+        return FiniteCartanMatrix(l, tuple(map(tuple, chevalley._chain(l))), f"A{l}")
+
+    assert len(root_system(a(21)).roots) == 462
+    with pytest.raises(LieConstructError, match="the root system has more than 500 roots"):
+        root_system(a(22))
 
 
 # -- root systems ----------------------------------------------------------------
@@ -358,7 +383,7 @@ def test_fold_refuses_a_flipped_constant(monkeypatch):
         return make_table({**entries, (i, j): {k: -c}})
 
     monkeypatch.setattr(chevalley, "make_table", flip_one)
-    with pytest.raises(LieConstructError, match="differs from its folded products"):
+    with pytest.raises(LieConstructError, match="the table differs from its folded products"):
         chevalley_algebra(root_system(cartan_matrix("B3")))
 
 
@@ -381,7 +406,7 @@ def test_fold_refuses_a_sign_that_copy_rotation_moves(label, monkeypatch):
         return form
 
     monkeypatch.setattr(chevalley, "_sign_form", reversed_edge)
-    with pytest.raises(LieConstructError, match="not closed"):
+    with pytest.raises(LieConstructError, match=r"orbit sums are not closed at \["):
         chevalley_algebra(root_system(cartan_matrix(label)))
 
 
@@ -397,7 +422,24 @@ def test_fold_refuses_a_cartan_matrix_other_than_the_label(monkeypatch):
         return rs
 
     monkeypatch.setattr(chevalley, "root_system", skewed)
-    with pytest.raises(LieConstructError, match="folded Cartan matrix differs"):
+    with pytest.raises(
+        LieConstructError, match="the folded Cartan matrix differs from the Cartan matrix"
+    ):
+        chevalley_algebra(root_system(cartan_matrix("A2")))
+
+
+def test_fold_refuses_a_cover_root_that_restricts_to_no_root(monkeypatch):
+    # A2 as its own cover with both nodes copies of node 1: alpha_1 + alpha_2
+    # restricts to 2 alpha_1
+    monkeypatch.setattr(chevalley, "_cover", lambda cartan: (cartan, (0, 0)))
+    with pytest.raises(LieConstructError, match=r"cover root \(1, 1\) restricts to no root"):
+        chevalley_algebra(root_system(cartan_matrix("A2")))
+
+
+def test_fold_refuses_a_cover_that_misses_a_root(monkeypatch):
+    # A1 as the cover of A2: its roots restrict to +-alpha_1 alone
+    monkeypatch.setattr(chevalley, "_cover", lambda cartan: (cartan_matrix("A1"), (0,)))
+    with pytest.raises(LieConstructError, match="the restriction of the cover roots misses a root"):
         chevalley_algebra(root_system(cartan_matrix("A2")))
 
 
@@ -432,8 +474,14 @@ def test_flip_automorphism_swaps_generators():
 
 def test_flip_on_wrong_diagram_rejected():
     rs, alg = algebra_over("B2", 2)
-    with pytest.raises(LieConstructError):
+    with pytest.raises(
+        LieConstructError, match="the diagram permutation does not preserve the Cartan matrix"
+    ):
         diagram_automorphism(alg, rs, FLIP)
+    with pytest.raises(
+        LieConstructError, match="permutation rank mismatch for the diagram automorphism"
+    ):
+        diagram_automorphism(alg, rs, TRIALITY)
 
 
 def test_triality_has_period_three():

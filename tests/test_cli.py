@@ -226,10 +226,11 @@ def test_out_file(tmp_path):
 
 
 def test_out_into_missing_directory_exits_2(tmp_path):
-    result = run_cli("build", "--type", "A1", "--out", str(tmp_path / "missing" / "x.json"))
+    out = tmp_path / "missing" / "x.json"
+    result = run_cli("build", "--type", "A1", "--out", str(out))
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("error:")
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in result.stderr
 
 
@@ -310,12 +311,15 @@ def test_period_at_the_limit_passes():
 
 
 def test_unreadable_and_invalid_files_exit_2(tmp_path):
-    missing = run_cli("build", "--algebra", str(tmp_path / "nope.json"))
+    nope = tmp_path / "nope.json"
+    missing = run_cli("build", "--algebra", str(nope))
     assert missing.returncode == 2
+    assert missing.stderr.startswith(f"error: cannot read {nope}: ")
     garbled = tmp_path / "garbled.json"
     garbled.write_text("[1, 2,")
     result = run_cli("build", "--algebra", str(garbled))
     assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {garbled} is not valid JSON: ")
     # a scalar order that names no cyclotomic field
     for order in (0, -3):
         table = tmp_path / f"order{order}.json"
@@ -325,7 +329,8 @@ def test_unreadable_and_invalid_files_exit_2(tmp_path):
         result = run_cli("build", "--algebra", str(table))
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("error:") and "scalar order" in result.stderr
+        assert result.stderr.startswith("error:")
+        assert "scalar order must be a positive integer" in result.stderr
 
 
 # (path into the serialized sl2 table, the value put there): floats, bools
@@ -387,8 +392,14 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
     "table, message",
     [
         ([], "a serialized algebra must be a JSON object"),
-        ({"scalar_order": 1, "kind": "lie", "labels": [], "constants": []}, "missing field 'dim'"),
-        ({"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"]}, "missing field 'constants'"),
+        (
+            {"scalar_order": 1, "kind": "lie", "labels": [], "constants": []},
+            "a serialized algebra lacks the field 'dim'",
+        ),
+        (
+            {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"]},
+            "a serialized algebra lacks the field 'constants'",
+        ),
         (
             {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"],
              "constants": [[0, 0, [[0, {"order": 1, "coeffs": ["1e999999"]}]]]]},
@@ -433,6 +444,84 @@ def test_malformed_table_error_names_the_fault(tmp_path, capsys, table, message)
 def test_missing_subcommand_exits_2():
     result = run_cli()
     assert result.returncode == 2
+
+
+# (where in the serialized sl2 table, the value put there, the refusal): a
+# table of the right JSON types whose shape MultTableAlgebra refuses
+_MISSHAPEN_TABLES = [
+    (("dim",), 0, "dimension must be positive"),
+    (("kind",), "jordan", "unknown algebra kind 'jordan'"),
+    (("labels",), ["h", "e"], "one label per basis element required"),
+    (("labels", 0), 0, "labels must be a list of strings"),
+    (("constants", 0, 0), 3, "structure constant index (3,1) out of range"),
+    (("constants", 0, 2, 0, 0), 5, "structure constant target 5 out of range"),
+    (
+        ("constants", 0, 2, 0, 1),
+        {"order": 2, "coeffs": ["2"]},
+        "structure constants must use the declared scalar order",
+    ),
+]
+
+
+@pytest.mark.parametrize("path, value, message", _MISSHAPEN_TABLES, ids=lambda x: str(x)[:24])
+def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message):
+    obj = _sl2_table(2).to_obj()
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(obj))
+    assert cli.main(["build", "--algebra", str(table)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {table} is not a serialized algebra: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("grade", "--type", "A2", "--auto", "[1]"), "--auto must be a JSON object"),
+        (("grade", "--type", "A2", "--auto", '{"pi":[1,1]}'),
+         "pi is not a permutation: not a permutation"),
+        (("grade", "--matrix-algebra", "2", "--auto", '{"x":1}'),
+         "unsupported --auto keys for a matrix algebra: ['x']"),
+        (("grade", "--type", "A1", "--auto", '{"sigma": 1}'),
+         "unsupported --auto keys for a type label: ['sigma']"),
+        (("grade", "--type", "A1", "--auto", "{not json"), "--auto is not valid JSON: "),
+        (("grade", "--type", "A2", "--auto", '{"pi": [2]}'),
+         "pi must be a list of 2 one-based node images"),
+        (("grade", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
+         "unsupported automorphism: permutation does not preserve the Cartan matrix"),
+        (("grade", "--type", "A2", "--auto", '{"s": [1]}'), "s must be a list of 2 integers"),
+        (("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 0], "m": 2}'),
+         "s must be constant on the orbits of pi"),
+        (("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
+         "the twist period lcm(2, 13) = 26 exceeds the limit 24"),
+        (("grade", "--type", "A2", "--auto", '{"m": 0}'), "m must be a positive integer"),
+        (("grade", "--type", "A2", "--auto", '{"m": 25}'), "m = 25 exceeds the period limit 24"),
+        (("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0]}'),
+         "exponents must be a list of 2 integers"),
+        (("build",), "exactly one input source required; got none"),
+        (("build", "--type", "A1", "--matrix-algebra", "2"),
+         "exactly one input source required; got ['type', 'matrix-algebra']"),
+        (("extract-gcm", "--matrix-algebra", "2"),
+         "--matrix-algebra is not supported by this command"),
+        (("classify", "--matrix-algebra", "0"), "--matrix-algebra needs a positive size"),
+        (("grade", "--matrix-algebra", "9"), "--matrix-algebra 9 exceeds the size limit 8"),
+        (("build", "--type", "Z9"),
+         f"--type 'Z9' is not a type label; choose one of {', '.join(chevalley.TYPE_LABELS)}"),
+        (("build", "--type", "A2", "--auto", "{}"), "build takes no --auto"),
+        (("verify-all", "--type", "A1"), "verify-all takes no input flags"),
+        ((), "a command is required; choose one of build, grade, classify, extract-gcm,"),
+    ],
+)
+def test_refused_request_names_its_fault(capsys, argv, message):
+    # one error line, and no traceback: cli.main maps every refusal to exit 2
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -104,8 +105,14 @@ def test_serialization_round_trip():
 
 
 def test_mixed_order_arithmetic_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order mismatch: 3 vs 4; embed into a common order first"):
         zeta_power(3, 1) + zeta_power(4, 1)
+
+
+def test_embedding_needs_a_multiple_of_the_order():
+    assert zeta_power(3, 1).embed(6) == zeta_power(6, 2)
+    with pytest.raises(ValueError, match="cannot embed order 3 into order 4: not a divisor"):
+        zeta_power(3, 1).embed(4)
 
 
 @pytest.mark.parametrize("m", [1, 3, 4, 5, 6, 12])
@@ -204,15 +211,17 @@ def test_equal_values_are_equal_objects(m):
 
 
 def test_bad_constructions_raise():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be a positive integer"):
         CycloNum(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"coefficient vector must have length phi\(3\) = 2, got 1"
+    ):
         CycloNum(3, (Fraction(1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be a positive integer"):
         CycloNum.rational(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be a positive integer"):
         CycloNum.from_poly(0, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a root of unity needs a positive order"):
         zeta_power(0, 1)
 
 
@@ -302,7 +311,7 @@ def test_scalar_boundary_agrees_with_fraction_arithmetic(m):
 @pytest.mark.parametrize("value", [0.5, "1/2", None])
 def test_a_float_or_string_scalar_is_refused(value):
     # only ints and Fractions coerce; no binary float is read as a number
-    with pytest.raises(TypeError, match="an int or a Fraction"):
+    with pytest.raises(TypeError, match=re.escape(f"expected an int or a Fraction, not {value!r}")):
         CycloNum.rational(3, value)
     with pytest.raises(TypeError, match="an int or a Fraction"):
         CycloNum(1, (value,))
@@ -335,8 +344,14 @@ def test_coefficient_outside_the_grammar_is_refused(coeff):
 
 
 def test_scalar_object_shape_is_checked():
-    with pytest.raises(TypeError, match="a scalar must be a JSON object"):
+    with pytest.raises(TypeError, match=r"a scalar must be a JSON object, not \[1"):
         CycloNum.from_obj([1, ["1"]])
+    with pytest.raises(TypeError, match="expected an integer, not '3'"):
+        CycloNum.from_obj({"order": "3", "coeffs": ["1", "0"]})
+    with pytest.raises(
+        TypeError, match="coefficients must be a list of strings or integers, not '1'"
+    ):
+        CycloNum.from_obj({"order": 1, "coeffs": "1"})
     for field in ("order", "coeffs"):
         obj = {"order": 1, "coeffs": ["1"]}
         del obj[field]

@@ -432,7 +432,7 @@ def test_perturbed_coboundary_shift_detected():
     e01 = alg.basis_labels.index("e[0,1]")
     # a shift moved by one names no automorphism
     bad = tuple(x + 1 if k == e01 else x for k, x in enumerate(shifts))
-    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+    with pytest.raises(AutomorphismError, match=r"exponent additivity fails on basis pair \("):
         untwist_iso(alg, identity, bad, m)
     # moved by a full period it names the same twist, but the map that lowers
     # degrees by it breaks [e[0,1], e[1,0]]
@@ -477,7 +477,9 @@ def test_coboundary_rejects_rank_mismatch():
     rs1, _ = algebra_over("A1", 2)
     rs, alg = algebra_over("A2", 2)
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
-    with pytest.raises(ValueError, match="need 8 exponents"):
+    with pytest.raises(
+        ValueError, match="the diagonal map needs one exponent per basis element, 8 in all"
+    ):
         untwist_iso(alg, identity, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2)
 
 
@@ -505,9 +507,13 @@ def test_build_matrix_algebra_period_not_exact_order():
 
 
 @pytest.mark.parametrize(
-    "n,exponents,m",
-    [(0, (), 2), (2, (0,), 2), (2, (0, 1), 0)],
+    "n,exponents,m,message",
+    [
+        pytest.param(0, (), 2, "n must be >= 1", id="0-exponents0-2"),
+        pytest.param(2, (0,), 2, "need one exponent per row", id="2-exponents1-2"),
+        pytest.param(2, (0, 1), 0, "period must be >= 1", id="2-exponents2-0"),
+    ],
 )
-def test_build_matrix_algebra_input_errors(n, exponents, m):
-    with pytest.raises(DescentError):
+def test_build_matrix_algebra_input_errors(n, exponents, m, message):
+    with pytest.raises(DescentError, match=message):
         build_matrix_algebra(n, exponents, m)

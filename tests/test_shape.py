@@ -1,15 +1,18 @@
 """The shape of the source and of the CI workflow.
 
-Names that a simplification deleted from `src` stay deleted, and the CI
-workflow runs nothing but the tests and the benchmark gate, so every check
-is a test that `pytest` runs.  The source is read as text with pathlib and
-re, so no git checkout is needed.
+Names that a simplification deleted from `src` stay deleted, every `raise`
+in `src` has a message of its own that a test matches, `src` holds no
+`assert`, and the CI workflow runs nothing but the tests and the benchmark
+gate, so every check is a test that `pytest` runs.  The source is read as
+text with pathlib, re and ast, so no git checkout is needed.
 """
 
+import ast
 import inspect
 import re
 import shlex
 import textwrap
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from loopforms.centroid import centroid_graded
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SOURCES = sorted(SRC.rglob("*.py"))
+TESTS = sorted(path for path in (ROOT / "tests").glob("*.py") if path.name != "test_shape.py")
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
@@ -288,3 +292,77 @@ def test_workflow_runs_only_pip_pytest_and_the_benchmark():
             (ran if allowed else refused).append(" ".join(words))
     assert refused == []
     assert "python -m pytest -q --continue-on-collection-errors" in ran
+
+
+# -- every refusal is tested --------------------------------------------------
+
+RaiseSite = namedtuple("RaiseSite", "path line end key")
+
+# the refusals that no test makes, each with the reason it stays; every other
+# raise in src has its message in a test (tests/tools/trace_raises.py checks
+# that Tier-1 reaches them)
+UNTESTED_REFUSALS = {}
+
+
+def raise_sites():
+    """Every `raise` in src, with its key: the longest literal fragment of
+    its message, the part a test can match whatever the placeholders hold."""
+    sites = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            message = node.exc.args[0] if isinstance(node.exc, ast.Call) and node.exc.args else None
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            fragments = [p.value.strip() for p in parts if isinstance(p, ast.Constant)]
+            key = max(fragments, key=len, default="")
+            path_name = path.relative_to(ROOT).as_posix()
+            sites.append(RaiseSite(path_name, node.lineno, node.end_lineno, key))
+    return sites
+
+
+def _tested_keys(keys):
+    """The keys that a string literal of the tests, this file aside, holds,
+    once its regex escapes are read (`\\(` as `(`).  A string that holds a
+    longer key holding this one is read as a test of the longer key only."""
+    strings = {
+        re.sub(r"\\(.)", r"\1", node.value)
+        for path in TESTS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    tested = set()
+    for key in keys:
+        longer = [other for other in keys if key in other and key != other]
+        if any(key in s and not any(o in s for o in longer) for s in strings):
+            tested.add(key)
+    return tested
+
+
+def test_every_refusal_has_its_own_message():
+    sites = raise_sites()
+    shared = Counter(site.key for site in sites)
+    assert [site for site in sites if not site.key or shared[site.key] > 1] == []
+
+
+def test_every_refusal_is_matched_by_a_test():
+    sites = raise_sites()
+    tested = _tested_keys({site.key for site in sites})
+    assert [s for s in sites if s.key not in tested and s.key not in UNTESTED_REFUSALS] == []
+
+
+def test_the_allowlist_is_short_and_current():
+    keys = {site.key for site in raise_sites()}
+    assert len(UNTESTED_REFUSALS) <= 10
+    assert [key for key in UNTESTED_REFUSALS if key not in keys or key in _tested_keys(keys)] == []
+
+
+def test_src_holds_no_assert():
+    # python -O strips assert statements, so no check may depend on one
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
