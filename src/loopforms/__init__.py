@@ -50,8 +50,6 @@ _EXPORTS = {
         "classify_type",
         "conjugacy_classes",
         "dynkin_automorphism_group",
-        "inverse_conjugacy_check",
-        "k_class_count",
     ),
     "cyclo": ("CycloNum",),
     "descent": (

@@ -33,7 +33,7 @@ from .chevalley import (
     type_twist_factors,
     TYPE_LABELS,
 )
-from .classify import classify_type, dynkin_automorphism_group, inverse_conjugacy_check
+from .classify import classify_type, conjugacy_classes, dynkin_automorphism_group
 from .descent import (
     build_matrix_algebra,
     fixed_point_report,
@@ -258,9 +258,9 @@ def criterion_6() -> dict:
     inverse_rows = []
     for label in TYPE_LABELS:
         group = dynkin_automorphism_group(cartan_matrix(label))
-        report = inverse_conjugacy_check(group)
-        inverse_rows.append({"type": label, "order": group.order, "ok": report.ok})
-        if not report.ok:
+        ok = conjugacy_classes(group).inverse_conjugacy
+        inverse_rows.append({"type": label, "order": group.order, "ok": ok})
+        if not ok:
             status = "fail"
     return {"status": status, "types": rows, "inverse_conjugacy": inverse_rows}
 

@@ -39,6 +39,7 @@ from .chevalley import (
     RootSystem,
     TYPE_LABELS,
     ToralCharge,
+    _cartan_axioms,
     _symmetrizers,
     cartan_matrix,
     highest_root,
@@ -100,11 +101,9 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
     `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
     acts on e_alpha by the integer sum_{i in O} <alpha, alpha_i^vee>, the
     same for every root of a pi-orbit, which is what lets `affine_roots` read
-    the weights off the closed-form grading.
+    the weights off the closed-form grading.  perm must preserve the Cartan
+    matrix of rs, which a permutation of another rank does not (`preserves`).
     """
-    l = rs.rank
-    if len(perm.images) != l:
-        raise AffineExtractError("permutation rank mismatch for the fixed Cartan")
     if not perm.preserves(rs.cartan):
         raise AffineExtractError(
             "the fixed Cartan's permutation does not preserve the Cartan matrix"
@@ -244,29 +243,16 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
 
 
 class GCM(Record):
-    """Generalized Cartan matrix of affine type; all axioms checked on build."""
+    """Generalized Cartan matrix of affine type, checked on build: the axioms
+    it shares with a finite Cartan matrix (`chevalley._cartan_axioms`), then
+    determinant 0, corank 1 and indecomposability."""
 
     entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
     def __post_init__(self) -> None:
         a = self.entries
         n = len(a)
-        if any(len(row) != n for row in a):
-            raise AffineExtractError("matrix must be square")
-        for i in range(n):
-            if a[i][i] != 2:
-                raise AffineExtractError(f"diagonal entry {i} is {a[i][i]}, not 2")
-            for j in range(n):
-                if i == j:
-                    continue
-                if a[i][j] > 0:
-                    raise AffineExtractError(f"positive off-diagonal entry at ({i},{j})")
-                if (a[i][j] == 0) != (a[j][i] == 0):
-                    raise AffineExtractError(f"zero pattern asymmetric at ({i},{j})")
+        _cartan_axioms(a, AffineExtractError)
         rank, det = int_rank_det(a)
         if det != 0:
             raise AffineExtractError(f"determinant {det} is not 0")

@@ -13,8 +13,6 @@ sampled.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from .algebra import KIND_ASSOCIATIVE, AlgebraError, MultTableAlgebra
 from .cyclo import CycloNum
 from .grading import GradedDecomposition, GradingError
@@ -77,28 +75,24 @@ class _Generators:
 
     A homogeneous basis vector is named (residue, index in its component),
     and a homogeneous vector is kept in component coordinates.  The scan,
-    over `scan` when given and otherwise over every homogeneous basis vector
-    in residue order, keeps a vector only when it lies outside the
-    subalgebra generated by the vectors kept so far.  That subalgebra is the closure of span(G)
-    under L_g for g in G: right-nested brackets [g_1, [g_2, ... g_k]] for a
-    Lie table, words g_1 g_2 ... g_k for an associative one.  Its span is an
-    `Echelon` in flat coordinates, grown one product at a time: each g has a
-    pointer into the list of vectors added to the closure, and a product
-    L_g w is formed once for each pair.  A closure short of the whole
-    algebra raises AlgebraError, and so does a table that fails its own
-    laws, on which the closure need not be the generated subalgebra.
+    over every homogeneous basis vector in residue order, keeps a vector
+    only when it lies outside the subalgebra generated by the vectors kept
+    so far.  That subalgebra is the closure of span(G) under L_g for g in G:
+    right-nested brackets [g_1, [g_2, ... g_k]] for a Lie table, words
+    g_1 g_2 ... g_k for an associative one.  Its span is an `Echelon` in
+    flat coordinates, grown one product at a time: each g has a pointer into
+    the list of vectors added to the closure, and a product L_g w is formed
+    once for each pair.  Every basis vector the scan meets is kept or lies
+    in the closure already, so the closure reaches the whole algebra and G
+    generates it.  A table that fails its own laws raises AlgebraError,
+    since the centroid system below assumes them.
 
     `left[g]` holds the coordinates of g * e for every homogeneous basis
     vector e, in the order of `hom`, and `right[g]` those of e * g for an
     associative table.
     """
 
-    def __init__(
-        self,
-        alg: MultTableAlgebra,
-        grading: GradedDecomposition,
-        scan: Optional[Sequence[tuple[int, int]]] = None,
-    ):
+    def __init__(self, alg: MultTableAlgebra, grading: GradedDecomposition):
         report = alg.validation
         if not report.ok:
             raise AlgebraError(f"the table fails its {alg.kind} laws: {report.violations[0]}")
@@ -115,7 +109,7 @@ class _Generators:
         spanning: list[tuple[int, Sparse]] = []  # (residue, coordinates)
         applied: list[int] = []
         gens: list[tuple[int, int]] = []
-        for x in self.hom if scan is None else scan:
+        for x in self.hom:
             if len(closure) == grading.dim:
                 break
             if not closure.add({self.offsets[x[0]] + x[1]: one}):
@@ -136,11 +130,6 @@ class _Generators:
                         if closure.add({self.offsets[tgt] + t: c for t, c in v.items()}):
                             spanning.append((tgt, v))
                             grown = True
-        if len(closure) != grading.dim:
-            raise AlgebraError(
-                f"the generating set spans a subalgebra of dimension {len(closure)}, "
-                f"not {grading.dim}"
-            )
         self.gens = tuple(gens)
         if alg.kind == KIND_ASSOCIATIVE:
             for g in gens:

@@ -69,24 +69,35 @@ class LieConstructError(ValueError):
     pass
 
 
+def _cartan_axioms(entries: Sequence[Sequence[int]], error: type[ValueError]) -> None:
+    """Raise `error` unless entries is square with 2 on the diagonal,
+    nonpositive entries off it and a symmetric zero pattern: the axioms that
+    a finite Cartan matrix and an affine GCM (`affine.GCM`) share."""
+    n = len(entries)
+    if any(len(row) != n for row in entries):
+        raise error("matrix must be square")
+    for i, row in enumerate(entries):
+        if row[i] != 2:
+            raise error(f"diagonal entry {i} is {row[i]}, not 2")
+        for j, a_ij in enumerate(row):
+            if i != j:
+                if a_ij > 0:
+                    raise error(f"positive off-diagonal entry at ({i},{j})")
+                if (a_ij == 0) != (entries[j][i] == 0):
+                    raise error(f"zero pattern asymmetric at ({i},{j})")
+
+
 class FiniteCartanMatrix(Record):
-    rank: int
     entries: tuple[tuple[int, ...], ...]
     type_label: str
 
+    @property
+    def rank(self) -> int:
+        return len(self.entries)
+
     def __post_init__(self) -> None:
         a = self.entries
-        if len(a) != self.rank or any(len(row) != self.rank for row in a):
-            raise LieConstructError("Cartan matrix must be rank x rank")
-        for i in range(self.rank):
-            if a[i][i] != 2:
-                raise LieConstructError("Cartan matrix diagonal must be 2")
-            for j in range(self.rank):
-                if i != j:
-                    if a[i][j] > 0:
-                        raise LieConstructError("off-diagonal entries must be <= 0")
-                    if (a[i][j] == 0) != (a[j][i] == 0):
-                        raise LieConstructError("zero pattern must be symmetric")
+        _cartan_axioms(a, LieConstructError)
         # finite type: every leading principal minor positive
         for k in range(1, self.rank + 1):
             if int_rank_det([row[:k] for row in a[:k]])[1] <= 0:
@@ -157,7 +168,7 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
         a[2][1] = -1
     else:  # G2
         a = [[2, -1], [-3, 2]]
-    return FiniteCartanMatrix(rank=l, entries=tuple(tuple(row) for row in a), type_label=label)
+    return FiniteCartanMatrix(entries=tuple(tuple(row) for row in a), type_label=label)
 
 
 # -- root systems -------------------------------------------------------------
@@ -180,12 +191,6 @@ class RootSystem(Record):
     @property
     def roots(self) -> tuple[Root, ...]:
         return self.positives + tuple(_neg(r) for r in self.positives)
-
-    def root_set(self) -> frozenset[Root]:
-        return frozenset(self.roots)
-
-    def height(self, alpha: Root) -> int:
-        return sum(alpha)
 
     def pairing(self, alpha: Root, i: int) -> int:
         """<alpha, alpha_i^vee> = sum_j A[i][j] alpha_j."""
@@ -319,7 +324,7 @@ def _cover(cartan: FiniteCartanMatrix) -> tuple[FiniteCartanMatrix, tuple[int, .
         )
         for p, (i, c) in enumerate(nodes)
     )
-    cover = FiniteCartanMatrix(len(nodes), entries, f"cover of {cartan.type_label}")
+    cover = FiniteCartanMatrix(entries, f"cover of {cartan.type_label}")
     return cover, tuple(i for i, _ in nodes)
 
 
@@ -534,9 +539,11 @@ class DiagramPermutation(Record):
         return DiagramPermutation(tuple(range(rank)))
 
     def preserves(self, cartan: FiniteCartanMatrix) -> bool:
+        """True when this permutes the nodes of cartan, so has its rank, and
+        a_(pi i, pi j) = a_ij for every pair of nodes."""
         a = cartan.entries
         p = self.images
-        return all(
+        return len(p) == cartan.rank and all(
             a[p[i]][p[j]] == a[i][j] for i in range(cartan.rank) for j in range(cartan.rank)
         )
 
@@ -626,8 +633,6 @@ def diagram_automorphism(
     from .grading import check_automorphism, check_diagonal_automorphism
 
     l = rs.rank
-    if len(perm.images) != l:
-        raise LieConstructError("permutation rank mismatch for the diagram automorphism")
     if not perm.preserves(rs.cartan):
         raise LieConstructError("the diagram permutation does not preserve the Cartan matrix")
     if perm.images == tuple(range(l)):
@@ -653,18 +658,17 @@ def type_twist_factors(
     factors of pi o tau_s as `grading.twist` takes them, the certified
     diagram automorphism of pi and the pairings <s, .> modulo m.
 
-    s must be constant on the orbits of pi; `grading.twist` certifies the
-    composition.
+    s must have the rank of the type and be constant on the orbits of pi,
+    and pi must preserve the Cartan matrix, which `diagram_automorphism`
+    checks before the orbits are read, so a pi of another rank is refused
+    there; `grading.twist` certifies the composition.
     """
-    rank = cartan_matrix(label).rank
-    if len(charge.s) != rank:
+    if len(charge.s) != cartan_matrix(label).rank:
         raise LieConstructError("charge rank mismatch")
-    if len(perm.images) != rank:
-        raise LieConstructError("permutation rank mismatch")
-    if any(charge.s[i] != charge.s[perm(i)] for i in range(rank)):
-        raise LieConstructError("toral charge must be constant on permutation orbits")
     rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
     outer = diagram_automorphism(alg, rs, perm)
+    if any(charge.s[i] != charge.s[perm(i)] for i in range(rs.rank)):
+        raise LieConstructError("toral charge must be constant on permutation orbits")
     return rs, alg, outer, charge_pairings(rs, charge), charge.modulus
 
 

@@ -45,6 +45,9 @@ reference for its one `check_automorphism`.  `root_string_algebra` derives every
 from root strings and propagates the signs through the Jacobi identity, the
 table that `chevalley_algebra` built before it folded the Frenkel-Kac table
 of the simply-laced cover, kept as its reference up to basis signs.
+`inverse_witnesses` searches every element for a conjugation onto its
+inverse, the reference for the inverse classes that
+`classify.conjugacy_classes` records.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from loopforms.chevalley import (
     diagram_automorphism,
     type_twist_factors,
 )
+from loopforms.classify import OutGroup
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
 from loopforms.descent import (
     DescentError,
@@ -250,7 +254,7 @@ def propagated_diagram_map(
     certified.
     """
     l = rs.rank
-    roots = rs.root_set()
+    roots = frozenset(rs.roots)
     _, root_index = _basis_layout(rs)
     one = CycloNum.one(alg.scalar_order)
 
@@ -306,7 +310,7 @@ def propagation_consistency(
     image of sigma.  The reference for the closing `check_automorphism` of
     `chevalley.diagram_automorphism`, which certifies the same map on every
     basis pair."""
-    roots = rs.root_set()
+    roots = frozenset(rs.roots)
     _, root_index = _basis_layout(rs)
     order = alg.scalar_order
     one = CycloNum.one(order)
@@ -1128,7 +1132,7 @@ class _Constants:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.root_set = rs.root_set()
+        self.root_set = frozenset(rs.roots)
         cartan = rs.cartan
         self._d = _symmetrizers(cartan)
         bil = [[self._d[i] * cartan.entries[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
@@ -1280,3 +1284,19 @@ def root_string_algebra(rs: RootSystem) -> MultTableAlgebra:
         constants=make_table(entries),
         basis_labels=tuple(labels),
     )
+
+
+def inverse_witnesses(
+    group: OutGroup,
+) -> tuple[tuple[DiagramPermutation, Optional[DiagramPermutation]], ...]:
+    """(g, h) for every element g of group, with h the first element such
+    that h g h^-1 = g^-1, or None when there is none."""
+    witnesses = []
+    for g in group.elements:
+        target = g.inverse().images
+        found = next(
+            (h for h in group.elements if h.compose(g).compose(h.inverse()).images == target),
+            None,
+        )
+        witnesses.append((g, found))
+    return tuple(witnesses)

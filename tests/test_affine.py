@@ -78,7 +78,10 @@ def test_fixed_cartan_rejects_bad_permutation():
         match="the fixed Cartan's permutation does not preserve the Cartan matrix",
     ):
         fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
-    with pytest.raises(AffineExtractError, match="permutation rank mismatch for the fixed Cartan"):
+    with pytest.raises(
+        AffineExtractError,
+        match="the fixed Cartan's permutation does not preserve the Cartan matrix",
+    ):
         fixed_cartan(alg, rs, DiagramPermutation.identity(3))
 
 
@@ -577,7 +580,7 @@ def test_match_rejects_unknown_matrix():
         (0, 0, 0, -1, 2, -2),
         (0, 0, 0, 0, -1, 2),
     ))
-    assert any(e.gcm.size == a10_twisted.size for e in affine_catalog())
+    assert any(len(e.gcm.entries) == len(a10_twisted.entries) for e in affine_catalog())
     assert _catalog_labels(a10_twisted) == []
 
 

@@ -56,7 +56,7 @@ from loopforms.chevalley import (
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.descent import build_matrix_algebra
-from loopforms.linalg import SpanSolver, nullspace
+from loopforms.linalg import Echelon, SpanSolver, nullspace
 
 
 def q(x, order=1):
@@ -1033,20 +1033,27 @@ def test_one_centroid_call_builds_one_generating_set(monkeypatch):
     monkeypatch.setattr("loopforms.centroid._Generators", Counted)
     assert len(centroid_graded(alg, grading)) == grading.period == 3
     (gens,) = built
-    # each kept vector lies outside what the earlier ones generate
     assert len(gens.gens) < alg.dim
-    assert _Generators(alg, grading, gens.gens).gens == gens.gens
+    # each kept vector lies outside what the earlier ones generate, and all
+    # of them generate the algebra
+    vectors = [grading.component_bases[res][t] for res, t in gens.gens]
+    for k, g in enumerate(vectors):
+        assert _generated(alg, vectors[:k]).reduce(g)
+    assert len(_generated(alg, vectors)) == alg.dim
 
 
-def test_closure_refuses_a_set_generating_a_proper_subalgebra():
-    _, alg, *factors = type_twist_factors("A2", DiagramPermutation.identity(2), ToralCharge.trivial(2))
-    grading = eigengrading(alg, twist(alg, *factors))
-    # h_1 and h_2 generate the Cartan subalgebra only
-    with pytest.raises(
-        AlgebraError, match="the generating set spans a subalgebra of dimension 2, not 8"
-    ):
-        _Generators(alg, grading, [(0, 0), (0, 1)])
-    assert len(_Generators(alg, grading, [(0, t) for t in range(8)]).gens) < 8
+def _generated(alg, gens):
+    """The span of the subalgebra of a Lie table that gens generate: the
+    closure of span(gens) under left multiplication by each generator."""
+    span = Echelon()
+    frontier = [g for g in gens if span.add(g)]
+    while frontier:
+        w = frontier.pop()
+        for g in gens:
+            v = alg.product_sparse(g, w)
+            if span.add(v):
+                frontier.append(v)
+    return span
 
 
 def _non_antisymmetric_sl2():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from dense import inverse_witnesses
 from loopforms import classify, cli
 from loopforms.affine import AffineLabel
 from loopforms.chevalley import TYPE_LABELS, DiagramPermutation, cartan_matrix
@@ -16,8 +17,6 @@ from loopforms.classify import (
     classify_type,
     conjugacy_classes,
     dynkin_automorphism_group,
-    inverse_conjugacy_check,
-    k_class_count,
 )
 
 # element counts of the Dynkin symmetry groups, and their class counts
@@ -99,29 +98,36 @@ def test_group_axioms_are_checked():
             elements=(DiagramPermutation((0, 1)), DiagramPermutation((1, 0))),
             cartan=cartan_matrix("B2"),  # flip does not preserve B2
         )
+    # the identity of rank 3 fixes the two nodes of A2 but is no symmetry of it
+    with pytest.raises(ClassifyError, match="element does not preserve the Cartan matrix"):
+        OutGroup(elements=(DiagramPermutation.identity(3),), cartan=cartan_matrix("A2"))
 
 
 def test_cyclic3_shows_the_k_vs_r_gap():
     """A cyclic group of order 3 is abelian, so conjugation never reaches the
     inverse; merging inverse classes drops 3 classes to 2."""
-    c3 = _cyclic3()
-    table = conjugacy_classes(c3)
+    table = conjugacy_classes(_cyclic3())
     assert len(table.classes) == 3
-    assert k_class_count(table) == 2
-    report = inverse_conjugacy_check(c3)
-    assert not report.ok
-    missing = [g for g, h in report.witnesses if h is None]
-    assert len(missing) == 2
+    # the two rotations are each other's inverse class
+    assert table.inverses == (0, 2, 1)
+    assert table.k_classes == 2
+    assert not table.inverse_conjugacy
 
 
-def test_conjugacy_class_lookup():
-    group = dynkin_automorphism_group(cartan_matrix("D4"))
+@pytest.mark.parametrize("label", [*TYPE_LABELS, "cyclic3"])
+def test_inverse_classes_match_the_witness_search(label):
+    group = _cyclic3() if label == "cyclic3" else dynkin_automorphism_group(cartan_matrix(label))
     table = conjugacy_classes(group)
-    flip = DiagramPermutation((0, 1, 3, 2))
-    other_flip = DiagramPermutation((3, 1, 2, 0))
-    assert table.class_of(flip) == table.class_of(other_flip)
-    with pytest.raises(ClassifyError, match="element not in the group"):
-        table.class_of(DiagramPermutation((1, 0, 2, 3)))
+    witnesses = inverse_witnesses(group)
+    assert table.inverse_conjugacy == all(h is not None for _, h in witnesses)
+    # merge the class of each g with the class of g^-1, which is g's own when
+    # the search finds a witness
+    class_of = {im: index for index, orbit in enumerate(table.members) for im in orbit}
+    merged = set()
+    for g, h in witnesses:
+        own = class_of[g.images]
+        merged.add(frozenset((own, own if h is not None else class_of[g.inverse().images])))
+    assert table.k_classes == len(merged)
 
 
 # -- classification tables --------------------------------------------------------
@@ -202,13 +208,6 @@ def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
     assert code == 1
     assert report["status"] == "fail"
     assert report["error"].startswith("ClassifyError: classes share an affine label: ")
-
-
-def test_classify_refuses_counts_that_differ_under_both_hypotheses(monkeypatch, capsys):
-    monkeypatch.setattr(classify, "k_class_count", lambda table: len(table.classes) + 1)
-    code, report = _classify_a2(capsys)
-    assert code == 1
-    assert report["error"] == "ClassifyError: hypotheses hold but counts differ: 2 vs 3"
 
 
 def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):

@@ -163,6 +163,20 @@ def _words(*names):
         pytest.param(
             _words("coboundary_witness", "CheckReport", "_off_factor"), id="descent rows"
         ),
+        # inverse conjugacy and the k-count are read off the class table's
+        # inverse column (classify.ConjClassTable): no witness search, which
+        # tests/dense.inverse_witnesses keeps as the oracle, no class lookup,
+        # and no root set beside RootSystem.roots
+        pytest.param(
+            _words(
+                "inverse_conjugacy_check",
+                "InverseConjugacyReport",
+                "k_class_count",
+                "class_of",
+                "root_set",
+            ),
+            id="inverse classes",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
