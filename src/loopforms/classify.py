@@ -62,10 +62,14 @@ class OutGroup(Record):
     def __post_init__(self) -> None:
         if not self.elements:
             raise ClassifyError("group must be nonempty")
+        # compose indexes by the receiver's length, so the closure loops
+        # below need one length throughout
+        rank = len(self.elements[0].images)
+        if any(len(g.images) != rank for g in self.elements):
+            raise ClassifyError("elements permute different numbers of nodes")
         seen = {g.images for g in self.elements}
         if len(seen) != len(self.elements):
             raise ClassifyError("duplicate elements")
-        rank = len(self.elements[0].images)
         if tuple(range(rank)) not in seen:
             raise ClassifyError("missing identity")
         for g in self.elements:

@@ -350,10 +350,6 @@ class GradedDecomposition(Record):
             self._solvers[i] = solver
         return solver
 
-    def residue_zeta(self, i: int) -> CycloNum:
-        step = self.scalar_order // self.period
-        return zeta_power(self.scalar_order, step * (i % self.period))
-
 
 def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> GradedDecomposition:
     """Split the algebra into the eigenspaces of sigma, in closed form.

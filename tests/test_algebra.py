@@ -564,10 +564,10 @@ def test_dense_check_accepts_monomial_twist(name):
 
 def _assert_dense_eigenspaces(alg, sigma, grading):
     """Each component equals the kernel of sigma - zeta^i on the dense matrix."""
-    n, order = alg.dim, alg.scalar_order
+    n, order, period = alg.dim, alg.scalar_order, sigma.period
     zero = CycloNum.zero(order)
-    for i in range(sigma.period):
-        zeta = grading.residue_zeta(i)
+    for i in range(period):
+        zeta = zeta_power(order, (order // period) * i)
         rows = [
             [sigma.matrix[r][c] - (zeta if r == c else zero) for c in range(n)]
             for r in range(n)

@@ -1,5 +1,5 @@
-import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -643,12 +644,22 @@ def test_flag_equals_value_is_the_flag_and_value(capsys):
 # -- the full suite through the CLI -------------------------------------------------
 
 
-# sha256 of stdout, identical under every hash seed
-VERIFY_ALL_SHA256 = "729f2989e7d5279e9e4e794925297aa5fe16a40b61bfd02de05433104d2ab93f"
-UNTWIST_D4_SHA256 = "ebbd83b1bd2eaea25a33c79ee8601a6b45f079caef116b865fc25030737ad82c"
+# the ledger of recorded stdout, and its comparison
+_spec = importlib.util.spec_from_file_location(
+    "record_stdout", Path(__file__).resolve().parent / "tools" / "record_stdout.py"
+)
+recorder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorder)
+
+
+def assert_recorded(argv, result):
+    """A cold run printed the ledger's exit code and stdout for argv."""
+    argv_key = recorder.key(list(argv))
+    assert recorder.mismatch(argv_key, recorder.load()[argv_key], result.returncode, result.stdout) == ""
 
 
 def test_verify_all_subprocess():
+    # the ledger is recorded under PYTHONHASHSEED=0; seed 1 prints it too
     for seed in ("0", "1"):
         started = time.monotonic()
         result = run_cli("verify-all", timeout=400, env=dict(os.environ, PYTHONHASHSEED=seed))
@@ -657,14 +668,14 @@ def test_verify_all_subprocess():
         payload = report_of(result)["payload"]
         assert [row["id"] for row in payload["criteria"]] == list(range(1, 9))
         assert all(row["status"] == "pass" for row in payload["criteria"])
-        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256, seed
+        assert_recorded(["verify-all"], result)
         assert wall < 240
 
 
 def test_untwist_d4_composed_stdout_is_pinned():
-    result = run_cli("untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}')
+    result = run_cli(*recorder.UNTWIST_D4)
     assert result.returncode == 0
-    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == UNTWIST_D4_SHA256
+    assert_recorded(recorder.UNTWIST_D4, result)
 
 
 def test_table_listing_a_pair_twice_exits_2(tmp_path):

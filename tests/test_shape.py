@@ -2,9 +2,10 @@
 
 Names that a simplification deleted from `src` stay deleted, every `raise`
 in `src` has a message of its own that a test matches, `src` holds no
-`assert`, and the CI workflow runs nothing but the tests and the benchmark
-gate, so every check is a test that `pytest` runs.  The source is read as
-text with pathlib, re and ast, so no git checkout is needed.
+`assert`, and the CI workflow runs nothing but the tests, the cold re-record
+of the stdout ledger and the benchmark gate, so every other check is a test
+that `pytest` runs.  The source is read as text with pathlib, re and ast, so
+no git checkout is needed.
 """
 
 import ast
@@ -177,6 +178,9 @@ def _words(*names):
             ),
             id="inverse classes",
         ),
+        # a residue's root of unity is zeta_power(order, (order // period) * i)
+        # where a test needs it: the grading stores no scalar per residue
+        pytest.param(_words("residue_zeta"), id="residue scalar"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -214,12 +218,15 @@ def test_grading_derived_data_is_per_residue():
 
 # -- the workflow runs only the gate ---------------------------------------------
 
-# what a workflow step may run: pip, pytest and perfbench/run.py, with the
-# tee and tail that keep and read run.py's last line
+# what a workflow step may run: pip, pytest, the stdout recorder with the
+# git diff that checks it left the ledger unchanged, and perfbench/run.py,
+# with the tee and tail that keep and read run.py's last line
 _PROGRAMS = (
     ("python", "-m", "pip"),
     ("python", "-m", "pytest"),
     ("python3", "-m", "pytest"),
+    ("python", "tests/tools/record_stdout.py"),
+    ("git", "diff", "--exit-code", "--", "tests/golden/stdout.json"),
     ("python3", "perfbench/run.py"),
     ("tee",),
     ("tail",),
