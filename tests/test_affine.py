@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dense import kernel_affine_roots
+from ledger import assert_replays, recorder
 from loopforms import affine, cli
 from loopforms.acceptance import _CATALOG_FIXTURES
 from loopforms.affine import (
@@ -477,6 +478,15 @@ def test_catalog_against_golden_file():
     recorded = json.loads(GOLDEN.read_text())
     produced = [{"label": str(e.label), "gcm": e.gcm.to_obj()} for e in catalog]
     assert produced == recorded
+
+
+def test_extract_gcm_stdout_matches_golden_digests():
+    # the whole report, base roots and their degrees included, not only the
+    # label: every diagram class but E8's and four twists, as the ledger
+    # records them
+    requests = recorder.extract_requests()
+    assert len(requests) == 48
+    assert_replays(requests)
 
 
 def test_extract_gcm_labels_e8(capsys):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from dense import inverse_witnesses
+from ledger import assert_replays, recorder
 from loopforms import classify, cli
 from loopforms.affine import AffineLabel
 from loopforms.chevalley import TYPE_LABELS, DiagramPermutation, cartan_matrix
@@ -231,7 +232,7 @@ def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
     assert calls == {"dynkin_automorphism_group": 1, "conjugacy_classes": 1}
 
 
-# -- the types the stdout ledger leaves out ------------------------------------
+# -- recorded stdout, and the types the ledger leaves out ----------------------
 
 
 @pytest.mark.parametrize("label", ["E7", "E8"])
@@ -241,3 +242,11 @@ def test_classify_passes_on_the_types_the_golden_file_leaves_out(label, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
     assert report["payload"]["r_classes"] == len(report["payload"]["classes"])
+
+
+def test_centroid_and_classify_stdout_match_golden_digests():
+    # each request's stdout, as the ledger records it
+    requests = recorder.centroid_requests()
+    # 43 centroid classes, 29 classify requests, 2 composed A3 and 8 M4 variants
+    assert len(requests) == 82
+    assert_replays(requests)

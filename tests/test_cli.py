@@ -1,5 +1,4 @@
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -8,11 +7,11 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
 import loopforms
+from ledger import recorder
 from loopforms import acceptance, algebra, chevalley, cli
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
@@ -642,14 +641,6 @@ def test_flag_equals_value_is_the_flag_and_value(capsys):
 
 
 # -- the full suite through the CLI -------------------------------------------------
-
-
-# the ledger of recorded stdout, and its comparison
-_spec = importlib.util.spec_from_file_location(
-    "record_stdout", Path(__file__).resolve().parent / "tools" / "record_stdout.py"
-)
-recorder = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(recorder)
 
 
 def assert_recorded(argv, result):

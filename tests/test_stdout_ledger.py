@@ -9,39 +9,19 @@ of the ledger's bytes for the same argv.
 """
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
-from loopforms import cli
+from ledger import assert_replays, recorder
 from loopforms.chevalley import standard_algebra
 
-ROOT = Path(__file__).resolve().parent.parent
-EXPECTED = ROOT / "perfbench" / "expected.json"
-
-_spec = importlib.util.spec_from_file_location(
-    "record_stdout", ROOT / "tests" / "tools" / "record_stdout.py"
-)
-recorder = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(recorder)
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
-def test_every_entry_replays_its_recorded_stdout(tmp_path, monkeypatch, capsys):
-    ledger = recorder.load()
+def test_every_entry_replays_its_recorded_stdout(tmp_path, monkeypatch):
     recorder.write_tables(tmp_path)
     monkeypatch.chdir(tmp_path)
-    failures = []
-    for argv_key, recorded in ledger.items():
-        code = cli.main(json.loads(argv_key))
-        failure = recorder.mismatch(argv_key, recorded, code, capsys.readouterr().out)
-        if failure:
-            failures.append(failure)
-    if failures:
-        changed = "\n".join(failure.partition("\n")[0] for failure in failures)
-        summary = f"{len(failures)} of {len(ledger)} requests changed:\n{changed}"
-        pytest.fail(f"{summary}\n\n{failures[0]}", pytrace=False)
+    assert_replays([json.loads(argv_key) for argv_key in recorder.load()])
 
 
 def test_a_changed_field_fails_with_a_diff_that_shows_it():

@@ -82,19 +82,39 @@ def _class_requests(command: str, labels) -> list[list[str]]:
     return requests
 
 
-def requests() -> list[list[str]]:
-    """Every pinned argv, each once."""
+def extract_requests() -> list[list[str]]:
+    """extract-gcm of every diagram class of every type but E8, then the
+    twists above.  test_affine checks E8's label."""
     from loopforms.chevalley import TYPE_LABELS
 
+    extract = _class_requests("extract-gcm", [label for label in TYPE_LABELS if label != "E8"])
+    return extract + [["extract-gcm", "--type", label, "--auto", auto] for label, auto in _EXTRACT_TWISTS]
+
+
+def centroid_requests() -> list[list[str]]:
+    """centroid of every diagram class and classify of every type but E7 and
+    E8, then the benchmark's centroid variants.  test_classify checks the
+    class counts of E7 and E8."""
+    from loopforms.chevalley import TYPE_LABELS
+
+    small = [label for label in TYPE_LABELS if label not in ("E7", "E8")]
+    requests = _class_requests("centroid", small) + [["classify", "--type", label] for label in small]
+    variants = [
+        argv
+        for name, stratum in load_pool().strata("twist")
+        if name in ("centroid A3", "centroid M4")
+        for argv in stratum
+    ]
+    # the pool's first A3 variant is a diagram class above
+    return requests + [argv for argv in variants if argv not in requests]
+
+
+def requests() -> list[list[str]]:
+    """Every pinned argv, each once."""
     pool = load_pool()
     pooled = [argv for workload in pool.WORKLOADS for argv in pool.pool(workload)]
-    # E8 is left out of extract-gcm, and E7 and E8 of centroid and classify;
-    # test_affine and test_classify check their labels and class counts
-    extract = _class_requests("extract-gcm", [label for label in TYPE_LABELS if label != "E8"])
-    extract += [["extract-gcm", "--type", label, "--auto", auto] for label, auto in _EXTRACT_TWISTS]
-    small = [label for label in TYPE_LABELS if label not in ("E7", "E8")]
-    centroid = _class_requests("centroid", small) + [["classify", "--type", label] for label in small]
-    unique = {key(argv): argv for argv in [*pooled, *extract, *centroid, ["verify-all"], UNTWIST_D4]}
+    pinned = [*pooled, *extract_requests(), *centroid_requests(), ["verify-all"], UNTWIST_D4]
+    unique = {key(argv): argv for argv in pinned}
     return list(unique.values())
 
 
