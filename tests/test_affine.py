@@ -486,6 +486,8 @@ def test_extract_gcm_stdout_matches_golden_digests():
     # records them
     requests = recorder.extract_requests()
     assert len(requests) == 48
+    ledger = recorder.load()
+    assert all(ledger[recorder.key(argv)]["exit"] == 0 for argv in requests)
     assert_replays(requests)
 
 

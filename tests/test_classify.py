@@ -249,4 +249,6 @@ def test_centroid_and_classify_stdout_match_golden_digests():
     requests = recorder.centroid_requests()
     # 43 centroid classes, 29 classify requests, 2 composed A3 and 8 M4 variants
     assert len(requests) == 82
+    ledger = recorder.load()
+    assert all(ledger[recorder.key(argv)]["exit"] == 0 for argv in requests)
     assert_replays(requests)

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 import loopforms
-from ledger import recorder
+from ledger import assert_recorded, recorder
 from loopforms import acceptance, algebra, chevalley, cli
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
@@ -641,12 +641,6 @@ def test_flag_equals_value_is_the_flag_and_value(capsys):
 
 
 # -- the full suite through the CLI -------------------------------------------------
-
-
-def assert_recorded(argv, result):
-    """A cold run printed the ledger's exit code and stdout for argv."""
-    argv_key = recorder.key(list(argv))
-    assert recorder.mismatch(argv_key, recorder.load()[argv_key], result.returncode, result.stdout) == ""
 
 
 def test_verify_all_subprocess():
