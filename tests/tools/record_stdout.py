@@ -9,8 +9,8 @@ a cold `python -m loopforms ARGV` run under PYTHONHASHSEED=0.  Stdout is
 stored as its list of lines, so a changed field shows as one changed line in
 `git diff`.  The pinned requests are the ones `requests()` lists: every
 request the benchmark pools in perfbench/pool.py, extract-gcm and centroid of
-every diagram class, classify of every type, `verify-all` and one composed
-D4 untwist.
+every diagram class, classify of every type and of M_1, M_2 and M_3,
+`verify-all`, one composed D4 untwist and the `--help` text.
 
 The pooled `--algebra` requests name tables under pool.TABLE_DIR, a path
 relative to the working directory.  The recorder writes those tables under a
@@ -43,6 +43,9 @@ POOL = ROOT / "perfbench" / "pool.py"
 
 # one D4 triality composed with a toral charge, with its untwisting map
 UNTWIST_D4 = ["untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}']
+
+# classify of a matrix algebra certifies one twist of M_N by its untwisting
+_MATRIX_CLASSIFY = [["classify", "--matrix-algebra", str(n)] for n in (1, 2, 3)]
 
 # toral and composed twists whose simple roots sit at several degrees; G2 at
 # order 6 has one at degree 4
@@ -113,7 +116,15 @@ def requests() -> list[list[str]]:
     """Every pinned argv, each once."""
     pool = load_pool()
     pooled = [argv for workload in pool.WORKLOADS for argv in pool.pool(workload)]
-    pinned = [*pooled, *extract_requests(), *centroid_requests(), ["verify-all"], UNTWIST_D4]
+    pinned = [
+        *pooled,
+        *extract_requests(),
+        *centroid_requests(),
+        *_MATRIX_CLASSIFY,
+        ["verify-all"],
+        UNTWIST_D4,
+        ["--help"],
+    ]
     unique = {key(argv): argv for argv in pinned}
     return list(unique.values())
 
