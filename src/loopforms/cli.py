@@ -1,16 +1,18 @@
 """Batch command-line surface over construction, grading, descent checks,
 classification, and GCM extraction.
 
-Every command resolves its inputs, runs one module pipeline, and prints a
-RunReport; the human-readable rendering is generated from the same JSON
-object, so the two formats cannot drift.  Exit codes: 0 all checks passed,
+Every command runs one module pipeline, and `main` prints the report it
+builds, a JSON object of the command, its status and its payload; the
+human-readable rendering is generated from the same object, so the two
+formats cannot drift.  Exit codes: 0 all checks passed,
 1 a verification failed, 2 the request was malformed.  Timing goes to
 stderr, never into the payload, so identical requests give identical bytes.
 
 The argument grammar is `loopforms COMMAND [FLAG VALUE | FLAG=VALUE]...`,
 read by one table-driven parser: the eight commands share one flag set, and
-each command refuses, in `main`, the flags it does not read.  Flags are
-spelled out in full; an abbreviation is an unknown flag.
+each row of `_COMMANDS` names the input flags its command reads, which
+`main` alone resolves and checks.  Flags are spelled out in full; an
+abbreviation is an unknown flag.
 """
 
 from __future__ import annotations
@@ -136,15 +138,8 @@ def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
 
 
 def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
-    present = [
-        name
-        for name, flag in (
-            ("type", args.type),
-            ("algebra", args.algebra),
-            ("matrix-algebra", args.matrix_algebra),
-        )
-        if flag is not None
-    ]
+    given = {"type": args.type, "algebra": args.algebra, "matrix-algebra": args.matrix_algebra}
+    present = [name for name, value in given.items() if value is not None]
     if len(present) != 1:
         raise RequestError(
             f"exactly one input source required; got {present or 'none'}"
@@ -185,12 +180,10 @@ def _load_algebra(path: str) -> MultTableAlgebra:
         raise RequestError(f"{path} is not a serialized algebra: {exc}") from exc
 
 
-def _build_sigma(args: _Args):
+def _build_sigma(args: _Args, source: str, spec: dict):
     """Shared resolver for grade / untwist / descent-verify / centroid: the
     table, the factors (outer, exponents, m) of its twist as
     `grading.twist` takes them, and the echo of the request."""
-    source = _one_source(args, ("type", "matrix-algebra"))
-    spec = _parse_auto_json(args.auto)
     if source == "type":
         from .chevalley import cartan_matrix, type_twist_factors
 
@@ -210,8 +203,7 @@ def _build_sigma(args: _Args):
 # -- commands --------------------------------------------------------------------
 
 
-def _cmd_build(args: _Args) -> dict:
-    source = _one_source(args, ("type", "algebra"))
+def _cmd_build(args: _Args, source: str, spec: dict) -> dict:
     if source == "type":
         from .chevalley import standard_algebra
 
@@ -237,25 +229,21 @@ def _cmd_build(args: _Args) -> dict:
     return payload
 
 
-def _cmd_grade(args: _Args) -> dict:
+def _cmd_grade(args: _Args, source: str, spec: dict) -> dict:
     from .grading import eigengrading, twist
 
-    alg, *factors, echo = _build_sigma(args)
+    alg, *factors, echo = _build_sigma(args, source, spec)
     grading = eigengrading(alg, twist(alg, *factors))
-    payload = dict(echo)
-    payload.update(
-        {
-            "period": grading.period,
-            "dims": list(grading.dims),
-            "dim_total": sum(grading.dims),
-            "status": "pass",
-        }
-    )
-    return payload
+    return {
+        **echo,
+        "period": grading.period,
+        "dims": list(grading.dims),
+        "dim_total": sum(grading.dims),
+        "status": "pass",
+    }
 
 
-def _cmd_classify(args: _Args) -> dict:
-    source = _one_source(args, ("type", "matrix-algebra"))
+def _cmd_classify(args: _Args, source: str, spec: dict) -> dict:
     if source == "type":
         from .classify import classify_type
 
@@ -273,68 +261,62 @@ def _cmd_classify(args: _Args) -> dict:
 
     n = args.matrix_algebra
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
-    # computed witness untwists the standard inner twist explicitly.
-    alg, identity, shifts = matrix_twist_factors(n, range(n), n)
+    # witness untwists one twist, Ad(diag(zeta_n^0, ..., zeta_n^(n-1)))
+    exponents = list(range(n))
+    alg, identity, shifts = matrix_twist_factors(n, exponents, n)
     iso = untwist_iso(alg, identity, shifts, n)
     return {
         "matrix_algebra": n,
         "classes": 1,
-        "note": "all loop algebras trivial",
+        "auto": {"exponents": exponents, "m": n},
         "witness_checks": iso.witness_checks,
         "status": "pass",
     }
 
 
-def _cmd_extract_gcm(args: _Args) -> dict:
+def _cmd_extract_gcm(args: _Args, source: str, spec: dict) -> dict:
     from .affine import affine_certificate
     from .chevalley import cartan_matrix
 
-    _one_source(args, ("type",))
-    spec = _parse_auto_json(args.auto)
     perm, charge = _type_auto(spec, cartan_matrix(args.type))
     report = affine_certificate(args.type, perm=perm, charge=charge)
-    payload = {"type": args.type, "auto": _auto_echo(perm, charge)}
-    payload.update(report.to_obj())
-    payload["grading_dims"] = list(report.grading_dims)
-    payload["status"] = "pass"
-    return payload
+    return {
+        "type": args.type,
+        "auto": _auto_echo(perm, charge),
+        **report.to_obj(),
+        "grading_dims": list(report.grading_dims),
+        "status": "pass",
+    }
 
 
-def _cmd_untwist(args: _Args) -> dict:
+def _cmd_untwist(args: _Args, source: str, spec: dict) -> dict:
     from .descent import untwist_iso
 
-    alg, *factors, echo = _build_sigma(args)
-    iso = untwist_iso(alg, *factors)
-    payload = dict(echo)
-    payload.update(iso.to_obj())
-    payload["status"] = "pass"
-    return payload
+    alg, *factors, echo = _build_sigma(args, source, spec)
+    return {**echo, **untwist_iso(alg, *factors).to_obj(), "status": "pass"}
 
 
-def _cmd_descent_verify(args: _Args) -> dict:
+def _cmd_descent_verify(args: _Args, source: str, spec: dict) -> dict:
     from .descent import fixed_point_report
     from .grading import twist
 
-    alg, *factors, echo = _build_sigma(args)
+    alg, *factors, echo = _build_sigma(args, source, spec)
     sigma = twist(alg, *factors)
     checks, fixed_dims = fixed_point_report(alg, sigma)
-    payload = dict(echo)
-    payload.update(
-        {
-            "period": sigma.period,
-            "checks": checks,
-            "fixed_dims": fixed_dims,
-            "status": "pass",
-        }
-    )
-    return payload
+    return {
+        **echo,
+        "period": sigma.period,
+        "checks": checks,
+        "fixed_dims": fixed_dims,
+        "status": "pass",
+    }
 
 
-def _cmd_centroid(args: _Args) -> dict:
+def _cmd_centroid(args: _Args, source: str, spec: dict) -> dict:
     from .centroid import centroid_graded
     from .grading import eigengrading, twist
 
-    alg, *factors, echo = _build_sigma(args)
+    alg, *factors, echo = _build_sigma(args, source, spec)
     grading = eigengrading(alg, twist(alg, *factors))
     shifts = [
         {
@@ -344,12 +326,10 @@ def _cmd_centroid(args: _Args) -> dict:
         }
         for report in centroid_graded(alg, grading)
     ]
-    payload = dict(echo)
-    payload.update({"period": grading.period, "by_shift": shifts, "status": "pass"})
-    return payload
+    return {**echo, "period": grading.period, "by_shift": shifts, "status": "pass"}
 
 
-def _cmd_verify_all(args: _Args) -> dict:
+def _cmd_verify_all(args: _Args, source: None, spec: dict) -> dict:
     from .acceptance import verify_all
 
     report = verify_all()
@@ -363,21 +343,34 @@ def _cmd_verify_all(args: _Args) -> dict:
     }
 
 
-# the commands that read --auto; the others refuse the flag
-_TWISTED = ("grade", "extract-gcm", "untwist", "descent-verify", "centroid")
+_TYPE_OR_MATRIX = ("type", "matrix-algebra")
 
-# command -> (handler, help)
+# command -> (handler, the input sources it reads, whether it reads --auto,
+# help); main refuses every input flag that a row leaves out
 _COMMANDS = {
     "build": (
-        _cmd_build, "construct a split simple Lie algebra (or validate an external table)"
+        _cmd_build,
+        ("type", "algebra"),
+        False,
+        "construct a split simple Lie algebra (or validate an external table)",
     ),
-    "grade": (_cmd_grade, "eigenspace decomposition for a finite-order automorphism"),
-    "classify": (_cmd_classify, "isomorphism classes of loop algebras of one type"),
-    "extract-gcm": (_cmd_extract_gcm, "affine GCM and label of a twisted loop algebra"),
-    "untwist": (_cmd_untwist, "explicit trivialization of a toral (or composed) twist"),
-    "descent-verify": (_cmd_descent_verify, "cocycle identity and twisted fixed points"),
-    "centroid": (_cmd_centroid, "graded centroid dimensions by shift"),
-    "verify-all": (_cmd_verify_all, "run the full acceptance suite"),
+    "grade": (
+        _cmd_grade, _TYPE_OR_MATRIX, True, "eigenspace decomposition for a finite-order automorphism"
+    ),
+    "classify": (
+        _cmd_classify, _TYPE_OR_MATRIX, False, "isomorphism classes of loop algebras of one type"
+    ),
+    "extract-gcm": (
+        _cmd_extract_gcm, ("type",), True, "affine GCM and label of a twisted loop algebra"
+    ),
+    "untwist": (
+        _cmd_untwist, _TYPE_OR_MATRIX, True, "explicit trivialization of a toral (or composed) twist"
+    ),
+    "descent-verify": (
+        _cmd_descent_verify, _TYPE_OR_MATRIX, True, "cocycle identity and twisted fixed points"
+    ),
+    "centroid": (_cmd_centroid, _TYPE_OR_MATRIX, True, "graded centroid dimensions by shift"),
+    "verify-all": (_cmd_verify_all, (), False, "run the full acceptance suite"),
 }
 
 
@@ -503,7 +496,7 @@ def _usage() -> str:
         "",
         "commands:",
     ]
-    lines += [f"  {name:<16}{text}" for name, (_, text) in _COMMANDS.items()]
+    lines += [f"  {name:<16}{text}" for name, (*_, text) in _COMMANDS.items()]
     lines += ["", "flags (FLAG VALUE or FLAG=VALUE):"]
     for flag, (_, _, metavar, text) in _FLAGS.items():
         lines.append(f"  {(flag + ' ' + metavar).strip():<20}{text}")
@@ -578,14 +571,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(_usage())
         return 0
     started = time.monotonic()
+    handler, sources, reads_auto, _ = _COMMANDS[args.command]
     try:
-        if args.command == "verify-all":
-            sources = [args.type, args.algebra, args.matrix_algebra, args.auto]
-            if any(x is not None for x in sources):
-                raise RequestError("verify-all takes no input flags")
-        if args.auto is not None and args.command not in _TWISTED:
+        inputs = (args.type, args.algebra, args.matrix_algebra, args.auto)
+        if not sources and any(x is not None for x in inputs):
+            raise RequestError(f"{args.command} takes no input flags")
+        if args.auto is not None and not reads_auto:
             raise RequestError(f"{args.command} takes no --auto")
-        payload = _COMMANDS[args.command][0](args)
+        source = _one_source(args, sources) if sources else None
+        payload = handler(args, source, _parse_auto_json(args.auto))
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

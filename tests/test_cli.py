@@ -142,7 +142,9 @@ def test_classify_matrix_algebra():
     assert result.returncode == 0
     payload = report_of(result)["payload"]
     assert payload["classes"] == 1
-    assert payload["note"] == "all loop algebras trivial"
+    # the one twist the witness certifies, as --auto takes it
+    assert payload["auto"] == {"exponents": [0, 1], "m": 2}
+    assert "note" not in payload
     assert payload["witness_checks"]
     assert all(c["status"] == "pass" for c in payload["witness_checks"])
 
@@ -522,6 +524,42 @@ def test_refused_request_names_its_fault(capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# the input flags each command reads
+_READS = {
+    "build": ("type", "algebra"),
+    "grade": ("type", "matrix-algebra", "auto"),
+    "classify": ("type", "matrix-algebra"),
+    "extract-gcm": ("type", "auto"),
+    "untwist": ("type", "matrix-algebra", "auto"),
+    "descent-verify": ("type", "matrix-algebra", "auto"),
+    "centroid": ("type", "matrix-algebra", "auto"),
+    "verify-all": (),
+}
+# a value for each input flag; every request below is refused before reading it
+_INPUTS = {"type": "A2", "algebra": "table.json", "matrix-algebra": "2", "auto": "{}"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in cli._COMMANDS for flag in _INPUTS if flag not in _READS[command]],
+)
+def test_every_command_refuses_the_inputs_it_does_not_read(capsys, command, flag):
+    argv = [command, f"--{flag}", _INPUTS[flag]]
+    if not _READS[command]:
+        message = f"{command} takes no input flags"
+    elif flag == "auto":
+        # given with a source the command reads
+        source = _READS[command][0]
+        argv += [f"--{source}", _INPUTS[source]]
+        message = f"{command} takes no --auto"
+    else:
+        message = f"--{flag} is not supported by this command"
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -44,9 +44,6 @@ POOL = ROOT / "perfbench" / "pool.py"
 # one D4 triality composed with a toral charge, with its untwisting map
 UNTWIST_D4 = ["untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}']
 
-# classify of a matrix algebra certifies one twist of M_N by its untwisting
-_MATRIX_CLASSIFY = [["classify", "--matrix-algebra", str(n)] for n in (1, 2, 3)]
-
 # toral and composed twists whose simple roots sit at several degrees; G2 at
 # order 6 has one at degree 4
 _EXTRACT_TWISTS = (
@@ -120,7 +117,7 @@ def requests() -> list[list[str]]:
         *pooled,
         *extract_requests(),
         *centroid_requests(),
-        *_MATRIX_CLASSIFY,
+        *(["classify", "--matrix-algebra", str(n)] for n in (1, 2, 3)),
         ["verify-all"],
         UNTWIST_D4,
         ["--help"],
