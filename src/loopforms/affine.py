@@ -42,13 +42,14 @@ from .chevalley import (
     _cartan_axioms,
     _symmetrizers,
     cartan_matrix,
+    check_twist,
     highest_root,
+    int_rank_det,
     node_isomorphisms,
     type_twist_factors,
 )
-from .cyclo import CycloNum
+from .cyclo import CycloNum, Sparse
 from .grading import ComponentSolver, GradedDecomposition, eigengrading, twist
-from .linalg import Sparse, int_rank_det
 from .record import Record
 
 __all__ = [
@@ -102,12 +103,9 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
     acts on e_alpha by the integer sum_{i in O} <alpha, alpha_i^vee>, the
     same for every root of a pi-orbit, which is what lets `affine_roots` read
     the weights off the closed-form grading.  perm must preserve the Cartan
-    matrix of rs, which a permutation of another rank does not (`preserves`).
+    matrix of rs, as `chevalley.check_twist` decides.
     """
-    if not perm.preserves(rs.cartan):
-        raise AffineExtractError(
-            "the fixed Cartan's permutation does not preserve the Cartan matrix"
-        )
+    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank), AffineExtractError)
     orbits = perm.orbits()
     one = CycloNum.one(alg.scalar_order)
     basis = [{i: one for i in orbit} for orbit in orbits]

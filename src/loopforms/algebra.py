@@ -25,8 +25,7 @@ from itertools import permutations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .cyclo import CycloNum, _json_int
-from .linalg import Sparse, sparse_add
+from .cyclo import CycloNum, Sparse, _json_int, sparse_add
 from .record import Record
 
 __all__ = [

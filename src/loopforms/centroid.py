@@ -14,9 +14,9 @@ sampled.
 from __future__ import annotations
 
 from .algebra import KIND_ASSOCIATIVE, AlgebraError, MultTableAlgebra
-from .cyclo import CycloNum
+from .cyclo import CycloNum, Sparse, sparse_add
 from .grading import GradedDecomposition, GradingError
-from .linalg import Echelon, Sparse, eliminate, rank, sparse_add
+from .linalg import Echelon, eliminate, rank
 from .record import Record
 
 __all__ = ["CentroidReport", "centroid_graded"]

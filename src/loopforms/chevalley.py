@@ -15,10 +15,12 @@ Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
 automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
 automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
-trivial).  `type_twist_factors` checks that s is constant on the orbits of
-pi, builds the algebra over Q(zeta_M), M = lcm(|pi|, m), and returns the
-two factors as `grading.twist` takes them, as `descent.matrix_twist_factors`
-does for M_n; `grading.twist` certifies every twist, here and on M_n alike.
+trivial).  `check_twist` alone decides that pi o tau_s is a twist of the
+type; `type_twist_factors` calls it, builds the algebra over Q(zeta_M),
+M = lcm(|pi|, m), and returns the two factors as `grading.twist` takes them,
+as `descent.matrix_twist_factors` does for M_n; `grading.twist` certifies
+every twist, here and on M_n alike.  `affine.GCM` shares `_cartan_axioms`
+and `int_rank_det` with `FiniteCartanMatrix`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, embed_algebra, make_table
 from .cyclo import CycloNum
-from .linalg import int_rank_det
 from .record import Record
 
 # the automorphism layer is imported by the functions that build
@@ -47,6 +48,7 @@ __all__ = [
     "algebra_over",
     "cartan_matrix",
     "charge_pairings",
+    "check_twist",
     "chevalley_algebra",
     "diagram_automorphism",
     "highest_root",
@@ -85,6 +87,39 @@ def _cartan_axioms(entries: Sequence[Sequence[int]], error: type[ValueError]) ->
                     raise error(f"positive off-diagonal entry at ({i},{j})")
                 if (a_ij == 0) != (entries[j][i] == 0):
                     raise error(f"zero pattern asymmetric at ({i},{j})")
+
+
+def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank and determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: no rational number is formed.
+
+    A column with no pivot left is skipped, and rows are exchanged to bring a
+    pivot up, which flips the sign.  After k pivots every remaining entry is
+    a (k+1)-minor, so each division by the previous pivot is exact (Sylvester's
+    identity) and is taken with //.  For full rank the last pivot is the
+    determinant up to that sign.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    sign, prev, rank = 1, 1, 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        top = work[rank]
+        p = top[col]
+        for r in range(rank + 1, n):
+            row = work[r]
+            factor = row[col]
+            for c in range(col + 1, n):
+                row[c] = (p * row[c] - factor * top[c]) // prev
+            row[col] = 0
+        prev = p
+        rank += 1
+    return rank, (sign * prev if rank == n else 0)
 
 
 class FiniteCartanMatrix(Record):
@@ -613,9 +648,10 @@ def diagram_automorphism(
     f_alpha -> c(alpha) f_{pi alpha} that a diagram symmetry pi induces, with
     the sign c read off the sign form in closed form.
 
-    The identity symmetry is the identity map, certified as the diagonal map
+    pi must preserve the Cartan matrix, which `check_twist` decides.  The
+    identity symmetry is the identity map, certified as the diagonal map
     with every exponent 0 (`check_diagonal_automorphism`), with no pair check.
-    Every other symmetry that `preserves` admits is a symmetry of A, D or E6,
+    Every other symmetry of a Cartan matrix is a symmetry of A, D or E6,
     which are their own cover, so the table is Frenkel and Kac's (`_fold`):
     e_a = E_a, f_a = -E_-a and [E_a, E_b] = eps(a, b) E_(a+b), with
     eps(a, b) = (-1)^(a F b) and F = `_sign_form(rs.cartan)`.  With
@@ -633,8 +669,6 @@ def diagram_automorphism(
     from .grading import check_automorphism, check_diagonal_automorphism
 
     l = rs.rank
-    if not perm.preserves(rs.cartan):
-        raise LieConstructError("the diagram permutation does not preserve the Cartan matrix")
     if perm.images == tuple(range(l)):
         return check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     p, q = perm.images, perm.inverse().images
@@ -650,6 +684,25 @@ def diagram_automorphism(
     return check_automorphism(alg, targets, scalars, perm.order())
 
 
+def check_twist(
+    cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: ToralCharge, error=LieConstructError
+) -> None:
+    """Raise `error`, before anything is built, unless pi o tau_s is a twist
+    of the type of `cartan`: pi preserves the Cartan matrix (so has its
+    rank), and s has its rank and is constant on the orbits of pi."""
+    label, s = cartan.type_label, list(charge.s)
+    if not perm.preserves(cartan):
+        raise error(
+            "unsupported automorphism: permutation does not preserve the Cartan matrix"
+            f" of {label}: pi = {perm.to_one_based()}"
+        )
+    if len(s) != cartan.rank:
+        raise error(f"charge rank mismatch: {label} has rank {cartan.rank}, but s = {s}")
+    bad = [[i + 1 for i in orbit] for orbit in perm.orbits() if len({s[i] for i in orbit}) > 1]
+    if bad:
+        raise error(f"s must be constant on the orbits of pi: s = {s} varies on the orbit {bad[0]}")
+
+
 def type_twist_factors(
     label: str, perm: DiagramPermutation, charge: ToralCharge
 ) -> tuple[RootSystem, MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
@@ -658,24 +711,18 @@ def type_twist_factors(
     factors of pi o tau_s as `grading.twist` takes them, the certified
     diagram automorphism of pi and the pairings <s, .> modulo m.
 
-    s must have the rank of the type and be constant on the orbits of pi,
-    and pi must preserve the Cartan matrix, which `diagram_automorphism`
-    checks before the orbits are read, so a pi of another rank is refused
-    there; `grading.twist` certifies the composition.
+    `check_twist` refuses a malformed twist first; `grading.twist` certifies the composition.
     """
-    if len(charge.s) != cartan_matrix(label).rank:
-        raise LieConstructError("charge rank mismatch")
+    check_twist(cartan_matrix(label), perm, charge)
     rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
     outer = diagram_automorphism(alg, rs, perm)
-    if any(charge.s[i] != charge.s[perm(i)] for i in range(rs.rank)):
-        raise LieConstructError("toral charge must be constant on permutation orbits")
     return rs, alg, outer, charge_pairings(rs, charge), charge.modulus
 
 
 def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
     """<s, weight> for every basis index of the standard layout; 0 on the
     Cartan.  Its one caller, `type_twist_factors`, has checked that s has
-    the rank of rs."""
+    the rank of rs (`check_twist`)."""
     _, root_index = _basis_layout(rs)
     out = [0] * (rs.rank + len(rs.roots))
     for alpha, idx in root_index.items():

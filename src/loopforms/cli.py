@@ -13,6 +13,10 @@ read by one table-driven parser: the eight commands share one flag set, and
 each row of `_COMMANDS` names the input flags its command reads, which
 `main` alone resolves and checks.  Flags are spelled out in full; an
 abbreviation is an unknown flag.
+
+The CLI checks only the shape of the argv and of `--auto`, and the limits
+`MAX_PERIOD` and `MAX_MATRIX_SIZE`; `chevalley.check_twist` and
+`descent.check_matrix_twist` decide the twist and raise `RequestError`.
 """
 
 from __future__ import annotations
@@ -68,40 +72,26 @@ def _is_int(x) -> bool:
 
 
 def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutation, ToralCharge]:
-    """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}; pi
-    must be a symmetry of the Cartan matrix."""
-    from .chevalley import DiagramPermutation, ToralCharge
+    """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}, read
+    for `chevalley.check_twist` to decide."""
+    from .chevalley import DiagramPermutation, ToralCharge, check_twist
 
-    rank = cartan.rank
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
     m = _modulus(obj)
-    pi = obj.get("pi")
-    if pi is None:
-        perm = DiagramPermutation.identity(rank)
-    else:
-        if not isinstance(pi, list) or len(pi) != rank or not all(_is_int(x) for x in pi):
-            raise RequestError(f"pi must be a list of {rank} one-based node images")
-        try:
-            perm = DiagramPermutation.from_one_based(tuple(pi))
-        except ValueError as exc:
-            raise RequestError(f"pi is not a permutation: {exc}") from exc
-        if not perm.preserves(cartan):
-            raise RequestError("unsupported automorphism: permutation does not preserve the Cartan matrix")
-    s = obj.get("s")
-    if s is None:
-        s = [0] * rank
-    if not isinstance(s, list) or len(s) != rank or not all(_is_int(x) for x in s):
-        raise RequestError(f"s must be a list of {rank} integers")
-    if any(s[i] != s[perm(i)] for i in range(rank)):
-        raise RequestError("s must be constant on the orbits of pi")
+    try:
+        perm = DiagramPermutation.from_one_based(_int_list(obj, "pi", range(1, cartan.rank + 1)))
+    except ValueError as exc:
+        raise RequestError(f"pi is not a permutation: {exc}") from exc
+    charge = ToralCharge(s=_int_list(obj, "s", [0] * cartan.rank), modulus=m)
+    check_twist(cartan, perm, charge, RequestError)
     period = lcm(perm.order(), m)
     if period > MAX_PERIOD:
         raise RequestError(
             f"the twist period lcm({perm.order()}, {m}) = {period} exceeds the limit {MAX_PERIOD}"
         )
-    return perm, ToralCharge(s=tuple(s), modulus=m)
+    return perm, charge
 
 
 def _modulus(obj: dict) -> int:
@@ -115,19 +105,22 @@ def _modulus(obj: dict) -> int:
 
 def _matrix_auto(obj: dict, n: int) -> tuple[tuple[int, ...], int]:
     """{"exponents": [ints], "m": int} for the inner twist of M_n."""
+    from .descent import check_matrix_twist
+
     unknown = set(obj) - {"exponents", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a matrix algebra: {sorted(unknown)}")
-    exponents = obj.get("exponents")
-    if exponents is None:
-        exponents = [0] * n
-    if (
-        not isinstance(exponents, list)
-        or len(exponents) != n
-        or not all(_is_int(x) for x in exponents)
-    ):
-        raise RequestError(f"exponents must be a list of {n} integers")
-    return tuple(exponents), _modulus(obj)
+    exponents, m = _int_list(obj, "exponents", [0] * n), _modulus(obj)
+    check_matrix_twist(n, exponents, m, RequestError)
+    return exponents, m
+
+
+def _int_list(obj: dict, key: str, default) -> tuple[int, ...]:
+    """obj[key], a JSON list of integers, or default when absent or null."""
+    value = obj.get(key)
+    if value is not None and (not isinstance(value, list) or not all(map(_is_int, value))):
+        raise RequestError(f"{key} must be a list of integers")
+    return tuple(default if value is None else value)
 
 
 def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
@@ -141,9 +134,7 @@ def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
     given = {"type": args.type, "algebra": args.algebra, "matrix-algebra": args.matrix_algebra}
     present = [name for name, value in given.items() if value is not None]
     if len(present) != 1:
-        raise RequestError(
-            f"exactly one input source required; got {present or 'none'}"
-        )
+        raise RequestError(f"exactly one input source required; got {present or 'none'}")
     source = present[0]
     if source not in allowed:
         raise RequestError(f"--{source} is not supported by this command")
@@ -155,8 +146,6 @@ def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
                 f"--type {args.type!r} is not a type label; "
                 f"choose one of {', '.join(TYPE_LABELS)}"
             )
-    if source == "matrix-algebra" and args.matrix_algebra < 1:
-        raise RequestError("--matrix-algebra needs a positive size")
     if source == "matrix-algebra" and args.matrix_algebra > MAX_MATRIX_SIZE:
         raise RequestError(
             f"--matrix-algebra {args.matrix_algebra} exceeds the size limit {MAX_MATRIX_SIZE}"
@@ -257,12 +246,13 @@ def _cmd_classify(args: _Args, source: str, spec: dict) -> dict:
             "centroid_trivial": result.centroid_ok,
             "status": "pass" if result.hypotheses_hold else "fail",
         }
-    from .descent import matrix_twist_factors, untwist_iso
+    from .descent import check_matrix_twist, matrix_twist_factors, untwist_iso
 
     n = args.matrix_algebra
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
     # witness untwists one twist, Ad(diag(zeta_n^0, ..., zeta_n^(n-1)))
     exponents = list(range(n))
+    check_matrix_twist(n, exponents, n, RequestError)
     alg, identity, shifts = matrix_twist_factors(n, exponents, n)
     iso = untwist_iso(alg, identity, shifts, n)
     return {
@@ -442,7 +432,7 @@ def _emit(report: dict, args: _Args) -> None:
         rendered = "\n".join(_render_text(report)) + "\n"
     else:
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

@@ -26,6 +26,9 @@ Two design rules hold throughout the package:
 The compatible choice of roots (zeta_m = zeta_n^(n/m) whenever m | n) is what
 `embed` implements, and the rest of the package relies on it when comparing
 eigenvalues of automorphisms of different periods.
+
+Every layer imports this module, so it also holds the one vector type,
+`Sparse` ({index: CycloNum} with no zero entry), and `sparse_add`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -43,8 +46,10 @@ if TYPE_CHECKING:
 __all__ = [
     "CycloError",
     "CycloNum",
+    "Sparse",
     "cyclotomic_polynomial",
     "euler_phi",
+    "sparse_add",
     "zeta_power",
 ]
 
@@ -534,3 +539,23 @@ def zeta_power(m: int, e: int) -> CycloNum:
         raise ValueError("a root of unity needs a positive order")
     e %= m
     return _from_canonical(m, _reduce(m, [0] * e + [1]), 1)
+
+
+Sparse = dict[int, CycloNum]
+
+
+def sparse_add(acc: Sparse, v: Mapping[int, CycloNum], scale: Optional[CycloNum] = None) -> None:
+    """acc += scale * v in place (scale 1 when omitted); entries that cancel
+    are dropped."""
+    for k, x in v.items():
+        if scale is not None:
+            x = scale * x
+        old = acc.get(k)
+        if old is None:
+            acc[k] = x
+            continue
+        new = old + x
+        if new.is_zero():
+            del acc[k]
+        else:
+            acc[k] = new

@@ -50,6 +50,7 @@ __all__ = [
     "DescentError",
     "UntwistIso",
     "build_matrix_algebra",
+    "check_matrix_twist",
     "fixed_point_report",
     "matrix_twist_factors",
     "matrix_unit_shifts",
@@ -127,12 +128,7 @@ def matrix_twist_factors(
     E_ik E_kj = E_ij and (a_i - a_k) + (a_k - a_j) = a_i - a_j: the shifts
     are additive, which is the certificate of the twist.
     """
-    if n < 1:
-        raise DescentError("n must be >= 1")
-    if len(exponents) != n:
-        raise DescentError("need one exponent per row")
-    if m < 1:
-        raise DescentError("period must be >= 1")
+    check_matrix_twist(n, exponents, m)
     idx = lambda i, k: i * n + k  # noqa: E731
     one = CycloNum.one(m)
     entries = {
@@ -150,6 +146,16 @@ def matrix_twist_factors(
     )
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     return alg, identity, matrix_unit_shifts(n, exponents)
+
+
+def check_matrix_twist(n: int, exponents: Sequence[int], m: int, error=DescentError) -> None:
+    """Raise `error` before anything is built unless n >= 1, exponents has n entries and m >= 1."""
+    if n < 1:
+        raise error(f"M_n needs n >= 1, got n = {n}")
+    if len(exponents) != n:
+        raise error(f"M_{n} needs one exponent per row, got {len(exponents)}")
+    if m < 1:
+        raise error(f"the period m must be >= 1, got m = {m}")
 
 
 def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:

@@ -31,8 +31,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import MultTableAlgebra, _cycles
-from .cyclo import CycloNum, zeta_power
-from .linalg import Sparse
+from .cyclo import CycloNum, Sparse, zeta_power
 from .record import Record
 
 __all__ = [

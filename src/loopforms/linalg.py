@@ -1,9 +1,7 @@
-"""Deterministic exact linear algebra over cyclotomic scalars.
-
-A vector is sparse: a mapping {index: CycloNum} that holds no zero entry, so
-its support is its key set.  Dense tuples appear only where a report is
-serialized.  `nullspace` and `rank` also accept dense rows; only the
-benchmark's `perfbench/micro.py` and the tests' dense oracles pass them.
+"""The elimination kernel over cyclotomic scalars; `centroid` is the one
+module of the package that imports it.  Vectors are `cyclo.Sparse`;
+`nullspace` and `rank` also accept dense rows, which only the benchmark's
+`perfbench/micro.py` and the tests' dense oracles pass.
 
 Every elimination goes through one sparse Gauss-Jordan routine: `Echelon`,
 the reduced row-echelon form grown one row at a time, and `eliminate`, which
@@ -16,59 +14,29 @@ input gives the same rank, kernel basis and centroid basis bit for bit,
 however the rows arrive.  Kernel bases are additionally re-reduced so the
 returned vectors are themselves in reduced row-echelon form.
 
-The package tests span membership without a general solver: the spans it
-asks about are written down in closed form (the grading components and the
-fixed Cartan, whose coordinates `grading.ComponentSolver` reads and
-confirms), or are independent families, where membership is a rank test.
-The one span that grows, the subalgebra generated by a set of homogeneous
-basis vectors (the centroid's generating set), is an `Echelon` whose `reduce`
-answers membership.  `SpanSolver`, membership by elimination, has no caller in the package; it is
-the reference the tests compare `ComponentSolver` with, and the benchmark's
-`perfbench/tracer.py` wraps it by name.
-
-Integer matrices (Cartan matrices and generalized Cartan matrices) have their
-own small helper, `int_rank_det`, because their certificates need the
-determinant, which a reduced row-echelon form does not keep.  It is Bareiss's
-fraction-free elimination over the integers: every division in it is exact,
-and no rational number is formed.
+The package tests span membership without a general solver: its spans are
+written down in closed form (read by `grading.ComponentSolver`), are
+independent families (a rank test), or grow as the centroid's generating set
+does (`Echelon.reduce`).  `SpanSolver`, membership by elimination, has no
+caller in the package; the tests compare `ComponentSolver` with it, and the
+benchmark's `perfbench/tracer.py` wraps it by name.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, Sparse
 
-Sparse = dict[int, CycloNum]
 Row = Union[Sequence[CycloNum], Mapping[int, CycloNum]]
 
 __all__ = [
     "Echelon",
     "SpanSolver",
-    "Sparse",
     "eliminate",
-    "int_rank_det",
     "nullspace",
     "rank",
-    "sparse_add",
 ]
-
-
-def sparse_add(acc: Sparse, v: Mapping[int, CycloNum], scale: Optional[CycloNum] = None) -> None:
-    """acc += scale * v in place (scale 1 when omitted); entries that cancel
-    are dropped."""
-    for k, x in v.items():
-        if scale is not None:
-            x = scale * x
-        old = acc.get(k)
-        if old is None:
-            acc[k] = x
-            continue
-        new = old + x
-        if new.is_zero():
-            del acc[k]
-        else:
-            acc[k] = new
 
 
 def _axpy(target: Sparse, factor: CycloNum, source: Mapping[int, CycloNum], skip: int) -> None:
@@ -182,39 +150,6 @@ def nullspace(rows: Iterable[Row], ncols: int, order: int) -> list[Sparse]:
                 vec[pc] = -entry
         kernel.append(vec)
     return list(eliminate(kernel).values())
-
-
-def int_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Rank and determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination over the integers.
-
-    A column with no pivot left is skipped, and rows are exchanged to bring a
-    pivot up, which flips the sign.  After k pivots every remaining entry is
-    a (k+1)-minor, so each division by the previous pivot is exact (Sylvester's
-    identity) and is taken with //.  For full rank the last pivot is the
-    determinant up to that sign.
-    """
-    work = [list(row) for row in rows]
-    n = len(work)
-    sign, prev, rank = 1, 1, 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            work[rank], work[pivot] = work[pivot], work[rank]
-            sign = -sign
-        top = work[rank]
-        p = top[col]
-        for r in range(rank + 1, n):
-            row = work[r]
-            factor = row[col]
-            for c in range(col + 1, n):
-                row[c] = (p * row[c] - factor * top[c]) // prev
-            row[col] = 0
-        prev = p
-        rank += 1
-    return rank, (sign * prev if rank == n else 0)
 
 
 class SpanSolver:

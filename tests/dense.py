@@ -20,7 +20,7 @@ on Fraction coefficients, the reference for the integer numerators and one denom
 `kernel_affine_roots` decomposes each grading component by one nullspace per
 candidate weight, the reference for the weights `affine.affine_roots` reads
 off the closed-form grading.  `fraction_rank_det` is elimination over
-Fraction, the reference for the integer Bareiss `linalg.int_rank_det`, and
+Fraction, the reference for the integer Bareiss `chevalley.int_rank_det`, and
 `all_pairs_centroid` imposes the centroid conditions on every pair of
 homogeneous basis vectors, the reference for `centroid.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
@@ -75,7 +75,7 @@ from loopforms.chevalley import (
     type_twist_factors,
 )
 from loopforms.classify import OutGroup
-from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
+from loopforms.cyclo import CycloNum, Sparse, cyclotomic_polynomial, euler_phi, sparse_add, zeta_power
 from loopforms.descent import (
     DescentError,
     UntwistIso,
@@ -94,7 +94,7 @@ from loopforms.grading import (
     check_diagonal_automorphism,
     twist,
 )
-from loopforms.linalg import Sparse, SpanSolver, eliminate, nullspace, rank, sparse_add
+from loopforms.linalg import SpanSolver, eliminate, nullspace, rank
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]

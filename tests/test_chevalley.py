@@ -26,6 +26,7 @@ from loopforms.chevalley import (
     algebra_over,
     cartan_matrix,
     charge_pairings,
+    check_twist,
     chevalley_algebra,
     _symmetrizers,
     diagram_automorphism,
@@ -481,16 +482,17 @@ def test_preserves_refuses_a_permutation_of_another_rank():
 
 
 def test_flip_on_wrong_diagram_rejected():
-    rs, alg = algebra_over("B2", 2)
+    # check_twist refuses it before type_twist_factors builds anything
+    trivial = ToralCharge.trivial(2)
     with pytest.raises(
-        LieConstructError, match="the diagram permutation does not preserve the Cartan matrix"
+        LieConstructError,
+        match=r"unsupported automorphism: permutation does not preserve the Cartan matrix"
+        r" of B2: pi = \[2, 1\]",
     ):
-        diagram_automorphism(alg, rs, FLIP)
+        type_twist_factors("B2", FLIP, trivial)
     # a permutation of another rank preserves no Cartan matrix of this one
-    with pytest.raises(
-        LieConstructError, match="the diagram permutation does not preserve the Cartan matrix"
-    ):
-        diagram_automorphism(alg, rs, TRIALITY)
+    with pytest.raises(LieConstructError, match=r"of B2: pi = \[3, 2, 4, 1\]"):
+        check_twist(cartan_matrix("B2"), TRIALITY, trivial)
 
 
 def test_triality_has_period_three():
@@ -529,7 +531,10 @@ def test_composed_automorphism_period_is_lcm():
 
 
 def test_composed_requires_invariant_charge():
-    with pytest.raises(LieConstructError, match="constant on permutation orbits"):
+    with pytest.raises(
+        LieConstructError,
+        match=r"s must be constant on the orbits of pi: s = \[1, 0\] varies on the orbit \[1, 2\]",
+    ):
         type_twist_factors("A2", FLIP, ToralCharge(s=(1, 0), modulus=3))
 
 
@@ -537,7 +542,7 @@ def test_composed_requires_invariant_charge():
     "perm, s, message",
     [
         (FLIP, (1, 1, 1), "charge rank mismatch"),
-        # a permutation of another rank is refused by diagram_automorphism
+        # a permutation of another rank preserves no Cartan matrix of A2
         (TRIALITY, (0, 0), "does not preserve"),
         (DiagramPermutation.identity(1), (0, 0), "does not preserve"),
     ],

@@ -491,11 +491,12 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
         (("grade", "--type", "A1", "--auto", '{"sigma": 1}'),
          "unsupported --auto keys for a type label: ['sigma']"),
         (("grade", "--type", "A1", "--auto", "{not json"), "--auto is not valid JSON: "),
-        (("grade", "--type", "A2", "--auto", '{"pi": [2]}'),
-         "pi must be a list of 2 one-based node images"),
+        (("grade", "--type", "A2", "--auto", '{"pi": [1]}'),
+         "unsupported automorphism: permutation does not preserve the Cartan matrix of A2: pi = [1]"),
         (("grade", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
          "unsupported automorphism: permutation does not preserve the Cartan matrix"),
-        (("grade", "--type", "A2", "--auto", '{"s": [1]}'), "s must be a list of 2 integers"),
+        (("grade", "--type", "A2", "--auto", '{"s": [1]}'),
+         "charge rank mismatch: A2 has rank 2, but s = [1]"),
         (("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 0], "m": 2}'),
          "s must be constant on the orbits of pi"),
         (("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
@@ -503,19 +504,28 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
         (("grade", "--type", "A2", "--auto", '{"m": 0}'), "m must be a positive integer"),
         (("grade", "--type", "A2", "--auto", '{"m": 25}'), "m = 25 exceeds the period limit 24"),
         (("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0]}'),
-         "exponents must be a list of 2 integers"),
+         "M_2 needs one exponent per row, got 1"),
         (("build",), "exactly one input source required; got none"),
         (("build", "--type", "A1", "--matrix-algebra", "2"),
          "exactly one input source required; got ['type', 'matrix-algebra']"),
         (("extract-gcm", "--matrix-algebra", "2"),
          "--matrix-algebra is not supported by this command"),
-        (("classify", "--matrix-algebra", "0"), "--matrix-algebra needs a positive size"),
+        (("classify", "--matrix-algebra", "0"), "M_n needs n >= 1, got n = 0"),
         (("grade", "--matrix-algebra", "9"), "--matrix-algebra 9 exceeds the size limit 8"),
         (("build", "--type", "Z9"),
          f"--type 'Z9' is not a type label; choose one of {', '.join(chevalley.TYPE_LABELS)}"),
         (("build", "--type", "A2", "--auto", "{}"), "build takes no --auto"),
         (("verify-all", "--type", "A1"), "verify-all takes no input flags"),
         ((), "a command is required; choose one of build, grade, classify, extract-gcm,"),
+        (("grade", "--type", "A2", "--auto", '{"pi": [2, true]}'), "pi must be a list of integers"),
+        (("grade", "--type", "A2", "--auto", '{"s": [0.5, 1]}'), "s must be a list of integers"),
+        (("grade", "--matrix-algebra", "2", "--auto", '{"exponents": "01"}'),
+         "exponents must be a list of integers"),
+        # an empty path is refused, not read as no --out
+        (("build", "--type", "A1", "--out", ""),
+         "cannot write : [Errno 2] No such file or directory: ''"),
+        (("build", "--type", "A1", "--out="),
+         "cannot write : [Errno 2] No such file or directory: ''"),
     ],
 )
 def test_refused_request_names_its_fault(capsys, argv, message):

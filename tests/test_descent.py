@@ -509,9 +509,9 @@ def test_build_matrix_algebra_period_not_exact_order():
 @pytest.mark.parametrize(
     "n,exponents,m,message",
     [
-        pytest.param(0, (), 2, "n must be >= 1", id="0-exponents0-2"),
-        pytest.param(2, (0,), 2, "need one exponent per row", id="2-exponents1-2"),
-        pytest.param(2, (0, 1), 0, "period must be >= 1", id="2-exponents2-0"),
+        pytest.param(0, (), 2, "M_n needs n >= 1, got n = 0", id="0-exponents0-2"),
+        pytest.param(2, (0,), 2, "M_2 needs one exponent per row, got 1", id="2-exponents1-2"),
+        pytest.param(2, (0, 1), 0, "the period m must be >= 1, got m = 0", id="2-exponents2-0"),
     ],
 )
 def test_build_matrix_algebra_input_errors(n, exponents, m, message):

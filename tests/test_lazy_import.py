@@ -72,13 +72,13 @@ def test_grade_loads_only_the_modules_it_uses():
         "loopforms.cli",
         "loopforms.cyclo",
         "loopforms.grading",
-        "loopforms.linalg",
         "loopforms.record",
     ]
     assert codegen == []
 
 
-_CORE = ["loopforms.algebra", "loopforms.cli", "loopforms.cyclo", "loopforms.linalg", "loopforms.record"]
+# the elimination kernel, linalg, is compiled only by the centroid layer
+_CORE = ["loopforms.algebra", "loopforms.cli", "loopforms.cyclo", "loopforms.record"]
 
 
 def test_matrix_algebra_request_loads_no_chevalley():
@@ -114,14 +114,22 @@ _TYPE_LABEL = sorted(_CORE + ["loopforms.chevalley"])
         (["grade", "--type", "A2"], ["loopforms.grading"]),
         (
             ["centroid", "--type", "A2", "--auto", '{"pi": [2, 1], "m": 2}'],
-            ["loopforms.centroid", "loopforms.grading"],
+            ["loopforms.centroid", "loopforms.grading", "loopforms.linalg"],
         ),
         (
             ["extract-gcm", "--type", "A2", "--auto", '{"pi": [2, 1]}'],
             ["loopforms.affine", "loopforms.grading"],
         ),
+        (
+            ["untwist", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 3}'],
+            ["loopforms.descent", "loopforms.grading"],
+        ),
+        (
+            ["descent-verify", "--type", "A2", "--auto", '{"pi": [2, 1], "m": 2}'],
+            ["loopforms.descent", "loopforms.grading"],
+        ),
     ],
-    ids=["build", "grade", "centroid", "extract-gcm"],
+    ids=["build", "grade", "centroid", "extract-gcm", "untwist", "descent-verify"],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, layers):
     code, loaded, codegen = _request(argv)

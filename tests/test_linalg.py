@@ -15,7 +15,8 @@ from dense import (
     sparsify,
 )
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.linalg import Echelon, SpanSolver, eliminate, int_rank_det, nullspace, rank
+from loopforms.chevalley import int_rank_det
+from loopforms.linalg import Echelon, SpanSolver, eliminate, nullspace, rank
 
 
 def q(x, order=1):
@@ -228,6 +229,7 @@ def test_mat_inverse_refuses_singular_matrix():
 
 
 # -- integer rank and determinant --------------------------------------------------
+# (chevalley.int_rank_det, beside the Cartan axioms it certifies)
 
 
 def _int_matrices(seed):

@@ -194,6 +194,13 @@ def test_only_linalg_names_the_span_solver():
     assert _matches(r"SpanSolver", others) == []
 
 
+def test_only_centroid_imports_the_elimination_kernel():
+    # linalg holds elimination alone, and the centroid system is its one
+    # caller in src, so no other request compiles it
+    found = _matches(r"^\s*(from|import)\b.*\blinalg\b")
+    assert [line.split(":")[0] for line in found] == ["src/loopforms/centroid.py"]
+
+
 def test_only_chevalley_builds_type_twist_factors():
     # a type-label twist is built by chevalley.type_twist_factors alone
     others = [path for path in SOURCES if path != SRC / "loopforms" / "chevalley.py"]
