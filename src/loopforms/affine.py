@@ -102,10 +102,11 @@ def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
     `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
     acts on e_alpha by the integer sum_{i in O} <alpha, alpha_i^vee>, the
     same for every root of a pi-orbit, which is what lets `affine_roots` read
-    the weights off the closed-form grading.  perm must preserve the Cartan
-    matrix of rs, as `chevalley.check_twist` decides.
+    the weights off the closed-form grading.  A perm that does not preserve
+    the Cartan matrix of rs is refused first, by `chevalley.check_twist`,
+    with `record.RequestError`.
     """
-    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank), AffineExtractError)
+    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
     orbits = perm.orbits()
     one = CycloNum.one(alg.scalar_order)
     basis = [{i: one for i in orbit} for orbit in orbits]

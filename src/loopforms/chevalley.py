@@ -16,11 +16,13 @@ automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
 automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
 trivial).  `check_twist` alone decides that pi o tau_s is a twist of the
-type; `type_twist_factors` calls it, builds the algebra over Q(zeta_M),
-M = lcm(|pi|, m), and returns the two factors as `grading.twist` takes them,
-as `descent.matrix_twist_factors` does for M_n; `grading.twist` certifies
-every twist, here and on M_n alike.  `affine.GCM` shares `_cartan_axioms`
-and `int_rank_det` with `FiniteCartanMatrix`.
+type, and raises `record.RequestError` when it is not; each public entry
+that takes pi calls it (`type_twist_factors`, `diagram_automorphism`,
+`affine.fixed_cartan`).  `type_twist_factors` builds the algebra over
+Q(zeta_M), M = lcm(|pi|, m), and returns the two factors as `grading.twist`
+takes them, as `descent.matrix_twist_factors` does for M_n; `grading.twist`
+certifies every twist, here and on M_n alike.  `affine.GCM` shares
+`_cartan_axioms` and `int_rank_det` with `FiniteCartanMatrix`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, embed_algebra, make_table
 from .cyclo import CycloNum
-from .record import Record
+from .record import Record, RequestError
 
 # the automorphism layer is imported by the functions that build
 # automorphisms, so building a table compiles no grading code
@@ -540,8 +542,9 @@ class DiagramPermutation(Record):
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise LieConstructError("not a permutation")
+        n = len(self.images)
+        if sorted(self.images) != list(range(n)):
+            raise RequestError(f"pi = {self.to_one_based()} is not a permutation of 1..{n}")
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -630,7 +633,7 @@ class ToralCharge(Record):
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
-            raise LieConstructError("modulus must be positive")
+            raise RequestError(f"the modulus of a toral charge must be >= 1, got m = {self.modulus}")
 
     def pairing(self, alpha: Root) -> int:
         return sum(si * ai for si, ai in zip(self.s, alpha))
@@ -648,9 +651,10 @@ def diagram_automorphism(
     f_alpha -> c(alpha) f_{pi alpha} that a diagram symmetry pi induces, with
     the sign c read off the sign form in closed form.
 
-    pi must preserve the Cartan matrix, which `check_twist` decides.  The
-    identity symmetry is the identity map, certified as the diagonal map
-    with every exponent 0 (`check_diagonal_automorphism`), with no pair check.
+    A pi that does not preserve the Cartan matrix of rs is refused first,
+    by `check_twist`, with `record.RequestError`.  The identity symmetry is
+    the identity map, certified as the diagonal map with every exponent 0
+    (`check_diagonal_automorphism`), with no pair check.
     Every other symmetry of a Cartan matrix is a symmetry of A, D or E6,
     which are their own cover, so the table is Frenkel and Kac's (`_fold`):
     e_a = E_a, f_a = -E_-a and [E_a, E_b] = eps(a, b) E_(a+b), with
@@ -668,6 +672,7 @@ def diagram_automorphism(
     """
     from .grading import check_automorphism, check_diagonal_automorphism
 
+    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
     l = rs.rank
     if perm.images == tuple(range(l)):
         return check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
@@ -684,23 +689,23 @@ def diagram_automorphism(
     return check_automorphism(alg, targets, scalars, perm.order())
 
 
-def check_twist(
-    cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: ToralCharge, error=LieConstructError
-) -> None:
-    """Raise `error`, before anything is built, unless pi o tau_s is a twist
-    of the type of `cartan`: pi preserves the Cartan matrix (so has its
-    rank), and s has its rank and is constant on the orbits of pi."""
+def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: ToralCharge) -> None:
+    """Raise `RequestError`, before anything is built, unless pi o tau_s is
+    a twist of the type of `cartan`: pi preserves the Cartan matrix (so has
+    its rank), and s has its rank and is constant on the orbits of pi."""
     label, s = cartan.type_label, list(charge.s)
     if not perm.preserves(cartan):
-        raise error(
+        raise RequestError(
             "unsupported automorphism: permutation does not preserve the Cartan matrix"
             f" of {label}: pi = {perm.to_one_based()}"
         )
     if len(s) != cartan.rank:
-        raise error(f"charge rank mismatch: {label} has rank {cartan.rank}, but s = {s}")
+        raise RequestError(f"charge rank mismatch: {label} has rank {cartan.rank}, but s = {s}")
     bad = [[i + 1 for i in orbit] for orbit in perm.orbits() if len({s[i] for i in orbit}) > 1]
     if bad:
-        raise error(f"s must be constant on the orbits of pi: s = {s} varies on the orbit {bad[0]}")
+        raise RequestError(
+            f"s must be constant on the orbits of pi: s = {s} varies on the orbit {bad[0]}"
+        )
 
 
 def type_twist_factors(

@@ -15,8 +15,10 @@ each row of `_COMMANDS` names the input flags its command reads, which
 abbreviation is an unknown flag.
 
 The CLI checks only the shape of the argv and of `--auto`, and the limits
-`MAX_PERIOD` and `MAX_MATRIX_SIZE`; `chevalley.check_twist` and
-`descent.check_matrix_twist` decide the twist and raise `RequestError`.
+`MAX_PERIOD` and `MAX_MATRIX_SIZE`.  The library decides whether the input
+names a twist, and refuses it with the same `record.RequestError` the CLI
+raises, so `main` maps every refused input to exit 2, whichever module
+refused it, and every failed certificate to exit 1.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Optional
 
 from .algebra import MultTableAlgebra
+from .record import RequestError
 
 # chevalley is imported by the paths that read a type label, and grading,
 # centroid, acceptance, affine, classify and descent inside the handlers that
@@ -37,10 +40,6 @@ if TYPE_CHECKING:
     from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge
 
 __all__ = ["main"]
-
-
-class RequestError(Exception):
-    """Malformed input: maps to exit code 2."""
 
 
 # Resource limits at the request boundary.  The cost of Q(zeta_m) grows with
@@ -73,19 +72,15 @@ def _is_int(x) -> bool:
 
 def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutation, ToralCharge]:
     """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}, read
-    for `chevalley.check_twist` to decide."""
-    from .chevalley import DiagramPermutation, ToralCharge, check_twist
+    for `chevalley.type_twist_factors` to decide."""
+    from .chevalley import DiagramPermutation, ToralCharge
 
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
     m = _modulus(obj)
-    try:
-        perm = DiagramPermutation.from_one_based(_int_list(obj, "pi", range(1, cartan.rank + 1)))
-    except ValueError as exc:
-        raise RequestError(f"pi is not a permutation: {exc}") from exc
+    perm = DiagramPermutation.from_one_based(_int_list(obj, "pi", range(1, cartan.rank + 1)))
     charge = ToralCharge(s=_int_list(obj, "s", [0] * cartan.rank), modulus=m)
-    check_twist(cartan, perm, charge, RequestError)
     period = lcm(perm.order(), m)
     if period > MAX_PERIOD:
         raise RequestError(
@@ -96,23 +91,20 @@ def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutatio
 
 def _modulus(obj: dict) -> int:
     m = obj.get("m", 1)
-    if not _is_int(m) or m < 1:
-        raise RequestError("m must be a positive integer")
+    if not _is_int(m):
+        raise RequestError("m must be an integer")
     if m > MAX_PERIOD:
         raise RequestError(f"m = {m} exceeds the period limit {MAX_PERIOD}")
     return m
 
 
 def _matrix_auto(obj: dict, n: int) -> tuple[tuple[int, ...], int]:
-    """{"exponents": [ints], "m": int} for the inner twist of M_n."""
-    from .descent import check_matrix_twist
-
+    """{"exponents": [ints], "m": int} for the inner twist of M_n, read for
+    `descent.matrix_twist_factors` to decide."""
     unknown = set(obj) - {"exponents", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a matrix algebra: {sorted(unknown)}")
-    exponents, m = _int_list(obj, "exponents", [0] * n), _modulus(obj)
-    check_matrix_twist(n, exponents, m, RequestError)
-    return exponents, m
+    return _int_list(obj, "exponents", [0] * n), _modulus(obj)
 
 
 def _int_list(obj: dict, key: str, default) -> tuple[int, ...]:
@@ -246,13 +238,12 @@ def _cmd_classify(args: _Args, source: str, spec: dict) -> dict:
             "centroid_trivial": result.centroid_ok,
             "status": "pass" if result.hypotheses_hold else "fail",
         }
-    from .descent import check_matrix_twist, matrix_twist_factors, untwist_iso
+    from .descent import matrix_twist_factors, untwist_iso
 
     n = args.matrix_algebra
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
     # witness untwists one twist, Ad(diag(zeta_n^0, ..., zeta_n^(n-1)))
     exponents = list(range(n))
-    check_matrix_twist(n, exponents, n, RequestError)
     alg, identity, shifts = matrix_twist_factors(n, exponents, n)
     iso = untwist_iso(alg, identity, shifts, n)
     return {

@@ -5,10 +5,13 @@ generator acts by z -> zeta_m z.  One twist serves every table: a Lie
 algebra twisted by pi o tau_s and M_n twisted by Ad(diag(zeta^a)) are both
 `grading.twist(alg, outer, p, m)` = outer o diag(zeta_m^p), with outer the
 diagram automorphism of pi or the identity, so `untwist_iso` takes
-(alg, outer, p, m) from either and never reads a root system.  A period-m
-automorphism sigma of A yields the cocycle u(n mod m) = sigma^{-n} with
-values in Aut(A tensor S), and the twisted fixed points of u recover the
-loop algebra L(sigma) degree by degree.
+(alg, outer, p, m) from either and never reads a root system.
+`matrix_twist_factors` alone decides that (n, a, m) names a twist of M_n,
+and raises `record.RequestError` when it does not, as `chevalley.check_twist`
+does for a type label.  A period-m automorphism sigma of A yields the
+cocycle u(n mod m) = sigma^{-n} with values in Aut(A tensor S), and the
+twisted fixed points of u recover the loop algebra L(sigma) degree by
+degree.
 
 Every identity is read off a certificate the twist already has, and holds
 in all degrees.  `fixed_point_report` reads the cocycle identity off
@@ -44,13 +47,12 @@ from .grading import (
     eigengrading,
     twist,
 )
-from .record import Record
+from .record import Record, RequestError
 
 __all__ = [
     "DescentError",
     "UntwistIso",
     "build_matrix_algebra",
-    "check_matrix_twist",
     "fixed_point_report",
     "matrix_twist_factors",
     "matrix_unit_shifts",
@@ -126,9 +128,16 @@ def matrix_twist_factors(
     shifts a_i - a_k on E_ik.
 
     E_ik E_kj = E_ij and (a_i - a_k) + (a_k - a_j) = a_i - a_j: the shifts
-    are additive, which is the certificate of the twist.
+    are additive, which is the certificate of the twist.  Before anything is
+    built, `RequestError` refuses n < 1, a count of exponents other than n
+    and m < 1.
     """
-    check_matrix_twist(n, exponents, m)
+    if n < 1:
+        raise RequestError(f"M_n needs n >= 1, got n = {n}")
+    if len(exponents) != n:
+        raise RequestError(f"M_{n} needs one exponent per row, got {len(exponents)}")
+    if m < 1:
+        raise RequestError(f"the period m must be >= 1, got m = {m}")
     idx = lambda i, k: i * n + k  # noqa: E731
     one = CycloNum.one(m)
     entries = {
@@ -146,16 +155,6 @@ def matrix_twist_factors(
     )
     identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     return alg, identity, matrix_unit_shifts(n, exponents)
-
-
-def check_matrix_twist(n: int, exponents: Sequence[int], m: int, error=DescentError) -> None:
-    """Raise `error` before anything is built unless n >= 1, exponents has n entries and m >= 1."""
-    if n < 1:
-        raise error(f"M_n needs n >= 1, got n = {n}")
-    if len(exponents) != n:
-        raise error(f"M_{n} needs one exponent per row, got {len(exponents)}")
-    if m < 1:
-        raise error(f"the period m must be >= 1, got m = {m}")
 
 
 def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cyclo import CycloNum, Sparse
+from .cyclo import CycloNum, Sparse, sparse_add
 
 Row = Union[Sequence[CycloNum], Mapping[int, CycloNum]]
 
@@ -37,23 +37,6 @@ __all__ = [
     "nullspace",
     "rank",
 ]
-
-
-def _axpy(target: Sparse, factor: CycloNum, source: Mapping[int, CycloNum], skip: int) -> None:
-    """target -= factor * source in place, ignoring column `skip`; zeros are dropped."""
-    neg = -factor
-    for k, v in source.items():
-        if k == skip:
-            continue
-        old = target.get(k)
-        if old is None:
-            target[k] = neg * v
-            continue
-        new = old + neg * v
-        if new.is_zero():
-            del target[k]
-        else:
-            target[k] = new
 
 
 class Echelon:
@@ -74,9 +57,10 @@ class Echelon:
         """source less its combination of pivot rows: empty exactly when
         source lies in their span."""
         row = {k: v for k, v in source.items() if not v.is_zero()}
-        # pivot rows vanish at every other pivot column, so one pass suffices
+        # pivot rows vanish at every other pivot column, so one pass suffices;
+        # a pivot row is 1 at its pivot, so the entry at col cancels and goes
         for col in [c for c in row if c in self.pivots]:
-            _axpy(row, row.pop(col), self.pivots[col], col)
+            sparse_add(row, self.pivots[col], -row[col])
         return row
 
     def add(self, source: Mapping[int, CycloNum]) -> bool:
@@ -89,9 +73,9 @@ class Echelon:
         new = {k: inv * v for k, v in row.items()}
         new[lead] = CycloNum.one(inv.order)
         for prow in self.pivots.values():
-            factor = prow.pop(lead, None)
+            factor = prow.get(lead)
             if factor is not None:
-                _axpy(prow, factor, new, lead)
+                sparse_add(prow, new, -factor)
         self.pivots[lead] = new
         return True
 

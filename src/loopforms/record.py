@@ -1,4 +1,5 @@
-"""`Record`: the base of every immutable value type in the package.
+"""`Record`: the base of every immutable value type in the package, and
+`RequestError`: the one refusal of a malformed input.
 
 A subclass lists its fields as class annotations, in order; a class
 attribute of the same name is that field's default.  Records keep the
@@ -21,9 +22,17 @@ almost nothing.  Instances keep a `__dict__`: `functools.cached_property`
 works on them, and `__post_init__` may store a cache outside the fields
 with `self.__dict__[name] = value`; such an attribute is not a field and
 takes no part in equality, hashing or the repr.
+
+`RequestError` classifies a refusal by what failed: an input that names
+nothing the package builds raises it wherever it is checked, and `cli.main`
+maps it to exit 2; a failed certificate raises its module's own error.
 """
 
-__all__ = ["Record"]
+__all__ = ["Record", "RequestError"]
+
+
+class RequestError(ValueError):
+    """A malformed input: the request names nothing to build (exit 2)."""
 
 
 class Record:

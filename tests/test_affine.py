@@ -39,6 +39,7 @@ from loopforms.chevalley import (
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.grading import ComponentSolver, eigengrading, twist
+from loopforms.record import RequestError
 from loopforms.linalg import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
@@ -72,10 +73,10 @@ def test_fixed_cartan_a2_flip():
 
 def test_fixed_cartan_rejects_bad_permutation():
     rs, alg = algebra_over("B2", 1)
-    # refused by chevalley.check_twist, with the error class of this layer
-    with pytest.raises(AffineExtractError, match=r"Cartan matrix of B2: pi = \[2, 1\]"):
+    # refused by chevalley.check_twist: a malformed input, not a failed extraction
+    with pytest.raises(RequestError, match=r"Cartan matrix of B2: pi = \[2, 1\]"):
         fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
-    with pytest.raises(AffineExtractError, match=r"Cartan matrix of B2: pi = \[1, 2, 3\]"):
+    with pytest.raises(RequestError, match=r"Cartan matrix of B2: pi = \[1, 2, 3\]"):
         fixed_cartan(alg, rs, DiagramPermutation.identity(3))
 
 

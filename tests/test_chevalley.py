@@ -36,6 +36,7 @@ from loopforms.chevalley import (
     standard_algebra,
     type_twist_factors,
 )
+from loopforms.record import RequestError
 from dense import (
     basis_vector,
     dense_product,
@@ -455,7 +456,7 @@ def test_diagram_permutation_basics():
     assert FLIP.to_one_based() == [2, 1]
     assert FLIP.preserves(cartan_matrix("A2"))
     assert not FLIP.preserves(cartan_matrix("B2"))
-    with pytest.raises(LieConstructError):
+    with pytest.raises(RequestError):
         DiagramPermutation((0, 0))
 
 
@@ -485,14 +486,21 @@ def test_flip_on_wrong_diagram_rejected():
     # check_twist refuses it before type_twist_factors builds anything
     trivial = ToralCharge.trivial(2)
     with pytest.raises(
-        LieConstructError,
+        RequestError,
         match=r"unsupported automorphism: permutation does not preserve the Cartan matrix"
         r" of B2: pi = \[2, 1\]",
     ):
         type_twist_factors("B2", FLIP, trivial)
     # a permutation of another rank preserves no Cartan matrix of this one
-    with pytest.raises(LieConstructError, match=r"of B2: pi = \[3, 2, 4, 1\]"):
+    with pytest.raises(RequestError, match=r"of B2: pi = \[3, 2, 4, 1\]"):
         check_twist(cartan_matrix("B2"), TRIALITY, trivial)
+    # the public diagram_automorphism refuses through check_twist too, not
+    # with a KeyError or an IndexError from the sign form
+    rs, alg = algebra_over("B2", 2)
+    with pytest.raises(RequestError, match=r"of B2: pi = \[2, 1\]"):
+        diagram_automorphism(alg, rs, FLIP)
+    with pytest.raises(RequestError, match=r"of B2: pi = \[1, 2, 3\]"):
+        diagram_automorphism(alg, rs, DiagramPermutation.identity(3))
 
 
 def test_triality_has_period_three():
@@ -532,7 +540,7 @@ def test_composed_automorphism_period_is_lcm():
 
 def test_composed_requires_invariant_charge():
     with pytest.raises(
-        LieConstructError,
+        RequestError,
         match=r"s must be constant on the orbits of pi: s = \[1, 0\] varies on the orbit \[1, 2\]",
     ):
         type_twist_factors("A2", FLIP, ToralCharge(s=(1, 0), modulus=3))
@@ -548,7 +556,7 @@ def test_composed_requires_invariant_charge():
     ],
 )
 def test_type_twist_factors_refuses_a_rank_mismatch(perm, s, message):
-    with pytest.raises(LieConstructError, match=message):
+    with pytest.raises(RequestError, match=message):
         type_twist_factors("A2", perm, ToralCharge(s=s, modulus=2))
 
 

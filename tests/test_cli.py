@@ -485,7 +485,7 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
     [
         (("grade", "--type", "A2", "--auto", "[1]"), "--auto must be a JSON object"),
         (("grade", "--type", "A2", "--auto", '{"pi":[1,1]}'),
-         "pi is not a permutation: not a permutation"),
+         "pi = [1, 1] is not a permutation of 1..2"),
         (("grade", "--matrix-algebra", "2", "--auto", '{"x":1}'),
          "unsupported --auto keys for a matrix algebra: ['x']"),
         (("grade", "--type", "A1", "--auto", '{"sigma": 1}'),
@@ -501,7 +501,8 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
          "s must be constant on the orbits of pi"),
         (("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
          "the twist period lcm(2, 13) = 26 exceeds the limit 24"),
-        (("grade", "--type", "A2", "--auto", '{"m": 0}'), "m must be a positive integer"),
+        (("grade", "--type", "A2", "--auto", '{"m": 0}'),
+         "the modulus of a toral charge must be >= 1, got m = 0"),
         (("grade", "--type", "A2", "--auto", '{"m": 25}'), "m = 25 exceeds the period limit 24"),
         (("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0]}'),
          "M_2 needs one exponent per row, got 1"),
@@ -526,6 +527,14 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
          "cannot write : [Errno 2] No such file or directory: ''"),
         (("build", "--type", "A1", "--out="),
          "cannot write : [Errno 2] No such file or directory: ''"),
+        # the library refuses these, with the same exit 2 as the CLI's own
+        (("extract-gcm", "--type", "B2", "--auto", '{"pi":[2,1]}'),
+         "unsupported automorphism: permutation does not preserve the Cartan matrix of B2: pi = [2, 1]"),
+        (("grade", "--type", "A2", "--auto", '{"m": -1}'),
+         "the modulus of a toral charge must be >= 1, got m = -1"),
+        (("grade", "--matrix-algebra", "2", "--auto", '{"exponents":[0,1],"m":0}'),
+         "the period m must be >= 1, got m = 0"),
+        (("grade", "--type", "A2", "--auto", '{"m": true}'), "m must be an integer"),
     ],
 )
 def test_refused_request_names_its_fault(capsys, argv, message):

@@ -30,6 +30,7 @@ from loopforms.chevalley import (
 )
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import nullspace
+from loopforms.record import RequestError
 from loopforms.descent import (
     DescentError,
     build_matrix_algebra,
@@ -515,5 +516,5 @@ def test_build_matrix_algebra_period_not_exact_order():
     ],
 )
 def test_build_matrix_algebra_input_errors(n, exponents, m, message):
-    with pytest.raises(DescentError, match=message):
+    with pytest.raises(RequestError, match=message):
         build_matrix_algebra(n, exponents, m)

@@ -181,6 +181,9 @@ def _words(*names):
         # a residue's root of unity is zeta_power(order, (order // period) * i)
         # where a test needs it: the grading stores no scalar per residue
         pytest.param(_words("residue_zeta"), id="residue scalar"),
+        # descent.matrix_twist_factors decides an M_n twist itself, as
+        # chevalley.check_twist does a type label's: no second check
+        pytest.param(_words("check_matrix_twist"), id="matrix twist check"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -210,6 +213,27 @@ def test_only_chevalley_builds_type_twist_factors():
 def test_descent_names_no_chevalley_import():
     # not even inside a function: test_lazy_import checks the module load
     assert _matches(r"^\s*(from|import)\b.*\bchevalley\b", [SRC / "loopforms" / "descent.py"]) == []
+
+
+def test_refusals_are_classified_by_kind():
+    # a malformed input raises record.RequestError wherever it is checked, so
+    # no check takes the class to raise; _cartan_axioms alone takes one, since
+    # its two callers certify a matrix and raise their own certificate errors
+    takes_error = [
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "error" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    ]
+    assert takes_error == ["_cartan_axioms"]
+
+
+def test_the_cli_runs_no_library_check():
+    # the library refuses a malformed twist itself; the CLI checks only the
+    # shape of its argv and --auto, and its resource limits
+    cli = SRC / "loopforms" / "cli.py"
+    assert _matches(_words("check_twist", "check_matrix_twist"), [cli]) == []
 
 
 def test_one_backtracking_search():
