@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "acceptance": ("verify_all",),
     "affine": (
         "AffineLabel",
         "ExtractionReport",

@@ -17,8 +17,8 @@ matching operates.  The catalog is data: Kac's Tables Aff 1-3 generated from
 the finite Cartan matrices (untwisted types bordered by -theta, twisted ones
 as transposes, A_{2l}^(2) written out), with one entry per advertised type
 and diagram-class order.  The extractor stays the certificate: every label
-is attached to a matrix it extracted, and the tests and acceptance
-criterion 7 extract loop algebras to check the catalog against it.
+is attached to a matrix it extracted, and the tests extract loop algebras
+to check the catalog against it.
 
 Matching is `chevalley.node_isomorphisms`, the node-permutation search that
 also finds the Dynkin symmetries: a row matches when the search yields a
@@ -437,7 +437,7 @@ def affine_catalog() -> tuple[CatalogEntry, ...]:
     and the distinctness check scans all pairs.
     The data is not trusted on its own: every GCM passes the affine axioms
     here, and the extractor certifies entries against loop algebras in the
-    tests and in acceptance criterion 7.
+    tests.
     """
     entries = tuple(entry for label in TYPE_LABELS for entry in own_type_forms(label))
     for k, entry in enumerate(entries):

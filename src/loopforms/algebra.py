@@ -26,7 +26,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .cyclo import CycloNum, Sparse, _json_int, sparse_add
-from .record import Record
+from .record import Record, RequestError
 
 __all__ = [
     "AlgebraError",
@@ -43,7 +43,7 @@ KIND_ASSOCIATIVE = "associative"
 
 
 class AlgebraError(ValueError):
-    pass
+    """A table fails the laws of its declared kind."""
 
 
 TableEntry = tuple[tuple[int, CycloNum], ...]
@@ -54,7 +54,10 @@ class MultTableAlgebra(Record):
 
     `constants` holds, for each basis pair (i, j) with nonzero product, the
     sparse expansion of e_i * e_j; omitted pairs multiply to zero, and a pair
-    listed twice is refused rather than read one way.  Elements
+    listed twice is refused rather than read one way.  A table of the wrong
+    shape (dimension, scalar order, kind, labels, an index or target out of
+    range, a scalar of another order, a pair listed twice) is a malformed
+    input and raises `record.RequestError`.  Elements
     are sparse vectors {index: scalar} with no zero entry.  The lookup behind
     `basis_product` sums repeated targets of an entry and drops zero terms,
     so each of its entries is a sparse vector too.
@@ -68,27 +71,27 @@ class MultTableAlgebra(Record):
 
     def __post_init__(self) -> None:
         if self.dim < 1:
-            raise AlgebraError("dimension must be positive")
+            raise RequestError("dimension must be positive")
         if self.scalar_order < 1:
-            raise AlgebraError("scalar order must be a positive integer")
+            raise RequestError("scalar order must be a positive integer")
         if self.kind not in (KIND_LIE, KIND_ASSOCIATIVE):
-            raise AlgebraError(f"unknown algebra kind {self.kind!r}")
+            raise RequestError(f"unknown algebra kind {self.kind!r}")
         if len(self.basis_labels) != self.dim:
-            raise AlgebraError("one label per basis element required")
+            raise RequestError("one label per basis element required")
         table: dict[tuple[int, int], TableEntry] = {}
         for i, j, entry in self.constants:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise AlgebraError(f"structure constant index ({i},{j}) out of range")
+                raise RequestError(f"structure constant index ({i},{j}) out of range")
             if (i, j) in table:
-                raise AlgebraError(
+                raise RequestError(
                     f"basis pair ({self.basis_labels[i]}, {self.basis_labels[j]}) is listed twice"
                 )
             merged: Sparse = {}
             for k, c in entry:
                 if not 0 <= k < self.dim:
-                    raise AlgebraError(f"structure constant target {k} out of range")
+                    raise RequestError(f"structure constant target {k} out of range")
                 if c.order != self.scalar_order:
-                    raise AlgebraError("structure constants must use the declared scalar order")
+                    raise RequestError("structure constants must use the declared scalar order")
                 # zero constants are kept in `constants` but not in the lookup
                 # table, so a product of nonzero entries has no zero term
                 if not c.is_zero():
@@ -155,23 +158,34 @@ class MultTableAlgebra(Record):
         """Read `to_obj` output: a JSON object with the fields dim,
         scalar_order, kind, labels and constants.  The dimension, the scalar
         order and every index must be JSON integers, the labels a list of
-        strings and every scalar a `CycloNum.from_obj` object; nothing is
-        coerced."""
+        strings, each entry of constants a list [i, j, [[k, scalar], ...]]
+        and every scalar a `CycloNum.from_obj` object; nothing is coerced,
+        and any other shape raises RequestError, as the constructor's own
+        refusals do."""
         if type(obj) is not dict:
-            raise TypeError("a serialized algebra must be a JSON object")
+            raise RequestError("a serialized algebra must be a JSON object")
         for field in ("dim", "scalar_order", "kind", "labels", "constants"):
             if field not in obj:
-                raise ValueError(f"a serialized algebra lacks the field {field!r}")
+                raise RequestError(f"a serialized algebra lacks the field {field!r}")
         labels = obj["labels"]
         if type(labels) is not list or not all(type(label) is str for label in labels):
-            raise TypeError("labels must be a list of strings")
+            raise RequestError("labels must be a list of strings")
+        entries = obj["constants"]
+        if type(entries) is not list or not all(
+            type(item) is list
+            and len(item) == 3
+            and type(item[2]) is list
+            and all(type(term) is list and len(term) == 2 for term in item[2])
+            for item in entries
+        ):
+            raise RequestError("constants must be a list of entries [i, j, [[k, scalar], ...]]")
         constants = tuple(
             (
                 _json_int(i),
                 _json_int(j),
                 tuple((_json_int(k), CycloNum.from_obj(c)) for k, c in entry),
             )
-            for i, j, entry in obj["constants"]
+            for i, j, entry in entries
         )
         return MultTableAlgebra(
             dim=_json_int(obj["dim"]),

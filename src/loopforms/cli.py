@@ -11,14 +11,19 @@ stderr, never into the payload, so identical requests give identical bytes.
 The argument grammar is `loopforms COMMAND [FLAG VALUE | FLAG=VALUE]...`,
 read by one table-driven parser: the eight commands share one flag set, and
 each row of `_COMMANDS` names the input flags its command reads, which
-`main` alone resolves and checks.  Flags are spelled out in full; an
+`_request` alone resolves and checks.  Flags are spelled out in full; an
 abbreviation is an unknown flag.
 
 The CLI checks only the shape of the argv and of `--auto`, and the limits
 `MAX_PERIOD` and `MAX_MATRIX_SIZE`.  The library decides whether the input
 names a twist, and refuses it with the same `record.RequestError` the CLI
-raises, so `main` maps every refused input to exit 2, whichever module
+raises, so `_request` maps every refused input to exit 2, whichever module
 refused it, and every failed certificate to exit 1.
+
+`verify-all` runs each request of `_VERIFY_TABLE` through `_request`, the
+path `main` runs, and checks the fields its report must hold; it then reruns
+the table in a fresh interpreter under another hash seed and compares the
+serialized bytes.
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ from .algebra import MultTableAlgebra
 from .record import RequestError
 
 # chevalley is imported by the paths that read a type label, and grading,
-# centroid, acceptance, affine, classify and descent inside the handlers that
-# use them, so a request loads, and compiles, only the modules its command
-# needs
+# centroid, affine, classify and descent inside the handlers that use them,
+# so a request loads, and compiles, only the modules its command needs
 if TYPE_CHECKING:
     from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge
 
@@ -155,10 +159,7 @@ def _load_algebra(path: str) -> MultTableAlgebra:
         raise RequestError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise RequestError(f"{path} nests too deeply to read") from None
-    try:
-        return MultTableAlgebra.from_obj(obj)
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"{path} is not a serialized algebra: {exc}") from exc
+    return MultTableAlgebra.from_obj(obj)
 
 
 def _build_sigma(args: _Args, source: str, spec: dict):
@@ -311,23 +312,65 @@ def _cmd_centroid(args: _Args, source: str, spec: dict) -> dict:
 
 
 def _cmd_verify_all(args: _Args, source: None, spec: dict) -> dict:
-    from .acceptance import verify_all
-
-    report = verify_all()
+    rows = _table_rows()
+    serialized = json.dumps(rows, sort_keys=True).encode()
+    identical = serialized == _fresh_rerun()
+    passed = all("report" not in row for row in rows)
     return {
-        "criteria": [
-            {"id": row["id"], "name": row["name"], "status": row["status"]}
-            for row in report["criteria"]
-        ],
-        "detail": report["criteria"],
-        "status": report["status"],
+        "rows": rows,
+        "determinism": {"identical_bytes": identical, "bytes": len(serialized)},
+        "status": "pass" if passed and identical else "fail",
     }
+
+
+def _table_rows() -> list[dict]:
+    """One row per request of `_VERIFY_TABLE`: its argv, the command's own
+    status, and whether each expected field equals the payload's.  A row
+    that fails, by its status or by a field, also holds the command's
+    report."""
+    rows = []
+    for line, expected in _VERIFY_TABLE:
+        argv = line.split()
+        code, report, _ = _request(argv)
+        payload = report.get("payload", {})
+        matches = {
+            name: name in payload and payload[name] == want for name, want in expected.items()
+        }
+        row = {"argv": argv, "status": report["status"], "matches": matches}
+        if code != 0 or not all(matches.values()):
+            row["report"] = report
+        rows.append(row)
+    return rows
+
+
+# the determinism check's rerun: the table's rows, serialized to stdout
+_RERUN = (
+    "import json, sys\n"
+    "from loopforms.cli import _table_rows\n"
+    "sys.stdout.write(json.dumps(_table_rows(), sort_keys=True))\n"
+)
+
+
+def _fresh_rerun() -> bytes:
+    """The serialized rows of the table from a new interpreter, which shares
+    no cache with this one, under a hash seed other than this process's."""
+    import os
+    import subprocess
+
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(os.environ)
+    # 0 when this process hashes at random, else the next seed
+    env["PYTHONHASHSEED"] = str((int(seed) + 1) % 2**32) if seed.isdigit() else "0"
+    # the directory holding this package, so the child imports this same code
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = subprocess.run([sys.executable, "-c", _RERUN], capture_output=True, env=env)
+    return child.stdout if child.returncode == 0 else b""
 
 
 _TYPE_OR_MATRIX = ("type", "matrix-algebra")
 
 # command -> (handler, the input sources it reads, whether it reads --auto,
-# help); main refuses every input flag that a row leaves out
+# help); _request refuses every input flag that a row leaves out
 _COMMANDS = {
     "build": (
         _cmd_build,
@@ -353,6 +396,56 @@ _COMMANDS = {
     "centroid": (_cmd_centroid, _TYPE_OR_MATRIX, True, "graded centroid dimensions by shift"),
     "verify-all": (_cmd_verify_all, (), False, "run the full acceptance suite"),
 }
+
+# verify-all's table: (a request's argv, joined by spaces, and the payload
+# fields its report must hold), each row a known answer on a small fixture,
+# certified by the command that prints it
+_VERIFY_TABLE = (
+    # construction: dim = roots + rank, every table certified by its fold
+    ("build --type A1", {"dim": 3, "roots": 2, "rank": 1}),
+    ("build --type A2", {"dim": 8, "roots": 6, "rank": 2}),
+    ("build --type A3", {"dim": 15, "roots": 12, "rank": 3}),
+    ("build --type B2", {"dim": 10, "roots": 8, "rank": 2}),
+    ("build --type C3", {"dim": 21, "roots": 18, "rank": 3}),
+    ("build --type D4", {"dim": 28, "roots": 24, "rank": 4}),
+    ("build --type G2", {"dim": 14, "roots": 12, "rank": 2}),
+    # gradings: the eigenspace dimensions of a twist, which sum to dim A
+    ('grade --type A1 --auto {"s":[1],"m":2}', {"period": 2, "dims": [1, 2]}),
+    ('grade --type A2 --auto {"pi":[2,1]}', {"period": 2, "dims": [3, 5]}),
+    ('grade --type D4 --auto {"pi":[3,2,4,1]}', {"period": 3, "dims": [14, 7, 7]}),
+    ('grade --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"period": 2, "dim_total": 8}),
+    ('grade --matrix-algebra 3 --auto {"exponents":[0,1,2],"m":3}', {"period": 3, "dim_total": 9}),
+    # descent: the cocycle identity and the twisted fixed points of the same
+    # twists
+    ('descent-verify --type A1 --auto {"s":[1],"m":2}', {"period": 2}),
+    ('descent-verify --type A2 --auto {"pi":[2,1]}', {"period": 2}),
+    ('descent-verify --type D4 --auto {"pi":[3,2,4,1]}', {"period": 3}),
+    ('descent-verify --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"period": 2}),
+    ('descent-verify --matrix-algebra 3 --auto {"exponents":[0,1,2],"m":3}', {"period": 3}),
+    # triviality: a toral twist of a type label or of M_n untwists onto
+    # L(id), and a composed twist onto L(pi)
+    ('untwist --type A1 --auto {"s":[1],"m":2}', {"period": 2}),
+    ('untwist --type A2 --auto {"s":[1,0],"m":3}', {"period": 3}),
+    ('untwist --type A2 --auto {"s":[1,1],"m":2}', {"period": 2}),
+    ('untwist --type D4 --auto {"s":[1,0,0,0],"m":2}', {"period": 2}),
+    ('untwist --matrix-algebra 2 --auto {"exponents":[0,1],"m":2}', {"period": 2}),
+    ('untwist --matrix-algebra 3 --auto {"exponents":[0,1,2],"m":3}', {"period": 3}),
+    ('untwist --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"period": 2}),
+    ('untwist --type D4 --auto {"pi":[3,2,4,1],"s":[1,0,1,1],"m":3}', {"period": 3}),
+    # affine labels: L(pi o tau_s) has the label of L(pi)
+    ("extract-gcm --type A1", {"label": "A1^(1)", "gcm": [[2, -2], [-2, 2]]}),
+    ('extract-gcm --type A2 --auto {"pi":[2,1]}', {"label": "A2^(2)"}),
+    ('extract-gcm --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"label": "A2^(2)"}),
+    ('extract-gcm --type D4 --auto {"pi":[3,2,4,1]}', {"label": "D4^(3)"}),
+    ('extract-gcm --type D4 --auto {"pi":[3,2,4,1],"s":[1,0,1,1],"m":3}', {"label": "D4^(3)"}),
+    # classification: as many classes over R as over k
+    ("classify --type A1", {"r_classes": 1, "k_classes": 1}),
+    ("classify --type A2", {"r_classes": 2, "k_classes": 2}),
+    ("classify --type A3", {"r_classes": 2, "k_classes": 2}),
+    ("classify --type B2", {"r_classes": 1, "k_classes": 1}),
+    ("classify --type D4", {"r_classes": 3, "k_classes": 3}),
+    ("classify --type G2", {"r_classes": 1, "k_classes": 1}),
+)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -542,16 +635,19 @@ def _parse_args(argv: list[str]) -> Optional[_Args]:
     return args
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _request(argv: list[str]) -> tuple[int, dict, Optional[_Args]]:
+    """Run one request: its exit code, its report and its parsed flags.
+
+    A refused input exits 2 with the report {"status": "refused", "error":
+    message}, and -h or --help exits 0 with no flags.  Any other exception
+    is a failed verification: module errors carry their own message.
+    """
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        args = _parse_args(argv)
     except RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, {"status": "refused", "error": str(exc)}, None
     if args is None:
-        sys.stdout.write(_usage())
-        return 0
-    started = time.monotonic()
+        return 0, {}, None
     handler, sources, reads_auto, _ = _COMMANDS[args.command]
     try:
         inputs = (args.type, args.algebra, args.matrix_algebra, args.auto)
@@ -562,8 +658,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         source = _one_source(args, sources) if sources else None
         payload = handler(args, source, _parse_auto_json(args.auto))
     except RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, {"status": "refused", "error": str(exc)}, None
     except Exception as exc:  # module verification errors carry their own message
         report = {
             "command": args.command,
@@ -573,13 +668,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         status = payload.pop("status")
         report = {"command": args.command, "status": status, "payload": payload}
+    return (0 if report["status"] == "pass" else 1), report, args
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    started = time.monotonic()
+    code, report, args = _request(sys.argv[1:] if argv is None else list(argv))
+    if code == 2:
+        print(f"error: {report['error']}", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_usage())
+        return 0
     try:
         _emit(report, args)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    return 0 if report["status"] == "pass" else 1
+    return code
 
 
 if __name__ == "__main__":

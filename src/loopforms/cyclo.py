@@ -38,6 +38,8 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
+from .record import RequestError
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -59,9 +61,9 @@ class CycloError(ArithmeticError):
 
 
 def _json_int(x: object) -> int:
-    """x when it is a JSON integer; a float, bool or string raises TypeError."""
+    """x when it is a JSON integer; a float, bool or string is refused."""
     if type(x) is not int:
-        raise TypeError(f"expected an integer, not {x!r}")
+        raise RequestError(f"expected an integer, not {x!r}")
     return x
 
 
@@ -86,7 +88,7 @@ def _parse_coeff(text: object) -> tuple[int, int]:
     """(numerator, denominator) of a serialized coefficient: a JSON integer,
     or a string -?[0-9]+ or -?[0-9]+/[0-9]+ of ASCII digits with a nonzero
     denominator, which is what `to_obj` writes.  The pair need not be in
-    lowest terms.  Anything else raises ValueError naming the coefficient;
+    lowest terms.  Anything else raises RequestError naming the coefficient;
     no exponent, decimal point, sign but a leading minus, space or
     underscore is read."""
     if type(text) is int:
@@ -98,7 +100,7 @@ def _parse_coeff(text: object) -> tuple[int, int]:
             den = int(bottom) if slash else 1
             if den:
                 return (-num if text.startswith("-") else num), den
-    raise ValueError(
+    raise RequestError(
         f"coefficient {text!r} is not an integer or a string p or p/q "
         "of ASCII digits with a nonzero q"
     )
@@ -488,23 +490,35 @@ class CycloNum:
 
     @staticmethod
     def from_obj(obj: dict) -> "CycloNum":
-        """Read `to_obj` output: {"order": int, "coeffs": [...]}, each
-        coefficient a JSON integer or a string p or p/q (`_parse_coeff`), so
-        no binary float, bool, exponent or decimal is read as a number."""
+        """Read `to_obj` output: {"order": int, "coeffs": [...]}, phi(order)
+        coefficients, each a JSON integer or a string p or p/q
+        (`_parse_coeff`), so no binary float, bool, exponent or decimal is
+        read as a number.  Any other shape raises RequestError."""
         if type(obj) is not dict:
-            raise TypeError(f"a scalar must be a JSON object, not {obj!r}")
+            raise RequestError(f"a scalar must be a JSON object, not {obj!r}")
         for field in ("order", "coeffs"):
             if field not in obj:
-                raise ValueError(f"missing field {field!r} in a scalar")
+                raise RequestError(f"missing field {field!r} in a scalar")
         order = _json_int(obj["order"])
         coeffs = obj["coeffs"]
         if type(coeffs) is not list:
-            raise TypeError(f"coefficients must be a list of strings or integers, not {coeffs!r}")
+            raise RequestError(
+                f"coefficients must be a list of strings or integers, not {coeffs!r}"
+            )
+        if order < 1:
+            raise RequestError(f"the order of a scalar must be positive, not {order}")
         # phi(m) >= sqrt(m/2), so a larger order cannot have len(coeffs)
         # coefficients; refusing it here keeps euler_phi's trial division
         # bounded by the size of the input
         if order > 2 * len(coeffs) ** 2:
-            raise ValueError(f"a scalar of order {order} needs more than {len(coeffs)} coefficients")
+            raise RequestError(
+                f"a scalar of order {order} needs more than {len(coeffs)} coefficients"
+            )
+        if len(coeffs) != euler_phi(order):
+            raise RequestError(
+                f"{len(coeffs)} coefficients given for a scalar of order {order}, "
+                f"which takes phi({order}) = {euler_phi(order)}"
+            )
         num, den = _over_common_denominator([_parse_coeff(c) for c in coeffs])
         return _make(order, tuple(num), den)
 

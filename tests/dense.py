@@ -58,7 +58,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from loopforms.acceptance import _grading_fixtures
 from loopforms.affine import AffineExtractError, AffineRootData, FixedCartan
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation, make_table
 from loopforms.centroid import CentroidReport
@@ -892,7 +891,8 @@ class FractionCyclo:
 
 # -- differential fixtures -------------------------------------------------------
 
-_CRITERION_2 = (
+# the grading and descent rows of `verify-all`, as automorphisms
+_GRADING_FIXTURES = (
     "A1 toral s=(1) m=2",
     "A2 diagram flip",
     "D4 diagram triality",
@@ -921,19 +921,35 @@ _MATRIX_TWISTS = {
     "M4 (0,1,2,3) m=6": (4, (0, 1, 2, 3), 6),
 }
 
-TWIST_FIXTURES = _CRITERION_2 + tuple(_TYPE_TWISTS) + tuple(_MATRIX_TWISTS)
+TWIST_FIXTURES = _GRADING_FIXTURES + tuple(_TYPE_TWISTS) + tuple(_MATRIX_TWISTS)
 
 
 @lru_cache(maxsize=None)
-def _criterion_2() -> dict:
-    return {name: (alg, sigma) for name, alg, sigma, _ in _grading_fixtures()}
+def _grading_fixtures() -> dict:
+    """name -> (algebra, checked automorphism) of each of _GRADING_FIXTURES."""
+    _, a1, *toral = type_twist_factors(
+        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
+    )
+    flip = DiagramPermutation((1, 0))
+    _, a2, outer, *charged = type_twist_factors("A2", flip, ToralCharge(s=(1, 1), modulus=2))
+    triality = DiagramPermutation((2, 1, 3, 0))
+    _, d4, triality_map, _, _ = type_twist_factors("D4", triality, ToralCharge.trivial(4))
+    m3, s3 = build_matrix_algebra(3, (0, 1, 2), 3)
+    automorphisms = (
+        (a1, twist(a1, *toral)),
+        (a2, outer),
+        (d4, triality_map),
+        (a2, twist(a2, outer, *charged)),
+        (m3, s3),
+    )
+    return dict(zip(_GRADING_FIXTURES, automorphisms))
 
 
 @lru_cache(maxsize=None)
 def twist_fixture(name: str) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism]:
     """The algebra and checked monomial automorphism of one named fixture."""
-    if name in _CRITERION_2:
-        return _criterion_2()[name]
+    if name in _GRADING_FIXTURES:
+        return _grading_fixtures()[name]
     if name in _MATRIX_TWISTS:
         return build_matrix_algebra(*_MATRIX_TWISTS[name])
     label, pi, s, m = _TYPE_TWISTS[name]

@@ -1,43 +1,98 @@
-"""Acceptance gate: one pass/fail line per criterion, with the stated
-wall-clock budgets measured around the criterion that carries them."""
+"""verify-all's table of CLI requests (`cli._VERIFY_TABLE`).
 
+Each row is a request and the payload fields its report must hold.  The
+rows are grouped here by the release criterion whose known answers they
+carry, each group with its wall-clock budget, measured around the rows in
+this process; a tampered table, catalog or expected field fails its rows,
+and the report is the same bytes in a fresh interpreter under another hash
+seed.  tests/test_cli.py runs verify-all cold under PYTHONHASHSEED 0 and 1.
+"""
+
+import json
 import time
 
 import pytest
 
-from loopforms import acceptance
-from loopforms.acceptance import CRITERION_NAMES, verify_all
-from loopforms.affine import GCM, CatalogEntry, affine_catalog
+from loopforms import affine, chevalley, cli
+from loopforms.affine import GCM, CatalogEntry
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
 
-BUDGETS = {1: 10.0, 2: 60.0, 4: 10.0, 5: 10.0, 6: 2.0}
+
+def _composed(argv):
+    """The request names a diagram symmetry pi in its --auto."""
+    return '"pi"' in argv[-1]
 
 
-@pytest.mark.parametrize("cid,name", CRITERION_NAMES[:-1])
-def test_criterion(cid, name):
+# criterion -> (which rows carry its known answers, their budget in seconds)
+_CRITERIA = {
+    "1-construction-soundness": (lambda argv: argv[0] == "build", 10.0),
+    "2-grading-laws": (lambda argv: argv[0] == "grade", 60.0),
+    "3-descent-cocycle": (lambda argv: argv[0] == "descent-verify", 10.0),
+    "4-triviality-witnesses": (lambda argv: argv[0] == "untwist" and not _composed(argv), 10.0),
+    "5-composed-twist-labels": (
+        lambda argv: argv[0] in ("untwist", "extract-gcm") and _composed(argv),
+        10.0,
+    ),
+    "6-classification-counts": (lambda argv: argv[0] == "classify", 2.0),
+    "7-gcm-certificates": (lambda argv: argv[0] == "extract-gcm", 10.0),
+}
+
+
+def _rows(monkeypatch, selects):
+    """The rows of the table whose argv selects keeps, as verify-all reports
+    them."""
+    table = [row for row in cli._VERIFY_TABLE if selects(row[0].split())]
+    monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
+    return cli._table_rows()
+
+
+def test_every_row_carries_one_criterion_or_more():
+    assert all(
+        any(selects(line.split()) for selects, _ in _CRITERIA.values())
+        for line, _ in cli._VERIFY_TABLE
+    )
+
+
+@pytest.mark.parametrize("criterion", _CRITERIA)
+def test_criterion(criterion, monkeypatch):
+    selects, budget = _CRITERIA[criterion]
     started = time.monotonic()
-    report = verify_all(selected=[cid])
+    rows = _rows(monkeypatch, selects)
     wall = time.monotonic() - started
-    row = report["criteria"][0]
-    print(f"criterion {cid} ({name}): {row['status'].upper()} in {wall:.1f}s")
-    assert row["status"] == "pass", row["payload"]
-    if cid in BUDGETS:
-        assert wall < BUDGETS[cid], f"criterion {cid} took {wall:.1f}s"
+    print(f"criterion {criterion}: {len(rows)} rows in {wall:.1f}s")
+    assert rows
+    assert [row for row in rows if row["status"] != "pass" or "report" in row] == []
+    assert wall < budget, f"criterion {criterion} took {wall:.1f}s"
 
 
-def test_criterion_8_determinism():
-    report = verify_all()
-    rows = {r["id"]: r for r in report["criteria"]}
-    print(f"criterion 8 (determinism): {rows[8]['status'].upper()}")
-    assert rows[8]["payload"]["identical_bytes"] is True
-    assert rows[8]["payload"]["bytes"] > 0
-    assert [r["id"] for r in report["criteria"]] == list(range(1, 9))
-    assert all(r["status"] == "pass" for r in report["criteria"])
-    assert report["status"] == "pass"
+def test_criterion_8_determinism(monkeypatch):
+    # the child hashes under seed 1 and this process under its own
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    assert cli._fresh_rerun() == json.dumps(cli._table_rows(), sort_keys=True).encode()
 
 
-# -- failure and edge behavior of the runner ----------------------------------------
+# -- a tampered input fails its rows ------------------------------------------------
+
+
+def test_tampered_expected_field_exits_1(monkeypatch, capsys):
+    flip = 'grade --type A2 --auto {"pi":[2,1]}'
+    assert (flip, {"period": 2, "dims": [3, 5]}) in cli._VERIFY_TABLE
+    table = [
+        (line, {"period": 2, "dims": [3, 4]} if line == flip else expected)
+        for line, expected in cli._VERIFY_TABLE
+    ]
+    monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
+    assert cli.main(["verify-all"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    (bad,) = [row for row in report["payload"]["rows"] if "report" in row]
+    assert bad["argv"] == flip.split()
+    assert bad["status"] == "pass"
+    assert bad["matches"] == {"period": True, "dims": False}
+    assert bad["report"]["payload"]["dims"] == [3, 5]
+    # the rerun reads the untampered table, so the bytes differ too
+    assert report["payload"]["determinism"]["identical_bytes"] is False
 
 
 def _tampered_sl2():
@@ -60,43 +115,42 @@ def _tampered_sl2():
 
 
 def test_corrupted_fixture_fails_with_named_triple(monkeypatch):
-    built = acceptance.standard_algebra
+    built = chevalley.standard_algebra
 
     def tampered(label):
         rs, alg = built(label)
         return rs, _tampered_sl2() if label == "A1" else alg
 
-    monkeypatch.setattr(acceptance, "standard_algebra", tampered)
-    payload = acceptance.criterion_1()
-    assert payload["status"] == "fail"
-    bad = next(r for r in payload["fixtures"] if r["fixture"] == "A1")
-    assert bad["status"] == "fail"
-    assert any("jacobi fails on (h, e, f)" == v for v in bad["violations"])
+    monkeypatch.setattr(chevalley, "standard_algebra", tampered)
+    rows = _rows(monkeypatch, lambda argv: argv[0] == "build")
+    bad = rows[0]
+    assert bad["argv"] == ["build", "--type", "A1"] and bad["status"] == "fail"
+    violations = bad["report"]["payload"]["validation"]["violations"]
+    assert {"indices": [0, 1, 2], "labels": ["h", "e", "f"], "law": "jacobi"} in violations
     # the other fixtures still pass alongside the bad one
-    good = [r for r in payload["fixtures"] if r["fixture"] != "A1"]
-    assert good and all(r["status"] == "pass" for r in good)
+    assert len(rows) == 7
+    assert all(row["status"] == "pass" and "report" not in row for row in rows[1:])
 
 
 def test_criterion_7_fails_on_tampered_catalog(monkeypatch):
+    real = affine.own_type_forms
+
     def tamper(entry):
         if str(entry.label) != "D4^(3)":
             return entry
         # the transpose is G2^(1), a valid affine matrix of the wrong type
         return CatalogEntry(label=entry.label, gcm=GCM(entries=tuple(zip(*entry.gcm.entries))))
 
-    tampered = tuple(tamper(e) for e in affine_catalog())
-    monkeypatch.setattr(acceptance, "affine_catalog", lambda: tampered)
-    row = verify_all(selected=[7])["criteria"][0]
-    assert row["status"] == "fail"
-    rows = {r["label"]: r["equivalent"] for r in row["payload"]["catalog"]}
-    assert rows.pop("D4^(3)") is False
-    assert all(rows.values())
-
-
-def test_empty_selection_gives_empty_passing_report():
-    assert verify_all(selected=[]) == {"criteria": [], "status": "pass"}
-
-
-def test_unknown_criterion_id_rejected():
-    with pytest.raises(ValueError, match="unknown criterion id 9"):
-        verify_all(selected=[9])
+    monkeypatch.setattr(affine, "own_type_forms", lambda label: tuple(map(tamper, real(label))))
+    rows = _rows(monkeypatch, lambda argv: argv[0] == "extract-gcm")
+    failed = {" ".join(row["argv"][2:]) for row in rows if "report" in row}
+    assert failed == {
+        'D4 --auto {"pi":[3,2,4,1]}',
+        'D4 --auto {"pi":[3,2,4,1],"s":[1,0,1,1],"m":3}',
+    }
+    for row in rows:
+        if "report" in row:
+            assert row["status"] == "fail"
+            assert row["report"]["error"] == (
+                "AffineExtractError: the extracted matrix matches no form of D4"
+            )

@@ -9,7 +9,6 @@ import pytest
 from dense import kernel_affine_roots
 from ledger import assert_replays, recorder
 from loopforms import affine, cli
-from loopforms.acceptance import _CATALOG_FIXTURES
 from loopforms.affine import (
     GCM,
     AffineExtractError,
@@ -59,6 +58,22 @@ def _pipeline(label, images):
     perm = None if images is None else DiagramPermutation(images)
     alg, _, grading, h0 = _twist(label, perm)
     return alg, affine_roots(alg, grading, h0)
+
+
+# one loop algebra per diagram class of the small types: (type, pi or None)
+_CATALOG_FIXTURES = (
+    ("A1", None),
+    ("A2", None),
+    ("A3", None),
+    ("B2", None),
+    ("C3", None),
+    ("D4", None),
+    ("G2", None),
+    ("A2", DiagramPermutation((1, 0))),
+    ("A3", DiagramPermutation((2, 1, 0))),
+    ("D4", DiagramPermutation((0, 1, 3, 2))),
+    ("D4", DiagramPermutation((2, 1, 3, 0))),
+)
 
 
 # -- fixed Cartan ----------------------------------------------------------------
@@ -375,22 +390,10 @@ def test_catalog_entries_pairwise_inequivalent():
             assert gcm_equivalent(first.gcm, second.gcm) is None, (first.label, second.label)
 
 
-# the loop algebras the catalog was once extracted from, the A4 flip and B3
-EXTRACTED = (
-    ("A1", None),
-    ("A2", None),
-    ("A3", None),
-    ("B2", None),
-    ("C3", None),
-    ("D4", None),
-    ("G2", None),
-    ("A2", (1, 0)),
-    ("A3", (2, 1, 0)),
-    ("D4", (0, 1, 3, 2)),
-    ("D4", (2, 1, 3, 0)),
-    ("A4", (3, 2, 1, 0)),
-    ("B3", None),
-)
+# the catalog fixtures, the A4 flip and B3: (type, zero-based pi or None)
+EXTRACTED = tuple(
+    (label, None if perm is None else perm.images) for label, perm in _CATALOG_FIXTURES
+) + (("A4", (3, 2, 1, 0)), ("B3", None))
 
 
 @pytest.mark.parametrize("label,images", EXTRACTED, ids=lambda x: "id" if x is None else str(x))
@@ -400,6 +403,18 @@ def test_extractor_agrees_with_catalog(label, images):
     report = affine_certificate(label, perm=perm)
     assert (report.label.base_type, report.label.twist_order) == (label, perm.order())
     assert gcm_equivalent(report.gcm, _entry(label, perm.order()).gcm) is not None
+
+
+@pytest.mark.parametrize("label,images", [("A1", None), ("A2", (1, 0)), ("D4", (2, 1, 3, 0))])
+def test_reversed_base_extracts_the_reversed_gcm(label, images):
+    # the extractor reads A_ij off the base in the order given: the base in
+    # the opposite order gives the matrix with rows and columns reversed
+    alg, data = _pipeline(label, images)
+    base = simple_affine_roots(data)
+    gcm = extract_gcm(alg, base, data).gcm
+    reversed_gcm = extract_gcm(alg, tuple(reversed(base)), data).gcm
+    assert reversed_gcm.entries == tuple(tuple(reversed(row)) for row in reversed(gcm.entries))
+    assert gcm_equivalent(gcm, reversed_gcm) is not None
 
 
 def test_certificate_rejects_label_of_another_type(monkeypatch):

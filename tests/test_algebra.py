@@ -57,6 +57,7 @@ from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.descent import build_matrix_algebra
 from loopforms.linalg import Echelon, SpanSolver, nullspace
+from loopforms.record import RequestError
 
 
 def q(x, order=1):
@@ -380,7 +381,7 @@ def test_pair_listed_twice_is_refused():
     # would keep only the last listing, so the table is refused outright
     obj = standard_algebra("A1")[1].to_obj()
     obj["constants"].insert(0, [0, 1, [[1, {"order": 1, "coeffs": ["5"]}]]])
-    with pytest.raises(AlgebraError, match=r"\(h1, e\[1\]\) is listed twice"):
+    with pytest.raises(RequestError, match=r"\(h1, e\[1\]\) is listed twice"):
         MultTableAlgebra.from_obj(obj)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from dense import FractionCyclo
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
+from loopforms.record import RequestError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -339,21 +340,21 @@ def test_coefficient_strings_follow_the_to_obj_grammar(coeff, want):
 )
 def test_coefficient_outside_the_grammar_is_refused(coeff):
     # a decimal exponent is not read, so "1e999999" costs nothing
-    with pytest.raises(ValueError, match="coefficient .* is not an integer or a string p or p/q"):
+    with pytest.raises(RequestError, match="coefficient .* is not an integer or a string p or p/q"):
         CycloNum.from_obj({"order": 1, "coeffs": [coeff]})
 
 
 def test_scalar_object_shape_is_checked():
-    with pytest.raises(TypeError, match=r"a scalar must be a JSON object, not \[1"):
+    with pytest.raises(RequestError, match=r"a scalar must be a JSON object, not \[1"):
         CycloNum.from_obj([1, ["1"]])
-    with pytest.raises(TypeError, match="expected an integer, not '3'"):
+    with pytest.raises(RequestError, match="expected an integer, not '3'"):
         CycloNum.from_obj({"order": "3", "coeffs": ["1", "0"]})
     with pytest.raises(
-        TypeError, match="coefficients must be a list of strings or integers, not '1'"
+        RequestError, match="coefficients must be a list of strings or integers, not '1'"
     ):
         CycloNum.from_obj({"order": 1, "coeffs": "1"})
     for field in ("order", "coeffs"):
         obj = {"order": 1, "coeffs": ["1"]}
         del obj[field]
-        with pytest.raises(ValueError, match=f"missing field '{field}' in a scalar"):
+        with pytest.raises(RequestError, match=f"missing field '{field}' in a scalar"):
             CycloNum.from_obj(obj)

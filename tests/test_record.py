@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopforms.algebra import AlgebraError, MultTableAlgebra, make_table
+from loopforms.algebra import MultTableAlgebra, make_table
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
@@ -125,7 +125,7 @@ def test_post_init_still_refuses_bad_input():
         DiagramPermutation((0, 0))
     alg = _sl2()
     twice = alg.constants + alg.constants[:1]
-    with pytest.raises(AlgebraError, match="listed twice"):
+    with pytest.raises(RequestError, match="listed twice"):
         MultTableAlgebra(3, 1, "lie", twice, alg.basis_labels)
 
 

@@ -184,6 +184,13 @@ def _words(*names):
         # descent.matrix_twist_factors decides an M_n twist itself, as
         # chevalley.check_twist does a type label's: no second check
         pytest.param(_words("check_matrix_twist"), id="matrix twist check"),
+        # verify-all is a table of CLI requests (cli._VERIFY_TABLE), each
+        # certified by the command that prints it: no acceptance module, no
+        # criterion runners and no second request path
+        pytest.param(
+            r"\.acceptance\b|[\"']acceptance[\"']|\bverify_all\b|criterion_|CRITERION_NAMES",
+            id="acceptance criteria",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
