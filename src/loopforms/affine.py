@@ -30,7 +30,6 @@ refused when none of them matches.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .algebra import MultTableAlgebra
@@ -68,7 +67,6 @@ __all__ = [
     "extract_gcm",
     "fixed_cartan",
     "gcm_equivalent",
-    "graded_twist",
     "match_own_type",
     "own_type_forms",
     "simple_affine_roots",
@@ -426,7 +424,6 @@ def _twisted_entries(type_label: str) -> tuple[tuple[int, GCM], ...]:
     return ()
 
 
-@lru_cache(maxsize=1)
 def affine_catalog() -> tuple[CatalogEntry, ...]:
     """One entry per type in TYPE_LABELS and per twist order of its diagram
     classes, from Kac's tables; entries pairwise non-equivalent.
@@ -478,8 +475,8 @@ class ExtractionReport(Record):
     type_label: str
     perm: DiagramPermutation
     charge: ToralCharge
-    period: int
-    grading_dims: tuple[int, ...]
+    alg: MultTableAlgebra
+    grading: GradedDecomposition
     certificate: GCMCertificate
     label: AffineLabel
 
@@ -493,37 +490,13 @@ class ExtractionReport(Record):
         return obj
 
 
-@lru_cache(maxsize=None)
-def graded_twist(
-    type_label: str, perm: DiagramPermutation, charge: ToralCharge
-) -> tuple[RootSystem, MultTableAlgebra, GradedDecomposition]:
-    """L(pi o tau_s): the algebra of `chevalley.type_twist_factors` and the
-    eigengrading of the certified twist, built once per process.
-
-    Extraction and the centroid check of `classify.classify_type` share it.
-    """
-    rs, alg, *factors = type_twist_factors(type_label, perm, charge)
-    return rs, alg, eigengrading(alg, twist(alg, *factors))
-
-
-@lru_cache(maxsize=None)
-def _extract_inner(
-    type_label: str,
-    perm: DiagramPermutation,
-    charge: ToralCharge,
-) -> tuple[int, tuple[int, ...], GCMCertificate]:
-    rs, alg, grading = graded_twist(type_label, perm, charge)
-    data = affine_roots(alg, grading, fixed_cartan(alg, rs, perm))
-    cert = extract_gcm(alg, simple_affine_roots(data), data)
-    return grading.period, grading.dims, cert
-
-
 def affine_certificate(
     type_label: str,
     perm: Optional[DiagramPermutation] = None,
     charge: Optional[ToralCharge] = None,
 ) -> ExtractionReport:
-    """Full pipeline: build L(pi o tau_s), extract its GCM, match the label.
+    """Full pipeline: build and grade L(pi o tau_s), extract its GCM, match
+    the label.  The report carries the algebra and grading it was read from.
 
     The GCM is matched against the requested type's own rows alone
     (`match_own_type`); when none matches, the request is refused.
@@ -533,7 +506,10 @@ def affine_certificate(
         perm = DiagramPermutation.identity(rank)
     if charge is None:
         charge = ToralCharge.trivial(rank)
-    period, dims, cert = _extract_inner(type_label, perm, charge)
+    rs, alg, *factors = type_twist_factors(type_label, perm, charge)
+    grading = eigengrading(alg, twist(alg, *factors))
+    data = affine_roots(alg, grading, fixed_cartan(alg, rs, perm))
+    cert = extract_gcm(alg, simple_affine_roots(data), data)
     label = match_own_type(cert.gcm, type_label)
     if label is None:
         raise AffineExtractError(f"the extracted matrix matches no form of {type_label}")
@@ -541,8 +517,8 @@ def affine_certificate(
         type_label=type_label,
         perm=perm,
         charge=charge,
-        period=period,
-        grading_dims=dims,
+        alg=alg,
+        grading=grading,
         certificate=cert,
         label=label,
     )

@@ -481,14 +481,11 @@ def _basis_layout(rs: RootSystem) -> tuple[list[str], dict[Root, int]]:
 
 
 @lru_cache(maxsize=None)
-def _chevalley_cached(label: str) -> tuple[RootSystem, MultTableAlgebra]:
+def standard_algebra(label: str) -> tuple[RootSystem, MultTableAlgebra]:
+    """The split simple Lie algebra of the given type, over Q, built once per
+    process: `classify --type D4` folds one table for its three twists."""
     rs = root_system(cartan_matrix(label))
     return rs, chevalley_algebra(rs)
-
-
-def standard_algebra(label: str) -> tuple[RootSystem, MultTableAlgebra]:
-    """Cached split simple Lie algebra of the given type, over Q."""
-    return _chevalley_cached(label)
 
 
 def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
@@ -736,11 +733,7 @@ def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
 
 
 def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
-    """Cached type lookup with scalars embedded into Q(zeta_order)."""
-    return _algebra_over_cached(label, order)
-
-
-@lru_cache(maxsize=None)
-def _algebra_over_cached(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
+    """`standard_algebra` with scalars embedded into Q(zeta_order), anew on
+    every call above order 1, keeping the table's certificate."""
     rs, alg = standard_algebra(label)
     return rs, embed_algebra(alg, order)

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .affine import AffineLabel, affine_certificate, graded_twist
+from .affine import AffineLabel, affine_certificate
 from .centroid import centroid_graded
 from .chevalley import (
     DiagramPermutation,
     FiniteCartanMatrix,
-    ToralCharge,
     cartan_matrix,
     node_isomorphisms,
 )
@@ -202,8 +201,8 @@ def classify_type(type_label: str) -> Classification:
     """Classify the loop algebras of one type and verify both hypotheses.
 
     Out and its class table are built once.  Each class representative pi
-    gives one row: L(pi) is built and graded once (`affine.graded_twist`),
-    and that grading yields both its affine label and its centroid dims.
+    gives one row: L(pi) is built and graded once, by `affine_certificate`,
+    and its centroid is solved on the algebra and grading that report carries.
 
     The k-relation merges sigma with sigma^-1 (swapping the two ends of the
     punctured line).  When every element is conjugate to its inverse and the
@@ -217,19 +216,18 @@ def classify_type(type_label: str) -> Classification:
     """
     cartan = cartan_matrix(type_label)
     table = conjugacy_classes(dynkin_automorphism_group(cartan))
-    untwisted = ToralCharge.trivial(cartan.rank)
     rows = []
     for rep, size in table.classes:
         report = affine_certificate(type_label, perm=rep)
-        _, alg, grading = graded_twist(type_label, rep, untwisted)
+        centroid = centroid_graded(report.alg, report.grading)
         rows.append(
             ClassificationRow(
                 class_rep=rep,
                 class_size=size,
                 twist_order=rep.order(),
                 affine_label=report.label,
-                grading_dims=report.grading_dims,
-                centroid_dims=tuple(c.solution_dim for c in centroid_graded(alg, grading)),
+                grading_dims=report.grading.dims,
+                centroid_dims=tuple(c.solution_dim for c in centroid),
             )
         )
     labels = [str(r.affine_label) for r in rows]

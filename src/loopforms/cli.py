@@ -266,7 +266,7 @@ def _cmd_extract_gcm(args: _Args, source: str, spec: dict) -> dict:
         "type": args.type,
         "auto": _auto_echo(perm, charge),
         **report.to_obj(),
-        "grading_dims": list(report.grading_dims),
+        "grading_dims": list(report.grading.dims),
         "status": "pass",
     }
 
@@ -394,7 +394,7 @@ _COMMANDS = {
         _cmd_descent_verify, _TYPE_OR_MATRIX, True, "cocycle identity and twisted fixed points"
     ),
     "centroid": (_cmd_centroid, _TYPE_OR_MATRIX, True, "graded centroid dimensions by shift"),
-    "verify-all": (_cmd_verify_all, (), False, "run the full acceptance suite"),
+    "verify-all": (_cmd_verify_all, (), False, "run the known-answer table and check determinism"),
 }
 
 # verify-all's table: (a request's argv, joined by spaces, and the payload

@@ -231,22 +231,28 @@ def twist(
     diag(zeta_m^(a_i - a_k)).  The identity outer map is
     `check_diagonal_automorphism(alg, (0,) * alg.dim, 1)`.  The diagonal
     factor is certified by `check_diagonal_automorphism`; a composition of
-    automorphisms is one, so multiplicativity is not checked again.  The
-    factors are composed both ways, since the period lcm(|outer|, m) rests
-    on their commuting, and the period is checked cycle by cycle, as
-    `check_automorphism` checks it.  When every p_j is 0 mod m the diagonal
-    factor is the identity, and the twist is outer with its period lifted to
-    lcm(|outer|, m); `twist(alg, outer, (0,) * alg.dim, m)` lifts a period.
+    automorphisms is one, so multiplicativity is not checked again.  With
+    outer(e_k) = c_k e_pi(k), outer o diag and diag o outer send e_k to
+    zeta_m^(p_k) and zeta_m^(p_pi(k)) times c_k e_pi(k), so the factors
+    commute exactly when p_pi(k) = p_k mod m for every k.  Commuting, they
+    give sigma^N = outer^N o diag^N, the identity for N = lcm(|outer|, m)
+    by outer's certified period and diag^m = 1: the period is a theorem, not
+    checked.  When every p_j is 0 mod m the twist is outer with its period
+    lifted to lcm(|outer|, m); `twist(alg, outer, (0,) * alg.dim, m)` lifts
+    a period.
     """
     if not outer.certified_on(alg):
         raise AutomorphismError("the outer factor of the twist is not certified on this table")
     diagonal = check_diagonal_automorphism(alg, exponents, m)
-    period = lcm(outer.period, m)
+    labels = alg.basis_labels
+    for k, image in enumerate(outer.images):
+        if exponents[image] % m != exponents[k] % m:
+            raise AutomorphismError(
+                f"factors fail to commute on {labels[k]}: its exponent {exponents[k]} differs"
+                f" mod {m} from {exponents[image]}, the exponent of its image {labels[image]}"
+            )
     composed = outer.compose(diagonal)
-    if composed != diagonal.compose(outer):
-        raise AutomorphismError("factors fail to commute despite an invariant charge")
-    _check_period(alg, composed.images, composed.scalars, period)
-    return _certified(alg, composed.images, composed.scalars, period)
+    return _certified(alg, composed.images, composed.scalars, lcm(outer.period, m))
 
 
 # -- eigenspace grading -------------------------------------------------------

@@ -353,10 +353,17 @@ def test_gcm_must_be_indecomposable():
 # -- the Kac-table catalog ------------------------------------------------------
 
 
-def _entry(base_type, order):
+@pytest.fixture(scope="module")
+def catalog():
+    # affine_catalog builds the catalog anew on every call; the module's
+    # tests read one build
+    return affine_catalog()
+
+
+def _entry(catalog, base_type, order):
     return next(
         e
-        for e in affine_catalog()
+        for e in catalog
         if e.label.base_type == base_type and e.label.twist_order == order
     )
 
@@ -365,17 +372,17 @@ UNTWISTED = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
 
 
 @pytest.mark.parametrize("label", UNTWISTED)
-def test_untwisted_catalog_matches_bordered_oracle(label):
+def test_untwisted_catalog_matches_bordered_oracle(label, catalog):
     oracle = bordered_untwisted(label)
-    assert gcm_equivalent(oracle, _entry(label, 1).gcm) is not None
+    assert gcm_equivalent(oracle, _entry(catalog, label, 1).gcm) is not None
     # delta = alpha_0 + theta: the marks (1, theta) are a null vector
     marks = (1,) + root_system(cartan_matrix(label)).positives[-1]
     assert all(sum(a * x for a, x in zip(row, marks)) == 0 for row in oracle.entries)
 
 
-def test_catalog_covers_every_type_and_class_order():
+def test_catalog_covers_every_type_and_class_order(catalog):
     orders: dict = {}
-    for entry in affine_catalog():
+    for entry in catalog:
         orders.setdefault(entry.label.base_type, []).append(entry.label.twist_order)
     assert sorted(orders) == sorted(TYPE_LABELS)
     for label in TYPE_LABELS:
@@ -383,8 +390,8 @@ def test_catalog_covers_every_type_and_class_order():
         assert sorted(orders[label]) == sorted({rep.order() for rep, _ in classes.classes})
 
 
-def test_catalog_entries_pairwise_inequivalent():
-    entries = list(affine_catalog())
+def test_catalog_entries_pairwise_inequivalent(catalog):
+    entries = list(catalog)
     for i, first in enumerate(entries):
         for second in entries[i + 1:]:
             assert gcm_equivalent(first.gcm, second.gcm) is None, (first.label, second.label)
@@ -397,12 +404,12 @@ EXTRACTED = tuple(
 
 
 @pytest.mark.parametrize("label,images", EXTRACTED, ids=lambda x: "id" if x is None else str(x))
-def test_extractor_agrees_with_catalog(label, images):
+def test_extractor_agrees_with_catalog(label, images, catalog):
     rank = cartan_matrix(label).rank
     perm = DiagramPermutation.identity(rank) if images is None else DiagramPermutation(images)
     report = affine_certificate(label, perm=perm)
     assert (report.label.base_type, report.label.twist_order) == (label, perm.order())
-    assert gcm_equivalent(report.gcm, _entry(label, perm.order()).gcm) is not None
+    assert gcm_equivalent(report.gcm, _entry(catalog, label, perm.order()).gcm) is not None
 
 
 @pytest.mark.parametrize("label,images", [("A1", None), ("A2", (1, 0)), ("D4", (2, 1, 3, 0))])
@@ -417,13 +424,19 @@ def test_reversed_base_extracts_the_reversed_gcm(label, images):
     assert gcm_equivalent(gcm, reversed_gcm) is not None
 
 
+def _forbid_catalog(monkeypatch):
+    def built():
+        pytest.fail("the whole catalog was built")
+
+    monkeypatch.setattr(affine, "affine_catalog", built)
+
+
 def test_certificate_rejects_label_of_another_type(monkeypatch):
     # no own row matches, and no other row is read: the request is refused
-    affine.affine_catalog.cache_clear()
+    _forbid_catalog(monkeypatch)
     monkeypatch.setattr(affine, "own_type_forms", lambda type_label: ())
     with pytest.raises(AffineExtractError, match="the extracted matrix matches no form of A2"):
         affine_certificate("A2")
-    assert affine.affine_catalog.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
@@ -434,10 +447,10 @@ def test_own_type_matcher_finds_each_own_row(label):
 
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
-def test_own_type_matcher_refuses_a_label_of_another_type(label):
+def test_own_type_matcher_refuses_a_label_of_another_type(label, catalog):
     # every row of every other type, and a row equivalent to one of them
     # under a reversal of its nodes, finds no row of this type
-    for entry in affine_catalog():
+    for entry in catalog:
         if entry.label.base_type == label:
             continue
         reversed_gcm = GCM(entries=tuple(tuple(row[::-1]) for row in entry.gcm.entries[::-1]))
@@ -448,22 +461,19 @@ def test_own_type_matcher_refuses_a_label_of_another_type(label):
 
 def test_certificate_reads_only_own_rows(monkeypatch):
     # a request whose label is among the type's own rows builds no catalog
-    affine.affine_catalog.cache_clear()
+    _forbid_catalog(monkeypatch)
     report = affine_certificate("D4", perm=DiagramPermutation((3, 1, 0, 2)))
     assert str(report.label) == "D4^(3)"
-    assert affine.affine_catalog.cache_info().currsize == 0
 
 
 def test_catalog_refuses_two_equivalent_rows(monkeypatch):
     # every type given the rows of A1: the second A1^(1) repeats the first
     real = affine.own_type_forms
-    affine.affine_catalog.cache_clear()
     monkeypatch.setattr(affine, "own_type_forms", lambda type_label: real("A1"))
     with pytest.raises(
         AffineExtractError, match=r"catalog entries A1\^\(1\) and A1\^\(1\) coincide"
     ):
         affine_catalog()
-    assert affine.affine_catalog.cache_info().currsize == 0
 
 
 # -- frozen matrices for the twisted entries ---------------------------------------
@@ -477,13 +487,12 @@ TWISTED = {
 
 
 @pytest.mark.parametrize("key", sorted(TWISTED))
-def test_twisted_catalog_matches_frozen_matrices(key):
+def test_twisted_catalog_matches_frozen_matrices(key, catalog):
     frozen = GCM(entries=TWISTED[key])
-    assert gcm_equivalent(frozen, _entry(*key).gcm) is not None
+    assert gcm_equivalent(frozen, _entry(catalog, *key).gcm) is not None
 
 
-def test_catalog_against_golden_file():
-    catalog = affine_catalog()
+def test_catalog_against_golden_file(catalog):
     # 31 untwisted types, 7 A_l^(2), 5 D_l^(2), D4^(3) and E6^(2)
     assert len(catalog) == 45
     recorded = json.loads(GOLDEN.read_text())
@@ -518,24 +527,24 @@ def _permute(entries, p):
     return tuple(tuple(entries[p[i]][p[j]] for j in range(n)) for i in range(n))
 
 
-def _catalog_labels(gcm):
+def _catalog_labels(catalog, gcm):
     """The labels of the catalog entries equivalent to gcm."""
-    return [e.label for e in affine_catalog() if gcm_equivalent(gcm, e.gcm) is not None]
+    return [e.label for e in catalog if gcm_equivalent(gcm, e.gcm) is not None]
 
 
-def test_match_handles_reordered_bases():
+def test_match_handles_reordered_bases(catalog):
     original = GCM(entries=TWISTED[("D4", 3)])
     shuffled = GCM(entries=_permute(original.entries, (2, 0, 1)))
-    assert _catalog_labels(shuffled) == [AffineLabel("D4", 3)]
+    assert _catalog_labels(catalog, shuffled) == [AffineLabel("D4", 3)]
 
 
-def test_node_search_equals_brute_force_on_the_catalog():
+def test_node_search_equals_brute_force_on_the_catalog(catalog):
     """The self-equivalences of every catalog matrix of size at most 7 are
     exactly those of a brute force over all permutations, in the same order,
     and a randomly relabelled copy is matched by a permutation that carries
     each entry onto its image."""
     rng = random.Random(0)
-    for entry in affine_catalog():
+    for entry in catalog:
         a = entry.gcm.entries
         n = len(a)
         if n <= 7:
@@ -549,7 +558,7 @@ def test_node_search_equals_brute_force_on_the_catalog():
         assert all(b[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n)), entry.label
 
 
-def test_match_rejects_unknown_matrix():
+def test_match_rejects_unknown_matrix(catalog):
     # A10^(2): A10 is not advertised, and its matrix has the size of the
     # rank-5 entries
     a10_twisted = GCM(entries=(
@@ -560,8 +569,8 @@ def test_match_rejects_unknown_matrix():
         (0, 0, 0, -1, 2, -2),
         (0, 0, 0, 0, -1, 2),
     ))
-    assert any(len(e.gcm.entries) == len(a10_twisted.entries) for e in affine_catalog())
-    assert _catalog_labels(a10_twisted) == []
+    assert any(len(e.gcm.entries) == len(a10_twisted.entries) for e in catalog)
+    assert _catalog_labels(catalog, a10_twisted) == []
 
 
 def test_equivalence_distinguishes_same_size():
@@ -580,11 +589,11 @@ def test_certificate_a2_composed_charge():
         charge=ToralCharge(s=(1, 1), modulus=2),
     )
     assert str(report.label) == "A2^(2)"
-    assert report.period == 2
+    assert report.grading.period == 2
 
 
 def test_certificate_d4_triality_dims():
     report = affine_certificate("D4", perm=DiagramPermutation((2, 1, 3, 0)))
-    assert report.grading_dims == (14, 7, 7)
+    assert report.grading.dims == (14, 7, 7)
     assert str(report.label) == "D4^(3)"
     assert report.to_obj()["label"] == "D4^(3)"

@@ -37,7 +37,7 @@ from loopforms.grading import (
     FiniteOrderAutomorphism,
     GradedDecomposition,
     GradingError,
-    _certified,
+    _check_period,
     check_automorphism,
     check_diagonal_automorphism,
     eigengrading,
@@ -547,11 +547,12 @@ def test_composition_needs_certified_factors():
         AutomorphismError, match="the outer factor of the twist is not certified on this table"
     ):
         twist(alg, plain, exponents, 3)
-    # a certificate that understates the period of the flip is caught by the
-    # period check of the composition
-    forged = _certified(alg, flip.images, flip.scalars, 1)
-    with pytest.raises(AutomorphismError, match="sigma\\^3 is not the identity on the cycle of h1"):
-        twist(alg, forged, exponents, 3)
+    # the period lcm(2, 3) follows from the certified periods of commuting
+    # factors: the cycle-by-cycle check that check_automorphism runs passes
+    # on both compositions, and twist runs it on neither
+    for sigma in (composed, lifted):
+        assert sigma.period == 6
+        _check_period(alg, sigma.images, sigma.scalars, sigma.period)
 
 
 # -- monomial automorphisms against the dense oracle -------------------------------
@@ -698,10 +699,12 @@ def test_twist_refuses_factors_that_do_not_commute():
     rs, alg = algebra_over("A2", 6)
     flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
     skewed = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
-    with pytest.raises(
-        AutomorphismError, match="factors fail to commute despite an invariant charge"
-    ):
+    with pytest.raises(AutomorphismError) as refused:
         twist(alg, flip, skewed, 3)
+    assert str(refused.value) == (
+        "factors fail to commute on e[0,1]: its exponent 0 differs mod 3 from 1,"
+        " the exponent of its image e[1,0]"
+    )
 
 
 def _zero_a_scalar(alg, images, scalars):
@@ -733,7 +736,11 @@ def _declare_period_two(alg, images, scalars):
             id="_zero_a_scalar-not invertible",
         ),
         (_flip_highest_root_sign, "multiplicativity fails"),
-        (_declare_period_two, "sigma\\^2 is not the identity"),
+        pytest.param(
+            _declare_period_two,
+            "sigma\\^2 is not the identity on the cycle of h1",
+            id="_declare_period_two-sigma\\^2 is not the identity",
+        ),
     ],
 )
 def test_check_automorphism_refuses_tampered_triality(tamper, message):

@@ -826,13 +826,12 @@ def test_certificate_checks_survive_optimize_flag():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1] == "refused: factors fail to commute despite an invariant charge"
+    assert lines[1] == (
+        "refused: factors fail to commute on e[0,1]: its exponent 0 differs mod 3 from 1,"
+        " the exponent of its image e[1,0]"
+    )
     assert lines[2] == "refused: polynomial division needs a monic divisor"
     assert lines[3] == "refused: component vector 0 is 2 at its pivot 1, not 1"
     assert lines[4] == (
         "refused: bracket preservation fails on the pair (e[1], f[1]): shift 0 of h1 is not 3 + -1"
     )
-
-
-def test_algebra_over_is_cached():
-    assert algebra_over("A2", 2)[1] is algebra_over("A2", 2)[1]

@@ -1,4 +1,6 @@
 import json
+import sys
+from functools import lru_cache
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -6,7 +8,7 @@ import pytest
 
 from dense import inverse_witnesses
 from ledger import assert_replays, recorder
-from loopforms import classify, cli
+from loopforms import chevalley, classify, cli, grading
 from loopforms.affine import AffineLabel
 from loopforms.chevalley import TYPE_LABELS, DiagramPermutation, cartan_matrix
 from loopforms.classify import (
@@ -207,8 +209,10 @@ def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
     real = classify.affine_certificate
 
     def untwisted_label(type_label, perm):
-        dims = real(type_label, perm=perm).grading_dims
-        return SimpleNamespace(label=AffineLabel(type_label, 1), grading_dims=dims)
+        report = real(type_label, perm=perm)
+        return SimpleNamespace(
+            label=AffineLabel(type_label, 1), alg=report.alg, grading=report.grading
+        )
 
     monkeypatch.setattr(classify, "affine_certificate", untwisted_label)
     code, report = _classify_a2(capsys)
@@ -218,18 +222,40 @@ def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
 
 
 def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
-    calls = {"dynkin_automorphism_group": 0, "conjugacy_classes": 0}
-    for name in calls:
-        real = getattr(classify, name)
+    calls = dict.fromkeys(
+        ("dynkin_automorphism_group", "conjugacy_classes", "eigengrading", "_fold"), 0
+    )
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
 
-        monkeypatch.setattr(classify, name, counted)
+        return counted
+
+    for name in ("dynkin_automorphism_group", "conjugacy_classes"):
+        monkeypatch.setattr(classify, name, counting(name, getattr(classify, name)))
+    # rebind every alias of eigengrading, so a call from any module is counted
+    real_grading = grading.eigengrading
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("loopforms") and (
+            getattr(module, "eigengrading", None) is real_grading
+        ):
+            monkeypatch.setattr(module, "eigengrading", counting("eigengrading", real_grading))
+    monkeypatch.setattr(chevalley, "_fold", counting("_fold", chevalley._fold))
+    # an empty type cache, as in a fresh process
+    fresh = lru_cache(maxsize=None)(chevalley.standard_algebra.__wrapped__)
+    monkeypatch.setattr(chevalley, "standard_algebra", fresh)
     assert cli.main(["classify", "--type", "D4"]) == 0
     capsys.readouterr()
-    assert calls == {"dynkin_automorphism_group": 1, "conjugacy_classes": 1}
+    # three classes, each graded once: its centroid is solved on the grading
+    # its label was read from, and all three embed the one folded D4 table
+    assert calls == {
+        "dynkin_automorphism_group": 1,
+        "conjugacy_classes": 1,
+        "eigengrading": 3,
+        "_fold": 1,
+    }
 
 
 # -- recorded stdout, and the types the ledger leaves out ----------------------

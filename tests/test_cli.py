@@ -94,8 +94,8 @@ def test_each_built_algebra_is_certified_once(monkeypatch, capsys, tmp_path):
             monkeypatch.setattr(module, "validate_algebra", counting_validate)
     monkeypatch.setattr(chevalley, "_fold", counting_fold)
     # an empty type cache, as in a fresh process
-    fresh = lru_cache(maxsize=None)(chevalley._chevalley_cached.__wrapped__)
-    monkeypatch.setattr(chevalley, "_chevalley_cached", fresh)
+    fresh = lru_cache(maxsize=None)(chevalley.standard_algebra.__wrapped__)
+    monkeypatch.setattr(chevalley, "standard_algebra", fresh)
     # a type label is certified by its fold, with no sweep
     assert cli.main(["build", "--type", "B4"]) == 0
     assert (swept, folded) == ([], ["B4"])

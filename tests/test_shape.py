@@ -191,6 +191,13 @@ def _words(*names):
             r"\.acceptance\b|[\"']acceptance[\"']|\bverify_all\b|criterion_|CRITERION_NAMES",
             id="acceptance criteria",
         ),
+        # a request builds each object once and passes it on: no result
+        # cache that a cold request never hits, and no second lookup of a
+        # twist's grading (affine.ExtractionReport carries it)
+        pytest.param(
+            _words("_extract_inner", "_algebra_over_cached", "_chevalley_cached", "graded_twist"),
+            id="result caches",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
