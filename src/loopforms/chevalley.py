@@ -650,8 +650,8 @@ def diagram_automorphism(
 
     A pi that does not preserve the Cartan matrix of rs is refused first,
     by `check_twist`, with `record.RequestError`.  The identity symmetry is
-    the identity map, certified as the diagonal map with every exponent 0
-    (`check_diagonal_automorphism`), with no pair check.
+    the identity map, certified with period 1 (`identity_automorphism`),
+    with no table pass.
     Every other symmetry of a Cartan matrix is a symmetry of A, D or E6,
     which are their own cover, so the table is Frenkel and Kac's (`_fold`):
     e_a = E_a, f_a = -E_-a and [E_a, E_b] = eps(a, b) E_(a+b), with
@@ -667,12 +667,12 @@ def diagram_automorphism(
     structure constant is read; the map is certified by `check_automorphism`
     on every basis pair, which is where a wrong sign fails.
     """
-    from .grading import check_automorphism, check_diagonal_automorphism
+    from .grading import check_automorphism, identity_automorphism
 
     check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
     l = rs.rank
     if perm.images == tuple(range(l)):
-        return check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+        return identity_automorphism(alg)
     p, q = perm.images, perm.inverse().images
     form = _sign_form(rs.cartan)
     flips = [(i, j) for i in range(l) for j in range(i + 1, l) if (form[p[i]][p[j]] + form[i][j]) % 2]
@@ -711,7 +711,7 @@ def type_twist_factors(
     """The type-label counterpart of `descent.matrix_twist_factors`: the
     algebra of type `label` over Q(zeta_M), M = lcm(|pi|, m), and the
     factors of pi o tau_s as `grading.twist` takes them, the certified
-    diagram automorphism of pi and the pairings <s, .> modulo m.
+    diagram automorphism of pi, the integer pairings <s, .> and m.
 
     `check_twist` refuses a malformed twist first; `grading.twist` certifies the composition.
     """

@@ -16,11 +16,12 @@ degree.
 Every identity is read off a certificate the twist already has, and holds
 in all degrees.  `fixed_point_report` reads the cocycle identity off
 sigma^m = 1 and the fixed points off the eigengrading.  `untwist_iso` is the
-one descent certificate, an explicit isomorphism L(sigma) -> L(outer): it
-certifies its degree shift on the basis (constant on the orbits of outer,
-for landing) and on the table (additive as integers, for bracket
-preservation).  For an inner twist, outer the identity, the coboundary
-identity is a corollary of that isomorphism (`UntwistIso.witness_checks`).
+one descent certificate, an explicit isomorphism L(sigma) -> L(outer): its
+degree shift is p scaled to the common period, and `grading.twist` has
+already certified it on the basis (invariant under outer, for landing) and
+on the table (additive as integers, for bracket preservation).  For an
+inner twist, outer the identity, the coboundary identity is a corollary of
+that isomorphism (`UntwistIso.witness_checks`).
 Nothing here eliminates or takes a degree window; the `window` a report row
 shows is read off the period and bounds nothing that is checked.
 
@@ -41,16 +42,10 @@ from typing import Sequence
 
 from .algebra import MultTableAlgebra, make_table
 from .cyclo import CycloNum
-from .grading import (
-    FiniteOrderAutomorphism,
-    check_diagonal_automorphism,
-    eigengrading,
-    twist,
-)
+from .grading import FiniteOrderAutomorphism, eigengrading, identity_automorphism, twist
 from .record import Record, RequestError
 
 __all__ = [
-    "DescentError",
     "UntwistIso",
     "build_matrix_algebra",
     "fixed_point_report",
@@ -58,10 +53,6 @@ __all__ = [
     "matrix_unit_shifts",
     "untwist_iso",
 ]
-
-
-class DescentError(ValueError):
-    pass
 
 
 def _passed(check: str, window: int) -> dict:
@@ -153,8 +144,7 @@ def matrix_twist_factors(
         constants=make_table(entries),
         basis_labels=tuple(f"E{i + 1}{k + 1}" for i in range(n) for k in range(n)),
     )
-    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
-    return alg, identity, matrix_unit_shifts(n, exponents)
+    return alg, identity_automorphism(alg), matrix_unit_shifts(n, exponents)
 
 
 def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -172,8 +162,8 @@ class UntwistIso(Record):
     target then occupies only the degrees divisible by M/|outer|, which is
     the usual relabeling t = z^M.  `shifts` holds the per-basis-vector degree
     drop, e_k z^j -> e_k z^(j - shifts[k]).  `untwist_iso` returns one only
-    after every check has passed, so its rows are the names of those checks,
-    each with a window of two periods.
+    after `grading.twist` has certified the clauses its rows name, each row
+    with a window of two periods.
     """
 
     period: int
@@ -190,13 +180,13 @@ class UntwistIso(Record):
         diag(zeta_m^p), m = toral_modulus, window 2m.  Its callers untwist
         onto the identity outer map, so this map is the witness a = b^-1.
 
-        The additivity clause makes p additive as integers on the table, so
+        `grading.twist` makes p additive as integers on the table, so
         mod m too: sigma is an automorphism, and a an algebra map of
         A tensor S.  u(n) = sigma^(-n) and a^-1 gamma^n(a) = a^-1 gamma^n a
         gamma^-n both scale e_k z^j by zeta^(-n p_k), the second as
         zeta^(-n j) zeta^(n (j - p_k)), for every residue n, index k and
         degree j.  A shift moved by a multiple of m names the same sigma but
-        another a, which additivity refuses where it breaks a product.
+        another a, which `twist` refuses where it breaks a product.
         """
         return self.checks + [_passed("coboundary-identity", 2 * self.toral_modulus)]
 
@@ -213,71 +203,38 @@ class UntwistIso(Record):
 _UNTWIST_CHECKS = ("lands-in-target", "lands-in-source", "bracket-preservation", "t-intertwine")
 
 
-def _verify_untwist(
-    alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, shifts: Sequence[int]
-) -> None:
-    """Certify phi: e_k z^j -> e_k z^(j - shifts[k]) from L(sigma) onto
-    L(outer), sigma = outer o diag(zeta^shifts) with zeta = zeta_M, both
-    graded mod the common period M, in every degree.
-
-    sigma has that form by construction: `untwist_iso` takes it from
-    `grading.twist`, which composes outer with diag(zeta_m^p), and
-    zeta_m^p = zeta_M^((M/m) p) is zeta^shifts.  Landing then rests on one
-    clause on the basis, reported as lands-in-target: shifts[outer.images[k]]
-    = shifts[k] as integers (the invariance clause).  Split v = sum_s v^(s)
-    by shift class.  Outer preserves each class, and diag acts on class s as
-    zeta^s, so sigma preserves each class too and sigma v = zeta^r v gives,
-    class by class, outer v^(s) = zeta^(r - s) v^(s).  So the piece of
-    phi(v z^r) at degree r - s, which is v^(s), lies in outer's component
-    r - s: phi lands in the target.  Conversely outer w = zeta^r w gives
-    sigma w^(s) = zeta^(r + s) w^(s), so phi^-1(w z^r) lands in the source.
-    An outer eigenvector is supported on whole orbits, so a shift that
-    agrees on an orbit only mod M splits it across degrees: agreement mod M
-    is not enough.
-
-    phi(e_a z^i . e_b z^j) and phi(e_a z^i) phi(e_b z^j) have the same
-    terms, at degrees i + j - shifts[c] and i + j - shifts[a] - shifts[b],
-    so phi preserves products in all degrees exactly when the shift is
-    additive on every nonzero product of the table (the additivity clause).
-    phi moves each basis vector by one integer, so it commutes with
-    multiplication by t = z^M by its form (t-intertwine).  Each check raises
-    on failure.
-    """
-    labels = alg.basis_labels
-    for k, image in enumerate(outer.images):
-        if shifts[image] != shifts[k]:
-            raise DescentError(
-                f"lands-in-target: shift {shifts[image]} of {labels[image]} is not "
-                f"the shift {shifts[k]} of {labels[k]} on its orbit"
-            )
-    for a, b, _ in alg.constants:
-        for c, _ in alg.basis_product(a, b):
-            if shifts[c] != shifts[a] + shifts[b]:
-                raise DescentError(
-                    f"bracket preservation fails on the pair ({labels[a]}, {labels[b]}): "
-                    f"shift {shifts[c]} of {labels[c]} is not {shifts[a]} + {shifts[b]}"
-                )
-
-
 def untwist_iso(
     alg: MultTableAlgebra,
     outer: FiniteOrderAutomorphism,
     exponents: Sequence[int],
     m: int,
 ) -> UntwistIso:
-    """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), verified in
-    every degree from the two factors, with no grading computed: the one
-    descent certificate.
+    """Explicit isomorphism L(outer o diag(zeta_m^p)) -> L(outer), certified
+    in every degree by `grading.twist(alg, outer, exponents, m)` alone, with
+    no grading computed: the one descent certificate.
 
-    The twist is `grading.twist(alg, outer, exponents, m)`: for a type label
-    outer is the diagram automorphism of pi and p_j = <s, weight of e_j>, for
-    M_n it is the identity and p = a_i - a_k on E_ik.  e_j drops degree by
-    (M/m) p_j, M = lcm(|outer|, m) the common period; the factor M/m (1
-    whenever |outer| divides m) keeps the shift aligned with the
-    common-period grading.  With outer the identity the isomorphism also
-    witnesses that the twist is a coboundary (`UntwistIso.witness_checks`).
+    Both sides are graded mod M = lcm(|outer|, m), the period of the twist,
+    and phi: e_k z^j -> e_k z^(j - shifts[k]) with shifts = (M/m) p, so
+    sigma = outer o diag(zeta^shifts), zeta = zeta_M.  Each row follows from
+    a clause of `twist`, which holds for shifts as for p:
+
+    * lands-in-target, from invariance.  Split v = sum_s v^(s) by shift
+      class.  Outer preserves each class and diag acts on class s as zeta^s,
+      so sigma v = zeta^r v gives outer v^(s) = zeta^(r - s) v^(s): the
+      piece of phi(v z^r) at degree r - s lies in outer's component r - s.
+      An outer eigenvector is supported on whole orbits, so a shift that
+      agrees on an orbit only mod M would split it across degrees.
+    * lands-in-source, from invariance: outer w = zeta^r w gives
+      sigma w^(s) = zeta^(r + s) w^(s), so phi^-1(w z^r) lands in the source.
+    * bracket-preservation, from additivity: phi(e_a z^i . e_b z^j) and
+      phi(e_a z^i) phi(e_b z^j) have the same terms, at degrees
+      i + j - shifts[c] and i + j - shifts[a] - shifts[b].
+    * t-intertwine, from the form of phi, which moves each basis vector by
+      one integer and so commutes with multiplication by t = z^M.
+
+    With outer the identity the isomorphism also witnesses that the twist
+    is a coboundary (`UntwistIso.witness_checks`).
     """
     sigma = twist(alg, outer, exponents, m)
     shifts = tuple((sigma.period // m) * p for p in exponents)
-    _verify_untwist(alg, outer, shifts)
     return UntwistIso(period=sigma.period, toral_modulus=m, shifts=shifts)

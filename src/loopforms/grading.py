@@ -6,10 +6,13 @@ products, which covers every basis pair (a diagonal one by the additivity of
 its exponents), with the period read off the cycles of p.  Every twist, of a
 Lie algebra or of M_n, is one composition `twist(alg, outer, p, m)` = outer
 o diag(zeta_m^p) of a certified outer map (a diagram symmetry, or the
-identity) with a diagonal one, certified there and nowhere else.  A
-certified finite-order automorphism with period m dividing that scalar order
-splits the algebra into eigenspace components A_i for the eigenvalues
-zeta_m^i, written down in closed form cycle by cycle; that decomposition is
+identity, `identity_automorphism`) with a diagonal one, certified there and
+nowhere else: the integer exponents p are invariant under the outer map and
+additive on the table, which makes the twist an automorphism and certifies
+the map that untwists it (`descent.untwist_iso`).  A certified
+finite-order automorphism with period m dividing that scalar order splits
+the algebra into eigenspace components A_i for the eigenvalues zeta_m^i,
+written down in closed form cycle by cycle; that decomposition is
 a Z/m grading, by the automorphism's certificate, and is the combinatorial
 heart of everything downstream: the twisted fixed points (`descent`) are
 its components, and the centroid (`centroid`) is solved on it.
@@ -41,8 +44,8 @@ __all__ = [
     "GradedDecomposition",
     "GradingError",
     "check_automorphism",
-    "check_diagonal_automorphism",
     "eigengrading",
+    "identity_automorphism",
     "twist",
 ]
 
@@ -69,9 +72,9 @@ class FiniteOrderAutomorphism(Record):
     required, which is what lets automorphisms of different orders share a
     period.
 
-    Building one from its fields certifies nothing.  The `check_*`
-    functions below return it with the table they certified it on, and
-    `eigengrading` accepts it only on that table.
+    Building one from its fields certifies nothing.  `check_automorphism`,
+    `identity_automorphism` and `twist` return it with the table they
+    certified it on, and `eigengrading` accepts it only on that table.
     """
 
     images: tuple[int, ...]
@@ -100,7 +103,7 @@ class FiniteOrderAutomorphism(Record):
         )
 
     def certified_on(self, alg: MultTableAlgebra) -> bool:
-        """Whether a `check_*` function certified this map on the table alg."""
+        """Whether a certifier of this module certified this map on the table alg."""
         return self.__dict__.get("_certified_table") is alg
 
     @cached_property
@@ -119,7 +122,7 @@ class FiniteOrderAutomorphism(Record):
 def _certified(
     alg: MultTableAlgebra, images: tuple[int, ...], scalars: tuple[CycloNum, ...], period: int
 ) -> FiniteOrderAutomorphism:
-    """The automorphism, marked as certified on alg; only the checks call it."""
+    """The automorphism, marked as certified on alg; only the certifiers call it."""
     out = FiniteOrderAutomorphism(images=images, scalars=scalars, period=period)
     out.__dict__["_certified_table"] = alg
     return out
@@ -180,18 +183,43 @@ def check_automorphism(
     return _certified(alg, images, scalars, period)
 
 
-def check_diagonal_automorphism(
-    alg: MultTableAlgebra, exponents: Sequence[int], m: int
-) -> FiniteOrderAutomorphism:
-    """Verify the diagonal map e_j -> zeta_m^(p_j) e_j by integer additivity.
+def identity_automorphism(alg: MultTableAlgebra) -> FiniteOrderAutomorphism:
+    """The identity map of alg, certified with period 1: it is an
+    automorphism of every table, so no product is read."""
+    return _certified(alg, tuple(range(alg.dim)), (CycloNum.one(alg.scalar_order),) * alg.dim, 1)
 
-    sigma(e_i e_j) = sum_k c_ij^k zeta^(p_k) e_k and sigma(e_i) sigma(e_j) =
-    zeta^(p_i + p_j) sum_k c_ij^k e_k agree exactly when p_k = p_i + p_j
-    mod m for every nonzero c_ij^k, because zeta_m is a primitive m-th root
-    of unity.  So one pass of integer comparisons over the table's nonzero
-    products certifies multiplicativity, with no scalar multiplied.  The map
-    is invertible and sigma^m = 1 holds term by term.
+
+def twist(
+    alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, exponents: Sequence[int], m: int
+) -> FiniteOrderAutomorphism:
+    """outer o diag(zeta_m^p), the one composition of an outer map with a
+    diagonal one, from an `outer` certified on alg (`identity_automorphism`
+    for none), certified by two integer clauses on p, with outer(e_k) =
+    c_k e_pi(k): invariance, p_pi(k) = p_k, and additivity, p_k = p_i + p_j
+    on every nonzero product e_i e_j of the table with a term in e_k.
+
+    Mod m, additivity makes diag(zeta_m^p) multiplicative term by term, and
+    invariance makes it commute with outer, as both compositions send e_k to
+    zeta_m^(p_k) c_k e_pi(k).  Commuting, they give sigma^N = outer^N o
+    diag^N = 1 for N = lcm(|outer|, m): the period is a theorem, not
+    checked.  `twist(alg, outer, (0,) * alg.dim, m)` lifts outer's period.
+    As integers, the clauses certify the untwisting map e_k z^j ->
+    e_k z^(j - (M/m) p_k) onto L(outer), M = lcm(|outer|, m): invariance
+    makes it land and additivity makes it preserve products
+    (`descent.untwist_iso`).
+
+    No twist is lost by asking for integers.  pi o tau_s on a Lie algebra
+    is the diagram symmetry after p = <s, .>, linear in the weight and
+    invariant since s is constant on the orbits of pi (`check_twist`);
+    Ad(diag(zeta^a)) on M_n is the identity after p = a_i - a_k on E_ik.
+    Every diagonal automorphism lifts so: on a Chevalley table it fixes the
+    Cartan and p mod m is a homomorphism from the root lattice Q to Z/m,
+    which lifts to Hom(Q, Z) as Q is free, with s_i = p(alpha_i) lifted
+    constant on the orbits of pi; on M_n, p_ik = p_i1 - p_k1 mod m lifts
+    through a_i = p_i1.
     """
+    if not outer.certified_on(alg):
+        raise AutomorphismError("the outer factor of the twist is not certified on this table")
     n = alg.dim
     exponents = tuple(exponents)
     if len(exponents) != n:
@@ -203,54 +231,28 @@ def check_diagonal_automorphism(
     order = alg.scalar_order
     if order % m != 0:
         raise AutomorphismError(f"scalar order {order} lacks the {m}-th roots of unity")
-    residues = [p % m for p in exponents]
     labels = alg.basis_labels
+    for k, image in enumerate(outer.images):
+        if exponents[image] != exponents[k]:
+            raise AutomorphismError(
+                f"exponent invariance fails on {labels[k]}: its exponent {exponents[k]} is not"
+                f" {exponents[image]}, the exponent of its image {labels[image]}"
+            )
     for (i, j), entry in alg._table.items():
-        target = (residues[i] + residues[j]) % m
+        target = exponents[i] + exponents[j]
         for k, _ in entry:
-            if residues[k] != target:
+            if exponents[k] != target:
                 raise AutomorphismError(
                     f"exponent additivity fails on basis pair ({labels[i]}, {labels[j]}): "
                     f"exponent {exponents[k]} of {labels[k]} is not "
-                    f"{exponents[i]} + {exponents[j]} mod {m}"
+                    f"{exponents[i]} + {exponents[j]}"
                 )
     step = order // m
-    scalars = tuple(zeta_power(order, step * p) for p in exponents)
-    return _certified(alg, tuple(range(n)), scalars, m)
-
-
-def twist(
-    alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, exponents: Sequence[int], m: int
-) -> FiniteOrderAutomorphism:
-    """outer o diag(zeta_m^p), the one composition of an outer map with a
-    diagonal one, from an `outer` certified on alg.
-
-    Every twist here has this form: pi o tau_s on a Lie algebra is the
-    diagram symmetry pi (the identity for a purely toral twist) after
-    diag(zeta_m^<s, .>), and Ad(diag(zeta^a)) on M_n is the identity after
-    diag(zeta_m^(a_i - a_k)).  The identity outer map is
-    `check_diagonal_automorphism(alg, (0,) * alg.dim, 1)`.  The diagonal
-    factor is certified by `check_diagonal_automorphism`; a composition of
-    automorphisms is one, so multiplicativity is not checked again.  With
-    outer(e_k) = c_k e_pi(k), outer o diag and diag o outer send e_k to
-    zeta_m^(p_k) and zeta_m^(p_pi(k)) times c_k e_pi(k), so the factors
-    commute exactly when p_pi(k) = p_k mod m for every k.  Commuting, they
-    give sigma^N = outer^N o diag^N, the identity for N = lcm(|outer|, m)
-    by outer's certified period and diag^m = 1: the period is a theorem, not
-    checked.  When every p_j is 0 mod m the twist is outer with its period
-    lifted to lcm(|outer|, m); `twist(alg, outer, (0,) * alg.dim, m)` lifts
-    a period.
-    """
-    if not outer.certified_on(alg):
-        raise AutomorphismError("the outer factor of the twist is not certified on this table")
-    diagonal = check_diagonal_automorphism(alg, exponents, m)
-    labels = alg.basis_labels
-    for k, image in enumerate(outer.images):
-        if exponents[image] % m != exponents[k] % m:
-            raise AutomorphismError(
-                f"factors fail to commute on {labels[k]}: its exponent {exponents[k]} differs"
-                f" mod {m} from {exponents[image]}, the exponent of its image {labels[image]}"
-            )
+    diagonal = FiniteOrderAutomorphism(
+        images=tuple(range(n)),
+        scalars=tuple(zeta_power(order, step * p) for p in exponents),
+        period=m,
+    )
     composed = outer.compose(diagonal)
     return _certified(alg, composed.images, composed.scalars, lcm(outer.period, m))
 
@@ -360,7 +362,7 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
     """Split the algebra into the eigenspaces of sigma, in closed form.
 
     Requires sigma certified on this table by `check_automorphism`,
-    `check_diagonal_automorphism` or `twist`, and the period m = sigma.period
+    `identity_automorphism` or `twist`, and the period m = sigma.period
     to divide alg.scalar_order; any other sigma raises GradingError.  Each
     certificate gives sigma scalars of the table's order: `check_automorphism`
     checks it, and the other two build them at that order.  A cycle

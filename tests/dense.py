@@ -8,13 +8,14 @@ matrices.  These helpers work on dense tuples and on the dense view
 so the tests can compare every sparse or monomial result with the plain
 dense computation it replaces.  `densify` is the one way a test turns a
 sparse vector into a dense tuple.  `twist_fixture` builds the twists those
-differential tests run on.  `ordered_triple_validation` evaluates the Lie or
-associative law on all n^3 ordered basis triples through `product_sparse`,
-the reference for the reduced certificate of `validate_algebra`.
+differential tests run on, from the factors `twist_factors` names.
+`ordered_triple_validation` evaluates the Lie or associative law on all n^3
+ordered basis triples through `product_sparse`, the reference for the
+reduced certificate of `validate_algebra`.
 `windowed_untwist_check` moves every component slice of a degree window
 between the two gradings and brackets every pair of slices, on
 {degree: sparse vector} loop elements, the reference for the invariance
-and additivity clauses of `descent._verify_untwist`, and `base_change_check`
+and additivity clauses of `_verify_untwist`, and `base_change_check`
 checks a grading degree by degree in a window.  `FractionCyclo` is Q(zeta_m)
 on Fraction coefficients, the reference for the integer numerators and one denominator of `CycloNum`.
 `kernel_affine_roots` decomposes each grading component by one nullspace per
@@ -25,8 +26,9 @@ Fraction, the reference for the integer Bareiss `chevalley.int_rank_det`, and
 homogeneous basis vectors, the reference for `centroid.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
-`grading.twist`, which checks pi alone by `check_automorphism` (the identity
-as a diagonal map), tau_s by additivity and the composition by its period.
+`grading.twist`, which takes pi certified by `check_automorphism` (the
+identity by `identity_automorphism`), and tau_s and the commuting by the
+additivity and invariance of p.
 `build_cocycle` composes the m^2 residue pairs of the cocycle
 u(n) = sigma^(-n) and `twisted_fixed_points` eliminates one kernel per
 residue, the references for the identities `descent.fixed_point_report`
@@ -35,6 +37,9 @@ reads off the twist's certificate.
 `coboundary_witness_matrix` are the separate type-label and matrix-unit
 twist paths that `grading.twist`, `descent.untwist_iso` and
 `UntwistIso.witness_checks` replaced, kept as references for them.
+`check_diagonal_automorphism` certifies diag(zeta_m^p) by additivity mod m
+and `_verify_untwist` an untwisting shift by invariance and additivity as
+integers, the two passes that `grading.twist`'s integer clauses replaced.
 `product_rule_check` forms all n^2 products of component vectors, the
 reference for the product rule that `eigengrading` draws from its certified
 automorphism.  `propagated_diagram_map` extends a diagram symmetry from the
@@ -76,10 +81,9 @@ from loopforms.chevalley import (
 from loopforms.classify import OutGroup
 from loopforms.cyclo import CycloNum, Sparse, cyclotomic_polynomial, euler_phi, sparse_add, zeta_power
 from loopforms.descent import (
-    DescentError,
     UntwistIso,
-    _verify_untwist,
     build_matrix_algebra,
+    matrix_twist_factors,
     matrix_unit_shifts,
 )
 from loopforms.grading import (
@@ -90,7 +94,6 @@ from loopforms.grading import (
     _certified,
     _check_period,
     check_automorphism,
-    check_diagonal_automorphism,
     twist,
 )
 from loopforms.linalg import SpanSolver, eliminate, nullspace, rank
@@ -630,6 +633,10 @@ def kernel_affine_roots(
 # -- windowed untwist oracle -------------------------------------------------------
 
 
+class DescentError(ValueError):
+    """A descent identity or untwisting clause fails in an oracle below."""
+
+
 # a loop element is a finite sum of terms a z^d, kept as {degree: sparse
 # vector} with degrees increasing and no zero vector
 LoopTerms = dict[int, Sparse]
@@ -926,7 +933,7 @@ TWIST_FIXTURES = _GRADING_FIXTURES + tuple(_TYPE_TWISTS) + tuple(_MATRIX_TWISTS)
 
 @lru_cache(maxsize=None)
 def _grading_fixtures() -> dict:
-    """name -> (algebra, checked automorphism) of each of _GRADING_FIXTURES."""
+    """name -> factors (algebra, outer, exponents, m) of each of _GRADING_FIXTURES."""
     _, a1, *toral = type_twist_factors(
         "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
@@ -934,29 +941,38 @@ def _grading_fixtures() -> dict:
     _, a2, outer, *charged = type_twist_factors("A2", flip, ToralCharge(s=(1, 1), modulus=2))
     triality = DiagramPermutation((2, 1, 3, 0))
     _, d4, triality_map, _, _ = type_twist_factors("D4", triality, ToralCharge.trivial(4))
-    m3, s3 = build_matrix_algebra(3, (0, 1, 2), 3)
-    automorphisms = (
-        (a1, twist(a1, *toral)),
-        (a2, outer),
-        (d4, triality_map),
-        (a2, twist(a2, outer, *charged)),
-        (m3, s3),
+    factors = (
+        (a1, *toral),
+        (a2, outer, (0,) * a2.dim, 1),
+        (d4, triality_map, (0,) * d4.dim, 1),
+        (a2, outer, *charged),
+        (*matrix_twist_factors(3, (0, 1, 2), 3), 3),
     )
-    return dict(zip(_GRADING_FIXTURES, automorphisms))
+    return dict(zip(_GRADING_FIXTURES, factors))
+
+
+@lru_cache(maxsize=None)
+def twist_factors(
+    name: str,
+) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
+    """The factors (algebra, outer, exponents, m) of one named fixture, as
+    `grading.twist` takes them."""
+    if name in _GRADING_FIXTURES:
+        return _grading_fixtures()[name]
+    if name in _MATRIX_TWISTS:
+        n, exponents, m = _MATRIX_TWISTS[name]
+        return (*matrix_twist_factors(n, exponents, m), m)
+    label, pi, s, m = _TYPE_TWISTS[name]
+    perm = (
+        DiagramPermutation.identity(len(s)) if pi is None else DiagramPermutation.from_one_based(pi)
+    )
+    return tuple(type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))[1:])
 
 
 @lru_cache(maxsize=None)
 def twist_fixture(name: str) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism]:
     """The algebra and checked monomial automorphism of one named fixture."""
-    if name in _GRADING_FIXTURES:
-        return _grading_fixtures()[name]
-    if name in _MATRIX_TWISTS:
-        return build_matrix_algebra(*_MATRIX_TWISTS[name])
-    label, pi, s, m = _TYPE_TWISTS[name]
-    perm = (
-        DiagramPermutation.identity(len(s)) if pi is None else DiagramPermutation.from_one_based(pi)
-    )
-    _, alg, *factors = type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))
+    alg, *factors = twist_factors(name)
     return alg, twist(alg, *factors)
 
 
@@ -1059,6 +1075,91 @@ def twisted_fixed_points(
 
 
 # -- the twist paths that `grading.twist` replaced ------------------------------------
+
+
+def check_diagonal_automorphism(
+    alg: MultTableAlgebra, exponents: Sequence[int], m: int
+) -> FiniteOrderAutomorphism:
+    """Verify the diagonal map e_j -> zeta_m^(p_j) e_j by integer additivity.
+
+    sigma(e_i e_j) = sum_k c_ij^k zeta^(p_k) e_k and sigma(e_i) sigma(e_j) =
+    zeta^(p_i + p_j) sum_k c_ij^k e_k agree exactly when p_k = p_i + p_j
+    mod m for every nonzero c_ij^k, because zeta_m is a primitive m-th root
+    of unity.  So one pass of integer comparisons over the table's nonzero
+    products certifies multiplicativity, with no scalar multiplied.  The map
+    is invertible and sigma^m = 1 holds term by term.
+    """
+    n = alg.dim
+    exponents = tuple(exponents)
+    if len(exponents) != n:
+        raise AutomorphismError(
+            f"the diagonal map needs one exponent per basis element, {n} in all"
+        )
+    if m < 1:
+        raise AutomorphismError("the diagonal period m must be positive")
+    order = alg.scalar_order
+    if order % m != 0:
+        raise AutomorphismError(f"scalar order {order} lacks the {m}-th roots of unity")
+    residues = [p % m for p in exponents]
+    labels = alg.basis_labels
+    for (i, j), entry in alg._table.items():
+        target = (residues[i] + residues[j]) % m
+        for k, _ in entry:
+            if residues[k] != target:
+                raise AutomorphismError(
+                    f"exponent additivity fails on basis pair ({labels[i]}, {labels[j]}): "
+                    f"exponent {exponents[k]} of {labels[k]} is not "
+                    f"{exponents[i]} + {exponents[j]} mod {m}"
+                )
+    step = order // m
+    scalars = tuple(zeta_power(order, step * p) for p in exponents)
+    return _certified(alg, tuple(range(n)), scalars, m)
+
+
+def _verify_untwist(
+    alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, shifts: Sequence[int]
+) -> None:
+    """Certify phi: e_k z^j -> e_k z^(j - shifts[k]) from L(sigma) onto
+    L(outer), sigma = outer o diag(zeta^shifts) with zeta = zeta_M, both
+    graded mod the common period M, in every degree.
+
+    sigma has that form by construction: `untwist_iso` takes it from
+    `grading.twist`, which composes outer with diag(zeta_m^p), and
+    zeta_m^p = zeta_M^((M/m) p) is zeta^shifts.  Landing then rests on one
+    clause on the basis, reported as lands-in-target: shifts[outer.images[k]]
+    = shifts[k] as integers (the invariance clause).  Split v = sum_s v^(s)
+    by shift class.  Outer preserves each class, and diag acts on class s as
+    zeta^s, so sigma preserves each class too and sigma v = zeta^r v gives,
+    class by class, outer v^(s) = zeta^(r - s) v^(s).  So the piece of
+    phi(v z^r) at degree r - s, which is v^(s), lies in outer's component
+    r - s: phi lands in the target.  Conversely outer w = zeta^r w gives
+    sigma w^(s) = zeta^(r + s) w^(s), so phi^-1(w z^r) lands in the source.
+    An outer eigenvector is supported on whole orbits, so a shift that
+    agrees on an orbit only mod M splits it across degrees: agreement mod M
+    is not enough.
+
+    phi(e_a z^i . e_b z^j) and phi(e_a z^i) phi(e_b z^j) have the same
+    terms, at degrees i + j - shifts[c] and i + j - shifts[a] - shifts[b],
+    so phi preserves products in all degrees exactly when the shift is
+    additive on every nonzero product of the table (the additivity clause).
+    phi moves each basis vector by one integer, so it commutes with
+    multiplication by t = z^M by its form (t-intertwine).  Each check raises
+    on failure.
+    """
+    labels = alg.basis_labels
+    for k, image in enumerate(outer.images):
+        if shifts[image] != shifts[k]:
+            raise DescentError(
+                f"lands-in-target: shift {shifts[image]} of {labels[image]} is not "
+                f"the shift {shifts[k]} of {labels[k]} on its orbit"
+            )
+    for a, b, _ in alg.constants:
+        for c, _ in alg.basis_product(a, b):
+            if shifts[c] != shifts[a] + shifts[b]:
+                raise DescentError(
+                    f"bracket preservation fails on the pair ({labels[a]}, {labels[b]}): "
+                    f"shift {shifts[c]} of {labels[c]} is not {shifts[a]} + {shifts[b]}"
+                )
 
 
 def diagram_and_composition(

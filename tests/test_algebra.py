@@ -10,6 +10,7 @@ from dense import (
     all_pairs_centroid,
     base_change_check,
     build_cocycle,
+    check_diagonal_automorphism,
     dense_check_automorphism,
     densify,
     mat_inverse,
@@ -39,8 +40,8 @@ from loopforms.grading import (
     GradingError,
     _check_period,
     check_automorphism,
-    check_diagonal_automorphism,
     eigengrading,
+    identity_automorphism,
     twist,
 )
 from loopforms.chevalley import (
@@ -419,12 +420,13 @@ def test_maps_and_gradings_need_the_table_scalar_order():
     alg = _sl2()
     with pytest.raises(AutomorphismError, match="scalars must use the algebra scalar order"):
         check_automorphism(alg, (0, 1, 2), (q(1, 3),) * 3, 1)
+    identity = identity_automorphism(alg)
     with pytest.raises(AutomorphismError, match="the diagonal period m must be positive"):
-        check_diagonal_automorphism(alg, (0, 0, 0), 0)
+        twist(alg, identity, (0, 0, 0), 0)
     with pytest.raises(
         AutomorphismError, match="the diagonal map needs one exponent per basis element, 3 in all"
     ):
-        check_diagonal_automorphism(alg, (0, 0), 1)
+        twist(alg, identity, (0, 0), 1)
     # the identity, certified at period 2, on a table over Q
     identity = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 2)
     with pytest.raises(
@@ -517,18 +519,24 @@ def test_diagonal_certificate_equals_pair_check(name):
 
 def test_non_additive_charge_raises():
     rs, alg = algebra_over("A2", 3)
+    identity = identity_automorphism(alg)
     good = list(charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3)))
-    assert check_diagonal_automorphism(alg, good, 3).period == 3
+    assert twist(alg, identity, good, 3).period == 3
     bad = list(good)
     top = alg.basis_labels.index("e[1,1]")
     bad[top] += 1  # <s, a1 + a2> is no longer <s, a1> + <s, a2>
-    with pytest.raises(AutomorphismError, match=r"\(e\[0,1\], e\[1,0\]\): exponent 2 of e\[1,1\] is not 0 \+ 1 mod 3"):
+    with pytest.raises(AutomorphismError) as refused:
+        twist(alg, identity, bad, 3)
+    assert str(refused.value) == (
+        "exponent additivity fails on basis pair (e[0,1], e[1,0]): exponent 2 of e[1,1] is not 0 + 1"
+    )
+    with pytest.raises(AutomorphismError, match=r"exponent 2 of e\[1,1\] is not 0 \+ 1 mod 3"):
         check_diagonal_automorphism(alg, bad, 3)
     scalars = [zeta_power(3, p) for p in bad]
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
         check_automorphism(alg, range(alg.dim), scalars, 3)
-    with pytest.raises(AutomorphismError, match="lacks the 2-th roots"):
-        check_diagonal_automorphism(alg, good, 2)
+    with pytest.raises(AutomorphismError, match="scalar order 3 lacks the 2-th roots of unity"):
+        twist(alg, identity, good, 2)
 
 
 def test_composition_needs_certified_factors():
@@ -702,7 +710,7 @@ def test_twist_refuses_factors_that_do_not_commute():
     with pytest.raises(AutomorphismError) as refused:
         twist(alg, flip, skewed, 3)
     assert str(refused.value) == (
-        "factors fail to commute on e[0,1]: its exponent 0 differs mod 3 from 1,"
+        "exponent invariance fails on e[0,1]: its exponent 0 is not 1,"
         " the exponent of its image e[1,0]"
     )
 

@@ -12,8 +12,8 @@ from loopforms.grading import (
     AutomorphismError,
     FiniteOrderAutomorphism,
     check_automorphism,
-    check_diagonal_automorphism,
     eigengrading,
+    identity_automorphism,
     twist,
 )
 from loopforms.chevalley import (
@@ -39,6 +39,7 @@ from loopforms.chevalley import (
 from loopforms.record import RequestError
 from dense import (
     basis_vector,
+    check_diagonal_automorphism,
     dense_product,
     densify,
     diagram_and_composition,
@@ -632,14 +633,15 @@ def test_charged_composition_matches_three_passes(label, perm, charge):
 
 @pytest.mark.parametrize("label", [label for label in TYPE_LABELS if cartan_matrix(label).rank <= 6])
 def test_identity_certificate_equals_propagated_identity(label):
-    # the diagonal certificate with every exponent 0, which diagram_automorphism
-    # returns for the identity symmetry, against the propagated identity map
-    # and its full pair check
+    # the identity certificate, which diagram_automorphism returns for the
+    # identity symmetry with no table pass, against the propagated identity
+    # map with its full pair check, and the diagonal map with every exponent 0
     rs, alg = standard_algebra(label)
     identity = DiagramPermutation.identity(rs.rank)
     propagated = check_automorphism(alg, *propagated_diagram_map(alg, rs, identity), 1)
-    certificate = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    certificate = identity_automorphism(alg)
     assert propagated == certificate == diagram_automorphism(alg, rs, identity)
+    assert certificate == check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     assert propagated.images == tuple(range(alg.dim))
 
 
@@ -808,8 +810,8 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     one = cyclo.CycloNum.one(alg.scalar_order)
     identity = check_automorphism(alg, range(3), [one] * 3, 2)
     try:
-        descent._verify_untwist(alg, identity, (0, 3, -1))
-    except descent.DescentError as exc:
+        descent.untwist_iso(alg, identity, (0, 3, -1), 2)
+    except AutomorphismError as exc:
         print("refused:", exc)
     """
 )
@@ -827,11 +829,12 @@ def test_certificate_checks_survive_optimize_flag():
     lines = result.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1] == (
-        "refused: factors fail to commute on e[0,1]: its exponent 0 differs mod 3 from 1,"
+        "refused: exponent invariance fails on e[0,1]: its exponent 0 is not 1,"
         " the exponent of its image e[1,0]"
     )
     assert lines[2] == "refused: polynomial division needs a monic divisor"
     assert lines[3] == "refused: component vector 0 is 2 at its pivot 1, not 1"
     assert lines[4] == (
-        "refused: bracket preservation fails on the pair (e[1], f[1]): shift 0 of h1 is not 3 + -1"
+        "refused: exponent additivity fails on basis pair (e[1], f[1]):"
+        " exponent 0 of h1 is not 3 + -1"
     )

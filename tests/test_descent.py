@@ -1,19 +1,24 @@
 import importlib.util
 import json
 import sys
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from dense import (
     TWIST_FIXTURES,
+    DescentError,
     LoopCocycle,
+    _verify_untwist,
     build_cocycle,
+    check_diagonal_automorphism,
     coboundary_witness_matrix,
     densify,
     is_identity,
     mat_mul,
     mat_pow,
+    twist_factors,
     twist_fixture,
     twisted_fixed_points,
     untwist_matrix_iso,
@@ -32,7 +37,6 @@ from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.linalg import nullspace
 from loopforms.record import RequestError
 from loopforms.descent import (
-    DescentError,
     build_matrix_algebra,
     fixed_point_report,
     matrix_twist_factors,
@@ -44,8 +48,8 @@ from loopforms.grading import (
     FiniteOrderAutomorphism,
     GradingError,
     check_automorphism,
-    check_diagonal_automorphism,
     eigengrading,
+    identity_automorphism,
     twist,
 )
 
@@ -353,11 +357,16 @@ def test_perturbed_shift_fails_additivity():
         "A1", DiagramPermutation.identity(1), (1,), 2
     )
     assert shifts == (0, 1, -1)
-    descent._verify_untwist(alg, outer, shifts)
+    assert untwist_iso(alg, outer, shifts, 2).shifts == shifts
     # e moves by one period more: it still lands, but [e, f] = h breaks 3 - 1 = 0
     bad = (0, 3, -1)
+    with pytest.raises(AutomorphismError) as refused:
+        untwist_iso(alg, outer, bad, 2)
+    assert str(refused.value) == (
+        "exponent additivity fails on basis pair (e[1], f[1]): exponent 0 of h1 is not 3 + -1"
+    )
     with pytest.raises(DescentError, match=r"bracket preservation fails on the pair \(e\[1\], f\[1\]\)"):
-        descent._verify_untwist(alg, outer, bad)
+        _verify_untwist(alg, outer, bad)
     with pytest.raises(DescentError, match="bracket preservation"):
         windowed_untwist_check(alg, *gradings, bad, 4)
 
@@ -382,14 +391,20 @@ def test_orbit_breaking_shift_does_not_land():
     h1, h2 = alg.basis_labels.index("h1"), alg.basis_labels.index("h2")
     assert (outer.images[h1], shifts[h1], shifts[h2]) == (h2, 0, 0)
     # a full period more on h1 alone names the same twist, mod 6, but the
-    # flip swaps h1 and h2, so the flip-invariant h1 + h2 splits across degrees
+    # flip swaps h1 and h2, so the flip-invariant h1 + h2 splits across degrees;
+    # the untwisting shift is twice the exponent, as the period is 6 and m = 3
     bad = tuple(x + 6 if k == h1 else x for k, x in enumerate(shifts))
+    with pytest.raises(AutomorphismError) as refused:
+        untwist_iso(alg, outer, tuple(x // 2 for x in bad), 3)
+    assert str(refused.value) == (
+        "exponent invariance fails on h1: its exponent 3 is not 0, the exponent of its image h2"
+    )
     with pytest.raises(DescentError, match="lands-in-target: shift 0 of h2 is not the shift 6 of h1"):
-        descent._verify_untwist(alg, outer, bad)
+        _verify_untwist(alg, outer, bad)
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, *gradings, bad, 12)
     # nor does the flip twist untwist onto the identity outer map
-    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    identity = identity_automorphism(alg)
     trivial = eigengrading(alg, twist(alg, identity, (0,) * alg.dim, 6))
     with pytest.raises(DescentError, match="lands-in-target"):
         windowed_untwist_check(alg, gradings[0], trivial, shifts, 12)
@@ -404,8 +419,13 @@ def test_residue_two_is_covered_beyond_the_window():
     assert bad != shifts
     # degrees -1..1 never reach residue 2, so a window-1 slice check misses it
     windowed_untwist_check(alg, *gradings, bad, 1)
+    with pytest.raises(AutomorphismError) as refused:
+        untwist_iso(alg, outer, bad, 4)
+    assert str(refused.value) == (
+        "exponent additivity fails on basis pair (e[0,1], e[1,0]): exponent 6 of e[1,1] is not 1 + 1"
+    )
     with pytest.raises(DescentError, match=r"\(e\[0,1\], e\[1,0\]\): shift 6 of e\[1,1\] is not 1 \+ 1"):
-        descent._verify_untwist(alg, outer, bad)
+        _verify_untwist(alg, outer, bad)
 
 
 def test_untwist_computes_no_grading(monkeypatch, capsys):
@@ -439,10 +459,94 @@ def test_perturbed_coboundary_shift_detected():
     # moved by a full period it names the same twist, but the map that lowers
     # degrees by it breaks [e[0,1], e[1,0]]
     moved = tuple(x + m if k == e01 else x for k, x in enumerate(shifts))
-    with pytest.raises(
-        DescentError, match=r"bracket preservation fails on the pair \(e\[0,1\], e\[1,0\]\)"
-    ):
+    with pytest.raises(AutomorphismError) as refused:
         untwist_iso(alg, identity, moved, m)
+    assert str(refused.value) == (
+        "exponent additivity fails on basis pair (e[0,1], e[1,0]): exponent 1 of e[1,1] is not 3 + 1"
+    )
+    assert check_diagonal_automorphism(alg, moved, m) == twist(alg, identity, shifts, m)
+
+
+def _oracle_twist(alg, outer, exponents, m):
+    """outer o diag(zeta_m^p) as the two passes that `twist` replaced
+    certified it, or None where either refuses: the diagonal factor by
+    additivity mod m, and the untwisting shift by invariance and additivity
+    as integers."""
+    try:
+        diagonal = check_diagonal_automorphism(alg, exponents, m)
+        period = lcm(outer.period, m)
+        _verify_untwist(alg, outer, [(period // m) * p for p in exponents])
+    except (AutomorphismError, DescentError):
+        return None
+    return outer.compose(diagonal)
+
+
+def _twist_or_none(alg, outer, exponents, m):
+    try:
+        return twist(alg, outer, exponents, m)
+    except AutomorphismError:
+        return None
+
+
+_UNTWIST_TABLE_ROWS = [line for line, _ in cli._VERIFY_TABLE if line.startswith("untwist ")]
+
+
+def _request_factors(line, monkeypatch, capsys):
+    """The factors (alg, outer, exponents, m) that one CLI request hands to
+    `untwist_iso`."""
+    calls = []
+    real = descent.untwist_iso
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopforms") and getattr(module, "untwist_iso", None) is real:
+            monkeypatch.setattr(module, "untwist_iso", recording)
+    assert cli.main(line.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("row", [*TWIST_FIXTURES, *_UNTWIST_TABLE_ROWS])
+def test_twist_accepts_exactly_what_both_oracles_accept(row, monkeypatch, capsys):
+    if row in TWIST_FIXTURES:
+        alg, outer, exponents, m = twist_factors(row)
+    else:
+        alg, outer, exponents, m = _request_factors(row, monkeypatch, capsys)
+    # the factors, and each exponent moved by one and by m: a move by one
+    # names another diagonal map, a move by m the same one mod m but another
+    # untwisting shift
+    moved = [
+        tuple(p + step if j == k else p for j, p in enumerate(exponents))
+        for k in range(alg.dim)
+        for step in (1, m)
+    ]
+    assert _twist_or_none(alg, outer, exponents, m) is not None
+    for p in [tuple(exponents), *moved]:
+        expected = _oracle_twist(alg, outer, p, m)
+        sigma = _twist_or_none(alg, outer, p, m)
+        assert sigma == expected, p
+        if sigma is not None:
+            assert sigma.period == expected.period == lcm(outer.period, m)
+            assert sigma.certified_on(alg)
+
+
+def test_twist_asks_for_the_integer_lift_of_its_exponents():
+    alg, identity, exponents, m = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    assert alg.basis_labels == ("h1", "e[1]", "f[1]") and exponents == (0, 1, -1)
+    # (0, 1, 1) is additive mod 2 only: [e, f] = h has 0 = 1 + 1 mod 2
+    oracle = check_diagonal_automorphism(alg, (0, 1, 1), 2)
+    with pytest.raises(AutomorphismError) as refused:
+        twist(alg, identity, (0, 1, 1), 2)
+    assert str(refused.value) == (
+        "exponent additivity fails on basis pair (e[1], f[1]): exponent 0 of h1 is not 1 + 1"
+    )
+    # its lift, the pairing with s = (1), names the same sigma
+    lifted = twist(alg, identity, (0, 1, -1), 2)
+    assert lifted == oracle and lifted.period == 2
 
 
 def test_matrix_unit_shifts_m3():
@@ -478,9 +582,9 @@ def test_coboundary_rejects_rank_mismatch():
     # vector of A1, not of A2
     rs1, _ = algebra_over("A1", 2)
     rs, alg = algebra_over("A2", 2)
-    identity = check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
+    identity = identity_automorphism(alg)
     with pytest.raises(
-        ValueError, match="the diagonal map needs one exponent per basis element, 8 in all"
+        AutomorphismError, match="the diagonal map needs one exponent per basis element, 8 in all"
     ):
         untwist_iso(alg, identity, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2)
 

@@ -158,11 +158,21 @@ def _words(*names):
             ),
             id="cocycle recomputation",
         ),
-        # untwist_iso is the one descent certificate: the coboundary row is
-        # read off it (descent.UntwistIso.witness_checks), the twist's factors
-        # are how grading.twist composed it, and a report row is a dict
+        # untwist_iso is the one descent certificate, read off grading.twist:
+        # the coboundary row is read off it (descent.UntwistIso.witness_checks),
+        # the twist's factors are how grading.twist composed it, and a report
+        # row is a dict
         pytest.param(
             _words("coboundary_witness", "CheckReport", "_off_factor"), id="descent rows"
+        ),
+        # grading.twist's integer clauses certify the diagonal factor, the
+        # commuting and the untwisting map at once, and identity_automorphism
+        # the identity: no second pass over the table, which
+        # tests/dense.check_diagonal_automorphism and _verify_untwist keep as
+        # the oracles, and no error class that nothing raises
+        pytest.param(
+            _words("check_diagonal_automorphism", "_verify_untwist", "DescentError"),
+            id="second twist certificate",
         ),
         # inverse conjugacy and the k-count are read off the class table's
         # inverse column (classify.ConjClassTable): no witness search, which
