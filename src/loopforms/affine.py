@@ -1,14 +1,17 @@
 """Affine type certificates for twisted loop algebras.
 
-Given L(sigma) for sigma = pi o tau_s, the root data of the loop algebra
-determines a generalized Cartan matrix: read the weight under the pi-fixed
-Cartan h0 off every vector of the closed-form grading, order the resulting
-affine roots by (degree, then lexicographic weight), pick the
-indecomposable positives in degrees 0 through deg delta (delta the least
-positive imaginary root, deg delta <= period) as a base, normalize coroots
-through exact sl2-triples, and read off the matrix A_ij = weight_j(h_i).
-Degree j of the loop algebra is the grading component j mod period, so the
-root data is stored once per residue and a degree reads its residue.
+The loop algebra is handed in as a twist sigma certified on a table, and is
+read as Kac reads it (Infinite-Dimensional Lie Algebras, Ch. 7-8): the
+grading L(sigma) = sum of g_j z^j and the fixed Cartan h0 in g_0 determine a
+generalized Cartan matrix, and no presentation pi o tau_s of sigma is read.
+h0 is read off grading component 0 (`fixed_cartan`).  Read the weight under
+h0 off every vector of the closed-form grading, order the resulting affine
+roots by (degree, then lexicographic weight), pick the indecomposable
+positives in degrees 0 through deg delta (delta the least positive
+imaginary root, deg delta <= period) as a base, normalize coroots through
+exact sl2-triples, and read off the matrix A_ij = weight_j(h_i).  Degree j
+of the loop algebra is the grading component j mod period, so the root data
+is stored once per residue and a degree reads its residue.
 
 The positivity order is a group order, so the selected base is a genuine
 base of the affine system even though it need not be the textbook one; the
@@ -34,21 +37,16 @@ from typing import Optional, Sequence
 
 from .algebra import MultTableAlgebra
 from .chevalley import (
-    DiagramPermutation,
-    RootSystem,
     TYPE_LABELS,
-    ToralCharge,
     _cartan_axioms,
     _symmetrizers,
     cartan_matrix,
-    check_twist,
     highest_root,
     int_rank_det,
     node_isomorphisms,
-    type_twist_factors,
 )
 from .cyclo import CycloNum, Sparse
-from .grading import ComponentSolver, GradedDecomposition, eigengrading, twist
+from .grading import ComponentSolver, FiniteOrderAutomorphism, GradedDecomposition, eigengrading
 from .record import Record
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "AffineRootData",
     "CatalogEntry",
     "ExtractionReport",
-    "FixedCartan",
     "GCM",
     "affine_catalog",
     "affine_certificate",
@@ -80,35 +77,27 @@ class AffineExtractError(ValueError):
 Weight = tuple[int, ...]
 
 
-class FixedCartan(Record):
-    """Basis of h0 = h^pi: the orbit sums of the h_i, one per pi-orbit."""
+def fixed_cartan(grading: GradedDecomposition, rank: int) -> tuple[Sparse, ...]:
+    """h0 = h^sigma: the vectors of grading component 0 whose support lies
+    in h_1..h_l, the basis indices below `rank`.
 
-    basis: tuple[Sparse, ...]
-    orbits: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-def fixed_cartan(alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation) -> FixedCartan:
-    """Orbit sums b_O = sum_{i in O} h_i, abelian because the h_i commute:
+    On the table of a type label, the twist is sigma = pi o tau_s for a
+    diagram symmetry pi and a toral charge s: tau_s fixes each h_i and pi
+    permutes them, so these are the orbit sums b_O = sum_{i in O} h_i, one
+    per pi-orbit, in the order of their smallest index (`eigengrading`
+    reads the eigenvalue-1 vector of a cycle of ones).  They commute because
     the table of a type label is its fold (`chevalley._fold`), which writes
     no product of two Cartan elements.
 
-    Each b_O is 1 at its smallest index and the orbits are disjoint, so
-    `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
+    Component vectors are 1 at their smallest index with disjoint supports,
+    so `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
     acts on e_alpha by the integer sum_{i in O} <alpha, alpha_i^vee>, the
     same for every root of a pi-orbit, which is what lets `affine_roots` read
-    the weights off the closed-form grading.  A perm that does not preserve
-    the Cartan matrix of rs is refused first, by `chevalley.check_twist`,
-    with `record.RequestError`.
+    the weights off the closed-form grading; it checks that each vector is
+    an h0-eigenvector of integer weight, and that h0 is all of the
+    zero-weight space of component 0.
     """
-    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
-    orbits = perm.orbits()
-    one = CycloNum.one(alg.scalar_order)
-    basis = [{i: one for i in orbit} for orbit in orbits]
-    return FixedCartan(basis=tuple(basis), orbits=orbits)
+    return tuple(v for v in grading.component_bases[0] if max(v) < rank)
 
 
 class AffineRoot(Record):
@@ -125,7 +114,7 @@ class AffineRootData(Record):
     order.  Degree j of the loop algebra is component j mod period, so the
     space of a weight in any degree is read off its residue (`space`)."""
 
-    h0: FixedCartan
+    h0: tuple[Sparse, ...]
     period: int
     spaces: tuple[dict[Weight, tuple[Sparse, ...]], ...]
 
@@ -136,7 +125,7 @@ class AffineRootData(Record):
 def affine_roots(
     alg: MultTableAlgebra,
     grading: GradedDecomposition,
-    h0: FixedCartan,
+    h0: tuple[Sparse, ...],
 ) -> AffineRootData:
     """Ad-h0 weight decomposition of every grading component, read off the
     closed-form grading.
@@ -155,14 +144,14 @@ def affine_roots(
     spaces of the other residues are the imaginary layer.
     """
     m = grading.period
-    zero = (0,) * h0.rank
+    zero = (0,) * len(h0)
     spaces = []
     for res in range(m):
         groups: dict[Weight, list[Sparse]] = {}
         for v in grading.component_bases[res]:
             pivot = min(v)
             weight = []
-            for h in h0.basis:
+            for h in h0:
                 p = alg.product_sparse(h, v)
                 w = p.get(pivot)
                 if p != ({} if w is None else {k: w * x for k, x in v.items()}):
@@ -181,7 +170,7 @@ def affine_roots(
                 raise AffineExtractError(
                     f"real root {w} in residue {res} has multiplicity {len(vectors)}"
                 )
-        if res == 0 and len(space.get(zero, ())) != h0.rank:
+        if res == 0 and len(space.get(zero, ())) != len(h0):
             raise AffineExtractError(
                 "zero-weight space in residue 0 exceeds the fixed Cartan; "
                 "unsupported twist shape"
@@ -214,7 +203,7 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
     0..deg delta are listed.
     """
     m = data.period
-    zero = (0,) * data.h0.rank
+    zero = (0,) * len(data.h0)
     # residue 0 holds h0 (`affine_roots` checks it), so j = period qualifies
     top = next(j for j in range(1, m + 1) if zero in data.spaces[j % m])
     # in (degree, weight) order: each residue lists its weights sorted
@@ -230,7 +219,7 @@ def simple_affine_roots(data: AffineRootData) -> tuple[AffineRoot, ...]:
             (tuple(a - b for a, b in zip(w, w1)), j - j1) in known for w1, j1 in positives
         )
     )
-    expected = data.h0.rank + 1
+    expected = len(data.h0) + 1
     if len(base) != expected:
         raise AffineExtractError(
             f"base has {len(base)} roots, expected {expected}; "
@@ -298,7 +287,7 @@ def extract_gcm(
     """
     order = alg.scalar_order
     h0 = data.h0
-    solver = ComponentSolver(h0.basis)
+    solver = ComponentSolver(h0)
     zero = CycloNum.zero(order)
     coroots: list[tuple[CycloNum, ...]] = []
     for root in base:
@@ -315,7 +304,7 @@ def extract_gcm(
         if pairing.is_zero():
             raise AffineExtractError(f"degenerate pairing for base root {root.weight}")
         scale = CycloNum.rational(order, 2) / pairing
-        coroot = tuple(scale * coords.get(k, zero) for k in range(h0.rank))
+        coroot = tuple(scale * coords.get(k, zero) for k in range(len(h0)))
         if not all(c.is_rational() for c in coroot):
             raise AffineExtractError(f"coroot of base root {root.weight} is not rational")
         coroots.append(coroot)
@@ -472,10 +461,6 @@ def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
 
 
 class ExtractionReport(Record):
-    type_label: str
-    perm: DiagramPermutation
-    charge: ToralCharge
-    alg: MultTableAlgebra
     grading: GradedDecomposition
     certificate: GCMCertificate
     label: AffineLabel
@@ -491,34 +476,20 @@ class ExtractionReport(Record):
 
 
 def affine_certificate(
-    type_label: str,
-    perm: Optional[DiagramPermutation] = None,
-    charge: Optional[ToralCharge] = None,
+    type_label: str, alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism
 ) -> ExtractionReport:
-    """Full pipeline: build and grade L(pi o tau_s), extract its GCM, match
-    the label.  The report carries the algebra and grading it was read from.
+    """Full pipeline on a twist sigma certified on alg, the table of
+    `type_label` (`eigengrading` refuses any other sigma): grade L(sigma),
+    read h0 off its component 0, extract the GCM and match the label.  The
+    report carries the grading it was read from.
 
     The GCM is matched against the requested type's own rows alone
     (`match_own_type`); when none matches, the request is refused.
     """
-    rank = cartan_matrix(type_label).rank
-    if perm is None:
-        perm = DiagramPermutation.identity(rank)
-    if charge is None:
-        charge = ToralCharge.trivial(rank)
-    rs, alg, *factors = type_twist_factors(type_label, perm, charge)
-    grading = eigengrading(alg, twist(alg, *factors))
-    data = affine_roots(alg, grading, fixed_cartan(alg, rs, perm))
+    grading = eigengrading(alg, sigma)
+    data = affine_roots(alg, grading, fixed_cartan(grading, cartan_matrix(type_label).rank))
     cert = extract_gcm(alg, simple_affine_roots(data), data)
     label = match_own_type(cert.gcm, type_label)
     if label is None:
         raise AffineExtractError(f"the extracted matrix matches no form of {type_label}")
-    return ExtractionReport(
-        type_label=type_label,
-        perm=perm,
-        charge=charge,
-        alg=alg,
-        grading=grading,
-        certificate=cert,
-        label=label,
-    )
+    return ExtractionReport(grading=grading, certificate=cert, label=label)

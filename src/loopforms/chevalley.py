@@ -17,11 +17,12 @@ automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
 trivial).  `check_twist` alone decides that pi o tau_s is a twist of the
 type, and raises `record.RequestError` when it is not; each public entry
-that takes pi calls it (`type_twist_factors`, `diagram_automorphism`,
-`affine.fixed_cartan`).  `type_twist_factors` builds the algebra over
-Q(zeta_M), M = lcm(|pi|, m), and returns the two factors as `grading.twist`
-takes them, as `descent.matrix_twist_factors` does for M_n; `grading.twist`
-certifies every twist, here and on M_n alike.  `affine.GCM` shares
+that takes pi calls it (`type_twist_factors`, `diagram_automorphism`).
+`type_twist_factors` builds the algebra over Q(zeta_M), M = lcm(|pi|, m),
+and returns the two factors as `grading.twist` takes them, as
+`descent.matrix_twist_factors` does for M_n; `grading.twist` certifies
+every twist, here and on M_n alike, and `affine` takes that certified twist,
+not pi.  `affine.GCM` shares
 `_cartan_axioms` and `int_rank_det` with `FiniteCartanMatrix`.
 """
 

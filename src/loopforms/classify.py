@@ -26,9 +26,12 @@ from .centroid import centroid_graded
 from .chevalley import (
     DiagramPermutation,
     FiniteCartanMatrix,
+    ToralCharge,
     cartan_matrix,
     node_isomorphisms,
+    type_twist_factors,
 )
+from .grading import twist
 from .record import Record
 
 __all__ = [
@@ -201,8 +204,10 @@ def classify_type(type_label: str) -> Classification:
     """Classify the loop algebras of one type and verify both hypotheses.
 
     Out and its class table are built once.  Each class representative pi
-    gives one row: L(pi) is built and graded once, by `affine_certificate`,
-    and its centroid is solved on the algebra and grading that report carries.
+    gives one row: its twist is built by `type_twist_factors` and `twist`,
+    as the CLI's twist commands build theirs, L(pi) is graded once, by
+    `affine_certificate`, and its centroid is solved on that algebra and
+    the grading the report carries.
 
     The k-relation merges sigma with sigma^-1 (swapping the two ends of the
     punctured line).  When every element is conjugate to its inverse and the
@@ -216,10 +221,12 @@ def classify_type(type_label: str) -> Classification:
     """
     cartan = cartan_matrix(type_label)
     table = conjugacy_classes(dynkin_automorphism_group(cartan))
+    trivial = ToralCharge.trivial(cartan.rank)
     rows = []
     for rep, size in table.classes:
-        report = affine_certificate(type_label, perm=rep)
-        centroid = centroid_graded(report.alg, report.grading)
+        _, alg, *factors = type_twist_factors(type_label, rep, trivial)
+        report = affine_certificate(type_label, alg, twist(alg, *factors))
+        centroid = centroid_graded(alg, report.grading)
         rows.append(
             ClassificationRow(
                 class_rep=rep,

@@ -163,9 +163,10 @@ def _load_algebra(path: str) -> MultTableAlgebra:
 
 
 def _build_sigma(args: _Args, source: str, spec: dict):
-    """Shared resolver for grade / untwist / descent-verify / centroid: the
-    table, the factors (outer, exponents, m) of its twist as
-    `grading.twist` takes them, and the echo of the request."""
+    """Shared resolver for the five twist commands (grade, extract-gcm,
+    untwist, descent-verify, centroid): the table, the factors (outer,
+    exponents, m) of its twist as `grading.twist` takes them, and the echo
+    of the request."""
     if source == "type":
         from .chevalley import cartan_matrix, type_twist_factors
 
@@ -258,13 +259,12 @@ def _cmd_classify(args: _Args, source: str, spec: dict) -> dict:
 
 def _cmd_extract_gcm(args: _Args, source: str, spec: dict) -> dict:
     from .affine import affine_certificate
-    from .chevalley import cartan_matrix
+    from .grading import twist
 
-    perm, charge = _type_auto(spec, cartan_matrix(args.type))
-    report = affine_certificate(args.type, perm=perm, charge=charge)
+    alg, *factors, echo = _build_sigma(args, source, spec)
+    report = affine_certificate(args.type, alg, twist(alg, *factors))
     return {
-        "type": args.type,
-        "auto": _auto_echo(perm, charge),
+        **echo,
         **report.to_obj(),
         "grading_dims": list(report.grading.dims),
         "status": "pass",

@@ -20,9 +20,11 @@ checks a grading degree by degree in a window.  `FractionCyclo` is Q(zeta_m)
 on Fraction coefficients, the reference for the integer numerators and one denominator of `CycloNum`.
 `kernel_affine_roots` decomposes each grading component by one nullspace per
 candidate weight, the reference for the weights `affine.affine_roots` reads
-off the closed-form grading.  `fraction_rank_det` is elimination over
-Fraction, the reference for the integer Bareiss `chevalley.int_rank_det`, and
-`all_pairs_centroid` imposes the centroid conditions on every pair of
+off the closed-form grading, and `orbit_sum_cartan` builds h0 from pi, the
+reference for the h0 that `affine.fixed_cartan` reads off component 0.
+`fraction_rank_det` is elimination over Fraction, the reference for the
+integer Bareiss `chevalley.int_rank_det`, and `all_pairs_centroid` imposes
+the centroid conditions on every pair of
 homogeneous basis vectors, the reference for `centroid.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
@@ -63,7 +65,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from loopforms.affine import AffineExtractError, AffineRootData, FixedCartan
+from loopforms.affine import AffineExtractError, AffineRootData
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation, make_table
 from loopforms.centroid import CentroidReport
 from loopforms.chevalley import (
@@ -557,27 +559,35 @@ def all_pairs_centroid(
 # -- affine weights by candidate kernels ------------------------------------------
 
 
+def orbit_sum_cartan(alg: MultTableAlgebra, perm: DiagramPermutation) -> tuple[Sparse, ...]:
+    """h0 = h^pi built from pi: b_O = sum_{i in O} h_i, one per orbit of pi,
+    in the order of `perm.orbits()`."""
+    one = CycloNum.one(alg.scalar_order)
+    return tuple({i: one for i in orbit} for orbit in perm.orbits())
+
+
 def kernel_affine_roots(
     alg: MultTableAlgebra,
     rs: RootSystem,
     grading: GradedDecomposition,
-    h0: FixedCartan,
+    h0: tuple[Sparse, ...],
 ) -> AffineRootData:
     """The ad-h0 weight decomposition by elimination: the ad-h0 matrices of
     every component, then one nullspace per candidate weight.
 
     The candidates are the values of ad h0 on the root vectors (for a root
-    alpha, sum_{i in O} <alpha, alpha_i^vee> on the orbit sum b_O) and 0; the
-    kernels must exhaust each component.
+    alpha, sum_{i in O} <alpha, alpha_i^vee> on the orbit sum b_O, the orbit
+    O read off the support of b_O) and 0; the kernels must exhaust each
+    component.
     """
     m = grading.period
     order = grading.scalar_order
-    rank_h0 = h0.rank
+    rank_h0 = len(h0)
+    orbits = [sorted(b) for b in h0]
     candidates = {
-        tuple(sum(rs.pairing(alpha, i) for i in orbit) for orbit in h0.orbits)
-        for alpha in rs.roots
+        tuple(sum(rs.pairing(alpha, i) for i in orbit) for orbit in orbits) for alpha in rs.roots
     }
-    candidates.add(tuple(0 for _ in h0.orbits))
+    candidates.add((0,) * rank_h0)
     spaces = []
     for res in range(m):
         component = grading.component_bases[res]
@@ -591,7 +601,7 @@ def kernel_affine_roots(
         for k in range(rank_h0):
             rows_k: list[Sparse] = [{} for _ in range(c)]
             for j, v in enumerate(component):
-                coords = solver.coords(alg.product_sparse(h0.basis[k], v))
+                coords = solver.coords(alg.product_sparse(h0[k], v))
                 if coords is None:
                     raise AffineExtractError(f"component {res} is not stable under the fixed Cartan")
                 for i, x in coords.items():

@@ -6,16 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from dense import kernel_affine_roots
+from dense import kernel_affine_roots, orbit_sum_cartan
 from ledger import assert_replays, recorder
-from loopforms import affine, cli
+from loopforms import affine, chevalley, cli
 from loopforms.affine import (
     GCM,
     AffineExtractError,
     AffineLabel,
     AffineRoot,
     AffineRootData,
-    FixedCartan,
     affine_catalog,
     affine_certificate,
     affine_roots,
@@ -37,8 +36,7 @@ from loopforms.chevalley import (
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.grading import ComponentSolver, eigengrading, twist
-from loopforms.record import RequestError
+from loopforms.grading import ComponentSolver, GradingError, eigengrading, twist
 from loopforms.linalg import SpanSolver
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
@@ -51,7 +49,17 @@ def _twist(label, perm=None, s=None, m=1):
     charge = ToralCharge(s=s or (0,) * rank, modulus=m)
     rs, alg, *factors = type_twist_factors(label, perm, charge)
     grading = eigengrading(alg, twist(alg, *factors))
-    return alg, rs, grading, fixed_cartan(alg, rs, perm)
+    return alg, rs, grading, fixed_cartan(grading, rs.rank)
+
+
+def _certificate(label, perm=None, charge=None):
+    """`affine_certificate` of L(pi o tau_s), its twist built as the CLI
+    builds it."""
+    rank = cartan_matrix(label).rank
+    perm = perm or DiagramPermutation.identity(rank)
+    charge = charge or ToralCharge.trivial(rank)
+    _, alg, *factors = type_twist_factors(label, perm, charge)
+    return affine_certificate(label, alg, twist(alg, *factors))
 
 
 def _pipeline(label, images):
@@ -80,19 +88,33 @@ _CATALOG_FIXTURES = (
 
 
 def test_fixed_cartan_a2_flip():
-    rs, alg = algebra_over("A2", 2)
-    fc = fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
-    assert fc.rank == 1
-    assert fc.orbits == ((0, 1),)
+    # h1 + h2, the one orbit sum of the flip, out of the 3 vectors of
+    # component 0 (the other two are orbit sums of root vectors)
+    alg, _, grading, h0 = _twist("A2", DiagramPermutation((1, 0)))
+    one = CycloNum.one(alg.scalar_order)
+    assert len(grading.component_bases[0]) == 3
+    assert h0 == ({0: one, 1: one},)
 
 
-def test_fixed_cartan_rejects_bad_permutation():
-    rs, alg = algebra_over("B2", 1)
-    # refused by chevalley.check_twist: a malformed input, not a failed extraction
-    with pytest.raises(RequestError, match=r"Cartan matrix of B2: pi = \[2, 1\]"):
-        fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
-    with pytest.raises(RequestError, match=r"Cartan matrix of B2: pi = \[1, 2, 3\]"):
-        fixed_cartan(alg, rs, DiagramPermutation.identity(3))
+def _charges(perm):
+    """The trivial charge, and s = 1 on the first orbit of pi at m = 2 and 3."""
+    rank = len(perm.images)
+    first = perm.orbits()[0]
+    s = tuple(int(i in first) for i in range(rank))
+    return (ToralCharge.trivial(rank), ToralCharge(s=s, modulus=2), ToralCharge(s=s, modulus=3))
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_fixed_cartan_equals_the_orbit_sums_of_pi(label):
+    # every diagram symmetry of the type, each at three charges: component
+    # 0's Cartan-supported vectors are the orbit sums built from pi, in the
+    # order of pi's orbits
+    cartan = cartan_matrix(label)
+    for perm in dynkin_automorphism_group(cartan).elements:
+        for charge in _charges(perm):
+            _, alg, *factors = type_twist_factors(label, perm, charge)
+            grading = eigengrading(alg, twist(alg, *factors))
+            assert fixed_cartan(grading, cartan.rank) == orbit_sum_cartan(alg, perm), (perm, charge)
 
 
 # -- root data -------------------------------------------------------------------
@@ -163,8 +185,8 @@ def test_toral_twist_has_the_label_of_its_diagram_part(case):
     # degrees up to deg delta, not only 0 and 1
     label, images, s, m, want = case
     perm = None if images is None else DiagramPermutation(images)
-    composed = affine_certificate(label, perm=perm, charge=ToralCharge(s=s, modulus=m))
-    plain = affine_certificate(label, perm=perm)
+    composed = _certificate(label, perm, ToralCharge(s=s, modulus=m))
+    plain = _certificate(label, perm)
     assert str(composed.label) == str(plain.label) == want
     assert max(r.degree for r in composed.certificate.base) > 1
 
@@ -210,7 +232,7 @@ def test_fixed_cartan_solver_equals_span_solver(fixture):
     # solved by elimination
     alg, _, grading, h0 = _twist(*fixture)
     data = affine_roots(alg, grading, h0)
-    fast, slow = ComponentSolver(h0.basis), SpanSolver(h0.basis)
+    fast, slow = ComponentSolver(h0), SpanSolver(h0)
     for res, space in enumerate(data.spaces):
         for w, vectors in space.items():
             if not any(w):
@@ -226,9 +248,9 @@ def test_fixed_cartan_solver_equals_span_solver(fixture):
 def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
     alg, rs, grading, h0 = _twist("A2")
     # h_1 plus one root vector: ad of it moves the Cartan vectors into e_alpha
-    tampered = dict(h0.basis[0])
+    tampered = dict(h0[0])
     tampered[rs.rank] = CycloNum.one(alg.scalar_order)
-    h0 = FixedCartan(basis=(tampered,) + h0.basis[1:], orbits=h0.orbits)
+    h0 = (tampered,) + h0[1:]
     with pytest.raises(
         AffineExtractError, match="a vector of component 0 is not diagonal under the fixed Cartan"
     ):
@@ -238,8 +260,7 @@ def test_affine_roots_rejects_a_fixed_cartan_that_is_not_diagonal():
 def test_affine_roots_rejects_non_integral_weights():
     alg, _, grading, h0 = _twist("A2")
     half = CycloNum.rational(alg.scalar_order, Fraction(1, 2))
-    basis = tuple({i: half * x for i, x in b.items()} for b in h0.basis)
-    h0 = FixedCartan(basis=basis, orbits=h0.orbits)
+    h0 = tuple({i: half * x for i, x in b.items()} for b in h0)
     with pytest.raises(AffineExtractError, match="has weight .*, not a rational integer"):
         affine_roots(alg, grading, h0)
 
@@ -248,19 +269,18 @@ def test_affine_roots_rejects_a_fixed_cartan_that_does_not_control_the_twist():
     # the untwisted grading of A2 read on the flip's fixed Cartan h1 + h2:
     # alpha_1 and alpha_2 have the same weight 1 there, and the negatives,
     # met first, the weight -1
-    alg, rs, grading, _ = _twist("A2")
-    h0 = fixed_cartan(alg, rs, DiagramPermutation((1, 0)))
+    alg, _, grading, _ = _twist("A2")
+    h0 = orbit_sum_cartan(alg, DiagramPermutation((1, 0)))
     with pytest.raises(
         AffineExtractError, match=r"real root \(-1,\) in residue 0 has multiplicity 2"
     ):
         affine_roots(alg, grading, h0)
     # on a fixed Cartan of rank 0 every vector has weight zero
-    empty = FixedCartan(basis=(), orbits=())
     with pytest.raises(
         AffineExtractError,
         match="zero-weight space in residue 0 exceeds the fixed Cartan; unsupported twist shape",
     ):
-        affine_roots(alg, grading, empty)
+        affine_roots(alg, grading, ())
 
 
 def test_simple_roots_need_rank_plus_one_roots():
@@ -312,8 +332,8 @@ def test_extract_gcm_refuses_hand_built_root_spaces():
 
 def test_extract_gcm_refuses_a_coroot_that_is_not_rational():
     # e = e1 + e2 and f = f1 + zeta f2 over Q(zeta_3): [e, f] = h1 + zeta h2
-    rs, alg = algebra_over("A2", 3)
-    h0 = fixed_cartan(alg, rs, DiagramPermutation.identity(2))
+    _, alg = algebra_over("A2", 3)
+    h0 = orbit_sum_cartan(alg, DiagramPermutation.identity(2))
     one, zeta = CycloNum.one(3), zeta_power(3, 1)
     e = _vector(alg, ("e[1,0]", one), ("e[0,1]", one))
     f = _vector(alg, ("f[1,0]", one), ("f[0,1]", zeta))
@@ -407,7 +427,7 @@ EXTRACTED = tuple(
 def test_extractor_agrees_with_catalog(label, images, catalog):
     rank = cartan_matrix(label).rank
     perm = DiagramPermutation.identity(rank) if images is None else DiagramPermutation(images)
-    report = affine_certificate(label, perm=perm)
+    report = _certificate(label, perm)
     assert (report.label.base_type, report.label.twist_order) == (label, perm.order())
     assert gcm_equivalent(report.gcm, _entry(catalog, label, perm.order()).gcm) is not None
 
@@ -436,7 +456,7 @@ def test_certificate_rejects_label_of_another_type(monkeypatch):
     _forbid_catalog(monkeypatch)
     monkeypatch.setattr(affine, "own_type_forms", lambda type_label: ())
     with pytest.raises(AffineExtractError, match="the extracted matrix matches no form of A2"):
-        affine_certificate("A2")
+        _certificate("A2")
 
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
@@ -462,7 +482,7 @@ def test_own_type_matcher_refuses_a_label_of_another_type(label, catalog):
 def test_certificate_reads_only_own_rows(monkeypatch):
     # a request whose label is among the type's own rows builds no catalog
     _forbid_catalog(monkeypatch)
-    report = affine_certificate("D4", perm=DiagramPermutation((3, 1, 0, 2)))
+    report = _certificate("D4", DiagramPermutation((3, 1, 0, 2)))
     assert str(report.label) == "D4^(3)"
 
 
@@ -583,17 +603,36 @@ def test_equivalence_distinguishes_same_size():
 
 
 def test_certificate_a2_composed_charge():
-    report = affine_certificate(
-        "A2",
-        perm=DiagramPermutation((1, 0)),
-        charge=ToralCharge(s=(1, 1), modulus=2),
-    )
+    report = _certificate("A2", DiagramPermutation((1, 0)), ToralCharge(s=(1, 1), modulus=2))
     assert str(report.label) == "A2^(2)"
     assert report.grading.period == 2
 
 
 def test_certificate_d4_triality_dims():
-    report = affine_certificate("D4", perm=DiagramPermutation((2, 1, 3, 0)))
+    report = _certificate("D4", DiagramPermutation((2, 1, 3, 0)))
     assert report.grading.dims == (14, 7, 7)
     assert str(report.label) == "D4^(3)"
     assert report.to_obj()["label"] == "D4^(3)"
+
+
+def test_certificate_refuses_a_twist_certified_on_another_table():
+    # two builds of the flipped A2 are two tables: a twist certified on one
+    # is refused on the other, by eigengrading
+    flip, trivial = DiagramPermutation((1, 0)), ToralCharge.trivial(2)
+    _, alg, *factors = type_twist_factors("A2", flip, trivial)
+    _, other, *_ = type_twist_factors("A2", flip, trivial)
+    sigma = twist(alg, *factors)
+    assert str(affine_certificate("A2", alg, sigma).label) == "A2^(2)"
+    with pytest.raises(GradingError, match="the automorphism is not certified on this table"):
+        affine_certificate("A2", other, sigma)
+
+
+def test_extract_gcm_checks_its_twist_twice(monkeypatch, capsys):
+    # type_twist_factors and diagram_automorphism each refuse a malformed pi
+    # through check_twist; affine takes the certified twist and checks none
+    calls = []
+    real = chevalley.check_twist
+    monkeypatch.setattr(chevalley, "check_twist", lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["extract-gcm", "--type", "D4", "--auto", '{"pi":[4,2,1,3]}']) == 0
+    capsys.readouterr()
+    assert len(calls) == 2

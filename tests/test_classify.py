@@ -208,11 +208,9 @@ def test_classify_fails_on_a_nontrivial_centroid(monkeypatch, capsys):
 def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
     real = classify.affine_certificate
 
-    def untwisted_label(type_label, perm):
-        report = real(type_label, perm=perm)
-        return SimpleNamespace(
-            label=AffineLabel(type_label, 1), alg=report.alg, grading=report.grading
-        )
+    def untwisted_label(type_label, alg, sigma):
+        report = real(type_label, alg, sigma)
+        return SimpleNamespace(label=AffineLabel(type_label, 1), grading=report.grading)
 
     monkeypatch.setattr(classify, "affine_certificate", untwisted_label)
     code, report = _classify_a2(capsys)
@@ -223,7 +221,8 @@ def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
 
 def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
     calls = dict.fromkeys(
-        ("dynkin_automorphism_group", "conjugacy_classes", "eigengrading", "_fold"), 0
+        ("dynkin_automorphism_group", "conjugacy_classes", "eigengrading", "_fold", "check_twist"),
+        0,
     )
 
     def counting(name, real):
@@ -235,13 +234,17 @@ def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
 
     for name in ("dynkin_automorphism_group", "conjugacy_classes"):
         monkeypatch.setattr(classify, name, counting(name, getattr(classify, name)))
-    # rebind every alias of eigengrading, so a call from any module is counted
-    real_grading = grading.eigengrading
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("loopforms") and (
-            getattr(module, "eigengrading", None) is real_grading
-        ):
-            monkeypatch.setattr(module, "eigengrading", counting("eigengrading", real_grading))
+    # rebind every alias of eigengrading and check_twist, so a call from
+    # any module is counted
+    for name, real in (
+        ("eigengrading", grading.eigengrading),
+        ("check_twist", chevalley.check_twist),
+    ):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("loopforms") and (
+                getattr(module, name, None) is real
+            ):
+                monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(chevalley, "_fold", counting("_fold", chevalley._fold))
     # an empty type cache, as in a fresh process
     fresh = lru_cache(maxsize=None)(chevalley.standard_algebra.__wrapped__)
@@ -249,12 +252,15 @@ def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
     assert cli.main(["classify", "--type", "D4"]) == 0
     capsys.readouterr()
     # three classes, each graded once: its centroid is solved on the grading
-    # its label was read from, and all three embed the one folded D4 table
+    # its label was read from, and all three embed the one folded D4 table;
+    # each class's pi is checked by type_twist_factors and
+    # diagram_automorphism, and not again by the extraction
     assert calls == {
         "dynkin_automorphism_group": 1,
         "conjugacy_classes": 1,
         "eigengrading": 3,
         "_fold": 1,
+        "check_twist": 6,
     }
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from loopforms.affine import AffineRootData
+from loopforms.affine import AffineRootData, ExtractionReport, affine_certificate
 from loopforms.centroid import centroid_graded
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,6 +208,8 @@ def _words(*names):
             _words("_extract_inner", "_algebra_over_cached", "_chevalley_cached", "graded_twist"),
             id="result caches",
         ),
+        # affine reads h0 off grading component 0: no record built from pi
+        pytest.param(_words("FixedCartan"), id="fixed cartan record"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -232,6 +234,18 @@ def test_only_chevalley_builds_type_twist_factors():
     # a type-label twist is built by chevalley.type_twist_factors alone
     others = [path for path in SOURCES if path != SRC / "loopforms" / "chevalley.py"]
     assert _matches(r"\b(?:diagram_automorphism|charge_pairings)\(", others) == []
+
+
+def test_affine_reads_the_certified_twist_it_is_handed():
+    # affine takes (type_label, alg, sigma): it names no pi or charge, runs
+    # no twist check, builds no twist, and reports only what it read
+    affine = SRC / "loopforms" / "affine.py"
+    names = _words("DiagramPermutation", "ToralCharge", "check_twist", "type_twist_factors")
+    assert _matches(names, [affine]) == []
+    signature = inspect.signature(affine_certificate).parameters
+    assert tuple(signature) == ("type_label", "alg", "sigma")
+    assert all(p.default is inspect.Parameter.empty for p in signature.values())
+    assert ExtractionReport._fields == ("grading", "certificate", "label")
 
 
 def test_descent_names_no_chevalley_import():
