@@ -41,7 +41,6 @@ _EXPORTS = {
         "chevalley_algebra",
         "diagram_automorphism",
         "root_system",
-        "standard_algebra",
         "type_twist_factors",
     ),
     "classify": (

@@ -33,7 +33,6 @@ __all__ = [
     "MultTableAlgebra",
     "ValidationReport",
     "Violation",
-    "embed_algebra",
     "make_table",
     "validate_algebra",
 ]
@@ -405,25 +404,3 @@ def _cycles(images: Sequence[int]) -> list[list[int]]:
         out.append(cycle)
     return out
 
-
-# -- change of scalar order --------------------------------------------------
-
-
-def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
-    if n == alg.scalar_order:
-        return alg
-    constants = tuple(
-        (i, j, tuple((k, c.embed(n)) for k, c in entry)) for i, j, entry in alg.constants
-    )
-    out = MultTableAlgebra(
-        dim=alg.dim,
-        scalar_order=n,
-        kind=alg.kind,
-        constants=constants,
-        basis_labels=alg.basis_labels,
-    )
-    if "validation" in alg.__dict__:
-        # the embedding of scalar fields is an injective ring map, so a law
-        # holds on a basis triple after it exactly when it held before
-        out.__dict__["validation"] = alg.validation
-    return out

@@ -6,10 +6,11 @@ reflections, and the algebra is realized on the basis h_1..h_l, e_alpha
 Infinite-Dimensional Lie Algebras, 7.8-7.9: the Cartan matrix is unfolded
 to a simply-laced cover (`_cover`), the cover's table is Frenkel and Kac's,
 built from a bimultiplicative sign (`_sign_form`), and the table is folded
-back by orbit sums (`_fold`).  A, D and E are their own cover.  The fold
-certifies the table with checks linear in its nonzero products, argued in
-`chevalley_algebra`; `algebra.validate_algebra`'s sweep is for tables read
-from a file.
+back by orbit sums (`_fold`), whose integer constants `chevalley_algebra`
+writes straight over Q(zeta_m), the field a twist of period m needs.  A, D
+and E are their own cover.  The fold certifies the table with checks linear
+in its nonzero products, argued in `chevalley_algebra`;
+`algebra.validate_algebra`'s sweep is for tables read from a file.
 
 Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
 automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
@@ -33,7 +34,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, embed_algebra, make_table
+from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, make_table
 from .cyclo import CycloNum
 from .record import Record, RequestError
 
@@ -57,7 +58,6 @@ __all__ = [
     "highest_root",
     "node_isomorphisms",
     "root_system",
-    "standard_algebra",
     "type_twist_factors",
 ]
 
@@ -161,11 +161,13 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
     "B2" has (2, 1), not (1, 2).  F4 and G2 are numbered in reverse: their
     highest roots come out as (2, 4, 3, 2) and (2, 3), where Bourbaki has
     (2, 3, 4, 2) and (3, 2).  This stands until ROADMAP item 1 renumbers
-    them.
+    them.  A label other than a family letter and a rank in ASCII digits, or
+    a rank its family lacks, is a malformed input: it raises RequestError.
     """
-    if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdigit():
-        raise LieConstructError(f"unknown type label {label!r}")
-    family, l = label[0], int(label[1:])
+    rank = label[1:]
+    if len(label) < 2 or label[0] not in "ABCDEFG" or not (rank.isascii() and rank.isdigit()):
+        raise RequestError(f"unknown type label {label!r}")
+    family, l = label[0], int(rank)
     valid = {
         "A": l >= 1,
         "B": l >= 2,
@@ -176,7 +178,7 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
         "G": l == 2,
     }[family]
     if not valid:
-        raise LieConstructError(f"unsupported type label {label!r}")
+        raise RequestError(f"unsupported type label {label!r}")
     if family == "A":
         a = _chain(l)
     elif family == "B":
@@ -378,7 +380,11 @@ def _sign_form(cover: FiniteCartanMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(p == q or p < q and a[p][q] != 0) for q in range(n)) for p in range(n))
 
 
-def _fold(rs: RootSystem) -> dict[tuple[int, int], dict[int, int]]:
+# the nonzero integer products {(i, j): {k: c}} of a folded table
+Fold = dict[tuple[int, int], dict[int, int]]
+
+
+def _fold(rs: RootSystem) -> Fold:
     """The nonzero integer products of the table of rs, in the layout of
     `_basis_layout`, folded from the Frenkel-Kac table of its cover.
 
@@ -481,17 +487,10 @@ def _basis_layout(rs: RootSystem) -> tuple[list[str], dict[Root, int]]:
     return labels, root_index
 
 
-@lru_cache(maxsize=None)
-def standard_algebra(label: str) -> tuple[RootSystem, MultTableAlgebra]:
-    """The split simple Lie algebra of the given type, over Q, built once per
-    process: `classify --type D4` folds one table for its three twists."""
-    rs = root_system(cartan_matrix(label))
-    return rs, chevalley_algebra(rs)
-
-
-def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
-    """Lie multiplication table on h_1..h_l, e_alpha, f_alpha over Q, of
-    dimension #roots + rank, folded from the simply-laced cover (`_fold`).
+def chevalley_algebra(rs: RootSystem, order: int) -> MultTableAlgebra:
+    """Lie multiplication table on h_1..h_l, e_alpha, f_alpha over
+    Q(zeta_order), of dimension #roots + rank: the integer constants folded
+    from the simply-laced cover (`_fold`), written as scalars of that order.
 
     Its certificate is linear in the nonzero products and has four parts:
 
@@ -513,14 +512,34 @@ def chevalley_algebra(rs: RootSystem) -> MultTableAlgebra:
     algebra (`MultTableAlgebra.validation`), so no table built here is swept
     by `validate_algebra`.
     """
+    return _write_table(rs, _fold(rs), order)
+
+
+def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
+    """The root system of a type label and its `chevalley_algebra` over
+    Q(zeta_order): a table of its own on every call, from one fold per type."""
+    rs, folded = _type_fold(label)
+    return rs, _write_table(rs, folded, order)
+
+
+@lru_cache(maxsize=None)
+def _type_fold(label: str) -> tuple[RootSystem, Fold]:
+    """A type's root system and integer fold, made once per process, so
+    `classify --type D4` folds D4 once for its three twists; never a table."""
+    rs = root_system(cartan_matrix(label))
+    return rs, _fold(rs)
+
+
+def _write_table(rs: RootSystem, folded: Fold, order: int) -> MultTableAlgebra:
+    """The fold of rs written over Q(zeta_order), checked and certified."""
     labels, _ = _basis_layout(rs)
-    entries = {
-        key: {k: CycloNum.rational(1, c) for k, c in entry.items()}
-        for key, entry in _fold(rs).items()
-    }
+    # a handful of integers recur, so each is made a scalar once
+    values = {c for entry in folded.values() for c in entry.values()}
+    scalar = {c: CycloNum.rational(order, c) for c in values}
+    entries = {key: {k: scalar[c] for k, c in entry.items()} for key, entry in folded.items()}
     alg = MultTableAlgebra(
         dim=len(labels),
-        scalar_order=1,
+        scalar_order=order,
         kind=KIND_LIE,
         constants=make_table(entries),
         basis_labels=tuple(labels),
@@ -732,9 +751,3 @@ def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
         out[idx] = charge.pairing(alpha)
     return tuple(out)
 
-
-def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
-    """`standard_algebra` with scalars embedded into Q(zeta_order), anew on
-    every call above order 1, keeping the table's certificate."""
-    rs, alg = standard_algebra(label)
-    return rs, embed_algebra(alg, order)

@@ -188,9 +188,9 @@ def _build_sigma(args: _Args, source: str, spec: dict):
 
 def _cmd_build(args: _Args, source: str, spec: dict) -> dict:
     if source == "type":
-        from .chevalley import standard_algebra
+        from .chevalley import algebra_over
 
-        rs, alg = standard_algebra(args.type)
+        rs, alg = algebra_over(args.type, 1)
         report = alg.validation
         payload = {
             "type": args.type,

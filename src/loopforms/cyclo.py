@@ -24,8 +24,8 @@ Two design rules hold throughout the package:
   other operand, since the rationals sit canonically inside every Q(zeta_m).
 
 The compatible choice of roots (zeta_m = zeta_n^(n/m) whenever m | n) is what
-`embed` implements, and the rest of the package relies on it when comparing
-eigenvalues of automorphisms of different periods.
+`embed` implements; the package writes each table over the field its twist
+needs, so only the tests embed, to check those tables against the ones over Q.
 
 Every layer imports this module, so it also holds the one vector type,
 `Sparse` ({index: CycloNum} with no zero entry), and `sparse_add`.
@@ -90,14 +90,20 @@ def _parse_coeff(text: object) -> tuple[int, int]:
     denominator, which is what `to_obj` writes.  The pair need not be in
     lowest terms.  Anything else raises RequestError naming the coefficient;
     no exponent, decimal point, sign but a leading minus, space or
-    underscore is read."""
+    underscore is read; a numeral past the interpreter's digit limit is
+    refused by its length, not echoed."""
     if type(text) is int:
         return text, 1
     if type(text) is str:
         top, slash, bottom = text.removeprefix("-").partition("/")
         if _digits(top) and (not slash or _digits(bottom)):
-            num = int(top)
-            den = int(bottom) if slash else 1
+            try:
+                num = int(top)
+                den = int(bottom) if slash else 1
+            except ValueError:  # past the interpreter's digit limit
+                raise RequestError(
+                    f"a coefficient of {len(text)} characters is past the integer digit limit"
+                ) from None
             if den:
                 return (-num if text.startswith("-") else num), den
     raise RequestError(

@@ -391,7 +391,8 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
         raise GradingError("the automorphism is not certified on this table; check it first")
     if alg.scalar_order % m != 0:
         raise GradingError(
-            f"scalar order {alg.scalar_order} lacks the {m}-th roots of unity; embed first"
+            f"scalar order {alg.scalar_order} lacks the {m}-th roots of unity;"
+            f" build the table over Q(zeta_n) for a multiple n of {m}"
         )
     order = alg.scalar_order
     step = order // m

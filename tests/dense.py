@@ -52,6 +52,9 @@ reference for its one `check_automorphism`.  `root_string_algebra` derives every
 from root strings and propagates the signs through the Jacobi identity, the
 table that `chevalley_algebra` built before it folded the Frenkel-Kac table
 of the simply-laced cover, kept as its reference up to basis signs.
+`embed_algebra` embeds every constant of a table into Q(zeta_n) and keeps
+its certificate, the reference for `chevalley.algebra_over`, which writes
+the fold straight over Q(zeta_n).
 `inverse_witnesses` searches every element for a conjugation onto its
 inverse, the reference for the inverse classes that
 `classify.conjugacy_classes` records.
@@ -1411,6 +1414,28 @@ def root_string_algebra(rs: RootSystem) -> MultTableAlgebra:
         constants=make_table(entries),
         basis_labels=tuple(labels),
     )
+
+
+def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
+    """alg with every constant embedded into Q(zeta_n), for a multiple n of
+    its scalar order, keeping its certificate when it has one."""
+    if n == alg.scalar_order:
+        return alg
+    constants = tuple(
+        (i, j, tuple((k, c.embed(n)) for k, c in entry)) for i, j, entry in alg.constants
+    )
+    out = MultTableAlgebra(
+        dim=alg.dim,
+        scalar_order=n,
+        kind=alg.kind,
+        constants=constants,
+        basis_labels=alg.basis_labels,
+    )
+    if "validation" in alg.__dict__:
+        # the embedding of scalar fields is an injective ring map, so a law
+        # holds on a basis triple after it exactly when it held before
+        out.__dict__["validation"] = alg.validation
+    return out
 
 
 def inverse_witnesses(

@@ -115,13 +115,13 @@ def _tampered_sl2():
 
 
 def test_corrupted_fixture_fails_with_named_triple(monkeypatch):
-    built = chevalley.standard_algebra
+    built = chevalley.algebra_over
 
-    def tampered(label):
-        rs, alg = built(label)
+    def tampered(label, order):
+        rs, alg = built(label, order)
         return rs, _tampered_sl2() if label == "A1" else alg
 
-    monkeypatch.setattr(chevalley, "standard_algebra", tampered)
+    monkeypatch.setattr(chevalley, "algebra_over", tampered)
     rows = _rows(monkeypatch, lambda argv: argv[0] == "build")
     bad = rows[0]
     assert bad["argv"] == ["build", "--type", "A1"] and bad["status"] == "fail"

@@ -27,7 +27,6 @@ from loopforms.algebra import (
     _power_basis_table,
     AlgebraError,
     MultTableAlgebra,
-    embed_algebra,
     make_table,
     validate_algebra,
 )
@@ -51,7 +50,6 @@ from loopforms.chevalley import (
     cartan_matrix,
     charge_pairings,
     diagram_automorphism,
-    standard_algebra,
     type_twist_factors,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
@@ -137,7 +135,7 @@ def _scaled(alg, keys, factor):
 
 def _scaled_pair(label, factor, seed):
     # scale e_i e_j and e_j e_i together: still antisymmetric, Jacobi breaks
-    _, alg = standard_algebra(label)
+    _, alg = algebra_over(label, 1)
     i, j = random.Random(seed).choice(sorted((i, j) for i, j, _ in alg.constants if i < j))
     return _scaled(alg, ((i, j), (j, i)), factor)
 
@@ -207,7 +205,7 @@ def _repeated_targets():
 
 # name -> (function making the table, whether it is a valid algebra)
 _VALIDATION_CASES = {
-    **{label: (lambda label=label: standard_algebra(label)[1], True)
+    **{label: (lambda label=label: algebra_over(label, 1)[1], True)
        for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2")},
     "G2 over Q(zeta_6)": (lambda: algebra_over("G2", 6)[1], True),
     **{f"A3 pair x{f} seed {seed}": (lambda f=f, seed=seed: _scaled_pair("A3", q(f), seed), False)
@@ -217,9 +215,9 @@ _VALIDATION_CASES = {
         lambda: _scaled(algebra_over("A2", 3)[1], ((2, 3), (3, 2)), zeta_power(3, 1)), False),
     "A2 rescaled over Q(zeta_3)": (_rescaled_basis, True),
     # scaling e_i e_j alone breaks antisymmetry
-    "A2 one-sided x2": (lambda: _scaled(standard_algebra("A2")[1], ((3, 2),), q(2)), False),
+    "A2 one-sided x2": (lambda: _scaled(algebra_over("A2", 1)[1], ((3, 2),), q(2)), False),
     # [e_a2, e_a4] alone doubled: Jacobi is evaluated on every rotation of a path
-    "D4 one-sided x2": (lambda: _scaled(standard_algebra("D4")[1], ((6, 4),), q(2)), False),
+    "D4 one-sided x2": (lambda: _scaled(algebra_over("D4", 1)[1], ((6, 4),), q(2)), False),
     "sl2 non-alternating": (_non_alternating, False),
     **{f"only [{'abc'[x]},{'abc'[y]}]": (lambda x=x, y=y: _single_pair_jacobiator(x, y), False)
        for x, y in ((0, 1), (1, 2), (2, 0))},
@@ -300,7 +298,7 @@ def test_associator_skips_only_dead_triples(build):
 @pytest.mark.parametrize(
     "build, evaluated",
     [
-        pytest.param(lambda: standard_algebra("E6")[1], 13056, id="E6"),
+        pytest.param(lambda: algebra_over("E6", 1)[1], 13056, id="E6"),
         pytest.param(lambda: _matrix_table(6), 1296, id="M6"),
     ],
 )
@@ -380,7 +378,7 @@ def test_serialization_round_trip():
 def test_pair_listed_twice_is_refused():
     # (h1, e[1]) listed twice, first with the wrong constant 5; the lookup
     # would keep only the last listing, so the table is refused outright
-    obj = standard_algebra("A1")[1].to_obj()
+    obj = algebra_over("A1", 1)[1].to_obj()
     obj["constants"].insert(0, [0, 1, [[1, {"order": 1, "coeffs": ["5"]}]]])
     with pytest.raises(RequestError, match=r"\(h1, e\[1\]\) is listed twice"):
         MultTableAlgebra.from_obj(obj)
@@ -430,7 +428,9 @@ def test_maps_and_gradings_need_the_table_scalar_order():
     # the identity, certified at period 2, on a table over Q
     identity = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 2)
     with pytest.raises(
-        GradingError, match="scalar order 1 lacks the 2-th roots of unity; embed first"
+        GradingError,
+        match=r"scalar order 1 lacks the 2-th roots of unity; build the table over Q\(zeta_n\) for"
+        " a multiple n of 2",
     ):
         eigengrading(alg, identity)
 
@@ -469,7 +469,7 @@ def test_eigengrading_accepts_only_certified_maps():
     with pytest.raises(GradingError, match="not certified"):
         eigengrading(_sl2(order=2), sigma)
     with pytest.raises(GradingError, match="not certified"):
-        eigengrading(embed_algebra(standard_algebra("A1")[1], 2), sigma)
+        eigengrading(algebra_over("A1", 2)[1], sigma)
     # a plain composition drops the certificate
     assert not sigma.compose(sigma).certified_on(alg)
 
@@ -1106,7 +1106,7 @@ def test_centroid_refuses_a_grading_that_breaks_the_product_rule():
 
 
 def test_embedding_keeps_the_validation_certificate():
-    _, alg = standard_algebra("A2")
+    _, alg = algebra_over("A2", 1)
     embedded = algebra_over("A2", 6)[1]
     assert "validation" in embedded.__dict__
     assert embedded.validation == alg.validation == validate_algebra(embedded)

@@ -33,7 +33,6 @@ from loopforms.chevalley import (
     highest_root,
     node_isomorphisms,
     root_system,
-    standard_algebra,
     type_twist_factors,
 )
 from loopforms.record import RequestError
@@ -43,6 +42,7 @@ from dense import (
     dense_product,
     densify,
     diagram_and_composition,
+    embed_algebra,
     is_identity,
     mat_pow,
     product_rule_check,
@@ -51,7 +51,7 @@ from dense import (
     root_string_algebra,
     three_pass_composition,
 )
-from loopforms.algebra import ValidationReport, make_table, validate_algebra
+from loopforms.algebra import MultTableAlgebra, ValidationReport, make_table, validate_algebra
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum
 
@@ -77,10 +77,14 @@ def test_cartan_fixtures():
     assert d4[1][0] == d4[1][2] == d4[1][3] == -1
 
 
-@pytest.mark.parametrize("label", ["A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "H4", "X"])
+@pytest.mark.parametrize(
+    "label", ["A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "H4", "X", "A\u0661"]
+)
 def test_unknown_labels_rejected(label):
-    message = "unknown type label" if label in ("H4", "X") else "unsupported type label"
-    with pytest.raises(LieConstructError, match=f"{message} '{label}'"):
+    # a bad label is a malformed input, and a rank is read in ASCII digits
+    # only: "A" and ARABIC-INDIC DIGIT ONE is not A1
+    message = "unknown type label" if label in ("H4", "X", "A\u0661") else "unsupported type label"
+    with pytest.raises(RequestError, match=f"{message} '{label}'"):
         cartan_matrix(label)
 
 
@@ -226,7 +230,7 @@ def test_symmetrizers_fixtures():
 def test_bracket_magnitude_is_string_length(label):
     """Chevalley's theorem: [e_a, e_b] = +-(p+1) e_{a+b}; p is recomputed here
     by walking the root string through the root set alone."""
-    rs, alg = standard_algebra(label)
+    rs, alg = algebra_over(label, 1)
     roots = frozenset(rs.roots)
     index = _root_index_map(alg, rs.rank)
     pairs = 0
@@ -246,7 +250,7 @@ def test_bracket_magnitude_is_string_length(label):
 @pytest.mark.parametrize("label", ["B2", "G2"])
 def test_coroot_brackets_form_sl2_triples(label):
     # h_a := [e_a, f_a] has integer Cartan coordinates and [h_a, e_a] = 2 e_a
-    rs, alg = standard_algebra(label)
+    rs, alg = algebra_over(label, 1)
     index = _root_index_map(alg, rs.rank)
     for alpha in rs.positives:
         e_idx, f_idx = index[alpha], index[tuple(-c for c in alpha)]
@@ -274,7 +278,7 @@ def _comm(x, y):
 def test_sl3_table_matches_matrix_representation():
     """Full independent oracle: map the basis to 3x3 trace-zero matrices and
     compare every structure constant against honest matrix commutators."""
-    rs, alg = standard_algebra("A2")
+    rs, alg = algebra_over("A2", 1)
     index = _root_index_map(alg, 2)
 
     def unit(i, j):
@@ -316,8 +320,39 @@ def test_sl3_table_matches_matrix_representation():
 def test_chevalley_algebra_dimension_formula():
     for label in ["A1", "B2", "G2"]:
         rs = root_system(cartan_matrix(label))
-        alg = chevalley_algebra(rs)
+        alg = chevalley_algebra(rs, 1)
         assert alg.dim == len(rs.roots) + rs.rank
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_table_over_zeta_m_is_the_embedding_of_the_table_over_q(label):
+    # the fold written over Q(zeta_m) against the table over Q with every
+    # constant embedded, constant by constant, and with the same certificate:
+    # every type at m = 2 and 3, and E8, the largest, at m = 3 alone
+    _, over_q = algebra_over(label, 1)
+    for order in (3,) if label == "E8" else (2, 3):
+        _, alg = algebra_over(label, order)
+        oracle = embed_algebra(over_q, order)
+        assert alg == oracle
+        assert alg.validation == oracle.validation
+
+
+def test_algebra_over_constructs_one_table(monkeypatch):
+    built = []
+    real = MultTableAlgebra.__post_init__
+
+    def counting(self):
+        built.append(self.scalar_order)
+        real(self)
+
+    monkeypatch.setattr(MultTableAlgebra, "__post_init__", counting)
+    tables = []
+    for order in (1, 3, 3):
+        tables.append(algebra_over("D4", order)[1])
+        assert built == [order]
+        built.clear()
+    # every call writes a table of its own from the one fold of the label
+    assert tables[1] == tables[2] and tables[1] is not tables[2]
 
 
 def _cover_label(label):
@@ -362,7 +397,7 @@ def _basis_signs(rs, new, old):
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
 def test_fold_agrees_with_root_strings_up_to_basis_signs(label):
-    rs, alg = standard_algebra(label)
+    rs, alg = algebra_over(label, 1)
     old = root_string_algebra(rs)
     signs = _basis_signs(rs, alg, old)
     assert set(signs) <= {1, -1}
@@ -386,8 +421,10 @@ def test_fold_refuses_a_flipped_constant(monkeypatch):
         return make_table({**entries, (i, j): {k: -c}})
 
     monkeypatch.setattr(chevalley, "make_table", flip_one)
-    with pytest.raises(LieConstructError, match="the table differs from its folded products"):
-        chevalley_algebra(root_system(cartan_matrix("B3")))
+    # the check runs on the table as written, over Q and over Q(zeta_3)
+    for order in (1, 3):
+        with pytest.raises(LieConstructError, match="the table differs from its folded products"):
+            chevalley_algebra(root_system(cartan_matrix("B3")), order)
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
@@ -410,7 +447,7 @@ def test_fold_refuses_a_sign_that_copy_rotation_moves(label, monkeypatch):
 
     monkeypatch.setattr(chevalley, "_sign_form", reversed_edge)
     with pytest.raises(LieConstructError, match=r"orbit sums are not closed at \["):
-        chevalley_algebra(root_system(cartan_matrix(label)))
+        chevalley_algebra(root_system(cartan_matrix(label)), 1)
 
 
 def test_fold_refuses_a_cartan_matrix_other_than_the_label(monkeypatch):
@@ -428,7 +465,7 @@ def test_fold_refuses_a_cartan_matrix_other_than_the_label(monkeypatch):
     with pytest.raises(
         LieConstructError, match="the folded Cartan matrix differs from the Cartan matrix"
     ):
-        chevalley_algebra(root_system(cartan_matrix("A2")))
+        chevalley_algebra(root_system(cartan_matrix("A2")), 1)
 
 
 def test_fold_refuses_a_cover_root_that_restricts_to_no_root(monkeypatch):
@@ -436,14 +473,14 @@ def test_fold_refuses_a_cover_root_that_restricts_to_no_root(monkeypatch):
     # restricts to 2 alpha_1
     monkeypatch.setattr(chevalley, "_cover", lambda cartan: (cartan, (0, 0)))
     with pytest.raises(LieConstructError, match=r"cover root \(1, 1\) restricts to no root"):
-        chevalley_algebra(root_system(cartan_matrix("A2")))
+        chevalley_algebra(root_system(cartan_matrix("A2")), 1)
 
 
 def test_fold_refuses_a_cover_that_misses_a_root(monkeypatch):
     # A1 as the cover of A2: its roots restrict to +-alpha_1 alone
     monkeypatch.setattr(chevalley, "_cover", lambda cartan: (cartan_matrix("A1"), (0,)))
     with pytest.raises(LieConstructError, match="the restriction of the cover roots misses a root"):
-        chevalley_algebra(root_system(cartan_matrix("A2")))
+        chevalley_algebra(root_system(cartan_matrix("A2")), 1)
 
 
 # -- automorphisms ---------------------------------------------------------------
@@ -636,7 +673,7 @@ def test_identity_certificate_equals_propagated_identity(label):
     # the identity certificate, which diagram_automorphism returns for the
     # identity symmetry with no table pass, against the propagated identity
     # map with its full pair check, and the diagonal map with every exponent 0
-    rs, alg = standard_algebra(label)
+    rs, alg = algebra_over(label, 1)
     identity = DiagramPermutation.identity(rs.rank)
     propagated = check_automorphism(alg, *propagated_diagram_map(alg, rs, identity), 1)
     certificate = identity_automorphism(alg)

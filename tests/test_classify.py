@@ -247,13 +247,13 @@ def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
                 monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(chevalley, "_fold", counting("_fold", chevalley._fold))
     # an empty type cache, as in a fresh process
-    fresh = lru_cache(maxsize=None)(chevalley.standard_algebra.__wrapped__)
-    monkeypatch.setattr(chevalley, "standard_algebra", fresh)
+    fresh = lru_cache(maxsize=None)(chevalley._type_fold.__wrapped__)
+    monkeypatch.setattr(chevalley, "_type_fold", fresh)
     assert cli.main(["classify", "--type", "D4"]) == 0
     capsys.readouterr()
     # three classes, each graded once: its centroid is solved on the grading
-    # its label was read from, and all three embed the one folded D4 table;
-    # each class's pi is checked by type_twist_factors and
+    # its label was read from, and all three write their tables from the
+    # one D4 fold; each class's pi is checked by type_twist_factors and
     # diagram_automorphism, and not again by the extraction
     assert calls == {
         "dynkin_automorphism_group": 1,

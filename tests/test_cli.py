@@ -15,7 +15,7 @@ from ledger import assert_recorded, recorder
 from loopforms import algebra, chevalley, cli
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
-from loopforms.chevalley import standard_algebra
+from loopforms.chevalley import algebra_over
 
 
 def run_cli(*argv, binary=False, timeout=300, env=None):
@@ -94,8 +94,8 @@ def test_each_built_algebra_is_certified_once(monkeypatch, capsys, tmp_path):
             monkeypatch.setattr(module, "validate_algebra", counting_validate)
     monkeypatch.setattr(chevalley, "_fold", counting_fold)
     # an empty type cache, as in a fresh process
-    fresh = lru_cache(maxsize=None)(chevalley.standard_algebra.__wrapped__)
-    monkeypatch.setattr(chevalley, "standard_algebra", fresh)
+    fresh = lru_cache(maxsize=None)(chevalley._type_fold.__wrapped__)
+    monkeypatch.setattr(chevalley, "_type_fold", fresh)
     # a type label is certified by its fold, with no sweep
     assert cli.main(["build", "--type", "B4"]) == 0
     assert (swept, folded) == ([], ["B4"])
@@ -114,7 +114,7 @@ def test_each_built_algebra_is_certified_once(monkeypatch, capsys, tmp_path):
     assert (swept, folded) == ([], [])
     # a table read from a file is swept once, and folds nothing
     path = tmp_path / "b3.json"
-    path.write_text(json.dumps(standard_algebra("B3")[1].to_obj()))
+    path.write_text(json.dumps(algebra_over("B3", 1)[1].to_obj()))
     folded.clear()
     assert cli.main(["build", "--algebra", str(path)]) == 0
     assert (swept, folded) == ([21], [])
@@ -423,6 +423,12 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
         ),
         # raw text: an integer past the interpreter's digit limit
         ('{"dim": ' + "9" * 4400 + "}", "is not valid JSON"),
+        # a coefficient string past that limit, refused by its length
+        (
+            {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"],
+             "constants": [[0, 0, [[0, {"order": 1, "coeffs": ["9" * 5000]}]]]]},
+            "a coefficient of 5000 characters is past the integer digit limit",
+        ),
         # a table and scalar order of 19 digits, refused before euler_phi
         # factors it by trial division
         (
@@ -434,7 +440,7 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
         ("[" * 3000 + "]" * 3000, "nests too deeply to read"),
     ],
     ids=["list", "no dim", "no constants", "exponent", "zero denominator", "no coeffs",
-         "long integer", "huge order", "deep nesting"],
+         "long integer", "long coefficient", "huge order", "deep nesting"],
 )
 def test_malformed_table_error_names_the_fault(tmp_path, capsys, table, message):
     path = tmp_path / "table.json"
@@ -749,7 +755,7 @@ def test_untwist_d4_composed_stdout_is_pinned():
 def test_table_listing_a_pair_twice_exits_2(tmp_path):
     # (h1, e[1]) listed twice, first with the wrong constant 5: the table is
     # refused rather than certified on its last listing
-    obj = standard_algebra("A1")[1].to_obj()
+    obj = algebra_over("A1", 1)[1].to_obj()
     obj["constants"].insert(0, [0, 1, [[1, {"order": 1, "coeffs": ["5"]}]]])
     path = tmp_path / "twice.json"
     path.write_text(json.dumps(obj))

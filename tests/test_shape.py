@@ -208,6 +208,12 @@ def _words(*names):
             _words("_extract_inner", "_algebra_over_cached", "_chevalley_cached", "graded_twist"),
             id="result caches",
         ),
+        # a type's table is written once, over the field its twist needs,
+        # from the fold: no table over Q to embed, and no second constructor
+        pytest.param(
+            _words("standard_algebra", "embed_algebra"),
+            id="embedded tables",
+        ),
         # affine reads h0 off grading component 0: no record built from pi
         pytest.param(_words("FixedCartan"), id="fixed cartan record"),
     ],

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from ledger import assert_replays, named_requests, recorder
-from loopforms.chevalley import standard_algebra
+from loopforms.chevalley import algebra_over
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -69,7 +69,7 @@ def test_benchmark_digests_are_the_ledgers_bytes():
 def test_recorder_takes_no_option_and_writes_nothing_when_a_request_fails(tmp_path):
     assert recorder.main(["--help"]) == 2
     # sl_2 with [h, e] = 3e: the Jacobi identity fails, so build exits 1
-    obj = standard_algebra("A1")[1].to_obj()
+    obj = algebra_over("A1", 1)[1].to_obj()
     assert obj["constants"][0][:2] == [0, 1] and obj["constants"][2][:2] == [1, 0]
     obj["constants"][0] = [0, 1, [[1, {"order": 1, "coeffs": ["3"]}]]]
     obj["constants"][2] = [1, 0, [[1, {"order": 1, "coeffs": ["-3"]}]]]
