@@ -4,14 +4,14 @@ The loop algebra is handed in as a twist sigma certified on a table, and is
 read as Kac reads it (Infinite-Dimensional Lie Algebras, Ch. 7-8): the
 grading L(sigma) = sum of g_j z^j and the fixed Cartan h0 in g_0 determine a
 generalized Cartan matrix, and no presentation pi o tau_s of sigma is read.
-h0 is read off grading component 0 (`fixed_cartan`).  Read the weight under
-h0 off every vector of the closed-form grading, order the resulting affine
-roots by (degree, then lexicographic weight), pick the indecomposable
-positives in degrees 0 through deg delta (delta the least positive
-imaginary root, deg delta <= period) as a base, normalize coroots through
-exact sl2-triples, and read off the matrix A_ij = weight_j(h_i).  Degree j
-of the loop algebra is the grading component j mod period, so the root data
-is stored once per residue and a degree reads its residue.
+h0 is read off grading component 0, where the weights vanish (`fixed_cartan`).
+Read the weight under h0 off every vector of the closed-form grading, order
+the resulting affine roots by (degree, then lexicographic weight), pick the
+indecomposable positives in degrees 0 through deg delta (delta the least
+positive imaginary root, deg delta <= period) as a base, normalize coroots
+through exact sl2-triples, and read off the matrix A_ij = weight_j(h_i).
+Degree j of the loop algebra is the grading component j mod period, so the
+root data is stored once per residue and a degree reads its residue.
 
 The positivity order is a group order, so the selected base is a genuine
 base of the affine system even though it need not be the textbook one; the
@@ -77,17 +77,16 @@ class AffineExtractError(ValueError):
 Weight = tuple[int, ...]
 
 
-def fixed_cartan(grading: GradedDecomposition, rank: int) -> tuple[Sparse, ...]:
-    """h0 = h^sigma: the vectors of grading component 0 whose support lies
-    in h_1..h_l, the basis indices below `rank`.
+def fixed_cartan(alg: MultTableAlgebra, grading: GradedDecomposition) -> tuple[Sparse, ...]:
+    """h0 = h^sigma: the vectors of grading component 0 supported where the
+    table's weights vanish, on h_1..h_l for the table of a type label.
 
-    On the table of a type label, the twist is sigma = pi o tau_s for a
-    diagram symmetry pi and a toral charge s: tau_s fixes each h_i and pi
-    permutes them, so these are the orbit sums b_O = sum_{i in O} h_i, one
-    per pi-orbit, in the order of their smallest index (`eigengrading`
-    reads the eigenvalue-1 vector of a cycle of ones).  They commute because
-    the table of a type label is its fold (`chevalley._fold`), which writes
-    no product of two Cartan elements.
+    There the twist is sigma = pi o tau_s for a diagram symmetry pi and a
+    toral charge s: tau_s fixes each h_i and pi permutes them, so these are
+    the orbit sums b_O = sum_{i in O} h_i, one per pi-orbit, in the order of
+    their smallest index (`eigengrading` reads the eigenvalue-1 vector of a
+    cycle of ones).  They commute because the table of a type label is its
+    fold (`chevalley._fold`), which writes no product of two Cartan elements.
 
     Component vectors are 1 at their smallest index with disjoint supports,
     so `ComponentSolver` reads coordinates on h0.  For a root alpha, ad b_O
@@ -97,7 +96,8 @@ def fixed_cartan(grading: GradedDecomposition, rank: int) -> tuple[Sparse, ...]:
     an h0-eigenvector of integer weight, and that h0 is all of the
     zero-weight space of component 0.
     """
-    return tuple(v for v in grading.component_bases[0] if max(v) < rank)
+    toral = {k for k, weight in enumerate(alg.weights) if not any(weight)}
+    return tuple(v for v in grading.component_bases[0] if toral.issuperset(v))
 
 
 class AffineRoot(Record):
@@ -357,7 +357,7 @@ def bordered_untwisted(type_label: str) -> GCM:
     """
     cartan = cartan_matrix(type_label)
     a = cartan.entries
-    n = cartan.rank
+    n = len(a)
     d = _symmetrizers(cartan)
     theta = highest_root(cartan)
     pairings = [sum(theta[i] * d[i] * a[i][j] for i in range(n)) for j in range(n)]
@@ -487,7 +487,7 @@ def affine_certificate(
     (`match_own_type`); when none matches, the request is refused.
     """
     grading = eigengrading(alg, sigma)
-    data = affine_roots(alg, grading, fixed_cartan(grading, cartan_matrix(type_label).rank))
+    data = affine_roots(alg, grading, fixed_cartan(alg, grading))
     cert = extract_gcm(alg, simple_affine_roots(data), data)
     label = match_own_type(cert.gcm, type_label)
     if label is None:

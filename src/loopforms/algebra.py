@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, Sparse, _json_int, sparse_add
 from .record import Record, RequestError
@@ -56,10 +56,13 @@ class MultTableAlgebra(Record):
     listed twice is refused rather than read one way.  A table of the wrong
     shape (dimension, scalar order, kind, labels, an index or target out of
     range, a scalar of another order, a pair listed twice) is a malformed
-    input and raises `record.RequestError`.  Elements
-    are sparse vectors {index: scalar} with no zero entry.  The lookup behind
-    `basis_product` sums repeated targets of an entry and drops zero terms,
-    so each of its entries is a sparse vector too.
+    input and raises `record.RequestError`.  Elements are sparse vectors
+    {index: scalar} with no zero entry.  The lookup behind `basis_product`
+    sums repeated targets of an entry and drops zero terms, so each of its
+    entries is a sparse vector too.  `weights` grade the basis, one integer
+    vector per element: root coordinates on a type's table, eps_i - eps_k on
+    E_ik of M_n, none on a table read from a file.  Nothing here checks
+    them; `grading.twist` certifies the exponents `pairing` reads off them.
     """
 
     dim: int
@@ -67,6 +70,7 @@ class MultTableAlgebra(Record):
     kind: str
     constants: tuple[tuple[int, int, TableEntry], ...]
     basis_labels: tuple[str, ...]
+    weights: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -130,6 +134,11 @@ class MultTableAlgebra(Record):
             if out[k].is_zero():
                 del out[k]
         return out
+
+    def pairing(self, h: Sequence[int]) -> tuple[int, ...]:
+        """<weights[k], h> for every k: the exponents, as `grading.twist`
+        takes them, of the diagonal twist that the coweight h names."""
+        return tuple(sum(w * c for w, c in zip(weight, h)) for weight in self.weights)
 
     @cached_property
     def validation(self) -> "ValidationReport":

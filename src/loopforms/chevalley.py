@@ -18,13 +18,14 @@ automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
 trivial).  `check_twist` alone decides that pi o tau_s is a twist of the
 type, and raises `record.RequestError` when it is not; each public entry
-that takes pi calls it (`type_twist_factors`, `diagram_automorphism`).
-`type_twist_factors` builds the algebra over Q(zeta_M), M = lcm(|pi|, m),
-and returns the two factors as `grading.twist` takes them, as
-`descent.matrix_twist_factors` does for M_n; `grading.twist` certifies
-every twist, here and on M_n alike, and `affine` takes that certified twist,
-not pi.  `affine.GCM` shares
-`_cartan_axioms` and `int_rank_det` with `FiniteCartanMatrix`.
+that takes pi calls it once (`type_twist_factors`, `diagram_automorphism`).
+A table carries its weights, root coordinates with 0 on the h_i, so s is a
+coweight: `type_twist_factors` builds the algebra over Q(zeta_M),
+M = lcm(|pi|, m), and returns (alg, outer, alg.pairing(s), m) as
+`grading.twist` takes them, as `descent.matrix_twist_factors` does for M_n;
+`grading.twist` certifies every twist, here and on M_n alike, and `affine`
+takes that certified twist, not pi.  `affine.GCM` shares `_cartan_axioms`
+and `int_rank_det` with `FiniteCartanMatrix`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "ToralCharge",
     "algebra_over",
     "cartan_matrix",
-    "charge_pairings",
     "check_twist",
     "chevalley_algebra",
     "diagram_automorphism",
@@ -251,8 +251,8 @@ def root_system(cartan: FiniteCartanMatrix) -> RootSystem:
     type (Kac, Infinite-Dimensional Lie Algebras, Ch. 4).  The closure is then
     the finite set of real roots, and it is symmetric, since
     -w(alpha_i) = w s_i (alpha_i), with every root positive or negative.
-    The closure is cut at _CLOSURE_BOUND roots, a size limit: E8 has 240,
-    and so does A15, the cover of "B8".
+    The closure is cut at _CLOSURE_BOUND roots, a size limit (RequestError):
+    E8 has 240, and so does A15, the cover of "B8".
     """
     l = cartan.rank
     simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
@@ -260,7 +260,9 @@ def root_system(cartan: FiniteCartanMatrix) -> RootSystem:
     frontier = list(simples)
     while frontier:
         if len(seen) > _CLOSURE_BOUND:
-            raise LieConstructError(f"the root system has more than {_CLOSURE_BOUND} roots")
+            raise RequestError(
+                f"the root system of {cartan.type_label} has more than {_CLOSURE_BOUND} roots"
+            )
         alpha = frontier.pop()
         for i in range(l):
             pairing = sum(cartan.entries[i][j] * alpha[j] for j in range(l))
@@ -474,17 +476,11 @@ def _fold(rs: RootSystem) -> Fold:
 
 
 def _basis_layout(rs: RootSystem) -> tuple[list[str], dict[Root, int]]:
-    l = rs.rank
-    labels = [f"h{i + 1}" for i in range(l)]
-    root_index: dict[Root, int] = {}
-    for k, alpha in enumerate(rs.positives):
-        root_index[alpha] = l + k
-        labels.append("e[" + ",".join(str(c) for c in alpha) + "]")
-    npos = len(rs.positives)
-    for k, alpha in enumerate(rs.positives):
-        root_index[_neg(alpha)] = l + npos + k
-        labels.append("f[" + ",".join(str(c) for c in alpha) + "]")
-    return labels, root_index
+    """The labels h1..hl, e[alpha], f[alpha] (alpha positive), and the index
+    of each root: rs.roots, positives first, follow the h_i in order."""
+    coords = [",".join(map(str, alpha)) for alpha in rs.positives]
+    labels = [f"h{i + 1}" for i in range(rs.rank)] + [f"{x}[{c}]" for x in "ef" for c in coords]
+    return labels, {alpha: rs.rank + x for x, alpha in enumerate(rs.roots)}
 
 
 def chevalley_algebra(rs: RootSystem, order: int) -> MultTableAlgebra:
@@ -543,6 +539,7 @@ def _write_table(rs: RootSystem, folded: Fold, order: int) -> MultTableAlgebra:
         kind=KIND_LIE,
         constants=make_table(entries),
         basis_labels=tuple(labels),
+        weights=((0,) * rs.rank,) * rs.rank + rs.roots,
     )
     if {key: dict(entry) for key, entry in alg._table.items() if entry} != entries:
         raise LieConstructError("the table differs from its folded products")
@@ -643,7 +640,7 @@ def node_isomorphisms(
 
 
 class ToralCharge(Record):
-    """Integer weights s_i defining e_alpha -> zeta_m^<s,alpha> e_alpha."""
+    """A coweight s and a modulus m: e_alpha -> zeta_m^<s,alpha> e_alpha."""
 
     s: tuple[int, ...]
     modulus: int
@@ -651,9 +648,6 @@ class ToralCharge(Record):
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise RequestError(f"the modulus of a toral charge must be >= 1, got m = {self.modulus}")
-
-    def pairing(self, alpha: Root) -> int:
-        return sum(si * ai for si, ai in zip(self.s, alpha))
 
     @staticmethod
     def trivial(rank: int) -> "ToralCharge":
@@ -687,22 +681,28 @@ def diagram_automorphism(
     structure constant is read; the map is certified by `check_automorphism`
     on every basis pair, which is where a wrong sign fails.
     """
+    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
+    return _diagram_map(alg, rs, perm)
+
+
+def _diagram_map(
+    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
+) -> FiniteOrderAutomorphism:
+    """`diagram_automorphism` of a pi that `check_twist` has accepted."""
     from .grading import check_automorphism, identity_automorphism
 
-    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
     l = rs.rank
     if perm.images == tuple(range(l)):
         return identity_automorphism(alg)
     p, q = perm.images, perm.inverse().images
     form = _sign_form(rs.cartan)
     flips = [(i, j) for i in range(l) for j in range(i + 1, l) if (form[p[i]][p[j]] + form[i][j]) % 2]
-    _, root_index = _basis_layout(rs)
+    index = {alpha: k for k, alpha in enumerate(alg.weights)}
     one = CycloNum.one(alg.scalar_order)
-    targets, scalars = list(p) + [0] * len(rs.roots), [one] * alg.dim
-    for alpha, k in root_index.items():
-        targets[k] = root_index[tuple(alpha[i] for i in q)]
-        if sum(alpha[i] * alpha[j] for i, j in flips) % 2:
-            scalars[k] = -one
+    targets, scalars = list(p), [one] * l
+    for alpha in alg.weights[l:]:
+        targets.append(index[tuple(alpha[i] for i in q)])
+        scalars.append(-one if sum(alpha[i] * alpha[j] for i, j in flips) % 2 else one)
     return check_automorphism(alg, targets, scalars, perm.order())
 
 
@@ -727,27 +727,14 @@ def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: To
 
 def type_twist_factors(
     label: str, perm: DiagramPermutation, charge: ToralCharge
-) -> tuple[RootSystem, MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
+) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
     """The type-label counterpart of `descent.matrix_twist_factors`: the
     algebra of type `label` over Q(zeta_M), M = lcm(|pi|, m), and the
     factors of pi o tau_s as `grading.twist` takes them, the certified
-    diagram automorphism of pi, the integer pairings <s, .> and m.
+    diagram automorphism of pi, the exponents `alg.pairing(s)` and m.
 
-    `check_twist` refuses a malformed twist first; `grading.twist` certifies the composition.
+    `check_twist` refuses a malformed twist once, before anything is built.
     """
     check_twist(cartan_matrix(label), perm, charge)
     rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
-    outer = diagram_automorphism(alg, rs, perm)
-    return rs, alg, outer, charge_pairings(rs, charge), charge.modulus
-
-
-def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
-    """<s, weight> for every basis index of the standard layout; 0 on the
-    Cartan.  Its one caller, `type_twist_factors`, has checked that s has
-    the rank of rs (`check_twist`)."""
-    _, root_index = _basis_layout(rs)
-    out = [0] * (rs.rank + len(rs.roots))
-    for alpha, idx in root_index.items():
-        out[idx] = charge.pairing(alpha)
-    return tuple(out)
-
+    return alg, _diagram_map(alg, rs, perm), alg.pairing(charge.s), charge.modulus

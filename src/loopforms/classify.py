@@ -32,7 +32,7 @@ from .chevalley import (
     type_twist_factors,
 )
 from .grading import twist
-from .record import Record
+from .record import Record, RequestError
 
 __all__ = [
     "Classification",
@@ -97,7 +97,7 @@ def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
     `OutGroup` checks each one against the whole matrix again.
     """
     if cartan.rank > 9:
-        raise ClassifyError("rank above the brute-force budget")
+        raise RequestError("rank above the brute-force budget")
     a = cartan.entries
     return OutGroup(
         elements=tuple(DiagramPermutation(p) for p in node_isomorphisms(a, a)), cartan=cartan
@@ -224,7 +224,7 @@ def classify_type(type_label: str) -> Classification:
     trivial = ToralCharge.trivial(cartan.rank)
     rows = []
     for rep, size in table.classes:
-        _, alg, *factors = type_twist_factors(type_label, rep, trivial)
+        alg, *factors = type_twist_factors(type_label, rep, trivial)
         report = affine_certificate(type_label, alg, twist(alg, *factors))
         centroid = centroid_graded(alg, report.grading)
         rows.append(

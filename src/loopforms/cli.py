@@ -172,15 +172,14 @@ def _build_sigma(args: _Args, source: str, spec: dict):
 
         label = args.type
         perm, charge = _type_auto(spec, cartan_matrix(label))
-        _, alg, *factors = type_twist_factors(label, perm, charge)
-        return (alg, *factors, {"type": label, "auto": _auto_echo(perm, charge)})
+        factors = type_twist_factors(label, perm, charge)
+        return (*factors, {"type": label, "auto": _auto_echo(perm, charge)})
     from .descent import matrix_twist_factors
 
     n = args.matrix_algebra
     exponents, m = _matrix_auto(spec, n)
-    alg, outer, shifts = matrix_twist_factors(n, exponents, m)
     echo = {"matrix_algebra": n, "auto": {"exponents": list(exponents), "m": m}}
-    return alg, outer, shifts, m, echo
+    return (*matrix_twist_factors(n, exponents, m), echo)
 
 
 # -- commands --------------------------------------------------------------------
@@ -246,8 +245,7 @@ def _cmd_classify(args: _Args, source: str, spec: dict) -> dict:
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
     # witness untwists one twist, Ad(diag(zeta_n^0, ..., zeta_n^(n-1)))
     exponents = list(range(n))
-    alg, identity, shifts = matrix_twist_factors(n, exponents, n)
-    iso = untwist_iso(alg, identity, shifts, n)
+    iso = untwist_iso(*matrix_twist_factors(n, exponents, n))
     return {
         "matrix_algebra": n,
         "classes": 1,

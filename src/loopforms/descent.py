@@ -4,8 +4,9 @@ The covering k[z,z^-1] / k[t,t^-1], t = z^m, is cyclic of degree m; the
 generator acts by z -> zeta_m z.  One twist serves every table: a Lie
 algebra twisted by pi o tau_s and M_n twisted by Ad(diag(zeta^a)) are both
 `grading.twist(alg, outer, p, m)` = outer o diag(zeta_m^p), with outer the
-diagram automorphism of pi or the identity, so `untwist_iso` takes
-(alg, outer, p, m) from either and never reads a root system.
+diagram automorphism of pi or the identity and p = `alg.pairing(h)` for a
+coweight h (s, or a), so `untwist_iso` takes (alg, outer, p, m) from either
+and never reads a root system.
 `matrix_twist_factors` alone decides that (n, a, m) names a twist of M_n,
 and raises `record.RequestError` when it does not, as `chevalley.check_twist`
 does for a type label.  A period-m automorphism sigma of A yields the
@@ -50,7 +51,6 @@ __all__ = [
     "build_matrix_algebra",
     "fixed_point_report",
     "matrix_twist_factors",
-    "matrix_unit_shifts",
     "untwist_iso",
 ]
 
@@ -107,21 +107,21 @@ def build_matrix_algebra(
     sigma = Ad(diag(zeta^a_1 .. zeta^a_n)) sends E_ik to zeta^(a_i - a_k) E_ik
     and has period m (not necessarily exact order).
     """
-    alg, identity, shifts = matrix_twist_factors(n, exponents, m)
-    return alg, twist(alg, identity, shifts, m)
+    alg, *factors = matrix_twist_factors(n, exponents, m)
+    return alg, twist(alg, *factors)
 
 
 def matrix_twist_factors(
     n: int, exponents: Sequence[int], m: int
-) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...]]:
+) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
     """M_n over Q(zeta_m) on the matrix units, and the factors of
-    Ad(diag(zeta^a)) as `twist` takes them: the identity outer map and the
-    shifts a_i - a_k on E_ik.
+    Ad(diag(zeta^a)) as `twist` takes them: the identity outer map, the
+    exponents `alg.pairing(a)` and m.
 
-    E_ik E_kj = E_ij and (a_i - a_k) + (a_k - a_j) = a_i - a_j: the shifts
-    are additive, which is the certificate of the twist.  Before anything is
-    built, `RequestError` refuses n < 1, a count of exponents other than n
-    and m < 1.
+    E_ik has the weight eps_i - eps_k, so a_i - a_k, and E_ik E_kj = E_ij:
+    the weights add, which is the certificate of the twist.  Before anything
+    is built, `RequestError` refuses n < 1, a count of exponents other than
+    n and m < 1.
     """
     if n < 1:
         raise RequestError(f"M_n needs n >= 1, got n = {n}")
@@ -143,13 +143,11 @@ def matrix_twist_factors(
         kind="associative",
         constants=make_table(entries),
         basis_labels=tuple(f"E{i + 1}{k + 1}" for i in range(n) for k in range(n)),
+        weights=tuple(
+            tuple((r == i) - (r == k) for r in range(n)) for i in range(n) for k in range(n)
+        ),
     )
-    return alg, identity_automorphism(alg), matrix_unit_shifts(n, exponents)
-
-
-def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:
-    """Degree shift a_i - a_k on the matrix unit E_ik."""
-    return tuple(exponents[r // n] - exponents[r % n] for r in range(n * n))
+    return alg, identity_automorphism(alg), alg.pairing(exponents), m
 
 
 # -- untwisting ----------------------------------------------------------------

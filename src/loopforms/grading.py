@@ -209,9 +209,10 @@ def twist(
     (`descent.untwist_iso`).
 
     No twist is lost by asking for integers.  pi o tau_s on a Lie algebra
-    is the diagram symmetry after p = <s, .>, linear in the weight and
-    invariant since s is constant on the orbits of pi (`check_twist`);
-    Ad(diag(zeta^a)) on M_n is the identity after p = a_i - a_k on E_ik.
+    is the diagram symmetry after p = <weight, s>, a root's coordinates
+    paired with the coweight s, invariant since s is constant on the orbits
+    of pi (`check_twist`); Ad(diag(zeta^a)) on M_n is the identity after
+    p = <eps_i - eps_k, a> = a_i - a_k on E_ik (`MultTableAlgebra.pairing`).
     Every diagonal automorphism lifts so: on a Chevalley table it fixes the
     Cartan and p mod m is a homomorphism from the root lattice Q to Z/m,
     which lifts to Hom(Q, Z) as Q is free, with s_i = p(alpha_i) lifted

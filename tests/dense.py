@@ -39,6 +39,10 @@ reads off the twist's certificate.
 `coboundary_witness_matrix` are the separate type-label and matrix-unit
 twist paths that `grading.twist`, `descent.untwist_iso` and
 `UntwistIso.witness_checks` replaced, kept as references for them.
+`charge_pairings` writes <s, alpha> on the root layout and
+`matrix_unit_shifts` a_i - a_k on E_ik, the two private rules that
+`MultTableAlgebra.pairing` of a table's weights replaced;
+`layout_exponents` gives them for a named fixture.
 `check_diagonal_automorphism` certifies diag(zeta_m^p) by additivity mod m
 and `_verify_untwist` an untwisting shift by invariance and additivity as
 integers, the two passes that `grading.twist`'s integer clauses replaced.
@@ -53,7 +57,7 @@ from root strings and propagates the signs through the Jacobi identity, the
 table that `chevalley_algebra` built before it folded the Frenkel-Kac table
 of the simply-laced cover, kept as its reference up to basis signs.
 `embed_algebra` embeds every constant of a table into Q(zeta_n) and keeps
-its certificate, the reference for `chevalley.algebra_over`, which writes
+its weights and certificate, the reference for `chevalley.algebra_over`, which writes
 the fold straight over Q(zeta_n).
 `inverse_witnesses` searches every element for a conjugation onto its
 inverse, the reference for the inverse classes that
@@ -79,8 +83,9 @@ from loopforms.chevalley import (
     _basis_layout,
     _neg,
     _symmetrizers,
-    charge_pairings,
+    cartan_matrix,
     diagram_automorphism,
+    root_system,
     type_twist_factors,
 )
 from loopforms.classify import OutGroup
@@ -89,7 +94,6 @@ from loopforms.descent import (
     UntwistIso,
     build_matrix_algebra,
     matrix_twist_factors,
-    matrix_unit_shifts,
 )
 from loopforms.grading import (
     AutomorphismError,
@@ -943,23 +947,45 @@ _MATRIX_TWISTS = {
 
 TWIST_FIXTURES = _GRADING_FIXTURES + tuple(_TYPE_TWISTS) + tuple(_MATRIX_TWISTS)
 
+# the requests of _GRADING_FIXTURES, as _TYPE_TWISTS and _MATRIX_TWISTS list theirs
+_GRADING_REQUESTS = {
+    "A1 toral s=(1) m=2": ("A1", None, (1,), 2),
+    "A2 diagram flip": ("A2", (2, 1), (0, 0), 1),
+    "D4 diagram triality": ("D4", (3, 2, 4, 1), (0, 0, 0, 0), 1),
+    "A2 flip * toral s=(1,1) m=2": ("A2", (2, 1), (1, 1), 2),
+    "M3 conjugation (0,1,2) m=3": (3, (0, 1, 2), 3),
+}
+
+
+def layout_exponents(name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coweight of one named fixture, its charge s or its exponents a,
+    and the exponents its basis layout's own rule gives it:
+    `charge_pairings` on a type's table, `matrix_unit_shifts` on M_n."""
+    request = {**_GRADING_REQUESTS, **_TYPE_TWISTS, **_MATRIX_TWISTS}[name]
+    if len(request) == 3:
+        n, exponents, _ = request
+        return exponents, matrix_unit_shifts(n, exponents)
+    label, _, s, m = request
+    rs = root_system(cartan_matrix(label))
+    return s, charge_pairings(rs, ToralCharge(s=s, modulus=m))
+
 
 @lru_cache(maxsize=None)
 def _grading_fixtures() -> dict:
     """name -> factors (algebra, outer, exponents, m) of each of _GRADING_FIXTURES."""
-    _, a1, *toral = type_twist_factors(
+    toral = type_twist_factors(
         "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
     flip = DiagramPermutation((1, 0))
-    _, a2, outer, *charged = type_twist_factors("A2", flip, ToralCharge(s=(1, 1), modulus=2))
+    a2, outer, *charged = type_twist_factors("A2", flip, ToralCharge(s=(1, 1), modulus=2))
     triality = DiagramPermutation((2, 1, 3, 0))
-    _, d4, triality_map, _, _ = type_twist_factors("D4", triality, ToralCharge.trivial(4))
+    d4, triality_map, _, _ = type_twist_factors("D4", triality, ToralCharge.trivial(4))
     factors = (
-        (a1, *toral),
+        toral,
         (a2, outer, (0,) * a2.dim, 1),
         (d4, triality_map, (0,) * d4.dim, 1),
         (a2, outer, *charged),
-        (*matrix_twist_factors(3, (0, 1, 2), 3), 3),
+        matrix_twist_factors(3, (0, 1, 2), 3),
     )
     return dict(zip(_GRADING_FIXTURES, factors))
 
@@ -974,12 +1000,12 @@ def twist_factors(
         return _grading_fixtures()[name]
     if name in _MATRIX_TWISTS:
         n, exponents, m = _MATRIX_TWISTS[name]
-        return (*matrix_twist_factors(n, exponents, m), m)
+        return matrix_twist_factors(n, exponents, m)
     label, pi, s, m = _TYPE_TWISTS[name]
     perm = (
         DiagramPermutation.identity(len(s)) if pi is None else DiagramPermutation.from_one_based(pi)
     )
-    return tuple(type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))[1:])
+    return type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))
 
 
 @lru_cache(maxsize=None)
@@ -1088,6 +1114,22 @@ def twisted_fixed_points(
 
 
 # -- the twist paths that `grading.twist` replaced ------------------------------------
+
+
+def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
+    """<s, alpha> for every basis index of the layout of rs, 0 on the
+    Cartan: the exponents of tau_s as the type-label path wrote them."""
+    _, root_index = _basis_layout(rs)
+    out = [0] * (rs.rank + len(rs.roots))
+    for alpha, idx in root_index.items():
+        out[idx] = sum(si * ai for si, ai in zip(charge.s, alpha))
+    return tuple(out)
+
+
+def matrix_unit_shifts(n: int, exponents: Sequence[int]) -> tuple[int, ...]:
+    """Degree shift a_i - a_k on the matrix unit E_ik, as the matrix-unit
+    path wrote it."""
+    return tuple(exponents[r // n] - exponents[r % n] for r in range(n * n))
 
 
 def check_diagonal_automorphism(
@@ -1418,7 +1460,8 @@ def root_string_algebra(rs: RootSystem) -> MultTableAlgebra:
 
 def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
     """alg with every constant embedded into Q(zeta_n), for a multiple n of
-    its scalar order, keeping its certificate when it has one."""
+    its scalar order, keeping its weights, and its certificate when it has
+    one."""
     if n == alg.scalar_order:
         return alg
     constants = tuple(
@@ -1430,6 +1473,7 @@ def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
         kind=alg.kind,
         constants=constants,
         basis_labels=alg.basis_labels,
+        weights=alg.weights,
     )
     if "validation" in alg.__dict__:
         # the embedding of scalar fields is an injective ring map, so a law

@@ -47,9 +47,9 @@ def _twist(label, perm=None, s=None, m=1):
     rank = cartan_matrix(label).rank
     perm = perm or DiagramPermutation.identity(rank)
     charge = ToralCharge(s=s or (0,) * rank, modulus=m)
-    rs, alg, *factors = type_twist_factors(label, perm, charge)
+    alg, *factors = type_twist_factors(label, perm, charge)
     grading = eigengrading(alg, twist(alg, *factors))
-    return alg, rs, grading, fixed_cartan(grading, rs.rank)
+    return alg, root_system(cartan_matrix(label)), grading, fixed_cartan(alg, grading)
 
 
 def _certificate(label, perm=None, charge=None):
@@ -58,7 +58,7 @@ def _certificate(label, perm=None, charge=None):
     rank = cartan_matrix(label).rank
     perm = perm or DiagramPermutation.identity(rank)
     charge = charge or ToralCharge.trivial(rank)
-    _, alg, *factors = type_twist_factors(label, perm, charge)
+    alg, *factors = type_twist_factors(label, perm, charge)
     return affine_certificate(label, alg, twist(alg, *factors))
 
 
@@ -112,9 +112,9 @@ def test_fixed_cartan_equals_the_orbit_sums_of_pi(label):
     cartan = cartan_matrix(label)
     for perm in dynkin_automorphism_group(cartan).elements:
         for charge in _charges(perm):
-            _, alg, *factors = type_twist_factors(label, perm, charge)
+            alg, *factors = type_twist_factors(label, perm, charge)
             grading = eigengrading(alg, twist(alg, *factors))
-            assert fixed_cartan(grading, cartan.rank) == orbit_sum_cartan(alg, perm), (perm, charge)
+            assert fixed_cartan(alg, grading) == orbit_sum_cartan(alg, perm), (perm, charge)
 
 
 # -- root data -------------------------------------------------------------------
@@ -619,20 +619,21 @@ def test_certificate_refuses_a_twist_certified_on_another_table():
     # two builds of the flipped A2 are two tables: a twist certified on one
     # is refused on the other, by eigengrading
     flip, trivial = DiagramPermutation((1, 0)), ToralCharge.trivial(2)
-    _, alg, *factors = type_twist_factors("A2", flip, trivial)
-    _, other, *_ = type_twist_factors("A2", flip, trivial)
+    alg, *factors = type_twist_factors("A2", flip, trivial)
+    other, *_ = type_twist_factors("A2", flip, trivial)
     sigma = twist(alg, *factors)
     assert str(affine_certificate("A2", alg, sigma).label) == "A2^(2)"
     with pytest.raises(GradingError, match="the automorphism is not certified on this table"):
         affine_certificate("A2", other, sigma)
 
 
-def test_extract_gcm_checks_its_twist_twice(monkeypatch, capsys):
-    # type_twist_factors and diagram_automorphism each refuse a malformed pi
-    # through check_twist; affine takes the certified twist and checks none
+def test_extract_gcm_checks_its_twist_once(monkeypatch, capsys):
+    # type_twist_factors refuses a malformed pi through check_twist before it
+    # builds anything, and builds the diagram map of the pi it accepted;
+    # affine takes the certified twist and checks none
     calls = []
     real = chevalley.check_twist
     monkeypatch.setattr(chevalley, "check_twist", lambda *args: calls.append(args) or real(*args))
     assert cli.main(["extract-gcm", "--type", "D4", "--auto", '{"pi":[4,2,1,3]}']) == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert [perm for _, perm, _ in calls] == [DiagramPermutation.from_one_based((4, 2, 1, 3))]

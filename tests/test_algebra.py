@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations, product
 from fractions import Fraction
@@ -13,13 +14,17 @@ from dense import (
     check_diagonal_automorphism,
     dense_check_automorphism,
     densify,
+    charge_pairings,
+    layout_exponents,
     mat_inverse,
+    matrix_unit_shifts,
     mat_mul,
     ordered_triple_validation,
+    twist_factors,
     twist_fixture,
     twisted_fixed_points,
 )
-from loopforms import algebra
+from loopforms import algebra, cli
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
@@ -44,17 +49,18 @@ from loopforms.grading import (
     twist,
 )
 from loopforms.chevalley import (
+    TYPE_LABELS,
     DiagramPermutation,
     ToralCharge,
     algebra_over,
     cartan_matrix,
-    charge_pairings,
     diagram_automorphism,
+    root_system,
     type_twist_factors,
 )
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
-from loopforms.descent import build_matrix_algebra
+from loopforms.descent import build_matrix_algebra, matrix_twist_factors
 from loopforms.linalg import Echelon, SpanSolver, nullspace
 from loopforms.record import RequestError
 
@@ -384,11 +390,115 @@ def test_pair_listed_twice_is_refused():
         MultTableAlgebra.from_obj(obj)
 
 
+# -- weights -------------------------------------------------------------------
+
+
+def _non_additive_products(alg):
+    """The basis pairs (i, j) whose product has a term e_k with
+    weights[k] != weights[i] + weights[j]."""
+    w = alg.weights
+    return [
+        (alg.basis_labels[i], alg.basis_labels[j])
+        for (i, j), entry in alg._table.items()
+        for k, _ in entry
+        if w[k] != tuple(a + b for a, b in zip(w[i], w[j]))
+    ]
+
+
+@pytest.mark.parametrize("label", TYPE_LABELS)
+def test_type_weights_are_additive_on_every_product(label):
+    # root coordinates, 0 on h_1..h_l, as the layout lists the roots
+    rs, alg = algebra_over(label, 1)
+    assert alg.weights == ((0,) * rs.rank,) * rs.rank + rs.roots
+    assert _non_additive_products(alg) == []
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matrix_weights_are_additive_on_every_product(n):
+    alg, *_ = matrix_twist_factors(n, (0,) * n, 1)
+    assert len(alg.weights) == n * n and all(len(w) == n for w in alg.weights)
+    assert _non_additive_products(alg) == []
+
+
+def test_a_table_read_from_a_file_has_no_weights():
+    _, alg = algebra_over("A2", 1)
+    read = MultTableAlgebra.from_obj(json.loads(json.dumps(alg.to_obj())))
+    assert read.weights is None and alg.weights is not None
+    assert read.to_obj() == alg.to_obj()
+
+
+@pytest.mark.parametrize("name", TWIST_FIXTURES)
+def test_pairing_equals_the_layout_rules_on_twist_fixtures(name):
+    alg, _, exponents, _ = twist_factors(name)
+    h, oracle = layout_exponents(name)
+    assert alg.pairing(h) == exponents == oracle
+
+
+_TWIST_COMMANDS = ("grade", "descent-verify", "untwist", "extract-gcm", "centroid")
+
+
+@pytest.mark.parametrize(
+    "line", [line for line, _ in cli._VERIFY_TABLE if line.split()[0] in _TWIST_COMMANDS]
+)
+def test_pairing_equals_the_layout_rules_on_verify_all_twists(line):
+    # the exponents the CLI hands grading.twist, against the rule of the
+    # table's basis layout
+    args = cli._parse_args(line.split())
+    spec = cli._parse_auto_json(args.auto)
+    source = "type" if args.type is not None else "matrix-algebra"
+    _, _, exponents, m, _ = cli._build_sigma(args, source, spec)
+    if args.type is not None:
+        rs = root_system(cartan_matrix(args.type))
+        s = tuple(spec.get("s") or (0,) * rs.rank)
+        assert exponents == charge_pairings(rs, ToralCharge(s=s, modulus=m))
+    else:
+        assert exponents == matrix_unit_shifts(args.matrix_algebra, spec["exponents"])
+
+
+def _moved_weight(alg, label, coordinate):
+    """alg with one coordinate of the weight of one basis element moved by 1."""
+    k = alg.basis_labels.index(label)
+    weights = [list(w) for w in alg.weights]
+    weights[k][coordinate] += 1
+    return MultTableAlgebra(
+        alg.dim, alg.scalar_order, alg.kind, alg.constants, alg.basis_labels,
+        tuple(map(tuple, weights)),
+    )
+
+
+@pytest.mark.parametrize(
+    "table, h, moved, message",
+    [
+        (
+            algebra_over("A2", 3)[1],
+            (1, 0),
+            ("e[1,1]", 0),
+            "(e[0,1], e[1,0]): exponent 2 of e[1,1] is not 0 + 1",
+        ),
+        (
+            matrix_twist_factors(3, (0, 1, 2), 3)[0],
+            (0, 1, 2),
+            ("E12", 1),
+            "(E12, E21): exponent 0 of E11 is not 0 + 1",
+        ),
+    ],
+    ids=["A2", "M3"],
+)
+def test_twist_refuses_a_moved_weight(table, h, moved, message):
+    # one weight moved by 1 breaks additivity, and twist names the product
+    # whose target's exponent the pairing moved
+    assert twist(table, identity_automorphism(table), table.pairing(h), 3).period == 3
+    tampered = _moved_weight(table, *moved)
+    with pytest.raises(AutomorphismError) as refused:
+        twist(tampered, identity_automorphism(tampered), tampered.pairing(h), 3)
+    assert str(refused.value) == "exponent additivity fails on basis pair " + message
+
+
 # -- gradings ------------------------------------------------------------------
 
 
 def _sl2_graded():
-    _, alg, *factors = type_twist_factors(
+    alg, *factors = type_twist_factors(
         "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
     sigma = twist(alg, *factors)
@@ -518,9 +628,9 @@ def test_diagonal_certificate_equals_pair_check(name):
 
 
 def test_non_additive_charge_raises():
-    rs, alg = algebra_over("A2", 3)
+    _, alg = algebra_over("A2", 3)
     identity = identity_automorphism(alg)
-    good = list(charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3)))
+    good = list(alg.pairing((1, 0)))
     assert twist(alg, identity, good, 3).period == 3
     bad = list(good)
     top = alg.basis_labels.index("e[1,1]")
@@ -542,7 +652,7 @@ def test_non_additive_charge_raises():
 def test_composition_needs_certified_factors():
     rs, alg = algebra_over("A2", 6)
     flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
-    exponents = charge_pairings(rs, ToralCharge(s=(1, 1), modulus=3))
+    exponents = alg.pairing((1, 1))
     tau = check_diagonal_automorphism(alg, exponents, 3)
     composed = twist(alg, flip, exponents, 3)
     assert composed == flip.compose(tau) and composed.certified_on(alg)
@@ -706,7 +816,7 @@ def test_twist_refuses_factors_that_do_not_commute():
     # the charge s = (1, 0) is not constant on the orbit of the flip
     rs, alg = algebra_over("A2", 6)
     flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
-    skewed = charge_pairings(rs, ToralCharge(s=(1, 0), modulus=3))
+    skewed = alg.pairing((1, 0))
     with pytest.raises(AutomorphismError) as refused:
         twist(alg, flip, skewed, 3)
     assert str(refused.value) == (
@@ -961,7 +1071,7 @@ def test_centroid_identity_membership():
 
 
 def test_centroid_of_untwisted_simple_algebra_is_scalars():
-    _, alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), ToralCharge.trivial(1))
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), ToralCharge.trivial(1))
     grading = eigengrading(alg, twist(alg, *factors))
     (report,) = centroid_graded(alg, grading)
     assert report.solution_dim == 1
@@ -1006,7 +1116,7 @@ _POOL_A3 = (((3, 2, 1), (0, 0, 0), 1), ((3, 2, 1), (1, 0, 1), 2), ((3, 2, 1), (3
 @pytest.mark.parametrize("pi,s,m", _POOL_A3)
 def test_centroid_matches_all_pairs_on_pool_a3(pi, s, m):
     perm = DiagramPermutation.from_one_based(pi)
-    _, alg, *factors = type_twist_factors("A3", perm, ToralCharge(s=s, modulus=m))
+    alg, *factors = type_twist_factors("A3", perm, ToralCharge(s=s, modulus=m))
     sigma = twist(alg, *factors)
     _assert_centroid_matches_all_pairs(alg, eigengrading(alg, sigma))
 

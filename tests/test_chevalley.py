@@ -25,7 +25,6 @@ from loopforms.chevalley import (
     ToralCharge,
     algebra_over,
     cartan_matrix,
-    charge_pairings,
     check_twist,
     chevalley_algebra,
     _symmetrizers,
@@ -38,6 +37,7 @@ from loopforms.chevalley import (
 from loopforms.record import RequestError
 from dense import (
     basis_vector,
+    charge_pairings,
     check_diagonal_automorphism,
     dense_product,
     densify,
@@ -113,13 +113,18 @@ def test_malformed_cartan_matrix_rejected(entries, message):
 
 def test_root_system_size_is_limited():
     # A_l is of finite type, with l(l + 1) roots: 462 for A21, and 506 for
-    # A22, past the closure's limit
+    # A22, past the closure's limit, a size limit and so a refusal
     def a(l):
         return FiniteCartanMatrix(tuple(map(tuple, chevalley._chain(l))), f"A{l}")
 
     assert len(root_system(a(21)).roots) == 462
-    with pytest.raises(LieConstructError, match="the root system has more than 500 roots"):
+    with pytest.raises(RequestError, match="the root system of A22 has more than 500 roots"):
         root_system(a(22))
+    # B12 has 288 roots, but its fold's cover A23 has 552: the refusal names
+    # the matrix whose closure it cut
+    assert len(root_system(cartan_matrix("B12")).roots) == 288
+    with pytest.raises(RequestError, match="the root system of cover of B12 has more than"):
+        algebra_over("B12", 1)
 
 
 # -- root systems ----------------------------------------------------------------
@@ -550,7 +555,7 @@ def test_triality_has_period_three():
 
 
 def test_toral_automorphism_exact_matrix():
-    _, alg, *factors = type_twist_factors(
+    alg, *factors = type_twist_factors(
         "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
     sigma = twist(alg, *factors)
@@ -562,12 +567,15 @@ def test_toral_automorphism_exact_matrix():
 
 
 def test_charge_pairings_sl2():
-    rs, _ = algebra_over("A1", 2)
-    assert charge_pairings(rs, ToralCharge(s=(1,), modulus=2)) == (0, 1, -1)
+    # the pairing of s with the weights, against the layout's own rule
+    rs, alg = algebra_over("A1", 2)
+    assert alg.weights == ((0,), (1,), (-1,))
+    oracle = charge_pairings(rs, ToralCharge(s=(1,), modulus=2))
+    assert alg.pairing((1,)) == oracle == (0, 1, -1)
 
 
 def test_composed_automorphism_period_is_lcm():
-    _, alg, *factors = type_twist_factors("A2", FLIP, ToralCharge(s=(1, 1), modulus=3))
+    alg, *factors = type_twist_factors("A2", FLIP, ToralCharge(s=(1, 1), modulus=3))
     assert alg.scalar_order == 6
     sigma = twist(alg, *factors)
     assert sigma.period == 6
@@ -603,8 +611,9 @@ def test_type_twist_factors_compose_to_the_three_pass_oracle():
     # automorphism and the pairings modulo m, and twist composes them into
     # the map that three full pair checks build
     charge = ToralCharge(s=(1, 0, 1, 1), modulus=3)
-    rs, alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, charge)
-    assert (rs, alg) == algebra_over("D4", 3)
+    alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, charge)
+    rs, fresh = algebra_over("D4", 3)
+    assert alg == fresh
     assert outer == diagram_automorphism(alg, rs, TRIALITY)
     assert outer.certified_on(alg)
     assert (pairings, m) == (charge_pairings(rs, charge), 3)
@@ -646,7 +655,8 @@ def _trivial_charges():
 def _twist_matches_three_passes(label, perm, charge):
     """twist of the factors of `type_twist_factors`, against three full pair
     checks and against the type-label path it replaced."""
-    rs, alg, outer, *factors = type_twist_factors(label, perm, charge)
+    alg, outer, *factors = type_twist_factors(label, perm, charge)
+    rs = root_system(cartan_matrix(label))
     fast = twist(alg, outer, *factors)
     assert (outer, fast) == three_pass_composition(alg, rs, perm, charge)
     assert (outer, fast) == diagram_and_composition(alg, rs, perm, charge)
@@ -817,7 +827,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     rs, alg = chevalley.algebra_over("A2", 6)
     flip = chevalley.diagram_automorphism(alg, rs, chevalley.DiagramPermutation((1, 0)))
     # the pairings of a charge that is not constant on the orbits of the flip
-    skewed = chevalley.charge_pairings(rs, chevalley.ToralCharge(s=(1, 0), modulus=3))
+    skewed = alg.pairing((1, 0))
     try:
         twist(alg, flip, skewed, 3)
     except AutomorphismError as exc:
@@ -827,7 +837,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     except cyclo.CycloError as exc:
         print("refused:", exc)
     # a grading whose first component vector of residue 1 is 2 at its pivot
-    _, alg, *factors = chevalley.type_twist_factors(
+    alg, *factors = chevalley.type_twist_factors(
         "A1", chevalley.DiagramPermutation.identity(1), chevalley.ToralCharge(s=(1,), modulus=2)
     )
     sigma = twist(alg, *factors)

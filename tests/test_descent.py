@@ -18,18 +18,18 @@ from dense import (
     is_identity,
     mat_mul,
     mat_pow,
+    matrix_unit_shifts,
     twist_factors,
     twist_fixture,
     twisted_fixed_points,
     untwist_matrix_iso,
     windowed_untwist_check,
 )
-from loopforms import cli, descent, grading, linalg
+from loopforms import chevalley, cli, descent, grading, linalg
 from loopforms.chevalley import (
     DiagramPermutation,
     ToralCharge,
     algebra_over,
-    charge_pairings,
     diagram_automorphism,
     type_twist_factors,
 )
@@ -40,7 +40,6 @@ from loopforms.descent import (
     build_matrix_algebra,
     fixed_point_report,
     matrix_twist_factors,
-    matrix_unit_shifts,
     untwist_iso,
 )
 from loopforms.grading import (
@@ -57,22 +56,22 @@ FLIP = DiagramPermutation((1, 0))
 
 
 def _sl2_toral():
-    rs, alg, *factors = type_twist_factors(
+    alg, *factors = type_twist_factors(
         "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
-    return rs, alg, twist(alg, *factors)
+    return alg, twist(alg, *factors)
 
 
 def _type_twist(label, perm, s, m):
     """(alg, outer, exponents, m) of pi o tau_s, as `untwist_iso` takes them."""
-    return type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))[1:]
+    return type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))
 
 
 # -- cocycles --------------------------------------------------------------------
 
 
 def test_cocycle_values_are_inverse_powers():
-    _, alg, sigma = _sl2_toral()
+    alg, sigma = _sl2_toral()
     cocycle = build_cocycle(sigma)
     assert cocycle.period == 2
     assert is_identity(cocycle.value(0).matrix)
@@ -98,7 +97,7 @@ def test_cocycle_values_match_dense_powers(name):
 
 
 def test_twisted_fixed_points_equal_grading():
-    _, alg, sigma = _sl2_toral()
+    alg, sigma = _sl2_toral()
     grading = eigengrading(alg, sigma)
     cocycle = build_cocycle(sigma)
     fixed = twisted_fixed_points(cocycle, grading)
@@ -156,7 +155,7 @@ def test_fixed_point_report_matches_eliminated_kernels(name):
 
 
 def test_fixed_point_report_refuses_uncertified_twist():
-    _, alg, sigma = _sl2_toral()
+    alg, sigma = _sl2_toral()
     fixed_point_report(alg, sigma)
     # the same map written out by hand carries no certificate on the table
     plain = FiniteOrderAutomorphism(sigma.images, sigma.scalars, sigma.period)
@@ -184,7 +183,7 @@ def test_descent_verify_runs_no_nullspace(monkeypatch, capsys):
 
 
 def test_tampered_cocycle_detected():
-    _, alg, sigma = _sl2_toral()
+    alg, sigma = _sl2_toral()
     grading = eigengrading(alg, sigma)
     one = CycloNum.one(alg.scalar_order)
     eye = FiniteOrderAutomorphism(tuple(range(alg.dim)), (one,) * alg.dim, 2)
@@ -216,16 +215,15 @@ def test_untwist_sl2_moves_weight_lines():
 
 def test_untwist_composed_flip_passes(monkeypatch, capsys):
     built = []
-    real = diagram_automorphism
+    real = chevalley._diagram_map
 
     def counting(*args):
         built.append(args[2])
         return real(*args)
 
-    # rebind every alias, so a direct call from any module is counted too
-    for name, module in list(sys.modules.items()):
-        if name.startswith("loopforms") and getattr(module, "diagram_automorphism", None) is real:
-            monkeypatch.setattr(module, "diagram_automorphism", counting)
+    # type_twist_factors builds the outer map of a pi that check_twist has
+    # accepted, and no other module builds one
+    monkeypatch.setattr(chevalley, "_diagram_map", counting)
     argv = ["untwist", "--type", "A2", "--auto", '{"pi":[2,1],"s":[1,1],"m":2}']
     assert cli.main(argv) == 0
     iso = json.loads(capsys.readouterr().out)["payload"]
@@ -243,7 +241,7 @@ def test_untwist_composed_flip_passes(monkeypatch, capsys):
 
 
 def test_untwist_matrix_iso_shifts():
-    alg, identity, shifts = matrix_twist_factors(2, (0, 1), 2)
+    alg, identity, shifts, _ = matrix_twist_factors(2, (0, 1), 2)
     iso = untwist_iso(alg, identity, shifts, 2)
     # basis order E11, E12, E21, E22; shift a_i - a_k: E12 gains one degree
     assert alg.basis_labels == ("E11", "E12", "E21", "E22")
@@ -272,7 +270,7 @@ def test_unified_witnesses_match_matrix_oracles(n, exponents, m, window):
     # the one untwist of every table, against the matrix-unit path it
     # replaced: same shifts, period, toral_modulus and checks, and the same
     # coboundary row; the untwisting map also passes the windowed oracle
-    alg, identity, shifts = matrix_twist_factors(n, exponents, m)
+    alg, identity, shifts, _ = matrix_twist_factors(n, exponents, m)
     iso = untwist_iso(alg, identity, shifts, m)
     oracle = untwist_matrix_iso(n, exponents, m)
     assert iso == oracle
@@ -550,9 +548,11 @@ def test_twist_asks_for_the_integer_lift_of_its_exponents():
 
 
 def test_matrix_unit_shifts_m3():
-    shifts = matrix_unit_shifts(3, (0, 1, 2))
-    # row-major E11..E33: a_i - a_k
-    assert shifts == (0, -1, -2, 1, 0, -1, 2, 1, 0)
+    # the pairing of a = (0, 1, 2) with the weights eps_i - eps_k of the
+    # matrix units, row-major E11..E33: a_i - a_k, as the oracle writes it
+    alg, _, shifts, _ = matrix_twist_factors(3, (0, 1, 2), 3)
+    assert alg.weights[1] == (1, -1, 0)
+    assert shifts == matrix_unit_shifts(3, (0, 1, 2)) == (0, -1, -2, 1, 0, -1, 2, 1, 0)
 
 
 # -- coboundary witnesses --------------------------------------------------------
@@ -569,7 +569,7 @@ def test_coboundary_witness_sl2():
 
 
 def test_coboundary_witness_matrix():
-    alg, identity, exponents = matrix_twist_factors(3, (0, 1, 2), 3)
+    alg, identity, exponents, _ = matrix_twist_factors(3, (0, 1, 2), 3)
     iso = untwist_iso(alg, identity, exponents, 3)
     shifts, rows = coboundary_witness_matrix(3, (0, 1, 2), 3)
     assert iso.shifts == shifts == matrix_unit_shifts(3, (0, 1, 2))
@@ -580,13 +580,13 @@ def test_coboundary_witness_matrix():
 def test_coboundary_rejects_rank_mismatch():
     # the pairings of an A1 charge on the A2 table: one exponent per basis
     # vector of A1, not of A2
-    rs1, _ = algebra_over("A1", 2)
-    rs, alg = algebra_over("A2", 2)
+    _, a1 = algebra_over("A1", 2)
+    _, alg = algebra_over("A2", 2)
     identity = identity_automorphism(alg)
     with pytest.raises(
         AutomorphismError, match="the diagonal map needs one exponent per basis element, 8 in all"
     ):
-        untwist_iso(alg, identity, charge_pairings(rs1, ToralCharge(s=(1,), modulus=2)), 2)
+        untwist_iso(alg, identity, a1.pairing((1,)), 2)
 
 
 # -- matrix algebra construction ---------------------------------------------------

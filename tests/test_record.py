@@ -51,7 +51,9 @@ def _sl2() -> MultTableAlgebra:
 def test_fields_are_the_annotations_in_order():
     assert Point._fields == ("x", "y")
     assert ToralCharge._fields == ("s", "modulus")
-    assert MultTableAlgebra._fields == ("dim", "scalar_order", "kind", "constants", "basis_labels")
+    assert MultTableAlgebra._fields == (
+        "dim", "scalar_order", "kind", "constants", "basis_labels", "weights"
+    )
 
 
 def test_assignment_and_deletion_raise():
@@ -137,7 +139,7 @@ def test_caches_are_outside_equality_hash_and_repr():
     assert alg == fresh and hash(alg) == hash(fresh)
     assert "_table" not in repr(alg) and "validation" not in repr(alg)
 
-    _, alg, *factors = type_twist_factors(
+    alg, *factors = type_twist_factors(
         "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
     )
     sigma = twist(alg, *factors)
@@ -158,7 +160,7 @@ def test_caches_are_outside_equality_hash_and_repr():
 
 def test_cached_property_is_kept_on_the_instance():
     identity, charge = DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    _, alg, *factors = type_twist_factors("A1", identity, charge)
+    alg, *factors = type_twist_factors("A1", identity, charge)
     sigma = twist(alg, *factors)
     assert sigma.matrix is sigma.matrix
     assert "matrix" in sigma.__dict__

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from loopforms.affine import AffineRootData, ExtractionReport, affine_certificate
+from loopforms.affine import AffineRootData, ExtractionReport, affine_certificate, fixed_cartan
 from loopforms.centroid import centroid_graded
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -216,6 +216,11 @@ def _words(*names):
         ),
         # affine reads h0 off grading component 0: no record built from pi
         pytest.param(_words("FixedCartan"), id="fixed cartan record"),
+        # a table carries its weights, and every twist's exponents are
+        # MultTableAlgebra.pairing of a coweight: no private rule per basis
+        # layout, which tests/dense.charge_pairings and matrix_unit_shifts
+        # keep as the oracles
+        pytest.param(_words("charge_pairings", "matrix_unit_shifts"), id="layout exponents"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -239,7 +244,7 @@ def test_only_centroid_imports_the_elimination_kernel():
 def test_only_chevalley_builds_type_twist_factors():
     # a type-label twist is built by chevalley.type_twist_factors alone
     others = [path for path in SOURCES if path != SRC / "loopforms" / "chevalley.py"]
-    assert _matches(r"\b(?:diagram_automorphism|charge_pairings)\(", others) == []
+    assert _matches(r"\bdiagram_automorphism\(", others) == []
 
 
 def test_affine_reads_the_certified_twist_it_is_handed():
@@ -252,6 +257,14 @@ def test_affine_reads_the_certified_twist_it_is_handed():
     assert tuple(signature) == ("type_label", "alg", "sigma")
     assert all(p.default is inspect.Parameter.empty for p in signature.values())
     assert ExtractionReport._fields == ("grading", "certificate", "label")
+
+
+def test_affine_reads_h0_off_the_weights():
+    # fixed_cartan takes the table and its grading, and h0 is supported on
+    # the indices of weight zero: affine reads no rank and no basis layout
+    affine = SRC / "loopforms" / "affine.py"
+    assert tuple(inspect.signature(fixed_cartan).parameters) == ("alg", "grading")
+    assert _matches(r"\.rank\b", [affine]) == []
 
 
 def test_descent_names_no_chevalley_import():
