@@ -47,7 +47,7 @@ from .chevalley import (
 )
 from .cyclo import CycloNum, Sparse
 from .grading import ComponentSolver, FiniteOrderAutomorphism, GradedDecomposition, eigengrading
-from .record import Record
+from .record import Record, RequestError
 
 __all__ = [
     "AffineExtractError",
@@ -94,8 +94,11 @@ def fixed_cartan(alg: MultTableAlgebra, grading: GradedDecomposition) -> tuple[S
     same for every root of a pi-orbit, which is what lets `affine_roots` read
     the weights off the closed-form grading; it checks that each vector is
     an h0-eigenvector of integer weight, and that h0 is all of the
-    zero-weight space of component 0.
+    zero-weight space of component 0.  A table without weights is refused
+    with `record.RequestError`.
     """
+    if alg.weights is None:
+        raise RequestError("the table carries no weights to read the fixed Cartan h0 off")
     toral = {k for k, weight in enumerate(alg.weights) if not any(weight)}
     return tuple(v for v in grading.component_bases[0] if toral.issuperset(v))
 

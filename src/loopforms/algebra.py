@@ -137,7 +137,16 @@ class MultTableAlgebra(Record):
 
     def pairing(self, h: Sequence[int]) -> tuple[int, ...]:
         """<weights[k], h> for every k: the exponents, as `grading.twist`
-        takes them, of the diagonal twist that the coweight h names."""
+        takes them, of the diagonal twist that the coweight h names.  A
+        table without weights, or an h of another length than its weights,
+        is refused with `record.RequestError`."""
+        if self.weights is None:
+            raise RequestError(f"the table carries no weights to pair with h = {list(h)}")
+        if len(h) != len(self.weights[0]):
+            raise RequestError(
+                f"the coweight h = {list(h)} has length {len(h)},"
+                f" but the weights have length {len(self.weights[0])}"
+            )
         return tuple(sum(w * c for w, c in zip(weight, h)) for weight in self.weights)
 
     @cached_property

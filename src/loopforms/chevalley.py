@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, make_table
 from .cyclo import CycloNum
-from .record import Record, RequestError
+from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
 
 # the automorphism layer is imported by the functions that build
 # automorphisms, so building a table compiles no grading code
@@ -152,8 +152,8 @@ def _chain(l: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def cartan_matrix(label: str) -> FiniteCartanMatrix:
-    """Cartan matrix for A1..E8, F4, G2; A, D and E in Bourbaki's node
-    numbering, B, C, F and G not.
+    """Cartan matrix for A1.., B2.., C3.., D4.., E6..E8, F4, G2; A, D and E
+    in Bourbaki's node numbering, B, C, F and G not.
 
     Read with a_ij = <alpha_i^vee, alpha_j>, as `root_system` does, B_l and
     C_l are transposed against Bourbaki: the -2 of "B<l>" sits where
@@ -161,24 +161,32 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
     "B2" has (2, 1), not (1, 2).  F4 and G2 are numbered in reverse: their
     highest roots come out as (2, 4, 3, 2) and (2, 3), where Bourbaki has
     (2, 3, 4, 2) and (3, 2).  This stands until ROADMAP item 1 renumbers
-    them.  A label other than a family letter and a rank in ASCII digits, or
-    a rank its family lacks, is a malformed input: it raises RequestError.
+    them.  A label other than a family letter and a rank in ASCII digits, a
+    rank its family lacks, or a type whose algebra has dimension above
+    `record.MAX_DIM` is a malformed input: it raises RequestError, before
+    any matrix is built.  The dimension is rank + #roots, in closed form.
     """
     rank = label[1:]
     if len(label) < 2 or label[0] not in "ABCDEFG" or not (rank.isascii() and rank.isdigit()):
         raise RequestError(f"unknown type label {label!r}")
-    family, l = label[0], int(rank)
-    valid = {
-        "A": l >= 1,
-        "B": l >= 2,
-        "C": l >= 3,
-        "D": l >= 4,
-        "E": l in (6, 7, 8),
-        "F": l == 4,
-        "G": l == 2,
+    try:
+        family, l = label[0], int(rank)
+    except ValueError:  # past the interpreter's digit limit
+        raise RequestError(f"a rank of {len(rank)} digits is past the digit limit") from None
+    # the dimension of each family's algebra, falsy for a rank it lacks
+    dim = {
+        "A": l >= 1 and l * (l + 2),
+        "B": l >= 2 and l * (2 * l + 1),
+        "C": l >= 3 and l * (2 * l + 1),
+        "D": l >= 4 and l * (2 * l - 1),
+        "E": {6: 78, 7: 133, 8: 248}.get(l),
+        "F": l == 4 and 52,
+        "G": l == 2 and 14,
     }[family]
-    if not valid:
+    if not dim:
         raise RequestError(f"unsupported type label {label!r}")
+    if dim > MAX_DIM:
+        raise RequestError(f"{label} has dimension {dim}, which exceeds the size limit {MAX_DIM}")
     if family == "A":
         a = _chain(l)
     elif family == "B":
@@ -215,8 +223,6 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
 
 Root = tuple[int, ...]
 
-_CLOSURE_BOUND = 500
-
 
 class RootSystem(Record):
     """All roots in simple-root coordinates; positives sorted by height, lex."""
@@ -251,18 +257,12 @@ def root_system(cartan: FiniteCartanMatrix) -> RootSystem:
     type (Kac, Infinite-Dimensional Lie Algebras, Ch. 4).  The closure is then
     the finite set of real roots, and it is symmetric, since
     -w(alpha_i) = w s_i (alpha_i), with every root positive or negative.
-    The closure is cut at _CLOSURE_BOUND roots, a size limit (RequestError):
-    E8 has 240, and so does A15, the cover of "B8".
     """
     l = cartan.rank
     simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
     seen: set[Root] = set(simples)
     frontier = list(simples)
     while frontier:
-        if len(seen) > _CLOSURE_BOUND:
-            raise RequestError(
-                f"the root system of {cartan.type_label} has more than {_CLOSURE_BOUND} roots"
-            )
         alpha = frontier.pop()
         for i in range(l):
             pairing = sum(cartan.entries[i][j] * alpha[j] for j in range(l))
@@ -708,9 +708,16 @@ def _diagram_map(
 
 def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: ToralCharge) -> None:
     """Raise `RequestError`, before anything is built, unless pi o tau_s is
-    a twist of the type of `cartan`: pi preserves the Cartan matrix (so has
-    its rank), and s has its rank and is constant on the orbits of pi."""
+    a twist of the type of `cartan`, of period lcm(|pi|, m) <= MAX_PERIOD:
+    pi preserves the Cartan matrix (so has its rank), and s has its rank
+    and is constant on the orbits of pi."""
     label, s = cartan.type_label, list(charge.s)
+    period = lcm(perm.order(), charge.modulus)
+    if period > MAX_PERIOD:
+        raise RequestError(
+            f"the twist period lcm({perm.order()}, {charge.modulus}) = {period}"
+            f" exceeds the limit {MAX_PERIOD}"
+        )
     if not perm.preserves(cartan):
         raise RequestError(
             "unsupported automorphism: permutation does not preserve the Cartan matrix"

@@ -32,7 +32,7 @@ from .chevalley import (
     type_twist_factors,
 )
 from .grading import twist
-from .record import Record, RequestError
+from .record import Record
 
 __all__ = [
     "Classification",
@@ -96,8 +96,6 @@ def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
 
     `OutGroup` checks each one against the whole matrix again.
     """
-    if cartan.rank > 9:
-        raise RequestError("rank above the brute-force budget")
     a = cartan.entries
     return OutGroup(
         elements=tuple(DiagramPermutation(p) for p in node_isomorphisms(a, a)), cartan=cartan

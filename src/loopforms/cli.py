@@ -14,11 +14,12 @@ each row of `_COMMANDS` names the input flags its command reads, which
 `_request` alone resolves and checks.  Flags are spelled out in full; an
 abbreviation is an unknown flag.
 
-The CLI checks only the shape of the argv and of `--auto`, and the limits
-`MAX_PERIOD` and `MAX_MATRIX_SIZE`.  The library decides whether the input
-names a twist, and refuses it with the same `record.RequestError` the CLI
-raises, so `_request` maps every refused input to exit 2, whichever module
-refused it, and every failed certificate to exit 1.
+The CLI checks only the shape of the argv and of `--auto`.  The library
+decides whether the input names a type and a twist within its two size
+limits, on the dimension of the table and on the period (`record`), and
+refuses it with the same `record.RequestError` the CLI raises, so `_request`
+maps every refused input to exit 2, whichever module refused it, and every
+failed certificate to exit 1.
 
 `verify-all` runs each request of `_VERIFY_TABLE` through `_request`, the
 path `main` runs, and checks the fields its report must hold; it then reruns
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from math import lcm
 from typing import TYPE_CHECKING, Optional
 
 from .algebra import MultTableAlgebra
@@ -44,12 +44,6 @@ if TYPE_CHECKING:
     from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge
 
 __all__ = ["main"]
-
-
-# Resource limits at the request boundary.  The cost of Q(zeta_m) grows with
-# phi(m), and M_n has n^2 basis elements; a request past a limit exits 2.
-MAX_PERIOD = 24  # m, and the twist period lcm(|pi|, m)
-MAX_MATRIX_SIZE = 8
 
 
 # -- automorphism specs ----------------------------------------------------------
@@ -84,12 +78,7 @@ def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutatio
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
     m = _modulus(obj)
     perm = DiagramPermutation.from_one_based(_int_list(obj, "pi", range(1, cartan.rank + 1)))
-    charge = ToralCharge(s=_int_list(obj, "s", [0] * cartan.rank), modulus=m)
-    period = lcm(perm.order(), m)
-    if period > MAX_PERIOD:
-        raise RequestError(
-            f"the twist period lcm({perm.order()}, {m}) = {period} exceeds the limit {MAX_PERIOD}"
-        )
+    charge = ToralCharge(s=_int_list(obj, "s", (0,) * cartan.rank), modulus=m)
     return perm, charge
 
 
@@ -97,26 +86,24 @@ def _modulus(obj: dict) -> int:
     m = obj.get("m", 1)
     if not _is_int(m):
         raise RequestError("m must be an integer")
-    if m > MAX_PERIOD:
-        raise RequestError(f"m = {m} exceeds the period limit {MAX_PERIOD}")
     return m
 
 
-def _matrix_auto(obj: dict, n: int) -> tuple[tuple[int, ...], int]:
-    """{"exponents": [ints], "m": int} for the inner twist of M_n, read for
-    `descent.matrix_twist_factors` to decide."""
+def _matrix_auto(obj: dict) -> tuple[Optional[tuple[int, ...]], int]:
+    """{"exponents": [ints] | null, "m": int} for the inner twist of M_n,
+    read for `descent.matrix_twist_factors` to decide, null as None."""
     unknown = set(obj) - {"exponents", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a matrix algebra: {sorted(unknown)}")
-    return _int_list(obj, "exponents", [0] * n), _modulus(obj)
+    return _int_list(obj, "exponents", None), _modulus(obj)
 
 
-def _int_list(obj: dict, key: str, default) -> tuple[int, ...]:
+def _int_list(obj: dict, key: str, default) -> Optional[tuple[int, ...]]:
     """obj[key], a JSON list of integers, or default when absent or null."""
     value = obj.get(key)
     if value is not None and (not isinstance(value, list) or not all(map(_is_int, value))):
         raise RequestError(f"{key} must be a list of integers")
-    return tuple(default if value is None else value)
+    return default if value is None else tuple(value)
 
 
 def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
@@ -134,18 +121,6 @@ def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
     source = present[0]
     if source not in allowed:
         raise RequestError(f"--{source} is not supported by this command")
-    if source == "type":
-        from .chevalley import TYPE_LABELS
-
-        if args.type not in TYPE_LABELS:
-            raise RequestError(
-                f"--type {args.type!r} is not a type label; "
-                f"choose one of {', '.join(TYPE_LABELS)}"
-            )
-    if source == "matrix-algebra" and args.matrix_algebra > MAX_MATRIX_SIZE:
-        raise RequestError(
-            f"--matrix-algebra {args.matrix_algebra} exceeds the size limit {MAX_MATRIX_SIZE}"
-        )
     return source
 
 
@@ -177,9 +152,11 @@ def _build_sigma(args: _Args, source: str, spec: dict):
     from .descent import matrix_twist_factors
 
     n = args.matrix_algebra
-    exponents, m = _matrix_auto(spec, n)
-    echo = {"matrix_algebra": n, "auto": {"exponents": list(exponents), "m": m}}
-    return (*matrix_twist_factors(n, exponents, m), echo)
+    exponents, m = _matrix_auto(spec)
+    factors = matrix_twist_factors(n, exponents, m)
+    a = [0] * n if exponents is None else list(exponents)
+    echo = {"matrix_algebra": n, "auto": {"exponents": a, "m": m}}
+    return (*factors, echo)
 
 
 # -- commands --------------------------------------------------------------------
@@ -244,12 +221,11 @@ def _cmd_classify(args: _Args, source: str, spec: dict) -> dict:
     n = args.matrix_algebra
     # Out(M_n) is trivial (all automorphisms inner), so a single class; the
     # witness untwists one twist, Ad(diag(zeta_n^0, ..., zeta_n^(n-1)))
-    exponents = list(range(n))
-    iso = untwist_iso(*matrix_twist_factors(n, exponents, n))
+    iso = untwist_iso(*matrix_twist_factors(n, range(n), n))
     return {
         "matrix_algebra": n,
         "classes": 1,
-        "auto": {"exponents": exponents, "m": n},
+        "auto": {"exponents": list(range(n)), "m": n},
         "witness_checks": iso.witness_checks,
         "status": "pass",
     }
@@ -529,7 +505,7 @@ def _emit(report: dict, args: _Args) -> None:
 # flag -> (attribute, value type or None for a switch, metavar, help)
 _FLAGS = {
     "--type": (
-        "type", str, "T", "built-in type label (A1..A8, B2..B8, C3..C8, D4..D8, E6..E8, F4, G2)"
+        "type", str, "T", "type label A1.., B2.., C3.., D4.., E6..E8, F4, G2 of dimension <= 700"
     ),
     "--algebra": ("algebra", str, "FILE", "path to a serialized multiplication table (JSON)"),
     "--matrix-algebra": ("matrix_algebra", int, "N", "use the matrix algebra M_N"),

@@ -554,11 +554,29 @@ class CycloNum:
 
 
 def zeta_power(m: int, e: int) -> CycloNum:
-    """zeta_m^e as a reduced element of Q(zeta_m)."""
+    """zeta_m^e as a reduced element of Q(zeta_m), a new number on each
+    call, read off the table of its order (`_zeta_powers`)."""
     if m < 1:
         raise ValueError("a root of unity needs a positive order")
-    e %= m
-    return _from_canonical(m, _reduce(m, [0] * e + [1]), 1)
+    return _from_canonical(m, _zeta_powers(m)[e % m], 1)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced numerators of zeta_m^0, ..., zeta_m^(m-1), each the one
+    before times z: a shift up, with the top coefficient folded back by
+    z^phi(m) = -(the terms of Phi_m below its leading 1)."""
+    terms = _modulus_terms(m)
+    power = [1] + [0] * (euler_phi(m) - 1)
+    powers = []
+    for _ in range(m):
+        powers.append(tuple(power))
+        lead = power.pop()
+        power.insert(0, 0)
+        if lead:
+            for i, c in terms:
+                power[i] -= lead * c
+    return tuple(powers)
 
 
 Sparse = dict[int, CycloNum]

@@ -39,12 +39,12 @@ for the inner part of the automorphism group.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import MultTableAlgebra, make_table
 from .cyclo import CycloNum
 from .grading import FiniteOrderAutomorphism, eigengrading, identity_automorphism, twist
-from .record import Record, RequestError
+from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
 
 __all__ = [
     "UntwistIso",
@@ -112,23 +112,29 @@ def build_matrix_algebra(
 
 
 def matrix_twist_factors(
-    n: int, exponents: Sequence[int], m: int
+    n: int, exponents: Optional[Sequence[int]], m: int
 ) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
     """M_n over Q(zeta_m) on the matrix units, and the factors of
     Ad(diag(zeta^a)) as `twist` takes them: the identity outer map, the
-    exponents `alg.pairing(a)` and m.
+    exponents `alg.pairing(a)` and m.  exponents None is a = 0.
 
     E_ik has the weight eps_i - eps_k, so a_i - a_k, and E_ik E_kj = E_ij:
     the weights add, which is the certificate of the twist.  Before anything
-    is built, `RequestError` refuses n < 1, a count of exponents other than
-    n and m < 1.
+    is built, `RequestError` refuses n < 1, a dimension n^2 above
+    `record.MAX_DIM`, a count of exponents other than n, m < 1 and m above
+    `record.MAX_PERIOD`.
     """
     if n < 1:
         raise RequestError(f"M_n needs n >= 1, got n = {n}")
+    if n * n > MAX_DIM:
+        raise RequestError(f"M_n needs n^2 <= {MAX_DIM}, the size limit, got n = {n}")
+    exponents = (0,) * n if exponents is None else exponents
     if len(exponents) != n:
         raise RequestError(f"M_{n} needs one exponent per row, got {len(exponents)}")
     if m < 1:
         raise RequestError(f"the period m must be >= 1, got m = {m}")
+    if m > MAX_PERIOD:
+        raise RequestError(f"m = {m} exceeds the period limit {MAX_PERIOD}")
     idx = lambda i, k: i * n + k  # noqa: E731
     one = CycloNum.one(m)
     entries = {

@@ -26,9 +26,17 @@ takes no part in equality, hashing or the repr.
 `RequestError` classifies a refusal by what failed: an input that names
 nothing the package builds raises it wherever it is checked, and `cli.main`
 maps it to exit 2; a failed certificate raises its module's own error.
+
+So is an input past a size limit, by the function that reads it, before
+anything is built: `MAX_DIM` bounds the dimension of a table, `MAX_PERIOD`
+the twist period lcm(|pi|, m).  README ("Requests are bounded") times the
+slowest requests they admit.
 """
 
 __all__ = ["Record", "RequestError"]
+
+MAX_DIM = 700
+MAX_PERIOD = 24
 
 
 class RequestError(ValueError):

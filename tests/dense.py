@@ -792,6 +792,13 @@ def base_change_check(alg: MultTableAlgebra, grading: GradedDecomposition, windo
 # -- Fraction scalar oracle --------------------------------------------------------
 
 
+def zeta_power_by_reduction(m: int, e: int) -> CycloNum:
+    """zeta_m^e as the monomial z^(e mod m) reduced modulo Phi_m in one
+    pass: the oracle of `cyclo.zeta_power`, which reads a table of powers
+    built by stepping z."""
+    return CycloNum.from_poly(m, [0] * (e % m) + [1])
+
+
 def _reduce_fractions(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     """Reduce a coefficient list modulo Phi_order and pad to length phi(order)."""
     phi = cyclotomic_polynomial(order)

@@ -34,10 +34,12 @@ from loopforms.chevalley import (
     root_system,
     type_twist_factors,
 )
+from loopforms.algebra import MultTableAlgebra
 from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
 from loopforms.cyclo import CycloNum, zeta_power
 from loopforms.grading import ComponentSolver, GradingError, eigengrading, twist
 from loopforms.linalg import SpanSolver
+from loopforms.record import RequestError
 
 GOLDEN = Path(__file__).parent / "golden" / "affine_catalog.json"
 
@@ -94,6 +96,15 @@ def test_fixed_cartan_a2_flip():
     one = CycloNum.one(alg.scalar_order)
     assert len(grading.component_bases[0]) == 3
     assert h0 == ({0: one, 1: one},)
+
+
+def test_fixed_cartan_refuses_a_table_without_weights():
+    # a table read from a file carries no weights, so no index is known to be
+    # toral
+    alg, _, grading, _ = _twist("A2", DiagramPermutation((1, 0)))
+    read = MultTableAlgebra.from_obj(alg.to_obj())
+    with pytest.raises(RequestError, match="^the table carries no weights to read the fixed Cartan h0 off$"):
+        fixed_cartan(read, grading)
 
 
 def _charges(perm):

@@ -427,6 +427,22 @@ def test_a_table_read_from_a_file_has_no_weights():
     assert read.to_obj() == alg.to_obj()
 
 
+def test_pairing_refuses_a_table_without_weights():
+    read = MultTableAlgebra.from_obj(algebra_over("A2", 1)[1].to_obj())
+    with pytest.raises(RequestError, match=r"^the table carries no weights to pair with h = \[1, 0\]$"):
+        read.pairing((1, 0))
+
+
+@pytest.mark.parametrize("h", [(1,), (1, 0, 0)])
+def test_pairing_refuses_a_coweight_of_another_length(h):
+    # each weight of A2's table has 2 coordinates; h is not cut short or padded
+    _, alg = algebra_over("A2", 2)
+    message = f"the coweight h = {list(h)} has length {len(h)}, but the weights have length 2"
+    with pytest.raises(RequestError) as refused:
+        alg.pairing(h)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("name", TWIST_FIXTURES)
 def test_pairing_equals_the_layout_rules_on_twist_fixtures(name):
     alg, _, exponents, _ = twist_factors(name)

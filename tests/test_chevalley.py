@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -34,7 +35,7 @@ from loopforms.chevalley import (
     root_system,
     type_twist_factors,
 )
-from loopforms.record import RequestError
+from loopforms.record import MAX_DIM, RequestError
 from dense import (
     basis_vector,
     charge_pairings,
@@ -112,19 +113,45 @@ def test_malformed_cartan_matrix_rejected(entries, message):
 
 
 def test_root_system_size_is_limited():
-    # A_l is of finite type, with l(l + 1) roots: 462 for A21, and 506 for
-    # A22, past the closure's limit, a size limit and so a refusal
-    def a(l):
-        return FiniteCartanMatrix(tuple(map(tuple, chevalley._chain(l))), f"A{l}")
+    # the size limit is on the label: cartan_matrix refuses a type of
+    # dimension above MAX_DIM before any matrix is built, so the cubic
+    # finite-type check and the closure never run on A200
+    started = time.perf_counter()
+    message = f"A200 has dimension 40400, which exceeds the size limit {MAX_DIM}"
+    with pytest.raises(RequestError, match=message):
+        root_system(cartan_matrix("A200"))
+    assert time.perf_counter() - started < 0.1
+    # B12 has 288 roots, and its fold's cover A23 has 552: a label is held
+    # to its own dimension, not its cover's
+    rs, alg = algebra_over("B12", 1)
+    assert (len(rs.roots), alg.dim) == (288, 300)
+    # a rank past the interpreter's digit limit is refused too, not a ValueError
+    message = "a rank of 5000 digits is past the digit limit"
+    with pytest.raises(RequestError, match=message):
+        cartan_matrix("A" + "9" * 5000)
 
-    assert len(root_system(a(21)).roots) == 462
-    with pytest.raises(RequestError, match="the root system of A22 has more than 500 roots"):
-        root_system(a(22))
-    # B12 has 288 roots, but its fold's cover A23 has 552: the refusal names
-    # the matrix whose closure it cut
-    assert len(root_system(cartan_matrix("B12")).roots) == 288
-    with pytest.raises(RequestError, match="the root system of cover of B12 has more than"):
-        algebra_over("B12", 1)
+
+@pytest.mark.parametrize("label", [*TYPE_LABELS, "A25", "B18", "C18", "D18"])
+def test_size_limit_reads_the_dimension_in_closed_form(monkeypatch, label):
+    # with the limit below it, the refusal names the dimension cartan_matrix
+    # computed from the family and rank alone: rank + #roots
+    cartan = cartan_matrix(label)
+    dim = cartan.rank + len(root_system(cartan).roots)
+    monkeypatch.setattr(chevalley, "MAX_DIM", dim - 1)
+    with pytest.raises(RequestError, match=f"^{label} has dimension {dim}, "):
+        cartan_matrix.__wrapped__(label)
+    monkeypatch.setattr(chevalley, "MAX_DIM", dim)
+    assert cartan_matrix.__wrapped__(label) == cartan
+
+
+@pytest.mark.parametrize(
+    "admitted, refused", [("A25", "A26"), ("B18", "B19"), ("C18", "C19"), ("D18", "D19")]
+)
+def test_largest_admitted_rank_of_each_family(admitted, refused):
+    # MAX_DIM = 700 admits M_26 and A25 (675), B18 and C18 (666), D18 (630)
+    assert cartan_matrix(admitted).type_label == admitted
+    with pytest.raises(RequestError, match=f"^{refused} has dimension"):
+        cartan_matrix(refused)
 
 
 # -- root systems ----------------------------------------------------------------

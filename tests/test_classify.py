@@ -18,7 +18,6 @@ from loopforms.classify import (
     conjugacy_classes,
     dynkin_automorphism_group,
 )
-from loopforms.record import RequestError
 
 # element counts of the Dynkin symmetry groups, and their class counts
 GROUP_TABLE = {
@@ -64,10 +63,11 @@ def test_d4_class_sizes():
     assert orders == [1, 2, 3]
 
 
-def test_rank_budget_guard():
-    # a size limit, so a refusal of the request, not a failed certificate
-    with pytest.raises(RequestError, match="rank above the brute-force budget"):
-        dynkin_automorphism_group(cartan_matrix("A10"))
+@pytest.mark.parametrize("label, order", [("A10", 2), ("A25", 2), ("D12", 2), ("D18", 2), ("B18", 1)])
+def test_group_past_rank_9_needs_no_budget(label, order):
+    # node_isomorphisms prunes its search, so the group has no rank limit of
+    # its own: cartan_matrix's size limit is the one a label meets
+    assert dynkin_automorphism_group(cartan_matrix(label)).order == order
 
 
 # -- abstract groups -------------------------------------------------------------

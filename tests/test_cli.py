@@ -12,10 +12,11 @@ import pytest
 
 import loopforms
 from ledger import assert_recorded, recorder
-from loopforms import algebra, chevalley, cli
+from loopforms import algebra, chevalley, cli, cyclo
 from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
 from loopforms.cyclo import CycloNum
 from loopforms.chevalley import algebra_over
+from loopforms.record import MAX_DIM, MAX_PERIOD
 
 
 def run_cli(*argv, binary=False, timeout=300, env=None):
@@ -282,10 +283,10 @@ def test_verification_failure_exits_1(tmp_path):
         ("grade", "--type", "A2", "--auto", '{"pi": [2, true]}'),
         ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [true, 0]}'),
         ("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0, 1], "m": true}'),
-        # resource limits: m, the twist period lcm(|pi|, m), M_n size
+        # size limits: m, the twist period lcm(|pi|, m), M_n size
         ("grade", "--type", "A2", "--auto", '{"m": 25}'),
         ("grade", "--type", "A2", "--auto", '{"pi": [2, 1], "s": [1, 1], "m": 13}'),
-        ("grade", "--matrix-algebra", "9"),
+        ("grade", "--matrix-algebra", "32"),
         # a permutation that is not a symmetry of the diagram
         ("grade", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
         ("untwist", "--type", "A3", "--auto", '{"pi": [2, 1, 3]}'),
@@ -313,6 +314,46 @@ def test_period_at_the_limit_passes():
     result = run_cli("grade", "--type", "A1", "--auto", '{"s": [1], "m": 24}')
     assert result.returncode == 0, result.stderr
     assert report_of(result)["payload"]["period"] == 24
+
+
+# -- size limits -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A12", "D12"])
+def test_classify_past_rank_8(capsys, label):
+    # within MAX_DIM a label of any rank is served: X^(1) and X^(2)
+    assert cli.main(["classify", "--type", label]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert [row["affine_label"] for row in payload["classes"]] == [f"{label}^(1)", f"{label}^(2)"]
+
+
+def test_build_b12_is_held_to_its_own_dimension(capsys):
+    # B12 folds from A23, which has 552 roots; B12 itself has dimension 300
+    assert cli.main(["build", "--type", "B12"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["dim"], payload["roots"], payload["rank"]) == (300, 288, 12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--type", "A200"),
+        ("grade", "--matrix-algebra", "1000000000"),
+        ("classify", "--matrix-algebra", "1000000000"),
+        ("grade", "--type", "A2", "--auto", '{"m": 1000000000000000000}'),
+    ],
+)
+def test_size_refusals_come_before_anything_is_built(monkeypatch, argv):
+    # the library function that reads the input refuses it: no table, no
+    # list of n exponents, and no field Q(zeta_m) past the period limit
+    orders = []
+    real_phi = cyclo.euler_phi
+    monkeypatch.setattr(cyclo, "euler_phi", lambda m: orders.append(m) or real_phi(m))
+    started = time.perf_counter()
+    code, report, _ = cli._request(list(argv))
+    assert time.perf_counter() - started < 0.1
+    assert code == 2 and report["status"] == "refused"
+    assert [m for m in orders if m > MAX_PERIOD] == []
 
 
 def test_unreadable_and_invalid_files_exit_2(tmp_path):
@@ -527,7 +568,8 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
          "the twist period lcm(2, 13) = 26 exceeds the limit 24"),
         (("grade", "--type", "A2", "--auto", '{"m": 0}'),
          "the modulus of a toral charge must be >= 1, got m = 0"),
-        (("grade", "--type", "A2", "--auto", '{"m": 25}'), "m = 25 exceeds the period limit 24"),
+        (("grade", "--matrix-algebra", "2", "--auto", '{"m": 25}'),
+         "m = 25 exceeds the period limit 24"),
         (("grade", "--matrix-algebra", "2", "--auto", '{"exponents": [0]}'),
          "M_2 needs one exponent per row, got 1"),
         (("build",), "exactly one input source required; got none"),
@@ -536,9 +578,8 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
         (("extract-gcm", "--matrix-algebra", "2"),
          "--matrix-algebra is not supported by this command"),
         (("classify", "--matrix-algebra", "0"), "M_n needs n >= 1, got n = 0"),
-        (("grade", "--matrix-algebra", "9"), "--matrix-algebra 9 exceeds the size limit 8"),
-        (("build", "--type", "Z9"),
-         f"--type 'Z9' is not a type label; choose one of {', '.join(chevalley.TYPE_LABELS)}"),
+        (("grade", "--matrix-algebra", "32"), f"M_n needs n^2 <= {MAX_DIM}, the size limit, got n = 32"),
+        (("build", "--type", "Z9"), "unknown type label 'Z9'"),
         (("build", "--type", "A2", "--auto", "{}"), "build takes no --auto"),
         (("verify-all", "--type", "A1"), "verify-all takes no input flags"),
         ((), "a command is required; choose one of build, grade, classify, extract-gcm,"),
@@ -559,6 +600,11 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
         (("grade", "--matrix-algebra", "2", "--auto", '{"exponents":[0,1],"m":0}'),
          "the period m must be >= 1, got m = 0"),
         (("grade", "--type", "A2", "--auto", '{"m": true}'), "m must be an integer"),
+        (("grade", "--type", "A2", "--auto", '{"m": 25}'),
+         "the twist period lcm(1, 25) = 25 exceeds the limit 24"),
+        (("build", "--type", "A200"), f"A200 has dimension 40400, which exceeds the size limit {MAX_DIM}"),
+        (("classify", "--type", "E9"), "unsupported type label 'E9'"),
+        (("classify", "--matrix-algebra", "25"), "m = 25 exceeds the period limit 24"),
     ],
 )
 def test_refused_request_names_its_fault(capsys, argv, message):
@@ -703,6 +749,8 @@ def test_help_exits_0(argv):
                  "centroid", "verify-all", "--matrix-algebra", "--out"):
         assert name in result.stdout
     assert "--window" not in result.stdout
+    # --help states the size limit that cartan_matrix holds a type label to
+    assert f"of dimension <= {MAX_DIM}\n" in result.stdout
     assert result.stderr == ""
 
 

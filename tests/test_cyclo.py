@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dense import FractionCyclo
+from dense import FractionCyclo, zeta_power_by_reduction
 from loopforms.cyclo import CycloNum, cyclotomic_polynomial, euler_phi, zeta_power
 from loopforms.record import RequestError
 
@@ -233,6 +233,16 @@ def test_tampered_numerators_raise_inside_arithmetic():
     for op in (lambda: x + x, lambda: x - x, lambda: x * x, lambda: -x):
         with pytest.raises(ValueError, match="length phi"):
             op()
+    # zeta_power builds a new number on each call, so the tampered one is
+    # not the one the next call returns
+    assert zeta_power(3, 1) is not x and zeta_power(3, 1) * zeta_power(3, 2) == CycloNum.one(3)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_zeta_power_equals_the_reduced_monomial(m):
+    # the table of powers, built by stepping z, against one reduction each
+    for e in range(-2 * m, 2 * m + 1):
+        assert zeta_power(m, e) == zeta_power_by_reduction(m, e), e
 
 
 def test_bad_constructions_raise_under_optimize():

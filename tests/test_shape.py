@@ -221,6 +221,9 @@ def _words(*names):
         # layout, which tests/dense.charge_pairings and matrix_unit_shifts
         # keep as the oracles
         pytest.param(_words("charge_pairings", "matrix_unit_shifts"), id="layout exponents"),
+        # two size limits, MAX_DIM and MAX_PERIOD, in place of the closure's
+        # root count, the CLI's matrix size and the automorphism group's rank
+        pytest.param(_words("_CLOSURE_BOUND", "MAX_MATRIX_SIZE") + "|brute-force", id="size limits"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -287,10 +290,36 @@ def test_refusals_are_classified_by_kind():
 
 
 def test_the_cli_runs_no_library_check():
-    # the library refuses a malformed twist itself; the CLI checks only the
-    # shape of its argv and --auto, and its resource limits
+    # the library refuses a malformed or oversized twist itself; the CLI
+    # checks only the shape of its argv and --auto
     cli = SRC / "loopforms" / "cli.py"
-    assert _matches(_words("check_twist", "check_matrix_twist"), [cli]) == []
+    names = _words("check_twist", "check_matrix_twist", "MAX_DIM", "MAX_PERIOD", "TYPE_LABELS")
+    assert _matches(names, [cli]) == []
+
+
+# each size limit, and the library functions that read the input it bounds
+SIZE_LIMITS = {
+    "MAX_DIM": {"chevalley.cartan_matrix", "descent.matrix_twist_factors"},
+    "MAX_PERIOD": {"chevalley.check_twist", "descent.matrix_twist_factors"},
+}
+
+
+def test_each_size_limit_is_defined_once_and_read_where_its_input_is():
+    defined, read = [], {name: set() for name in SIZE_LIMITS}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node inside a function -> that function
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update((node, f"{path.stem}.{function.name}") for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in SIZE_LIMITS:
+                if isinstance(node.ctx, ast.Store):
+                    defined.append(f"{path.stem}.{node.id}")
+                else:
+                    read[node.id].add(owner.get(node, path.stem))
+    assert sorted(defined) == ["record.MAX_DIM", "record.MAX_PERIOD"]
+    assert read == SIZE_LIMITS
 
 
 def test_one_backtracking_search():
