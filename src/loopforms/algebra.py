@@ -2,12 +2,14 @@
 
 An algebra is a multiplication table over some Q(zeta_M): sparse structure
 constants on a fixed basis, tagged `lie` or `associative`.  Its elements are
-sparse vectors {index: scalar} with no zero entry, multiplied by
-`MultTableAlgebra.product_sparse`; dense tuples appear only in serialized
-reports.  `validate_algebra` certifies the laws of the declared kind on every
-ordered basis triple, evaluating them only where a term has a path through
-the table's nonzero products (`_left_paths`), and the table keeps that
-certificate (`MultTableAlgebra.validation`), so it is computed once per table.
+sparse vectors {index: scalar} with no zero entry (`cyclo.Sparse`), as is
+each stored product of two basis elements (`MultTableAlgebra.products`),
+and `MultTableAlgebra.product_sparse` multiplies them; dense tuples appear
+only in serialized reports.  `validate_algebra` certifies the laws of the
+declared kind on every ordered basis triple, evaluating them only where a
+term has a path through the table's nonzero products (`_left_paths`), and
+the table keeps that certificate (`MultTableAlgebra.validation`), so it is
+computed once per table.
 A type label's table carries its construction's certificate instead.
 
 This module is the table layer only.  Automorphisms and gradings are in
@@ -33,7 +35,6 @@ __all__ = [
     "MultTableAlgebra",
     "ValidationReport",
     "Violation",
-    "make_table",
     "validate_algebra",
 ]
 
@@ -45,30 +46,25 @@ class AlgebraError(ValueError):
     """A table fails the laws of its declared kind."""
 
 
-TableEntry = tuple[tuple[int, CycloNum], ...]
-
-
 class MultTableAlgebra(Record):
     """Algebra given by structure constants on basis e_0, ..., e_{dim-1}.
 
-    `constants` holds, for each basis pair (i, j) with nonzero product, the
-    sparse expansion of e_i * e_j; omitted pairs multiply to zero, and a pair
-    listed twice is refused rather than read one way.  A table of the wrong
-    shape (dimension, scalar order, kind, labels, an index or target out of
-    range, a scalar of another order, a pair listed twice) is a malformed
-    input and raises `record.RequestError`.  Elements are sparse vectors
-    {index: scalar} with no zero entry.  The lookup behind `basis_product`
-    sums repeated targets of an entry and drops zero terms, so each of its
-    entries is a sparse vector too.  `weights` grade the basis, one integer
-    vector per element: root coordinates on a type's table, eps_i - eps_k on
-    E_ik of M_n, none on a table read from a file.  Nothing here checks
-    them; `grading.twist` certifies the exponents `pairing` reads off them.
+    `products` maps each basis pair (i, j) with nonzero product to e_i * e_j,
+    a sparse vector {index: scalar}; an omitted pair multiplies to zero.  The
+    constructor stores its own copy, without a zero scalar or a product left
+    empty by one.  A table of the wrong shape (dimension, scalar order, kind,
+    labels, an index or target out of range, a scalar of another order) is a
+    malformed input and raises `record.RequestError`.  The field is a dict,
+    so a table is unhashable.  `weights` grade the basis, one integer vector
+    per element: root coordinates on a type's table, eps_i - eps_k on E_ik
+    of M_n, none on a table read from a file.  Nothing here checks them;
+    `grading.twist` certifies the exponents `pairing` reads off them.
     """
 
     dim: int
     scalar_order: int
     kind: str
-    constants: tuple[tuple[int, int, TableEntry], ...]
+    products: dict[tuple[int, int], Sparse]
     basis_labels: tuple[str, ...]
     weights: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -81,32 +77,28 @@ class MultTableAlgebra(Record):
             raise RequestError(f"unknown algebra kind {self.kind!r}")
         if len(self.basis_labels) != self.dim:
             raise RequestError("one label per basis element required")
-        table: dict[tuple[int, int], TableEntry] = {}
-        for i, j, entry in self.constants:
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+        dim, order = self.dim, self.scalar_order
+        products: dict[tuple[int, int], Sparse] = {}
+        for (i, j), entry in self.products.items():
+            if not (0 <= i < dim and 0 <= j < dim):
                 raise RequestError(f"structure constant index ({i},{j}) out of range")
-            if (i, j) in table:
-                raise RequestError(
-                    f"basis pair ({self.basis_labels[i]}, {self.basis_labels[j]}) is listed twice"
-                )
-            merged: Sparse = {}
-            for k, c in entry:
-                if not 0 <= k < self.dim:
+            nonzero = {}
+            for k, c in entry.items():
+                if not 0 <= k < dim:
                     raise RequestError(f"structure constant target {k} out of range")
-                if c.order != self.scalar_order:
+                if c.order != order:
                     raise RequestError("structure constants must use the declared scalar order")
-                # zero constants are kept in `constants` but not in the lookup
-                # table, so a product of nonzero entries has no zero term
                 if not c.is_zero():
-                    sparse_add(merged, {k: c})
-            table[(i, j)] = tuple(merged.items())
-        # the product lookup is derived from `constants`, so it is not a field
-        self.__dict__["_table"] = table
+                    nonzero[k] = c
+            if nonzero:
+                products[(i, j)] = nonzero
+        self.__dict__["products"] = products
 
     # -- products --------------------------------------------------------
 
-    def basis_product(self, i: int, j: int) -> TableEntry:
-        return self._table.get((i, j), ())
+    def basis_product(self, i: int, j: int) -> Sparse:
+        """e_i * e_j: the stored product, for reading only, or {}."""
+        return self.products.get((i, j), {})
 
     def product_sparse(self, x: Sparse, y: Sparse) -> Sparse:
         """x * y for sparse x and y; the result holds no zero entry.
@@ -116,14 +108,14 @@ class MultTableAlgebra(Record):
         """
         out: Sparse = {}
         summed: list[int] = []
-        table = self._table
+        products = self.products
         for i, xi in x.items():
             for j, yj in y.items():
-                entry = table.get((i, j))
-                if not entry:
+                entry = products.get((i, j))
+                if entry is None:
                     continue
                 scale = xi * yj
-                for k, c in entry:
+                for k, c in entry.items():
                     prev = out.get(k)
                     if prev is None:
                         out[k] = scale * c
@@ -159,14 +151,15 @@ class MultTableAlgebra(Record):
     # -- serialization -----------------------------------------------------
 
     def to_obj(self) -> dict:
+        """The JSON object `from_obj` reads, pairs and targets in order."""
         return {
             "dim": self.dim,
             "scalar_order": self.scalar_order,
             "kind": self.kind,
             "labels": list(self.basis_labels),
             "constants": [
-                [i, j, [[k, c.to_obj()] for k, c in entry]]
-                for i, j, entry in self.constants
+                [i, j, [[k, c.to_obj()] for k, c in sorted(entry.items())]]
+                for (i, j), entry in sorted(self.products.items())
             ],
         }
 
@@ -178,7 +171,8 @@ class MultTableAlgebra(Record):
         strings, each entry of constants a list [i, j, [[k, scalar], ...]]
         and every scalar a `CycloNum.from_obj` object; nothing is coerced,
         and any other shape raises RequestError, as the constructor's own
-        refusals do."""
+        refusals do.  A target repeated in an entry has its scalars summed,
+        and a basis pair listed twice is refused rather than read one way."""
         if type(obj) is not dict:
             raise RequestError("a serialized algebra must be a JSON object")
         for field in ("dim", "scalar_order", "kind", "labels", "constants"):
@@ -196,31 +190,35 @@ class MultTableAlgebra(Record):
             for item in entries
         ):
             raise RequestError("constants must be a list of entries [i, j, [[k, scalar], ...]]")
-        constants = tuple(
-            (
-                _json_int(i),
-                _json_int(j),
-                tuple((_json_int(k), CycloNum.from_obj(c)) for k, c in entry),
-            )
-            for i, j, entry in entries
-        )
-        return MultTableAlgebra(
+        order = _json_int(obj["scalar_order"])
+        products: dict[tuple[int, int], Sparse] = {}
+        twice = []
+        for i, j, terms in entries:
+            key = (_json_int(i), _json_int(j))
+            if key in products:
+                twice.append(key)
+            entry = products.setdefault(key, {})
+            for k, c in terms:
+                k, c = _json_int(k), CycloNum.from_obj(c)
+                prev = entry.get(k)
+                if prev is not None and prev.order == c.order:
+                    c = prev + c
+                elif prev is not None and prev.order != order:
+                    continue  # keep the scalar of another order for the constructor to refuse
+                entry[k] = c
+        alg = MultTableAlgebra(
             dim=_json_int(obj["dim"]),
-            scalar_order=_json_int(obj["scalar_order"]),
+            scalar_order=order,
             kind=obj["kind"],
-            constants=constants,
+            products=products,
             basis_labels=tuple(labels),
         )
-
-
-def make_table(entries: dict[tuple[int, int], Sparse]) -> tuple[tuple[int, int, TableEntry], ...]:
-    """Normalize a dict-of-sparse-products into the canonical constants tuple."""
-    out = []
-    for (i, j) in sorted(entries):
-        sparse = {k: v for k, v in entries[(i, j)].items() if not v.is_zero()}
-        if sparse:
-            out.append((i, j, tuple(sorted(sparse.items()))))
-    return tuple(out)
+        if twice:
+            i, j = twice[0]
+            raise RequestError(
+                f"basis pair ({alg.basis_labels[i]}, {alg.basis_labels[j]}) is listed twice"
+            )
+        return alg
 
 
 # -- validation ------------------------------------------------------------
@@ -265,21 +263,17 @@ def _power_basis_table(alg: MultTableAlgebra) -> dict:
     scalar is scaled by the least common multiple of the table's
     denominators, so each coefficient is an int.  A law is a signed sum of
     products of two table scalars, so scaling multiplies it by the square of
-    that multiple and leaves its vanishing unchanged.  Zero scalars and
-    products that are entirely zero are dropped.
+    that multiple and leaves its vanishing unchanged.  The table stores no
+    zero scalar, so every scalar keeps a term and every product an entry.
     """
-    scale = lcm(*(c.den for entry in alg._table.values() for _, c in entry))
-    out = {}
-    for key, entry in alg._table.items():
-        terms = []
-        for k, c in entry:
-            factor = scale // c.den
-            poly = tuple((p, a * factor) for p, a in enumerate(c.num) if a)
-            if poly:
-                terms.append((k, poly))
-        if terms:
-            out[key] = tuple(terms)
-    return out
+    scale = lcm(*(c.den for entry in alg.products.values() for c in entry.values()))
+    return {
+        key: tuple(
+            (k, tuple((p, a * (scale // c.den)) for p, a in enumerate(c.num) if a))
+            for k, c in entry.items()
+        )
+        for key, entry in alg.products.items()
+    }
 
 
 def _combination_vanishes(table: dict, order: int, terms: Iterable[tuple]) -> bool:
@@ -366,7 +360,7 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
             violations.append(Violation("alternating", (i,), (labels[i],)))
         for i, j in sorted({(min(key), max(key)) for key in table if key[0] != key[1]}):
             anti = dict(alg.basis_product(i, j))
-            sparse_add(anti, dict(alg.basis_product(j, i)))
+            sparse_add(anti, alg.basis_product(j, i))
             if anti:
                 violations.append(Violation("antisymmetry", (i, j), (labels[i], labels[j])))
 

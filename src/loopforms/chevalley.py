@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles, make_table
+from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles
 from .cyclo import CycloNum
 from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
 
@@ -161,13 +161,15 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
     "B2" has (2, 1), not (1, 2).  F4 and G2 are numbered in reverse: their
     highest roots come out as (2, 4, 3, 2) and (2, 3), where Bourbaki has
     (2, 3, 4, 2) and (3, 2).  This stands until ROADMAP item 1 renumbers
-    them.  A label other than a family letter and a rank in ASCII digits, a
-    rank its family lacks, or a type whose algebra has dimension above
-    `record.MAX_DIM` is a malformed input: it raises RequestError, before
-    any matrix is built.  The dimension is rank + #roots, in closed form.
+    them.  A label other than a family letter and a rank in ASCII digits
+    without a leading zero, a rank its family lacks, or a type whose algebra
+    has dimension above `record.MAX_DIM` is a malformed input: it raises
+    RequestError, before any matrix is built.  The dimension is rank +
+    #roots, in closed form.
     """
     rank = label[1:]
-    if len(label) < 2 or label[0] not in "ABCDEFG" or not (rank.isascii() and rank.isdigit()):
+    digits = rank.isascii() and rank.isdigit() and (rank == "0" or not rank.startswith("0"))
+    if len(label) < 2 or label[0] not in "ABCDEFG" or not digits:
         raise RequestError(f"unknown type label {label!r}")
     try:
         family, l = label[0], int(rank)
@@ -488,7 +490,7 @@ def chevalley_algebra(rs: RootSystem, order: int) -> MultTableAlgebra:
     Q(zeta_order), of dimension #roots + rank: the integer constants folded
     from the simply-laced cover (`_fold`), written as scalars of that order.
 
-    Its certificate is linear in the nonzero products and has four parts:
+    Its certificate is linear in the nonzero products and has three parts:
 
     1. The cover is simply laced and of finite type (`FiniteCartanMatrix`),
        and the sign is bimultiplicative with eps(alpha_p, alpha_p) = -1 and
@@ -500,10 +502,11 @@ def chevalley_algebra(rs: RootSystem, order: int) -> MultTableAlgebra:
     3. `_fold` checks that the folded [h_i, e_(alpha_j)] is A_ij e_(alpha_j)
        for the Cartan matrix A of rs, and that the restriction is a
        bijection onto the roots of rs.
-    4. Every nonzero product of the returned table is checked against the
-       fold, so a table that differs from it in one constant is refused.
 
-    A failed part raises LieConstructError.  The report covers all n^3
+    The table's products are the fold's, each integer made a scalar of this
+    order and handed to the constructor as it is, so no step between the
+    checked fold and the table can change a constant.  A failed part raises
+    LieConstructError.  The report covers all n^3
     ordered triples, which `triples_checked` counts, and is kept on the
     algebra (`MultTableAlgebra.validation`), so no table built here is swept
     by `validate_algebra`.
@@ -527,22 +530,19 @@ def _type_fold(label: str) -> tuple[RootSystem, Fold]:
 
 
 def _write_table(rs: RootSystem, folded: Fold, order: int) -> MultTableAlgebra:
-    """The fold of rs written over Q(zeta_order), checked and certified."""
+    """The fold of rs written over Q(zeta_order), with its certificate."""
     labels, _ = _basis_layout(rs)
     # a handful of integers recur, so each is made a scalar once
     values = {c for entry in folded.values() for c in entry.values()}
     scalar = {c: CycloNum.rational(order, c) for c in values}
-    entries = {key: {k: scalar[c] for k, c in entry.items()} for key, entry in folded.items()}
     alg = MultTableAlgebra(
         dim=len(labels),
         scalar_order=order,
         kind=KIND_LIE,
-        constants=make_table(entries),
+        products={key: {k: scalar[c] for k, c in entry.items()} for key, entry in folded.items()},
         basis_labels=tuple(labels),
         weights=((0,) * rs.rank,) * rs.rank + rs.roots,
     )
-    if {key: dict(entry) for key, entry in alg._table.items() if entry} != entries:
-        raise LieConstructError("the table differs from its folded products")
     alg.__dict__["validation"] = ValidationReport(KIND_LIE, alg.dim, alg.dim**3, ())
     return alg
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import MultTableAlgebra, make_table
+from .algebra import MultTableAlgebra
 from .cyclo import CycloNum
 from .grading import FiniteOrderAutomorphism, eigengrading, identity_automorphism, twist
 from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
@@ -137,17 +137,16 @@ def matrix_twist_factors(
         raise RequestError(f"m = {m} exceeds the period limit {MAX_PERIOD}")
     idx = lambda i, k: i * n + k  # noqa: E731
     one = CycloNum.one(m)
-    entries = {
-        (idx(i, k), idx(k, j)): {idx(i, j): one}
-        for i in range(n)
-        for k in range(n)
-        for j in range(n)
-    }
     alg = MultTableAlgebra(
         dim=n * n,
         scalar_order=m,
         kind="associative",
-        constants=make_table(entries),
+        products={
+            (idx(i, k), idx(k, j)): {idx(i, j): one}
+            for i in range(n)
+            for k in range(n)
+            for j in range(n)
+        },
         basis_labels=tuple(f"E{i + 1}{k + 1}" for i in range(n) for k in range(n)),
         weights=tuple(
             tuple((r == i) - (r == k) for r in range(n)) for i in range(n) for k in range(n)

@@ -167,13 +167,13 @@ def check_automorphism(
     # If every nonzero product e_i e_j maps onto sigma(e_i) sigma(e_j), then
     # (i, j) -> (p(i), p(j)) is injective and sends the finite set of nonzero
     # pairs into itself, so onto it: a zero product maps onto a zero one.
-    for (i, j), entry in alg._table.items():
+    for (i, j), entry in alg.products.items():
         # sigma(e_i e_j) against sigma(e_i) sigma(e_j) = s_i s_j e_p(i) e_p(j);
-        # entries have distinct targets and no zero term, and images is a
-        # permutation, so both sides are sparse vectors as built
+        # products are sparse vectors and images is a permutation, so both
+        # sides are sparse vectors as built
         scale = scalars[i] * scalars[j]
-        lhs = {images[k]: c * scalars[k] for k, c in entry}
-        rhs = {k: scale * c for k, c in alg.basis_product(images[i], images[j])}
+        lhs = {images[k]: c * scalars[k] for k, c in entry.items()}
+        rhs = {k: scale * c for k, c in alg.basis_product(images[i], images[j]).items()}
         if lhs != rhs:
             raise AutomorphismError(
                 f"multiplicativity fails on basis pair "
@@ -239,9 +239,9 @@ def twist(
                 f"exponent invariance fails on {labels[k]}: its exponent {exponents[k]} is not"
                 f" {exponents[image]}, the exponent of its image {labels[image]}"
             )
-    for (i, j), entry in alg._table.items():
+    for (i, j), entry in alg.products.items():
         target = exponents[i] + exponents[j]
-        for k, _ in entry:
+        for k in entry:
             if exponents[k] != target:
                 raise AutomorphismError(
                     f"exponent additivity fails on basis pair ({labels[i]}, {labels[j]}): "

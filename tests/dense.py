@@ -73,7 +73,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from loopforms.affine import AffineExtractError, AffineRootData
-from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation, make_table
+from loopforms.algebra import KIND_LIE, MultTableAlgebra, ValidationReport, Violation
 from loopforms.centroid import CentroidReport
 from loopforms.chevalley import (
     DiagramPermutation,
@@ -221,7 +221,7 @@ def dense_check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int)
     for i in range(n):
         for j in range(n):
             lhs = (CycloNum.zero(alg.scalar_order),) * n
-            for k, c in alg.basis_product(i, j):
+            for k, c in alg.basis_product(i, j).items():
                 lhs = tuple(a + c * x for a, x in zip(lhs, columns[k]))
             if lhs != dense_product(alg, columns[i], columns[j]):
                 raise AutomorphismError(
@@ -296,7 +296,7 @@ def propagated_diagram_map(
             raise LieConstructError(f"root {alpha} has no decomposition into two roots")
         xi, eta = found
         for u, v in ((xi, eta), (_neg(xi), _neg(eta))):
-            ((target, n_uv),) = alg.basis_product(root_index[u], root_index[v])
+            ((target, n_uv),) = alg.basis_product(root_index[u], root_index[v]).items()
             coeff = n_uv.inverse()
             prod = alg.product_sparse(images[root_index[u]], images[root_index[v]])
             images[target] = {k: coeff * w for k, w in prod.items()}
@@ -336,7 +336,7 @@ def propagation_consistency(
                 continue
             lhs = alg.product_sparse(image(a), image(b))
             # [e_a, e_b] = N_ab e_(a+b), read off the table itself
-            ((_, coeff),) = alg.basis_product(root_index[a], root_index[b])
+            ((_, coeff),) = alg.basis_product(root_index[a], root_index[b]).items()
             if lhs != {k: coeff * v for k, v in image(target).items()}:
                 raise LieConstructError(f"propagation paths disagree on root {target} via {a} + {b}")
 
@@ -1164,9 +1164,9 @@ def check_diagonal_automorphism(
         raise AutomorphismError(f"scalar order {order} lacks the {m}-th roots of unity")
     residues = [p % m for p in exponents]
     labels = alg.basis_labels
-    for (i, j), entry in alg._table.items():
+    for (i, j), entry in alg.products.items():
         target = (residues[i] + residues[j]) % m
-        for k, _ in entry:
+        for k in entry:
             if residues[k] != target:
                 raise AutomorphismError(
                     f"exponent additivity fails on basis pair ({labels[i]}, {labels[j]}): "
@@ -1215,8 +1215,8 @@ def _verify_untwist(
                 f"lands-in-target: shift {shifts[image]} of {labels[image]} is not "
                 f"the shift {shifts[k]} of {labels[k]} on its orbit"
             )
-    for a, b, _ in alg.constants:
-        for c, _ in alg.basis_product(a, b):
+    for (a, b), entry in alg.products.items():
+        for c in entry:
             if shifts[c] != shifts[a] + shifts[b]:
                 raise DescentError(
                     f"bracket preservation fails on the pair ({labels[a]}, {labels[b]}): "
@@ -1460,7 +1460,7 @@ def root_string_algebra(rs: RootSystem) -> MultTableAlgebra:
         dim=len(labels),
         scalar_order=1,
         kind=KIND_LIE,
-        constants=make_table(entries),
+        products=entries,
         basis_labels=tuple(labels),
     )
 
@@ -1471,14 +1471,14 @@ def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
     one."""
     if n == alg.scalar_order:
         return alg
-    constants = tuple(
-        (i, j, tuple((k, c.embed(n)) for k, c in entry)) for i, j, entry in alg.constants
-    )
+    products = {
+        key: {k: c.embed(n) for k, c in entry.items()} for key, entry in alg.products.items()
+    }
     out = MultTableAlgebra(
         dim=alg.dim,
         scalar_order=n,
         kind=alg.kind,
-        constants=constants,
+        products=products,
         basis_labels=alg.basis_labels,
         weights=alg.weights,
     )

@@ -15,7 +15,7 @@ import pytest
 
 from loopforms import affine, chevalley, cli
 from loopforms.affine import GCM, CatalogEntry
-from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
+from loopforms.algebra import KIND_LIE, MultTableAlgebra
 from loopforms.cyclo import CycloNum
 
 
@@ -100,17 +100,17 @@ def _tampered_sl2():
         return CycloNum.rational(1, x)
 
     # [h,e] = 3e against [h,f] = -2f: antisymmetric but not Jacobi
-    table = make_table({
+    table = {
         (0, 1): {1: q(3)},
         (1, 0): {1: q(-3)},
         (0, 2): {2: q(-2)},
         (2, 0): {2: q(2)},
         (1, 2): {0: q(1)},
         (2, 1): {0: q(-1)},
-    })
+    }
     return MultTableAlgebra(
         dim=3, scalar_order=1, kind=KIND_LIE,
-        constants=table, basis_labels=("h", "e", "f"),
+        products=table, basis_labels=("h", "e", "f"),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import permutations, product
@@ -32,7 +33,8 @@ from loopforms.algebra import (
     _power_basis_table,
     AlgebraError,
     MultTableAlgebra,
-    make_table,
+    ValidationReport,
+    Violation,
     validate_algebra,
 )
 from loopforms.centroid import _Generators, centroid_graded
@@ -73,17 +75,17 @@ def _sl2(order=1, h_e_coeff=2):
     # basis h, e, f with [h,e] = c*e, [h,f] = -2f, [e,f] = h; any c != 2
     # breaks Jacobi on (h,e,f) while the table stays antisymmetric
     c = q(h_e_coeff, order)
-    table = make_table({
+    table = {
         (0, 1): {1: c},
         (1, 0): {1: -c},
         (0, 2): {2: q(-2, order)},
         (2, 0): {2: q(2, order)},
         (1, 2): {0: q(1, order)},
         (2, 1): {0: q(-1, order)},
-    })
+    }
     return MultTableAlgebra(
         dim=3, scalar_order=order, kind=KIND_LIE,
-        constants=table, basis_labels=("h", "e", "f"),
+        products=table, basis_labels=("h", "e", "f"),
     )
 
 
@@ -104,10 +106,10 @@ def test_corrupted_sl2_names_the_triple():
 
 
 def test_non_alternating_table_rejected():
-    table = make_table({(0, 0): {1: q(1)}})
+    table = {(0, 0): {1: q(1)}}
     alg = MultTableAlgebra(
         dim=2, scalar_order=1, kind=KIND_LIE,
-        constants=table, basis_labels=("a", "b"),
+        products=table, basis_labels=("a", "b"),
     )
     report = validate_algebra(alg)
     assert any(v.law == "alternating" for v in report.violations)
@@ -124,12 +126,12 @@ def test_matrix_algebra_table_is_associative():
 def _retabled(alg, entries):
     return MultTableAlgebra(
         dim=alg.dim, scalar_order=alg.scalar_order, kind=alg.kind,
-        constants=make_table(entries), basis_labels=alg.basis_labels,
+        products=entries, basis_labels=alg.basis_labels,
     )
 
 
 def _entries(alg):
-    return {(i, j): dict(entry) for i, j, entry in alg.constants}
+    return {key: dict(entry) for key, entry in alg.products.items()}
 
 
 def _scaled(alg, keys, factor):
@@ -142,7 +144,7 @@ def _scaled(alg, keys, factor):
 def _scaled_pair(label, factor, seed):
     # scale e_i e_j and e_j e_i together: still antisymmetric, Jacobi breaks
     _, alg = algebra_over(label, 1)
-    i, j = random.Random(seed).choice(sorted((i, j) for i, j, _ in alg.constants if i < j))
+    i, j = random.Random(seed).choice(sorted((i, j) for i, j in alg.products if i < j))
     return _scaled(alg, ((i, j), (j, i)), factor)
 
 
@@ -169,13 +171,13 @@ def _single_pair_jacobiator(x, y):
     # Jacobiator of (a, b, c) is [[x,y],z] = z, though the other two of the
     # three pair products e_a e_b, e_b e_c, e_c e_a are zero
     (z,) = {0, 1, 2} - {x, y}
-    table = make_table({
+    table = {
         (x, y): {3: q(1)}, (y, x): {3: q(-1)},
         (3, z): {z: q(1)}, (z, 3): {z: q(-1)},
-    })
+    }
     return MultTableAlgebra(
         dim=4, scalar_order=1, kind=KIND_LIE,
-        constants=table, basis_labels=("a", "b", "c", "l"),
+        products=table, basis_labels=("a", "b", "c", "l"),
     )
 
 
@@ -183,10 +185,10 @@ def _right_only_associator():
     # y z = u and x u = w, nothing else: the associator fails on (x, y, z)
     # alone, where (x y) z = 0 and x (y z) = w, so only a path of the
     # opposite table finds it
-    table = make_table({(1, 2): {3: q(1)}, (0, 3): {4: q(1)}})
+    table = {(1, 2): {3: q(1)}, (0, 3): {4: q(1)}}
     return MultTableAlgebra(
         dim=5, scalar_order=1, kind=KIND_ASSOCIATIVE,
-        constants=table, basis_labels=("x", "y", "z", "u", "w"),
+        products=table, basis_labels=("x", "y", "z", "u", "w"),
     )
 
 
@@ -331,7 +333,7 @@ def test_pair_laws_look_up_only_the_nonzero_products(monkeypatch):
     n = 2000
     sl2 = _sl2()
     alg = MultTableAlgebra(
-        dim=n, scalar_order=1, kind=KIND_LIE, constants=sl2.constants,
+        dim=n, scalar_order=1, kind=KIND_LIE, products=sl2.products,
         basis_labels=sl2.basis_labels + tuple(f"z{i}" for i in range(3, n)),
     )
     calls = []
@@ -367,7 +369,7 @@ def test_product_sparse_equals_bilinear_expansion(label):
         want = [q(0, 3)] * alg.dim
         for i, a in x.items():
             for j, b in y.items():
-                for k, c in alg.basis_product(i, j):
+                for k, c in alg.basis_product(i, j).items():
                     want[k] = want[k] + a * b * c
         got = alg.product_sparse(x, y)
         assert densify(got, alg.dim, 3) == tuple(want)
@@ -390,6 +392,85 @@ def test_pair_listed_twice_is_refused():
         MultTableAlgebra.from_obj(obj)
 
 
+def _scalar(order, *coeffs):
+    return {"order": order, "coeffs": [str(c) for c in coeffs]}
+
+
+def _sl2_file(h_e):
+    """sl2 over Q(zeta_3) as a file writes it loosely: [h,e] = h_e e as two
+    terms in e, [e,h] with a zero constant beside its term, [f,e] as two
+    terms in h, and two products that are zero, one of them by
+    cancellation."""
+    s = _scalar
+    return {
+        "dim": 3, "scalar_order": 3, "kind": "lie", "labels": ["h", "e", "f"],
+        "constants": [
+            [0, 1, [[1, s(3, 1, 1)], [1, s(3, h_e - 1, -1)]]],
+            [1, 0, [[1, s(3, -h_e, 0)], [0, s(3, 0, 0)]]],
+            [0, 2, [[2, s(3, -2, 0)]]],
+            [2, 0, [[2, s(3, 2, 0)]]],
+            [1, 2, [[0, s(3, 1, 0)]]],
+            [2, 1, [[0, s(3, 0, 1)], [0, s(3, -1, -1)]]],
+            [1, 1, [[0, s(3, 0, 0)]]],
+            [2, 2, [[1, s(3, 1, 0)], [1, s(3, -1, 0)]]],
+        ],
+    }
+
+
+@pytest.mark.parametrize("h_e, jacobi", [(2, ()), (3, tuple(permutations((0, 1, 2))))])
+def test_from_obj_sums_repeated_targets_and_drops_zeros(h_e, jacobi):
+    # the products and the report the list-based table gave: repeated targets
+    # summed, zero constants and zero products dropped
+    alg = MultTableAlgebra.from_obj(_sl2_file(h_e))
+    assert alg.products == {
+        (0, 1): {1: q(h_e, 3)}, (1, 0): {1: q(-h_e, 3)},
+        (0, 2): {2: q(-2, 3)}, (2, 0): {2: q(2, 3)},
+        (1, 2): {0: q(1, 3)}, (2, 1): {0: q(-1, 3)},
+    }
+    assert alg.validation == ValidationReport("lie", 3, 27, tuple(
+        Violation("jacobi", t, tuple("hef"[i] for i in t)) for t in jacobi
+    ))
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_from_obj_refuses_a_repeated_target_of_another_order(first):
+    # a term of order 1 beside one of order 3 at the same target is not
+    # summed across orders, whichever comes first: the constructor sees it
+    obj = _sl2_file(2)
+    terms = [[1, _scalar(3, 1, 1)], [1, _scalar(1, 1)]]
+    obj["constants"][0][2] = terms if first else terms[::-1]
+    with pytest.raises(RequestError, match="structure constants must use the declared scalar order"):
+        MultTableAlgebra.from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        pytest.param(
+            lambda: algebra_over("B3", 3)[1],
+            "14be9b6eee3e9409f3cbd02d22c46d94ccdec1f2a4091cd408c85af5d20772fe",
+            id="B3 over Q(zeta_3)",
+        ),
+        pytest.param(
+            lambda: build_matrix_algebra(6, [0] * 6, 3)[0],
+            "68da4be11d7ee9fad1ab1e0c131321d0f5e7ab41a3dcd76f3981c188bc0b9d19",
+            id="M6 over Q(zeta_3)",
+        ),
+    ],
+)
+def test_benchmark_tables_write_the_same_bytes_and_read_back(build, digest):
+    # the tables perfbench/tables.py writes: pairs and targets in order, the
+    # bytes the list-based table wrote, and read back to the same products
+    alg = build()
+    text = json.dumps(alg.to_obj())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # a file carries no weights
+    unweighted = MultTableAlgebra(
+        alg.dim, alg.scalar_order, alg.kind, alg.products, alg.basis_labels
+    )
+    assert MultTableAlgebra.from_obj(json.loads(text)) == unweighted
+
+
 # -- weights -------------------------------------------------------------------
 
 
@@ -399,8 +480,8 @@ def _non_additive_products(alg):
     w = alg.weights
     return [
         (alg.basis_labels[i], alg.basis_labels[j])
-        for (i, j), entry in alg._table.items()
-        for k, _ in entry
+        for (i, j), entry in alg.products.items()
+        for k in entry
         if w[k] != tuple(a + b for a, b in zip(w[i], w[j]))
     ]
 
@@ -477,7 +558,7 @@ def _moved_weight(alg, label, coordinate):
     weights = [list(w) for w in alg.weights]
     weights[k][coordinate] += 1
     return MultTableAlgebra(
-        alg.dim, alg.scalar_order, alg.kind, alg.constants, alg.basis_labels,
+        alg.dim, alg.scalar_order, alg.kind, alg.products, alg.basis_labels,
         tuple(map(tuple, weights)),
     )
 
@@ -886,20 +967,20 @@ def test_check_automorphism_refuses_tampered_triality(tamper, message):
 
 def _idempotents():
     # k x k: e1 e1 = e1, e2 e2 = e2, and e1 e2 = e2 e1 = 0
-    table = make_table({(0, 0): {0: q(1)}, (1, 1): {1: q(1)}})
+    table = {(0, 0): {0: q(1)}, (1, 1): {1: q(1)}}
     return MultTableAlgebra(
-        dim=2, scalar_order=1, kind=KIND_ASSOCIATIVE, constants=table, basis_labels=("e1", "e2")
+        dim=2, scalar_order=1, kind=KIND_ASSOCIATIVE, products=table, basis_labels=("e1", "e2")
     )
 
 
 def _triangular():
     # upper triangular 2x2 matrices on the basis E22, E12, E11, so that the
     # products E12 E22 = E12 and E11 E12 = E12 sit at pairs i > j
-    table = make_table({
+    table = {
         (0, 0): {0: q(1)}, (1, 0): {1: q(1)}, (2, 1): {1: q(1)}, (2, 2): {2: q(1)},
-    })
+    }
     return MultTableAlgebra(
-        dim=3, scalar_order=1, kind=KIND_ASSOCIATIVE, constants=table,
+        dim=3, scalar_order=1, kind=KIND_ASSOCIATIVE, products=table,
         basis_labels=("E22", "E12", "E11"),
     )
 
@@ -1016,9 +1097,9 @@ def _centroid_oracle_dim(alg, grading, shift):
         left = [list(row) for row in left]
         right = [list(row) for row in left]
         for s in range(n):
-            for k, c in alg.basis_product(u, s):
+            for k, c in alg.basis_product(u, s).items():
                 left[k][s] = left[k][s] + c
-            for k, c in alg.basis_product(s, u):
+            for k, c in alg.basis_product(s, u).items():
                 right[k][s] = right[k][s] + c
         return left, right
 
@@ -1200,16 +1281,16 @@ def _generated(alg, gens):
 
 def _non_antisymmetric_sl2():
     # [h,e] = 2e and [e,h] = 2e, where antisymmetry wants -2e
-    table = make_table({
+    table = {
         (0, 1): {1: q(2)},
         (1, 0): {1: q(2)},
         (0, 2): {2: q(-2)},
         (2, 0): {2: q(2)},
         (1, 2): {0: q(1)},
         (2, 1): {0: q(-1)},
-    })
+    }
     return MultTableAlgebra(
-        dim=3, scalar_order=1, kind=KIND_LIE, constants=table, basis_labels=("h", "e", "f"),
+        dim=3, scalar_order=1, kind=KIND_LIE, products=table, basis_labels=("h", "e", "f"),
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 import loopforms
 from ledger import assert_recorded, recorder
 from loopforms import algebra, chevalley, cli, cyclo
-from loopforms.algebra import KIND_LIE, MultTableAlgebra, make_table
+from loopforms.algebra import KIND_LIE, MultTableAlgebra
 from loopforms.cyclo import CycloNum
 from loopforms.chevalley import algebra_over
 from loopforms.record import MAX_DIM, MAX_PERIOD
@@ -39,17 +39,17 @@ def _sl2_table(h_e_coeff):
         return CycloNum.rational(1, x)
 
     c = q(h_e_coeff)
-    table = make_table({
+    table = {
         (0, 1): {1: c},
         (1, 0): {1: -c},
         (0, 2): {2: q(-2)},
         (2, 0): {2: q(2)},
         (1, 2): {0: q(1)},
         (2, 1): {0: q(-1)},
-    })
+    }
     return MultTableAlgebra(
         dim=3, scalar_order=1, kind=KIND_LIE,
-        constants=table, basis_labels=("h", "e", "f"),
+        products=table, basis_labels=("h", "e", "f"),
     )
 
 
@@ -150,6 +150,15 @@ def test_classify_matrix_algebra():
     assert payload["auto"] == {"exponents": [0, 1], "m": 2}
     assert "note" not in payload
     assert payload["witness_checks"]
+    assert all(c["status"] == "pass" for c in payload["witness_checks"])
+
+
+def test_classify_matrix_algebra_serves_the_largest_admitted_n(capsys):
+    # 26^2 = 676 is within MAX_DIM, and the witness's period is 2, not n
+    assert 26 * 26 <= MAX_DIM < 27 * 27
+    assert cli.main(["classify", "--matrix-algebra", "26"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["auto"] == {"exponents": list(range(26)), "m": 2}
     assert all(c["status"] == "pass" for c in payload["witness_checks"])
 
 
@@ -604,7 +613,10 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
          "the twist period lcm(1, 25) = 25 exceeds the limit 24"),
         (("build", "--type", "A200"), f"A200 has dimension 40400, which exceeds the size limit {MAX_DIM}"),
         (("classify", "--type", "E9"), "unsupported type label 'E9'"),
-        (("classify", "--matrix-algebra", "25"), "m = 25 exceeds the period limit 24"),
+        # the witness's period is 2 whatever n is, so M_n is bounded by its size alone
+        (("classify", "--matrix-algebra", "27"), f"M_n needs n^2 <= {MAX_DIM}, the size limit, got n = 27"),
+        # a rank is written without a leading zero
+        (("build", "--type", "A01"), "unknown type label 'A01'"),
     ],
 )
 def test_refused_request_names_its_fault(capsys, argv, message):

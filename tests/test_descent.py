@@ -374,8 +374,8 @@ def test_doubled_shifts_are_additive_but_do_not_land():
         "A2", DiagramPermutation.identity(2), (1, 0), 3
     )
     doubled = tuple(2 * x for x in shifts)
-    for a, b, _ in alg.constants:
-        for c, _ in alg.basis_product(a, b):
+    for (a, b), entry in alg.products.items():
+        for c in entry:
             assert doubled[c] == doubled[a] + doubled[b]
     # zeta^(2p) is not zeta^p where p is not 0 mod 3: doubled shifts untwist
     # another twist, which untwist_iso never pairs with this one

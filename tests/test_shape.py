@@ -224,6 +224,10 @@ def _words(*names):
         # two size limits, MAX_DIM and MAX_PERIOD, in place of the closure's
         # root count, the CLI's matrix size and the automorphism group's rank
         pytest.param(_words("_CLOSURE_BOUND", "MAX_MATRIX_SIZE") + "|brute-force", id="size limits"),
+        # a table stores each product once, as a sparse vector in
+        # MultTableAlgebra.products: no list form of it and no private lookup
+        # rebuilt from one
+        pytest.param(_words("make_table", "TableEntry") + r"|\._table\b", id="table lists"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
