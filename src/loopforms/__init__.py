@@ -34,7 +34,6 @@ _EXPORTS = {
         "DiagramPermutation",
         "FiniteCartanMatrix",
         "RootSystem",
-        "ToralCharge",
         "TYPE_LABELS",
         "algebra_over",
         "cartan_matrix",

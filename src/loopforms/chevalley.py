@@ -16,11 +16,13 @@ Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
 automorphism tau_s: e_alpha -> zeta_m^<s,alpha> e_alpha, then the diagram
 automorphism pi induced by a symmetry of the Cartan matrix (a signed
 permutation of the Chevalley basis, the identity map when the symmetry is
-trivial).  `check_twist` alone decides that pi o tau_s is a twist of the
-type, and raises `record.RequestError` when it is not; each public entry
-that takes pi calls it once (`type_twist_factors`, `diagram_automorphism`).
-A table carries its weights, root coordinates with 0 on the h_i, so s is a
-coweight: `type_twist_factors` builds the algebra over Q(zeta_M),
+trivial).  A twist is given as plain values (pi, s, m), as M_n's is, and
+`check_twist(cartan, pi, s, m)` alone decides that pi o tau_s is a twist
+of the type, and raises `record.RequestError` when it is not; each public
+entry that takes pi calls it once (`type_twist_factors`,
+`diagram_automorphism`, which passes s = 0 and m = 1).  A table carries
+its weights, root coordinates with 0 on the h_i, so s is a coweight:
+`type_twist_factors(label, pi, s, m)` builds the algebra over Q(zeta_M),
 M = lcm(|pi|, m), and returns (alg, outer, alg.pairing(s), m) as
 `grading.twist` takes them, as `descent.matrix_twist_factors` does for M_n;
 `grading.twist` certifies every twist, here and on M_n alike, and `affine`
@@ -49,7 +51,6 @@ __all__ = [
     "FiniteCartanMatrix",
     "LieConstructError",
     "RootSystem",
-    "ToralCharge",
     "algebra_over",
     "cartan_matrix",
     "check_twist",
@@ -639,22 +640,6 @@ def node_isomorphisms(
     yield from extend(0)
 
 
-class ToralCharge(Record):
-    """A coweight s and a modulus m: e_alpha -> zeta_m^<s,alpha> e_alpha."""
-
-    s: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise RequestError(f"the modulus of a toral charge must be >= 1, got m = {self.modulus}")
-
-    @staticmethod
-    def trivial(rank: int) -> "ToralCharge":
-        """s = 0 modulo 1: tau_s is the identity."""
-        return ToralCharge(s=(0,) * rank, modulus=1)
-
-
 def diagram_automorphism(
     alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
 ) -> FiniteOrderAutomorphism:
@@ -681,7 +666,7 @@ def diagram_automorphism(
     structure constant is read; the map is certified by `check_automorphism`
     on every basis pair, which is where a wrong sign fails.
     """
-    check_twist(rs.cartan, perm, ToralCharge.trivial(rs.rank))
+    check_twist(rs.cartan, perm, (0,) * rs.rank, 1)
     return _diagram_map(alg, rs, perm)
 
 
@@ -706,16 +691,19 @@ def _diagram_map(
     return check_automorphism(alg, targets, scalars, perm.order())
 
 
-def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: ToralCharge) -> None:
+def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, s: Sequence[int], m: int) -> None:
     """Raise `RequestError`, before anything is built, unless pi o tau_s is
-    a twist of the type of `cartan`, of period lcm(|pi|, m) <= MAX_PERIOD:
-    pi preserves the Cartan matrix (so has its rank), and s has its rank
-    and is constant on the orbits of pi."""
-    label, s = cartan.type_label, list(charge.s)
-    period = lcm(perm.order(), charge.modulus)
+    a twist of the type of `cartan`: the modulus m is >= 1 (checked first,
+    since lcm(1, 0) = 0 and lcm(1, -3) = 3), the period lcm(|pi|, m) is <=
+    MAX_PERIOD, pi preserves the Cartan matrix (so has its rank), and the
+    coweight s has its rank and is constant on the orbits of pi."""
+    if m < 1:
+        raise RequestError(f"the modulus of a toral charge must be >= 1, got m = {m}")
+    label, s = cartan.type_label, list(s)
+    period = lcm(perm.order(), m)
     if period > MAX_PERIOD:
         raise RequestError(
-            f"the twist period lcm({perm.order()}, {charge.modulus}) = {period}"
+            f"the twist period lcm({perm.order()}, {m}) = {period}"
             f" exceeds the limit {MAX_PERIOD}"
         )
     if not perm.preserves(cartan):
@@ -733,15 +721,16 @@ def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, charge: To
 
 
 def type_twist_factors(
-    label: str, perm: DiagramPermutation, charge: ToralCharge
+    label: str, perm: DiagramPermutation, s: Sequence[int], m: int
 ) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
     """The type-label counterpart of `descent.matrix_twist_factors`: the
     algebra of type `label` over Q(zeta_M), M = lcm(|pi|, m), and the
     factors of pi o tau_s as `grading.twist` takes them, the certified
-    diagram automorphism of pi, the exponents `alg.pairing(s)` and m.
+    diagram automorphism of pi, the exponents `alg.pairing(s)` of the
+    coweight s and the modulus m.
 
     `check_twist` refuses a malformed twist once, before anything is built.
     """
-    check_twist(cartan_matrix(label), perm, charge)
-    rs, alg = algebra_over(label, lcm(perm.order(), charge.modulus))
-    return alg, _diagram_map(alg, rs, perm), alg.pairing(charge.s), charge.modulus
+    check_twist(cartan_matrix(label), perm, s, m)
+    rs, alg = algebra_over(label, lcm(perm.order(), m))
+    return alg, _diagram_map(alg, rs, perm), alg.pairing(s), m

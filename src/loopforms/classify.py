@@ -26,7 +26,6 @@ from .centroid import centroid_graded
 from .chevalley import (
     DiagramPermutation,
     FiniteCartanMatrix,
-    ToralCharge,
     cartan_matrix,
     node_isomorphisms,
     type_twist_factors,
@@ -219,10 +218,9 @@ def classify_type(type_label: str) -> Classification:
     """
     cartan = cartan_matrix(type_label)
     table = conjugacy_classes(dynkin_automorphism_group(cartan))
-    trivial = ToralCharge.trivial(cartan.rank)
     rows = []
     for rep, size in table.classes:
-        alg, *factors = type_twist_factors(type_label, rep, trivial)
+        alg, *factors = type_twist_factors(type_label, rep, (0,) * cartan.rank, 1)
         report = affine_certificate(type_label, alg, twist(alg, *factors))
         centroid = centroid_graded(alg, report.grading)
         rows.append(

@@ -41,7 +41,7 @@ from .record import RequestError
 # centroid, affine, classify and descent inside the handlers that use them,
 # so a request loads, and compiles, only the modules its command needs
 if TYPE_CHECKING:
-    from .chevalley import DiagramPermutation, FiniteCartanMatrix, ToralCharge
+    from .chevalley import DiagramPermutation, FiniteCartanMatrix
 
 __all__ = ["main"]
 
@@ -68,18 +68,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutation, ToralCharge]:
+def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutation, tuple[int, ...], int]:
     """{"pi": [one-based images] | null, "s": [ints] | null, "m": int}, read
-    for `chevalley.type_twist_factors` to decide."""
-    from .chevalley import DiagramPermutation, ToralCharge
+    as (pi, s, m) for `chevalley.type_twist_factors` to decide."""
+    from .chevalley import DiagramPermutation
 
     unknown = set(obj) - {"pi", "s", "m"}
     if unknown:
         raise RequestError(f"unsupported --auto keys for a type label: {sorted(unknown)}")
     m = _modulus(obj)
     perm = DiagramPermutation.from_one_based(_int_list(obj, "pi", range(1, cartan.rank + 1)))
-    charge = ToralCharge(s=_int_list(obj, "s", (0,) * cartan.rank), modulus=m)
-    return perm, charge
+    return perm, _int_list(obj, "s", (0,) * cartan.rank), m
 
 
 def _modulus(obj: dict) -> int:
@@ -104,10 +103,6 @@ def _int_list(obj: dict, key: str, default) -> Optional[tuple[int, ...]]:
     if value is not None and (not isinstance(value, list) or not all(map(_is_int, value))):
         raise RequestError(f"{key} must be a list of integers")
     return default if value is None else tuple(value)
-
-
-def _auto_echo(perm: DiagramPermutation, charge: ToralCharge) -> dict:
-    return {"pi": list(perm.to_one_based()), "s": list(charge.s), "m": charge.modulus}
 
 
 # -- input resolution ------------------------------------------------------------
@@ -146,9 +141,10 @@ def _build_sigma(args: _Args, source: str, spec: dict):
         from .chevalley import cartan_matrix, type_twist_factors
 
         label = args.type
-        perm, charge = _type_auto(spec, cartan_matrix(label))
-        factors = type_twist_factors(label, perm, charge)
-        return (*factors, {"type": label, "auto": _auto_echo(perm, charge)})
+        perm, s, m = _type_auto(spec, cartan_matrix(label))
+        factors = type_twist_factors(label, perm, s, m)
+        auto = {"pi": list(perm.to_one_based()), "s": list(s), "m": m}
+        return (*factors, {"type": label, "auto": auto})
     from .descent import matrix_twist_factors
 
     n = args.matrix_algebra

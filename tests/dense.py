@@ -79,7 +79,6 @@ from loopforms.chevalley import (
     DiagramPermutation,
     LieConstructError,
     RootSystem,
-    ToralCharge,
     _basis_layout,
     _neg,
     _symmetrizers,
@@ -972,21 +971,18 @@ def layout_exponents(name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(request) == 3:
         n, exponents, _ = request
         return exponents, matrix_unit_shifts(n, exponents)
-    label, _, s, m = request
-    rs = root_system(cartan_matrix(label))
-    return s, charge_pairings(rs, ToralCharge(s=s, modulus=m))
+    label, _, s, _ = request
+    return s, charge_pairings(root_system(cartan_matrix(label)), s)
 
 
 @lru_cache(maxsize=None)
 def _grading_fixtures() -> dict:
     """name -> factors (algebra, outer, exponents, m) of each of _GRADING_FIXTURES."""
-    toral = type_twist_factors(
-        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    )
+    toral = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     flip = DiagramPermutation((1, 0))
-    a2, outer, *charged = type_twist_factors("A2", flip, ToralCharge(s=(1, 1), modulus=2))
+    a2, outer, *charged = type_twist_factors("A2", flip, (1, 1), 2)
     triality = DiagramPermutation((2, 1, 3, 0))
-    d4, triality_map, _, _ = type_twist_factors("D4", triality, ToralCharge.trivial(4))
+    d4, triality_map, _, _ = type_twist_factors("D4", triality, (0,) * 4, 1)
     factors = (
         toral,
         (a2, outer, (0,) * a2.dim, 1),
@@ -1012,7 +1008,7 @@ def twist_factors(
     perm = (
         DiagramPermutation.identity(len(s)) if pi is None else DiagramPermutation.from_one_based(pi)
     )
-    return type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))
+    return type_twist_factors(label, perm, s, m)
 
 
 @lru_cache(maxsize=None)
@@ -1023,15 +1019,15 @@ def twist_fixture(name: str) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism]
 
 
 def three_pass_composition(
-    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation, charge: ToralCharge
+    alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation, s: Sequence[int], m: int
 ) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
     """pi and pi o tau_s, each built and checked by `check_automorphism`,
     with tau_s built and checked by it too, and the factors composed both
     ways."""
-    period = lcm(perm.order(), charge.modulus)
+    period = lcm(perm.order(), m)
     pi = diagram_automorphism(alg, rs, perm)
     pi_auto = check_automorphism(alg, pi.images, pi.scalars, perm.order())
-    tau = check_diagonal_automorphism(alg, charge_pairings(rs, charge), charge.modulus)
+    tau = check_diagonal_automorphism(alg, charge_pairings(rs, s), m)
     tau_auto = check_automorphism(alg, tau.images, tau.scalars, tau.period)
     composed = pi_auto.compose(tau_auto)
     if composed != tau_auto.compose(pi_auto):
@@ -1123,13 +1119,13 @@ def twisted_fixed_points(
 # -- the twist paths that `grading.twist` replaced ------------------------------------
 
 
-def charge_pairings(rs: RootSystem, charge: ToralCharge) -> tuple[int, ...]:
+def charge_pairings(rs: RootSystem, s: Sequence[int]) -> tuple[int, ...]:
     """<s, alpha> for every basis index of the layout of rs, 0 on the
     Cartan: the exponents of tau_s as the type-label path wrote them."""
     _, root_index = _basis_layout(rs)
     out = [0] * (rs.rank + len(rs.roots))
     for alpha, idx in root_index.items():
-        out[idx] = sum(si * ai for si, ai in zip(charge.s, alpha))
+        out[idx] = sum(si * ai for si, ai in zip(s, alpha))
     return tuple(out)
 
 
@@ -1228,26 +1224,27 @@ def diagram_and_composition(
     alg: MultTableAlgebra,
     rs: RootSystem,
     perm: DiagramPermutation,
-    charge: ToralCharge,
+    s: Sequence[int],
+    m: int,
 ) -> tuple[FiniteOrderAutomorphism, FiniteOrderAutomorphism]:
     """The diagram factor pi and the composition pi o tau_s, as the type-label
     path built them: pi by `diagram_automorphism`, tau_s by the additivity
     of <s, .>, the factors composed both ways, and the composition checked
     by its period; a trivial charge gives pi with its period lifted."""
-    if len(charge.s) != rs.rank:
+    if len(s) != rs.rank:
         raise LieConstructError("charge rank mismatch")
     for i in range(rs.rank):
-        if charge.s[i] != charge.s[perm(i)]:
+        if s[i] != s[perm(i)]:
             raise LieConstructError("toral charge must be constant on permutation orbits")
-    period = lcm(perm.order(), charge.modulus)
+    period = lcm(perm.order(), m)
     if alg.scalar_order % period != 0:
         raise LieConstructError(
             f"algebra scalar order {alg.scalar_order} lacks the {period}-th roots of unity"
         )
     pi_auto = diagram_automorphism(alg, rs, perm)
-    if all(si % charge.modulus == 0 for si in charge.s):
+    if all(si % m == 0 for si in s):
         return pi_auto, _certified(alg, pi_auto.images, pi_auto.scalars, period)
-    tau_auto = check_diagonal_automorphism(alg, charge_pairings(rs, charge), charge.modulus)
+    tau_auto = check_diagonal_automorphism(alg, charge_pairings(rs, s), m)
     if pi_auto.compose(tau_auto) != tau_auto.compose(pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
     composed = pi_auto.compose(tau_auto)

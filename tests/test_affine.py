@@ -27,7 +27,6 @@ from loopforms.affine import (
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
-    ToralCharge,
     algebra_over,
     cartan_matrix,
     node_isomorphisms,
@@ -48,19 +47,17 @@ def _twist(label, perm=None, s=None, m=1):
     """The algebra, root system, grading and fixed Cartan of L(pi o tau_s)."""
     rank = cartan_matrix(label).rank
     perm = perm or DiagramPermutation.identity(rank)
-    charge = ToralCharge(s=s or (0,) * rank, modulus=m)
-    alg, *factors = type_twist_factors(label, perm, charge)
+    alg, *factors = type_twist_factors(label, perm, s or (0,) * rank, m)
     grading = eigengrading(alg, twist(alg, *factors))
     return alg, root_system(cartan_matrix(label)), grading, fixed_cartan(alg, grading)
 
 
-def _certificate(label, perm=None, charge=None):
+def _certificate(label, perm=None, s=None, m=1):
     """`affine_certificate` of L(pi o tau_s), its twist built as the CLI
     builds it."""
     rank = cartan_matrix(label).rank
     perm = perm or DiagramPermutation.identity(rank)
-    charge = charge or ToralCharge.trivial(rank)
-    alg, *factors = type_twist_factors(label, perm, charge)
+    alg, *factors = type_twist_factors(label, perm, s or (0,) * rank, m)
     return affine_certificate(label, alg, twist(alg, *factors))
 
 
@@ -108,11 +105,12 @@ def test_fixed_cartan_refuses_a_table_without_weights():
 
 
 def _charges(perm):
-    """The trivial charge, and s = 1 on the first orbit of pi at m = 2 and 3."""
+    """The trivial charge (s, m), and s = 1 on the first orbit of pi at m = 2
+    and 3."""
     rank = len(perm.images)
     first = perm.orbits()[0]
     s = tuple(int(i in first) for i in range(rank))
-    return (ToralCharge.trivial(rank), ToralCharge(s=s, modulus=2), ToralCharge(s=s, modulus=3))
+    return (((0,) * rank, 1), (s, 2), (s, 3))
 
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
@@ -123,7 +121,7 @@ def test_fixed_cartan_equals_the_orbit_sums_of_pi(label):
     cartan = cartan_matrix(label)
     for perm in dynkin_automorphism_group(cartan).elements:
         for charge in _charges(perm):
-            alg, *factors = type_twist_factors(label, perm, charge)
+            alg, *factors = type_twist_factors(label, perm, *charge)
             grading = eigengrading(alg, twist(alg, *factors))
             assert fixed_cartan(alg, grading) == orbit_sum_cartan(alg, perm), (perm, charge)
 
@@ -196,7 +194,7 @@ def test_toral_twist_has_the_label_of_its_diagram_part(case):
     # degrees up to deg delta, not only 0 and 1
     label, images, s, m, want = case
     perm = None if images is None else DiagramPermutation(images)
-    composed = _certificate(label, perm, ToralCharge(s=s, modulus=m))
+    composed = _certificate(label, perm, s, m)
     plain = _certificate(label, perm)
     assert str(composed.label) == str(plain.label) == want
     assert max(r.degree for r in composed.certificate.base) > 1
@@ -614,7 +612,7 @@ def test_equivalence_distinguishes_same_size():
 
 
 def test_certificate_a2_composed_charge():
-    report = _certificate("A2", DiagramPermutation((1, 0)), ToralCharge(s=(1, 1), modulus=2))
+    report = _certificate("A2", DiagramPermutation((1, 0)), (1, 1), 2)
     assert str(report.label) == "A2^(2)"
     assert report.grading.period == 2
 
@@ -629,9 +627,9 @@ def test_certificate_d4_triality_dims():
 def test_certificate_refuses_a_twist_certified_on_another_table():
     # two builds of the flipped A2 are two tables: a twist certified on one
     # is refused on the other, by eigengrading
-    flip, trivial = DiagramPermutation((1, 0)), ToralCharge.trivial(2)
-    alg, *factors = type_twist_factors("A2", flip, trivial)
-    other, *_ = type_twist_factors("A2", flip, trivial)
+    flip = DiagramPermutation((1, 0))
+    alg, *factors = type_twist_factors("A2", flip, (0, 0), 1)
+    other, *_ = type_twist_factors("A2", flip, (0, 0), 1)
     sigma = twist(alg, *factors)
     assert str(affine_certificate("A2", alg, sigma).label) == "A2^(2)"
     with pytest.raises(GradingError, match="the automorphism is not certified on this table"):
@@ -647,4 +645,4 @@ def test_extract_gcm_checks_its_twist_once(monkeypatch, capsys):
     monkeypatch.setattr(chevalley, "check_twist", lambda *args: calls.append(args) or real(*args))
     assert cli.main(["extract-gcm", "--type", "D4", "--auto", '{"pi":[4,2,1,3]}']) == 0
     capsys.readouterr()
-    assert [perm for _, perm, _ in calls] == [DiagramPermutation.from_one_based((4, 2, 1, 3))]
+    assert [perm for _, perm, _, _ in calls] == [DiagramPermutation.from_one_based((4, 2, 1, 3))]

@@ -53,7 +53,6 @@ from loopforms.grading import (
 from loopforms.chevalley import (
     TYPE_LABELS,
     DiagramPermutation,
-    ToralCharge,
     algebra_over,
     cartan_matrix,
     diagram_automorphism,
@@ -543,11 +542,11 @@ def test_pairing_equals_the_layout_rules_on_verify_all_twists(line):
     args = cli._parse_args(line.split())
     spec = cli._parse_auto_json(args.auto)
     source = "type" if args.type is not None else "matrix-algebra"
-    _, _, exponents, m, _ = cli._build_sigma(args, source, spec)
+    _, _, exponents, _, _ = cli._build_sigma(args, source, spec)
     if args.type is not None:
         rs = root_system(cartan_matrix(args.type))
         s = tuple(spec.get("s") or (0,) * rs.rank)
-        assert exponents == charge_pairings(rs, ToralCharge(s=s, modulus=m))
+        assert exponents == charge_pairings(rs, s)
     else:
         assert exponents == matrix_unit_shifts(args.matrix_algebra, spec["exponents"])
 
@@ -595,9 +594,7 @@ def test_twist_refuses_a_moved_weight(table, h, moved, message):
 
 
 def _sl2_graded():
-    alg, *factors = type_twist_factors(
-        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    )
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     sigma = twist(alg, *factors)
     return alg, sigma, eigengrading(alg, sigma)
 
@@ -1168,7 +1165,7 @@ def test_centroid_identity_membership():
 
 
 def test_centroid_of_untwisted_simple_algebra_is_scalars():
-    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), ToralCharge.trivial(1))
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (0,), 1)
     grading = eigengrading(alg, twist(alg, *factors))
     (report,) = centroid_graded(alg, grading)
     assert report.solution_dim == 1
@@ -1213,7 +1210,7 @@ _POOL_A3 = (((3, 2, 1), (0, 0, 0), 1), ((3, 2, 1), (1, 0, 1), 2), ((3, 2, 1), (3
 @pytest.mark.parametrize("pi,s,m", _POOL_A3)
 def test_centroid_matches_all_pairs_on_pool_a3(pi, s, m):
     perm = DiagramPermutation.from_one_based(pi)
-    alg, *factors = type_twist_factors("A3", perm, ToralCharge(s=s, modulus=m))
+    alg, *factors = type_twist_factors("A3", perm, s, m)
     sigma = twist(alg, *factors)
     _assert_centroid_matches_all_pairs(alg, eigengrading(alg, sigma))
 

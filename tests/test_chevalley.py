@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -23,7 +24,6 @@ from loopforms.chevalley import (
     FiniteCartanMatrix,
     LieConstructError,
     RootSystem,
-    ToralCharge,
     algebra_over,
     cartan_matrix,
     check_twist,
@@ -542,16 +542,15 @@ def test_preserves_refuses_a_permutation_of_another_rank():
 
 def test_flip_on_wrong_diagram_rejected():
     # check_twist refuses it before type_twist_factors builds anything
-    trivial = ToralCharge.trivial(2)
     with pytest.raises(
         RequestError,
         match=r"unsupported automorphism: permutation does not preserve the Cartan matrix"
         r" of B2: pi = \[2, 1\]",
     ):
-        type_twist_factors("B2", FLIP, trivial)
+        type_twist_factors("B2", FLIP, (0, 0), 1)
     # a permutation of another rank preserves no Cartan matrix of this one
     with pytest.raises(RequestError, match=r"of B2: pi = \[3, 2, 4, 1\]"):
-        check_twist(cartan_matrix("B2"), TRIALITY, trivial)
+        check_twist(cartan_matrix("B2"), TRIALITY, (0, 0), 1)
     # the public diagram_automorphism refuses through check_twist too, not
     # with a KeyError or an IndexError from the sign form
     rs, alg = algebra_over("B2", 2)
@@ -570,9 +569,7 @@ def test_triality_has_period_three():
 
 
 def test_toral_automorphism_exact_matrix():
-    alg, *factors = type_twist_factors(
-        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    )
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     sigma = twist(alg, *factors)
     one, minus = CycloNum.one(2), CycloNum.rational(2, -1)
     for idx, want in [(0, one), (1, minus), (2, minus)]:
@@ -585,12 +582,12 @@ def test_charge_pairings_sl2():
     # the pairing of s with the weights, against the layout's own rule
     rs, alg = algebra_over("A1", 2)
     assert alg.weights == ((0,), (1,), (-1,))
-    oracle = charge_pairings(rs, ToralCharge(s=(1,), modulus=2))
+    oracle = charge_pairings(rs, (1,))
     assert alg.pairing((1,)) == oracle == (0, 1, -1)
 
 
 def test_composed_automorphism_period_is_lcm():
-    alg, *factors = type_twist_factors("A2", FLIP, ToralCharge(s=(1, 1), modulus=3))
+    alg, *factors = type_twist_factors("A2", FLIP, (1, 1), 3)
     assert alg.scalar_order == 6
     sigma = twist(alg, *factors)
     assert sigma.period == 6
@@ -604,7 +601,7 @@ def test_composed_requires_invariant_charge():
         RequestError,
         match=r"s must be constant on the orbits of pi: s = \[1, 0\] varies on the orbit \[1, 2\]",
     ):
-        type_twist_factors("A2", FLIP, ToralCharge(s=(1, 0), modulus=3))
+        type_twist_factors("A2", FLIP, (1, 0), 3)
 
 
 @pytest.mark.parametrize(
@@ -618,21 +615,39 @@ def test_composed_requires_invariant_charge():
 )
 def test_type_twist_factors_refuses_a_rank_mismatch(perm, s, message):
     with pytest.raises(RequestError, match=message):
-        type_twist_factors("A2", perm, ToralCharge(s=s, modulus=2))
+        type_twist_factors("A2", perm, s, 2)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_a_modulus_below_one_is_refused_before_anything_is_built(m, monkeypatch):
+    # math.lcm(1, 0) = 0 and lcm(1, -3) = 3 would pass the period bound, so
+    # check_twist refuses m < 1 first, ahead of its other checks too
+    def unbuilt(*args):
+        raise AssertionError("algebra_over ran on a refused twist")
+
+    monkeypatch.setattr(chevalley, "algebra_over", unbuilt)
+    message = "^" + re.escape(f"the modulus of a toral charge must be >= 1, got m = {m}") + "$"
+    identity = DiagramPermutation.identity(2)
+    with pytest.raises(RequestError, match=message):
+        check_twist(cartan_matrix("A2"), identity, (1, 0), m)
+    with pytest.raises(RequestError, match=message):
+        type_twist_factors("A2", identity, (1, 0), m)
+    with pytest.raises(RequestError, match=message):
+        type_twist_factors("A2", TRIALITY, (1,), m)
 
 
 def test_type_twist_factors_compose_to_the_three_pass_oracle():
     # the factors are the algebra over the period, the certified diagram
     # automorphism and the pairings modulo m, and twist composes them into
     # the map that three full pair checks build
-    charge = ToralCharge(s=(1, 0, 1, 1), modulus=3)
-    alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, charge)
+    s = (1, 0, 1, 1)
+    alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, s, 3)
     rs, fresh = algebra_over("D4", 3)
     assert alg == fresh
     assert outer == diagram_automorphism(alg, rs, TRIALITY)
     assert outer.certified_on(alg)
-    assert (pairings, m) == (charge_pairings(rs, charge), 3)
-    assert (outer, twist(alg, outer, pairings, m)) == three_pass_composition(alg, rs, TRIALITY, charge)
+    assert (pairings, m) == (charge_pairings(rs, s), 3)
+    assert (outer, twist(alg, outer, pairings, m)) == three_pass_composition(alg, rs, TRIALITY, s, m)
 
 
 def _diagram_classes():
@@ -648,7 +663,7 @@ def _diagram_classes():
 
 
 def _charges(moduli, trivial):
-    """(type, pi, charge) for every diagram class: with s = m on the pi-orbit
+    """(type, pi, s, m) for every diagram class: with s = m on the pi-orbit
     of node 1, and with s = 0, when trivial; else with s = 1 there."""
     for label, perm, orbit in _diagram_classes():
         for m in moduli:
@@ -658,7 +673,7 @@ def _charges(moduli, trivial):
             for s in (zero, on_orbit) if trivial else (on_orbit,):
                 pi = "".join(map(str, perm.to_one_based()))
                 yield pytest.param(
-                    label, perm, ToralCharge(s=s, modulus=m),
+                    label, perm, s, m,
                     id=f"{label}-pi{pi}-s{''.join(map(str, s))}-m{m}",
                 )
 
@@ -667,29 +682,29 @@ def _trivial_charges():
     return _charges((1, 2), trivial=True)
 
 
-def _twist_matches_three_passes(label, perm, charge):
+def _twist_matches_three_passes(label, perm, s, m):
     """twist of the factors of `type_twist_factors`, against three full pair
     checks and against the type-label path it replaced."""
-    alg, outer, *factors = type_twist_factors(label, perm, charge)
+    alg, outer, *factors = type_twist_factors(label, perm, s, m)
     rs = root_system(cartan_matrix(label))
     fast = twist(alg, outer, *factors)
-    assert (outer, fast) == three_pass_composition(alg, rs, perm, charge)
-    assert (outer, fast) == diagram_and_composition(alg, rs, perm, charge)
-    assert fast.period == lcm(perm.order(), charge.modulus)
+    assert (outer, fast) == three_pass_composition(alg, rs, perm, s, m)
+    assert (outer, fast) == diagram_and_composition(alg, rs, perm, s, m)
+    assert fast.period == lcm(perm.order(), m)
     assert fast.certified_on(alg)
     return alg, fast
 
 
-@pytest.mark.parametrize("label, perm, charge", _trivial_charges())
-def test_trivial_charge_composition_matches_three_passes(label, perm, charge):
-    _twist_matches_three_passes(label, perm, charge)
+@pytest.mark.parametrize("label, perm, s, m", _trivial_charges())
+def test_trivial_charge_composition_matches_three_passes(label, perm, s, m):
+    _twist_matches_three_passes(label, perm, s, m)
 
 
-@pytest.mark.parametrize("label, perm, charge", _charges((2, 3), trivial=False))
-def test_charged_composition_matches_three_passes(label, perm, charge):
+@pytest.mark.parametrize("label, perm, s, m", _charges((2, 3), trivial=False))
+def test_charged_composition_matches_three_passes(label, perm, s, m):
     # tau_s certified by additivity and the composition by its period,
     # against three full pair checks and the n^2 product loop
-    alg, fast = _twist_matches_three_passes(label, perm, charge)
+    alg, fast = _twist_matches_three_passes(label, perm, s, m)
     product_rule_check(alg, eigengrading(alg, fast))
 
 
@@ -853,7 +868,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
         print("refused:", exc)
     # a grading whose first component vector of residue 1 is 2 at its pivot
     alg, *factors = chevalley.type_twist_factors(
-        "A1", chevalley.DiagramPermutation.identity(1), chevalley.ToralCharge(s=(1,), modulus=2)
+        "A1", chevalley.DiagramPermutation.identity(1), (1,), 2
     )
     sigma = twist(alg, *factors)
     grading = eigengrading(alg, sigma)

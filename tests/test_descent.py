@@ -28,7 +28,6 @@ from dense import (
 from loopforms import chevalley, cli, descent, grading, linalg
 from loopforms.chevalley import (
     DiagramPermutation,
-    ToralCharge,
     algebra_over,
     diagram_automorphism,
     type_twist_factors,
@@ -56,15 +55,13 @@ FLIP = DiagramPermutation((1, 0))
 
 
 def _sl2_toral():
-    alg, *factors = type_twist_factors(
-        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    )
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     return alg, twist(alg, *factors)
 
 
 def _type_twist(label, perm, s, m):
     """(alg, outer, exponents, m) of pi o tau_s, as `untwist_iso` takes them."""
-    return type_twist_factors(label, perm, ToralCharge(s=s, modulus=m))
+    return type_twist_factors(label, perm, s, m)
 
 
 # -- cocycles --------------------------------------------------------------------

@@ -5,12 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from loopforms.affine import AffineLabel
 from loopforms.algebra import MultTableAlgebra
-from loopforms.chevalley import (
-    DiagramPermutation,
-    ToralCharge,
-    type_twist_factors,
-)
+from loopforms.chevalley import DiagramPermutation, type_twist_factors
 from loopforms.classify import OutGroup
 from loopforms.cyclo import CycloNum
 from loopforms.grading import FiniteOrderAutomorphism, GradedDecomposition, eigengrading, twist
@@ -50,7 +47,7 @@ def _sl2() -> MultTableAlgebra:
 
 def test_fields_are_the_annotations_in_order():
     assert Point._fields == ("x", "y")
-    assert ToralCharge._fields == ("s", "modulus")
+    assert AffineLabel._fields == ("base_type", "twist_order")
     assert MultTableAlgebra._fields == (
         "dim", "scalar_order", "kind", "products", "basis_labels", "weights"
     )
@@ -58,13 +55,13 @@ def test_fields_are_the_annotations_in_order():
 
 def test_assignment_and_deletion_raise():
     point = Point(1, (2,))
-    charge = ToralCharge((1, 1), 3)
-    for record, name in ((point, "x"), (point, "z"), (charge, "modulus")):
+    label = AffineLabel("A2", 2)
+    for record, name in ((point, "x"), (point, "z"), (label, "twist_order")):
         with pytest.raises(AttributeError, match=f"cannot assign to '{name}'"):
             setattr(record, name, 0)
         with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
             delattr(record, name)
-    assert (point.x, point.y, charge.modulus) == (1, (2,), 3)
+    assert (point.x, point.y, label.twist_order) == (1, (2,), 2)
 
 
 def test_equality_and_hash_follow_class_and_fields():
@@ -73,6 +70,8 @@ def test_equality_and_hash_follow_class_and_fields():
     assert Point(1, (2,)) != Point(1, (3,))
     assert DiagramPermutation((1, 0)) == DiagramPermutation((1, 0))
     assert len({DiagramPermutation((1, 0)), DiagramPermutation((1, 0))}) == 1
+    assert AffineLabel("A2", 2) == AffineLabel(base_type="A2", twist_order=2)
+    assert AffineLabel("A2", 2) != AffineLabel("A2", 1)
 
 
 def test_records_of_different_classes_are_unequal():
@@ -92,7 +91,7 @@ def test_repr_matches_a_frozen_dataclass():
         record, frozen = Point(*args), FrozenPoint(*args)
         assert repr(record) == "Point" + repr(frozen)[len("FrozenPoint"):]
         assert hash(record) == hash(frozen)
-    assert repr(ToralCharge((1, 0), 2)) == "ToralCharge(s=(1, 0), modulus=2)"
+    assert repr(AffineLabel("A2", 2)) == "AffineLabel(base_type='A2', twist_order=2)"
 
 
 def test_defaults_apply():
@@ -119,13 +118,11 @@ def test_a_field_without_a_default_may_not_follow_a_default():
 def test_post_init_still_refuses_bad_input():
     # a malformed input is a RequestError, which is a ValueError
     assert issubclass(RequestError, ValueError)
-    with pytest.raises(
-        RequestError, match="the modulus of a toral charge must be >= 1, got m = 0"
-    ):
-        ToralCharge((1,), 0)
     with pytest.raises(RequestError, match=r"pi = \[1, 1\] is not a permutation of 1..2"):
         DiagramPermutation((0, 0))
     alg = _sl2()
+    with pytest.raises(RequestError, match="scalar order must be a positive integer"):
+        MultTableAlgebra(3, 0, "lie", alg.products, alg.basis_labels)
     with pytest.raises(RequestError, match=r"structure constant index \(0,3\) out of range"):
         MultTableAlgebra(3, 1, "lie", {**alg.products, (0, 3): {}}, alg.basis_labels)
 
@@ -140,9 +137,7 @@ def test_caches_are_outside_equality_hash_and_repr():
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(alg)
 
-    alg, *factors = type_twist_factors(
-        "A1", DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    )
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     sigma = twist(alg, *factors)
     used = eigengrading(alg, sigma)
     fresh = GradedDecomposition(used.period, used.scalar_order, used.dim, used.component_bases)
@@ -160,8 +155,7 @@ def test_caches_are_outside_equality_hash_and_repr():
 
 
 def test_cached_property_is_kept_on_the_instance():
-    identity, charge = DiagramPermutation.identity(1), ToralCharge(s=(1,), modulus=2)
-    alg, *factors = type_twist_factors("A1", identity, charge)
+    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     sigma = twist(alg, *factors)
     assert sigma.matrix is sigma.matrix
     assert "matrix" in sigma.__dict__

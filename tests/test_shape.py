@@ -228,6 +228,9 @@ def _words(*names):
         # MultTableAlgebra.products: no list form of it and no private lookup
         # rebuilt from one
         pytest.param(_words("make_table", "TableEntry") + r"|\._table\b", id="table lists"),
+        # a type-label twist is (pi, s, m) in plain values, as M_n's is, and
+        # chevalley.check_twist reads the modulus: no record wraps (s, m)
+        pytest.param(_words("ToralCharge"), id="toral charge record"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -258,7 +261,7 @@ def test_affine_reads_the_certified_twist_it_is_handed():
     # affine takes (type_label, alg, sigma): it names no pi or charge, runs
     # no twist check, builds no twist, and reports only what it read
     affine = SRC / "loopforms" / "affine.py"
-    names = _words("DiagramPermutation", "ToralCharge", "check_twist", "type_twist_factors")
+    names = _words("DiagramPermutation", "check_twist", "type_twist_factors")
     assert _matches(names, [affine]) == []
     signature = inspect.signature(affine_certificate).parameters
     assert tuple(signature) == ("type_label", "alg", "sigma")
@@ -339,13 +342,14 @@ def test_grading_derived_data_is_per_residue():
 
 # -- the workflow runs only the gate ---------------------------------------------
 
-# what a workflow step may run: pip, pytest, the stdout recorder with the
-# git diff that checks it left the ledger unchanged, and perfbench/run.py,
-# with the tee and tail that keep and read run.py's last line
+# what a workflow step may run: pip, pytest, the raise tracer, the stdout
+# recorder with the git diff that checks it left the ledger unchanged, and
+# perfbench/run.py, with the tee and tail that keep and read run.py's last line
 _PROGRAMS = (
     ("python", "-m", "pip"),
     ("python", "-m", "pytest"),
     ("python3", "-m", "pytest"),
+    ("python", "tests/tools/trace_raises.py"),
     ("python", "tests/tools/record_stdout.py"),
     ("git", "diff", "--exit-code", "--", "tests/golden/stdout.json"),
     ("python3", "perfbench/run.py"),
