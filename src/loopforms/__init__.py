@@ -19,7 +19,6 @@ _EXPORTS = {
         "AffineLabel",
         "ExtractionReport",
         "GCM",
-        "GCMCertificate",
         "affine_catalog",
         "affine_certificate",
         "affine_roots",

@@ -54,7 +54,6 @@ __all__ = [
     "AffineLabel",
     "AffineRoot",
     "AffineRootData",
-    "CatalogEntry",
     "ExtractionReport",
     "GCM",
     "affine_catalog",
@@ -262,24 +261,11 @@ class GCM(Record):
         return [list(row) for row in self.entries]
 
 
-class GCMCertificate(Record):
-    gcm: GCM
-    base: tuple[AffineRoot, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "gcm": self.gcm.to_obj(),
-            "base": [r.to_obj() for r in self.base],
-            "det": "0",
-            "corank": 1,
-        }
-
-
 def extract_gcm(
     alg: MultTableAlgebra,
     base: Sequence[AffineRoot],
     data: AffineRootData,
-) -> GCMCertificate:
+) -> GCM:
     """Coroot normalization and the matrix A_ij = weight_j(h_i).
 
     For each base root, e_i spans its (one-dimensional) space and f_i is the
@@ -321,8 +307,7 @@ def extract_gcm(
                 raise AffineExtractError(f"entry ({i},{j}) = {value} is not an integer")
             row.append(value.num[0])
         entries.append(tuple(row))
-    gcm = GCM(entries=tuple(entries))
-    return GCMCertificate(gcm=gcm, base=tuple(base))
+    return GCM(entries=tuple(entries))
 
 
 # -- catalog and matching ------------------------------------------------------
@@ -334,11 +319,6 @@ class AffineLabel(Record):
 
     def __str__(self) -> str:
         return f"{self.base_type}^({self.twist_order})"
-
-
-class CatalogEntry(Record):
-    label: AffineLabel
-    gcm: GCM
 
 
 def gcm_equivalent(a: GCM, b: GCM) -> Optional[tuple[int, ...]]:
@@ -416,9 +396,10 @@ def _twisted_entries(type_label: str) -> tuple[tuple[int, GCM], ...]:
     return ()
 
 
-def affine_catalog() -> tuple[CatalogEntry, ...]:
+def affine_catalog() -> dict[AffineLabel, GCM]:
     """One entry per type in TYPE_LABELS and per twist order of its diagram
-    classes, from Kac's tables; entries pairwise non-equivalent.
+    classes, from Kac's tables, in that order; entries pairwise
+    non-equivalent.
 
     Everything is integer arithmetic on the Cartan matrices: no root system
     is built (`bordered_untwisted` finds theta by reflection) and no
@@ -428,23 +409,22 @@ def affine_catalog() -> tuple[CatalogEntry, ...]:
     here, and the extractor certifies entries against loop algebras in the
     tests.
     """
-    entries = tuple(entry for label in TYPE_LABELS for entry in own_type_forms(label))
-    for k, entry in enumerate(entries):
-        for other in entries[:k]:
-            if gcm_equivalent(entry.gcm, other.gcm) is not None:
-                raise AffineExtractError(f"catalog entries {other.label} and {entry.label} coincide")
-    return entries
+    entries = [entry for label in TYPE_LABELS for entry in own_type_forms(label).items()]
+    for k, (label, gcm) in enumerate(entries):
+        for other, other_gcm in entries[:k]:
+            if gcm_equivalent(gcm, other_gcm) is not None:
+                raise AffineExtractError(f"catalog entries {other} and {label} coincide")
+    return dict(entries)
 
 
-def own_type_forms(type_label: str) -> tuple[CatalogEntry, ...]:
+def own_type_forms(type_label: str) -> dict[AffineLabel, GCM]:
     """The catalog rows of one type: X^(1) and its twisted forms X^(r),
     built from one or two bordered matrices; `affine_catalog` is these rows
     for every type."""
     forms = ((1, bordered_untwisted(type_label)),) + _twisted_entries(type_label)
-    return tuple(
-        CatalogEntry(label=AffineLabel(base_type=type_label, twist_order=order), gcm=gcm)
-        for order, gcm in forms
-    )
+    return {
+        AffineLabel(base_type=type_label, twist_order=order): gcm for order, gcm in forms
+    }
 
 
 def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
@@ -454,9 +434,9 @@ def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
     it), so a row of the requested type that matches is the one catalog
     entry equivalent to gcm, and no other row is read.
     """
-    for entry in own_type_forms(type_label):
-        if gcm_equivalent(gcm, entry.gcm) is not None:
-            return entry.label
+    for label, form in own_type_forms(type_label).items():
+        if gcm_equivalent(gcm, form) is not None:
+            return label
     return None
 
 
@@ -464,18 +444,22 @@ def match_own_type(gcm: GCM, type_label: str) -> Optional[AffineLabel]:
 
 
 class ExtractionReport(Record):
+    """An extraction: the grading, the GCM, the base it was read off and its
+    label.  The printed det and corank are the ones `GCM` checks on build."""
+
     grading: GradedDecomposition
-    certificate: GCMCertificate
+    gcm: GCM
+    base: tuple[AffineRoot, ...]
     label: AffineLabel
 
-    @property
-    def gcm(self) -> GCM:
-        return self.certificate.gcm
-
     def to_obj(self) -> dict:
-        obj = self.certificate.to_obj()
-        obj["label"] = str(self.label)
-        return obj
+        return {
+            "gcm": self.gcm.to_obj(),
+            "base": [r.to_obj() for r in self.base],
+            "det": "0",
+            "corank": 1,
+            "label": str(self.label),
+        }
 
 
 def affine_certificate(
@@ -484,15 +468,17 @@ def affine_certificate(
     """Full pipeline on a twist sigma certified on alg, the table of
     `type_label` (`eigengrading` refuses any other sigma): grade L(sigma),
     read h0 off its component 0, extract the GCM and match the label.  The
-    report carries the grading it was read from.
+    report carries the grading it was read from and the base the GCM was
+    read off.
 
     The GCM is matched against the requested type's own rows alone
     (`match_own_type`); when none matches, the request is refused.
     """
     grading = eigengrading(alg, sigma)
     data = affine_roots(alg, grading, fixed_cartan(alg, grading))
-    cert = extract_gcm(alg, simple_affine_roots(data), data)
-    label = match_own_type(cert.gcm, type_label)
+    base = simple_affine_roots(data)
+    gcm = extract_gcm(alg, base, data)
+    label = match_own_type(gcm, type_label)
     if label is None:
         raise AffineExtractError(f"the extracted matrix matches no form of {type_label}")
-    return ExtractionReport(grading=grading, certificate=cert, label=label)
+    return ExtractionReport(grading=grading, gcm=gcm, base=base, label=label)

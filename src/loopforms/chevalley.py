@@ -694,18 +694,14 @@ def _diagram_map(
 def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, s: Sequence[int], m: int) -> None:
     """Raise `RequestError`, before anything is built, unless pi o tau_s is
     a twist of the type of `cartan`: the modulus m is >= 1 (checked first,
-    since lcm(1, 0) = 0 and lcm(1, -3) = 3), the period lcm(|pi|, m) is <=
-    MAX_PERIOD, pi preserves the Cartan matrix (so has its rank), and the
-    coweight s has its rank and is constant on the orbits of pi."""
+    since lcm(1, 0) = 0 and lcm(1, -3) = 3), pi preserves the Cartan matrix
+    (so has its rank), the coweight s has its rank, the period lcm(|pi|, m)
+    is <= MAX_PERIOD (after the ranks, so a pi or s of the wrong rank is
+    blamed for itself, not for its period), and s is constant on the orbits
+    of pi."""
     if m < 1:
         raise RequestError(f"the modulus of a toral charge must be >= 1, got m = {m}")
     label, s = cartan.type_label, list(s)
-    period = lcm(perm.order(), m)
-    if period > MAX_PERIOD:
-        raise RequestError(
-            f"the twist period lcm({perm.order()}, {m}) = {period}"
-            f" exceeds the limit {MAX_PERIOD}"
-        )
     if not perm.preserves(cartan):
         raise RequestError(
             "unsupported automorphism: permutation does not preserve the Cartan matrix"
@@ -713,6 +709,12 @@ def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, s: Sequenc
         )
     if len(s) != cartan.rank:
         raise RequestError(f"charge rank mismatch: {label} has rank {cartan.rank}, but s = {s}")
+    period = lcm(perm.order(), m)
+    if period > MAX_PERIOD:
+        raise RequestError(
+            f"the twist period lcm({perm.order()}, {m}) = {period}"
+            f" exceeds the limit {MAX_PERIOD}"
+        )
     bad = [[i + 1 for i in orbit] for orbit in perm.orbits() if len({s[i] for i in orbit}) > 1]
     if bad:
         raise RequestError(

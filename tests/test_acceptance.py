@@ -14,7 +14,7 @@ import time
 import pytest
 
 from loopforms import affine, chevalley, cli
-from loopforms.affine import GCM, CatalogEntry
+from loopforms.affine import GCM
 from loopforms.algebra import KIND_LIE, MultTableAlgebra
 from loopforms.cyclo import CycloNum
 
@@ -135,13 +135,17 @@ def test_corrupted_fixture_fails_with_named_triple(monkeypatch):
 def test_criterion_7_fails_on_tampered_catalog(monkeypatch):
     real = affine.own_type_forms
 
-    def tamper(entry):
-        if str(entry.label) != "D4^(3)":
-            return entry
+    def tamper(label, gcm):
+        if str(label) != "D4^(3)":
+            return gcm
         # the transpose is G2^(1), a valid affine matrix of the wrong type
-        return CatalogEntry(label=entry.label, gcm=GCM(entries=tuple(zip(*entry.gcm.entries))))
+        return GCM(entries=tuple(zip(*gcm.entries)))
 
-    monkeypatch.setattr(affine, "own_type_forms", lambda label: tuple(map(tamper, real(label))))
+    monkeypatch.setattr(
+        affine,
+        "own_type_forms",
+        lambda type_label: {label: tamper(label, gcm) for label, gcm in real(type_label).items()},
+    )
     rows = _rows(monkeypatch, lambda argv: argv[0] == "extract-gcm")
     failed = {" ".join(row["argv"][2:]) for row in rows if "report" in row}
     assert failed == {

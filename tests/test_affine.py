@@ -156,19 +156,22 @@ def test_base_a1_and_exact_gcm():
     alg, data = _pipeline("A1", None)
     base = simple_affine_roots(data)
     assert [(r.weight, r.degree) for r in base] == [((2,), 0), ((-2,), 1)]
-    cert = extract_gcm(alg, base, data)
-    assert cert.gcm.entries == ((2, -2), (-2, 2))
-    obj = cert.to_obj()
+    assert extract_gcm(alg, base, data).entries == ((2, -2), (-2, 2))
+    # the report prints the GCM it certified with its base, det, corank and label
+    obj = _certificate("A1").to_obj()
+    assert list(obj) == ["gcm", "base", "det", "corank", "label"]
+    assert obj["gcm"] == [[2, -2], [-2, 2]]
+    assert obj["base"] == [{"weight": [2], "degree": 0}, {"weight": [-2], "degree": 1}]
     assert obj["det"] == "0"
     assert obj["corank"] == 1
+    assert obj["label"] == "A1^(1)"
 
 
 def test_base_a2_flip():
     alg, data = _pipeline("A2", (1, 0))
     base = simple_affine_roots(data)
     assert [(r.weight, r.degree) for r in base] == [((1,), 0), ((-2,), 1)]
-    cert = extract_gcm(alg, base, data)
-    assert cert.gcm.entries == ((2, -4), (-1, 2))
+    assert extract_gcm(alg, base, data).entries == ((2, -4), (-1, 2))
 
 
 # toral charges whose simple roots sit at degrees past 1: (type, zero-based pi
@@ -197,7 +200,7 @@ def test_toral_twist_has_the_label_of_its_diagram_part(case):
     composed = _certificate(label, perm, s, m)
     plain = _certificate(label, perm)
     assert str(composed.label) == str(plain.label) == want
-    assert max(r.degree for r in composed.certificate.base) > 1
+    assert max(r.degree for r in composed.base) > 1
 
 
 # the twists of the benchmark's identify workload: (type, pi, s, m)
@@ -390,11 +393,7 @@ def catalog():
 
 
 def _entry(catalog, base_type, order):
-    return next(
-        e
-        for e in catalog
-        if e.label.base_type == base_type and e.label.twist_order == order
-    )
+    return catalog[AffineLabel(base_type=base_type, twist_order=order)]
 
 
 UNTWISTED = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
@@ -403,7 +402,7 @@ UNTWISTED = ("A1", "A2", "A3", "B2", "C3", "D4", "G2")
 @pytest.mark.parametrize("label", UNTWISTED)
 def test_untwisted_catalog_matches_bordered_oracle(label, catalog):
     oracle = bordered_untwisted(label)
-    assert gcm_equivalent(oracle, _entry(catalog, label, 1).gcm) is not None
+    assert gcm_equivalent(oracle, _entry(catalog, label, 1)) is not None
     # delta = alpha_0 + theta: the marks (1, theta) are a null vector
     marks = (1,) + root_system(cartan_matrix(label)).positives[-1]
     assert all(sum(a * x for a, x in zip(row, marks)) == 0 for row in oracle.entries)
@@ -411,8 +410,8 @@ def test_untwisted_catalog_matches_bordered_oracle(label, catalog):
 
 def test_catalog_covers_every_type_and_class_order(catalog):
     orders: dict = {}
-    for entry in catalog:
-        orders.setdefault(entry.label.base_type, []).append(entry.label.twist_order)
+    for label in catalog:
+        orders.setdefault(label.base_type, []).append(label.twist_order)
     assert sorted(orders) == sorted(TYPE_LABELS)
     for label in TYPE_LABELS:
         classes = conjugacy_classes(dynkin_automorphism_group(cartan_matrix(label)))
@@ -420,10 +419,10 @@ def test_catalog_covers_every_type_and_class_order(catalog):
 
 
 def test_catalog_entries_pairwise_inequivalent(catalog):
-    entries = list(catalog)
-    for i, first in enumerate(entries):
-        for second in entries[i + 1:]:
-            assert gcm_equivalent(first.gcm, second.gcm) is None, (first.label, second.label)
+    entries = list(catalog.items())
+    for i, (first, first_gcm) in enumerate(entries):
+        for second, second_gcm in entries[i + 1:]:
+            assert gcm_equivalent(first_gcm, second_gcm) is None, (first, second)
 
 
 # the catalog fixtures, the A4 flip and B3: (type, zero-based pi or None)
@@ -438,7 +437,7 @@ def test_extractor_agrees_with_catalog(label, images, catalog):
     perm = DiagramPermutation.identity(rank) if images is None else DiagramPermutation(images)
     report = _certificate(label, perm)
     assert (report.label.base_type, report.label.twist_order) == (label, perm.order())
-    assert gcm_equivalent(report.gcm, _entry(catalog, label, perm.order()).gcm) is not None
+    assert gcm_equivalent(report.gcm, _entry(catalog, label, perm.order())) is not None
 
 
 @pytest.mark.parametrize("label,images", [("A1", None), ("A2", (1, 0)), ("D4", (2, 1, 3, 0))])
@@ -447,8 +446,8 @@ def test_reversed_base_extracts_the_reversed_gcm(label, images):
     # the opposite order gives the matrix with rows and columns reversed
     alg, data = _pipeline(label, images)
     base = simple_affine_roots(data)
-    gcm = extract_gcm(alg, base, data).gcm
-    reversed_gcm = extract_gcm(alg, tuple(reversed(base)), data).gcm
+    gcm = extract_gcm(alg, base, data)
+    reversed_gcm = extract_gcm(alg, tuple(reversed(base)), data)
     assert reversed_gcm.entries == tuple(tuple(reversed(row)) for row in reversed(gcm.entries))
     assert gcm_equivalent(gcm, reversed_gcm) is not None
 
@@ -463,29 +462,29 @@ def _forbid_catalog(monkeypatch):
 def test_certificate_rejects_label_of_another_type(monkeypatch):
     # no own row matches, and no other row is read: the request is refused
     _forbid_catalog(monkeypatch)
-    monkeypatch.setattr(affine, "own_type_forms", lambda type_label: ())
+    monkeypatch.setattr(affine, "own_type_forms", lambda type_label: {})
     with pytest.raises(AffineExtractError, match="the extracted matrix matches no form of A2"):
         _certificate("A2")
 
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
 def test_own_type_matcher_finds_each_own_row(label):
-    for entry in affine.own_type_forms(label):
-        assert entry.label.base_type == label
-        assert affine.match_own_type(entry.gcm, label) == entry.label
+    for own, gcm in affine.own_type_forms(label).items():
+        assert own.base_type == label
+        assert affine.match_own_type(gcm, label) == own
 
 
 @pytest.mark.parametrize("label", TYPE_LABELS)
 def test_own_type_matcher_refuses_a_label_of_another_type(label, catalog):
     # every row of every other type, and a row equivalent to one of them
     # under a reversal of its nodes, finds no row of this type
-    for entry in catalog:
-        if entry.label.base_type == label:
+    for other, gcm in catalog.items():
+        if other.base_type == label:
             continue
-        reversed_gcm = GCM(entries=tuple(tuple(row[::-1]) for row in entry.gcm.entries[::-1]))
-        assert affine.match_own_type(entry.gcm, label) is None
+        reversed_gcm = GCM(entries=tuple(tuple(row[::-1]) for row in gcm.entries[::-1]))
+        assert affine.match_own_type(gcm, label) is None
         assert affine.match_own_type(reversed_gcm, label) is None
-        assert affine.match_own_type(reversed_gcm, entry.label.base_type) == entry.label
+        assert affine.match_own_type(reversed_gcm, other.base_type) == other
 
 
 def test_certificate_reads_only_own_rows(monkeypatch):
@@ -518,14 +517,14 @@ TWISTED = {
 @pytest.mark.parametrize("key", sorted(TWISTED))
 def test_twisted_catalog_matches_frozen_matrices(key, catalog):
     frozen = GCM(entries=TWISTED[key])
-    assert gcm_equivalent(frozen, _entry(catalog, *key).gcm) is not None
+    assert gcm_equivalent(frozen, _entry(catalog, *key)) is not None
 
 
 def test_catalog_against_golden_file(catalog):
     # 31 untwisted types, 7 A_l^(2), 5 D_l^(2), D4^(3) and E6^(2)
     assert len(catalog) == 45
     recorded = json.loads(GOLDEN.read_text())
-    produced = [{"label": str(e.label), "gcm": e.gcm.to_obj()} for e in catalog]
+    produced = [{"label": str(label), "gcm": gcm.to_obj()} for label, gcm in catalog.items()]
     assert produced == recorded
 
 
@@ -558,7 +557,7 @@ def _permute(entries, p):
 
 def _catalog_labels(catalog, gcm):
     """The labels of the catalog entries equivalent to gcm."""
-    return [e.label for e in catalog if gcm_equivalent(gcm, e.gcm) is not None]
+    return [label for label, form in catalog.items() if gcm_equivalent(gcm, form) is not None]
 
 
 def test_match_handles_reordered_bases(catalog):
@@ -573,18 +572,18 @@ def test_node_search_equals_brute_force_on_the_catalog(catalog):
     and a randomly relabelled copy is matched by a permutation that carries
     each entry onto its image."""
     rng = random.Random(0)
-    for entry in catalog:
-        a = entry.gcm.entries
+    for label, gcm in catalog.items():
+        a = gcm.entries
         n = len(a)
         if n <= 7:
             want = [p for p in permutations(range(n)) if _permute(a, p) == a]
-            assert list(node_isomorphisms(a, a)) == want, entry.label
+            assert list(node_isomorphisms(a, a)) == want, label
         q = list(range(n))
         rng.shuffle(q)
         b = _permute(a, q)
-        p = gcm_equivalent(entry.gcm, GCM(entries=b))
-        assert p is not None, entry.label
-        assert all(b[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n)), entry.label
+        p = gcm_equivalent(gcm, GCM(entries=b))
+        assert p is not None, label
+        assert all(b[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n)), label
 
 
 def test_match_rejects_unknown_matrix(catalog):
@@ -598,7 +597,7 @@ def test_match_rejects_unknown_matrix(catalog):
         (0, 0, 0, -1, 2, -2),
         (0, 0, 0, 0, -1, 2),
     ))
-    assert any(len(e.gcm.entries) == len(a10_twisted.entries) for e in catalog)
+    assert any(len(gcm.entries) == len(a10_twisted.entries) for gcm in catalog.values())
     assert _catalog_labels(catalog, a10_twisted) == []
 
 

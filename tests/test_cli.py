@@ -617,6 +617,12 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
         (("classify", "--matrix-algebra", "27"), f"M_n needs n^2 <= {MAX_DIM}, the size limit, got n = 27"),
         # a rank is written without a leading zero
         (("build", "--type", "A01"), "unknown type label 'A01'"),
+        # a pi or s of the wrong rank is blamed for its rank, not its period
+        (("grade", "--type", "A2", "--auto", json.dumps({"pi": [*range(2, 31), 1]})),
+         "unsupported automorphism: permutation does not preserve the Cartan matrix of A2:"
+         f" pi = {[*range(2, 31), 1]}"),
+        (("grade", "--type", "A2", "--auto", '{"s":[1,0,0],"m":25}'),
+         "charge rank mismatch: A2 has rank 2, but s = [1, 0, 0]"),
     ],
 )
 def test_refused_request_names_its_fault(capsys, argv, message):

@@ -9,9 +9,12 @@ no git checkout is needed.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import re
 import shlex
+import sys
 import textwrap
 from collections import Counter, namedtuple
 from pathlib import Path
@@ -231,6 +234,9 @@ def _words(*names):
         # a type-label twist is (pi, s, m) in plain values, as M_n's is, and
         # chevalley.check_twist reads the modulus: no record wraps (s, m)
         pytest.param(_words("ToralCharge"), id="toral charge record"),
+        # an extraction is one report: affine.ExtractionReport holds the GCM
+        # and its base, and the catalog maps each label to its GCM
+        pytest.param(_words("GCMCertificate", "CatalogEntry"), id="extraction records"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -242,6 +248,22 @@ def test_only_linalg_names_the_span_solver():
     # and perfbench/tracer.py wraps it by name, but nothing in src calls it
     others = [path for path in SOURCES if path != SRC / "loopforms" / "linalg.py"]
     assert _matches(r"SpanSolver", others) == []
+
+
+def test_tracer_methods_name_classes_in_src(monkeypatch):
+    # the benchmark's tracer wraps each Class.method of its SPANS by
+    # setattr on the class, so a class that left src would crash a traced
+    # run; a plain function that left src is only reported as not found
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    methods = [(module, attr) for module, attr, _ in tracer.SPANS if "." in attr]
+    assert methods
+    for module, attr in methods:
+        owner, method = attr.split(".")
+        cls = getattr(importlib.import_module(f"loopforms.{module}"), owner, None)
+        assert inspect.isclass(cls) and method in vars(cls), f"{module}.{attr}"
 
 
 def test_only_centroid_imports_the_elimination_kernel():
@@ -266,7 +288,7 @@ def test_affine_reads_the_certified_twist_it_is_handed():
     signature = inspect.signature(affine_certificate).parameters
     assert tuple(signature) == ("type_label", "alg", "sigma")
     assert all(p.default is inspect.Parameter.empty for p in signature.values())
-    assert ExtractionReport._fields == ("grading", "certificate", "label")
+    assert ExtractionReport._fields == ("grading", "gcm", "base", "label")
 
 
 def test_affine_reads_h0_off_the_weights():
