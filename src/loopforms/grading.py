@@ -20,8 +20,8 @@ its components, and the centroid (`centroid`) is solved on it.
 Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.
 So coordinates in a component need no elimination: `ComponentSolver` reads
-them at those pivot indices and confirms them by rebuilding the vector
-exactly.
+a vector in one pass over its entries, finding each entry's owner and that
+owner's coefficient at its pivot.
 
 All verification here is exact and total over the stated ranges; nothing is
 sampled.
@@ -262,18 +262,21 @@ def twist(
 
 
 class ComponentSolver:
-    """Coordinates in the span of closed-form component vectors, read and
-    confirmed.
+    """Coordinates in the span of closed-form component vectors, read in one
+    pass over the vector.
 
     Each vector must be 1 at its smallest index, its pivot, and the vectors
     must have pairwise disjoint supports; otherwise construction raises
     GradingError.  Every vector is nonzero and stores no zero: the vectors
     are sparse, and the two kinds of span below build them from nonzero
-    scalars.  The coordinate of v on vector k is then v's entry at the
-    pivot of k, and nothing else can be: every other vector vanishes there.
-    `coords` reads those entries, rebuilds sum_k c_k b_k and returns the
-    coordinates only when the rebuilt vector is v exactly, so it answers
-    None exactly when v is outside the span, as an elimination would.
+    scalars.  So each index has one owner at most, and v's coordinate on
+    vector k can only be its entry at k's pivot.  `coords` reads v, a
+    `cyclo.Sparse` with no zero entry, in one pass: each entry needs an
+    owner k and must be c_k, v's entry at k's pivot, times k's entry there,
+    and the owners' sizes must sum to |v|, so v is sum_k c_k b_k.  A v in
+    the span passes, its support being that of the b_k with c_k nonzero:
+    `coords` answers None exactly when v is outside the span, as
+    elimination would.
 
     Two kinds of span have this shape: the grading components
     (`GradedDecomposition.component_solver`), and the fixed Cartan h0, whose
@@ -304,24 +307,13 @@ class ComponentSolver:
     def coords(self, v: Sparse) -> Optional[Sparse]:
         """Coefficients {vector index: scalar} expressing v, or None."""
         out: Sparse = {}
-        for k, pivot in enumerate(self.pivots):
-            c = v.get(pivot)
-            if c is not None and not c.is_zero():
-                out[k] = c
-        # confirm: v equals sum_k out[k] * vectors[k] entry by entry; each
-        # entry of v lies in one vector's support, and the counts match
-        size = 0
         for idx, x in v.items():
             k = self._owner.get(idx)
-            c = None if k is None else out.get(k)
-            if c is None:
-                if x.is_zero():
-                    continue
+            c = None if k is None else v.get(self.pivots[k])
+            if c is None or c * self.vectors[k][idx] != x:
                 return None
-            if c * self.vectors[k][idx] != x:
-                return None
-            size += 1
-        if size != sum(len(self.vectors[k]) for k in out):
+            out[k] = c
+        if sum(len(self.vectors[k]) for k in out) != len(v):
             return None
         return out
 

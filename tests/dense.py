@@ -7,8 +7,10 @@ matrices.  These helpers work on dense tuples and on the dense view
 `FiniteOrderAutomorphism.matrix` (column j is the image of basis element j),
 so the tests can compare every sparse or monomial result with the plain
 dense computation it replaces.  `densify` is the one way a test turns a
-sparse vector into a dense tuple.  `twist_fixture` builds the twists those
-differential tests run on, from the factors `twist_factors` names.
+sparse vector into a dense tuple, and `span_probes` gives the vectors that
+leave a span of disjoint supports each way a coordinate read can refuse
+them.  `twist_fixture` builds the twists those differential tests run on,
+from the factors `twist_factors` names.
 `ordered_triple_validation` evaluates the Lie or associative law on all n^3
 ordered basis triples through `product_sparse`, the reference for the
 reduced certificate of `validate_algebra`.
@@ -119,6 +121,30 @@ def densify(v: Mapping[int, CycloNum], dim: int, order: int) -> Vector:
 def sparsify(v: Sequence[CycloNum]) -> Sparse:
     """The sparse vector of a dense tuple: its nonzero entries by index."""
     return {i: x for i, x in enumerate(v) if not x.is_zero()}
+
+
+def span_probes(vectors: Sequence[Sparse], dim: int, order: int) -> list[Sparse]:
+    """Vectors outside the span of `vectors` (each 1 at its smallest index,
+    with disjoint supports), then {}.  For the first vector b of two entries
+    or more: b with its largest entry moved to an index below dim + 1 that
+    no vector owns, b with that entry dropped, b with it doubled, b with its
+    pivot dropped, and b's pivot entry alone.  With no such b: the first
+    vector, if any, plus that unowned index."""
+    covered = {idx for vec in vectors for idx in vec}
+    outside = min(set(range(dim + 1)) - covered)
+    b = next((vec for vec in vectors if len(vec) >= 2), None)
+    if b is None:
+        return [{**(vectors[0] if vectors else {}), outside: CycloNum.one(order)}, {}]
+    pivot, last = min(b), max(b)
+    dropped = {idx: x for idx, x in b.items() if idx != last}
+    return [
+        {**dropped, outside: b[last]},
+        dropped,
+        {**b, last: b[last] + b[last]},
+        {idx: x for idx, x in b.items() if idx != pivot},
+        {pivot: b[pivot]},
+        {},
+    ]
 
 
 def basis_vector(alg: MultTableAlgebra, i: int) -> Sparse:

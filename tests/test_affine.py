@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dense import kernel_affine_roots, orbit_sum_cartan
+from dense import kernel_affine_roots, orbit_sum_cartan, span_probes
 from ledger import assert_replays, recorder
 from loopforms import affine, chevalley, cli
 from loopforms.affine import (
@@ -241,10 +241,13 @@ def test_weights_read_off_the_grading_equal_candidate_kernels(case):
 @pytest.mark.parametrize("fixture", _CATALOG_FIXTURES, ids=lambda f: _twist_id((*f, None, 1)))
 def test_fixed_cartan_solver_equals_span_solver(fixture):
     # the coroot coordinates of every [e, f], read on the orbit sums and
-    # solved by elimination
+    # solved by elimination, and the probes that leave h0
     alg, _, grading, h0 = _twist(*fixture)
     data = affine_roots(alg, grading, h0)
     fast, slow = ComponentSolver(h0), SpanSolver(h0)
+    probes = span_probes(h0, alg.dim, alg.scalar_order)
+    reads = [fast.coords(v) for v in probes]
+    assert reads == [slow.coords(v) for v in probes] == [None] * (len(probes) - 1) + [{}]
     for res, space in enumerate(data.spaces):
         for w, vectors in space.items():
             if not any(w):

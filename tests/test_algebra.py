@@ -21,6 +21,7 @@ from dense import (
     matrix_unit_shifts,
     mat_mul,
     ordered_triple_validation,
+    span_probes,
     twist_factors,
     twist_fixture,
     twisted_fixed_points,
@@ -802,12 +803,18 @@ def _solvers(grading, i):
 
 @pytest.mark.parametrize("name", TWIST_FIXTURES)
 def test_component_solver_equals_span_solver(name):
-    # read-and-confirm coordinates against elimination: every pair product of
-    # component vectors, and every kernel vector of twisted_fixed_points
+    # one-pass coordinates against elimination: every pair product of
+    # component vectors, every kernel vector of twisted_fixed_points, and
+    # the probes of each component that leave its span
     alg, sigma = twist_fixture(name)
     grading = eigengrading(alg, sigma)
     m = grading.period
     comps = grading.component_bases
+    for i in range(m):
+        fast, slow = _solvers(grading, i)
+        probes = span_probes(comps[i], alg.dim, alg.scalar_order)
+        reads = [fast.coords(v) for v in probes]
+        assert reads == [slow.coords(v) for v in probes] == [None] * (len(probes) - 1) + [{}]
     for i in range(m):
         for j in range(m):
             target = _solvers(grading, i + j)
@@ -832,6 +839,44 @@ def test_component_solver_equals_span_solver(name):
         for v in kernel:
             assert fast.coords(v) is not None
             assert fast.coords(v) == slow.coords(v)
+
+
+class _CountingSparse(dict):
+    """A sparse vector that counts the reads made of it."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def test_component_solver_read_costs_the_size_of_the_vector():
+    # 2000 two-entry vectors over Q: reading v visits v, not every pivot
+    n = 2000
+    span = [
+        {2 * k: CycloNum.one(1), 2 * k + 1: CycloNum.rational(1, Fraction(1, k + 2))}
+        for k in range(n)
+    ]
+    solver = ComponentSolver(span)
+    c, d = CycloNum.rational(1, 3), CycloNum.rational(1, -5)
+    for v, expected in (
+        (_CountingSparse({2 * 1500: c, 2 * 1500 + 1: c * span[1500][3001]}), {1500: c}),
+        (
+            _CountingSparse({0: d, 1: d * span[0][1], 3998: c, 3999: c * span[1999][3999]}),
+            {0: d, 1999: c},
+        ),
+    ):
+        assert solver.coords(v) == expected
+        assert v.reads <= 4 * len(v)
 
 
 def _triality_grading():
