@@ -57,7 +57,6 @@ _EXPORTS = {
     "grading": (
         "FiniteOrderAutomorphism",
         "GradedDecomposition",
-        "check_automorphism",
         "eigengrading",
         "twist",
     ),

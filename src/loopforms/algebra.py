@@ -57,8 +57,10 @@ class MultTableAlgebra(Record):
     malformed input and raises `record.RequestError`.  The field is a dict,
     so a table is unhashable.  `weights` grade the basis, one integer vector
     per element: root coordinates on a type's table, eps_i - eps_k on E_ik
-    of M_n, none on a table read from a file.  Nothing here checks them;
-    `grading.twist` certifies the exponents `pairing` reads off them.
+    of M_n, none on a table read from a file.  The constructor refuses
+    weights of the wrong shape, a count other than dim or vectors of
+    different lengths, with `record.RequestError`; `grading.twist`
+    certifies the exponents `pairing` reads off them.
     """
 
     dim: int
@@ -78,6 +80,13 @@ class MultTableAlgebra(Record):
         if len(self.basis_labels) != self.dim:
             raise RequestError("one label per basis element required")
         dim, order = self.dim, self.scalar_order
+        if self.weights is not None:
+            if len(self.weights) != dim:
+                raise RequestError(
+                    f"one weight per basis element required, {dim} in all, got {len(self.weights)}"
+                )
+            if len({len(weight) for weight in self.weights}) > 1:
+                raise RequestError("the weights must all have the same length")
         products: dict[tuple[int, int], Sparse] = {}
         for (i, j), entry in self.products.items():
             if not (0 <= i < dim and 0 <= j < dim):

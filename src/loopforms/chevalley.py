@@ -648,9 +648,9 @@ def diagram_automorphism(
     the sign c read off the sign form in closed form.
 
     A pi that does not preserve the Cartan matrix of rs is refused first,
-    by `check_twist`, with `record.RequestError`.  The identity symmetry is
-    the identity map, certified with period 1 (`identity_automorphism`),
-    with no table pass.
+    by `check_twist`, with `record.RequestError`.  The identity symmetry
+    gives the identity map, which `grading.twist` certifies with no table
+    pass.
     Every other symmetry of a Cartan matrix is a symmetry of A, D or E6,
     which are their own cover, so the table is Frenkel and Kac's (`_fold`):
     e_a = E_a, f_a = -E_-a and [E_a, E_b] = eps(a, b) E_(a+b), with
@@ -663,22 +663,24 @@ def diagram_automorphism(
     [E_a, E_b] = eps(a, b) E_(a+b) to [c(a) E_(pi a), c(b) E_(pi b)], and
     [E_a, E_-a] = -a to -pi a.  It is therefore the one automorphism that
     sends e_i to e_{pi(i)} and f_i to f_{pi(i)}, since these generate.  No
-    structure constant is read; the map is certified by `check_automorphism`
-    on every basis pair, which is where a wrong sign fails.
+    structure constant is read; the map is certified by
+    `grading.twist(alg, map, (0,) * alg.dim, 1)` on every basis pair, which
+    is where a wrong sign fails.
     """
+    from .grading import twist
+
     check_twist(rs.cartan, perm, (0,) * rs.rank, 1)
-    return _diagram_map(alg, rs, perm)
+    return twist(alg, _diagram_map(alg, rs, perm), (0,) * alg.dim, 1)
 
 
 def _diagram_map(
     alg: MultTableAlgebra, rs: RootSystem, perm: DiagramPermutation
 ) -> FiniteOrderAutomorphism:
-    """`diagram_automorphism` of a pi that `check_twist` has accepted."""
-    from .grading import check_automorphism, identity_automorphism
+    """The signed permutation of `diagram_automorphism`, of a pi that
+    `check_twist` has accepted, as a plain map: nothing is certified."""
+    from .grading import FiniteOrderAutomorphism
 
     l = rs.rank
-    if perm.images == tuple(range(l)):
-        return identity_automorphism(alg)
     p, q = perm.images, perm.inverse().images
     form = _sign_form(rs.cartan)
     flips = [(i, j) for i in range(l) for j in range(i + 1, l) if (form[p[i]][p[j]] + form[i][j]) % 2]
@@ -688,7 +690,7 @@ def _diagram_map(
     for alpha in alg.weights[l:]:
         targets.append(index[tuple(alpha[i] for i in q)])
         scalars.append(-one if sum(alpha[i] * alpha[j] for i, j in flips) % 2 else one)
-    return check_automorphism(alg, targets, scalars, perm.order())
+    return FiniteOrderAutomorphism(tuple(targets), tuple(scalars), perm.order())
 
 
 def check_twist(cartan: FiniteCartanMatrix, perm: DiagramPermutation, s: Sequence[int], m: int) -> None:
@@ -727,9 +729,9 @@ def type_twist_factors(
 ) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
     """The type-label counterpart of `descent.matrix_twist_factors`: the
     algebra of type `label` over Q(zeta_M), M = lcm(|pi|, m), and the
-    factors of pi o tau_s as `grading.twist` takes them, the certified
-    diagram automorphism of pi, the exponents `alg.pairing(s)` of the
-    coweight s and the modulus m.
+    factors of pi o tau_s as `grading.twist` takes them, the diagram map
+    of pi (a plain signed permutation, which `twist` certifies), the
+    exponents `alg.pairing(s)` of the coweight s and the modulus m.
 
     `check_twist` refuses a malformed twist once, before anything is built.
     """

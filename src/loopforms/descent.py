@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 from .algebra import MultTableAlgebra
 from .cyclo import CycloNum
-from .grading import FiniteOrderAutomorphism, eigengrading, identity_automorphism, twist
+from .grading import FiniteOrderAutomorphism, eigengrading, twist
 from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
 
 __all__ = [
@@ -71,7 +71,7 @@ def fixed_point_report(
     u(n) = sigma^(-n), and the fixed dimension of every degree |j| <= 2m,
     m = sigma.period, read off the certificate of sigma on alg.
 
-    `eigengrading(alg, sigma)` refuses a sigma that no check certified on
+    `eigengrading(alg, sigma)` refuses a sigma that `twist` did not certify on
     alg, so sigma is multiplicative on alg and sigma^m = 1.  Both identities
     are then theorems, for every degree:
 
@@ -115,8 +115,9 @@ def matrix_twist_factors(
     n: int, exponents: Optional[Sequence[int]], m: int
 ) -> tuple[MultTableAlgebra, FiniteOrderAutomorphism, tuple[int, ...], int]:
     """M_n over Q(zeta_m) on the matrix units, and the factors of
-    Ad(diag(zeta^a)) as `twist` takes them: the identity outer map, the
-    exponents `alg.pairing(a)` and m.  exponents None is a = 0.
+    Ad(diag(zeta^a)) as `twist` takes them: the identity outer map, a plain
+    value that `twist` certifies with no table pass, the exponents
+    `alg.pairing(a)` and m.  exponents None is a = 0.
 
     E_ik has the weight eps_i - eps_k, so a_i - a_k, and E_ik E_kj = E_ij:
     the weights add, which is the certificate of the twist.  Before anything
@@ -152,7 +153,8 @@ def matrix_twist_factors(
             tuple((r == i) - (r == k) for r in range(n)) for i in range(n) for k in range(n)
         ),
     )
-    return alg, identity_automorphism(alg), alg.pairing(exponents), m
+    identity = FiniteOrderAutomorphism(tuple(range(n * n)), (one,) * (n * n), 1)
+    return alg, identity, alg.pairing(exponents), m
 
 
 # -- untwisting ----------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Automorphisms of a multiplication table, and the gradings they define.
 
-Automorphisms are monomial, e_j -> c_j e_p(j), which every twist built in
-this package is; they are checked in one pass over the table's nonzero
-products, which covers every basis pair (a diagonal one by the additivity of
-its exponents), with the period read off the cycles of p.  Every twist, of a
-Lie algebra or of M_n, is one composition `twist(alg, outer, p, m)` = outer
-o diag(zeta_m^p) of a certified outer map (a diagram symmetry, or the
-identity, `identity_automorphism`) with a diagonal one, certified there and
-nowhere else: the integer exponents p are invariant under the outer map and
-additive on the table, which makes the twist an automorphism and certifies
-the map that untwists it (`descent.untwist_iso`).  A certified
+Automorphisms are monomial, e_j -> c_j e_pi(j), which every twist built in
+this package is.  Every twist, of a Lie algebra or of M_n, is one
+composition `twist(alg, outer, p, m)` = outer o diag(zeta_m^p) of a plain
+outer map (a diagram symmetry, or the identity) with a diagonal one, and is
+certified there and nowhere else, in one pass over the table's nonzero
+products, which covers every basis pair: the outer map is multiplicative
+(the identity is on every table, so no product is read for it), the
+integer exponents p are invariant under it and additive on the table, and
+the outer map's period is read off its cycles.  That makes the twist an
+automorphism and certifies the map that untwists it
+(`descent.untwist_iso`).  A certified
 finite-order automorphism with period m dividing that scalar order splits
 the algebra into eigenspace components A_i for the eigenvalues zeta_m^i,
 written down in closed form cycle by cycle; that decomposition is
@@ -43,9 +44,7 @@ __all__ = [
     "FiniteOrderAutomorphism",
     "GradedDecomposition",
     "GradingError",
-    "check_automorphism",
     "eigengrading",
-    "identity_automorphism",
     "twist",
 ]
 
@@ -72,9 +71,10 @@ class FiniteOrderAutomorphism(Record):
     required, which is what lets automorphisms of different orders share a
     period.
 
-    Building one from its fields certifies nothing.  `check_automorphism`,
-    `identity_automorphism` and `twist` return it with the table they
-    certified it on, and `eigengrading` accepts it only on that table.
+    Building one from its fields certifies nothing: the outer factor that
+    `twist` takes is such a plain value.  `twist` returns the composition
+    with the table it certified it on, and `eigengrading` accepts it only on
+    that table.
     """
 
     images: tuple[int, ...]
@@ -92,18 +92,8 @@ class FiniteOrderAutomorphism(Record):
     def apply(self, v: Sparse) -> Sparse:
         return {self.images[j]: self.scalars[j] * x for j, x in v.items()}
 
-    def compose(self, other: "FiniteOrderAutomorphism") -> "FiniteOrderAutomorphism":
-        """self o other (other acts first), with period lcm of the two periods;
-        that period holds when the factors commute, which callers check.  The
-        result carries no certificate (`twist` gives one)."""
-        return FiniteOrderAutomorphism(
-            images=tuple(self.images[k] for k in other.images),
-            scalars=tuple(c * self.scalars[k] for k, c in zip(other.images, other.scalars)),
-            period=lcm(self.period, other.period),
-        )
-
     def certified_on(self, alg: MultTableAlgebra) -> bool:
-        """Whether a certifier of this module certified this map on the table alg."""
+        """Whether `twist` certified this map on the table alg."""
         return self.__dict__.get("_certified_table") is alg
 
     @cached_property
@@ -117,15 +107,6 @@ class FiniteOrderAutomorphism(Record):
         for j, (k, c) in enumerate(zip(self.images, self.scalars)):
             rows[k][j] = c
         return tuple(tuple(row) for row in rows)
-
-
-def _certified(
-    alg: MultTableAlgebra, images: tuple[int, ...], scalars: tuple[CycloNum, ...], period: int
-) -> FiniteOrderAutomorphism:
-    """The automorphism, marked as certified on alg; only the certifiers call it."""
-    out = FiniteOrderAutomorphism(images=images, scalars=scalars, period=period)
-    out.__dict__["_certified_table"] = alg
-    return out
 
 
 def _check_period(
@@ -147,62 +128,24 @@ def _check_period(
             )
 
 
-def check_automorphism(
-    alg: MultTableAlgebra, images: Sequence[int], scalars: Sequence[CycloNum], period: int
-) -> FiniteOrderAutomorphism:
-    """Verify invertibility, multiplicativity on all basis pairs (compared on
-    the nonzero products), and period of e_j -> scalars[j] * e_{images[j]}.
-
-    A period below 1 is refused by `_check_period`, after the pair check."""
-    n = alg.dim
-    images, scalars = tuple(images), tuple(scalars)
-    if len(images) != n or len(scalars) != n:
-        raise AutomorphismError(f"images and scalars must both have length dim = {n}")
-    if any(c.order != alg.scalar_order for c in scalars):
-        raise AutomorphismError("scalars must use the algebra scalar order")
-    if sorted(images) != list(range(n)):
-        raise AutomorphismError("images are not a permutation of the basis")
-    if any(c.is_zero() for c in scalars):
-        raise AutomorphismError("a basis element maps to zero; the map is not invertible")
-    # If every nonzero product e_i e_j maps onto sigma(e_i) sigma(e_j), then
-    # (i, j) -> (p(i), p(j)) is injective and sends the finite set of nonzero
-    # pairs into itself, so onto it: a zero product maps onto a zero one.
-    for (i, j), entry in alg.products.items():
-        # sigma(e_i e_j) against sigma(e_i) sigma(e_j) = s_i s_j e_p(i) e_p(j);
-        # products are sparse vectors and images is a permutation, so both
-        # sides are sparse vectors as built
-        scale = scalars[i] * scalars[j]
-        lhs = {images[k]: c * scalars[k] for k, c in entry.items()}
-        rhs = {k: scale * c for k, c in alg.basis_product(images[i], images[j]).items()}
-        if lhs != rhs:
-            raise AutomorphismError(
-                f"multiplicativity fails on basis pair "
-                f"({alg.basis_labels[i]}, {alg.basis_labels[j]})"
-            )
-    _check_period(alg, images, scalars, period)
-    return _certified(alg, images, scalars, period)
-
-
-def identity_automorphism(alg: MultTableAlgebra) -> FiniteOrderAutomorphism:
-    """The identity map of alg, certified with period 1: it is an
-    automorphism of every table, so no product is read."""
-    return _certified(alg, tuple(range(alg.dim)), (CycloNum.one(alg.scalar_order),) * alg.dim, 1)
-
-
 def twist(
     alg: MultTableAlgebra, outer: FiniteOrderAutomorphism, exponents: Sequence[int], m: int
 ) -> FiniteOrderAutomorphism:
     """outer o diag(zeta_m^p), the one composition of an outer map with a
-    diagonal one, from an `outer` certified on alg (`identity_automorphism`
-    for none), certified by two integer clauses on p, with outer(e_k) =
-    c_k e_pi(k): invariance, p_pi(k) = p_k, and additivity, p_k = p_i + p_j
-    on every nonzero product e_i e_j of the table with a term in e_k.
+    diagonal one, and the one certifier of an automorphism.  Of a plain
+    outer(e_k) = c_k e_pi(k) and integer exponents p it checks, in one pass
+    over the table's nonzero products: pi permutes the basis and every c_k
+    is a nonzero scalar of the table's order; invariance, p_pi(k) = p_k;
+    additivity, p_k = p_i + p_j on every term e_k of a product e_i e_j, and
+    the multiplicativity of outer on that product, skipped for the identity
+    map (pi the identity and every c_k 1), which reads no product; and
+    outer^|outer| = 1, cycle by cycle.
 
     Mod m, additivity makes diag(zeta_m^p) multiplicative term by term, and
     invariance makes it commute with outer, as both compositions send e_k to
     zeta_m^(p_k) c_k e_pi(k).  Commuting, they give sigma^N = outer^N o
-    diag^N = 1 for N = lcm(|outer|, m): the period is a theorem, not
-    checked.  `twist(alg, outer, (0,) * alg.dim, m)` lifts outer's period.
+    diag^N = 1 for N = lcm(|outer|, m): the period of the composition is a
+    theorem.  `twist(alg, outer, (0,) * alg.dim, 1)` certifies outer alone.
     As integers, the clauses certify the untwisting map e_k z^j ->
     e_k z^(j - (M/m) p_k) onto L(outer), M = lcm(|outer|, m): invariance
     makes it land and additivity makes it preserve products
@@ -219,9 +162,17 @@ def twist(
     constant on the orbits of pi; on M_n, p_ik = p_i1 - p_k1 mod m lifts
     through a_i = p_i1.
     """
-    if not outer.certified_on(alg):
-        raise AutomorphismError("the outer factor of the twist is not certified on this table")
     n = alg.dim
+    images, scalars = tuple(outer.images), tuple(outer.scalars)
+    if len(images) != n or len(scalars) != n:
+        raise AutomorphismError(f"images and scalars must both have length dim = {n}")
+    order = alg.scalar_order
+    if any(c.order != order for c in scalars):
+        raise AutomorphismError("scalars must use the algebra scalar order")
+    if sorted(images) != list(range(n)):
+        raise AutomorphismError("images are not a permutation of the basis")
+    if any(c.is_zero() for c in scalars):
+        raise AutomorphismError("a basis element maps to zero; the map is not invertible")
     exponents = tuple(exponents)
     if len(exponents) != n:
         raise AutomorphismError(
@@ -229,16 +180,17 @@ def twist(
         )
     if m < 1:
         raise AutomorphismError("the diagonal period m must be positive")
-    order = alg.scalar_order
     if order % m != 0:
         raise AutomorphismError(f"scalar order {order} lacks the {m}-th roots of unity")
     labels = alg.basis_labels
-    for k, image in enumerate(outer.images):
+    for k, image in enumerate(images):
         if exponents[image] != exponents[k]:
             raise AutomorphismError(
                 f"exponent invariance fails on {labels[k]}: its exponent {exponents[k]} is not"
                 f" {exponents[image]}, the exponent of its image {labels[image]}"
             )
+    one = CycloNum.one(order)
+    identity = images == tuple(range(n)) and all(c == one for c in scalars)
     for (i, j), entry in alg.products.items():
         target = exponents[i] + exponents[j]
         for k in entry:
@@ -248,14 +200,29 @@ def twist(
                     f"exponent {exponents[k]} of {labels[k]} is not "
                     f"{exponents[i]} + {exponents[j]}"
                 )
+        if identity:
+            continue
+        # outer(e_i e_j) against outer(e_i) outer(e_j) = c_i c_j e_pi(i) e_pi(j).
+        # If every nonzero product maps so, then (i, j) -> (pi(i), pi(j)) is
+        # injective and sends the finite set of nonzero pairs into itself,
+        # so onto it: a zero product maps onto a zero one.
+        scale = scalars[i] * scalars[j]
+        lhs = {images[k]: c * scalars[k] for k, c in entry.items()}
+        rhs = {k: scale * c for k, c in alg.basis_product(images[i], images[j]).items()}
+        if lhs != rhs:
+            raise AutomorphismError(
+                f"multiplicativity fails on basis pair ({labels[i]}, {labels[j]})"
+            )
+    # every period of the identity map holds: only its sign is read
+    _check_period(alg, () if identity else images, scalars, outer.period)
     step = order // m
-    diagonal = FiniteOrderAutomorphism(
-        images=tuple(range(n)),
-        scalars=tuple(zeta_power(order, step * p) for p in exponents),
-        period=m,
+    sigma = FiniteOrderAutomorphism(
+        images=images,
+        scalars=tuple(zeta_power(order, step * p) * c for p, c in zip(exponents, scalars)),
+        period=lcm(outer.period, m),
     )
-    composed = outer.compose(diagonal)
-    return _certified(alg, composed.images, composed.scalars, lcm(outer.period, m))
+    sigma.__dict__["_certified_table"] = alg
+    return sigma
 
 
 # -- eigenspace grading -------------------------------------------------------
@@ -354,11 +321,11 @@ class GradedDecomposition(Record):
 def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> GradedDecomposition:
     """Split the algebra into the eigenspaces of sigma, in closed form.
 
-    Requires sigma certified on this table by `check_automorphism`,
-    `identity_automorphism` or `twist`, and the period m = sigma.period
-    to divide alg.scalar_order; any other sigma raises GradingError.  Each
-    certificate gives sigma scalars of the table's order: `check_automorphism`
-    checks it, and the other two build them at that order.  A cycle
+    Requires sigma certified on this table by `twist`, and the period
+    m = sigma.period to divide alg.scalar_order; any other sigma raises
+    GradingError.  The certificate gives sigma scalars of the table's order:
+    `twist` checks the outer factor's and builds the diagonal factor's at
+    that order.  A cycle
     e_0 -> ... -> e_{k-1} -> e_0 of sigma with scalar product P carries one
     eigenvector v for each root lambda = zeta_m^i of x^k = P, the sum over
     t < k of lambda^-t sigma^t(e_0), taken from the cycle's smallest index,

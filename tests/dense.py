@@ -30,9 +30,12 @@ the centroid conditions on every pair of
 homogeneous basis vectors, the reference for `centroid.centroid_graded`, which
 imposes them on a generating set only.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
-`grading.twist`, which takes pi certified by `check_automorphism` (the
-identity by `identity_automorphism`), and tau_s and the commuting by the
-additivity and invariance of p.
+`grading.twist`, which certifies pi by its multiplicativity, and tau_s and
+the commuting by the additivity and invariance of p, in one pass.
+`check_automorphism` is the separate monomial pair check, and `compose`
+the monomial composition, that certified the outer factor and composed it
+with the diagonal one before `twist` did both; `identity_map` is the plain
+identity that `twist` takes as the outer factor of an inner twist.
 `build_cocycle` composes the m^2 residue pairs of the cocycle
 u(n) = sigma^(-n) and `twisted_fixed_points` eliminates one kernel per
 residue, the references for the identities `descent.fixed_point_report`
@@ -54,7 +57,8 @@ automorphism.  `propagated_diagram_map` extends a diagram symmetry from the
 generators by bracket propagation, reading each N_ab off the table, the
 reference for the closed-form signs of `chevalley.diagram_automorphism`,
 and `propagation_consistency` re-multiplies every pair of roots, the
-reference for its one `check_automorphism`.  `root_string_algebra` derives every N_ab = +-(p+1)
+reference for the multiplicativity clause of `grading.twist` that
+certifies it.  `root_string_algebra` derives every N_ab = +-(p+1)
 from root strings and propagates the signs through the Jacobi identity, the
 table that `chevalley_algebra` built before it folded the Frenkel-Kac table
 of the simply-laced cover, kept as its reference up to basis signs.
@@ -101,9 +105,7 @@ from loopforms.grading import (
     FiniteOrderAutomorphism,
     GradedDecomposition,
     GradingError,
-    _certified,
     _check_period,
-    check_automorphism,
     twist,
 )
 from loopforms.linalg import SpanSolver, eliminate, nullspace, rank
@@ -257,6 +259,54 @@ def dense_check_automorphism(alg: MultTableAlgebra, matrix: Matrix, period: int)
         raise AutomorphismError(f"matrix^{period} is not the identity")
 
 
+def identity_map(alg: MultTableAlgebra) -> FiniteOrderAutomorphism:
+    """The identity map of alg with period 1, uncertified, as `twist` takes
+    it for the outer factor of an inner twist."""
+    return FiniteOrderAutomorphism(tuple(range(alg.dim)), (CycloNum.one(alg.scalar_order),) * alg.dim, 1)
+
+
+def compose(outer: FiniteOrderAutomorphism, inner: FiniteOrderAutomorphism) -> FiniteOrderAutomorphism:
+    """outer o inner (inner acts first), with period lcm of the two periods;
+    that period holds when the factors commute, which callers check.  The
+    result carries no certificate."""
+    return FiniteOrderAutomorphism(
+        images=tuple(outer.images[k] for k in inner.images),
+        scalars=tuple(c * outer.scalars[k] for k, c in zip(inner.images, inner.scalars)),
+        period=lcm(outer.period, inner.period),
+    )
+
+
+def check_automorphism(
+    alg: MultTableAlgebra, images: Sequence[int], scalars: Sequence[CycloNum], period: int
+) -> FiniteOrderAutomorphism:
+    """Invertibility, multiplicativity on all basis pairs (compared on the
+    nonzero products) and period of e_j -> scalars[j] * e_{images[j]}, as
+    the separate pair check that `grading.twist` replaced checked them; the
+    map is returned uncertified.  A period below 1 is refused by
+    `_check_period`, after the pair check."""
+    n = alg.dim
+    images, scalars = tuple(images), tuple(scalars)
+    if len(images) != n or len(scalars) != n:
+        raise AutomorphismError(f"images and scalars must both have length dim = {n}")
+    if any(c.order != alg.scalar_order for c in scalars):
+        raise AutomorphismError("scalars must use the algebra scalar order")
+    if sorted(images) != list(range(n)):
+        raise AutomorphismError("images are not a permutation of the basis")
+    if any(c.is_zero() for c in scalars):
+        raise AutomorphismError("a basis element maps to zero; the map is not invertible")
+    for (i, j), entry in alg.products.items():
+        scale = scalars[i] * scalars[j]
+        lhs = {images[k]: c * scalars[k] for k, c in entry.items()}
+        rhs = {k: scale * c for k, c in alg.basis_product(images[i], images[j]).items()}
+        if lhs != rhs:
+            raise AutomorphismError(
+                f"multiplicativity fails on basis pair "
+                f"({alg.basis_labels[i]}, {alg.basis_labels[j]})"
+            )
+    _check_period(alg, images, scalars, period)
+    return FiniteOrderAutomorphism(images, scalars, period)
+
+
 def product_rule_check(alg: MultTableAlgebra, grading: GradedDecomposition) -> None:
     """A_i A_j inside A_{i+j}, product by product: all n^2 products of
     component vectors, each read with `component_solver`.  The reference for
@@ -343,7 +393,7 @@ def propagation_consistency(
 ) -> None:
     """sigma(e_a) sigma(e_b) = N_ab sigma(e_(a+b)) for every pair of roots
     whose sum is a root: every decomposition of every root reproduces the
-    image of sigma.  The reference for the closing `check_automorphism` of
+    image of sigma.  The reference for the `grading.twist` that closes
     `chevalley.diagram_automorphism`, which certifies the same map on every
     basis pair."""
     roots = frozenset(rs.roots)
@@ -1055,8 +1105,8 @@ def three_pass_composition(
     pi_auto = check_automorphism(alg, pi.images, pi.scalars, perm.order())
     tau = check_diagonal_automorphism(alg, charge_pairings(rs, s), m)
     tau_auto = check_automorphism(alg, tau.images, tau.scalars, tau.period)
-    composed = pi_auto.compose(tau_auto)
-    if composed != tau_auto.compose(pi_auto):
+    composed = compose(pi_auto, tau_auto)
+    if composed != compose(tau_auto, pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
     return pi_auto, check_automorphism(alg, composed.images, composed.scalars, period)
 
@@ -1090,11 +1140,11 @@ def build_cocycle(sigma: FiniteOrderAutomorphism) -> LoopCocycle:
     one = CycloNum.one(sigma.scalar_order)
     powers = [FiniteOrderAutomorphism(tuple(range(sigma.dim)), (one,) * sigma.dim, m)]
     for _ in range(1, m):
-        powers.append(sigma.compose(powers[-1]))
+        powers.append(compose(sigma, powers[-1]))
     values = tuple(powers[(m - n) % m] for n in range(m))
     for n1 in range(m):
         for n2 in range(m):
-            if values[n1].compose(values[n2]) != values[(n1 + n2) % m]:
+            if compose(values[n1], values[n2]) != values[(n1 + n2) % m]:
                 raise DescentError(f"cocycle identity fails at ({n1}, {n2})")
     return LoopCocycle(values=values)
 
@@ -1197,7 +1247,7 @@ def check_diagonal_automorphism(
                 )
     step = order // m
     scalars = tuple(zeta_power(order, step * p) for p in exponents)
-    return _certified(alg, tuple(range(n)), scalars, m)
+    return FiniteOrderAutomorphism(tuple(range(n)), scalars, m)
 
 
 def _verify_untwist(
@@ -1269,13 +1319,13 @@ def diagram_and_composition(
         )
     pi_auto = diagram_automorphism(alg, rs, perm)
     if all(si % m == 0 for si in s):
-        return pi_auto, _certified(alg, pi_auto.images, pi_auto.scalars, period)
+        return pi_auto, FiniteOrderAutomorphism(pi_auto.images, pi_auto.scalars, period)
     tau_auto = check_diagonal_automorphism(alg, charge_pairings(rs, s), m)
-    if pi_auto.compose(tau_auto) != tau_auto.compose(pi_auto):
+    if compose(pi_auto, tau_auto) != compose(tau_auto, pi_auto):
         raise LieConstructError("factors fail to commute despite an invariant charge")
-    composed = pi_auto.compose(tau_auto)
+    composed = compose(pi_auto, tau_auto)
     _check_period(alg, composed.images, composed.scalars, period)
-    return pi_auto, _certified(alg, composed.images, composed.scalars, period)
+    return pi_auto, composed
 
 
 def untwist_matrix_iso(

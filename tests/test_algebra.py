@@ -12,10 +12,13 @@ from dense import (
     all_pairs_centroid,
     base_change_check,
     build_cocycle,
+    check_automorphism,
     check_diagonal_automorphism,
+    compose,
     dense_check_automorphism,
     densify,
     charge_pairings,
+    identity_map,
     layout_exponents,
     mat_inverse,
     matrix_unit_shifts,
@@ -46,9 +49,7 @@ from loopforms.grading import (
     GradedDecomposition,
     GradingError,
     _check_period,
-    check_automorphism,
     eigengrading,
-    identity_automorphism,
     twist,
 )
 from loopforms.chevalley import (
@@ -524,6 +525,33 @@ def test_pairing_refuses_a_coweight_of_another_length(h):
     assert str(refused.value) == message
 
 
+def _two_dim_table(weights):
+    return MultTableAlgebra(
+        dim=2,
+        scalar_order=1,
+        kind=KIND_ASSOCIATIVE,
+        products={(0, 0): {0: q(1)}},
+        basis_labels=("e1", "e2"),
+        weights=weights,
+    )
+
+
+def test_table_refuses_a_weight_count_other_than_dim():
+    # one weight for two basis elements would let pairing return one exponent
+    with pytest.raises(RequestError) as refused:
+        _two_dim_table(((0,),))
+    assert str(refused.value) == "one weight per basis element required, 2 in all, got 1"
+    assert _two_dim_table(((0,), (1,))).pairing((1,)) == (0, 1)
+
+
+def test_table_refuses_weights_of_different_lengths():
+    # weights (0, 0) and (1,) would let pairing cut h = (1, 1) short to (0, 1)
+    with pytest.raises(RequestError) as refused:
+        _two_dim_table(((0, 0), (1,)))
+    assert str(refused.value) == "the weights must all have the same length"
+    assert _two_dim_table(((0, 0), (1, 0))).pairing((1, 1)) == (0, 1)
+
+
 @pytest.mark.parametrize("name", TWIST_FIXTURES)
 def test_pairing_equals_the_layout_rules_on_twist_fixtures(name):
     alg, _, exponents, _ = twist_factors(name)
@@ -584,10 +612,10 @@ def _moved_weight(alg, label, coordinate):
 def test_twist_refuses_a_moved_weight(table, h, moved, message):
     # one weight moved by 1 breaks additivity, and twist names the product
     # whose target's exponent the pairing moved
-    assert twist(table, identity_automorphism(table), table.pairing(h), 3).period == 3
+    assert twist(table, identity_map(table), table.pairing(h), 3).period == 3
     tampered = _moved_weight(table, *moved)
     with pytest.raises(AutomorphismError) as refused:
-        twist(tampered, identity_automorphism(tampered), tampered.pairing(h), 3)
+        twist(tampered, identity_map(tampered), tampered.pairing(h), 3)
     assert str(refused.value) == "exponent additivity fails on basis pair " + message
 
 
@@ -614,16 +642,20 @@ def test_eigengrading_toral_sl2_dims():
     ],
 )
 def test_check_automorphism_refuses_a_malformed_map(images, scalars, period, message):
+    # twist refuses a malformed outer map as the separate pair check did
     alg = _sl2()
+    scalars = tuple(q(c) for c in scalars)
     with pytest.raises(AutomorphismError, match=message):
-        check_automorphism(alg, images, tuple(q(c) for c in scalars), period)
+        twist(alg, FiniteOrderAutomorphism(images, scalars, period), (0, 0, 0), 1)
+    with pytest.raises(AutomorphismError, match=message):
+        check_automorphism(alg, images, scalars, period)
 
 
 def test_maps_and_gradings_need_the_table_scalar_order():
     alg = _sl2()
     with pytest.raises(AutomorphismError, match="scalars must use the algebra scalar order"):
-        check_automorphism(alg, (0, 1, 2), (q(1, 3),) * 3, 1)
-    identity = identity_automorphism(alg)
+        twist(alg, FiniteOrderAutomorphism((0, 1, 2), (q(1, 3),) * 3, 1), (0, 0, 0), 1)
+    identity = identity_map(alg)
     with pytest.raises(AutomorphismError, match="the diagonal period m must be positive"):
         twist(alg, identity, (0, 0, 0), 0)
     with pytest.raises(
@@ -631,7 +663,7 @@ def test_maps_and_gradings_need_the_table_scalar_order():
     ):
         twist(alg, identity, (0, 0), 1)
     # the identity, certified at period 2, on a table over Q
-    identity = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 2)
+    identity = twist(alg, FiniteOrderAutomorphism((0, 1, 2), (q(1),) * 3, 2), (0, 0, 0), 1)
     with pytest.raises(
         GradingError,
         match=r"scalar order 1 lacks the 2-th roots of unity; build the table over Q\(zeta_n\) for"
@@ -644,7 +676,7 @@ def test_eigengrading_rejects_non_automorphism():
     alg = _sl2(order=2)
     # h <-> e, f fixed
     with pytest.raises(ValueError):
-        check_automorphism(alg, (1, 0, 2), (q(1, 2),) * 3, 2)
+        twist(alg, FiniteOrderAutomorphism((1, 0, 2), (q(1, 2),) * 3, 2), (0, 0, 0), 1)
 
 
 def test_eigengrading_refuses_uncertified_non_multiplicative_map():
@@ -657,7 +689,7 @@ def test_eigengrading_refuses_uncertified_non_multiplicative_map():
     ):
         eigengrading(alg, sigma)
     with pytest.raises(AutomorphismError, match=r"multiplicativity fails"):
-        check_automorphism(alg, images, scalars, 2)
+        twist(alg, sigma, (0, 0, 0), 1)
     # the n^2 product loop refuses the same grading, written out by hand
     one = q(1, 2)
     by_hand = GradedDecomposition(2, 2, 3, (({1: one}, {2: one}), ({0: one},)))
@@ -676,7 +708,7 @@ def test_eigengrading_accepts_only_certified_maps():
     with pytest.raises(GradingError, match="not certified"):
         eigengrading(algebra_over("A1", 2)[1], sigma)
     # a plain composition drops the certificate
-    assert not sigma.compose(sigma).certified_on(alg)
+    assert not compose(sigma, sigma).certified_on(alg)
 
 
 def test_eigengrading_refuses_a_component_that_is_not_an_eigenvector(monkeypatch):
@@ -719,12 +751,13 @@ def test_diagonal_certificate_equals_pair_check(name):
                  for c in sigma.scalars]
     additive = check_diagonal_automorphism(alg, exponents, m)
     assert additive == sigma == check_automorphism(alg, sigma.images, sigma.scalars, m)
-    assert additive.certified_on(alg)
+    # only twist marks a map certified
+    assert sigma.certified_on(alg) and not additive.certified_on(alg)
 
 
 def test_non_additive_charge_raises():
     _, alg = algebra_over("A2", 3)
-    identity = identity_automorphism(alg)
+    identity = identity_map(alg)
     good = list(alg.pairing((1, 0)))
     assert twist(alg, identity, good, 3).period == 3
     bad = list(good)
@@ -737,32 +770,42 @@ def test_non_additive_charge_raises():
     )
     with pytest.raises(AutomorphismError, match=r"exponent 2 of e\[1,1\] is not 0 \+ 1 mod 3"):
         check_diagonal_automorphism(alg, bad, 3)
-    scalars = [zeta_power(3, p) for p in bad]
+    scalars = tuple(zeta_power(3, p) for p in bad)
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
         check_automorphism(alg, range(alg.dim), scalars, 3)
+    # as an outer map with scalars other than 1, twist reads its products
+    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+        twist(alg, FiniteOrderAutomorphism(tuple(range(alg.dim)), scalars, 3), (0,) * alg.dim, 1)
     with pytest.raises(AutomorphismError, match="scalar order 3 lacks the 2-th roots of unity"):
         twist(alg, identity, good, 2)
 
 
 def test_composition_needs_certified_factors():
+    # twist certifies both factors itself: the outer map is a plain value
     rs, alg = algebra_over("A2", 6)
     flip = diagram_automorphism(alg, rs, DiagramPermutation((1, 0)))
     exponents = alg.pairing((1, 1))
     tau = check_diagonal_automorphism(alg, exponents, 3)
     composed = twist(alg, flip, exponents, 3)
-    assert composed == flip.compose(tau) and composed.certified_on(alg)
+    assert composed == compose(flip, tau) and composed.certified_on(alg)
     # exponents that are all 0 mod m leave the outer map, at the common period
     lifted = twist(alg, flip, [3 * p for p in exponents], 3)
     assert lifted == FiniteOrderAutomorphism(flip.images, flip.scalars, 6)
     assert lifted.certified_on(alg)
     plain = FiniteOrderAutomorphism(flip.images, flip.scalars, flip.period)
-    with pytest.raises(
-        AutomorphismError, match="the outer factor of the twist is not certified on this table"
-    ):
-        twist(alg, plain, exponents, 3)
-    # the period lcm(2, 3) follows from the certified periods of commuting
-    # factors: the cycle-by-cycle check that check_automorphism runs passes
-    # on both compositions, and twist runs it on neither
+    assert not plain.certified_on(alg)
+    assert twist(alg, plain, exponents, 3) == composed
+    # a plain outer map that is not multiplicative is refused
+    scalars = list(flip.scalars)
+    top = alg.basis_labels.index("e[1,1]")
+    scalars[top] = -scalars[top]
+    tampered = FiniteOrderAutomorphism(flip.images, tuple(scalars), flip.period)
+    with pytest.raises(AutomorphismError, match=r"multiplicativity fails on basis pair"):
+        twist(alg, tampered, exponents, 3)
+    # the period lcm(2, 3) follows from the certified period of the outer
+    # factor and the commuting: the cycle-by-cycle check that twist runs on
+    # the outer factor passes on both compositions, and twist runs it on
+    # neither
     for sigma in (composed, lifted):
         assert sigma.period == 6
         _check_period(alg, sigma.images, sigma.scalars, sigma.period)
@@ -1001,10 +1044,17 @@ def _declare_period_two(alg, images, scalars):
     ],
 )
 def test_check_automorphism_refuses_tampered_triality(tamper, message):
+    # twist certifies the outer map alone at m = 1, and refuses each
+    # tampered map as the separate pair check does
     alg, images, scalars = _triality_images_scalars()
+    zeros = (0,) * alg.dim
+    assert twist(alg, FiniteOrderAutomorphism(tuple(images), tuple(scalars), 3), zeros, 1).period == 3
     assert check_automorphism(alg, images, scalars, 3).period == 3
+    images, scalars, period = tamper(alg, images, scalars)
     with pytest.raises(AutomorphismError, match=message):
-        check_automorphism(alg, *tamper(alg, images, scalars))
+        twist(alg, FiniteOrderAutomorphism(tuple(images), tuple(scalars), period), zeros, 1)
+    with pytest.raises(AutomorphismError, match=message):
+        check_automorphism(alg, images, scalars, period)
 
 
 def _idempotents():
@@ -1043,6 +1093,8 @@ def test_check_automorphism_checks_every_pair_of_the_table(build, images, signs,
     matrix = FiniteOrderAutomorphism(images, scalars, 2).matrix
     assert _raises_automorphism_error(dense_check_automorphism, alg, matrix, 2)
     with pytest.raises(AutomorphismError, match=f"multiplicativity fails on basis pair \\({pair}\\)"):
+        twist(alg, FiniteOrderAutomorphism(images, scalars, 2), (0,) * alg.dim, 1)
+    with pytest.raises(AutomorphismError, match=f"multiplicativity fails on basis pair \\({pair}\\)"):
         check_automorphism(alg, images, scalars, 2)
 
 
@@ -1052,6 +1104,11 @@ def _raises_automorphism_error(check, *args):
     except AutomorphismError:
         return True
     return False
+
+
+def _twist_outer(alg, images, scalars, period):
+    """twist of the plain map e_j -> scalars[j] e_images[j] with no charge."""
+    return twist(alg, FiniteOrderAutomorphism(images, scalars, period), (0,) * alg.dim, 1)
 
 
 @pytest.mark.parametrize(
@@ -1069,8 +1126,9 @@ def _raises_automorphism_error(check, *args):
     ],
 )
 def test_check_automorphism_agrees_with_dense_on_signed_permutations(build, kinds):
-    # every signed permutation of the basis; sigma^24 = 1 for each of them,
-    # since each cycle has length k <= 4 and 24 / k is even
+    # every signed permutation of the basis as the outer map of a twist,
+    # against the separate pair check and the dense check; sigma^24 = 1 for
+    # each of them, since each cycle has length k <= 4 and 24 / k is even
     alg = build()
     n, period = alg.dim, 24
     seen = set()
@@ -1081,9 +1139,12 @@ def test_check_automorphism_agrees_with_dense_on_signed_permutations(build, kind
         )
         for signs in product((1, -1), repeat=n):
             scalars = tuple(q(sign) for sign in signs)
-            refused = _raises_automorphism_error(check_automorphism, alg, images, scalars, period)
+            refused = _raises_automorphism_error(_twist_outer, alg, images, scalars, period)
             matrix = FiniteOrderAutomorphism(images, scalars, period).matrix
             assert refused == _raises_automorphism_error(dense_check_automorphism, alg, matrix, period)
+            assert refused == _raises_automorphism_error(
+                check_automorphism, alg, images, scalars, period
+            )
             seen.add((refused, hits_zero))
     assert seen == kinds
 
@@ -1338,7 +1399,7 @@ def _non_antisymmetric_sl2():
 
 def test_centroid_refuses_a_table_failing_its_laws():
     alg = _non_antisymmetric_sl2()
-    sigma = check_automorphism(alg, (0, 1, 2), (q(1),) * 3, 1)
+    sigma = twist(alg, identity_map(alg), (0, 0, 0), 1)
     grading = eigengrading(alg, sigma)
     with pytest.raises(AlgebraError, match="the table fails its lie laws: .*antisymmetry"):
         centroid_graded(alg, grading)

@@ -13,9 +13,7 @@ from loopforms import chevalley, cli
 from loopforms.grading import (
     AutomorphismError,
     FiniteOrderAutomorphism,
-    check_automorphism,
     eigengrading,
-    identity_automorphism,
     twist,
 )
 from loopforms.chevalley import (
@@ -39,11 +37,13 @@ from loopforms.record import MAX_DIM, RequestError
 from dense import (
     basis_vector,
     charge_pairings,
+    check_automorphism,
     check_diagonal_automorphism,
     dense_product,
     densify,
     diagram_and_composition,
     embed_algebra,
+    identity_map,
     is_identity,
     mat_pow,
     product_rule_check,
@@ -637,17 +637,19 @@ def test_a_modulus_below_one_is_refused_before_anything_is_built(m, monkeypatch)
 
 
 def test_type_twist_factors_compose_to_the_three_pass_oracle():
-    # the factors are the algebra over the period, the certified diagram
-    # automorphism and the pairings modulo m, and twist composes them into
-    # the map that three full pair checks build
+    # the factors are the algebra over the period, the plain diagram map
+    # and the pairings modulo m, and twist certifies them and composes them
+    # into the map that three full pair checks build
     s = (1, 0, 1, 1)
     alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, s, 3)
     rs, fresh = algebra_over("D4", 3)
     assert alg == fresh
     assert outer == diagram_automorphism(alg, rs, TRIALITY)
-    assert outer.certified_on(alg)
+    assert not outer.certified_on(alg)
     assert (pairings, m) == (charge_pairings(rs, s), 3)
-    assert (outer, twist(alg, outer, pairings, m)) == three_pass_composition(alg, rs, TRIALITY, s, m)
+    sigma = twist(alg, outer, pairings, m)
+    assert sigma.certified_on(alg)
+    assert (outer, sigma) == three_pass_composition(alg, rs, TRIALITY, s, m)
 
 
 def _diagram_classes():
@@ -710,13 +712,15 @@ def test_charged_composition_matches_three_passes(label, perm, s, m):
 
 @pytest.mark.parametrize("label", [label for label in TYPE_LABELS if cartan_matrix(label).rank <= 6])
 def test_identity_certificate_equals_propagated_identity(label):
-    # the identity certificate, which diagram_automorphism returns for the
-    # identity symmetry with no table pass, against the propagated identity
-    # map with its full pair check, and the diagonal map with every exponent 0
+    # twist's certificate of the identity map, which reads no product, and
+    # diagram_automorphism of the identity symmetry, against the propagated
+    # identity map with its full pair check, and the diagonal map with every
+    # exponent 0
     rs, alg = algebra_over(label, 1)
     identity = DiagramPermutation.identity(rs.rank)
     propagated = check_automorphism(alg, *propagated_diagram_map(alg, rs, identity), 1)
-    certificate = identity_automorphism(alg)
+    certificate = twist(alg, identity_map(alg), (0,) * alg.dim, 1)
+    assert certificate.certified_on(alg)
     assert propagated == certificate == diagram_automorphism(alg, rs, identity)
     assert certificate == check_diagonal_automorphism(alg, (0,) * alg.dim, 1)
     assert propagated.images == tuple(range(alg.dim))
@@ -728,7 +732,7 @@ def test_identity_certificate_equals_propagated_identity(label):
 )
 def test_one_check_implies_consistency_and_product_rule(label, perm):
     # the all-pairs consistency pass and the n^2 product loop, against the
-    # one check_automorphism of the propagated map
+    # one twist that certifies the closed-form map
     rs, alg = algebra_over(label, perm.order())
     sigma = diagram_automorphism(alg, rs, perm)
     propagation_consistency(alg, rs, sigma)
@@ -773,16 +777,19 @@ def test_reversed_sign_form_edge_is_caught(label, perm, monkeypatch):
 
     built = []
 
-    def capture(table, images, scalars, period):
-        built.append(FiniteOrderAutomorphism(tuple(images), tuple(scalars), period))
-        return check_automorphism(table, images, scalars, period)
+    def capture(table, outer, exponents, m):
+        built.append(outer)
+        return twist(table, outer, exponents, m)
 
     monkeypatch.setattr(chevalley, "_sign_form", reversed_edge)
-    monkeypatch.setattr("loopforms.grading.check_automorphism", capture)
+    monkeypatch.setattr("loopforms.grading.twist", capture)
     with pytest.raises(AutomorphismError, match="multiplicativity fails"):
         diagram_automorphism(alg, rs, perm)
     (tampered,) = built
     assert tampered.images == untampered.images
+    # the separate pair check refuses it too
+    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+        check_automorphism(alg, tampered.images, tampered.scalars, tampered.period)
     # reversing the edge adds E_uv + E_vu to F, so the exponent of c(alpha)
     # changes by alpha_u alpha_v + (pi alpha)_u (pi alpha)_v
     _, root_index = chevalley._basis_layout(rs)
@@ -802,17 +809,28 @@ def test_reversed_sign_form_edge_is_caught(label, perm, monkeypatch):
         propagation_consistency(alg, rs, tampered)
 
 
+def _count_basis_products(monkeypatch):
+    """The tables of every `MultTableAlgebra.basis_product` call from now on."""
+    tables = []
+    real = MultTableAlgebra.basis_product
+
+    def counted(self, i, j):
+        tables.append(self)
+        return real(self, i, j)
+
+    monkeypatch.setattr(MultTableAlgebra, "basis_product", counted)
+    return tables
+
+
 def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):
-    calls = []
-
-    def counted(*args):
-        calls.append(args[3])
-        return check_automorphism(*args)
-
-    monkeypatch.setattr("loopforms.grading.check_automorphism", counted)
+    # the diagram twist reads each product of the table once: one pass
+    # certifies the outer map and the charge together
+    tables = _count_basis_products(monkeypatch)
     assert cli.main(["grade", "--type", "D4", "--auto", '{"pi":[3,2,4,1]}']) == 0
     capsys.readouterr()
-    assert calls == [3]
+    assert tables and all(table is tables[0] for table in tables)
+    alg = tables[0]
+    assert alg.dim == 28 and len(tables) == len(alg.products)
 
 
 @pytest.mark.parametrize(
@@ -824,20 +842,53 @@ def test_trivial_charge_checks_one_automorphism(monkeypatch, capsys):
     ids=["grade D4 toral", "untwist A2 toral"],
 )
 def test_toral_twist_checks_no_automorphism_pairwise(argv, monkeypatch, capsys):
-    # the identity outer map and tau_s are both diagonal certificates, so a
-    # toral-only twist runs no pair-by-pair check_automorphism
-    calls = []
-
-    def counted(*args):
-        calls.append(args[3])
-        return check_automorphism(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("loopforms") and getattr(module, "check_automorphism", None) is check_automorphism:
-            monkeypatch.setattr(module, "check_automorphism", counted)
+    # the identity outer map is multiplicative on every table and tau_s is
+    # certified by its integer clauses, so a toral-only twist reads no
+    # product pair by pair
+    tables = _count_basis_products(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert calls == []
+    assert tables == []
+
+
+def test_identity_skip_needs_every_scalar_one():
+    # identity images with -1 on h1 are not the identity map: h -> -h breaks
+    # [h, e] = 2e first, so the skip cannot key on the images alone
+    _, alg = algebra_over("A1", 2)
+    one = CycloNum.one(2)
+    scalars = (-one, one, one)
+    outer = FiniteOrderAutomorphism((0, 1, 2), scalars, 2)
+    with pytest.raises(AutomorphismError, match=r"multiplicativity fails on basis pair \(h1, e\[1\]\)"):
+        twist(alg, outer, (0,) * alg.dim, 1)
+    with pytest.raises(AutomorphismError, match="multiplicativity fails"):
+        twist(alg, outer, alg.pairing((1,)), 2)
+
+
+def test_a_flipped_triality_sign_fails_multiplicativity_where_additivity_holds():
+    s = (1, 0, 1, 1)
+    alg, outer, pairings, m = type_twist_factors("D4", TRIALITY, s, 3)
+    assert twist(alg, outer, pairings, m).period == 3
+    scalars = list(outer.scalars)
+    top = alg.basis_labels.index("e[1,2,1,1]")
+    scalars[top] = -scalars[top]
+    flipped = FiniteOrderAutomorphism(outer.images, tuple(scalars), outer.period)
+    # the charge is the untampered one, invariant and additive
+    with pytest.raises(AutomorphismError, match="multiplicativity fails on basis pair"):
+        twist(alg, flipped, pairings, m)
+
+
+def test_a_cycle_whose_scalar_product_is_not_one_fails_the_period():
+    # the flip of A2 after tau_s, s = (1, 1), m = 4, is an automorphism of
+    # period 4; e[0,1] -> e[1,0] -> e[0,1] carries the scalar product
+    # zeta_4^2 = -1, so declared with period 2 it is refused by its period
+    alg, flip, exponents, m = type_twist_factors("A2", FLIP, (1, 1), 4)
+    sigma = twist(alg, flip, exponents, m)
+    assert sigma.period == 4
+    zeros = (0,) * alg.dim
+    assert twist(alg, FiniteOrderAutomorphism(sigma.images, sigma.scalars, 4), zeros, 1) == sigma
+    with pytest.raises(AutomorphismError) as refused:
+        twist(alg, FiniteOrderAutomorphism(sigma.images, sigma.scalars, 2), zeros, 1)
+    assert str(refused.value) == "sigma^2 is not the identity on the cycle of e[0,1]"
 
 
 _TAMPERED_UNDER_O = textwrap.dedent(
@@ -848,7 +899,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
         AutomorphismError,
         GradedDecomposition,
         GradingError,
-        check_automorphism,
+        FiniteOrderAutomorphism,
         eigengrading,
         twist,
     )
@@ -885,7 +936,7 @@ _TAMPERED_UNDER_O = textwrap.dedent(
     from loopforms import descent
 
     one = cyclo.CycloNum.one(alg.scalar_order)
-    identity = check_automorphism(alg, range(3), [one] * 3, 2)
+    identity = FiniteOrderAutomorphism((0, 1, 2), (one,) * 3, 2)
     try:
         descent.untwist_iso(alg, identity, (0, 3, -1), 2)
     except AutomorphismError as exc:

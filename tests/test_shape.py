@@ -23,6 +23,7 @@ import pytest
 
 from loopforms.affine import AffineRootData, ExtractionReport, affine_certificate, fixed_cartan
 from loopforms.centroid import centroid_graded
+from loopforms.grading import FiniteOrderAutomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -169,13 +170,21 @@ def _words(*names):
             _words("coboundary_witness", "CheckReport", "_off_factor"), id="descent rows"
         ),
         # grading.twist's integer clauses certify the diagonal factor, the
-        # commuting and the untwisting map at once, and identity_automorphism
-        # the identity: no second pass over the table, which
+        # commuting and the untwisting map at once, in the same pass that
+        # certifies the outer map: no second pass over the table, which
         # tests/dense.check_diagonal_automorphism and _verify_untwist keep as
         # the oracles, and no error class that nothing raises
         pytest.param(
             _words("check_diagonal_automorphism", "_verify_untwist", "DescentError"),
             id="second twist certificate",
+        ),
+        # grading.twist certifies the outer map of every twist too, the
+        # identity with no table pass: no separate pair check, which
+        # tests/dense.check_automorphism keeps as the oracle, no certified
+        # identity, and no helper that marks a map certified
+        pytest.param(
+            _words("check_automorphism", "identity_automorphism", "_certified"),
+            id="second automorphism certifier",
         ),
         # inverse conjugacy and the k-count are read off the class table's
         # inverse column (classify.ConjClassTable): no witness search, which
@@ -241,6 +250,27 @@ def _words(*names):
 )
 def test_deleted_names_stay_out_of_src(pattern):
     assert _matches(pattern) == []
+
+
+def test_twist_alone_marks_a_map_certified():
+    # the certificate is written by grading.twist alone, and a map has no
+    # composition of its own, which tests/dense.compose keeps as the oracle
+    writers = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(target, ast.Subscript)
+            and isinstance(target.slice, ast.Constant)
+            and target.slice.value == "_certified_table"
+            for stmt in ast.walk(node)
+            if isinstance(stmt, ast.Assign)
+            for target in stmt.targets
+        )
+    ]
+    assert writers == [("grading.py", "twist")]
+    assert "compose" not in vars(FiniteOrderAutomorphism)
 
 
 def test_only_linalg_names_the_span_solver():
