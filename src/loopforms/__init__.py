@@ -44,7 +44,6 @@ _EXPORTS = {
     "classify": (
         "OutGroup",
         "classify_type",
-        "conjugacy_classes",
         "dynkin_automorphism_group",
     ),
     "cyclo": ("CycloNum",),

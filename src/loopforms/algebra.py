@@ -28,7 +28,7 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloNum, Sparse, _json_int, sparse_add
-from .record import Record, RequestError
+from .record import MAX_DIM, Record, RequestError
 
 __all__ = [
     "AlgebraError",
@@ -180,13 +180,18 @@ class MultTableAlgebra(Record):
         strings, each entry of constants a list [i, j, [[k, scalar], ...]]
         and every scalar a `CycloNum.from_obj` object; nothing is coerced,
         and any other shape raises RequestError, as the constructor's own
-        refusals do.  A target repeated in an entry has its scalars summed,
-        and a basis pair listed twice is refused rather than read one way."""
+        refusals do.  A dimension above `record.MAX_DIM` is refused as soon
+        as it is read, before any label or constant.  A target repeated in
+        an entry has its scalars summed, and a basis pair listed twice is
+        refused rather than read one way."""
         if type(obj) is not dict:
             raise RequestError("a serialized algebra must be a JSON object")
         for field in ("dim", "scalar_order", "kind", "labels", "constants"):
             if field not in obj:
                 raise RequestError(f"a serialized algebra lacks the field {field!r}")
+        dim = _json_int(obj["dim"])
+        if dim > MAX_DIM:
+            raise RequestError(f"a table of dimension {dim} exceeds the size limit {MAX_DIM}")
         labels = obj["labels"]
         if type(labels) is not list or not all(type(label) is str for label in labels):
             raise RequestError("labels must be a list of strings")
@@ -216,7 +221,7 @@ class MultTableAlgebra(Record):
                     continue  # keep the scalar of another order for the constructor to refuse
                 entry[k] = c
         alg = MultTableAlgebra(
-            dim=_json_int(obj["dim"]),
+            dim=dim,
             scalar_order=order,
             kind=obj["kind"],
             products=products,

@@ -407,7 +407,9 @@ def _fold(rs: RootSystem) -> Fold:
     """
     labels, root_index = _basis_layout(rs)
     cover, node_of = _cover(rs.cartan)
-    cover_rs = root_system(cover)
+    # every symmetrizer equal (A, D and E): the cover is rs's own matrix,
+    # whose roots rs holds already
+    cover_rs = rs if cover.rank == rs.rank else root_system(cover)
     n = cover.rank
     form = _sign_form(cover)
     # the cover's basis is h_1..h_n, then roots[x] at n + x, positives first:

@@ -8,18 +8,20 @@ of the topological generator).  Passing from R-algebras to k-algebras merges
 each class with the class of the inverse; over diagram symmetry groups the
 merge does nothing because every element is conjugate to its inverse, and
 the centroid pins the base ring, which is why the two counts agree.  Both
-hypotheses are checked, not assumed: the class table records the inverse
-class of every class, and the centroid dimensions are recomputed per class.
+hypotheses are checked, not assumed: Out records the inverse class of
+every class, and the centroid dimensions are recomputed per class.
 
-`classify_type` is the one entry point: it builds Out and its class table
-once and returns one `Classification`, whose rows carry each class's affine
-label, grading dims and centroid dims, and whose k-count and
-inverse-conjugacy are read off that same table (`ConjClassTable`).
+Out is one record, `OutGroup`: the symmetries of a Cartan matrix, checked
+to be a group, with its class table.  `classify_type` is the one entry
+point: it builds Out once and returns one `Classification`, whose rows
+carry each class's affine label, grading dims and centroid dims, and whose
+k-count and inverse-conjugacy are read off that same table
+(`OutGroup.inverses`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cached_property
 
 from .affine import AffineLabel, affine_certificate
 from .centroid import centroid_graded
@@ -37,10 +39,8 @@ __all__ = [
     "Classification",
     "ClassificationRow",
     "ClassifyError",
-    "ConjClassTable",
     "OutGroup",
     "classify_type",
-    "conjugacy_classes",
     "dynkin_automorphism_group",
 ]
 
@@ -50,28 +50,24 @@ class ClassifyError(ValueError):
 
 
 class OutGroup(Record):
-    """Finite permutation group; diagram symmetries when cartan is set.
-
-    Abstract groups (cartan=None) are allowed so that the hypotheses below
-    can be exercised on inputs where they fail, e.g. a cyclic group of order
-    3, which is not a diagram symmetry group of any irreducible type.
-    """
+    """The diagram symmetries of a Cartan matrix, checked to be a group, and
+    their conjugacy classes, read once on first use: `members`, `classes`
+    and each class's inverse class (`inverses`), which the k-count and
+    inverse-conjugacy are read off."""
 
     elements: tuple[DiagramPermutation, ...]
-    cartan: Optional[FiniteCartanMatrix] = None
+    cartan: FiniteCartanMatrix
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise ClassifyError("group must be nonempty")
-        # compose indexes by the receiver's length, so the closure loops
-        # below need one length throughout
-        rank = len(self.elements[0].images)
-        if any(len(g.images) != rank for g in self.elements):
-            raise ClassifyError("elements permute different numbers of nodes")
+        # preserves refuses a permutation of another rank, so the closure
+        # loops below compose permutations of one length
+        for g in self.elements:
+            if not g.preserves(self.cartan):
+                raise ClassifyError("element does not preserve the Cartan matrix")
         seen = {g.images for g in self.elements}
         if len(seen) != len(self.elements):
             raise ClassifyError("duplicate elements")
-        if tuple(range(rank)) not in seen:
+        if tuple(range(self.cartan.rank)) not in seen:
             raise ClassifyError("missing identity")
         for g in self.elements:
             if g.inverse().images not in seen:
@@ -79,14 +75,54 @@ class OutGroup(Record):
             for h in self.elements:
                 if g.compose(h).images not in seen:
                     raise ClassifyError("not closed under composition")
-        if self.cartan is not None:
-            for g in self.elements:
-                if not g.preserves(self.cartan):
-                    raise ClassifyError("element does not preserve the Cartan matrix")
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def members(self) -> tuple[frozenset, ...]:
+        """The conjugation orbits, by brute force, in the order of their
+        smallest members.
+
+        The closure checks above make every conjugate h g h^-1 an element,
+        so the orbits partition the group: each is still whole in
+        `remaining` when met, and it is met at its smallest member."""
+        remaining = {g.images: g for g in self.elements}
+        orbits = []
+        while remaining:
+            rep = remaining[min(remaining)]
+            orbit = frozenset(h.compose(rep).compose(h.inverse()).images for h in self.elements)
+            for images in orbit:
+                del remaining[images]
+            orbits.append(orbit)
+        return tuple(orbits)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[DiagramPermutation, int], ...]:
+        """(representative, size) of each class; the representative is the
+        smallest member."""
+        return tuple((DiagramPermutation(min(orbit)), len(orbit)) for orbit in self.members)
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        """The index of the class that holds the inverses of each class's
+        members: (h g h^-1)^-1 = h g^-1 h^-1, so it is the class of the
+        representative's inverse."""
+        index_of = {images: index for index, orbit in enumerate(self.members) for images in orbit}
+        return tuple(index_of[rep.inverse().images] for rep, _ in self.classes)
+
+    @cached_property
+    def inverse_conjugacy(self) -> bool:
+        """Every element is conjugate to its inverse: each class is its own
+        inverse class."""
+        return all(i == j for i, j in enumerate(self.inverses))
+
+    @cached_property
+    def k_classes(self) -> int:
+        """The classes after merging each with its inverse class: the
+        k-classes, where the group's own classes are the R-classes."""
+        return len({frozenset(pair) for pair in enumerate(self.inverses)})
 
 
 def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
@@ -98,55 +134,6 @@ def dynkin_automorphism_group(cartan: FiniteCartanMatrix) -> OutGroup:
     a = cartan.entries
     return OutGroup(
         elements=tuple(DiagramPermutation(p) for p in node_isomorphisms(a, a)), cartan=cartan
-    )
-
-
-class ConjClassTable(Record):
-    """The conjugacy classes of a group, as (representative, size) with
-    their members, and for each class the index of the class that holds the
-    inverses of its members (`inverses`); the k-count and inverse-conjugacy
-    are read off that column."""
-
-    classes: tuple[tuple[DiagramPermutation, int], ...]
-    members: tuple[frozenset, ...]
-    inverses: tuple[int, ...]
-
-    @property
-    def inverse_conjugacy(self) -> bool:
-        """Every element is conjugate to its inverse: each class is its own
-        inverse class."""
-        return all(i == j for i, j in enumerate(self.inverses))
-
-    @property
-    def k_classes(self) -> int:
-        """The classes after merging each with its inverse class: the
-        k-classes, where the table's own classes are the R-classes."""
-        return len({frozenset(pair) for pair in enumerate(self.inverses)})
-
-
-def conjugacy_classes(group: OutGroup) -> ConjClassTable:
-    """Brute-force conjugation orbits; representative = smallest member.
-
-    `OutGroup` checked that the group is closed under composition and
-    inversion, so every conjugate h g h^-1 is an element, and the orbits
-    partition the group: each is still whole in `remaining` when met, and
-    it is met at its smallest member, so the classes come in the order of
-    their representatives.  The inverses of a class's members form one
-    class, since (h g h^-1)^-1 = h g^-1 h^-1, so the class of the
-    representative's inverse is the inverse class."""
-    remaining = {g.images: g for g in group.elements}
-    rows = []
-    while remaining:
-        rep = remaining[min(remaining)]
-        orbit = frozenset(h.compose(rep).compose(h.inverse()).images for h in group.elements)
-        for im in orbit:
-            del remaining[im]
-        rows.append((rep, orbit))
-    index_of = {im: index for index, (_, orbit) in enumerate(rows) for im in orbit}
-    return ConjClassTable(
-        classes=tuple((rep, len(orbit)) for rep, orbit in rows),
-        members=tuple(orbit for _, orbit in rows),
-        inverses=tuple(index_of[rep.inverse().images] for rep, _ in rows),
     )
 
 
@@ -217,9 +204,9 @@ def classify_type(type_label: str) -> Classification:
     reported.
     """
     cartan = cartan_matrix(type_label)
-    table = conjugacy_classes(dynkin_automorphism_group(cartan))
+    group = dynkin_automorphism_group(cartan)
     rows = []
-    for rep, size in table.classes:
+    for rep, size in group.classes:
         alg, *factors = type_twist_factors(type_label, rep, (0,) * cartan.rank, 1)
         report = affine_certificate(type_label, alg, twist(alg, *factors))
         centroid = centroid_graded(alg, report.grading)
@@ -238,6 +225,6 @@ def classify_type(type_label: str) -> Classification:
         raise ClassifyError(f"classes share an affine label: {labels}")
     return Classification(
         rows=tuple(rows),
-        k_classes=table.k_classes,
-        inverse_conjugacy_ok=table.inverse_conjugacy,
+        k_classes=group.k_classes,
+        inverse_conjugacy_ok=group.inverse_conjugacy,
     )

@@ -24,7 +24,7 @@ failed certificate to exit 1.
 `verify-all` runs each request of `_VERIFY_TABLE` through `_request`, the
 path `main` runs, and checks the fields its report must hold; it then reruns
 the table in a fresh interpreter under another hash seed and compares the
-serialized bytes.
+serialized reports of every request, byte for byte.
 """
 
 from __future__ import annotations
@@ -283,8 +283,7 @@ def _cmd_centroid(args: _Args, source: str, spec: dict) -> dict:
 
 
 def _cmd_verify_all(args: _Args, source: None, spec: dict) -> dict:
-    rows = _table_rows()
-    serialized = json.dumps(rows, sort_keys=True).encode()
+    rows, serialized = _run_table()
     identical = serialized == _fresh_rerun()
     passed = all("report" not in row for row in rows)
     return {
@@ -294,12 +293,13 @@ def _cmd_verify_all(args: _Args, source: None, spec: dict) -> dict:
     }
 
 
-def _table_rows() -> list[dict]:
+def _run_table() -> tuple[list[dict], bytes]:
     """One row per request of `_VERIFY_TABLE`: its argv, the command's own
     status, and whether each expected field equals the payload's.  A row
     that fails, by its status or by a field, also holds the command's
-    report."""
-    rows = []
+    report.  Then the reports of every request, serialized: the bytes the
+    determinism check compares, every payload field included."""
+    rows, reports = [], []
     for line, expected in _VERIFY_TABLE:
         argv = line.split()
         code, report, _ = _request(argv)
@@ -311,19 +311,20 @@ def _table_rows() -> list[dict]:
         if code != 0 or not all(matches.values()):
             row["report"] = report
         rows.append(row)
-    return rows
+        reports.append(report)
+    return rows, json.dumps(reports, sort_keys=True).encode()
 
 
-# the determinism check's rerun: the table's rows, serialized to stdout
+# the determinism check's rerun: the table's serialized reports, to stdout
 _RERUN = (
-    "import json, sys\n"
-    "from loopforms.cli import _table_rows\n"
-    "sys.stdout.write(json.dumps(_table_rows(), sort_keys=True))\n"
+    "import sys\n"
+    "from loopforms.cli import _run_table\n"
+    "sys.stdout.buffer.write(_run_table()[1])\n"
 )
 
 
 def _fresh_rerun() -> bytes:
-    """The serialized rows of the table from a new interpreter, which shares
+    """The serialized reports of the table from a new interpreter, which shares
     no cache with this one, under a hash seed other than this process's."""
     import os
     import subprocess

@@ -67,7 +67,7 @@ its weights and certificate, the reference for `chevalley.algebra_over`, which w
 the fold straight over Q(zeta_n).
 `inverse_witnesses` searches every element for a conjugation onto its
 inverse, the reference for the inverse classes that
-`classify.conjugacy_classes` records.
+`classify.OutGroup.inverses` records.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def _rows(monkeypatch, selects):
     them."""
     table = [row for row in cli._VERIFY_TABLE if selects(row[0].split())]
     monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
-    return cli._table_rows()
+    return cli._run_table()[0]
 
 
 def test_every_row_carries_one_criterion_or_more():
@@ -69,7 +69,38 @@ def test_criterion(criterion, monkeypatch):
 def test_criterion_8_determinism(monkeypatch):
     # the child hashes under seed 1 and this process under its own
     monkeypatch.setenv("PYTHONHASHSEED", "0")
-    assert cli._fresh_rerun() == json.dumps(cli._table_rows(), sort_keys=True).encode()
+    rows, serialized = cli._run_table()
+    assert cli._fresh_rerun() == serialized
+    # the compared bytes are every request's whole report, payload included
+    reports = json.loads(serialized)
+    assert [report["command"] for report in reports] == [row["argv"][0] for row in rows]
+    assert all(report["status"] == "pass" and report["payload"] for report in reports)
+
+
+def test_a_payload_field_that_no_row_names_is_compared(monkeypatch, capsys):
+    # the rerun adds 1 to the dim_total of a grade request whose row names
+    # only period and dims, so every row still passes in both processes
+    line = 'grade --type A1 --auto {"s":[1],"m":2}'
+    table = [row for row in cli._VERIFY_TABLE if row[0] == line]
+    assert table == [(line, {"period": 2, "dims": [1, 2]})]
+    monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
+    prelude = (
+        "from loopforms import cli\n"
+        f"cli._VERIFY_TABLE = {table!r}\n"
+        "real = cli._request\n"
+        "def shifted(argv):\n"
+        "    code, report, args = real(argv)\n"
+        "    report['payload']['dim_total'] += 1\n"
+        "    return code, report, args\n"
+        "cli._request = shifted\n"
+    )
+    monkeypatch.setattr(cli, "_RERUN", prelude + cli._RERUN)
+    assert cli.main(["verify-all"]) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["rows"] == [
+        {"argv": line.split(), "status": "pass", "matches": {"period": True, "dims": True}}
+    ]
+    assert payload["determinism"]["identical_bytes"] is False
 
 
 # -- a tampered input fails its rows ------------------------------------------------
@@ -91,8 +122,9 @@ def test_tampered_expected_field_exits_1(monkeypatch, capsys):
     assert bad["status"] == "pass"
     assert bad["matches"] == {"period": True, "dims": False}
     assert bad["report"]["payload"]["dims"] == [3, 5]
-    # the rerun reads the untampered table, so the bytes differ too
-    assert report["payload"]["determinism"]["identical_bytes"] is False
+    # the rerun reads the untampered table, but the expected fields are not
+    # part of a report, so the reports are the same bytes: the row alone fails
+    assert report["payload"]["determinism"]["identical_bytes"] is True
 
 
 def _tampered_sl2():

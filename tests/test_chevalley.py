@@ -53,7 +53,7 @@ from dense import (
     three_pass_composition,
 )
 from loopforms.algebra import MultTableAlgebra, ValidationReport, validate_algebra
-from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
+from loopforms.classify import dynkin_automorphism_group
 from loopforms.cyclo import CycloNum
 
 FLIP = DiagramPermutation((1, 0))
@@ -471,21 +471,36 @@ def test_fold_refuses_a_sign_that_copy_rotation_moves(label, monkeypatch):
 
 
 def test_fold_refuses_a_cartan_matrix_other_than_the_label(monkeypatch):
-    # the cover's Cartan subalgebra acts through B2's matrix instead of its
-    # own, so the folded [h_1, e_(alpha_2)] is -2 e_(alpha_2), not -1
-    real = chevalley.root_system
+    # A2 is its own cover, and its Cartan subalgebra acts through B2's
+    # matrix instead of its own, so the folded [h_1, e_(alpha_2)] is
+    # -2 e_(alpha_2), not -1
+    b2 = cartan_matrix("B2").entries
 
-    def skewed(cartan):
-        rs = real(cartan)
-        if cartan.type_label.startswith("cover of"):
-            return RootSystem(cartan=cartan_matrix("B2"), positives=rs.positives)
-        return rs
+    def skewed(rs, alpha, i):
+        return sum(b2[i][j] * alpha[j] for j in range(rs.rank))
 
-    monkeypatch.setattr(chevalley, "root_system", skewed)
+    monkeypatch.setattr(RootSystem, "pairing", skewed)
     with pytest.raises(
         LieConstructError, match="the folded Cartan matrix differs from the Cartan matrix"
     ):
         chevalley_algebra(root_system(cartan_matrix("A2")), 1)
+
+
+@pytest.mark.parametrize("label, closures", [("D4", 1), ("E6", 1), ("B3", 2), ("G2", 2)])
+def test_a_type_fold_closes_a_root_system_once_per_distinct_matrix(monkeypatch, label, closures):
+    # A, D and E are their own cover, so their fold reuses the type's roots;
+    # B3 and G2 close their covers, A5 and D4, too
+    calls = []
+    real = chevalley.root_system
+
+    def counted(cartan):
+        calls.append(cartan.type_label)
+        return real(cartan)
+
+    monkeypatch.setattr(chevalley, "root_system", counted)
+    chevalley._type_fold.__wrapped__(label)
+    assert len(calls) == closures
+    assert calls[0] == label
 
 
 def test_fold_refuses_a_cover_root_that_restricts_to_no_root(monkeypatch):
@@ -656,8 +671,7 @@ def _diagram_classes():
     """(type, pi, the pi-orbit of node 1) for every diagram class of A2-A5,
     D4 and E6."""
     for label in ("A2", "A3", "A4", "A5", "D4", "E6"):
-        group = dynkin_automorphism_group(cartan_matrix(label))
-        for perm, _ in conjugacy_classes(group).classes:
+        for perm, _ in dynkin_automorphism_group(cartan_matrix(label)).classes:
             orbit = {0}
             while {perm(i) for i in orbit} - orbit:
                 orbit |= {perm(i) for i in orbit}

@@ -1,6 +1,6 @@
 import json
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -15,7 +15,6 @@ from loopforms.classify import (
     ClassifyError,
     OutGroup,
     classify_type,
-    conjugacy_classes,
     dynkin_automorphism_group,
 )
 
@@ -40,9 +39,8 @@ def test_group_orders_and_class_counts(label, expected):
     order, classes = expected
     group = dynkin_automorphism_group(cartan_matrix(label))
     assert group.order == order
-    table = conjugacy_classes(group)
-    assert len(table.classes) == classes
-    assert sum(size for _, size in table.classes) == order
+    assert len(group.classes) == classes
+    assert sum(size for _, size in group.classes) == order
 
 
 @pytest.mark.parametrize("label", [t for t in TYPE_LABELS if cartan_matrix(t).rank <= 7])
@@ -57,9 +55,9 @@ def test_group_equals_brute_force_over_permutations(label):
 
 
 def test_d4_class_sizes():
-    table = conjugacy_classes(dynkin_automorphism_group(cartan_matrix("D4")))
-    assert sorted(size for _, size in table.classes) == [1, 2, 3]
-    orders = sorted(rep.order() for rep, _ in table.classes)
+    group = dynkin_automorphism_group(cartan_matrix("D4"))
+    assert sorted(size for _, size in group.classes) == [1, 2, 3]
+    orders = sorted(rep.order() for rep, _ in group.classes)
     assert orders == [1, 2, 3]
 
 
@@ -70,31 +68,36 @@ def test_group_past_rank_9_needs_no_budget(label, order):
     assert dynkin_automorphism_group(cartan_matrix(label)).order == order
 
 
-# -- abstract groups -------------------------------------------------------------
+# -- subgroups of Out -------------------------------------------------------------
+
+D4 = cartan_matrix("D4")
+# the triality rotation 1 -> 3 -> 4 -> 1 of D4's outer nodes, 0-based
+ROTATION = DiagramPermutation((2, 1, 3, 0))
 
 
 def _cyclic3():
-    return OutGroup(elements=(
-        DiagramPermutation((0, 1, 2)),
-        DiagramPermutation((1, 2, 0)),
-        DiagramPermutation((2, 0, 1)),
-    ))
+    """D4's triality subgroup, cyclic of order 3."""
+    return OutGroup(
+        elements=(DiagramPermutation.identity(4), ROTATION, ROTATION.inverse()), cartan=D4
+    )
 
 
 def test_group_axioms_are_checked():
-    identity, rotation = DiagramPermutation((0, 1, 2)), DiagramPermutation((1, 2, 0))
-    with pytest.raises(ClassifyError, match="group must be nonempty"):
-        OutGroup(elements=())
-    with pytest.raises(ClassifyError, match="duplicate elements"):
-        OutGroup(elements=(identity, identity))
+    identity = DiagramPermutation.identity(4)
+    # no element, so no identity
     with pytest.raises(ClassifyError, match="missing identity"):
-        OutGroup(elements=(rotation,))
+        OutGroup(elements=(), cartan=D4)
+    with pytest.raises(ClassifyError, match="duplicate elements"):
+        OutGroup(elements=(identity, identity), cartan=D4)
+    with pytest.raises(ClassifyError, match="missing identity"):
+        OutGroup(elements=(ROTATION,), cartan=D4)
     with pytest.raises(ClassifyError, match="not closed under inversion"):
-        OutGroup(elements=(identity, rotation))
-    # closed under inversion, but the flips compose to a rotation
-    flips = (DiagramPermutation((0, 2, 1)), DiagramPermutation((1, 0, 2)))
+        OutGroup(elements=(identity, ROTATION), cartan=D4)
+    # closed under inversion, but the flips (0 2) and (0 3) compose to a
+    # rotation
+    flips = (DiagramPermutation((2, 1, 0, 3)), DiagramPermutation((3, 1, 2, 0)))
     with pytest.raises(ClassifyError, match="not closed under composition"):
-        OutGroup(elements=(identity, *flips))
+        OutGroup(elements=(identity, *flips), cartan=D4)
     with pytest.raises(ClassifyError, match="element does not preserve the Cartan matrix"):
         OutGroup(
             elements=(DiagramPermutation((0, 1)), DiagramPermutation((1, 0))),
@@ -105,40 +108,42 @@ def test_group_axioms_are_checked():
         OutGroup(elements=(DiagramPermutation.identity(3),), cartan=cartan_matrix("A2"))
 
 
-@pytest.mark.parametrize("cartan", [None, cartan_matrix("A2")], ids=["abstract", "A2"])
-def test_group_of_mixed_lengths_is_refused(cartan):
-    # refused before the closure loops, where composing the two would index
-    # past the shorter permutation
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_group_of_mixed_lengths_is_refused(label):
+    # the element of the other rank, the longer one for A2 and the shorter
+    # for A3, fails preserves before the closure loops, where composing the
+    # two would index past the shorter permutation
     elements = (DiagramPermutation((0, 1)), DiagramPermutation((0, 1, 2)))
-    with pytest.raises(ClassifyError, match="elements permute different numbers of nodes"):
-        OutGroup(elements=elements, cartan=cartan)
+    if label == "A3":
+        elements = elements[::-1]
+    with pytest.raises(ClassifyError, match="element does not preserve the Cartan matrix"):
+        OutGroup(elements=elements, cartan=cartan_matrix(label))
 
 
 def test_cyclic3_shows_the_k_vs_r_gap():
     """A cyclic group of order 3 is abelian, so conjugation never reaches the
     inverse; merging inverse classes drops 3 classes to 2."""
-    table = conjugacy_classes(_cyclic3())
-    assert len(table.classes) == 3
+    group = _cyclic3()
+    assert [size for _, size in group.classes] == [1, 1, 1]
     # the two rotations are each other's inverse class
-    assert table.inverses == (0, 2, 1)
-    assert table.k_classes == 2
-    assert not table.inverse_conjugacy
+    assert group.inverses == (0, 2, 1)
+    assert group.k_classes == 2
+    assert not group.inverse_conjugacy
 
 
 @pytest.mark.parametrize("label", [*TYPE_LABELS, "cyclic3"])
 def test_inverse_classes_match_the_witness_search(label):
     group = _cyclic3() if label == "cyclic3" else dynkin_automorphism_group(cartan_matrix(label))
-    table = conjugacy_classes(group)
     witnesses = inverse_witnesses(group)
-    assert table.inverse_conjugacy == all(h is not None for _, h in witnesses)
+    assert group.inverse_conjugacy == all(h is not None for _, h in witnesses)
     # merge the class of each g with the class of g^-1, which is g's own when
     # the search finds a witness
-    class_of = {im: index for index, orbit in enumerate(table.members) for im in orbit}
+    class_of = {im: index for index, orbit in enumerate(group.members) for im in orbit}
     merged = set()
     for g, h in witnesses:
         own = class_of[g.images]
         merged.add(frozenset((own, own if h is not None else class_of[g.inverse().images])))
-    assert table.k_classes == len(merged)
+    assert group.k_classes == len(merged)
 
 
 # -- classification tables --------------------------------------------------------
@@ -161,9 +166,9 @@ def test_classification_rows_d4():
     assert by_order[2].grading_dims == (21, 7)
     assert by_order[3].grading_dims == (14, 7, 7)
     # twist orders line up with the conjugacy representatives
-    table = conjugacy_classes(dynkin_automorphism_group(cartan_matrix("D4")))
+    group = dynkin_automorphism_group(cartan_matrix("D4"))
     assert sorted(r.twist_order for r in rows) == sorted(
-        rep.order() for rep, _ in table.classes
+        rep.order() for rep, _ in group.classes
     )
 
 
@@ -223,8 +228,7 @@ def test_classify_refuses_classes_that_share_a_label(monkeypatch, capsys):
 
 def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
     calls = dict.fromkeys(
-        ("dynkin_automorphism_group", "conjugacy_classes", "eigengrading", "_fold", "check_twist"),
-        0,
+        ("dynkin_automorphism_group", "members", "eigengrading", "_fold", "check_twist"), 0
     )
 
     def counting(name, real):
@@ -234,8 +238,15 @@ def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
 
         return counted
 
-    for name in ("dynkin_automorphism_group", "conjugacy_classes"):
-        monkeypatch.setattr(classify, name, counting(name, getattr(classify, name)))
+    monkeypatch.setattr(
+        classify,
+        "dynkin_automorphism_group",
+        counting("dynkin_automorphism_group", classify.dynkin_automorphism_group),
+    )
+    # the orbit walk that every column of the class table is read from
+    members = cached_property(counting("members", OutGroup.members.func))
+    members.__set_name__(OutGroup, "members")
+    monkeypatch.setattr(OutGroup, "members", members)
     # rebind every alias of eigengrading and check_twist, so a call from
     # any module is counted
     for name, real in (
@@ -259,7 +270,7 @@ def test_classify_builds_out_and_its_class_table_once(monkeypatch, capsys):
     # and not again by its diagram map or the extraction
     assert calls == {
         "dynkin_automorphism_group": 1,
-        "conjugacy_classes": 1,
+        "members": 1,
         "eigengrading": 3,
         "_fold": 1,
         "check_twist": 3,

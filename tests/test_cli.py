@@ -108,10 +108,10 @@ def test_each_built_algebra_is_certified_once(monkeypatch, capsys, tmp_path):
     # again
     builds = [row for row in cli._VERIFY_TABLE if row[0].startswith("build ")]
     monkeypatch.setattr(cli, "_VERIFY_TABLE", builds)
-    assert all("report" not in row for row in cli._table_rows())
+    assert all("report" not in row for row in cli._run_table()[0])
     assert (swept, folded) == ([], [line.split()[2] for line, _ in builds])
     folded.clear()
-    assert all("report" not in row for row in cli._table_rows())
+    assert all("report" not in row for row in cli._run_table()[0])
     assert (swept, folded) == ([], [])
     # a table read from a file is swept once, and folds nothing
     path = tmp_path / "b3.json"
@@ -500,6 +500,34 @@ def test_malformed_table_error_names_the_fault(tmp_path, capsys, table, message)
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [700, 701, 2000])
+def test_a_table_file_is_held_to_the_size_limit(tmp_path, capsys, dim):
+    # [x0, x1] = x2 and every other basis element central: one product,
+    # whatever the dimension
+    one, minus_one = {"order": 1, "coeffs": ["1"]}, {"order": 1, "coeffs": ["-1"]}
+    obj = {
+        "dim": dim,
+        "scalar_order": 1,
+        "kind": "lie",
+        "labels": [f"x{i}" for i in range(dim)],
+        "constants": [[0, 1, [[2, one]]], [1, 0, [[2, minus_one]]]],
+    }
+    if dim == 2000:
+        # refused on its dimension before its labels are read
+        obj["labels"] = None
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["build", "--algebra", str(path)])
+    out, err = capsys.readouterr()
+    if dim == 700:
+        assert code == 0
+        assert json.loads(out)["payload"]["validation"]["triples_checked"] == 700**3
+    else:
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a table of dimension {dim} exceeds the size limit 700\n"
 
 
 def test_missing_subcommand_exits_2():

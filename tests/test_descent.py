@@ -322,7 +322,7 @@ def test_untwist_agrees_with_windowed_oracle_on_criteria_4_and_5(untwist_calls, 
     # and composed twists
     rows = [row for row in cli._VERIFY_TABLE if row[0].startswith("untwist ")]
     monkeypatch.setattr(cli, "_VERIFY_TABLE", rows)
-    assert all("report" not in row for row in cli._table_rows())
+    assert all("report" not in row for row in cli._run_table()[0])
     assert len(untwist_calls) == len(rows) == 8
 
 

@@ -96,7 +96,9 @@ def test_repr_matches_a_frozen_dataclass():
 
 def test_defaults_apply():
     assert Point(1).y == ()
-    assert OutGroup((DiagramPermutation((0,)),)).cartan is None
+    # a group of diagram symmetries names the matrix it preserves: no default
+    with pytest.raises(TypeError, match=r"OutGroup\(\) missing field 'cartan'"):
+        OutGroup((DiagramPermutation((0,)),))
 
 
 def test_arity_errors_raise():

@@ -187,7 +187,7 @@ def _words(*names):
             id="second automorphism certifier",
         ),
         # inverse conjugacy and the k-count are read off the class table's
-        # inverse column (classify.ConjClassTable): no witness search, which
+        # inverse column (classify.OutGroup.inverses): no witness search, which
         # tests/dense.inverse_witnesses keeps as the oracle, no class lookup,
         # and no root set beside RootSystem.roots
         pytest.param(
@@ -246,6 +246,9 @@ def _words(*names):
         # an extraction is one report: affine.ExtractionReport holds the GCM
         # and its base, and the catalog maps each label to its GCM
         pytest.param(_words("GCMCertificate", "CatalogEntry"), id="extraction records"),
+        # Out is one record: classify.OutGroup carries its own class table,
+        # read off the orbit walk beside the closure checks it rests on
+        pytest.param(_words("ConjClassTable", "conjugacy_classes"), id="class table record"),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -358,7 +361,7 @@ def test_the_cli_runs_no_library_check():
 
 # each size limit, and the library functions that read the input it bounds
 SIZE_LIMITS = {
-    "MAX_DIM": {"chevalley.cartan_matrix", "descent.matrix_twist_factors"},
+    "MAX_DIM": {"algebra.from_obj", "chevalley.cartan_matrix", "descent.matrix_twist_factors"},
     "MAX_PERIOD": {"chevalley.check_twist", "descent.matrix_twist_factors"},
 }
 

@@ -10,7 +10,8 @@ stored as its list of lines, so a changed field shows as one changed line in
 `git diff`.  The pinned requests are the ones `requests()` lists: every
 request the benchmark pools in perfbench/pool.py, extract-gcm and centroid of
 every diagram class, classify of every type and of M_1, M_2 and M_3,
-`verify-all`, one composed D4 untwist and the `--help` text.
+`verify-all`, one composed D4 untwist, one `--text` report and the `--help`
+text.
 
 The pooled `--algebra` requests name tables under pool.TABLE_DIR, a path
 relative to the working directory.  The recorder writes those tables under a
@@ -44,6 +45,10 @@ POOL = ROOT / "perfbench" / "pool.py"
 # one D4 triality composed with a toral charge, with its untwisting map
 UNTWIST_D4 = ["untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}']
 
+# the A2 flip's GCM as text: the one pinned report that the renderer prints
+# as a list of lists, in nested bullets
+EXTRACT_TEXT = ["extract-gcm", "--type", "A2", "--auto", '{"pi":[2,1]}', "--text"]
+
 # toral and composed twists whose simple roots sit at several degrees; G2 at
 # order 6 has one at degree 4
 _EXTRACT_TWISTS = (
@@ -69,12 +74,12 @@ def load_pool():
 
 def _class_requests(command: str, labels) -> list[list[str]]:
     """command on every diagram-class representative of every label."""
-    from loopforms.classify import conjugacy_classes, dynkin_automorphism_group
+    from loopforms.classify import dynkin_automorphism_group
     from loopforms.chevalley import cartan_matrix
 
     requests = []
     for label in labels:
-        for rep, _ in conjugacy_classes(dynkin_automorphism_group(cartan_matrix(label))).classes:
+        for rep, _ in dynkin_automorphism_group(cartan_matrix(label)).classes:
             argv = [command, "--type", label]
             if rep.order() > 1:
                 argv += ["--auto", key({"pi": [i + 1 for i in rep.images]})]
@@ -120,6 +125,7 @@ def requests() -> list[list[str]]:
         *(["classify", "--matrix-algebra", str(n)] for n in (1, 2, 3)),
         ["verify-all"],
         UNTWIST_D4,
+        EXTRACT_TEXT,
         ["--help"],
     ]
     unique = {key(argv): argv for argv in pinned}
