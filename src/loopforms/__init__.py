@@ -36,7 +36,6 @@ _EXPORTS = {
         "TYPE_LABELS",
         "algebra_over",
         "cartan_matrix",
-        "chevalley_algebra",
         "diagram_automorphism",
         "root_system",
         "type_twist_factors",

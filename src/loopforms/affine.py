@@ -117,8 +117,11 @@ class AffineRootData(Record):
     space of a weight in any degree is read off its residue (`space`)."""
 
     h0: tuple[Sparse, ...]
-    period: int
     spaces: tuple[dict[Weight, tuple[Sparse, ...]], ...]
+
+    @property
+    def period(self) -> int:
+        return len(self.spaces)
 
     def space(self, weight: Weight, degree: int) -> tuple[Sparse, ...]:
         return self.spaces[degree % self.period].get(weight, ())
@@ -178,7 +181,7 @@ def affine_roots(
                 "unsupported twist shape"
             )
         spaces.append(space)
-    return AffineRootData(h0=h0, period=m, spaces=tuple(spaces))
+    return AffineRootData(h0=h0, spaces=tuple(spaces))
 
 
 def _is_positive(weight: Weight, degree: int) -> bool:

@@ -153,7 +153,7 @@ class MultTableAlgebra(Record):
     @cached_property
     def validation(self) -> "ValidationReport":
         """The certificate of this table's laws, computed once: the one its
-        constructor stored (`chevalley.chevalley_algebra`), else
+        constructor stored (`chevalley.algebra_over`), else
         `validate_algebra`'s."""
         return validate_algebra(self)
 
@@ -250,8 +250,12 @@ class Violation(Record):
 class ValidationReport(Record):
     kind: str
     dim: int
-    triples_checked: int
     violations: tuple[Violation, ...]
+
+    @property
+    def triples_checked(self) -> int:
+        """The ordered triples the certificate covers: all dim^3 of them."""
+        return self.dim**3
 
     @property
     def ok(self) -> bool:
@@ -358,7 +362,7 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
     offending basis indices, alternation and antisymmetry first, then the
     triples in lexicographic order, so a corrupted table names the exact
     triple that broke.  A type label's table is certified by its
-    construction (`chevalley.chevalley_algebra`), so this sweep serves
+    construction (`chevalley.algebra_over`), so this sweep serves
     `--algebra` tables and the tests' oracles.
     """
     n = alg.dim
@@ -406,7 +410,7 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
         live.update((c, b, a) for a, b, c in _left_paths(opposite, n))
         failing = [t for t in sorted(live) if not holds(*t)]
     violations.extend(Violation(law, t, tuple(labels[x] for x in t)) for t in failing)
-    return ValidationReport(alg.kind, n, n**3, tuple(violations))
+    return ValidationReport(alg.kind, n, tuple(violations))
 
 
 # -- permutations ------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .algebra import KIND_ASSOCIATIVE, AlgebraError, MultTableAlgebra
 from .cyclo import CycloNum, Sparse, sparse_add
 from .grading import GradedDecomposition, GradingError
-from .linalg import Echelon, eliminate, rank
+from .linalg import Echelon, eliminate
 from .record import Record
 
 __all__ = ["CentroidReport", "centroid_graded"]
@@ -29,43 +29,19 @@ class CentroidReport(Record):
     component coordinates; the family is constant across the integer degrees
     of a residue class, which is exactly a degree-homogeneous centroid
     transformation of the twisted loop algebra.  Each family is stored as one
-    sparse vector over the entries of all its matrices, residue by residue
-    and row-major within a matrix (`entry_index`); `dims` are the component
-    dimensions that shape the matrices.
+    sparse vector over the entries of all its matrices, numbered residue by
+    residue and row-major within a matrix, as `centroid_graded` numbers its
+    unknowns.  `contains_identity` is whether the identity map, a family of
+    shift 0, lies in their span.
     """
 
     shift_residue: int
-    period: int
-    dims: tuple[int, ...]
-    solution_dim: int
+    contains_identity: bool
     basis: tuple[Sparse, ...]
 
-    def entry_index(self, res: int, row: int, col: int) -> int:
-        """Position of entry (row, col) of the residue-res matrix in a family."""
-        m, d = self.period, self.shift_residue
-        offset = sum(self.dims[(k + d) % m] * self.dims[k] for k in range(res))
-        return offset + row * self.dims[res] + col
-
-    def contains_identity(self) -> bool:
-        if self.shift_residue % self.period != 0:
-            return False
-        return _identity_in_span(self)
-
-
-def _identity_in_span(report: CentroidReport) -> bool:
-    # every family is 1 at its free index, so the first one has an entry
-    if not report.basis:
-        return False
-    order = next(iter(report.basis[0].values())).order
-    one = CycloNum.one(order)
-    ident = {
-        report.entry_index(res, r, r): one
-        for res in range(report.period)
-        for r in range(report.dims[res])
-    }
-    # the families are independent: each is 1 at its own free index, where
-    # every other family is 0
-    return rank([*report.basis, ident]) == len(report.basis)
+    @property
+    def solution_dim(self) -> int:
+        return len(self.basis)
 
 
 class _Generators:
@@ -110,7 +86,7 @@ class _Generators:
         applied: list[int] = []
         gens: list[tuple[int, int]] = []
         for x in self.hom:
-            if len(closure) == grading.dim:
+            if len(closure) == len(self.hom):
                 break
             if not closure.add({self.offsets[x[0]] + x[1]: one}):
                 continue
@@ -119,7 +95,7 @@ class _Generators:
             spanning.append((x[0], {x[1]: one}))
             applied.append(0)
             grown = True
-            while grown and len(closure) < grading.dim:
+            while grown and len(closure) < len(self.hom):
                 grown = False
                 for k, g in enumerate(gens):
                     while applied[k] < len(spanning):
@@ -218,6 +194,7 @@ def centroid_graded(
     gens = _Generators(alg, grading)
     m = grading.period
     order = alg.scalar_order
+    zero = CycloNum.zero(order)
     dims = grading.dims
     sides = [gens.left] + ([gens.right] if alg.kind == KIND_ASSOCIATIVE else [])
     sigs = gens.signatures()
@@ -231,7 +208,7 @@ def centroid_graded(
     reports = []
     for d in range(m):
         # unknown u(res, r, s) = entry of c_res in row r (target coord), col s,
-        # numbered as CentroidReport.entry_index does
+        # numbered residue by residue and row-major within a matrix
         base = [0] * m
         for res in range(1, m):
             base[res] = base[res - 1] + dims[(res - 1 + d) % m] * dims[res - 1]
@@ -263,6 +240,17 @@ def centroid_graded(
                             rows.add(tuple(sorted((c, inv * v) for c, v in entries.items())))
 
         pivots = eliminate(dict(row_t) for row_t in rows)
+        # at shift 0 the identity, 1 at each diagonal unknown, is a solution
+        # exactly when every pivot row vanishes on it: the families span the
+        # kernel of the pivot rows on the surviving unknowns, and the
+        # diagonal unknowns survive
+        contains_identity = False
+        if d == 0:
+            diagonal = {base[res] + r * dims[res] + r for res in range(m) for r in range(dims[res])}
+            contains_identity = all(
+                sum((c for k, c in prow.items() if k in diagonal), zero).is_zero()
+                for prow in pivots.values()
+            )
         alive = sorted(
             base[res] + r * dims[res] + s
             for res in range(m)
@@ -280,11 +268,7 @@ def centroid_graded(
             families.append({k: sol[k] for k in sorted(sol)})
         reports.append(
             CentroidReport(
-                shift_residue=d,
-                period=m,
-                dims=tuple(dims),
-                solution_dim=len(free),
-                basis=tuple(families),
+                shift_residue=d, contains_identity=contains_identity, basis=tuple(families)
             )
         )
     return tuple(reports)

@@ -6,10 +6,10 @@ reflections, and the algebra is realized on the basis h_1..h_l, e_alpha
 Infinite-Dimensional Lie Algebras, 7.8-7.9: the Cartan matrix is unfolded
 to a simply-laced cover (`_cover`), the cover's table is Frenkel and Kac's,
 built from a bimultiplicative sign (`_sign_form`), and the table is folded
-back by orbit sums (`_fold`), whose integer constants `chevalley_algebra`
+back by orbit sums (`_fold`), whose integer constants `algebra_over`
 writes straight over Q(zeta_m), the field a twist of period m needs.  A, D
 and E are their own cover.  The fold certifies the table with checks linear
-in its nonzero products, argued in `chevalley_algebra`;
+in its nonzero products, argued in `algebra_over`;
 `algebra.validate_algebra`'s sweep is for tables read from a file.
 
 Automorphisms of a type label are twists pi o tau_s: the toral (diagonal)
@@ -54,7 +54,6 @@ __all__ = [
     "algebra_over",
     "cartan_matrix",
     "check_twist",
-    "chevalley_algebra",
     "diagram_automorphism",
     "highest_root",
     "node_isomorphisms",
@@ -488,10 +487,12 @@ def _basis_layout(rs: RootSystem) -> tuple[list[str], dict[Root, int]]:
     return labels, {alpha: rs.rank + x for x, alpha in enumerate(rs.roots)}
 
 
-def chevalley_algebra(rs: RootSystem, order: int) -> MultTableAlgebra:
-    """Lie multiplication table on h_1..h_l, e_alpha, f_alpha over
-    Q(zeta_order), of dimension #roots + rank: the integer constants folded
-    from the simply-laced cover (`_fold`), written as scalars of that order.
+def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
+    """The root system of a type label and its Lie multiplication table on
+    h_1..h_l, e_alpha, f_alpha over Q(zeta_order), of dimension
+    #roots + rank: the integer constants folded from the simply-laced cover
+    (`_fold`), written as scalars of that order.  A table of its own on every
+    call, from one fold per type.
 
     Its certificate is linear in the nonzero products and has three parts:
 
@@ -503,23 +504,17 @@ def chevalley_algebra(rs: RootSystem, order: int) -> MultTableAlgebra:
     2. The orbit sums have disjoint supports and `_fold` checks that they
        close under the product, so they span a subalgebra, which is Lie.
     3. `_fold` checks that the folded [h_i, e_(alpha_j)] is A_ij e_(alpha_j)
-       for the Cartan matrix A of rs, and that the restriction is a
-       bijection onto the roots of rs.
+       for the label's Cartan matrix A, and that the restriction is a
+       bijection onto the label's roots.
 
     The table's products are the fold's, each integer made a scalar of this
     order and handed to the constructor as it is, so no step between the
     checked fold and the table can change a constant.  A failed part raises
-    LieConstructError.  The report covers all n^3
-    ordered triples, which `triples_checked` counts, and is kept on the
-    algebra (`MultTableAlgebra.validation`), so no table built here is swept
-    by `validate_algebra`.
+    LieConstructError.  The report covers all n^3 ordered triples, which
+    `triples_checked` counts, and is kept on the algebra
+    (`MultTableAlgebra.validation`), so no table built here is swept by
+    `validate_algebra`.
     """
-    return _write_table(rs, _fold(rs), order)
-
-
-def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
-    """The root system of a type label and its `chevalley_algebra` over
-    Q(zeta_order): a table of its own on every call, from one fold per type."""
     rs, folded = _type_fold(label)
     return rs, _write_table(rs, folded, order)
 
@@ -546,7 +541,7 @@ def _write_table(rs: RootSystem, folded: Fold, order: int) -> MultTableAlgebra:
         basis_labels=tuple(labels),
         weights=((0,) * rs.rank,) * rs.rank + rs.roots,
     )
-    alg.__dict__["validation"] = ValidationReport(KIND_LIE, alg.dim, alg.dim**3, ())
+    alg.__dict__["validation"] = ValidationReport(KIND_LIE, alg.dim, ())
     return alg
 
 

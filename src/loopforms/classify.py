@@ -143,10 +143,13 @@ class ClassificationRow(Record):
 
     class_rep: DiagramPermutation
     class_size: int
-    twist_order: int
     affine_label: AffineLabel
     grading_dims: tuple[int, ...]
     centroid_dims: tuple[int, ...]
+
+    @property
+    def twist_order(self) -> int:
+        return self.class_rep.order()
 
     @property
     def centroid_ok(self) -> bool:
@@ -214,7 +217,6 @@ def classify_type(type_label: str) -> Classification:
             ClassificationRow(
                 class_rep=rep,
                 class_size=size,
-                twist_order=rep.order(),
                 affine_label=report.label,
                 grading_dims=report.grading.dims,
                 centroid_dims=tuple(c.solution_dim for c in centroid),

@@ -275,7 +275,7 @@ def _cmd_centroid(args: _Args, source: str, spec: dict) -> dict:
         {
             "shift": report.shift_residue,
             "solution_dim": report.solution_dim,
-            "contains_identity": report.contains_identity(),
+            "contains_identity": report.contains_identity,
         }
         for report in centroid_graded(alg, grading)
     ]

@@ -292,12 +292,12 @@ class GradedDecomposition(Record):
     """Z/period grading by eigenspaces; component i belongs to zeta^i.
 
     Component vectors are sparse, 1 at their smallest index, with disjoint
-    supports within a component, which `component_solver` relies on.
+    supports within a component, which `component_solver` relies on.  The
+    components are the one field: one per residue, so the period is their
+    number, and together they span the algebra, so its dimension is the sum
+    of theirs.
     """
 
-    period: int
-    scalar_order: int
-    dim: int
     component_bases: tuple[tuple[Sparse, ...], ...]
 
     def __post_init__(self) -> None:
@@ -306,8 +306,16 @@ class GradedDecomposition(Record):
         self.__dict__["_solvers"] = {}
 
     @property
+    def period(self) -> int:
+        return len(self.component_bases)
+
+    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.component_bases)
+
+    @property
+    def dim(self) -> int:
+        return sum(map(len, self.component_bases))
 
     def component_solver(self, i: int) -> ComponentSolver:
         i %= self.period
@@ -369,9 +377,4 @@ def eigengrading(alg: MultTableAlgebra, sigma: FiniteOrderAutomorphism) -> Grade
             components[i].append(
                 {idx: zeta_power(order, -step * i * t) * orbit[t] for t, idx in enumerate(cycle)}
             )
-    return GradedDecomposition(
-        period=m,
-        scalar_order=order,
-        dim=alg.dim,
-        component_bases=tuple(tuple(comp) for comp in components),
-    )
+    return GradedDecomposition(tuple(tuple(comp) for comp in components))

@@ -15,11 +15,12 @@ however the rows arrive.  Kernel bases are additionally re-reduced so the
 returned vectors are themselves in reduced row-echelon form.
 
 The package tests span membership without a general solver: its spans are
-written down in closed form (read by `grading.ComponentSolver`), are
-independent families (a rank test), or grow as the centroid's generating set
-does (`Echelon.reduce`).  `SpanSolver`, membership by elimination, has no
-caller in the package; the tests compare `ComponentSolver` with it, and the
-benchmark's `perfbench/tracer.py` wraps it by name.
+written down in closed form (read by `grading.ComponentSolver`), are cut out
+by pivot rows already eliminated (the identity in the centroid), or grow as
+the centroid's generating set does (`Echelon.reduce`).  `rank` and
+`SpanSolver`, membership by elimination, have no caller in the package; the
+tests and their dense oracles use them, and the benchmark's
+`perfbench/tracer.py` wraps them by name.
 """
 
 from __future__ import annotations

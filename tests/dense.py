@@ -28,7 +28,9 @@ reference for the h0 that `affine.fixed_cartan` reads off component 0.
 integer Bareiss `chevalley.int_rank_det`, and `all_pairs_centroid` imposes
 the centroid conditions on every pair of
 homogeneous basis vectors, the reference for `centroid.centroid_graded`, which
-imposes them on a generating set only.  `three_pass_composition` builds and
+imposes them on a generating set only; it tests the identity by the rank of
+the families with and without it, where `centroid_graded` reads it off its
+pivot rows.  `three_pass_composition` builds and
 checks pi, tau_s and their composition for every charge, the reference for
 `grading.twist`, which certifies pi by its multiplicativity, and tau_s and
 the commuting by the additivity and invariance of p, in one pass.
@@ -60,7 +62,7 @@ and `propagation_consistency` re-multiplies every pair of roots, the
 reference for the multiplicativity clause of `grading.twist` that
 certifies it.  `root_string_algebra` derives every N_ab = +-(p+1)
 from root strings and propagates the signs through the Jacobi identity, the
-table that `chevalley_algebra` built before it folded the Frenkel-Kac table
+table that `chevalley.algebra_over` built before it folded the Frenkel-Kac table
 of the simply-laced cover, kept as its reference up to basis signs.
 `embed_algebra` embeds every constant of a table into Q(zeta_n) and keeps
 its weights and certificate, the reference for `chevalley.algebra_over`, which writes
@@ -432,7 +434,8 @@ def _sparse_is_zero(s: Sparse) -> bool:
 def ordered_triple_validation(alg: MultTableAlgebra) -> ValidationReport:
     """Alternation and antisymmetry on every pair, then the Jacobi identity
     (or associativity) on every ordered basis triple, each triple product
-    formed by `product_sparse` against one-entry basis vectors."""
+    formed by `product_sparse` against one-entry basis vectors.  The loop
+    counts the triples it visits, and must have visited all n^3."""
     n = alg.dim
     labels = alg.basis_labels
     violations: list[Violation] = []
@@ -480,7 +483,8 @@ def ordered_triple_validation(alg: MultTableAlgebra) -> ValidationReport:
                         violations.append(
                             Violation("associativity", (i, j, k), (labels[i], labels[j], labels[k]))
                         )
-    return ValidationReport(alg.kind, n, triples, tuple(violations))
+    assert triples == n**3, f"visited {triples} triples of {n**3}"
+    return ValidationReport(alg.kind, n, tuple(violations))
 
 
 # -- integer rank and determinant over Fraction ------------------------------------
@@ -629,12 +633,16 @@ def all_pairs_centroid(
             if coeff is not None:
                 sol[lead] = -coeff
         families.append({k: sol[k] for k in sorted(sol)})
+    # the identity, numbered residue by residue and row-major like the
+    # unknowns, is in the span when adding it leaves the rank unchanged
+    contains_identity = False
+    if d == 0:
+        identity = {
+            index_of[(res, r, r)]: CycloNum.one(order) for res in range(m) for r in range(dims[res])
+        }
+        contains_identity = rank([*families, identity]) == len(families)
     return CentroidReport(
-        shift_residue=d,
-        period=m,
-        dims=tuple(dims),
-        solution_dim=len(free),
-        basis=tuple(families),
+        shift_residue=d, contains_identity=contains_identity, basis=tuple(families)
     )
 
 
@@ -663,7 +671,7 @@ def kernel_affine_roots(
     component.
     """
     m = grading.period
-    order = grading.scalar_order
+    order = alg.scalar_order
     rank_h0 = len(h0)
     orbits = [sorted(b) for b in h0]
     candidates = {
@@ -719,7 +727,7 @@ def kernel_affine_roots(
         if res == 0 and len(space.get((0,) * rank_h0, ())) != rank_h0:
             raise AffineExtractError("zero-weight space in residue 0 exceeds the fixed Cartan")
         spaces.append(space)
-    return AffineRootData(h0=h0, period=m, spaces=tuple(spaces))
+    return AffineRootData(h0=h0, spaces=tuple(spaces))
 
 
 # -- windowed untwist oracle -------------------------------------------------------
@@ -1168,9 +1176,9 @@ def twisted_fixed_points(
     m = cocycle.period
     if grading.period != m:
         raise DescentError("cocycle and grading periods differ")
-    order = grading.scalar_order
-    n = grading.dim
     u1 = cocycle.value(1)
+    order = u1.scalar_order
+    n = grading.dim
     kernels = []
     for r in range(m):
         zeta = zeta_power(order, (order // m) * r)
@@ -1503,7 +1511,7 @@ def root_string_algebra(rs: RootSystem) -> MultTableAlgebra:
     """The Chevalley table of rs with N_{alpha,beta} = +-(p+1) from root
     strings: +(p+1) on each extraspecial pair (the first decomposition of a
     positive root in the height-then-lex order), every other sign propagated
-    through the Jacobi identity.  The reference for `chevalley_algebra`,
+    through the Jacobi identity.  The reference for `chevalley.algebra_over`,
     which folds the Frenkel-Kac table of the simply-laced cover; the two
     agree up to the signs of the basis elements."""
     l = rs.rank

@@ -305,7 +305,7 @@ def test_simple_roots_need_rank_plus_one_roots():
     data = affine_roots(alg, grading, h0)
     assert len(simple_affine_roots(data)) == 2
     (space,) = data.spaces
-    cut = AffineRootData(h0=h0, period=1, spaces=({w: v for w, v in space.items() if w != (-2,)},))
+    cut = AffineRootData(h0=h0, spaces=({w: v for w, v in space.items() if w != (-2,)},))
     with pytest.raises(AffineExtractError, match="base has 1 roots, expected 2; unsupported twist"):
         simple_affine_roots(cut)
 
@@ -318,7 +318,7 @@ def _vector(alg, *terms):
 def _hand_built(alg, h0, base, space):
     """extract_gcm on base roots of degree 0 and a residue-0 space written
     by hand."""
-    data = AffineRootData(h0=h0, period=1, spaces=(space,))
+    data = AffineRootData(h0=h0, spaces=(space,))
     return extract_gcm(alg, tuple(AffineRoot(weight=w, degree=0) for w in base), data)
 
 

@@ -29,7 +29,7 @@ from dense import (
     twist_fixture,
     twisted_fixed_points,
 )
-from loopforms import algebra, cli
+from loopforms import algebra, centroid, cli, linalg
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
@@ -428,7 +428,7 @@ def test_from_obj_sums_repeated_targets_and_drops_zeros(h_e, jacobi):
         (0, 2): {2: q(-2, 3)}, (2, 0): {2: q(2, 3)},
         (1, 2): {0: q(1, 3)}, (2, 1): {0: q(-1, 3)},
     }
-    assert alg.validation == ValidationReport("lie", 3, 27, tuple(
+    assert alg.validation == ValidationReport("lie", 3, tuple(
         Violation("jacobi", t, tuple("hef"[i] for i in t)) for t in jacobi
     ))
 
@@ -632,6 +632,16 @@ def test_eigengrading_toral_sl2_dims():
     _, _, grading = _sl2_graded()
     assert grading.period == 2
     assert grading.dims == (1, 2)
+    assert grading.dim == 3
+
+
+def test_a_grading_reads_its_period_and_dimension_off_its_components():
+    # two residues of one vector each: period 2 and dimension 2, with no
+    # stored field to disagree, and residue 2 is residue 0
+    one = q(1, 2)
+    grading = GradedDecomposition((({0: one},), ({1: one},)))
+    assert (grading.period, grading.dim, grading.dims) == (2, 2, (1, 1))
+    assert grading.component_solver(2) is grading.component_solver(0)
 
 
 @pytest.mark.parametrize(
@@ -692,7 +702,7 @@ def test_eigengrading_refuses_uncertified_non_multiplicative_map():
         twist(alg, sigma, (0, 0, 0), 1)
     # the n^2 product loop refuses the same grading, written out by hand
     one = q(1, 2)
-    by_hand = GradedDecomposition(2, 2, 3, (({1: one}, {2: one}), ({0: one},)))
+    by_hand = GradedDecomposition((({1: one}, {2: one}), ({0: one},)))
     with pytest.raises(GradingError, match="product of components 0 and 0"):
         product_rule_check(alg, by_hand)
 
@@ -935,10 +945,7 @@ def test_component_solver_refuses_pivot_not_one():
     with pytest.raises(GradingError, match="at its pivot"):
         ComponentSolver(comp)
     tampered = GradedDecomposition(
-        period=grading.period,
-        scalar_order=grading.scalar_order,
-        dim=grading.dim,
-        component_bases=(grading.component_bases[0], tuple(comp), grading.component_bases[2]),
+        (grading.component_bases[0], tuple(comp), grading.component_bases[2])
     )
     with pytest.raises(GradingError, match="at its pivot"):
         tampered.component_solver(1)
@@ -958,7 +965,8 @@ def test_component_solver_refuses_shared_index():
 
 def test_vector_outside_span_refused_by_both_solvers():
     grading = _triality_grading()
-    order = grading.scalar_order
+    # the scalar order of the table, read off a component vector's entries
+    order = next(iter(grading.component_bases[0][0].values())).order
     for i in range(grading.period):
         fast, slow = _solvers(grading, i)
         comp = grading.component_bases[i]
@@ -1255,19 +1263,34 @@ def test_centroid_dims_match_dense_oracle_m2():
         assert got.solution_dim == _centroid_oracle_dim(alg, grading, shift)
 
 
-def test_centroid_families_serialize_as_dense_matrices():
-    alg, _, grading = _sl2_graded()
-    report = centroid_graded(alg, grading)[0]
-    # entries are numbered residue by residue, row-major within a matrix
-    order = [(res, r, s) for res in range(2) for r in range(grading.dims[res]) for s in range(grading.dims[res])]
-    assert [report.entry_index(*key) for key in order] == list(range(len(order)))
-
-
 def test_centroid_identity_membership():
     alg, _, grading = _sl2_graded()
     reports = centroid_graded(alg, grading)
-    assert reports[0].contains_identity()
-    assert not reports[1].contains_identity()
+    assert reports[0].contains_identity
+    assert not reports[1].contains_identity
+
+
+@pytest.mark.parametrize(
+    "row, identity, families",
+    [
+        ({0: 1, 1: -1}, True, 2),
+        ({0: 1, 1: 1}, False, 2),
+        ({1: 1, 4: -1}, True, 2),
+        ({4: 1}, False, 2),
+    ],
+)
+def test_centroid_reads_the_identity_off_its_pivot_rows(monkeypatch, row, identity, families):
+    # sl2 graded by s = 1, m = 2 has dims (1, 2), and at shift 0 its
+    # surviving unknowns are the diagonal ones, 0, 1 and 4: one equation in
+    # place of the system leaves two families, and the identity (1, 1, 1)
+    # solves it exactly when its entries at the diagonal unknowns sum to 0
+    alg, _, grading = _sl2_graded()
+    equation = {k: CycloNum.rational(alg.scalar_order, c) for k, c in row.items()}
+    monkeypatch.setattr(centroid, "eliminate", lambda rows: linalg.eliminate([equation]))
+    report = centroid_graded(alg, grading)[0]
+    assert (report.contains_identity, report.solution_dim) == (identity, families)
+    one = CycloNum.one(alg.scalar_order)
+    assert identity == (linalg.rank([*report.basis, {0: one, 1: one, 4: one}]) == families)
 
 
 def test_centroid_of_untwisted_simple_algebra_is_scalars():
@@ -1275,7 +1298,7 @@ def test_centroid_of_untwisted_simple_algebra_is_scalars():
     grading = eigengrading(alg, twist(alg, *factors))
     (report,) = centroid_graded(alg, grading)
     assert report.solution_dim == 1
-    assert report.contains_identity()
+    assert report.contains_identity
 
 
 # -- the centroid on a generating set against the centroid on all basis pairs ---
@@ -1408,7 +1431,7 @@ def test_centroid_refuses_a_grading_that_breaks_the_product_rule():
     # the toral grading of sl2 with its components exchanged: [e, f] = h
     # leaves the component of e and f, which now has residue 0
     alg, _, grading = _sl2_graded()
-    swapped = GradedDecomposition(2, 2, 3, grading.component_bases[::-1])
+    swapped = GradedDecomposition(grading.component_bases[::-1])
     assert swapped.dims == (2, 1)
     with pytest.raises(GradingError, match="product rule violated while building centroid system"):
         centroid_graded(alg, swapped)

@@ -161,7 +161,7 @@ def test_every_public_name_resolves_to_its_definition():
         "print(json.dumps([len(loopforms.__all__), wrong]))\n"
     )
     count, wrong = _run(code)
-    assert count == 35
+    assert count == 34
     assert wrong == []
 
 

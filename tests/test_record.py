@@ -142,7 +142,7 @@ def test_caches_are_outside_equality_hash_and_repr():
     alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
     sigma = twist(alg, *factors)
     used = eigengrading(alg, sigma)
-    fresh = GradedDecomposition(used.period, used.scalar_order, used.dim, used.component_bases)
+    fresh = GradedDecomposition(used.component_bases)
     # eigengrading builds no solver; asking for one fills the cache
     assert not used._solvers
     assert used.component_solver(1) is used.component_solver(1)

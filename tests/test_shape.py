@@ -22,8 +22,10 @@ from pathlib import Path
 import pytest
 
 from loopforms.affine import AffineRootData, ExtractionReport, affine_certificate, fixed_cartan
-from loopforms.centroid import centroid_graded
-from loopforms.grading import FiniteOrderAutomorphism
+from loopforms.algebra import ValidationReport
+from loopforms.centroid import CentroidReport, centroid_graded
+from loopforms.classify import ClassificationRow
+from loopforms.grading import FiniteOrderAutomorphism, GradedDecomposition
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -54,10 +56,10 @@ def _words(*names):
         # vectors are sparse {index: scalar} mappings; dense tuples appear
         # only where a report is serialized
         pytest.param(r"\bVector\b|zero_vector|vec_add|vec_scale|densify", id="dense vector"),
-        # span membership is read off closed forms, is a rank test, or is the
-        # closure echelon of the centroid's generating set, and affine
-        # weights are read off the grading: no pivot-limited elimination and
-        # no candidate weights
+        # span membership is read off closed forms, off pivot rows already
+        # eliminated, or is the closure echelon of the centroid's generating
+        # set, and affine weights are read off the grading: no pivot-limited
+        # elimination and no candidate weights
         pytest.param(r"pivot_limit|candidates", id="span solver"),
         # every twist, of a type label or of M_n, is grading.twist of the
         # factors of chevalley.type_twist_factors or
@@ -249,6 +251,15 @@ def _words(*names):
         # Out is one record: classify.OutGroup carries its own class table,
         # read off the orbit walk beside the closure checks it rests on
         pytest.param(_words("ConjClassTable", "conjugacy_classes"), id="class table record"),
+        # a record stores only what its step decided: the centroid numbers
+        # its unknowns in one place and reads the identity off the pivot rows
+        # it eliminated, with no second numbering and no second elimination,
+        # which tests/dense.all_pairs_centroid keeps as the oracle, and a
+        # type's table has one builder, chevalley.algebra_over
+        pytest.param(
+            _words("entry_index", "_identity_in_span", "chevalley_algebra"),
+            id="restated centroid and table builder",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
@@ -390,9 +401,33 @@ def test_one_backtracking_search():
 
 
 def test_grading_derived_data_is_per_residue():
-    # one centroid call solves every shift, and root data is by residue
+    # one centroid call solves every shift; the grading and the root data
+    # store one entry per residue and read their period off them (below)
     assert tuple(inspect.signature(centroid_graded).parameters) == ("alg", "grading")
-    assert AffineRootData._fields == ("h0", "period", "spaces")
+
+
+@pytest.mark.parametrize(
+    "record, fields, derived",
+    [
+        pytest.param(*case, id=case[0].__name__)
+        for case in (
+            (GradedDecomposition, ("component_bases",), ("period", "dims", "dim")),
+            (ValidationReport, ("kind", "dim", "violations"), ("triples_checked", "ok")),
+            (AffineRootData, ("h0", "spaces"), ("period",)),
+            (
+                ClassificationRow,
+                ("class_rep", "class_size", "affine_label", "grading_dims", "centroid_dims"),
+                ("twist_order", "centroid_ok"),
+            ),
+            (CentroidReport, ("shift_residue", "contains_identity", "basis"), ("solution_dim",)),
+        )
+    ],
+)
+def test_a_record_stores_only_what_its_step_decided(record, fields, derived):
+    # what a record can read off its own fields is a property, not a
+    # second copy that could contradict them
+    assert record._fields == fields
+    assert all(isinstance(getattr(record, name), property) for name in derived)
 
 
 # -- the workflow runs only the gate ---------------------------------------------

@@ -48,9 +48,10 @@ def test_ledger_holds_every_pinned_request_as_the_recorder_writes_it():
     ledger = recorder.load()
     assert sorted(ledger) == sorted(recorder.key(argv) for argv in recorder.requests())
     # 112 pooled, 48 extract-gcm and 82 centroid or classify requests, three
-    # classify of M_N, verify-all, the D4 untwist, the --text extraction and
-    # --help, less 17 that two lists share
-    assert len(ledger) == 232
+    # classify of M_N, verify-all, the D4 untwist, grade and centroid with
+    # empty residues, the --text extraction and --help, less 17 that two
+    # lists share
+    assert len(ledger) == 234
     assert recorder.LEDGER.read_text(encoding="utf-8") == recorder.dump(ledger)
 
 

@@ -10,8 +10,8 @@ stored as its list of lines, so a changed field shows as one changed line in
 `git diff`.  The pinned requests are the ones `requests()` lists: every
 request the benchmark pools in perfbench/pool.py, extract-gcm and centroid of
 every diagram class, classify of every type and of M_1, M_2 and M_3,
-`verify-all`, one composed D4 untwist, one `--text` report and the `--help`
-text.
+`verify-all`, one composed D4 untwist, `grade` and `centroid` of a grading
+with empty residues, one `--text` report and the `--help` text.
 
 The pooled `--algebra` requests name tables under pool.TABLE_DIR, a path
 relative to the working directory.  The recorder writes those tables under a
@@ -44,6 +44,12 @@ POOL = ROOT / "perfbench" / "pool.py"
 
 # one D4 triality composed with a toral charge, with its untwisting map
 UNTWIST_D4 = ["untwist", "--type", "D4", "--auto", '{"pi":[3,2,4,1],"s":[0,1,0,0],"m":3}']
+
+# A1 graded by the zero charge at m = 3: every vector lies in residue 0, so
+# residues 1 and 2 are empty (dims [3, 0, 0])
+EMPTY_RESIDUES = [
+    [command, "--type", "A1", "--auto", '{"s":[0],"m":3}'] for command in ("grade", "centroid")
+]
 
 # the A2 flip's GCM as text: the one pinned report that the renderer prints
 # as a list of lists, in nested bullets
@@ -125,6 +131,7 @@ def requests() -> list[list[str]]:
         *(["classify", "--matrix-algebra", str(n)] for n in (1, 2, 3)),
         ["verify-all"],
         UNTWIST_D4,
+        *EMPTY_RESIDUES,
         EXTRACT_TEXT,
         ["--help"],
     ]
