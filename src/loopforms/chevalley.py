@@ -51,6 +51,7 @@ __all__ = [
     "FiniteCartanMatrix",
     "LieConstructError",
     "RootSystem",
+    "TYPE_LABELS",
     "algebra_over",
     "cartan_matrix",
     "check_twist",
@@ -558,9 +559,6 @@ class DiagramPermutation(Record):
         if sorted(self.images) != list(range(n)):
             raise RequestError(f"pi = {self.to_one_based()} is not a permutation of 1..{n}")
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """The orbits of the nodes, each sorted, ordered by their smallest node."""
         return tuple(tuple(sorted(cycle)) for cycle in _cycles(self.images))
@@ -583,10 +581,6 @@ class DiagramPermutation(Record):
     @staticmethod
     def from_one_based(images: Sequence[int]) -> "DiagramPermutation":
         return DiagramPermutation(tuple(i - 1 for i in images))
-
-    @staticmethod
-    def identity(rank: int) -> "DiagramPermutation":
-        return DiagramPermutation(tuple(range(rank)))
 
     def preserves(self, cartan: FiniteCartanMatrix) -> bool:
         """True when this permutes the nodes of cartan, so has its rank, and

@@ -76,10 +76,6 @@ class OutGroup(Record):
                 if g.compose(h).images not in seen:
                     raise ClassifyError("not closed under composition")
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     @cached_property
     def members(self) -> tuple[frozenset, ...]:
         """The conjugation orbits, by brute force, in the order of their

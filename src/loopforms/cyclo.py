@@ -12,20 +12,21 @@ so representations are canonical and equality is component-wise.
 Two design rules hold throughout the package:
 
 * no floating point anywhere; a scalar is integer numerators over one
-  positive integer denominator, and nothing here imports `fractions`.  Ints
-  and Fractions are accepted as inputs (`CycloNum(order, coeffs)`,
-  `rational`, `from_poly`, coercion), both read through their `numerator`
-  and `denominator`; a Fraction is built only on request, by the `coeffs`
-  view and `as_fraction`.
+  positive integer denominator, nothing here builds a Fraction, and
+  `fractions` is imported for annotations only.  Ints and Fractions are
+  accepted as inputs (`rational`, `from_poly`, coercion), both read through
+  their `numerator` and `denominator`; `num` and `den` are the one view of
+  a number.
   Serialization writes and reads coefficient strings with ints alone,
 * numbers of different orders never mix silently.  Arithmetic between two
-  CycloNum values requires equal `order`; callers move into a common field
-  with `embed` first.  Plain ints and Fractions coerce into the order of the
-  other operand, since the rationals sit canonically inside every Q(zeta_m).
+  CycloNum values requires equal `order`.  Plain ints and Fractions coerce
+  into the order of the other operand, since the rationals sit canonically
+  inside every Q(zeta_m).
 
-The compatible choice of roots (zeta_m = zeta_n^(n/m) whenever m | n) is what
-`embed` implements; the package writes each table over the field its twist
-needs, so only the tests embed, to check those tables against the ones over Q.
+The package writes each table over the field its twist needs, so no number
+moves between fields here; only the tests embed Q(zeta_m) in Q(zeta_n), by
+the compatible choice of roots zeta_m = zeta_n^(n/m) whenever m | n, to
+check those tables against the ones over Q.
 
 Every layer imports this module, so it also holds the one vector type,
 `Sparse` ({index: CycloNum} with no zero entry), and `sparse_add`.
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from operator import add
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .record import RequestError
 
@@ -249,8 +250,11 @@ _new = object.__new__
 def _from_canonical(order: int, num: tuple[int, ...], den: int) -> "CycloNum":
     """The number num/den, given canonical: den > 0, gcd(den, *num) == 1.
 
-    Every CycloNum is built here, so every one has a valid order and
-    phi(order) numerators."""
+    Every CycloNum is built here.  Each constructor checks its order and
+    pads or reduces its input to phi(order) numerators, and arithmetic
+    keeps its operands' length, so the length check below is reached only
+    by a number whose numerators were altered after it was built: through
+    arithmetic on it, or through unpickling it."""
     if len(num) != euler_phi(order):  # euler_phi raises on order < 1
         raise ValueError(
             f"coefficient vector must have length phi({order}) = "
@@ -281,17 +285,12 @@ class CycloNum:
     It is stored as `num`, the integer numerators of its power-basis
     coefficients, over one common denominator `den` > 0 with
     gcd(den, *num) == 1, so equal values have equal fields, equal objects
-    and equal hashes.  Instances are immutable.  `coeffs` is the same vector
-    as Fractions, built on request; serialization and display read `num`
+    and equal hashes.  Instances are immutable; `from_poly` is the
+    constructor from coefficients, and serialization and display read `num`
     and `den`.
     """
 
     __slots__ = ("_order", "_num", "_den")
-
-    def __new__(cls, order: int, coeffs: Sequence[Union[int, Fraction]]) -> "CycloNum":
-        # every pair is in lowest terms, so the common form is canonical
-        num, den = _over_common_denominator([_ratio(c) for c in coeffs])
-        return _from_canonical(order, tuple(num), den)
 
     @property
     def order(self) -> int:
@@ -304,13 +303,6 @@ class CycloNum:
     @property
     def den(self) -> int:
         return self._den
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-
-        den = self._den
-        return tuple(Fraction(x, den) for x in self._num)
 
     @staticmethod
     def rational(order: int, value: Union[int, Fraction]) -> "CycloNum":
@@ -361,13 +353,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._num[0], self._den)
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other: Coercible) -> "CycloNum":
@@ -397,16 +382,7 @@ class CycloNum:
     __radd__ = __add__
 
     def __sub__(self, other: Coercible) -> "CycloNum":
-        if other.__class__ is not CycloNum or other._order != self._order:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        da, db = self._den, other._den
-        if da == db:
-            return _make(self._order, tuple(map(sub, self._num, other._num)), da)
-        return _make(
-            self._order, tuple([x * db - y * da for x, y in zip(self._num, other._num)]), da * db
-        )
+        return self + (-other)
 
     def __rsub__(self, other: Coercible) -> "CycloNum":
         return (-self) + other
@@ -473,20 +449,6 @@ class CycloNum:
             base = base * base
             e >>= 1
         return result
-
-    # -- change of field -----------------------------------------------
-
-    def embed(self, n: int) -> "CycloNum":
-        """Rewrite in Q(zeta_n) using zeta_m = zeta_n^(n/m); requires order | n."""
-        if n % self._order != 0:
-            raise ValueError(f"cannot embed order {self._order} into order {n}: not a divisor")
-        if n == self._order:
-            return self
-        step = n // self._order
-        out = [0] * ((len(self._num) - 1) * step + 1)
-        for i, x in enumerate(self._num):
-            out[i * step] = x
-        return _make(n, _reduce(n, out), self._den)
 
     # -- serialization and display ---------------------------------------
 

@@ -22,7 +22,8 @@ Each closed-form component vector is an orbit sum over one cycle: it is 1 at
 its smallest index and the vectors of a component have disjoint supports.
 So coordinates in a component need no elimination: `ComponentSolver` reads
 a vector in one pass over its entries, finding each entry's owner and that
-owner's coefficient at its pivot.
+owner's coefficient at its pivot, and a vector lies in the component exactly
+when that read gives coordinates.
 
 All verification here is exact and total over the stated ranges; nothing is
 sampled.
@@ -88,9 +89,6 @@ class FiniteOrderAutomorphism(Record):
     @property
     def scalar_order(self) -> int:
         return self.scalars[0].order
-
-    def apply(self, v: Sparse) -> Sparse:
-        return {self.images[j]: self.scalars[j] * x for j, x in v.items()}
 
     def certified_on(self, alg: MultTableAlgebra) -> bool:
         """Whether `twist` certified this map on the table alg."""
@@ -283,9 +281,6 @@ class ComponentSolver:
         if sum(len(self.vectors[k]) for k in out) != len(v):
             return None
         return out
-
-    def contains(self, v: Sparse) -> bool:
-        return self.coords(v) is not None
 
 
 class GradedDecomposition(Record):

@@ -1,6 +1,6 @@
 """The elimination kernel over cyclotomic scalars; `centroid` is the one
 module of the package that imports it.  Vectors are `cyclo.Sparse`;
-`nullspace` and `rank` also accept dense rows, which only the benchmark's
+`nullspace` also accepts dense rows, which only the benchmark's
 `perfbench/micro.py` and the tests' dense oracles pass.
 
 Every elimination goes through one sparse Gauss-Jordan routine: `Echelon`,
@@ -17,10 +17,10 @@ returned vectors are themselves in reduced row-echelon form.
 The package tests span membership without a general solver: its spans are
 written down in closed form (read by `grading.ComponentSolver`), are cut out
 by pivot rows already eliminated (the identity in the centroid), or grow as
-the centroid's generating set does (`Echelon.reduce`).  `rank` and
-`SpanSolver`, membership by elimination, have no caller in the package; the
-tests and their dense oracles use them, and the benchmark's
-`perfbench/tracer.py` wraps them by name.
+the centroid's generating set does (`Echelon.reduce`).  `SpanSolver`,
+membership by elimination, has no caller in the package; the tests' dense
+oracles use it, and the benchmark's `perfbench/tracer.py` wraps it by name.
+The rank of a list of rows is the number of pivot rows `eliminate` returns.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "SpanSolver",
     "eliminate",
     "nullspace",
-    "rank",
 ]
 
 
@@ -113,11 +112,6 @@ def _dot(a: Mapping[int, CycloNum], b: Mapping[int, CycloNum]) -> Optional[Cyclo
     return acc
 
 
-def rank(rows: Iterable[Row]) -> int:
-    """Rank of the rows, each dense or a sparse {column: scalar} mapping."""
-    return len(eliminate(_sparse(row) for row in rows))
-
-
 def nullspace(rows: Iterable[Row], ncols: int, order: int) -> list[Sparse]:
     """Canonical kernel basis of the linear map given by `rows` (ncols unknowns),
     each row dense or a sparse {column: scalar} mapping.  The basis vectors
@@ -185,6 +179,3 @@ class SpanSolver:
             if value is not None and not value.is_zero():
                 out[pc] = value
         return out
-
-    def contains(self, v: Mapping[int, CycloNum]) -> bool:
-        return self.coords(v) is not None

@@ -20,6 +20,10 @@ between the two gradings and brackets every pair of slices, on
 and additivity clauses of `_verify_untwist`, and `base_change_check`
 checks a grading degree by degree in a window.  `FractionCyclo` is Q(zeta_m)
 on Fraction coefficients, the reference for the integer numerators and one denominator of `CycloNum`.
+`rank` counts the pivot rows `linalg.eliminate` keeps, `embed` moves a
+scalar into Q(zeta_n) through `CycloNum.from_poly`, and `rational_value`
+reads a rational scalar as a Fraction off `num` and `den`: what the oracles
+need of rank, change of field and Fraction views, which `src` does not do.
 `kernel_affine_roots` decomposes each grading component by one nullspace per
 candidate weight, the reference for the weights `affine.affine_roots` reads
 off the closed-form grading, and `orbit_sum_cartan` builds h0 from pi, the
@@ -110,7 +114,7 @@ from loopforms.grading import (
     _check_period,
     twist,
 )
-from loopforms.linalg import SpanSolver, eliminate, nullspace, rank
+from loopforms.linalg import SpanSolver, eliminate, nullspace
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -125,6 +129,31 @@ def densify(v: Mapping[int, CycloNum], dim: int, order: int) -> Vector:
 def sparsify(v: Sequence[CycloNum]) -> Sparse:
     """The sparse vector of a dense tuple: its nonzero entries by index."""
     return {i: x for i, x in enumerate(v) if not x.is_zero()}
+
+
+def rank(rows: Sequence[Union[Sequence[CycloNum], Mapping[int, CycloNum]]]) -> int:
+    """The rank of rows, each dense or a sparse {column: scalar} mapping:
+    the number of pivot rows `linalg.eliminate` keeps."""
+    return len(eliminate(row if isinstance(row, Mapping) else sparsify(row) for row in rows))
+
+
+def embed(x: CycloNum, n: int) -> CycloNum:
+    """x rewritten in Q(zeta_n) by zeta_m = zeta_n^(n/m), for a multiple n
+    of its order m: z^i goes to z^(i n/m), and `CycloNum.from_poly` reduces."""
+    if n % x.order != 0:
+        raise ValueError(f"cannot embed order {x.order} into order {n}: not a divisor")
+    step = n // x.order
+    out = [Fraction(0)] * ((len(x.num) - 1) * step + 1)
+    for i, c in enumerate(x.num):
+        out[i * step] = Fraction(c, x.den)
+    return CycloNum.from_poly(n, out)
+
+
+def rational_value(x: CycloNum) -> Fraction:
+    """A rational x as a Fraction, read off `num` and `den`."""
+    if not x.is_rational():
+        raise ValueError(f"{x} is not rational")
+    return Fraction(x.num[0], x.den)
 
 
 def span_probes(vectors: Sequence[Sparse], dim: int, order: int) -> list[Sparse]:
@@ -321,7 +350,7 @@ def product_rule_check(alg: MultTableAlgebra, grading: GradedDecomposition) -> N
             solver = grading.component_solver(i + j)
             for x in comps[i]:
                 for y in comps[j]:
-                    if not solver.contains(alg.product_sparse(x, y)):
+                    if solver.coords(alg.product_sparse(x, y)) is None:
                         raise GradingError(
                             f"product of components {i} and {j} leaves component {(i + j) % m}"
                         )
@@ -349,12 +378,12 @@ def propagated_diagram_map(
     def perm_root(alpha: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * l
         for i, c in enumerate(alpha):
-            out[perm(i)] = c
+            out[perm.images[i]] = c
         return tuple(out)
 
     images: dict[int, Sparse] = {}
     for i in range(l):
-        images[i] = {perm(i): one}
+        images[i] = {perm.images[i]: one}
     for alpha in rs.positives:
         if sum(alpha) == 1:
             images[root_index[alpha]] = {root_index[perm_root(alpha)]: one}
@@ -400,11 +429,10 @@ def propagation_consistency(
     basis pair."""
     roots = frozenset(rs.roots)
     _, root_index = _basis_layout(rs)
-    order = alg.scalar_order
-    one = CycloNum.one(order)
 
     def image(root: tuple[int, ...]) -> Sparse:
-        return sigma.apply({root_index[root]: one})
+        j = root_index[root]
+        return {sigma.images[j]: sigma.scalars[j]}
 
     for a in rs.roots:
         for b in rs.roots:
@@ -794,7 +822,7 @@ def windowed_untwist_check(
         for j, v in slices(grading_from):
             image = _untwist_element({j: v}, shifts, direction)
             for d, piece in image.items():
-                if not grading_to.component_solver(d % m).contains(piece):
+                if grading_to.component_solver(d % m).coords(piece) is None:
                     raise DescentError(f"{name}: degree {j} image piece at degree {d}")
     source_slices = slices(source_grading)
     if not source_slices:
@@ -860,7 +888,7 @@ def base_change_check(alg: MultTableAlgebra, grading: GradedDecomposition, windo
             for x in grading.component_bases[d1 % m]:
                 for y in grading.component_bases[d2 % m]:
                     pairs += 1
-                    if not solver.contains(alg.product_sparse(x, y)):
+                    if solver.coords(alg.product_sparse(x, y)) is None:
                         failures.append(
                             f"degrees ({d1},{d2}): product leaves the degree {d1 + d2} slice"
                         )
@@ -917,7 +945,7 @@ class FractionCyclo:
 
     @staticmethod
     def of(x: CycloNum) -> "FractionCyclo":
-        return FractionCyclo(x.order, x.coeffs)
+        return FractionCyclo(x.order, tuple(Fraction(c, x.den) for c in x.num))
 
     def _lift(self, other: Union["FractionCyclo", int, Fraction]) -> "FractionCyclo":
         if isinstance(other, FractionCyclo):
@@ -1062,7 +1090,7 @@ def layout_exponents(name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _grading_fixtures() -> dict:
     """name -> factors (algebra, outer, exponents, m) of each of _GRADING_FIXTURES."""
-    toral = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
+    toral = type_twist_factors("A1", DiagramPermutation((0,)), (1,), 2)
     flip = DiagramPermutation((1, 0))
     a2, outer, *charged = type_twist_factors("A2", flip, (1, 1), 2)
     triality = DiagramPermutation((2, 1, 3, 0))
@@ -1090,7 +1118,7 @@ def twist_factors(
         return matrix_twist_factors(n, exponents, m)
     label, pi, s, m = _TYPE_TWISTS[name]
     perm = (
-        DiagramPermutation.identity(len(s)) if pi is None else DiagramPermutation.from_one_based(pi)
+        DiagramPermutation(tuple(range(len(s)))) if pi is None else DiagramPermutation.from_one_based(pi)
     )
     return type_twist_factors(label, perm, s, m)
 
@@ -1194,7 +1222,7 @@ def twisted_fixed_points(
             )
         solver = grading.component_solver(r)
         for v in kernel:
-            if not solver.contains(v):
+            if solver.coords(v) is None:
                 raise DescentError(f"residue {r}: fixed vector escapes the grading component")
         kernels.append(tuple(kernel))
     return tuple(kernels)
@@ -1318,7 +1346,7 @@ def diagram_and_composition(
     if len(s) != rs.rank:
         raise LieConstructError("charge rank mismatch")
     for i in range(rs.rank):
-        if s[i] != s[perm(i)]:
+        if s[i] != s[perm.images[i]]:
             raise LieConstructError("toral charge must be constant on permutation orbits")
     period = lcm(perm.order(), m)
     if alg.scalar_order % period != 0:
@@ -1553,7 +1581,7 @@ def embed_algebra(alg: MultTableAlgebra, n: int) -> MultTableAlgebra:
     if n == alg.scalar_order:
         return alg
     products = {
-        key: {k: c.embed(n) for k, c in entry.items()} for key, entry in alg.products.items()
+        key: {k: embed(c, n) for k, c in entry.items()} for key, entry in alg.products.items()
     }
     out = MultTableAlgebra(
         dim=alg.dim,

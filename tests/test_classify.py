@@ -38,7 +38,7 @@ GROUP_TABLE = {
 def test_group_orders_and_class_counts(label, expected):
     order, classes = expected
     group = dynkin_automorphism_group(cartan_matrix(label))
-    assert group.order == order
+    assert len(group.elements) == order
     assert len(group.classes) == classes
     assert sum(size for _, size in group.classes) == order
 
@@ -65,7 +65,7 @@ def test_d4_class_sizes():
 def test_group_past_rank_9_needs_no_budget(label, order):
     # node_isomorphisms prunes its search, so the group has no rank limit of
     # its own: cartan_matrix's size limit is the one a label meets
-    assert dynkin_automorphism_group(cartan_matrix(label)).order == order
+    assert len(dynkin_automorphism_group(cartan_matrix(label)).elements) == order
 
 
 # -- subgroups of Out -------------------------------------------------------------
@@ -78,12 +78,12 @@ ROTATION = DiagramPermutation((2, 1, 3, 0))
 def _cyclic3():
     """D4's triality subgroup, cyclic of order 3."""
     return OutGroup(
-        elements=(DiagramPermutation.identity(4), ROTATION, ROTATION.inverse()), cartan=D4
+        elements=(DiagramPermutation((0, 1, 2, 3)), ROTATION, ROTATION.inverse()), cartan=D4
     )
 
 
 def test_group_axioms_are_checked():
-    identity = DiagramPermutation.identity(4)
+    identity = DiagramPermutation((0, 1, 2, 3))
     # no element, so no identity
     with pytest.raises(ClassifyError, match="missing identity"):
         OutGroup(elements=(), cartan=D4)
@@ -105,7 +105,7 @@ def test_group_axioms_are_checked():
         )
     # the identity of rank 3 fixes the two nodes of A2 but is no symmetry of it
     with pytest.raises(ClassifyError, match="element does not preserve the Cartan matrix"):
-        OutGroup(elements=(DiagramPermutation.identity(3),), cartan=cartan_matrix("A2"))
+        OutGroup(elements=(DiagramPermutation((0, 1, 2)),), cartan=cartan_matrix("A2"))
 
 
 @pytest.mark.parametrize("label", ["A2", "A3"])

@@ -55,7 +55,7 @@ FLIP = DiagramPermutation((1, 0))
 
 
 def _sl2_toral():
-    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, *factors = type_twist_factors("A1", DiagramPermutation((0,)), (1,), 2)
     return alg, twist(alg, *factors)
 
 
@@ -201,7 +201,7 @@ def _untwist_rows(window):
 
 
 def test_untwist_sl2_moves_weight_lines():
-    alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, *factors = _type_twist("A1", DiagramPermutation((0,)), (1,), 2)
     iso = untwist_iso(alg, *factors)
     assert iso.period == 2
     # basis order h, e, f: e drops one degree, f gains one, h stays
@@ -349,7 +349,7 @@ def _untwist_inputs(label, perm, s, m):
 
 def test_perturbed_shift_fails_additivity():
     alg, sigma, outer, shifts, gradings = _untwist_inputs(
-        "A1", DiagramPermutation.identity(1), (1,), 2
+        "A1", DiagramPermutation((0,)), (1,), 2
     )
     assert shifts == (0, 1, -1)
     assert untwist_iso(alg, outer, shifts, 2).shifts == shifts
@@ -368,7 +368,7 @@ def test_perturbed_shift_fails_additivity():
 
 def test_doubled_shifts_are_additive_but_do_not_land():
     alg, sigma, outer, shifts, gradings = _untwist_inputs(
-        "A2", DiagramPermutation.identity(2), (1, 0), 3
+        "A2", DiagramPermutation((0, 1)), (1, 0), 3
     )
     doubled = tuple(2 * x for x in shifts)
     for (a, b), entry in alg.products.items():
@@ -407,7 +407,7 @@ def test_orbit_breaking_shift_does_not_land():
 
 def test_residue_two_is_covered_beyond_the_window():
     alg, sigma, outer, shifts, gradings = _untwist_inputs(
-        "B2", DiagramPermutation.identity(2), (1, 1), 4
+        "B2", DiagramPermutation((0, 1)), (1, 1), 4
     )
     # one period more on every root vector of residue 2 keeps every landing
     bad = tuple(x + 4 if x % 4 == 2 else x for x in shifts)
@@ -444,7 +444,7 @@ def test_untwist_computes_no_grading(monkeypatch, capsys):
 
 
 def test_perturbed_coboundary_shift_detected():
-    alg, identity, shifts, m = _type_twist("A2", DiagramPermutation.identity(2), (1, 0), 3)
+    alg, identity, shifts, m = _type_twist("A2", DiagramPermutation((0, 1)), (1, 0), 3)
     assert untwist_iso(alg, identity, shifts, m).shifts == shifts
     e01 = alg.basis_labels.index("e[0,1]")
     # a shift moved by one names no automorphism
@@ -530,7 +530,7 @@ def test_twist_accepts_exactly_what_both_oracles_accept(row, monkeypatch, capsys
 
 
 def test_twist_asks_for_the_integer_lift_of_its_exponents():
-    alg, identity, exponents, m = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, identity, exponents, m = _type_twist("A1", DiagramPermutation((0,)), (1,), 2)
     assert alg.basis_labels == ("h1", "e[1]", "f[1]") and exponents == (0, 1, -1)
     # (0, 1, 1) is additive mod 2 only: [e, f] = h has 0 = 1 + 1 mod 2
     oracle = check_diagonal_automorphism(alg, (0, 1, 1), 2)
@@ -556,7 +556,7 @@ def test_matrix_unit_shifts_m3():
 
 
 def test_coboundary_witness_sl2():
-    alg, *factors = _type_twist("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, *factors = _type_twist("A1", DiagramPermutation((0,)), (1,), 2)
     iso = untwist_iso(alg, *factors)
     assert iso.shifts == (0, 1, -1)
     row = {"check": "coboundary-identity", "window": 4, "status": "pass"}

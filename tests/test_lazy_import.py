@@ -165,6 +165,16 @@ def test_every_public_name_resolves_to_its_definition():
     assert wrong == []
 
 
+def test_every_exported_name_is_in_its_modules_all():
+    code = (
+        "import importlib, json, loopforms\n"
+        "print(json.dumps([f'{module}.{name}' for module, names in loopforms._EXPORTS.items()\n"
+        "                  for name in names\n"
+        "                  if name not in importlib.import_module('loopforms.' + module).__all__]))\n"
+    )
+    assert _run(code) == []
+
+
 def test_star_import_binds_every_public_name():
     code = (
         "import json, loopforms\n"

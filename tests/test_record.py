@@ -139,7 +139,7 @@ def test_caches_are_outside_equality_hash_and_repr():
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(alg)
 
-    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, *factors = type_twist_factors("A1", DiagramPermutation((0,)), (1,), 2)
     sigma = twist(alg, *factors)
     used = eigengrading(alg, sigma)
     fresh = GradedDecomposition(used.component_bases)
@@ -157,7 +157,7 @@ def test_caches_are_outside_equality_hash_and_repr():
 
 
 def test_cached_property_is_kept_on_the_instance():
-    alg, *factors = type_twist_factors("A1", DiagramPermutation.identity(1), (1,), 2)
+    alg, *factors = type_twist_factors("A1", DiagramPermutation((0,)), (1,), 2)
     sigma = twist(alg, *factors)
     assert sigma.matrix is sigma.matrix
     assert "matrix" in sigma.__dict__

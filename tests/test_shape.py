@@ -24,7 +24,7 @@ import pytest
 from loopforms.affine import AffineRootData, ExtractionReport, affine_certificate, fixed_cartan
 from loopforms.algebra import ValidationReport
 from loopforms.centroid import CentroidReport, centroid_graded
-from loopforms.classify import ClassificationRow
+from loopforms.classify import ClassificationRow, OutGroup
 from loopforms.grading import FiniteOrderAutomorphism, GradedDecomposition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,7 +102,7 @@ def _words(*names):
             id="per-degree data",
         ),
         # scalars are ints over a common denominator: src imports fractions
-        # only inside the functions that build a Fraction
+        # for annotations only (test_src_imports_fractions_only_for_annotations)
         pytest.param(r"^(?:from|import) fractions", id="module-level fractions"),
         # value types are Records, which generate no code at import
         pytest.param(r"dataclass", id="dataclass"),
@@ -260,10 +260,56 @@ def _words(*names):
             _words("entry_index", "_identity_in_span", "chevalley_algebra"),
             id="restated centroid and table builder",
         ),
+        # one way to do each thing: CycloNum.from_poly is the one constructor
+        # from coefficients, num and den the one view of a number, coords the
+        # one read of a span (a vector is in it when coords gives
+        # coordinates) and images[i] a permutation's value; the rank of rows,
+        # the change of field and the Fraction view are the tests' own
+        # (tests/dense.rank, embed and rational_value)
+        pytest.param(
+            r"\bdef (?:__new__|coeffs|as_fraction|embed|contains|__call__|identity)\b"
+            r"|^def rank\b",
+            id="second ways",
+        ),
     ],
 )
 def test_deleted_names_stay_out_of_src(pattern):
     assert _matches(pattern) == []
+
+
+@pytest.mark.parametrize("owner, name", [(FiniteOrderAutomorphism, "apply"), (OutGroup, "order")])
+def test_deleted_methods_stay_off_their_classes(owner, name):
+    # a monomial map's image of e_j is read off images[j] and scalars[j],
+    # and the order of Out is len(elements); other classes keep methods of
+    # these names (centroid's generator products, DiagramPermutation.order),
+    # so the class itself is checked
+    assert name not in vars(owner)
+
+
+def test_src_imports_fractions_only_for_annotations():
+    # no module builds a Fraction: an int or a Fraction input is read through
+    # its numerator and denominator, so fractions is imported under
+    # TYPE_CHECKING alone
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        annotations = {
+            id(node)
+            for block in ast.walk(tree)
+            if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+            for stmt in block.body
+            for node in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in (m.partition(".")[0] for m in modules) and id(node) not in annotations:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
 
 
 def test_twist_alone_marks_a_map_certified():
