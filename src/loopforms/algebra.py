@@ -27,8 +27,8 @@ from itertools import permutations
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cyclo import CycloNum, Sparse, _json_int, sparse_add
-from .record import MAX_DIM, Record, RequestError
+from .cyclo import CycloNum, Sparse, sparse_add
+from .record import MAX_DIM, Record, RequestError, is_int
 
 __all__ = [
     "AlgebraError",
@@ -189,9 +189,13 @@ class MultTableAlgebra(Record):
         for field in ("dim", "scalar_order", "kind", "labels", "constants"):
             if field not in obj:
                 raise RequestError(f"a serialized algebra lacks the field {field!r}")
-        dim = _json_int(obj["dim"])
+        dim, order = obj["dim"], obj["scalar_order"]
+        if not is_int(dim):
+            raise RequestError(f"the dimension must be an integer, not {dim!r}")
         if dim > MAX_DIM:
             raise RequestError(f"a table of dimension {dim} exceeds the size limit {MAX_DIM}")
+        if not is_int(order):
+            raise RequestError(f"the scalar order must be an integer, not {order!r}")
         labels = obj["labels"]
         if type(labels) is not list or not all(type(label) is str for label in labels):
             raise RequestError("labels must be a list of strings")
@@ -199,21 +203,22 @@ class MultTableAlgebra(Record):
         if type(entries) is not list or not all(
             type(item) is list
             and len(item) == 3
+            and is_int(item[0])
+            and is_int(item[1])
             and type(item[2]) is list
-            and all(type(term) is list and len(term) == 2 for term in item[2])
+            and all(type(term) is list and len(term) == 2 and is_int(term[0]) for term in item[2])
             for item in entries
         ):
             raise RequestError("constants must be a list of entries [i, j, [[k, scalar], ...]]")
-        order = _json_int(obj["scalar_order"])
         products: dict[tuple[int, int], Sparse] = {}
         twice = []
         for i, j, terms in entries:
-            key = (_json_int(i), _json_int(j))
+            key = (i, j)
             if key in products:
                 twice.append(key)
             entry = products.setdefault(key, {})
             for k, c in terms:
-                k, c = _json_int(k), CycloNum.from_obj(c)
+                c = CycloNum.from_obj(c)
                 prev = entry.get(k)
                 if prev is not None and prev.order == c.order:
                     c = prev + c

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles
 from .cyclo import CycloNum
-from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
+from .record import MAX_DIM, MAX_PERIOD, Record, RequestError, read_int
 
 # the automorphism layer is imported by the functions that build
 # automorphisms, so building a table compiles no grading code
@@ -163,19 +163,16 @@ def cartan_matrix(label: str) -> FiniteCartanMatrix:
     highest roots come out as (2, 4, 3, 2) and (2, 3), where Bourbaki has
     (2, 3, 4, 2) and (3, 2).  This stands until ROADMAP item 1 renumbers
     them.  A label other than a family letter and a rank in ASCII digits
-    without a leading zero, a rank its family lacks, or a type whose algebra
-    has dimension above `record.MAX_DIM` is a malformed input: it raises
-    RequestError, before any matrix is built.  The dimension is rank +
-    #roots, in closed form.
+    without a leading zero (read by `record.read_int`), a rank its family
+    lacks, or a type whose algebra has dimension above `record.MAX_DIM` is
+    a malformed input: it raises RequestError, before any matrix is built.
+    The dimension is rank + #roots, in closed form.
     """
-    rank = label[1:]
-    digits = rank.isascii() and rank.isdigit() and (rank == "0" or not rank.startswith("0"))
-    if len(label) < 2 or label[0] not in "ABCDEFG" or not digits:
+    family, rank = label[:1], label[1:]
+    l = read_int(rank) if family and family in "ABCDEFG" else None
+    # str(l) == rank refuses a leading zero, and l >= 0 a minus sign
+    if l is None or l < 0 or str(l) != rank:
         raise RequestError(f"unknown type label {label!r}")
-    try:
-        family, l = label[0], int(rank)
-    except ValueError:  # past the interpreter's digit limit
-        raise RequestError(f"a rank of {len(rank)} digits is past the digit limit") from None
     # the dimension of each family's algebra, falsy for a rank it lacks
     dim = {
         "A": l >= 1 and l * (l + 2),

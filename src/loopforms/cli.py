@@ -2,11 +2,11 @@
 classification, and GCM extraction.
 
 Every command runs one module pipeline, and `main` prints the report it
-builds, a JSON object of the command, its status and its payload; the
-human-readable rendering is generated from the same object, so the two
-formats cannot drift.  Exit codes: 0 all checks passed,
-1 a verification failed, 2 the request was malformed.  Timing goes to
-stderr, never into the payload, so identical requests give identical bytes.
+builds to stdout, a JSON object of the command, its status and its payload;
+`--text` renders the same object as tables, so the two formats cannot drift.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 the request was
+malformed.  Timing goes to stderr, never into the payload, so identical
+requests give identical bytes.
 
 The argument grammar is `loopforms COMMAND [FLAG VALUE | FLAG=VALUE]...`,
 read by one table-driven parser: the eight commands share one flag set, and
@@ -14,17 +14,13 @@ each row of `_COMMANDS` names the input flags its command reads, which
 `_request` alone resolves and checks.  Flags are spelled out in full; an
 abbreviation is an unknown flag.
 
-The CLI checks only the shape of the argv and of `--auto`.  The library
-decides whether the input names a type and a twist within its two size
-limits, on the dimension of the table and on the period (`record`), and
-refuses it with the same `record.RequestError` the CLI raises, so `_request`
-maps every refused input to exit 2, whichever module refused it, and every
-failed certificate to exit 1.
-
-`verify-all` runs each request of `_VERIFY_TABLE` through `_request`, the
-path `main` runs, and checks the fields its report must hold; it then reruns
-the table in a fresh interpreter under another hash seed and compares the
-serialized reports of every request, byte for byte.
+The CLI checks only the shape of the argv and of `--auto`, with `record`'s
+readers.  The library decides whether the input names a type and a twist
+within its two size limits, on the dimension of the table and on the period
+(`record`), and refuses it with the same `record.RequestError` the CLI
+raises, so `_request` maps every refused input to exit 2, whichever module
+refused it, and every failed certificate to exit 1.  verify-all's table of
+known answers is `verify`'s, which only that command imports.
 """
 
 from __future__ import annotations
@@ -35,11 +31,11 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from .algebra import MultTableAlgebra
-from .record import RequestError
+from .record import RequestError, is_int, read_int, read_json
 
 # chevalley is imported by the paths that read a type label, and grading,
-# centroid, affine, classify and descent inside the handlers that use them,
-# so a request loads, and compiles, only the modules its command needs
+# centroid, affine, classify, descent and verify inside the handlers that
+# use them, so a request loads, and compiles, only the modules it needs
 if TYPE_CHECKING:
     from .chevalley import DiagramPermutation, FiniteCartanMatrix
 
@@ -52,20 +48,10 @@ __all__ = ["main"]
 def _parse_auto_json(raw: Optional[str]) -> dict:
     if raw is None:
         return {}
-    try:
-        obj = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise RequestError(f"--auto is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise RequestError("--auto nests too deeply to read") from None
+    obj = read_json(raw, "--auto")
     if not isinstance(obj, dict):
         raise RequestError("--auto must be a JSON object")
     return obj
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; true and false decode to bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutation, tuple[int, ...], int]:
@@ -83,7 +69,7 @@ def _type_auto(obj: dict, cartan: FiniteCartanMatrix) -> tuple[DiagramPermutatio
 
 def _modulus(obj: dict) -> int:
     m = obj.get("m", 1)
-    if not _is_int(m):
+    if not is_int(m):
         raise RequestError("m must be an integer")
     return m
 
@@ -100,7 +86,7 @@ def _matrix_auto(obj: dict) -> tuple[Optional[tuple[int, ...]], int]:
 def _int_list(obj: dict, key: str, default) -> Optional[tuple[int, ...]]:
     """obj[key], a JSON list of integers, or default when absent or null."""
     value = obj.get(key)
-    if value is not None and (not isinstance(value, list) or not all(map(_is_int, value))):
+    if value is not None and (not isinstance(value, list) or not all(map(is_int, value))):
         raise RequestError(f"{key} must be a list of integers")
     return default if value is None else tuple(value)
 
@@ -121,15 +107,11 @@ def _one_source(args: _Args, allowed: tuple[str, ...]) -> str:
 
 def _load_algebra(path: str) -> MultTableAlgebra:
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise RequestError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise RequestError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise RequestError(f"{path} nests too deeply to read") from None
-    return MultTableAlgebra.from_obj(obj)
+    return MultTableAlgebra.from_obj(read_json(raw, path))
 
 
 def _build_sigma(args: _Args, source: str, spec: dict):
@@ -283,60 +265,9 @@ def _cmd_centroid(args: _Args, source: str, spec: dict) -> dict:
 
 
 def _cmd_verify_all(args: _Args, source: None, spec: dict) -> dict:
-    rows, serialized = _run_table()
-    identical = serialized == _fresh_rerun()
-    passed = all("report" not in row for row in rows)
-    return {
-        "rows": rows,
-        "determinism": {"identical_bytes": identical, "bytes": len(serialized)},
-        "status": "pass" if passed and identical else "fail",
-    }
+    from .verify import run
 
-
-def _run_table() -> tuple[list[dict], bytes]:
-    """One row per request of `_VERIFY_TABLE`: its argv, the command's own
-    status, and whether each expected field equals the payload's.  A row
-    that fails, by its status or by a field, also holds the command's
-    report.  Then the reports of every request, serialized: the bytes the
-    determinism check compares, every payload field included."""
-    rows, reports = [], []
-    for line, expected in _VERIFY_TABLE:
-        argv = line.split()
-        code, report, _ = _request(argv)
-        payload = report.get("payload", {})
-        matches = {
-            name: name in payload and payload[name] == want for name, want in expected.items()
-        }
-        row = {"argv": argv, "status": report["status"], "matches": matches}
-        if code != 0 or not all(matches.values()):
-            row["report"] = report
-        rows.append(row)
-        reports.append(report)
-    return rows, json.dumps(reports, sort_keys=True).encode()
-
-
-# the determinism check's rerun: the table's serialized reports, to stdout
-_RERUN = (
-    "import sys\n"
-    "from loopforms.cli import _run_table\n"
-    "sys.stdout.buffer.write(_run_table()[1])\n"
-)
-
-
-def _fresh_rerun() -> bytes:
-    """The serialized reports of the table from a new interpreter, which shares
-    no cache with this one, under a hash seed other than this process's."""
-    import os
-    import subprocess
-
-    seed = os.environ.get("PYTHONHASHSEED", "")
-    env = dict(os.environ)
-    # 0 when this process hashes at random, else the next seed
-    env["PYTHONHASHSEED"] = str((int(seed) + 1) % 2**32) if seed.isdigit() else "0"
-    # the directory holding this package, so the child imports this same code
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    child = subprocess.run([sys.executable, "-c", _RERUN], capture_output=True, env=env)
-    return child.stdout if child.returncode == 0 else b""
+    return run()
 
 
 _TYPE_OR_MATRIX = ("type", "matrix-algebra")
@@ -368,57 +299,6 @@ _COMMANDS = {
     "centroid": (_cmd_centroid, _TYPE_OR_MATRIX, True, "graded centroid dimensions by shift"),
     "verify-all": (_cmd_verify_all, (), False, "run the known-answer table and check determinism"),
 }
-
-# verify-all's table: (a request's argv, joined by spaces, and the payload
-# fields its report must hold), each row a known answer on a small fixture,
-# certified by the command that prints it
-_VERIFY_TABLE = (
-    # construction: dim = roots + rank, every table certified by its fold
-    ("build --type A1", {"dim": 3, "roots": 2, "rank": 1}),
-    ("build --type A2", {"dim": 8, "roots": 6, "rank": 2}),
-    ("build --type A3", {"dim": 15, "roots": 12, "rank": 3}),
-    ("build --type B2", {"dim": 10, "roots": 8, "rank": 2}),
-    ("build --type C3", {"dim": 21, "roots": 18, "rank": 3}),
-    ("build --type D4", {"dim": 28, "roots": 24, "rank": 4}),
-    ("build --type G2", {"dim": 14, "roots": 12, "rank": 2}),
-    # gradings: the eigenspace dimensions of a twist, which sum to dim A
-    ('grade --type A1 --auto {"s":[1],"m":2}', {"period": 2, "dims": [1, 2]}),
-    ('grade --type A2 --auto {"pi":[2,1]}', {"period": 2, "dims": [3, 5]}),
-    ('grade --type D4 --auto {"pi":[3,2,4,1]}', {"period": 3, "dims": [14, 7, 7]}),
-    ('grade --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"period": 2, "dim_total": 8}),
-    ('grade --matrix-algebra 3 --auto {"exponents":[0,1,2],"m":3}', {"period": 3, "dim_total": 9}),
-    # descent: the cocycle identity and the twisted fixed points of the same
-    # twists
-    ('descent-verify --type A1 --auto {"s":[1],"m":2}', {"period": 2}),
-    ('descent-verify --type A2 --auto {"pi":[2,1]}', {"period": 2}),
-    ('descent-verify --type D4 --auto {"pi":[3,2,4,1]}', {"period": 3}),
-    ('descent-verify --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"period": 2}),
-    ('descent-verify --matrix-algebra 3 --auto {"exponents":[0,1,2],"m":3}', {"period": 3}),
-    # triviality: a toral twist of a type label or of M_n untwists onto
-    # L(id), and a composed twist onto L(pi)
-    ('untwist --type A1 --auto {"s":[1],"m":2}', {"period": 2}),
-    ('untwist --type A2 --auto {"s":[1,0],"m":3}', {"period": 3}),
-    ('untwist --type A2 --auto {"s":[1,1],"m":2}', {"period": 2}),
-    ('untwist --type D4 --auto {"s":[1,0,0,0],"m":2}', {"period": 2}),
-    ('untwist --matrix-algebra 2 --auto {"exponents":[0,1],"m":2}', {"period": 2}),
-    ('untwist --matrix-algebra 3 --auto {"exponents":[0,1,2],"m":3}', {"period": 3}),
-    ('untwist --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"period": 2}),
-    ('untwist --type D4 --auto {"pi":[3,2,4,1],"s":[1,0,1,1],"m":3}', {"period": 3}),
-    # affine labels: L(pi o tau_s) has the label of L(pi)
-    ("extract-gcm --type A1", {"label": "A1^(1)", "gcm": [[2, -2], [-2, 2]]}),
-    ('extract-gcm --type A2 --auto {"pi":[2,1]}', {"label": "A2^(2)"}),
-    ('extract-gcm --type A2 --auto {"pi":[2,1],"s":[1,1],"m":2}', {"label": "A2^(2)"}),
-    ('extract-gcm --type D4 --auto {"pi":[3,2,4,1]}', {"label": "D4^(3)"}),
-    ('extract-gcm --type D4 --auto {"pi":[3,2,4,1],"s":[1,0,1,1],"m":3}', {"label": "D4^(3)"}),
-    # classification: as many classes over R as over k
-    ("classify --type A1", {"r_classes": 1, "k_classes": 1}),
-    ("classify --type A2", {"r_classes": 2, "k_classes": 2}),
-    ("classify --type A3", {"r_classes": 2, "k_classes": 2}),
-    ("classify --type B2", {"r_classes": 1, "k_classes": 1}),
-    ("classify --type D4", {"r_classes": 3, "k_classes": 3}),
-    ("classify --type G2", {"r_classes": 1, "k_classes": 1}),
-)
-
 
 # -- rendering -------------------------------------------------------------------
 
@@ -485,17 +365,9 @@ def _render_text(obj, indent: str = "") -> list[str]:
 
 def _emit(report: dict, args: _Args) -> None:
     if args.text:
-        rendered = "\n".join(_render_text(report)) + "\n"
+        sys.stdout.write("\n".join(_render_text(report)) + "\n")
     else:
-        rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            raise RequestError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(rendered)
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # -- entry point -----------------------------------------------------------------
@@ -514,9 +386,7 @@ _FLAGS = {
         'automorphism spec: {"pi": [..1-based] | null, "s": [..] | null, "m": int};'
         ' for --matrix-algebra: {"exponents": [..], "m": int}',
     ),
-    "--json": ("json", None, "", "JSON output (default)"),
-    "--text": ("text", None, "", "human-readable tables"),
-    "--out": ("out", str, "FILE", "write the report to a file instead of stdout"),
+    "--text": ("text", None, "", "human-readable tables instead of JSON"),
 }
 
 _HELP = ("-h", "--help")
@@ -535,7 +405,7 @@ class _Args:
 def _usage() -> str:
     lines = [
         "usage: loopforms COMMAND [--type T | --algebra FILE | --matrix-algebra N]",
-        "                 [--auto SPEC] [--json | --text] [--out FILE]",
+        "                 [--auto SPEC] [--text]",
         "",
         "Twisted loop algebras over the punctured line: construction, grading, descent checks,",
         "classification, GCM extraction.",
@@ -548,19 +418,6 @@ def _usage() -> str:
         lines.append(f"  {(flag + ' ' + metavar).strip():<20}{text}")
     lines.append(f"  {'-h, --help':<20}show this message and exit")
     return "\n".join(lines) + "\n"
-
-
-def _flag_integer(flag: str, text: str) -> int:
-    """The value of an integer flag: -?[0-9]+ in ASCII digits, the grammar
-    of a table coefficient; no sign but a leading minus, space, underscore
-    or other script's digit is read."""
-    digits = text.removeprefix("-")
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's digit limit
-            pass
-    raise RequestError(f"{flag} needs an integer, got {text!r}")
 
 
 def _parse_args(argv: list[str]) -> Optional[_Args]:
@@ -600,10 +457,12 @@ def _parse_args(argv: list[str]) -> Optional[_Args]:
             if value is None or value.startswith("--"):
                 raise RequestError(f"{flag} needs a value")
         if kind is int:
-            value = _flag_integer(flag, value)
+            # -?[0-9]+ in ASCII digits, the grammar of a table coefficient
+            number = read_int(value)
+            if number is None:
+                raise RequestError(f"{flag} needs an integer, got {value!r}")
+            value = number
         setattr(args, attr, value)
-    if args.json and args.text:
-        raise RequestError("--json and --text exclude each other")
     return args
 
 
@@ -652,11 +511,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args is None:
         sys.stdout.write(_usage())
         return 0
-    try:
-        _emit(report, args)
-    except RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _emit(report, args)
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return code
 

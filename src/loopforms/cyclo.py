@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .record import RequestError
+from .record import RequestError, is_int, read_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -61,13 +61,6 @@ class CycloError(ArithmeticError):
     """An exact-arithmetic invariant failed (a division that must be exact)."""
 
 
-def _json_int(x: object) -> int:
-    """x when it is a JSON integer; a float, bool or string is refused."""
-    if type(x) is not int:
-        raise RequestError(f"expected an integer, not {x!r}")
-    return x
-
-
 def _ratio(value: object) -> tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction, in lowest terms with
     a positive denominator.  Both types expose the two attributes, so a
@@ -81,32 +74,22 @@ def _ratio(value: object) -> tuple[int, int]:
         raise TypeError(f"expected an int or a Fraction, not {value!r}") from None
 
 
-def _digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def _parse_coeff(text: object) -> tuple[int, int]:
     """(numerator, denominator) of a serialized coefficient: a JSON integer,
-    or a string -?[0-9]+ or -?[0-9]+/[0-9]+ of ASCII digits with a nonzero
-    denominator, which is what `to_obj` writes.  The pair need not be in
+    or a string p or p/q, each of p and q read by `record.read_int` and q
+    positive, which is what `to_obj` writes.  The pair need not be in
     lowest terms.  Anything else raises RequestError naming the coefficient;
     no exponent, decimal point, sign but a leading minus, space or
-    underscore is read; a numeral past the interpreter's digit limit is
-    refused by its length, not echoed."""
-    if type(text) is int:
+    underscore is read, and a numeral too long to read is refused by its
+    length, not echoed."""
+    if is_int(text):
         return text, 1
     if type(text) is str:
-        top, slash, bottom = text.removeprefix("-").partition("/")
-        if _digits(top) and (not slash or _digits(bottom)):
-            try:
-                num = int(top)
-                den = int(bottom) if slash else 1
-            except ValueError:  # past the interpreter's digit limit
-                raise RequestError(
-                    f"a coefficient of {len(text)} characters is past the integer digit limit"
-                ) from None
-            if den:
-                return (-num if text.startswith("-") else num), den
+        top, slash, bottom = text.partition("/")
+        num = read_int(top)
+        den = read_int(bottom) if slash else 1
+        if num is not None and den is not None and den > 0:
+            return num, den
     raise RequestError(
         f"coefficient {text!r} is not an integer or a string p or p/q "
         "of ASCII digits with a nonzero q"
@@ -467,8 +450,9 @@ class CycloNum:
         for field in ("order", "coeffs"):
             if field not in obj:
                 raise RequestError(f"missing field {field!r} in a scalar")
-        order = _json_int(obj["order"])
-        coeffs = obj["coeffs"]
+        order, coeffs = obj["order"], obj["coeffs"]
+        if not is_int(order):
+            raise RequestError(f"the order of a scalar must be an integer, not {order!r}")
         if type(coeffs) is not list:
             raise RequestError(
                 f"coefficients must be a list of strings or integers, not {coeffs!r}"

@@ -1,5 +1,6 @@
-"""`Record`: the base of every immutable value type in the package, and
-`RequestError`: the one refusal of a malformed input.
+"""`Record`: the base of every immutable value type in the package,
+`RequestError`: the one refusal of a malformed input, and the readers of
+the input grammars that refuse with it.
 
 A subclass lists its fields as class annotations, in order; a class
 attribute of the same name is that field's default.  Records keep the
@@ -31,6 +32,10 @@ So is an input past a size limit, by the function that reads it, before
 anything is built: `MAX_DIM` bounds the dimension of a table, `MAX_PERIOD`
 the twist period lcm(|pi|, m).  README ("Requests are bounded") times the
 slowest requests they admit.
+
+Each input grammar has one reader, whichever module reads the input:
+`read_int` for an integer in text, `is_int` for a JSON integer, `read_json`
+for a JSON document.
 """
 
 __all__ = ["Record", "RequestError"]
@@ -41,6 +46,37 @@ MAX_PERIOD = 24
 
 class RequestError(ValueError):
     """A malformed input: the request names nothing to build (exit 2)."""
+
+
+def read_int(text: str) -> int | None:
+    """The integer text spells as -?[0-9]+ in ASCII digits, else None; a
+    numeral past the interpreter's digit limit is refused by its length."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise RequestError(f"an integer of {len(digits)} digits is past the digit limit") from None
+
+
+def is_int(x: object) -> bool:
+    """x is a JSON integer, not a bool (a subclass of int) or a float."""
+    return type(x) is int
+
+
+def read_json(raw: str | bytes, source: str) -> object:
+    """The JSON document raw (UTF-8 bytes, or text); text that does not
+    decode, an integer past the digit limit or nesting past the recursion
+    limit is refused, naming source."""
+    import json
+
+    try:
+        return json.loads(raw if type(raw) is str else raw.decode("utf-8"))
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError or the digit limit
+        raise RequestError(f"{source} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise RequestError(f"{source} nests too deeply to read") from None
 
 
 class Record:

@@ -1,4 +1,4 @@
-"""verify-all's table of CLI requests (`cli._VERIFY_TABLE`).
+"""verify-all's table of CLI requests (`verify._VERIFY_TABLE`).
 
 Each row is a request and the payload fields its report must hold.  The
 rows are grouped here by the release criterion whose known answers they
@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from loopforms import affine, chevalley, cli
+from loopforms import affine, chevalley, cli, verify
 from loopforms.affine import GCM
 from loopforms.algebra import KIND_LIE, MultTableAlgebra
 from loopforms.cyclo import CycloNum
@@ -42,15 +42,15 @@ _CRITERIA = {
 def _rows(monkeypatch, selects):
     """The rows of the table whose argv selects keeps, as verify-all reports
     them."""
-    table = [row for row in cli._VERIFY_TABLE if selects(row[0].split())]
-    monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
-    return cli._run_table()[0]
+    table = [row for row in verify._VERIFY_TABLE if selects(row[0].split())]
+    monkeypatch.setattr(verify, "_VERIFY_TABLE", table)
+    return verify._run_table()[0]
 
 
 def test_every_row_carries_one_criterion_or_more():
     assert all(
         any(selects(line.split()) for selects, _ in _CRITERIA.values())
-        for line, _ in cli._VERIFY_TABLE
+        for line, _ in verify._VERIFY_TABLE
     )
 
 
@@ -69,8 +69,8 @@ def test_criterion(criterion, monkeypatch):
 def test_criterion_8_determinism(monkeypatch):
     # the child hashes under seed 1 and this process under its own
     monkeypatch.setenv("PYTHONHASHSEED", "0")
-    rows, serialized = cli._run_table()
-    assert cli._fresh_rerun() == serialized
+    rows, serialized = verify._run_table()
+    assert verify._fresh_rerun() == serialized
     # the compared bytes are every request's whole report, payload included
     reports = json.loads(serialized)
     assert [report["command"] for report in reports] == [row["argv"][0] for row in rows]
@@ -78,23 +78,23 @@ def test_criterion_8_determinism(monkeypatch):
 
 
 def test_a_payload_field_that_no_row_names_is_compared(monkeypatch, capsys):
-    # the rerun adds 1 to the dim_total of a grade request whose row names
-    # only period and dims, so every row still passes in both processes
+    # the request path adds 1 to the dim_total of a grade request whose row
+    # names only period and dims, against the rerun's bytes of the untampered
+    # row, so the row still passes and only the comparison fails
     line = 'grade --type A1 --auto {"s":[1],"m":2}'
-    table = [row for row in cli._VERIFY_TABLE if row[0] == line]
+    table = [row for row in verify._VERIFY_TABLE if row[0] == line]
     assert table == [(line, {"period": 2, "dims": [1, 2]})]
-    monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
-    prelude = (
-        "from loopforms import cli\n"
-        f"cli._VERIFY_TABLE = {table!r}\n"
-        "real = cli._request\n"
-        "def shifted(argv):\n"
-        "    code, report, args = real(argv)\n"
-        "    report['payload']['dim_total'] += 1\n"
-        "    return code, report, args\n"
-        "cli._request = shifted\n"
-    )
-    monkeypatch.setattr(cli, "_RERUN", prelude + cli._RERUN)
+    monkeypatch.setattr(verify, "_VERIFY_TABLE", table)
+    untampered = verify._run_table()[1]
+    monkeypatch.setattr(verify, "_fresh_rerun", lambda: untampered)
+    real = verify._request
+
+    def shifted(argv):
+        code, report, args = real(argv)
+        report["payload"]["dim_total"] += 1
+        return code, report, args
+
+    monkeypatch.setattr(verify, "_request", shifted)
     assert cli.main(["verify-all"]) == 1
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["rows"] == [
@@ -108,12 +108,12 @@ def test_a_payload_field_that_no_row_names_is_compared(monkeypatch, capsys):
 
 def test_tampered_expected_field_exits_1(monkeypatch, capsys):
     flip = 'grade --type A2 --auto {"pi":[2,1]}'
-    assert (flip, {"period": 2, "dims": [3, 5]}) in cli._VERIFY_TABLE
+    assert (flip, {"period": 2, "dims": [3, 5]}) in verify._VERIFY_TABLE
     table = [
         (line, {"period": 2, "dims": [3, 4]} if line == flip else expected)
-        for line, expected in cli._VERIFY_TABLE
+        for line, expected in verify._VERIFY_TABLE
     ]
-    monkeypatch.setattr(cli, "_VERIFY_TABLE", table)
+    monkeypatch.setattr(verify, "_VERIFY_TABLE", table)
     assert cli.main(["verify-all"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "fail"

@@ -30,7 +30,7 @@ from dense import (
     twist_fixture,
     twisted_fixed_points,
 )
-from loopforms import algebra, centroid, cli, linalg
+from loopforms import algebra, centroid, cli, linalg, verify
 from loopforms.algebra import (
     KIND_ASSOCIATIVE,
     KIND_LIE,
@@ -564,7 +564,7 @@ _TWIST_COMMANDS = ("grade", "descent-verify", "untwist", "extract-gcm", "centroi
 
 
 @pytest.mark.parametrize(
-    "line", [line for line, _ in cli._VERIFY_TABLE if line.split()[0] in _TWIST_COMMANDS]
+    "line", [line for line, _ in verify._VERIFY_TABLE if line.split()[0] in _TWIST_COMMANDS]
 )
 def test_pairing_equals_the_layout_rules_on_verify_all_twists(line):
     # the exponents the CLI hands grading.twist, against the rule of the

@@ -128,7 +128,7 @@ def test_root_system_size_is_limited():
     rs, alg = algebra_over("B12", 1)
     assert (len(rs.roots), alg.dim) == (288, 300)
     # a rank past the interpreter's digit limit is refused too, not a ValueError
-    message = "a rank of 5000 digits is past the digit limit"
+    message = "an integer of 5000 digits is past the digit limit"
     with pytest.raises(RequestError, match=message):
         cartan_matrix("A" + "9" * 5000)
 

@@ -12,7 +12,7 @@ import pytest
 
 import loopforms
 from ledger import assert_recorded, recorder
-from loopforms import algebra, chevalley, cli, cyclo
+from loopforms import algebra, chevalley, cli, cyclo, verify
 from loopforms.algebra import KIND_LIE, MultTableAlgebra
 from loopforms.cyclo import CycloNum
 from loopforms.chevalley import algebra_over
@@ -106,12 +106,12 @@ def test_each_built_algebra_is_certified_once(monkeypatch, capsys, tmp_path):
     # verify-all's build rows build their fixtures, each certified once
     # inside the build, and report those certificates without certifying
     # again
-    builds = [row for row in cli._VERIFY_TABLE if row[0].startswith("build ")]
-    monkeypatch.setattr(cli, "_VERIFY_TABLE", builds)
-    assert all("report" not in row for row in cli._run_table()[0])
+    builds = [row for row in verify._VERIFY_TABLE if row[0].startswith("build ")]
+    monkeypatch.setattr(verify, "_VERIFY_TABLE", builds)
+    assert all("report" not in row for row in verify._run_table()[0])
     assert (swept, folded) == ([], [line.split()[2] for line, _ in builds])
     folded.clear()
-    assert all("report" not in row for row in cli._run_table()[0])
+    assert all("report" not in row for row in verify._run_table()[0])
     assert (swept, folded) == ([], [])
     # a table read from a file is swept once, and folds nothing
     path = tmp_path / "b3.json"
@@ -231,22 +231,14 @@ def test_text_rendering():
     assert "yes" in result.stdout
 
 
-def test_out_file(tmp_path):
-    path = tmp_path / "report.json"
-    result = run_cli("build", "--type", "A1", "--out", str(path))
-    assert result.returncode == 0
-    assert result.stdout == ""
-    report = json.loads(path.read_text())
-    assert report["payload"]["dim"] == 3
-
-
-def test_out_into_missing_directory_exits_2(tmp_path):
-    out = tmp_path / "missing" / "x.json"
+def test_out_is_an_unknown_flag_and_writes_no_file(tmp_path):
+    # the report goes to stdout alone: redirect it to save it
+    out = tmp_path / "x.json"
     result = run_cli("build", "--type", "A1", "--out", str(out))
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith(f"error: cannot write {out}: ")
-    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: unknown flag '--out'; flags are not abbreviated\n"
+    assert not out.exists()
 
 
 def test_identical_requests_identical_bytes():
@@ -477,7 +469,7 @@ def test_algebra_file_is_read_without_coercion(tmp_path, capsys, path, value):
         (
             {"dim": 1, "scalar_order": 1, "kind": "lie", "labels": ["x"],
              "constants": [[0, 0, [[0, {"order": 1, "coeffs": ["9" * 5000]}]]]]},
-            "a coefficient of 5000 characters is past the integer digit limit",
+            "an integer of 5000 digits is past the digit limit",
         ),
         # a table and scalar order of 19 digits, refused before euler_phi
         # factors it by trial division
@@ -564,6 +556,10 @@ _MISSHAPEN_TABLES = [
         ["1", "0"],
         "2 coefficients given for a scalar of order 1, which takes phi(1) = 1",
     ),
+    # a dimension, scalar order or index that is not a JSON integer
+    (("dim",), 3.9, "the dimension must be an integer, not 3.9"),
+    (("scalar_order",), True, "the scalar order must be an integer, not True"),
+    (("constants", 0, 2, 0, 0), 1.0, _NOT_ENTRIES),
 ]
 
 
@@ -624,11 +620,10 @@ def test_misshapen_table_names_its_fault(tmp_path, capsys, path, value, message)
         (("grade", "--type", "A2", "--auto", '{"s": [0.5, 1]}'), "s must be a list of integers"),
         (("grade", "--matrix-algebra", "2", "--auto", '{"exponents": "01"}'),
          "exponents must be a list of integers"),
-        # an empty path is refused, not read as no --out
-        (("build", "--type", "A1", "--out", ""),
-         "cannot write : [Errno 2] No such file or directory: ''"),
-        (("build", "--type", "A1", "--out="),
-         "cannot write : [Errno 2] No such file or directory: ''"),
+        # the report goes to stdout alone, JSON unless --text
+        (("build", "--type", "A1", "--out="), "unknown flag '--out'; flags are not abbreviated"),
+        (("grade", "--type", "A2", "--json", "--text"),
+         "unknown flag '--json'; flags are not abbreviated"),
         # the library refuses these, with the same exit 2 as the CLI's own
         (("extract-gcm", "--type", "B2", "--auto", '{"pi":[2,1]}'),
          "unsupported automorphism: permutation does not preserve the Cartan matrix of B2: pi = [2, 1]"),
@@ -715,7 +710,7 @@ def test_every_command_refuses_the_inputs_it_does_not_read(capsys, command, flag
          "unknown flag '--window'; flags are not abbreviated"),
         (("grade", "--matrix-algebra", "2x"), "--matrix-algebra needs an integer, got '2x'"),
         (("grade", "--matrix-algebra=", "2"), "--matrix-algebra needs an integer, got ''"),
-        (("grade", "--type", "A2", "--json", "--text"), "--json and --text exclude each other"),
+        (("grade", "--type", "A2", "--json"), "unknown flag '--json'; flags are not abbreviated"),
         (("grade", "--type", "A2", "--text=yes"), "--text takes no value"),
         # abbreviations are refused: a prefix of a flag is an unknown flag
         (("grade", "--ty", "A2"), "unknown flag '--ty'; flags are not abbreviated"),
@@ -729,8 +724,11 @@ def test_every_command_refuses_the_inputs_it_does_not_read(capsys, command, flag
         (("grade", "--matrix-algebra", "2", "--matrix-algebra=3"),
          "flag --matrix-algebra given twice"),
         (("grade", "--type", "A2", "--text", "--text"), "flag --text given twice"),
-        (("grade", "--type", "A2", "--json", "--json"), "flag --json given twice"),
-        (("build", "--type", "A1", "--out", "a.json", "--out", "b.json"), "flag --out given twice"),
+        # an integer flag past the interpreter's digit limit is refused by
+        # its length, as a coefficient or a rank is
+        (("grade", "--matrix-algebra", "9" * 5000),
+         "an integer of 5000 digits is past the digit limit"),
+        (("build", "--type", "A1", "--out", "a.json"), "unknown flag '--out'; flags are not abbreviated"),
         (("build", "--algebra", "a.json", "--algebra", "b.json"), "flag --algebra given twice"),
         # an integer flag reads ASCII decimal digits only, as a table
         # coefficient does: no other script's digit, space, underscore or plus
@@ -792,9 +790,10 @@ def test_help_exits_0(argv):
     assert result.returncode == 0
     assert result.stdout.startswith("usage: loopforms COMMAND")
     for name in ("build", "grade", "classify", "extract-gcm", "untwist", "descent-verify",
-                 "centroid", "verify-all", "--matrix-algebra", "--out"):
+                 "centroid", "verify-all", "--matrix-algebra", "--text"):
         assert name in result.stdout
-    assert "--window" not in result.stdout
+    for name in ("--window", "--json", "--out"):
+        assert name not in result.stdout
     # --help states the size limit that cartan_matrix holds a type label to
     assert f"of dimension <= {MAX_DIM}\n" in result.stdout
     assert result.stderr == ""
@@ -833,7 +832,7 @@ def test_verify_all_subprocess():
         wall = time.monotonic() - started
         assert result.returncode == 0
         payload = report_of(result)["payload"]
-        assert len(payload["rows"]) == len(cli._VERIFY_TABLE)
+        assert len(payload["rows"]) == len(verify._VERIFY_TABLE)
         assert all(row["status"] == "pass" and "report" not in row for row in payload["rows"])
         assert payload["determinism"]["identical_bytes"] is True
         assert_recorded(["verify-all"], result)

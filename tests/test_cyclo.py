@@ -355,7 +355,7 @@ def test_coefficient_outside_the_grammar_is_refused(coeff):
 def test_scalar_object_shape_is_checked():
     with pytest.raises(RequestError, match=r"a scalar must be a JSON object, not \[1"):
         CycloNum.from_obj([1, ["1"]])
-    with pytest.raises(RequestError, match="expected an integer, not '3'"):
+    with pytest.raises(RequestError, match="the order of a scalar must be an integer, not '3'"):
         CycloNum.from_obj({"order": "3", "coeffs": ["1", "0"]})
     with pytest.raises(
         RequestError, match="coefficients must be a list of strings or integers, not '1'"

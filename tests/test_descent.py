@@ -27,7 +27,7 @@ from dense import (
     untwist_matrix_iso,
     windowed_untwist_check,
 )
-from loopforms import chevalley, cli, descent, grading, linalg
+from loopforms import chevalley, cli, descent, grading, linalg, verify
 from loopforms.chevalley import (
     DiagramPermutation,
     algebra_over,
@@ -320,9 +320,9 @@ def untwist_calls(monkeypatch):
 def test_untwist_agrees_with_windowed_oracle_on_criteria_4_and_5(untwist_calls, monkeypatch):
     # the untwist rows of verify-all: toral twists of type labels and of M_n,
     # and composed twists
-    rows = [row for row in cli._VERIFY_TABLE if row[0].startswith("untwist ")]
-    monkeypatch.setattr(cli, "_VERIFY_TABLE", rows)
-    assert all("report" not in row for row in cli._run_table()[0])
+    rows = [row for row in verify._VERIFY_TABLE if row[0].startswith("untwist ")]
+    monkeypatch.setattr(verify, "_VERIFY_TABLE", rows)
+    assert all("report" not in row for row in verify._run_table()[0])
     assert len(untwist_calls) == len(rows) == 8
 
 
@@ -483,7 +483,7 @@ def _twist_or_none(alg, outer, exponents, m):
         return None
 
 
-_UNTWIST_TABLE_ROWS = [line for line, _ in cli._VERIFY_TABLE if line.startswith("untwist ")]
+_UNTWIST_TABLE_ROWS = [line for line, _ in verify._VERIFY_TABLE if line.startswith("untwist ")]
 
 
 def _request_factors(line, monkeypatch, capsys):

@@ -128,8 +128,20 @@ _TYPE_LABEL = sorted(_CORE + ["loopforms.chevalley"])
             ["descent-verify", "--type", "A2", "--auto", '{"pi": [2, 1], "m": 2}'],
             ["loopforms.descent", "loopforms.grading"],
         ),
+        (
+            ["verify-all"],
+            [
+                "loopforms.affine",
+                "loopforms.centroid",
+                "loopforms.classify",
+                "loopforms.descent",
+                "loopforms.grading",
+                "loopforms.linalg",
+                "loopforms.verify",
+            ],
+        ),
     ],
-    ids=["build", "grade", "centroid", "extract-gcm", "untwist", "descent-verify"],
+    ids=["build", "grade", "centroid", "extract-gcm", "untwist", "descent-verify", "verify-all"],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, layers):
     code, loaded, codegen = _request(argv)

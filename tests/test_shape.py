@@ -208,7 +208,7 @@ def _words(*names):
         # descent.matrix_twist_factors decides an M_n twist itself, as
         # chevalley.check_twist does a type label's: no second check
         pytest.param(_words("check_matrix_twist"), id="matrix twist check"),
-        # verify-all is a table of CLI requests (cli._VERIFY_TABLE), each
+        # verify-all is a table of CLI requests (verify._VERIFY_TABLE), each
         # certified by the command that prints it: no acceptance module, no
         # criterion runners and no second request path
         pytest.param(
@@ -270,6 +270,13 @@ def _words(*names):
             r"\bdef (?:__new__|coeffs|as_fraction|embed|contains|__call__|identity)\b"
             r"|^def rank\b",
             id="second ways",
+        ),
+        # each input grammar has one reader in record: read_int for an
+        # integer written as text, is_int for a JSON integer and read_json
+        # for a JSON document; the report goes to stdout alone
+        pytest.param(
+            _words("_json_int", "_is_int", "_digits", "_flag_integer") + r"|--json\b|--out\b",
+            id="second readers and output flags",
         ),
     ],
 )
@@ -406,6 +413,28 @@ def test_refusals_are_classified_by_kind():
         and "error" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
     ]
     assert takes_error == ["_cartan_axioms"]
+
+
+def test_the_cli_reads_five_flags():
+    from loopforms import cli
+
+    assert list(cli._FLAGS) == ["--type", "--algebra", "--matrix-algebra", "--auto", "--text"]
+
+
+def test_only_record_reads_integer_text():
+    # record.read_int and record.read_json alone test for ASCII digits or
+    # catch the interpreter's digit limit
+    record = SRC / "loopforms" / "record.py"
+    pattern = r"\bisdigit\(|digit limit"
+    assert _matches(pattern, [path for path in SOURCES if path != record]) == []
+    assert len(_matches(pattern, [record])) >= 2
+
+
+def test_the_cli_holds_no_known_answer_table():
+    # verify-all's table, its runner and its rerun live in loopforms.verify,
+    # which no other request compiles
+    cli = SRC / "loopforms" / "cli.py"
+    assert _matches(_words("_VERIFY_TABLE", "_run_table", "_fresh_rerun", "_RERUN"), [cli]) == []
 
 
 def test_the_cli_runs_no_library_check():
