@@ -231,14 +231,33 @@ def test_text_rendering():
     assert "yes" in result.stdout
 
 
-def test_out_is_an_unknown_flag_and_writes_no_file(tmp_path):
-    # the report goes to stdout alone: redirect it to save it
+def test_out_file(tmp_path):
+    # the report goes to stdout alone: redirecting it saves it, and --out is
+    # an unknown flag that writes no file
+    saved = tmp_path / "saved.json"
+    with saved.open("w") as handle:
+        result = subprocess.run(
+            [sys.executable, "-m", "loopforms", "build", "--type", "A1"],
+            stdout=handle, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    assert result.returncode == 0
+    assert json.loads(saved.read_text())["payload"]["dim"] == 3
     out = tmp_path / "x.json"
     result = run_cli("build", "--type", "A1", "--out", str(out))
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: unknown flag '--out'; flags are not abbreviated\n"
     assert not out.exists()
+
+
+def test_out_into_missing_directory_exits_2(tmp_path):
+    # refused as a malformed request before any work, and nothing is created
+    missing = tmp_path / "missing"
+    result = run_cli("build", "--type", "A1", f"--out={missing / 'x.json'}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: unknown flag '--out'; flags are not abbreviated\n"
+    assert not missing.exists()
 
 
 def test_identical_requests_identical_bytes():
