@@ -292,8 +292,9 @@ def test_classify_passes_on_the_types_the_golden_file_leaves_out(label, capsys):
 def test_centroid_and_classify_stdout_match_golden_digests():
     # each request's stdout, as the ledger records it
     requests = recorder.centroid_requests()
-    # 43 centroid classes, 29 classify requests, 2 composed A3 and 8 M4 variants
-    assert len(requests) == 82
+    # 43 centroid classes, 29 classify requests, 2 composed A3 and 8 M4
+    # variants, and M6 twisted and untwisted
+    assert len(requests) == 84
     ledger = recorder.load()
     assert all(ledger[recorder.key(argv)]["exit"] == 0 for argv in requests)
     assert_replays(requests)

@@ -22,9 +22,9 @@ EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json
 def test_every_entry_replays_its_recorded_stdout(tmp_path, monkeypatch):
     ledger = recorder.load()
     named = {recorder.key(argv) for argv in named_requests()}
-    # 15 strata, 48 extract-gcm and 82 centroid or classify requests, less 4
+    # 15 strata, 48 extract-gcm and 84 centroid or classify requests, less 4
     # that two lists share
-    assert len(named) == 141 and named <= set(ledger)
+    assert len(named) == 143 and named <= set(ledger)
     recorder.write_tables(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert_replays([json.loads(argv_key) for argv_key in ledger if argv_key not in named])
@@ -47,11 +47,11 @@ def test_a_changed_field_fails_with_a_diff_that_shows_it():
 def test_ledger_holds_every_pinned_request_as_the_recorder_writes_it():
     ledger = recorder.load()
     assert sorted(ledger) == sorted(recorder.key(argv) for argv in recorder.requests())
-    # 112 pooled, 48 extract-gcm and 82 centroid or classify requests, three
+    # 112 pooled, 48 extract-gcm and 84 centroid or classify requests, three
     # classify of M_N, verify-all, the D4 untwist, grade and centroid with
     # empty residues, the --text extraction and --help, less 17 that two
     # lists share
-    assert len(ledger) == 234
+    assert len(ledger) == 236
     assert recorder.LEDGER.read_text(encoding="utf-8") == recorder.dump(ledger)
 
 

@@ -9,9 +9,10 @@ a cold `python -m loopforms ARGV` run under PYTHONHASHSEED=0.  Stdout is
 stored as its list of lines, so a changed field shows as one changed line in
 `git diff`.  The pinned requests are the ones `requests()` lists: every
 request the benchmark pools in perfbench/pool.py, extract-gcm and centroid of
-every diagram class, classify of every type and of M_1, M_2 and M_3,
-`verify-all`, one composed D4 untwist, `grade` and `centroid` of a grading
-with empty residues, one `--text` report and the `--help` text.
+every diagram class, the centroid of M_6 twisted and untwisted, classify
+of every type and of M_1, M_2 and M_3, `verify-all`, one composed D4
+untwist, `grade` and `centroid` of a grading with empty residues, one
+`--text` report and the `--help` text.
 
 The pooled `--algebra` requests name tables under pool.TABLE_DIR, a path
 relative to the working directory.  The recorder writes those tables under a
@@ -54,6 +55,12 @@ EMPTY_RESIDUES = [
 # the A2 flip's GCM as text: the one pinned report that the renderer prints
 # as a list of lists, in nested bullets
 EXTRACT_TEXT = ["extract-gcm", "--type", "A2", "--auto", '{"pi":[2,1]}', "--text"]
+
+# the M_n centroid past the pool's M_4, twisted and untwisted
+CENTROID_M6 = [
+    ["centroid", "--matrix-algebra", "6", "--auto", '{"exponents":[0,1,2,3,4,5],"m":6}'],
+    ["centroid", "--matrix-algebra", "6"],
+]
 
 # toral and composed twists whose simple roots sit at several degrees; G2 at
 # order 6 has one at degree 4
@@ -104,8 +111,8 @@ def extract_requests() -> list[list[str]]:
 
 def centroid_requests() -> list[list[str]]:
     """centroid of every diagram class and classify of every type but E7 and
-    E8, then the benchmark's centroid variants.  test_classify checks the
-    class counts of E7 and E8."""
+    E8, then the benchmark's centroid variants and M_6 at m = 6 and m = 1.
+    test_classify checks the class counts of E7 and E8."""
     from loopforms.chevalley import TYPE_LABELS
 
     small = [label for label in TYPE_LABELS if label not in ("E7", "E8")]
@@ -117,7 +124,7 @@ def centroid_requests() -> list[list[str]]:
         for argv in stratum
     ]
     # the pool's first A3 variant is a diagram class above
-    return requests + [argv for argv in variants if argv not in requests]
+    return requests + [argv for argv in variants if argv not in requests] + CENTROID_M6
 
 
 def requests() -> list[list[str]]:
