@@ -9,8 +9,8 @@ only in serialized reports.  `validate_algebra` certifies the laws of the
 declared kind on every ordered basis triple, evaluating them only where a
 term has a path through the table's nonzero products (`_left_paths`), and
 the table keeps that certificate (`MultTableAlgebra.validation`), so it is
-computed once per table.
-A type label's table carries its construction's certificate instead.
+computed once per table.  A table the library builds carries its
+builder's proof instead (`certified_table`).
 
 This module is the table layer only.  Automorphisms and gradings are in
 `grading`, the graded centroid in `centroid`, and descent data in `descent`,
@@ -35,6 +35,7 @@ __all__ = [
     "MultTableAlgebra",
     "ValidationReport",
     "Violation",
+    "certified_table",
     "validate_algebra",
 ]
 
@@ -153,7 +154,7 @@ class MultTableAlgebra(Record):
     @cached_property
     def validation(self) -> "ValidationReport":
         """The certificate of this table's laws, computed once: the one its
-        constructor stored (`chevalley.algebra_over`), else
+        builder proved, which `certified_table` stores, else
         `validate_algebra`'s."""
         return validate_algebra(self)
 
@@ -279,6 +280,32 @@ class ValidationReport(Record):
         }
 
 
+def certified_table(
+    kind: str,
+    labels: Sequence[str],
+    weights: tuple[tuple[int, ...], ...],
+    products: dict[tuple[int, int], dict[int, int]],
+    order: int,
+) -> MultTableAlgebra:
+    """The integer structure constants `products` written over
+    Q(zeta_order), each handed to the constructor as it is, and the report
+    of no violation that the caller proved by construction:
+    `chevalley.algebra_over` for a type's fold, `descent.matrix_twist_factors` for M_n."""
+    # a handful of integers recur, so each is made a scalar once
+    values = {c for entry in products.values() for c in entry.values()}
+    scalar = {c: CycloNum.rational(order, c) for c in values}
+    alg = MultTableAlgebra(
+        dim=len(labels),
+        scalar_order=order,
+        kind=kind,
+        products={key: {k: scalar[c] for k, c in entry.items()} for key, entry in products.items()},
+        basis_labels=tuple(labels),
+        weights=weights,
+    )
+    alg.__dict__["validation"] = ValidationReport(kind, alg.dim, ())
+    return alg
+
+
 def _power_basis_table(alg: MultTableAlgebra) -> dict:
     """The nonzero products, each scalar as its nonzero power-basis terms.
 
@@ -366,9 +393,9 @@ def validate_algebra(alg: MultTableAlgebra) -> ValidationReport:
     certificate covers.  The report lists each violated law with the
     offending basis indices, alternation and antisymmetry first, then the
     triples in lexicographic order, so a corrupted table names the exact
-    triple that broke.  A type label's table is certified by its
-    construction (`chevalley.algebra_over`), so this sweep serves
-    `--algebra` tables and the tests' oracles.
+    triple that broke.  A table the library builds is certified by its
+    construction (`certified_table`), so this sweep serves `--algebra`
+    tables and the tests' oracles.
     """
     n = alg.dim
     labels = alg.basis_labels

@@ -23,9 +23,10 @@ __all__ = ["CentroidReport", "centroid_graded"]
 
 
 class CentroidReport(Record):
-    """Solution space of maps commuting with all multiplications, by residue.
+    """Solution space of maps commuting with all multiplications, at one shift.
 
-    A family assigns to each residue i a matrix A_i -> A_{i+shift} written in
+    The shift is the report's index in `centroid_graded`'s result.  A family
+    assigns to each residue i a matrix A_i -> A_{i+shift} written in
     component coordinates; the family is constant across the integer degrees
     of a residue class, which is exactly a degree-homogeneous centroid
     transformation of the twisted loop algebra.  Each family is stored as one
@@ -35,7 +36,6 @@ class CentroidReport(Record):
     shift 0, lies in their span.
     """
 
-    shift_residue: int
     contains_identity: bool
     basis: tuple[Sparse, ...]
 
@@ -60,8 +60,9 @@ class _Generators:
     the list of vectors added to the closure, and a product L_g w is formed
     once for each pair.  Every basis vector the scan meets is kept or lies
     in the closure already, so the closure reaches the whole algebra and G
-    generates it.  A table that fails its own laws raises AlgebraError,
-    since the centroid system below assumes them.
+    generates it.  A table whose certificate (`MultTableAlgebra.validation`,
+    its builder's, or the sweep's for a file's table) reports a failed law
+    raises AlgebraError, since the centroid system below assumes the laws.
 
     `left[g]` holds the coordinates of g * e for every homogeneous basis
     vector e, in the order of `hom`, and `right[g]` those of e * g for an
@@ -266,9 +267,5 @@ def centroid_graded(
                 if coeff is not None:
                     sol[lead] = -coeff
             families.append({k: sol[k] for k in sorted(sol)})
-        reports.append(
-            CentroidReport(
-                shift_residue=d, contains_identity=contains_identity, basis=tuple(families)
-            )
-        )
+        reports.append(CentroidReport(contains_identity, tuple(families)))
     return tuple(reports)

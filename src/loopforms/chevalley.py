@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import KIND_LIE, MultTableAlgebra, ValidationReport, _cycles
+from .algebra import KIND_LIE, MultTableAlgebra, _cycles, certified_table
 from .cyclo import CycloNum
 from .record import MAX_DIM, MAX_PERIOD, Record, RequestError, read_int
 
@@ -505,16 +505,15 @@ def algebra_over(label: str, order: int) -> tuple[RootSystem, MultTableAlgebra]:
        for the label's Cartan matrix A, and that the restriction is a
        bijection onto the label's roots.
 
-    The table's products are the fold's, each integer made a scalar of this
-    order and handed to the constructor as it is, so no step between the
-    checked fold and the table can change a constant.  A failed part raises
-    LieConstructError.  The report covers all n^3 ordered triples, which
-    `triples_checked` counts, and is kept on the algebra
-    (`MultTableAlgebra.validation`), so no table built here is swept by
-    `validate_algebra`.
+    A failed part raises LieConstructError.  `algebra.certified_table`
+    writes the fold's integers over this order with the report of these
+    parts, which covers all n^3 ordered triples, as `triples_checked`
+    counts, and is kept on the algebra (`MultTableAlgebra.validation`), so
+    no table built here is swept by `validate_algebra`.
     """
     rs, folded = _type_fold(label)
-    return rs, _write_table(rs, folded, order)
+    weights = ((0,) * rs.rank,) * rs.rank + rs.roots
+    return rs, certified_table(KIND_LIE, _basis_layout(rs)[0], weights, folded, order)
 
 
 @lru_cache(maxsize=None)
@@ -523,24 +522,6 @@ def _type_fold(label: str) -> tuple[RootSystem, Fold]:
     `classify --type D4` folds D4 once for its three twists; never a table."""
     rs = root_system(cartan_matrix(label))
     return rs, _fold(rs)
-
-
-def _write_table(rs: RootSystem, folded: Fold, order: int) -> MultTableAlgebra:
-    """The fold of rs written over Q(zeta_order), with its certificate."""
-    labels, _ = _basis_layout(rs)
-    # a handful of integers recur, so each is made a scalar once
-    values = {c for entry in folded.values() for c in entry.values()}
-    scalar = {c: CycloNum.rational(order, c) for c in values}
-    alg = MultTableAlgebra(
-        dim=len(labels),
-        scalar_order=order,
-        kind=KIND_LIE,
-        products={key: {k: scalar[c] for k, c in entry.items()} for key, entry in folded.items()},
-        basis_labels=tuple(labels),
-        weights=((0,) * rs.rank,) * rs.rank + rs.roots,
-    )
-    alg.__dict__["validation"] = ValidationReport(KIND_LIE, alg.dim, ())
-    return alg
 
 
 # -- automorphisms ---------------------------------------------------------------

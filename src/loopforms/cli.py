@@ -31,7 +31,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from .algebra import MultTableAlgebra
-from .record import RequestError, is_int, read_int, read_json
+from .record import MAX_DIM, RequestError, is_int, read_int, read_json
 
 # chevalley is imported by the paths that read a type label, and grading,
 # centroid, affine, classify, descent and verify inside the handlers that
@@ -255,11 +255,11 @@ def _cmd_centroid(args: _Args, source: str, spec: dict) -> dict:
     grading = eigengrading(alg, twist(alg, *factors))
     shifts = [
         {
-            "shift": report.shift_residue,
+            "shift": d,
             "solution_dim": report.solution_dim,
             "contains_identity": report.contains_identity,
         }
-        for report in centroid_graded(alg, grading)
+        for d, report in enumerate(centroid_graded(alg, grading))
     ]
     return {**echo, "period": grading.period, "by_shift": shifts, "status": "pass"}
 
@@ -375,7 +375,7 @@ def _emit(report: dict, args: _Args) -> None:
 # flag -> (attribute, value type or None for a switch, metavar, help)
 _FLAGS = {
     "--type": (
-        "type", str, "T", "type label A1.., B2.., C3.., D4.., E6..E8, F4, G2 of dimension <= 700"
+        "type", str, "T", f"type label A1.., B2.., C3.., D4.., E6..E8, F4, G2 of dimension <= {MAX_DIM}"
     ),
     "--algebra": ("algebra", str, "FILE", "path to a serialized multiplication table (JSON)"),
     "--matrix-algebra": ("matrix_algebra", int, "N", "use the matrix algebra M_N"),

@@ -9,7 +9,8 @@ coweight h (s, or a), so `untwist_iso` takes (alg, outer, p, m) from either
 and never reads a root system.
 `matrix_twist_factors` alone decides that (n, a, m) names a twist of M_n,
 and raises `record.RequestError` when it does not, as `chevalley.check_twist`
-does for a type label.  A period-m automorphism sigma of A yields the
+does for a type label, and writes M_n's table with the matrix units'
+certificate.  A period-m automorphism sigma of A yields the
 cocycle u(n mod m) = sigma^{-n} with values in Aut(A tensor S), and the
 twisted fixed points of u recover the loop algebra L(sigma) degree by
 degree.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import MultTableAlgebra
+from .algebra import KIND_ASSOCIATIVE, MultTableAlgebra, certified_table
 from .cyclo import CycloNum
 from .grading import FiniteOrderAutomorphism, eigengrading, twist
 from .record import MAX_DIM, MAX_PERIOD, Record, RequestError
@@ -120,8 +121,11 @@ def matrix_twist_factors(
     `alg.pairing(a)` and m.  exponents None is a = 0.
 
     E_ik has the weight eps_i - eps_k, so a_i - a_k, and E_ik E_kj = E_ij:
-    the weights add, which is the certificate of the twist.  Before anything
-    is built, `RequestError` refuses n < 1, a dimension n^2 above
+    the weights add, which is the certificate of the twist.  The table's
+    certificate, which `algebra.certified_table` stores, is associativity:
+    E_ab E_cd = delta_bc E_ad, so (E_ab E_cd) E_ef = delta_bc delta_de E_af
+    = E_ab (E_cd E_ef), and the table holds exactly these products.  Before
+    anything is built, `RequestError` refuses n < 1, a dimension n^2 above
     `record.MAX_DIM`, a count of exponents other than n, m < 1 and m above
     `record.MAX_PERIOD`.
     """
@@ -136,24 +140,15 @@ def matrix_twist_factors(
         raise RequestError(f"the period m must be >= 1, got m = {m}")
     if m > MAX_PERIOD:
         raise RequestError(f"m = {m} exceeds the period limit {MAX_PERIOD}")
-    idx = lambda i, k: i * n + k  # noqa: E731
-    one = CycloNum.one(m)
-    alg = MultTableAlgebra(
-        dim=n * n,
-        scalar_order=m,
-        kind="associative",
-        products={
-            (idx(i, k), idx(k, j)): {idx(i, j): one}
-            for i in range(n)
-            for k in range(n)
-            for j in range(n)
-        },
-        basis_labels=tuple(f"E{i + 1}{k + 1}" for i in range(n) for k in range(n)),
-        weights=tuple(
-            tuple((r == i) - (r == k) for r in range(n)) for i in range(n) for k in range(n)
-        ),
+    rows = range(n)
+    alg = certified_table(
+        KIND_ASSOCIATIVE,
+        [f"E{i + 1}{k + 1}" for i in rows for k in rows],
+        tuple(tuple((r == i) - (r == k) for r in rows) for i in rows for k in rows),
+        {(i * n + k, k * n + j): {i * n + j: 1} for i in rows for k in rows for j in rows},
+        m,
     )
-    identity = FiniteOrderAutomorphism(tuple(range(n * n)), (one,) * (n * n), 1)
+    identity = FiniteOrderAutomorphism(tuple(range(n * n)), (CycloNum.one(m),) * (n * n), 1)
     return alg, identity, alg.pairing(exponents), m
 
 

@@ -551,7 +551,7 @@ def fraction_rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, Fraction]:
 
 
 def all_pairs_centroid(
-    alg: MultTableAlgebra, grading: GradedDecomposition, shift_residue: int
+    alg: MultTableAlgebra, grading: GradedDecomposition, shift: int
 ) -> CentroidReport:
     """Solve for residue-level families c_i: A_i -> A_{i+shift} with
     c(xy) = (cx)y = x(cy) on all homogeneous basis pairs.
@@ -561,7 +561,7 @@ def all_pairs_centroid(
     zero; the surviving sparse equations are then eliminated exactly.
     """
     m = grading.period
-    d = shift_residue % m
+    d = shift % m
     order = alg.scalar_order
     comps = grading.component_bases
     dims = [len(c) for c in comps]
@@ -669,9 +669,7 @@ def all_pairs_centroid(
             index_of[(res, r, r)]: CycloNum.one(order) for res in range(m) for r in range(dims[res])
         }
         contains_identity = rank([*families, identity]) == len(families)
-    return CentroidReport(
-        shift_residue=d, contains_identity=contains_identity, basis=tuple(families)
-    )
+    return CentroidReport(contains_identity=contains_identity, basis=tuple(families))
 
 
 # -- affine weights by candidate kernels ------------------------------------------

@@ -27,7 +27,9 @@ from dense import (
     untwist_matrix_iso,
     windowed_untwist_check,
 )
-from loopforms import chevalley, cli, descent, grading, linalg, verify
+from ledger import assert_replays
+from loopforms import algebra, chevalley, cli, descent, grading, linalg, verify
+from loopforms.algebra import MultTableAlgebra, ValidationReport, validate_algebra
 from loopforms.chevalley import (
     DiagramPermutation,
     algebra_over,
@@ -600,6 +602,29 @@ def test_build_matrix_algebra_action():
     assert sum(0 if c.is_zero() else 1 for c in col) == 1
     e21 = labels.index("E21")
     assert sigma.matrix[e21][e21] == zeta_power(3, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matrix_units_carry_the_certificate_the_sweep_gives(n, m):
+    # the table is written with its certificate, and the sweep, run on the
+    # same fields rebuilt with none, gives the same report
+    alg, *_ = matrix_twist_factors(n, None, m)
+    assert "validation" in vars(alg)
+    rebuilt = MultTableAlgebra(
+        alg.dim, alg.scalar_order, alg.kind, alg.products, alg.basis_labels, alg.weights
+    )
+    assert "validation" not in vars(rebuilt)
+    assert alg.validation == validate_algebra(rebuilt) == ValidationReport("associative", n * n, ())
+
+
+def test_matrix_centroid_replays_with_no_sweep(monkeypatch):
+    # M_4's centroid reads the certificate its table was written with
+    def no_sweep(alg):
+        raise AssertionError(f"the {alg.dim}-dimensional table was swept")
+
+    monkeypatch.setattr(algebra, "validate_algebra", no_sweep)
+    assert_replays([["centroid", "--matrix-algebra", "4", "--auto", '{"exponents":[0,1,2,3],"m":4}']])
 
 
 def test_build_matrix_algebra_period_not_exact_order():

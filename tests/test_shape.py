@@ -439,15 +439,64 @@ def test_the_cli_holds_no_known_answer_table():
 
 def test_the_cli_runs_no_library_check():
     # the library refuses a malformed or oversized twist itself; the CLI
-    # checks only the shape of its argv and --auto
-    cli = SRC / "loopforms" / "cli.py"
-    names = _words("check_twist", "check_matrix_twist", "MAX_DIM", "MAX_PERIOD", "TYPE_LABELS")
-    assert _matches(names, [cli]) == []
+    # checks only the shape of its argv and --auto, and reads MAX_DIM only
+    # to print it, in an f-string: --type's help
+    from loopforms import cli
+    from loopforms.record import MAX_DIM
+
+    path = SRC / "loopforms" / "cli.py"
+    names = _words("check_twist", "check_matrix_twist", "MAX_PERIOD", "TYPE_LABELS")
+    assert _matches(names, [path]) == []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    printed = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue)}
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "MAX_DIM" and isinstance(node.ctx, ast.Load)
+    ]
+    assert len(reads) == 1 and id(reads[0]) in printed
+    assert cli._FLAGS["--type"][3].endswith(f"of dimension <= {MAX_DIM}")
+
+
+def test_the_dimension_limit_is_written_once():
+    # --help formats MAX_DIM, so moving the limit is one edit, in record.py
+    written = [line.split(": ", 1) for line in _matches(r"\b700\b")]
+    assert [(where.rsplit(":", 1)[0], text) for where, text in written] == [
+        ("src/loopforms/record.py", "MAX_DIM = 700")
+    ]
+
+
+def test_one_writer_stores_a_table_certificate():
+    # algebra.certified_table alone stores a certificate on a table, and the
+    # two builders in src call it: a type's fold and M_n's matrix units
+    writes, callers = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                name = f"{path.stem}.{function.name}"
+                writes += [
+                    name
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and ast.unparse(node) == "alg.__dict__['validation']"
+                ]
+                callers += [
+                    name
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and "certified_table" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                ]
+    assert len(_matches(r'__dict__\["validation"\]')) == 1
+    assert writes == ["algebra.certified_table"]
+    assert sorted(callers) == ["chevalley.algebra_over", "descent.matrix_twist_factors"]
 
 
 # each size limit, and the library functions that read the input it bounds
+# (cli prints MAX_DIM in --type's help, and reads no input against it)
 SIZE_LIMITS = {
-    "MAX_DIM": {"algebra.from_obj", "chevalley.cartan_matrix", "descent.matrix_twist_factors"},
+    "MAX_DIM": {"algebra.from_obj", "chevalley.cartan_matrix", "cli", "descent.matrix_twist_factors"},
     "MAX_PERIOD": {"chevalley.check_twist", "descent.matrix_twist_factors"},
 }
 
@@ -494,7 +543,7 @@ def test_grading_derived_data_is_per_residue():
                 ("class_rep", "class_size", "affine_label", "grading_dims", "centroid_dims"),
                 ("twist_order", "centroid_ok"),
             ),
-            (CentroidReport, ("shift_residue", "contains_identity", "basis"), ("solution_dim",)),
+            (CentroidReport, ("contains_identity", "basis"), ("solution_dim",)),
         )
     ],
 )
